@@ -43,11 +43,9 @@ type Options struct {
 	TupleOverhead int
 	// BufferPoolPages bounds the buffer pool; 0 keeps every page resident.
 	BufferPoolPages int
-	// Vectorized selects batch-at-a-time execution; it is the default, so
-	// the zero Options value runs vectorized. Set DisableVectorized to force
-	// the row-at-a-time Volcano executor (kept for differential testing).
-	Vectorized bool
-	// DisableVectorized forces row-at-a-time execution (see Vectorized).
+	// DisableVectorized forces the row-at-a-time Volcano executor (kept for
+	// differential testing). Batch-at-a-time execution is the default: the
+	// zero Options value runs vectorized.
 	DisableVectorized bool
 	// DisableCompressed keeps batch execution but forces flat (decompressed)
 	// vectors: scans stop emitting Const/RLE vectors for sort-prefix columns.
@@ -70,18 +68,24 @@ type Options struct {
 
 // Open creates an empty database.
 func Open(opts Options) *DB {
+	e := engine.New(opts.engineOptions(""))
+	return &DB{Engine: e, views: matview.NewManager(e)}
+}
+
+// engineOptions converts the public options to the engine's, rooted at dir
+// (empty = in memory).
+func (opts Options) engineOptions(dir string) engine.Options {
 	if opts.TupleOverhead == 0 {
 		opts.TupleOverhead = -1 // engine default
 	}
-	e := engine.New(engine.Options{
+	return engine.Options{
 		TupleOverhead:     opts.TupleOverhead,
 		BufferPoolPages:   opts.BufferPoolPages,
-		Vectorized:        opts.Vectorized,
 		DisableVectorized: opts.DisableVectorized,
 		DisableCompressed: opts.DisableCompressed,
 		Parallelism:       opts.Parallelism,
-	})
-	return &DB{Engine: e, views: matview.NewManager(e)}
+		DataDir:           dir,
+	}
 }
 
 // OpenDir creates or reopens a durable database rooted at dir (overriding
@@ -90,18 +94,7 @@ func Open(opts Options) *DB {
 // arbitrary point recovers every acknowledged statement and nothing partial.
 // Call Close to checkpoint and release the files.
 func OpenDir(dir string, opts Options) (*DB, error) {
-	if opts.TupleOverhead == 0 {
-		opts.TupleOverhead = -1 // engine default
-	}
-	e, err := engine.Open(engine.Options{
-		TupleOverhead:     opts.TupleOverhead,
-		BufferPoolPages:   opts.BufferPoolPages,
-		Vectorized:        opts.Vectorized,
-		DisableVectorized: opts.DisableVectorized,
-		DisableCompressed: opts.DisableCompressed,
-		Parallelism:       opts.Parallelism,
-		DataDir:           dir,
-	})
+	e, err := engine.Open(opts.engineOptions(dir))
 	if err != nil {
 		return nil, err
 	}

@@ -307,7 +307,7 @@ func TestColOptExecutorDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: ColOpt plan: %v", q, err)
 			}
-			colRows, err := exec.DrainBatches(op)
+			colRows, err := exec.DrainBatches(nil, op)
 			if err != nil {
 				t.Fatalf("%s: ColOpt execution: %v", q, err)
 			}
@@ -322,7 +322,7 @@ func TestColOptExecutorDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: flat ColOpt plan: %v", q, err)
 			}
-			flatRows, err := exec.DrainBatches(flatOp)
+			flatRows, err := exec.DrainBatches(nil, flatOp)
 			if err != nil {
 				t.Fatalf("%s: flat ColOpt execution: %v", q, err)
 			}

@@ -65,7 +65,7 @@ func TestParallelDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s iter %d: ColOpt plan: %v", mode, q, i, err)
 				}
-				colRows, err := exec.DrainBatches(op)
+				colRows, err := exec.DrainBatches(nil, op)
 				if err != nil {
 					t.Fatalf("%s %s iter %d: ColOpt execution: %v", mode, q, i, err)
 				}
@@ -143,7 +143,7 @@ func TestParallelColOptMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := exec.DrainBatches(sop)
+			want, err := exec.DrainBatches(nil, sop)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,7 +151,7 @@ func TestParallelColOptMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := exec.DrainBatches(pop)
+			got, err := exec.DrainBatches(nil, pop)
 			if err != nil {
 				t.Fatalf("%s %s: parallel ColOpt execution: %v", mode, q, err)
 			}
@@ -262,7 +262,7 @@ func BenchmarkParallelScanFilterAgg(b *testing.B) {
 			rowsOut := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := exec.DrainBatches(benchParallelColOptPlan(b, false, workers))
+				rows, err := exec.DrainBatches(nil, benchParallelColOptPlan(b, false, workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -288,7 +288,7 @@ func TestParallelScalingPlansAgree(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatal("benchmark query returned no rows")
 	}
-	wantCol, err := exec.DrainBatches(benchColOptPlan(t, false))
+	wantCol, err := exec.DrainBatches(nil, benchColOptPlan(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestParallelScalingPlansAgree(t *testing.T) {
 		if msg := rowsApproxEqual(got.Rows, want.Rows); msg != "" {
 			t.Errorf("workers=%d: SQL scaling plan differs from serial: %s", workers, msg)
 		}
-		gotCol, err := exec.DrainBatches(benchParallelColOptPlan(t, false, workers))
+		gotCol, err := exec.DrainBatches(nil, benchParallelColOptPlan(t, false, workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -322,7 +322,7 @@ func (h *Harness) Run(q QueryID, strategy Strategy, selectivity float64) (Measur
 			return Measurement{}, err
 		}
 		start := time.Now()
-		rows, err := exec.DrainBatches(op)
+		rows, err := exec.DrainBatches(nil, op)
 		if err != nil {
 			return Measurement{}, fmt.Errorf("bench: %s under %s: %w", q, strategy, err)
 		}

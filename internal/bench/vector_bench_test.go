@@ -181,7 +181,7 @@ func runColOptBench(b *testing.B, flat bool) {
 	rowsOut := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.DrainBatches(benchColOptPlan(b, flat))
+		rows, err := exec.DrainBatches(nil, benchColOptPlan(b, flat))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -201,11 +201,11 @@ func BenchmarkScanFilterAggFlatVectors(b *testing.B) { runColOptBench(b, true) }
 // TestCompressedFlatPlansAgree keeps the flat-vs-compressed benchmark honest:
 // the two vector modes must return identical results for the benchmarked plan.
 func TestCompressedFlatPlansAgree(t *testing.T) {
-	compressed, err := exec.DrainBatches(benchColOptPlan(t, false))
+	compressed, err := exec.DrainBatches(nil, benchColOptPlan(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := exec.DrainBatches(benchColOptPlan(t, true))
+	flat, err := exec.DrainBatches(nil, benchColOptPlan(t, true))
 	if err != nil {
 		t.Fatal(err)
 	}

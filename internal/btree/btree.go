@@ -559,7 +559,7 @@ type Iterator struct {
 	stopIncl bool
 	done     bool
 	// leavesLeft bounds how many further leaf pages the iterator may load
-	// (-1 = unbounded). Leaf-range iterators (ScanLeaves) use it to stop at
+	// (-1 = unbounded). Leaf-range iterators (SeekLeaves) use it to stop at
 	// their partition boundary instead of a key.
 	leavesLeft int
 	// scratch is the iterator-owned parse buffer for leaves served outside
@@ -589,49 +589,18 @@ func (it *Iterator) Value() []byte { return it.entries[it.pos-1].val }
 
 // Next advances the iterator and reports whether an entry is available.
 func (it *Iterator) Next() bool {
-	if it.done {
+	if !it.advanceLeaf() {
 		return false
 	}
-	for {
-		if it.pos < len(it.entries) {
-			e := it.entries[it.pos]
-			if it.stopKey != nil {
-				cmp := bytes.Compare(e.key, it.stopKey)
-				if cmp > 0 || (cmp == 0 && !it.stopIncl) {
-					it.done = true
-					return false
-				}
-			}
-			it.pos++
-			return true
-		}
-		if it.leaf == storage.InvalidPageID || it.leavesLeft == 0 {
-			it.done = true
-			return false
-		}
-		if it.leavesLeft > 0 {
-			it.leavesLeft--
-		}
-		// Cached leaves hand back a shared read-only parse; misses reuse the
-		// iterator's scratch buffer (Key()/Value() spans alias page memory,
-		// not the entry slice, so recycling scratch is invisible to callers).
-		entries, extra, shared, err := it.tree.loadLeaf(it.leaf, it.scratch)
-		if err != nil {
-			it.err = err
-			it.done = true
-			return false
-		}
-		if !shared {
-			it.scratch = entries
-		}
-		it.entries = entries
-		it.pos = 0
-		it.leaf = storage.PageID(extra)
-		if len(entries) == 0 && it.leaf == storage.InvalidPageID {
+	if it.stopKey != nil {
+		cmp := bytes.Compare(it.entries[it.pos].key, it.stopKey)
+		if cmp > 0 || (cmp == 0 && !it.stopIncl) {
 			it.done = true
 			return false
 		}
 	}
+	it.pos++
+	return true
 }
 
 // NextSpans bulk-advances the iterator, filling keys (when non-nil) and vals
@@ -643,11 +612,8 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) NextSpans(keys, vals [][]byte) int {
 	n := 0
 	for n < len(vals) {
-		if it.pos >= len(it.entries) {
-			if !it.advanceLeaf() {
-				break
-			}
-			continue
+		if !it.advanceLeaf() {
+			break
 		}
 		entries := it.entries[it.pos:]
 		if want := len(vals) - n; len(entries) > want {
@@ -682,9 +648,12 @@ func (it *Iterator) NextSpans(keys, vals [][]byte) int {
 	return n
 }
 
-// advanceLeaf loads the next leaf into the iterator, returning false at the
-// end of the range. On return with true, entries is non-empty... or the next
-// iteration advances again (empty trailing leaves).
+// advanceLeaf makes sure an unconsumed entry is under the cursor, loading
+// further leaves (skipping empty ones) as needed; it returns false at the end
+// of the range or on a page error. Cached leaves hand back a shared read-only
+// parse; misses reuse the iterator's scratch buffer (Key()/Value() spans alias
+// page memory, not the entry slice, so recycling scratch is invisible to
+// callers).
 func (it *Iterator) advanceLeaf() bool {
 	for {
 		if it.done {
@@ -712,25 +681,16 @@ func (it *Iterator) advanceLeaf() bool {
 		it.entries = entries
 		it.pos = 0
 		it.leaf = storage.PageID(extra)
-		if len(entries) == 0 && it.leaf == storage.InvalidPageID {
-			it.done = true
-			return false
-		}
 	}
 }
 
-// Scan returns an iterator over the whole tree in key order.
-func (t *BTree) Scan() *Iterator {
-	first, err := t.firstLeaf()
-	if err != nil {
-		return &Iterator{tree: t, done: true, err: err}
-	}
-	return &Iterator{tree: t, leaf: first, leavesLeft: -1}
-}
+// Scan returns an iterator over the whole tree in key order: a seek with
+// both bounds open.
+func (t *BTree) Scan() *Iterator { return t.Seek(nil, nil, false) }
 
 // LeafPages returns the ids of every leaf page in chain (key) order. It is
 // how parallel scans partition a tree into morsels: each morsel is a run of
-// consecutive leaves handed to ScanLeaves. The chain walk is memoized until
+// consecutive leaves handed to SeekLeaves. The chain walk is memoized until
 // the next structural mutation, so repeated queries do not re-pay it.
 // Callers must treat the result as read-only.
 func (t *BTree) LeafPages() ([]storage.PageID, error) {
@@ -760,8 +720,13 @@ func (t *BTree) LeafPages() ([]storage.PageID, error) {
 // how parallel range scans partition a seek into morsels: each morsel is a
 // run of consecutive leaves handed to SeekLeaves. nil bounds are open (nil
 // start begins at the first leaf; nil stop ends at the last). The walk reads
-// only the leaves of the range, plus one root-to-leaf descent.
+// only the leaves of the range, plus one root-to-leaf descent; the fully open
+// range is the whole chain, which LeafPages memoizes. Callers must treat the
+// result as read-only.
 func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
+	if start == nil && stop == nil {
+		return t.LeafPages()
+	}
 	var out []storage.PageID
 	var id storage.PageID
 	var err error
@@ -797,65 +762,37 @@ func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, 
 }
 
 // SeekLeaves returns an iterator over the entries of count consecutive leaf
-// pages starting at start (a page id from LeafRange), bounded above by the
-// stop key exactly like Seek. A non-nil startKey positions the iterator at
-// the first entry >= startKey within the first leaf — the form used by the
-// first morsel of a partitioned seek; later morsels pass nil and start at
-// their leaf's first entry. Concatenating the iterators of a partition of
-// LeafRange(start, stop, stopIncl) — startKey on the first, nil on the rest —
-// reproduces Seek(start, stop, stopIncl) exactly.
+// pages starting at start (a page id from LeafRange; count < 0 follows the
+// chain to its end), bounded above by the stop key exactly like Seek. A
+// non-nil startKey positions the iterator at the first entry >= startKey
+// within the first leaf — the form used by the first split of a partitioned
+// seek; later splits pass nil and start at their leaf's first entry.
+// Concatenating the iterators of a partition of LeafRange(start, stop,
+// stopIncl) — startKey on the first, nil on the rest — reproduces
+// Seek(start, stop, stopIncl) exactly.
 func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byte, stopIncl bool) *Iterator {
 	it := &Iterator{tree: t, stopKey: stop, stopIncl: stopIncl, leaf: start, leavesLeft: count}
-	if startKey != nil && count > 0 {
-		entries, extra, shared, err := t.loadLeaf(start, nil)
-		if err != nil {
-			return &Iterator{tree: t, done: true, err: err}
-		}
-		if !shared {
-			it.scratch = entries
-		}
-		it.entries = entries
-		it.pos = lowerBound(entries, startKey)
-		it.leaf = storage.PageID(extra)
-		it.leavesLeft = count - 1
+	if startKey != nil && it.advanceLeaf() {
+		it.pos = lowerBound(it.entries, startKey)
 	}
 	return it
 }
 
-// ScanLeaves returns an iterator over the entries of count consecutive leaf
-// pages starting at start (a page id from LeafPages). Concatenating the
-// iterators of a partition of the leaf chain reproduces Scan exactly.
-func (t *BTree) ScanLeaves(start storage.PageID, count int) *Iterator {
-	return &Iterator{tree: t, leaf: start, leavesLeft: count}
-}
-
-// Seek returns an iterator positioned at the first entry with key >= start.
-// If stop is non-nil the iteration ends at stop (inclusive when stopIncl).
+// Seek returns an iterator positioned at the first entry with key >= start
+// (nil start begins at the first leaf, which is then loaded lazily). If stop
+// is non-nil the iteration ends at stop (inclusive when stopIncl).
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
-	it := &Iterator{tree: t, stopKey: stop, stopIncl: stopIncl, leavesLeft: -1}
+	var leaf storage.PageID
+	var err error
 	if start == nil {
-		first, err := t.firstLeaf()
-		if err != nil {
-			return &Iterator{tree: t, done: true, err: err}
-		}
-		it.leaf = first
-		return it
+		leaf, err = t.firstLeaf()
+	} else {
+		leaf, err = t.leafFor(start)
 	}
-	leafID, err := t.leafFor(start)
 	if err != nil {
 		return &Iterator{tree: t, done: true, err: err}
 	}
-	entries, extra, shared, err := t.loadLeaf(leafID, nil)
-	if err != nil {
-		return &Iterator{tree: t, done: true, err: err}
-	}
-	if !shared {
-		it.scratch = entries
-	}
-	it.entries = entries
-	it.pos = lowerBound(entries, start)
-	it.leaf = storage.PageID(extra)
-	return it
+	return t.SeekLeaves(leaf, -1, start, stop, stopIncl)
 }
 
 // Get returns the payload of the first entry matching key exactly.

@@ -369,259 +369,151 @@ func lessBytes(a, b []byte) bool {
 	return len(a) < len(b)
 }
 
-// Scan returns an iterator over all rows. For clustered tables rows come back
-// in clustered-key order; for heaps in insertion order.
-func (t *Table) Scan() *RowIterator {
-	if t.Clustered != nil {
-		return &RowIterator{table: t, tree: t.Clustered.tree.Scan()}
-	}
-	return &RowIterator{table: t, heap: t.heap.Scan()}
-}
+// Range is the one access-path descriptor of the storage layer: a key-prefix
+// range, open or bounded, over a clustered tree, a secondary index or a heap
+// (open only). A range is a cheap value; Open starts a fresh cursor, so a
+// range can be re-scanned and distinct ranges can be consumed by concurrent
+// workers. Opening is lazy — a root-to-leaf descent at most — and that is all
+// a serial scan ever pays. EstRows and Split serve the (single-threaded)
+// parallel rewrite only: they walk the range's leaf chain, charged page
+// reads, once and memoize it in the range.
+type Range struct {
+	tree *btree.BTree      // clustered tree or secondary index; nil for a heap
+	heap *storage.HeapFile // set iff tree is nil
 
-// ScanMorsel is one morsel of a partitioned full scan: a run of consecutive
-// leaf pages (clustered tables) or heap pages. Morsels are cheap descriptors;
-// Iterator opens a fresh iterator over the morsel's rows, so a morsel can be
-// re-scanned and morsels can be consumed by concurrent workers (each worker
-// owns the iterators it opens).
-type ScanMorsel struct {
-	table *Table
-	// clustered tables: starting leaf page and number of leaves.
-	leafStart storage.PageID
-	leafCount int
-	// heaps: starting page index and number of pages.
-	pageStart, pageCount int
-	// err carries a partitioning-time page error into execution, so a corrupt
-	// tree fails the query instead of silently scanning nothing.
-	err error
-}
-
-// Iterator returns a fresh iterator over the morsel's rows.
-func (m ScanMorsel) Iterator() *RowIterator {
-	if m.err != nil {
-		return &RowIterator{table: m.table, err: m.err}
-	}
-	if m.table.Clustered != nil {
-		return &RowIterator{table: m.table, tree: m.table.Clustered.tree.ScanLeaves(m.leafStart, m.leafCount)}
-	}
-	return &RowIterator{table: m.table, heap: m.table.heap.ScanPages(m.pageStart, m.pageCount)}
-}
-
-// ScanMorsels partitions a full scan into morsels of roughly targetRows rows
-// each (page granularity, so actual sizes vary with fill). Concatenating the
-// morsels' iterators in slice order reproduces Scan exactly. It returns nil
-// for empty tables.
-func (t *Table) ScanMorsels(targetRows int64) []ScanMorsel {
-	if targetRows < 1 {
-		targetRows = 1
-	}
-	rows := t.RowCount()
-	if rows == 0 {
-		return nil
-	}
-	if t.Clustered != nil {
-		leaves, err := t.Clustered.tree.LeafPages()
-		if err != nil {
-			return []ScanMorsel{{table: t, err: err}}
-		}
-		if len(leaves) == 0 {
-			return nil
-		}
-		rowsPerLeaf := rows / int64(len(leaves))
-		if rowsPerLeaf < 1 {
-			rowsPerLeaf = 1
-		}
-		per := int(targetRows / rowsPerLeaf)
-		if per < 1 {
-			per = 1
-		}
-		var out []ScanMorsel
-		for i := 0; i < len(leaves); i += per {
-			n := per
-			if i+n > len(leaves) {
-				n = len(leaves) - i
-			}
-			out = append(out, ScanMorsel{table: t, leafStart: leaves[i], leafCount: n})
-		}
-		return out
-	}
-	pages := t.heap.NumPages()
-	if pages == 0 {
-		return nil
-	}
-	rowsPerPage := rows / int64(pages)
-	if rowsPerPage < 1 {
-		rowsPerPage = 1
-	}
-	per := int(targetRows / rowsPerPage)
-	if per < 1 {
-		per = 1
-	}
-	var out []ScanMorsel
-	for i := 0; i < pages; i += per {
-		n := per
-		if i+n > pages {
-			n = pages - i
-		}
-		out = append(out, ScanMorsel{table: t, pageStart: i, pageCount: n})
-	}
-	return out
-}
-
-// SeekLeafRange describes the run of consecutive B+-tree leaf pages a range
-// seek touches, bounded by the seek's stop key. It is computed once so a
-// parallel rewrite can first size the range (EstRows, the parallelization
-// threshold input) and then partition it into morsels without re-walking the
-// chain. The zero leaves case is an empty range.
-type SeekLeafRange struct {
-	tree        *btree.BTree
-	leaves      []storage.PageID
-	startKey    []byte // position within the first leaf; nil = leaf start
-	stopKey     []byte
+	// Encoded key bounds (see encodeRange); nil is open.
+	start, stop []byte
 	stopIncl    bool
-	rowsPerLeaf int64
-	// err carries a partitioning-time page error into execution (see
-	// ScanMorsel.err).
-	err error
+
+	// A split is restricted to a run of consecutive leaves (only the first
+	// split of a range keeps start) or of heap pages.
+	split               bool
+	leaves              []storage.PageID
+	pageFrom, pageCount int
+
+	// Partitioning state filled by size: rows per leaf or heap page, and a
+	// page error hit while walking, carried into execution so a corrupt tree
+	// fails the query instead of silently scanning nothing.
+	sized   bool
+	perUnit int64
+	err     error
 }
 
-// newSeekLeafRange walks the leaf chain of a tree between encoded key bounds.
-func newSeekLeafRange(tree *btree.BTree, lo, hi []value.Value, loIncl, hiIncl bool) *SeekLeafRange {
-	start, stop, stopIncl := encodeRange(lo, hi, loIncl, hiIncl)
-	leaves, err := tree.LeafRange(start, stop, stopIncl)
-	r := &SeekLeafRange{
-		tree:     tree,
-		leaves:   leaves,
-		startKey: start,
-		stopKey:  stop,
-		stopIncl: stopIncl,
-		err:      err,
+// Range describes the rows whose clustered-key prefix lies in [lo, hi]. nil
+// bounds are open and inclusivity applies per bound; the fully open range is
+// the full scan (clustered-key order, or insertion order for a heap) and the
+// only range a heap supports.
+func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) {
+	if t.Clustered != nil {
+		return t.Clustered.Range(lo, hi, loIncl, hiIncl), nil
 	}
-	if all, err := tree.LeafPages(); err == nil && len(all) > 0 {
-		r.rowsPerLeaf = tree.Count() / int64(len(all))
+	if lo != nil || hi != nil {
+		return Range{}, fmt.Errorf("catalog: table %q has no clustered index", t.Name)
 	}
-	if r.rowsPerLeaf < 1 {
-		r.rowsPerLeaf = 1
-	}
+	return Range{heap: t.heap, pageCount: t.heap.NumPages()}, nil
+}
+
+// Range describes the index entries whose key-column prefix lies in [lo, hi]
+// (same bounds semantics as Table.Range).
+func (ix *Index) Range(lo, hi []value.Value, loIncl, hiIncl bool) Range {
+	r := Range{tree: ix.tree}
+	r.start, r.stop, r.stopIncl = encodeRange(lo, hi, loIncl, hiIncl)
 	return r
 }
 
-// EstRows estimates the number of rows in the range from its leaf count and
-// the tree's average leaf fill. Morsel partitioning needs only the order of
-// magnitude: the estimate decides whether the range is worth parallelizing
-// and how many leaves each morsel gets.
-func (r *SeekLeafRange) EstRows() int64 {
-	return int64(len(r.leaves)) * r.rowsPerLeaf
+// Scan opens a cursor over all rows of the table.
+func (t *Table) Scan() *Cursor {
+	r, _ := t.Range(nil, nil, false, false) // the open range always exists
+	return r.Open()
 }
 
-// TreeSeekMorsel is one morsel of a partitioned range seek: a run of
-// consecutive leaves, the shared stop bound, and — on the first morsel only —
-// the start key positioning within the first leaf. Like ScanMorsel it is a
-// cheap descriptor; each Iterator call opens fresh cursor state, so distinct
-// morsels can be consumed by concurrent workers.
-type TreeSeekMorsel struct {
-	r         *SeekLeafRange
-	leafStart storage.PageID
-	leafCount int
-	first     bool
-}
-
-func (m TreeSeekMorsel) iterator() *btree.Iterator {
-	var startKey []byte
-	if m.first {
-		startKey = m.r.startKey
+// Open returns a fresh cursor over the range.
+func (r *Range) Open() *Cursor {
+	switch {
+	case r.err != nil:
+		return &Cursor{err: r.err}
+	case r.tree == nil:
+		return &Cursor{heap: r.heap.ScanPages(r.pageFrom, r.pageCount)}
+	case r.split:
+		return &Cursor{tree: r.tree.SeekLeaves(r.leaves[0], len(r.leaves), r.start, r.stop, r.stopIncl)}
+	default:
+		return &Cursor{tree: r.tree.Seek(r.start, r.stop, r.stopIncl)}
 	}
-	return m.r.tree.SeekLeaves(m.leafStart, m.leafCount, startKey, m.r.stopKey, m.r.stopIncl)
 }
 
-// partition splits the leaf range into morsels of roughly targetRows rows
-// each. Concatenating the morsels' iterators in slice order reproduces the
-// serial seek exactly; nil when the range is empty.
-func (r *SeekLeafRange) partition(targetRows int64) []TreeSeekMorsel {
+// size walks the range once: the run of leaves it touches and the tree's
+// average leaf fill (or the heap's average page fill).
+func (r *Range) size() {
+	if r.sized {
+		return
+	}
+	r.sized = true
+	units := r.pageCount
+	if r.tree != nil {
+		r.leaves, r.err = r.tree.LeafRange(r.start, r.stop, r.stopIncl)
+		all, _ := r.tree.LeafPages() // on error there is no average: one row per leaf
+		units = len(all)
+	}
+	r.perUnit = 1
+	if units > 0 {
+		r.perUnit = max(1, r.storedRows()/int64(units))
+	}
+}
+
+// storedRows is the row (or entry) count of the whole underlying structure.
+func (r *Range) storedRows() int64 {
+	if r.tree == nil {
+		return r.heap.RowCount()
+	}
+	return r.tree.Count()
+}
+
+// EstRows is the parallelization-threshold input: the exact row count for an
+// open range (no page is read), leaf count x average leaf fill for a bounded
+// one — only the order of magnitude matters there.
+func (r *Range) EstRows() int64 {
+	if !r.split && r.start == nil && r.stop == nil {
+		return r.storedRows()
+	}
+	r.size()
+	return int64(len(r.leaves)) * r.perUnit
+}
+
+// Split partitions the range into sub-ranges of roughly targetRows rows each
+// (leaf or page granularity, so actual sizes vary with fill). Concatenating
+// the sub-ranges' cursors in slice order reproduces the range's own cursor
+// exactly. An empty range yields nil; a page error while walking yields the
+// range itself, whose cursor reports it.
+func (r *Range) Split(targetRows int64) []Range {
+	r.size()
 	if r.err != nil {
-		return []TreeSeekMorsel{{r: r}}
+		return []Range{*r}
 	}
-	if len(r.leaves) == 0 {
-		return nil
+	units := r.pageCount
+	if r.tree != nil {
+		units = len(r.leaves)
 	}
-	if targetRows < 1 {
-		targetRows = 1
-	}
-	per := int(targetRows / r.rowsPerLeaf)
+	per := int(targetRows / r.perUnit)
 	if per < 1 {
 		per = 1
 	}
-	var out []TreeSeekMorsel
-	for i := 0; i < len(r.leaves); i += per {
+	var out []Range
+	for i := 0; i < units; i += per {
 		n := per
-		if i+n > len(r.leaves) {
-			n = len(r.leaves) - i
+		if i+n > units {
+			n = units - i
 		}
-		out = append(out, TreeSeekMorsel{r: r, leafStart: r.leaves[i], leafCount: n, first: i == 0})
-	}
-	return out
-}
-
-// ClusteredSeekRange computes the leaf range of a clustered-key prefix seek
-// (same bounds semantics as SeekClustered).
-func (t *Table) ClusteredSeekRange(lo, hi []value.Value, loIncl, hiIncl bool) (*SeekLeafRange, error) {
-	if t.Clustered == nil {
-		return nil, fmt.Errorf("catalog: table %q has no clustered index", t.Name)
-	}
-	return newSeekLeafRange(t.Clustered.tree, lo, hi, loIncl, hiIncl), nil
-}
-
-// ClusteredSeekMorsel is one morsel of a partitioned clustered range seek.
-type ClusteredSeekMorsel struct {
-	table  *Table
-	morsel TreeSeekMorsel
-}
-
-// Iterator returns a fresh row iterator over the morsel's range slice.
-func (m ClusteredSeekMorsel) Iterator() *RowIterator {
-	if err := m.morsel.r.err; err != nil {
-		return &RowIterator{table: m.table, err: err}
-	}
-	return &RowIterator{table: m.table, tree: m.morsel.iterator()}
-}
-
-// ClusteredSeekMorsels partitions a precomputed seek range into row morsels
-// of roughly targetRows rows each.
-func (t *Table) ClusteredSeekMorsels(r *SeekLeafRange, targetRows int64) []ClusteredSeekMorsel {
-	parts := r.partition(targetRows)
-	out := make([]ClusteredSeekMorsel, len(parts))
-	for i, p := range parts {
-		out[i] = ClusteredSeekMorsel{table: t, morsel: p}
-	}
-	return out
-}
-
-// SeekRange computes the leaf range of an index-key prefix seek (same bounds
-// semantics as Seek).
-func (ix *Index) SeekRange(lo, hi []value.Value, loIncl, hiIncl bool) *SeekLeafRange {
-	return newSeekLeafRange(ix.tree, lo, hi, loIncl, hiIncl)
-}
-
-// IndexSeekMorsel is one morsel of a partitioned secondary-index range seek.
-type IndexSeekMorsel struct {
-	index  *Index
-	morsel TreeSeekMorsel
-}
-
-// Iterator returns a fresh entry iterator over the morsel's range slice.
-func (m IndexSeekMorsel) Iterator() *IndexIterator {
-	if err := m.morsel.r.err; err != nil {
-		return &IndexIterator{index: m.index, err: err}
-	}
-	return &IndexIterator{index: m.index, it: m.morsel.iterator()}
-}
-
-// SeekMorsels partitions a precomputed index seek range into entry morsels of
-// roughly targetRows entries each.
-func (ix *Index) SeekMorsels(r *SeekLeafRange, targetRows int64) []IndexSeekMorsel {
-	parts := r.partition(targetRows)
-	out := make([]IndexSeekMorsel, len(parts))
-	for i, p := range parts {
-		out[i] = IndexSeekMorsel{index: ix, morsel: p}
+		sub := *r
+		sub.split = true
+		if r.tree == nil {
+			sub.pageFrom, sub.pageCount = r.pageFrom+i, n
+		} else {
+			sub.leaves = r.leaves[i : i+n]
+			if i > 0 {
+				sub.start = nil
+			}
+		}
+		out = append(out, sub)
 	}
 	return out
 }
@@ -632,17 +524,6 @@ func (t *Table) LookupRID(rid storage.RID) ([]value.Value, error) {
 		return nil, fmt.Errorf("catalog: table %q is not a heap", t.Name)
 	}
 	return t.heap.Get(rid)
-}
-
-// SeekClustered returns an iterator over rows whose clustered-key prefix is
-// within [lo, hi]. Bounds may be nil for open ranges; inclusivity flags apply
-// to the respective bound.
-func (t *Table) SeekClustered(lo, hi []value.Value, loIncl, hiIncl bool) (*RowIterator, error) {
-	if t.Clustered == nil {
-		return nil, fmt.Errorf("catalog: table %q has no clustered index", t.Name)
-	}
-	start, stop, stopIncl := encodeRange(lo, hi, loIncl, hiIncl)
-	return &RowIterator{table: t, tree: t.Clustered.tree.Seek(start, stop, stopIncl)}, nil
 }
 
 // encodeRange converts value-space bounds into key-space bounds. Because
@@ -732,98 +613,62 @@ func (d *KeyPrefixDecoder) Decode(key []byte, out []value.Value) error {
 	return nil
 }
 
-// RowIterator yields table rows from either storage representation.
-type RowIterator struct {
-	table *Table
-	tree  *btree.Iterator
-	heap  *storage.HeapIterator
-	// err is a pre-execution error (e.g. a failed page read while
-	// partitioning morsels); the iterator yields nothing and reports it.
+// Cursor iterates the rows (or index entries) of a Range. It advances in
+// exactly two ways: Next, the decoding row-at-a-time reference path, and
+// NextSpans, the raw span fill the batch path decodes column-at-a-time.
+type Cursor struct {
+	tree *btree.Iterator
+	heap *storage.HeapIterator
+	// err is a pre-execution error (a failed page read while partitioning);
+	// the cursor yields nothing and reports it.
 	err error
-
-	// Cached projection state for NextProjectedInto: the column set it was
-	// built for and the key-prefix decoder (nil = decode from payload).
-	projCols  []int
-	projDec   *KeyPrefixDecoder
-	projReady bool
 }
 
-// Err returns the first page-access error the iterator (or its underlying
-// storage cursor) hit. The raw-span methods report exhaustion on error, so
-// batch fills must check Err when a fill comes up short.
-func (it *RowIterator) Err() error {
-	if it.err != nil {
-		return it.err
+// Err returns the first page-access error the cursor (or its underlying
+// storage iterator) hit. NextSpans reports exhaustion on error, so batch
+// fills must check Err when a fill comes up empty.
+func (c *Cursor) Err() error {
+	switch {
+	case c.err != nil:
+		return c.err
+	case c.tree != nil:
+		return c.tree.Err()
+	default:
+		return c.heap.Err()
 	}
-	if it.tree != nil {
-		return it.tree.Err()
-	}
-	if it.heap != nil {
-		return it.heap.Err()
-	}
-	return nil
 }
 
-// Next returns the next row; ok is false at the end.
-func (it *RowIterator) Next() (row []value.Value, ok bool, err error) {
-	return it.NextInto(nil)
+// Next returns the next row, fully decoded; ok is false at the end. For an
+// index range the row is the entry: its columns in EntryColumnOrdinals order,
+// then the RID pair on heap tables (see Index.EntryRID).
+func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
+	var payload [1][]byte
+	if c.NextSpans(nil, payload[:]) == 0 {
+		return nil, false, c.Err()
+	}
+	row, _, err = value.DecodeTuple(payload[0])
+	if err != nil {
+		return nil, false, err
+	}
+	return row, true, nil
 }
 
-// NextInto is Next decoding into buf when its capacity allows (clustered
-// tables only; heap rows are always freshly decoded). The returned row may
-// alias buf, so callers must copy values they retain past the next call —
-// the batch scans do exactly that when transposing rows into column vectors.
-func (it *RowIterator) NextInto(buf []value.Value) (row []value.Value, ok bool, err error) {
-	if it.err != nil {
-		return nil, false, it.err
-	}
-	if it.tree != nil {
-		if !it.tree.Next() {
-			return nil, false, it.tree.Err()
-		}
-		row, _, err := value.DecodeTupleInto(buf, it.tree.Value())
-		if err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	row, _, ok, err = it.heap.Next()
-	return row, ok, err
-}
-
-// NextRaw advances the iterator and returns the next row's raw storage spans:
-// the clustered key bytes (nil for heap tables) and the encoded tuple
-// payload. Both alias stable page memory, so the batch fill may collect spans
-// across many rows before decoding column-at-a-time.
-func (it *RowIterator) NextRaw() (key, payload []byte, ok bool) {
-	if it.err != nil {
-		return nil, nil, false
-	}
-	if it.tree != nil {
-		if !it.tree.Next() {
-			return nil, nil, false
-		}
-		return it.tree.Key(), it.tree.Value(), true
-	}
-	rec, _, ok := it.heap.NextRecord()
-	return nil, rec, ok
-}
-
-// NextRawSpans is NextRaw amortized over a whole batch: it fills payloads
-// (and keys, when non-nil) with up to len(payloads) rows' raw storage spans
-// and returns how many it filled — fewer only at exhaustion. Clustered tables
-// drain the B+-tree's cached leaf parses chunk-at-a-time; heap tables fall
-// back to the per-record walk. All spans alias stable page memory.
-func (it *RowIterator) NextRawSpans(keys, payloads [][]byte) int {
-	if it.err != nil {
+// NextSpans fills payloads (and keys, when non-nil) with up to len(payloads)
+// rows' raw storage spans — the tree key bytes (nil for heaps) and the encoded
+// tuple — and returns how many it filled, fewer only at exhaustion. Trees
+// drain the cached leaf parses chunk-at-a-time; heaps walk record by record.
+// All spans alias stable page memory, so a batch fill may collect a whole
+// batch of them before decoding.
+func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
+	if c.err != nil {
 		return 0
 	}
-	if it.tree != nil {
-		return it.tree.NextSpans(keys, payloads)
+	if c.tree != nil {
+		return c.tree.NextSpans(keys, payloads)
 	}
 	n := 0
 	for n < len(payloads) {
-		rec, _, ok := it.heap.NextRecord()
+		rec, _, ok := c.heap.NextRecord()
 		if !ok {
 			break
 		}
@@ -834,53 +679,6 @@ func (it *RowIterator) NextRawSpans(keys, payloads [][]byte) int {
 		n++
 	}
 	return n
-}
-
-// NextProjectedInto is NextInto decoding only the base-table ordinals listed
-// in cols (which must be sorted ascending), in cols order. When every
-// projected column is a clustered-key column and the table's keys are
-// recoverable, the values come from the B+-tree key bytes and the payload is
-// never touched; otherwise unrequested payload fields are skipped without
-// being materialized. The returned row may alias buf, like NextInto.
-func (it *RowIterator) NextProjectedInto(buf []value.Value, cols []int) (row []value.Value, ok bool, err error) {
-	if it.err != nil {
-		return nil, false, it.err
-	}
-	if it.tree != nil {
-		if !it.tree.Next() {
-			return nil, false, it.tree.Err()
-		}
-		if !it.projReady {
-			it.projCols = append(it.projCols[:0], cols...)
-			it.projDec, _ = it.table.NewKeyPrefixDecoder(cols)
-			it.projReady = true
-		}
-		if it.projDec != nil {
-			if cap(buf) < len(cols) {
-				buf = make([]value.Value, len(cols))
-			} else {
-				buf = buf[:len(cols)]
-			}
-			if err := it.projDec.Decode(it.tree.Key(), buf); err != nil {
-				return nil, false, err
-			}
-			return buf, true, nil
-		}
-		row, err = value.DecodeProjectedInto(buf[:0], it.tree.Value(), cols)
-		if err != nil {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	rec, _, ok := it.heap.NextRecord()
-	if !ok {
-		return nil, false, it.heap.Err()
-	}
-	row, err = value.DecodeProjectedInto(buf[:0], rec, cols)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
 }
 
 // CreateIndex builds a nonclustered index over the table. keyCols define the
@@ -1111,79 +909,12 @@ func (ix *Index) rebuild() error {
 	}, 0.95)
 }
 
-// IndexEntry is one decoded secondary-index entry.
-type IndexEntry struct {
-	// Values holds the entry's columns in the order given by EntryColumnOrdinals.
-	Values []value.Value
-	// RID locates the base row for heap tables.
-	RID storage.RID
-}
-
-// Seek returns an iterator over index entries whose key-column prefix lies in
-// [lo, hi] (nil bounds are open; inclusivity per flag).
-func (ix *Index) Seek(lo, hi []value.Value, loIncl, hiIncl bool) *IndexIterator {
-	start, stop, stopIncl := encodeRange(lo, hi, loIncl, hiIncl)
-	return &IndexIterator{index: ix, it: ix.tree.Seek(start, stop, stopIncl)}
-}
-
-// ScanAll returns an iterator over the whole index in key order.
-func (ix *Index) ScanAll() *IndexIterator {
-	return &IndexIterator{index: ix, it: ix.tree.Scan()}
-}
-
-// IndexIterator yields decoded index entries.
-type IndexIterator struct {
-	index *Index
-	it    *btree.Iterator
-	// err is a pre-execution error (see RowIterator.err).
-	err error
-}
-
-// Err returns the first page-access error the iterator hit; NextRaw reports
-// exhaustion on error, so covered-scan fills must check it.
-func (s *IndexIterator) Err() error {
-	if s.err != nil {
-		return s.err
+// EntryRID extracts the base-row locator from a decoded entry of an index
+// over a heap table: the RID pair stored after the entry columns.
+func (ix *Index) EntryRID(entry []value.Value) (storage.RID, error) {
+	n := len(entry) - 2
+	if ix.Table.heap == nil || n < len(ix.KeyColumns) {
+		return storage.RID{}, fmt.Errorf("catalog: index %q entry carries no RID", ix.Name)
 	}
-	if s.it != nil {
-		return s.it.Err()
-	}
-	return nil
-}
-
-// NextRaw advances the iterator and returns the next entry's raw payload
-// span: the entry columns in EntryColumnOrdinals order, with the RID pair
-// appended for heap tables. The span aliases stable page memory. Covered
-// index scans use it to feed the projected column fill without materializing
-// entries.
-func (s *IndexIterator) NextRaw() (payload []byte, ok bool) {
-	if s.err != nil || !s.it.Next() {
-		return nil, false
-	}
-	return s.it.Value(), true
-}
-
-// Next returns the next entry; ok is false at the end.
-func (s *IndexIterator) Next() (IndexEntry, bool, error) {
-	if s.err != nil {
-		return IndexEntry{}, false, s.err
-	}
-	if !s.it.Next() {
-		return IndexEntry{}, false, s.it.Err()
-	}
-	vals, _, err := value.DecodeTuple(s.it.Value())
-	if err != nil {
-		return IndexEntry{}, false, err
-	}
-	entry := IndexEntry{}
-	ncols := len(s.index.entryColumns())
-	if s.index.Table.heap != nil && len(vals) >= ncols+2 {
-		entry.RID = storage.RID{
-			Page: storage.PageID(vals[ncols].Int()),
-			Slot: uint16(vals[ncols+1].Int()),
-		}
-		vals = vals[:ncols]
-	}
-	entry.Values = vals
-	return entry, true, nil
+	return storage.RID{Page: storage.PageID(entry[n].Int()), Slot: uint16(entry[n+1].Int())}, nil
 }

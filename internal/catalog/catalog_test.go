@@ -138,7 +138,7 @@ func TestInsertAndScanClustered(t *testing.T) {
 	}
 }
 
-func TestSeekClustered(t *testing.T) {
+func TestClusteredRange(t *testing.T) {
 	c := newTestCatalog()
 	tb, _ := c.CreateTable("lineitem", lineitemColumns(), []string{"l_shipdate", "l_suppkey"})
 	var rows [][]value.Value
@@ -152,10 +152,11 @@ func TestSeekClustered(t *testing.T) {
 	}
 	lo := []value.Value{value.MustParseDate("1995-03-05")}
 	hi := []value.Value{value.MustParseDate("1995-03-07")}
-	it, err := tb.SeekClustered(lo, hi, true, true)
+	rng, err := tb.Range(lo, hi, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	it := rng.Open()
 	count := 0
 	for {
 		row, ok, err := it.Next()
@@ -175,7 +176,8 @@ func TestSeekClustered(t *testing.T) {
 		t.Errorf("range scan saw %d rows, want 15", count)
 	}
 	// Exclusive lower bound skips the boundary day.
-	it, _ = tb.SeekClustered(lo, hi, false, true)
+	rng, _ = tb.Range(lo, hi, false, true)
+	it = rng.Open()
 	count = 0
 	for {
 		_, ok, err := it.Next()
@@ -190,10 +192,10 @@ func TestSeekClustered(t *testing.T) {
 	if count != 10 {
 		t.Errorf("exclusive-low range saw %d rows, want 10", count)
 	}
-	// Heap tables refuse clustered seeks.
+	// Heap tables refuse bounded ranges.
 	heapTb, _ := c.CreateTable("h", lineitemColumns(), nil)
-	if _, err := heapTb.SeekClustered(lo, hi, true, true); err == nil {
-		t.Error("SeekClustered on heap should fail")
+	if _, err := heapTb.Range(lo, hi, true, true); err == nil {
+		t.Error("bounded Range on heap should fail")
 	}
 }
 
@@ -216,7 +218,9 @@ func TestHeapTableAndRIDLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	it := idx.Seek([]value.Value{value.NewInt(3)}, []value.Value{value.NewInt(3)}, true, true)
+	three := []value.Value{value.NewInt(3)}
+	rng := idx.Range(three, three, true, true)
+	it := rng.Open()
 	found := 0
 	for {
 		e, ok, err := it.Next()
@@ -226,10 +230,11 @@ func TestHeapTableAndRIDLookup(t *testing.T) {
 		if !ok {
 			break
 		}
-		if !e.RID.Valid() {
-			t.Fatal("heap index entry missing RID")
+		rid, err := idx.EntryRID(e)
+		if err != nil || !rid.Valid() {
+			t.Fatalf("heap index entry missing RID: %v", err)
 		}
-		row, err := tb.LookupRID(e.RID)
+		row, err := tb.LookupRID(rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +282,9 @@ func TestSecondaryIndexCoveringAndSeek(t *testing.T) {
 		t.Errorf("KeyColumnNames = %v", names)
 	}
 	// Seek suppkey = 4: 100 entries, each exposing price and shipdate.
-	it := idx.Seek([]value.Value{value.NewInt(4)}, []value.Value{value.NewInt(4)}, true, true)
+	four := []value.Value{value.NewInt(4)}
+	rng := idx.Range(four, four, true, true)
+	it := rng.Open()
 	ords := idx.EntryColumnOrdinals()
 	count := 0
 	for {
@@ -288,11 +295,11 @@ func TestSecondaryIndexCoveringAndSeek(t *testing.T) {
 		if !ok {
 			break
 		}
-		if len(e.Values) != len(ords) {
-			t.Fatalf("entry has %d values, want %d", len(e.Values), len(ords))
+		if len(e) != len(ords) {
+			t.Fatalf("entry has %d values, want %d", len(e), len(ords))
 		}
-		if e.Values[0].Int() != 4 {
-			t.Errorf("entry key = %v", e.Values[0])
+		if e[0].Int() != 4 {
+			t.Errorf("entry key = %v", e[0])
 		}
 		count++
 	}
@@ -300,7 +307,8 @@ func TestSecondaryIndexCoveringAndSeek(t *testing.T) {
 		t.Errorf("seek found %d entries, want 100", count)
 	}
 	// Full index scan is ordered by key.
-	scan := idx.ScanAll()
+	all := idx.Range(nil, nil, false, false)
+	scan := all.Open()
 	prev := int64(-1)
 	total := 0
 	for {
@@ -311,10 +319,10 @@ func TestSecondaryIndexCoveringAndSeek(t *testing.T) {
 		if !ok {
 			break
 		}
-		if e.Values[0].Int() < prev {
+		if e[0].Int() < prev {
 			t.Fatal("index scan out of order")
 		}
-		prev = e.Values[0].Int()
+		prev = e[0].Int()
 		total++
 	}
 	if total != 1000 {
@@ -353,7 +361,9 @@ func TestIndexMaintainedByInserts(t *testing.T) {
 		}
 	}
 	idx := tb.Secondary[0]
-	it := idx.Seek([]value.Value{value.NewInt(2)}, []value.Value{value.NewInt(2)}, true, true)
+	two := []value.Value{value.NewInt(2)}
+	rng := idx.Range(two, two, true, true)
+	it := rng.Open()
 	n := 0
 	for {
 		_, ok, err := it.Next()

@@ -40,13 +40,14 @@ func newSeekTable(t *testing.T, rows int) (*Catalog, *Table, *Index) {
 	return c, tbl, ix
 }
 
-// drainRows concatenates a list of row iterators.
-func drainRows(t *testing.T, its []*RowIterator) []string {
+// drainRanges concatenates the cursors of a list of ranges.
+func drainRanges(t *testing.T, rngs []Range) []string {
 	t.Helper()
 	var out []string
-	for _, it := range its {
+	for i := range rngs {
+		cur := rngs[i].Open()
 		for {
-			row, ok, err := it.Next()
+			row, ok, err := cur.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,44 +60,47 @@ func drainRows(t *testing.T, its []*RowIterator) []string {
 	return out
 }
 
-// TestClusteredSeekMorselsReproduceSeek: for a sweep of bound shapes,
-// concatenating a partitioned seek's morsel iterators equals the serial
-// SeekClustered stream exactly.
-func TestClusteredSeekMorselsReproduceSeek(t *testing.T) {
-	_, tbl, _ := newSeekTable(t, 20000)
+// TestRangeSplitsReproduceRange: for a sweep of bound shapes over the
+// clustered tree and over a secondary index (entries, including the
+// duplicate-key runs a grp index has), concatenating the cursors of a split
+// range equals the unsplit range's cursor exactly.
+func TestRangeSplitsReproduceRange(t *testing.T) {
+	_, tbl, ix := newSeekTable(t, 20000)
 	iv := func(n int64) []value.Value { return []value.Value{value.NewInt(n)} }
+	tableRange := func(lo, hi []value.Value, loIncl, hiIncl bool) Range {
+		rng, err := tbl.Range(lo, hi, loIncl, hiIncl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rng
+	}
 	cases := []struct {
 		name           string
+		rangeOf        func(lo, hi []value.Value, loIncl, hiIncl bool) Range
 		lo, hi         []value.Value
 		loIncl, hiIncl bool
 	}{
-		{"interior", iv(3000), iv(12000), true, true},
-		{"exclusive", iv(3000), iv(12000), false, false},
-		{"open-lo", nil, iv(9000), false, true},
-		{"open-hi", iv(15000), nil, true, false},
-		{"equality", iv(7777), iv(7777), true, true},
-		{"empty", iv(25000), iv(30000), true, true},
+		{"full", tableRange, nil, nil, false, false},
+		{"interior", tableRange, iv(3000), iv(12000), true, true},
+		{"exclusive", tableRange, iv(3000), iv(12000), false, false},
+		{"open-lo", tableRange, nil, iv(9000), false, true},
+		{"open-hi", tableRange, iv(15000), nil, true, false},
+		{"equality", tableRange, iv(7777), iv(7777), true, true},
+		{"empty", tableRange, iv(25000), iv(30000), true, true},
+		{"index range", ix.Range, iv(10), iv(30), true, true},
+		{"index equality", ix.Range, iv(25), iv(25), true, true},
+		{"index open-lo", ix.Range, nil, iv(5), false, true},
+		{"index empty", ix.Range, iv(60), iv(70), true, true},
 	}
 	for _, tc := range cases {
-		serial, err := tbl.SeekClustered(tc.lo, tc.hi, tc.loIncl, tc.hiIncl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := drainRows(t, []*RowIterator{serial})
-		rng, err := tbl.ClusteredSeekRange(tc.lo, tc.hi, tc.loIncl, tc.hiIncl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, target := range []int64{500, 2000, 1 << 30} {
-			morsels := tbl.ClusteredSeekMorsels(rng, target)
-			its := make([]*RowIterator, len(morsels))
-			for i, m := range morsels {
-				its[i] = m.Iterator()
-			}
-			got := drainRows(t, its)
+		rng := tc.rangeOf(tc.lo, tc.hi, tc.loIncl, tc.hiIncl)
+		want := drainRanges(t, []Range{rng})
+		for _, target := range []int64{300, 2000, 1 << 30} {
+			parts := rng.Split(target)
+			got := drainRanges(t, parts)
 			if len(got) != len(want) {
-				t.Errorf("%s target=%d: got %d rows, want %d (over %d morsels)",
-					tc.name, target, len(got), len(want), len(morsels))
+				t.Errorf("%s target=%d: got %d rows, want %d (over %d splits)",
+					tc.name, target, len(got), len(want), len(parts))
 				continue
 			}
 			for i := range got {
@@ -106,10 +110,15 @@ func TestClusteredSeekMorselsReproduceSeek(t *testing.T) {
 				}
 			}
 		}
-		// The row estimate must be in the right ballpark for non-empty
-		// interior ranges (it gates parallelization).
-		if tc.name == "interior" {
-			est := rng.EstRows()
+		// The row estimate gates parallelization: exact for the open range,
+		// in the right ballpark for a non-empty interior range.
+		est := rng.EstRows()
+		switch tc.name {
+		case "full":
+			if est != int64(len(want)) {
+				t.Errorf("open range EstRows = %d for %d actual rows", est, len(want))
+			}
+		case "interior":
 			if est < int64(len(want))/2 || est > 2*int64(len(want))+1000 {
 				t.Errorf("interior range EstRows = %d for %d actual rows", est, len(want))
 			}
@@ -117,58 +126,36 @@ func TestClusteredSeekMorselsReproduceSeek(t *testing.T) {
 	}
 }
 
-// TestIndexSeekMorselsReproduceSeek: same contract for secondary-index seeks
-// (entries, including the duplicate-key runs a grp index has).
-func TestIndexSeekMorselsReproduceSeek(t *testing.T) {
-	_, _, ix := newSeekTable(t, 20000)
-	iv := func(n int64) []value.Value { return []value.Value{value.NewInt(n)} }
-	cases := []struct {
-		name           string
-		lo, hi         []value.Value
-		loIncl, hiIncl bool
-	}{
-		{"range", iv(10), iv(30), true, true},
-		{"equality", iv(25), iv(25), true, true},
-		{"open-lo", nil, iv(5), false, true},
-		{"empty", iv(60), iv(70), true, true},
+// TestRangeSplitCarriesPageError: a page error hit while walking the leaf
+// chain at partition time is not swallowed — the split's cursor reports it on
+// both ways of advancing, so a corrupt tree fails the query instead of
+// silently scanning nothing.
+func TestRangeSplitCarriesPageError(t *testing.T) {
+	c, tbl, _ := newSeekTable(t, 20000)
+	leaves, err := tbl.Clustered.tree.LeafPages()
+	if err != nil {
+		t.Fatal(err)
 	}
-	drainEntries := func(its []*IndexIterator) []string {
-		var out []string
-		for _, it := range its {
-			for {
-				e, ok, err := it.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				out = append(out, fmt.Sprint(e.Values))
-			}
-		}
-		return out
+	// Point a mid-chain leaf's next-leaf link at a page that does not exist.
+	pg, err := c.Pager().Get(leaves[len(leaves)/2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		want := drainEntries([]*IndexIterator{ix.Seek(tc.lo, tc.hi, tc.loIncl, tc.hiIncl)})
-		rng := ix.SeekRange(tc.lo, tc.hi, tc.loIncl, tc.hiIncl)
-		for _, target := range []int64{300, 4000} {
-			morsels := ix.SeekMorsels(rng, target)
-			its := make([]*IndexIterator, len(morsels))
-			for i, m := range morsels {
-				its[i] = m.Iterator()
-			}
-			got := drainEntries(its)
-			if len(got) != len(want) {
-				t.Errorf("%s target=%d: got %d entries, want %d", tc.name, target, len(got), len(want))
-				continue
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Errorf("%s target=%d: entry %d = %s, want %s", tc.name, target, i, got[i], want[i])
-					break
-				}
-			}
-		}
+	pg.SetAux(uint64(c.Pager().NumPages() + 1000))
+	rng, err := tbl.Range([]value.Value{value.NewInt(100)}, nil, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := rng.Split(1000)
+	if len(parts) != 1 {
+		t.Fatalf("split of a broken chain returned %d parts, want the 1 carrying the error", len(parts))
+	}
+	if _, _, err := parts[0].Open().Next(); err == nil {
+		t.Error("Next over a split of a broken chain reported no error")
+	}
+	cur := parts[0].Open()
+	if n := cur.NextSpans(nil, make([][]byte, 8)); n != 0 || cur.Err() == nil {
+		t.Errorf("NextSpans over a split of a broken chain filled %d spans, err %v", n, cur.Err())
 	}
 }
 
@@ -187,8 +174,9 @@ func TestConcurrentCatalogReads(t *testing.T) {
 			for iter := 0; iter < 15; iter++ {
 				// Full-scan morsels (races to fill the btree leaf cache).
 				count := 0
-				for _, m := range tbl.ScanMorsels(4096) {
-					it := m.Iterator()
+				full, _ := tbl.Range(nil, nil, false, false)
+				for _, part := range full.Split(4096) {
+					it := part.Open()
 					for {
 						_, ok, err := it.Next()
 						if err != nil {
@@ -208,14 +196,14 @@ func TestConcurrentCatalogReads(t *testing.T) {
 				// Clustered range seek + morsels.
 				lo := []value.Value{value.NewInt(int64(g * 1000))}
 				hi := []value.Value{value.NewInt(int64(g*1000 + 2000))}
-				rng, err := tbl.ClusteredSeekRange(lo, hi, true, false)
+				rng, err := tbl.Range(lo, hi, true, false)
 				if err != nil {
 					errs <- err
 					return
 				}
 				n := 0
-				for _, m := range tbl.ClusteredSeekMorsels(rng, 1000) {
-					it := m.Iterator()
+				for _, part := range rng.Split(1000) {
+					it := part.Open()
 					for {
 						_, ok, err := it.Next()
 						if err != nil {
@@ -233,7 +221,9 @@ func TestConcurrentCatalogReads(t *testing.T) {
 					return
 				}
 				// Index seek, catalog lookups, stats reads.
-				it := ix.Seek([]value.Value{value.NewInt(int64(g % 50))}, []value.Value{value.NewInt(int64(g % 50))}, true, true)
+				grp := []value.Value{value.NewInt(int64(g % 50))}
+				eq := ix.Range(grp, grp, true, true)
+				it := eq.Open()
 				for {
 					_, ok, err := it.Next()
 					if err != nil {

@@ -16,8 +16,10 @@ import (
 // exactly from B+-tree key bytes, and a key-only projected scan never decodes
 // the payload. The payload independence is proven directly: every stored
 // payload is replaced with bytes that cannot be parsed as a tuple, so any
-// code path that touches the payload fails loudly, while the projected scan
-// still returns every key exactly and performs real page reads (IOStats).
+// code path that touches the payload fails loudly, while the key-only span
+// fill (Cursor.NextSpans + KeyPrefixDecoder, exactly what the batch scan
+// runs) still returns every key exactly and performs real page reads
+// (IOStats). A truncated key, in turn, is an error, never a wrong value.
 func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	pager := storage.NewPager(0)
 	c := New(pager, -1)
@@ -49,7 +51,7 @@ func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	it := tbl.Scan()
 	n := 0
 	for {
-		_, ok, err := it.NextInto(nil)
+		_, ok, err := it.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +85,7 @@ func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	}
 
 	// The poison is effective: a full-row scan must fail on the first row.
-	if _, _, err := tbl.Scan().NextInto(nil); err == nil {
+	if _, _, err := tbl.Scan().Next(); err == nil {
 		t.Fatal("poisoned payload unexpectedly decoded as a tuple")
 	}
 
@@ -92,22 +94,34 @@ func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	// performed real page reads.
 	pager.ResetCache()
 	before := pager.Stats()
+	dec, ok := tbl.NewKeyPrefixDecoder([]int{0})
+	if !ok {
+		t.Fatal("no key-prefix decoder for the clustered key of a key-clean table")
+	}
 	proj := tbl.Scan()
 	var got []int64
-	var buf []value.Value
+	keySpans, paySpans := make([][]byte, 4), make([][]byte, 4)
+	row := make([]value.Value, 1)
 	for {
-		row, ok, err := proj.NextProjectedInto(buf, []int{0})
-		if err != nil {
-			t.Fatalf("key-only projection touched the poisoned payload: %v", err)
-		}
-		if !ok {
+		n := proj.NextSpans(keySpans, paySpans)
+		if n == 0 {
 			break
 		}
-		if row[0].Kind != value.KindInt {
-			t.Fatalf("recovered key has kind %v, want int", row[0].Kind)
+		for _, key := range keySpans[:n] {
+			if err := dec.Decode(key, row); err != nil {
+				t.Fatalf("key-only projection failed: %v", err)
+			}
+			if row[0].Kind != value.KindInt {
+				t.Fatalf("recovered key has kind %v, want int", row[0].Kind)
+			}
+			got = append(got, row[0].I)
+			if err := dec.Decode(key[:3], row); err == nil {
+				t.Fatalf("truncated key %x decoded as %v", key[:3], row[0])
+			}
 		}
-		got = append(got, row[0].I)
-		buf = row
+	}
+	if err := proj.Err(); err != nil {
+		t.Fatalf("key-only projection hit a page error: %v", err)
 	}
 	if reads := pager.Stats().Sub(before).PageReads; reads == 0 {
 		t.Fatal("projected scan performed no page reads; cold-read check is vacuous")

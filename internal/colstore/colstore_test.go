@@ -457,14 +457,14 @@ func TestProjectionScanEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := exec.DrainBatches(scan)
+	rows, err := exec.DrainBatches(nil, scan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 0 {
 		t.Fatalf("empty projection scan produced %d rows", len(rows))
 	}
-	rows, err = exec.Drain(exec.AsRowOperator(scan))
+	rows, err = exec.Drain(nil, exec.AsRowOperator(scan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,12 +29,9 @@ type Options struct {
 	// TupleOverhead is the per-tuple storage overhead in bytes. Negative
 	// selects storage.DefaultTupleOverhead (9 bytes, as in the paper).
 	TupleOverhead int
-	// Vectorized selects batch-at-a-time (MonetDB/X100-style) execution and
-	// is the default: the zero Options value runs vectorized. Setting
 	// DisableVectorized forces the row-at-a-time Volcano path, kept for
-	// differential testing; an explicit Vectorized overrides it.
-	Vectorized bool
-	// DisableVectorized forces row-at-a-time execution (see Vectorized).
+	// differential testing. Batch-at-a-time (MonetDB/X100-style) execution is
+	// the default: the zero Options value runs vectorized.
 	DisableVectorized bool
 	// DisableCompressed forces the vectorized executor to run on flat
 	// (decompressed) vectors only: scans stop emitting Const/RLE vectors for
@@ -128,7 +125,7 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 	if overhead < 0 {
 		overhead = storage.DefaultTupleOverhead
 	}
-	vectorized := opts.Vectorized || !opts.DisableVectorized
+	vectorized := !opts.DisableVectorized
 	parallelism := opts.Parallelism
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
@@ -426,15 +423,10 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 				return nil, err
 			}
 		}
-		planner := plan.NewPlanner(e.cat)
-		planner.DisableCompressed = !e.compressed
-		planner.DisableVectorized = !e.vectorized
 		var err error
-		pl, err = planner.PlanSelect(stmt)
-		if err != nil {
+		if pl, err = e.planSelect(stmt, par); err != nil {
 			return nil, err
 		}
-		e.parallelizePlan(pl, par)
 	}
 	var span *trace.Span
 	if opts.Trace {
@@ -461,15 +453,10 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan) (*Result, error
 	start := time.Now()
 	var rows []exec.Row
 	var err error
-	switch {
-	case ctx != nil && e.vectorized:
-		rows, err = exec.DrainVectorizedCtx(ctx, pl.Root)
-	case ctx != nil:
-		rows, err = exec.DrainCtx(ctx, pl.Root)
-	case e.vectorized:
-		rows, err = exec.DrainVectorized(pl.Root)
-	default:
-		rows, err = exec.Drain(pl.Root)
+	if e.vectorized {
+		rows, err = exec.DrainBatches(ctx, exec.AsBatchOperator(pl.Root))
+	} else {
+		rows, err = exec.Drain(ctx, pl.Root)
 	}
 	if err != nil {
 		return nil, err
@@ -486,6 +473,21 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan) (*Result, error
 			RowsReturned: len(rows),
 		},
 	}, nil
+}
+
+// planSelect compiles a SELECT under the engine's executor knobs and applies
+// the morsel-parallel rewrite for the given worker count. Callers hold the
+// reader lock.
+func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int) (*plan.Plan, error) {
+	planner := plan.NewPlanner(e.cat)
+	planner.DisableCompressed = !e.compressed
+	planner.DisableVectorized = !e.vectorized
+	pl, err := planner.PlanSelect(stmt)
+	if err != nil {
+		return nil, err
+	}
+	e.parallelizePlan(pl, workers)
+	return pl, nil
 }
 
 // effectiveParallelism resolves a per-query override against the engine
@@ -525,16 +527,11 @@ func (e *Engine) parallelizePlan(pl *plan.Plan, workers int) {
 func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 	if !s.Analyze {
 		e.stateMu.RLock()
-		planner := plan.NewPlanner(e.cat)
-		planner.DisableCompressed = !e.compressed
-		planner.DisableVectorized = !e.vectorized
-		pl, err := planner.PlanSelect(s.Query)
+		pl, err := e.planSelect(s.Query, e.parallelism)
+		e.stateMu.RUnlock()
 		if err != nil {
-			e.stateMu.RUnlock()
 			return nil, err
 		}
-		e.parallelizePlan(pl, e.parallelism)
-		e.stateMu.RUnlock()
 		return planTextResult(pl.Explain, strings.Split(pl.Explain, "\n")), nil
 	}
 	e.stateMu.RLock()
@@ -573,14 +570,10 @@ func (e *Engine) Explain(sqlText string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	planner := plan.NewPlanner(e.cat)
-	planner.DisableCompressed = !e.compressed
-	planner.DisableVectorized = !e.vectorized
-	pl, err := planner.PlanSelect(stmt)
+	pl, err := e.planSelect(stmt, e.parallelism)
 	if err != nil {
 		return "", err
 	}
-	e.parallelizePlan(pl, e.parallelism)
 	return pl.Explain, nil
 }
 
@@ -739,8 +732,9 @@ func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {
 		}
 		count++
 	}
-	// Keep dependent materialized views fresh (recompute incrementally is the
-	// job of core/matview; the engine only records staleness by design).
+	// Nothing here refreshes, or even marks stale, the materialized views and
+	// c-tables built over this table: they keep answering with pre-insert
+	// contents until rebuilt (ROADMAP open item 1).
 	after := e.pager.Stats()
 	return &Result{Stats: Stats{Wall: time.Since(start), IO: after.Sub(before), RowsReturned: count}}, nil
 }

@@ -5,8 +5,7 @@ import (
 )
 
 // TestVectorizedKnobDefaults pins the Options contract: the zero value runs
-// vectorized, DisableVectorized forces the row path, and an explicit
-// Vectorized wins over DisableVectorized.
+// vectorized and DisableVectorized — the one switch — forces the row path.
 func TestVectorizedKnobDefaults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -16,7 +15,6 @@ func TestVectorizedKnobDefaults(t *testing.T) {
 		{"zero value", Options{}, true},
 		{"default engine", Options{TupleOverhead: -1}, true},
 		{"disabled", Options{DisableVectorized: true}, false},
-		{"explicit override", Options{Vectorized: true, DisableVectorized: true}, true},
 	}
 	for _, c := range cases {
 		if got := New(c.opts).Vectorized(); got != c.want {

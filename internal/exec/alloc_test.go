@@ -113,3 +113,57 @@ func TestProjectedStringScanFillZeroAllocsPerRow(t *testing.T) {
 			perRow, perDrain)
 	}
 }
+
+// TestUncoveredIndexSeekAllocsPerRow pins the per-row allocation rate of the
+// one access path that cannot avoid per-row work: an uncovered secondary-index
+// seek, which resolves every entry to its base row through the clustered key.
+// Decoding the entry and the base row, encoding the lookup key and opening the
+// lookup cursor cost a fixed handful of allocations per row; what must not
+// come back is per-row rediscovery of where the clustered-key columns sit in
+// the entry (a map plus the entry-column list, once rebuilt for every row),
+// which the seek resolves once at construction.
+func TestUncoveredIndexSeekAllocsPerRow(t *testing.T) {
+	c, _, _ := buildTestDB(t)
+	idx, err := c.CreateIndex("li_supp", "lineitem", []string{"l_suppkey"}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// l_extendedprice is not in the index: every entry needs its base row.
+	seek, err := NewIndexSeek(idx, nil, nil, false, false, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seek.Covered() {
+		t.Fatal("fixture seek is covered; the base-row lookup is not exercised")
+	}
+	drainOnce := func() {
+		if err := seek.Open(); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for {
+			_, ok, err := seek.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			rows++
+		}
+		if rows != 1000 {
+			t.Fatalf("seek produced %d rows, want 1000", rows)
+		}
+		if err := seek.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	drainOnce()
+	// 11/row as measured (two tuple decodes and a string, the projected row,
+	// the encoded lookup bounds, the cursor and its tree iterator); the
+	// per-row position map and entry-column list cost 5 more.
+	perRow := testing.AllocsPerRun(10, drainOnce) / 1000
+	if perRow >= 13 {
+		t.Fatalf("uncovered index seek allocates %.2f/row, want about 11", perRow)
+	}
+}

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+
 	"oldelephant/internal/expr"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
@@ -227,14 +229,27 @@ func (s *RowSource) Close() error {
 }
 
 // DrainBatches runs a batch operator to completion, returning all produced
-// rows in row-major form.
-func DrainBatches(op BatchOperator) ([]Row, error) {
+// rows in row-major form; wrap a row operator in AsBatchOperator to run it
+// through the batch protocol. ctx may be nil (run to completion); otherwise
+// it is pushed into the plan's breakers (see ApplyContext) and checked before
+// every NextBatch, and its error (DeadlineExceeded or Canceled) is returned
+// as soon as it fires.
+func DrainBatches(ctx context.Context, op BatchOperator) ([]Row, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
+	if ctx != nil {
+		ApplyContext(op, ctx)
+	}
 	var out []Row
 	for {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
 		b, ok, err := op.NextBatch()
 		if err != nil {
 			return nil, err
@@ -244,13 +259,6 @@ func DrainBatches(op BatchOperator) ([]Row, error) {
 		}
 		out = b.AppendRows(out)
 	}
-}
-
-// DrainVectorized runs an operator to completion through the batch protocol
-// (bridging row-only operators as needed). It is the vectorized counterpart
-// of Drain used by the engine's result collection.
-func DrainVectorized(op Operator) ([]Row, error) {
-	return DrainBatches(AsBatchOperator(op))
 }
 
 // evalProjectionVectors evaluates a list of expressions over a batch,

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"oldelephant/internal/expr"
@@ -65,7 +66,7 @@ func TestAdaptersRoundTrip(t *testing.T) {
 	cols := []ColumnInfo{{Name: "x", Kind: value.KindInt}}
 	vs := NewValuesScan(cols, rows)
 	rs := AsRowOperator(&BatchSource{Input: vs})
-	got, err := Drain(rs)
+	got, err := Drain(nil, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,21 +125,22 @@ func buildFilterAggPlan(t *testing.T, bridge bool) Operator {
 }
 
 func rowsKey(rows []Row) string {
-	s := ""
+	var sb strings.Builder
 	for _, r := range rows {
 		for _, v := range r {
-			s += v.String() + "|"
+			sb.WriteString(v.String())
+			sb.WriteByte('|')
 		}
-		s += "\n"
+		sb.WriteByte('\n')
 	}
-	return s
+	return sb.String()
 }
 
 // TestBatchRowEquivalenceFilterAgg runs the same plan through Drain and
-// DrainVectorized (with and without a row-only bridge in the middle) and
+// DrainBatches (with and without a row-only bridge in the middle) and
 // requires identical results.
 func TestBatchRowEquivalenceFilterAgg(t *testing.T) {
-	want, err := Drain(buildFilterAggPlan(t, false))
+	want, err := Drain(nil, buildFilterAggPlan(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestBatchRowEquivalenceFilterAgg(t *testing.T) {
 		t.Fatal("test plan produced no rows")
 	}
 	for _, bridge := range []bool{false, true} {
-		got, err := DrainVectorized(buildFilterAggPlan(t, bridge))
+		got, err := DrainBatches(nil, AsBatchOperator(buildFilterAggPlan(t, bridge)))
 		if err != nil {
 			t.Fatalf("bridge=%v: %v", bridge, err)
 		}
@@ -200,11 +202,11 @@ func TestBatchRowEquivalenceOperators(t *testing.T) {
 	}
 	for _, name := range []string{"project-sort-limit", "clustered-seek-stream-agg", "values-filter"} {
 		t.Run(name, func(t *testing.T) {
-			want, err := Drain(build(name)(t))
+			want, err := Drain(nil, build(name)(t))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DrainVectorized(build(name)(t))
+			got, err := DrainBatches(nil, AsBatchOperator(build(name)(t)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -225,7 +227,7 @@ func TestBatchRowEquivalenceOperators(t *testing.T) {
 func TestScanEncodeCols(t *testing.T) {
 	_, lineitem, _ := buildTestDB(t) // clustered on (l_shipdate, l_suppkey)
 	plain := NewSeqScan(lineitem, nil)
-	want, err := DrainBatches(plain)
+	want, err := DrainBatches(nil, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +293,7 @@ func TestRowSourceAcrossBatches(t *testing.T) {
 	vs := NewValuesScan([]ColumnInfo{{Name: "x", Kind: value.KindInt}}, rows)
 	f := NewFilter(vs, expr.NewBinary(expr.OpGe, expr.NewColumn(0, "x"), expr.NewConst(value.NewInt(0))))
 	rs := &RowSource{Input: f}
-	got, err := Drain(rs)
+	got, err := Drain(nil, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,11 +302,11 @@ func TestRowSourceAcrossBatches(t *testing.T) {
 	}
 }
 
-func ExampleDrainVectorized() {
+func ExampleDrainBatches() {
 	rows := []Row{intRow(1), intRow(2), intRow(3)}
 	vs := NewValuesScan([]ColumnInfo{{Name: "x", Kind: value.KindInt}}, rows)
 	f := NewFilter(vs, expr.NewBinary(expr.OpGe, expr.NewColumn(0, "x"), expr.NewConst(value.NewInt(2))))
-	out, _ := DrainVectorized(f)
+	out, _ := DrainBatches(nil, AsBatchOperator(f))
 	for _, r := range out {
 		fmt.Println(r[0])
 	}

@@ -6,15 +6,15 @@ import "context"
 // context at batch boundaries — between NextBatch calls on the plan root —
 // which bounds the cancellation latency to one batch of downstream work for
 // pipelined plans. Materializing breakers (sort, aggregation, a join build)
-// consume their whole input inside one NextBatch, so the ctx drains also push
+// consume their whole input inside one NextBatch, so the drains also push
 // the context into the breakers with ApplyContext: their drain loops check it
 // once per batch (or per DefaultBatchSize rows on the row path), bounding
 // cancellation latency to one batch of work even mid-materialization. The
 // admission queue, where most of a saturated server's waiting happens,
 // cancels immediately.
 
-// ctxErr is the nil-tolerant context check the breaker drain loops use: a
-// breaker with no applied context (the plain Drain paths) pays one nil test.
+// ctxErr is the nil-tolerant context check of the drains and the breaker
+// drain loops: running without a context pays one nil test.
 func ctxErr(ctx context.Context) error {
 	if ctx == nil {
 		return nil
@@ -75,68 +75,5 @@ func ApplyContext(op any, ctx context.Context) {
 		ApplyContext(o.op, ctx)
 	case *tracedRow:
 		ApplyContext(o.op, ctx)
-	}
-}
-
-// DrainBatchesCtx is DrainBatches with cooperative cancellation: the context
-// is checked before every NextBatch, and the context's error (DeadlineExceeded
-// or Canceled) is returned as soon as it fires.
-func DrainBatchesCtx(ctx context.Context, op BatchOperator) ([]Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	ApplyContext(op, ctx)
-	var out []Row
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b, ok, err := op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = b.AppendRows(out)
-	}
-}
-
-// DrainVectorizedCtx is DrainVectorized with cooperative cancellation.
-func DrainVectorizedCtx(ctx context.Context, op Operator) ([]Row, error) {
-	return DrainBatchesCtx(ctx, AsBatchOperator(op))
-}
-
-// DrainCtx is Drain with cooperative cancellation, checked once per
-// DefaultBatchSize rows so the row-at-a-time path pays one atomic load per
-// batch-equivalent, not per row.
-func DrainCtx(ctx context.Context, op Operator) ([]Row, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	ApplyContext(op, ctx)
-	var out []Row
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		for i := 0; i < DefaultBatchSize; i++ {
-			row, ok, err := op.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return out, nil
-			}
-			out = append(out, row)
-		}
 	}
 }

@@ -52,7 +52,7 @@ func checkCancelLatency(t *testing.T, name string, src *cancelSource, op Operato
 	ctx, cancel := context.WithCancel(context.Background())
 	src.cancel = cancel
 	defer cancel()
-	_, err := DrainVectorizedCtx(ctx, op)
+	_, err := DrainBatches(ctx, AsBatchOperator(op))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s: drain returned %v, want context.Canceled", name, err)
 	}
@@ -63,7 +63,7 @@ func checkCancelLatency(t *testing.T, name string, src *cancelSource, op Operato
 	// The same plan drained again without a context must not see the stale
 	// cancelled one (the plan-cache lease pattern): Open clears it.
 	src.cancel = nil
-	rows, err := DrainVectorized(op)
+	rows, err := DrainBatches(nil, AsBatchOperator(op))
 	if err != nil {
 		t.Fatalf("%s: re-drain after cancellation failed: %v", name, err)
 	}
@@ -104,11 +104,11 @@ func TestCancelRowDrain(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	src.cancel = cancel
 	defer cancel()
-	_, err := DrainCtx(ctx, src)
+	_, err := Drain(ctx, src)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DrainCtx returned %v, want context.Canceled", err)
+		t.Fatalf("row Drain returned %v, want context.Canceled", err)
 	}
 	if src.produced > src.after+latencyBudget {
-		t.Fatalf("DrainCtx consumed %d rows past the cancel point", src.produced-src.after)
+		t.Fatalf("row Drain consumed %d rows past the cancel point", src.produced-src.after)
 	}
 }

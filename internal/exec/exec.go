@@ -11,6 +11,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"oldelephant/internal/value"
@@ -37,23 +38,37 @@ type Operator interface {
 	Close() error
 }
 
-// Drain runs an operator to completion and returns all produced rows. It is
-// a convenience for tests, examples and the engine's result collection.
-func Drain(op Operator) ([]Row, error) {
+// Drain runs an operator to completion through the row protocol and returns
+// all produced rows. ctx may be nil (run to completion); otherwise it is
+// pushed into the plan's breakers (see ApplyContext) and checked once per
+// DefaultBatchSize rows, so the row-at-a-time path pays one atomic load per
+// batch-equivalent, not per row.
+func Drain(ctx context.Context, op Operator) ([]Row, error) {
+	if err := ctxErr(ctx); err != nil {
+		return nil, err
+	}
 	if err := op.Open(); err != nil {
 		return nil, err
 	}
 	defer op.Close()
+	if ctx != nil {
+		ApplyContext(op, ctx)
+	}
 	var out []Row
 	for {
-		row, ok, err := op.Next()
-		if err != nil {
+		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return out, nil
+		for i := 0; i < DefaultBatchSize; i++ {
+			row, ok, err := op.Next()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				return out, nil
+			}
+			out = append(out, row)
 		}
-		out = append(out, row)
 	}
 }
 

@@ -68,7 +68,7 @@ func buildTestDB(t testing.TB) (*catalog.Catalog, *catalog.Table, *catalog.Table
 
 func drain(t testing.TB, op Operator) []Row {
 	t.Helper()
-	rows, err := Drain(op)
+	rows, err := Drain(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestClusteredSeek(t *testing.T) {
 	if _, err := NewClusteredSeek(heap, nil, nil, true, true, nil); err == nil {
 		t.Error("clustered seek on heap should fail")
 	}
-	if _, _, err := (&ClusteredSeek{}).Next(); err == nil {
+	if _, _, err := (&TableScan{}).Next(); err == nil {
 		t.Error("Next before Open should error")
 	}
 }
@@ -595,13 +595,11 @@ func TestIndexNestedLoopJoinOnSecondaryIndex(t *testing.T) {
 }
 
 func TestDrainPropagatesOpenErrors(t *testing.T) {
-	_, lineitem, _ := buildTestDB(t)
-	// A merge join whose child errors on Open: simulate via closed operator misuse.
-	bad := &ClusteredSeek{Table: lineitem} // no schema/bounds: Open ok, but use heap table to force error
+	// A bounded scan of a heap has no clustered key to seek: Open must fail.
 	c := catalog.New(storage.NewPager(0), 0)
 	heap, _ := c.CreateTable("h", []catalog.Column{{Name: "a", Kind: value.KindInt}}, nil)
-	bad.Table = heap
-	if _, err := Drain(bad); err == nil {
+	bad := &TableScan{Table: heap, Lo: []value.Value{value.NewInt(1)}}
+	if _, err := Drain(nil, bad); err == nil {
 		t.Error("Drain should propagate Open errors")
 	}
 }

@@ -42,9 +42,8 @@ type colFiller struct {
 	bufs    [][]value.Value
 	rowBuf  []value.Value
 
-	// Raw-span staging for fillRows: one NextRawSpans call per batch instead
-	// of one NextRaw call per row. The spans alias page memory and are
-	// consumed before the batch is published.
+	// Raw-span staging for fill: one NextSpans call per batch. The spans
+	// alias page memory and are consumed before the batch is published.
 	keySpans [][]byte
 	paySpans [][]byte
 
@@ -407,9 +406,11 @@ func (f *colFiller) wrap(n int, encode []int) *Batch {
 	return b
 }
 
-// fillRows pulls up to DefaultBatchSize rows from a row iterator into a
-// column-major batch. A nil batch means the iterator is exhausted.
-func (f *colFiller) fillRows(it *catalog.RowIterator, capHint int, encode []int) (*Batch, error) {
+// fill pulls up to DefaultBatchSize rows (or covered index entries, whose
+// field positions were mapped at construction) from a cursor into a
+// column-major batch: one NextSpans call, then one decode walk per span. A
+// nil batch means the cursor is exhausted.
+func (f *colFiller) fill(cur *catalog.Cursor, capHint int, encode []int) (*Batch, error) {
 	f.resetBufs(clampCap(capHint))
 	if f.paySpans == nil {
 		f.paySpans = make([][]byte, DefaultBatchSize)
@@ -420,7 +421,7 @@ func (f *colFiller) fillRows(it *catalog.RowIterator, capHint int, encode []int)
 		if f.keySpans == nil {
 			f.keySpans = make([][]byte, DefaultBatchSize)
 		}
-		n = it.NextRawSpans(f.keySpans, f.paySpans)
+		n = cur.NextSpans(f.keySpans, f.paySpans)
 		row := f.rowBuf
 		for _, key := range f.keySpans[:n] {
 			if err := f.keyDec.Decode(key, row); err != nil {
@@ -431,7 +432,7 @@ func (f *colFiller) fillRows(it *catalog.RowIterator, capHint int, encode []int)
 			}
 		}
 	} else {
-		n = it.NextRawSpans(nil, f.paySpans)
+		n = cur.NextSpans(nil, f.paySpans)
 		for _, payload := range f.paySpans[:n] {
 			if err := f.decodeRow(payload); err != nil {
 				return nil, err
@@ -441,35 +442,7 @@ func (f *colFiller) fillRows(it *catalog.RowIterator, capHint int, encode []int)
 	if n == 0 {
 		// Distinguish exhaustion from a page error mid-scan (corrupt tree):
 		// the latter must fail the query, not end it early.
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
-	}
-	return f.wrap(n, encode), nil
-}
-
-// fillEntries is fillRows over covered secondary-index entries: the projected
-// columns decode from entry payloads (key columns, included columns, locator
-// columns), whose positions were mapped at construction.
-func (f *colFiller) fillEntries(it *catalog.IndexIterator, capHint int, encode []int) (*Batch, error) {
-	f.resetBufs(clampCap(capHint))
-	n := 0
-	for n < DefaultBatchSize {
-		payload, ok := it.NextRaw()
-		if !ok {
-			break
-		}
-		if err := f.decodeRow(payload); err != nil {
-			return nil, err
-		}
-		n++
-	}
-	if n == 0 {
-		if err := it.Err(); err != nil {
-			return nil, err
-		}
-		return nil, nil
+		return nil, cur.Err()
 	}
 	return f.wrap(n, encode), nil
 }

@@ -36,7 +36,7 @@ func (j *NestedLoopJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	rows, err := Drain(j.Right)
+	rows, err := Drain(nil, j.Right)
 	if err != nil {
 		return err
 	}
@@ -121,7 +121,7 @@ func (j *HashJoin) Open() error {
 	if err := j.Left.Open(); err != nil {
 		return err
 	}
-	rows, err := Drain(j.Right)
+	rows, err := Drain(nil, j.Right)
 	if err != nil {
 		return err
 	}
@@ -406,10 +406,19 @@ type IndexNestedLoopJoin struct {
 	Inner    InnerSeekSpec
 	Residual expr.Expr
 
-	schema    []ColumnInfo
-	outerRow  Row
-	innerOp   Operator
+	schema   []ColumnInfo
+	outerRow Row
+	// inner is the one inner scan, built with the join and re-bound to each
+	// outer row's range; innerOpen says it is mid-probe.
+	inner     boundScan
 	innerOpen bool
+}
+
+// boundScan is a leaf access path whose key bounds can be replaced between
+// executions: TableScan and IndexSeek.
+type boundScan interface {
+	Operator
+	Rebind(lo, hi []value.Value)
 }
 
 // NewIndexNestedLoopJoin builds an index-nested-loop (band) join.
@@ -417,17 +426,19 @@ func NewIndexNestedLoopJoin(outer Operator, inner InnerSeekSpec, residual expr.E
 	if inner.Table == nil {
 		return nil, fmt.Errorf("exec: inner seek requires a table")
 	}
-	if inner.Index == nil && !inner.Table.IsClustered() {
-		return nil, fmt.Errorf("exec: inner seek on %q requires a clustered or secondary index", inner.Table.Name)
+	var scan boundScan
+	var err error
+	if inner.Index != nil {
+		scan, err = NewIndexSeek(inner.Index, nil, nil, inner.LoIncl, inner.HiIncl, inner.Cols)
+	} else {
+		scan, err = NewClusteredSeek(inner.Table, nil, nil, inner.LoIncl, inner.HiIncl, inner.Cols)
 	}
-	cols := inner.Cols
-	if cols == nil {
-		cols = allOrdinals(len(inner.Table.Columns))
-		inner.Cols = cols
+	if err != nil {
+		return nil, err
 	}
 	return &IndexNestedLoopJoin{
-		Outer: outer, Inner: inner, Residual: residual,
-		schema: concatSchemas(outer.Schema(), projectedSchema(inner.Table, cols)),
+		Outer: outer, Inner: inner, Residual: residual, inner: scan,
+		schema: concatSchemas(outer.Schema(), scan.Schema()),
 	}, nil
 }
 
@@ -437,7 +448,6 @@ func (j *IndexNestedLoopJoin) Schema() []ColumnInfo { return j.schema }
 // Open implements Operator.
 func (j *IndexNestedLoopJoin) Open() error {
 	j.outerRow = nil
-	j.innerOp = nil
 	j.innerOpen = false
 	return j.Outer.Open()
 }
@@ -481,19 +491,10 @@ func (j *IndexNestedLoopJoin) openInner(outer Row) (opened bool, err error) {
 			return false, nil
 		}
 	}
-	var op Operator
-	if j.Inner.Index != nil {
-		op, err = NewIndexSeek(j.Inner.Index, lo, hi, j.Inner.LoIncl, j.Inner.HiIncl, j.Inner.Cols)
-	} else {
-		op, err = NewClusteredSeek(j.Inner.Table, lo, hi, j.Inner.LoIncl, j.Inner.HiIncl, j.Inner.Cols)
-	}
-	if err != nil {
+	j.inner.Rebind(lo, hi)
+	if err := j.inner.Open(); err != nil {
 		return false, err
 	}
-	if err := op.Open(); err != nil {
-		return false, err
-	}
-	j.innerOp = op
 	j.innerOpen = true
 	return true, nil
 }
@@ -516,12 +517,12 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 			}
 		}
 		for {
-			inner, ok, err := j.innerOp.Next()
+			inner, ok, err := j.inner.Next()
 			if err != nil {
 				return nil, false, err
 			}
 			if !ok {
-				j.innerOp.Close()
+				j.inner.Close()
 				j.innerOpen = false
 				break
 			}
@@ -540,7 +541,7 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 // Close implements Operator.
 func (j *IndexNestedLoopJoin) Close() error {
 	if j.innerOpen {
-		j.innerOp.Close()
+		j.inner.Close()
 		j.innerOpen = false
 	}
 	return j.Outer.Close()

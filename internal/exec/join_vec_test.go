@@ -30,7 +30,7 @@ func formatJoinRows(rows []Row) string {
 // drainVec runs an operator through the batch protocol.
 func drainVec(t testing.TB, op Operator) []Row {
 	t.Helper()
-	rows, err := DrainVectorized(op)
+	rows, err := DrainBatches(nil, AsBatchOperator(op))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func bigJoinTables(t testing.TB) (*catalog.Table, *catalog.Table) {
 // build — same matches, same order — at several worker counts.
 func TestVectorizedHashJoinParallelBuild(t *testing.T) {
 	facts, dims := bigJoinTables(t)
-	mk := func() (*VectorizedHashJoin, *SeqScan) {
+	mk := func() (*VectorizedHashJoin, *TableScan) {
 		buildScan := NewSeqScan(dims, nil)
 		vj, err := NewVectorizedHashJoin(NewSeqScan(facts, nil), buildScan, []int{1}, []int{0}, nil)
 		if err != nil {
@@ -375,7 +375,7 @@ func TestVectorizedHashJoinClonesShareBuild(t *testing.T) {
 	var got []Row
 	for _, part := range parts {
 		clone := shared.CloneWithProbe(AsRowOperator(part))
-		rows, err := DrainVectorized(clone)
+		rows, err := DrainBatches(nil, AsBatchOperator(clone))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -29,8 +29,8 @@ import (
 const DefaultMorselRows = 8 * DefaultBatchSize
 
 // Morseler is a batch source that can split its row range into morsels.
-// SeqScan (leaf-page ranges) and colstore.ProjectionScan (row windows)
-// implement it.
+// TableScan and IndexSeek (leaf-page or heap-page runs of their range) and
+// colstore.ProjectionScan (row windows) implement it.
 type Morseler interface {
 	BatchOperator
 	// NumScanRows reports the total row count available for partitioning —

@@ -181,7 +181,7 @@ func TestParallelHashAggregateMatchesSerial(t *testing.T) {
 				rows := testRows(5000, groups)
 				aggs := allAggSpecs()
 				serialOp := NewHashAggregate(NewValuesScan(testSchema(), rows), []int{0}, aggs)
-				want, err := DrainBatches(serialOp)
+				want, err := DrainBatches(nil, serialOp)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -190,7 +190,7 @@ func TestParallelHashAggregateMatchesSerial(t *testing.T) {
 				if !ok {
 					t.Fatal("NewParallelHashAggregate refused a partitionable source")
 				}
-				got, err := DrainBatches(par)
+				got, err := DrainBatches(nil, par)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -211,7 +211,7 @@ func TestParallelHashAggregateGlobalEmpty(t *testing.T) {
 		return AsBatchOperator(NewFilter(AsRowOperator(src), never))
 	}
 	serial := NewHashAggregate(NewFilter(NewValuesScan(testSchema(), rows), never), nil, aggs)
-	want, err := DrainBatches(serial)
+	want, err := DrainBatches(nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestParallelHashAggregateGlobalEmpty(t *testing.T) {
 	if !ok {
 		t.Fatal("NewParallelHashAggregate refused a partitionable source")
 	}
-	got, err := DrainBatches(par)
+	got, err := DrainBatches(nil, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestParallelStreamAggregateMatchesSerial(t *testing.T) {
 	}
 	aggs := allAggSpecs()
 	serial := NewStreamAggregate(NewValuesScan(testSchema(), rows), []int{0}, aggs)
-	want, err := DrainBatches(serial)
+	want, err := DrainBatches(nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestParallelStreamAggregateMatchesSerial(t *testing.T) {
 		if !ok {
 			t.Fatalf("chunk %d: NewParallelStreamAggregate refused a partitionable source", chunk)
 		}
-		got, err := DrainBatches(par)
+		got, err := DrainBatches(nil, par)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,7 +275,7 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 	exprs := []expr.Expr{expr.NewColumn(1, "n"), expr.NewColumn(2, "x")}
 	names := []string{"n", "x"}
 	serial := NewProject(NewFilter(NewValuesScan(testSchema(), rows), pred), exprs, names)
-	want, err := DrainBatches(serial)
+	want, err := DrainBatches(nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 	if !ok {
 		t.Fatal("NewParallelMerge refused a partitionable source")
 	}
-	got, err := DrainBatches(par)
+	got, err := DrainBatches(nil, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 	// actually exercised (column 1 disambiguates the input order).
 	keys := []SortKey{{Col: 0, Desc: true}}
 	serial := NewSort(NewValuesScan(testSchema(), rows), keys)
-	want, err := DrainBatches(serial)
+	want, err := DrainBatches(nil, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 	if !ok {
 		t.Fatal("NewParallelSort refused a partitionable source")
 	}
-	got, err := DrainBatches(par)
+	got, err := DrainBatches(nil, par)
 	if err != nil {
 		t.Fatal(err)
 	}

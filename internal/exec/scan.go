@@ -18,7 +18,8 @@ func projectedSchema(t *catalog.Table, cols []int) []ColumnInfo {
 	return out
 }
 
-// projectRow picks the given base-table ordinals out of a full row.
+// projectRow picks the given positions out of a decoded row: base-table
+// ordinals of a full row, or entry positions of a covered index entry.
 func projectRow(row Row, cols []int) Row {
 	out := make(Row, len(cols))
 	for i, ord := range cols {
@@ -68,18 +69,6 @@ func columnKinds(t *catalog.Table, cols []int) []value.Kind {
 	return out
 }
 
-// ascendingOrdinals reports whether cols is sorted strictly ascending — the
-// precondition for the row-protocol projected decode (the batch fill handles
-// arbitrary order by sorting its field map).
-func ascendingOrdinals(cols []int) bool {
-	for i := 1; i < len(cols); i++ {
-		if cols[i] <= cols[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
 // compressBatchCols run-encodes the marked output columns of a freshly
 // filled batch. The planner marks a scan's sort-prefix columns (clustered-key
 // or index-key prefix), where the storage order makes long runs likely — the
@@ -97,244 +86,96 @@ func compressBatchCols(b *Batch, cols []int) {
 	}
 }
 
-// SeqScan reads every row of a table (clustered-key order for clustered
-// tables, insertion order for heaps) and projects the requested columns.
-type SeqScan struct {
-	Table *catalog.Table
-	Cols  []int // base-table ordinals to produce; nil means all
-	// EncodeCols lists output positions to run-encode in produced batches
-	// (typically the clustered-key prefix, set by the planner).
-	EncodeCols []int
-
-	it      *catalog.RowIterator
-	schema  []ColumnInfo
-	fillCap int
-	fill    *colFiller
-	asc     bool
-}
-
-// NewSeqScan builds a sequential scan over the table producing cols (nil = all).
-func NewSeqScan(t *catalog.Table, cols []int) *SeqScan {
-	if cols == nil {
-		cols = allOrdinals(len(t.Columns))
-	}
-	return &SeqScan{
-		Table: t, Cols: cols, schema: projectedSchema(t, cols),
-		fill: newColFiller(columnKinds(t, cols), cols, true),
-		asc:  ascendingOrdinals(cols),
-	}
-}
-
-// Schema implements Operator.
-func (s *SeqScan) Schema() []ColumnInfo { return s.schema }
-
-// Open implements Operator.
-func (s *SeqScan) Open() error {
-	s.it = s.Table.Scan()
-	s.fillCap = 0
-	// The filler's column arena deliberately survives Open: a plan-cache
-	// lease's later executions reuse fully-grown buffers.
-	s.fill.prepareKey(s.Table, s.Cols)
-	return nil
-}
-
-// Next implements Operator.
-func (s *SeqScan) Next() (Row, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("SeqScan")
-	}
-	if s.asc {
-		row, ok, err := s.it.NextProjectedInto(nil, s.Cols)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	row, ok, err := s.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return projectRow(row, s.Cols), true, nil
-}
-
-// NextBatch implements BatchOperator.
-func (s *SeqScan) NextBatch() (*Batch, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("SeqScan")
-	}
-	b, err := s.fill.fillRows(s.it, s.fillCap, s.EncodeCols)
-	if err != nil || b == nil {
-		return nil, false, err
-	}
-	s.fillCap = nextFillCap(b.physRows())
-	return b, true, nil
-}
-
-// Close implements Operator.
-func (s *SeqScan) Close() error {
-	s.it = nil
-	return nil
-}
-
-// NumScanRows implements Morseler.
-func (s *SeqScan) NumScanRows() int64 { return s.Table.RowCount() }
-
-// Morsels implements Morseler: the table splits into leaf-page (or heap-page)
-// ranges of roughly targetRows rows each, every morsel a self-contained scan
-// over its range that preserves the encoding hints.
-func (s *SeqScan) Morsels(targetRows int) ([]BatchOperator, bool) {
-	morsels := s.Table.ScanMorsels(int64(targetRows))
-	if len(morsels) < 2 {
-		return nil, false
-	}
-	out := make([]BatchOperator, len(morsels))
-	for i, m := range morsels {
-		out[i] = newMorselScan(m, s.Table, s.Cols, s.EncodeCols, s.schema)
-	}
-	return out, true
-}
-
-// rowMorsel is any cheap partition descriptor that opens fresh row iterators
-// over its slice of a table: full-scan morsels (catalog.ScanMorsel) and
-// clustered-seek morsels (catalog.ClusteredSeekMorsel).
-type rowMorsel interface {
-	Iterator() *catalog.RowIterator
-}
-
-// morselScan scans one row morsel of a table, projecting and run-encoding
-// columns exactly like the scan it was split from. Each morsel owns its
-// iterator, so concurrent workers can scan disjoint morsels of one table.
-// Its filler runs with recycle off: morsel batches cross goroutines through
-// the parallel pipe, which retains them past the next fill.
-type morselScan struct {
-	morsel rowMorsel
-	table  *catalog.Table
-	cols   []int
-	encode []int
-	schema []ColumnInfo
-
-	it      *catalog.RowIterator
-	fillCap int
-	fill    *colFiller
-}
-
-func newMorselScan(m rowMorsel, t *catalog.Table, cols, encode []int, schema []ColumnInfo) *morselScan {
-	return &morselScan{
-		morsel: m, table: t, cols: cols, encode: encode, schema: schema,
-		fill: newColFiller(columnKinds(t, cols), cols, false),
-	}
-}
-
-// Schema implements Operator.
-func (s *morselScan) Schema() []ColumnInfo { return s.schema }
-
-// Open implements Operator.
-func (s *morselScan) Open() error {
-	s.it = s.morsel.Iterator()
-	// Morsels exist because the range is large; start at full batches.
-	s.fillCap = DefaultBatchSize
-	s.fill.prepareKey(s.table, s.cols)
-	return nil
-}
-
-// Next implements Operator.
-func (s *morselScan) Next() (Row, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("morselScan")
-	}
-	row, ok, err := s.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	return projectRow(row, s.cols), true, nil
-}
-
-// NextBatch implements BatchOperator.
-func (s *morselScan) NextBatch() (*Batch, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("morselScan")
-	}
-	b, err := s.fill.fillRows(s.it, s.fillCap, s.encode)
-	if err != nil || b == nil {
-		return nil, false, err
-	}
-	return b, true, nil
-}
-
-// Close implements Operator.
-func (s *morselScan) Close() error {
-	s.it = nil
-	return nil
-}
-
-// ClusteredSeek scans the rows whose clustered-key prefix lies in a constant
-// range. It is the access path for sargable predicates on the clustered key.
-type ClusteredSeek struct {
+// TableScan is the one access path over a table's own rows: every row whose
+// clustered-key prefix lies in [Lo, Hi], in clustered-key order. With both
+// bounds open it is the full scan (EXPLAIN's SeqScan, and the only form a heap
+// supports, in insertion order); with a bound it is the access path for
+// sargable predicates on the clustered key (EXPLAIN's ClusteredSeek). A
+// morsel of either is the same operator over a split of its range.
+type TableScan struct {
 	Table  *catalog.Table
 	Lo, Hi []value.Value // prefix bounds; nil = open
 	LoIncl bool
 	HiIncl bool
-	Cols   []int
+	Cols   []int // base-table ordinals to produce
 	// EncodeCols lists output positions to run-encode in produced batches
-	// (the clustered-key prefix; an equality seek makes its leading column a
-	// Const vector).
+	// (the clustered-key prefix, set by the planner; an equality seek makes
+	// its leading column a Const vector).
 	EncodeCols []int
 
-	it      *catalog.RowIterator
+	// part is the sub-range a split scans; nil on the operator the planner
+	// built, which opens its whole range lazily.
+	part *catalog.Range
+	// whole memoizes the sized range between the NumScanRows and Morsels
+	// calls of one parallel rewrite (planning is single-threaded; cached
+	// plans are invalidated on any catalog change, so a stale range never
+	// executes).
+	whole *catalog.Range
+
+	cur     *catalog.Cursor
 	schema  []ColumnInfo
 	fillCap int
 	fill    *colFiller
-	asc     bool
-	// rng memoizes the seek's leaf range between the NumScanRows and Morsels
-	// calls of one parallel rewrite (planning is single-threaded; cached plans
-	// are invalidated on any catalog change, so a stale range never executes).
-	rng *catalog.SeekLeafRange
 }
 
-// NewClusteredSeek builds a clustered-index range scan.
-func NewClusteredSeek(t *catalog.Table, lo, hi []value.Value, loIncl, hiIncl bool, cols []int) (*ClusteredSeek, error) {
-	if !t.IsClustered() {
-		return nil, fmt.Errorf("exec: table %q has no clustered index", t.Name)
-	}
+// NewSeqScan builds a full scan of the table producing cols (nil = all).
+func NewSeqScan(t *catalog.Table, cols []int) *TableScan {
 	if cols == nil {
 		cols = allOrdinals(len(t.Columns))
 	}
-	return &ClusteredSeek{
-		Table: t, Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl,
-		Cols: cols, schema: projectedSchema(t, cols),
+	return &TableScan{
+		Table: t, Cols: cols, schema: projectedSchema(t, cols),
 		fill: newColFiller(columnKinds(t, cols), cols, true),
-		asc:  ascendingOrdinals(cols),
-	}, nil
+	}
 }
 
-// Schema implements Operator.
-func (s *ClusteredSeek) Schema() []ColumnInfo { return s.schema }
-
-// Open implements Operator.
-func (s *ClusteredSeek) Open() error {
-	it, err := s.Table.SeekClustered(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-	if err != nil {
-		return err
+// NewClusteredSeek builds a clustered-index range scan: a TableScan bounded
+// to [lo, hi] (nil = open).
+func NewClusteredSeek(t *catalog.Table, lo, hi []value.Value, loIncl, hiIncl bool, cols []int) (*TableScan, error) {
+	if !t.IsClustered() {
+		return nil, fmt.Errorf("exec: table %q has no clustered index", t.Name)
 	}
-	s.it = it
-	s.fillCap = 0
+	s := NewSeqScan(t, cols)
+	s.Lo, s.Hi, s.LoIncl, s.HiIncl = lo, hi, loIncl, hiIncl
+	return s, nil
+}
+
+// Bounded reports whether the scan is a clustered seek rather than a full scan.
+func (s *TableScan) Bounded() bool { return s.Lo != nil || s.Hi != nil }
+
+// Rebind replaces the seek bounds for the next Open (index nested loops
+// re-bind one inner scan per outer row).
+func (s *TableScan) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
+
+// Schema implements Operator.
+func (s *TableScan) Schema() []ColumnInfo { return s.schema }
+
+// Open implements Operator. The filler's column arena deliberately survives
+// Open: a plan-cache lease's later executions reuse fully-grown buffers.
+func (s *TableScan) Open() error {
+	rng := s.part
+	// Splits exist because the range is large; they start at full batches.
+	s.fillCap = DefaultBatchSize
+	if rng == nil {
+		whole, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		if err != nil {
+			return err
+		}
+		rng, s.fillCap = &whole, 0
+	}
+	s.cur = rng.Open()
 	s.fill.prepareKey(s.Table, s.Cols)
 	return nil
 }
 
-// Next implements Operator.
-func (s *ClusteredSeek) Next() (Row, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("ClusteredSeek")
+// Next implements Operator: the row-at-a-time reference path, a full decode
+// plus projection that deliberately shares nothing with the batch fill's
+// projected decoder it is differentially tested against.
+func (s *TableScan) Next() (Row, bool, error) {
+	if s.cur == nil {
+		return nil, false, errNotOpen("TableScan")
 	}
-	if s.asc {
-		row, ok, err := s.it.NextProjectedInto(nil, s.Cols)
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		return row, true, nil
-	}
-	row, ok, err := s.it.Next()
+	row, ok, err := s.cur.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -342,11 +183,11 @@ func (s *ClusteredSeek) Next() (Row, bool, error) {
 }
 
 // NextBatch implements BatchOperator.
-func (s *ClusteredSeek) NextBatch() (*Batch, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("ClusteredSeek")
+func (s *TableScan) NextBatch() (*Batch, bool, error) {
+	if s.cur == nil {
+		return nil, false, errNotOpen("TableScan")
 	}
-	b, err := s.fill.fillRows(s.it, s.fillCap, s.EncodeCols)
+	b, err := s.fill.fill(s.cur, s.fillCap, s.EncodeCols)
 	if err != nil || b == nil {
 		return nil, false, err
 	}
@@ -355,51 +196,53 @@ func (s *ClusteredSeek) NextBatch() (*Batch, bool, error) {
 }
 
 // Close implements Operator.
-func (s *ClusteredSeek) Close() error {
-	s.it = nil
+func (s *TableScan) Close() error {
+	s.cur = nil
 	return nil
 }
 
-// seekRange computes (once) the run of leaf pages the seek touches, bounded
-// by the stop key.
-func (s *ClusteredSeek) seekRange() *catalog.SeekLeafRange {
-	if s.rng == nil {
-		rng, err := s.Table.ClusteredSeekRange(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+// wholeRange computes (once) the scan's range for sizing and splitting.
+func (s *TableScan) wholeRange() *catalog.Range {
+	if s.whole == nil {
+		rng, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
 		if err != nil {
 			return nil
 		}
-		s.rng = rng
+		s.whole = &rng
 	}
-	return s.rng
+	return s.whole
 }
 
-// NumScanRows implements Morseler: the estimated rows in the seek's key
-// range (leaf count x average leaf fill), not the whole table — a selective
-// seek below the parallelization threshold stays serial.
-func (s *ClusteredSeek) NumScanRows() int64 {
-	rng := s.seekRange()
+// NumScanRows implements Morseler: the table's row count for a full scan, the
+// estimated rows in the key range for a seek — a selective seek below the
+// parallelization threshold stays serial.
+func (s *TableScan) NumScanRows() int64 {
+	rng := s.wholeRange()
 	if rng == nil {
 		return 0
 	}
 	return rng.EstRows()
 }
 
-// Morsels implements Morseler: the seek's leaf range splits into runs of
-// roughly targetRows rows, every morsel a self-contained range scan sharing
-// the seek's stop bound (the first also carries the start position), so
-// selective range scans parallelize instead of falling back to serial.
-func (s *ClusteredSeek) Morsels(targetRows int) ([]BatchOperator, bool) {
-	rng := s.seekRange()
+// Morsels implements Morseler: the range splits into leaf-page (or heap-page)
+// runs of roughly targetRows rows, every morsel this same operator over one
+// run. Morsel batches cross goroutines through the parallel pipe, which
+// retains them past the next fill, so a split's filler never recycles.
+func (s *TableScan) Morsels(targetRows int) ([]BatchOperator, bool) {
+	rng := s.wholeRange()
 	if rng == nil {
 		return nil, false
 	}
-	morsels := s.Table.ClusteredSeekMorsels(rng, int64(targetRows))
-	if len(morsels) < 2 {
+	parts := rng.Split(int64(targetRows))
+	if len(parts) < 2 {
 		return nil, false
 	}
-	out := make([]BatchOperator, len(morsels))
-	for i, m := range morsels {
-		out[i] = newMorselScan(m, s.Table, s.Cols, s.EncodeCols, s.schema)
+	out := make([]BatchOperator, len(parts))
+	for i := range parts {
+		m := *s
+		m.part, m.whole, m.cur = &parts[i], nil, nil
+		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Cols, false)
+		out[i] = &m
 	}
 	return out, true
 }
@@ -408,6 +251,7 @@ func (s *ClusteredSeek) Morsels(targetRows int) ([]BatchOperator, bool) {
 // constant range. When the index covers the requested columns the base table
 // is never touched; otherwise each entry is resolved to its base row through
 // the clustered key (or RID for heaps), which costs one extra lookup per row.
+// Like TableScan, a morsel of an IndexSeek is an IndexSeek over a split.
 type IndexSeek struct {
 	Index  *catalog.Index
 	Lo, Hi []value.Value
@@ -419,16 +263,20 @@ type IndexSeek struct {
 	// Const vector).
 	EncodeCols []int
 
-	it      *catalog.IndexIterator
+	part  *catalog.Range // see TableScan.part
+	whole *catalog.Range // see TableScan.whole
+
+	cur     *catalog.Cursor
 	schema  []ColumnInfo
 	fillCap int
-	covered bool
-	fill    *colFiller
-	// entryPos maps requested column ordinal -> position in the index entry.
-	entryPos map[int]int
-	// rng memoizes the seek's leaf range between NumScanRows and Morsels (see
-	// ClusteredSeek.rng).
-	rng *catalog.SeekLeafRange
+	// A covered seek decodes Cols[i] from entry position entryPos[i] through
+	// fill; an uncovered seek over a clustered table locates base rows through
+	// the clustered-key values at entry positions keyPos (staged in keyBuf).
+	covered  bool
+	fill     *colFiller
+	entryPos []int
+	keyPos   []int
+	keyBuf   []value.Value
 }
 
 // NewIndexSeek builds a secondary-index range scan producing the given base
@@ -440,88 +288,87 @@ func NewIndexSeek(ix *catalog.Index, lo, hi []value.Value, loIncl, hiIncl bool, 
 	}
 	s := &IndexSeek{
 		Index: ix, Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl, Cols: cols,
-		schema: projectedSchema(t, cols),
+		schema: projectedSchema(t, cols), covered: ix.Covers(cols),
 	}
-	s.covered = ix.Covers(cols)
-	s.entryPos = make(map[int]int)
+	posOf := make(map[int]int)
 	for pos, ord := range ix.EntryColumnOrdinals() {
-		s.entryPos[ord] = pos
+		posOf[ord] = pos
 	}
-	if s.covered {
-		s.fill = newColFiller(columnKinds(t, cols), s.coveredPositions(), true)
+	switch {
+	case s.covered:
+		s.entryPos = make([]int, len(cols))
+		for i, ord := range cols {
+			s.entryPos[i] = posOf[ord]
+		}
+		s.fill = newColFiller(columnKinds(t, cols), s.entryPos, true)
+	case t.IsClustered():
+		s.keyPos = make([]int, len(t.Clustered.KeyColumns))
+		for i, ord := range t.Clustered.KeyColumns {
+			p, ok := posOf[ord]
+			if !ok {
+				return nil, fmt.Errorf("exec: index %q entry is missing clustered key column", ix.Name)
+			}
+			s.keyPos[i] = p
+		}
+		s.keyBuf = make([]value.Value, len(s.keyPos))
 	}
 	return s, nil
 }
 
-// coveredPositions maps the projected base ordinals to their positions in the
-// index entry payload — the filler's field map for covered seeks.
-func (s *IndexSeek) coveredPositions() []int {
-	out := make([]int, len(s.Cols))
-	for i, ord := range s.Cols {
-		out[i] = s.entryPos[ord]
-	}
-	return out
-}
-
 // Covered reports whether the seek is answered from the index alone.
 func (s *IndexSeek) Covered() bool { return s.covered }
+
+// Rebind replaces the seek bounds for the next Open (see TableScan.Rebind).
+func (s *IndexSeek) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
 
 // Schema implements Operator.
 func (s *IndexSeek) Schema() []ColumnInfo { return s.schema }
 
 // Open implements Operator.
 func (s *IndexSeek) Open() error {
-	s.it = s.Index.Seek(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-	s.fillCap = 0
+	rng := s.part
+	s.fillCap = DefaultBatchSize // see TableScan.Open
+	if rng == nil {
+		whole := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		rng, s.fillCap = &whole, 0
+	}
+	s.cur = rng.Open()
 	return nil
 }
 
-// rowFromEntry converts one index entry into an output row, resolving the
-// base row when the index does not cover the requested columns.
-func (s *IndexSeek) rowFromEntry(entry catalog.IndexEntry) (Row, error) {
-	if s.covered {
-		out := make(Row, len(s.Cols))
-		for i, ord := range s.Cols {
-			out[i] = entry.Values[s.entryPos[ord]]
-		}
-		return out, nil
-	}
-	base, err := lookupBaseRow(s.Index, entry)
-	if err != nil {
-		return nil, err
-	}
-	return projectRow(base, s.Cols), nil
-}
-
-// Next implements Operator.
+// Next implements Operator: one decoded entry, projected (covered) or
+// resolved to its base row.
 func (s *IndexSeek) Next() (Row, bool, error) {
-	if s.it == nil {
+	if s.cur == nil {
 		return nil, false, errNotOpen("IndexSeek")
 	}
-	entry, ok, err := s.it.Next()
+	entry, ok, err := s.cur.Next()
 	if err != nil || !ok {
 		return nil, false, err
 	}
-	row, err := s.rowFromEntry(entry)
+	if s.covered {
+		return projectRow(entry, s.entryPos), true, nil
+	}
+	base, err := s.baseRow(entry)
 	if err != nil {
 		return nil, false, err
 	}
-	return row, true, nil
+	return projectRow(base, s.Cols), true, nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements BatchOperator. Covered seeks decode projected columns
+// straight from entry payload spans; uncovered ones transpose the row path's
+// base-row lookups into a fresh batch.
 func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
-	if s.it == nil {
+	if s.cur == nil {
 		return nil, false, errNotOpen("IndexSeek")
 	}
 	var b *Batch
 	var err error
 	if s.covered {
-		// Covered seeks decode projected columns straight from entry payload
-		// spans; the base table is never touched.
-		b, err = s.fill.fillEntries(s.it, s.fillCap, s.EncodeCols)
+		b, err = s.fill.fill(s.cur, s.fillCap, s.EncodeCols)
 	} else {
-		b, err = fillBatchFromEntries(s.it, s, s.fillCap)
+		b, err = s.lookupBatch()
 	}
 	if err != nil || b == nil {
 		return nil, false, err
@@ -530,168 +377,89 @@ func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// fillBatchFromEntries pulls up to DefaultBatchSize index entries into a
-// fresh batch using the seek's entry-to-row conversion, with the same
-// adaptive initial capacity as fillBatchFromIterator.
-func fillBatchFromEntries(it *catalog.IndexIterator, seek *IndexSeek, capHint int) (*Batch, error) {
-	if capHint <= 0 {
-		capHint = initialBatchCap
-	}
-	if capHint > DefaultBatchSize {
-		capHint = DefaultBatchSize
-	}
-	b := NewBatch(len(seek.Cols), capHint)
+// lookupBatch pulls up to DefaultBatchSize resolved base rows into a fresh
+// batch; a nil batch means the cursor is exhausted.
+func (s *IndexSeek) lookupBatch() (*Batch, error) {
+	b := NewBatch(len(s.Cols), clampCap(s.fillCap))
 	for b.physRows() < DefaultBatchSize {
-		entry, ok, err := it.Next()
+		row, ok, err := s.Next()
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
 			break
 		}
-		row, err := seek.rowFromEntry(entry)
-		if err != nil {
-			return nil, err
-		}
 		b.AppendRow(row)
 	}
 	if b.physRows() == 0 {
 		return nil, nil
 	}
-	compressBatchCols(b, seek.EncodeCols)
+	compressBatchCols(b, s.EncodeCols)
 	return b, nil
 }
 
 // Close implements Operator.
 func (s *IndexSeek) Close() error {
-	s.it = nil
+	s.cur = nil
 	return nil
 }
 
-// seekRange computes (once) the run of index leaf pages the seek touches.
-func (s *IndexSeek) seekRange() *catalog.SeekLeafRange {
-	if s.rng == nil {
-		s.rng = s.Index.SeekRange(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+// wholeRange computes (once) the seek's range for sizing and splitting.
+func (s *IndexSeek) wholeRange() *catalog.Range {
+	if s.whole == nil {
+		rng := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		s.whole = &rng
 	}
-	return s.rng
+	return s.whole
 }
 
 // NumScanRows implements Morseler: estimated entries in the seek's key range.
-func (s *IndexSeek) NumScanRows() int64 {
-	return s.seekRange().EstRows()
-}
+func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
 
-// Morsels implements Morseler: the index seek's leaf range splits into entry
-// runs; each morsel resolves base rows independently (covered seeks never
-// touch the base table; uncovered ones do their clustered lookups through the
-// shared, read-only tree), so selective secondary-index range scans
-// parallelize too.
+// Morsels implements Morseler: the seek's leaf range splits into entry runs,
+// every morsel an IndexSeek over one run that resolves base rows on its own
+// (covered seeks never touch the base table; uncovered ones do their
+// clustered lookups through the shared, read-only tree), so selective
+// secondary-index range scans parallelize too.
 func (s *IndexSeek) Morsels(targetRows int) ([]BatchOperator, bool) {
-	morsels := s.Index.SeekMorsels(s.seekRange(), int64(targetRows))
-	if len(morsels) < 2 {
+	parts := s.wholeRange().Split(int64(targetRows))
+	if len(parts) < 2 {
 		return nil, false
 	}
-	out := make([]BatchOperator, len(morsels))
-	for i, m := range morsels {
-		ms := &morselIndexSeek{parent: s, morsel: m}
+	out := make([]BatchOperator, len(parts))
+	for i := range parts {
+		m := *s
+		m.part, m.whole, m.cur = &parts[i], nil, nil
 		if s.covered {
-			// Each morsel owns a non-recycling filler: its batches cross
-			// goroutines through the parallel pipe.
-			ms.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.coveredPositions(), false)
+			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.entryPos, false)
 		}
-		out[i] = ms
+		m.keyBuf = make([]value.Value, len(s.keyPos))
+		out[i] = &m
 	}
 	return out, true
 }
 
-// morselIndexSeek scans one entry morsel of a partitioned index seek,
-// converting entries to output rows exactly like the IndexSeek it was split
-// from (the parent's conversion state — covered flag, entry positions,
-// projection — is immutable after construction, so morsels share it; the
-// filler is per-morsel state).
-type morselIndexSeek struct {
-	parent *IndexSeek
-	morsel catalog.IndexSeekMorsel
-	fill   *colFiller
-
-	it *catalog.IndexIterator
-}
-
-// Schema implements Operator.
-func (s *morselIndexSeek) Schema() []ColumnInfo { return s.parent.schema }
-
-// Open implements Operator.
-func (s *morselIndexSeek) Open() error {
-	s.it = s.morsel.Iterator()
-	return nil
-}
-
-// Next implements Operator.
-func (s *morselIndexSeek) Next() (Row, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("morselIndexSeek")
-	}
-	entry, ok, err := s.it.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
-	row, err := s.parent.rowFromEntry(entry)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
-}
-
-// NextBatch implements BatchOperator.
-func (s *morselIndexSeek) NextBatch() (*Batch, bool, error) {
-	if s.it == nil {
-		return nil, false, errNotOpen("morselIndexSeek")
-	}
-	// Morsels exist because the range is large; start at full batches.
-	var b *Batch
-	var err error
-	if s.fill != nil {
-		b, err = s.fill.fillEntries(s.it, DefaultBatchSize, s.parent.EncodeCols)
-	} else {
-		b, err = fillBatchFromEntries(s.it, s.parent, DefaultBatchSize)
-	}
-	if err != nil || b == nil {
-		return nil, false, err
-	}
-	return b, true, nil
-}
-
-// Close implements Operator.
-func (s *morselIndexSeek) Close() error {
-	s.it = nil
-	return nil
-}
-
-// lookupBaseRow resolves a secondary-index entry to its base-table row.
-func lookupBaseRow(ix *catalog.Index, entry catalog.IndexEntry) (Row, error) {
-	t := ix.Table
+// baseRow resolves a secondary-index entry to its base-table row.
+func (s *IndexSeek) baseRow(entry Row) (Row, error) {
+	ix, t := s.Index, s.Index.Table
 	if !t.IsClustered() {
-		return t.LookupRID(entry.RID)
+		rid, err := ix.EntryRID(entry)
+		if err != nil {
+			return nil, err
+		}
+		return t.LookupRID(rid)
 	}
 	// Locate through the clustered key carried in the entry.
-	pos := make(map[int]int)
-	for p, ord := range ix.EntryColumnOrdinals() {
-		pos[ord] = p
+	for i, p := range s.keyPos {
+		s.keyBuf[i] = entry[p]
 	}
-	key := make([]value.Value, len(t.Clustered.KeyColumns))
-	for i, ord := range t.Clustered.KeyColumns {
-		p, ok := pos[ord]
-		if !ok {
-			return nil, fmt.Errorf("exec: index %q entry is missing clustered key column", ix.Name)
-		}
-		key[i] = entry.Values[p]
-	}
-	it, err := t.SeekClustered(key, key, true, true)
+	rng, err := t.Range(s.keyBuf, s.keyBuf, true, true)
 	if err != nil {
 		return nil, err
 	}
+	cur := rng.Open()
 	for {
-		row, ok, err := it.Next()
+		row, ok, err := cur.Next()
 		if err != nil {
 			return nil, err
 		}
@@ -702,7 +470,7 @@ func lookupBaseRow(ix *catalog.Index, entry catalog.IndexEntry) (Row, error) {
 		// index key columns too so we return a row consistent with the entry.
 		match := true
 		for i, ord := range ix.KeyColumns {
-			if value.Compare(row[ord], entry.Values[i]) != 0 {
+			if value.Compare(row[ord], entry[i]) != 0 {
 				match = false
 				break
 			}

@@ -1,0 +1,174 @@
+package exec
+
+import (
+	"strings"
+	"testing"
+
+	"oldelephant/internal/catalog"
+	"oldelephant/internal/storage"
+	"oldelephant/internal/value"
+)
+
+// splitFixture is a clustered table, a heap with the same rows, and on each a
+// secondary index that covers (key, included) but not the wide columns — so
+// all five access-path shapes can be split.
+func splitFixture(t *testing.T, rows int) (c *catalog.Catalog, clustered, heap *catalog.Table) {
+	t.Helper()
+	c = catalog.New(storage.NewPager(0), -1)
+	cols := []catalog.Column{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "grp", Kind: value.KindInt},
+		{Name: "amount", Kind: value.KindFloat},
+		{Name: "note", Kind: value.KindString},
+	}
+	var err error
+	if clustered, err = c.CreateTable("items", cols, []string{"id"}); err != nil {
+		t.Fatal(err)
+	}
+	if heap, err = c.CreateTable("items_heap", cols, nil); err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]value.Value, rows)
+	for i := range data {
+		data[i] = []value.Value{
+			value.NewInt(int64(i)), value.NewInt(int64(i % 40)),
+			value.NewFloat(float64(i % 997)), value.NewString("n" + value.NewInt(int64(i%13)).String()),
+		}
+	}
+	for _, tbl := range []*catalog.Table{clustered, heap} {
+		if err := tbl.BulkLoad(data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.CreateIndex(tbl.Name+"_grp", tbl.Name, []string{"grp"}, []string{"amount"}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c, clustered, heap
+}
+
+// TestParallelSplitsReproduceSerialScan is the contract the morsel-parallel
+// rewrite rests on, for every access-path shape: concatenating the output of
+// an operator's splits, in slice order, equals the unsplit operator's output
+// row for row — on both pull protocols, at one leaf (or page) per split, at a
+// few, and not splitting at all when the target exceeds the range.
+func TestParallelSplitsReproduceSerialScan(t *testing.T) {
+	const rows = 6000
+	_, clustered, heap := splitFixture(t, rows)
+	iv := func(n int64) []value.Value { return []value.Value{value.NewInt(n)} }
+	seek := func(tbl *catalog.Table, lo, hi []value.Value, cols []int) Morseler {
+		s, err := NewClusteredSeek(tbl, lo, hi, true, false, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.EncodeCols = []int{0}
+		return s
+	}
+	indexSeek := func(tbl *catalog.Table, cols []int, covered bool) Morseler {
+		s, err := NewIndexSeek(tbl.Secondary[0], iv(5), iv(30), true, true, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Covered() != covered {
+			t.Fatalf("fixture index seek on %s: Covered() = %v, want %v", tbl.Name, s.Covered(), covered)
+		}
+		return s
+	}
+	cases := []struct {
+		name string
+		op   Morseler
+	}{
+		{"heap scan", NewSeqScan(heap, []int{3, 0})},
+		{"clustered full scan", NewSeqScan(clustered, nil)},
+		{"clustered key-only scan", NewSeqScan(clustered, []int{0})},
+		{"bounded clustered seek", seek(clustered, iv(1500), iv(4800), []int{0, 2})},
+		{"covered index seek", indexSeek(clustered, []int{1, 2, 0}, true)},
+		{"uncovered index seek", indexSeek(clustered, []int{1, 3}, false)},
+		{"uncovered index seek over a heap", indexSeek(heap, []int{1, 3}, false)},
+	}
+	for _, tc := range cases {
+		serial := tc.op.(Operator)
+		want := rowsKey(drain(t, serial))
+		if batch, err := DrainBatches(nil, tc.op); err != nil || rowsKey(batch) != want {
+			t.Fatalf("%s: unsplit batch protocol differs from row protocol (err %v)", tc.name, err)
+		}
+		if want == "" {
+			t.Fatalf("%s: fixture produced no rows", tc.name)
+		}
+		for _, target := range []int{1, 700, rows + 1} {
+			parts, ok := tc.op.Morsels(target)
+			if target > rows {
+				if ok {
+					t.Errorf("%s: split into %d parts at a target above the row count", tc.name, len(parts))
+				}
+				continue
+			}
+			if !ok || len(parts) < 2 {
+				t.Fatalf("%s target=%d: did not split (%d parts)", tc.name, target, len(parts))
+			}
+			var viaRows, viaBatches []Row
+			for _, part := range parts {
+				viaRows = append(viaRows, drain(t, part.(Operator))...)
+				b, err := DrainBatches(nil, part)
+				if err != nil {
+					t.Fatal(err)
+				}
+				viaBatches = append(viaBatches, b...)
+			}
+			if rowsKey(viaRows) != want {
+				t.Errorf("%s target=%d: %d splits' row-protocol output differs from the unsplit scan", tc.name, target, len(parts))
+			}
+			if rowsKey(viaBatches) != want {
+				t.Errorf("%s target=%d: %d splits' batch-protocol output differs from the unsplit scan", tc.name, target, len(parts))
+			}
+		}
+	}
+}
+
+// TestParallelSplitPageErrorSurfaces: when the leaf-chain walk that sizes and
+// splits a range hits a page error, the operator refuses to split and the
+// error still fails the query on either protocol — it is never swallowed into
+// an empty scan.
+func TestParallelSplitPageErrorSurfaces(t *testing.T) {
+	c := catalog.New(storage.NewPager(0), -1)
+	tbl, err := c.CreateTable("items", []catalog.Column{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "pad", Kind: value.KindString},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]value.Value, 6000)
+	for i := range data {
+		data[i] = []value.Value{value.NewInt(int64(i)), value.NewString(strings.Repeat("x", 40))}
+	}
+	if err := tbl.BulkLoad(data); err != nil {
+		t.Fatal(err)
+	}
+	// Break the chain before any scan caches a leaf parse that would mask it:
+	// point a mid-chain leaf's next link at a page that does not exist.
+	leaves, err := tbl.Clustered.Tree().LeafPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg, err := c.Pager().Get(leaves[len(leaves)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg.SetAux(uint64(c.Pager().NumPages() + 1000))
+	s, err := NewClusteredSeek(tbl, []value.Value{value.NewInt(10)}, nil, true, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.NumScanRows(); n != 0 {
+		t.Errorf("NumScanRows over a broken chain = %d, want 0 (stay serial)", n)
+	}
+	if parts, ok := s.Morsels(500); ok {
+		t.Errorf("split a broken chain into %d parts", len(parts))
+	}
+	if _, err := Drain(nil, s); err == nil {
+		t.Error("row protocol: scan over a broken chain reported no error")
+	}
+	if _, err := DrainBatches(nil, s); err == nil {
+		t.Error("batch protocol: scan over a broken chain reported no error")
+	}
+}

@@ -149,10 +149,12 @@ func wrap(op Operator, name string, onClose func(*trace.Span)) (Operator, *trace
 // fields in place), then wraps op itself.
 func instrument(op Operator) (Operator, *trace.Span) {
 	switch o := op.(type) {
-	case *SeqScan:
-		return wrap(o, fmt.Sprintf("SeqScan(%s)", o.Table.Name), nil)
-	case *ClusteredSeek:
-		return wrap(o, fmt.Sprintf("ClusteredSeek(%s)", o.Table.Name), nil)
+	case *TableScan:
+		name := "SeqScan"
+		if o.Bounded() {
+			name = "ClusteredSeek"
+		}
+		return wrap(o, fmt.Sprintf("%s(%s)", name, o.Table.Name), nil)
 	case *IndexSeek:
 		return wrap(o, fmt.Sprintf("IndexSeek(%s.%s)", o.Index.Table.Name, o.Index.Name), nil)
 	case *ValuesScan:

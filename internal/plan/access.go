@@ -38,6 +38,17 @@ type colRange struct {
 	equality       bool
 }
 
+// bounds returns the range as one-column seek prefixes (nil = open).
+func (r *colRange) bounds() (lo, hi []value.Value) {
+	if r.hasLo {
+		lo = []value.Value{r.lo}
+	}
+	if r.hasHi {
+		hi = []value.Value{r.hi}
+	}
+	return lo, hi
+}
+
 // sargableConstraints extracts per-column constant ranges from conjuncts that
 // were pushed down to a single base table.
 func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) map[int]*colRange {
@@ -215,13 +226,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		lead := t.Clustered.KeyColumns[0]
 		if r, ok := constraints[lead]; ok && (r.hasLo || r.hasHi) {
 			sel := rangeSelectivity(t, lead, r)
-			var lo, hi []value.Value
-			if r.hasLo {
-				lo = []value.Value{r.lo}
-			}
-			if r.hasHi {
-				hi = []value.Value{r.hi}
-			}
+			lo, hi := r.bounds()
 			seek, err := exec.NewClusteredSeek(t, lo, hi, r.loIncl, r.hiIncl, needed)
 			if err == nil {
 				consider(candidate{
@@ -243,13 +248,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 			continue
 		}
 		sel := rangeSelectivity(t, lead, r)
-		var lo, hi []value.Value
-		if r.hasLo {
-			lo = []value.Value{r.lo}
-		}
-		if r.hasHi {
-			hi = []value.Value{r.hi}
-		}
+		lo, hi := r.bounds()
 		seek, err := exec.NewIndexSeek(idx, lo, hi, r.loIncl, r.hiIncl, needed)
 		if err != nil {
 			continue
@@ -301,9 +300,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	// their clustered keys are exactly the paper's run structure.
 	if !p.DisableCompressed && len(src.ordering) > 0 {
 		switch op := best.op.(type) {
-		case *exec.SeqScan:
-			op.EncodeCols = src.ordering
-		case *exec.ClusteredSeek:
+		case *exec.TableScan:
 			op.EncodeCols = src.ordering
 		case *exec.IndexSeek:
 			op.EncodeCols = src.ordering

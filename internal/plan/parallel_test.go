@@ -218,8 +218,8 @@ func TestParallelizeSeeks(t *testing.T) {
 	}{
 		// id is the clustered key: a range predicate selecting ~2/3 of the
 		// table compiles to a ClusteredSeek that still clears the threshold.
-		{"SELECT grp, COUNT(*) FROM big WHERE id > 8192 GROUP BY grp", "*exec.ClusteredSeek", "*exec.ParallelHashAggregate"},
-		{"SELECT id, grp FROM big WHERE id > 8192 AND grp = 7", "*exec.ClusteredSeek", "*exec.ParallelMerge"},
+		{"SELECT grp, COUNT(*) FROM big WHERE id > 8192 GROUP BY grp", "*exec.TableScan", "*exec.ParallelHashAggregate"},
+		{"SELECT id, grp FROM big WHERE id > 8192 AND grp = 7", "*exec.TableScan", "*exec.ParallelMerge"},
 		// amount has a covering secondary index: a ~40%-selective range
 		// predicate compiles to a covering IndexSeek over ~9800 entries —
 		// above the threshold, so the entry range partitions too.
@@ -242,7 +242,7 @@ func TestParallelizeSeeks(t *testing.T) {
 	// A selective equality seek stays serial: its range estimate is far below
 	// the threshold.
 	pl := planFor(t, c, "SELECT grp, COUNT(*) FROM big WHERE id = 123 GROUP BY grp")
-	if !findOperatorType(pl.Root, "*exec.ClusteredSeek") {
+	if !findOperatorType(pl.Root, "*exec.TableScan") {
 		t.Fatalf("selective query lost its seek: %s", pl.Explain)
 	}
 	if _, rewrote := Parallelize(pl.Root, 4); rewrote {

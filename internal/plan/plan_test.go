@@ -111,7 +111,7 @@ func TestAccessPathSelection(t *testing.T) {
 func TestPlansExecuteCorrectly(t *testing.T) {
 	c := newTestCatalog(t)
 	p := planFor(t, c, "SELECT user_id, COUNT(*), SUM(amount) FROM events WHERE day >= DATE '2008-01-01' GROUP BY user_id ORDER BY user_id LIMIT 10")
-	rows, err := exec.Drain(p.Root)
+	rows, err := exec.Drain(nil, p.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +156,7 @@ func findScanEncodeCols(op exec.Operator) []int {
 	}
 unwrapped:
 	switch s := op.(type) {
-	case *exec.SeqScan:
-		return s.EncodeCols
-	case *exec.ClusteredSeek:
+	case *exec.TableScan:
 		return s.EncodeCols
 	case *exec.IndexSeek:
 		return s.EncodeCols

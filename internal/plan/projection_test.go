@@ -12,9 +12,7 @@ func accessCols(t *testing.T, op exec.Operator) []int {
 	t.Helper()
 	for {
 		switch o := op.(type) {
-		case *exec.SeqScan:
-			return o.Cols
-		case *exec.ClusteredSeek:
+		case *exec.TableScan:
 			return o.Cols
 		case *exec.IndexSeek:
 			return o.Cols
