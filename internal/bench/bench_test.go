@@ -114,8 +114,17 @@ func TestColOptIsCheapestOnSelectiveQueries(t *testing.T) {
 func TestPaperShapeHolds(t *testing.T) {
 	h := harness(t)
 	// Headline shape of the paper's evaluation:
-	// (1) ColOpt is orders of magnitude faster than Row on Q1.
-	speedup, err := h.SpeedupTable()
+	// (1) ColOpt is orders of magnitude faster than Row on Q1. Read at SF 0.01:
+	// at the shared harness's SF 0.002 Q3's ColOpt time is its floor of two
+	// random reads and Row's is the same two reads plus ~150 sequential pages,
+	// so the ratio there tracks lineitem's leaf count against a constant.
+	cfg := h.Config
+	cfg.SF = 0.01
+	big, err := NewHarness(cfg)
+	if err != nil {
+		t.Fatalf("NewHarness: %v", err)
+	}
+	speedup, err := big.SpeedupTable()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package btree
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -317,11 +318,34 @@ func (t *BTree) nodeFits(entries []entry, isLeaf bool) bool {
 
 // Insert adds a (key, payload) entry. Keys need not be unique.
 func (t *BTree) Insert(key, val []byte) error {
-	if len(key)+len(val) > usableBytes/4 {
-		return fmt.Errorf("btree: entry of %d bytes is too large", len(key)+len(val))
+	return t.InsertUnder(key, val, nil)
+}
+
+// InsertUnder adds one entry at the position a key equal to bound would take
+// — directly after the greatest stored key <= bound — and lets the caller pick
+// the key there: choose sees that predecessor (nil when the tree holds no key
+// <= bound; the slice aliases page memory and must not be retained) and
+// returns the key to store, which must lie in [predecessor, bound]. It is how
+// a clustered table decides, on the one descent the insert makes anyway,
+// whether the row's key is already present and needs a uniquifier. A nil
+// choose stores bound itself. A leaf's separator is a copy of its first key,
+// so the predecessor sits in the target leaf unless a Delete has since removed
+// that key; only then does the insert pay a second search (maxKeyLE) and a
+// fresh descent for the chosen key, which may belong in an earlier leaf.
+func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte, error)) error {
+	if len(bound)+len(val) > usableBytes/4 {
+		return fmt.Errorf("btree: entry of %d bytes is too large", len(bound)+len(val))
 	}
 	t.invalidateCaches()
-	promoted, newChild, err := t.insertInto(t.root, key, val)
+	promoted, newChild, err := t.insertInto(t.root, bound, val, choose, true)
+	if err == errPredElsewhere {
+		var pred, key []byte
+		if pred, _, err = t.maxKeyLE(t.root, bound); err == nil {
+			if key, err = choose(pred); err == nil {
+				promoted, newChild, err = t.insertInto(t.root, key, val, nil, true)
+			}
+		}
+	}
 	if err != nil {
 		return err
 	}
@@ -347,9 +371,41 @@ func childID(val []byte) storage.PageID {
 	return storage.PageID(binary.LittleEndian.Uint64(val))
 }
 
-// insertInto inserts into the subtree rooted at id. If the node splits it
-// returns the separator key and the new right sibling's page id.
-func (t *BTree) insertInto(id storage.PageID, key, val []byte) ([]byte, storage.PageID, error) {
+// errPredElsewhere is insertInto's report that the target leaf holds no key
+// <= bound although leaves to its left exist.
+var errPredElsewhere = errors.New("btree: predecessor is not in the target leaf")
+
+// maxKeyLE returns the greatest key <= bound stored under the node id,
+// searching right to left past leaves that deletes have emptied.
+func (t *BTree) maxKeyLE(id storage.PageID, bound []byte) ([]byte, bool, error) {
+	pg, err := t.pager.Get(id)
+	if err != nil {
+		return nil, false, err
+	}
+	isLeaf, entries, extra := readNode(pg)
+	pos := upperBound(entries, bound)
+	if isLeaf {
+		if pos == 0 {
+			return nil, false, nil
+		}
+		return entries[pos-1].key, true, nil
+	}
+	for i := pos - 1; i >= -1; i-- {
+		child := storage.PageID(extra)
+		if i >= 0 {
+			child = childID(entries[i].val)
+		}
+		if key, ok, err := t.maxKeyLE(child, bound); ok || err != nil {
+			return key, ok, err
+		}
+	}
+	return nil, false, nil
+}
+
+// insertInto inserts into the subtree rooted at id (see InsertUnder for
+// choose); leftmost says no leaf lies to the subtree's left. If the node
+// splits it returns the separator key and the new right sibling's page id.
+func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred []byte) ([]byte, error), leftmost bool) ([]byte, storage.PageID, error) {
 	pg, err := t.pager.Get(id)
 	if err != nil {
 		return nil, storage.InvalidPageID, err
@@ -357,6 +413,17 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte) ([]byte, storage.
 	isLeaf, entries, extra := readNode(pg)
 	if isLeaf {
 		pos := upperBound(entries, key)
+		if choose != nil {
+			var pred []byte
+			if pos > 0 {
+				pred = entries[pos-1].key
+			} else if !leftmost {
+				return nil, storage.InvalidPageID, errPredElsewhere
+			}
+			if key, err = choose(pred); err != nil {
+				return nil, storage.InvalidPageID, err
+			}
+		}
 		entries = append(entries, entry{})
 		copy(entries[pos+1:], entries[pos:])
 		entries[pos] = entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
@@ -390,7 +457,7 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte) ([]byte, storage.
 	} else {
 		child = childID(entries[childIdx].val)
 	}
-	promoted, newChild, err := t.insertInto(child, key, val)
+	promoted, newChild, err := t.insertInto(child, key, val, choose, leftmost && childIdx == -1)
 	if err != nil || newChild == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}

@@ -571,3 +571,78 @@ func TestNextSpansMatchesNext(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertUnderSeesPredecessorAcrossDeletes drives InsertUnder the way a
+// clustered table does (bound = key prefix + sentinel, stored key = prefix or
+// prefix + next suffix after the predecessor) against a sorted-slice model,
+// interleaved with deletes that remove leaves' first keys and empty whole
+// leaves. The predecessor choose sees must be the model's, wherever it is
+// stored, and the chosen key must land where Get and Scan find it.
+func TestInsertUnderSeesPredecessorAcrossDeletes(t *testing.T) {
+	tr := New(storage.NewPager(0), 0)
+	rng := rand.New(rand.NewSource(7))
+	sentinel := bytes.Repeat([]byte{0xFF}, 5)
+	val := bytes.Repeat([]byte("v"), 200) // ~35 entries per leaf
+	var model [][]byte
+	for op := 0; op < 6000; op++ {
+		if len(model) > 0 && rng.Intn(100) < 2 {
+			// Delete a run of adjacent keys, often a leaf's worth or more.
+			at := rng.Intn(len(model))
+			n := min(1+rng.Intn(60), len(model)-at)
+			for _, k := range model[at : at+n] {
+				if !mustDelete(t, tr, k) {
+					t.Fatalf("op %d: stored key %x not found by Delete", op, k)
+				}
+			}
+			model = append(model[:at], model[at+n:]...)
+			continue
+		}
+		prefix := intKey(int64(rng.Intn(12)))
+		bound := append(append([]byte(nil), prefix...), sentinel...)
+		at := sort.Search(len(model), func(i int) bool { return bytes.Compare(model[i], bound) > 0 })
+		var want []byte
+		if at > 0 {
+			want = model[at-1]
+		}
+		var stored []byte
+		err := tr.InsertUnder(bound, val, func(pred []byte) ([]byte, error) {
+			if !bytes.Equal(pred, want) {
+				t.Fatalf("op %d: choose saw predecessor %x, want %x", op, pred, want)
+			}
+			stored = append([]byte(nil), prefix...)
+			if bytes.HasPrefix(pred, prefix) {
+				n := byte(0)
+				if len(pred) > len(prefix) {
+					n = pred[len(prefix)]
+				}
+				if n == 0xFE {
+					return nil, fmt.Errorf("suffix space exhausted")
+				}
+				stored = append(stored, n+1)
+			}
+			return stored, nil
+		})
+		if err != nil {
+			continue // suffix space exhausted: nothing stored
+		}
+		model = append(model, nil)
+		copy(model[at+1:], model[at:])
+		model[at] = stored
+		if _, ok := mustGet(t, tr, stored); !ok {
+			t.Fatalf("op %d: Get misses the key %x just stored", op, stored)
+		}
+	}
+	it := tr.Scan()
+	i := 0
+	for ; it.Next(); i++ {
+		if i >= len(model) || !bytes.Equal(it.Key(), model[i]) {
+			t.Fatalf("scan entry %d = %x, model disagrees", i, it.Key())
+		}
+	}
+	if it.Err() != nil || i != len(model) || tr.Count() != int64(len(model)) {
+		t.Fatalf("scan saw %d entries (err %v), Count %d, model %d", i, it.Err(), tr.Count(), len(model))
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("tree height %d: the test never left one leaf", tr.Height())
+	}
+}

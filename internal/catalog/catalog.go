@@ -4,7 +4,10 @@
 package catalog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -86,6 +89,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 	} else {
 		t.heap = storage.NewHeapFile(c.pager, c.overhead)
 	}
+	t.initLayouts()
 	c.tables[key] = t
 	return t, nil
 }
@@ -164,17 +168,13 @@ type Table struct {
 
 	Stats *TableStats
 
-	catalog    *Catalog
-	heap       *storage.HeapFile
-	uniquifier int64
-	// keyDirty records that some inserted row held a clustered-key value that
-	// does not round-trip exactly through the order-preserving key encoding
-	// (kind mismatch against the declared column, or negative-zero float;
-	// integers of any magnitude round-trip via the typed int-suffix word).
-	// While clean, projected scans may recover key
-	// columns from the B+-tree key bytes instead of decoding the payload; one
-	// dirty insert disables that for the table's lifetime.
-	keyDirty bool
+	catalog *Catalog
+	heap    *storage.HeapFile
+	// layout places each column of a stored row (see Layout); keyOrds lists
+	// the columns some index stores in key bytes, which storedRow holds to
+	// the declared kind. Both are derived from the schema by initLayouts.
+	layout  *Layout
+	keyOrds []int
 }
 
 // ColumnIndex returns the ordinal of the named column (case-insensitive), or -1.
@@ -228,76 +228,262 @@ func (t *Table) DataPages() int {
 	return t.heap.NumPages()
 }
 
-// clusteredKeyOf extracts the clustered-key values of a row and appends the
-// uniquifier used to keep duplicate keys distinct in the tree.
-func (t *Table) clusteredKey(row []value.Value, uniq int64) []byte {
-	vals := make([]value.Value, 0, len(t.Clustered.KeyColumns)+1)
-	for _, ord := range t.Clustered.KeyColumns {
-		v := row[ord]
-		if !t.keyDirty && !value.KeyValueRecoverable(v, t.Columns[ord].Kind) {
-			t.keyDirty = true
+// Record layout. Every column is stored exactly once. A clustered record's
+// tree key is EncodeKey(clustered-key columns) — plus a uniquifier, but only
+// on a row whose key some stored row already carries — and its payload is
+// EncodeTuple over the remaining columns. A secondary entry's key is
+// EncodeKey(index-key columns) followed by the base row's locator (its exact
+// clustered tree key, or its RID on a heap), and its payload holds the
+// included columns found in neither. A heap row is one tuple of every column.
+
+// Layout says where each logical column of a stored record lives. The logical
+// columns are what Cursor.Next returns, in order: every table column for a
+// table's own rows, EntryColumnOrdinals for a secondary-index entry.
+type Layout struct {
+	// Ords[i] is the table ordinal of logical column i.
+	Ords []int
+	// Exactly one of KeyPos[i] (position among the key's encoded values) and
+	// PayPos[i] (field position in the payload tuple) is >= 0.
+	KeyPos, PayPos []int
+
+	payOrds []int      // table ordinals by payload position
+	keyDec  keyDecoder // every key position into its logical column
+}
+
+// newLayout builds the layout of records whose key encodes the columns
+// keyOrds and whose payload tuple holds payOrds, presented as logical columns
+// ords (each of which must be in one of the two).
+func newLayout(cols []Column, ords, keyOrds, payOrds []int) *Layout {
+	l := &Layout{
+		Ords: ords, KeyPos: make([]int, len(ords)), PayPos: make([]int, len(ords)), payOrds: payOrds,
+	}
+	for i, ord := range ords {
+		l.KeyPos[i] = slices.Index(keyOrds, ord)
+		l.PayPos[i] = -1
+		if l.KeyPos[i] < 0 {
+			l.PayPos[i] = slices.Index(payOrds, ord)
 		}
-		vals = append(vals, v)
 	}
-	vals = append(vals, value.NewInt(uniq))
-	return value.EncodeKey(nil, vals)
+	l.keyDec = keyDecoder{kinds: make([]value.Kind, len(keyOrds)), outAt: make([]int, len(keyOrds))}
+	for p, ord := range keyOrds {
+		l.keyDec.kinds[p] = cols[ord].Kind
+		l.keyDec.outAt[p] = -1
+	}
+	for i, p := range l.KeyPos {
+		if p >= 0 {
+			l.keyDec.outAt[p] = i
+		}
+	}
+	return l
 }
 
-// KeyRecoverable reports whether the clustered-key columns of every stored
-// row can be decoded exactly from the B+-tree key bytes (see keyDirty).
-func (t *Table) KeyRecoverable() bool {
-	return t.Clustered != nil && !t.keyDirty
+// decodeRow assembles the logical columns of one record from its raw spans.
+// scratch is the caller's reusable payload-decode buffer.
+func (l *Layout) decodeRow(key, payload []byte, scratch *[]value.Value) ([]value.Value, error) {
+	row := make([]value.Value, len(l.Ords))
+	if err := l.keyDec.Decode(key, row); err != nil {
+		return nil, err
+	}
+	if len(l.payOrds) == 0 {
+		return row, nil
+	}
+	vals, _, err := value.DecodeTupleInto((*scratch)[:0], payload)
+	if err != nil {
+		return nil, err
+	}
+	if len(vals) != len(l.payOrds) {
+		return nil, fmt.Errorf("catalog: record payload holds %d fields, layout expects %d", len(vals), len(l.payOrds))
+	}
+	*scratch = vals
+	for i, p := range l.PayPos {
+		if p >= 0 {
+			row[i] = vals[p]
+		}
+	}
+	return row, nil
 }
 
-// KeyPrefixPositions maps base-table column ordinals to their positions in
-// the clustered key. It returns (positions, true) only when key-byte recovery
-// is safe for every requested ordinal: the table is clustered, no stored row
-// has an unrecoverable key value, and each ordinal is a clustered-key column.
-// Projected scans whose column set passes this test never touch the payload.
-func (t *Table) KeyPrefixPositions(cols []int) ([]int, bool) {
-	if !t.KeyRecoverable() {
-		return nil, false
+// encodePayload appends the payload tuple of row (a full table row); a layout
+// with no payload columns stores no payload bytes at all.
+func (l *Layout) encodePayload(dst []byte, row []value.Value, scratch *[]value.Value) []byte {
+	if len(l.payOrds) == 0 {
+		return dst
 	}
-	pos := make([]int, len(cols))
-	for i, ord := range cols {
-		pos[i] = -1
-		for p, kc := range t.Clustered.KeyColumns {
-			if kc == ord {
-				pos[i] = p
-				break
+	vals := (*scratch)[:0]
+	for _, ord := range l.payOrds {
+		vals = append(vals, row[ord])
+	}
+	*scratch = vals
+	return value.EncodeTuple(dst, vals)
+}
+
+// Layout returns the record layout of the table's own rows.
+func (t *Table) Layout() *Layout { return t.layout }
+
+// Layout returns the record layout of the index's entries (of the table's own
+// rows, for the clustered index).
+func (ix *Index) Layout() *Layout { return ix.layout }
+
+// initLayouts derives the table's and its indexes' layouts and the strictly typed
+// column set from the schema; CreateTable, CreateIndex and RestoreMeta call it.
+func (t *Table) initLayouts() {
+	all := make([]int, len(t.Columns))
+	for i := range all {
+		all[i] = i
+	}
+	var clusterKey []int
+	if t.Clustered != nil {
+		clusterKey = t.Clustered.KeyColumns
+	}
+	var rest []int
+	for _, ord := range all {
+		if !slices.Contains(clusterKey, ord) {
+			rest = append(rest, ord)
+		}
+	}
+	t.layout = newLayout(t.Columns, all, clusterKey, rest)
+	if t.Clustered != nil {
+		t.Clustered.layout = t.layout
+	}
+	t.keyOrds = slices.Clone(clusterKey)
+	for _, ix := range t.Secondary {
+		ix.initLayout()
+		t.keyOrds = append(t.keyOrds, ix.KeyColumns...)
+	}
+}
+
+// initLayout derives a secondary index's entry layout. The key holds the
+// index-key columns, then the clustered-key columns of the locator; the
+// payload holds the included columns found in neither. The logical order is
+// key columns, included columns, then locator-only columns.
+func (ix *Index) initLayout() {
+	t := ix.Table
+	keyOrds := slices.Clone(ix.KeyColumns)
+	if t.Clustered != nil {
+		keyOrds = append(keyOrds, t.Clustered.KeyColumns...)
+	}
+	var ords, payOrds []int
+	for _, o := range ix.KeyColumns {
+		if !slices.Contains(ords, o) {
+			ords = append(ords, o)
+		}
+	}
+	for _, o := range ix.IncludedColumns {
+		if !slices.Contains(ords, o) {
+			ords = append(ords, o)
+			if !slices.Contains(keyOrds, o) {
+				payOrds = append(payOrds, o)
 			}
 		}
-		if pos[i] < 0 {
-			return nil, false
+	}
+	for _, o := range keyOrds[len(ix.KeyColumns):] {
+		if !slices.Contains(ords, o) {
+			ords = append(ords, o)
 		}
 	}
-	return pos, true
+	ix.layout = newLayout(t.Columns, ords, keyOrds, payOrds)
+}
+
+// uniquifierLen is the width of the suffix that keeps a duplicate clustered
+// key distinct: the big-endian count of rows stored earlier under the same
+// key. The first row of a key carries none.
+const uniquifierLen = 4
+
+// keySentinel sorts after every suffix that can follow a key prefix in a tree
+// key — further key values (tag bytes <= 0x03), a uniquifier, a RID — so
+// prefix + keySentinel bounds all keys sharing the prefix from above.
+var keySentinel = bytes.Repeat([]byte{0xFF}, ridLen+1)
+
+// uniquify returns the tree key of a new row whose clustered-key columns
+// encode to bare, given pred, the greatest stored key <= bare+keySentinel:
+// bare itself unless pred already carries it, else bare plus the next
+// uniquifier, which sorts directly after pred.
+func uniquify(bare, pred []byte) ([]byte, error) {
+	if !bytes.HasPrefix(pred, bare) {
+		return bare, nil
+	}
+	var n uint32
+	if suffix := pred[len(bare):]; len(suffix) == uniquifierLen {
+		n = binary.BigEndian.Uint32(suffix)
+	}
+	if n == 1<<32-1 {
+		return nil, fmt.Errorf("catalog: too many rows share one clustered key")
+	}
+	return binary.BigEndian.AppendUint32(bare[:len(bare):len(bare)], n+1), nil
+}
+
+// storedRow validates a row for insertion and coerces every value to its
+// column's declared kind where that loses nothing (value.CoerceKeyValue), so a
+// row reads the same from key bytes, from a payload and from an index built
+// later. Only a column that some index stores in key bytes is strictly typed:
+// there a value that cannot be coerced refuses the row, elsewhere it is stored
+// as given. The input is copied only when a value changes.
+func (t *Table) storedRow(row []value.Value) ([]value.Value, error) {
+	if len(row) != len(t.Columns) {
+		return nil, fmt.Errorf("catalog: table %q expects %d columns, got %d", t.Name, len(t.Columns), len(row))
+	}
+	out := row
+	for ord, col := range t.Columns {
+		v, changed, err := value.CoerceKeyValue(row[ord], col.Kind)
+		if err != nil {
+			if !slices.Contains(t.keyOrds, ord) {
+				continue
+			}
+			return nil, fmt.Errorf("catalog: table %q key column %q: %w", t.Name, col.Name, err)
+		}
+		if changed {
+			if &out[0] == &row[0] {
+				out = slices.Clone(row)
+			}
+			out[ord] = v
+		}
+	}
+	return out, nil
+}
+
+// bareKey encodes the row's clustered-key columns.
+func (t *Table) bareKey(row []value.Value) []byte {
+	key := make([]byte, 0, 9*len(t.Clustered.KeyColumns)+uniquifierLen)
+	for _, ord := range t.Clustered.KeyColumns {
+		key = value.AppendKeyValue(key, row[ord])
+	}
+	return key
 }
 
 // Insert adds one row, maintaining the clustered storage, every secondary
 // index and the table statistics.
 func (t *Table) Insert(row []value.Value) error {
-	if len(row) != len(t.Columns) {
-		return fmt.Errorf("catalog: table %q expects %d columns, got %d", t.Name, len(t.Columns), len(row))
+	row, err := t.storedRow(row)
+	if err != nil {
+		return err
 	}
-	var rid storage.RID
-	var uniq int64
+	return t.insertStored(row)
+}
+
+// insertStored is Insert for a row storedRow has already vetted.
+func (t *Table) insertStored(row []value.Value) error {
+	var scratch []value.Value
+	var locator []byte
 	if t.Clustered != nil {
-		uniq = t.uniquifier
-		t.uniquifier++
-		key := t.clusteredKey(row, uniq)
-		if err := t.Clustered.tree.Insert(key, value.EncodeTuple(nil, row)); err != nil {
-			return err
-		}
-	} else {
-		var err error
-		rid, err = t.heap.Insert(row)
+		bare := t.bareKey(row)
+		bound := append(bare[:len(bare):len(bare)], keySentinel...)
+		payload := t.layout.encodePayload(nil, row, &scratch)
+		err := t.Clustered.tree.InsertUnder(bound, payload, func(pred []byte) (key []byte, err error) {
+			locator, err = uniquify(bare, pred)
+			return locator, err
+		})
 		if err != nil {
 			return err
 		}
+	} else {
+		rid, err := t.heap.Insert(row)
+		if err != nil {
+			return err
+		}
+		locator = ridLocator(rid)
 	}
-	for _, idx := range t.Secondary {
-		if err := idx.insertEntry(row, rid, uniq); err != nil {
+	for _, ix := range t.Secondary {
+		if err := ix.tree.Insert(ix.entryKey(row, locator), ix.layout.encodePayload(nil, row, &scratch)); err != nil {
 			return err
 		}
 	}
@@ -308,31 +494,49 @@ func (t *Table) Insert(row []value.Value) error {
 // BulkLoad loads many rows at once. For clustered tables the rows are sorted
 // by the clustered key and bulk-loaded bottom-up, which is dramatically
 // faster than repeated inserts; secondary indexes are rebuilt the same way.
+// No row is stored unless every row is acceptable.
 func (t *Table) BulkLoad(rows [][]value.Value) error {
-	for _, row := range rows {
-		if len(row) != len(t.Columns) {
-			return fmt.Errorf("catalog: table %q expects %d columns, got %d", t.Name, len(t.Columns), len(row))
+	type keyed struct {
+		key []byte
+		row []value.Value
+		seq int
+	}
+	items := make([]keyed, len(rows))
+	for i, row := range rows {
+		row, err := t.storedRow(row)
+		if err != nil {
+			return err
 		}
+		items[i] = keyed{row: row, seq: i}
 	}
 	if t.Clustered == nil {
-		for _, row := range rows {
-			if err := t.Insert(row); err != nil {
+		for _, it := range items {
+			if err := t.insertStored(it.row); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	type keyed struct {
-		key []byte
-		row []value.Value
+	for i := range items {
+		items[i].key = t.bareKey(items[i].row)
 	}
-	items := make([]keyed, len(rows))
-	for i, row := range rows {
-		uniq := t.uniquifier
-		t.uniquifier++
-		items[i] = keyed{key: t.clusteredKey(row, uniq), row: row}
+	// Rows sharing a key keep their input order, as repeated Inserts would.
+	slices.SortFunc(items, func(a, b keyed) int {
+		if c := bytes.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return a.seq - b.seq
+	})
+	// Sorted input makes the previous row the predecessor Insert would find.
+	for i := 1; i < len(items); i++ {
+		key, err := uniquify(items[i].key, items[i-1].key)
+		if err != nil {
+			return err
+		}
+		items[i].key = key
 	}
-	sort.Slice(items, func(i, j int) bool { return lessBytes(items[i].key, items[j].key) })
+	var scratch []value.Value
+	var payload []byte
 	i := 0
 	err := t.Clustered.tree.BulkLoad(func() ([]byte, []byte, bool) {
 		if i >= len(items) {
@@ -340,13 +544,14 @@ func (t *Table) BulkLoad(rows [][]value.Value) error {
 		}
 		it := items[i]
 		i++
-		return it.key, value.EncodeTuple(nil, it.row), true
+		payload = t.layout.encodePayload(payload[:0], it.row, &scratch)
+		return it.key, payload, true
 	}, 0.95)
 	if err != nil {
 		return err
 	}
-	for _, row := range rows {
-		t.Stats.observe(row)
+	for i := range items {
+		t.Stats.observe(items[i].row)
 	}
 	for _, idx := range t.Secondary {
 		if err := idx.rebuild(); err != nil {
@@ -354,19 +559,6 @@ func (t *Table) BulkLoad(rows [][]value.Value) error {
 		}
 	}
 	return nil
-}
-
-func lessBytes(a, b []byte) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }
 
 // Range is the one access-path descriptor of the storage layer: a key-prefix
@@ -378,8 +570,9 @@ func lessBytes(a, b []byte) bool {
 // parallel rewrite only: they walk the range's leaf chain, charged page
 // reads, once and memoize it in the range.
 type Range struct {
-	tree *btree.BTree      // clustered tree or secondary index; nil for a heap
-	heap *storage.HeapFile // set iff tree is nil
+	tree   *btree.BTree      // clustered tree or secondary index; nil for a heap
+	heap   *storage.HeapFile // set iff tree is nil
+	layout *Layout           // of the records the range yields
 
 	// Encoded key bounds (see encodeRange); nil is open.
 	start, stop []byte
@@ -410,13 +603,13 @@ func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) 
 	if lo != nil || hi != nil {
 		return Range{}, fmt.Errorf("catalog: table %q has no clustered index", t.Name)
 	}
-	return Range{heap: t.heap, pageCount: t.heap.NumPages()}, nil
+	return Range{heap: t.heap, layout: t.layout, pageCount: t.heap.NumPages()}, nil
 }
 
 // Range describes the index entries whose key-column prefix lies in [lo, hi]
 // (same bounds semantics as Table.Range).
 func (ix *Index) Range(lo, hi []value.Value, loIncl, hiIncl bool) Range {
-	r := Range{tree: ix.tree}
+	r := Range{tree: ix.tree, layout: ix.layout}
 	r.start, r.stop, r.stopIncl = encodeRange(lo, hi, loIncl, hiIncl)
 	return r
 }
@@ -429,16 +622,18 @@ func (t *Table) Scan() *Cursor {
 
 // Open returns a fresh cursor over the range.
 func (r *Range) Open() *Cursor {
+	c := &Cursor{layout: r.layout}
 	switch {
 	case r.err != nil:
-		return &Cursor{err: r.err}
+		c.err = r.err
 	case r.tree == nil:
-		return &Cursor{heap: r.heap.ScanPages(r.pageFrom, r.pageCount)}
+		c.heap = r.heap.ScanPages(r.pageFrom, r.pageCount)
 	case r.split:
-		return &Cursor{tree: r.tree.SeekLeaves(r.leaves[0], len(r.leaves), r.start, r.stop, r.stopIncl)}
+		c.tree = r.tree.SeekLeaves(r.leaves[0], len(r.leaves), r.start, r.stop, r.stopIncl)
 	default:
-		return &Cursor{tree: r.tree.Seek(r.start, r.stop, r.stopIncl)}
+		c.tree = r.tree.Seek(r.start, r.stop, r.stopIncl)
 	}
+	return c
 }
 
 // size walks the range once: the run of leaves it touches and the tree's
@@ -518,81 +713,89 @@ func (r *Range) Split(targetRows int64) []Range {
 	return out
 }
 
-// LookupRID fetches a heap row by RID (heap tables only).
-func (t *Table) LookupRID(rid storage.RID) ([]value.Value, error) {
-	if t.heap == nil {
-		return nil, fmt.Errorf("catalog: table %q is not a heap", t.Name)
-	}
-	return t.heap.Get(rid)
+// ridLen is the width of a heap row's locator: page id and slot, big-endian.
+const ridLen = 10
+
+func ridLocator(rid storage.RID) []byte {
+	loc := binary.BigEndian.AppendUint64(make([]byte, 0, ridLen), uint64(rid.Page))
+	return binary.BigEndian.AppendUint16(loc, rid.Slot)
 }
 
-// encodeRange converts value-space bounds into key-space bounds. Because
-// every stored key has a uniquifier (or locator) suffix, prefix bounds are
-// made inclusive/exclusive by appending sentinel bytes:
-//   - inclusive lower bound: the bare prefix (sorts before any full key)
-//   - exclusive lower bound: prefix + 0xFF... (sorts after all keys with it)
-//   - inclusive upper bound: prefix + 0xFF...
-//   - exclusive upper bound: the bare prefix
+// Locator returns the base-row locator carried at the end of a secondary
+// entry's tree key: the row's exact clustered tree key, or its RID on a heap.
+// The result aliases key.
+func (ix *Index) Locator(key []byte) ([]byte, error) {
+	off := 0
+	for range ix.KeyColumns {
+		n, err := value.SkipKeyValue(key[off:])
+		if err != nil {
+			return nil, err
+		}
+		off += n
+	}
+	return key[off:], nil
+}
+
+// Lookup fetches the one base row a locator (see Index.Locator) names.
+func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
+	if t.Clustered == nil {
+		if len(locator) != ridLen {
+			return nil, fmt.Errorf("catalog: table %q: bad RID locator of %d bytes", t.Name, len(locator))
+		}
+		return t.heap.Get(storage.RID{
+			Page: storage.PageID(binary.BigEndian.Uint64(locator)),
+			Slot: binary.BigEndian.Uint16(locator[8:]),
+		})
+	}
+	payload, ok, err := t.Clustered.tree.Get(locator)
+	if err != nil {
+		return nil, err
+	}
+	if !ok {
+		return nil, fmt.Errorf("catalog: table %q has no row at locator %x", t.Name, locator)
+	}
+	var scratch []value.Value
+	return t.layout.decodeRow(locator, payload, &scratch)
+}
+
+// encodeRange converts value-space prefix bounds into key-space bounds. A
+// stored key is the bare prefix or the prefix followed by more bytes (further
+// key values, a uniquifier, a locator), so:
+//   - inclusive lower bound: the bare prefix (sorts at or before every such key)
+//   - exclusive lower bound: prefix + keySentinel (sorts after all of them)
+//   - inclusive upper bound: prefix + keySentinel
+//   - exclusive upper bound: the bare prefix, exclusive
 func encodeRange(lo, hi []value.Value, loIncl, hiIncl bool) (start, stop []byte, stopIncl bool) {
 	if lo != nil {
 		start = value.EncodeKey(nil, lo)
 		if !loIncl {
-			start = append(start, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+			start = append(start, keySentinel...)
 		}
 	}
 	if hi != nil {
 		stop = value.EncodeKey(nil, hi)
 		if hiIncl {
-			stop = append(stop, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+			stop = append(stop, keySentinel...)
 		}
 		stopIncl = hiIncl
 	}
 	return start, stop, stopIncl
 }
 
-// KeyPrefixDecoder decodes a projected set of clustered-key columns straight
-// from B+-tree key bytes, skipping unrequested key positions. Built once per
-// scan by NewKeyPrefixDecoder; Decode then runs per row with no allocation
-// (string columns aside).
-type KeyPrefixDecoder struct {
+// keyDecoder decodes a record's key columns straight from B+-tree key bytes,
+// skipping key positions no logical column reads (a locator column the index
+// key already holds). Decode runs per row with no allocation (string columns
+// aside).
+type keyDecoder struct {
 	// kinds[p] is the declared column kind at key position p.
 	kinds []value.Kind
 	// outAt[p] is the output index for key position p, or -1 to skip it.
 	outAt []int
 }
 
-// NewKeyPrefixDecoder returns a decoder recovering the given base-table
-// ordinals from key bytes, or (nil, false) when key recovery is unsafe for
-// this column set (see KeyPrefixPositions).
-func (t *Table) NewKeyPrefixDecoder(cols []int) (*KeyPrefixDecoder, bool) {
-	pos, ok := t.KeyPrefixPositions(cols)
-	if !ok {
-		return nil, false
-	}
-	maxPos := 0
-	for _, p := range pos {
-		if p > maxPos {
-			maxPos = p
-		}
-	}
-	d := &KeyPrefixDecoder{
-		kinds: make([]value.Kind, maxPos+1),
-		outAt: make([]int, maxPos+1),
-	}
-	for p := range d.outAt {
-		d.outAt[p] = -1
-		d.kinds[p] = t.Columns[t.Clustered.KeyColumns[p]].Kind
-	}
-	for i, p := range pos {
-		d.outAt[p] = i
-	}
-	return d, true
-}
-
-// Decode fills out (len = number of projected columns) from one row's key
-// bytes. The trailing uniquifier and any key positions past the last
-// projected one are never touched.
-func (d *KeyPrefixDecoder) Decode(key []byte, out []value.Value) error {
+// Decode fills out (one slot per logical column) from one record's key bytes.
+// A trailing uniquifier or RID is never touched.
+func (d *keyDecoder) Decode(key []byte, out []value.Value) error {
 	off := 0
 	for p := range d.outAt {
 		if i := d.outAt[p]; i >= 0 {
@@ -617,11 +820,14 @@ func (d *KeyPrefixDecoder) Decode(key []byte, out []value.Value) error {
 // exactly two ways: Next, the decoding row-at-a-time reference path, and
 // NextSpans, the raw span fill the batch path decodes column-at-a-time.
 type Cursor struct {
-	tree *btree.Iterator
-	heap *storage.HeapIterator
+	tree   *btree.Iterator
+	heap   *storage.HeapIterator
+	layout *Layout
 	// err is a pre-execution error (a failed page read while partitioning);
 	// the cursor yields nothing and reports it.
 	err error
+	// payBuf is Next's reusable payload-decode buffer.
+	payBuf []value.Value
 }
 
 // Err returns the first page-access error the cursor (or its underlying
@@ -638,15 +844,15 @@ func (c *Cursor) Err() error {
 	}
 }
 
-// Next returns the next row, fully decoded; ok is false at the end. For an
-// index range the row is the entry: its columns in EntryColumnOrdinals order,
-// then the RID pair on heap tables (see Index.EntryRID).
+// Next returns the next record's logical columns (see Layout), fully decoded;
+// ok is false at the end: every table column for a table's rows,
+// EntryColumnOrdinals for an index range.
 func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
-	var payload [1][]byte
-	if c.NextSpans(nil, payload[:]) == 0 {
+	var key, payload [1][]byte
+	if c.NextSpans(key[:], payload[:]) == 0 {
 		return nil, false, c.Err()
 	}
-	row, _, err = value.DecodeTuple(payload[0])
+	row, err = c.layout.decodeRow(key[0], payload[0], &c.payBuf)
 	if err != nil {
 		return nil, false, err
 	}
@@ -654,9 +860,10 @@ func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
 }
 
 // NextSpans fills payloads (and keys, when non-nil) with up to len(payloads)
-// rows' raw storage spans — the tree key bytes (nil for heaps) and the encoded
-// tuple — and returns how many it filled, fewer only at exhaustion. Trees
-// drain the cached leaf parses chunk-at-a-time; heaps walk record by record.
+// records' raw storage spans — the tree key bytes (nil for heaps) and the
+// payload tuple, which a Layout maps to columns — and returns how many it
+// filled, fewer only at exhaustion. Trees drain the cached leaf parses
+// chunk-at-a-time; heaps walk record by record.
 // All spans alias stable page memory, so a batch fill may collect a whole
 // batch of them before decoding.
 func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
@@ -684,7 +891,8 @@ func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
 // CreateIndex builds a nonclustered index over the table. keyCols define the
 // sort order; includeCols are carried in the leaf entries so that queries
 // touching only key+included columns never visit the base table (a covering
-// index). The locator (clustered key or RID) is always appended.
+// index). Each entry's key ends in the base row's locator (its clustered tree
+// key, or its RID), so clustered-key columns are always covered too.
 func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []string, unique bool) (*Index, error) {
 	t, err := c.Table(tableName)
 	if err != nil {
@@ -711,10 +919,12 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 		Unique:          unique,
 		tree:            btree.New(c.pager, c.overhead),
 	}
+	idx.initLayout()
 	if err := idx.rebuild(); err != nil {
 		return nil, err
 	}
 	t.Secondary = append(t.Secondary, idx)
+	t.initLayouts() // the new key columns join the coerced set
 	return idx, nil
 }
 
@@ -727,7 +937,8 @@ type Index struct {
 	Unique          bool
 	Clustered       bool
 
-	tree *btree.BTree
+	tree   *btree.BTree
+	layout *Layout
 }
 
 // Tree exposes the underlying B+-tree (read-only use by statistics and tests).
@@ -765,99 +976,65 @@ func (ix *Index) Covers(ordinals []int) bool {
 	return true
 }
 
-// entryColumns returns the ordinals stored in a leaf entry payload, in the
-// order they are stored: key columns, included columns, then locator columns
-// (clustered key columns not already present).
-func (ix *Index) entryColumns() []int {
-	out := append([]int(nil), ix.KeyColumns...)
-	seen := make(map[int]bool)
-	for _, o := range out {
-		seen[o] = true
-	}
-	for _, o := range ix.IncludedColumns {
-		if !seen[o] {
-			out = append(out, o)
-			seen[o] = true
-		}
-	}
-	if ix.Table.Clustered != nil {
-		for _, o := range ix.Table.Clustered.KeyColumns {
-			if !seen[o] {
-				out = append(out, o)
-				seen[o] = true
-			}
-		}
-	}
-	return out
-}
-
 // EntryColumnOrdinals exposes the ordinals (into the base table schema) of
-// the columns materialized in each index entry, in storage order.
-func (ix *Index) EntryColumnOrdinals() []int { return ix.entryColumns() }
+// the columns an index entry makes available, in Cursor.Next order: key
+// columns, included columns, then clustered-key columns not already present.
+func (ix *Index) EntryColumnOrdinals() []int { return ix.layout.Ords }
 
-// insertEntry adds the index entry for one base-table row.
-func (ix *Index) insertEntry(row []value.Value, rid storage.RID, uniq int64) error {
-	key := ix.encodeEntryKey(row, rid, uniq)
-	payload := ix.encodeEntryPayload(row, rid)
-	return ix.tree.Insert(key, payload)
-}
-
-func (ix *Index) encodeEntryKey(row []value.Value, rid storage.RID, uniq int64) []byte {
-	vals := make([]value.Value, 0, len(ix.KeyColumns)+3)
+// entryKey builds the tree key of the entry for one (coerced) base row.
+func (ix *Index) entryKey(row []value.Value, locator []byte) []byte {
+	key := make([]byte, 0, 9*len(ix.KeyColumns)+len(locator))
 	for _, ord := range ix.KeyColumns {
-		vals = append(vals, row[ord])
+		key = value.AppendKeyValue(key, row[ord])
 	}
-	// Disambiguate duplicates with the locator so keys are unique and scans
-	// within equal key values are deterministic.
-	if ix.Table.Clustered != nil {
-		vals = append(vals, value.NewInt(uniq))
-	} else {
-		vals = append(vals, value.NewInt(int64(rid.Page)), value.NewInt(int64(rid.Slot)))
-	}
-	return value.EncodeKey(nil, vals)
+	return append(key, locator...)
 }
 
-func (ix *Index) encodeEntryPayload(row []value.Value, rid storage.RID) []byte {
-	cols := ix.entryColumns()
-	vals := make([]value.Value, 0, len(cols)+2)
-	for _, ord := range cols {
-		vals = append(vals, row[ord])
-	}
-	if ix.Table.Clustered == nil {
-		vals = append(vals, value.NewInt(int64(rid.Page)), value.NewInt(int64(rid.Slot)))
-	}
-	return value.EncodeTuple(nil, vals)
-}
-
-// rebuild reconstructs the index from the base table using a bulk load.
+// rebuild reconstructs the index from the base table in one pass and a bulk
+// load. Rows stored before the index existed already hold every value in its
+// declared kind where one exists (see Table.storedRow); a key-column value
+// that has none — which the table took while the column was no key — is an
+// error.
 func (ix *Index) rebuild() error {
 	type item struct {
 		key     []byte
 		payload []byte
+		locLen  int
 	}
+	t := ix.Table
 	var items []item
-	it := ix.Table.Scan()
-	var uniq int64
-	for {
-		row, ok, err := it.Next()
-		if err != nil {
+	var scratch []value.Value
+	add := func(row []value.Value, locator []byte) error {
+		for _, ord := range ix.KeyColumns {
+			if _, _, err := value.CoerceKeyValue(row[ord], t.Columns[ord].Kind); err != nil {
+				return fmt.Errorf("catalog: index %q on column %q: %w", ix.Name, t.Columns[ord].Name, err)
+			}
+		}
+		items = append(items, item{
+			key:     ix.entryKey(row, locator),
+			payload: ix.layout.encodePayload(nil, row, &scratch),
+			locLen:  len(locator),
+		})
+		return nil
+	}
+	if t.Clustered != nil {
+		// A clustered row's locator is its tree key, read as it is stored.
+		cur := t.Scan()
+		var key, payload [1][]byte
+		for cur.NextSpans(key[:], payload[:]) == 1 {
+			row, err := t.layout.decodeRow(key[0], payload[0], &scratch)
+			if err != nil {
+				return err
+			}
+			if err := add(row, key[0]); err != nil {
+				return err
+			}
+		}
+		if err := cur.Err(); err != nil {
 			return err
 		}
-		if !ok {
-			break
-		}
-		// RIDs are not tracked by the generic row iterator; heap locators are
-		// only meaningful for heap tables, where we re-scan with RIDs below.
-		items = append(items, item{
-			key:     ix.encodeEntryKey(row, storage.RID{}, uniq),
-			payload: ix.encodeEntryPayload(row, storage.RID{}),
-		})
-		uniq++
-	}
-	if ix.Table.heap != nil {
-		// Redo with correct RIDs for heap tables.
-		items = items[:0]
-		hit := ix.Table.heap.Scan()
+	} else {
+		hit := t.heap.Scan()
 		for {
 			row, rid, ok, err := hit.Next()
 			if err != nil {
@@ -866,34 +1043,18 @@ func (ix *Index) rebuild() error {
 			if !ok {
 				break
 			}
-			items = append(items, item{
-				key:     ix.encodeEntryKey(row, rid, 0),
-				payload: ix.encodeEntryPayload(row, rid),
-			})
+			if err := add(row, ridLocator(rid)); err != nil {
+				return err
+			}
 		}
 	}
-	sort.Slice(items, func(i, j int) bool { return lessBytes(items[i].key, items[j].key) })
-	if ix.Unique {
+	// Locators are unique, so the keys are too and any sort is stable.
+	slices.SortFunc(items, func(a, b item) int { return bytes.Compare(a.key, b.key) })
+	if ix.Unique && len(ix.KeyColumns) > 0 {
+		// Uniqueness is on the key columns: the encoded key minus its locator.
 		for i := 1; i < len(items); i++ {
-			// Uniqueness is on the key columns only; compare the key-column
-			// prefix by re-encoding without the locator. A cheaper practical
-			// check: decode payloads and compare key column values.
-			a, _, err := value.DecodeTuple(items[i-1].payload)
-			if err != nil {
-				return err
-			}
-			b, _, err := value.DecodeTuple(items[i].payload)
-			if err != nil {
-				return err
-			}
-			same := true
-			for k := range ix.KeyColumns {
-				if value.Compare(a[k], b[k]) != 0 {
-					same = false
-					break
-				}
-			}
-			if same && len(ix.KeyColumns) > 0 {
+			a, b := items[i-1], items[i]
+			if bytes.Equal(a.key[:len(a.key)-a.locLen], b.key[:len(b.key)-b.locLen]) {
 				return fmt.Errorf("catalog: duplicate key in unique index %q", ix.Name)
 			}
 		}
@@ -907,14 +1068,4 @@ func (ix *Index) rebuild() error {
 		i++
 		return it.key, it.payload, true
 	}, 0.95)
-}
-
-// EntryRID extracts the base-row locator from a decoded entry of an index
-// over a heap table: the RID pair stored after the entry columns.
-func (ix *Index) EntryRID(entry []value.Value) (storage.RID, error) {
-	n := len(entry) - 2
-	if ix.Table.heap == nil || n < len(ix.KeyColumns) {
-		return storage.RID{}, fmt.Errorf("catalog: index %q entry carries no RID", ix.Name)
-	}
-	return storage.RID{Page: storage.PageID(entry[n].Int()), Slot: uint16(entry[n+1].Int())}, nil
 }

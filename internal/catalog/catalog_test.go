@@ -222,19 +222,13 @@ func TestHeapTableAndRIDLookup(t *testing.T) {
 	rng := idx.Range(three, three, true, true)
 	it := rng.Open()
 	found := 0
-	for {
-		e, ok, err := it.Next()
+	var key, payload [1][]byte
+	for it.NextSpans(key[:], payload[:]) == 1 {
+		loc, err := idx.Locator(key[0])
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("heap index entry carries no locator: %v", err)
 		}
-		if !ok {
-			break
-		}
-		rid, err := idx.EntryRID(e)
-		if err != nil || !rid.Valid() {
-			t.Fatalf("heap index entry missing RID: %v", err)
-		}
-		row, err := tb.LookupRID(rid)
+		row, err := tb.Lookup(loc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,13 +237,19 @@ func TestHeapTableAndRIDLookup(t *testing.T) {
 		}
 		found++
 	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
+	}
 	if found != 14 { // suppkey = i%7 == 3 for i in {3,10,...,94}: 14 rows
 		t.Errorf("found %d rows with suppkey 3, want 14", found)
 	}
-	// LookupRID on clustered tables is an error.
+	// A RID is not a locator of a clustered table, nor a short one of a heap.
 	cl, _ := c.CreateTable("cl", lineitemColumns(), []string{"l_orderkey"})
-	if _, err := cl.LookupRID(storage.RID{Page: 1}); err == nil {
-		t.Error("LookupRID on clustered table should fail")
+	if _, err := cl.Lookup(ridLocator(storage.RID{Page: 1})); err == nil {
+		t.Error("Lookup of a RID on a clustered table should fail")
+	}
+	if _, err := tb.Lookup([]byte{1, 2, 3}); err == nil {
+		t.Error("Lookup of a malformed RID on a heap should fail")
 	}
 }
 

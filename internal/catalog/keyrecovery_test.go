@@ -13,13 +13,15 @@ import (
 // TestBigIntKeyRecoveryNeverTouchesPayload pins the typed-integer key
 // encoding: clustered integer keys of any magnitude — including values beyond
 // ±2^53, where the float64 key word alone loses precision — are recovered
-// exactly from B+-tree key bytes, and a key-only projected scan never decodes
-// the payload. The payload independence is proven directly: every stored
-// payload is replaced with bytes that cannot be parsed as a tuple, so any
-// code path that touches the payload fails loudly, while the key-only span
-// fill (Cursor.NextSpans + KeyPrefixDecoder, exactly what the batch scan
-// runs) still returns every key exactly and performs real page reads
-// (IOStats). A truncated key, in turn, is an error, never a wrong value.
+// exactly from B+-tree key bytes, the only place they are stored, and a
+// key-only projection never decodes the payload. The payload independence is
+// proven directly: every stored payload is replaced with bytes that cannot be
+// parsed as a tuple, so any code path that touches the payload fails loudly,
+// while the key walk of the row decoder (Cursor.NextSpans + the layout's key
+// decoder, the first half of what Cursor.Next runs) still returns every key
+// exactly and performs real page reads (IOStats). A truncated key, in turn, is
+// an error, never a wrong value. The batch fill's own key walk is held to the
+// same poisoned payloads by exec's TestFillReadsOnlyTheSpansItProjects.
 func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	pager := storage.NewPager(0)
 	c := New(pager, -1)
@@ -43,10 +45,6 @@ func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !tbl.KeyRecoverable() {
-		t.Fatal("keys beyond ±2^53 marked the table key-dirty; typed int suffix not applied")
-	}
-
 	// Sanity: the payload path still works before poisoning.
 	it := tbl.Scan()
 	n := 0
@@ -94,14 +92,11 @@ func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	// performed real page reads.
 	pager.ResetCache()
 	before := pager.Stats()
-	dec, ok := tbl.NewKeyPrefixDecoder([]int{0})
-	if !ok {
-		t.Fatal("no key-prefix decoder for the clustered key of a key-clean table")
-	}
+	dec := &tbl.Layout().keyDec
 	proj := tbl.Scan()
 	var got []int64
 	keySpans, paySpans := make([][]byte, 4), make([][]byte, 4)
-	row := make([]value.Value, 1)
+	row := make([]value.Value, len(tbl.Columns))
 	for {
 		n := proj.NextSpans(keySpans, paySpans)
 		if n == 0 {

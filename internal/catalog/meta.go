@@ -1,8 +1,10 @@
 // Catalog meta persistence: the logical half of durability. The WAL's page
 // images restore every B+-tree and heap page byte for byte; this snapshot
 // restores the schema layer above them — table and index definitions, tree
-// roots and counts, heap page chains, uniquifiers and statistics — so Open
-// can reattach live Table/Index objects to the recovered pages.
+// roots and counts, heap page chains and statistics — so Open can reattach
+// live Table/Index objects to the recovered pages. Record layouts are not
+// persisted: they follow from the schema (Table.initLayouts), and metaVersion
+// names the layout rules the pages were written under.
 package catalog
 
 import (
@@ -15,7 +17,12 @@ import (
 	"oldelephant/internal/value"
 )
 
-const metaVersion = 1
+// metaVersion 2: every column stored once — bare clustered keys with a
+// uniquifier on duplicates only, key-stripped payloads, secondary entries
+// located by clustered key. Version 1 pages repeat key columns in the payload
+// and suffix every key; decoding them under these rules would return wrong
+// rows, so RestoreMeta refuses them.
+const metaVersion = 2
 
 type metaWriter struct{ buf []byte }
 
@@ -121,7 +128,7 @@ func (r *metaReader) pageIDs() []storage.PageID {
 }
 
 // EncodeMeta serializes the catalog: every table's schema, physical layout
-// (tree roots or heap page chains), uniquifier state and statistics.
+// (tree roots or heap page chains) and statistics.
 func (c *Catalog) EncodeMeta() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -156,8 +163,6 @@ func encodeTable(w *metaWriter, t *Table) {
 		w.str(t.Clustered.Name)
 		w.ords(t.Clustered.KeyColumns)
 		encodeTree(w, t.Clustered.tree)
-		w.iv(t.uniquifier)
-		w.bool(t.keyDirty)
 	} else {
 		w.pageIDs(t.heap.PageIDs())
 		w.iv(t.heap.RowCount())
@@ -193,12 +198,7 @@ func encodeStats(w *metaWriter, s *TableStats) {
 	for i := range s.columns {
 		cs := &s.columns[i]
 		w.iv(cs.nulls)
-		distinct := int64(len(cs.distinct))
-		if cs.restored > distinct {
-			distinct = cs.restored
-		}
-		w.iv(distinct)
-		w.bool(cs.saturated)
+		w.iv(max(cs.distinct.count(), cs.restored))
 		w.bytes(value.EncodeTuple(nil, []value.Value{cs.min, cs.max}))
 	}
 }
@@ -218,7 +218,6 @@ func decodeStats(r *metaReader, cols []Column) (*TableStats, error) {
 		cs := &s.columns[i]
 		cs.nulls = r.iv()
 		cs.restored = r.iv()
-		cs.saturated = r.bool()
 		mm := r.bytes()
 		if r.err != nil {
 			return nil, r.err
@@ -240,7 +239,7 @@ func (c *Catalog) RestoreMeta(data []byte) error {
 	defer c.mu.Unlock()
 	r := &metaReader{buf: data}
 	if v := r.u8(); v != metaVersion {
-		return fmt.Errorf("catalog: meta version %d not supported", v)
+		return fmt.Errorf("catalog: meta version %d not supported: this build reads and writes record layout version %d only", v, metaVersion)
 	}
 	ntables := int(r.uv())
 	tables := make(map[string]*Table, ntables)
@@ -271,8 +270,6 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 		name := r.str()
 		keyOrds := r.ords()
 		tree := decodeTree(r, c.pager, c.overhead)
-		t.uniquifier = r.iv()
-		t.keyDirty = r.bool()
 		t.Clustered = &Index{
 			Name: name, Table: t, KeyColumns: keyOrds, Clustered: true, tree: tree,
 		}
@@ -301,5 +298,36 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 		return nil, err
 	}
 	t.Stats = stats
+	if err := t.checkOrdinals(); err != nil {
+		return nil, err
+	}
+	t.initLayouts()
 	return t, nil
+}
+
+// checkOrdinals rejects a restored table whose index definitions name columns
+// the schema does not have, before layouts index Columns with them.
+func (t *Table) checkOrdinals() error {
+	check := func(ords []int) error {
+		for _, o := range ords {
+			if o < 0 || o >= len(t.Columns) {
+				return fmt.Errorf("catalog: meta for table %q names column %d of %d", t.Name, o, len(t.Columns))
+			}
+		}
+		return nil
+	}
+	if t.Clustered != nil {
+		if err := check(t.Clustered.KeyColumns); err != nil {
+			return err
+		}
+	}
+	for _, ix := range t.Secondary {
+		if err := check(ix.KeyColumns); err != nil {
+			return err
+		}
+		if err := check(ix.IncludedColumns); err != nil {
+			return err
+		}
+	}
+	return nil
 }

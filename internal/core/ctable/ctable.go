@@ -25,6 +25,7 @@ package ctable
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"oldelephant/internal/engine"
@@ -216,50 +217,14 @@ func sortRows(rows []exec.Row, ordered, columns []string, colPos []int) {
 	for _, col := range ordered {
 		sortPositions = append(sortPositions, colPos[indexOf(columns, col)])
 	}
-	lessFn := func(a, b exec.Row) bool {
+	slices.SortStableFunc(rows, func(a, b exec.Row) int {
 		for _, p := range sortPositions {
-			cmp := value.Compare(a[p], b[p])
-			if cmp != 0 {
-				return cmp < 0
+			if cmp := value.Compare(a[p], b[p]); cmp != 0 {
+				return cmp
 			}
 		}
-		return false
-	}
-	// Stable merge sort over the slice (small helper to avoid importing sort
-	// with a closure capturing everything; clarity over micro-optimization).
-	stableSort(rows, lessFn)
-}
-
-func stableSort(rows []exec.Row, less func(a, b exec.Row) bool) {
-	if len(rows) < 2 {
-		return
-	}
-	mid := len(rows) / 2
-	left := append([]exec.Row(nil), rows[:mid]...)
-	right := append([]exec.Row(nil), rows[mid:]...)
-	stableSort(left, less)
-	stableSort(right, less)
-	i, j, k := 0, 0, 0
-	for i < len(left) && j < len(right) {
-		if less(right[j], left[i]) {
-			rows[k] = right[j]
-			j++
-		} else {
-			rows[k] = left[i]
-			i++
-		}
-		k++
-	}
-	for i < len(left) {
-		rows[k] = left[i]
-		i++
-		k++
-	}
-	for j < len(right) {
-		rows[k] = right[j]
-		j++
-		k++
-	}
+		return 0
+	})
 }
 
 // run is one (f, v, c) triple before materialization.

@@ -1,10 +1,12 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
 
+	"oldelephant/internal/storage"
 	"oldelephant/internal/storage/faultfs"
 	"oldelephant/internal/value"
 )
@@ -178,5 +180,41 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 	got := queryInts(t, e2, "SELECT id FROM t ORDER BY id")
 	if len(got) != 1000 || got[999] != 999 {
 		t.Fatalf("recovered %d bulk rows", len(got))
+	}
+}
+
+// TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
+// record layout version 1 (uniquifier on every key, key columns repeated in
+// the payload). Its pages would decode to wrong rows under the current layout,
+// so Open must fail and name the version rather than attach to them.
+func TestDurableOldRecordLayoutRefused(t *testing.T) {
+	fs := faultfs.New(1)
+	e := openDurable(t, fs)
+	execAll(t, e,
+		"CREATE TABLE t (k INT, v VARCHAR, PRIMARY KEY (k))",
+		"INSERT INTO t VALUES (1, 'one')",
+	)
+	if err := e.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	// The checkpointed state is stateVersion, then the length-prefixed catalog
+	// meta, whose first byte is the layout version.
+	state, ok, err := storage.ReadFileAtomic(fs, metaFileName)
+	if err != nil || !ok {
+		t.Fatalf("read meta: ok=%v err=%v", ok, err)
+	}
+	_, n := binary.Uvarint(state[1:])
+	if state[1+n] != 2 {
+		t.Fatalf("catalog meta starts with version %d, test expects 2", state[1+n])
+	}
+	state[1+n] = 1
+	if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
+		t.Fatal(err)
+	}
+	if e, err := Open(Options{TupleOverhead: -1, FS: fs}); err == nil {
+		e.Close()
+		t.Fatal("Open attached to a version-1 directory")
+	} else if !strings.Contains(err.Error(), "meta version 1 not supported") {
+		t.Fatalf("Open failed without naming the version: %v", err)
 	}
 }

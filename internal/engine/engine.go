@@ -637,16 +637,17 @@ func (e *Engine) runCreateView(s *sql.CreateViewStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Column kinds come from the first row when available; group-by columns
-	// default to their base kinds via the planner schema, aggregates to INT.
+	// A column's kind is that of its first non-NULL value (INT when there is
+	// none). The group-by columns become the clustered key, which stores only
+	// values of the declared kind, so a NULL group in the first row must not
+	// decide it.
 	kinds := make([]value.Kind, len(res.Columns))
 	for i := range kinds {
 		kinds[i] = value.KindInt
-	}
-	if len(res.Rows) > 0 {
-		for i, v := range res.Rows[0] {
-			if !v.IsNull() {
-				kinds[i] = v.Kind
+		for _, row := range res.Rows {
+			if !row[i].IsNull() {
+				kinds[i] = row[i].Kind
+				break
 			}
 		}
 	}

@@ -1,20 +1,23 @@
 package exec
 
 import (
+	"slices"
+
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
 )
 
 // colFiller is the projection-aware, column-at-a-time batch fill behind every
-// table access path. Instead of decoding whole rows and transposing them into
-// columns, it walks each stored tuple exactly once: unrequested fields are
-// varint-skipped and each projected field is decoded in place during the walk
-// (TupleWalker.DecodeField — the fused single-parse form of the typed span
-// decoders in internal/value), appending straight into the column buffers
-// that become the batch's vectors. When every projected column is a
-// clustered-key column (and the table's keys are recoverable), values come
-// from the B+-tree key bytes and the payload is never touched at all.
+// table access path. A stored record keeps each column once — in its tree key
+// or in its payload tuple (catalog.Layout) — so the filler sources every
+// projected column from the span that holds it, walking each span at most
+// once: unrequested key values and tuple fields are skipped, and each
+// projected one is decoded in place during the walk (value.DecodeKeyValue for
+// key bytes, TupleWalker.DecodeField — the fused single-parse form of the
+// typed span decoders in internal/value — for the payload), appending
+// straight into the column buffers that become the batch's vectors. A span no
+// projected column lives in is never touched at all.
 //
 // The column buffers are a per-operator arena: a filler owned by a serial
 // scan operator survives Open/Close, so a plan-cache lease's later executions
@@ -26,26 +29,22 @@ import (
 // never escape the filler and are always reused.
 type colFiller struct {
 	// kinds[i] is the declared kind of output column i, selecting its typed
-	// decoder. fields maps tuple positions to output columns, sorted by
-	// position so one forward walk per tuple collects every projected span.
-	kinds  []value.Kind
-	fields []fillField
-
-	// keyDec decodes all output columns from clustered-key bytes; nil means
-	// payload decode. keyCols is the base-ordinal set the decoder was built
-	// for; prepareKey revalidates against the table on each Open, since one
-	// unrecoverable insert permanently disables key recovery.
-	keyDec  *catalog.KeyPrefixDecoder
-	keyCols []int
+	// decoder. keyFields and payFields map key positions and payload tuple
+	// positions to output columns, each sorted by position so one forward walk
+	// per span collects every projected value.
+	kinds     []value.Kind
+	keyFields []fillField
+	payFields []fillField
 
 	recycle bool
 	bufs    [][]value.Value
-	rowBuf  []value.Value
 
 	// Raw-span staging for fill: one NextSpans call per batch. The spans
 	// alias page memory and are consumed before the batch is published.
-	keySpans [][]byte
-	paySpans [][]byte
+	// keyScratch holds a key string unescaped out of its key bytes.
+	keySpans   [][]byte
+	paySpans   [][]byte
+	keyScratch []byte
 
 	// String decode state. Every declared-string output column starts in
 	// dictionary mode: values intern into a persistent per-column dictionary
@@ -139,22 +138,22 @@ func (d *dictState) internNull() uint32 {
 	return uint32(d.nullCode)
 }
 
-// fillField maps one projected tuple position to its output column.
+// fillField maps one projected key or payload position to its output column.
 type fillField struct {
 	pos, out int
 }
 
 // newColFiller builds a filler producing len(kinds) output columns, where
-// output column i decodes the tuple field at positions[i].
-func newColFiller(kinds []value.Kind, positions []int, recycle bool) *colFiller {
-	f := &colFiller{
-		kinds:   kinds,
-		fields:  make([]fillField, len(positions)),
-		recycle: recycle,
-		rowBuf:  make([]value.Value, len(positions)),
-	}
+// output column i is the logical column positions[i] of records laid out as
+// layout says.
+func newColFiller(kinds []value.Kind, layout *catalog.Layout, positions []int, recycle bool) *colFiller {
+	f := &colFiller{kinds: kinds, recycle: recycle}
 	for i, pos := range positions {
-		f.fields[i] = fillField{pos: pos, out: i}
+		if p := layout.KeyPos[pos]; p >= 0 {
+			f.keyFields = append(f.keyFields, fillField{pos: p, out: i})
+		} else {
+			f.payFields = append(f.payFields, fillField{pos: layout.PayPos[pos], out: i})
+		}
 	}
 	f.dicts = make([]*dictState, len(kinds))
 	f.codes = make([][]uint32, len(kinds))
@@ -166,62 +165,18 @@ func newColFiller(kinds []value.Kind, positions []int, recycle bool) *colFiller 
 			f.dicts[i] = &dictState{codeOf: make(map[string]uint32), nullCode: -1}
 		}
 	}
-	// Insertion sort by tuple position (column sets are small); secondary
-	// index entries can permute projected ordinals relative to storage order.
-	for i := 1; i < len(f.fields); i++ {
-		for j := i; j > 0 && f.fields[j].pos < f.fields[j-1].pos; j-- {
-			f.fields[j], f.fields[j-1] = f.fields[j-1], f.fields[j]
-		}
-	}
+	// Projections can permute ordinals relative to storage order.
+	byPos := func(a, b fillField) int { return a.pos - b.pos }
+	slices.SortFunc(f.keyFields, byPos)
+	slices.SortFunc(f.payFields, byPos)
 	return f
 }
 
-// prepareKey enables or disables clustered-key recovery for a scan of t
-// producing the base ordinals in cols. Called at Open so a table that went
-// key-dirty since the last execution drops back to payload decode; the
-// decoder is kept across executions while it stays valid.
-func (f *colFiller) prepareKey(t *catalog.Table, cols []int) {
-	if !t.KeyRecoverable() {
-		f.keyDec = nil
-		f.keyCols = nil
-		return
-	}
-	if f.keyDec != nil && sameOrdinals(f.keyCols, cols) {
-		return
-	}
-	f.keyDec, _ = t.NewKeyPrefixDecoder(cols)
-	if f.keyDec != nil {
-		f.keyCols = append(f.keyCols[:0], cols...)
-	}
-}
-
-func sameOrdinals(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// clampCap bounds a fill-capacity hint to the batch sizing policy.
-func clampCap(capHint int) int {
-	if capHint <= 0 {
-		return initialBatchCap
-	}
-	if capHint > DefaultBatchSize {
-		return DefaultBatchSize
-	}
-	return capHint
-}
-
-// resetBufs readies the column buffers for one fill: recycle mode truncates
-// the arena in place (legal under the batch retention contract), morsel mode
-// allocates fresh buffers the downstream pipe may hold indefinitely.
-func (f *colFiller) resetBufs(capHint int) {
+// resetBufs readies the column buffers for a fill of n rows: recycle mode
+// truncates the arena in place (legal under the batch retention contract),
+// morsel mode allocates fresh, exactly sized buffers that the batch — and the
+// downstream pipe, indefinitely — will own.
+func (f *colFiller) resetBufs(n int) {
 	if f.recycle && f.bufs != nil {
 		for i := range f.bufs {
 			f.bufs[i] = f.bufs[i][:0]
@@ -232,11 +187,11 @@ func (f *colFiller) resetBufs(capHint int) {
 	} else {
 		f.bufs = make([][]value.Value, len(f.kinds))
 		for i := range f.bufs {
-			f.bufs[i] = make([]value.Value, 0, capHint)
+			f.bufs[i] = make([]value.Value, 0, n)
 		}
 		for i := range f.codes {
 			if f.dicts[i] != nil {
-				f.codes[i] = make([]uint32, 0, capHint)
+				f.codes[i] = make([]uint32, 0, n)
 			}
 		}
 	}
@@ -250,12 +205,49 @@ func (f *colFiller) resetBufs(capHint int) {
 	f.arena.Reset()
 }
 
-// decodeRow walks one encoded tuple, skipping the gaps between projected
+// decodeKey walks one record's tree key, skipping the values between
+// projected key positions and decoding each projected one into its column
+// buffer. Bytes past the last projected position — a uniquifier, a locator —
+// are never read. Declared-string columns route through fillString so they
+// keep the dictionary and arena paths; unescaped contents are copied there.
+func (f *colFiller) decodeKey(key []byte) error {
+	off, p := 0, 0
+	for _, fd := range f.keyFields {
+		for ; p < fd.pos; p++ {
+			n, err := value.SkipKeyValue(key[off:])
+			if err != nil {
+				return err
+			}
+			off += n
+		}
+		p++
+		if f.kinds[fd.out] == value.KindString {
+			body, n, isStr, err := value.KeyStringBody(key[off:], &f.keyScratch)
+			if err != nil {
+				return err
+			}
+			if err := f.fillString(fd.out, body, isStr, nil); err != nil {
+				return err
+			}
+			off += n
+			continue
+		}
+		v, n, err := value.DecodeKeyValue(key[off:], f.kinds[fd.out])
+		if err != nil {
+			return err
+		}
+		f.bufs[fd.out] = append(f.bufs[fd.out], v)
+		off += n
+	}
+	return nil
+}
+
+// decodePayload walks one payload tuple, skipping the gaps between projected
 // fields and decoding each projected field directly into its column buffer
 // with a single parse. Fields past the tuple's end append NULL. String
 // columns route through fillString (dictionary or arena decode); everything
 // else decodes in place.
-func (f *colFiller) decodeRow(payload []byte) error {
+func (f *colFiller) decodePayload(payload []byte) error {
 	var w value.TupleWalker
 	if err := w.Reset(payload); err != nil {
 		return err
@@ -263,7 +255,7 @@ func (f *colFiller) decodeRow(payload []byte) error {
 	n := w.NumFields()
 	prev := 0
 	var v value.Value
-	for _, fd := range f.fields {
+	for _, fd := range f.payFields {
 		if f.kinds[fd.out] == value.KindString {
 			var body, sp []byte
 			var isStr bool
@@ -393,9 +385,8 @@ func (f *colFiller) wrap(n int, encode []int) *Batch {
 	b := &Batch{Cols: make([]*vector.Vector, len(f.bufs)), n: n}
 	for i := range f.bufs {
 		// A dictionary-mode column filled codes for every row of this batch
-		// and nothing into its value buffer; any other shape (key recovery
-		// fills value buffers directly, abandonment mid-batch clears codes)
-		// publishes flat.
+		// and nothing into its value buffer; any other shape (abandonment
+		// mid-batch clears codes) publishes flat.
 		if d := f.dicts[i]; d != nil && len(f.codes[i]) == n && len(f.bufs[i]) == 0 {
 			b.Cols[i] = vector.NewDict(d.vals, f.codes[i])
 		} else {
@@ -406,43 +397,48 @@ func (f *colFiller) wrap(n int, encode []int) *Batch {
 	return b
 }
 
-// fill pulls up to DefaultBatchSize rows (or covered index entries, whose
-// field positions were mapped at construction) from a cursor into a
-// column-major batch: one NextSpans call, then one decode walk per span. A
+// fill pulls up to DefaultBatchSize records (table rows or covered index
+// entries) from a cursor into a column-major batch: one NextSpans call, then
+// one decode walk per span a projected column lives in. The spans come first
+// so the column buffers are sized to the rows actually there — a point seek
+// never allocates a full batch, and an exhausted cursor allocates nothing. A
 // nil batch means the cursor is exhausted.
-func (f *colFiller) fill(cur *catalog.Cursor, capHint int, encode []int) (*Batch, error) {
-	f.resetBufs(clampCap(capHint))
+func (f *colFiller) fill(cur *catalog.Cursor, encode []int) (*Batch, error) {
 	if f.paySpans == nil {
 		f.paySpans = make([][]byte, DefaultBatchSize)
-	}
-	var n int
-	if f.keyDec != nil {
-		// Key-only projection: decode straight from the B+-tree key bytes.
-		if f.keySpans == nil {
+		if len(f.keyFields) > 0 {
 			f.keySpans = make([][]byte, DefaultBatchSize)
 		}
-		n = cur.NextSpans(f.keySpans, f.paySpans)
-		row := f.rowBuf
-		for _, key := range f.keySpans[:n] {
-			if err := f.keyDec.Decode(key, row); err != nil {
-				return nil, err
-			}
-			for i, v := range row {
-				f.bufs[i] = append(f.bufs[i], v)
-			}
-		}
-	} else {
-		n = cur.NextSpans(nil, f.paySpans)
-		for _, payload := range f.paySpans[:n] {
-			if err := f.decodeRow(payload); err != nil {
-				return nil, err
-			}
-		}
 	}
+	n := cur.NextSpans(f.keySpans, f.paySpans)
 	if n == 0 {
+		if !f.recycle {
+			// A morsel's scan is over, but a cached plan keeps its filler.
+			f.keySpans, f.paySpans = nil, nil
+		}
 		// Distinguish exhaustion from a page error mid-scan (corrupt tree):
 		// the latter must fail the query, not end it early.
 		return nil, cur.Err()
 	}
-	return f.wrap(n, encode), nil
+	f.resetBufs(n)
+	if len(f.keyFields) > 0 {
+		for _, key := range f.keySpans[:n] {
+			if err := f.decodeKey(key); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if len(f.payFields) > 0 {
+		for _, payload := range f.paySpans[:n] {
+			if err := f.decodePayload(payload); err != nil {
+				return nil, err
+			}
+		}
+	}
+	b := f.wrap(n, encode)
+	if !f.recycle {
+		f.bufs = nil // the batch owns them now
+		clear(f.codes)
+	}
+	return b, nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/value"
@@ -37,27 +38,12 @@ func allOrdinals(n int) []int {
 	return out
 }
 
-// initialBatchCap is the column capacity of a scan's first batch. Batches
-// grow toward DefaultBatchSize by appending, and every subsequent batch is
-// allocated at the previous batch's fill (see nextFillCap) — so a full table
-// scan pays the growth ramp once and then allocates full batches, while a
+// initialBatchCap is the starting column capacity of a batch built row by
+// row (an uncovered index seek's lookups), which grows by appending: a
 // selective seek returning a handful of rows never allocates the ~50 KB of
-// column buffers a fixed DefaultBatchSize capacity would cost per query. The
-// difference is the serving layer's point-query floor.
+// column buffers a DefaultBatchSize capacity would cost per query. Span
+// fills size their buffers to the rows fetched instead (colFiller.fill).
 const initialBatchCap = 32
-
-// nextFillCap returns the capacity hint for the batch after one that filled
-// n rows: the observed fill with 2x headroom, clamped to the batch bounds.
-func nextFillCap(n int) int {
-	n *= 2
-	if n < initialBatchCap {
-		return initialBatchCap
-	}
-	if n > DefaultBatchSize {
-		return DefaultBatchSize
-	}
-	return n
-}
 
 // columnKinds returns the declared kinds of the given base-table ordinals —
 // the typed-decoder selectors for a projected scan's output columns.
@@ -112,10 +98,9 @@ type TableScan struct {
 	// executes).
 	whole *catalog.Range
 
-	cur     *catalog.Cursor
-	schema  []ColumnInfo
-	fillCap int
-	fill    *colFiller
+	cur    *catalog.Cursor
+	schema []ColumnInfo
+	fill   *colFiller
 }
 
 // NewSeqScan builds a full scan of the table producing cols (nil = all).
@@ -125,7 +110,7 @@ func NewSeqScan(t *catalog.Table, cols []int) *TableScan {
 	}
 	return &TableScan{
 		Table: t, Cols: cols, schema: projectedSchema(t, cols),
-		fill: newColFiller(columnKinds(t, cols), cols, true),
+		fill: newColFiller(columnKinds(t, cols), t.Layout(), cols, true),
 	}
 }
 
@@ -154,17 +139,14 @@ func (s *TableScan) Schema() []ColumnInfo { return s.schema }
 // Open: a plan-cache lease's later executions reuse fully-grown buffers.
 func (s *TableScan) Open() error {
 	rng := s.part
-	// Splits exist because the range is large; they start at full batches.
-	s.fillCap = DefaultBatchSize
 	if rng == nil {
 		whole, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
 		if err != nil {
 			return err
 		}
-		rng, s.fillCap = &whole, 0
+		rng = &whole
 	}
 	s.cur = rng.Open()
-	s.fill.prepareKey(s.Table, s.Cols)
 	return nil
 }
 
@@ -187,11 +169,10 @@ func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	if s.cur == nil {
 		return nil, false, errNotOpen("TableScan")
 	}
-	b, err := s.fill.fill(s.cur, s.fillCap, s.EncodeCols)
+	b, err := s.fill.fill(s.cur, s.EncodeCols)
 	if err != nil || b == nil {
 		return nil, false, err
 	}
-	s.fillCap = nextFillCap(b.physRows())
 	return b, true, nil
 }
 
@@ -241,7 +222,7 @@ func (s *TableScan) Morsels(targetRows int) ([]BatchOperator, bool) {
 	for i := range parts {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil
-		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Cols, false)
+		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, false)
 		out[i] = &m
 	}
 	return out, true
@@ -250,7 +231,8 @@ func (s *TableScan) Morsels(targetRows int) ([]BatchOperator, bool) {
 // IndexSeek scans a secondary index for entries whose key prefix lies in a
 // constant range. When the index covers the requested columns the base table
 // is never touched; otherwise each entry is resolved to its base row through
-// the clustered key (or RID for heaps), which costs one extra lookup per row.
+// the locator its key ends in (the row's exact clustered key, or its RID on a
+// heap), which costs one extra lookup per row.
 // Like TableScan, a morsel of an IndexSeek is an IndexSeek over a split.
 type IndexSeek struct {
 	Index  *catalog.Index
@@ -266,17 +248,13 @@ type IndexSeek struct {
 	part  *catalog.Range // see TableScan.part
 	whole *catalog.Range // see TableScan.whole
 
-	cur     *catalog.Cursor
-	schema  []ColumnInfo
-	fillCap int
-	// A covered seek decodes Cols[i] from entry position entryPos[i] through
-	// fill; an uncovered seek over a clustered table locates base rows through
-	// the clustered-key values at entry positions keyPos (staged in keyBuf).
+	cur    *catalog.Cursor
+	schema []ColumnInfo
+	// A covered seek decodes Cols[i] from the entry's logical column
+	// entryPos[i] through fill.
 	covered  bool
 	fill     *colFiller
 	entryPos []int
-	keyPos   []int
-	keyBuf   []value.Value
 }
 
 // NewIndexSeek builds a secondary-index range scan producing the given base
@@ -290,27 +268,13 @@ func NewIndexSeek(ix *catalog.Index, lo, hi []value.Value, loIncl, hiIncl bool, 
 		Index: ix, Lo: lo, Hi: hi, LoIncl: loIncl, HiIncl: hiIncl, Cols: cols,
 		schema: projectedSchema(t, cols), covered: ix.Covers(cols),
 	}
-	posOf := make(map[int]int)
-	for pos, ord := range ix.EntryColumnOrdinals() {
-		posOf[ord] = pos
-	}
-	switch {
-	case s.covered:
+	if s.covered {
+		entryOrds := ix.EntryColumnOrdinals()
 		s.entryPos = make([]int, len(cols))
 		for i, ord := range cols {
-			s.entryPos[i] = posOf[ord]
+			s.entryPos[i] = slices.Index(entryOrds, ord)
 		}
-		s.fill = newColFiller(columnKinds(t, cols), s.entryPos, true)
-	case t.IsClustered():
-		s.keyPos = make([]int, len(t.Clustered.KeyColumns))
-		for i, ord := range t.Clustered.KeyColumns {
-			p, ok := posOf[ord]
-			if !ok {
-				return nil, fmt.Errorf("exec: index %q entry is missing clustered key column", ix.Name)
-			}
-			s.keyPos[i] = p
-		}
-		s.keyBuf = make([]value.Value, len(s.keyPos))
+		s.fill = newColFiller(columnKinds(t, cols), ix.Layout(), s.entryPos, true)
 	}
 	return s, nil
 }
@@ -327,29 +291,36 @@ func (s *IndexSeek) Schema() []ColumnInfo { return s.schema }
 // Open implements Operator.
 func (s *IndexSeek) Open() error {
 	rng := s.part
-	s.fillCap = DefaultBatchSize // see TableScan.Open
 	if rng == nil {
 		whole := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-		rng, s.fillCap = &whole, 0
+		rng = &whole
 	}
 	s.cur = rng.Open()
 	return nil
 }
 
-// Next implements Operator: one decoded entry, projected (covered) or
-// resolved to its base row.
+// Next implements Operator: one decoded entry, projected (covered), or the
+// base row its locator names.
 func (s *IndexSeek) Next() (Row, bool, error) {
 	if s.cur == nil {
 		return nil, false, errNotOpen("IndexSeek")
 	}
-	entry, ok, err := s.cur.Next()
-	if err != nil || !ok {
-		return nil, false, err
-	}
 	if s.covered {
+		entry, ok, err := s.cur.Next()
+		if err != nil || !ok {
+			return nil, false, err
+		}
 		return projectRow(entry, s.entryPos), true, nil
 	}
-	base, err := s.baseRow(entry)
+	var key, payload [1][]byte
+	if s.cur.NextSpans(key[:], payload[:]) == 0 {
+		return nil, false, s.cur.Err()
+	}
+	locator, err := s.Index.Locator(key[0])
+	if err != nil {
+		return nil, false, err
+	}
+	base, err := s.Index.Table.Lookup(locator)
 	if err != nil {
 		return nil, false, err
 	}
@@ -366,21 +337,20 @@ func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
 	var b *Batch
 	var err error
 	if s.covered {
-		b, err = s.fill.fill(s.cur, s.fillCap, s.EncodeCols)
+		b, err = s.fill.fill(s.cur, s.EncodeCols)
 	} else {
 		b, err = s.lookupBatch()
 	}
 	if err != nil || b == nil {
 		return nil, false, err
 	}
-	s.fillCap = nextFillCap(b.physRows())
 	return b, true, nil
 }
 
 // lookupBatch pulls up to DefaultBatchSize resolved base rows into a fresh
 // batch; a nil batch means the cursor is exhausted.
 func (s *IndexSeek) lookupBatch() (*Batch, error) {
-	b := NewBatch(len(s.Cols), clampCap(s.fillCap))
+	b := NewBatch(len(s.Cols), initialBatchCap)
 	for b.physRows() < DefaultBatchSize {
 		row, ok, err := s.Next()
 		if err != nil {
@@ -431,52 +401,9 @@ func (s *IndexSeek) Morsels(targetRows int) ([]BatchOperator, bool) {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil
 		if s.covered {
-			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.entryPos, false)
+			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, false)
 		}
-		m.keyBuf = make([]value.Value, len(s.keyPos))
 		out[i] = &m
 	}
 	return out, true
-}
-
-// baseRow resolves a secondary-index entry to its base-table row.
-func (s *IndexSeek) baseRow(entry Row) (Row, error) {
-	ix, t := s.Index, s.Index.Table
-	if !t.IsClustered() {
-		rid, err := ix.EntryRID(entry)
-		if err != nil {
-			return nil, err
-		}
-		return t.LookupRID(rid)
-	}
-	// Locate through the clustered key carried in the entry.
-	for i, p := range s.keyPos {
-		s.keyBuf[i] = entry[p]
-	}
-	rng, err := t.Range(s.keyBuf, s.keyBuf, true, true)
-	if err != nil {
-		return nil, err
-	}
-	cur := rng.Open()
-	for {
-		row, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return nil, fmt.Errorf("exec: base row for index %q entry not found", ix.Name)
-		}
-		// With duplicate clustered keys several rows share the key; match the
-		// index key columns too so we return a row consistent with the entry.
-		match := true
-		for i, ord := range ix.KeyColumns {
-			if value.Compare(row[ord], entry[i]) != 0 {
-				match = false
-				break
-			}
-		}
-		if match {
-			return row, nil
-		}
-	}
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -383,13 +384,12 @@ func sortKeyToFloat(w uint64) float64 {
 // Value, interpreting the order-preserving Number tag with the column's
 // declared kind. It returns the value and the number of key bytes consumed.
 //
-// Recovery is exact only under the conditions the catalog's key-cleanliness
-// tracking enforces at insert time: the stored value's kind matched the
-// declared kind and floats were not negative zero (normalized away by the
-// encoder). Integer-family values recover exactly at any magnitude — within
-// ±2^53 from the float64 word, beyond it from the typed integer suffix the
-// encoder appends. Strings and NULLs always recover exactly (the 0x00 escape
-// scheme is reversible).
+// Recovery is exact for every value CoerceKeyValue lets into a key column:
+// the stored kind is the declared kind and floats are never negative zero.
+// Integer-family values recover exactly at any magnitude — within ±2^53 from
+// the float64 word, beyond it from the typed integer suffix the encoder
+// appends. Strings and NULLs always recover exactly (the 0x00 escape scheme
+// is reversible).
 func DecodeKeyValue(src []byte, kind Kind) (Value, int, error) {
 	if len(src) == 0 {
 		return Null(), 0, fmt.Errorf("value: empty key")
@@ -424,27 +424,11 @@ func DecodeKeyValue(src []byte, kind Kind) (Value, int, error) {
 		}
 		return Value{Kind: kind, I: int64(f)}, 9, nil
 	case keyTagString:
-		var buf []byte
-		for i := 1; i < len(src); i++ {
-			b := src[i]
-			if b != 0x00 {
-				buf = append(buf, b)
-				continue
-			}
-			if i+1 >= len(src) {
-				break
-			}
-			i++
-			switch src[i] {
-			case 0x00: // terminator
-				return Value{Kind: KindString, S: string(buf)}, i + 1, nil
-			case 0xFF: // escaped 0x00
-				buf = append(buf, 0x00)
-			default:
-				return Null(), 0, fmt.Errorf("value: corrupt string key escape")
-			}
+		body, n, _, err := KeyStringBody(src, nil)
+		if err != nil {
+			return Null(), 0, err
 		}
-		return Null(), 0, fmt.Errorf("value: unterminated string key")
+		return Value{Kind: KindString, S: string(body)}, n, nil
 	default:
 		return Null(), 0, fmt.Errorf("value: unknown key tag %d", src[0])
 	}
@@ -487,29 +471,82 @@ func SkipKeyValue(src []byte) (int, error) {
 	}
 }
 
-// KeyValueRecoverable reports whether v, stored in a key column declared as
-// kind k, round-trips exactly through the order-preserving key encoding when
-// decoded back with DecodeKeyValue. The catalog checks this on every insert
-// into a clustered key column; one false verdict disables key-byte recovery
-// for the table (the payload remains the source of truth).
-func KeyValueRecoverable(v Value, k Kind) bool {
-	if v.Kind == KindNull {
-		return true
+// KeyStringBody parses one key value of a declared-STRING column at the head
+// of src: isStr is false for NULL, otherwise body is the string's contents. n
+// is the number of key bytes consumed. Contents without an escaped 0x00 — the
+// common case — alias src; otherwise they are unescaped into *scratch (grown
+// as needed, reusable across calls; nil allocates).
+func KeyStringBody(src []byte, scratch *[]byte) (body []byte, n int, isStr bool, err error) {
+	if len(src) == 0 {
+		return nil, 0, false, fmt.Errorf("value: empty key")
 	}
-	if v.Kind != k {
-		return false
-	}
-	switch v.Kind {
-	case KindString:
-		return true
-	case KindFloat:
-		// -0.0 normalizes to +0.0 inside NumericSortKey.
-		return !(v.F == 0 && math.Signbit(v.F))
-	case KindInt, KindDate, KindBool:
-		// Exact at any magnitude: within ±2^53 the float64 word is the
-		// integer; beyond it the typed suffix carries the exact value.
-		return true
+	switch src[0] {
+	case keyTagNull:
+		return nil, 1, false, nil
+	case keyTagString:
 	default:
-		return false
+		return nil, 0, false, fmt.Errorf("value: key tag %d in a string key column", src[0])
 	}
+	i := 1 + bytes.IndexByte(src[1:], 0x00)
+	if i > 0 && i+1 < len(src) && src[i+1] == 0x00 {
+		return src[1:i], i + 2, true, nil // no escapes before the terminator
+	}
+	var buf []byte
+	if scratch != nil {
+		buf = (*scratch)[:0]
+	}
+	for i := 1; i+1 < len(src); i++ {
+		b := src[i]
+		if b != 0x00 {
+			buf = append(buf, b)
+			continue
+		}
+		i++
+		switch src[i] {
+		case 0x00: // terminator
+			if scratch != nil {
+				*scratch = buf
+			}
+			return buf, i + 1, true, nil
+		case 0xFF: // escaped 0x00
+			buf = append(buf, 0x00)
+		default:
+			return nil, 0, false, fmt.Errorf("value: corrupt string key escape")
+		}
+	}
+	return nil, 0, false, fmt.Errorf("value: unterminated string key")
+}
+
+// CoerceKeyValue returns the form of v that a key column declared as kind k
+// stores, so that DecodeKeyValue with k recovers it exactly from the key
+// bytes: NULL and values of kind k pass through, -0.0 becomes +0.0 (the two
+// compare equal and share a key word), integer-family kinds re-tag, and an
+// integral float or exactly representable integer converts across the
+// int/float divide. changed reports whether the result differs from v. Any
+// other mismatch — a fractional float in an integer column, a string in a
+// numeric column or the reverse — is an error: no stored form would compare
+// equal to v. The coerced value always encodes to the same key bytes as v.
+func CoerceKeyValue(v Value, k Kind) (out Value, changed bool, err error) {
+	switch {
+	case v.Kind == KindNull:
+		return v, false, nil
+	case v.Kind == k:
+		if k == KindFloat && v.F == 0 && math.Signbit(v.F) {
+			return NewFloat(0), true, nil
+		}
+		return v, false, nil
+	case k == KindString || v.Kind == KindString || k == KindNull:
+	case k == KindFloat:
+		// The range test keeps int64(f) defined: float64 rounds MaxInt64 to 2^63.
+		if f := float64(v.I); f < 1<<63 && int64(f) == v.I {
+			return NewFloat(f), true, nil
+		}
+	case v.Kind == KindFloat:
+		if v.F == math.Trunc(v.F) && v.F >= -(1<<63) && v.F < 1<<63 {
+			return Value{Kind: k, I: int64(v.F)}, true, nil
+		}
+	default:
+		return Value{Kind: k, I: v.I}, true, nil
+	}
+	return v, false, fmt.Errorf("value: %v value %v cannot be stored in a %v key column", v.Kind, v, k)
 }

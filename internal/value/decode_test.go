@@ -166,8 +166,8 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 		{Null(), KindString},
 	}
 	for _, c := range cases {
-		if !KeyValueRecoverable(c.v, c.k) {
-			t.Fatalf("KeyValueRecoverable(%v, %v) = false", c.v, c.k)
+		if got, changed, err := CoerceKeyValue(c.v, c.k); err != nil || changed || got != c.v {
+			t.Fatalf("CoerceKeyValue(%v, %v) = %v, %v, %v; want the value unchanged", c.v, c.k, got, changed, err)
 		}
 		enc := AppendKeyValue(nil, c.v)
 		got, n, err := DecodeKeyValue(enc, c.k)
@@ -205,21 +205,60 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 	}
 }
 
-func TestKeyValueUnrecoverable(t *testing.T) {
-	cases := []struct {
+// TestCoerceKeyValue pins the rule that makes key columns recoverable by
+// construction: a mismatched value either converts to the declared kind
+// without changing what it compares equal to — or how it encodes — or is
+// refused; nothing is stored that DecodeKeyValue would read back differently.
+func TestCoerceKeyValue(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	coerced := []struct {
+		v    Value
+		k    Kind
+		want Value
+	}{
+		{negZero, KindFloat, NewFloat(0)},
+		{NewFloat(3), KindInt, NewInt(3)},
+		{NewFloat(-(1 << 62)), KindInt, NewInt(-(1 << 62))},
+		{NewFloat(-(1 << 63)), KindInt, NewInt(math.MinInt64)},
+		{NewInt(7), KindFloat, NewFloat(7)},
+		{NewInt(1<<53 + 2), KindFloat, NewFloat(1<<53 + 2)},
+		{NewInt(9125), KindDate, NewDate(9125)},
+		{NewDate(9125), KindInt, NewInt(9125)},
+		{NewBool(true), KindInt, NewInt(1)},
+		{NewFloat(1), KindBool, NewBool(true)},
+	}
+	for _, c := range coerced {
+		got, changed, err := CoerceKeyValue(c.v, c.k)
+		if err != nil || !changed || got.Kind != c.want.Kind || got.I != c.want.I ||
+			math.Float64bits(got.F) != math.Float64bits(c.want.F) {
+			t.Fatalf("CoerceKeyValue(%v %v, %v) = %v %v, %v, %v; want %v", c.v.Kind, c.v, c.k, got.Kind, got, changed, err, c.want)
+		}
+		enc := AppendKeyValue(nil, c.v)
+		if !bytes.Equal(enc, AppendKeyValue(nil, got)) {
+			t.Fatalf("coercing %v to %v changed its key bytes", c.v, c.k)
+		}
+		back, _, err := DecodeKeyValue(enc, c.k)
+		if err != nil || back != got {
+			t.Fatalf("key bytes of %v decode as %v to %v (%v), want %v", c.v, c.k, back, err, got)
+		}
+	}
+	rejected := []struct {
 		v Value
 		k Kind
 	}{
-		// Integers beyond ±2^53 are recoverable since the typed suffix; only
-		// kind mismatches and negative zero remain unrecoverable.
-		{NewFloat(math.Copysign(0, -1)), KindFloat}, // -0.0 normalizes away
-		{NewFloat(1.5), KindInt},                    // kind mismatch
-		{NewString("x"), KindInt},                   // kind mismatch
-		{NewInt(1), KindString},                     // kind mismatch
+		{NewFloat(1.5), KindInt},
+		{NewFloat(math.NaN()), KindInt},
+		{NewFloat(math.Inf(1)), KindDate},
+		{NewFloat(1 << 63), KindInt},       // compares equal to MaxInt64, is not
+		{NewInt(math.MaxInt64), KindFloat}, // rounds to 2^63
+		{NewInt(1<<53 + 1), KindFloat},     // not a float64
+		{NewString("x"), KindInt},
+		{NewString("1996-01-01"), KindDate},
+		{NewInt(1), KindString},
 	}
-	for _, c := range cases {
-		if KeyValueRecoverable(c.v, c.k) {
-			t.Fatalf("KeyValueRecoverable(%v, %v) = true, want false", c.v, c.k)
+	for _, c := range rejected {
+		if got, _, err := CoerceKeyValue(c.v, c.k); err == nil {
+			t.Fatalf("CoerceKeyValue(%v %v, %v) = %v, want an error", c.v.Kind, c.v, c.k, got)
 		}
 	}
 }
