@@ -275,7 +275,7 @@ func sortRowsCanonical(rows []exec.Row) []exec.Row {
 }
 
 // TestColOptExecutorDifferential proves the acceptance property for ColOpt:
-// the plan running on compressed vectors through the shared BatchOperator
+// the plan running on compressed vectors through the shared Operator
 // protocol returns the same result as the row engine's base-table query, for
 // every workload query and selectivity — and the same rows again with
 // compressed execution force-disabled (flat vectors, identical operator

@@ -238,10 +238,10 @@ func TestParallelSerialKnobIdentity(t *testing.T) {
 // benchParallelColOptPlan is benchColOptPlan after the morsel-parallel
 // rewrite: the same scan → filter → aggregate over the 150k-row compressed
 // projection, split into row-window morsels for the given worker count.
-func benchParallelColOptPlan(tb testing.TB, flat bool, workers int) exec.BatchOperator {
+func benchParallelColOptPlan(tb testing.TB, flat bool, workers int) exec.Operator {
 	tb.Helper()
-	root, _ := plan.Parallelize(exec.AsRowOperator(benchColOptPlan(tb, flat)), workers)
-	return exec.AsBatchOperator(root)
+	root, _ := plan.Parallelize(benchColOptPlan(tb, flat), workers)
+	return root
 }
 
 // BenchmarkParallelScanFilterAgg is the worker-count scaling benchmark on

@@ -172,11 +172,11 @@ func colIndexIn(cols []string, col string) int {
 
 // ColOptOperator builds the executor plan that answers a workload query
 // directly on the compressed projection: ProjectionScan → Filter →
-// HashAggregate, all through the shared BatchOperator protocol on compressed
+// HashAggregate, the same operators SQL plans use, on compressed
 // vectors (Flat vectors when the harness's DisableCompressed knob is set).
 // This replaces the bespoke colstore execution path on the query hot path:
 // ColOpt is now just another executor configuration.
-func (h *Harness) ColOptOperator(q QueryID, selectivity float64) (exec.BatchOperator, error) {
+func (h *Harness) ColOptOperator(q QueryID, selectivity float64) (exec.Operator, error) {
 	spec, ok := h.specs()[q]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown query %q", q)
@@ -185,7 +185,7 @@ func (h *Harness) ColOptOperator(q QueryID, selectivity float64) (exec.BatchOper
 }
 
 // colOptOperator builds the ColOpt plan for an already-resolved parameter.
-func (h *Harness) colOptOperator(spec querySpec, param value.Value) (exec.BatchOperator, error) {
+func (h *Harness) colOptOperator(spec querySpec, param value.Value) (exec.Operator, error) {
 	scan, err := colstore.NewProjectionScan(h.Proj[spec.design], spec.colOptCols, h.Config.DisableCompressed)
 	if err != nil {
 		return nil, err
@@ -210,12 +210,11 @@ func (h *Harness) colOptOperator(spec querySpec, param value.Value) (exec.BatchO
 		}
 		agg.Arg = expr.NewColumn(aIdx, cp.aggArg)
 	}
-	root := exec.Operator(exec.NewHashAggregate(filtered, []int{gIdx}, []exec.AggSpec{agg}))
 	// The ColOpt plan rides the same morsel-parallel rewrite as SQL plans:
 	// the projection scan partitions into compressed row windows, so RLE and
 	// dictionary morsels cross worker boundaries without decompressing.
-	root, _ = plan.Parallelize(root, h.Config.Parallelism)
-	return exec.AsBatchOperator(root), nil
+	root, _ := plan.Parallelize(exec.NewHashAggregate(filtered, []int{gIdx}, []exec.AggSpec{agg}), h.Config.Parallelism)
+	return root, nil
 }
 
 // fraction computes the fraction of a projection's rows whose leading sort

@@ -160,7 +160,7 @@ func benchProjectionData(tb testing.TB) *colstore.Projection {
 
 // benchColOptPlan builds scan → filter(ship > median) → group supp,
 // COUNT(*), SUM(qty) over the benchmark projection.
-func benchColOptPlan(tb testing.TB, flat bool) exec.BatchOperator {
+func benchColOptPlan(tb testing.TB, flat bool) exec.Operator {
 	tb.Helper()
 	p := benchProjectionData(tb)
 	scan, err := colstore.NewProjectionScan(p, []string{"ship", "supp", "qty"}, flat)

@@ -173,10 +173,7 @@ func project(rows [][]value.Value, ords []int) [][]value.Value {
 }
 
 // drainOp pulls an operator dry through the row protocol or the batch one.
-func drainOp(op interface {
-	exec.Operator
-	exec.BatchOperator
-}, batch bool) ([][]value.Value, error) {
+func drainOp(op exec.Operator, batch bool) ([][]value.Value, error) {
 	if err := op.Open(); err != nil {
 		return nil, err
 	}

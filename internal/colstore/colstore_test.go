@@ -464,7 +464,7 @@ func TestProjectionScanEmpty(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("empty projection scan produced %d rows", len(rows))
 	}
-	rows, err = exec.Drain(nil, exec.AsRowOperator(scan))
+	rows, err = exec.Drain(nil, scan)
 	if err != nil {
 		t.Fatal(err)
 	}

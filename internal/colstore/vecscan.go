@@ -17,10 +17,10 @@ import (
 // operators that run row-store plans run the C-store plan, just on compressed
 // vectors.
 //
-// ProjectionScan implements both the row (Operator) and batch
-// (BatchOperator) protocols, like every other scan. Projections are an
-// in-memory cost model, so the scan performs no pager I/O; the harness keeps
-// charging ColOpt its analytic compressed-page count.
+// ProjectionScan is an exec.Operator (and an exec.Morseler) like every other
+// scan. Projections are an in-memory cost model, so the scan performs no
+// pager I/O; the harness keeps charging ColOpt its analytic compressed-page
+// count.
 type ProjectionScan struct {
 	Proj *Projection
 	Cols []string
@@ -61,10 +61,10 @@ func NewProjectionScan(p *Projection, cols []string, flat bool) (*ProjectionScan
 	return s, nil
 }
 
-// Schema implements exec.Operator and exec.BatchOperator.
+// Schema implements exec.Operator.
 func (s *ProjectionScan) Schema() []exec.ColumnInfo { return s.schema }
 
-// Open implements exec.Operator and exec.BatchOperator.
+// Open implements exec.Operator.
 func (s *ProjectionScan) Open() error {
 	s.pos = s.lo
 	return nil
@@ -76,7 +76,7 @@ func (s *ProjectionScan) NumScanRows() int64 { return s.hi - s.lo }
 // Morsels implements exec.Morseler: the projection splits into row windows of
 // targetRows rows, each a ProjectionScan clone sharing the compressed
 // segments.
-func (s *ProjectionScan) Morsels(targetRows int) ([]exec.BatchOperator, bool) {
+func (s *ProjectionScan) Morsels(targetRows int) ([]exec.Operator, bool) {
 	if targetRows < 1 {
 		targetRows = 1
 	}
@@ -84,7 +84,7 @@ func (s *ProjectionScan) Morsels(targetRows int) ([]exec.BatchOperator, bool) {
 	if n <= int64(targetRows) {
 		return nil, false
 	}
-	var out []exec.BatchOperator
+	var out []exec.Operator
 	for lo := s.lo; lo < s.hi; lo += int64(targetRows) {
 		hi := lo + int64(targetRows)
 		if hi > s.hi {
@@ -101,11 +101,11 @@ func (s *ProjectionScan) Morsels(targetRows int) ([]exec.BatchOperator, bool) {
 	return out, true
 }
 
-// Close implements exec.Operator and exec.BatchOperator.
+// Close implements exec.Operator.
 func (s *ProjectionScan) Close() error { return nil }
 
-// Next implements exec.Operator (row protocol) for composition with
-// row-at-a-time parents; the hot path is NextBatch.
+// Next implements exec.Operator for row-at-a-time parents; the hot path is
+// NextBatch.
 func (s *ProjectionScan) Next() (exec.Row, bool, error) {
 	if s.pos >= s.hi {
 		return nil, false, nil
@@ -118,7 +118,7 @@ func (s *ProjectionScan) Next() (exec.Row, bool, error) {
 	return row, true, nil
 }
 
-// NextBatch implements exec.BatchOperator, emitting compressed vectors
+// NextBatch implements exec.Operator, emitting compressed vectors
 // clipped to the batch window.
 func (s *ProjectionScan) NextBatch() (*exec.Batch, bool, error) {
 	start := s.pos

@@ -54,9 +54,6 @@ type Options struct {
 	// for measurements that must include planning cost on every run (the bench
 	// harness) and for differential testing of the cached path.
 	DisablePlanCache bool
-	// PlanCacheSize bounds the plan cache's distinct-statement capacity
-	// (0 selects the default, 256).
-	PlanCacheSize int
 	// DataDir, when set, makes the engine durable (via Open): pages live in a
 	// checksummed data file, commits in a write-ahead log, and recovery runs
 	// on open. Empty means in-memory. New ignores it; use Open.
@@ -142,7 +139,7 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 		parallelism: parallelism,
 	}
 	if !opts.DisablePlanCache {
-		e.plans = newPlanCache(opts.PlanCacheSize)
+		e.plans = newPlanCache(planCacheSize)
 	}
 	return e
 }
@@ -446,15 +443,15 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 	return res, nil
 }
 
-// executePlan drains a compiled plan through the engine's pull protocol,
-// honoring a cancellation context when one is set.
+// executePlan drains a compiled plan through the engine's pull (batches when
+// vectorized, else rows), honoring a cancellation context when one is set.
 func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan) (*Result, error) {
 	before := e.pager.Stats()
 	start := time.Now()
 	var rows []exec.Row
 	var err error
 	if e.vectorized {
-		rows, err = exec.DrainBatches(ctx, exec.AsBatchOperator(pl.Root))
+		rows, err = exec.DrainBatches(ctx, pl.Root)
 	} else {
 		rows, err = exec.Drain(ctx, pl.Root)
 	}

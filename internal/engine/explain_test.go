@@ -111,7 +111,8 @@ func TestTraceExplainAnalyzeMatchesUntraced(t *testing.T) {
 // cache in both directions: they neither hit a cached plan nor deposit an
 // instrumented one for later untraced runs.
 func TestTraceDoesNotPolluteCache(t *testing.T) {
-	e := New(Options{TupleOverhead: -1, PlanCacheSize: 16})
+	e := New(Options{TupleOverhead: -1})
+	e.plans = newPlanCache(16)
 	if _, err := e.Execute("CREATE TABLE t (id INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}

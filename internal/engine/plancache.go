@@ -36,8 +36,8 @@ type planKey struct {
 // cached AST.
 const maxIdlePlans = 8
 
-// defaultPlanCacheSize is the default entry (distinct statement) capacity.
-const defaultPlanCacheSize = 256
+// planCacheSize is the cache's entry (distinct statement) capacity.
+const planCacheSize = 256
 
 // PlanCacheStats is a snapshot of the plan cache's counters.
 type PlanCacheStats struct {
@@ -84,9 +84,6 @@ type planCache struct {
 }
 
 func newPlanCache(capacity int) *planCache {
-	if capacity <= 0 {
-		capacity = defaultPlanCacheSize
-	}
 	return &planCache{
 		capacity: capacity,
 		entries:  make(map[planKey]*cacheEntry),

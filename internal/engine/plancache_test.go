@@ -12,10 +12,13 @@ import (
 )
 
 // newCachedEngine builds an engine with a populated table and the plan cache
-// enabled (optionally bounded).
+// enabled (bounded to cacheSize statements when that is positive).
 func newCachedEngine(t *testing.T, cacheSize, rows int) *Engine {
 	t.Helper()
-	e := New(Options{TupleOverhead: -1, PlanCacheSize: cacheSize})
+	e := New(Options{TupleOverhead: -1})
+	if cacheSize > 0 {
+		e.plans = newPlanCache(cacheSize)
+	}
 	if _, err := e.Execute("CREATE TABLE items (id INT, grp INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}

@@ -194,7 +194,6 @@ type HashAggregate struct {
 	Aggs    []AggSpec
 
 	schema  []ColumnInfo
-	binput  BatchOperator
 	results []Row
 	built   bool
 	pos     int
@@ -214,9 +213,26 @@ func (h *HashAggregate) Schema() []ColumnInfo { return h.schema }
 // Open implements Operator.
 func (h *HashAggregate) Open() error {
 	h.results, h.built, h.pos = nil, false, 0
-	h.binput = AsBatchOperator(h.Input)
 	h.ctx = nil
 	return h.Input.Open()
+}
+
+// Child implements Parent.
+func (h *HashAggregate) Child(i int) *Operator { return slot(i, &h.Input) }
+
+// ReplanInputs implements Replanner.
+func (h *HashAggregate) ReplanInputs() bool { return true }
+
+// SetContext implements ContextTaker.
+func (h *HashAggregate) SetContext(ctx context.Context) { h.ctx = ctx }
+
+// Drained implements Breaker.
+func (h *HashAggregate) Drained() *Operator { return &h.Input }
+
+// ParallelForm implements Breaker: per-morsel partial tables, merged in
+// morsel order.
+func (h *HashAggregate) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
+	return parallelForm(NewParallelHashAggregate(src, pipe, h.GroupBy, h.Aggs, workers))
 }
 
 // aggGroup is one hash-table entry during the build.
@@ -438,7 +454,7 @@ func (h *HashAggregate) build(batchWise bool) error {
 			if err := ctxErr(h.ctx); err != nil {
 				return err
 			}
-			b, ok, err := h.binput.NextBatch()
+			b, ok, err := h.Input.NextBatch()
 			if err != nil {
 				return err
 			}
@@ -793,11 +809,8 @@ func (h *HashAggregate) Next() (Row, bool, error) {
 	return row, true, nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (h *HashAggregate) NextBatch() (*Batch, bool, error) {
-	if h.binput == nil {
-		return nil, false, errNotOpen("HashAggregate")
-	}
 	if !h.built {
 		if err := h.build(true); err != nil {
 			return nil, false, err
@@ -826,7 +839,6 @@ type StreamAggregate struct {
 	Aggs    []AggSpec
 
 	schema  []ColumnInfo
-	binput  BatchOperator
 	curKeys Row
 	states  []*aggState
 	started bool
@@ -847,8 +859,22 @@ func (s *StreamAggregate) Schema() []ColumnInfo { return s.schema }
 func (s *StreamAggregate) Open() error {
 	s.curKeys, s.states, s.pending = nil, nil, nil
 	s.started, s.done = false, false
-	s.binput = AsBatchOperator(s.Input)
 	return s.Input.Open()
+}
+
+// Child implements Parent.
+func (s *StreamAggregate) Child(i int) *Operator { return slot(i, &s.Input) }
+
+// ReplanInputs implements Replanner.
+func (s *StreamAggregate) ReplanInputs() bool { return true }
+
+// Drained implements Breaker. A serial stream aggregate holds one group at a
+// time; its parallel form materializes per-morsel runs.
+func (s *StreamAggregate) Drained() *Operator { return &s.Input }
+
+// ParallelForm implements Breaker: per-morsel ordered runs, seam groups merged.
+func (s *StreamAggregate) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
+	return parallelForm(NewParallelStreamAggregate(src, pipe, s.GroupBy, s.Aggs, workers))
 }
 
 func (s *StreamAggregate) newStates() []*aggState {
@@ -903,19 +929,16 @@ func (s *StreamAggregate) Next() (Row, bool, error) {
 	}
 }
 
-// NextBatch implements BatchOperator. It consumes whole input batches,
+// NextBatch implements Operator. It consumes whole input batches,
 // evaluating aggregate arguments vector-at-a-time, and emits one batch of
 // finished groups per input batch that closes at least one group.
 func (s *StreamAggregate) NextBatch() (*Batch, bool, error) {
-	if s.binput == nil {
-		return nil, false, errNotOpen("StreamAggregate")
-	}
 	if s.done {
 		return nil, false, nil
 	}
 	out := NewBatch(len(s.schema), DefaultBatchSize)
 	for {
-		b, ok, err := s.binput.NextBatch()
+		b, ok, err := s.Input.NextBatch()
 		if err != nil {
 			return nil, false, err
 		}

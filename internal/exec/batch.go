@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"context"
-
 	"oldelephant/internal/expr"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
@@ -18,10 +16,11 @@ const DefaultBatchSize = 1024
 // Cols[c] is the vector of column c, and every vector has the same logical
 // length. Vectors carry their own encoding (Flat, Const, RLE, Dict), so a
 // batch can flow through the executor in compressed form; decompression is
-// lazy and happens only at protocol boundaries (row adapters, joins, result
-// drains). An optional selection vector Sel lists the live physical row
-// indices in ascending order (nil means all rows are live), which lets
-// filters drop rows without copying the surviving ones.
+// lazy and happens only where rows are needed (the row cursor of a
+// batch-only operator, joins, result drains). An optional selection vector
+// Sel lists the live physical row indices in ascending order (nil means all
+// rows are live), which lets filters drop rows without copying the surviving
+// ones.
 type Batch struct {
 	Cols []*vector.Vector
 	Sel  []int
@@ -118,60 +117,14 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 	return dst
 }
 
-// BatchOperator is a physical plan node that produces rows a batch at a time.
-// Operators in this package implement both Operator and BatchOperator over
-// shared Open/Close; the engine picks one pull protocol per query.
-type BatchOperator interface {
-	// Schema describes the rows carried by produced batches.
-	Schema() []ColumnInfo
-	// Open prepares the operator for iteration.
-	Open() error
-	// NextBatch returns the next non-empty batch; ok is false at end of
-	// input. Parents must not retain or mutate a returned batch's columns
-	// after the following NextBatch call.
-	NextBatch() (b *Batch, ok bool, err error)
-	// Close releases resources.
-	Close() error
-}
-
-// AsBatchOperator views a row operator as a batch operator: operators that
-// are batch-native are returned as-is, anything else (joins, user-supplied
-// operators) is bridged with a BatchSource adapter.
-func AsBatchOperator(op Operator) BatchOperator {
-	if b, ok := op.(BatchOperator); ok {
-		return b
-	}
-	return &BatchSource{Input: op}
-}
-
-// AsRowOperator views a batch operator as a row operator, bridging with a
-// RowSource adapter when it is not row-native.
-func AsRowOperator(op BatchOperator) Operator {
-	if r, ok := op.(Operator); ok {
-		return r
-	}
-	return &RowSource{Input: op}
-}
-
-// BatchSource adapts a row-at-a-time operator into the batch protocol by
-// accumulating up to DefaultBatchSize rows per call. It is the bridge that
-// lets not-yet-vectorized operators (joins, in particular) compose with
-// vectorized parents in one plan.
-type BatchSource struct {
-	Input Operator
-}
-
-// Schema implements BatchOperator.
-func (s *BatchSource) Schema() []ColumnInfo { return s.Input.Schema() }
-
-// Open implements BatchOperator.
-func (s *BatchSource) Open() error { return s.Input.Open() }
-
-// NextBatch implements BatchOperator.
-func (s *BatchSource) NextBatch() (*Batch, bool, error) {
-	b := NewBatch(len(s.Input.Schema()), DefaultBatchSize)
+// nextBatchFromRows implements NextBatch for an operator that only computes
+// rows (the row joins, an uncovered index seek's lookups): up to
+// DefaultBatchSize rows pulled through its own Next, copied into a fresh flat
+// batch whose columns start at the given capacity.
+func nextBatchFromRows(op Operator, capacity int) (*Batch, bool, error) {
+	b := NewBatch(len(op.Schema()), capacity)
 	for b.physRows() < DefaultBatchSize {
-		row, ok, err := s.Input.Next()
+		row, ok, err := op.Next()
 		if err != nil {
 			return nil, false, err
 		}
@@ -186,79 +139,27 @@ func (s *BatchSource) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Close implements BatchOperator.
-func (s *BatchSource) Close() error { return s.Input.Close() }
-
-// RowSource adapts a batch operator into the row protocol, emitting the live
-// rows of each batch one at a time. It lets a row-only parent (a join's
-// input, for example) sit on top of a batch-native subtree.
-type RowSource struct {
-	Input BatchOperator
-
+// batchRowCursor implements Next for an operator that only computes batches
+// (the vectorized join, the parallel operators): the live rows of each batch
+// it pulls through its own NextBatch, one at a time.
+type batchRowCursor struct {
 	cur *Batch
 	pos int
 }
 
-// Schema implements Operator.
-func (s *RowSource) Schema() []ColumnInfo { return s.Input.Schema() }
+func (c *batchRowCursor) reset() { c.cur, c.pos = nil, 0 }
 
-// Open implements Operator.
-func (s *RowSource) Open() error {
-	s.cur, s.pos = nil, 0
-	return s.Input.Open()
-}
-
-// Next implements Operator.
-func (s *RowSource) Next() (Row, bool, error) {
-	for s.cur == nil || s.pos >= s.cur.NumRows() {
-		b, ok, err := s.Input.NextBatch()
+func (c *batchRowCursor) next(pull func() (*Batch, bool, error)) (Row, bool, error) {
+	for c.cur == nil || c.pos >= c.cur.NumRows() {
+		b, ok, err := pull()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		s.cur, s.pos = b, 0
+		c.cur, c.pos = b, 0
 	}
-	row := s.cur.Row(s.pos)
-	s.pos++
+	row := c.cur.Row(c.pos)
+	c.pos++
 	return row, true, nil
-}
-
-// Close implements Operator.
-func (s *RowSource) Close() error {
-	s.cur = nil
-	return s.Input.Close()
-}
-
-// DrainBatches runs a batch operator to completion, returning all produced
-// rows in row-major form; wrap a row operator in AsBatchOperator to run it
-// through the batch protocol. ctx may be nil (run to completion); otherwise
-// it is pushed into the plan's breakers (see ApplyContext) and checked before
-// every NextBatch, and its error (DeadlineExceeded or Canceled) is returned
-// as soon as it fires.
-func DrainBatches(ctx context.Context, op BatchOperator) ([]Row, error) {
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
-	}
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	if ctx != nil {
-		ApplyContext(op, ctx)
-	}
-	var out []Row
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		b, ok, err := op.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = b.AppendRows(out)
-	}
 }
 
 // evalProjectionVectors evaluates a list of expressions over a batch,

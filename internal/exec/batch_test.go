@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
 
+	"oldelephant/internal/catalog"
 	"oldelephant/internal/expr"
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
 )
@@ -55,53 +58,130 @@ func TestZeroColumnBatchKeepsRowCount(t *testing.T) {
 	}
 }
 
-// TestAdaptersRoundTrip pushes rows through BatchSource and RowSource and
-// checks nothing is lost, reordered or duplicated across batch boundaries.
-func TestAdaptersRoundTrip(t *testing.T) {
-	n := 2*DefaultBatchSize + 37 // force several batches plus a partial one
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i] = intRow(int64(i))
-	}
-	cols := []ColumnInfo{{Name: "x", Kind: value.KindInt}}
-	vs := NewValuesScan(cols, rows)
-	rs := AsRowOperator(&BatchSource{Input: vs})
-	got, err := Drain(nil, rs)
+// bothPullsDB builds facts(k, g, x) with n rows clustered on k (g = k%7,
+// x = k%100, integers so sums are exact under either fold order), a covering
+// and a non-covering secondary index on g, and dims(d, w) with 7 rows.
+func bothPullsDB(t *testing.T, n int) (facts, dims *catalog.Table, covering, lookup *catalog.Index) {
+	t.Helper()
+	c := catalog.New(storage.NewPager(0), -1)
+	facts, err := c.CreateTable("facts", []catalog.Column{
+		{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "x", Kind: value.KindInt},
+	}, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != n {
-		t.Fatalf("round trip produced %d rows, want %d", len(got), n)
+	rows := make([][]value.Value, n)
+	for i := range rows {
+		rows[i] = intRow(int64(i), int64(i%7), int64(i%100))
 	}
-	for i, r := range got {
-		if r[0].Int() != int64(i) {
-			t.Fatalf("row %d = %v", i, r)
+	if err := facts.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	if covering, err = c.CreateIndex("facts_g_x", "facts", []string{"g"}, []string{"x"}, false); err != nil {
+		t.Fatal(err)
+	}
+	if lookup, err = c.CreateIndex("facts_g", "facts", []string{"g"}, nil, false); err != nil {
+		t.Fatal(err)
+	}
+	dims, err = c.CreateTable("dims", []catalog.Column{
+		{Name: "d", Kind: value.KindInt}, {Name: "w", Kind: value.KindInt},
+	}, []string{"d"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dimRows [][]value.Value
+	for i := 0; i < 7; i++ {
+		dimRows = append(dimRows, intRow(int64(i), int64(10*i)))
+	}
+	if err := dims.BulkLoad(dimRows); err != nil {
+		t.Fatal(err)
+	}
+	return facts, dims, covering, lookup
+}
+
+// TestEveryOperatorBothPulls holds the operator contract: every operator the
+// package constructs returns the same rows, in the same order, from Next and
+// from NextBatch — the row joins' NextBatch and the batch-only operators'
+// Next included — over inputs that end one row and one batch past a batch
+// boundary, and again when the same instance is re-opened.
+func TestEveryOperatorBothPulls(t *testing.T) {
+	col := func(i int) expr.Expr { return expr.NewColumn(i, "") }
+	lit := func(v int64) expr.Expr { return expr.NewConst(value.NewInt(v)) }
+	must := func(op Operator, err error) Operator {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return op
+	}
+	aggs := []AggSpec{{Kind: AggCountStar, Name: "n"}, {Kind: AggSum, Arg: col(2), Name: "sx"}}
+	for _, n := range []int{DefaultBatchSize + 1, 2*DefaultBatchSize + 1} {
+		facts, dims, covering, lookup := bothPullsDB(t, n)
+		scan := func() Operator { return NewSeqScan(facts, nil) }
+		dimScan := func() Operator { return NewSeqScan(dims, nil) }
+		morsels := func() Morseler {
+			return &valuesMorseler{ValuesScan: NewValuesScan(scan().Schema(), drain(t, scan())), chunk: 300}
+		}
+		halve := func(src Operator) Operator { return NewFilter(src, expr.NewBinary(expr.OpLt, col(2), lit(50))) }
+		parallel := func(op Operator, ok bool) Operator {
+			if !ok {
+				t.Fatal("test source did not split into morsels")
+			}
+			return op
+		}
+		gLo := []value.Value{value.NewInt(0)}
+		ops := map[string]Operator{
+			"ValuesScan":       NewValuesScan(scan().Schema(), drain(t, scan())),
+			"SeqScan":          scan(),
+			"ClusteredSeek":    must(NewClusteredSeek(facts, []value.Value{value.NewInt(3)}, nil, false, false, []int{0, 2})),
+			"IndexSeek":        must(NewIndexSeek(covering, gLo, []value.Value{value.NewInt(5)}, true, true, []int{1, 2})),
+			"IndexSeek+lookup": must(NewIndexSeek(lookup, gLo, []value.Value{value.NewInt(5)}, true, true, nil)),
+			"Filter":           halve(scan()),
+			"Project":          NewProject(scan(), []expr.Expr{col(1), expr.NewBinary(expr.OpAdd, col(0), col(2))}, []string{"g", "kx"}),
+			"Limit":            NewLimit(scan(), int64(n-10), 5),
+			"Sort":             NewSort(scan(), []SortKey{{Col: 2, Desc: true}, {Col: 0}}),
+			"HashAggregate":    NewHashAggregate(scan(), []int{2}, aggs),
+			"StreamAggregate":  NewStreamAggregate(scan(), []int{0}, aggs),
+			"NestedLoopJoin":   NewNestedLoopJoin(scan(), dimScan(), expr.NewBinary(expr.OpGe, col(1), col(3))),
+			"HashJoin":         must(NewHashJoin(scan(), dimScan(), []int{1}, []int{0}, nil)),
+			"MergeJoin":        must(NewMergeJoin(NewSort(scan(), []SortKey{{Col: 1}}), dimScan(), []int{1}, []int{0}, nil)),
+			"IndexNestedLoopJoin": must(NewIndexNestedLoopJoin(scan(), InnerSeekSpec{
+				Table: dims, LoExprs: []expr.Expr{col(1)}, HiExprs: []expr.Expr{col(1)}, LoIncl: true, HiIncl: true, Cols: []int{0, 1},
+			}, nil)),
+			"VectorizedHashJoin":      must(NewVectorizedHashJoin(scan(), dimScan(), []int{1}, []int{0}, nil)),
+			"ParallelMerge":           parallel(NewParallelMerge(morsels(), halve, 3)),
+			"ParallelHashAggregate":   parallel(NewParallelHashAggregate(morsels(), halve, []int{2}, aggs, 3)),
+			"ParallelStreamAggregate": parallel(NewParallelStreamAggregate(morsels(), nil, []int{0}, aggs, 3)),
+			"ParallelSort":            parallel(NewParallelSort(morsels(), halve, []SortKey{{Col: 2}}, 3)),
+		}
+		for name, op := range ops {
+			want := rowsKey(drain(t, op))
+			if want == "" {
+				t.Errorf("n=%d %s: produced no rows", n, name)
+			}
+			for round, pull := range []func(context.Context, Operator) ([]Row, error){DrainBatches, Drain, DrainBatches} {
+				got, err := pull(nil, op)
+				if err != nil {
+					t.Fatalf("n=%d %s: %v", n, name, err)
+				}
+				if rowsKey(got) != want {
+					t.Errorf("n=%d %s: re-open %d differs from the first row-at-a-time drain (%d rows)", n, name, round+1, len(got))
+				}
+			}
 		}
 	}
 }
 
-// TestAsBatchOperatorIdentity: batch-native operators are not re-wrapped.
-func TestAsBatchOperatorIdentity(t *testing.T) {
-	vs := NewValuesScan([]ColumnInfo{{Name: "x", Kind: value.KindInt}}, nil)
-	if AsBatchOperator(vs) != BatchOperator(vs) {
-		t.Fatal("AsBatchOperator wrapped a batch-native operator")
-	}
-	f := NewFilter(vs, nil)
-	if AsBatchOperator(f) != BatchOperator(f) {
-		t.Fatal("AsBatchOperator wrapped a batch-native Filter")
-	}
-}
-
-// rowOnly hides the batch interface of an operator, standing in for a
-// not-yet-vectorized operator in plan composition tests.
+// rowOnly computes only rows whatever its inner operator can do, standing in
+// for a not-yet-vectorized operator in plan composition tests.
 type rowOnly struct {
 	inner Operator
 }
 
-func (r *rowOnly) Schema() []ColumnInfo     { return r.inner.Schema() }
-func (r *rowOnly) Open() error              { return r.inner.Open() }
-func (r *rowOnly) Next() (Row, bool, error) { return r.inner.Next() }
-func (r *rowOnly) Close() error             { return r.inner.Close() }
+func (r *rowOnly) Schema() []ColumnInfo             { return r.inner.Schema() }
+func (r *rowOnly) Open() error                      { return r.inner.Open() }
+func (r *rowOnly) Next() (Row, bool, error)         { return r.inner.Next() }
+func (r *rowOnly) NextBatch() (*Batch, bool, error) { return nextBatchFromRows(r, DefaultBatchSize) }
+func (r *rowOnly) Close() error                     { return r.inner.Close() }
 
 // buildFilterAggPlan assembles Filter -> HashAggregate over the lineitem test
 // table, optionally forcing the scan behind a row-only bridge.
@@ -148,7 +228,7 @@ func TestBatchRowEquivalenceFilterAgg(t *testing.T) {
 		t.Fatal("test plan produced no rows")
 	}
 	for _, bridge := range []bool{false, true} {
-		got, err := DrainBatches(nil, AsBatchOperator(buildFilterAggPlan(t, bridge)))
+		got, err := DrainBatches(nil, buildFilterAggPlan(t, bridge))
 		if err != nil {
 			t.Fatalf("bridge=%v: %v", bridge, err)
 		}
@@ -206,7 +286,7 @@ func TestBatchRowEquivalenceOperators(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := DrainBatches(nil, AsBatchOperator(build(name)(t)))
+			got, err := DrainBatches(nil, build(name)(t))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -282,31 +362,11 @@ func TestScanEncodeCols(t *testing.T) {
 	seek.Close()
 }
 
-// TestRowSourceAcrossBatches checks RowSource's cursor over multi-batch input
-// including selection vectors produced by a filter.
-func TestRowSourceAcrossBatches(t *testing.T) {
-	var rows []Row
-	n := DefaultBatchSize + 100
-	for i := 0; i < n; i++ {
-		rows = append(rows, intRow(int64(i)))
-	}
-	vs := NewValuesScan([]ColumnInfo{{Name: "x", Kind: value.KindInt}}, rows)
-	f := NewFilter(vs, expr.NewBinary(expr.OpGe, expr.NewColumn(0, "x"), expr.NewConst(value.NewInt(0))))
-	rs := &RowSource{Input: f}
-	got, err := Drain(nil, rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != n {
-		t.Fatalf("RowSource produced %d rows, want %d", len(got), n)
-	}
-}
-
 func ExampleDrainBatches() {
 	rows := []Row{intRow(1), intRow(2), intRow(3)}
 	vs := NewValuesScan([]ColumnInfo{{Name: "x", Kind: value.KindInt}}, rows)
 	f := NewFilter(vs, expr.NewBinary(expr.OpGe, expr.NewColumn(0, "x"), expr.NewConst(value.NewInt(2))))
-	out, _ := DrainBatches(nil, AsBatchOperator(f))
+	out, _ := DrainBatches(nil, f)
 	for _, r := range out {
 		fmt.Println(r[0])
 	}

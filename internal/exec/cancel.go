@@ -22,58 +22,31 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
-// ApplyContext pushes ctx into every materializing breaker of the operator
-// tree rooted at op: Sort, HashAggregate, the shared build state of a
-// vectorized hash join (one set covers every probe-side clone), and the
-// parallel breakers' merge loops. Pipelined operators are walked through but
-// hold no context themselves — the root drain loop covers them. Each
-// breaker's Open (or build-state reset) clears its context, so a plan leased
-// from the plan cache never sees a stale context from a previous execution;
-// callers must therefore apply the context after Open.
-func ApplyContext(op any, ctx context.Context) {
-	switch o := op.(type) {
-	case *Sort:
-		o.ctx = ctx
-		ApplyContext(o.Input, ctx)
-	case *HashAggregate:
-		o.ctx = ctx
-		ApplyContext(o.Input, ctx)
-	case *VectorizedHashJoin:
-		o.shared.setContext(ctx)
-		ApplyContext(o.Probe, ctx)
-		ApplyContext(o.Build, ctx)
-	case *ParallelHashAggregate:
-		o.parallelBreaker.ctx = ctx
-	case *ParallelStreamAggregate:
-		o.parallelBreaker.ctx = ctx
-	case *ParallelSort:
-		o.parallelBreaker.ctx = ctx
-	case *Filter:
-		ApplyContext(o.Input, ctx)
-	case *Project:
-		ApplyContext(o.Input, ctx)
-	case *Limit:
-		ApplyContext(o.Input, ctx)
-	case *StreamAggregate:
-		ApplyContext(o.Input, ctx)
-	case *BatchSource:
-		ApplyContext(o.Input, ctx)
-	case *RowSource:
-		ApplyContext(o.Input, ctx)
-	case *HashJoin:
-		ApplyContext(o.Left, ctx)
-		ApplyContext(o.Right, ctx)
-	case *MergeJoin:
-		ApplyContext(o.Left, ctx)
-		ApplyContext(o.Right, ctx)
-	case *NestedLoopJoin:
-		ApplyContext(o.Left, ctx)
-		ApplyContext(o.Right, ctx)
-	case *IndexNestedLoopJoin:
-		ApplyContext(o.Outer, ctx)
-	case *tracedBatch:
-		ApplyContext(o.op, ctx)
-	case *tracedRow:
-		ApplyContext(o.op, ctx)
+// ContextTaker is declared by operators that consume an input whole inside
+// one pull — Sort, HashAggregate, the row joins that materialize a side, the
+// shared build of a vectorized hash join, the parallel breakers' merge loops
+// — and check the context while they do. Their Open (or build-state reset)
+// clears it, so a plan leased from the plan cache never sees the context of
+// a previous execution.
+type ContextTaker interface {
+	SetContext(ctx context.Context)
+}
+
+// ApplyContext pushes ctx into every ContextTaker of the operator tree rooted
+// at op. Pipelined operators are walked through but hold no context
+// themselves — the root drain loop covers them. Because Open clears the
+// context, callers must apply it after Open.
+func ApplyContext(op Operator, ctx context.Context) {
+	if t, ok := op.(ContextTaker); ok {
+		t.SetContext(ctx)
+	}
+	if p, ok := op.(Parent); ok {
+		for i := 0; ; i++ {
+			child := p.Child(i)
+			if child == nil {
+				return
+			}
+			ApplyContext(*child, ctx)
+		}
 	}
 }

@@ -40,6 +40,10 @@ func (s *cancelSource) Next() (Row, bool, error) {
 	return Row{value.NewInt(s.produced)}, true, nil
 }
 
+func (s *cancelSource) NextBatch() (*Batch, bool, error) {
+	return nextBatchFromRows(s, DefaultBatchSize)
+}
+
 func (s *cancelSource) Close() error { return nil }
 
 // latencyBudget is how many rows past the cancel point a breaker may consume
@@ -49,10 +53,16 @@ const latencyBudget = 2 * DefaultBatchSize
 
 func checkCancelLatency(t *testing.T, name string, src *cancelSource, op Operator) {
 	t.Helper()
+	checkCancelLatencyPull(t, name, src, op, DrainBatches)
+}
+
+// checkCancelLatencyPull is checkCancelLatency through either drain.
+func checkCancelLatencyPull(t *testing.T, name string, src *cancelSource, op Operator, pull func(context.Context, Operator) ([]Row, error)) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	src.cancel = cancel
 	defer cancel()
-	_, err := DrainBatches(ctx, AsBatchOperator(op))
+	_, err := pull(ctx, op)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("%s: drain returned %v, want context.Canceled", name, err)
 	}
@@ -63,7 +73,7 @@ func checkCancelLatency(t *testing.T, name string, src *cancelSource, op Operato
 	// The same plan drained again without a context must not see the stale
 	// cancelled one (the plan-cache lease pattern): Open clears it.
 	src.cancel = nil
-	rows, err := DrainBatches(nil, AsBatchOperator(op))
+	rows, err := pull(nil, op)
 	if err != nil {
 		t.Fatalf("%s: re-drain after cancellation failed: %v", name, err)
 	}
@@ -96,6 +106,68 @@ func TestCancelMidJoinBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkCancelLatency(t, "VectorizedHashJoin", build, join)
+}
+
+// TestCancelMidNestedLoopBuildOfRowJoins pins that the row joins which
+// materialize their right side — NestedLoopJoin, the production fallback for
+// non-equi joins, and the oracle HashJoin — do so on the first pull, under
+// the pushed context, rather than uninterruptibly inside Open. Through both
+// pulls: the engine drains them by batches, the row oracle by rows.
+func TestCancelMidNestedLoopBuildOfRowJoins(t *testing.T) {
+	pulls := map[string]func(context.Context, Operator) ([]Row, error){"batch": DrainBatches, "row": Drain}
+	for pullName, pull := range pulls {
+		right := &cancelSource{after: 4 * DefaultBatchSize, limit: 200 * DefaultBatchSize}
+		nlj := NewNestedLoopJoin(&cancelSource{after: -1, limit: 1}, right, nil)
+		checkCancelLatencyPull(t, "NestedLoopJoin/"+pullName, right, nlj, pull)
+
+		right = &cancelSource{after: 4 * DefaultBatchSize, limit: 200 * DefaultBatchSize}
+		hj, err := NewHashJoin(&cancelSource{after: -1, limit: 8}, right, []int{0}, []int{0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkCancelLatencyPull(t, "HashJoin/"+pullName, right, hj, pull)
+	}
+}
+
+// foreignPassThrough is an operator none of this package's tree walks has
+// heard of. It describes itself — one child slot — and nothing more.
+type foreignPassThrough struct{ in Operator }
+
+func (p *foreignPassThrough) Schema() []ColumnInfo             { return p.in.Schema() }
+func (p *foreignPassThrough) Open() error                      { return p.in.Open() }
+func (p *foreignPassThrough) Next() (Row, bool, error)         { return p.in.Next() }
+func (p *foreignPassThrough) NextBatch() (*Batch, bool, error) { return p.in.NextBatch() }
+func (p *foreignPassThrough) Close() error                     { return p.in.Close() }
+func (p *foreignPassThrough) Child(i int) *Operator            { return slot(i, &p.in) }
+
+// TestForeignOperatorIsWalkedByCancelAndTrace: the walks reach through an
+// operator type defined outside the package's own set. A context cancelled
+// while a Sort under the foreign node materializes 100k rows stops the sort;
+// InstrumentPlan gives the foreign node a span of its own with the sort's
+// span as its child; and the per-execution context push allocates nothing.
+func TestForeignOperatorIsWalkedByCancelAndTrace(t *testing.T) {
+	src := &cancelSource{after: 4 * DefaultBatchSize, limit: 100_000}
+	plan := &foreignPassThrough{in: NewSort(src, []SortKey{{Col: 0, Desc: true}})}
+	checkCancelLatency(t, "foreign(Sort)", src, plan)
+
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() { ApplyContext(plan, ctx) }); allocs != 0 {
+		t.Errorf("ApplyContext allocates %.0f times per push, want 0", allocs)
+	}
+
+	src.cancel = nil
+	root, span := InstrumentPlan(plan)
+	rows, err := DrainBatches(nil, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if span.Name != "foreignPassThrough" || len(span.Children) != 1 || span.Children[0].Name != "Sort" ||
+		len(span.Children[0].Children) != 1 || span.Children[0].Children[0].Name != "cancelSource" {
+		t.Fatalf("span tree is not foreignPassThrough(Sort(cancelSource)):\n%s", span.Format())
+	}
+	if n := int64(len(rows)); n != src.limit || span.Rows != n || span.Children[0].Rows != n {
+		t.Errorf("drained %d rows of %d; spans report %d over %d", n, src.limit, span.Rows, span.Children[0].Rows)
+	}
 }
 
 // TestCancelRowDrain pins the row-protocol drain's per-batch-equivalent check.

@@ -14,8 +14,6 @@ import (
 type Filter struct {
 	Input Operator
 	Pred  expr.Expr
-
-	binput BatchOperator
 }
 
 // NewFilter wraps an operator with a predicate.
@@ -26,11 +24,17 @@ func NewFilter(input Operator, pred expr.Expr) *Filter {
 // Schema implements Operator.
 func (f *Filter) Schema() []ColumnInfo { return f.Input.Schema() }
 
+// Child implements Parent.
+func (f *Filter) Child(i int) *Operator { return slot(i, &f.Input) }
+
+// ReplanInputs implements Replanner.
+func (f *Filter) ReplanInputs() bool { return true }
+
+// CloneOver implements MorselCloner: a filter holds no state between rows.
+func (f *Filter) CloneOver(input Operator) Operator { return NewFilter(input, f.Pred) }
+
 // Open implements Operator.
-func (f *Filter) Open() error {
-	f.binput = AsBatchOperator(f.Input)
-	return f.Input.Open()
-}
+func (f *Filter) Open() error { return f.Input.Open() }
 
 // Next implements Operator.
 func (f *Filter) Next() (Row, bool, error) {
@@ -49,13 +53,10 @@ func (f *Filter) Next() (Row, bool, error) {
 	}
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (f *Filter) NextBatch() (*Batch, bool, error) {
-	if f.binput == nil {
-		return nil, false, errNotOpen("Filter")
-	}
 	for {
-		b, ok, err := f.binput.NextBatch()
+		b, ok, err := f.Input.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -83,7 +84,6 @@ type Project struct {
 	Names []string
 
 	schema []ColumnInfo
-	binput BatchOperator
 }
 
 // NewProject builds a projection; names label the output columns.
@@ -110,11 +110,17 @@ func NewProject(input Operator, exprs []expr.Expr, names []string) *Project {
 // Schema implements Operator.
 func (p *Project) Schema() []ColumnInfo { return p.schema }
 
+// Child implements Parent.
+func (p *Project) Child(i int) *Operator { return slot(i, &p.Input) }
+
+// ReplanInputs implements Replanner.
+func (p *Project) ReplanInputs() bool { return true }
+
+// CloneOver implements MorselCloner: a projection holds no state between rows.
+func (p *Project) CloneOver(input Operator) Operator { return NewProject(input, p.Exprs, p.Names) }
+
 // Open implements Operator.
-func (p *Project) Open() error {
-	p.binput = AsBatchOperator(p.Input)
-	return p.Input.Open()
-}
+func (p *Project) Open() error { return p.Input.Open() }
 
 // Next implements Operator.
 func (p *Project) Next() (Row, bool, error) {
@@ -133,12 +139,9 @@ func (p *Project) Next() (Row, bool, error) {
 	return out, true, nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (p *Project) NextBatch() (*Batch, bool, error) {
-	if p.binput == nil {
-		return nil, false, errNotOpen("Project")
-	}
-	b, ok, err := p.binput.NextBatch()
+	b, ok, err := p.Input.NextBatch()
 	if err != nil || !ok {
 		return nil, false, err
 	}
@@ -160,7 +163,6 @@ type Limit struct {
 
 	emitted int64
 	skipped int64
-	binput  BatchOperator
 }
 
 // NewLimit wraps an operator with LIMIT/OFFSET semantics. n < 0 means no limit.
@@ -171,10 +173,15 @@ func NewLimit(input Operator, n, offset int64) *Limit {
 // Schema implements Operator.
 func (l *Limit) Schema() []ColumnInfo { return l.Input.Schema() }
 
+// Child implements Parent.
+func (l *Limit) Child(i int) *Operator { return slot(i, &l.Input) }
+
+// ReplanInputs implements Replanner.
+func (l *Limit) ReplanInputs() bool { return true }
+
 // Open implements Operator.
 func (l *Limit) Open() error {
 	l.emitted, l.skipped = 0, 0
-	l.binput = AsBatchOperator(l.Input)
 	return l.Input.Open()
 }
 
@@ -197,16 +204,13 @@ func (l *Limit) Next() (Row, bool, error) {
 	}
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (l *Limit) NextBatch() (*Batch, bool, error) {
-	if l.binput == nil {
-		return nil, false, errNotOpen("Limit")
-	}
 	for {
 		if l.N >= 0 && l.emitted >= l.N {
 			return nil, false, nil
 		}
-		b, ok, err := l.binput.NextBatch()
+		b, ok, err := l.Input.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -259,7 +263,6 @@ type Sort struct {
 	rows   []Row
 	pos    int
 	sorted bool
-	binput BatchOperator
 	// ctx, when set by ApplyContext after Open, is checked inside the
 	// materialization drain so cancellation is observed mid-sort, not only
 	// after the whole input is consumed. Open clears it: a cache-leased plan
@@ -280,9 +283,25 @@ func (s *Sort) Open() error {
 	s.rows = nil
 	s.pos = 0
 	s.sorted = false
-	s.binput = AsBatchOperator(s.Input)
 	s.ctx = nil
 	return s.Input.Open()
+}
+
+// Child implements Parent.
+func (s *Sort) Child(i int) *Operator { return slot(i, &s.Input) }
+
+// ReplanInputs implements Replanner.
+func (s *Sort) ReplanInputs() bool { return true }
+
+// SetContext implements ContextTaker.
+func (s *Sort) SetContext(ctx context.Context) { s.ctx = ctx }
+
+// Drained implements Breaker.
+func (s *Sort) Drained() *Operator { return &s.Input }
+
+// ParallelForm implements Breaker: per-morsel sorted runs, K-way merged.
+func (s *Sort) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
+	return parallelForm(NewParallelSort(src, pipe, s.Keys, workers))
 }
 
 // materialize drains the input (batch-wise when the parent pulls batches) and
@@ -294,7 +313,7 @@ func (s *Sort) materialize(batchWise bool) error {
 			if err := ctxErr(s.ctx); err != nil {
 				return err
 			}
-			b, ok, err := s.binput.NextBatch()
+			b, ok, err := s.Input.NextBatch()
 			if err != nil {
 				return err
 			}
@@ -362,11 +381,8 @@ func (s *Sort) Next() (Row, bool, error) {
 	return row, true, nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (s *Sort) NextBatch() (*Batch, bool, error) {
-	if s.binput == nil {
-		return nil, false, errNotOpen("Sort")
-	}
 	if !s.sorted {
 		if err := s.materialize(true); err != nil {
 			return nil, false, err

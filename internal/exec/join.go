@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 
 	"oldelephant/internal/catalog"
@@ -10,12 +11,20 @@ import (
 
 // NestedLoopJoin joins two inputs by materializing the right side and, for
 // every left row, scanning the materialized rows and applying the join
-// predicate (which sees the concatenated left++right row).
+// predicate (which sees the concatenated left++right row). The
+// materialization is deferred to the first pull, so it runs under the
+// context ApplyContext pushed after Open.
+//
+// Like every row join it declares no Replanner: the row joins are the serial
+// reference, and an inner side may be re-opened per outer row, which a worker
+// pool must not be — so plan.Parallelize leaves their subtrees as planned.
 type NestedLoopJoin struct {
 	Left, Right Operator
 	Pred        expr.Expr
 
 	rightRows []Row
+	built     bool
+	ctx       context.Context // see Sort.ctx
 	leftRow   Row
 	leftOK    bool
 	rightPos  int
@@ -33,21 +42,27 @@ func (j *NestedLoopJoin) Schema() []ColumnInfo { return j.schema }
 
 // Open implements Operator.
 func (j *NestedLoopJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	rows, err := Drain(nil, j.Right)
-	if err != nil {
-		return err
-	}
-	j.rightRows = rows
+	j.rightRows, j.built, j.ctx = nil, false, nil
 	j.leftOK = false
 	j.rightPos = 0
-	return nil
+	return j.Left.Open()
 }
+
+// Child implements Parent.
+func (j *NestedLoopJoin) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
+
+// SetContext implements ContextTaker.
+func (j *NestedLoopJoin) SetContext(ctx context.Context) { j.ctx = ctx }
 
 // Next implements Operator.
 func (j *NestedLoopJoin) Next() (Row, bool, error) {
+	if !j.built {
+		rows, err := Drain(j.ctx, j.Right)
+		if err != nil {
+			return nil, false, err
+		}
+		j.rightRows, j.built = rows, true
+	}
 	for {
 		if !j.leftOK {
 			row, ok, err := j.Left.Next()
@@ -74,9 +89,14 @@ func (j *NestedLoopJoin) Next() (Row, bool, error) {
 	}
 }
 
+// NextBatch implements Operator.
+func (j *NestedLoopJoin) NextBatch() (*Batch, bool, error) {
+	return nextBatchFromRows(j, DefaultBatchSize)
+}
+
 // Close implements Operator.
 func (j *NestedLoopJoin) Close() error {
-	j.rightRows = nil
+	j.rightRows, j.built = nil, false
 	return j.Left.Close()
 }
 
@@ -95,6 +115,8 @@ type HashJoin struct {
 
 	fast     map[uint64][]Row
 	generic  map[string][]Row
+	built    bool
+	ctx      context.Context // see Sort.ctx
 	fastOK   bool
 	keyBuf   []byte
 	leftRow  Row
@@ -116,12 +138,24 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 // Schema implements Operator.
 func (j *HashJoin) Schema() []ColumnInfo { return j.schema }
 
-// Open implements Operator.
+// Open implements Operator. The build is deferred to the first pull, so it
+// runs under the context ApplyContext pushed after Open.
 func (j *HashJoin) Open() error {
-	if err := j.Left.Open(); err != nil {
-		return err
-	}
-	rows, err := Drain(nil, j.Right)
+	j.fast, j.generic, j.built, j.ctx = nil, nil, false, nil
+	j.matches = nil
+	j.matchPos = 0
+	return j.Left.Open()
+}
+
+// Child implements Parent.
+func (j *HashJoin) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
+
+// SetContext implements ContextTaker.
+func (j *HashJoin) SetContext(ctx context.Context) { j.ctx = ctx }
+
+// build drains the right side into the hash table.
+func (j *HashJoin) build() error {
+	rows, err := Drain(j.ctx, j.Right)
 	if err != nil {
 		return err
 	}
@@ -143,8 +177,7 @@ func (j *HashJoin) Open() error {
 		}
 		j.generic[string(j.keyBuf)] = append(j.generic[string(j.keyBuf)], r)
 	}
-	j.matches = nil
-	j.matchPos = 0
+	j.built = true
 	return nil
 }
 
@@ -177,6 +210,11 @@ func keysCompareEqual(left, right Row, leftKeys, rightKeys []int) bool {
 
 // Next implements Operator.
 func (j *HashJoin) Next() (Row, bool, error) {
+	if !j.built {
+		if err := j.build(); err != nil {
+			return nil, false, err
+		}
+	}
 	for {
 		for j.matchPos < len(j.matches) {
 			right := j.matches[j.matchPos]
@@ -203,9 +241,12 @@ func (j *HashJoin) Next() (Row, bool, error) {
 	}
 }
 
+// NextBatch implements Operator.
+func (j *HashJoin) NextBatch() (*Batch, bool, error) { return nextBatchFromRows(j, DefaultBatchSize) }
+
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.fast, j.generic = nil, nil
+	j.fast, j.generic, j.built = nil, nil, false
 	return j.Left.Close()
 }
 
@@ -259,6 +300,9 @@ func (j *MergeJoin) Open() error {
 	j.rightRow, j.rightOK, err = j.Right.Next()
 	return err
 }
+
+// Child implements Parent.
+func (j *MergeJoin) Child(i int) *Operator { return slot(i, &j.Left, &j.Right) }
 
 func keyOf(row Row, keys []int) Row {
 	out := make(Row, len(keys))
@@ -371,6 +415,9 @@ func (j *MergeJoin) Next() (Row, bool, error) {
 	}
 }
 
+// NextBatch implements Operator.
+func (j *MergeJoin) NextBatch() (*Batch, bool, error) { return nextBatchFromRows(j, DefaultBatchSize) }
+
 // Close implements Operator.
 func (j *MergeJoin) Close() error {
 	errL := j.Left.Close()
@@ -451,6 +498,10 @@ func (j *IndexNestedLoopJoin) Open() error {
 	j.innerOpen = false
 	return j.Outer.Open()
 }
+
+// Child implements Parent. The inner scan is not a child slot: it is part of
+// the join, re-bound and re-opened per outer row.
+func (j *IndexNestedLoopJoin) Child(i int) *Operator { return slot(i, &j.Outer) }
 
 // evalBounds computes a bound prefix from expressions over the outer row.
 func evalBounds(exprs []expr.Expr, outer Row) ([]value.Value, error) {
@@ -536,6 +587,11 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 			}
 		}
 	}
+}
+
+// NextBatch implements Operator.
+func (j *IndexNestedLoopJoin) NextBatch() (*Batch, bool, error) {
+	return nextBatchFromRows(j, DefaultBatchSize)
 }
 
 // Close implements Operator.

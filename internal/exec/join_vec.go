@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"oldelephant/internal/expr"
+	"oldelephant/internal/trace"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
 )
@@ -295,7 +296,7 @@ type joinBuildState struct {
 	keys []int
 
 	// Parallel-build configuration, set by plan.Parallelize through
-	// SetParallelBuild before execution starts.
+	// ParallelForm before execution starts.
 	src     Morseler
 	pipe    PipelineFunc
 	workers int
@@ -322,13 +323,6 @@ func (s *joinBuildState) reset() {
 	s.mu.Unlock()
 }
 
-// setContext applies a drain context to the build; see ApplyContext.
-func (s *joinBuildState) setContext(ctx context.Context) {
-	s.mu.Lock()
-	s.ctx = ctx
-	s.mu.Unlock()
-}
-
 func (s *joinBuildState) ensure(input Operator) (*joinTable, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -347,7 +341,7 @@ func (s *joinBuildState) buildTable(input Operator) (*joinTable, error) {
 		}
 	}
 	t := newJoinTable(ncols, s.keys)
-	err := drainMorsel(AsBatchOperator(input), func(b *Batch) error {
+	err := drainMorsel(input, func(b *Batch) error {
 		if err := ctxErr(s.ctx); err != nil {
 			return err
 		}
@@ -364,12 +358,12 @@ func (s *joinBuildState) buildTable(input Operator) (*joinTable, error) {
 // next build morsel, run their private clone of the build pipeline over it
 // and hash its rows into a private partition, and the partitions merge in
 // morsel order into one table.
-func (s *joinBuildState) buildParallel(parts []BatchOperator, ncols int) (*joinTable, error) {
+func (s *joinBuildState) buildParallel(parts []Operator, ncols int) (*joinTable, error) {
 	pipe := s.pipe
 	if pipe == nil {
 		pipe = identityPipeline
 	}
-	runner := newOrderedRunner(parts, s.workers, func(part BatchOperator) (any, error) {
+	runner := newOrderedRunner(parts, s.workers, func(part Operator) (any, error) {
 		pt := newJoinTable(ncols, s.keys)
 		if err := drainMorsel(pipe(part), func(b *Batch) error {
 			pt.consumeBatch(b)
@@ -405,10 +399,9 @@ func (s *joinBuildState) buildParallel(parts []BatchOperator, ncols int) (*joinT
 }
 
 // VectorizedHashJoin is the batch-native hash equi-join: Probe ++ Build rows
-// for every typed-key match, narrowed by an optional residual predicate. It
-// implements both Operator and BatchOperator; the planner uses it wherever
-// the row engine would use HashJoin (which remains the row-at-a-time test
-// oracle).
+// for every typed-key match, narrowed by an optional residual predicate. The
+// planner uses it wherever the row engine would use HashJoin (which remains
+// the row-at-a-time test oracle).
 type VectorizedHashJoin struct {
 	Probe     Operator
 	Build     Operator
@@ -421,7 +414,6 @@ type VectorizedHashJoin struct {
 	shared  *joinBuildState
 	isClone bool
 
-	bprobe     BatchOperator
 	cur        *Batch
 	pairsProbe []int32
 	pairsBuild []int32
@@ -447,25 +439,66 @@ func NewVectorizedHashJoin(probe, build Operator, leftKeys, rightKeys []int, res
 	}, nil
 }
 
-// CloneWithProbe returns a copy of the join over a different probe input that
-// shares the original's build state — the per-morsel clone plan.Parallelize
-// creates so a probe-side pipeline can parallelize through the join against
-// one shared hash table. The new probe must produce the original probe's
-// schema.
-func (j *VectorizedHashJoin) CloneWithProbe(probe Operator) *VectorizedHashJoin {
+// CloneOver implements MorselCloner: a copy of the join over a different probe
+// input that shares the original's build state — the per-morsel clone
+// plan.Parallelize creates so a probe-side pipeline can parallelize through
+// the join against one shared hash table. The new probe must produce the
+// original probe's schema.
+func (j *VectorizedHashJoin) CloneOver(probe Operator) Operator {
 	return &VectorizedHashJoin{
 		Probe: probe, Build: j.Build, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
 		schema: j.schema, nleft: j.nleft, shared: j.shared, isClone: true,
 	}
 }
 
-// SetParallelBuild configures a morsel-parallel build: src must be the
-// partitionable scan at the bottom of the join's build side and pipe the
-// pipeline between that scan and the join (nil for none). plan.Parallelize
-// calls this while rewriting; the build falls back to serial when src cannot
-// provide at least two morsels.
-func (j *VectorizedHashJoin) SetParallelBuild(src Morseler, pipe PipelineFunc, workers int) {
+// Child implements Parent: the probe side, then the build side — unless the
+// build is morsel-parallel. A parallel build re-partitions the build side's
+// scan instead of pulling Build, so there is no input to wrap or swap; like a
+// Parallel* operator's absorbed pipeline it reports through span attributes.
+func (j *VectorizedHashJoin) Child(i int) *Operator {
+	if j.shared.src != nil {
+		return slot(i, &j.Probe)
+	}
+	return slot(i, &j.Probe, &j.Build)
+}
+
+// ReplanInputs implements Replanner.
+func (j *VectorizedHashJoin) ReplanInputs() bool { return true }
+
+// SetContext implements ContextTaker. A parallel build's side is not a child
+// slot (see Child), but joins nested in it share their build state with the
+// per-morsel clones that run there, so the context is pushed on by hand.
+func (j *VectorizedHashJoin) SetContext(ctx context.Context) {
+	j.shared.mu.Lock()
+	j.shared.ctx = ctx
+	j.shared.mu.Unlock()
+	if j.shared.src != nil {
+		ApplyContext(j.Build, ctx)
+	}
+}
+
+// Drained implements Breaker: the build side.
+func (j *VectorizedHashJoin) Drained() *Operator { return &j.Build }
+
+// ParallelForm implements Breaker: the join itself, configured to hash src's
+// morsels into per-worker partitions through pipe (nil for none) — the scan
+// at the bottom of its build side and the pipeline between the two. The build
+// falls back to serial when src cannot provide at least two morsels.
+func (j *VectorizedHashJoin) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
 	j.shared.src, j.shared.pipe, j.shared.workers = src, pipe, workers
+	return j, true
+}
+
+// TraceAttrs implements SpanAnnotator.
+func (j *VectorizedHashJoin) TraceAttrs(sp *trace.Span) {
+	j.shared.mu.Lock()
+	if j.shared.table != nil {
+		sp.SetAttr("build_rows", int64(j.shared.table.numRows()))
+	}
+	j.shared.mu.Unlock()
+	if w := j.BuildParallelism(); w > 1 {
+		sp.SetAttr("build_workers", int64(w))
+	}
 }
 
 // BuildParallelism reports the configured build worker count (1 = serial).
@@ -476,28 +509,24 @@ func (j *VectorizedHashJoin) BuildParallelism() int {
 	return j.shared.workers
 }
 
-// Schema implements Operator and BatchOperator.
+// Schema implements Operator.
 func (j *VectorizedHashJoin) Schema() []ColumnInfo { return j.schema }
 
-// Open implements Operator and BatchOperator. The build itself is deferred to
+// Open implements Operator. The build itself is deferred to
 // the first pull, so an opened-but-never-pulled join does no work; clones
 // never reset the shared build (their Opens race during parallel execution).
 func (j *VectorizedHashJoin) Open() error {
 	if !j.isClone {
 		j.shared.reset()
 	}
-	j.bprobe = AsBatchOperator(j.Probe)
 	j.cur = nil
 	j.pairsProbe, j.pairsBuild, j.pairPos = j.pairsProbe[:0], j.pairsBuild[:0], 0
 	j.rows.reset()
 	return j.Probe.Open()
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (j *VectorizedHashJoin) NextBatch() (*Batch, bool, error) {
-	if j.bprobe == nil {
-		return nil, false, errNotOpen("VectorizedHashJoin")
-	}
 	table, err := j.shared.ensure(j.Build)
 	if err != nil {
 		return nil, false, err
@@ -513,7 +542,7 @@ func (j *VectorizedHashJoin) NextBatch() (*Batch, bool, error) {
 			}
 			continue // residual rejected the whole window
 		}
-		b, ok, err := j.bprobe.NextBatch()
+		b, ok, err := j.Probe.NextBatch()
 		if err != nil || !ok {
 			return nil, false, err
 		}
@@ -661,7 +690,7 @@ func (j *VectorizedHashJoin) Next() (Row, bool, error) {
 	return j.rows.next(j.NextBatch)
 }
 
-// Close implements Operator and BatchOperator. The build input is opened and
+// Close implements Operator. The build input is opened and
 // closed inside the build itself; Close releases the probe side and — for the
 // owning (non-clone) join — the built table, so a closed join does not pin
 // the build side's memory for the rest of the query. Clones never release it:
@@ -670,7 +699,6 @@ func (j *VectorizedHashJoin) Close() error {
 	if !j.isClone {
 		j.shared.reset()
 	}
-	j.bprobe = nil
 	j.cur = nil
 	j.pairsProbe, j.pairsBuild = nil, nil
 	return j.Probe.Close()

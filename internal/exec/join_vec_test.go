@@ -30,7 +30,7 @@ func formatJoinRows(rows []Row) string {
 // drainVec runs an operator through the batch protocol.
 func drainVec(t testing.TB, op Operator) []Row {
 	t.Helper()
-	rows, err := DrainBatches(nil, AsBatchOperator(op))
+	rows, err := DrainBatches(nil, op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestVectorizedHashJoinMultiKey(t *testing.T) {
 	}
 }
 
-// vecBatchSource is a BatchOperator emitting pre-built (possibly compressed)
+// vecBatchSource is an Operator emitting pre-built (possibly compressed)
 // batches, for probing the encoding-aware key paths directly.
 type vecBatchSource struct {
 	cols    []ColumnInfo
@@ -340,7 +340,7 @@ func TestVectorizedHashJoinParallelBuild(t *testing.T) {
 	}
 	for _, workers := range []int{2, 4, 8} {
 		parJoin, buildScan := mk()
-		parJoin.SetParallelBuild(buildScan, nil, workers)
+		parJoin.ParallelForm(buildScan, nil, workers)
 		if got := parJoin.BuildParallelism(); got != workers {
 			t.Fatalf("BuildParallelism() = %d, want %d", got, workers)
 		}
@@ -374,8 +374,8 @@ func TestVectorizedHashJoinClonesShareBuild(t *testing.T) {
 	}
 	var got []Row
 	for _, part := range parts {
-		clone := shared.CloneWithProbe(AsRowOperator(part))
-		rows, err := DrainBatches(nil, AsBatchOperator(clone))
+		clone := shared.CloneOver(part)
+		rows, err := DrainBatches(nil, clone)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,6 +21,8 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+
+	"oldelephant/internal/trace"
 )
 
 // DefaultMorselRows is the target number of rows per morsel: large enough to
@@ -28,11 +30,11 @@ import (
 // atomic cursor balances skewed pipelines across workers.
 const DefaultMorselRows = 8 * DefaultBatchSize
 
-// Morseler is a batch source that can split its row range into morsels.
-// TableScan and IndexSeek (leaf-page or heap-page runs of their range) and
+// Morseler is a source that can split its row range into morsels. TableScan
+// and IndexSeek (leaf-page or heap-page runs of their range) and
 // colstore.ProjectionScan (row windows) implement it.
 type Morseler interface {
-	BatchOperator
+	Operator
 	// NumScanRows reports the total row count available for partitioning —
 	// the planner's parallelization threshold input.
 	NumScanRows() int64
@@ -40,12 +42,12 @@ type Morseler interface {
 	// row ranges of roughly targetRows rows whose concatenation in slice
 	// order reproduces the source's row stream exactly. Each morsel operator
 	// owns its cursor state, so distinct morsels can be scanned concurrently.
-	// Morsel operators carry a stronger batch contract than BatchOperator's
+	// Morsel operators carry a stronger batch contract than Operator's
 	// minimum: every NextBatch must return freshly allocated (or immutable,
 	// never-recycled) columns, because the merge operators buffer a morsel's
 	// batches past subsequent NextBatch calls and hand them across goroutines.
 	// ok is false when the source cannot be split into at least two morsels.
-	Morsels(targetRows int) (parts []BatchOperator, ok bool)
+	Morsels(targetRows int) (parts []Operator, ok bool)
 }
 
 // PipelineFunc builds a fresh clone of the stateless operator pipeline
@@ -53,9 +55,53 @@ type Morseler interface {
 // called once per morsel, possibly from concurrent workers, so it must not
 // share mutable state between clones (shared expression trees are fine: they
 // are immutable and their kernels are pure).
-type PipelineFunc func(src BatchOperator) BatchOperator
+type PipelineFunc func(src Operator) Operator
 
-func identityPipeline(src BatchOperator) BatchOperator { return src }
+func identityPipeline(src Operator) Operator { return src }
+
+// The three declarations plan.Parallelize rewrites a tree by. An operator
+// that makes none of them is left exactly as planned, subtree included.
+
+// Replanner is declared by operators whose inputs may be replaced by
+// morsel-parallel forms: they open each input once per execution and pull it
+// from the one goroutine that pulls them.
+type Replanner interface {
+	Parent
+	ReplanInputs() bool
+}
+
+// MorselCloner is declared by operators that keep no state from one row of
+// their first input to the next (a join's shared, read-only build aside), so
+// a fresh instance can run over each morsel of it: they are the stack of a
+// per-worker pipeline.
+type MorselCloner interface {
+	Parent
+	// CloneOver returns a fresh instance reading input in place of Child(0).
+	// It is called once per morsel, possibly from concurrent workers.
+	CloneOver(input Operator) Operator
+}
+
+// Breaker is declared by operators that consume one input whole before they
+// emit and have a form that consumes it as per-morsel pipelines on a worker
+// pool.
+type Breaker interface {
+	// Drained returns the slot of the input consumed whole.
+	Drained() *Operator
+	// ParallelForm returns the operator that replaces this one when the
+	// drained input is pipe (nil for none) over the morsels of src: a
+	// Parallel* operator, or the receiver itself reconfigured. ok is false
+	// when src cannot provide at least two morsels.
+	ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool)
+}
+
+// parallelForm boxes a NewParallel* result for ParallelForm, keeping a failed
+// constructor's nil pointer out of the interface.
+func parallelForm[T Operator](par T, ok bool) (Operator, bool) {
+	if !ok {
+		return nil, false
+	}
+	return par, true
+}
 
 // runnerResult is one morsel's outcome in flight from a worker.
 type runnerResult struct {
@@ -69,9 +115,9 @@ type runnerResult struct {
 // idle — and yields each morsel's result in morsel order (reordering happens
 // at the consumer, so workers never wait for each other).
 type orderedRunner struct {
-	parts   []BatchOperator
+	parts   []Operator
 	workers int
-	fn      func(part BatchOperator) (any, error)
+	fn      func(part Operator) (any, error)
 
 	cursor  atomic.Int64
 	results chan runnerResult
@@ -83,7 +129,7 @@ type orderedRunner struct {
 	stopped bool
 }
 
-func newOrderedRunner(parts []BatchOperator, workers int, fn func(BatchOperator) (any, error)) *orderedRunner {
+func newOrderedRunner(parts []Operator, workers int, fn func(Operator) (any, error)) *orderedRunner {
 	if workers < 1 {
 		workers = 1
 	}
@@ -169,36 +215,10 @@ func (r *orderedRunner) stop() {
 	}
 }
 
-// batchRowCursor adapts a batch stream to the row protocol for the parallel
-// operators' Operator implementations.
-type batchRowCursor struct {
-	cur *Batch
-	pos int
-}
-
-func (c *batchRowCursor) reset() { c.cur, c.pos = nil, 0 }
-
-func (c *batchRowCursor) next(pull func() (*Batch, bool, error)) (Row, bool, error) {
-	for c.cur == nil || c.pos >= c.cur.NumRows() {
-		b, ok, err := pull()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		c.cur, c.pos = b, 0
-	}
-	row := c.cur.Row(c.pos)
-	c.pos++
-	return row, true, nil
-}
-
 // morselParts splits src into morsels when it is partitionable into at least
 // two; build defaults to the identity pipeline.
-func morselParts(src BatchOperator, build PipelineFunc) ([]BatchOperator, PipelineFunc, bool) {
-	m, ok := src.(Morseler)
-	if !ok {
-		return nil, nil, false
-	}
-	parts, ok := m.Morsels(DefaultMorselRows)
+func morselParts(src Morseler, build PipelineFunc) ([]Operator, PipelineFunc, bool) {
+	parts, ok := src.Morsels(DefaultMorselRows)
 	if !ok || len(parts) < 2 {
 		return nil, nil, false
 	}
@@ -211,7 +231,7 @@ func morselParts(src BatchOperator, build PipelineFunc) ([]BatchOperator, Pipeli
 // drainPipe opens a per-morsel pipeline, collects its batches and closes it.
 // Retaining whole batches leans on the Morseler contract above: morsel
 // pipelines never recycle batch buffers.
-func drainPipe(pipe BatchOperator) ([]*Batch, error) {
+func drainPipe(pipe Operator) ([]*Batch, error) {
 	var out []*Batch
 	err := drainMorsel(pipe, func(b *Batch) error {
 		out = append(out, b)
@@ -231,7 +251,7 @@ func drainPipe(pipe BatchOperator) ([]*Batch, error) {
 type ParallelMerge struct {
 	build   PipelineFunc
 	workers int
-	parts   []BatchOperator
+	parts   []Operator
 	schema  []ColumnInfo
 
 	runner *orderedRunner
@@ -243,14 +263,14 @@ type ParallelMerge struct {
 // NewParallelScan builds a parallel source over a partitionable scan with an
 // identity pipeline: the scan itself runs on the workers, batches come back
 // in morsel order.
-func NewParallelScan(src BatchOperator, workers int) (*ParallelMerge, bool) {
+func NewParallelScan(src Morseler, workers int) (*ParallelMerge, bool) {
 	return NewParallelMerge(src, nil, workers)
 }
 
 // NewParallelMerge builds a parallel pipeline over a partitionable source.
 // ok is false when src cannot provide at least two morsels; build nil means
 // the identity pipeline.
-func NewParallelMerge(src BatchOperator, build PipelineFunc, workers int) (*ParallelMerge, bool) {
+func NewParallelMerge(src Morseler, build PipelineFunc, workers int) (*ParallelMerge, bool) {
 	parts, build, ok := morselParts(src, build)
 	if !ok {
 		return nil, false
@@ -263,15 +283,26 @@ func NewParallelMerge(src BatchOperator, build PipelineFunc, workers int) (*Para
 	}, true
 }
 
-// Schema implements Operator and BatchOperator.
+// Schema implements Operator.
 func (m *ParallelMerge) Schema() []ColumnInfo { return m.schema }
 
-// Open implements Operator and BatchOperator.
+// TraceAttrs implements SpanAnnotator.
+func (m *ParallelMerge) TraceAttrs(sp *trace.Span) { poolAttrs(sp, m.workers, len(m.parts)) }
+
+// poolAttrs reports a parallel operator's static structure. Its per-morsel
+// pipelines run on worker goroutines, which must not share a span, so it is a
+// leaf of the span tree and this is all the trace says of its inside.
+func poolAttrs(sp *trace.Span, workers, morsels int) {
+	sp.SetAttr("workers", int64(min(workers, morsels)))
+	sp.SetAttr("morsels", int64(morsels))
+}
+
+// Open implements Operator.
 func (m *ParallelMerge) Open() error {
 	if m.runner != nil {
 		m.runner.stop()
 	}
-	m.runner = newOrderedRunner(m.parts, m.workers, func(part BatchOperator) (any, error) {
+	m.runner = newOrderedRunner(m.parts, m.workers, func(part Operator) (any, error) {
 		batches, err := drainPipe(m.build(part))
 		if err != nil {
 			return nil, err
@@ -283,7 +314,7 @@ func (m *ParallelMerge) Open() error {
 	return nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (m *ParallelMerge) NextBatch() (*Batch, bool, error) {
 	if m.runner == nil {
 		return nil, false, errNotOpen("ParallelMerge")
@@ -307,7 +338,7 @@ func (m *ParallelMerge) Next() (Row, bool, error) {
 	return m.rows.next(m.NextBatch)
 }
 
-// Close implements Operator and BatchOperator.
+// Close implements Operator.
 func (m *ParallelMerge) Close() error {
 	if m.runner != nil {
 		m.runner.stop()
@@ -326,11 +357,11 @@ func (m *ParallelMerge) Close() error {
 type parallelBreaker struct {
 	name    string
 	workers int
-	parts   []BatchOperator
+	parts   []Operator
 	schema  []ColumnInfo
 	// morsel drains one per-morsel pipeline into the breaker's partial form;
 	// it runs on the worker goroutines.
-	morsel func(part BatchOperator) (any, error)
+	morsel func(part Operator) (any, error)
 	// merge folds the morsel partials — delivered in morsel order by next —
 	// into the final result rows; it runs on the consumer.
 	merge func(next func() (any, bool, error)) ([]Row, error)
@@ -346,10 +377,16 @@ type parallelBreaker struct {
 	ctx context.Context
 }
 
-// Schema implements Operator and BatchOperator.
+// Schema implements Operator.
 func (b *parallelBreaker) Schema() []ColumnInfo { return b.schema }
 
-// Open implements Operator and BatchOperator.
+// SetContext implements ContextTaker.
+func (b *parallelBreaker) SetContext(ctx context.Context) { b.ctx = ctx }
+
+// TraceAttrs implements SpanAnnotator.
+func (b *parallelBreaker) TraceAttrs(sp *trace.Span) { poolAttrs(sp, b.workers, len(b.parts)) }
+
+// Open implements Operator.
 func (b *parallelBreaker) Open() error {
 	if b.runner != nil {
 		b.runner.stop()
@@ -361,7 +398,7 @@ func (b *parallelBreaker) Open() error {
 	return nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (b *parallelBreaker) NextBatch() (*Batch, bool, error) {
 	if b.runner == nil {
 		return nil, false, errNotOpen(b.name)
@@ -394,7 +431,7 @@ func (b *parallelBreaker) Next() (Row, bool, error) {
 	return b.rows.next(b.NextBatch)
 }
 
-// Close implements Operator and BatchOperator.
+// Close implements Operator.
 func (b *parallelBreaker) Close() error {
 	if b.runner != nil {
 		b.runner.stop()
@@ -406,7 +443,7 @@ func (b *parallelBreaker) Close() error {
 
 // drainMorsel opens a per-morsel pipeline, feeds every batch to consume and
 // closes it — the worker-side loop shared by the aggregate breakers.
-func drainMorsel(pipe BatchOperator, consume func(*Batch) error) error {
+func drainMorsel(pipe Operator, consume func(*Batch) error) error {
 	if err := pipe.Open(); err != nil {
 		return err
 	}
@@ -438,7 +475,7 @@ type ParallelHashAggregate struct {
 // partitionable source; build clones the pipeline between the scan and the
 // aggregate (nil = aggregate the scan directly). ok is false when src cannot
 // provide at least two morsels.
-func NewParallelHashAggregate(src BatchOperator, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelHashAggregate, bool) {
+func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelHashAggregate, bool) {
 	parts, build, ok := morselParts(src, build)
 	if !ok {
 		return nil, false
@@ -448,7 +485,7 @@ func NewParallelHashAggregate(src BatchOperator, build PipelineFunc, groupBy []i
 		workers: workers,
 		parts:   parts,
 		schema:  aggSchemaFromCols(build(parts[0]).Schema(), groupBy, aggs),
-		morsel: func(part BatchOperator) (any, error) {
+		morsel: func(part Operator) (any, error) {
 			hb := newHashAggBuilder(groupBy, aggs)
 			if err := drainMorsel(build(part), hb.consumeBatch); err != nil {
 				return nil, err
@@ -492,7 +529,7 @@ type ParallelStreamAggregate struct {
 // partitionable source whose rows arrive grouped on the group-by columns
 // (the same precondition as StreamAggregate). ok is false when src cannot
 // provide at least two morsels.
-func NewParallelStreamAggregate(src BatchOperator, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelStreamAggregate, bool) {
+func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelStreamAggregate, bool) {
 	parts, build, ok := morselParts(src, build)
 	if !ok {
 		return nil, false
@@ -502,7 +539,7 @@ func NewParallelStreamAggregate(src BatchOperator, build PipelineFunc, groupBy [
 		workers: workers,
 		parts:   parts,
 		schema:  aggSchemaFromCols(build(parts[0]).Schema(), groupBy, aggs),
-		morsel: func(part BatchOperator) (any, error) {
+		morsel: func(part Operator) (any, error) {
 			run := newStreamAggRun(groupBy, aggs)
 			if err := drainMorsel(build(part), run.consumeBatch); err != nil {
 				return nil, err
@@ -538,7 +575,7 @@ type ParallelSort struct {
 // NewParallelSort builds a parallel sort over a partitionable source; build
 // clones the pipeline between the scan and the sort. ok is false when src
 // cannot provide at least two morsels.
-func NewParallelSort(src BatchOperator, build PipelineFunc, keys []SortKey, workers int) (*ParallelSort, bool) {
+func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers int) (*ParallelSort, bool) {
 	parts, build, ok := morselParts(src, build)
 	if !ok {
 		return nil, false
@@ -548,7 +585,7 @@ func NewParallelSort(src BatchOperator, build PipelineFunc, keys []SortKey, work
 		workers: workers,
 		parts:   parts,
 		schema:  build(parts[0]).Schema(),
-		morsel: func(part BatchOperator) (any, error) {
+		morsel: func(part Operator) (any, error) {
 			var rows []Row
 			err := drainMorsel(build(part), func(b *Batch) error {
 				rows = b.AppendRows(rows)

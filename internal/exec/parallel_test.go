@@ -21,12 +21,12 @@ type valuesMorseler struct {
 
 func (v *valuesMorseler) NumScanRows() int64 { return int64(len(v.Rows)) }
 
-func (v *valuesMorseler) Morsels(target int) ([]BatchOperator, bool) {
+func (v *valuesMorseler) Morsels(target int) ([]Operator, bool) {
 	size := v.chunk
 	if size <= 0 {
 		size = target
 	}
-	var out []BatchOperator
+	var out []Operator
 	n := 0
 	for i := 0; i < len(v.Rows); i += size {
 		j := i + size
@@ -207,8 +207,8 @@ func TestParallelHashAggregateGlobalEmpty(t *testing.T) {
 	rows := testRows(4000, 10)
 	aggs := allAggSpecs()
 	never := expr.NewBinary(expr.OpLt, expr.NewColumn(1, "n"), expr.NewConst(value.NewInt(-1)))
-	build := func(src BatchOperator) BatchOperator {
-		return AsBatchOperator(NewFilter(AsRowOperator(src), never))
+	build := func(src Operator) Operator {
+		return NewFilter(src, never)
 	}
 	serial := NewHashAggregate(NewFilter(NewValuesScan(testSchema(), rows), never), nil, aggs)
 	want, err := DrainBatches(nil, serial)
@@ -279,8 +279,8 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(src BatchOperator) BatchOperator {
-		return NewProject(NewFilter(AsRowOperator(src), pred), exprs, names)
+	build := func(src Operator) Operator {
+		return NewProject(NewFilter(src, pred), exprs, names)
 	}
 	src := &valuesMorseler{ValuesScan: NewValuesScan(testSchema(), rows), chunk: 433}
 	par, ok := NewParallelMerge(src, build, 4)

@@ -128,6 +128,14 @@ func NewClusteredSeek(t *catalog.Table, lo, hi []value.Value, loIncl, hiIncl boo
 // Bounded reports whether the scan is a clustered seek rather than a full scan.
 func (s *TableScan) Bounded() bool { return s.Lo != nil || s.Hi != nil }
 
+// TraceName names the span after the access path EXPLAIN shows.
+func (s *TableScan) TraceName() string {
+	if s.Bounded() {
+		return fmt.Sprintf("ClusteredSeek(%s)", s.Table.Name)
+	}
+	return fmt.Sprintf("SeqScan(%s)", s.Table.Name)
+}
+
 // Rebind replaces the seek bounds for the next Open (index nested loops
 // re-bind one inner scan per outer row).
 func (s *TableScan) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
@@ -164,7 +172,7 @@ func (s *TableScan) Next() (Row, bool, error) {
 	return projectRow(row, s.Cols), true, nil
 }
 
-// NextBatch implements BatchOperator.
+// NextBatch implements Operator.
 func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	if s.cur == nil {
 		return nil, false, errNotOpen("TableScan")
@@ -209,7 +217,7 @@ func (s *TableScan) NumScanRows() int64 {
 // runs of roughly targetRows rows, every morsel this same operator over one
 // run. Morsel batches cross goroutines through the parallel pipe, which
 // retains them past the next fill, so a split's filler never recycles.
-func (s *TableScan) Morsels(targetRows int) ([]BatchOperator, bool) {
+func (s *TableScan) Morsels(targetRows int) ([]Operator, bool) {
 	rng := s.wholeRange()
 	if rng == nil {
 		return nil, false
@@ -218,7 +226,7 @@ func (s *TableScan) Morsels(targetRows int) ([]BatchOperator, bool) {
 	if len(parts) < 2 {
 		return nil, false
 	}
-	out := make([]BatchOperator, len(parts))
+	out := make([]Operator, len(parts))
 	for i := range parts {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil
@@ -282,6 +290,11 @@ func NewIndexSeek(ix *catalog.Index, lo, hi []value.Value, loIncl, hiIncl bool, 
 // Covered reports whether the seek is answered from the index alone.
 func (s *IndexSeek) Covered() bool { return s.covered }
 
+// TraceName names the span after the access path EXPLAIN shows.
+func (s *IndexSeek) TraceName() string {
+	return fmt.Sprintf("IndexSeek(%s.%s)", s.Index.Table.Name, s.Index.Name)
+}
+
 // Rebind replaces the seek bounds for the next Open (see TableScan.Rebind).
 func (s *IndexSeek) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
 
@@ -327,45 +340,25 @@ func (s *IndexSeek) Next() (Row, bool, error) {
 	return projectRow(base, s.Cols), true, nil
 }
 
-// NextBatch implements BatchOperator. Covered seeks decode projected columns
+// NextBatch implements Operator. Covered seeks decode projected columns
 // straight from entry payload spans; uncovered ones transpose the row path's
 // base-row lookups into a fresh batch.
 func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
 	if s.cur == nil {
 		return nil, false, errNotOpen("IndexSeek")
 	}
-	var b *Batch
-	var err error
-	if s.covered {
-		b, err = s.fill.fill(s.cur, s.EncodeCols)
-	} else {
-		b, err = s.lookupBatch()
+	if !s.covered {
+		b, ok, err := nextBatchFromRows(s, initialBatchCap)
+		if ok {
+			compressBatchCols(b, s.EncodeCols)
+		}
+		return b, ok, err
 	}
+	b, err := s.fill.fill(s.cur, s.EncodeCols)
 	if err != nil || b == nil {
 		return nil, false, err
 	}
 	return b, true, nil
-}
-
-// lookupBatch pulls up to DefaultBatchSize resolved base rows into a fresh
-// batch; a nil batch means the cursor is exhausted.
-func (s *IndexSeek) lookupBatch() (*Batch, error) {
-	b := NewBatch(len(s.Cols), initialBatchCap)
-	for b.physRows() < DefaultBatchSize {
-		row, ok, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		b.AppendRow(row)
-	}
-	if b.physRows() == 0 {
-		return nil, nil
-	}
-	compressBatchCols(b, s.EncodeCols)
-	return b, nil
 }
 
 // Close implements Operator.
@@ -391,12 +384,12 @@ func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
 // (covered seeks never touch the base table; uncovered ones do their
 // clustered lookups through the shared, read-only tree), so selective
 // secondary-index range scans parallelize too.
-func (s *IndexSeek) Morsels(targetRows int) ([]BatchOperator, bool) {
+func (s *IndexSeek) Morsels(targetRows int) ([]Operator, bool) {
 	parts := s.wholeRange().Split(int64(targetRows))
 	if len(parts) < 2 {
 		return nil, false
 	}
-	out := make([]BatchOperator, len(parts))
+	out := make([]Operator, len(parts))
 	for i := range parts {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil

@@ -197,6 +197,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 
 	type candidate struct {
 		op       exec.Operator
+		encode   *[]int // the access path's EncodeCols
 		cost     float64
 		ordering []int // table ordinals of the sort prefix
 		desc     string
@@ -214,8 +215,10 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	if t.IsClustered() {
 		scanOrdering = t.Clustered.KeyColumns
 	}
+	scan := exec.NewSeqScan(t, needed)
 	consider(candidate{
-		op:       exec.NewSeqScan(t, needed),
+		op:       scan,
+		encode:   &scan.EncodeCols,
 		cost:     dataPages,
 		ordering: scanOrdering,
 		desc:     fmt.Sprintf("SeqScan(%s)", t.Name),
@@ -231,6 +234,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 			if err == nil {
 				consider(candidate{
 					op:       seek,
+					encode:   &seek.EncodeCols,
 					cost:     dataPages*sel + 3, // + root-to-leaf descent
 					ordering: t.Clustered.KeyColumns,
 					desc: fmt.Sprintf("ClusteredSeek(%s on %s)",
@@ -264,7 +268,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 			cost = idxPages*sel + rowCount*sel*2 + 3
 			desc = fmt.Sprintf("IndexSeek(%s.%s + lookup)", t.Name, idx.Name)
 		}
-		consider(candidate{op: seek, cost: cost, ordering: idx.KeyColumns, desc: desc})
+		consider(candidate{op: seek, encode: &seek.EncodeCols, cost: cost, ordering: idx.KeyColumns, desc: desc})
 	}
 
 	src := &plannedSource{
@@ -299,12 +303,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	// what lets c-table and materialized-view plans run on Const/RLE vectors:
 	// their clustered keys are exactly the paper's run structure.
 	if !p.DisableCompressed && len(src.ordering) > 0 {
-		switch op := best.op.(type) {
-		case *exec.TableScan:
-			op.EncodeCols = src.ordering
-		case *exec.IndexSeek:
-			op.EncodeCols = src.ordering
-		}
+		*best.encode = src.ordering
 	}
 	// Re-apply the pushed predicates as a residual filter: seeks only consume
 	// the leading-column range, and re-checking a consumed range is harmless.

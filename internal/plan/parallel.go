@@ -11,18 +11,22 @@ const ParallelRowThreshold = 8192
 
 // Parallelize rewrites a compiled operator tree for morsel-driven execution
 // with the given number of workers. It finds pipelines — a partitionable
-// scan under a stack of stateless Filter/Project operators and vectorized
-// hash joins, closed by a pipeline breaker (aggregate, sort) or by the plan
-// root — and replaces each with its parallel form: per-worker pipeline clones
-// over morsels, merged by ParallelMerge (row streams, morsel order),
-// partial-aggregate combining (Hash/StreamAggregate), or an ordered K-way
-// merge (Sort). A vectorized hash join is no longer a breaker: the probe-side
-// pipeline parallelizes through it (per-morsel clones share one built hash
-// table), and its build side is configured to hash morsel-parallel into
-// per-worker partitions merged in morsel order. The row-at-a-time joins
-// (NestedLoop, Merge, IndexNestedLoop, and the oracle HashJoin) and their
-// subtrees stay serial: their inputs may be re-opened per outer row, which a
-// worker pool must not be.
+// scan (exec.Morseler) under a stack of operators that can be re-instantiated
+// per morsel (exec.MorselCloner: the stateless Filter/Project and vectorized
+// hash joins), closed by a pipeline breaker (exec.Breaker: aggregate, sort)
+// or by the plan root — and replaces each with its parallel form: per-worker
+// pipeline clones over morsels, merged by ParallelMerge (row streams, morsel
+// order), partial-aggregate combining (Hash/StreamAggregate), or an ordered
+// K-way merge (Sort). A vectorized hash join is both: as a cloner its
+// probe-side pipeline parallelizes through it (per-morsel clones share one
+// built hash table), and as a breaker its build side hashes morsel-parallel
+// into per-worker partitions merged in morsel order.
+//
+// The walk knows no operator by name. It descends only through operators that
+// declare their inputs re-plannable (exec.Replanner); under any other — the
+// row-at-a-time joins (NestedLoop, Merge, IndexNestedLoop and the oracle
+// HashJoin), whose inputs may be re-opened per outer row, which a worker pool
+// must not be — the subtree stays as planned.
 //
 // The rewrite preserves results exactly — merges re-establish serial order,
 // so a parallel plan is distinguishable from its serial form only by float
@@ -34,180 +38,104 @@ func Parallelize(root exec.Operator, workers int) (out exec.Operator, rewrote bo
 	if workers <= 1 {
 		return root, false
 	}
-	builds := configureJoinBuilds(root, workers)
-	out, rewrote = parallelizeOp(root, workers)
-	return out, rewrote || builds
+	p := &parallelizer{workers: workers}
+	return p.rewrite(root), p.rewrote
 }
 
-func parallelizeOp(op exec.Operator, workers int) (exec.Operator, bool) {
-	switch t := op.(type) {
-	case *exec.Filter:
-		if par, ok := tryParallelPipeline(t, workers); ok {
-			return par, true
+// parallelizer carries one rewrite: the worker count, and whether anything
+// went parallel.
+type parallelizer struct {
+	workers int
+	rewrote bool
+}
+
+// rewrite returns the parallel form of the subtree rooted at op, or op with
+// its re-plannable inputs rewritten in place.
+func (p *parallelizer) rewrite(op exec.Operator) exec.Operator {
+	r, ok := op.(exec.Replanner)
+	if !ok || !r.ReplanInputs() {
+		return op
+	}
+	// op heads a pipeline with no breaker above it (it sits under a Limit,
+	// another join's build, the root): merge the morsels' row streams.
+	if src, pipe, ok := p.pipeline(op); ok {
+		if par, ok := exec.NewParallelMerge(src, pipe, p.workers); ok {
+			p.rewrote = true
+			return par
 		}
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.Project:
-		if par, ok := tryParallelPipeline(t, workers); ok {
-			return par, true
+	}
+	if b, ok := op.(exec.Breaker); ok {
+		if par, ok := p.parallelForm(b); ok && par != op {
+			return par
 		}
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.Limit:
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.Sort:
-		if stack, src, ok := pipelineChain(t.Input); ok {
-			if par, ok := exec.NewParallelSort(src, pipelineBuilder(stack), t.Keys, workers); ok {
-				return par, true
-			}
+	}
+	// A drained input that went parallel inside its breaker (a join's build)
+	// is no longer among the children; any other is rewritten on its own.
+	for i := 0; ; i++ {
+		child := r.Child(i)
+		if child == nil {
+			return op
 		}
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.HashAggregate:
-		if stack, src, ok := pipelineChain(t.Input); ok {
-			if par, ok := exec.NewParallelHashAggregate(src, pipelineBuilder(stack), t.GroupBy, t.Aggs, workers); ok {
-				return par, true
-			}
-		}
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.StreamAggregate:
-		if stack, src, ok := pipelineChain(t.Input); ok {
-			if par, ok := exec.NewParallelStreamAggregate(src, pipelineBuilder(stack), t.GroupBy, t.Aggs, workers); ok {
-				return par, true
-			}
-		}
-		return op, rewriteInput(&t.Input, workers)
-	case *exec.VectorizedHashJoin:
-		// A join directly under a non-pipeline parent (Limit, another join's
-		// build, the root): its own probe pipeline may still parallelize.
-		if par, ok := tryParallelPipeline(t, workers); ok {
-			return par, true
-		}
-		return op, rewriteInput(&t.Probe, workers)
-	default:
-		// Row joins, scans, values, subquery bridges: leave the subtree serial.
-		return op, false
+		*child = p.rewrite(*child)
 	}
 }
 
-// containerInput returns the single input of a pass-through container
-// operator (Filter/Project/Limit/Sort/aggregates). Tree walks that only need
-// to descend — not rewrite per type — share it, so adding a container
-// operator means touching one place, not every walk.
-func containerInput(op exec.Operator) (exec.Operator, bool) {
-	switch t := op.(type) {
-	case *exec.Filter:
-		return t.Input, true
-	case *exec.Project:
-		return t.Input, true
-	case *exec.Limit:
-		return t.Input, true
-	case *exec.Sort:
-		return t.Input, true
-	case *exec.HashAggregate:
-		return t.Input, true
-	case *exec.StreamAggregate:
-		return t.Input, true
-	default:
-		return nil, false
-	}
-}
-
-// configureJoinBuilds walks the tree before the pipeline rewrite and asks
-// every vectorized hash join to build its hash table morsel-parallel when its
-// build side decomposes into a pipeline over a partitionable scan. It runs on
-// the original operators, so joins later absorbed into probe-side morsel
-// pipelines (whose clones share the original's build state) are configured
-// too. It reports whether any build was parallelized.
-func configureJoinBuilds(op exec.Operator, workers int) bool {
-	if in, ok := containerInput(op); ok {
-		return configureJoinBuilds(in, workers)
-	}
-	t, ok := op.(*exec.VectorizedHashJoin)
-	if !ok {
-		return false
-	}
-	found := configureJoinBuilds(t.Probe, workers)
-	// Recurse first so joins nested inside the build side configure their
-	// own builds, then decompose this join's build pipeline into per-worker
-	// partition hashing. A build side that is not a plain pipeline (an
-	// aggregate, a derived table) falls back to the general rewrite, so its
-	// own scan still parallelizes and the join drains the rewritten operator
-	// (ensure reads the Build field at execution time).
-	found = configureJoinBuilds(t.Build, workers) || found
-	if stack, src, ok := pipelineChain(t.Build); ok {
-		t.SetParallelBuild(src, pipelineBuilder(stack), workers)
-		found = true
-	} else if rewriteInput(&t.Build, workers) {
-		found = true
-	}
-	return found
-}
-
-// rewriteInput parallelizes a container operator's input in place.
-func rewriteInput(input *exec.Operator, workers int) bool {
-	out, rewrote := parallelizeOp(*input, workers)
-	*input = out
-	return rewrote
-}
-
-// tryParallelPipeline replaces a bare Filter/Project stack over a
-// partitionable scan (no breaker in between) with a ParallelMerge.
-func tryParallelPipeline(top exec.Operator, workers int) (exec.Operator, bool) {
-	stack, src, ok := pipelineChain(top)
+// parallelForm asks a breaker whose drained input is a pipeline for its
+// parallel form: a replacement operator, or b itself reconfigured.
+func (p *parallelizer) parallelForm(b exec.Breaker) (exec.Operator, bool) {
+	src, pipe, ok := p.pipeline(*b.Drained())
 	if !ok {
 		return nil, false
 	}
-	return exec.NewParallelMerge(src, pipelineBuilder(stack), workers)
+	par, ok := b.ParallelForm(src, pipe, p.workers)
+	p.rewrote = p.rewrote || ok
+	return par, ok
 }
 
-// pipelineChain decomposes op into the stack of per-morsel-cloneable
-// operators (outermost first) sitting on a partitionable source big enough to
-// bother parallelizing: stateless Filter/Project operators plus vectorized
-// hash joins, whose clones probe one shared build table so the chain descends
-// through their probe side. ok is false when the chain bottoms out anywhere
-// else (a row join, an aggregate, a non-partitionable scan) or below the
-// cardinality threshold.
-func pipelineChain(op exec.Operator) (stack []exec.Operator, src exec.Morseler, ok bool) {
+// pipeline decomposes op into the stack of per-morsel-cloneable operators
+// sitting on a partitionable source big enough to bother parallelizing, and
+// returns the source with the function that re-instantiates the stack over a
+// morsel (nil for a bare source). The chain descends through each cloner's
+// first input — a join's probe side, whose clones probe one shared build
+// table. ok is false when it bottoms out anywhere else (a row join, an
+// aggregate, a non-partitionable scan) or below the cardinality threshold.
+//
+// A breaker absorbed into the stack (a join) is about to disappear from the
+// tree into the per-morsel clones that share its build state, so its own
+// drained input is parallelized here, before the clones exist: as its parallel
+// form when that input is a pipeline too, as a rewritten subtree otherwise (a
+// derived table with its own aggregate).
+func (p *parallelizer) pipeline(op exec.Operator) (src exec.Morseler, pipe exec.PipelineFunc, ok bool) {
+	var stack []exec.MorselCloner
 	for {
-		switch t := op.(type) {
-		case *exec.Filter:
-			stack = append(stack, t)
-			op = t.Input
-		case *exec.Project:
-			stack = append(stack, t)
-			op = t.Input
-		case *exec.VectorizedHashJoin:
-			stack = append(stack, t)
-			op = t.Probe
-		default:
-			m, isMorseler := op.(exec.Morseler)
-			if !isMorseler || m.NumScanRows() < ParallelRowThreshold {
-				return nil, nil, false
-			}
-			return stack, m, true
+		c, isCloner := op.(exec.MorselCloner)
+		if !isCloner {
+			break
 		}
+		stack = append(stack, c)
+		op = *c.Child(0)
 	}
-}
-
-// pipelineBuilder returns the PipelineFunc that re-instantiates the stateless
-// stack over a morsel. Clones share the (immutable) expression trees but own
-// all iteration state.
-func pipelineBuilder(stack []exec.Operator) exec.PipelineFunc {
+	src, ok = op.(exec.Morseler)
+	if !ok || src.NumScanRows() < ParallelRowThreshold {
+		return nil, nil, false
+	}
 	if len(stack) == 0 {
-		return nil
+		return src, nil, true
 	}
-	return func(src exec.BatchOperator) exec.BatchOperator {
-		op := exec.AsRowOperator(src)
-		for i := len(stack) - 1; i >= 0; i-- {
-			switch t := stack[i].(type) {
-			case *exec.Filter:
-				op = exec.NewFilter(op, t.Pred)
-			case *exec.Project:
-				op = exec.NewProject(op, t.Exprs, t.Names)
-			case *exec.VectorizedHashJoin:
-				// Per-morsel clone over this morsel's probe pipeline; the hash
-				// table is built once and shared across all clones.
-				op = t.CloneWithProbe(op)
+	for _, c := range stack {
+		if b, isBreaker := c.(exec.Breaker); isBreaker {
+			if _, ok := p.parallelForm(b); !ok {
+				drained := b.Drained()
+				*drained = p.rewrite(*drained)
 			}
 		}
-		return exec.AsBatchOperator(op)
 	}
+	// Clones share the (immutable) expression trees but own all iteration
+	// state.
+	return src, func(morsel exec.Operator) exec.Operator {
+		for i := len(stack) - 1; i >= 0; i-- {
+			morsel = stack[i].CloneOver(morsel)
+		}
+		return morsel
+	}, true
 }

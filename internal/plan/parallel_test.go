@@ -191,6 +191,27 @@ func TestParallelizeThroughJoins(t *testing.T) {
 	}
 }
 
+// containerInput returns the single input of a pass-through container
+// operator (Filter/Project/Limit/Sort/aggregates), for the test walks below.
+func containerInput(op exec.Operator) (exec.Operator, bool) {
+	switch t := op.(type) {
+	case *exec.Filter:
+		return t.Input, true
+	case *exec.Project:
+		return t.Input, true
+	case *exec.Limit:
+		return t.Input, true
+	case *exec.Sort:
+		return t.Input, true
+	case *exec.HashAggregate:
+		return t.Input, true
+	case *exec.StreamAggregate:
+		return t.Input, true
+	default:
+		return nil, false
+	}
+}
+
 // findVectorizedJoin returns the first vectorized hash join in the tree.
 func findVectorizedJoin(op exec.Operator) *exec.VectorizedHashJoin {
 	if j, ok := op.(*exec.VectorizedHashJoin); ok {
@@ -293,4 +314,59 @@ func findOperatorType(op exec.Operator, want string) bool {
 		return findOperatorType(j.Probe, want)
 	}
 	return false
+}
+
+// foreignPassThrough is an operator Parallelize has never heard of: it
+// describes its one child slot and says whether that input may be re-planned.
+type foreignPassThrough struct {
+	in     exec.Operator
+	replan bool
+}
+
+func (p *foreignPassThrough) Schema() []exec.ColumnInfo             { return p.in.Schema() }
+func (p *foreignPassThrough) Open() error                           { return p.in.Open() }
+func (p *foreignPassThrough) Next() (exec.Row, bool, error)         { return p.in.Next() }
+func (p *foreignPassThrough) NextBatch() (*exec.Batch, bool, error) { return p.in.NextBatch() }
+func (p *foreignPassThrough) Close() error                          { return p.in.Close() }
+func (p *foreignPassThrough) ReplanInputs() bool                    { return p.replan }
+func (p *foreignPassThrough) Child(i int) *exec.Operator {
+	if i == 0 {
+		return &p.in
+	}
+	return nil
+}
+
+// TestForeignOperatorIsWalkedByParallelize: the rewrite follows what an
+// operator declares, not what it is. Under a foreign node that declares its
+// input re-plannable the scan-filter pipeline becomes a ParallelMerge; under
+// one that does not — the position every row join takes — the subtree stays
+// exactly as planned. Either way the answer is the serial plan's.
+func TestForeignOperatorIsWalkedByParallelize(t *testing.T) {
+	c := newParallelCatalog(t)
+	const query = "SELECT id, amount FROM big WHERE amount > 990"
+	want, err := exec.DrainBatches(nil, planFor(t, c, query).Root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, replan := range []bool{true, false} {
+		planned := planFor(t, c, query).Root
+		foreign := &foreignPassThrough{in: planned, replan: replan}
+		root, rewrote := Parallelize(foreign, 4)
+		if root != exec.Operator(foreign) {
+			t.Fatalf("replan=%v: the foreign node itself was replaced by %T", replan, root)
+		}
+		if _, parallel := foreign.in.(*exec.ParallelMerge); parallel != replan || rewrote != replan {
+			t.Errorf("replan=%v: input is %T, rewrote=%v", replan, foreign.in, rewrote)
+		}
+		if !replan && foreign.in != planned {
+			t.Errorf("an input not declared re-plannable was replaced by %T", foreign.in)
+		}
+		got, err := exec.DrainBatches(nil, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("replan=%v: %d rows differ from the serial plan's %d", replan, len(got), len(want))
+		}
+	}
 }

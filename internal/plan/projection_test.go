@@ -28,8 +28,6 @@ func accessCols(t *testing.T, op exec.Operator) []int {
 			op = o.Input
 		case *exec.HashAggregate:
 			op = o.Input
-		case *exec.RowSource:
-			return accessCols(t, exec.AsRowOperator(o.Input))
 		default:
 			t.Fatalf("unexpected operator %T while walking to the access path", op)
 			return nil

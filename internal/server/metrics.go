@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oldelephant/internal/engine"
+	"oldelephant/internal/obs"
 	"oldelephant/internal/storage"
 	"oldelephant/internal/wal"
 )
@@ -42,12 +43,14 @@ type SlowQuery struct {
 // metrics aggregates per-server observability: query counts, a latency
 // window for percentiles, summed per-query I/O, and the slow-query log.
 type metrics struct {
-	mu       sync.Mutex
-	start    time.Time
-	queries  int64
-	errors   int64
-	rejected int64
-	canceled int64
+	// The statement counters belong to the server's registry (initRegistry
+	// creates them): one lock-free increment serves Snapshot, the wire
+	// metrics op and the Prometheus scrape alike. queries is incremented
+	// under mu with the latency window, so a snapshot's mean is consistent.
+	queries, errors, rejected, canceled *obs.Counter
+
+	mu    sync.Mutex
+	start time.Time
 
 	lat     [latWindow]time.Duration
 	latN    int // total observations (ring position = latN % latWindow)
@@ -69,7 +72,7 @@ func newMetrics(slowThreshold time.Duration) *metrics {
 func (m *metrics) observe(sessionID int64, sqlText string, res *engine.Result, wall, queue time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.queries++
+	m.queries.Inc()
 	m.lat[m.latN%latWindow] = wall
 	m.latN++
 	m.wallSum += wall
@@ -110,22 +113,6 @@ func (m *metrics) getSlowThreshold() time.Duration {
 	defer m.mu.Unlock()
 	return m.slowThreshold
 }
-
-// metricCounts is the cheap counter subset sampled by the metrics registry
-// (no percentile sort, no slow-log copy).
-type metricCounts struct {
-	queries, errors, rejected, canceled int64
-}
-
-func (m *metrics) counts() metricCounts {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return metricCounts{queries: m.queries, errors: m.errors, rejected: m.rejected, canceled: m.canceled}
-}
-
-func (m *metrics) observeError()    { m.mu.Lock(); m.errors++; m.mu.Unlock() }
-func (m *metrics) observeRejected() { m.mu.Lock(); m.rejected++; m.mu.Unlock() }
-func (m *metrics) observeCanceled() { m.mu.Lock(); m.canceled++; m.mu.Unlock() }
 
 // Snapshot is a point-in-time view of the server's health.
 type Snapshot struct {
@@ -187,10 +174,10 @@ func (m *metrics) snapshot() Snapshot {
 	defer m.mu.Unlock()
 	s := Snapshot{
 		Uptime:        time.Since(m.start),
-		Queries:       m.queries,
-		Errors:        m.errors,
-		Rejected:      m.rejected,
-		Canceled:      m.canceled,
+		Queries:       m.queries.Value(),
+		Errors:        m.errors.Value(),
+		Rejected:      m.rejected.Value(),
+		Canceled:      m.canceled.Value(),
 		Max:           m.latMax,
 		LatencyWindow: latWindow,
 		SlowThreshold: m.slowThreshold,
@@ -198,10 +185,10 @@ func (m *metrics) snapshot() Snapshot {
 		Slow:          append([]SlowQuery(nil), m.slow...),
 	}
 	if secs := s.Uptime.Seconds(); secs > 0 {
-		s.QPS = float64(m.queries) / secs
+		s.QPS = float64(s.Queries) / secs
 	}
-	if m.queries > 0 {
-		s.Mean = m.wallSum / time.Duration(m.queries)
+	if s.Queries > 0 {
+		s.Mean = m.wallSum / time.Duration(s.Queries)
 	}
 	n := m.latN
 	if n > latWindow {

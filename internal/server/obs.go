@@ -12,11 +12,11 @@ import (
 
 // Registry wiring: the server exports every subsystem's counters through one
 // obs.Registry. Subsystems that already keep their own statistics (plan
-// cache, WAL, pager, admission control, the completed-query aggregates) are
-// bridged with scrape-time callback metrics, so the hot paths keep their
-// existing, already-synchronized counters and pay nothing for the export;
-// only the query-latency histogram is recorded push-style, one lock-free
-// observation per completed statement.
+// cache, WAL, pager, admission control) are bridged with scrape-time callback
+// metrics, so the hot paths keep their existing, already-synchronized
+// counters and pay nothing for the export; the server's own statement
+// counters and the query-latency histogram live in the registry and are
+// recorded push-style, one lock-free update per completed statement.
 
 // initRegistry builds the server's metrics registry. Called once from New.
 func (s *Server) initRegistry() {
@@ -26,14 +26,11 @@ func (s *Server) initRegistry() {
 		"Completed statement latency (admission wait + execution).", obs.DurationBuckets)
 
 	// Server-level query accounting.
-	r.CounterFunc("elephant_queries_total", "Statements completed successfully.",
-		func() int64 { return s.metrics.counts().queries })
-	r.CounterFunc("elephant_query_errors_total", "Statements that failed.",
-		func() int64 { return s.metrics.counts().errors })
-	r.CounterFunc("elephant_queries_rejected_total", "Queries shed by a full admission queue.",
-		func() int64 { return s.metrics.counts().rejected })
-	r.CounterFunc("elephant_queries_canceled_total", "Queries canceled or timed out.",
-		func() int64 { return s.metrics.counts().canceled })
+	m := s.metrics
+	m.queries = r.NewCounter("elephant_queries_total", "Statements completed successfully.")
+	m.errors = r.NewCounter("elephant_query_errors_total", "Statements that failed.")
+	m.rejected = r.NewCounter("elephant_queries_rejected_total", "Queries shed by a full admission queue.")
+	m.canceled = r.NewCounter("elephant_queries_canceled_total", "Queries canceled or timed out.")
 	r.GaugeFunc("elephant_queries_in_flight", "Statements currently executing or queued.",
 		s.inFlightN.Load)
 	r.GaugeFunc("elephant_sessions", "Open sessions.",

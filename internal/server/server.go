@@ -327,7 +327,7 @@ func (ss *Session) Execute(sqlText string) (*engine.Result, error) {
 	start := time.Now()
 	res, err := srv.eng.Execute(sqlText)
 	if err != nil {
-		srv.metrics.observeError()
+		srv.metrics.errors.Inc()
 		return nil, err
 	}
 	wall := time.Since(start)
@@ -405,9 +405,9 @@ func (ss *Session) run(ctx context.Context, sqlText string, exec func(engine.Que
 	granted, err := srv.adm.acquire(ctx, ss.parallelism)
 	if err != nil {
 		if errors.Is(err, ErrQueueFull) {
-			srv.metrics.observeRejected()
+			srv.metrics.rejected.Inc()
 		} else {
-			srv.metrics.observeCanceled()
+			srv.metrics.canceled.Inc()
 		}
 		return nil, err
 	}
@@ -417,9 +417,9 @@ func (ss *Session) run(ctx context.Context, sqlText string, exec func(engine.Que
 	res, err := exec(engine.QueryOptions{Ctx: ctx, Parallelism: granted})
 	if err != nil {
 		if ctx.Err() != nil {
-			srv.metrics.observeCanceled()
+			srv.metrics.canceled.Inc()
 		} else {
-			srv.metrics.observeError()
+			srv.metrics.errors.Inc()
 		}
 		return nil, err
 	}
