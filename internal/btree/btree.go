@@ -1,6 +1,6 @@
 // Package btree implements a page-backed B+-tree used for clustered and
-// secondary indexes. Keys are order-preserving byte strings (produced by
-// value.EncodeKey); payloads are opaque byte strings. Leaves are linked for
+// secondary indexes. Keys are order-preserving byte strings (the catalog's
+// stored-key encoding); payloads are opaque byte strings. Leaves are linked for
 // range scans, and all node accesses go through the storage pager so the
 // benchmark harness can account for index I/O.
 package btree
@@ -59,7 +59,7 @@ type parsedLeaf struct {
 const maxParsedLeaves = 8192
 
 // entry is one (key, payload) pair inside a node. In internal nodes the
-// payload is an 8-byte child page id.
+// payload is the child's page id (childPayload).
 type entry struct {
 	key []byte
 	val []byte
@@ -218,6 +218,13 @@ func readNodeInto(pg *storage.Page, buf []entry) (isLeaf bool, entries []entry, 
 	extra = pg.Aux()
 	n := pg.NumSlots()
 	entries = buf[:0]
+	if cap(entries) < n {
+		// Sized to the node, not grown by appending: a cached leaf parse lives
+		// as long as the tree goes unmodified, and growth would round its 48-byte
+		// entries up to the next allocation class — twice the need for a leaf
+		// just past one (86 records where 85 fill 4 KiB).
+		entries = make([]entry, 0, n)
+	}
 	isLeaf = true
 	for i := 0; i < n; i++ {
 		rec := pg.Record(i)
@@ -361,14 +368,16 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	return nil
 }
 
+// childPayload is an internal entry's payload: the child's page id as a
+// uvarint, two or three bytes for any tree that fits in memory, so an inner
+// node's fan-out is set by its keys rather than by an 8-byte pointer.
 func childPayload(id storage.PageID) []byte {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(id))
-	return buf[:]
+	return binary.AppendUvarint(nil, uint64(id))
 }
 
 func childID(val []byte) storage.PageID {
-	return storage.PageID(binary.LittleEndian.Uint64(val))
+	id, _ := binary.Uvarint(val)
+	return storage.PageID(id)
 }
 
 // errPredElsewhere is insertInto's report that the target leaf holds no key

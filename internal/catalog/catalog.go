@@ -229,12 +229,14 @@ func (t *Table) DataPages() int {
 }
 
 // Record layout. Every column is stored exactly once. A clustered record's
-// tree key is EncodeKey(clustered-key columns) — plus a uniquifier, but only
-// on a row whose key some stored row already carries — and its payload is
-// EncodeTuple over the remaining columns. A secondary entry's key is
-// EncodeKey(index-key columns) followed by the base row's locator (its exact
-// clustered tree key, or its RID on a heap), and its payload holds the
-// included columns found in neither. A heap row is one tuple of every column.
+// tree key is the stored-key encoding of its clustered-key columns, each as
+// narrow as its declared kind allows (value.AppendStoredKeyValue) — plus a
+// uniquifier, but only on a row whose key some stored row already carries —
+// and its payload is EncodeTuple over the remaining columns. A secondary
+// entry's key is its index-key columns, encoded the same way, followed by the
+// base row's locator (its exact clustered tree key, or its RID on a heap), and
+// its payload holds the included columns found in neither. A heap row is one
+// tuple of every column.
 
 // Layout says where each logical column of a stored record lives. The logical
 // columns are what Cursor.Next returns, in order: every table column for a
@@ -245,9 +247,12 @@ type Layout struct {
 	// Exactly one of KeyPos[i] (position among the key's encoded values) and
 	// PayPos[i] (field position in the payload tuple) is >= 0.
 	KeyPos, PayPos []int
+	// KeyKinds[p] is the declared kind of the column at key position p: what
+	// its stored key value is encoded, skipped and decoded under.
+	KeyKinds []value.Kind
 
-	payOrds []int      // table ordinals by payload position
-	keyDec  keyDecoder // every key position into its logical column
+	payOrds  []int // table ordinals by payload position
+	keyOutAt []int // logical column decoded from key position p, or -1 to skip it
 }
 
 // newLayout builds the layout of records whose key encodes the columns
@@ -264,14 +269,14 @@ func newLayout(cols []Column, ords, keyOrds, payOrds []int) *Layout {
 			l.PayPos[i] = slices.Index(payOrds, ord)
 		}
 	}
-	l.keyDec = keyDecoder{kinds: make([]value.Kind, len(keyOrds)), outAt: make([]int, len(keyOrds))}
+	l.KeyKinds, l.keyOutAt = make([]value.Kind, len(keyOrds)), make([]int, len(keyOrds))
 	for p, ord := range keyOrds {
-		l.keyDec.kinds[p] = cols[ord].Kind
-		l.keyDec.outAt[p] = -1
+		l.KeyKinds[p] = cols[ord].Kind
+		l.keyOutAt[p] = -1
 	}
 	for i, p := range l.KeyPos {
 		if p >= 0 {
-			l.keyDec.outAt[p] = i
+			l.keyOutAt[p] = i
 		}
 	}
 	return l
@@ -281,7 +286,7 @@ func newLayout(cols []Column, ords, keyOrds, payOrds []int) *Layout {
 // scratch is the caller's reusable payload-decode buffer.
 func (l *Layout) decodeRow(key, payload []byte, scratch *[]value.Value) ([]value.Value, error) {
 	row := make([]value.Value, len(l.Ords))
-	if err := l.keyDec.Decode(key, row); err != nil {
+	if err := l.decodeKey(key, row); err != nil {
 		return nil, err
 	}
 	if len(l.payOrds) == 0 {
@@ -390,8 +395,8 @@ func (ix *Index) initLayout() {
 const uniquifierLen = 4
 
 // keySentinel sorts after every suffix that can follow a key prefix in a tree
-// key — further key values (tag bytes <= 0x03), a uniquifier, a RID — so
-// prefix + keySentinel bounds all keys sharing the prefix from above.
+// key — further key values (every class byte is below 0xFF), a uniquifier, a
+// RID — so prefix + keySentinel bounds all keys sharing the prefix from above.
 var keySentinel = bytes.Repeat([]byte{0xFF}, ridLen+1)
 
 // uniquify returns the tree key of a new row whose clustered-key columns
@@ -441,11 +446,11 @@ func (t *Table) storedRow(row []value.Value) ([]value.Value, error) {
 	return out, nil
 }
 
-// bareKey encodes the row's clustered-key columns.
+// bareKey encodes the (coerced) row's clustered-key columns.
 func (t *Table) bareKey(row []value.Value) []byte {
 	key := make([]byte, 0, 9*len(t.Clustered.KeyColumns)+uniquifierLen)
 	for _, ord := range t.Clustered.KeyColumns {
-		key = value.AppendKeyValue(key, row[ord])
+		key = value.AppendStoredKeyValue(key, row[ord])
 	}
 	return key
 }
@@ -574,9 +579,11 @@ type Range struct {
 	heap   *storage.HeapFile // set iff tree is nil
 	layout *Layout           // of the records the range yields
 
-	// Encoded key bounds (see encodeRange); nil is open.
+	// Encoded key bounds (see encodeBound); nil is open. empty marks a range a
+	// bound rules out altogether (k = 3.5 on an INT key): it reads no page.
 	start, stop []byte
 	stopIncl    bool
+	empty       bool
 
 	// A split is restricted to a run of consecutive leaves (only the first
 	// split of a range keeps start) or of heap pages.
@@ -592,10 +599,11 @@ type Range struct {
 	err     error
 }
 
-// Range describes the rows whose clustered-key prefix lies in [lo, hi]. nil
-// bounds are open and inclusivity applies per bound; the fully open range is
-// the full scan (clustered-key order, or insertion order for a heap) and the
-// only range a heap supports.
+// Range describes the rows whose clustered-key prefix lies in [lo, hi] by
+// value.Compare, column by column. nil bounds are open and inclusivity applies
+// per bound; bound values may be of any kind (see encodeBound). The fully open
+// range is the full scan (clustered-key order, or insertion order for a heap)
+// and the only range a heap supports.
 func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) {
 	if t.Clustered != nil {
 		return t.Clustered.Range(lo, hi, loIncl, hiIncl), nil
@@ -609,9 +617,16 @@ func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) 
 // Range describes the index entries whose key-column prefix lies in [lo, hi]
 // (same bounds semantics as Table.Range).
 func (ix *Index) Range(lo, hi []value.Value, loIncl, hiIncl bool) Range {
-	r := Range{tree: ix.tree, layout: ix.layout}
-	r.start, r.stop, r.stopIncl = encodeRange(lo, hi, loIncl, hiIncl)
-	return r
+	kinds := ix.layout.KeyKinds
+	start, startIncl, noLo := encodeBound(kinds, lo, false, loIncl)
+	stop, stopIncl, noHi := encodeBound(kinds, hi, true, hiIncl)
+	if start != nil && !startIncl {
+		start = append(start, keySentinel...)
+	}
+	if stop != nil && stopIncl {
+		stop = append(stop, keySentinel...)
+	}
+	return Range{tree: ix.tree, layout: ix.layout, start: start, stop: stop, stopIncl: stopIncl, empty: noLo || noHi}
 }
 
 // Scan opens a cursor over all rows of the table.
@@ -626,6 +641,7 @@ func (r *Range) Open() *Cursor {
 	switch {
 	case r.err != nil:
 		c.err = r.err
+	case r.empty:
 	case r.tree == nil:
 		c.heap = r.heap.ScanPages(r.pageFrom, r.pageCount)
 	case r.split:
@@ -644,7 +660,7 @@ func (r *Range) size() {
 	}
 	r.sized = true
 	units := r.pageCount
-	if r.tree != nil {
+	if r.tree != nil && !r.empty {
 		r.leaves, r.err = r.tree.LeafRange(r.start, r.stop, r.stopIncl)
 		all, _ := r.tree.LeafPages() // on error there is no average: one row per leaf
 		units = len(all)
@@ -667,7 +683,7 @@ func (r *Range) storedRows() int64 {
 // open range (no page is read), leaf count x average leaf fill for a bounded
 // one — only the order of magnitude matters there.
 func (r *Range) EstRows() int64 {
-	if !r.split && r.start == nil && r.stop == nil {
+	if !r.split && r.start == nil && r.stop == nil && !r.empty {
 		return r.storedRows()
 	}
 	r.size()
@@ -726,8 +742,8 @@ func ridLocator(rid storage.RID) []byte {
 // The result aliases key.
 func (ix *Index) Locator(key []byte) ([]byte, error) {
 	off := 0
-	for range ix.KeyColumns {
-		n, err := value.SkipKeyValue(key[off:])
+	for p := range ix.KeyColumns {
+		n, err := value.SkipKeyValue(key[off:], ix.layout.KeyKinds[p])
 		if err != nil {
 			return nil, err
 		}
@@ -758,55 +774,69 @@ func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
 	return t.layout.decodeRow(locator, payload, &scratch)
 }
 
-// encodeRange converts value-space prefix bounds into key-space bounds. A
-// stored key is the bare prefix or the prefix followed by more bytes (further
-// key values, a uniquifier, a locator), so:
-//   - inclusive lower bound: the bare prefix (sorts at or before every such key)
-//   - exclusive lower bound: prefix + keySentinel (sorts after all of them)
-//   - inclusive upper bound: prefix + keySentinel
-//   - exclusive upper bound: the bare prefix, exclusive
-func encodeRange(lo, hi []value.Value, loIncl, hiIncl bool) (start, stop []byte, stopIncl bool) {
-	if lo != nil {
-		start = value.EncodeKey(nil, lo)
-		if !loIncl {
-			start = append(start, keySentinel...)
-		}
+// encodeBound converts one value-space prefix bound — lower or upper,
+// inclusive or not — into key space: the stored-key encoding of a prefix and
+// whether it is inclusive; a nil key is an open side, and none reports that
+// nothing can satisfy the bound. A stored key is a bare prefix or the prefix
+// followed by more bytes (further key values, a uniquifier, a locator), so an
+// inclusive lower or exclusive upper bound is the bare prefix, and an
+// exclusive lower or inclusive upper bound is the prefix + keySentinel, which
+// the caller appends.
+//
+// Stored keys order by bytes only within a column's declared kind, so each
+// bound value is first restated in its column's kind (value.CoerceKeyBound):
+// k > 3.5 on an INT column seeks k >= 4, k = 3.5 nothing, k < 'x' everything.
+// The range is exact — the rows value.Compare puts inside the bounds — unless
+// a value before the last of a composite prefix has no single counterpart of
+// its column's kind; the prefix is then cut there and the range is the
+// tightest superset. The same-kind path (an index nested-loop join re-binds
+// per outer row) converts nothing and allocates only the key.
+func encodeBound(kinds []value.Kind, vals []value.Value, upper, incl bool) (key []byte, keyIncl, none bool) {
+	if len(vals) == 0 {
+		return nil, false, false
 	}
-	if hi != nil {
-		stop = value.EncodeKey(nil, hi)
-		if hiIncl {
-			stop = append(stop, keySentinel...)
-		}
-		stopIncl = hiIncl
+	if len(vals) > len(kinds) {
+		// More values than key columns: the columns are all there is to bound.
+		vals, incl = vals[:len(kinds)], true
 	}
-	return start, stop, stopIncl
+	key = make([]byte, 0, 9*len(vals)+len(keySentinel))
+	for i, v := range vals {
+		last := i == len(vals)-1
+		w, wIncl, fit := value.CoerceKeyBound(v, kinds[i], upper, incl || !last)
+		switch fit {
+		case value.BoundPoint:
+			key = value.AppendStoredKeyValue(key, w)
+			continue
+		case value.BoundNearest:
+			return value.AppendStoredKeyValue(key, w), wIncl, false
+		}
+		// Every value of the column, or none, satisfies this position: what is
+		// left is the prefix before it, inclusive or exclusive — and with no
+		// prefix, an open side or an empty range.
+		if i == 0 {
+			return nil, false, fit == value.BoundNone
+		}
+		return key, fit == value.BoundAll, false
+	}
+	return key, incl, false
 }
 
-// keyDecoder decodes a record's key columns straight from B+-tree key bytes,
-// skipping key positions no logical column reads (a locator column the index
-// key already holds). Decode runs per row with no allocation (string columns
-// aside).
-type keyDecoder struct {
-	// kinds[p] is the declared column kind at key position p.
-	kinds []value.Kind
-	// outAt[p] is the output index for key position p, or -1 to skip it.
-	outAt []int
-}
-
-// Decode fills out (one slot per logical column) from one record's key bytes.
-// A trailing uniquifier or RID is never touched.
-func (d *keyDecoder) Decode(key []byte, out []value.Value) error {
+// decodeKey fills out (one slot per logical column) from one record's key
+// bytes, skipping key positions no logical column reads (a locator column the
+// index key already holds). A trailing uniquifier or RID is never touched. It
+// runs per row with no allocation (string columns aside).
+func (l *Layout) decodeKey(key []byte, out []value.Value) error {
 	off := 0
-	for p := range d.outAt {
-		if i := d.outAt[p]; i >= 0 {
-			v, n, err := value.DecodeKeyValue(key[off:], d.kinds[p])
+	for p, kind := range l.KeyKinds {
+		if i := l.keyOutAt[p]; i >= 0 {
+			v, n, err := value.DecodeKeyValue(key[off:], kind)
 			if err != nil {
 				return err
 			}
 			out[i] = v
 			off += n
 		} else {
-			n, err := value.SkipKeyValue(key[off:])
+			n, err := value.SkipKeyValue(key[off:], kind)
 			if err != nil {
 				return err
 			}
@@ -820,6 +850,8 @@ func (d *keyDecoder) Decode(key []byte, out []value.Value) error {
 // exactly two ways: Next, the decoding row-at-a-time reference path, and
 // NextSpans, the raw span fill the batch path decodes column-at-a-time.
 type Cursor struct {
+	// At most one of tree and heap is set; neither when err is, or when the
+	// range is empty.
 	tree   *btree.Iterator
 	heap   *storage.HeapIterator
 	layout *Layout
@@ -839,8 +871,10 @@ func (c *Cursor) Err() error {
 		return c.err
 	case c.tree != nil:
 		return c.tree.Err()
-	default:
+	case c.heap != nil:
 		return c.heap.Err()
+	default:
+		return nil // an empty range
 	}
 }
 
@@ -867,11 +901,11 @@ func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
 // All spans alias stable page memory, so a batch fill may collect a whole
 // batch of them before decoding.
 func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
-	if c.err != nil {
-		return 0
-	}
 	if c.tree != nil {
 		return c.tree.NextSpans(keys, payloads)
+	}
+	if c.heap == nil {
+		return 0 // a pre-execution error, or an empty range
 	}
 	n := 0
 	for n < len(payloads) {
@@ -985,7 +1019,7 @@ func (ix *Index) EntryColumnOrdinals() []int { return ix.layout.Ords }
 func (ix *Index) entryKey(row []value.Value, locator []byte) []byte {
 	key := make([]byte, 0, 9*len(ix.KeyColumns)+len(locator))
 	for _, ord := range ix.KeyColumns {
-		key = value.AppendKeyValue(key, row[ord])
+		key = value.AppendStoredKeyValue(key, row[ord])
 	}
 	return append(key, locator...)
 }

@@ -17,12 +17,15 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 2: every column stored once — bare clustered keys with a
+// metaVersion 3: every column stored once — bare clustered keys with a
 // uniquifier on duplicates only, key-stripped payloads, secondary entries
-// located by clustered key. Version 1 pages repeat key columns in the payload
-// and suffix every key; decoding them under these rules would return wrong
-// rows, so RestoreMeta refuses them.
-const metaVersion = 2
+// located by clustered key — with each key column encoded under its declared
+// kind (value.AppendStoredKeyValue) and uvarint child ids in inner B+-tree
+// nodes. Version 2 pages hold every numeric key as a 9- or 17-byte cross-kind
+// word and 8-byte child ids, version 1 pages also repeat key columns in the
+// payload; decoding either under these rules would return wrong rows or none,
+// so RestoreMeta refuses them.
+const metaVersion = 3
 
 type metaWriter struct{ buf []byte }
 

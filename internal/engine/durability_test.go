@@ -184,37 +184,42 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// record layout version 1 (uniquifier on every key, key columns repeated in
-// the payload). Its pages would decode to wrong rows under the current layout,
-// so Open must fail and name the version rather than attach to them.
+// an earlier record layout: version 2 (every numeric key a 9-byte cross-kind
+// word, 8-byte child ids) or version 1 (uniquifier on every key, key columns
+// repeated in the payload). Their pages would decode to wrong rows, or to
+// errors, under the current layout, so Open must fail and name both versions
+// rather than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	fs := faultfs.New(1)
-	e := openDurable(t, fs)
-	execAll(t, e,
-		"CREATE TABLE t (k INT, v VARCHAR, PRIMARY KEY (k))",
-		"INSERT INTO t VALUES (1, 'one')",
-	)
-	if err := e.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	// The checkpointed state is stateVersion, then the length-prefixed catalog
-	// meta, whose first byte is the layout version.
-	state, ok, err := storage.ReadFileAtomic(fs, metaFileName)
-	if err != nil || !ok {
-		t.Fatalf("read meta: ok=%v err=%v", ok, err)
-	}
-	_, n := binary.Uvarint(state[1:])
-	if state[1+n] != 2 {
-		t.Fatalf("catalog meta starts with version %d, test expects 2", state[1+n])
-	}
-	state[1+n] = 1
-	if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
-		t.Fatal(err)
-	}
-	if e, err := Open(Options{TupleOverhead: -1, FS: fs}); err == nil {
-		e.Close()
-		t.Fatal("Open attached to a version-1 directory")
-	} else if !strings.Contains(err.Error(), "meta version 1 not supported") {
-		t.Fatalf("Open failed without naming the version: %v", err)
+	for _, old := range []byte{2, 1} {
+		fs := faultfs.New(1)
+		e := openDurable(t, fs)
+		execAll(t, e,
+			"CREATE TABLE t (k INT, v VARCHAR, PRIMARY KEY (k))",
+			"INSERT INTO t VALUES (1, 'one')",
+		)
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		// The checkpointed state is stateVersion, then the length-prefixed
+		// catalog meta, whose first byte is the layout version.
+		state, ok, err := storage.ReadFileAtomic(fs, metaFileName)
+		if err != nil || !ok {
+			t.Fatalf("read meta: ok=%v err=%v", ok, err)
+		}
+		_, n := binary.Uvarint(state[1:])
+		if state[1+n] != 3 {
+			t.Fatalf("catalog meta starts with version %d, test expects 3", state[1+n])
+		}
+		state[1+n] = old
+		if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("meta version %d not supported", old)
+		if e, err := Open(Options{TupleOverhead: -1, FS: fs}); err == nil {
+			e.Close()
+			t.Fatalf("Open attached to a version-%d directory", old)
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 3") {
+			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
+		}
 	}
 }

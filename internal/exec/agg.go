@@ -260,15 +260,27 @@ type hashAggBuilder struct {
 	aggs    []AggSpec
 	groups  map[string]*aggGroup
 	// fast maps a single numeric group-by key (its NumericSortKey word) to
-	// its group without the per-row encode and string allocation. Grouping by
-	// that word is exactly equivalent to grouping by the encoded key, which
-	// keeps the final key-sorted output identical to the generic path; it is
-	// the workload's common case (Q1-Q6 all group on one date or int column).
-	// NULL and string keys (and multi-column groupings) take the generic
-	// encoded-key path; both paths share the groups map.
+	// its group without the per-row encode and string allocation. Below ±2^53
+	// the word is the whole of the value's encoded key, so grouping by it is
+	// grouping by the encoded key and the final key-sorted output is that of
+	// the generic path; it is the workload's common case (Q1-Q6 all group on
+	// one date or int column). From ±2^53 on adjacent integers share a word
+	// (the encoded key tells them apart by its integer suffix), so those
+	// values, like NULL and string keys (and multi-column groupings), take
+	// the generic encoded-key path (groupWord); both paths share the groups
+	// map.
 	fast   map[uint64]*aggGroup
 	fastOK bool
 	keyBuf []byte
+}
+
+// groupWord returns the word the single-column fast map keys v by; ok is
+// false for the values that must take the encoded-key path instead.
+func groupWord(v value.Value) (word uint64, ok bool) {
+	if v.Kind == value.KindNull || v.Kind == value.KindString {
+		return 0, false
+	}
+	return value.NumericGroupWord(v)
 }
 
 func newHashAggBuilder(groupBy []int, aggs []AggSpec) *hashAggBuilder {
@@ -304,8 +316,7 @@ func (hb *hashAggBuilder) consumeBatch(b *Batch) error {
 		}
 		return grp
 	}
-	lookupFast := func(v value.Value) *aggGroup {
-		bits := value.NumericSortKey(v)
+	lookupFast := func(v value.Value, bits uint64) *aggGroup {
 		grp := hb.fast[bits]
 		if grp == nil {
 			grp = newAggGroup(Row{v}, len(hb.aggs))
@@ -330,8 +341,8 @@ func (hb *hashAggBuilder) consumeBatch(b *Batch) error {
 			p := b.PhysIdx(i)
 			var grp *aggGroup
 			if fastOK {
-				if v := groupFlats[0][p]; v.Kind != value.KindNull && v.Kind != value.KindString {
-					bits := value.NumericSortKey(v)
+				v := groupFlats[0][p]
+				if bits, ok := groupWord(v); ok {
 					grp = fast[bits]
 					if grp == nil {
 						grp = newAggGroup(Row{v}, len(hb.aggs))
@@ -363,8 +374,9 @@ func (hb *hashAggBuilder) consumeBatch(b *Batch) error {
 		p, reps := seg.next(i)
 		var grp *aggGroup
 		if hb.fastOK {
-			if v := b.Cols[hb.groupBy[0]].Get(p); v.Kind != value.KindNull && v.Kind != value.KindString {
-				grp = lookupFast(v)
+			v := b.Cols[hb.groupBy[0]].Get(p)
+			if bits, ok := groupWord(v); ok {
+				grp = lookupFast(v, bits)
 			}
 		}
 		if grp == nil {

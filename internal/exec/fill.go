@@ -29,10 +29,12 @@ import (
 // never escape the filler and are always reused.
 type colFiller struct {
 	// kinds[i] is the declared kind of output column i, selecting its typed
-	// decoder. keyFields and payFields map key positions and payload tuple
-	// positions to output columns, each sorted by position so one forward walk
-	// per span collects every projected value.
+	// decoder; keyKinds[p] is the declared kind at key position p, which its
+	// stored key value is skipped or decoded under. keyFields and payFields map
+	// key positions and payload tuple positions to output columns, each sorted
+	// by position so one forward walk per span collects every projected value.
 	kinds     []value.Kind
+	keyKinds  []value.Kind
 	keyFields []fillField
 	payFields []fillField
 
@@ -147,7 +149,7 @@ type fillField struct {
 // output column i is the logical column positions[i] of records laid out as
 // layout says.
 func newColFiller(kinds []value.Kind, layout *catalog.Layout, positions []int, recycle bool) *colFiller {
-	f := &colFiller{kinds: kinds, recycle: recycle}
+	f := &colFiller{kinds: kinds, keyKinds: layout.KeyKinds, recycle: recycle}
 	for i, pos := range positions {
 		if p := layout.KeyPos[pos]; p >= 0 {
 			f.keyFields = append(f.keyFields, fillField{pos: p, out: i})
@@ -214,14 +216,15 @@ func (f *colFiller) decodeKey(key []byte) error {
 	off, p := 0, 0
 	for _, fd := range f.keyFields {
 		for ; p < fd.pos; p++ {
-			n, err := value.SkipKeyValue(key[off:])
+			n, err := value.SkipKeyValue(key[off:], f.keyKinds[p])
 			if err != nil {
 				return err
 			}
 			off += n
 		}
 		p++
-		if f.kinds[fd.out] == value.KindString {
+		kind := f.keyKinds[fd.pos]
+		if kind == value.KindString {
 			body, n, isStr, err := value.KeyStringBody(key[off:], &f.keyScratch)
 			if err != nil {
 				return err
@@ -232,7 +235,7 @@ func (f *colFiller) decodeKey(key []byte) error {
 			off += n
 			continue
 		}
-		v, n, err := value.DecodeKeyValue(key[off:], f.kinds[fd.out])
+		v, n, err := value.DecodeKeyValue(key[off:], kind)
 		if err != nil {
 			return err
 		}

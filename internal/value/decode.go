@@ -371,8 +371,8 @@ func DecodeProjectedInto(dst []Value, src []byte, cols []int) ([]Value, error) {
 	return dst, nil
 }
 
-// sortKeyToFloat inverts NumericSortKey: the exact float64 whose sortable
-// form is w.
+// sortKeyToFloat inverts NumericSortKey on a FLOAT: the exact float64 whose
+// sortable form is w.
 func sortKeyToFloat(w uint64) float64 {
 	if w>>63 != 0 {
 		return math.Float64frombits(w &^ (1 << 63))
@@ -380,83 +380,95 @@ func sortKeyToFloat(w uint64) float64 {
 	return math.Float64frombits(^w)
 }
 
-// DecodeKeyValue decodes one column's contribution to EncodeKey back into a
-// Value, interpreting the order-preserving Number tag with the column's
-// declared kind. It returns the value and the number of key bytes consumed.
-//
-// Recovery is exact for every value CoerceKeyValue lets into a key column:
-// the stored kind is the declared kind and floats are never negative zero.
-// Integer-family values recover exactly at any magnitude — within ±2^53 from
-// the float64 word, beyond it from the typed integer suffix the encoder
-// appends. Strings and NULLs always recover exactly (the 0x00 escape scheme
-// is reversible).
+// DecodeKeyValue decodes one stored key value (AppendStoredKeyValue) at the
+// head of src under the column's declared kind. It returns the value and the
+// number of key bytes consumed. Recovery is exact for every value
+// CoerceKeyValue lets into a key column; bytes that are no encoding of the
+// kind are an error, never a value of another kind.
 func DecodeKeyValue(src []byte, kind Kind) (Value, int, error) {
 	if len(src) == 0 {
 		return Null(), 0, fmt.Errorf("value: empty key")
 	}
-	switch src[0] {
-	case keyTagNull:
+	if src[0] == keyTagNull {
 		return Null(), 1, nil
-	case keyTagNumber:
+	}
+	switch kind {
+	case KindInt, KindDate, KindBool:
+		n, neg, err := intKeyLen(src)
+		if err != nil {
+			return Null(), 0, err
+		}
+		var u uint64
+		if neg {
+			u = ^uint64(0)
+		}
+		for _, b := range src[1:n] {
+			u = u<<8 | uint64(b)
+		}
+		// A full-width magnitude whose sign disagrees with its class encodes
+		// nothing (only 8-byte classes can overflow into the sign bit).
+		if i := int64(u); (i < 0) == neg && (i != 0 || n == 1) {
+			return Value{Kind: kind, I: i}, n, nil
+		}
+		return Null(), 0, fmt.Errorf("value: corrupt integer key")
+	case KindFloat:
+		if src[0] != keyClassFloat {
+			return Null(), 0, fmt.Errorf("value: key class %#x in a %v key column", src[0], kind)
+		}
 		if len(src) < 9 {
-			return Null(), 0, fmt.Errorf("value: truncated numeric key")
+			return Null(), 0, fmt.Errorf("value: truncated float key")
 		}
-		f := sortKeyToFloat(binary.BigEndian.Uint64(src[1:9]))
-		n := 9
-		var suffix int64
-		if keyNeedsIntSuffix(f) {
-			// The word alone no longer distinguishes adjacent integers; the
-			// exact value travels in the 8-byte suffix (see encodeKeyValue).
-			if len(src) < 17 {
-				return Null(), 0, fmt.Errorf("value: truncated numeric key suffix")
-			}
-			suffix = int64(binary.BigEndian.Uint64(src[9:17]) ^ (1 << 63))
-			n = 17
-		}
-		if kind == KindFloat {
-			return Value{Kind: KindFloat, F: f}, n, nil
-		}
-		if n == 17 {
-			return Value{Kind: kind, I: suffix}, n, nil
-		}
-		if f != math.Trunc(f) || math.Abs(f) > 1<<53 {
-			return Null(), 0, fmt.Errorf("value: numeric key %v does not recover exactly as %v", f, kind)
-		}
-		return Value{Kind: kind, I: int64(f)}, 9, nil
-	case keyTagString:
+		return Value{Kind: KindFloat, F: sortKeyToFloat(binary.BigEndian.Uint64(src[1:9]))}, 9, nil
+	case KindString:
 		body, n, _, err := KeyStringBody(src, nil)
 		if err != nil {
 			return Null(), 0, err
 		}
 		return Value{Kind: KindString, S: string(body)}, n, nil
 	default:
-		return Null(), 0, fmt.Errorf("value: unknown key tag %d", src[0])
+		return Null(), 0, fmt.Errorf("value: key class %#x in a %v key column", src[0], kind)
 	}
 }
 
-// SkipKeyValue returns the number of key bytes one encoded key value
-// occupies, without decoding it.
-func SkipKeyValue(src []byte) (int, error) {
+// intKeyLen parses the class byte of a non-NULL integer-family key value: the
+// encoded length (class byte included), checked against len(src), and whether
+// the value is negative.
+func intKeyLen(src []byte) (n int, neg bool, err error) {
+	n = int(src[0]) - int(keyClassIntZero)
+	if neg = n < 0; neg {
+		n = -n
+	}
+	if n > 8 {
+		return 0, false, fmt.Errorf("value: key class %#x in an integer key column", src[0])
+	}
+	if n++; len(src) < n {
+		return 0, false, fmt.Errorf("value: truncated integer key")
+	}
+	return n, neg, nil
+}
+
+// SkipKeyValue returns the number of key bytes the stored key value at the
+// head of src occupies under the column's declared kind, without decoding it.
+func SkipKeyValue(src []byte, kind Kind) (int, error) {
 	if len(src) == 0 {
 		return 0, fmt.Errorf("value: empty key")
 	}
-	switch src[0] {
-	case keyTagNull:
+	if src[0] == keyTagNull {
 		return 1, nil
-	case keyTagNumber:
-		if len(src) < 9 {
-			return 0, fmt.Errorf("value: truncated numeric key")
-		}
-		// The suffix condition depends only on the word, so the encoding
-		// stays self-describing: no flag byte, no kind needed to skip it.
-		if keyNeedsIntSuffix(sortKeyToFloat(binary.BigEndian.Uint64(src[1:9]))) {
-			if len(src) < 17 {
-				return 0, fmt.Errorf("value: truncated numeric key suffix")
-			}
-			return 17, nil
+	}
+	switch kind {
+	case KindInt, KindDate, KindBool:
+		n, _, err := intKeyLen(src)
+		return n, err
+	case KindFloat:
+		if src[0] != keyClassFloat || len(src) < 9 {
+			return 0, fmt.Errorf("value: corrupt float key")
 		}
 		return 9, nil
-	case keyTagString:
+	case KindString:
+		if src[0] != keyTagString {
+			break
+		}
 		for i := 1; i+1 < len(src); i++ {
 			if src[i] == 0x00 {
 				if src[i+1] == 0x00 {
@@ -466,16 +478,15 @@ func SkipKeyValue(src []byte) (int, error) {
 			}
 		}
 		return 0, fmt.Errorf("value: unterminated string key")
-	default:
-		return 0, fmt.Errorf("value: unknown key tag %d", src[0])
 	}
+	return 0, fmt.Errorf("value: key class %#x in a %v key column", src[0], kind)
 }
 
-// KeyStringBody parses one key value of a declared-STRING column at the head
-// of src: isStr is false for NULL, otherwise body is the string's contents. n
-// is the number of key bytes consumed. Contents without an escaped 0x00 — the
-// common case — alias src; otherwise they are unescaped into *scratch (grown
-// as needed, reusable across calls; nil allocates).
+// KeyStringBody parses one stored key value of a declared-STRING column at the
+// head of src: isStr is false for NULL, otherwise body is the string's
+// contents. n is the number of key bytes consumed. Contents without an escaped
+// 0x00 — the common case — alias src; otherwise they are unescaped into
+// *scratch (grown as needed, reusable across calls; nil allocates).
 func KeyStringBody(src []byte, scratch *[]byte) (body []byte, n int, isStr bool, err error) {
 	if len(src) == 0 {
 		return nil, 0, false, fmt.Errorf("value: empty key")

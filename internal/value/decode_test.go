@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -154,6 +155,7 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 		{NewFloat(math.Inf(1)), KindFloat},
 		{NewFloat(math.Inf(-1)), KindFloat},
 		{NewDate(9125), KindDate},
+		{NewDate(-400), KindDate},
 		{NewBool(true), KindBool},
 		{NewBool(false), KindBool},
 		{NewFloat(3.25), KindFloat},
@@ -163,13 +165,14 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 		{NewString("abc"), KindString},
 		{NewString(string([]byte{0, 1, 0, 0xFF})), KindString},
 		{Null(), KindInt},
+		{Null(), KindFloat},
 		{Null(), KindString},
 	}
 	for _, c := range cases {
 		if got, changed, err := CoerceKeyValue(c.v, c.k); err != nil || changed || got != c.v {
 			t.Fatalf("CoerceKeyValue(%v, %v) = %v, %v, %v; want the value unchanged", c.v, c.k, got, changed, err)
 		}
-		enc := AppendKeyValue(nil, c.v)
+		enc := AppendStoredKeyValue(nil, c.v)
 		got, n, err := DecodeKeyValue(enc, c.k)
 		if err != nil {
 			t.Fatalf("DecodeKeyValue(%v as %v): %v", c.v, c.k, err)
@@ -180,15 +183,32 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 		if got != c.v {
 			t.Fatalf("DecodeKeyValue(%v as %v) = %v", c.v, c.k, got)
 		}
-		skip, err := SkipKeyValue(enc)
+		skip, err := SkipKeyValue(enc, c.k)
 		if err != nil || skip != len(enc) {
 			t.Fatalf("SkipKeyValue(%v) = %d, %v; want %d", c.v, skip, err, len(enc))
 		}
+		// Bytes of one kind are never a value of another: a mis-declared column
+		// is an error, not a wrong row.
+		for _, other := range []Kind{KindInt, KindFloat, KindString} {
+			family := other == c.k || other == KindInt && (c.k == KindDate || c.k == KindBool)
+			if c.v.IsNull() || family {
+				continue
+			}
+			if v, _, err := DecodeKeyValue(enc, other); err == nil {
+				t.Fatalf("key bytes of %v %v decoded as %v: %v", c.k, c.v, other, v)
+			}
+			if _, err := SkipKeyValue(enc, other); err == nil {
+				t.Fatalf("key bytes of %v %v skipped as %v", c.k, c.v, other)
+			}
+		}
 	}
 	// Multi-column key: decode each component in sequence.
-	key := []Value{NewInt(42), NewString("ab"), NewDate(100)}
-	kinds := []Kind{KindInt, KindString, KindDate}
-	enc := EncodeKey(nil, key)
+	key := []Value{NewInt(42), NewString("ab"), NewDate(100), NewFloat(-2.5)}
+	kinds := []Kind{KindInt, KindString, KindDate, KindFloat}
+	var enc []byte
+	for _, v := range key {
+		enc = AppendStoredKeyValue(enc, v)
+	}
 	off := 0
 	for i, k := range kinds {
 		v, n, err := DecodeKeyValue(enc[off:], k)
@@ -207,8 +227,9 @@ func TestDecodeKeyValueRoundTrip(t *testing.T) {
 
 // TestCoerceKeyValue pins the rule that makes key columns recoverable by
 // construction: a mismatched value either converts to the declared kind
-// without changing what it compares equal to — or how it encodes — or is
-// refused; nothing is stored that DecodeKeyValue would read back differently.
+// without changing what it compares equal to — or its in-memory grouping key —
+// or is refused; nothing is stored that DecodeKeyValue would read back
+// differently.
 func TestCoerceKeyValue(t *testing.T) {
 	negZero := NewFloat(math.Copysign(0, -1))
 	coerced := []struct {
@@ -233,13 +254,12 @@ func TestCoerceKeyValue(t *testing.T) {
 			math.Float64bits(got.F) != math.Float64bits(c.want.F) {
 			t.Fatalf("CoerceKeyValue(%v %v, %v) = %v %v, %v, %v; want %v", c.v.Kind, c.v, c.k, got.Kind, got, changed, err, c.want)
 		}
-		enc := AppendKeyValue(nil, c.v)
-		if !bytes.Equal(enc, AppendKeyValue(nil, got)) {
-			t.Fatalf("coercing %v to %v changed its key bytes", c.v, c.k)
+		if Compare(c.v, got) != 0 || !bytes.Equal(AppendKeyValue(nil, c.v), AppendKeyValue(nil, got)) {
+			t.Fatalf("coercing %v to %v changed what it equals or groups with", c.v, c.k)
 		}
-		back, _, err := DecodeKeyValue(enc, c.k)
+		back, _, err := DecodeKeyValue(AppendStoredKeyValue(nil, got), c.k)
 		if err != nil || back != got {
-			t.Fatalf("key bytes of %v decode as %v to %v (%v), want %v", c.v, c.k, back, err, got)
+			t.Fatalf("stored key of %v decodes as %v to %v (%v), want %v", c.v, c.k, back, err, got)
 		}
 	}
 	rejected := []struct {
@@ -263,98 +283,160 @@ func TestCoerceKeyValue(t *testing.T) {
 	}
 }
 
-// keyRoundTripInt encodes v as an integer key column and checks the byte
-// width, skip width, and exact recovery.
-func keyRoundTripInt(t *testing.T, v int64) []byte {
+// storedKey encodes v as a key column of kind k and checks skip width and
+// exact recovery under that kind.
+func storedKey(t *testing.T, v Value, k Kind) []byte {
 	t.Helper()
-	enc := AppendKeyValue(nil, NewInt(v))
-	wantLen := 9
-	if v >= 1<<53 || v <= -(1<<53) {
-		wantLen = 17 // word + typed integer suffix
+	enc := AppendStoredKeyValue(nil, v)
+	got, n, err := DecodeKeyValue(enc, k)
+	if err != nil || n != len(enc) || !valueEqualNaN(got, v) {
+		t.Fatalf("%v key %v (%x) round-trips to %v (n=%d, err=%v)", k, v, enc, got, n, err)
 	}
-	if len(enc) != wantLen {
-		t.Fatalf("int key %d encodes to %d bytes, want %d", v, len(enc), wantLen)
+	if skip, err := SkipKeyValue(enc, k); err != nil || skip != len(enc) {
+		t.Fatalf("SkipKeyValue(%v %v) = %d, %v; want %d", k, v, skip, err, len(enc))
 	}
-	got, n, err := DecodeKeyValue(enc, KindInt)
-	if err != nil || n != len(enc) || got.I != v || got.Kind != KindInt {
-		t.Fatalf("int key %d round-trips to %v (n=%d, err=%v)", v, got, n, err)
-	}
-	if skip, err := SkipKeyValue(enc); err != nil || skip != len(enc) {
-		t.Fatalf("SkipKeyValue(int %d) = %d, %v; want %d", v, skip, err, len(enc))
+	if k == KindString {
+		body, n, isStr, err := KeyStringBody(enc, nil)
+		if err != nil || n != len(enc) || isStr == v.IsNull() || string(body) != v.S {
+			t.Fatalf("KeyStringBody(%q) = %q, %d, %v, %v", v.S, body, n, isStr, err)
+		}
 	}
 	return enc
 }
 
-// TestIntKeyOrderBoundaries pins the typed integer key encoding at the exact
-// suffix thresholds (±2^53, where adjacent integers start sharing a float64
-// word) and the int64 extremes (±2^63): every value round-trips exactly and
-// bytes.Compare of the encodings agrees with exact integer comparison —
-// including the adjacent pairs that collapsed onto one word before the
-// suffix existed.
-func TestIntKeyOrderBoundaries(t *testing.T) {
-	vals := []int64{
-		math.MinInt64, math.MinInt64 + 1,
-		-(1 << 53) - 2, -(1 << 53) - 1, -(1 << 53), -(1 << 53) + 1,
-		-2, -1, 0, 1, 2,
-		1<<53 - 1, 1 << 53, 1<<53 + 1, 1<<53 + 2, 1<<53 + 3,
-		math.MaxInt64 - 1, math.MaxInt64,
+// wantIntKeyLen is the documented width of an integer-family key value: the class
+// byte plus the fewest bytes that hold the magnitude (of -v-1 for a negative
+// v, as two's complement does).
+func wantIntKeyLen(v int64) int {
+	u := uint64(v)
+	if v < 0 {
+		u = max(^u, 1)
 	}
-	encs := make([][]byte, len(vals))
-	for i, v := range vals {
-		encs[i] = keyRoundTripInt(t, v)
+	n := 1
+	for ; u != 0; u >>= 8 {
+		n++
 	}
-	for i := range vals {
-		for j := range vals {
-			want := 0
-			if vals[i] < vals[j] {
-				want = -1
-			} else if vals[i] > vals[j] {
-				want = 1
+	return n
+}
+
+// TestTypedKeyLengthClasses pins the integer-family stored key at every edge
+// of a length class — ±255/256, ±65535/65536 ... ±2^56, the ±2^53 pair that a
+// float64 word used to blur, and the int64 extremes: each value takes exactly
+// the bytes its magnitude needs (1 for zero, 9 at most), round-trips exactly,
+// and bytes.Compare of any two encodings agrees with integer comparison.
+func TestTypedKeyLengthClasses(t *testing.T) {
+	vals := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64,
+		-(1 << 53) - 1, -(1 << 53), 1 << 53, 1<<53 + 1}
+	for n := 1; n < 8; n++ {
+		edge := int64(1) << (8 * n)
+		vals = append(vals, edge-1, edge, edge+1, -edge+1, -edge, -edge-1)
+	}
+	slices.Sort(vals)
+	for _, k := range []Kind{KindInt, KindDate} {
+		var prev []byte
+		for i, v := range vals {
+			enc := storedKey(t, Value{Kind: k, I: v}, k)
+			if len(enc) != wantIntKeyLen(v) {
+				t.Fatalf("%v key %d encodes to %d bytes (%x), want %d", k, v, len(enc), enc, wantIntKeyLen(v))
 			}
-			if got := bytes.Compare(encs[i], encs[j]); got != want {
-				t.Fatalf("bytes.Compare(key(%d), key(%d)) = %d, want %d", vals[i], vals[j], got, want)
+			if i > 0 && bytes.Compare(prev, enc) >= 0 {
+				t.Fatalf("%v keys %d (%x) and %d (%x) are out of order", k, vals[i-1], prev, v, enc)
 			}
+			prev = enc
 		}
+	}
+	for v, want := range map[int64]int{0: 1, 1: 2, 255: 2, 256: 3, -256: 2, -257: 3, 9125: 3, 65535: 3, 65536: 4, 120000: 4,
+		1 << 24: 5, math.MaxInt64: 9, math.MinInt64: 9} {
+		if got := len(AppendStoredKeyValue(nil, NewInt(v))); got != want {
+			t.Fatalf("int key %d takes %d bytes, want %d", v, got, want)
+		}
+	}
+	if got := len(AppendStoredKeyValue(nil, NewFloat(1.5))); got != 9 {
+		t.Fatalf("float key takes %d bytes, want 9", got)
 	}
 }
 
-// FuzzIntKeyOrder checks the typed integer key encoding across random int64
-// pairs: both values round-trip exactly through DecodeKeyValue, SkipKeyValue
-// agrees with the encoded width, and bytes.Compare of the encodings has the
-// sign of exact integer comparison. Mixed int/float pairs additionally pin
-// that the encodings never misorder a Compare-unequal pair (Compare-equal
-// cross-kind pairs beyond 2^53 may encode unequal: the suffix keeps the exact
-// integer, which float comparison discards).
-func FuzzIntKeyOrder(f *testing.F) {
-	f.Add(int64(0), int64(1))
-	f.Add(int64(1<<53), int64(1<<53+1))
-	f.Add(int64(math.MaxInt64), int64(math.MinInt64))
-	f.Add(int64(-(1<<53))-1, int64(-(1 << 53)))
-	f.Fuzz(func(t *testing.T, a, b int64) {
-		ea := keyRoundTripInt(t, a)
-		eb := keyRoundTripInt(t, b)
-		want := 0
-		if a < b {
-			want = -1
-		} else if a > b {
-			want = 1
+// FuzzTypedKeyOrder checks the stored-key codec kind by kind over random
+// values: each value round-trips exactly under its kind, SkipKeyValue agrees
+// with the encoded width, bytes.Compare of two encodings of one kind has the
+// sign of Compare (NULL lowest), no encoding is a prefix of another — so
+// composite keys, here over every pair of kinds, order column by column even
+// when one first column's bytes begin another's — and no decoder panics or
+// reads past the bytes it is given, whatever they are.
+func FuzzTypedKeyOrder(f *testing.F) {
+	f.Add(int64(0), int64(1), 0.0, 1.5, "", "a", []byte{0x19, 0x01})
+	f.Add(int64(1<<53), int64(1<<53+1), -0.0, 0.0, "a", "a\x00", []byte{0x03, 'a', 0x00})
+	f.Add(int64(math.MaxInt64), int64(math.MinInt64), math.Inf(-1), math.MaxFloat64, "a\x00b", "a\x00\xff", []byte{0x20, 0xFF})
+	f.Add(int64(-(1<<53))-1, int64(-(1 << 53)), 1e-300, -1e-300, "\x00", "\x00\x00", []byte{0x02, 1, 2, 3})
+	f.Add(int64(255), int64(256), 2.0, 3.0, "ab", "abc", []byte{0x10, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add(int64(1), int64(0x0100), 1.0, 256.0, "\x01", "\x01\x00", []byte{0x01})
+	f.Fuzz(func(t *testing.T, ia, ib int64, fa, fb float64, sa, sb string, raw []byte) {
+		if fa != fa || fb != fb {
+			fa, fb = 0, 1 // Compare does not order NaN
 		}
-		if got := bytes.Compare(ea, eb); got != want {
-			t.Fatalf("bytes.Compare(key(%d), key(%d)) = %d, want %d", a, b, got, want)
+		nfa, _, _ := CoerceKeyValue(NewFloat(fa), KindFloat)
+		nfb, _, _ := CoerceKeyValue(NewFloat(fb), KindFloat)
+		// One pair of values, and their encodings, per kind.
+		pairs := map[Kind][2]Value{
+			KindInt:    {NewInt(ia), NewInt(ib)},
+			KindDate:   {NewDate(ia), NewDate(ib)},
+			KindBool:   {NewBool(ia&1 != 0), NewBool(ib&1 != 0)},
+			KindFloat:  {nfa, nfb},
+			KindString: {NewString(sa), NewString(sb)},
 		}
-		// Mixed kinds: an int key against the float nearest b must never
-		// order against the sign of value.Compare when Compare is decisive.
-		fb := NewFloat(float64(b))
-		efb := AppendKeyValue(nil, fb)
-		if cmp := Compare(NewInt(a), fb); cmp != 0 {
-			got := bytes.Compare(ea, efb)
-			if (got < 0) != (cmp < 0) || (got > 0) != (cmp > 0) {
-				t.Fatalf("bytes.Compare(key(int %d), key(float %g)) = %d, Compare = %d", a, float64(b), got, cmp)
+		kinds := []Kind{KindInt, KindDate, KindBool, KindFloat, KindString}
+		for _, k := range kinds {
+			a, b := pairs[k][0], pairs[k][1]
+			ea, eb, en := storedKey(t, a, k), storedKey(t, b, k), storedKey(t, Null(), k)
+			if got, want := bytes.Compare(ea, eb), Compare(a, b); got != want {
+				t.Fatalf("%v: bytes.Compare(key(%v), key(%v)) = %d, Compare = %d", k, a, b, got, want)
+			}
+			if bytes.Compare(en, ea) >= 0 {
+				t.Fatalf("%v: NULL key %x does not sort below key(%v) %x", k, en, a, ea)
+			}
+			if !bytes.Equal(ea, eb) && (bytes.HasPrefix(ea, eb) || bytes.HasPrefix(eb, ea)) {
+				t.Fatalf("%v: one of key(%v) %x and key(%v) %x is a prefix of the other", k, a, ea, b, eb)
 			}
 		}
-		gotF, n, err := DecodeKeyValue(efb, KindFloat)
-		if err != nil || n != len(efb) || math.Float64bits(gotF.F) != math.Float64bits(fb.F) {
-			t.Fatalf("float key %g round-trips to %v (n=%d, err=%v)", fb.F, gotF, n, err)
+		// Composite keys (k1, k2): (a1, b2) against (b1, a2) and (a1, a2).
+		for _, k1 := range kinds {
+			for _, k2 := range kinds {
+				x := []Value{pairs[k1][0], pairs[k2][1]}
+				for _, y := range [][]Value{{pairs[k1][1], pairs[k2][0]}, {pairs[k1][0], pairs[k2][0]}, {pairs[k1][0], Null()}} {
+					want := Compare(x[0], y[0])
+					if want == 0 {
+						want = Compare(x[1], y[1])
+					}
+					ex := AppendStoredKeyValue(AppendStoredKeyValue(nil, x[0]), x[1])
+					ey := AppendStoredKeyValue(AppendStoredKeyValue(nil, y[0]), y[1])
+					if got := bytes.Compare(ex, ey); got != want {
+						t.Fatalf("(%v,%v): bytes.Compare(key%v, key%v) = %d, want %d", k1, k2, x, y, got, want)
+					}
+				}
+			}
+		}
+		// Arbitrary bytes: an error or a value within bounds, the same width
+		// from every parser, and a value that encodes back to what it decodes
+		// from.
+		for _, k := range append(kinds, KindNull, Kind(77)) {
+			v, n, err := DecodeKeyValue(raw, k)
+			skip, skipErr := SkipKeyValue(raw, k)
+			if err != nil {
+				continue
+			}
+			if n <= 0 || n > len(raw) || skipErr != nil || skip != n {
+				t.Fatalf("%v: DecodeKeyValue(%x) consumed %d, SkipKeyValue %d (%v)", k, raw, n, skip, skipErr)
+			}
+			if !v.IsNull() && v.Kind != k {
+				t.Fatalf("%v: DecodeKeyValue(%x) returned a %v", k, raw, v.Kind)
+			}
+			if back, _, err := DecodeKeyValue(AppendStoredKeyValue(nil, v), k); err != nil || !valueEqualNaN(back, v) {
+				t.Fatalf("%v: %x decodes to %v, which re-encodes to %v (%v)", k, raw, v, back, err)
+			}
+		}
+		var scratch []byte
+		if body, n, _, err := KeyStringBody(raw, &scratch); err == nil && (n <= 0 || n > len(raw) || len(body) > n) {
+			t.Fatalf("KeyStringBody(%x) = %q, %d", raw, body, n)
 		}
 	})
 }

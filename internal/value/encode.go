@@ -9,13 +9,17 @@ import (
 
 // Binary encoding of values and tuples.
 //
-// Two encodings are provided:
+// Three encodings are provided:
 //
 //   - EncodeTuple/DecodeTuple: a compact, self-describing row format used by
 //     heap pages and B+-tree leaf payloads. It is not order-preserving.
-//   - EncodeKey/CompareEncodedKeys: an order-preserving composite-key format
-//     used by B+-tree keys, so that byte-wise comparison of encoded keys
-//     agrees with Compare on the original values column by column.
+//   - AppendStoredKeyValue/DecodeKeyValue: the order-preserving stored-key
+//     format of B+-tree keys, directed by the column's declared kind, so a
+//     value is as narrow as its kind allows. Byte-wise comparison agrees with
+//     Compare among values of one kind (and NULL).
+//   - EncodeKey/AppendKeyValue: the in-memory cross-kind grouping and join
+//     encoding, where no kind is declared and 1 and 1.0 must share bytes. It
+//     never reaches a page.
 
 // EncodeTuple appends the compact encoding of row to dst and returns the
 // extended slice.
@@ -102,47 +106,104 @@ func DecodeTupleInto(buf []Value, src []byte) ([]Value, int, error) {
 	return row, off, nil
 }
 
-// Key-encoding tags; chosen so that byte comparison orders NULL first,
-// numerics next and strings last, mirroring Compare.
+// Key class bytes: the first byte of every encoded key value, in both key
+// encodings, which share the NULL (lowest in every kind) and string forms.
+// They differ in their numbers: the in-memory encoding writes every numeric
+// value as keyTagNumber and the cross-kind float64 sort word, the stored one
+// writes a FLOAT as keyClassFloat and that word but an INT, DATE or BOOL as a
+// length class around keyClassIntZero and its minimal magnitude. Every class
+// byte is below 0xFF, so a run of 0xFF bytes bounds any key suffix from above
+// (catalog's keySentinel).
 const (
 	keyTagNull   byte = 0x01
 	keyTagNumber byte = 0x02
 	keyTagString byte = 0x03
+
+	keyClassFloat byte = 0x02
+	// An integer-family stored key value is keyClassIntZero for 0,
+	// keyClassIntZero+n followed by the n-byte big-endian magnitude for a
+	// positive value and keyClassIntZero-n followed by the low n bytes of the
+	// two's complement form for a negative one (n minimal, 1..8): longer
+	// negatives sort first, then shorter ones, zero, and positives by length.
+	keyClassIntZero byte = 0x18
 )
 
-// EncodeKey appends an order-preserving encoding of the composite key to dst.
-// For any two keys a and b of the same arity,
+// EncodeKey appends the in-memory order-preserving encoding of the composite
+// key to dst: the grouping and join key of the hash aggregate, the hash joins
+// and expr.AppendKey, where columns carry no declared kind and Compare-equal
+// values of different kinds (1 and 1.0) must land on the same bytes. For any
+// two keys a and b of the same arity,
 // bytes.Compare(EncodeKey(nil,a), EncodeKey(nil,b)) has the same sign as the
-// column-wise Compare of a and b.
+// column-wise Compare of a and b. Stored keys use AppendStoredKeyValue.
 func EncodeKey(dst []byte, key []Value) []byte {
 	for _, v := range key {
-		dst = encodeKeyValue(dst, v)
+		dst = AppendKeyValue(dst, v)
 	}
 	return dst
 }
 
-// AppendKeyValue appends the order-preserving encoding of a single value — one
-// column's contribution to EncodeKey — so callers composing keys column by
-// column (hash joins, aggregation) avoid building a temporary key slice.
-func AppendKeyValue(dst []byte, v Value) []byte { return encodeKeyValue(dst, v) }
+// appendKeyString appends a string's key form: the tag, the contents with
+// 0x00 escaped as 0x00 0xFF, and the terminator 0x00 0x00, so that a prefix
+// orders before a longer string.
+func appendKeyString(dst []byte, s string) []byte {
+	dst = append(dst, keyTagString)
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; b == 0x00 {
+			dst = append(dst, 0x00, 0xFF)
+		} else {
+			dst = append(dst, b)
+		}
+	}
+	return append(dst, 0x00, 0x00)
+}
 
-func encodeKeyValue(dst []byte, v Value) []byte {
+// AppendStoredKeyValue appends the stored-key encoding of one key column's
+// value: what a B+-tree key holds and DecodeKeyValue reads back under the
+// column's declared kind. v must already be of that kind or NULL
+// (CoerceKeyValue). Within one kind, bytes.Compare of two encodings has the
+// sign of Compare of the values, NULL lowest, and no encoding is a prefix of
+// another, so concatenated columns compare column by column. An INT, DATE or
+// BOOL takes 1 byte for 0, 2 below 256, 3 below 65,536 ... 9 at most, exact
+// over all of int64; a FLOAT takes 9 (negative zero stored as +0.0); a string
+// its length plus 3 and one more per 0x00 byte.
+func AppendStoredKeyValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
 		return append(dst, keyTagNull)
 	case KindString:
-		dst = append(dst, keyTagString)
-		// Escape 0x00 as 0x00 0xFF and terminate with 0x00 0x00 so that
-		// prefixes order before longer strings.
-		for i := 0; i < len(v.S); i++ {
-			b := v.S[i]
-			if b == 0x00 {
-				dst = append(dst, 0x00, 0xFF)
-			} else {
-				dst = append(dst, b)
-			}
+		return appendKeyString(dst, v.S)
+	case KindFloat:
+		dst = append(dst, keyClassFloat)
+		return binary.BigEndian.AppendUint64(dst, NumericSortKey(v))
+	default:
+		u := uint64(v.I)
+		class := keyClassIntZero
+		var n int
+		switch {
+		case v.I > 0:
+			n = (bits.Len64(u) + 7) / 8
+			class += byte(n)
+		case v.I < 0:
+			n = max(1, (bits.Len64(^u)+7)/8)
+			class -= byte(n)
 		}
-		return append(dst, 0x00, 0x00)
+		dst = append(dst, class)
+		for shift := 8 * (n - 1); shift >= 0; shift -= 8 {
+			dst = append(dst, byte(u>>shift))
+		}
+		return dst
+	}
+}
+
+// AppendKeyValue appends the in-memory encoding of a single value — one
+// column's contribution to EncodeKey — so callers composing keys column by
+// column (hash joins, aggregation) avoid building a temporary key slice.
+func AppendKeyValue(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindNull:
+		return append(dst, keyTagNull)
+	case KindString:
+		return appendKeyString(dst, v.S)
 	default:
 		dst = append(dst, keyTagNumber)
 		var buf [8]byte
@@ -193,13 +254,16 @@ func saturatingInt64(f float64) int64 {
 	return int64(f)
 }
 
-// NumericSortKey returns the order-preserving 64-bit key a numeric value
-// (INT, FLOAT, DATE, BOOL) contributes to EncodeKey: the sortable form of its
-// float64 value, with the sign bit flipped for non-negatives and the whole
-// word complemented for negatives. Two numeric values have equal sort keys
-// exactly when they encode identically, which lets hash operators group by
-// this word instead of the full encoded key. Negative zero normalizes to
-// +0.0 first: Compare orders the two equal, so they must share a key word.
+// NumericSortKey returns the order-preserving 64-bit word a numeric value
+// (INT, FLOAT, DATE, BOOL) contributes to the in-memory EncodeKey — and a
+// FLOAT to its stored key: the sortable form of its float64 value, with the
+// sign bit flipped for non-negatives and the whole word complemented for
+// negatives. Below ±2^53 two numeric values have equal words exactly when
+// they encode identically, which lets hash operators group by this word
+// instead of the full encoded key; from ±2^53 on adjacent integers share a
+// word and EncodeKey tells them apart by its integer suffix. Negative zero
+// normalizes to +0.0 first: Compare orders the two equal, so they must share
+// a key word.
 func NumericSortKey(v Value) uint64 {
 	f := v.Float()
 	if f == 0 {
@@ -210,6 +274,14 @@ func NumericSortKey(v Value) uint64 {
 		return bits | 1<<63
 	}
 	return ^bits
+}
+
+// NumericGroupWord returns NumericSortKey(v) and whether that word is the
+// whole of v's EncodeKey form, so that a map keyed by it groups exactly as the
+// encoded key does: false from ±2^53 on, where adjacent integers share a word
+// and EncodeKey appends its integer suffix.
+func NumericGroupWord(v Value) (word uint64, whole bool) {
+	return NumericSortKey(v), !keyNeedsIntSuffix(v.Float())
 }
 
 // RowSize returns the number of bytes EncodeTuple would use for row, useful
