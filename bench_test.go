@@ -197,15 +197,18 @@ func BenchmarkStorageOverheadAblation(b *testing.B) {
 					[]string{"l_shipdate", "l_suppkey"}, []string{"l_shipdate", "l_suppkey"}); err != nil {
 					b.Fatal(err)
 				}
-				ship, err := e.Catalog().Table("d1_l_shipdate")
-				if err != nil {
-					b.Fatal(err)
+				pages := 0
+				for _, name := range []string{"d1_l_shipdate", "d1_l_suppkey"} {
+					tb, err := e.Catalog().Table(name)
+					if err != nil {
+						b.Fatal(err)
+					}
+					n, err := tb.DataPages()
+					if err != nil {
+						b.Fatal(err)
+					}
+					pages += n
 				}
-				supp, err := e.Catalog().Table("d1_l_suppkey")
-				if err != nil {
-					b.Fatal(err)
-				}
-				pages := ship.DataPages() + supp.DataPages()
 				res, err := e.Query("SELECT l_shipdate, l_suppkey FROM lineitem")
 				if err != nil {
 					b.Fatal(err)

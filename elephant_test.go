@@ -73,9 +73,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if proj.TotalPages() >= int64(li.DataPages()) {
-		t.Errorf("compressed projection (%d pages) should be smaller than the table (%d pages)",
-			proj.TotalPages(), li.DataPages())
+	if pages, err := li.DataPages(); err != nil || proj.TotalPages() >= int64(pages) {
+		t.Errorf("compressed projection (%d pages) should be smaller than the table (%d pages, err %v)",
+			proj.TotalPages(), pages, err)
 	}
 }
 

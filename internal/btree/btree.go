@@ -10,7 +10,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"oldelephant/internal/storage"
@@ -22,7 +22,8 @@ import (
 // Reads (Scan, Seek, LeafPages, morsel iterators) are safe to run from
 // concurrent goroutines as long as no mutation (Insert, Delete, BulkLoad)
 // runs at the same time — the serving layer's reader/writer isolation; page
-// accesses themselves are serialized by the pager.
+// accesses themselves are serialized by the pager. Reads decode records where
+// they lie (see node): the tree keeps no second copy of a page's contents.
 type BTree struct {
 	pager    *storage.Pager
 	root     storage.PageID
@@ -30,53 +31,19 @@ type BTree struct {
 	count    int64
 	overhead int // per-leaf-entry overhead bytes, emulating the row header
 	// leafCache memoizes LeafPages so morsel partitioning does not re-walk
-	// the leaf chain on every query; any structural mutation invalidates it.
-	// It is an atomic pointer because concurrent read-only queries race to
-	// fill it (two sessions planning parallel scans of one table).
+	// the leaf chain on every query; every mutation (Insert, Delete, BulkLoad)
+	// clears it before touching a node. It is an atomic pointer because
+	// concurrent read-only queries race to fill it (two sessions planning
+	// parallel scans of one table).
 	leafCache atomic.Pointer[[]storage.PageID]
-	// parsed caches fully-parsed leaf nodes by page id, so that repeated
-	// scans, seeks, and morsel workers visiting a leaf pay readNodeInto once
-	// per mutation epoch instead of once per visit. Cached entries alias
-	// stable page memory (like every entry slice) and are shared read-only
-	// between concurrent iterators; the RWMutex covers only the map, and the
-	// same mutation paths that clear leafCache clear it wholesale. Page reads
-	// still go through the pager on every visit, so a cache hit changes no
-	// I/O accounting — only the parse is amortized.
-	parsedMu sync.RWMutex
-	parsed   map[storage.PageID]*parsedLeaf
-}
-
-// parsedLeaf is one cached leaf parse: its entries and next-leaf pointer.
-type parsedLeaf struct {
-	entries []entry
-	next    uint64
-}
-
-// maxParsedLeaves bounds the parse cache. At a few KB of entry headers per
-// leaf this caps the cache near the size of the pages it mirrors; trees with
-// more leaves serve the overflow by parsing into the iterator's scratch
-// buffer, exactly as every leaf was handled before the cache existed.
-const maxParsedLeaves = 8192
-
-// entry is one (key, payload) pair inside a node. In internal nodes the
-// payload is the child's page id (childPayload).
-type entry struct {
-	key []byte
-	val []byte
 }
 
 // New creates an empty tree. overhead is the per-leaf-entry byte overhead
 // (pass a negative value for storage.DefaultTupleOverhead, 0 for none).
 func New(pager *storage.Pager, overhead int) *BTree {
-	if overhead < 0 {
-		overhead = storage.DefaultTupleOverhead
-	}
-	t := &BTree{pager: pager, overhead: overhead, parsed: make(map[storage.PageID]*parsedLeaf)}
 	root := pager.Allocate()
 	writeNode(root, true, nil, 0)
-	t.root = root.ID()
-	t.height = 1
-	return t
+	return Open(pager, root.ID(), 1, 0, overhead)
 }
 
 // Open reattaches a tree to its pages (recovery path: root, height and count
@@ -86,10 +53,7 @@ func Open(pager *storage.Pager, root storage.PageID, height int, count int64, ov
 	if overhead < 0 {
 		overhead = storage.DefaultTupleOverhead
 	}
-	return &BTree{
-		pager: pager, root: root, height: height, count: count,
-		overhead: overhead, parsed: make(map[storage.PageID]*parsedLeaf),
-	}
+	return &BTree{pager: pager, root: root, height: height, count: count, overhead: overhead}
 }
 
 // Count returns the number of entries in the tree.
@@ -101,71 +65,155 @@ func (t *BTree) Height() int { return t.height }
 // RootPage returns the page id of the root node.
 func (t *BTree) RootPage() storage.PageID { return t.root }
 
-// NumLeafPages walks the leaf chain and returns its length. Intended for
-// statistics and tests; it performs I/O. The walk reads only each leaf's Aux
-// word (the next-leaf pointer) — no record parsing.
-func (t *BTree) NumLeafPages() int {
-	id, err := t.firstLeaf()
-	n := 0
-	for err == nil && id != storage.InvalidPageID {
-		n++
-		var pg *storage.Page
-		if pg, err = t.pager.Get(id); err == nil {
-			id = storage.PageID(pg.Aux())
-		}
-	}
-	return n
-}
-
-// AllPages returns every page id the tree occupies (internal nodes and
-// leaves), so DROP TABLE can hand them to the pager's freelist.
-func (t *BTree) AllPages() ([]storage.PageID, error) {
-	var out []storage.PageID
-	var walk func(id storage.PageID) error
-	walk = func(id storage.PageID) error {
-		out = append(out, id)
-		pg, err := t.pager.Get(id)
-		if err != nil {
-			return err
-		}
-		n := pg.NumSlots()
-		if n == 0 {
-			return nil
-		}
-		first := pg.Record(0)
-		if first == nil || first[0] == recLeaf {
-			return nil
-		}
-		if err := walk(storage.PageID(pg.Aux())); err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			rec := pg.Record(i)
-			if rec == nil {
-				continue
-			}
-			_, val := recordKeyVal(rec)
-			if err := walk(childID(val)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(t.root); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Node layout. The page Aux word stores, for leaves, the next-leaf page id;
 // for internal nodes, the id of the leftmost child (covering keys below the
-// first separator). The first byte of every record is a leaf marker so the
-// node kind is self-describing; remaining record bytes are
-// uvarint(keyLen) || key || payload.
+// first separator). Every record is
+//
+//	marker || uvarint(len(key)) || key || payload
+//
+// where the marker byte makes the node kind self-describing and an internal
+// record's payload is its child's page id as a uvarint. appendRecord and
+// recordSize write and size this format and node reads it; nothing else in
+// the package looks inside a record.
 const (
 	recLeaf     byte = 1
 	recInternal byte = 2
 )
+
+func appendRecord(dst []byte, marker byte, key, val []byte) []byte {
+	dst = append(dst, marker)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	dst = append(dst, key...)
+	return append(dst, val...)
+}
+
+// recordSize is a record's on-page footprint, its slot included.
+func recordSize(key, val []byte) int {
+	klen := 1
+	for x := len(key); x >= 0x80; x >>= 7 {
+		klen++
+	}
+	return 1 + klen + len(key) + len(val) + 4
+}
+
+// childPayload is an internal entry's payload: the child's page id as a
+// uvarint, two or three bytes for any tree that fits in memory, so an inner
+// node's fan-out is set by its keys rather than by an 8-byte pointer.
+func childPayload(id storage.PageID) []byte {
+	return binary.AppendUvarint(nil, uint64(id))
+}
+
+func childID(val []byte) storage.PageID {
+	id, _ := binary.Uvarint(val)
+	return storage.PageID(id)
+}
+
+// node is the read-side view of one tree page: the pager's page and its slot
+// count, with every record decoded on demand through the slot directory.
+// Nothing is copied: a node is two words, and the keys and payloads it hands
+// out alias page memory, valid until the tree is next mutated. Tree pages
+// are only ever written whole (writeNode), so every slot holds a record.
+type node struct {
+	pg *storage.Page
+	n  int
+}
+
+// node fetches a page through the pager — one charged access per visit.
+func (t *BTree) node(id storage.PageID) (node, error) {
+	pg, err := t.pager.Get(id)
+	if err != nil {
+		return node{}, err
+	}
+	return node{pg, pg.NumSlots()}, nil
+}
+
+// isLeaf reads the first record's marker; only an empty root leaf has none.
+func (nd node) isLeaf() bool { return nd.n == 0 || nd.pg.Record(0)[0] == recLeaf }
+
+// next is a leaf's right sibling, InvalidPageID at the end of the chain.
+func (nd node) next() storage.PageID { return storage.PageID(nd.pg.Aux()) }
+
+// child is an internal node's i-th child; -1 names the leftmost.
+func (nd node) child(i int) storage.PageID {
+	if i < 0 {
+		return storage.PageID(nd.pg.Aux())
+	}
+	_, val := nd.record(i)
+	return childID(val)
+}
+
+func (nd node) record(i int) (key, val []byte) {
+	rec := nd.pg.Record(i)
+	klen, sz := binary.Uvarint(rec[1:])
+	end := 1 + sz + int(klen)
+	return rec[1+sz : end], rec[end:]
+}
+
+func (nd node) key(i int) []byte {
+	key, _ := nd.record(i)
+	return key
+}
+
+// lowerBound returns the first slot whose key is >= key.
+func (nd node) lowerBound(key []byte) int { return nd.bound(0, nd.n, key, true) }
+
+// upperBound returns the first slot whose key is strictly greater than key
+// (so equal keys keep insertion order).
+func (nd node) upperBound(key []byte) int { return nd.bound(0, nd.n, key, false) }
+
+// bound binary-searches the slots [lo, hi) for the first whose key is greater
+// than key, or equal to it when orEqual, and returns hi when there is none —
+// O(log n) record decodes.
+func (nd node) bound(lo, hi int, key []byte, orEqual bool) int {
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nd.beyond(mid, key, orEqual) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
+func (nd node) beyond(i int, key []byte, orEqual bool) bool {
+	cmp := bytes.Compare(nd.key(i), key)
+	return cmp > 0 || (cmp == 0 && orEqual)
+}
+
+// boundNear is bound over [lo, n) for a bound expected just after lo — a
+// point seek's stop key, a slot or two past its start: it doubles its stride
+// from lo until a probe lies beyond, then bisects that last stride, so the
+// cost follows the distance to the bound rather than the size of the node.
+func (nd node) boundNear(lo int, key []byte, orEqual bool) int {
+	for step := 1; ; step *= 2 {
+		probe := lo + step - 1
+		if probe >= nd.n {
+			return nd.bound(lo, nd.n, key, orEqual)
+		}
+		if nd.beyond(probe, key, orEqual) {
+			return nd.bound(lo, probe, key, orEqual)
+		}
+		lo = probe + 1
+	}
+}
+
+// entry is one (key, payload) pair of a node about to be rewritten. In
+// internal nodes the payload is the child's page id (childPayload).
+type entry struct {
+	key []byte
+	val []byte
+}
+
+// entries materializes the node for a rewrite, with room for one more entry.
+// The slices alias the page until writeNode replaces it.
+func (nd node) entries() []entry {
+	out := make([]entry, nd.n, nd.n+1)
+	for i := range out {
+		out[i].key, out[i].val = nd.record(i)
+	}
+	return out
+}
 
 func writeNode(pg *storage.Page, isLeaf bool, entries []entry, extra uint64) bool {
 	marker := recInternal
@@ -173,20 +221,12 @@ func writeNode(pg *storage.Page, isLeaf bool, entries []entry, extra uint64) boo
 		marker = recLeaf
 	}
 	// Serialize every entry before touching the page: the entries frequently
-	// alias the very page being rewritten (they come from readNode).
+	// alias the very page being rewritten (they come from node.entries).
 	recs := make([][]byte, len(entries))
 	for i, e := range entries {
-		rec := make([]byte, 0, 1+10+len(e.key)+len(e.val))
-		rec = append(rec, marker)
-		rec = binary.AppendUvarint(rec, uint64(len(e.key)))
-		rec = append(rec, e.key...)
-		rec = append(rec, e.val...)
-		recs[i] = rec
+		recs[i] = appendRecord(make([]byte, 0, 1+10+len(e.key)+len(e.val)), marker, e.key, e.val)
 	}
-	data := pg.Data()
-	for i := range data {
-		data[i] = 0
-	}
+	clear(pg.Data())
 	reinit(pg)
 	pg.SetAux(extra)
 	for _, rec := range recs {
@@ -205,110 +245,14 @@ func reinit(pg *storage.Page) {
 	binary.LittleEndian.PutUint16(data[4:6], 0)  // free end = PageSize sentinel
 }
 
-func readNode(pg *storage.Page) (isLeaf bool, entries []entry, extra uint64) {
-	return readNodeInto(pg, nil)
-}
-
-// readNodeInto is readNode appending into buf (reusing its capacity) — the
-// iterator's per-leaf path, where a fresh entries slice per leaf would be the
-// only allocation of an otherwise zero-copy scan. The key/val slices alias
-// page memory, which the pager keeps resident for the process lifetime, so
-// entries (and spans handed out from them) stay valid indefinitely.
-func readNodeInto(pg *storage.Page, buf []entry) (isLeaf bool, entries []entry, extra uint64) {
-	extra = pg.Aux()
-	n := pg.NumSlots()
-	entries = buf[:0]
-	if cap(entries) < n {
-		// Sized to the node, not grown by appending: a cached leaf parse lives
-		// as long as the tree goes unmodified, and growth would round its 48-byte
-		// entries up to the next allocation class — twice the need for a leaf
-		// just past one (86 records where 85 fill 4 KiB).
-		entries = make([]entry, 0, n)
-	}
-	isLeaf = true
-	for i := 0; i < n; i++ {
-		rec := pg.Record(i)
-		if rec == nil {
-			continue
-		}
-		isLeaf = rec[0] == recLeaf
-		klen, sz := binary.Uvarint(rec[1:])
-		keyStart := 1 + sz
-		key := rec[keyStart : keyStart+int(klen)]
-		val := rec[keyStart+int(klen):]
-		entries = append(entries, entry{key: key, val: val})
-	}
-	return isLeaf, entries, extra
-}
-
-// invalidateCaches drops the memoized leaf chain and every cached leaf parse.
-// Called by the same structural mutations that rewrite pages (Insert, Delete,
-// BulkLoad) before they touch any node, so readers that start after the
-// mutation never observe stale parses.
-func (t *BTree) invalidateCaches() {
-	t.leafCache.Store(nil)
-	t.parsedMu.Lock()
-	clear(t.parsed)
-	t.parsedMu.Unlock()
-}
-
-// loadLeaf returns the parsed form of a leaf page, serving repeated visits
-// from the parse cache. The page is fetched through the pager first in every
-// case, so the I/O simulation charges a cache hit identically to a parse. On
-// a cache miss the leaf is parsed into a fresh slice and cached (shared=true)
-// unless the cache is full, in which case it is parsed into scratch
-// (shared=false) and the caller keeps ownership. Shared results are read-only
-// and must never be written through.
-func (t *BTree) loadLeaf(id storage.PageID, scratch []entry) (entries []entry, next uint64, shared bool, err error) {
-	pg, err := t.pager.Get(id)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	t.parsedMu.RLock()
-	pl, ok := t.parsed[id]
-	t.parsedMu.RUnlock()
-	if ok {
-		return pl.entries, pl.next, true, nil
-	}
-	full := false
-	t.parsedMu.RLock()
-	full = len(t.parsed) >= maxParsedLeaves
-	t.parsedMu.RUnlock()
-	if full {
-		_, entries, next = readNodeInto(pg, scratch)
-		return entries, next, false, nil
-	}
-	_, owned, extra := readNode(pg)
-	pl = &parsedLeaf{entries: owned, next: extra}
-	t.parsedMu.Lock()
-	if prev, ok := t.parsed[id]; ok {
-		// A concurrent reader cached the identical parse first; share it so
-		// every iterator observes one stable slice.
-		pl = prev
-	} else {
-		t.parsed[id] = pl
-	}
-	t.parsedMu.Unlock()
-	return pl.entries, pl.next, true, nil
-}
-
 // entrySize returns the on-page footprint of an entry, including the leaf
 // overhead when applicable.
 func (t *BTree) entrySize(e entry, isLeaf bool) int {
-	size := 1 + uvarintLen(uint64(len(e.key))) + len(e.key) + len(e.val) + 4 // +slot
+	size := recordSize(e.key, e.val)
 	if isLeaf {
 		size += t.overhead
 	}
 	return size
-}
-
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
 }
 
 // usableBytes is the payload capacity of a node page.
@@ -343,7 +287,7 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	if len(bound)+len(val) > usableBytes/4 {
 		return fmt.Errorf("btree: entry of %d bytes is too large", len(bound)+len(val))
 	}
-	t.invalidateCaches()
+	t.leafCache.Store(nil)
 	promoted, newChild, err := t.insertInto(t.root, bound, val, choose, true)
 	if err == errPredElsewhere {
 		var pred, key []byte
@@ -368,18 +312,6 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	return nil
 }
 
-// childPayload is an internal entry's payload: the child's page id as a
-// uvarint, two or three bytes for any tree that fits in memory, so an inner
-// node's fan-out is set by its keys rather than by an 8-byte pointer.
-func childPayload(id storage.PageID) []byte {
-	return binary.AppendUvarint(nil, uint64(id))
-}
-
-func childID(val []byte) storage.PageID {
-	id, _ := binary.Uvarint(val)
-	return storage.PageID(id)
-}
-
 // errPredElsewhere is insertInto's report that the target leaf holds no key
 // <= bound although leaves to its left exist.
 var errPredElsewhere = errors.New("btree: predecessor is not in the target leaf")
@@ -387,24 +319,19 @@ var errPredElsewhere = errors.New("btree: predecessor is not in the target leaf"
 // maxKeyLE returns the greatest key <= bound stored under the node id,
 // searching right to left past leaves that deletes have emptied.
 func (t *BTree) maxKeyLE(id storage.PageID, bound []byte) ([]byte, bool, error) {
-	pg, err := t.pager.Get(id)
+	nd, err := t.node(id)
 	if err != nil {
 		return nil, false, err
 	}
-	isLeaf, entries, extra := readNode(pg)
-	pos := upperBound(entries, bound)
-	if isLeaf {
+	pos := nd.upperBound(bound)
+	if nd.isLeaf() {
 		if pos == 0 {
 			return nil, false, nil
 		}
-		return entries[pos-1].key, true, nil
+		return nd.key(pos - 1), true, nil
 	}
 	for i := pos - 1; i >= -1; i-- {
-		child := storage.PageID(extra)
-		if i >= 0 {
-			child = childID(entries[i].val)
-		}
-		if key, ok, err := t.maxKeyLE(child, bound); ok || err != nil {
+		if key, ok, err := t.maxKeyLE(nd.child(i), bound); ok || err != nil {
 			return key, ok, err
 		}
 	}
@@ -414,18 +341,21 @@ func (t *BTree) maxKeyLE(id storage.PageID, bound []byte) ([]byte, bool, error) 
 // insertInto inserts into the subtree rooted at id (see InsertUnder for
 // choose); leftmost says no leaf lies to the subtree's left. If the node
 // splits it returns the separator key and the new right sibling's page id.
+// A node is materialized (node.entries) only once it is sure to be rewritten.
 func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred []byte) ([]byte, error), leftmost bool) ([]byte, storage.PageID, error) {
-	pg, err := t.pager.Get(id)
+	nd, err := t.node(id)
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
-	isLeaf, entries, extra := readNode(pg)
-	if isLeaf {
-		pos := upperBound(entries, key)
+	// Equal keys keep insertion order; in an internal node the child left of
+	// that position — under the last separator <= key — covers the key.
+	pos := nd.upperBound(key)
+	extra := nd.pg.Aux()
+	if nd.isLeaf() {
 		if choose != nil {
 			var pred []byte
 			if pos > 0 {
-				pred = entries[pos-1].key
+				pred = nd.key(pos - 1)
 			} else if !leftmost {
 				return nil, storage.InvalidPageID, errPredElsewhere
 			}
@@ -433,12 +363,10 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 				return nil, storage.InvalidPageID, err
 			}
 		}
-		entries = append(entries, entry{})
-		copy(entries[pos+1:], entries[pos:])
-		entries[pos] = entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
+		entries := slices.Insert(nd.entries(), pos, entry{key: key, val: val})
 		if t.nodeFits(entries, true) {
 			t.pager.BeforeWrite(id)
-			writeNode(pg, true, entries, extra)
+			writeNode(nd.pg, true, entries, extra)
 			return nil, storage.InvalidPageID, nil
 		}
 		// Split the leaf. The separator must be copied before the left page is
@@ -448,37 +376,18 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 		right := t.pager.Allocate()
 		writeNode(right, true, entries[mid:], extra) // right inherits next pointer
 		t.pager.BeforeWrite(id)
-		writeNode(pg, true, entries[:mid], uint64(right.ID()))
+		writeNode(nd.pg, true, entries[:mid], uint64(right.ID()))
 		return sep, right.ID(), nil
 	}
-	// Internal node: find child covering key.
-	childIdx := -1 // -1 means leftmost child (extra)
-	for i := range entries {
-		if bytes.Compare(entries[i].key, key) <= 0 {
-			childIdx = i
-		} else {
-			break
-		}
-	}
-	var child storage.PageID
-	if childIdx == -1 {
-		child = storage.PageID(extra)
-	} else {
-		child = childID(entries[childIdx].val)
-	}
-	promoted, newChild, err := t.insertInto(child, key, val, choose, leftmost && childIdx == -1)
+	promoted, newChild, err := t.insertInto(nd.child(pos-1), key, val, choose, leftmost && pos == 0)
 	if err != nil || newChild == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}
-	// Insert the separator after childIdx.
-	ins := entry{key: promoted, val: childPayload(newChild)}
-	pos := childIdx + 1
-	entries = append(entries, entry{})
-	copy(entries[pos+1:], entries[pos:])
-	entries[pos] = ins
+	// The child split: its separator goes right after the child's own.
+	entries := slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)})
 	if t.nodeFits(entries, false) {
 		t.pager.BeforeWrite(id)
-		writeNode(pg, false, entries, extra)
+		writeNode(nd.pg, false, entries, extra)
 		return nil, storage.InvalidPageID, nil
 	}
 	// Split the internal node: middle key moves up.
@@ -487,164 +396,81 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 	right := t.pager.Allocate()
 	writeNode(right, false, entries[mid+1:], uint64(childID(entries[mid].val)))
 	t.pager.BeforeWrite(id)
-	writeNode(pg, false, entries[:mid], extra)
+	writeNode(nd.pg, false, entries[:mid], extra)
 	return sep, right.ID(), nil
 }
 
-// upperBound returns the index of the first entry whose key is strictly
-// greater than key (so equal keys keep insertion order).
-func upperBound(entries []entry, key []byte) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(entries[mid].key, key) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// lowerBound returns the index of the first entry whose key is >= key.
-func lowerBound(entries []entry, key []byte) int {
-	lo, hi := 0, len(entries)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if bytes.Compare(entries[mid].key, key) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Delete removes the first entry with exactly the given key and payload
-// prefix (payload may be nil to match any). It returns true if an entry was
-// removed. Nodes are not rebalanced: the workload is read-mostly and
-// underfull nodes only waste space, never correctness.
+// Delete removes the first entry with exactly the given key. It returns true
+// if an entry was removed. Nodes are not rebalanced: the workload is
+// read-mostly and underfull nodes only waste space, never correctness.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	t.invalidateCaches()
+	t.leafCache.Store(nil)
 	id, err := t.leafFor(key)
 	if err != nil {
 		return false, err
 	}
+	// The first key >= key decides; leaves that deletes have emptied and
+	// leaves of smaller keys are walked past.
 	for id != storage.InvalidPageID {
-		pg, err := t.pager.Get(id)
+		nd, err := t.node(id)
 		if err != nil {
 			return false, err
 		}
-		_, entries, extra := readNode(pg)
-		for i := range entries {
-			cmp := bytes.Compare(entries[i].key, key)
-			if cmp > 0 {
+		if pos := nd.lowerBound(key); pos < nd.n {
+			if !bytes.Equal(nd.key(pos), key) {
 				return false, nil
 			}
-			if cmp == 0 {
-				entries = append(entries[:i], entries[i+1:]...)
-				t.pager.BeforeWrite(id)
-				writeNode(pg, true, entries, extra)
-				t.count--
-				return true, nil
-			}
+			entries := slices.Delete(nd.entries(), pos, pos+1)
+			t.pager.BeforeWrite(id)
+			writeNode(nd.pg, true, entries, uint64(nd.next()))
+			t.count--
+			return true, nil
 		}
-		id = storage.PageID(extra)
+		id = nd.next()
 	}
 	return false, nil
 }
 
-// recordKeyVal splits one node record into its key and payload without
-// materializing the whole node — the descent fast path.
-func recordKeyVal(rec []byte) (key, val []byte) {
-	klen, sz := binary.Uvarint(rec[1:])
-	keyStart := 1 + sz
-	return rec[keyStart : keyStart+int(klen)], rec[keyStart+int(klen):]
-}
-
-// leafFor descends to the first leaf that may contain key. Routing uses a
-// strict comparison so that, with duplicate keys split across leaves, the
-// leftmost occurrence is always reachable (iterators follow leaf links).
-// Each internal node is binary-searched through its slot directory directly
-// — O(log fanout) record parses per level instead of materializing every
-// entry, which is what keeps a point seek's descent cheap enough for the
-// serving layer's prepared-statement hot path.
+// leafFor descends to the first leaf that may contain key; a nil key, below
+// which no separator sorts, reaches the leftmost leaf. Routing uses a strict
+// comparison so that, with duplicate keys split across leaves, the leftmost
+// occurrence is always reachable (iterators follow leaf links). Each internal
+// node is binary-searched in place — O(log fanout) record decodes per level —
+// which is what keeps a point seek's descent cheap enough for the serving
+// layer's prepared-statement hot path.
 func (t *BTree) leafFor(key []byte) (storage.PageID, error) {
 	id := t.root
 	for {
-		pg, err := t.pager.Get(id)
+		nd, err := t.node(id)
 		if err != nil {
 			return storage.InvalidPageID, err
 		}
-		n := pg.NumSlots()
-		if n == 0 {
-			return id, nil // only an empty root leaf has no records
-		}
-		first := pg.Record(0)
-		if first == nil || first[0] == recLeaf {
+		if nd.isLeaf() {
 			return id, nil
 		}
-		// Find the number of separators strictly below key; the child left
-		// of that position covers the key.
-		lo, hi := 0, n
-		for lo < hi {
-			mid := (lo + hi) / 2
-			k, _ := recordKeyVal(pg.Record(mid))
-			if bytes.Compare(k, key) < 0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		if lo == 0 {
-			id = storage.PageID(pg.Aux()) // leftmost child
-		} else {
-			_, val := recordKeyVal(pg.Record(lo - 1))
-			id = childID(val)
-		}
+		// The child left of the first separator >= key covers the key.
+		id = nd.child(nd.lowerBound(key) - 1)
 	}
 }
 
-// firstLeaf returns the leftmost leaf page. The descent inspects only each
-// node's first record marker and Aux word (the leftmost child) — no parsing.
-func (t *BTree) firstLeaf() (storage.PageID, error) {
-	id := t.root
-	for {
-		pg, err := t.pager.Get(id)
-		if err != nil {
-			return storage.InvalidPageID, err
-		}
-		if pg.NumSlots() == 0 {
-			return id, nil // only an empty root leaf has no records
-		}
-		first := pg.Record(0)
-		if first == nil || first[0] == recLeaf {
-			return id, nil
-		}
-		id = storage.PageID(pg.Aux())
-	}
-}
-
-// Iterator walks leaf entries in key order.
+// Iterator walks leaf entries in key order: a leaf, read where it lies, and
+// a slot position in it.
 type Iterator struct {
-	tree     *BTree
-	leaf     storage.PageID
-	entries  []entry
-	pos      int
-	stopKey  []byte // exclusive upper bound when stopExcl, inclusive otherwise
+	tree *BTree
+	nd   node           // the leaf under the cursor
+	pos  int            // next slot of nd to hand out
+	end  int            // slots of nd within the stop bound
+	next storage.PageID // the leaf after nd; InvalidPageID once the range ends in nd
+	// key and val are the entry Next last returned.
+	key, val []byte
+	startKey []byte // positions the cursor in the first non-empty leaf, then nil
+	stopKey  []byte // exclusive upper bound unless stopIncl
 	stopIncl bool
-	done     bool
 	// leavesLeft bounds how many further leaf pages the iterator may load
 	// (-1 = unbounded). Leaf-range iterators (SeekLeaves) use it to stop at
 	// their partition boundary instead of a key.
 	leavesLeft int
-	// scratch is the iterator-owned parse buffer for leaves served outside
-	// the tree's parse cache. It is deliberately separate from entries: when
-	// a leaf comes from the cache, entries aliases the shared cached slice,
-	// and parsing the next (uncached) leaf into it would overwrite memory
-	// other iterators are reading.
-	scratch []entry
-	err     error
+	err        error
 }
 
 // Err returns the first page-access error the iterator hit. Next reports
@@ -656,25 +482,19 @@ func (it *Iterator) Err() error { return it.err }
 // The slice aliases page memory, which stays resident and unmodified for as
 // long as the tree is not mutated — scans may hold key spans across Next
 // calls without copying.
-func (it *Iterator) Key() []byte { return it.entries[it.pos-1].key }
+func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current entry's payload. Valid only after Next reported
-// true. Like Key, the slice aliases stable page memory; the projected scan
-// fill hands sub-spans of it straight to the typed tuple decoders.
-func (it *Iterator) Value() []byte { return it.entries[it.pos-1].val }
+// true. Like Key, the slice aliases page memory; the projected scan fill
+// hands sub-spans of it straight to the typed tuple decoders.
+func (it *Iterator) Value() []byte { return it.val }
 
 // Next advances the iterator and reports whether an entry is available.
 func (it *Iterator) Next() bool {
 	if !it.advanceLeaf() {
 		return false
 	}
-	if it.stopKey != nil {
-		cmp := bytes.Compare(it.entries[it.pos].key, it.stopKey)
-		if cmp > 0 || (cmp == 0 && !it.stopIncl) {
-			it.done = true
-			return false
-		}
-	}
+	it.key, it.val = it.nd.record(it.pos)
 	it.pos++
 	return true
 }
@@ -682,82 +502,55 @@ func (it *Iterator) Next() bool {
 // NextSpans bulk-advances the iterator, filling keys (when non-nil) and vals
 // with up to len(vals) entries' key/value spans, and returns how many it
 // filled — fewer only at exhaustion. It is Next/Key/Value with the per-row
-// call overhead and bound checks hoisted out of the loop: batch fills drain a
-// whole cached leaf parse with one call per batch. The spans alias page
-// memory exactly as Key/Value do.
+// call overhead hoisted out of the loop: batch fills drain a leaf with one
+// call per batch. The spans alias page memory exactly as Key/Value do.
 func (it *Iterator) NextSpans(keys, vals [][]byte) int {
 	n := 0
-	for n < len(vals) {
-		if !it.advanceLeaf() {
-			break
-		}
-		entries := it.entries[it.pos:]
-		if want := len(vals) - n; len(entries) > want {
-			entries = entries[:want]
-		}
-		if it.stopKey != nil {
-			// Clip the run at the stop key; entries within a leaf are sorted,
-			// so everything before the first out-of-bound entry is in range.
-			for i := range entries {
-				cmp := bytes.Compare(entries[i].key, it.stopKey)
-				if cmp > 0 || (cmp == 0 && !it.stopIncl) {
-					entries = entries[:i]
-					it.done = true
-					break
-				}
+	for n < len(vals) && it.advanceLeaf() {
+		nd, pos := it.nd, it.pos
+		run := min(it.end-pos, len(vals)-n)
+		for i := 0; i < run; i++ {
+			key, val := nd.record(pos + i)
+			vals[n+i] = val
+			if keys != nil {
+				keys[n+i] = key
 			}
 		}
-		for i := range entries {
-			vals[n+i] = entries[i].val
-		}
-		if keys != nil {
-			for i := range entries {
-				keys[n+i] = entries[i].key
-			}
-		}
-		it.pos += len(entries)
-		n += len(entries)
-		if it.done {
-			break
-		}
+		it.pos += run
+		n += run
 	}
 	return n
 }
 
-// advanceLeaf makes sure an unconsumed entry is under the cursor, loading
-// further leaves (skipping empty ones) as needed; it returns false at the end
-// of the range or on a page error. Cached leaves hand back a shared read-only
-// parse; misses reuse the iterator's scratch buffer (Key()/Value() spans alias
-// page memory, not the entry slice, so recycling scratch is invisible to
-// callers).
+// advanceLeaf makes sure an unconsumed in-range entry is under the cursor,
+// loading further leaves (skipping empty ones) as needed; it returns false at
+// the end of the range or on a page error. Both bounds are applied as a leaf
+// is loaded, by searching its sorted slots: the start key once, in the first
+// leaf that holds anything; the stop key per leaf — one probe of the last key
+// says a scan's interior leaf is in range whole, and in the leaf where the
+// range ends the first out-of-bound slot is looked for from the cursor on.
 func (it *Iterator) advanceLeaf() bool {
-	for {
-		if it.done {
-			return false
-		}
-		if it.pos < len(it.entries) {
-			return true
-		}
-		if it.leaf == storage.InvalidPageID || it.leavesLeft == 0 {
-			it.done = true
+	for it.pos >= it.end {
+		if it.next == storage.InvalidPageID || it.leavesLeft == 0 {
 			return false
 		}
 		if it.leavesLeft > 0 {
 			it.leavesLeft--
 		}
-		entries, extra, shared, err := it.tree.loadLeaf(it.leaf, it.scratch)
+		nd, err := it.tree.node(it.next)
 		if err != nil {
-			it.err = err
-			it.done = true
+			it.err, it.next = err, storage.InvalidPageID
 			return false
 		}
-		if !shared {
-			it.scratch = entries
+		it.nd, it.pos, it.end, it.next = nd, 0, nd.n, nd.next()
+		if it.startKey != nil && nd.n > 0 {
+			it.pos, it.startKey = nd.lowerBound(it.startKey), nil
 		}
-		it.entries = entries
-		it.pos = 0
-		it.leaf = storage.PageID(extra)
+		if it.stopKey != nil && it.pos < nd.n && nd.beyond(nd.n-1, it.stopKey, !it.stopIncl) {
+			it.end, it.next = nd.boundNear(it.pos, it.stopKey, !it.stopIncl), storage.InvalidPageID
+		}
 	}
+	return true
 }
 
 // Scan returns an iterator over the whole tree in key order: a seek with
@@ -773,18 +566,9 @@ func (t *BTree) LeafPages() ([]storage.PageID, error) {
 	if cached := t.leafCache.Load(); cached != nil {
 		return *cached, nil
 	}
-	var out []storage.PageID
-	id, err := t.firstLeaf()
+	out, err := t.walkLeaves(nil, nil, false)
 	if err != nil {
 		return nil, err
-	}
-	for id != storage.InvalidPageID {
-		out = append(out, id)
-		pg, err := t.pager.Get(id)
-		if err != nil {
-			return nil, err
-		}
-		id = storage.PageID(pg.Aux())
 	}
 	t.leafCache.Store(&out)
 	return out, nil
@@ -803,36 +587,28 @@ func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, 
 	if start == nil && stop == nil {
 		return t.LeafPages()
 	}
+	return t.walkLeaves(start, stop, stopIncl)
+}
+
+// walkLeaves is the chain walk behind LeafRange and LeafPages.
+func (t *BTree) walkLeaves(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
 	var out []storage.PageID
-	var id storage.PageID
-	var err error
-	if start != nil {
-		id, err = t.leafFor(start)
-	} else {
-		id, err = t.firstLeaf()
-	}
+	id, err := t.leafFor(start)
 	if err != nil {
 		return nil, err
 	}
 	for id != storage.InvalidPageID {
-		pg, err := t.pager.Get(id)
+		nd, err := t.node(id)
 		if err != nil {
 			return nil, err
 		}
-		// Only the first record's key decides the stop bound; the leaf is not
-		// parsed. A missing first record skips the check (the extra leaf is
-		// harmless: iterators enforce the stop key themselves).
-		if stop != nil && pg.NumSlots() > 0 {
-			if rec := pg.Record(0); rec != nil {
-				k, _ := recordKeyVal(rec)
-				cmp := bytes.Compare(k, stop)
-				if cmp > 0 || (cmp == 0 && !stopIncl) {
-					break
-				}
-			}
+		// Only the leaf's first key decides the stop bound. An empty leaf is
+		// kept (harmless: iterators enforce the stop key themselves).
+		if stop != nil && nd.n > 0 && nd.beyond(0, stop, !stopIncl) {
+			break
 		}
 		out = append(out, id)
-		id = storage.PageID(pg.Aux())
+		id = nd.next()
 	}
 	return out, nil
 }
@@ -847,9 +623,9 @@ func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, 
 // stopIncl) — startKey on the first, nil on the rest — reproduces
 // Seek(start, stop, stopIncl) exactly.
 func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byte, stopIncl bool) *Iterator {
-	it := &Iterator{tree: t, stopKey: stop, stopIncl: stopIncl, leaf: start, leavesLeft: count}
-	if startKey != nil && it.advanceLeaf() {
-		it.pos = lowerBound(it.entries, startKey)
+	it := &Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count}
+	if startKey != nil {
+		it.advanceLeaf() // a positioned seek reads its first leaf now, not at the first Next
 	}
 	return it
 }
@@ -858,15 +634,9 @@ func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byt
 // (nil start begins at the first leaf, which is then loaded lazily). If stop
 // is non-nil the iteration ends at stop (inclusive when stopIncl).
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
-	var leaf storage.PageID
-	var err error
-	if start == nil {
-		leaf, err = t.firstLeaf()
-	} else {
-		leaf, err = t.leafFor(start)
-	}
+	leaf, err := t.leafFor(start)
 	if err != nil {
-		return &Iterator{tree: t, done: true, err: err}
+		return &Iterator{tree: t, err: err}
 	}
 	return t.SeekLeaves(leaf, -1, start, stop, stopIncl)
 }
@@ -880,13 +650,37 @@ func (t *BTree) Get(key []byte) ([]byte, bool, error) {
 	return nil, false, it.Err()
 }
 
+// AllPages returns every page id the tree occupies (internal nodes and
+// leaves), so DROP TABLE can hand them to the pager's freelist.
+func (t *BTree) AllPages() ([]storage.PageID, error) {
+	var out []storage.PageID
+	var walk func(id storage.PageID) error
+	walk = func(id storage.PageID) error {
+		out = append(out, id)
+		nd, err := t.node(id)
+		if err != nil || nd.isLeaf() {
+			return err
+		}
+		for i := -1; i < nd.n; i++ {
+			if err := walk(nd.child(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := walk(t.root); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // BulkLoad builds the tree from entries that are already sorted by key,
 // replacing the current contents. It packs leaves to fillFactor (0 < f <= 1)
 // and builds the internal levels bottom-up; this is the fast path used by
 // table loading and c-table construction. It returns an error if the input
 // is not sorted.
 func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
-	t.invalidateCaches()
+	t.leafCache.Store(nil)
 	if fillFactor <= 0 || fillFactor > 1 {
 		fillFactor = 1.0
 	}

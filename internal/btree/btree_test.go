@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -368,9 +369,9 @@ func TestRangeScanIOIsBounded(t *testing.T) {
 		t.Fatalf("range returned %d entries", count)
 	}
 	stats := pager.Stats()
-	total := tr.NumLeafPages()
 	if stats.PageReads > int64(tr.Height()+3) {
-		t.Errorf("narrow range read %d pages (tree has %d leaves, height %d)", stats.PageReads, total, tr.Height())
+		leaves, _ := tr.LeafPages()
+		t.Errorf("narrow range read %d pages (tree has %d leaves, height %d)", stats.PageReads, len(leaves), tr.Height())
 	}
 }
 
@@ -433,11 +434,11 @@ func collectScan(tr *BTree) []string {
 	return out
 }
 
-// TestParsedLeafCacheInvalidation exercises the parsed-leaf cache across every
-// mutation path: a scan populates the cache, and each of Insert, Delete, and
-// BulkLoad must invalidate it so later scans see the new tree, not a stale
-// parse of recycled pages.
-func TestParsedLeafCacheInvalidation(t *testing.T) {
+// TestReadsSeeEveryMutation reads the tree across every mutation path: after
+// a full scan, each of Insert, Delete, and BulkLoad must be visible to the
+// next scan — nothing a read left behind may stand in for a rewritten or
+// recycled page.
+func TestReadsSeeEveryMutation(t *testing.T) {
 	tr := New(storage.NewPager(0), 0)
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -448,12 +449,12 @@ func TestParsedLeafCacheInvalidation(t *testing.T) {
 	if tr.Height() < 2 {
 		t.Fatalf("want multi-leaf tree, height=%d", tr.Height())
 	}
-	before := collectScan(tr) // warms the parsed-leaf cache
+	before := collectScan(tr)
 	if len(before) != n {
 		t.Fatalf("scan saw %d entries, want %d", len(before), n)
 	}
 
-	// Insert an interior key: a cached stale leaf would hide it.
+	// Insert an interior key: a stale view of its leaf would hide it.
 	if err := tr.Insert(intKey(4001), []byte("mid")); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
@@ -466,7 +467,7 @@ func TestParsedLeafCacheInvalidation(t *testing.T) {
 		t.Fatal("scan after insert not in key order")
 	}
 
-	// Delete: a stale parse would resurrect the entry.
+	// Delete: a stale view would resurrect the entry.
 	if !mustDelete(t, tr, intKey(4001)) {
 		t.Fatal("delete missed")
 	}
@@ -474,8 +475,8 @@ func TestParsedLeafCacheInvalidation(t *testing.T) {
 		t.Fatalf("scan after delete saw %d entries, want %d", len(got), n)
 	}
 
-	// BulkLoad rebuilds the tree wholesale onto fresh pages; the cache keyed
-	// by old page ids must not leak into the new tree's scans.
+	// BulkLoad rebuilds the tree wholesale onto fresh pages; nothing keyed by
+	// the old page ids may leak into the new tree's scans.
 	next := 0
 	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
 		if next >= 100 {
@@ -496,11 +497,10 @@ func TestParsedLeafCacheInvalidation(t *testing.T) {
 	}
 }
 
-// TestIteratorsShareCachedParses runs two interleaved full scans so both ride
-// the same cached leaf parses, checking neither corrupts the other (cached
-// entry slices are shared read-only; misses parse into iterator-private
-// scratch).
-func TestIteratorsShareCachedParses(t *testing.T) {
+// TestInterleavedIteratorsAreIndependent runs two interleaved full scans over
+// the same leaves, checking neither disturbs the other: each iterator reads
+// the shared pages in place and owns only its position.
+func TestInterleavedIteratorsAreIndependent(t *testing.T) {
 	tr := New(storage.NewPager(0), 0)
 	const n = 3000
 	for i := 0; i < n; i++ {
@@ -523,52 +523,109 @@ func TestIteratorsShareCachedParses(t *testing.T) {
 	}
 }
 
+// leafEntries returns copies of the keys stored in one leaf page, in order.
+func leafEntries(tr *BTree, leaf storage.PageID) [][]byte {
+	var keys [][]byte
+	for it := tr.SeekLeaves(leaf, 1, nil, nil, false); it.Next(); {
+		keys = append(keys, append([]byte(nil), it.Key()...))
+	}
+	return keys
+}
+
 // TestNextSpansMatchesNext pins the bulk span fetch against the per-row
-// iterator: same entries, same order, same stop-key clipping.
+// iterator — same entries, same order, same stop-key clipping — under batch
+// sizes below, across and above a leaf, over a tree with duplicate keys that
+// span leaves, leaves emptied by Delete, and stop keys that fall on a leaf's
+// first and last record.
 func TestNextSpansMatchesNext(t *testing.T) {
 	tr := New(storage.NewPager(0), 0)
 	const n = 4000
+	val := bytes.Repeat([]byte("v"), 150) // ≈45 entries per leaf
 	for i := 0; i < n; i++ {
-		if err := tr.Insert(intKey(int64(i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if err := tr.Insert(intKey(int64(i/3)), append([]byte(fmt.Sprintf("%05d", i)), val...)); err != nil {
 			t.Fatalf("insert: %v", err)
 		}
 	}
-	for _, tc := range []struct {
-		name     string
-		mk       func() *Iterator
-		wantRows int
-	}{
-		{"full", func() *Iterator { return tr.Scan() }, n},
-		{"range", func() *Iterator { return tr.Seek(intKey(100), intKey(2099), true) }, 2000},
-	} {
-		ref := tc.mk()
-		var want []string
-		for ref.Next() {
-			want = append(want, string(ref.Key())+"="+string(ref.Value()))
-		}
-		if len(want) != tc.wantRows {
-			t.Fatalf("%s: reference iterator saw %d rows, want %d", tc.name, len(want), tc.wantRows)
-		}
-		it := tc.mk()
-		keys, vals := make([][]byte, 192), make([][]byte, 192)
-		var got []string
-		for {
-			m := it.NextSpans(keys, vals)
-			if m == 0 {
-				break
-			}
-			for i := 0; i < m; i++ {
-				got = append(got, string(keys[i])+"="+string(vals[i]))
+	leaves, err := tr.LeafPages()
+	if err != nil || len(leaves) < 20 {
+		t.Fatalf("tree has %d leaves (err %v), want dozens", len(leaves), err)
+	}
+	// Empty two adjacent leaves and one more by deleting every entry of every
+	// key they hold.
+	for _, li := range []int{5, 6, 12} {
+		for _, k := range leafEntries(tr, leaves[li]) {
+			for mustDelete(t, tr, k) {
 			}
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: NextSpans saw %d rows, want %d", tc.name, len(got), len(want))
+	}
+	if leaves, err = tr.LeafPages(); err != nil {
+		t.Fatal(err)
+	}
+	bounds := [][]byte{nil, intKey(-1), intKey(n)}
+	emptied := 0
+	for _, leaf := range leaves {
+		keys := leafEntries(tr, leaf)
+		if len(keys) == 0 {
+			emptied++
+			continue
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: row %d = %q, want %q", tc.name, i, got[i], want[i])
+		bounds = append(bounds, keys[0], keys[len(keys)-1])
+	}
+	if emptied < 3 {
+		t.Fatalf("%d leaves are empty, want at least 3", emptied)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 400; trial++ {
+		start, stop := bounds[rng.Intn(len(bounds))], bounds[rng.Intn(len(bounds))]
+		stopIncl := rng.Intn(2) == 0
+		var wantKeys, wantVals []string
+		for ref := tr.Seek(start, stop, stopIncl); ref.Next(); {
+			wantKeys, wantVals = append(wantKeys, string(ref.Key())), append(wantVals, string(ref.Value()))
+		}
+		for _, chunk := range []int{1, 7, 1024} {
+			it := tr.Seek(start, stop, stopIncl)
+			keys, vals := make([][]byte, chunk), make([][]byte, chunk)
+			if trial%2 == 0 {
+				keys = nil // the payload-only form
+			}
+			var gotKeys, gotVals []string
+			for m := it.NextSpans(keys, vals); m > 0; m = it.NextSpans(keys, vals) {
+				if m < chunk && it.NextSpans(keys, vals[:1]) != 0 {
+					t.Fatalf("[%x,%x] chunk %d: a short fill was not the end", start, stop, chunk)
+				}
+				for i := 0; i < m; i++ {
+					if keys != nil {
+						gotKeys = append(gotKeys, string(keys[i]))
+					}
+					gotVals = append(gotVals, string(vals[i]))
+				}
+			}
+			if !slices.Equal(gotVals, wantVals) || (keys != nil && !slices.Equal(gotKeys, wantKeys)) {
+				t.Fatalf("[%x,%x] incl=%v chunk %d: NextSpans (%d entries) and Next (%d entries) disagree",
+					start, stop, stopIncl, chunk, len(gotVals), len(wantVals))
 			}
 		}
+	}
+}
+
+// TestColdSpanDrainAllocatesO1: the first full NextSpans drain after a write
+// reads several hundred leaves in place — it allocates its iterator, not a
+// decoded copy of every leaf it visits.
+func TestColdSpanDrainAllocatesO1(t *testing.T) {
+	tr := denseTree(t, denseRecords)
+	if leaves, err := tr.LeafPages(); err != nil || len(leaves) < 200 {
+		t.Fatalf("tree has %d leaves (err %v), want hundreds", len(leaves), err)
+	}
+	keys, vals := make([][]byte, 1024), make([][]byte, 1024)
+	writeOnly := testing.AllocsPerRun(5, func() { rewriteLastLeaf(t, tr) })
+	writeAndDrain := testing.AllocsPerRun(5, func() {
+		rewriteLastLeaf(t, tr)
+		if rows := drainSpans(tr, keys, vals); rows != denseRecords {
+			t.Fatalf("drain saw %d rows", rows)
+		}
+	})
+	if drain := writeAndDrain - writeOnly; drain > 4 {
+		t.Errorf("a cold drain of the tree allocated %.0f objects, want a handful", drain)
 	}
 }
 

@@ -114,7 +114,10 @@ func (c *Catalog) HasTable(name string) bool {
 }
 
 // DropTable removes a table from the catalog and returns its pages (index
-// nodes, leaves, heap pages) to the pager's freelist for reuse.
+// nodes, leaves, heap pages) to the pager's freelist for reuse. Every tree is
+// walked before anything is freed: a walk that fails on a page error leaves
+// the table in place and the freelist untouched, rather than dropping the
+// table and leaking its pages.
 func (c *Catalog) DropTable(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -123,22 +126,22 @@ func (c *Catalog) DropTable(name string) error {
 	if !ok {
 		return fmt.Errorf("catalog: table %q does not exist", name)
 	}
-	free := func(ids []storage.PageID) {
-		for _, id := range ids {
-			c.pager.FreePage(id)
-		}
-	}
+	var pages []storage.PageID
+	indexes := t.Secondary
 	if t.Clustered != nil {
-		if ids, err := t.Clustered.tree.AllPages(); err == nil {
-			free(ids)
-		}
-	} else if t.heap != nil {
-		free(t.heap.PageIDs())
+		indexes = append([]*Index{t.Clustered}, indexes...)
+	} else {
+		pages = append(pages, t.heap.PageIDs()...)
 	}
-	for _, ix := range t.Secondary {
-		if ids, err := ix.tree.AllPages(); err == nil {
-			free(ids)
+	for _, ix := range indexes {
+		ids, err := ix.tree.AllPages()
+		if err != nil {
+			return fmt.Errorf("catalog: drop table %q: index %q: %w", name, ix.Name, err)
 		}
+		pages = append(pages, ids...)
+	}
+	for _, id := range pages {
+		c.pager.FreePage(id)
 	}
 	delete(c.tables, key)
 	return nil
@@ -221,11 +224,12 @@ func (t *Table) RowCount() int64 {
 
 // DataPages returns the number of pages holding the table's rows (leaf pages
 // of the clustered index, or heap pages).
-func (t *Table) DataPages() int {
+func (t *Table) DataPages() (int, error) {
 	if t.Clustered != nil {
-		return t.Clustered.tree.NumLeafPages()
+		leaves, err := t.Clustered.tree.LeafPages()
+		return len(leaves), err
 	}
-	return t.heap.NumPages()
+	return t.heap.NumPages(), nil
 }
 
 // Record layout. Every column is stored exactly once. A clustered record's
@@ -896,10 +900,10 @@ func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
 // NextSpans fills payloads (and keys, when non-nil) with up to len(payloads)
 // records' raw storage spans — the tree key bytes (nil for heaps) and the
 // payload tuple, which a Layout maps to columns — and returns how many it
-// filled, fewer only at exhaustion. Trees drain the cached leaf parses
-// chunk-at-a-time; heaps walk record by record.
-// All spans alias stable page memory, so a batch fill may collect a whole
-// batch of them before decoding.
+// filled, fewer only at exhaustion. Trees decode a leaf's records in place,
+// a run of slots per call; heaps walk record by record.
+// All spans point into page memory and stay valid until the table is next
+// mutated, so a batch fill may collect a whole batch of them before decoding.
 func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
 	if c.tree != nil {
 		return c.tree.NextSpans(keys, payloads)

@@ -129,8 +129,8 @@ func TestInsertAndScanClustered(t *testing.T) {
 	if count != n {
 		t.Fatalf("scan saw %d rows", count)
 	}
-	if tb.DataPages() == 0 {
-		t.Error("clustered table should report data pages")
+	if pages, err := tb.DataPages(); err != nil || pages == 0 {
+		t.Errorf("clustered table reports %d data pages, err %v", pages, err)
 	}
 	// Wrong arity is rejected.
 	if err := tb.Insert([]value.Value{value.NewInt(1)}); err == nil {

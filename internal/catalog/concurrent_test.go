@@ -159,6 +159,44 @@ func TestRangeSplitCarriesPageError(t *testing.T) {
 	}
 }
 
+// TestDropTableKeepsTableOnPageError: a tree walk that hits a page error
+// fails the drop whole — the table stays listed and nothing reaches the
+// freelist — instead of dropping the table and leaking every page the walk
+// could not name. DataPages reports the same error rather than a short count.
+func TestDropTableKeepsTableOnPageError(t *testing.T) {
+	c, tbl, _ := newSeekTable(t, 20000)
+	if tbl.Clustered.tree.Height() < 2 {
+		t.Fatalf("tree height %d, want an internal root", tbl.Clustered.tree.Height())
+	}
+	// Point the root's leftmost child at a page that does not exist.
+	root, err := c.Pager().Get(tbl.Clustered.tree.RootPage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := root.Aux()
+	root.SetAux(uint64(c.Pager().NumPages() + 1000))
+	if n, err := tbl.DataPages(); err == nil {
+		t.Errorf("DataPages over a broken tree = %d, want the page error", n)
+	}
+	if err := c.DropTable(tbl.Name); err == nil {
+		t.Fatal("DropTable over a broken tree reported no error")
+	}
+	if !c.HasTable(tbl.Name) {
+		t.Error("the failed drop removed the table")
+	}
+	if free := c.Pager().FreeList(); len(free) != 0 {
+		t.Errorf("the failed drop freed %d pages", len(free))
+	}
+	// With the pointer restored the drop goes through and frees the tree.
+	root.SetAux(good)
+	if err := c.DropTable(tbl.Name); err != nil {
+		t.Fatal(err)
+	}
+	if c.HasTable(tbl.Name) || len(c.Pager().FreeList()) == 0 {
+		t.Errorf("after the drop: table listed %v, %d pages free", c.HasTable(tbl.Name), len(c.Pager().FreeList()))
+	}
+}
+
 // TestConcurrentCatalogReads pins the read-path thread-safety contract under
 // the race detector: concurrent sessions scanning, seeking, partitioning
 // morsels and reading optimizer statistics of shared tables — every shared

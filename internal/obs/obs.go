@@ -63,6 +63,7 @@ type Histogram struct {
 	buckets []atomic.Int64
 	count   atomic.Int64
 	sumBits atomic.Uint64
+	maxBits atomic.Uint64
 }
 
 // Observe records one observation.
@@ -76,6 +77,12 @@ func (h *Histogram) Observe(v float64) {
 		old := h.sumBits.Load()
 		sum := math.Float64frombits(old) + v
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(sum)) {
+			break
+		}
+	}
+	for {
+		old := h.maxBits.Load()
+		if v <= math.Float64frombits(old) || h.maxBits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -86,6 +93,29 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+
+// Max returns the largest observation (0 before the first; observations are
+// taken to be non-negative).
+func (h *Histogram) Max() float64 { return math.Float64frombits(h.maxBits.Load()) }
+
+// Quantile estimates the q-quantile (0 < q <= 1) of everything observed so
+// far, the way a scraper would from the exported buckets: find the bucket
+// that holds the observation of rank q*Count, interpolate linearly between
+// its bounds, and clamp to the observed maximum — which also stands in for
+// the unbounded +Inf bucket. It is monotonic in q and never exceeds Max; its
+// error is at most the width of one bucket. 0 before the first observation.
+func (h *Histogram) Quantile(q float64) float64 {
+	rank := q * float64(h.Count())
+	var below, lo float64
+	for i, hi := range h.bounds {
+		n := float64(h.buckets[i].Load())
+		if n > 0 && below+n >= rank {
+			return math.Min(lo+(hi-lo)*(rank-below)/n, h.Max())
+		}
+		below, lo = below+n, hi
+	}
+	return h.Max()
+}
 
 // DurationBuckets is a general-purpose latency bucket ladder in seconds,
 // 100µs to ~100s.

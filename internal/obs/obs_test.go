@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -54,7 +55,15 @@ func TestMetricsCountersGaugesAndFuncs(t *testing.T) {
 func TestMetricsHistogramCumulativeBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.NewHistogram("lat_seconds", "Latency.", []float64{0.1, 1, 10})
-	for _, v := range []float64{0.05, 0.05, 0.5, 5, 50} {
+	if h.Quantile(0.5) != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram: p50 %g max %g, want 0", h.Quantile(0.5), h.Max())
+	}
+	h.Observe(0.05)
+	// Interpolation alone would say 0.099; no estimate exceeds the maximum.
+	if got := h.Quantile(0.99); got != 0.05 {
+		t.Fatalf("p99 of one observation = %g, want it clamped to 0.05", got)
+	}
+	for _, v := range []float64{0.05, 0.5, 5, 50} {
 		h.Observe(v)
 	}
 	if h.Count() != 5 {
@@ -62,6 +71,16 @@ func TestMetricsHistogramCumulativeBuckets(t *testing.T) {
 	}
 	if got, want := h.Sum(), 55.6; got != want {
 		t.Fatalf("Sum = %g, want %g", got, want)
+	}
+	// Rank q*5 falls in a bucket and is placed linearly between its bounds;
+	// the +Inf bucket reports the observed maximum.
+	for _, tc := range []struct{ q, want float64 }{{0.2, 0.05}, {0.5, 0.55}, {0.8, 10}, {0.9, 50}, {1, 50}} {
+		if got := h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
+		}
+	}
+	if h.Max() != 50 {
+		t.Errorf("Max = %g, want 50", h.Max())
 	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -136,5 +155,8 @@ func TestMetricsConcurrentUpdates(t *testing.T) {
 	}
 	if h.Count() != workers*per {
 		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*per)
+	}
+	if h.Max() != 0.099 {
+		t.Fatalf("histogram max = %g, want 0.099", h.Max())
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -10,11 +9,6 @@ import (
 	"oldelephant/internal/storage"
 	"oldelephant/internal/wal"
 )
-
-// latWindow is the number of most-recent query latencies kept for percentile
-// estimation. A fixed window keeps the cost bounded and the percentiles
-// responsive to the current load rather than the whole process history.
-const latWindow = 4096
 
 // slowLogSize bounds the slow-query log (newest entries win).
 const slowLogSize = 64
@@ -40,22 +34,19 @@ type SlowQuery struct {
 	Trace string
 }
 
-// metrics aggregates per-server observability: query counts, a latency
-// window for percentiles, summed per-query I/O, and the slow-query log.
+// metrics aggregates per-server observability: query counts, statement
+// latency, summed per-query I/O, and the slow-query log.
 type metrics struct {
-	// The statement counters belong to the server's registry (initRegistry
-	// creates them): one lock-free increment serves Snapshot, the wire
-	// metrics op and the Prometheus scrape alike. queries is incremented
-	// under mu with the latency window, so a snapshot's mean is consistent.
+	// The statement counters and the latency histogram belong to the server's
+	// registry (initRegistry creates them): one lock-free update per completed
+	// statement serves Snapshot, the wire metrics op and the Prometheus scrape
+	// alike. The histogram is the only latency record kept; both are updated
+	// under mu, so the figures of one snapshot describe the same statements.
 	queries, errors, rejected, canceled *obs.Counter
+	latency                             *obs.Histogram
 
 	mu    sync.Mutex
 	start time.Time
-
-	lat     [latWindow]time.Duration
-	latN    int // total observations (ring position = latN % latWindow)
-	latMax  time.Duration
-	wallSum time.Duration
 
 	io storage.IOStats
 
@@ -73,12 +64,7 @@ func (m *metrics) observe(sessionID int64, sqlText string, res *engine.Result, w
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.queries.Inc()
-	m.lat[m.latN%latWindow] = wall
-	m.latN++
-	m.wallSum += wall
-	if wall > m.latMax {
-		m.latMax = wall
-	}
+	m.latency.Observe(wall.Seconds())
 	if res != nil {
 		m.io = m.io.Add(res.Stats.IO)
 	}
@@ -125,13 +111,11 @@ type Snapshot struct {
 	Canceled int64
 	// QPS is queries completed per second of uptime.
 	QPS float64
-	// Latency percentiles over the most recent LatencyWindow completions,
-	// plus the all-time maximum and mean. A long run under-reports history by
-	// design: the window tracks current load, Queries counts everything.
+	// Latency of every statement completed since start, read from the
+	// histogram /metrics exposes as elephant_query_duration_seconds: Max and
+	// Mean are exact; the percentiles are interpolated within a bucket and
+	// clamped to Max, so P50 <= P95 <= P99 <= Max.
 	P50, P95, P99, Max, Mean time.Duration
-	// LatencyWindow is the size of the percentile sample window (how many
-	// most-recent queries P50/P95/P99 describe).
-	LatencyWindow int
 	// Running and Queued are the admission controller's current load: queries
 	// holding tokens and queries waiting for them. Queued is the current
 	// admission-queue depth.
@@ -178,8 +162,10 @@ func (m *metrics) snapshot() Snapshot {
 		Errors:        m.errors.Value(),
 		Rejected:      m.rejected.Value(),
 		Canceled:      m.canceled.Value(),
-		Max:           m.latMax,
-		LatencyWindow: latWindow,
+		P50:           seconds(m.latency.Quantile(0.50)),
+		P95:           seconds(m.latency.Quantile(0.95)),
+		P99:           seconds(m.latency.Quantile(0.99)),
+		Max:           seconds(m.latency.Max()),
 		SlowThreshold: m.slowThreshold,
 		IO:            m.io,
 		Slow:          append([]SlowQuery(nil), m.slow...),
@@ -187,33 +173,10 @@ func (m *metrics) snapshot() Snapshot {
 	if secs := s.Uptime.Seconds(); secs > 0 {
 		s.QPS = float64(s.Queries) / secs
 	}
-	if s.Queries > 0 {
-		s.Mean = m.wallSum / time.Duration(s.Queries)
-	}
-	n := m.latN
-	if n > latWindow {
-		n = latWindow
-	}
-	if n > 0 {
-		window := make([]time.Duration, n)
-		copy(window, m.lat[:n])
-		sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-		s.P50 = window[percentileIdx(n, 50)]
-		s.P95 = window[percentileIdx(n, 95)]
-		s.P99 = window[percentileIdx(n, 99)]
+	if n := m.latency.Count(); n > 0 {
+		s.Mean = seconds(m.latency.Sum() / float64(n))
 	}
 	return s
 }
 
-// percentileIdx maps a percentile to an index into a sorted sample of size n
-// (nearest-rank method).
-func percentileIdx(n, pct int) int {
-	rank := (n*pct + 99) / 100 // ceil(n * pct / 100)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return rank - 1
-}
+func seconds(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }

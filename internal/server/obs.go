@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"oldelephant/internal/obs"
 )
@@ -22,11 +21,11 @@ import (
 func (s *Server) initRegistry() {
 	r := obs.NewRegistry()
 	s.obsReg = r
-	s.latHist = r.NewHistogram("elephant_query_duration_seconds",
-		"Completed statement latency (admission wait + execution).", obs.DurationBuckets)
 
 	// Server-level query accounting.
 	m := s.metrics
+	m.latency = r.NewHistogram("elephant_query_duration_seconds",
+		"Completed statement latency (admission wait + execution).", obs.DurationBuckets)
 	m.queries = r.NewCounter("elephant_queries_total", "Statements completed successfully.")
 	m.errors = r.NewCounter("elephant_query_errors_total", "Statements that failed.")
 	m.rejected = r.NewCounter("elephant_queries_rejected_total", "Queries shed by a full admission queue.")
@@ -90,9 +89,6 @@ func (s *Server) initRegistry() {
 	r.CounterFunc("elephant_workload_records_total", "Workload-log records appended.",
 		s.workload.count)
 }
-
-// observeLatency feeds one completed statement into the latency histogram.
-func (s *Server) observeLatency(wall time.Duration) { s.latHist.Observe(wall.Seconds()) }
 
 // Registry returns the server's metrics registry (for embedding the server
 // in a process with its own exposition endpoint).

@@ -11,8 +11,8 @@ import (
 )
 
 // TestMetricsSnapshotObservability pins the snapshot fields the PR's
-// observability layer added: uptime, in-flight, latency window size, workload
-// totals, slow-log enrichment and the runtime-settable slow threshold.
+// observability layer added: uptime, in-flight, ordered latency percentiles,
+// workload totals, slow-log enrichment and the runtime-settable slow threshold.
 func TestMetricsSnapshotObservability(t *testing.T) {
 	srv := newTestServer(t, 1000, Options{SlowQueryThreshold: time.Nanosecond})
 	defer srv.Close()
@@ -25,8 +25,13 @@ func TestMetricsSnapshotObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Metrics()
-	if snap.Queries != 1 || snap.LatencyWindow != 4096 {
-		t.Fatalf("queries=%d window=%d, want 1/4096", snap.Queries, snap.LatencyWindow)
+	if snap.Queries != 1 {
+		t.Fatalf("queries=%d, want 1", snap.Queries)
+	}
+	// One statement: every latency figure is that statement's, up to the
+	// histogram's interpolation below the exact maximum.
+	if snap.P50 <= 0 || snap.P50 > snap.P95 || snap.P95 > snap.P99 || snap.P99 > snap.Max || snap.Mean != snap.Max {
+		t.Fatalf("latency p50=%v p95=%v p99=%v max=%v mean=%v", snap.P50, snap.P95, snap.P99, snap.Max, snap.Mean)
 	}
 	if snap.Uptime <= 0 {
 		t.Fatalf("uptime = %v", snap.Uptime)

@@ -78,11 +78,9 @@ type Server struct {
 	// counters in metrics.
 	inFlightN atomic.Int64
 
-	// obsReg is the metrics registry behind the Prometheus endpoint; latHist
-	// is the query-latency histogram fed by every completed statement. Both
-	// are built in New so recording needs no nil checks or synchronization.
-	obsReg  *obs.Registry
-	latHist *obs.Histogram
+	// obsReg is the metrics registry behind the Prometheus endpoint, built in
+	// New so recording needs no nil checks or synchronization.
+	obsReg *obs.Registry
 
 	mu        sync.Mutex
 	sessions  map[int64]*Session
@@ -333,7 +331,6 @@ func (ss *Session) Execute(sqlText string) (*engine.Result, error) {
 	wall := time.Since(start)
 	ss.queries++
 	srv.metrics.observe(ss.id, sqlText, res, wall, 0)
-	srv.observeLatency(wall)
 	srv.workload.append(newWorkloadRecord(ss.id, sqlText, res, wall, 0))
 	return res, nil
 }
@@ -426,7 +423,6 @@ func (ss *Session) run(ctx context.Context, sqlText string, exec func(engine.Que
 	wall := time.Since(start)
 	ss.queries++
 	srv.metrics.observe(ss.id, sqlText, res, wall, queue)
-	srv.observeLatency(wall)
 	srv.workload.append(newWorkloadRecord(ss.id, sqlText, res, wall, queue))
 	return res, nil
 }

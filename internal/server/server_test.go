@@ -451,6 +451,9 @@ func TestWireProtocol(t *testing.T) {
 	if m.Metrics.Errors != 1 {
 		t.Errorf("wire metrics report %d errors, want 1", m.Metrics.Errors)
 	}
+	if w := m.Metrics; w.MaxUS <= 0 || w.P50US > w.P95US || w.P95US > w.P99US || w.P99US > w.MaxUS {
+		t.Errorf("wire latency p50=%d p95=%d p99=%d max=%d us, want ascending and a positive max", w.P50US, w.P95US, w.P99US, w.MaxUS)
+	}
 	if m.Metrics.Sessions != 1 {
 		t.Errorf("wire metrics report %d sessions, want 1", m.Metrics.Sessions)
 	}

@@ -66,9 +66,8 @@ type Response struct {
 	Workload []WorkloadRecord `json:"workload,omitempty"`
 }
 
-// WireMetrics is the JSON shape of a metrics snapshot. p50/p95/p99 describe
-// the latency_window most-recent queries; queries counts everything since
-// start.
+// WireMetrics is the JSON shape of a metrics snapshot. p50/p95/p99/max and
+// queries all describe everything completed since start.
 type WireMetrics struct {
 	UptimeMS      int64   `json:"uptime_ms"`
 	Queries       int64   `json:"queries"`
@@ -80,7 +79,6 @@ type WireMetrics struct {
 	P95US         int64   `json:"p95_us"`
 	P99US         int64   `json:"p99_us"`
 	MaxUS         int64   `json:"max_us"`
-	LatencyWindow int     `json:"latency_window"`
 	Running       int     `json:"running"`
 	Queued        int     `json:"queued"`
 	InFlight      int64   `json:"in_flight"`
@@ -114,7 +112,6 @@ func wireMetrics(snap Snapshot) *WireMetrics {
 		P95US:         snap.P95.Microseconds(),
 		P99US:         snap.P99.Microseconds(),
 		MaxUS:         snap.Max.Microseconds(),
-		LatencyWindow: snap.LatencyWindow,
 		Running:       snap.Running,
 		Queued:        snap.Queued,
 		InFlight:      snap.InFlight,

@@ -51,9 +51,12 @@ func (s IOStats) Add(o IOStats) IOStats {
 }
 
 // Pager owns all pages of a database instance. Every page is memory-resident
-// for the life of the process — iterators and the btree's parsed-leaf caches
-// alias page memory, and the engine's execution layers rely on that. The
-// pager runs in one of two modes:
+// for the life of the process, and a page's bytes here are its only in-memory
+// representation: readers decode records in place. One aliasing rule follows,
+// and any eviction scheme has to honour it: the key and payload spans a batch
+// fill collects (btree.Iterator.NextSpans, HeapIterator.NextRecord) point into
+// page memory and must stay readable until the tree or heap they came from is
+// next mutated. The pager runs in one of two modes:
 //
 //   - memory mode (NewPager): the original simulated disk. The buffer pool
 //     of bounded size models cold-cache behaviour for the paper's benchmarks;
