@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 // ioGoldenPool is the buffer-pool bound of the golden I/O runs: well below
-// lineitem's ~880 leaf pages and below the larger c-table reads, so eviction
+// lineitem's ~540 leaf pages and below the larger c-table reads, so eviction
 // and re-reads are part of what is pinned.
 const ioGoldenPool = 256
 
@@ -14,12 +14,13 @@ const ioGoldenPool = 256
 // eagerly, walks a leaf chain on the serial path, or reorders page reads
 // fails here, in tier-1, rather than in the benchmark.
 //
-// Two recordings are kept. before* is PR 15's, under record layout version 2,
-// which stored every numeric key column as a 9-byte cross-kind word and inner
-// nodes' child ids in 8 bytes; reads/seq/rand is the current one, under
-// version 3's kind-directed keys and uvarint child ids. The current recording
-// must match exactly, and may differ from the old one in one direction only:
-// no cell reads more pages, sequentially or at random, than it did.
+// Two recordings are kept. before* is PR 19's, under record layout version 3,
+// which framed every record with a marker, a key length and a 4-byte slot and
+// every payload field with a kind byte; reads/seq/rand is the current one,
+// under version 4's page-header geometry, 2-byte slots and schema-directed
+// payloads. The current recording must match exactly, and may differ from
+// the old one in one direction only: no cell reads more pages, sequentially
+// or at random, than it did.
 var ioGolden = []struct {
 	q                                  QueryID
 	s                                  Strategy
@@ -27,44 +28,44 @@ var ioGolden = []struct {
 	beforeReads, beforeSeq, beforeRand int64
 	reads, seq, rand                   int64
 }{
-	{"Q1", "Row", 0.01, 760, 757, 3, 658, 655, 3},
+	{"Q1", "Row", 0.01, 658, 655, 3, 539, 537, 2},
 	{"Q1", "Row(Col)", 0.01, 2, 0, 2, 2, 0, 2},
-	{"Q1", "Row", 0.1, 760, 757, 3, 658, 655, 3},
-	{"Q1", "Row(Col)", 0.1, 3, 1, 2, 3, 1, 2},
-	{"Q1", "Row", 0.5, 760, 757, 3, 658, 655, 3},
-	{"Q1", "Row(Col)", 0.5, 11, 9, 2, 9, 7, 2},
-	{"Q1", "Row", 1, 760, 757, 3, 658, 655, 3},
-	{"Q1", "Row(Col)", 1, 11, 9, 2, 9, 7, 2},
-	{"Q2", "Row", 0, 760, 757, 3, 658, 655, 3},
+	{"Q1", "Row", 0.1, 658, 655, 3, 539, 537, 2},
+	{"Q1", "Row(Col)", 0.1, 3, 1, 2, 2, 0, 2},
+	{"Q1", "Row", 0.5, 658, 655, 3, 539, 537, 2},
+	{"Q1", "Row(Col)", 0.5, 9, 7, 2, 7, 5, 2},
+	{"Q1", "Row", 1, 658, 655, 3, 539, 537, 2},
+	{"Q1", "Row(Col)", 1, 9, 7, 2, 7, 5, 2},
+	{"Q2", "Row", 0, 658, 655, 3, 539, 537, 2},
 	{"Q2", "Row(Col)", 0, 4, 0, 4, 4, 0, 4},
-	{"Q3", "Row", 0.01, 760, 757, 3, 658, 655, 3},
+	{"Q3", "Row", 0.01, 658, 655, 3, 539, 537, 2},
 	{"Q3", "Row(Col)", 0.01, 4, 0, 4, 4, 0, 4},
-	{"Q3", "Row", 0.1, 760, 757, 3, 658, 655, 3},
-	{"Q3", "Row(Col)", 0.1, 22, 18, 4, 18, 14, 4},
-	{"Q3", "Row", 0.5, 760, 757, 3, 658, 655, 3},
-	{"Q3", "Row(Col)", 0.5, 121, 117, 4, 95, 91, 4},
-	{"Q3", "Row", 1, 760, 757, 3, 658, 655, 3},
-	{"Q3", "Row(Col)", 1, 226, 222, 4, 177, 173, 4},
-	{"Q4", "Row", 0.01, 868, 863, 5, 755, 750, 5},
+	{"Q3", "Row", 0.1, 658, 655, 3, 539, 537, 2},
+	{"Q3", "Row(Col)", 0.1, 18, 14, 4, 14, 10, 4},
+	{"Q3", "Row", 0.5, 658, 655, 3, 539, 537, 2},
+	{"Q3", "Row(Col)", 0.5, 95, 91, 4, 73, 69, 4},
+	{"Q3", "Row", 1, 658, 655, 3, 539, 537, 2},
+	{"Q3", "Row(Col)", 1, 177, 173, 4, 136, 132, 4},
+	{"Q4", "Row", 0.01, 755, 750, 5, 618, 614, 4},
 	{"Q4", "Row(Col)", 0.01, 6, 2, 4, 6, 2, 4},
-	{"Q4", "Row", 0.1, 868, 863, 5, 755, 750, 5},
-	{"Q4", "Row(Col)", 0.1, 27, 23, 4, 23, 19, 4},
-	{"Q4", "Row", 0.5, 868, 863, 5, 755, 750, 5},
-	{"Q4", "Row(Col)", 0.5, 127, 123, 4, 102, 98, 4},
-	{"Q4", "Row", 1, 868, 863, 5, 755, 750, 5},
-	{"Q4", "Row(Col)", 1, 238, 234, 4, 190, 186, 4},
-	{"Q5", "Row", 0, 868, 863, 5, 755, 750, 5},
+	{"Q4", "Row", 0.1, 755, 750, 5, 618, 614, 4},
+	{"Q4", "Row(Col)", 0.1, 23, 19, 4, 18, 14, 4},
+	{"Q4", "Row", 0.5, 755, 750, 5, 618, 614, 4},
+	{"Q4", "Row(Col)", 0.5, 102, 98, 4, 80, 76, 4},
+	{"Q4", "Row", 1, 755, 750, 5, 618, 614, 4},
+	{"Q4", "Row(Col)", 1, 190, 186, 4, 149, 145, 4},
+	{"Q5", "Row", 0, 755, 750, 5, 618, 614, 4},
 	{"Q5", "Row(Col)", 0, 6, 0, 6, 6, 0, 6},
-	{"Q6", "Row", 0.01, 868, 863, 5, 755, 750, 5},
-	{"Q6", "Row(Col)", 0.01, 10, 4, 6, 9, 3, 6},
-	{"Q6", "Row", 0.1, 868, 863, 5, 755, 750, 5},
-	{"Q6", "Row(Col)", 0.1, 50, 44, 6, 41, 35, 6},
-	{"Q6", "Row", 0.5, 868, 863, 5, 755, 750, 5},
-	{"Q6", "Row(Col)", 0.5, 237, 231, 6, 188, 182, 6},
-	{"Q6", "Row", 1, 868, 863, 5, 755, 750, 5},
-	{"Q6", "Row(Col)", 1, 453, 447, 6, 358, 352, 6},
-	{"Q7", "Row", 0, 883, 876, 7, 769, 762, 7},
-	{"Q7", "Row(Col)", 0, 75, 71, 4, 63, 59, 4},
+	{"Q6", "Row", 0.01, 755, 750, 5, 618, 614, 4},
+	{"Q6", "Row(Col)", 0.01, 9, 3, 6, 9, 3, 6},
+	{"Q6", "Row", 0.1, 755, 750, 5, 618, 614, 4},
+	{"Q6", "Row(Col)", 0.1, 41, 35, 6, 32, 26, 6},
+	{"Q6", "Row", 0.5, 755, 750, 5, 618, 614, 4},
+	{"Q6", "Row(Col)", 0.5, 188, 182, 6, 146, 140, 6},
+	{"Q6", "Row", 1, 755, 750, 5, 618, 614, 4},
+	{"Q6", "Row(Col)", 1, 358, 352, 6, 278, 272, 6},
+	{"Q7", "Row", 0, 769, 762, 7, 630, 624, 6},
+	{"Q7", "Row(Col)", 0, 63, 59, 4, 53, 49, 4},
 }
 
 // TestSerialIOGolden holds the cold serial IOStats of both pull protocols

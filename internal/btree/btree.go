@@ -42,7 +42,7 @@ type BTree struct {
 // (pass a negative value for storage.DefaultTupleOverhead, 0 for none).
 func New(pager *storage.Pager, overhead int) *BTree {
 	root := pager.Allocate()
-	writeNode(root, true, nil, 0)
+	_ = writeNode(root, true, nil, 0) // an empty node always fits
 	return Open(pager, root.ID(), 1, 0, overhead)
 }
 
@@ -65,36 +65,38 @@ func (t *BTree) Height() int { return t.height }
 // RootPage returns the page id of the root node.
 func (t *BTree) RootPage() storage.PageID { return t.root }
 
-// Node layout. The page Aux word stores, for leaves, the next-leaf page id;
-// for internal nodes, the id of the leftmost child (covering keys below the
-// first separator). Every record is
+// Node layout (record layout v4). A node owns its page whole; the one word
+// it shares with the pager's page API is Aux, its link:
 //
-//	marker || uvarint(len(key)) || key || payload
+//	offset 0:  uint16 record count
+//	offset 2:  node kind (kindLeaf or kindInternal)
+//	offset 3:  record geometry (geoKey, geoVal or geoVary)
+//	offset 4:  uint16 the geometry's width
+//	offset 6:  uint64 link (Page.Aux): a leaf's right sibling, an internal
+//	           node's leftmost child (covering keys below the first separator)
+//	offset 14: one uint16 record offset per record, ascending
+//	...        free space
+//	the records, back to back in key order, the last ending at PageSize
 //
-// where the marker byte makes the node kind self-describing and an internal
-// record's payload is its child's page id as a uvarint. appendRecord and
-// recordSize write and size this format and node reads it; nothing else in
-// the package looks inside a record.
+// A record runs from its offset to the next record's (to PageSize for the
+// last), so no record stores its length. Under geoKey every key is width
+// bytes and a record is key || payload; under geoVal every payload is width
+// bytes, and the record is again key || payload; under geoVary the record is
+// uvarint(len(key)) || key || payload. writeNode picks the geometry from the
+// entries it writes (nodeSize.geometry); an internal record's payload is its
+// child's page id as a uvarint. writeNode writes this format and node reads
+// it; nothing else in the package looks inside a page.
 const (
-	recLeaf     byte = 1
-	recInternal byte = 2
+	kindLeaf     byte = 1
+	kindInternal byte = 2
+
+	geoKey  byte = 1 // every key has the same width
+	geoVal  byte = 2 // every payload has the same width
+	geoVary byte = 3 // neither: each record leads with its key length
+
+	headerSize = 14
+	slotSize   = 2
 )
-
-func appendRecord(dst []byte, marker byte, key, val []byte) []byte {
-	dst = append(dst, marker)
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
-	return append(dst, val...)
-}
-
-// recordSize is a record's on-page footprint, its slot included.
-func recordSize(key, val []byte) int {
-	klen := 1
-	for x := len(key); x >= 0x80; x >>= 7 {
-		klen++
-	}
-	return 1 + klen + len(key) + len(val) + 4
-}
 
 // childPayload is an internal entry's payload: the child's page id as a
 // uvarint, two or three bytes for any tree that fits in memory, so an inner
@@ -108,14 +110,17 @@ func childID(val []byte) storage.PageID {
 	return storage.PageID(id)
 }
 
-// node is the read-side view of one tree page: the pager's page and its slot
-// count, with every record decoded on demand through the slot directory.
-// Nothing is copied: a node is two words, and the keys and payloads it hands
-// out alias page memory, valid until the tree is next mutated. Tree pages
-// are only ever written whole (writeNode), so every slot holds a record.
+// node is the read-side view of one tree page: the pager's page and its
+// header, with every record decoded on demand through the offset directory.
+// Nothing is copied: the keys and payloads a node hands out alias page
+// memory, valid until the tree is next mutated. Tree pages are only ever
+// written whole (writeNode).
 type node struct {
-	pg *storage.Page
-	n  int
+	pg    *storage.Page
+	data  []byte
+	n     int
+	geo   byte
+	width int
 }
 
 // node fetches a page through the pager — one charged access per visit.
@@ -124,17 +129,17 @@ func (t *BTree) node(id storage.PageID) (node, error) {
 	if err != nil {
 		return node{}, err
 	}
-	return node{pg, pg.NumSlots()}, nil
+	d := pg.Data()
+	return node{pg: pg, data: d, n: int(binary.LittleEndian.Uint16(d)), geo: d[3], width: int(binary.LittleEndian.Uint16(d[4:]))}, nil
 }
 
-// isLeaf reads the first record's marker; only an empty root leaf has none.
-func (nd node) isLeaf() bool { return nd.n == 0 || nd.pg.Record(0)[0] == recLeaf }
+func (nd *node) isLeaf() bool { return nd.data[2] == kindLeaf }
 
 // next is a leaf's right sibling, InvalidPageID at the end of the chain.
-func (nd node) next() storage.PageID { return storage.PageID(nd.pg.Aux()) }
+func (nd *node) next() storage.PageID { return storage.PageID(nd.pg.Aux()) }
 
 // child is an internal node's i-th child; -1 names the leftmost.
-func (nd node) child(i int) storage.PageID {
+func (nd *node) child(i int) storage.PageID {
 	if i < 0 {
 		return storage.PageID(nd.pg.Aux())
 	}
@@ -142,29 +147,67 @@ func (nd node) child(i int) storage.PageID {
 	return childID(val)
 }
 
-func (nd node) record(i int) (key, val []byte) {
-	rec := nd.pg.Record(i)
-	klen, sz := binary.Uvarint(rec[1:])
-	end := 1 + sz + int(klen)
-	return rec[1+sz : end], rec[end:]
+// start is the page offset of record i.
+func (nd *node) start(i int) int {
+	return int(binary.LittleEndian.Uint16(nd.data[headerSize+slotSize*i:]))
 }
 
-func (nd node) key(i int) []byte {
+func (nd *node) record(i int) (key, val []byte) {
+	var k, v [1][]byte
+	nd.spans(i, k[:], v[:])
+	return k[0], v[0]
+}
+
+// spans splits the len(vals) records from slot pos on into their payloads
+// (vals) and, when keys is non-nil, their keys — the one reader of the record
+// geometry. A drain reads each offset once, as the end of one record and the
+// start of the next.
+func (nd *node) spans(pos int, keys, vals [][]byte) {
+	d := nd.data
+	start := nd.start(pos)
+	for i := range vals {
+		end := storage.PageSize
+		if pos+i+1 < nd.n {
+			end = nd.start(pos + i + 1)
+		}
+		rec := d[start:end]
+		start = end
+		k := nd.width
+		switch nd.geo {
+		case geoVal:
+			k = len(rec) - nd.width
+		case geoVary:
+			klen, sz := binary.Uvarint(rec)
+			rec, k = rec[sz:], int(klen)
+		}
+		vals[i] = rec[k:]
+		if keys != nil {
+			keys[i] = rec[:k]
+		}
+	}
+}
+
+// key is record(i)'s key; under geoKey it reads one offset, not two.
+func (nd *node) key(i int) []byte {
+	if nd.geo == geoKey {
+		start := nd.start(i)
+		return nd.data[start : start+nd.width]
+	}
 	key, _ := nd.record(i)
 	return key
 }
 
 // lowerBound returns the first slot whose key is >= key.
-func (nd node) lowerBound(key []byte) int { return nd.bound(0, nd.n, key, true) }
+func (nd *node) lowerBound(key []byte) int { return nd.bound(0, nd.n, key, true) }
 
 // upperBound returns the first slot whose key is strictly greater than key
 // (so equal keys keep insertion order).
-func (nd node) upperBound(key []byte) int { return nd.bound(0, nd.n, key, false) }
+func (nd *node) upperBound(key []byte) int { return nd.bound(0, nd.n, key, false) }
 
 // bound binary-searches the slots [lo, hi) for the first whose key is greater
 // than key, or equal to it when orEqual, and returns hi when there is none —
 // O(log n) record decodes.
-func (nd node) bound(lo, hi int, key []byte, orEqual bool) int {
+func (nd *node) bound(lo, hi int, key []byte, orEqual bool) int {
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if nd.beyond(mid, key, orEqual) {
@@ -176,7 +219,7 @@ func (nd node) bound(lo, hi int, key []byte, orEqual bool) int {
 	return lo
 }
 
-func (nd node) beyond(i int, key []byte, orEqual bool) bool {
+func (nd *node) beyond(i int, key []byte, orEqual bool) bool {
 	cmp := bytes.Compare(nd.key(i), key)
 	return cmp > 0 || (cmp == 0 && orEqual)
 }
@@ -185,7 +228,7 @@ func (nd node) beyond(i int, key []byte, orEqual bool) bool {
 // point seek's stop key, a slot or two past its start: it doubles its stride
 // from lo until a probe lies beyond, then bisects that last stride, so the
 // cost follows the distance to the bound rather than the size of the node.
-func (nd node) boundNear(lo int, key []byte, orEqual bool) int {
+func (nd *node) boundNear(lo int, key []byte, orEqual bool) int {
 	for step := 1; ; step *= 2 {
 		probe := lo + step - 1
 		if probe >= nd.n {
@@ -207,7 +250,7 @@ type entry struct {
 
 // entries materializes the node for a rewrite, with room for one more entry.
 // The slices alias the page until writeNode replaces it.
-func (nd node) entries() []entry {
+func (nd *node) entries() []entry {
 	out := make([]entry, nd.n, nd.n+1)
 	for i := range out {
 		out[i].key, out[i].val = nd.record(i)
@@ -215,56 +258,149 @@ func (nd node) entries() []entry {
 	return out
 }
 
-func writeNode(pg *storage.Page, isLeaf bool, entries []entry, extra uint64) bool {
-	marker := recInternal
-	if isLeaf {
-		marker = recLeaf
+// nodeSize is the packing rule: a node's footprint, accumulated entry by
+// entry — each record with its slot and, on a leaf, the row header the tree
+// emulates (the paper's per-tuple overhead) — plus the key-length varints,
+// which only a node whose key widths and payload widths both vary carries.
+// Inserts and bulk loads pack by it, writeNode lays pages out by it, and the
+// density pins measure with it (LeafFootprint).
+type nodeSize struct {
+	n, bytes, klens  int
+	key, val         int // the first entry's key and payload widths
+	varyKey, varyVal bool
+}
+
+func (s *nodeSize) add(e entry, overhead int) {
+	if s.n == 0 {
+		s.key, s.val = len(e.key), len(e.val)
 	}
-	// Serialize every entry before touching the page: the entries frequently
-	// alias the very page being rewritten (they come from node.entries).
-	recs := make([][]byte, len(entries))
+	s.varyKey = s.varyKey || len(e.key) != s.key
+	s.varyVal = s.varyVal || len(e.val) != s.val
+	s.n++
+	s.bytes += len(e.key) + len(e.val) + slotSize + overhead
+	s.klens += uvarintLen(len(e.key))
+}
+
+// with is the footprint with e added.
+func (s nodeSize) with(e entry, overhead int) nodeSize {
+	s.add(e, overhead)
+	return s
+}
+
+func (s nodeSize) total() int {
+	if s.varyKey && s.varyVal {
+		return s.bytes + s.klens
+	}
+	return s.bytes
+}
+
+// geometry is the record geometry of a node holding the entries added so
+// far, and its width.
+func (s nodeSize) geometry() (byte, int) {
+	switch {
+	case !s.varyKey:
+		return geoKey, s.key
+	case !s.varyVal:
+		return geoVal, s.val
+	}
+	return geoVary, 0
+}
+
+func uvarintLen(x int) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
+// writeNode rewrites pg whole as a node of the given kind holding entries
+// and the link word. Entries that do not fit the page are an error, and the
+// page is then left as it was: a node is never written in part.
+func writeNode(pg *storage.Page, isLeaf bool, entries []entry, link uint64) error {
+	var size nodeSize
+	for _, e := range entries {
+		size.add(e, 0)
+	}
+	if headerSize+size.total() > storage.PageSize {
+		return fmt.Errorf("btree: %d entries of %d bytes overflow a page", len(entries), size.total())
+	}
+	geo, width := size.geometry()
+	// Lay the page out in a scratch image first: the entries frequently alias
+	// the very page being rewritten (they come from node.entries).
+	var img [storage.PageSize]byte
+	off := storage.PageSize - (size.total() - slotSize*len(entries))
 	for i, e := range entries {
-		recs[i] = appendRecord(make([]byte, 0, 1+10+len(e.key)+len(e.val)), marker, e.key, e.val)
-	}
-	clear(pg.Data())
-	reinit(pg)
-	pg.SetAux(extra)
-	for _, rec := range recs {
-		if _, ok := pg.InsertRecord(rec, 0); !ok {
-			return false
+		binary.LittleEndian.PutUint16(img[headerSize+slotSize*i:], uint16(off))
+		if geo == geoVary {
+			off += binary.PutUvarint(img[off:], uint64(len(e.key)))
 		}
+		off += copy(img[off:], e.key)
+		off += copy(img[off:], e.val)
 	}
-	return true
-}
-
-// reinit restores the empty slotted-page header on a zeroed page.
-func reinit(pg *storage.Page) {
-	data := pg.Data()
-	binary.LittleEndian.PutUint16(data[0:2], 0)  // slots
-	binary.LittleEndian.PutUint16(data[2:4], 14) // free start
-	binary.LittleEndian.PutUint16(data[4:6], 0)  // free end = PageSize sentinel
-}
-
-// entrySize returns the on-page footprint of an entry, including the leaf
-// overhead when applicable.
-func (t *BTree) entrySize(e entry, isLeaf bool) int {
-	size := recordSize(e.key, e.val)
+	binary.LittleEndian.PutUint16(img[0:], uint16(len(entries)))
+	img[2] = kindInternal
 	if isLeaf {
-		size += t.overhead
+		img[2] = kindLeaf
 	}
-	return size
+	img[3] = geo
+	binary.LittleEndian.PutUint16(img[4:], uint16(width))
+	copy(pg.Data(), img[:])
+	pg.SetAux(link)
+	return nil
 }
 
 // usableBytes is the payload capacity of a node page.
 const usableBytes = storage.PageSize - 64
 
+// size is the packing rule's footprint of a node holding entries.
+func (t *BTree) size(entries []entry, isLeaf bool) nodeSize {
+	var s nodeSize
+	for _, e := range entries {
+		s.add(e, t.leafOverhead(isLeaf))
+	}
+	return s
+}
+
+func (t *BTree) leafOverhead(isLeaf bool) int {
+	if isLeaf {
+		return t.overhead
+	}
+	return 0
+}
+
 // nodeFits reports whether the entries fit in one page.
 func (t *BTree) nodeFits(entries []entry, isLeaf bool) bool {
-	total := 0
-	for _, e := range entries {
-		total += t.entrySize(e, isLeaf)
+	return t.size(entries, isLeaf).total() <= usableBytes
+}
+
+// splitAt picks where an overflowing node's entries are cut: where their
+// packed bytes balance (nodeSize), so that each half holds at most half the
+// node plus one entry. A leaf keeps entries[:mid] and its new right sibling
+// entries[mid:]; an internal node's entries[mid] moves up, so both of its
+// halves are non-empty. A cut with a half that still does not fit is an
+// error (an entry within InsertUnder's limit never causes one), reported
+// before any page is touched.
+func (t *BTree) splitAt(entries []entry, isLeaf bool) (int, error) {
+	ovh := t.leafOverhead(isLeaf)
+	total := t.size(entries, isLeaf).total()
+	last := len(entries) - 1 // a leaf's right half keeps at least one entry
+	if !isLeaf {
+		last-- // and an internal node's at least one beside the one moving up
 	}
-	return total <= usableBytes
+	mid, left := 1, t.size(entries[:1], isLeaf)
+	for mid < last && 2*left.with(entries[mid], ovh).total() <= total {
+		left.add(entries[mid], ovh)
+		mid++
+	}
+	right := entries[mid:]
+	if !isLeaf {
+		right = entries[mid+1:]
+	}
+	if !t.nodeFits(entries[:mid], isLeaf) || !t.nodeFits(right, isLeaf) {
+		return 0, fmt.Errorf("btree: no split of %d entries fits two pages", len(entries))
+	}
+	return mid, nil
 }
 
 // Insert adds a (key, payload) entry. Keys need not be unique.
@@ -304,7 +440,9 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 		// Root split: create a new root with the old root as leftmost child.
 		newRoot := t.pager.Allocate()
 		ents := []entry{{key: promoted, val: childPayload(newChild)}}
-		writeNode(newRoot, false, ents, uint64(t.root))
+		if err := writeNode(newRoot, false, ents, uint64(t.root)); err != nil {
+			return err
+		}
 		t.root = newRoot.ID()
 		t.height++
 	}
@@ -350,7 +488,6 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 	// Equal keys keep insertion order; in an internal node the child left of
 	// that position — under the last separator <= key — covers the key.
 	pos := nd.upperBound(key)
-	extra := nd.pg.Aux()
 	if nd.isLeaf() {
 		if choose != nil {
 			var pred []byte
@@ -363,40 +500,49 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 				return nil, storage.InvalidPageID, err
 			}
 		}
-		entries := slices.Insert(nd.entries(), pos, entry{key: key, val: val})
-		if t.nodeFits(entries, true) {
-			t.pager.BeforeWrite(id)
-			writeNode(nd.pg, true, entries, extra)
-			return nil, storage.InvalidPageID, nil
-		}
-		// Split the leaf. The separator must be copied before the left page is
-		// rewritten because the entries alias the page's memory.
-		mid := len(entries) / 2
-		sep := append([]byte(nil), entries[mid].key...)
-		right := t.pager.Allocate()
-		writeNode(right, true, entries[mid:], extra) // right inherits next pointer
-		t.pager.BeforeWrite(id)
-		writeNode(nd.pg, true, entries[:mid], uint64(right.ID()))
-		return sep, right.ID(), nil
+		return t.store(id, nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
 	}
 	promoted, newChild, err := t.insertInto(nd.child(pos-1), key, val, choose, leftmost && pos == 0)
 	if err != nil || newChild == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}
 	// The child split: its separator goes right after the child's own.
-	entries := slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)})
-	if t.nodeFits(entries, false) {
+	return t.store(id, nd, false, slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)}))
+}
+
+// store rewrites the node nd (page id) to hold entries, splitting it when
+// they do not fit one page (splitAt); on a split it returns the separator and
+// the new right sibling's page id. A leaf's right half inherits the next
+// link and the left half links to it; an internal node's middle entry moves
+// up, its child becoming the right half's leftmost.
+func (t *BTree) store(id storage.PageID, nd node, isLeaf bool, entries []entry) ([]byte, storage.PageID, error) {
+	link := nd.pg.Aux()
+	if t.nodeFits(entries, isLeaf) {
 		t.pager.BeforeWrite(id)
-		writeNode(nd.pg, false, entries, extra)
-		return nil, storage.InvalidPageID, nil
+		return nil, storage.InvalidPageID, writeNode(nd.pg, isLeaf, entries, link)
 	}
-	// Split the internal node: middle key moves up.
-	mid := len(entries) / 2
+	mid, err := t.splitAt(entries, isLeaf)
+	if err != nil {
+		return nil, storage.InvalidPageID, err
+	}
+	// The separator must be copied before the left page is rewritten because
+	// the entries alias the page's memory.
 	sep := append([]byte(nil), entries[mid].key...)
 	right := t.pager.Allocate()
-	writeNode(right, false, entries[mid+1:], uint64(childID(entries[mid].val)))
+	leftLink := link
+	if isLeaf {
+		err = writeNode(right, true, entries[mid:], link)
+		leftLink = uint64(right.ID())
+	} else {
+		err = writeNode(right, false, entries[mid+1:], uint64(childID(entries[mid].val)))
+	}
+	if err != nil {
+		return nil, storage.InvalidPageID, err
+	}
 	t.pager.BeforeWrite(id)
-	writeNode(nd.pg, false, entries[:mid], extra)
+	if err := writeNode(nd.pg, isLeaf, entries[:mid], leftLink); err != nil {
+		return nil, storage.InvalidPageID, err
+	}
 	return sep, right.ID(), nil
 }
 
@@ -422,7 +568,9 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 			}
 			entries := slices.Delete(nd.entries(), pos, pos+1)
 			t.pager.BeforeWrite(id)
-			writeNode(nd.pg, true, entries, uint64(nd.next()))
+			if err := writeNode(nd.pg, true, entries, uint64(nd.next())); err != nil {
+				return false, err
+			}
 			t.count--
 			return true, nil
 		}
@@ -486,7 +634,7 @@ func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current entry's payload. Valid only after Next reported
 // true. Like Key, the slice aliases page memory; the projected scan fill
-// hands sub-spans of it straight to the typed tuple decoders.
+// walks it in place (value.RecordWalker).
 func (it *Iterator) Value() []byte { return it.val }
 
 // Next advances the iterator and reports whether an entry is available.
@@ -507,14 +655,11 @@ func (it *Iterator) Next() bool {
 func (it *Iterator) NextSpans(keys, vals [][]byte) int {
 	n := 0
 	for n < len(vals) && it.advanceLeaf() {
-		nd, pos := it.nd, it.pos
-		run := min(it.end-pos, len(vals)-n)
-		for i := 0; i < run; i++ {
-			key, val := nd.record(pos + i)
-			vals[n+i] = val
-			if keys != nil {
-				keys[n+i] = key
-			}
+		run := min(it.end-it.pos, len(vals)-n)
+		if keys != nil {
+			it.nd.spans(it.pos, keys[n:n+run], vals[n:n+run])
+		} else {
+			it.nd.spans(it.pos, nil, vals[n:n+run])
 		}
 		it.pos += run
 		n += run
@@ -572,6 +717,25 @@ func (t *BTree) LeafPages() ([]storage.PageID, error) {
 	}
 	t.leafCache.Store(&out)
 	return out, nil
+}
+
+// LeafFootprint is the bytes the tree's leaves occupy as the packing rule
+// counts them (nodeSize, row headers included) — what the density pins
+// divide by the row count.
+func (t *BTree) LeafFootprint() (int, error) {
+	leaves, err := t.LeafPages()
+	if err != nil {
+		return 0, err
+	}
+	total := 0
+	for _, id := range leaves {
+		nd, err := t.node(id)
+		if err != nil {
+			return 0, err
+		}
+		total += t.size(nd.entries(), true).total()
+	}
+	return total, nil
 }
 
 // LeafRange returns the ids of the consecutive leaf pages that can contain
@@ -689,13 +853,15 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		leafIDs   []storage.PageID
 		firstKeys [][]byte
 		cur       []entry
-		curSize   int
+		curSize   nodeSize
 		prevKey   []byte
 		n         int64
 	)
 	flushLeaf := func() error {
 		pg := t.pager.Allocate()
-		writeNode(pg, true, cur, 0)
+		if err := writeNode(pg, true, cur, 0); err != nil {
+			return err
+		}
 		if len(leafIDs) > 0 {
 			prevID := leafIDs[len(leafIDs)-1]
 			prev, err := t.pager.Get(prevID)
@@ -711,8 +877,7 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		} else {
 			firstKeys = append(firstKeys, nil)
 		}
-		cur = nil
-		curSize = 0
+		cur, curSize = nil, nodeSize{}
 		return nil
 	}
 	for {
@@ -725,14 +890,13 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		}
 		prevKey = append(prevKey[:0], key...)
 		e := entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
-		sz := t.entrySize(e, true)
-		if curSize+sz > target && len(cur) > 0 {
+		if len(cur) > 0 && curSize.with(e, t.overhead).total() > target {
 			if err := flushLeaf(); err != nil {
 				return err
 			}
 		}
 		cur = append(cur, e)
-		curSize += sz
+		curSize.add(e, t.overhead)
 		n++
 	}
 	if err := flushLeaf(); err != nil {
@@ -753,19 +917,19 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 			nodeFirstKey := keys[i]
 			i++
 			var ents []entry
-			size := 0
-			for i < len(level) {
+			var size nodeSize
+			for ; i < len(level); i++ {
 				e := entry{key: keys[i], val: childPayload(level[i])}
-				sz := t.entrySize(e, false)
-				if size+sz > target && len(ents) > 0 {
+				if len(ents) > 0 && size.with(e, 0).total() > target {
 					break
 				}
 				ents = append(ents, e)
-				size += sz
-				i++
+				size.add(e, 0)
 			}
 			pg := t.pager.Allocate()
-			writeNode(pg, false, ents, uint64(leftmost))
+			if err := writeNode(pg, false, ents, uint64(leftmost)); err != nil {
+				return err
+			}
 			nextLevel = append(nextLevel, pg.ID())
 			nextKeys = append(nextKeys, nodeFirstKey)
 		}

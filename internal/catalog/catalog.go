@@ -236,11 +236,12 @@ func (t *Table) DataPages() (int, error) {
 // tree key is the stored-key encoding of its clustered-key columns, each as
 // narrow as its declared kind allows (value.AppendStoredKeyValue) — plus a
 // uniquifier, but only on a row whose key some stored row already carries —
-// and its payload is EncodeTuple over the remaining columns. A secondary
-// entry's key is its index-key columns, encoded the same way, followed by the
-// base row's locator (its exact clustered tree key, or its RID on a heap), and
-// its payload holds the included columns found in neither. A heap row is one
-// tuple of every column.
+// and its payload is a record (value.AppendRecord) of the remaining columns
+// under their declared kinds. A secondary entry's key is its index-key
+// columns, encoded the same way, followed by the base row's locator (its
+// exact clustered tree key, or its RID on a heap), and its payload is a
+// record of the included columns found in neither. A heap row is one record
+// of every column.
 
 // Layout says where each logical column of a stored record lives. The logical
 // columns are what Cursor.Next returns, in order: every table column for a
@@ -249,19 +250,21 @@ type Layout struct {
 	// Ords[i] is the table ordinal of logical column i.
 	Ords []int
 	// Exactly one of KeyPos[i] (position among the key's encoded values) and
-	// PayPos[i] (field position in the payload tuple) is >= 0.
+	// PayPos[i] (field position in the payload record) is >= 0.
 	KeyPos, PayPos []int
 	// KeyKinds[p] is the declared kind of the column at key position p: what
-	// its stored key value is encoded, skipped and decoded under.
-	KeyKinds []value.Kind
+	// its stored key value is encoded, skipped and decoded under. PayKinds[p]
+	// is the declared kind of payload field p, which the payload record is
+	// encoded and walked under.
+	KeyKinds, PayKinds []value.Kind
 
 	payOrds  []int // table ordinals by payload position
 	keyOutAt []int // logical column decoded from key position p, or -1 to skip it
 }
 
 // newLayout builds the layout of records whose key encodes the columns
-// keyOrds and whose payload tuple holds payOrds, presented as logical columns
-// ords (each of which must be in one of the two).
+// keyOrds and whose payload record holds payOrds, presented as logical
+// columns ords (each of which must be in one of the two).
 func newLayout(cols []Column, ords, keyOrds, payOrds []int) *Layout {
 	l := &Layout{
 		Ords: ords, KeyPos: make([]int, len(ords)), PayPos: make([]int, len(ords)), payOrds: payOrds,
@@ -278,6 +281,9 @@ func newLayout(cols []Column, ords, keyOrds, payOrds []int) *Layout {
 		l.KeyKinds[p] = cols[ord].Kind
 		l.keyOutAt[p] = -1
 	}
+	for _, ord := range payOrds {
+		l.PayKinds = append(l.PayKinds, cols[ord].Kind)
+	}
 	for i, p := range l.KeyPos {
 		if p >= 0 {
 			l.keyOutAt[p] = i
@@ -293,15 +299,9 @@ func (l *Layout) decodeRow(key, payload []byte, scratch *[]value.Value) ([]value
 	if err := l.decodeKey(key, row); err != nil {
 		return nil, err
 	}
-	if len(l.payOrds) == 0 {
-		return row, nil
-	}
-	vals, _, err := value.DecodeTupleInto((*scratch)[:0], payload)
+	vals, err := value.DecodeRecordInto(*scratch, l.PayKinds, payload)
 	if err != nil {
 		return nil, err
-	}
-	if len(vals) != len(l.payOrds) {
-		return nil, fmt.Errorf("catalog: record payload holds %d fields, layout expects %d", len(vals), len(l.payOrds))
 	}
 	*scratch = vals
 	for i, p := range l.PayPos {
@@ -312,18 +312,15 @@ func (l *Layout) decodeRow(key, payload []byte, scratch *[]value.Value) ([]value
 	return row, nil
 }
 
-// encodePayload appends the payload tuple of row (a full table row); a layout
-// with no payload columns stores no payload bytes at all.
+// encodePayload appends the payload record of row (a full table row); a
+// layout with no payload columns stores no payload bytes at all.
 func (l *Layout) encodePayload(dst []byte, row []value.Value, scratch *[]value.Value) []byte {
-	if len(l.payOrds) == 0 {
-		return dst
-	}
 	vals := (*scratch)[:0]
 	for _, ord := range l.payOrds {
 		vals = append(vals, row[ord])
 	}
 	*scratch = vals
-	return value.EncodeTuple(dst, vals)
+	return value.AppendRecord(dst, l.PayKinds, vals)
 }
 
 // Layout returns the record layout of the table's own rows.
@@ -485,7 +482,7 @@ func (t *Table) insertStored(row []value.Value) error {
 			return err
 		}
 	} else {
-		rid, err := t.heap.Insert(row)
+		rid, err := t.heap.Insert(t.layout.encodePayload(nil, row, &scratch))
 		if err != nil {
 			return err
 		}
@@ -758,14 +755,19 @@ func (ix *Index) Locator(key []byte) ([]byte, error) {
 
 // Lookup fetches the one base row a locator (see Index.Locator) names.
 func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
+	var scratch []value.Value
 	if t.Clustered == nil {
 		if len(locator) != ridLen {
 			return nil, fmt.Errorf("catalog: table %q: bad RID locator of %d bytes", t.Name, len(locator))
 		}
-		return t.heap.Get(storage.RID{
+		rec, err := t.heap.Get(storage.RID{
 			Page: storage.PageID(binary.BigEndian.Uint64(locator)),
 			Slot: binary.BigEndian.Uint16(locator[8:]),
 		})
+		if err != nil {
+			return nil, err
+		}
+		return t.layout.decodeRow(nil, rec, &scratch)
 	}
 	payload, ok, err := t.Clustered.tree.Get(locator)
 	if err != nil {
@@ -774,7 +776,6 @@ func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("catalog: table %q has no row at locator %x", t.Name, locator)
 	}
-	var scratch []value.Value
 	return t.layout.decodeRow(locator, payload, &scratch)
 }
 
@@ -899,7 +900,7 @@ func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
 
 // NextSpans fills payloads (and keys, when non-nil) with up to len(payloads)
 // records' raw storage spans — the tree key bytes (nil for heaps) and the
-// payload tuple, which a Layout maps to columns — and returns how many it
+// payload record, which a Layout maps to columns — and returns how many it
 // filled, fewer only at exhaustion. Trees decode a leaf's records in place,
 // a run of slots per call; heaps walk record by record.
 // All spans point into page memory and stay valid until the table is next
@@ -1074,16 +1075,20 @@ func (ix *Index) rebuild() error {
 	} else {
 		hit := t.heap.Scan()
 		for {
-			row, rid, ok, err := hit.Next()
-			if err != nil {
-				return err
-			}
+			rec, rid, ok := hit.NextRecord()
 			if !ok {
 				break
+			}
+			row, err := t.layout.decodeRow(nil, rec, &scratch)
+			if err != nil {
+				return err
 			}
 			if err := add(row, ridLocator(rid)); err != nil {
 				return err
 			}
+		}
+		if err := hit.Err(); err != nil {
+			return err
 		}
 	}
 	// Locators are unique, so the keys are too and any sort is stable.

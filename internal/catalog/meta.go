@@ -17,15 +17,19 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 3: every column stored once — bare clustered keys with a
+// metaVersion 4: every column stored once — bare clustered keys with a
 // uniquifier on duplicates only, key-stripped payloads, secondary entries
 // located by clustered key — with each key column encoded under its declared
-// kind (value.AppendStoredKeyValue) and uvarint child ids in inner B+-tree
-// nodes. Version 2 pages hold every numeric key as a 9- or 17-byte cross-kind
-// word and 8-byte child ids, version 1 pages also repeat key columns in the
-// payload; decoding either under these rules would return wrong rows or none,
-// so RestoreMeta refuses them.
-const metaVersion = 3
+// kind (value.AppendStoredKeyValue), each payload a record under its declared
+// kinds (value.AppendRecord: a tag bitmap, no field count, no kind bytes but
+// on NULLs and stray kinds), and B+-tree nodes that state their kind and
+// record geometry once in the page header (btree's node layout). Version 3
+// pages frame every record with a marker, key length and 4-byte slot and
+// every payload field with a kind byte; version 2 pages hold every numeric
+// key as a 9- or 17-byte cross-kind word, version 1 pages also repeat key
+// columns in the payload. Decoding any of them under these rules would
+// return wrong rows or none, so RestoreMeta refuses them.
+const metaVersion = 4
 
 type metaWriter struct{ buf []byte }
 

@@ -184,13 +184,14 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier record layout: version 2 (every numeric key a 9-byte cross-kind
-// word, 8-byte child ids) or version 1 (uniquifier on every key, key columns
-// repeated in the payload). Their pages would decode to wrong rows, or to
-// errors, under the current layout, so Open must fail and name both versions
-// rather than attach to them.
+// an earlier record layout: version 3 (a marker, key length and 4-byte slot
+// on every record, a field count and a kind byte per payload field), version
+// 2 (every numeric key a 9-byte cross-kind word, 8-byte child ids) or version
+// 1 (uniquifier on every key, key columns repeated in the payload). Their
+// pages would decode to wrong rows, or to errors, under the current layout,
+// so Open must fail and name both versions rather than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{2, 1} {
+	for _, old := range []byte{3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -207,8 +208,8 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
 		_, n := binary.Uvarint(state[1:])
-		if state[1+n] != 3 {
-			t.Fatalf("catalog meta starts with version %d, test expects 3", state[1+n])
+		if state[1+n] != 4 {
+			t.Fatalf("catalog meta starts with version %d, test expects 4", state[1+n])
 		}
 		state[1+n] = old
 		if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
@@ -218,7 +219,7 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if e, err := Open(Options{TupleOverhead: -1, FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 3") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 4") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}

@@ -10,14 +10,14 @@ import (
 
 // colFiller is the projection-aware, column-at-a-time batch fill behind every
 // table access path. A stored record keeps each column once — in its tree key
-// or in its payload tuple (catalog.Layout) — so the filler sources every
+// or in its payload record (catalog.Layout) — so the filler sources every
 // projected column from the span that holds it, walking each span at most
-// once: unrequested key values and tuple fields are skipped, and each
+// once: unrequested key values and payload fields are skipped, and each
 // projected one is decoded in place during the walk (value.DecodeKeyValue for
-// key bytes, TupleWalker.DecodeField — the fused single-parse form of the
-// typed span decoders in internal/value — for the payload), appending
-// straight into the column buffers that become the batch's vectors. A span no
-// projected column lives in is never touched at all.
+// key bytes, value.RecordWalker under the declared payload kinds for the
+// payload), appending straight into the column buffers that become the
+// batch's vectors. A span no projected column lives in is never touched at
+// all.
 //
 // The column buffers are a per-operator arena: a filler owned by a serial
 // scan operator survives Open/Close, so a plan-cache lease's later executions
@@ -29,12 +29,14 @@ import (
 // never escape the filler and are always reused.
 type colFiller struct {
 	// kinds[i] is the declared kind of output column i, selecting its typed
-	// decoder; keyKinds[p] is the declared kind at key position p, which its
-	// stored key value is skipped or decoded under. keyFields and payFields map
-	// key positions and payload tuple positions to output columns, each sorted
-	// by position so one forward walk per span collects every projected value.
+	// decoder; keyKinds[p] and payKinds[p] are the declared kinds at key and
+	// payload position p, which the record's spans are walked under.
+	// keyFields and payFields map key positions and payload field positions to
+	// output columns, each sorted by position so one forward walk per span
+	// collects every projected value.
 	kinds     []value.Kind
 	keyKinds  []value.Kind
+	payKinds  []value.Kind
 	keyFields []fillField
 	payFields []fillField
 
@@ -66,7 +68,6 @@ type colFiller struct {
 	codes   [][]uint32
 	spans   [][]uint64
 	mixed   [][]value.Value
-	spanTmp [1][]byte
 }
 
 // dictMaxDistinct is the per-column distinct-value budget of dictionary-mode
@@ -149,7 +150,7 @@ type fillField struct {
 // output column i is the logical column positions[i] of records laid out as
 // layout says.
 func newColFiller(kinds []value.Kind, layout *catalog.Layout, positions []int, recycle bool) *colFiller {
-	f := &colFiller{kinds: kinds, keyKinds: layout.KeyKinds, recycle: recycle}
+	f := &colFiller{kinds: kinds, keyKinds: layout.KeyKinds, payKinds: layout.PayKinds, recycle: recycle}
 	for i, pos := range positions {
 		if p := layout.KeyPos[pos]; p >= 0 {
 			f.keyFields = append(f.keyFields, fillField{pos: p, out: i})
@@ -229,9 +230,7 @@ func (f *colFiller) decodeKey(key []byte) error {
 			if err != nil {
 				return err
 			}
-			if err := f.fillString(fd.out, body, isStr, nil); err != nil {
-				return err
-			}
+			f.fillString(fd.out, body, isStr, value.Value{})
 			off += n
 			continue
 		}
@@ -245,65 +244,46 @@ func (f *colFiller) decodeKey(key []byte) error {
 	return nil
 }
 
-// decodePayload walks one payload tuple, skipping the gaps between projected
-// fields and decoding each projected field directly into its column buffer
-// with a single parse. Fields past the tuple's end append NULL. String
-// columns route through fillString (dictionary or arena decode); everything
-// else decodes in place.
+// decodePayload walks one payload record, skipping the gaps between
+// projected fields and decoding each projected field directly into its column
+// buffer with a single parse. String columns route through fillString
+// (dictionary or arena decode); everything else decodes in place.
 func (f *colFiller) decodePayload(payload []byte) error {
-	var w value.TupleWalker
-	if err := w.Reset(payload); err != nil {
+	var w value.RecordWalker
+	if err := w.Reset(payload, f.payKinds); err != nil {
 		return err
 	}
-	n := w.NumFields()
 	prev := 0
 	var v value.Value
 	for _, fd := range f.payFields {
-		if f.kinds[fd.out] == value.KindString {
-			var body, sp []byte
-			var isStr bool
-			if fd.pos < n {
-				if fd.pos > prev {
-					if err := w.Skip(fd.pos - prev); err != nil {
-						return err
-					}
-				}
-				var err error
-				if body, isStr, sp, err = w.StringBody(); err != nil {
-					return err
-				}
-				prev = fd.pos + 1
-			}
-			if err := f.fillString(fd.out, body, isStr, sp); err != nil {
-				return err
-			}
-			continue
-		}
-		if fd.pos >= n {
-			f.bufs[fd.out] = append(f.bufs[fd.out], value.Value{})
-			continue
-		}
 		if fd.pos > prev {
 			if err := w.Skip(fd.pos - prev); err != nil {
 				return err
 			}
 		}
+		prev = fd.pos + 1
+		if f.kinds[fd.out] == value.KindString {
+			body, isStr, err := w.StringField(&v)
+			if err != nil {
+				return err
+			}
+			f.fillString(fd.out, body, isStr, v)
+			continue
+		}
 		if err := w.DecodeField(&v); err != nil {
 			return err
 		}
 		f.bufs[fd.out] = append(f.bufs[fd.out], v)
-		prev = fd.pos + 1
 	}
 	return nil
 }
 
-// fillString appends one string-column value from a walked field: body is the
-// string contents when isStr, sp the raw span otherwise (nil = NULL, for
-// past-end fields). Dictionary mode interns the contents and appends a code;
-// arena mode stages the contents and appends a placeholder the wrap resolves
-// after Seal. Non-string, non-NULL kinds abandon dictionary mode and decode
-// generically.
-func (f *colFiller) fillString(out int, body []byte, isStr bool, sp []byte) error {
+// fillString appends one string-column value: body is the string contents
+// when isStr, v the decoded value otherwise (NULL, or another kind the column
+// took while it was no key). Dictionary mode interns the contents and appends
+// a code; arena mode stages the contents and appends a placeholder the wrap
+// resolves after Seal. Non-string, non-NULL kinds abandon dictionary mode.
+func (f *colFiller) fillString(out int, body []byte, isStr bool, v value.Value) {
 	if d := f.dicts[out]; d != nil {
 		switch {
 		case isStr:
@@ -316,30 +296,26 @@ func (f *colFiller) fillString(out int, body []byte, isStr bool, sp []byte) erro
 				code = d.intern(body)
 			}
 			f.codes[out] = append(f.codes[out], code)
-			return nil
-		case len(sp) == 0 || value.Kind(sp[0]) == value.KindNull:
+			return
+		case v.IsNull():
 			f.codes[out] = append(f.codes[out], d.internNull())
-			return nil
+			return
 		default:
 			// A non-string kind stored in a declared-string column: the
 			// interning map cannot key it, so the column leaves dictionary
-			// mode for good and decodes generically below.
+			// mode for good.
 			f.abandonDict(out)
 		}
 	}
-	if isStr {
+	switch {
+	case isStr:
 		f.spans[out] = append(f.spans[out], f.arena.StagePacked(body))
-		return nil
-	}
-	if len(sp) == 0 {
+	case v.IsNull():
 		f.spans[out] = append(f.spans[out], spanNull)
-		return nil
+	default:
+		f.mixed[out] = append(f.mixed[out], v)
+		f.spans[out] = append(f.spans[out], spanMixed)
 	}
-	f.spanTmp[0] = sp
-	var err error
-	f.mixed[out], err = value.DecodeFieldSpans(f.mixed[out], f.spanTmp[:])
-	f.spans[out] = append(f.spans[out], spanMixed)
-	return err
 }
 
 // abandonDict permanently switches a string column out of dictionary mode,

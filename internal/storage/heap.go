@@ -1,13 +1,11 @@
 package storage
 
-import (
-	"fmt"
+import "fmt"
 
-	"oldelephant/internal/value"
-)
-
-// HeapFile stores rows in insertion order across a chain of slotted pages.
-// It is the storage structure for tables without a clustered index.
+// HeapFile stores records in insertion order across a chain of slotted
+// pages. It is the storage structure for tables without a clustered index;
+// what a record holds is its owner's business (catalog encodes each row as
+// one value.AppendRecord record).
 type HeapFile struct {
 	pager    *Pager
 	pageIDs  []PageID
@@ -37,11 +35,10 @@ func OpenHeapFile(pager *Pager, pageIDs []PageID, rowCount int64, overhead int) 
 // PageIDs returns the heap's page chain (for meta persistence and freeing).
 func (h *HeapFile) PageIDs() []PageID { return h.pageIDs }
 
-// Insert appends a row and returns its RID.
-func (h *HeapFile) Insert(row []value.Value) (RID, error) {
-	rec := value.EncodeTuple(nil, row)
+// Insert appends a record and returns its RID.
+func (h *HeapFile) Insert(rec []byte) (RID, error) {
 	if len(rec)+h.overhead > PageSize-pageHeaderSize-slotSize {
-		return RID{}, fmt.Errorf("storage: row of %d bytes does not fit in a page", len(rec))
+		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit in a page", len(rec))
 	}
 	if len(h.pageIDs) > 0 {
 		last, err := h.pager.Get(h.pageIDs[len(h.pageIDs)-1])
@@ -58,14 +55,15 @@ func (h *HeapFile) Insert(row []value.Value) (RID, error) {
 	h.pageIDs = append(h.pageIDs, pg.ID())
 	slot, ok := pg.InsertRecord(rec, h.overhead)
 	if !ok {
-		return RID{}, fmt.Errorf("storage: row of %d bytes does not fit in a fresh page", len(rec))
+		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit in a fresh page", len(rec))
 	}
 	h.rowCount++
 	return RID{Page: pg.ID(), Slot: uint16(slot)}, nil
 }
 
-// Get fetches the row stored at rid.
-func (h *HeapFile) Get(rid RID) ([]value.Value, error) {
+// Get returns the record stored at rid. It aliases page memory, like the
+// records NextRecord returns.
+func (h *HeapFile) Get(rid RID) ([]byte, error) {
 	pg, err := h.pager.Get(rid.Page)
 	if err != nil {
 		return nil, err
@@ -74,8 +72,7 @@ func (h *HeapFile) Get(rid RID) ([]value.Value, error) {
 	if rec == nil {
 		return nil, fmt.Errorf("storage: no record at %v", rid)
 	}
-	row, _, err := value.DecodeTuple(rec)
-	return row, err
+	return rec, nil
 }
 
 // Delete removes the row at rid (the slot is tombstoned).
@@ -130,23 +127,9 @@ type HeapIterator struct {
 // Err to distinguish end-of-heap from a failed page read.
 func (it *HeapIterator) Err() error { return it.err }
 
-// Next returns the next row and its RID. ok is false at end of file.
-func (it *HeapIterator) Next() (row []value.Value, rid RID, ok bool, err error) {
-	rec, rid, ok := it.NextRecord()
-	if !ok {
-		return nil, RID{}, false, it.err
-	}
-	row, _, err = value.DecodeTuple(rec)
-	if err != nil {
-		return nil, RID{}, false, err
-	}
-	return row, rid, true, nil
-}
-
-// NextRecord returns the next row's raw tuple encoding without decoding it —
-// the span-level form the projected scan fill consumes. The record aliases
-// page memory, which the pager keeps resident, so callers may hold it (and
-// sub-spans of it) across Next calls.
+// NextRecord returns the next live record and its RID; ok is false at the
+// end of the heap. The record aliases page memory, which the pager keeps
+// resident, so callers may hold it (and sub-spans of it) across calls.
 func (it *HeapIterator) NextRecord() (rec []byte, rid RID, ok bool) {
 	if it.err != nil {
 		return nil, RID{}, false

@@ -1,13 +1,16 @@
 // Package storage implements the on-"disk" layout of the row store: fixed
-// size slotted pages, a pager with a buffer pool that accounts for
-// sequential and random page I/O, and heap files built from those pages.
+// size pages, a pager with a buffer pool that accounts for sequential and
+// random page I/O, and heap files built from slotted pages.
 //
 // Everything lives in memory, but all data passes through pages of
 // PageSize bytes and every page access is charged to the pager's
 // statistics. The statistics are what the benchmark harness uses to model
 // disk time, so the layout deliberately mirrors a classic row store:
 // records carry a configurable per-tuple overhead (default 9 bytes, the
-// number quoted in the paper) and pages hold a slot directory.
+// number quoted in the paper). A heap page holds a slot directory (the
+// layout below). A B+-tree page is not slotted: package btree owns its
+// bytes whole and shares only the Aux header word, its sibling or child
+// link.
 package storage
 
 import (
@@ -30,7 +33,7 @@ type PageID uint64
 // InvalidPageID is the zero PageID, used to mean "no page".
 const InvalidPageID PageID = 0
 
-// Slotted page layout:
+// Slotted (heap) page layout:
 //
 //	offset 0:  uint16 slot count
 //	offset 2:  uint16 free-space start (grows up, past the slot directory)

@@ -5,8 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"oldelephant/internal/value"
 )
 
 func TestPageInsertAndRead(t *testing.T) {
@@ -214,17 +212,16 @@ func TestIOStatsArithmetic(t *testing.T) {
 	}
 }
 
+// heapRecord is the test record of row i.
+func heapRecord(i int) []byte { return fmt.Appendf(nil, "row-%d|%g", i, float64(i)/3) }
+
 func TestHeapFileInsertScanGet(t *testing.T) {
 	pg := NewPager(0)
 	h := NewHeapFile(pg, -1)
 	const n = 5000
 	var rids []RID
 	for i := 0; i < n; i++ {
-		rid, err := h.Insert([]value.Value{
-			value.NewInt(int64(i)),
-			value.NewString(fmt.Sprintf("row-%d", i)),
-			value.NewFloat(float64(i) / 3),
-		})
+		rid, err := h.Insert(heapRecord(i))
 		if err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
@@ -238,35 +235,32 @@ func TestHeapFileInsertScanGet(t *testing.T) {
 	}
 	// Point lookups.
 	for _, i := range []int{0, 1, n / 2, n - 1} {
-		row, err := h.Get(rids[i])
+		rec, err := h.Get(rids[i])
 		if err != nil {
 			t.Fatalf("Get(%d): %v", i, err)
 		}
-		if row[0].Int() != int64(i) {
-			t.Errorf("row %d key = %v", i, row[0])
+		if string(rec) != string(heapRecord(i)) {
+			t.Errorf("record %d = %q", i, rec)
 		}
 	}
-	// Full scan sees every row exactly once, in insertion order.
+	// Full scan sees every record exactly once, in insertion order.
 	it := h.Scan()
 	i := 0
 	for {
-		row, rid, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec, rid, ok := it.NextRecord()
 		if !ok {
 			break
 		}
-		if row[0].Int() != int64(i) {
-			t.Fatalf("scan out of order at %d: %v", i, row[0])
+		if string(rec) != string(heapRecord(i)) {
+			t.Fatalf("scan out of order at %d: %q", i, rec)
 		}
 		if rid != rids[i] {
 			t.Fatalf("scan rid mismatch at %d", i)
 		}
 		i++
 	}
-	if i != n {
-		t.Fatalf("scan returned %d rows, want %d", i, n)
+	if it.Err() != nil || i != n {
+		t.Fatalf("scan returned %d records, want %d (err %v)", i, n, it.Err())
 	}
 }
 
@@ -275,7 +269,7 @@ func TestHeapFileDelete(t *testing.T) {
 	h := NewHeapFile(pg, 0)
 	var rids []RID
 	for i := 0; i < 10; i++ {
-		rid, err := h.Insert([]value.Value{value.NewInt(int64(i))})
+		rid, err := h.Insert(heapRecord(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,27 +287,23 @@ func TestHeapFileDelete(t *testing.T) {
 	seen := 0
 	it := h.Scan()
 	for {
-		row, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rec, _, ok := it.NextRecord()
 		if !ok {
 			break
 		}
-		if row[0].Int() == 3 {
+		if string(rec) == string(heapRecord(3)) {
 			t.Error("deleted row visible in scan")
 		}
 		seen++
 	}
-	if seen != 9 {
-		t.Errorf("scan saw %d rows, want 9", seen)
+	if it.Err() != nil || seen != 9 {
+		t.Errorf("scan saw %d rows, want 9 (err %v)", seen, it.Err())
 	}
 }
 
 func TestHeapFileRejectsOversizedRow(t *testing.T) {
 	h := NewHeapFile(NewPager(0), 0)
-	big := value.NewString(strings.Repeat("z", PageSize))
-	if _, err := h.Insert([]value.Value{big}); err == nil {
+	if _, err := h.Insert(make([]byte, PageSize)); err == nil {
 		t.Error("expected error for oversized row")
 	}
 }
@@ -322,21 +312,17 @@ func TestHeapScanCountsSequentialIO(t *testing.T) {
 	pg := NewPager(0)
 	h := NewHeapFile(pg, -1)
 	for i := 0; i < 20000; i++ {
-		if _, err := h.Insert([]value.Value{value.NewInt(int64(i)), value.NewString("abcdefghij")}); err != nil {
+		if _, err := h.Insert(heapRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	pg.ResetCache()
 	pg.ResetStats()
 	it := h.Scan()
-	for {
-		_, _, ok, err := it.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
+	for _, _, ok := it.NextRecord(); ok; _, _, ok = it.NextRecord() {
+	}
+	if err := it.Err(); err != nil {
+		t.Fatal(err)
 	}
 	s := pg.Stats()
 	if s.PageReads != int64(h.NumPages()) {

@@ -2,15 +2,11 @@ package value
 
 // StringArena batches the per-value string allocations of a decode pass into
 // one immutable allocation per batch. Decoders stage raw string bytes into a
-// recycled staging buffer and hold a packed placeholder Value; after the last
-// row of the batch, Seal performs the batch's single string allocation and
-// Resolve rewrites each placeholder into a substring of it. The produced
+// recycled staging buffer and keep a packed (start, length) word per value;
+// after the last row of the batch, Seal performs the batch's single string
+// allocation and each word resolves to a substring of it. The produced
 // Values are ordinary deep strings — retaining consumers (aggregates, sorts,
 // join builds) keep working, and only the staging buffer is ever reused.
-//
-// Placeholders must never escape the decoding operator: they are KindString
-// Values whose S is empty and whose I packs (start, length) into the sealed
-// buffer. The owner resolves every placeholder before publishing a batch.
 type StringArena struct {
 	buf    []byte
 	sealed string
@@ -24,24 +20,11 @@ func (a *StringArena) Reset() {
 	a.sealed = ""
 }
 
-// Len returns the number of staged bytes in the current batch.
-func (a *StringArena) Len() int { return len(a.buf) }
-
-// Stage copies b into the staging buffer and returns the placeholder Value to
-// store until Seal. The packed form bounds a batch's staged bytes at 2^32,
-// far above any batch the executor produces (1024 rows of page-bounded
-// tuples).
-func (a *StringArena) Stage(b []byte) Value {
-	start := len(a.buf)
-	a.buf = append(a.buf, b...)
-	return Value{Kind: KindString, I: int64(start)<<32 | int64(len(b))}
-}
-
-// StagePacked copies b into the staging buffer and returns the bare packed
-// (start, length) word — the placeholder form for callers that keep their own
-// span lists instead of staging placeholder Values (an 8-byte append with no
-// write barrier, where a Value is five words). Resolve the word against
-// Sealed() after Seal.
+// StagePacked copies b into the staging buffer and returns the packed
+// (start, length) word — an 8-byte append with no write barrier, where a
+// Value is five words. The packed form bounds a batch's staged bytes at
+// 2^32, far above any batch the executor produces (1024 rows of page-bounded
+// records). Resolve the word against Sealed() after Seal.
 func (a *StringArena) StagePacked(b []byte) uint64 {
 	start := len(a.buf)
 	a.buf = append(a.buf, b...)
@@ -56,25 +39,3 @@ func (a *StringArena) Seal() {
 
 // Sealed returns the sealed batch string; packed spans substring-slice it.
 func (a *StringArena) Sealed() string { return a.sealed }
-
-// Resolve converts a placeholder produced by Stage into its final Value, a
-// substring of the sealed batch string. A zero placeholder (I == 0) resolves
-// to the empty string, so real empty-string Values that reach a resolve pass
-// are a harmless no-op to rewrite.
-func (a *StringArena) Resolve(p Value) Value {
-	start := int(p.I >> 32)
-	n := int(p.I & 0xFFFFFFFF)
-	return Value{Kind: KindString, S: a.sealed[start : start+n]}
-}
-
-// StringFieldBody returns the content bytes of a raw encoded string field
-// span (kind byte, uvarint length, contents — the FieldSpan form), or ok
-// false when sp is not a well-formed string field. The returned slice aliases
-// sp.
-func StringFieldBody(sp []byte) ([]byte, bool) {
-	if len(sp) < 1 || Kind(sp[0]) != KindString {
-		return nil, false
-	}
-	body, _, ok := stringSpanBody(sp[1:])
-	return body, ok
-}

@@ -22,113 +22,152 @@ func decodeTestRows() [][]Value {
 	}
 }
 
+// ownKinds declares every field of row as its own kind (a NULL as INT), so
+// only the NULLs are tagged; allStrings declares them all STRING, so every
+// field that is not a string is.
+func ownKinds(row []Value) []Kind {
+	kinds := make([]Kind, len(row))
+	for i, v := range row {
+		kinds[i] = v.Kind
+		if v.IsNull() {
+			kinds[i] = KindInt
+		}
+	}
+	return kinds
+}
+
+func allStrings(row []Value) []Kind {
+	return slices.Repeat([]Kind{KindString}, len(row))
+}
+
+// decodeWalked decodes field ord of a record by walking to it: Skip over the
+// fields before it, then DecodeField (or StringField, for a declared string).
+func decodeWalked(rec []byte, kinds []Kind, ord int) (Value, error) {
+	var w RecordWalker
+	if err := w.Reset(rec, kinds); err != nil {
+		return Value{}, err
+	}
+	if err := w.Skip(ord); err != nil {
+		return Value{}, err
+	}
+	var v Value
+	if kinds[ord] != KindString {
+		err := w.DecodeField(&v)
+		return v, err
+	}
+	body, isStr, err := w.StringField(&v)
+	if isStr {
+		v = NewString(string(body))
+	}
+	return v, err
+}
+
 func TestDecodeProjectedMatchesFull(t *testing.T) {
 	for _, row := range decodeTestRows() {
-		enc := EncodeTuple(nil, row)
-		full, _, err := DecodeTuple(enc)
-		if err != nil {
-			t.Fatalf("DecodeTuple(%v): %v", row, err)
-		}
-		// Projecting every ordinal must equal the full decode.
-		all := make([]int, len(row))
-		for i := range all {
-			all[i] = i
-		}
-		proj, err := DecodeProjectedInto(nil, enc, all)
-		if err != nil {
-			t.Fatalf("DecodeProjectedInto all of %v: %v", row, err)
-		}
-		if !rowsEqualNaN(full, proj) {
-			t.Fatalf("projected-all %v != full %v", proj, full)
-		}
-		// Every single-ordinal projection must match that field.
-		for i := range row {
-			one, err := DecodeProjectedInto(nil, enc, []int{i})
+		for _, kinds := range [][]Kind{ownKinds(row), allStrings(row)} {
+			rec := AppendRecord(nil, kinds, row)
+			full, err := DecodeRecordInto(nil, kinds, rec)
 			if err != nil {
-				t.Fatalf("project col %d of %v: %v", i, row, err)
+				t.Fatalf("DecodeRecordInto(%v under %v): %v", row, kinds, err)
 			}
-			if len(one) != 1 || !valueEqualNaN(one[0], full[i]) {
-				t.Fatalf("project col %d of %v = %v, want %v", i, row, one, full[i])
+			if !rowsEqualNaN(full, row) {
+				t.Fatalf("record of %v under %v decodes to %v", row, kinds, full)
 			}
-		}
-		// Ordinals past the end decode as NULL.
-		past, err := DecodeProjectedInto(nil, enc, []int{len(row) + 3})
-		if err != nil || len(past) != 1 || !past[0].IsNull() {
-			t.Fatalf("past-end projection = %v, %v; want [NULL]", past, err)
+			// Walking to any one field must decode exactly that field.
+			for i := range row {
+				v, err := decodeWalked(rec, kinds, i)
+				if err != nil || !valueEqualNaN(v, full[i]) {
+					t.Fatalf("walk to field %d of %v under %v = %v, %v; want %v", i, row, kinds, v, err, full[i])
+				}
+			}
+			// There is no field past the last: the schema states the count.
+			var w RecordWalker
+			if err := w.Reset(rec, kinds); err != nil || w.Skip(len(row)+1) == nil {
+				t.Fatalf("walk past the %d fields of %v did not fail", len(row), row)
+			}
 		}
 	}
 }
 
-func TestTupleWalkerSpans(t *testing.T) {
-	row := []Value{NewInt(7), NewString("abc"), Null(), NewFloat(2.5), NewDate(100)}
-	enc := EncodeTuple(nil, row)
-	var w TupleWalker
-	if err := w.Reset(enc); err != nil {
+// TestRecordWalkerSpans: the bitmap and the fields tile the record exactly —
+// each field advances the walker by its own encoded width, skipping k fields
+// lands where k decodes do, and the last field ends the record.
+func TestRecordWalkerSpans(t *testing.T) {
+	row := []Value{NewInt(7), NewString("abc"), Null(), NewFloat(2.5), NewDate(100), NewString("x"),
+		NewInt(-300), NewBool(true), NewFloat(-1)}
+	kinds := []Kind{KindInt, KindString, KindString, KindFloat, KindDate, KindInt, KindInt, KindBool, KindInt}
+	rec := AppendRecord(nil, kinds, row)
+	var w RecordWalker
+	if err := w.Reset(rec, kinds); err != nil {
 		t.Fatal(err)
 	}
-	if w.NumFields() != len(row) {
-		t.Fatalf("NumFields=%d want %d", w.NumFields(), len(row))
+	if w.off != 2 || rec[0] != 0b00100100 || rec[1] != 0b1 {
+		t.Fatalf("bitmap %08b %08b after %d bytes, want fields 2, 5 and 8 tagged", rec[0], rec[1], w.off)
 	}
-	// Concatenated field spans plus the header must reproduce the encoding.
-	var rebuilt []byte
-	rebuilt = append(rebuilt, enc[:w.Bytes()]...)
-	for i := 0; i < w.NumFields(); i++ {
-		sp, err := w.FieldSpan()
-		if err != nil {
-			t.Fatalf("FieldSpan %d: %v", i, err)
+	offsets := []int{w.off}
+	for i := range row {
+		var v Value
+		if err := w.DecodeField(&v); err != nil || !valueEqualNaN(v, row[i]) {
+			t.Fatalf("field %d = %v, %v; want %v", i, v, err, row[i])
 		}
-		v, err := decodeFieldSpan(sp)
-		if err != nil {
-			t.Fatalf("decodeFieldSpan %d: %v", i, err)
+		want := len(appendBody(nil, row[i]))
+		if row[i].Kind != kinds[i] || row[i].IsNull() {
+			want++ // the kind byte of a tagged field
 		}
-		if !valueEqualNaN(v, row[i]) {
-			t.Fatalf("span %d decoded %v want %v", i, v, row[i])
+		if got := w.off - offsets[i]; got != want {
+			t.Fatalf("field %d took %d bytes, its form is %d", i, got, want)
 		}
-		rebuilt = append(rebuilt, sp...)
+		offsets = append(offsets, w.off)
 	}
-	if !bytes.Equal(rebuilt, enc[:w.Bytes()]) {
-		t.Fatal("concatenated spans do not reproduce the tuple encoding")
+	if w.off != len(rec) {
+		t.Fatalf("fields end at %d of %d record bytes", w.off, len(rec))
+	}
+	for k := range row {
+		if err := w.Reset(rec, kinds); err != nil || w.Skip(k) != nil || w.off != offsets[k] {
+			t.Fatalf("Skip(%d) lands at %d, fields say %d", k, w.off, offsets[k])
+		}
 	}
 }
 
+// TestTypedDecoders decodes columns of each declared kind — values of the
+// kind, NULLs among them, and a value of another kind — through the walker's
+// typed paths. Only the NULLs and the stray kind are tagged, and a column of
+// its kind alone has an all-zero bitmap.
 func TestTypedDecoders(t *testing.T) {
-	ints := []Value{NewInt(0), NewInt(-5), Null(), NewInt(1 << 40)}
-	floats := []Value{NewFloat(1.25), Null(), NewFloat(-3)}
-	strs := []Value{NewString("hi"), NewString(""), Null(), NewString("zz")}
-	spansOf := func(vals []Value) [][]byte {
-		enc := EncodeTuple(nil, vals)
-		var w TupleWalker
-		if err := w.Reset(enc); err != nil {
-			t.Fatal(err)
+	cols := []struct {
+		kind Kind
+		vals []Value
+	}{
+		{KindInt, []Value{NewInt(0), NewInt(-5), Null(), NewInt(1 << 40), NewFloat(2.5)}},
+		{KindDate, []Value{NewDate(9125), Null(), NewString("1996-01-01")}},
+		{KindFloat, []Value{NewFloat(1.25), Null(), NewFloat(-3), NewInt(3)}},
+		{KindString, []Value{NewString("hi"), NewString(""), Null(), NewString("zz"), NewBool(true)}},
+	}
+	for _, c := range cols {
+		kinds := slices.Repeat([]Kind{c.kind}, len(c.vals))
+		rec := AppendRecord(nil, kinds, c.vals)
+		got, err := DecodeRecordInto(nil, kinds, rec)
+		if err != nil || !reflect.DeepEqual(got, c.vals) {
+			t.Fatalf("%v column %v decodes to %v, %v", c.kind, c.vals, got, err)
 		}
-		var spans [][]byte
-		for i := 0; i < w.NumFields(); i++ {
-			sp, err := w.FieldSpan()
-			if err != nil {
-				t.Fatal(err)
+		for i, v := range c.vals {
+			tagged := rec[i/8]&(1<<(i%8)) != 0
+			if tagged != (v.IsNull() || v.Kind != c.kind) {
+				t.Fatalf("%v column: field %d (%v %v) tagged=%v", c.kind, i, v.Kind, v, tagged)
 			}
-			spans = append(spans, sp)
+			if w, err := decodeWalked(rec, kinds, i); err != nil || w != v {
+				t.Fatalf("%v column: walk to field %d = %v, %v; want %v", c.kind, i, w, err, v)
+			}
 		}
-		return spans
-	}
-
-	got, err := DecodeInt64s(nil, KindInt, spansOf(ints))
-	if err != nil || !reflect.DeepEqual(got, ints) {
-		t.Fatalf("DecodeInt64s = %v, %v; want %v", got, err, ints)
-	}
-	gotF, err := DecodeFloat64s(nil, spansOf(floats))
-	if err != nil || !reflect.DeepEqual(gotF, floats) {
-		t.Fatalf("DecodeFloat64s = %v, %v; want %v", gotF, err, floats)
-	}
-	gotS, err := DecodeStrings(nil, spansOf(strs))
-	if err != nil || !reflect.DeepEqual(gotS, strs) {
-		t.Fatalf("DecodeStrings = %v, %v; want %v", gotS, err, strs)
-	}
-	// Generic decoder over a mixed row.
-	mixed := []Value{NewInt(1), NewString("s"), NewFloat(2), Null(), NewBool(true)}
-	gotM, err := DecodeFieldSpans(nil, spansOf(mixed))
-	if err != nil || !reflect.DeepEqual(gotM, mixed) {
-		t.Fatalf("DecodeFieldSpans = %v, %v; want %v", gotM, err, mixed)
+		var plain []Value
+		for _, v := range c.vals {
+			if v.Kind == c.kind {
+				plain = append(plain, v)
+			}
+		}
+		if rec := AppendRecord(nil, kinds[:len(plain)], plain); rec[0] != 0 {
+			t.Fatalf("%v column of its own kind has bitmap %08b", c.kind, rec[0])
+		}
 	}
 }
 
@@ -442,40 +481,42 @@ func FuzzTypedKeyOrder(f *testing.F) {
 }
 
 func TestDecodeCorruptNeverSucceedsSilently(t *testing.T) {
-	row := []Value{NewInt(7), NewString("abcdef"), NewFloat(2.5)}
-	enc := EncodeTuple(nil, row)
-	cols := []int{0, 1, 2}
-	// Every strict prefix must fail cleanly (or, for complete-field prefixes,
-	// return fewer values) — never panic.
-	for cut := 0; cut < len(enc); cut++ {
-		_, _ = DecodeProjectedInto(nil, enc[:cut], cols)
+	row := []Value{NewInt(7), NewString("abcdef"), NewFloat(2.5), Null()}
+	kinds := []Kind{KindInt, KindString, KindFloat, KindDate}
+	rec := AppendRecord(nil, kinds, row)
+	// Every strict prefix lacks a field or part of one and must fail cleanly —
+	// never panic, never decode short.
+	for cut := 0; cut < len(rec); cut++ {
+		if got, err := DecodeRecordInto(nil, kinds, rec[:cut]); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte record decoded to %v", cut, len(rec), got)
+		}
 	}
-	// Flipping the header to claim absurd field counts must fail.
-	bad := append([]byte(nil), enc...)
-	bad[0] = 0xFF
-	bad = append([]byte{0xFF, 0xFF, 0xFF, 0x7F}, enc[1:]...)
-	if _, err := DecodeProjectedInto(nil, bad, cols); err == nil {
-		t.Fatal("absurd field count decoded without error")
+	if _, err := DecodeRecordInto(nil, kinds, append(slices.Clone(rec), 0)); err == nil {
+		t.Fatal("a record with a trailing byte decoded without error")
 	}
-	// Unknown kind byte.
-	bad2 := append([]byte(nil), enc...)
-	bad2[1] = 0x7E
-	if _, err := DecodeProjectedInto(nil, bad2, cols); err == nil {
+	// An unknown kind byte in a tagged field.
+	bad := slices.Clone(rec)
+	bad[len(bad)-1] = 0x7E
+	if _, err := DecodeRecordInto(nil, kinds, bad); err == nil {
 		t.Fatal("unknown kind decoded without error")
 	}
-	// The full decoder must reject the same absurd field count before sizing
-	// the row — a corrupt header must never drive a giant allocation.
-	if _, _, err := DecodeTuple(bad); err == nil {
-		t.Fatal("full decode accepted absurd field count")
-	}
 	// A string length near 2^64 overflows a naive off+int(length) bounds
-	// check into a negative slice index; both decoders must error, not panic.
-	huge := []byte{1, byte(KindString), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}
-	if _, _, err := DecodeTuple(huge); err == nil {
-		t.Fatal("full decode accepted overflowing string length")
+	// check into a negative slice index; every decoder must error, not panic.
+	huge := []byte{0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'x'}
+	if _, err := DecodeRecordInto(nil, []Kind{KindString}, huge); err == nil {
+		t.Fatal("record decode accepted overflowing string length")
 	}
-	if _, err := DecodeProjectedInto(nil, huge, []int{0}); err == nil {
-		t.Fatal("projected decode accepted overflowing string length")
+	if _, err := decodeWalked(huge, []Kind{KindString}, 0); err == nil {
+		t.Fatal("walker accepted overflowing string length")
+	}
+	// The self-describing tuple decoder must reject an absurd field count
+	// before sizing the row — a corrupt header must never drive a giant
+	// allocation — and the same overflowing string length.
+	if _, _, err := DecodeTuple(append([]byte{0xFF, 0xFF, 0xFF, 0x7F}, byte(KindInt), 2)); err == nil {
+		t.Fatal("tuple decode accepted absurd field count")
+	}
+	if _, _, err := DecodeTuple(append([]byte{1, byte(KindString)}, huge[1:]...)); err == nil {
+		t.Fatal("tuple decode accepted overflowing string length")
 	}
 }
 
@@ -499,39 +540,42 @@ func valueEqualNaN(a, b Value) bool {
 	return a == b
 }
 
+// fuzzRow derives a row from fuzz bytes: each byte picks a kind and seeds the
+// value; string lengths come from the following bytes.
+func fuzzRow(data []byte) []Value {
+	var row []Value
+	for i := 0; i < len(data) && len(row) < 40; i++ {
+		b := data[i]
+		switch b % 6 {
+		case 0:
+			row = append(row, Null())
+		case 1:
+			row = append(row, NewInt(int64(b)*1e9-5e10))
+		case 2:
+			row = append(row, NewFloat(float64(b)/7.0-13))
+		case 3:
+			end := min(i+1+int(b%17), len(data))
+			row = append(row, NewString(string(data[i+1:end])))
+			i = end - 1
+		case 4:
+			row = append(row, NewDate(int64(b)-128))
+		case 5:
+			row = append(row, NewBool(b&1 == 1))
+		}
+	}
+	return row
+}
+
 // FuzzTupleRoundTrip encodes a tuple derived from fuzz input and checks that
-// full decode, projected decode of every column, and the walker's span
-// iteration all agree bit-for-bit.
+// DecodeTuple (the meta's min/max codec) returns it bit for bit, consuming
+// every byte, and that the same row as a record under its own kinds decodes
+// to the same values whole and walked to each field.
 func FuzzTupleRoundTrip(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0})
 	f.Add([]byte{255, 0, 128, 7, 9, 200, 13})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Derive a row from the fuzz bytes: each byte picks a kind and seeds
-		// the value; string lengths come from the following bytes.
-		var row []Value
-		for i := 0; i < len(data) && len(row) < 40; i++ {
-			b := data[i]
-			switch b % 6 {
-			case 0:
-				row = append(row, Null())
-			case 1:
-				row = append(row, NewInt(int64(b)*1e9-5e10))
-			case 2:
-				row = append(row, NewFloat(float64(b)/7.0-13))
-			case 3:
-				end := i + 1 + int(b%17)
-				if end > len(data) {
-					end = len(data)
-				}
-				row = append(row, NewString(string(data[i+1:end])))
-				i = end - 1
-			case 4:
-				row = append(row, NewDate(int64(b)-128))
-			case 5:
-				row = append(row, NewBool(b&1 == 1))
-			}
-		}
+		row := fuzzRow(data)
 		enc := EncodeTuple(nil, row)
 		full, n, err := DecodeTuple(enc)
 		if err != nil {
@@ -543,61 +587,121 @@ func FuzzTupleRoundTrip(f *testing.F) {
 		if !rowsEqualNaN(row, full) {
 			t.Fatalf("round trip %v -> %v", row, full)
 		}
-		all := make([]int, len(row))
-		for i := range all {
-			all[i] = i
+		kinds := ownKinds(row)
+		rec := AppendRecord(nil, kinds, row)
+		whole, err := DecodeRecordInto(nil, kinds, rec)
+		if err != nil || !rowsEqualNaN(full, whole) {
+			t.Fatalf("record %v != tuple %v (%v)", whole, full, err)
 		}
-		proj, err := DecodeProjectedInto(nil, enc, all)
-		if err != nil {
-			t.Fatalf("projected decode failed: %v", err)
-		}
-		if !rowsEqualNaN(full, proj) {
-			t.Fatalf("projected %v != full %v", proj, full)
+		for i := range row {
+			if v, err := decodeWalked(rec, kinds, i); err != nil || !valueEqualNaN(v, full[i]) {
+				t.Fatalf("walk to field %d = %v, %v; want %v", i, v, err, full[i])
+			}
 		}
 	})
 }
 
-// FuzzDecodeProjected feeds arbitrary bytes to the projected decoder and the
-// walker: corrupt or truncated input must error, never panic, and whenever the
-// full decoder accepts the input the projected decoder must agree with it.
+// FuzzDecodeProjected feeds arbitrary bytes to the projected (walked) and the
+// whole-record decoder under ncols declared kinds: where the whole decode
+// succeeds, walking to each field must decode the same value, and a walk over
+// any bytes must end without panicking or reading past them.
 func FuzzDecodeProjected(f *testing.F) {
-	f.Add(EncodeTuple(nil, []Value{NewInt(1), NewString("ab"), NewFloat(2)}), uint8(3))
+	f.Add(AppendRecord(nil, []Kind{KindInt, KindFloat, KindString}, []Value{NewInt(1), NewFloat(2), NewString("ab")}), uint8(3))
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF}, uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, ncols uint8) {
-		cols := make([]int, ncols%24)
-		for i := range cols {
-			cols[i] = i
+		kinds := make([]Kind, ncols%24)
+		for i := range kinds {
+			kinds[i] = KindInt + Kind(i%5)
 		}
-		proj, projErr := DecodeProjectedInto(nil, data, cols)
-		full, _, fullErr := DecodeTuple(data)
-		if fullErr == nil && projErr == nil {
-			for i, ord := range cols {
-				want := Null()
-				if ord < len(full) {
-					want = full[ord]
-				}
-				if !valueEqualNaN(proj[i], want) {
-					t.Fatalf("col %d: projected %v, full %v", ord, proj[i], want)
+		if full, err := DecodeRecordInto(nil, kinds, data); err == nil {
+			for i := range kinds {
+				if v, err := decodeWalked(data, kinds, i); err != nil || !valueEqualNaN(v, full[i]) {
+					t.Fatalf("col %d: walked %v, %v; full %v", i, v, err, full[i])
 				}
 			}
 		}
-		// Walker over arbitrary bytes must terminate without panicking.
-		var w TupleWalker
-		if err := w.Reset(data); err == nil {
-			for i := 0; i < w.NumFields(); i++ {
-				if _, err := w.FieldSpan(); err != nil {
+		var w RecordWalker
+		if w.Reset(data, kinds) == nil {
+			for i := range kinds {
+				var v Value
+				if _, _, err := w.StringField(&v); err != nil {
 					break
+				}
+				if w.off > len(data) {
+					t.Fatalf("field %d ends at byte %d of %d", i, w.off, len(data))
 				}
 			}
 		}
 	})
 }
 
-// BenchmarkDecodeTuple compares the three decode strategies over a 16-field
-// lineitem-shaped tuple: full row decode, projected decode of 2 ordinals, and
-// the walker+typed-decoder path the batch fill uses.
-func BenchmarkDecodeTuple(b *testing.B) {
+// FuzzRecordRoundTrip encodes a row derived from fuzz input under declared
+// kinds derived from more of it: the record decodes back bit for bit, whole
+// and by walking to each field; a field is tagged exactly when it is NULL or
+// of another kind than declared; and arbitrary bytes decoded as a record
+// under those kinds never panic or read past their end, and whatever they
+// decode to encodes and decodes back to itself.
+func FuzzRecordRoundTrip(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, []byte{1, 2})
+	f.Add([]byte{0}, []byte{})
+	f.Add([]byte{255, 0, 128, 7, 9, 200, 13}, []byte{3, 3, 4})
+	f.Add(AppendRecord(nil, []Kind{KindInt, KindString, KindFloat}, []Value{NewInt(1), NewString("ab"), NewFloat(2)}), []byte{1, 3, 2})
+	f.Add([]byte{}, []byte{0})
+	f.Add([]byte{0xFF, 0xFF, 0xFF}, []byte{5, 0})
+	f.Fuzz(func(t *testing.T, data, kindBytes []byte) {
+		row := fuzzRow(data)
+		kinds := make([]Kind, len(row))
+		for i := range kinds {
+			kinds[i] = row[i].Kind
+			if len(kindBytes) > 0 {
+				kinds[i] = Kind(kindBytes[i%len(kindBytes)] % 6)
+			}
+		}
+		rec := AppendRecord(nil, kinds, row)
+		full, err := DecodeRecordInto(nil, kinds, rec)
+		if err != nil || !rowsEqualNaN(row, full) {
+			t.Fatalf("round trip %v under %v -> %v, %v", row, kinds, full, err)
+		}
+		for i, v := range row {
+			tagged := rec[i/8]&(1<<(i%8)) != 0
+			if tagged != (v.IsNull() || v.Kind != kinds[i]) {
+				t.Fatalf("field %d (%v %v declared %v) tagged=%v", i, v.Kind, v, kinds[i], tagged)
+			}
+			if got, err := decodeWalked(rec, kinds, i); err != nil || !valueEqualNaN(got, v) {
+				t.Fatalf("walk to field %d = %v, %v; want %v", i, got, err, v)
+			}
+		}
+
+		// Arbitrary bytes as a record under the same kinds.
+		got, err := DecodeRecordInto(nil, kinds, data)
+		if err == nil {
+			again, err := DecodeRecordInto(nil, kinds, AppendRecord(nil, kinds, got))
+			if err != nil || !rowsEqualNaN(again, got) {
+				t.Fatalf("%x decodes to %v, which re-encodes to %v, %v", data, got, again, err)
+			}
+		}
+		var w RecordWalker
+		if w.Reset(data, kinds) == nil {
+			var v Value
+			for i := range kinds {
+				if err := w.DecodeField(&v); err != nil {
+					break
+				}
+				if w.off > len(data) {
+					t.Fatalf("field %d ends at byte %d of %d", i, w.off, len(data))
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkDecodeRecord decodes a 16-field lineitem-shaped record three ways:
+// the whole row, the two fields a projected scan reads (l_extendedprice and
+// l_shipdate, walked to past the fields between), and the same projection
+// over a record with one NULL, whose set bitmap bit takes the walker off its
+// declared-kind loop.
+func BenchmarkDecodeRecord(b *testing.B) {
 	row := []Value{
 		NewInt(123456), NewInt(77), NewInt(12), NewInt(3),
 		NewFloat(31), NewFloat(45123.25), NewFloat(0.04), NewFloat(0.02),
@@ -605,61 +709,42 @@ func BenchmarkDecodeTuple(b *testing.B) {
 		NewDate(9200), NewDate(9230), NewDate(9237), NewString("TRUCK"),
 		NewString("DELIVER IN PERSON"), NewString("carefully packed comment"),
 	}
-	enc := EncodeTuple(nil, row)
-	cols := []int{5, 10} // l_extendedprice, l_shipdate
+	kinds := ownKinds(row)
+	rec := AppendRecord(nil, kinds, row)
+	tagged := slices.Clone(row)
+	tagged[2] = Null()
+	taggedRec := AppendRecord(nil, kinds, tagged)
 
 	b.Run("full", func(b *testing.B) {
 		buf := make([]Value, 0, len(row))
 		for i := 0; i < b.N; i++ {
 			var err error
-			buf, _, err = DecodeTupleInto(buf[:0], enc)
-			if err != nil {
+			if buf, err = DecodeRecordInto(buf, kinds, rec); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("projected", func(b *testing.B) {
-		buf := make([]Value, 0, len(cols))
+	projected := func(b *testing.B, rec []byte) {
+		var w RecordWalker
+		var price, ship Value
 		for i := 0; i < b.N; i++ {
-			var err error
-			buf, err = DecodeProjectedInto(buf[:0], enc, cols)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("typed", func(b *testing.B) {
-		// The batch-fill shape: collect spans with the walker, then decode each
-		// projected column through its typed decoder.
-		spans := make([][]byte, 2)
-		price := make([]Value, 0, 1)
-		ship := make([]Value, 0, 1)
-		var w TupleWalker
-		for i := 0; i < b.N; i++ {
-			if err := w.Reset(enc); err != nil {
+			if err := w.Reset(rec, kinds); err != nil {
 				b.Fatal(err)
 			}
 			if err := w.Skip(5); err != nil {
 				b.Fatal(err)
 			}
-			sp, err := w.FieldSpan()
-			if err != nil {
+			if err := w.DecodeField(&price); err != nil {
 				b.Fatal(err)
 			}
-			spans[0] = sp
 			if err := w.Skip(4); err != nil {
 				b.Fatal(err)
 			}
-			if sp, err = w.FieldSpan(); err != nil {
-				b.Fatal(err)
-			}
-			spans[1] = sp
-			if price, err = DecodeFloat64s(price[:0], spans[:1]); err != nil {
-				b.Fatal(err)
-			}
-			if ship, err = DecodeInt64s(ship[:0], KindDate, spans[1:]); err != nil {
+			if err := w.DecodeField(&ship); err != nil {
 				b.Fatal(err)
 			}
 		}
-	})
+	}
+	b.Run("projected", func(b *testing.B) { projected(b, rec) })
+	b.Run("projected-tagged", func(b *testing.B) { projected(b, taggedRec) })
 }

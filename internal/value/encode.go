@@ -9,10 +9,13 @@ import (
 
 // Binary encoding of values and tuples.
 //
-// Three encodings are provided:
+// Four encodings are provided:
 //
-//   - EncodeTuple/DecodeTuple: a compact, self-describing row format used by
-//     heap pages and B+-tree leaf payloads. It is not order-preserving.
+//   - AppendRecord/RecordWalker (record.go): the payload of a stored record —
+//     clustered and index leaf payloads and heap rows — directed by the
+//     columns' declared kinds. It is not order-preserving.
+//   - EncodeTuple/DecodeTuple: a compact, self-describing row format, for
+//     values with no declared kind (the catalog meta's column min/max).
 //   - AppendStoredKeyValue/DecodeKeyValue: the order-preserving stored-key
 //     format of B+-tree keys, directed by the column's declared kind, so a
 //     value is as narrow as its kind allows. Byte-wise comparison agrees with
@@ -26,17 +29,7 @@ import (
 func EncodeTuple(dst []byte, row []Value) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(row)))
 	for _, v := range row {
-		dst = append(dst, byte(v.Kind))
-		switch v.Kind {
-		case KindNull:
-		case KindInt, KindDate, KindBool:
-			dst = binary.AppendVarint(dst, v.I)
-		case KindFloat:
-			dst = binary.AppendUvarint(dst, floatTupleBits(v.F))
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
-		}
+		dst = appendBody(append(dst, byte(v.Kind)), v)
 	}
 	return dst
 }
@@ -44,14 +37,6 @@ func EncodeTuple(dst []byte, row []Value) []byte {
 // DecodeTuple decodes a tuple previously produced by EncodeTuple. It returns
 // the decoded row and the number of bytes consumed.
 func DecodeTuple(src []byte) ([]Value, int, error) {
-	return DecodeTupleInto(nil, src)
-}
-
-// DecodeTupleInto is DecodeTuple decoding into buf when its capacity allows,
-// avoiding the per-row allocation on scan hot paths. The returned row aliases
-// buf in that case, so callers must copy values they retain past the next
-// call.
-func DecodeTupleInto(buf []Value, src []byte) ([]Value, int, error) {
 	n, sz := binary.Uvarint(src)
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("value: corrupt tuple header")
@@ -63,44 +48,13 @@ func DecodeTupleInto(buf []Value, src []byte) ([]Value, int, error) {
 		return nil, 0, fmt.Errorf("value: corrupt tuple header: %d fields in %d bytes", n, len(src)-sz)
 	}
 	off := sz
-	var row []Value
-	if uint64(cap(buf)) >= n {
-		row = buf[:n]
-	} else {
-		row = make([]Value, n)
-	}
+	row := make([]Value, n)
 	for i := range row {
 		if off >= len(src) {
 			return nil, 0, fmt.Errorf("value: truncated tuple at field %d", i)
 		}
-		kind := Kind(src[off])
-		off++
-		switch kind {
-		case KindNull:
-			row[i] = Null()
-		case KindInt, KindDate, KindBool:
-			iv, sz := binary.Varint(src[off:])
-			if sz <= 0 {
-				return nil, 0, fmt.Errorf("value: corrupt int field %d", i)
-			}
-			off += sz
-			row[i] = Value{Kind: kind, I: iv}
-		case KindFloat:
-			fb, sz := binary.Uvarint(src[off:])
-			if sz <= 0 {
-				return nil, 0, fmt.Errorf("value: corrupt float field %d", i)
-			}
-			off += sz
-			row[i] = NewFloat(floatFromTupleBits(fb))
-		case KindString:
-			body, n, ok := stringSpanBody(src[off:])
-			if !ok {
-				return nil, 0, fmt.Errorf("value: truncated string field %d", i)
-			}
-			row[i] = NewString(string(body))
-			off += n
-		default:
-			return nil, 0, fmt.Errorf("value: unknown kind %d in field %d", kind, i)
+		if off = decodeBody(src, off+1, Kind(src[off]), &row[i]); off < 0 {
+			return nil, 0, fmt.Errorf("value: corrupt tuple field %d", i)
 		}
 	}
 	return row, off, nil
