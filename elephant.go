@@ -41,7 +41,11 @@ type Options struct {
 	// TupleOverhead is the per-tuple storage overhead in bytes (default 9,
 	// the figure the paper quotes for its row store).
 	TupleOverhead int
-	// BufferPoolPages bounds the buffer pool; 0 keeps every page resident.
+	// BufferPoolPages bounds the buffer pool: at most this many pages are in
+	// memory (plus, for a durable database, those written since the last
+	// checkpoint); a page outside the pool is read from the data file, or,
+	// for an in-memory database, from a private spill file. 0 keeps every
+	// page resident.
 	BufferPoolPages int
 	// DisableVectorized forces the row-at-a-time Volcano executor (kept for
 	// differential testing). Batch-at-a-time execution is the default: the
@@ -101,8 +105,9 @@ func OpenDir(dir string, opts Options) (*DB, error) {
 	return &DB{Engine: e, views: matview.NewManager(e)}, nil
 }
 
-// Close checkpoints a durable database and releases its files; it is a
-// no-op for in-memory instances. The DB must not be used afterwards.
+// Close checkpoints a durable database and releases its files (an in-memory
+// instance's only file is the spill file of a bounded buffer pool). The DB
+// must not be used afterwards.
 func (db *DB) Close() error { return db.Engine.Close() }
 
 // Result is the outcome of a query: column labels, rows, the chosen physical

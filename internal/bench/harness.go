@@ -94,6 +94,9 @@ type Config struct {
 	// number was taken — and turned on by the serving-layer tests and the
 	// multi-client throughput benchmark, where plan reuse is the point.
 	PlanCache bool
+	// FS is the filesystem a bounded buffer pool spills to (engine
+	// Options.FS); nil is the real one.
+	FS storage.FS
 }
 
 // DefaultConfig returns the configuration used by the checked-in benchmarks.
@@ -145,6 +148,7 @@ func NewHarness(cfg Config) (*Harness, error) {
 		DisableCompressed: cfg.DisableCompressed,
 		Parallelism:       cfg.Parallelism,
 		DisablePlanCache:  !cfg.PlanCache,
+		FS:                cfg.FS,
 	})
 	gen := tpch.NewGenerator(cfg.SF)
 	if err := gen.LoadCore(e); err != nil {

@@ -40,10 +40,13 @@ type BTree struct {
 
 // New creates an empty tree. overhead is the per-leaf-entry byte overhead
 // (pass a negative value for storage.DefaultTupleOverhead, 0 for none).
-func New(pager *storage.Pager, overhead int) *BTree {
-	root := pager.Allocate()
+func New(pager *storage.Pager, overhead int) (*BTree, error) {
+	root, err := pager.Allocate()
+	if err != nil {
+		return nil, err
+	}
 	_ = writeNode(root, true, nil, 0) // an empty node always fits
-	return Open(pager, root.ID(), 1, 0, overhead)
+	return Open(pager, root.ID(), 1, 0, overhead), nil
 }
 
 // Open reattaches a tree to its pages (recovery path: root, height and count
@@ -438,7 +441,10 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	}
 	if newChild != storage.InvalidPageID {
 		// Root split: create a new root with the old root as leftmost child.
-		newRoot := t.pager.Allocate()
+		newRoot, err := t.pager.Allocate()
+		if err != nil {
+			return err
+		}
 		ents := []entry{{key: promoted, val: childPayload(newChild)}}
 		if err := writeNode(newRoot, false, ents, uint64(t.root)); err != nil {
 			return err
@@ -500,25 +506,25 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 				return nil, storage.InvalidPageID, err
 			}
 		}
-		return t.store(id, nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
+		return t.store(nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
 	}
 	promoted, newChild, err := t.insertInto(nd.child(pos-1), key, val, choose, leftmost && pos == 0)
 	if err != nil || newChild == storage.InvalidPageID {
 		return nil, storage.InvalidPageID, err
 	}
 	// The child split: its separator goes right after the child's own.
-	return t.store(id, nd, false, slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)}))
+	return t.store(nd, false, slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)}))
 }
 
-// store rewrites the node nd (page id) to hold entries, splitting it when
+// store rewrites the node nd to hold entries, splitting it when
 // they do not fit one page (splitAt); on a split it returns the separator and
 // the new right sibling's page id. A leaf's right half inherits the next
 // link and the left half links to it; an internal node's middle entry moves
 // up, its child becoming the right half's leftmost.
-func (t *BTree) store(id storage.PageID, nd node, isLeaf bool, entries []entry) ([]byte, storage.PageID, error) {
+func (t *BTree) store(nd node, isLeaf bool, entries []entry) ([]byte, storage.PageID, error) {
 	link := nd.pg.Aux()
 	if t.nodeFits(entries, isLeaf) {
-		t.pager.BeforeWrite(id)
+		t.pager.BeforeWrite(nd.pg)
 		return nil, storage.InvalidPageID, writeNode(nd.pg, isLeaf, entries, link)
 	}
 	mid, err := t.splitAt(entries, isLeaf)
@@ -528,7 +534,10 @@ func (t *BTree) store(id storage.PageID, nd node, isLeaf bool, entries []entry) 
 	// The separator must be copied before the left page is rewritten because
 	// the entries alias the page's memory.
 	sep := append([]byte(nil), entries[mid].key...)
-	right := t.pager.Allocate()
+	right, err := t.pager.Allocate()
+	if err != nil {
+		return nil, storage.InvalidPageID, err
+	}
 	leftLink := link
 	if isLeaf {
 		err = writeNode(right, true, entries[mid:], link)
@@ -539,7 +548,8 @@ func (t *BTree) store(id storage.PageID, nd node, isLeaf bool, entries []entry) 
 	if err != nil {
 		return nil, storage.InvalidPageID, err
 	}
-	t.pager.BeforeWrite(id)
+	// The allocation may have evicted nd's page; BeforeWrite re-installs it.
+	t.pager.BeforeWrite(nd.pg)
 	if err := writeNode(nd.pg, isLeaf, entries[:mid], leftLink); err != nil {
 		return nil, storage.InvalidPageID, err
 	}
@@ -567,7 +577,7 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 				return false, nil
 			}
 			entries := slices.Delete(nd.entries(), pos, pos+1)
-			t.pager.BeforeWrite(id)
+			t.pager.BeforeWrite(nd.pg)
 			if err := writeNode(nd.pg, true, entries, uint64(nd.next())); err != nil {
 				return false, err
 			}
@@ -627,9 +637,10 @@ type Iterator struct {
 func (it *Iterator) Err() error { return it.err }
 
 // Key returns the current entry's key. Valid only after Next reported true.
-// The slice aliases page memory, which stays resident and unmodified for as
-// long as the tree is not mutated — scans may hold key spans across Next
-// calls without copying.
+// The slice aliases page memory, which stays readable and unmodified for as
+// long as the tree is not mutated, evicted from the buffer pool or not (the
+// span keeps its frame alive) — scans may hold key spans across Next calls
+// without copying.
 func (it *Iterator) Key() []byte { return it.key }
 
 // Value returns the current entry's payload. Valid only after Next reported
@@ -858,17 +869,19 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		n         int64
 	)
 	flushLeaf := func() error {
-		pg := t.pager.Allocate()
+		pg, err := t.pager.Allocate()
+		if err != nil {
+			return err
+		}
 		if err := writeNode(pg, true, cur, 0); err != nil {
 			return err
 		}
 		if len(leafIDs) > 0 {
-			prevID := leafIDs[len(leafIDs)-1]
-			prev, err := t.pager.Get(prevID)
+			prev, err := t.pager.Get(leafIDs[len(leafIDs)-1])
 			if err != nil {
 				return err
 			}
-			t.pager.BeforeWrite(prevID)
+			t.pager.BeforeWrite(prev)
 			prev.SetAux(uint64(pg.ID()))
 		}
 		leafIDs = append(leafIDs, pg.ID())
@@ -926,7 +939,10 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 				ents = append(ents, e)
 				size.add(e, 0)
 			}
-			pg := t.pager.Allocate()
+			pg, err := t.pager.Allocate()
+			if err != nil {
+				return err
+			}
 			if err := writeNode(pg, false, ents, uint64(leftmost)); err != nil {
 				return err
 			}

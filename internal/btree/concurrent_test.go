@@ -14,7 +14,7 @@ import (
 // unsynchronized write under -race), scanning, seeking and walking leaf
 // ranges of one shared tree.
 func TestConcurrentLeafPagesAndScans(t *testing.T) {
-	tree := New(storage.NewPager(0), 0)
+	tree := mustNew(t, storage.NewPager(0), 0)
 	const n = 5000
 	i := 0
 	err := tree.BulkLoad(func() ([]byte, []byte, bool) {
@@ -88,11 +88,74 @@ func TestConcurrentLeafPagesAndScans(t *testing.T) {
 	}
 }
 
+// TestConcurrentScansUnderEviction: parallel scans and seeks over a
+// capacity-8 pool, the way morsel workers share one buffer pool, evict each
+// other's leaves constantly and read them back from the spill file; every
+// span of every batch still equals its record.
+func TestConcurrentScansUnderEviction(t *testing.T) {
+	const n = 3000
+	tree, pager := boundedTree(t, 8, n)
+	pager.ResetCache()
+	leaves, err := tree.LeafPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			// Half the workers drain leaf runs (a morsel each), half seek.
+			for iter := 0; iter < 4; iter++ {
+				first, it := 0, tree.Scan()
+				if g%2 == 0 {
+					start := (g*7 + iter*13) % len(leaves)
+					it = tree.SeekLeaves(leaves[start], 5, nil, nil, false)
+					first = -1
+				} else {
+					first = (g*311 + iter*97) % (n - 400)
+					it = tree.Seek(poolKey(first), poolKey(first+399), true)
+				}
+				keys, vals := make([][]byte, 64), make([][]byte, 64)
+				for {
+					got := it.NextSpans(keys, vals)
+					for i := 0; i < got; i++ {
+						var k int
+						if _, err := fmt.Sscanf(string(keys[i]), "key%06d", &k); err != nil || string(vals[i]) != string(poolVal(k)) || (first >= 0 && k != first) {
+							errs <- fmt.Errorf("worker %d: span %q does not match its record", g, keys[i])
+							return
+						}
+						if first >= 0 {
+							first++
+						}
+					}
+					if got < len(vals) {
+						break
+					}
+				}
+				if err := it.Err(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if r := pager.Resident(); r > 8 {
+		t.Fatalf("a capacity-8 pool keeps %d frames", r)
+	}
+}
+
 // TestSeekLeavesReproducesSeek: partitioning a seek's leaf range and
 // concatenating SeekLeaves iterators reproduces the serial Seek exactly —
 // the contract the catalog's seek morsels are built on.
 func TestSeekLeavesReproducesSeek(t *testing.T) {
-	tree := New(storage.NewPager(0), 0)
+	tree := mustNew(t, storage.NewPager(0), 0)
 	const n = 3000
 	i := 0
 	err := tree.BulkLoad(func() ([]byte, []byte, bool) {

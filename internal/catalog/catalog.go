@@ -79,12 +79,16 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 		if err != nil {
 			return nil, err
 		}
+		tree, err := btree.New(c.pager, c.overhead)
+		if err != nil {
+			return nil, err
+		}
 		t.Clustered = &Index{
 			Name:       name + "_clustered",
 			Table:      t,
 			KeyColumns: ords,
 			Clustered:  true,
-			tree:       btree.New(c.pager, c.overhead),
+			tree:       tree,
 		}
 	} else {
 		t.heap = storage.NewHeapFile(c.pager, c.overhead)
@@ -950,13 +954,17 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 	if err != nil {
 		return nil, err
 	}
+	tree, err := btree.New(c.pager, c.overhead)
+	if err != nil {
+		return nil, err
+	}
 	idx := &Index{
 		Name:            name,
 		Table:           t,
 		KeyColumns:      keyOrds,
 		IncludedColumns: inclOrds,
 		Unique:          unique,
-		tree:            btree.New(c.pager, c.overhead),
+		tree:            tree,
 	}
 	idx.initLayout()
 	if err := idx.rebuild(); err != nil {

@@ -305,11 +305,12 @@ func (e *Engine) checkpointLocked() error {
 	return e.wal.Truncate()
 }
 
-// Close checkpoints (durable engines) and releases the files. The engine
-// must not be used afterwards.
+// Close checkpoints (durable engines) and releases the files: a durable
+// engine's data file and log, an in-memory one's spill file. The engine must
+// not be used afterwards.
 func (e *Engine) Close() error {
 	if e.wal == nil {
-		return nil
+		return e.pager.CloseFile()
 	}
 	err := e.Checkpoint()
 	if werr := e.wal.Close(); err == nil {

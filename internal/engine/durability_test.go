@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/sql"
 	"oldelephant/internal/storage"
 	"oldelephant/internal/storage/faultfs"
 	"oldelephant/internal/value"
@@ -159,6 +160,85 @@ func TestDurableDropTableReusesPages(t *testing.T) {
 	}
 }
 
+// TestDurableDiscardedGroupRestoresFreedPages: DROP TABLE frees t's pages and
+// an INSERT in the same commit group reuses them. When the group's fsync
+// fails, both statements roll back, newest first, and t must read back whole:
+// the pages the INSERT took return with t's bytes, not the INSERT's or zeros.
+// With a small pool the reused pages are read back from the data file.
+func TestDurableDiscardedGroupRestoresFreedPages(t *testing.T) {
+	pad := strings.Repeat("x", 500)
+	for _, pool := range []int{0, 4} {
+		fs := faultfs.New(6)
+		e, err := Open(Options{TupleOverhead: -1, FS: fs, BufferPoolPages: pool})
+		if err != nil {
+			t.Fatal(err)
+		}
+		execAll(t, e,
+			"CREATE TABLE t (id INT, pad VARCHAR, PRIMARY KEY (id))",
+			"CREATE TABLE u (id INT, pad VARCHAR, PRIMARY KEY (id))",
+		)
+		for i := 0; i < 50; i++ {
+			execAll(t, e, fmt.Sprintf("INSERT INTO t VALUES (%d, '%s')", i, pad))
+		}
+		if err := e.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		e.ResetBufferPool()
+
+		// Both statements commit into the WAL's pending group; neither waits.
+		// The INSERT writes twice t's bytes, so it takes every page t freed.
+		var rows []string
+		for i := 0; i < 100; i++ {
+			rows = append(rows, fmt.Sprintf("(%d, '%s')", i, strings.Repeat("y", 500)))
+		}
+		var lsn int64
+		for _, s := range []string{"DROP TABLE t", "INSERT INTO u VALUES " + strings.Join(rows, ", ")} {
+			stmt, err := sql.Parse(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, lsn, err = e.applyMutation(stmt); err != nil {
+				t.Fatalf("%s: %v", s, err)
+			}
+		}
+		if n := len(e.Pager().FreeList()); n != 0 {
+			t.Fatalf("pool %d: the INSERT left %d of t's pages free; it must reuse them all", pool, n)
+		}
+		fs.FailNextSyncs(1)
+		if err := e.waitDurable(lsn); err == nil {
+			t.Fatalf("pool %d: commit group survived a failed fsync", pool)
+		}
+
+		check := func(e *Engine, when string) {
+			t.Helper()
+			res, err := e.Query("SELECT id, pad FROM t ORDER BY id")
+			if err != nil {
+				t.Fatalf("pool %d, %s: %v", pool, when, err)
+			}
+			if len(res.Rows) != 50 {
+				t.Fatalf("pool %d, %s: t has %d rows, want 50", pool, when, len(res.Rows))
+			}
+			for i, r := range res.Rows {
+				if r[0].Int() != int64(i) || r[1].String() != pad {
+					t.Fatalf("pool %d, %s: row %d of t reads back as (%v, %.8q…)", pool, when, i, r[0], r[1].String())
+				}
+			}
+			if got := queryInts(t, e, "SELECT id FROM u"); len(got) != 0 {
+				t.Fatalf("pool %d, %s: u kept %d rows of a discarded INSERT", pool, when, len(got))
+			}
+		}
+		check(e, "after rollback")
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		e = openDurable(t, fs)
+		check(e, "after reopen")
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDurableBulkLoadPersists: the programmatic bulk-load path goes through
 // the same WAL commit protocol as SQL statements.
 func TestDurableBulkLoadPersists(t *testing.T) {
@@ -180,6 +260,71 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 	got := queryInts(t, e2, "SELECT id FROM t ORDER BY id")
 	if len(got) != 1000 || got[999] != 999 {
 		t.Fatalf("recovered %d bulk rows", len(got))
+	}
+}
+
+// TestDurableMissesAreDataFileReads: a durable engine's buffer pool reads
+// its misses from the data file. After a checkpoint — and again after a
+// reopen, which reads no page until one is asked for — each page read a
+// serial query is charged is one read of the data file, and the pool holds
+// no more than its capacity. (A parallel plan's morsel partitioning walks
+// leaves while planning, before the query's counters start, so the test
+// plans serially and outside the plan cache, as the benchmark's counted pass
+// does.)
+func TestDurableMissesAreDataFileReads(t *testing.T) {
+	const pool = 16
+	fs := faultfs.CountReads(faultfs.New(5))
+	open := func() *Engine {
+		e, err := Open(Options{TupleOverhead: -1, FS: fs, BufferPoolPages: pool})
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return e
+	}
+	e := open()
+	execAll(t, e,
+		"CREATE TABLE orders (id INT, cust INT, note VARCHAR, PRIMARY KEY (id))",
+		"CREATE INDEX idx_cust ON orders (cust)",
+	)
+	rows := make([][]value.Value, 3000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 40)), value.NewString(strings.Repeat("n", 60))}
+	}
+	if err := e.BulkLoad("orders", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"SELECT COUNT(*) FROM orders",
+		"SELECT id FROM orders WHERE id BETWEEN 1200 AND 1300",
+		"SELECT id FROM orders WHERE cust = 7",
+	}
+	for round := 0; round < 2; round++ {
+		for _, q := range queries {
+			e.ResetBufferPool()
+			reads := fs.Reads(dataFileName)
+			res, err := e.QueryWith(QueryOptions{Parallelism: 1, NoCache: true}, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := fs.Reads(dataFileName)-reads, res.Stats.IO.PageReads; got != want || want == 0 {
+				t.Errorf("round %d, %s: %d data-file reads for %d charged page reads", round, q, got, want)
+			}
+		}
+		if r := e.Pager().Resident(); r > pool {
+			t.Errorf("round %d: %d pages resident in a %d-page pool", round, r, pool)
+		}
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if e = open(); e.Pager().Resident() != 0 {
+			t.Errorf("a reopened engine holds %d pages before any query", e.Pager().Resident())
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

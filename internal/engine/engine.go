@@ -24,7 +24,11 @@ import (
 
 // Options configure a new engine instance.
 type Options struct {
-	// BufferPoolPages bounds the buffer pool; 0 means unbounded.
+	// BufferPoolPages bounds the buffer pool: at most this many pages are in
+	// memory (plus, for a durable engine, those written since the last
+	// checkpoint) and the rest are read from the data file — or, in memory,
+	// from a private spill file — when accessed. 0 means unbounded: every
+	// page stays in memory and nothing spills.
 	BufferPoolPages int
 	// TupleOverhead is the per-tuple storage overhead in bytes. Negative
 	// selects storage.DefaultTupleOverhead (9 bytes, as in the paper).
@@ -59,8 +63,9 @@ type Options struct {
 	// on open. Empty means in-memory. New ignores it; use Open.
 	DataDir string
 	// FS overrides the filesystem used for the data file, WAL and meta file
-	// (the crash-recovery harness injects faults through it). nil selects the
-	// real filesystem rooted at DataDir. New ignores it; use Open.
+	// (the crash-recovery harness injects faults through it) or, for an
+	// in-memory engine made by New, for a bounded pool's spill file. nil
+	// selects the real filesystem, rooted at DataDir.
 	FS storage.FS
 }
 
@@ -114,7 +119,11 @@ type ViewDef struct {
 // New creates an empty in-memory engine. For a durable (file-backed) engine
 // use Open.
 func New(opts Options) *Engine {
-	return newWithPager(opts, storage.NewPager(opts.BufferPoolPages))
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = storage.OSFS{}
+	}
+	return newWithPager(opts, storage.NewPagerFS(fsys, opts.BufferPoolPages))
 }
 
 func newWithPager(opts Options, pager *storage.Pager) *Engine {

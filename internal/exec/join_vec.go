@@ -296,10 +296,12 @@ type joinBuildState struct {
 	keys []int
 
 	// Parallel-build configuration, set by plan.Parallelize through
-	// ParallelForm before execution starts.
-	src     Morseler
-	pipe    PipelineFunc
-	workers int
+	// ParallelForm before execution starts; absorbed is the shared state of
+	// the operators the build pipeline absorbed (see SharedReleaser).
+	src      Morseler
+	pipe     PipelineFunc
+	workers  int
+	absorbed []SharedReleaser
 
 	mu    sync.Mutex
 	built bool
@@ -315,12 +317,14 @@ type joinBuildState struct {
 }
 
 // reset forces the next ensure to rebuild (a re-Open of the owning join) and
-// releases the table (Close of the owning join).
+// releases the table (Close of the owning join, or of the parallel operator
+// that absorbed it), with the tables its parallel build's pipeline absorbed.
 func (s *joinBuildState) reset() {
 	s.mu.Lock()
 	s.built, s.table, s.err = false, nil, nil
 	s.ctx = nil
 	s.mu.Unlock()
+	releaseShared(s.absorbed)
 }
 
 func (s *joinBuildState) ensure(input Operator) (*joinTable, error) {
@@ -486,8 +490,15 @@ func (j *VectorizedHashJoin) Drained() *Operator { return &j.Build }
 // falls back to serial when src cannot provide at least two morsels.
 func (j *VectorizedHashJoin) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
 	j.shared.src, j.shared.pipe, j.shared.workers = src, pipe, workers
+	if pipe != nil {
+		j.shared.absorbed = sharedState(pipe(src))
+	}
 	return j, true
 }
+
+// ReleaseShared implements SharedReleaser: the built table the join's clones
+// share.
+func (j *VectorizedHashJoin) ReleaseShared() { j.shared.reset() }
 
 // TraceAttrs implements SpanAnnotator.
 func (j *VectorizedHashJoin) TraceAttrs(sp *trace.Span) {
@@ -694,7 +705,9 @@ func (j *VectorizedHashJoin) Next() (Row, bool, error) {
 // closed inside the build itself; Close releases the probe side and — for the
 // owning (non-clone) join — the built table, so a closed join does not pin
 // the build side's memory for the rest of the query. Clones never release it:
-// their Closes race while sibling morsel pipelines still probe.
+// their Closes race while sibling morsel pipelines still probe. A join
+// absorbed into a parallel pipeline is never closed itself; the parallel
+// operator releases its table (ReleaseShared).
 func (j *VectorizedHashJoin) Close() error {
 	if !j.isClone {
 		j.shared.reset()

@@ -387,6 +387,56 @@ func TestVectorizedHashJoinClonesShareBuild(t *testing.T) {
 	}
 }
 
+// TestParallelJoinReleasesBuildOnClose: a join absorbed into a morsel
+// pipeline — as plan.Parallelize absorbs it, leaving only its per-morsel
+// clones in the tree — has its build table released when the parallel
+// operator running the pipeline closes, so an idle cached plan pins no build
+// side, and the next execution rebuilds it to the same answer. The check
+// covers the row-stream merge and a breaker, and a join whose own build is
+// a pipeline that absorbed a second join.
+func TestParallelJoinReleasesBuildOnClose(t *testing.T) {
+	facts, dims := bigJoinTables(t)
+	join := func(probe, build Operator) *VectorizedHashJoin {
+		vj, err := NewVectorizedHashJoin(probe, build, []int{1}, []int{0}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return vj
+	}
+	aggs := []AggSpec{{Kind: AggCountStar, Name: "cnt"}}
+	for _, form := range []string{"merge", "hash aggregate", "nested build"} {
+		probe := NewSeqScan(facts, nil)
+		inner := join(probe, NewSeqScan(dims, nil))
+		joins := []*VectorizedHashJoin{inner}
+		var par Operator
+		var ok bool
+		switch form {
+		case "merge":
+			par, ok = parallelForm(NewParallelMerge(probe, inner.CloneOver, 2))
+		case "hash aggregate":
+			par, ok = parallelForm(NewParallelHashAggregate(probe, inner.CloneOver, []int{1}, aggs, 2))
+		case "nested build":
+			// The outer join's build side is the facts ⋈ dims pipeline: its
+			// parallel build absorbs the inner join.
+			outer := join(NewSeqScan(dims, nil), inner)
+			par, ok = outer.ParallelForm(probe, inner.CloneOver, 2)
+			joins = append(joins, outer)
+		}
+		if !ok {
+			t.Fatalf("%s: no parallel form", form)
+		}
+		first := drainVec(t, par)
+		for _, j := range joins {
+			if j.shared.table != nil || j.shared.built {
+				t.Errorf("%s: a build table is still reachable after Close", form)
+			}
+		}
+		if g, w := formatJoinRows(drainVec(t, par)), formatJoinRows(first); g != w || len(first) == 0 {
+			t.Errorf("%s: re-execution after the release diverges (%d rows first)", form, len(first))
+		}
+	}
+}
+
 // TestVectorizedHashJoinReopen: a serial join re-opened after a full drain
 // rebuilds its table and produces the same result (Operator contract).
 func TestVectorizedHashJoinReopen(t *testing.T) {

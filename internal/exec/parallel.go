@@ -94,6 +94,39 @@ type Breaker interface {
 	ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool)
 }
 
+// SharedReleaser is declared by pipeline operators whose per-morsel clones
+// share per-execution state (a hash join's built table). No clone releases
+// it — sibling clones may still be reading it — and the operator they were
+// cloned from, once plan.Parallelize absorbs it into a pipeline, is no longer
+// in the tree to be closed. So the parallel operator that runs the pipeline
+// calls ReleaseShared on Close, once its workers have stopped; without that,
+// every idle cached plan would pin its build tables.
+type SharedReleaser interface {
+	ReleaseShared()
+}
+
+// sharedState returns the operators of a pipeline instance — the stack of
+// morsel cloners above its source — that declare shared state.
+func sharedState(pipeline Operator) []SharedReleaser {
+	var out []SharedReleaser
+	for op := pipeline; ; {
+		if r, ok := op.(SharedReleaser); ok {
+			out = append(out, r)
+		}
+		c, ok := op.(MorselCloner)
+		if !ok {
+			return out
+		}
+		op = *c.Child(0)
+	}
+}
+
+func releaseShared(absorbed []SharedReleaser) {
+	for _, r := range absorbed {
+		r.ReleaseShared()
+	}
+}
+
 // parallelForm boxes a NewParallel* result for ParallelForm, keeping a failed
 // constructor's nil pointer out of the interface.
 func parallelForm[T Operator](par T, ok bool) (Operator, bool) {
@@ -249,10 +282,11 @@ func drainPipe(pipe Operator) ([]*Batch, error) {
 // pipeline's. It is the merge operator for unordered (non-aggregating,
 // non-sorting) parallel pipelines.
 type ParallelMerge struct {
-	build   PipelineFunc
-	workers int
-	parts   []Operator
-	schema  []ColumnInfo
+	build    PipelineFunc
+	workers  int
+	parts    []Operator
+	schema   []ColumnInfo
+	absorbed []SharedReleaser
 
 	runner *orderedRunner
 	cur    []*Batch
@@ -275,11 +309,13 @@ func NewParallelMerge(src Morseler, build PipelineFunc, workers int) (*ParallelM
 	if !ok {
 		return nil, false
 	}
+	proto := build(parts[0])
 	return &ParallelMerge{
-		build:   build,
-		workers: workers,
-		parts:   parts,
-		schema:  build(parts[0]).Schema(),
+		build:    build,
+		workers:  workers,
+		parts:    parts,
+		schema:   proto.Schema(),
+		absorbed: sharedState(proto),
 	}, true
 }
 
@@ -345,6 +381,7 @@ func (m *ParallelMerge) Close() error {
 		m.runner = nil
 	}
 	m.cur = nil
+	releaseShared(m.absorbed)
 	return nil
 }
 
@@ -355,10 +392,11 @@ func (m *ParallelMerge) Close() error {
 // two closures; lifecycle, the row/batch protocols and error plumbing live
 // here once.
 type parallelBreaker struct {
-	name    string
-	workers int
-	parts   []Operator
-	schema  []ColumnInfo
+	name     string
+	workers  int
+	parts    []Operator
+	schema   []ColumnInfo
+	absorbed []SharedReleaser // see SharedReleaser
 	// morsel drains one per-morsel pipeline into the breaker's partial form;
 	// it runs on the worker goroutines.
 	morsel func(part Operator) (any, error)
@@ -438,6 +476,7 @@ func (b *parallelBreaker) Close() error {
 		b.runner = nil
 	}
 	b.results, b.built = nil, false
+	releaseShared(b.absorbed)
 	return nil
 }
 
@@ -480,11 +519,13 @@ func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, a
 	if !ok {
 		return nil, false
 	}
+	proto := build(parts[0])
 	return &ParallelHashAggregate{parallelBreaker{
-		name:    "ParallelHashAggregate",
-		workers: workers,
-		parts:   parts,
-		schema:  aggSchemaFromCols(build(parts[0]).Schema(), groupBy, aggs),
+		name:     "ParallelHashAggregate",
+		workers:  workers,
+		parts:    parts,
+		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
+		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
 			hb := newHashAggBuilder(groupBy, aggs)
 			if err := drainMorsel(build(part), hb.consumeBatch); err != nil {
@@ -534,11 +575,13 @@ func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int,
 	if !ok {
 		return nil, false
 	}
+	proto := build(parts[0])
 	return &ParallelStreamAggregate{parallelBreaker{
-		name:    "ParallelStreamAggregate",
-		workers: workers,
-		parts:   parts,
-		schema:  aggSchemaFromCols(build(parts[0]).Schema(), groupBy, aggs),
+		name:     "ParallelStreamAggregate",
+		workers:  workers,
+		parts:    parts,
+		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
+		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
 			run := newStreamAggRun(groupBy, aggs)
 			if err := drainMorsel(build(part), run.consumeBatch); err != nil {
@@ -580,11 +623,13 @@ func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers i
 	if !ok {
 		return nil, false
 	}
+	proto := build(parts[0])
 	return &ParallelSort{parallelBreaker{
-		name:    "ParallelSort",
-		workers: workers,
-		parts:   parts,
-		schema:  build(parts[0]).Schema(),
+		name:     "ParallelSort",
+		workers:  workers,
+		parts:    parts,
+		schema:   proto.Schema(),
+		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
 			var rows []Row
 			err := drainMorsel(build(part), func(b *Batch) error {

@@ -138,7 +138,8 @@ type Snapshot struct {
 	// and WALBytes the durable log size since the last checkpoint.
 	WAL      wal.Stats
 	WALBytes int64
-	// BufferResident is the number of pages resident in the buffer pool;
+	// BufferResident is the number of pages in memory — the buffer pool's
+	// frames and the dirty pages held for the next checkpoint;
 	// ChecksumFailures counts page slots that failed CRC verification when
 	// the data file was opened.
 	BufferResident   int

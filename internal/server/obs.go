@@ -80,7 +80,7 @@ func (s *Server) initRegistry() {
 		func() int64 { return s.eng.Pager().Stats().CacheHits })
 	r.CounterFunc("elephant_pager_page_writes_total", "Pages written.",
 		func() int64 { return s.eng.Pager().Stats().PageWrites })
-	r.GaugeFunc("elephant_pager_resident_pages", "Pages resident in the buffer pool.",
+	r.GaugeFunc("elephant_pager_resident_pages", "Pages in memory: buffer-pool frames and dirty pages held for the checkpoint.",
 		func() int64 { return int64(s.eng.Pager().Resident()) })
 	r.GaugeFunc("elephant_pager_checksum_failures", "Page slots that failed CRC verification at open.",
 		func() int64 { return s.eng.Pager().CorruptPages() })

@@ -11,10 +11,11 @@ import (
 // concurrent queries sharing a buffer pool.
 func TestConcurrentPagerSharedReads(t *testing.T) {
 	p := NewPager(8) // small pool so concurrent Gets evict constantly
+	defer p.CloseFile()
 	const pages = 64
 	ids := make([]PageID, pages)
 	for i := range ids {
-		ids[i] = p.Allocate().ID()
+		ids[i] = mustAllocate(t, p).ID()
 	}
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -50,7 +51,7 @@ func TestConcurrentPagerResetStats(t *testing.T) {
 	p := NewPager(0)
 	var ids []PageID
 	for i := 0; i < 16; i++ {
-		ids = append(ids, p.Allocate().ID())
+		ids = append(ids, mustAllocate(t, p).ID())
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

@@ -17,6 +17,9 @@
 // Every mutating operation (WriteAt, Truncate, Sync, Rename, Remove) counts
 // toward the kill point, so a test that first measures a workload's total op
 // count can then re-run it killing at every WAL/commit boundary.
+//
+// ReadCounter sits on the same seam over any storage.FS and counts the reads
+// each file serves.
 package faultfs
 
 import (
@@ -233,12 +236,31 @@ func (fs *FS) Remove(name string) error {
 	return nil
 }
 
+// Temp names the files CreateTemp makes: in error messages, and in the read
+// counts of a ReadCounter.
+const Temp = "(temp)"
+
+// CreateTemp implements storage.FS. The file is outside the namespace, so no
+// crash image (Recovered, Clone) carries it.
+func (fs *FS) CreateTemp() (storage.File, error) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.down {
+		return nil, fmt.Errorf("create %s: %w", Temp, ErrInjected)
+	}
+	return &file{fs: fs, name: Temp, temp: &fileState{}}, nil
+}
+
 type file struct {
 	fs   *FS
 	name string
+	temp *fileState // a CreateTemp file's state, outside fs.files
 }
 
 func (f *file) state() (*fileState, error) {
+	if f.temp != nil {
+		return f.temp, nil
+	}
 	st, ok := f.fs.files[f.name]
 	if !ok {
 		return nil, fmt.Errorf("%s: file removed", f.name)
@@ -350,3 +372,55 @@ func (f *file) Size() (int64, error) {
 }
 
 func (f *file) Close() error { return nil }
+
+// ReadCounter wraps a storage.FS and counts the ReadAt calls made on each
+// file opened through it — how tests hold a pager's miss counter to the
+// reads its page file actually served.
+type ReadCounter struct {
+	storage.FS
+	mu    sync.Mutex
+	reads map[string]int64
+}
+
+// CountReads wraps fsys in a ReadCounter.
+func CountReads(fsys storage.FS) *ReadCounter {
+	return &ReadCounter{FS: fsys, reads: make(map[string]int64)}
+}
+
+// OpenFile implements storage.FS.
+func (c *ReadCounter) OpenFile(name string) (storage.File, error) {
+	f, err := c.FS.OpenFile(name)
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{File: f, c: c, name: name}, nil
+}
+
+// CreateTemp implements storage.FS; the file's reads count under Temp.
+func (c *ReadCounter) CreateTemp() (storage.File, error) {
+	f, err := c.FS.CreateTemp()
+	if err != nil {
+		return nil, err
+	}
+	return countedFile{File: f, c: c, name: Temp}, nil
+}
+
+// Reads returns the number of ReadAt calls made so far on name.
+func (c *ReadCounter) Reads(name string) int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.reads[name]
+}
+
+type countedFile struct {
+	storage.File
+	c    *ReadCounter
+	name string
+}
+
+func (f countedFile) ReadAt(p []byte, off int64) (int, error) {
+	f.c.mu.Lock()
+	f.c.reads[f.name]++
+	f.c.mu.Unlock()
+	return f.File.ReadAt(p, off)
+}

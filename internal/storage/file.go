@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 )
@@ -24,78 +26,97 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// DataFile is the page store on disk: a header followed by fixed-size page
-// slots, each protected by a checksum. All pages stay memory-resident in the
-// pager; the file exists for durability (checkpoints flush dirty pages here).
+// DataFile is a page file: a header followed by fixed-size page slots, each
+// protected by a checksum. It is where the pager's buffer pool reads the
+// pages it does not hold — a miss is one ReadPage — and where it writes them
+// back. A durable pager's data file changes only at checkpoints (FlushDirty);
+// a memory-mode pager with a bounded pool spills evicted pages to a private
+// one. A DataFile is not safe for concurrent use: the pager serializes it.
 type DataFile struct {
 	f         File
-	pageCount int64 // pages currently represented in the file
+	pageCount int64  // pages currently represented in the file
+	buf       []byte // one slot: the scratch of every read and write
 }
 
-// OpenDataFile opens (or creates) the data file at name and loads every page
-// slot. Pages whose checksum does not verify are returned as nil entries with
-// their ids collected in corrupt; the caller (recovery) must ensure the WAL
-// overwrites them. A file shorter than the header — including a brand-new
-// empty file — starts empty.
-func OpenDataFile(fsys FS, name string) (df *DataFile, pages []*Page, corrupt []PageID, err error) {
+// OpenDataFile opens (or creates) the data file at name and verifies every
+// page slot's checksum, one slot at a time; it keeps no page. The ids of the
+// slots that fail are returned in corrupt: the caller (recovery) must ensure
+// the WAL overwrites them. A file shorter than the header — including a
+// brand-new empty file — starts empty.
+func OpenDataFile(fsys FS, name string) (df *DataFile, corrupt []PageID, err error) {
 	f, err := fsys.OpenFile(name)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	size, err := f.Size()
+	df, corrupt, err = openDataFile(f, name)
 	if err != nil {
 		f.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	df = &DataFile{f: f}
+	return df, corrupt, nil
+}
+
+func openDataFile(f File, name string) (*DataFile, []PageID, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, nil, err
+	}
+	df := &DataFile{f: f, buf: make([]byte, pageSlotSize)}
 	if size < dataHeaderSize {
 		// New or never-synced file: write a fresh header. Any commits that
 		// predate a first checkpoint are still in the WAL in full.
-		if err := df.writeHeader(0); err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		return df, nil, nil, nil
+		return df, nil, df.writeHeader(0)
 	}
 	var hdr [dataHeaderSize]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		f.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if string(hdr[:8]) != dataFileMagic {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("storage: %s is not a data file (bad magic)", name)
+		return nil, nil, fmt.Errorf("storage: %s is not a data file (bad magic)", name)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[8:12]); v != dataFileVersion {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("storage: data file version %d not supported", v)
+		return nil, nil, fmt.Errorf("storage: data file version %d not supported", v)
 	}
 	if ps := binary.LittleEndian.Uint32(hdr[12:16]); ps != PageSize {
-		f.Close()
-		return nil, nil, nil, fmt.Errorf("storage: data file page size %d, built for %d", ps, PageSize)
+		return nil, nil, fmt.Errorf("storage: data file page size %d, built for %d", ps, PageSize)
 	}
 	// The header's pageCount and CRC are advisory; a torn header rewrite must
 	// not lose pages, so the slot count comes from the file size.
-	n := (size - dataHeaderSize) / pageSlotSize
-	df.pageCount = n
-	pages = make([]*Page, n)
-	buf := make([]byte, pageSlotSize)
-	for i := int64(0); i < n; i++ {
-		if _, err := f.ReadAt(buf, dataHeaderSize+i*pageSlotSize); err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		id := PageID(i + 1)
-		want := binary.LittleEndian.Uint32(buf[0:4])
-		got := crc32.Checksum(buf[8:], castagnoli)
-		pg := newPage(id)
-		copy(pg.data, buf[8:])
-		pages[i] = pg
-		if want != got {
+	df.pageCount = (size - dataHeaderSize) / pageSlotSize
+	var corrupt []PageID
+	for id := PageID(1); int64(id) <= df.pageCount; id++ {
+		if err := df.readSlot(id); err == errChecksum {
 			corrupt = append(corrupt, id)
+		} else if err != nil {
+			return nil, nil, err
 		}
 	}
-	return df, pages, corrupt, nil
+	return df, corrupt, nil
+}
+
+// errChecksum is readSlot's report of a slot whose bytes fail their CRC.
+var errChecksum = errors.New("checksum mismatch")
+
+// readSlot reads page id's slot into df.buf and verifies its checksum.
+func (df *DataFile) readSlot(id PageID) error {
+	if _, err := df.f.ReadAt(df.buf, dataHeaderSize+(int64(id)-1)*pageSlotSize); err != nil {
+		return err
+	}
+	if binary.LittleEndian.Uint32(df.buf[0:4]) != crc32.Checksum(df.buf[8:], castagnoli) {
+		return errChecksum
+	}
+	return nil
+}
+
+// ReadPage reads page id from its slot into a fresh page. A slot that fails
+// its checksum is an error, never a page.
+func (df *DataFile) ReadPage(id PageID) (*Page, error) {
+	if err := df.readSlot(id); err != nil {
+		return nil, fmt.Errorf("storage: read of page %d: %w", id, err)
+	}
+	// A clone, not make and copy: the new frame is written once, not zeroed
+	// first.
+	return &Page{id: id, data: bytes.Clone(df.buf[8:])}, nil
 }
 
 func (df *DataFile) writeHeader(pageCount int64) error {
@@ -111,11 +132,11 @@ func (df *DataFile) writeHeader(pageCount int64) error {
 
 // WritePage writes one page's slot (checksum + data) without syncing.
 func (df *DataFile) WritePage(pg *Page) error {
-	buf := make([]byte, pageSlotSize)
-	binary.LittleEndian.PutUint32(buf[0:4], crc32.Checksum(pg.data, castagnoli))
-	copy(buf[8:], pg.data)
+	binary.LittleEndian.PutUint32(df.buf[0:4], crc32.Checksum(pg.data, castagnoli))
+	clear(df.buf[4:8])
+	copy(df.buf[8:], pg.data)
 	off := dataHeaderSize + (int64(pg.id)-1)*pageSlotSize
-	if _, err := df.f.WriteAt(buf, off); err != nil {
+	if _, err := df.f.WriteAt(df.buf, off); err != nil {
 		return err
 	}
 	if int64(pg.id) > df.pageCount {
@@ -130,16 +151,6 @@ func (df *DataFile) Sync() error {
 		return err
 	}
 	return df.f.Sync()
-}
-
-// Truncate drops page slots beyond pageCount (used when recovery shrinks the
-// page set after a rollback of never-committed allocations).
-func (df *DataFile) Truncate(pageCount int64) error {
-	if pageCount >= df.pageCount {
-		return nil
-	}
-	df.pageCount = pageCount
-	return df.f.Truncate(dataHeaderSize + pageCount*pageSlotSize)
 }
 
 // Close closes the underlying file (without syncing).

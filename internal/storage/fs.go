@@ -19,7 +19,8 @@ type File interface {
 }
 
 // FS is the filesystem surface the storage layer needs: open-or-create,
-// atomic rename (used for the meta file's tmp+rename protocol) and remove.
+// atomic rename (used for the meta file's tmp+rename protocol), remove and
+// anonymous temporary files.
 type FS interface {
 	// OpenFile opens name for reading and writing, creating it if absent.
 	OpenFile(name string) (File, error)
@@ -29,6 +30,9 @@ type FS interface {
 	Rename(oldname, newname string) error
 	// Remove deletes name; it is not an error if name does not exist.
 	Remove(name string) error
+	// CreateTemp creates a file no name reaches, gone once it is closed or
+	// the process exits (a memory-mode pager's spill file).
+	CreateTemp() (File, error)
 }
 
 // OSFS is the real filesystem.
@@ -73,4 +77,18 @@ func (OSFS) Remove(name string) error {
 		return nil
 	}
 	return err
+}
+
+// CreateTemp implements FS: a file in the temporary directory, unlinked as
+// soon as it is open.
+func (OSFS) CreateTemp() (File, error) {
+	f, err := os.CreateTemp("", "oldelephant-spill-")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return osFile{f}, nil
 }

@@ -45,13 +45,16 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		if err != nil {
 			return RID{}, err
 		}
-		h.pager.BeforeWrite(last.ID())
+		h.pager.BeforeWrite(last)
 		if slot, ok := last.InsertRecord(rec, h.overhead); ok {
 			h.rowCount++
 			return RID{Page: last.ID(), Slot: uint16(slot)}, nil
 		}
 	}
-	pg := h.pager.Allocate()
+	pg, err := h.pager.Allocate()
+	if err != nil {
+		return RID{}, err
+	}
 	h.pageIDs = append(h.pageIDs, pg.ID())
 	slot, ok := pg.InsertRecord(rec, h.overhead)
 	if !ok {
@@ -81,7 +84,7 @@ func (h *HeapFile) Delete(rid RID) error {
 	if err != nil {
 		return err
 	}
-	h.pager.BeforeWrite(rid.Page)
+	h.pager.BeforeWrite(pg)
 	if err := pg.DeleteRecord(int(rid.Slot)); err != nil {
 		return err
 	}
@@ -128,8 +131,9 @@ type HeapIterator struct {
 func (it *HeapIterator) Err() error { return it.err }
 
 // NextRecord returns the next live record and its RID; ok is false at the
-// end of the heap. The record aliases page memory, which the pager keeps
-// resident, so callers may hold it (and sub-spans of it) across calls.
+// end of the heap. The record aliases page memory, which stays alive while
+// it is referenced (see Pager), so callers may hold it (and sub-spans of it)
+// across calls.
 func (it *HeapIterator) NextRecord() (rec []byte, rid RID, ok bool) {
 	if it.err != nil {
 		return nil, RID{}, false

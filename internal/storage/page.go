@@ -1,10 +1,14 @@
-// Package storage implements the on-"disk" layout of the row store: fixed
-// size pages, a pager with a buffer pool that accounts for sequential and
-// random page I/O, and heap files built from slotted pages.
+// Package storage implements the on-disk layout of the row store: fixed
+// size pages in a checksummed page file, a pager that is a bounded buffer
+// pool over that file and accounts for sequential and random page I/O, and
+// heap files built from slotted pages.
 //
-// Everything lives in memory, but all data passes through pages of
-// PageSize bytes and every page access is charged to the pager's
-// statistics. The statistics are what the benchmark harness uses to model
+// All data passes through pages of PageSize bytes. At most the pool's
+// capacity of them is in memory (plus, for a durable database, the pages
+// written since the last checkpoint); the rest are in the data file, or in a
+// private spill file for an in-memory database whose pool is bounded. Every
+// page access is charged to the pager's statistics, and a miss is a read of
+// the file. The statistics are what the benchmark harness uses to model
 // disk time, so the layout deliberately mirrors a classic row store:
 // records carry a configurable per-tuple overhead (default 9 bytes, the
 // number quoted in the paper). A heap page holds a slot directory (the

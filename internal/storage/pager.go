@@ -3,6 +3,7 @@ package storage
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -50,22 +51,38 @@ func (s IOStats) Add(o IOStats) IOStats {
 	}
 }
 
-// Pager owns all pages of a database instance. Every page is memory-resident
-// for the life of the process, and a page's bytes here are its only in-memory
-// representation: readers decode records in place. One aliasing rule follows,
-// and any eviction scheme has to honour it: the key and payload spans a batch
-// fill collects (btree.Iterator.NextSpans, HeapIterator.NextRecord) point into
-// page memory and must stay readable until the tree or heap they came from is
-// next mutated. The pager runs in one of two modes:
+// Pager is the buffer pool: it owns every page of a database instance and
+// keeps at most capacity of them in memory as frames, the least recently
+// used ones first to go. A miss reads the page's slot from a page file
+// (DataFile) into a fresh frame and verifies its checksum; an eviction drops
+// the pool's reference to the frame. The pool's LRU is also the paper's cold
+// cache: an access it serves is a hit, every other access is charged as a
+// page read and classified as sequential or random, and ResetCache empties it
+// so the next query runs cold.
 //
-//   - memory mode (NewPager): the original simulated disk. The buffer pool
-//     of bounded size models cold-cache behaviour for the paper's benchmarks;
-//     accesses that miss the pool are charged as page reads and classified as
-//     sequential or random.
-//   - file mode (OpenPagerFile): the same resident page set, plus a DataFile
-//     that checkpoints flush dirty pages to. Durability comes from the WAL
-//     (internal/wal) + checkpoint protocol driven by the engine; the pager's
-//     job is tracking dirty pages and statement-scoped undo images.
+// Frames are garbage-collected, never recycled, and a page's bytes in its
+// frame are its only in-memory representation: readers decode records in
+// place. So the one aliasing rule — the key and payload spans a batch fill
+// collects (btree.Iterator.NextSpans, HeapIterator.NextRecord) point into
+// page memory and must stay readable until the tree or heap they came from is
+// next mutated — needs no pin: a span keeps its evicted frame alive until it
+// is dropped. Writers hand the page they mutate back to BeforeWrite, which
+// re-installs it as the page's frame, so a page evicted between Get and the
+// write cannot take the write with it.
+//
+// Where an evicted page goes depends on the mode:
+//
+//   - memory mode (NewPager) with a bounded pool spills to a process-private
+//     page file (FS.CreateTemp), created on the first eviction of a dirty
+//     frame: the frame is written back first (steal — there is nothing to
+//     recover). An unbounded pool (capacity <= 0) never evicts and never
+//     creates a file.
+//   - file mode (OpenPagerFile) reads from the data file and is no-steal: a
+//     dirty frame stays resident until the checkpoint's FlushDirty writes it,
+//     so the data file changes only at checkpoints and durability stays the
+//     WAL (internal/wal) + checkpoint protocol driven by the engine. A dirty
+//     frame the LRU lets go of is held in memory, and charged as a miss on its
+//     next access like any page outside the pool.
 //
 // Sequentiality is tracked per stream: a read that continues any of the most
 // recently active read positions counts as sequential. This models the
@@ -74,18 +91,24 @@ func (s IOStats) Add(o IOStats) IOStats {
 // "last page" tracker would misclassify as entirely random.
 type Pager struct {
 	mu       sync.Mutex
-	pages    []*Page // index = PageID-1; the resident page set
-	capacity int     // buffer pool capacity in pages; <=0 means unbounded
-	cache    map[PageID]*list.Element
-	lru      *list.List // front = most recently used; stores PageID
-	streams  []PageID   // recent miss positions, most recent first
-	stats    IOStats
+	npages   int // pages allocated: the page file's high-water mark
+	capacity int // buffer pool capacity in pages; <=0 means unbounded
+	pool     map[PageID]*list.Element
+	lru      *list.List // the pool's frames (*Page), most recently used first
+	// held are the resident frames outside the pool: dirty frames the pool
+	// may not write back (no-steal, an unbounded pool, a failed write-back)
+	// and pages written or restored while out of it.
+	held    map[PageID]*Page
+	dirty   map[PageID]struct{} // frames whose bytes the page file lacks
+	streams []PageID            // recent miss positions, most recent first
+	stats   IOStats
 
-	// Durability state (file mode only; all nil/empty in memory mode).
-	file  *DataFile
-	dirty map[PageID]struct{} // written since last checkpoint flush
-	free  []PageID            // freed page ids available for reuse
-	stmt  *stmtState          // active statement's undo capture, or nil
+	file    *DataFile // the data file, or the spill file once created
+	durable bool      // file mode: no-steal, FlushDirty writes the data file
+	fs      FS        // where a memory-mode pool creates its spill file
+
+	free []PageID   // freed page ids available for reuse
+	stmt *stmtState // active statement's undo capture, or nil
 	// corrupt counts page slots whose checksum failed verification at open
 	// (they were subsequently overwritten by WAL replay or recovery failed).
 	corrupt int64
@@ -120,30 +143,36 @@ func (u *StmtUndo) Dirty() []PageID { return u.dirty }
 const maxStreams = 8
 
 // NewPager creates a memory-mode pager whose buffer pool holds up to capacity
-// pages. capacity <= 0 means the pool is unbounded (every page is read from
-// disk at most once until ResetCache is called).
-func NewPager(capacity int) *Pager {
+// pages. capacity <= 0 means the pool is unbounded: nothing is evicted, and
+// every page is charged as a read at most once until ResetCache is called.
+// A bounded pool spills to a temporary file of the real filesystem.
+func NewPager(capacity int) *Pager { return NewPagerFS(OSFS{}, capacity) }
+
+// NewPagerFS is NewPager with the spill file created on fsys.
+func NewPagerFS(fsys FS, capacity int) *Pager {
 	return &Pager{
 		capacity: capacity,
-		cache:    make(map[PageID]*list.Element),
+		pool:     make(map[PageID]*list.Element),
 		lru:      list.New(),
+		held:     make(map[PageID]*Page),
+		dirty:    make(map[PageID]struct{}),
+		fs:       fsys,
 	}
 }
 
-// OpenPagerFile opens a file-mode pager over the data file at name, loading
-// every page into memory. Pages whose checksum fails verification are
-// reported in corrupt; the caller must overwrite them via ApplyPageImage
-// (WAL replay) or fail recovery.
+// OpenPagerFile opens a file-mode pager over the data file at name, verifying
+// every slot's checksum; no page is read into the pool until it is accessed.
+// Slots whose checksum fails are reported in corrupt; the caller must
+// overwrite them via ApplyPageImage (WAL replay) or fail recovery.
 func OpenPagerFile(fsys FS, name string, capacity int) (p *Pager, corrupt []PageID, err error) {
-	df, pages, corrupt, err := OpenDataFile(fsys, name)
+	df, corrupt, err := OpenDataFile(fsys, name)
 	if err != nil {
 		return nil, nil, err
 	}
-	p = NewPager(capacity)
-	p.pages = pages
-	p.file = df
-	p.dirty = make(map[PageID]struct{})
-	p.stats.PagesAllocated = int64(len(pages))
+	p = NewPagerFS(fsys, capacity)
+	p.file, p.durable = df, true
+	p.npages = int(df.pageCount)
+	p.stats.PagesAllocated = int64(p.npages)
 	p.corrupt = int64(len(corrupt))
 	return p, corrupt, nil
 }
@@ -157,52 +186,57 @@ func (p *Pager) CorruptPages() int64 {
 	return p.corrupt
 }
 
-// Resident returns the number of pages currently resident in the buffer
-// pool: the LRU population for a bounded pool, every allocated page for an
-// unbounded one.
+// Resident returns the number of pages in memory: the pool's frames plus the
+// dirty frames held outside it.
 func (p *Pager) Resident() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.capacity > 0 {
-		return p.lru.Len()
-	}
-	return len(p.pages)
+	return p.lru.Len() + len(p.held)
 }
 
-// FileBacked reports whether the pager has a data file behind it.
-func (p *Pager) FileBacked() bool { return p.file != nil }
-
 // Allocate creates a new zeroed page and returns it, reusing a freed page id
-// when one is available. The page is immediately resident in the buffer pool.
-func (p *Pager) Allocate() *Page {
+// when one is available. The page enters the buffer pool, which may evict
+// another to make room; if that eviction's write-back fails, nothing is
+// allocated and the error is returned.
+func (p *Pager) Allocate() (*Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var pg *Page
-	if n := len(p.free); n > 0 {
-		id := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.captureUndo(id)
-		pg = newPage(id)
-		p.pages[id-1] = pg
+	id, reuse := PageID(p.npages+1), len(p.free) > 0
+	if reuse {
+		id = p.free[len(p.free)-1]
+		// A freed page's bytes are not dead: when a discarded commit group
+		// rolls back this statement and then the earlier one that freed the
+		// page, the page goes back to its owner with the bytes captured here.
+		if p.undoPending(id) {
+			old, err := p.frame(id)
+			if err != nil {
+				return nil, err
+			}
+			p.captureUndo(old)
+		}
+	}
+	pg := newPage(id)
+	if err := p.admit(pg); err != nil {
+		return nil, err
+	}
+	if reuse {
+		p.free = p.free[:len(p.free)-1]
 	} else {
-		id := PageID(len(p.pages) + 1)
-		pg = newPage(id)
-		p.pages = append(p.pages, pg)
+		p.npages++
 	}
 	p.stats.PagesAllocated++
 	p.stats.PageWrites++
-	p.markDirtyLocked(pg.id)
-	p.admit(pg.id)
-	return pg
+	p.markDirtyLocked(id)
+	return pg, nil
 }
 
 // FreePage returns a page id to the freelist for reuse by later allocations.
-// The page's memory stays resident (existing iterators may still alias it)
-// until the id is reallocated.
+// Existing iterators may still alias the page's frame; it lives until they
+// drop it.
 func (p *Pager) FreePage(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if id == InvalidPageID || int(id) > len(p.pages) {
+	if id == InvalidPageID || int(id) > p.npages {
 		return
 	}
 	p.free = append(p.free, id)
@@ -221,26 +255,31 @@ func (p *Pager) SetFreeList(ids []PageID) {
 	defer p.mu.Unlock()
 	p.free = p.free[:0]
 	for _, id := range ids {
-		if id != InvalidPageID && int(id) <= len(p.pages) {
+		if id != InvalidPageID && int(id) <= p.npages {
 			p.free = append(p.free, id)
 		}
 	}
 }
 
 // Get returns the page with the given id, charging a read if it is not in
-// the buffer pool. An unknown id returns an error: page ids normally only
-// come from the pager itself, but a corrupt data file or a bug must fail the
-// query, not the process.
+// the buffer pool and reading it from the page file if it is not in memory.
+// An unknown id or a slot that fails its checksum returns an error: page ids
+// normally only come from the pager itself, but a corrupt data file or a bug
+// must fail the query, not the process.
 func (p *Pager) Get(id PageID) (*Page, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if id == InvalidPageID || int(id) > len(p.pages) {
-		return nil, fmt.Errorf("storage: get of unknown page %d (have %d)", id, len(p.pages))
-	}
-	if el, ok := p.cache[id]; ok {
+	if el, ok := p.pool[id]; ok {
 		p.lru.MoveToFront(el)
 		p.stats.CacheHits++
-		return p.pages[id-1], nil
+		return el.Value.(*Page), nil
+	}
+	pg, err := p.frame(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := p.admit(pg); err != nil {
+		return nil, err
 	}
 	p.stats.PageReads++
 	if p.extendsStream(id) {
@@ -248,8 +287,26 @@ func (p *Pager) Get(id PageID) (*Page, error) {
 	} else {
 		p.stats.RandReads++
 	}
-	p.admit(id)
-	return p.pages[id-1], nil
+	return pg, nil
+}
+
+// frame returns page id's resident frame, or reads it from the page file
+// into a new one, touching neither the pool nor the statistics. Caller holds
+// p.mu.
+func (p *Pager) frame(id PageID) (*Page, error) {
+	if id == InvalidPageID || int(id) > p.npages {
+		return nil, fmt.Errorf("storage: get of unknown page %d (have %d)", id, p.npages)
+	}
+	if el, ok := p.pool[id]; ok {
+		return el.Value.(*Page), nil
+	}
+	if pg, ok := p.held[id]; ok {
+		return pg, nil
+	}
+	if p.file == nil {
+		return nil, fmt.Errorf("storage: page %d is neither resident nor in a page file", id)
+	}
+	return p.file.ReadPage(id)
 }
 
 // PageData returns the raw bytes of a page without touching the buffer-pool
@@ -257,10 +314,11 @@ func (p *Pager) Get(id PageID) (*Page, error) {
 func (p *Pager) PageData(id PageID) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if id == InvalidPageID || int(id) > len(p.pages) {
-		return nil, fmt.Errorf("storage: get of unknown page %d (have %d)", id, len(p.pages))
+	pg, err := p.frame(id)
+	if err != nil {
+		return nil, err
 	}
-	return p.pages[id-1].data, nil
+	return pg.data, nil
 }
 
 // extendsStream reports whether the missed page continues one of the tracked
@@ -281,57 +339,118 @@ func (p *Pager) extendsStream(id PageID) bool {
 	return false
 }
 
-// admit inserts id into the buffer pool, evicting the least recently used
-// page if the pool is full. Caller holds p.mu.
-func (p *Pager) admit(id PageID) {
-	if el, ok := p.cache[id]; ok {
+// admit makes pg the most recently used frame of the pool, first evicting the
+// least recently used one if the pool is full. If the eviction's write-back
+// fails, pg is not admitted and the error is returned. Caller holds p.mu.
+func (p *Pager) admit(pg *Page) error {
+	if el, ok := p.pool[pg.id]; ok {
+		el.Value = pg
 		p.lru.MoveToFront(el)
-		return
+		return nil
 	}
-	p.cache[id] = p.lru.PushFront(id)
-	if p.capacity > 0 && p.lru.Len() > p.capacity {
-		back := p.lru.Back()
-		evicted := back.Value.(PageID)
-		p.lru.Remove(back)
-		delete(p.cache, evicted)
+	if p.capacity > 0 && p.lru.Len() >= p.capacity {
+		if err := p.evict(p.lru.Back()); err != nil {
+			return err
+		}
 	}
+	delete(p.held, pg.id)
+	p.pool[pg.id] = p.lru.PushFront(pg)
+	return nil
 }
 
-// BeforeWrite declares that the caller is about to mutate the page. It
-// charges a page write, records the page dirty for the next checkpoint, and —
-// when a statement is open — captures the page's pre-image the first time the
+// evict takes the frame at el out of the pool. Caller holds p.mu.
+func (p *Pager) evict(el *list.Element) error {
+	pg := p.lru.Remove(el).(*Page)
+	delete(p.pool, pg.id)
+	return p.release(pg)
+}
+
+// release lets go of a frame outside the pool. A clean frame is dropped: the
+// page file holds its bytes. A dirty one is written back first when the pool
+// may steal (memory mode, bounded); otherwise — or when the write-back fails,
+// which loses nothing — it stays resident, held. Caller holds p.mu.
+func (p *Pager) release(pg *Page) error {
+	if _, dirty := p.dirty[pg.id]; dirty {
+		if p.durable || p.capacity <= 0 {
+			p.held[pg.id] = pg
+			return nil
+		}
+		if err := p.writeBack(pg); err != nil {
+			p.held[pg.id] = pg
+			return err
+		}
+	}
+	delete(p.held, pg.id)
+	return nil
+}
+
+// writeBack writes a memory-mode frame to the spill file, creating the file
+// on first use. Caller holds p.mu.
+func (p *Pager) writeBack(pg *Page) error {
+	if p.file == nil {
+		f, err := p.fs.CreateTemp()
+		if err != nil {
+			return fmt.Errorf("storage: create spill file: %w", err)
+		}
+		df, _, err := openDataFile(f, "spill")
+		if err != nil {
+			f.Close()
+			return fmt.Errorf("storage: create spill file: %w", err)
+		}
+		p.file = df
+	}
+	if err := p.file.WritePage(pg); err != nil {
+		return fmt.Errorf("storage: spill page %d: %w", pg.id, err)
+	}
+	delete(p.dirty, pg.id)
+	return nil
+}
+
+// BeforeWrite declares that the caller is about to mutate pg. It charges a
+// page write, records the page dirty, re-installs pg as the page's frame —
+// the pool may have evicted it since the caller's Get — and, when a
+// statement is open, captures the page's pre-image the first time the
 // statement touches it, so the statement can be rolled back. Callers must
-// invoke it before the mutation, not after.
-func (p *Pager) BeforeWrite(id PageID) {
+// invoke it before the mutation, not after. It leaves the pool's LRU as it
+// is, so it never evicts.
+func (p *Pager) BeforeWrite(pg *Page) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.PageWrites++
-	p.captureUndo(id)
-	p.markDirtyLocked(id)
+	p.captureUndo(pg)
+	p.markDirtyLocked(pg.id)
+	if el, ok := p.pool[pg.id]; ok {
+		el.Value = pg
+	} else {
+		p.held[pg.id] = pg
+	}
 }
 
-// captureUndo snapshots the page's current content into the open statement's
-// undo record if the page predates the statement and has not been captured
-// yet. Caller holds p.mu.
-func (p *Pager) captureUndo(id PageID) {
+// captureUndo snapshots pg's current content into the open statement's undo
+// record if the page predates the statement and has not been captured yet.
+// Caller holds p.mu.
+func (p *Pager) captureUndo(pg *Page) {
+	if p.undoPending(pg.id) {
+		p.stmt.pre[pg.id] = slices.Clone(pg.data)
+	}
+}
+
+// undoPending reports whether the open statement still lacks a pre-image of
+// page id: there is a statement, the page predates it, and it has not been
+// captured yet. Caller holds p.mu.
+func (p *Pager) undoPending(id PageID) bool {
 	s := p.stmt
 	if s == nil || int(id) > s.startPages {
-		return // no statement, or page allocated by this statement
+		return false
 	}
-	if _, ok := s.pre[id]; ok {
-		return
-	}
-	img := make([]byte, PageSize)
-	copy(img, p.pages[id-1].data)
-	s.pre[id] = img
+	_, ok := s.pre[id]
+	return !ok
 }
 
-// markDirtyLocked adds id to the checkpoint dirty set and the open
-// statement's write set. Caller holds p.mu.
+// markDirtyLocked adds id to the dirty set and the open statement's write
+// set. Caller holds p.mu.
 func (p *Pager) markDirtyLocked(id PageID) {
-	if p.dirty != nil {
-		p.dirty[id] = struct{}{}
-	}
+	p.dirty[id] = struct{}{}
 	if s := p.stmt; s != nil {
 		if _, ok := s.dirtySet[id]; !ok {
 			s.dirtySet[id] = struct{}{}
@@ -352,7 +471,7 @@ func (p *Pager) BeginStmt() {
 	p.stmt = &stmtState{
 		pre:        make(map[PageID][]byte, 8),
 		dirtySet:   make(map[PageID]struct{}, 8),
-		startPages: len(p.pages),
+		startPages: p.npages,
 		startFree:  append([]PageID(nil), p.free...),
 	}
 }
@@ -396,23 +515,35 @@ func (p *Pager) Rollback(u *StmtUndo) {
 
 func (p *Pager) rollbackLocked(u *StmtUndo) {
 	for id, img := range u.pre {
-		if int(id) <= len(p.pages) {
-			copy(p.pages[id-1].data, img)
+		if int(id) <= u.startPages {
+			p.restore(id, img)
 		}
 	}
-	for i := u.startPages; i < len(p.pages); i++ {
+	for i := u.startPages; i < p.npages; i++ {
 		id := PageID(i + 1)
-		if el, ok := p.cache[id]; ok {
+		if el, ok := p.pool[id]; ok {
 			p.lru.Remove(el)
-			delete(p.cache, id)
+			delete(p.pool, id)
 		}
-		if p.dirty != nil {
-			delete(p.dirty, id)
-		}
+		delete(p.held, id)
+		delete(p.dirty, id)
 	}
-	p.pages = p.pages[:u.startPages]
+	p.npages = u.startPages
 	p.free = append(p.free[:0], u.startFree...)
 	p.streams = nil
+}
+
+// restore puts a page image back: into the resident frame, where readers see
+// it, or into a new frame held dirty outside the pool. Caller holds p.mu.
+func (p *Pager) restore(id PageID, img []byte) {
+	if el, ok := p.pool[id]; ok {
+		copy(el.Value.(*Page).data, img)
+	} else if pg, ok := p.held[id]; ok {
+		copy(pg.data, img)
+	} else {
+		p.held[id] = &Page{id: id, data: slices.Clone(img)}
+	}
+	p.dirty[id] = struct{}{}
 }
 
 // ApplyPageImage installs a full page image (WAL replay). Missing slots up to
@@ -424,51 +555,48 @@ func (p *Pager) ApplyPageImage(id PageID, data []byte) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for int(id) > len(p.pages) {
-		nid := PageID(len(p.pages) + 1)
-		p.pages = append(p.pages, newPage(nid))
+	for int(id) > p.npages {
+		p.npages++
 		p.stats.PagesAllocated++
 	}
-	copy(p.pages[id-1].data, data)
-	if p.dirty == nil {
-		p.dirty = make(map[PageID]struct{})
-	}
-	p.dirty[id] = struct{}{}
+	p.restore(id, data)
 	return nil
 }
 
-// DirtyCount returns the number of pages written since the last checkpoint.
-func (p *Pager) DirtyCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.dirty)
-}
-
-// FlushDirty writes every dirty page to the data file and syncs it (the
-// checkpoint's page-flush step). On success the dirty set is cleared. It is
-// a no-op in memory mode.
+// FlushDirty writes every dirty page to the data file in page order and syncs
+// it (the checkpoint's page-flush step). On success the dirty set is cleared
+// and the frames held outside the pool are let go. It is a no-op in memory
+// mode.
 func (p *Pager) FlushDirty() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.file == nil {
+	if !p.durable || p.file == nil {
 		return nil
 	}
+	ids := make([]PageID, 0, len(p.dirty))
 	for id := range p.dirty {
-		if int(id) > len(p.pages) {
-			continue // rolled-back allocation
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		pg, err := p.frame(id)
+		if err != nil {
+			return err
 		}
-		if err := p.file.WritePage(p.pages[id-1]); err != nil {
+		if err := p.file.WritePage(pg); err != nil {
 			return err
 		}
 	}
 	if err := p.file.Sync(); err != nil {
 		return err
 	}
-	p.dirty = make(map[PageID]struct{})
+	clear(p.dirty)
+	clear(p.held)
 	return nil
 }
 
-// CloseFile closes the data file (without flushing). Safe in memory mode.
+// CloseFile closes the data or spill file (without flushing). Safe in memory
+// mode. The pager must not be used afterwards.
 func (p *Pager) CloseFile() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -480,22 +608,37 @@ func (p *Pager) CloseFile() error {
 	return err
 }
 
-// VerifyChecksums recomputes nothing in memory (pages are authoritative) but
-// re-reads the data file and reports pages whose on-disk checksum fails.
-// Intended for tests that assert post-checkpoint invariants.
+// VerifyChecksums re-reads the data file at name and reports the pages whose
+// on-disk checksum fails. Intended for tests that assert post-checkpoint
+// invariants.
 func (p *Pager) VerifyChecksums(fsys FS, name string) ([]PageID, error) {
-	_, _, corrupt, err := OpenDataFile(fsys, name)
-	return corrupt, err
+	df, corrupt, err := OpenDataFile(fsys, name)
+	if err != nil {
+		return nil, err
+	}
+	return corrupt, df.Close()
 }
 
 // ResetCache empties the buffer pool so that subsequent accesses behave as a
-// cold run, and forgets sequentiality state. Statistics are not reset.
+// cold run, and forgets sequentiality state. Statistics are not reset. The
+// frames leave memory as evictions do; a write-back that fails keeps its
+// frame, and the next eviction retries it.
 func (p *Pager) ResetCache() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.cache = make(map[PageID]*list.Element)
-	p.lru = list.New()
+	for p.lru.Len() > 0 {
+		_ = p.evict(p.lru.Back())
+	}
+	p.releaseHeld()
 	p.streams = nil
+}
+
+// releaseHeld offers every held frame to release again: the ones a checkpoint
+// has cleaned or the pool may now steal leave memory. Caller holds p.mu.
+func (p *Pager) releaseHeld() {
+	for _, pg := range p.held {
+		_ = p.release(pg)
+	}
 }
 
 // ResetStats zeroes the I/O counters (but keeps the buffer pool contents).
@@ -517,20 +660,18 @@ func (p *Pager) Stats() IOStats {
 func (p *Pager) NumPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.pages)
+	return p.npages
 }
 
-// SetCapacity changes the buffer pool capacity. Shrinking evicts LRU pages.
+// SetCapacity changes the buffer pool capacity. Shrinking evicts LRU pages,
+// and bounding an unbounded pool lets its held frames go, both as ResetCache
+// does.
 func (p *Pager) SetCapacity(capacity int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.capacity = capacity
-	if capacity <= 0 {
-		return
+	for capacity > 0 && p.lru.Len() > capacity {
+		_ = p.evict(p.lru.Back())
 	}
-	for p.lru.Len() > capacity {
-		back := p.lru.Back()
-		delete(p.cache, back.Value.(PageID))
-		p.lru.Remove(back)
-	}
+	p.releaseHeld()
 }

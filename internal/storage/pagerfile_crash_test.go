@@ -29,7 +29,10 @@ func TestCrashDataFileChecksumDetectsCorruption(t *testing.T) {
 	}
 	var ids []storage.PageID
 	for i := 0; i < 4; i++ {
-		pg := p.Allocate()
+		pg, err := p.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, ok := pg.InsertRecord([]byte(fmt.Sprintf("record-%d", i)), 0); !ok {
 			t.Fatal("insert failed")
 		}

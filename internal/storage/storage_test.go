@@ -96,7 +96,7 @@ func TestPagerAllocationAndStats(t *testing.T) {
 	pg := NewPager(0)
 	var ids []PageID
 	for i := 0; i < 10; i++ {
-		ids = append(ids, pg.Allocate().ID())
+		ids = append(ids, mustAllocate(t, pg).ID())
 	}
 	if pg.NumPages() != 10 {
 		t.Fatalf("NumPages = %d", pg.NumPages())
@@ -126,7 +126,7 @@ func TestPagerAllocationAndStats(t *testing.T) {
 	big := NewPager(0)
 	var bigIDs []PageID
 	for i := 0; i < 400; i++ {
-		bigIDs = append(bigIDs, big.Allocate().ID())
+		bigIDs = append(bigIDs, mustAllocate(t, big).ID())
 	}
 	big.ResetCache()
 	big.ResetStats()
@@ -146,7 +146,7 @@ func TestPagerInterleavedStreamsAreSequential(t *testing.T) {
 	pg := NewPager(0)
 	var ids []PageID
 	for i := 0; i < 200; i++ {
-		ids = append(ids, pg.Allocate().ID())
+		ids = append(ids, mustAllocate(t, pg).ID())
 	}
 	pg.ResetCache()
 	pg.ResetStats()
@@ -163,9 +163,10 @@ func TestPagerInterleavedStreamsAreSequential(t *testing.T) {
 
 func TestPagerEviction(t *testing.T) {
 	pg := NewPager(2)
-	a := pg.Allocate().ID()
-	b := pg.Allocate().ID()
-	c := pg.Allocate().ID() // evicts a
+	defer pg.CloseFile()
+	a := mustAllocate(t, pg).ID()
+	b := mustAllocate(t, pg).ID()
+	c := mustAllocate(t, pg).ID() // evicts a
 	pg.ResetStats()
 	pg.Get(c)
 	pg.Get(b)
@@ -210,6 +211,17 @@ func TestIOStatsArithmetic(t *testing.T) {
 	if sum != a {
 		t.Errorf("Add(Sub) != original: %+v", sum)
 	}
+}
+
+// mustAllocate unwraps Allocate's write-back error: in these tests a failed
+// spill write is a harness failure, not a condition under test.
+func mustAllocate(t testing.TB, p *Pager) *Page {
+	t.Helper()
+	pg, err := p.Allocate()
+	if err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	return pg
 }
 
 // heapRecord is the test record of row i.
