@@ -865,7 +865,8 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		firstKeys [][]byte
 		cur       []entry
 		curSize   nodeSize
-		prevKey   []byte
+		arena     []byte // the current leaf's keys and payloads, end to end
+		last      []byte // the previous key, in the arena until the next copy
 		n         int64
 	)
 	flushLeaf := func() error {
@@ -890,7 +891,8 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		} else {
 			firstKeys = append(firstKeys, nil)
 		}
-		cur, curSize = nil, nodeSize{}
+		// The leaf is written: its entries, and the arena under them, are free.
+		cur, curSize, arena = cur[:0], nodeSize{}, arena[:0]
 		return nil
 	}
 	for {
@@ -898,17 +900,21 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		if !ok {
 			break
 		}
-		if prevKey != nil && bytes.Compare(key, prevKey) < 0 {
+		if n > 0 && bytes.Compare(key, last) < 0 {
 			return fmt.Errorf("btree: bulk load input not sorted")
 		}
-		prevKey = append(prevKey[:0], key...)
-		e := entry{key: append([]byte(nil), key...), val: append([]byte(nil), val...)}
+		e := entry{key: key, val: val}
 		if len(cur) > 0 && curSize.with(e, t.overhead).total() > target {
 			if err := flushLeaf(); err != nil {
 				return err
 			}
 		}
-		cur = append(cur, e)
+		// The caller may reuse key and val: copy both into the leaf's arena.
+		// An entry made before the arena grew keeps the old array alive.
+		at := len(arena)
+		arena = append(append(arena, key...), val...)
+		e = entry{key: arena[at : at+len(key) : at+len(key)], val: arena[at+len(key) : len(arena) : len(arena)]}
+		cur, last = append(cur, e), e.key
 		curSize.add(e, t.overhead)
 		n++
 	}

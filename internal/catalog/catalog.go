@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"sync"
 
 	"oldelephant/internal/btree"
+	"oldelephant/internal/keysort"
 	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
@@ -467,11 +469,13 @@ func (t *Table) Insert(row []value.Value) error {
 	if err != nil {
 		return err
 	}
-	return t.insertStored(row)
+	_, err = t.insertStored(row)
+	return err
 }
 
-// insertStored is Insert for a row storedRow has already vetted.
-func (t *Table) insertStored(row []value.Value) error {
+// insertStored is Insert for a row storedRow has already vetted. It returns
+// the row's locator.
+func (t *Table) insertStored(row []value.Value) ([]byte, error) {
 	var scratch []value.Value
 	var locator []byte
 	if t.Clustered != nil {
@@ -483,92 +487,166 @@ func (t *Table) insertStored(row []value.Value) error {
 			return locator, err
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 	} else {
 		rid, err := t.heap.Insert(t.layout.encodePayload(nil, row, &scratch))
 		if err != nil {
-			return err
+			return nil, err
 		}
 		locator = ridLocator(rid)
 	}
 	for _, ix := range t.Secondary {
 		if err := ix.tree.Insert(ix.entryKey(row, locator), ix.layout.encodePayload(nil, row, &scratch)); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	t.Stats.observe(row)
-	return nil
+	return locator, nil
 }
 
-// BulkLoad loads many rows at once. For clustered tables the rows are sorted
-// by the clustered key and bulk-loaded bottom-up, which is dramatically
-// faster than repeated inserts; secondary indexes are rebuilt the same way.
-// No row is stored unless every row is acceptable.
-func (t *Table) BulkLoad(rows [][]value.Value) error {
-	type keyed struct {
-		key []byte
-		row []value.Value
-		seq int
+// IndexDef names a secondary index for Table.BulkLoad to create once the rows
+// are stored: the same index CreateIndex makes, built from the rows in hand.
+type IndexDef struct {
+	Name             string
+	Columns, Include []string
+	Unique           bool
+}
+
+// BulkLoad loads many rows into an empty table at once, then creates the
+// indexes defs names. A clustered table's rows are put in clustered-key order
+// — sorted only if they do not arrive in it, rows sharing a key in input
+// order, as repeated Inserts would keep them — and bulk-loaded bottom-up,
+// which is dramatically faster than repeated inserts. Every secondary index,
+// existing or new, is built the same way from the stored rows in hand; the
+// table is never read back. No row is stored unless every row is acceptable,
+// and a table that already holds rows is refused untouched: a bulk load
+// replaces a tree's root, so it would orphan the rows already there.
+func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
+	if n := t.RowCount(); n > 0 {
+		return fmt.Errorf("catalog: bulk load into table %q, which already holds %d rows", t.Name, n)
 	}
-	items := make([]keyed, len(rows))
-	for i, row := range rows {
-		row, err := t.storedRow(row)
+	added := make([]*Index, 0, len(defs))
+	for _, def := range defs {
+		ix, err := t.indexFor(def, added)
 		if err != nil {
 			return err
 		}
-		items[i] = keyed{row: row, seq: i}
+		added = append(added, ix)
 	}
-	if t.Clustered == nil {
-		for _, it := range items {
-			if err := t.insertStored(it.row); err != nil {
+	stored := make([][]value.Value, len(rows))
+	for i, row := range rows {
+		var err error
+		if stored[i], err = t.storedRow(row); err != nil {
+			return err
+		}
+	}
+	// A heap keeps its existing indexes row by row, as Insert does.
+	indexes := added
+	load := t.loadHeap
+	if t.Clustered != nil {
+		indexes, load = slices.Concat(t.Secondary, added), t.loadClustered
+	}
+	prepared, err := load(stored, indexes)
+	if err != nil {
+		return err
+	}
+	// The indexes' trees are filled one after another, existing ones first,
+	// so their pages are allocated in the order CREATE INDEX would.
+	for i, ix := range indexes {
+		if ix.tree == nil {
+			if ix.tree, err = btree.New(t.catalog.pager, t.catalog.overhead); err != nil {
 				return err
 			}
 		}
-		return nil
-	}
-	for i := range items {
-		items[i].key = t.bareKey(items[i].row)
-	}
-	// Rows sharing a key keep their input order, as repeated Inserts would.
-	slices.SortFunc(items, func(a, b keyed) int {
-		if c := bytes.Compare(a.key, b.key); c != 0 {
-			return c
-		}
-		return a.seq - b.seq
-	})
-	// Sorted input makes the previous row the predecessor Insert would find.
-	for i := 1; i < len(items); i++ {
-		key, err := uniquify(items[i].key, items[i-1].key)
-		if err != nil {
+		if err := ix.fill(prepared[i]); err != nil {
 			return err
 		}
-		items[i].key = key
+	}
+	if len(added) > 0 {
+		t.Secondary = append(t.Secondary, added...)
+		t.initLayouts() // the new key columns join the coerced set
+	}
+	return nil
+}
+
+// loadHeap inserts stored rows into an empty heap table and returns the
+// entries of indexes, built from the rows in hand.
+func (t *Table) loadHeap(stored [][]value.Value, indexes []*Index) ([]*entries, error) {
+	locs := make([][]byte, len(stored))
+	for i, row := range stored {
+		var err error
+		if locs[i], err = t.insertStored(row); err != nil {
+			return nil, err
+		}
+	}
+	prepared := make([]*entries, len(indexes))
+	for i, ix := range indexes {
+		var err error
+		if prepared[i], err = ix.entries(stored, locs); err != nil {
+			return nil, err
+		}
+	}
+	return prepared, nil
+}
+
+// loadClustered bulk-loads the clustered tree of an empty table with stored
+// rows and returns the entries of indexes, built from the rows in hand. Only
+// the tree's build allocates pages: the statistics and every index's entries
+// are worked out beside it, on other goroutines.
+func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entries, error) {
+	keys := keysort.New(len(stored), 9*len(t.Clustered.KeyColumns))
+	for _, row := range stored {
+		for _, ord := range t.Clustered.KeyColumns {
+			keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
+		}
+		keys.End()
+	}
+	order := keys.Order()
+	rows := make([][]value.Value, len(order))
+	locs := make([][]byte, len(order))
+	for i, p := range order {
+		rows[i], locs[i] = stored[p], keys.Key(p)
+		if i > 0 {
+			// Sorted input makes the previous row the predecessor Insert would find.
+			var err error
+			if locs[i], err = uniquify(locs[i], locs[i-1]); err != nil {
+				return nil, err
+			}
+		}
+	}
+	prepared := make([]*entries, len(indexes))
+	errs := make([]error, len(indexes))
+	var wg sync.WaitGroup
+	wg.Add(1 + len(indexes))
+	go func() {
+		defer wg.Done()
+		for _, row := range rows {
+			t.Stats.observe(row)
+		}
+	}()
+	for i, ix := range indexes {
+		go func() {
+			defer wg.Done()
+			prepared[i], errs[i] = ix.entries(rows, locs)
+		}()
 	}
 	var scratch []value.Value
 	var payload []byte
 	i := 0
 	err := t.Clustered.tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(items) {
+		if i >= len(rows) {
 			return nil, nil, false
 		}
-		it := items[i]
+		payload = t.layout.encodePayload(payload[:0], rows[i], &scratch)
 		i++
-		payload = t.layout.encodePayload(payload[:0], it.row, &scratch)
-		return it.key, payload, true
+		return locs[i-1], payload, true
 	}, 0.95)
-	if err != nil {
-		return err
+	wg.Wait()
+	for _, e := range errs {
+		err = cmp.Or(err, e)
 	}
-	for i := range items {
-		t.Stats.observe(items[i].row)
-	}
-	for _, idx := range t.Secondary {
-		if err := idx.rebuild(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return prepared, err
 }
 
 // Range is the one access-path descriptor of the storage layer: a key-prefix
@@ -941,37 +1019,53 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 	if err != nil {
 		return nil, err
 	}
-	for _, idx := range t.Secondary {
-		if strings.EqualFold(idx.Name, name) {
-			return nil, fmt.Errorf("catalog: index %q already exists on %q", name, tableName)
-		}
-	}
-	keyOrds, err := t.ordinals(keyCols)
+	idx, err := t.indexFor(IndexDef{Name: name, Columns: keyCols, Include: includeCols, Unique: unique}, nil)
 	if err != nil {
 		return nil, err
 	}
-	inclOrds, err := t.ordinals(includeCols)
+	if idx.tree, err = btree.New(c.pager, c.overhead); err != nil {
+		return nil, err
+	}
+	rows, locs, err := t.scanStored()
 	if err != nil {
 		return nil, err
 	}
-	tree, err := btree.New(c.pager, c.overhead)
+	es, err := idx.entries(rows, locs)
 	if err != nil {
 		return nil, err
 	}
-	idx := &Index{
-		Name:            name,
-		Table:           t,
-		KeyColumns:      keyOrds,
-		IncludedColumns: inclOrds,
-		Unique:          unique,
-		tree:            tree,
-	}
-	idx.initLayout()
-	if err := idx.rebuild(); err != nil {
+	if err := idx.fill(es); err != nil {
 		return nil, err
 	}
 	t.Secondary = append(t.Secondary, idx)
 	t.initLayouts() // the new key columns join the coerced set
+	return idx, nil
+}
+
+// indexFor resolves def against the table (and the indexes pending beside
+// it) into an index with its layout but no tree yet.
+func (t *Table) indexFor(def IndexDef, pending []*Index) (*Index, error) {
+	for _, idx := range slices.Concat(t.Secondary, pending) {
+		if strings.EqualFold(idx.Name, def.Name) {
+			return nil, fmt.Errorf("catalog: index %q already exists on %q", def.Name, t.Name)
+		}
+	}
+	keyOrds, err := t.ordinals(def.Columns)
+	if err != nil {
+		return nil, err
+	}
+	inclOrds, err := t.ordinals(def.Include)
+	if err != nil {
+		return nil, err
+	}
+	idx := &Index{
+		Name:            def.Name,
+		Table:           t,
+		KeyColumns:      keyOrds,
+		IncludedColumns: inclOrds,
+		Unique:          def.Unique,
+	}
+	idx.initLayout()
 	return idx, nil
 }
 
@@ -1037,33 +1131,9 @@ func (ix *Index) entryKey(row []value.Value, locator []byte) []byte {
 	return append(key, locator...)
 }
 
-// rebuild reconstructs the index from the base table in one pass and a bulk
-// load. Rows stored before the index existed already hold every value in its
-// declared kind where one exists (see Table.storedRow); a key-column value
-// that has none — which the table took while the column was no key — is an
-// error.
-func (ix *Index) rebuild() error {
-	type item struct {
-		key     []byte
-		payload []byte
-		locLen  int
-	}
-	t := ix.Table
-	var items []item
+// scanStored reads every stored row back with its locator, in storage order.
+func (t *Table) scanStored() (rows [][]value.Value, locs [][]byte, err error) {
 	var scratch []value.Value
-	add := func(row []value.Value, locator []byte) error {
-		for _, ord := range ix.KeyColumns {
-			if _, _, err := value.CoerceKeyValue(row[ord], t.Columns[ord].Kind); err != nil {
-				return fmt.Errorf("catalog: index %q on column %q: %w", ix.Name, t.Columns[ord].Name, err)
-			}
-		}
-		items = append(items, item{
-			key:     ix.entryKey(row, locator),
-			payload: ix.layout.encodePayload(nil, row, &scratch),
-			locLen:  len(locator),
-		})
-		return nil
-	}
 	if t.Clustered != nil {
 		// A clustered row's locator is its tree key, read as it is stored.
 		cur := t.Scan()
@@ -1071,52 +1141,85 @@ func (ix *Index) rebuild() error {
 		for cur.NextSpans(key[:], payload[:]) == 1 {
 			row, err := t.layout.decodeRow(key[0], payload[0], &scratch)
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			if err := add(row, key[0]); err != nil {
-				return err
-			}
+			rows, locs = append(rows, row), append(locs, bytes.Clone(key[0]))
 		}
-		if err := cur.Err(); err != nil {
-			return err
+		return rows, locs, cur.Err()
+	}
+	hit := t.heap.Scan()
+	for {
+		rec, rid, ok := hit.NextRecord()
+		if !ok {
+			break
 		}
-	} else {
-		hit := t.heap.Scan()
-		for {
-			rec, rid, ok := hit.NextRecord()
-			if !ok {
-				break
-			}
-			row, err := t.layout.decodeRow(nil, rec, &scratch)
-			if err != nil {
-				return err
-			}
-			if err := add(row, ridLocator(rid)); err != nil {
-				return err
-			}
+		row, err := t.layout.decodeRow(nil, rec, &scratch)
+		if err != nil {
+			return nil, nil, err
 		}
-		if err := hit.Err(); err != nil {
-			return err
+		rows, locs = append(rows, row), append(locs, ridLocator(rid))
+	}
+	return rows, locs, hit.Err()
+}
+
+// entries is an index's bulk-load input: one entry per stored row, its key
+// and payload encoded once into two arenas, and the order to load them in.
+type entries struct {
+	keys, payloads *keysort.Keys
+	order          []int
+}
+
+// entries encodes the index's entries for stored rows, locs[i] being row i's
+// locator, and orders them — sorted only if they do not already arrive in
+// order, as they do when the key columns ascend with the clustered key (a
+// c-table's depth-0 v along f). Rows stored before the index existed already
+// hold every value in its declared kind where one exists (see
+// Table.storedRow); a key-column value that has none — which the table took
+// while the column was no key — is an error. It reads the rows and the index
+// definition only, so it may run beside other work on the table.
+func (ix *Index) entries(rows [][]value.Value, locs [][]byte) (*entries, error) {
+	t := ix.Table
+	width := 9 * len(ix.KeyColumns)
+	if len(locs) > 0 {
+		width += len(locs[0])
+	}
+	es := &entries{keys: keysort.New(len(rows), width), payloads: keysort.New(len(rows), 0)}
+	var scratch []value.Value
+	for i, row := range rows {
+		for _, ord := range ix.KeyColumns {
+			if _, _, err := value.CoerceKeyValue(row[ord], t.Columns[ord].Kind); err != nil {
+				return nil, fmt.Errorf("catalog: index %q on column %q: %w", ix.Name, t.Columns[ord].Name, err)
+			}
+			es.keys.Buf = value.AppendStoredKeyValue(es.keys.Buf, row[ord])
 		}
+		es.keys.Buf = append(es.keys.Buf, locs[i]...)
+		es.keys.End()
+		es.payloads.Buf = ix.layout.encodePayload(es.payloads.Buf, row, &scratch)
+		es.payloads.End() // a byte-string list, never sorted
 	}
 	// Locators are unique, so the keys are too and any sort is stable.
-	slices.SortFunc(items, func(a, b item) int { return bytes.Compare(a.key, b.key) })
+	es.order = es.keys.Order()
 	if ix.Unique && len(ix.KeyColumns) > 0 {
 		// Uniqueness is on the key columns: the encoded key minus its locator.
-		for i := 1; i < len(items); i++ {
-			a, b := items[i-1], items[i]
-			if bytes.Equal(a.key[:len(a.key)-a.locLen], b.key[:len(b.key)-b.locLen]) {
-				return fmt.Errorf("catalog: duplicate key in unique index %q", ix.Name)
+		for i := 1; i < len(es.order); i++ {
+			a, b := es.keys.Key(es.order[i-1]), es.keys.Key(es.order[i])
+			if bytes.Equal(a[:len(a)-len(locs[es.order[i-1]])], b[:len(b)-len(locs[es.order[i]])]) {
+				return nil, fmt.Errorf("catalog: duplicate key in unique index %q", ix.Name)
 			}
 		}
 	}
+	return es, nil
+}
+
+// fill bulk-loads the empty index with its entries.
+func (ix *Index) fill(es *entries) error {
 	i := 0
 	return ix.tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(items) {
+		if i >= len(es.order) {
 			return nil, nil, false
 		}
-		it := items[i]
+		p := es.order[i]
 		i++
-		return it.key, it.payload, true
+		return es.keys.Key(p), es.payloads.Key(p), true
 	}, 0.95)
 }

@@ -38,6 +38,10 @@ type columnStats struct {
 	// the maximum of the snapshot value and whatever the live sketch has
 	// re-accumulated.
 	restored int64
+	// last is the non-NULL value observed last (NULL before the first). The
+	// same value again changes nothing — the sketch and the bounds already
+	// hold it — so observe skips it; sorted and clustered columns repeat a lot.
+	last value.Value
 }
 
 // distinctSketch counts the distinct values of a column in bounded memory:
@@ -134,6 +138,10 @@ func (s *TableStats) observe(row []value.Value) {
 			cs.nulls++
 			continue
 		}
+		if v == cs.last {
+			continue
+		}
+		cs.last = v
 		cs.distinct.add(v.Hash())
 		if cs.min.IsNull() || value.Compare(v, cs.min) < 0 {
 			cs.min = v

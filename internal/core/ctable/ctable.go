@@ -25,11 +25,12 @@ package ctable
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
+	"oldelephant/internal/catalog"
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
+	"oldelephant/internal/keysort"
 	"oldelephant/internal/value"
 )
 
@@ -99,9 +100,6 @@ type Builder struct {
 	Engine *engine.Engine
 	// DenseThreshold overrides DefaultDenseThreshold when > 0.
 	DenseThreshold float64
-	// SkipValueIndex disables the secondary covering index on v (used by
-	// ablation experiments; the paper's design always creates it).
-	SkipValueIndex bool
 }
 
 // NewBuilder returns a Builder with the paper's defaults.
@@ -150,29 +148,35 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 
 	// Order the design's columns: sort columns first (in order), then the rest.
 	ordered := orderColumns(columns, sortColumns)
-	sortRows(res.Rows, ordered, columns, colPos)
+	positions := make([]int, len(ordered))
+	for depth, col := range ordered {
+		positions[depth] = colPos[indexOf(columns, col)]
+	}
+	numRows := len(res.Rows)
+	sorted := sortedColumns(res.Rows, positions)
+	res = nil // the source rows are garbage from here on
+	breaks := runBreaks(sorted)
 
 	design := &Design{
 		Name:        name,
 		SourceSQL:   sourceSQL,
 		SortColumns: sortColumns,
-		NumRows:     int64(len(res.Rows)),
+		NumRows:     int64(numRows),
 	}
 	threshold := b.DenseThreshold
 	if threshold <= 0 {
 		threshold = DefaultDenseThreshold
 	}
+	var buf loadBuf
 	for depth, col := range ordered {
-		pos := colPos[indexOf(columns, col)]
-		// Positions of the columns that precede this one in the design order;
-		// a run breaks when any of them changes.
-		var breakPos []int
-		for _, prev := range ordered[:depth] {
-			breakPos = append(breakPos, colPos[indexOf(columns, prev)])
+		var runs int
+		for _, d := range breaks {
+			if d <= depth {
+				runs++
+			}
 		}
-		runs := computeRuns(res.Rows, pos, breakPos)
-		dense := float64(len(runs)) > threshold*float64(len(res.Rows)) && len(res.Rows) > 0
-		ct, err := b.materialize(design.Name, col, res.Rows, pos, runs, dense, depth)
+		dense := float64(runs) > threshold*float64(numRows) && numRows > 0
+		ct, err := b.materialize(design.Name, col, sorted[depth], breaks, depth, runs, dense, &buf)
 		if err != nil {
 			return nil, err
 		}
@@ -211,56 +215,73 @@ func indexOf(list []string, name string) int {
 	return -1
 }
 
-// sortRows sorts the source rows by the design's column order.
-func sortRows(rows []exec.Row, ordered, columns []string, colPos []int) {
-	var sortPositions []int
-	for _, col := range ordered {
-		sortPositions = append(sortPositions, colPos[indexOf(columns, col)])
+// sortedColumns returns the design's columns — rows' values at positions, in
+// design order — as one flat column each, in the design's sort order: by
+// those columns in turn. Each row's sort key is encoded once
+// (value.AppendKeyValue, whose byte order is Compare's) and only a
+// permutation is sorted. Rows equal on every design column are
+// interchangeable, so the tie-break on position only makes the order
+// deterministic. Every later pass then reads the columns front to back.
+func sortedColumns(rows []exec.Row, positions []int) [][]value.Value {
+	keys := keysort.New(len(rows), 9*len(positions))
+	for _, row := range rows {
+		for _, p := range positions {
+			keys.Buf = value.AppendKeyValue(keys.Buf, row[p])
+		}
+		keys.End()
 	}
-	slices.SortStableFunc(rows, func(a, b exec.Row) int {
-		for _, p := range sortPositions {
-			if cmp := value.Compare(a[p], b[p]); cmp != 0 {
-				return cmp
-			}
-		}
-		return 0
-	})
-}
-
-// run is one (f, v, c) triple before materialization.
-type run struct {
-	first int64
-	val   value.Value
-	count int64
-}
-
-// computeRuns groups consecutive rows with equal values in column pos that
-// also agree on all break columns (the columns earlier in the sort order).
-func computeRuns(rows []exec.Row, pos int, breakPos []int) []run {
-	var runs []run
-	for i, row := range rows {
-		v := row[pos]
-		newRun := len(runs) == 0
-		if !newRun {
-			if value.Compare(v, runs[len(runs)-1].val) != 0 {
-				newRun = true
-			} else if i > 0 {
-				prev := rows[i-1]
-				for _, bp := range breakPos {
-					if value.Compare(prev[bp], row[bp]) != 0 {
-						newRun = true
-						break
-					}
-				}
-			}
-		}
-		if newRun {
-			runs = append(runs, run{first: int64(i + 1), val: v, count: 1})
-		} else {
-			runs[len(runs)-1].count++
+	order := keys.Order()
+	flat := make([]value.Value, len(positions)*len(rows))
+	cols := make([][]value.Value, len(positions))
+	for d := range cols {
+		cols[d] = flat[d*len(rows) : (d+1)*len(rows)]
+	}
+	for i, p := range order {
+		for d, pos := range positions {
+			cols[d][i] = rows[p][pos]
 		}
 	}
-	return runs
+	return cols
+}
+
+// runBreaks returns, for each sorted position, the depth of the first design
+// column whose value differs from the position before (len(cols) where none
+// does, 0 at the first). A column at depth d starts a run exactly where the
+// break is at most d: its own value changes or an earlier sort column's does
+// (Section 2.2.1).
+func runBreaks(cols [][]value.Value) []int {
+	if len(cols) == 0 {
+		return nil
+	}
+	breaks := make([]int, len(cols[0]))
+	for i := 1; i < len(breaks); i++ {
+		d := 0
+		for d < len(cols) && value.Compare(cols[d][i-1], cols[d][i]) == 0 {
+			d++
+		}
+		breaks[i] = d
+	}
+	return breaks
+}
+
+// loadBuf holds the load rows of one c-table: every row a window of one
+// flat arena. A table no longer needs its rows once it is loaded, so the next
+// c-table of the design reuses the memory.
+type loadBuf struct {
+	arena []value.Value
+	rows  [][]value.Value
+}
+
+// reset returns an arena for n rows of width values and an empty row list
+// with room for n.
+func (buf *loadBuf) reset(n, width int) ([]value.Value, [][]value.Value) {
+	if cap(buf.arena) < n*width {
+		buf.arena = make([]value.Value, n*width)
+	}
+	if cap(buf.rows) < n {
+		buf.rows = make([][]value.Value, 0, n)
+	}
+	return buf.arena[:n*width], buf.rows[:0]
 }
 
 // sqlType maps a value kind to the SQL type used for the v column.
@@ -284,53 +305,47 @@ func TableName(design, column string) string {
 	return strings.ToLower(design) + "_" + strings.ToLower(column)
 }
 
-// materialize creates and loads the c-table for one column.
-func (b *Builder) materialize(designName, col string, rows []exec.Row, pos int, runs []run, dense bool, depth int) (ColumnTable, error) {
+// materialize creates and loads the c-table of the column at depth, whose
+// sorted values are vals: runs (f, v, c), or one (f, v) row per position when
+// dense, in f order, with the covering index on v built in the same load from
+// the rows in hand. The load rows are windows of buf's arena.
+func (b *Builder) materialize(designName, col string, vals []value.Value, breaks []int, depth, runs int, dense bool, buf *loadBuf) (ColumnTable, error) {
 	tableName := TableName(designName, col)
 	kind := value.KindInt
-	for _, r := range rows {
-		if !r[pos].IsNull() {
-			kind = r[pos].Kind
+	for _, v := range vals {
+		if !v.IsNull() {
+			kind = v.Kind
 			break
 		}
 	}
-	var ddl string
+	ddl := fmt.Sprintf("CREATE TABLE %s (f BIGINT, v %s, c BIGINT, PRIMARY KEY (f))", tableName, sqlType(kind))
+	include := []string{"f", "c"}
+	width := 3
 	if dense {
 		ddl = fmt.Sprintf("CREATE TABLE %s (f BIGINT, v %s, PRIMARY KEY (f))", tableName, sqlType(kind))
-	} else {
-		ddl = fmt.Sprintf("CREATE TABLE %s (f BIGINT, v %s, c BIGINT, PRIMARY KEY (f))", tableName, sqlType(kind))
+		include, width, runs = include[:1], 2, len(vals)
 	}
 	if _, err := b.Engine.Execute(ddl); err != nil {
 		return ColumnTable{}, fmt.Errorf("ctable: creating %s: %w", tableName, err)
 	}
-	var load [][]value.Value
-	var loaded int64
-	if dense {
-		for i, r := range rows {
-			load = append(load, []value.Value{value.NewInt(int64(i + 1)), r[pos]})
+	arena, load := buf.reset(runs, width)
+	for i, v := range vals {
+		if !dense && i > 0 && breaks[i] > depth {
+			load[len(load)-1][2].I++
+			continue
 		}
-		loaded = int64(len(rows))
-	} else {
-		for _, ru := range runs {
-			load = append(load, []value.Value{value.NewInt(ru.first), ru.val, value.NewInt(ru.count)})
+		r := arena[len(load)*width : (len(load)+1)*width : (len(load)+1)*width]
+		r[0], r[1] = value.NewInt(int64(i+1)), v
+		if !dense {
+			r[2] = value.NewInt(1)
 		}
-		loaded = int64(len(runs))
+		load = append(load, r)
 	}
-	if err := b.Engine.BulkLoad(tableName, load); err != nil {
+	ix := catalog.IndexDef{Name: "ix_" + tableName + "_v", Columns: []string{"v"}, Include: include}
+	if err := b.Engine.BulkLoad(tableName, load, ix); err != nil {
 		return ColumnTable{}, fmt.Errorf("ctable: loading %s: %w", tableName, err)
 	}
-	if !b.SkipValueIndex {
-		var idxDDL string
-		if dense {
-			idxDDL = fmt.Sprintf("CREATE INDEX ix_%s_v ON %s (v) INCLUDE (f)", tableName, tableName)
-		} else {
-			idxDDL = fmt.Sprintf("CREATE INDEX ix_%s_v ON %s (v) INCLUDE (f, c)", tableName, tableName)
-		}
-		if _, err := b.Engine.Execute(idxDDL); err != nil {
-			return ColumnTable{}, fmt.Errorf("ctable: indexing %s: %w", tableName, err)
-		}
-	}
-	return ColumnTable{Column: col, Table: tableName, Dense: dense, Depth: depth, Runs: loaded}, nil
+	return ColumnTable{Column: col, Table: tableName, Dense: dense, Depth: depth, Runs: int64(len(load))}, nil
 }
 
 // Verify checks the design's invariants against the engine's contents:

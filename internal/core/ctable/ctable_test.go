@@ -1,7 +1,6 @@
 package ctable
 
 import (
-	"strings"
 	"testing"
 
 	"oldelephant/internal/engine"
@@ -297,26 +296,5 @@ func TestCompressedCTableExecution(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestSkipValueIndexOption(t *testing.T) {
-	e := paperExampleEngine(t)
-	b := NewBuilder(e)
-	b.SkipValueIndex = true
-	d, err := b.Build("noix", "SELECT a, b FROM t", []string{"a", "b"}, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ta, _ := d.Column("a")
-	tab, err := e.Catalog().Table(ta.Table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Secondary) != 0 {
-		t.Error("SkipValueIndex should suppress the v index")
-	}
-	if !strings.HasPrefix(ta.Table, "noix_") {
-		t.Errorf("table name = %q", ta.Table)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/catalog"
 	"oldelephant/internal/sql"
 	"oldelephant/internal/storage"
 	"oldelephant/internal/storage/faultfs"
@@ -249,7 +250,36 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 	for i := range rows {
 		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("n-%d", i))}
 	}
-	if err := e.BulkLoad("t", rows); err != nil {
+	// The index the load creates commits with the rows.
+	if err := e.BulkLoad("t", rows, catalog.IndexDef{Name: "ix_name", Columns: []string{"name"}}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(e *Engine, when string) {
+		t.Helper()
+		got := queryInts(t, e, "SELECT id FROM t ORDER BY id")
+		if len(got) != 1000 || got[999] != 999 {
+			t.Fatalf("%s: recovered %d bulk rows", when, len(got))
+		}
+		tbl, err := e.Catalog().Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tbl.Secondary) != 1 || tbl.Secondary[0].Name != "ix_name" || tbl.Secondary[0].Tree().Count() != 1000 {
+			t.Fatalf("%s: the index the load created did not survive: %d secondary indexes", when, len(tbl.Secondary))
+		}
+		rng := tbl.Secondary[0].Range([]value.Value{value.NewString("n-17")}, []value.Value{value.NewString("n-17")}, true, true)
+		cur := rng.Open()
+		entry, ok, err := cur.Next()
+		if err != nil || !ok || entry[1].Int() != 17 {
+			t.Errorf("%s: a seek on the index found %v (ok %v, err %v), want id 17", when, entry, ok, err)
+		}
+	}
+	// A crash right after the acknowledged load recovers it from the log.
+	crashed := fs.Clone()
+	crashed.Crash()
+	e1 := openDurable(t, crashed.Recovered())
+	check(e1, "after a crash")
+	if err := e1.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Close(); err != nil {
@@ -257,20 +287,15 @@ func TestDurableBulkLoadPersists(t *testing.T) {
 	}
 	e2 := openDurable(t, fs)
 	defer e2.Close()
-	got := queryInts(t, e2, "SELECT id FROM t ORDER BY id")
-	if len(got) != 1000 || got[999] != 999 {
-		t.Fatalf("recovered %d bulk rows", len(got))
-	}
+	check(e2, "after a close")
 }
 
 // TestDurableMissesAreDataFileReads: a durable engine's buffer pool reads
 // its misses from the data file. After a checkpoint — and again after a
 // reopen, which reads no page until one is asked for — each page read a
 // serial query is charged is one read of the data file, and the pool holds
-// no more than its capacity. (A parallel plan's morsel partitioning walks
-// leaves while planning, before the query's counters start, so the test
-// plans serially and outside the plan cache, as the benchmark's counted pass
-// does.)
+// no more than its capacity. (The queries plan serially and outside the plan
+// cache, as the benchmark's counted pass does.)
 func TestDurableMissesAreDataFileReads(t *testing.T) {
 	const pool = 16
 	fs := faultfs.CountReads(faultfs.New(5))

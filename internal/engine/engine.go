@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -408,6 +409,9 @@ func (e *Engine) QueryPrepared(opts QueryOptions, p *Prepared) (*Result, error) 
 // materialization. A non-empty norm enables the plan cache; stmt, when
 // non-nil, skips parsing.
 func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.SelectStmt) (*Result, error) {
+	// The I/O window opens before planning: a parallel plan's morsel
+	// partitioning walks leaves, and those page reads are the query's too.
+	before := e.pager.Stats()
 	par := e.effectiveParallelism(opts.Parallelism)
 	useCache := e.plans != nil && norm != "" && !opts.Trace
 	var pl *plan.Plan
@@ -438,7 +442,7 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 	if opts.Trace {
 		pl.Root, span = exec.InstrumentPlan(pl.Root)
 	}
-	res, err := e.executePlan(opts.Ctx, pl)
+	res, err := e.executePlan(opts.Ctx, pl, before)
 	if err != nil {
 		// The plan instance is discarded, not released: after a failed or
 		// canceled execution its operator state is suspect.
@@ -454,8 +458,8 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 
 // executePlan drains a compiled plan through the engine's pull (batches when
 // vectorized, else rows), honoring a cancellation context when one is set.
-func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan) (*Result, error) {
-	before := e.pager.Stats()
+// The result's I/O is the pager's activity since before.
+func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.IOStats) (*Result, error) {
 	start := time.Now()
 	var rows []exec.Row
 	var err error
@@ -822,11 +826,13 @@ func coerceValue(v value.Value, kind value.Kind) value.Value {
 	return v
 }
 
-// BulkLoad loads rows programmatically into a table, coercing each value to
-// the column kind. It is the fast path used by the TPC-H loader. Like every
-// mutation it runs exclusively and invalidates the plan cache.
-func (e *Engine) BulkLoad(table string, rows [][]value.Value) error {
-	_, lsn, err := e.applyBulkLoad(table, rows)
+// BulkLoad loads rows programmatically into an empty table, coercing each
+// value to the column kind, then creates the secondary indexes defs names from
+// the rows in hand (see catalog.Table.BulkLoad). It is the fast path used by
+// the TPC-H loader and the c-table builder. Like every mutation it runs
+// exclusively and invalidates the plan cache.
+func (e *Engine) BulkLoad(table string, rows [][]value.Value, defs ...catalog.IndexDef) error {
+	_, lsn, err := e.applyBulkLoad(table, rows, defs)
 	if err != nil {
 		return err
 	}
@@ -836,7 +842,7 @@ func (e *Engine) BulkLoad(table string, rows [][]value.Value) error {
 	return nil
 }
 
-func (e *Engine) applyBulkLoad(table string, rows [][]value.Value) (*Result, int64, error) {
+func (e *Engine) applyBulkLoad(table string, rows [][]value.Value, defs []catalog.IndexDef) (*Result, int64, error) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	defer e.invalidatePlans()
@@ -845,18 +851,27 @@ func (e *Engine) applyBulkLoad(table string, rows [][]value.Value) (*Result, int
 		if err != nil {
 			return nil, err
 		}
-		coerced := make([][]value.Value, len(rows))
+		// A row is copied only when coercion changes one of its values.
+		coerced := rows
 		for i, row := range rows {
 			if len(row) != len(tbl.Columns) {
 				return nil, fmt.Errorf("engine: bulk load row %d has %d values, expected %d", i, len(row), len(tbl.Columns))
 			}
-			out := make([]value.Value, len(row))
 			for j, v := range row {
-				out[j] = coerceValue(v, tbl.Columns[j].Kind)
+				w := coerceValue(v, tbl.Columns[j].Kind)
+				if w.Kind == v.Kind { // every conversion changes the kind
+					continue
+				}
+				if &coerced[0] == &rows[0] {
+					coerced = slices.Clone(rows)
+				}
+				if &coerced[i][0] == &row[0] {
+					coerced[i] = slices.Clone(row)
+				}
+				coerced[i][j] = w
 			}
-			coerced[i] = out
 		}
-		return &Result{}, tbl.BulkLoad(coerced)
+		return &Result{}, tbl.BulkLoad(coerced, defs...)
 	})
 }
 

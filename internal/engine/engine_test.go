@@ -384,9 +384,15 @@ func TestStatsAndColdRuns(t *testing.T) {
 	if cold.Stats.Wall <= 0 {
 		t.Error("wall time not measured")
 	}
-	// A selective clustered seek reads far fewer pages than a full scan.
+	// A selective clustered seek reads far fewer pages than a full scan. It
+	// runs serially: a parallel plan's morsel partitioning first walks the
+	// whole leaf chain for its average leaf fill, and the query's I/O counts
+	// that walk too.
 	e.ResetBufferPool()
-	seek := mustExec(t, e, "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'")
+	seek, err := e.QueryWith(QueryOptions{Parallelism: 1}, "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if seek.Stats.IO.PageReads*3 >= cold.Stats.IO.PageReads {
 		t.Errorf("selective seek read %d pages, full scan %d", seek.Stats.IO.PageReads, cold.Stats.IO.PageReads)
 	}
@@ -457,13 +463,54 @@ func TestBulkLoadValidation(t *testing.T) {
 	if err := e.BulkLoad("missing", nil); err == nil {
 		t.Error("missing table should fail")
 	}
-	// Coercion of strings to dates during bulk load.
-	if err := e.BulkLoad("t", [][]value.Value{{value.NewInt(1), value.NewString("1997-07-07")}}); err != nil {
+	// Coercion of strings to dates during bulk load, on a copy: the caller's
+	// rows are left as they were.
+	rows := [][]value.Value{{value.NewInt(1), value.NewString("1997-07-07")}}
+	if err := e.BulkLoad("t", rows); err != nil {
 		t.Fatal(err)
 	}
 	res := mustExec(t, e, "SELECT b FROM t")
 	if res.Rows[0][0].Kind != value.KindDate {
 		t.Errorf("bulk load coercion failed: %v", res.Rows[0][0])
+	}
+	if rows[0][1].Kind != value.KindString {
+		t.Errorf("bulk load coerced the caller's row in place: %v", rows[0][1])
+	}
+}
+
+// TestBulkLoadRefusesNonEmptyTable: a second bulk load into a loaded table
+// used to orphan the first load's pages — COUNT(*) saw only the second, the
+// statistics counted both. It is refused and the table is left untouched.
+func TestBulkLoadRefusesNonEmptyTable(t *testing.T) {
+	e := Default()
+	mustExec(t, e, "CREATE TABLE t (k BIGINT, v BIGINT, PRIMARY KEY (k))")
+	batch := func(from int) [][]value.Value {
+		var rows [][]value.Value
+		for i := from; i < from+1000; i++ {
+			rows = append(rows, []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i))})
+		}
+		return rows
+	}
+	if err := e.BulkLoad("t", batch(0)); err != nil {
+		t.Fatal(err)
+	}
+	pages := e.TotalDataPages()
+	if err := e.BulkLoad("t", batch(1000)); err == nil {
+		t.Fatal("a bulk load into a loaded table was accepted")
+	}
+	if res := mustExec(t, e, "SELECT COUNT(*), MIN(k), MAX(k) FROM t"); res.Rows[0][0].Int() != 1000 ||
+		res.Rows[0][1].Int() != 0 || res.Rows[0][2].Int() != 999 {
+		t.Errorf("after the refused load: COUNT, MIN, MAX = %v, want 1000, 0, 999", res.Rows[0])
+	}
+	if n := e.TotalDataPages(); n != pages {
+		t.Errorf("the refused load allocated pages: %d -> %d", pages, n)
+	}
+	tbl, err := e.Catalog().Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Stats.RowCount != 1000 {
+		t.Errorf("statistics count %d rows, want 1000", tbl.Stats.RowCount)
 	}
 }
 
