@@ -160,3 +160,118 @@ func TestHashJoinBenchPlansAgree(t *testing.T) {
 		}
 	}
 }
+
+// The band-join microbenchmarks: the three shapes Row(Col) rewrites produce,
+// each an IndexNestedLoopJoin over an inner table clustered on f.
+//
+//	one_outer       one outer row whose band covers the whole inner table
+//	                (Q3 at selectivity 1.0): one seek, every inner row
+//	rle_outer       a c-table of runs, f BETWEEN o.f AND o.f + o.c - 1
+//	                (Q4's join): chained bands, one seek per outer batch
+//	dense_equality  d.f = o.f between two dense tables (Q6's second join)
+//
+//	go test ./internal/bench -run XXX -bench BandJoin
+const bandRows = 60_000
+
+// bandJoinSQL is each shape's statement; LOOP JOIN keeps the planner from
+// hash-joining the equality.
+var bandJoinSQL = map[string]string{
+	"one_outer":      "SELECT COUNT(*), SUM(d.v) FROM band_one o, band_dense d WHERE d.f BETWEEN o.f AND o.f + o.c - 1",
+	"rle_outer":      "SELECT COUNT(*), o.v, SUM(d.v) FROM band_rle o, band_dense d WHERE d.f BETWEEN o.f AND o.f + o.c - 1 GROUP BY o.v",
+	"dense_equality": "SELECT COUNT(*), SUM(d.v + o.v) FROM band_eq o, band_dense d WHERE d.f = o.f OPTION(LOOP JOIN)",
+}
+
+// newBandEngine loads the inner table band_dense(f, v) with f = 0..bandRows-1
+// and the three outer tables.
+func newBandEngine(opts engine.Options) (*engine.Engine, error) {
+	opts.TupleOverhead = -1
+	e := engine.New(opts)
+	for _, ddl := range []string{
+		"CREATE TABLE band_dense (f INT, v INT, PRIMARY KEY (f))",
+		"CREATE TABLE band_eq (f INT, v INT, PRIMARY KEY (f))",
+		"CREATE TABLE band_rle (f INT, v INT, c INT, PRIMARY KEY (f))",
+		"CREATE TABLE band_one (f INT, c INT, PRIMARY KEY (f))",
+	} {
+		if _, err := e.Execute(ddl); err != nil {
+			return nil, err
+		}
+	}
+	const run = 50
+	var dense, runs [][]value.Value
+	for f := 0; f < bandRows; f++ {
+		dense = append(dense, []value.Value{value.NewInt(int64(f)), value.NewInt(int64(f % 97))})
+		if f%run == 0 {
+			runs = append(runs, []value.Value{value.NewInt(int64(f)), value.NewInt(int64(f / run % 7)), value.NewInt(run)})
+		}
+	}
+	loads := map[string][][]value.Value{
+		"band_dense": dense, "band_eq": dense, "band_rle": runs,
+		"band_one": {{value.NewInt(0), value.NewInt(bandRows)}},
+	}
+	for name, rows := range loads {
+		if err := e.BulkLoad(name, rows); err != nil {
+			return nil, err
+		}
+	}
+	return e, nil
+}
+
+var (
+	bandEngMu    sync.Mutex
+	bandEngCache = map[bool]*engine.Engine{}
+)
+
+// bandEngine memoizes the loaded engine per executor (row or vectorized).
+func bandEngine(tb testing.TB, rowMode bool) *engine.Engine {
+	tb.Helper()
+	bandEngMu.Lock()
+	defer bandEngMu.Unlock()
+	if e, ok := bandEngCache[rowMode]; ok {
+		return e
+	}
+	e, err := newBandEngine(engine.Options{DisableVectorized: rowMode})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	bandEngCache[rowMode] = e
+	return e
+}
+
+func BenchmarkBandJoin(b *testing.B) {
+	for _, name := range []string{"one_outer", "rle_outer", "dense_equality"} {
+		b.Run(name, func(b *testing.B) {
+			e := bandEngine(b, false)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Query(bandJoinSQL[name]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bandRows)*float64(b.N)/b.Elapsed().Seconds(), "inner-rows/s")
+		})
+	}
+}
+
+// TestBandJoinBenchPlansAgree keeps the band-join benchmarks honest: each
+// shape plans an index nested-loop join and returns the row engine's rows.
+func TestBandJoinBenchPlansAgree(t *testing.T) {
+	for name, q := range bandJoinSQL {
+		want, err := bandEngine(t, true).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bandEngine(t, false).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(got.Plan, "IndexNLJoin") || got.Plan != want.Plan {
+			t.Errorf("%s: plans %q (vectorized) and %q (row), want the same IndexNLJoin", name, got.Plan, want.Plan)
+		}
+		if len(want.Rows) == 0 || want.Rows[0][0].Int() == 0 {
+			t.Errorf("%s: the join matched nothing: %v", name, want.Rows)
+		}
+		if g, w := formatRows(got.Rows), formatRows(want.Rows); g != w {
+			t.Errorf("%s: batch join diverges from the row engine:\n%s\nvs\n%s", name, clip(g), clip(w))
+		}
+	}
+}

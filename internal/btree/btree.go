@@ -31,11 +31,19 @@ type BTree struct {
 	count    int64
 	overhead int // per-leaf-entry overhead bytes, emulating the row header
 	// leafCache memoizes LeafPages so morsel partitioning does not re-walk
-	// the leaf chain on every query; every mutation (Insert, Delete, BulkLoad)
-	// clears it before touching a node. It is an atomic pointer because
-	// concurrent read-only queries race to fill it (two sessions planning
-	// parallel scans of one table).
+	// the leaf chain on every query, and leafCount memoizes LeafCount (0 until
+	// known); every mutation (Insert, Delete, BulkLoad) clears both before
+	// touching a node (forget). They are atomic because concurrent read-only
+	// queries race to fill them (two sessions planning parallel scans of one
+	// table).
 	leafCache atomic.Pointer[[]storage.PageID]
+	leafCount atomic.Int64
+}
+
+// forget clears the memoized leaf chain and leaf count ahead of a mutation.
+func (t *BTree) forget() {
+	t.leafCache.Store(nil)
+	t.leafCount.Store(0)
 }
 
 // New creates an empty tree. overhead is the per-leaf-entry byte overhead
@@ -426,7 +434,7 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	if len(bound)+len(val) > usableBytes/4 {
 		return fmt.Errorf("btree: entry of %d bytes is too large", len(bound)+len(val))
 	}
-	t.leafCache.Store(nil)
+	t.forget()
 	promoted, newChild, err := t.insertInto(t.root, bound, val, choose, true)
 	if err == errPredElsewhere {
 		var pred, key []byte
@@ -560,7 +568,7 @@ func (t *BTree) store(nd node, isLeaf bool, entries []entry) ([]byte, storage.Pa
 // if an entry was removed. Nodes are not rebalanced: the workload is
 // read-mostly and underfull nodes only waste space, never correctness.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	t.leafCache.Store(nil)
+	t.forget()
 	id, err := t.leafFor(key)
 	if err != nil {
 		return false, err
@@ -628,7 +636,10 @@ type Iterator struct {
 	// (-1 = unbounded). Leaf-range iterators (SeekLeaves) use it to stop at
 	// their partition boundary instead of a key.
 	leavesLeft int
-	err        error
+	// onLeaf, when set, is told the last key of every leaf the iterator
+	// loads (nil for an empty leaf), right after the load (SeekWatch).
+	onLeaf func(last []byte)
+	err    error
 }
 
 // Err returns the first page-access error the iterator hit. Next reports
@@ -699,6 +710,13 @@ func (it *Iterator) advanceLeaf() bool {
 			return false
 		}
 		it.nd, it.pos, it.end, it.next = nd, 0, nd.n, nd.next()
+		if it.onLeaf != nil {
+			var last []byte
+			if nd.n > 0 {
+				last = nd.key(nd.n - 1)
+			}
+			it.onLeaf(last)
+		}
 		if it.startKey != nil && nd.n > 0 {
 			it.pos, it.startKey = nd.lowerBound(it.startKey), nil
 		}
@@ -728,6 +746,42 @@ func (t *BTree) LeafPages() ([]storage.PageID, error) {
 	}
 	t.leafCache.Store(&out)
 	return out, nil
+}
+
+// LeafCount returns the number of leaves without reading one: the children
+// of the level above the leaves, whose nodes are the only pages it reads
+// (with the levels above them). Every leaf has exactly one parent entry, so
+// the count equals len(LeafPages()). Memoized until the next mutation.
+func (t *BTree) LeafCount() (int, error) {
+	if t.height <= 1 {
+		return 1, nil
+	}
+	if n := t.leafCount.Load(); n > 0 {
+		return int(n), nil
+	}
+	level := []storage.PageID{t.root}
+	for h := t.height; ; h-- {
+		var below []storage.PageID
+		count := 0
+		for _, id := range level {
+			nd, err := t.node(id)
+			if err != nil {
+				return 0, err
+			}
+			count += nd.n + 1 // the leftmost child and one per separator
+			if h > 2 {
+				below = append(below, nd.child(-1))
+				for i := range nd.n {
+					below = append(below, nd.child(i))
+				}
+			}
+		}
+		if h == 2 {
+			t.leafCount.Store(int64(count))
+			return count, nil
+		}
+		level = below
+	}
 }
 
 // LeafFootprint is the bytes the tree's leaves occupy as the packing rule
@@ -798,9 +852,14 @@ func (t *BTree) walkLeaves(start, stop []byte, stopIncl bool) ([]storage.PageID,
 // stopIncl) — startKey on the first, nil on the rest — reproduces
 // Seek(start, stop, stopIncl) exactly.
 func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byte, stopIncl bool) *Iterator {
-	it := &Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count}
-	if startKey != nil {
-		it.advanceLeaf() // a positioned seek reads its first leaf now, not at the first Next
+	return position(&Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count})
+}
+
+// position reads a positioned iterator's first leaf now, not at the first
+// Next.
+func position(it *Iterator) *Iterator {
+	if it.startKey != nil {
+		it.advanceLeaf()
 	}
 	return it
 }
@@ -809,11 +868,19 @@ func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byt
 // (nil start begins at the first leaf, which is then loaded lazily). If stop
 // is non-nil the iteration ends at stop (inclusive when stopIncl).
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
+	return t.SeekWatch(start, stop, stopIncl, nil)
+}
+
+// SeekWatch is Seek with a leaf hook: onLeaf (unless nil) is called with the
+// last key of every leaf the iterator loads, the first included, right after
+// it is loaded and before any other page is — so a caller can interleave its
+// own page accesses with the iterator's exactly.
+func (t *BTree) SeekWatch(start, stop []byte, stopIncl bool, onLeaf func(last []byte)) *Iterator {
 	leaf, err := t.leafFor(start)
 	if err != nil {
 		return &Iterator{tree: t, err: err}
 	}
-	return t.SeekLeaves(leaf, -1, start, stop, stopIncl)
+	return position(&Iterator{tree: t, startKey: start, stopKey: stop, stopIncl: stopIncl, next: leaf, leavesLeft: -1, onLeaf: onLeaf})
 }
 
 // Get returns the payload of the first entry matching key exactly.
@@ -855,7 +922,7 @@ func (t *BTree) AllPages() ([]storage.PageID, error) {
 // table loading and c-table construction. It returns an error if the input
 // is not sorted.
 func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
-	t.leafCache.Store(nil)
+	t.forget()
 	if fillFactor <= 0 || fillFactor > 1 {
 		fillFactor = 1.0
 	}

@@ -712,3 +712,70 @@ func TestInsertUnderSeesPredecessorAcrossDeletes(t *testing.T) {
 		t.Fatalf("tree height %d: the test never left one leaf", tr.Height())
 	}
 }
+
+// TestLeafCountMatchesLeafChain pins LeafCount, which reads only the levels
+// above the leaves, to the leaf chain itself on random trees: inserts of
+// random width (one to three levels), deletes that empty leaves, and bulk
+// loads, with the count re-derived after every mutation and memoized in
+// between. It must read exactly the tree's internal pages, cold.
+func TestLeafCountMatchesLeafChain(t *testing.T) {
+	maxHeight := 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pager := storage.NewPager(0)
+		tr := mustNew(t, pager, 0)
+		check := func(stage string) {
+			t.Helper()
+			pager.ResetCache()
+			before := pager.Stats()
+			n, err := tr.LeafCount()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reads := pager.Stats().Sub(before).PageReads
+			leaves, err := tr.LeafPages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			all, err := tr.AllPages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if internal := len(all) - len(leaves); reads != int64(internal) {
+				t.Fatalf("seed %d %s: LeafCount read %d pages, the tree has %d internal ones", seed, stage, reads, internal)
+			}
+			maxHeight = max(maxHeight, tr.Height())
+			if n != len(leaves) {
+				t.Fatalf("seed %d %s: LeafCount = %d, leaf chain has %d (height %d)", seed, stage, n, len(leaves), tr.Height())
+			}
+			if again, _ := tr.LeafCount(); again != n {
+				t.Fatalf("seed %d %s: memoized LeafCount = %d, want %d", seed, stage, again, n)
+			}
+		}
+		check("empty")
+		width := 1 + rng.Intn(400)
+		rows := rng.Intn(6000)
+		for i := 0; i < rows; i++ {
+			val := bytes.Repeat([]byte("v"), rng.Intn(width))
+			if err := tr.Insert(intKey(rng.Int63n(int64(rows)+1)), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("inserted")
+		for i := 0; i < rows/3; i++ {
+			tr.Delete(intKey(rng.Int63n(int64(rows) + 1)))
+		}
+		check("deleted")
+		i, n := 0, rng.Intn(20000)
+		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+			i++
+			return intKey(int64(i)), bytes.Repeat([]byte("b"), width/2), i <= n
+		}, 0.5+rng.Float64()/2); err != nil {
+			t.Fatal(err)
+		}
+		check("bulk loaded")
+	}
+	if maxHeight < 3 {
+		t.Fatalf("tallest tree had %d levels; the property needs internal levels below the root", maxHeight)
+	}
+}

@@ -680,6 +680,10 @@ type Range struct {
 	sized   bool
 	perUnit int64
 	err     error
+
+	// OnLeaf, when set on an unsplit tree range, is told the last key of
+	// every leaf the range's cursor loads (see btree.BTree.SeekWatch).
+	OnLeaf func(lastKey []byte)
 }
 
 // Range describes the rows whose clustered-key prefix lies in [lo, hi] by
@@ -730,13 +734,15 @@ func (r *Range) Open() *Cursor {
 	case r.split:
 		c.tree = r.tree.SeekLeaves(r.leaves[0], len(r.leaves), r.start, r.stop, r.stopIncl)
 	default:
-		c.tree = r.tree.Seek(r.start, r.stop, r.stopIncl)
+		c.tree = r.tree.SeekWatch(r.start, r.stop, r.stopIncl, r.OnLeaf)
 	}
 	return c
 }
 
 // size walks the range once: the run of leaves it touches and the tree's
-// average leaf fill (or the heap's average page fill).
+// average leaf fill (or the heap's average page fill). The tree's leaf count
+// comes from the level above its leaves, so sizing reads no leaf outside the
+// range.
 func (r *Range) size() {
 	if r.sized {
 		return
@@ -745,8 +751,7 @@ func (r *Range) size() {
 	units := r.pageCount
 	if r.tree != nil && !r.empty {
 		r.leaves, r.err = r.tree.LeafRange(r.start, r.stop, r.stopIncl)
-		all, _ := r.tree.LeafPages() // on error there is no average: one row per leaf
-		units = len(all)
+		units, _ = r.tree.LeafCount() // on error there is no average: one row per leaf
 	}
 	r.perUnit = 1
 	if units > 0 {

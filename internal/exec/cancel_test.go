@@ -4,7 +4,11 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"oldelephant/internal/catalog"
+	"oldelephant/internal/expr"
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
 
@@ -182,5 +186,56 @@ func TestCancelRowDrain(t *testing.T) {
 	}
 	if src.produced > src.after+latencyBudget {
 		t.Fatalf("row Drain consumed %d rows past the cancel point", src.produced-src.after)
+	}
+}
+
+// TestCancelMidBandJoin pins that an index nested-loop join whose residual
+// rejects every match still notices a deadline: each pull walks the outer
+// input looking for a row to return, so the drain's between-pull check never
+// runs, and before the join took the context a passed deadline went unnoticed
+// and the drain returned an empty result with no error. Every outer row's
+// range covers the whole inner table, so no two ranges coalesce and the full
+// join is seconds of work; the deadline must end it. Through both pulls.
+func TestCancelMidBandJoin(t *testing.T) {
+	c := catalog.New(storage.NewPager(0), -1)
+	inner, err := c.CreateTable("inner", []catalog.Column{
+		{Name: "k", Kind: value.KindInt},
+		{Name: "w", Kind: value.KindInt},
+	}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var innerRows [][]value.Value
+	for i := range 200 {
+		innerRows = append(innerRows, []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i))})
+	}
+	if err := inner.BulkLoad(innerRows); err != nil {
+		t.Fatal(err)
+	}
+	outerRows := make([]Row, 50_000)
+	for i := range outerRows {
+		outerRows[i] = intRow(int64(i))
+	}
+	spec := InnerSeekSpec{
+		Table:   inner,
+		LoExprs: []expr.Expr{expr.NewConst(value.NewInt(0))},
+		HiExprs: []expr.Expr{expr.NewConst(value.NewInt(1 << 20))},
+		LoIncl:  true, HiIncl: true,
+	}
+	never := expr.NewBinary(expr.OpLt, expr.NewColumn(2, "w"), expr.NewConst(value.NewInt(0)))
+	pulls := map[string]func(context.Context, Operator) ([]Row, error){"batch": DrainBatches, "row": Drain}
+	for name, pull := range pulls {
+		join, err := NewIndexNestedLoopJoin(NewValuesScan(intCols("o"), outerRows), spec, never)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		rows, err := pull(ctx, join)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: drain returned %d rows and %v after %v, want context.DeadlineExceeded",
+				name, len(rows), err, time.Since(start))
+		}
 	}
 }

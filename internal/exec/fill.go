@@ -175,6 +175,9 @@ func newColFiller(kinds []value.Kind, layout *catalog.Layout, positions []int, r
 	return f
 }
 
+// used reports whether the filler has filled a batch, and so holds an arena.
+func (f *colFiller) used() bool { return f.paySpans != nil }
+
 // resetBufs readies the column buffers for a fill of n rows: recycle mode
 // truncates the arena in place (legal under the batch retention contract),
 // morsel mode allocates fresh, exactly sized buffers that the batch — and the

@@ -1,12 +1,17 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/expr"
+	"oldelephant/internal/trace"
 	"oldelephant/internal/value"
+	"oldelephant/internal/vector"
 )
 
 // NestedLoopJoin joins two inputs by materializing the right side and, for
@@ -448,17 +453,69 @@ type InnerSeekSpec struct {
 
 // IndexNestedLoopJoin probes an index range for every outer row. The output
 // row is outer ++ inner(Cols); Residual (over the output row) filters matches.
+//
+// Next is the row reference: one Rebind + seek per outer row. NextBatch runs
+// the same seeks an outer batch at a time, with the bounds evaluated as
+// vectors, and coalesces chained ranges: consecutive outer rows whose single
+// inclusive integer bounds ascend over an INT or DATE key, each lo exactly the
+// previous hi + 1, share one seek over [first lo, last hi]. Every c-table band
+// (f BETWEEN f' AND f'+c'-1) and every dense-equality chain has that shape. A
+// coalesced seek reads the leaves the per-row seeks read, in the same order —
+// the iterator stops in the leaf where its stop key ends, as each per-row
+// seek does — and the descents the per-row seeks would add, which only touch
+// pages already read, are replayed where they would fall among the leaf loads
+// (crossLeaf), so even a buffer pool too small to keep the upper levels
+// across a group evicts and re-reads exactly what the row path does. As the
+// ranges are disjoint and leave no integer out, each inner row belongs to
+// exactly one outer row, which a forward merge on the key finds. Inner
+// vectors pass through as the scan filled them; each outer column becomes
+// runs of its rows' match counts: Const for one outer row, RLE for few,
+// gathered Flat for many or when EncodeOuter is off.
 type IndexNestedLoopJoin struct {
 	Outer    Operator
 	Inner    InnerSeekSpec
 	Residual expr.Expr
+	// EncodeOuter lets output batches carry outer columns as Const/RLE runs;
+	// the planner sets it unless compressed execution is disabled.
+	EncodeOuter bool
 
-	schema   []ColumnInfo
-	outerRow Row
+	schema []ColumnInfo
 	// inner is the one inner scan, built with the join and re-bound to each
-	// outer row's range; innerOpen says it is mid-probe.
+	// range; innerOpen says it is mid-probe. It produces Inner.Cols, then the
+	// probed index's leading key column when Cols lack it; keyPos is where
+	// the key is. coalesce says chained ranges may share a seek.
 	inner     boundScan
 	innerOpen bool
+	ninner    int
+	keyPos    int
+	keyKind   value.Kind
+	coalesce  bool
+	// ctx is checked once per outer batch, or per DefaultBatchSize outer rows
+	// on the row path, so a residual that rejects every match cannot keep a
+	// cancelled query running through the whole outer input.
+	ctx context.Context
+
+	// Row path: the current outer row and the outer rows pulled so far.
+	outerRow Row
+	pulled   int
+
+	// Batch path: the outer batch being joined, its live rows with non-NULL
+	// bounds (probes) and the bound values by expression and physical row.
+	// probes[gFrom:gTo] is the group the open inner range covers, at the
+	// probe the merge has reached and crossed the first whose per-row seek
+	// crossLeaf has not replayed yet (a replay's page error waits in
+	// replayErr). runRows/runEnds are the current output batch's runs: each
+	// run's outer row and exclusive end.
+	outer                   *Batch
+	probes                  []int
+	lo, hi                  [][]value.Value
+	gFrom, gTo, at, crossed int
+	replayErr               error
+	runRows                 []int
+	runEnds                 []int
+
+	// EXPLAIN ANALYZE counters (TraceAttrs), reset by Open.
+	outerRows, seeks, innerRows int64
 }
 
 // boundScan is a leaf access path whose key bounds can be replaced between
@@ -466,27 +523,54 @@ type IndexNestedLoopJoin struct {
 type boundScan interface {
 	Operator
 	Rebind(lo, hi []value.Value)
+	watchLeaves(f func(lastKey []byte))
+	releaseFill()
 }
 
 // NewIndexNestedLoopJoin builds an index-nested-loop (band) join.
 func NewIndexNestedLoopJoin(outer Operator, inner InnerSeekSpec, residual expr.Expr) (*IndexNestedLoopJoin, error) {
-	if inner.Table == nil {
+	t := inner.Table
+	if t == nil {
 		return nil, fmt.Errorf("exec: inner seek requires a table")
+	}
+	ix := inner.Index
+	if ix == nil {
+		ix = t.Clustered
+	}
+	if ix == nil {
+		return nil, fmt.Errorf("exec: table %q has no clustered index", t.Name)
+	}
+	cols := inner.Cols
+	if cols == nil {
+		cols = allOrdinals(len(t.Columns))
+	}
+	lead := ix.KeyColumns[0]
+	scanCols, keyPos := cols, slices.Index(cols, lead)
+	if keyPos < 0 {
+		scanCols, keyPos = append(slices.Clip(cols), lead), len(cols)
 	}
 	var scan boundScan
 	var err error
 	if inner.Index != nil {
-		scan, err = NewIndexSeek(inner.Index, nil, nil, inner.LoIncl, inner.HiIncl, inner.Cols)
+		scan, err = NewIndexSeek(inner.Index, nil, nil, inner.LoIncl, inner.HiIncl, scanCols)
 	} else {
-		scan, err = NewClusteredSeek(inner.Table, nil, nil, inner.LoIncl, inner.HiIncl, inner.Cols)
+		scan, err = NewClusteredSeek(t, nil, nil, inner.LoIncl, inner.HiIncl, scanCols)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return &IndexNestedLoopJoin{
+	// An uncovered index seek reads base rows between its leaf loads, which
+	// a replayed descent could not be placed among, so it does not coalesce.
+	kind := t.Columns[lead].Kind
+	j := &IndexNestedLoopJoin{
 		Outer: outer, Inner: inner, Residual: residual, inner: scan,
-		schema: concatSchemas(outer.Schema(), scan.Schema()),
-	}, nil
+		schema: concatSchemas(outer.Schema(), projectedSchema(t, cols)),
+		ninner: len(cols), keyPos: keyPos, keyKind: kind,
+		coalesce: (kind == value.KindInt || kind == value.KindDate) && inner.LoIncl && inner.HiIncl &&
+			len(inner.LoExprs) == 1 && len(inner.HiExprs) == 1 && (inner.Index == nil || inner.Index.Covers(scanCols)),
+	}
+	scan.watchLeaves(j.crossLeaf)
+	return j, nil
 }
 
 // Schema implements Operator.
@@ -494,14 +578,26 @@ func (j *IndexNestedLoopJoin) Schema() []ColumnInfo { return j.schema }
 
 // Open implements Operator.
 func (j *IndexNestedLoopJoin) Open() error {
-	j.outerRow = nil
-	j.innerOpen = false
+	j.outerRow, j.pulled, j.innerOpen, j.ctx = nil, 0, false, nil
+	j.outer, j.probes, j.gFrom, j.gTo, j.crossed, j.replayErr = nil, j.probes[:0], 0, 0, 0, nil
+	j.outerRows, j.seeks, j.innerRows = 0, 0, 0
 	return j.Outer.Open()
 }
 
 // Child implements Parent. The inner scan is not a child slot: it is part of
-// the join, re-bound and re-opened per outer row.
+// the join, re-bound and re-opened per range.
 func (j *IndexNestedLoopJoin) Child(i int) *Operator { return slot(i, &j.Outer) }
+
+// SetContext implements ContextTaker.
+func (j *IndexNestedLoopJoin) SetContext(ctx context.Context) { j.ctx = ctx }
+
+// TraceAttrs implements SpanAnnotator: outer rows joined, inner range seeks
+// and inner rows read, before the residual.
+func (j *IndexNestedLoopJoin) TraceAttrs(sp *trace.Span) {
+	sp.SetAttr("outer_rows", j.outerRows)
+	sp.SetAttr("seeks", j.seeks)
+	sp.SetAttr("inner_rows", j.innerRows)
+}
 
 // evalBounds computes a bound prefix from expressions over the outer row.
 func evalBounds(exprs []expr.Expr, outer Row) ([]value.Value, error) {
@@ -519,52 +615,52 @@ func evalBounds(exprs []expr.Expr, outer Row) ([]value.Value, error) {
 	return out, nil
 }
 
-// openInner opens the inner range probe for one outer row. opened is false
-// (with no error) when a bound expression evaluated to NULL: a NULL bound can
-// never satisfy the join's range predicate, but a raw seek would treat it as
-// the smallest key and return spurious rows, so the outer row is skipped.
-func (j *IndexNestedLoopJoin) openInner(outer Row) (opened bool, err error) {
-	lo, err := evalBounds(j.Inner.LoExprs, outer)
-	if err != nil {
-		return false, err
-	}
-	hi, err := evalBounds(j.Inner.HiExprs, outer)
-	if err != nil {
-		return false, err
-	}
-	for _, b := range lo {
-		if b.IsNull() {
-			return false, nil
-		}
-	}
-	for _, b := range hi {
-		if b.IsNull() {
-			return false, nil
-		}
-	}
+// hasNull reports whether a bound has a NULL value: a NULL bound can never
+// satisfy the join's range predicate, but a raw seek would treat it as the
+// smallest key and return spurious rows, so its outer row is skipped.
+func hasNull(bound []value.Value) bool {
+	return slices.ContainsFunc(bound, value.Value.IsNull)
+}
+
+// seek opens the inner scan over one range.
+func (j *IndexNestedLoopJoin) seek(lo, hi []value.Value) error {
 	j.inner.Rebind(lo, hi)
 	if err := j.inner.Open(); err != nil {
-		return false, err
+		return err
 	}
 	j.innerOpen = true
-	return true, nil
+	j.seeks++
+	return nil
 }
 
 // Next implements Operator.
 func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 	for {
 		if !j.innerOpen {
+			if j.pulled++; j.pulled%DefaultBatchSize == 0 {
+				if err := ctxErr(j.ctx); err != nil {
+					return nil, false, err
+				}
+			}
 			row, ok, err := j.Outer.Next()
 			if err != nil || !ok {
 				return nil, false, err
 			}
 			j.outerRow = row
-			opened, err := j.openInner(row)
+			j.outerRows++
+			lo, err := evalBounds(j.Inner.LoExprs, row)
 			if err != nil {
 				return nil, false, err
 			}
-			if !opened {
-				continue // NULL bound: this outer row cannot match
+			hi, err := evalBounds(j.Inner.HiExprs, row)
+			if err != nil {
+				return nil, false, err
+			}
+			if hasNull(lo) || hasNull(hi) {
+				continue // this outer row cannot match
+			}
+			if err := j.seek(lo, hi); err != nil {
+				return nil, false, err
 			}
 		}
 		for {
@@ -577,7 +673,8 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 				j.innerOpen = false
 				break
 			}
-			out := concatRows(j.outerRow, inner)
+			j.innerRows++
+			out := concatRows(j.outerRow, inner[:j.ninner])
 			pass, err := expr.EvalBool(j.Residual, out)
 			if err != nil {
 				return nil, false, err
@@ -591,14 +688,288 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 
 // NextBatch implements Operator.
 func (j *IndexNestedLoopJoin) NextBatch() (*Batch, bool, error) {
-	return nextBatchFromRows(j, DefaultBatchSize)
+	for {
+		if !j.innerOpen {
+			if j.gTo == len(j.probes) {
+				if err := j.pullOuter(); err != nil || j.outer == nil {
+					return nil, false, err
+				}
+				continue
+			}
+			if err := j.openGroup(); err != nil {
+				return nil, false, err
+			}
+		}
+		in, ok, err := j.inner.NextBatch()
+		if err == nil && !ok {
+			j.replayTo(j.gTo) // outer rows whose ranges lie past the last leaf
+		}
+		if err = cmp.Or(err, j.replayErr); err != nil {
+			return nil, false, err
+		}
+		if !ok {
+			j.inner.Close()
+			j.innerOpen = false
+			continue
+		}
+		out, err := j.emit(in)
+		if err != nil {
+			return nil, false, err
+		}
+		if out != nil {
+			return out, true, nil
+		}
+	}
 }
 
-// Close implements Operator.
+// pullOuter reads the next outer batch, evaluates its bounds as vectors and
+// lists its probes; j.outer is nil once the outer input is exhausted.
+func (j *IndexNestedLoopJoin) pullOuter() error {
+	j.outer = nil
+	if err := ctxErr(j.ctx); err != nil {
+		return err
+	}
+	b, ok, err := j.Outer.NextBatch()
+	if err != nil || !ok {
+		return err
+	}
+	if j.lo, err = evalBoundVectors(j.Inner.LoExprs, b, j.lo); err != nil {
+		return err
+	}
+	if j.hi, err = evalBoundVectors(j.Inner.HiExprs, b, j.hi); err != nil {
+		return err
+	}
+	j.probes = j.probes[:0]
+	for i := range b.NumRows() {
+		if p := b.PhysIdx(i); !nullAt(j.lo, p) && !nullAt(j.hi, p) {
+			j.probes = append(j.probes, p)
+		}
+	}
+	j.outer, j.gFrom, j.gTo = b, 0, 0
+	j.outerRows += int64(b.NumRows())
+	return nil
+}
+
+// evalBoundVectors evaluates bound expressions over an outer batch into dst:
+// one per-row value slice per expression, read at live rows only.
+func evalBoundVectors(exprs []expr.Expr, b *Batch, dst [][]value.Value) ([][]value.Value, error) {
+	dst = dst[:0]
+	for _, e := range exprs {
+		v, err := expr.EvalVector(e, b.Cols, b.Sel, b.physRows())
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, v.Flat())
+	}
+	return dst, nil
+}
+
+// nullAt reports whether the bound at physical row p has a NULL value.
+func nullAt(bound [][]value.Value, p int) bool {
+	for _, vals := range bound {
+		if vals[p].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+// boundAt is the bound prefix at physical row p (nil for an open bound).
+func boundAt(bound [][]value.Value, p int) []value.Value {
+	if len(bound) == 0 {
+		return nil
+	}
+	out := make([]value.Value, len(bound))
+	for i, vals := range bound {
+		out[i] = vals[p]
+	}
+	return out
+}
+
+// openGroup seeks the next group of probes: one outer row, or a chain of
+// outer rows whose ranges coalesce.
+func (j *IndexNestedLoopJoin) openGroup() error {
+	j.gFrom, j.at = j.gTo, j.gTo
+	j.gTo++
+	for j.gTo < len(j.probes) && j.chains(j.probes[j.gTo-1], j.probes[j.gTo]) {
+		j.gTo++
+	}
+	j.crossed = j.gFrom + 1
+	return j.seek(boundAt(j.lo, j.probes[j.gFrom]), boundAt(j.hi, j.probes[j.gTo-1]))
+}
+
+// crossLeaf is the inner scan's leaf hook. Of a coalesced group, the per-row
+// path would begin outer row b's seek once row b-1's seek had loaded its
+// last leaf — the first whose last key passes b-1's hi — with a descent to
+// b's lo that reads no new page but keeps the upper levels and the start
+// leaf recent in the buffer pool's LRU order. crossLeaf replays those
+// descents right after the leaf that ends them loads.
+func (j *IndexNestedLoopJoin) crossLeaf(last []byte) {
+	if j.crossed >= j.gTo || last == nil {
+		return // no coalesced group, or no row's seek ends in an empty leaf
+	}
+	lead, _, err := value.DecodeKeyValue(last, j.keyKind)
+	if err != nil || lead.IsNull() {
+		j.replayErr = cmp.Or(j.replayErr, err)
+		return // a leaf of NULL keys ends no range
+	}
+	to, hi := j.crossed, j.hi[0]
+	for to < j.gTo && hi[j.probes[to-1]].I < lead.I {
+		to++
+	}
+	j.replayTo(to)
+}
+
+// replayTo repeats the positioning of the per-row seeks of
+// probes[crossed:to]. Their descents route to one leaf or to the one before
+// it, in key order, and repeating a descent leaves the LRU order as it was,
+// so the first and the last of them stand for all.
+func (j *IndexNestedLoopJoin) replayTo(to int) {
+	if j.crossed >= to {
+		return
+	}
+	j.reposition(j.probes[j.crossed])
+	if to-1 > j.crossed {
+		j.reposition(j.probes[to-1])
+	}
+	j.crossed = to
+}
+
+// reposition opens, and drops, a cursor over outer row p's range: the
+// descent and the first leaf of its per-row seek.
+func (j *IndexNestedLoopJoin) reposition(p int) {
+	lo, hi := boundAt(j.lo, p), boundAt(j.hi, p)
+	var rng catalog.Range
+	var err error
+	if j.Inner.Index != nil {
+		rng = j.Inner.Index.Range(lo, hi, j.Inner.LoIncl, j.Inner.HiIncl)
+	} else {
+		rng, err = j.Inner.Table.Range(lo, hi, j.Inner.LoIncl, j.Inner.HiIncl)
+	}
+	if err == nil {
+		err = rng.Open().Err()
+	}
+	j.replayErr = cmp.Or(j.replayErr, err)
+}
+
+// chains reports whether outer row b's range continues outer row a's: both
+// non-empty integer ranges, and b's lo exactly a's hi + 1. Overlapping,
+// descending or gapped ranges, non-integer bounds and repeated equality keys
+// do not chain; those rows get a seek of their own.
+func (j *IndexNestedLoopJoin) chains(a, b int) bool {
+	if !j.coalesce {
+		return false
+	}
+	loA, hiA, loB, hiB := j.lo[0][a], j.hi[0][a], j.lo[0][b], j.hi[0][b]
+	return integral(loA) && integral(hiA) && integral(loB) && integral(hiB) &&
+		loA.I <= hiA.I && loB.I <= hiB.I && hiA.I < math.MaxInt64 && loB.I == hiA.I+1
+}
+
+// integral reports whether a bound is an integer the seek uses as it is.
+func integral(v value.Value) bool { return v.Kind == value.KindInt || v.Kind == value.KindDate }
+
+// emit turns one inner batch of the open group into an output batch: the
+// inner vectors as filled, the outer columns as runs of the rows each outer
+// row matched, narrowed by the residual. A nil batch (no error) means the
+// residual rejected every row.
+func (j *IndexNestedLoopJoin) emit(in *Batch) (*Batch, error) {
+	n := in.NumRows() // access paths emit no selection
+	j.runRows, j.runEnds = j.runRows[:0], j.runEnds[:0]
+	if j.gTo-j.gFrom == 1 {
+		j.runRows = append(j.runRows, j.probes[j.at])
+	} else {
+		// Forward merge on the integer key: a key belongs to the first outer
+		// row of the group whose hi is not below it.
+		keys, hi := in.Cols[j.keyPos].Flat(), j.hi[0]
+		for r, k := range keys {
+			for j.at < j.gTo-1 && k.I > hi[j.probes[j.at]].I {
+				j.at++
+			}
+			if p := j.probes[j.at]; r == 0 || p != j.runRows[len(j.runRows)-1] {
+				if r > 0 {
+					j.runEnds = append(j.runEnds, r)
+				}
+				j.runRows = append(j.runRows, p)
+			}
+		}
+	}
+	j.runEnds = append(j.runEnds, n)
+	j.innerRows += int64(n)
+
+	nouter := len(j.schema) - j.ninner
+	cols := make([]*vector.Vector, len(j.schema))
+	runs := len(j.runRows)
+	switch {
+	case j.EncodeOuter && runs == 1:
+		for c := range nouter {
+			cols[c] = vector.NewConst(j.outer.Cols[c].Get(j.runRows[0]), n)
+		}
+	case j.EncodeOuter && 2*runs <= n:
+		ends := slices.Clone(j.runEnds)
+		for c := range nouter {
+			vals := make([]value.Value, runs)
+			for r, p := range j.runRows {
+				vals[r] = j.outer.Cols[c].Get(p)
+			}
+			cols[c] = vector.NewRLE(vals, ends)
+		}
+	default:
+		idx := make([]int32, 0, n)
+		start := 0
+		for r, p := range j.runRows {
+			for ; start < j.runEnds[r]; start++ {
+				idx = append(idx, int32(p))
+			}
+		}
+		for c := range nouter {
+			cols[c] = j.outer.Cols[c].Gather(idx)
+		}
+	}
+	copy(cols[nouter:], in.Cols[:j.ninner])
+	out := &Batch{Cols: cols, n: n}
+	if j.Residual != nil {
+		sel, err := expr.SelectVector(j.Residual, cols, nil, n)
+		if err != nil {
+			return nil, err
+		}
+		if len(sel) == 0 {
+			return nil, nil
+		}
+		if len(sel) < n {
+			out.Sel = sel
+		}
+	}
+	return out, nil
+}
+
+// Close implements Operator. It also lets go of the join's buffers and the
+// column arenas of its inner scan and of the scans under its outer side, so a
+// plan held by the plan cache pins none of them. A scan keeps its arena to
+// spare a cached point seek the allocation; a band join reads whole outer
+// batches and many inner ranges per execution, against which growing the
+// arenas again is noise.
 func (j *IndexNestedLoopJoin) Close() error {
 	if j.innerOpen {
 		j.inner.Close()
 		j.innerOpen = false
 	}
-	return j.Outer.Close()
+	j.outerRow, j.outer = nil, nil
+	j.probes, j.lo, j.hi, j.runRows, j.runEnds = nil, nil, nil, nil, nil
+	err := j.Outer.Close()
+	j.inner.releaseFill()
+	releaseFills(j.Outer)
+	return err
+}
+
+// releaseFills releases the column arenas of the scans in the tree rooted at
+// op (see TableScan.releaseFill).
+func releaseFills(op Operator) {
+	if s, ok := op.(boundScan); ok {
+		s.releaseFill()
+	}
+	if p, ok := op.(Parent); ok {
+		for i := 0; p.Child(i) != nil; i++ {
+			releaseFills(*p.Child(i))
+		}
+	}
 }

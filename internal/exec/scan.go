@@ -98,6 +98,10 @@ type TableScan struct {
 	// executes).
 	whole *catalog.Range
 
+	// watch is the leaf hook an index nested-loop join sets on its inner
+	// scan (see catalog.Range.OnLeaf).
+	watch func(lastKey []byte)
+
 	cur    *catalog.Cursor
 	schema []ColumnInfo
 	fill   *colFiller
@@ -137,8 +141,20 @@ func (s *TableScan) TraceName() string {
 }
 
 // Rebind replaces the seek bounds for the next Open (index nested loops
-// re-bind one inner scan per outer row).
+// re-bind one inner scan per range).
 func (s *TableScan) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
+
+// watchLeaves sets the leaf hook of the scan's later Opens.
+func (s *TableScan) watchLeaves(f func(lastKey []byte)) { s.watch = f }
+
+// releaseFill drops the column arena the scan's filler has grown, if it has
+// filled a batch. An index nested-loop join calls it as it closes (see
+// IndexNestedLoopJoin.Close).
+func (s *TableScan) releaseFill() {
+	if s.fill.used() {
+		s.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, true)
+	}
+}
 
 // Schema implements Operator.
 func (s *TableScan) Schema() []ColumnInfo { return s.schema }
@@ -152,6 +168,7 @@ func (s *TableScan) Open() error {
 		if err != nil {
 			return err
 		}
+		whole.OnLeaf = s.watch
 		rng = &whole
 	}
 	s.cur = rng.Open()
@@ -253,8 +270,9 @@ type IndexSeek struct {
 	// Const vector).
 	EncodeCols []int
 
-	part  *catalog.Range // see TableScan.part
-	whole *catalog.Range // see TableScan.whole
+	part  *catalog.Range       // see TableScan.part
+	whole *catalog.Range       // see TableScan.whole
+	watch func(lastKey []byte) // see TableScan.watch
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -298,6 +316,17 @@ func (s *IndexSeek) TraceName() string {
 // Rebind replaces the seek bounds for the next Open (see TableScan.Rebind).
 func (s *IndexSeek) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
 
+// watchLeaves sets the leaf hook of the seek's later Opens.
+func (s *IndexSeek) watchLeaves(f func(lastKey []byte)) { s.watch = f }
+
+// releaseFill drops the covered filler's column arena (see
+// TableScan.releaseFill).
+func (s *IndexSeek) releaseFill() {
+	if s.covered && s.fill.used() {
+		s.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, true)
+	}
+}
+
 // Schema implements Operator.
 func (s *IndexSeek) Schema() []ColumnInfo { return s.schema }
 
@@ -306,6 +335,7 @@ func (s *IndexSeek) Open() error {
 	rng := s.part
 	if rng == nil {
 		whole := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		whole.OnLeaf = s.watch
 		rng = &whole
 	}
 	s.cur = rng.Open()

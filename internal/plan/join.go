@@ -207,6 +207,7 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 		if err != nil {
 			return nil, err
 		}
+		join.EncodeOuter = !p.DisableCompressed
 		est := cur.estRows * 10
 		if band.equality {
 			est = cur.estRows * joinFanout(s)
@@ -384,12 +385,9 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 		return s.table.ColumnIndex(ref.Column) == leadOrd
 	}
 	outerOnly := func(e sql.Expr) bool {
-		bySource := map[string]*scope{s.name: s.sc, "": cur.sc}
-		srcs := exprSources(e, map[string]*scope{s.name: s.sc})
-		if srcs[s.name] {
+		if exprSources(e, map[string]*scope{s.name: s.sc})[s.name] {
 			return false
 		}
-		_ = bySource
 		// Must bind against the current scope.
 		_, err := bindExpr(e, cur.sc)
 		return err == nil
@@ -407,16 +405,15 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 			found = true
 		case *sql.BinExpr:
 			op := e.Op
-			var inner, outer sql.Expr
+			var outer sql.Expr
 			if isInnerLead(e.L) && outerOnly(e.R) {
-				inner, outer = e.L, e.R
+				outer = e.R
 			} else if isInnerLead(e.R) && outerOnly(e.L) {
-				inner, outer = e.R, e.L
+				outer = e.L
 				op = flipOp(op)
 			} else {
 				continue
 			}
-			_ = inner
 			switch op {
 			case "=":
 				b.loExpr, b.hiExpr = outer, outer
