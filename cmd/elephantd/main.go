@@ -49,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	eng, err := engine.Open(engine.Options{TupleOverhead: -1, DataDir: *dataDir})
+	eng, err := engine.Open(engine.Options{DataDir: *dataDir})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -36,11 +36,10 @@ type DB struct {
 	views *matview.Manager
 }
 
-// Options configure a database instance.
+// Options configure a database instance. Every record carries the 9-byte
+// header the paper quotes for its row store, and every query may reuse a
+// plan from the shared plan cache (engine.QueryOptions.NoCache skips it).
 type Options struct {
-	// TupleOverhead is the per-tuple storage overhead in bytes (default 9,
-	// the figure the paper quotes for its row store).
-	TupleOverhead int
 	// BufferPoolPages bounds the buffer pool: at most this many pages are in
 	// memory (plus, for a durable database, those written since the last
 	// checkpoint); a page outside the pool is read from the data file, or,
@@ -48,14 +47,10 @@ type Options struct {
 	// page resident.
 	BufferPoolPages int
 	// DisableVectorized forces the row-at-a-time Volcano executor (kept for
-	// differential testing). Batch-at-a-time execution is the default: the
-	// zero Options value runs vectorized.
+	// differential testing). Batch-at-a-time execution on compressed
+	// (Const/RLE/Dict) vectors is the default: the zero Options value runs
+	// vectorized.
 	DisableVectorized bool
-	// DisableCompressed keeps batch execution but forces flat (decompressed)
-	// vectors: scans stop emitting Const/RLE vectors for sort-prefix columns.
-	// Compressed execution is the default; the knob exists for differential
-	// testing and flat-vs-compressed comparisons.
-	DisableCompressed bool
 	// Parallelism is the worker count for morsel-parallel execution of
 	// vectorized plans. 0 selects runtime.GOMAXPROCS(0) — the default — and
 	// 1 forces serial execution, reproducing single-threaded plans byte for
@@ -79,14 +74,9 @@ func Open(opts Options) *DB {
 // engineOptions converts the public options to the engine's, rooted at dir
 // (empty = in memory).
 func (opts Options) engineOptions(dir string) engine.Options {
-	if opts.TupleOverhead == 0 {
-		opts.TupleOverhead = -1 // engine default
-	}
 	return engine.Options{
-		TupleOverhead:     opts.TupleOverhead,
 		BufferPoolPages:   opts.BufferPoolPages,
 		DisableVectorized: opts.DisableVectorized,
-		DisableCompressed: opts.DisableCompressed,
 		Parallelism:       opts.Parallelism,
 		DataDir:           dir,
 	}

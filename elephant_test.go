@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/engine"
+	"oldelephant/internal/tpch"
 	"oldelephant/internal/value"
 )
 
@@ -145,5 +147,22 @@ func TestOpenDirDurableRoundTrip(t *testing.T) {
 	}
 	if len(vres.Rows) != 2 {
 		t.Errorf("view query returned %d groups, want 2", len(vres.Rows))
+	}
+}
+
+// TestEngineAndPublicOptionsPackAlike: the engine's zero Options and the
+// public zero Options pack records with the same 9-byte row header, so the
+// same table loads into the same number of pages through either.
+func TestEngineAndPublicOptionsPackAlike(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	if err := tpch.NewGenerator(0.001).LoadCore(eng); err != nil {
+		t.Fatal(err)
+	}
+	db := Open(Options{})
+	if err := db.LoadTPCH(0.001); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := eng.TotalDataPages(), db.TotalDataPages(); got != want {
+		t.Errorf("engine.Options{} loads TPC-H into %d pages, elephant.Options{} into %d", got, want)
 	}
 }

@@ -58,7 +58,6 @@ func wideRow(i int) []value.Value {
 }
 
 func newWideEngine(opts engine.Options) (*engine.Engine, error) {
-	opts.TupleOverhead = -1
 	e := engine.New(opts)
 	if _, err := e.Execute(wideDDL); err != nil {
 		return nil, err
@@ -163,7 +162,7 @@ var (
 func strEngine(b *testing.B) *engine.Engine {
 	b.Helper()
 	strOnce.Do(func() {
-		opts := engine.Options{TupleOverhead: -1}
+		opts := engine.Options{}
 		e := engine.New(opts)
 		if _, strEngErr = e.Execute(strDDL); strEngErr != nil {
 			return

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
 	"oldelephant/internal/value"
 )
@@ -25,7 +26,7 @@ func cachedHarness(t *testing.T, mutate func(*Config)) *Harness {
 	t.Helper()
 	cfg := DefaultConfig()
 	mutate(&cfg)
-	key := fmt.Sprintf("vec=%v comp=%v par=%d cache=%v", !cfg.DisableVectorized, !cfg.DisableCompressed, cfg.Parallelism, cfg.PlanCache)
+	key := fmt.Sprintf("vec=%v par=%d", !cfg.DisableVectorized, cfg.Parallelism)
 	harnessCacheMu.Lock()
 	defer harnessCacheMu.Unlock()
 	if h, ok := harnessCache[key]; ok {
@@ -39,29 +40,44 @@ func cachedHarness(t *testing.T, mutate func(*Config)) *Harness {
 	return h
 }
 
-// executorModes are the three executor configurations the differential tests
-// hold against each other: row-at-a-time Volcano, batch execution on flat
-// vectors, and batch execution on compressed (Const/RLE/Dict) vectors — the
-// default.
+// executorModes are the two executor configurations the differential tests
+// hold against each other: row-at-a-time Volcano and batch execution on
+// compressed (Const/RLE/Dict) vectors — the default.
 func executorModes(t *testing.T) map[string]*Harness {
 	t.Helper()
 	modes := map[string]*Harness{
 		"row":               cachedHarness(t, func(c *Config) { c.DisableVectorized = true }),
-		"flat-vector":       cachedHarness(t, func(c *Config) { c.DisableCompressed = true }),
 		"compressed-vector": cachedHarness(t, func(c *Config) {}),
 	}
 	// Pin the knob contract so a misconfigured harness cannot silently turn
-	// the three axes into one.
-	if modes["row"].Engine.Vectorized() || modes["row"].Engine.Compressed() {
-		t.Fatal("row harness engine is vectorized or compressed")
-	}
-	if !modes["flat-vector"].Engine.Vectorized() || modes["flat-vector"].Engine.Compressed() {
-		t.Fatal("flat-vector harness engine has the wrong knobs")
-	}
-	if !modes["compressed-vector"].Engine.Vectorized() || !modes["compressed-vector"].Engine.Compressed() {
-		t.Fatal("compressed-vector harness engine has the wrong knobs")
+	// the two modes into one.
+	if modes["row"].Engine.Vectorized() || !modes["compressed-vector"].Engine.Vectorized() {
+		t.Fatal("executor harnesses have the wrong knobs")
 	}
 	return modes
+}
+
+// coldQuery runs sqlText with the plan cache bypassed, so every comparison
+// executes a freshly planned operator tree.
+func coldQuery(h *Harness, sqlText string) (*engine.Result, error) {
+	return h.Engine.QueryWith(engine.QueryOptions{NoCache: true}, sqlText)
+}
+
+// cachedQuery runs sqlText twice through the plan cache and returns the
+// second result, which must have leased the plan the first one compiled.
+func cachedQuery(t *testing.T, h *Harness, sqlText string) *engine.Result {
+	t.Helper()
+	var res *engine.Result
+	for range 2 {
+		var err error
+		if res, err = h.Engine.Query(sqlText); err != nil {
+			t.Fatalf("%v\nSQL: %s", err, sqlText)
+		}
+	}
+	if !res.Stats.PlanCached {
+		t.Fatalf("repeat execution did not lease a cached plan\nSQL: %s", sqlText)
+	}
+	return res
 }
 
 // parallelismAxis is the worker-count sweep of the parallel differential
@@ -76,8 +92,8 @@ func parallelismAxis() []int {
 }
 
 // parallelModes extends executorModes with the parallelism axis: for every
-// worker count in the sweep, a flat-vector and a compressed-vector harness
-// whose engine (and ColOpt plans) run morsel-parallel.
+// worker count in the sweep, a compressed-vector harness whose engine (and
+// ColOpt plans) run morsel-parallel.
 func parallelModes(t *testing.T) (modes map[string]*Harness, parallel []string) {
 	t.Helper()
 	modes = executorModes(t)
@@ -85,15 +101,12 @@ func parallelModes(t *testing.T) (modes map[string]*Harness, parallel []string) 
 		if p == 1 {
 			continue // the serial harnesses above
 		}
-		p := p
-		flat := fmt.Sprintf("flat-vector-p%d", p)
 		comp := fmt.Sprintf("compressed-vector-p%d", p)
-		modes[flat] = cachedHarness(t, func(c *Config) { c.DisableCompressed = true; c.Parallelism = p })
 		modes[comp] = cachedHarness(t, func(c *Config) { c.Parallelism = p })
 		if got := modes[comp].Engine.Parallelism(); got != p {
 			t.Fatalf("parallel harness engine runs %d workers, want %d", got, p)
 		}
-		parallel = append(parallel, flat, comp)
+		parallel = append(parallel, comp)
 	}
 	sort.Strings(parallel)
 	return modes, parallel
@@ -103,9 +116,9 @@ func parallelModes(t *testing.T) (modes map[string]*Harness, parallel []string) 
 // vectorized executor across every executor mode and the parallelism axis:
 // every workload query (Q1-Q7), under every row-engine strategy (Row,
 // Row(MV), Row(Col)) and every swept selectivity, must return the same
-// result set from the row engine, the flat-vector engine and the
-// compressed-vector engine — serially and with 2 and GOMAXPROCS morsel
-// workers. Serial modes must match exactly (same values, same order);
+// result set from the row engine and the compressed-vector engine —
+// serially and with 2 and GOMAXPROCS morsel workers. Serial modes must
+// match exactly (same values, same order);
 // parallel modes compare as sorted row sets with a 1e-9 relative float
 // tolerance, because parallel partial aggregates fold float sums in morsel
 // order (every workload query is unordered — ORDER BY/LIMIT plans are
@@ -113,8 +126,7 @@ func parallelModes(t *testing.T) (modes map[string]*Harness, parallel []string) 
 func TestVectorizedRowDifferential(t *testing.T) {
 	modes, parallel := parallelModes(t)
 	ref := modes["row"]
-	exact := []string{"flat-vector", "compressed-vector"}
-	others := append(append([]string{}, exact...), parallel...)
+	others := append([]string{"compressed-vector"}, parallel...)
 
 	strategies := []Strategy{StrategyRow, StrategyRowMV, StrategyRowCol}
 	compared := 0
@@ -139,12 +151,12 @@ func TestVectorizedRowDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s %s: %v", q, s, err)
 				}
-				rres, err := ref.Engine.Query(sqlText)
+				rres, err := coldQuery(ref, sqlText)
 				if err != nil {
 					t.Fatalf("%s %s row: %v\nSQL: %s", q, s, err, sqlText)
 				}
 				for _, name := range others {
-					vres, err := modes[name].Engine.Query(sqlText)
+					vres, err := coldQuery(modes[name], sqlText)
 					if err != nil {
 						t.Fatalf("%s %s %s: %v\nSQL: %s", q, s, name, err, sqlText)
 					}
@@ -167,7 +179,9 @@ func TestVectorizedRowDifferential(t *testing.T) {
 			}
 		}
 	}
-	// Floor: 7 queries × 3 strategies × (2 serial + at least 2 parallel) modes.
+	// Floor: 7 queries × 3 strategies × 4 — two modes (1 serial + at least 1
+	// parallel) at each point, and the swept queries' selectivities give 19
+	// points for the 7 queries.
 	if compared < 7*3*4 {
 		t.Fatalf("only %d (query, strategy, selectivity, mode) points compared", compared)
 	}
@@ -192,43 +206,50 @@ var joinDifferentialQueries = []struct {
 
 // TestJoinDifferential is the result-identity proof for the vectorized hash
 // join: every join query must return the row engine's result from every
-// executor mode — flat and compressed vectors, serial and morsel-parallel
-// (where the probe pipeline parallelizes through the join and the build side
-// hashes morsel-parallel). The planner's physical choice must also be
-// identical across modes.
+// executor mode — serial and morsel-parallel (where the probe pipeline
+// parallelizes through the join and the build side hashes morsel-parallel) —
+// both freshly planned and from a plan leased out of the plan cache. The
+// planner's physical choice must also be identical across modes.
 func TestJoinDifferential(t *testing.T) {
 	modes, parallel := parallelModes(t)
 	ref := modes["row"]
-	others := append([]string{"flat-vector", "compressed-vector"}, parallel...)
+	others := append([]string{"compressed-vector"}, parallel...)
 	compared := 0
 	for _, q := range joinDifferentialQueries {
-		rres, err := ref.Engine.Query(q.sql)
+		rres, err := coldQuery(ref, q.sql)
 		if err != nil {
 			t.Fatalf("row engine: %v\nSQL: %s", err, q.sql)
 		}
 		if len(rres.Rows) == 0 {
 			t.Fatalf("join probe returned no rows; fixture is degenerate\nSQL: %s", q.sql)
 		}
-		for _, name := range others {
-			vres, err := modes[name].Engine.Query(q.sql)
-			if err != nil {
-				t.Fatalf("%s: %v\nSQL: %s", name, err, q.sql)
-			}
-			if stripParallelSuffix(vres.Plan) != rres.Plan {
-				t.Errorf("%s plan differs:\n%s\n%s\nSQL: %s", name, vres.Plan, rres.Plan, q.sql)
-			}
-			if q.floatAgg && isParallelMode(name, parallel) {
-				if msg := rowsApproxEqual(vres.Rows, rres.Rows); msg != "" {
-					t.Errorf("%s results differ from row engine: %s\nSQL: %s", name, msg, q.sql)
+		for _, mode := range others {
+			for _, cached := range []bool{false, true} {
+				name := mode
+				var vres *engine.Result
+				if cached {
+					name += " (cached plan)"
+					vres = cachedQuery(t, modes[mode], q.sql)
+				} else if vres, err = coldQuery(modes[mode], q.sql); err != nil {
+					t.Fatalf("%s: %v\nSQL: %s", name, err, q.sql)
 				}
-			} else if got, want := formatRows(vres.Rows), formatRows(rres.Rows); got != want {
-				t.Errorf("%s results differ from row engine\n%s (%d rows):\n%s\nrow (%d rows):\n%s\nSQL: %s",
-					name, name, len(vres.Rows), clip(got), len(rres.Rows), clip(want), q.sql)
+				if stripParallelSuffix(vres.Plan) != rres.Plan {
+					t.Errorf("%s plan differs:\n%s\n%s\nSQL: %s", name, vres.Plan, rres.Plan, q.sql)
+				}
+				if q.floatAgg && isParallelMode(mode, parallel) {
+					if msg := rowsApproxEqual(vres.Rows, rres.Rows); msg != "" {
+						t.Errorf("%s results differ from row engine: %s\nSQL: %s", name, msg, q.sql)
+					}
+				} else if got, want := formatRows(vres.Rows), formatRows(rres.Rows); got != want {
+					t.Errorf("%s results differ from row engine\n%s (%d rows):\n%s\nrow (%d rows):\n%s\nSQL: %s",
+						name, name, len(vres.Rows), clip(got), len(rres.Rows), clip(want), q.sql)
+				}
+				compared++
 			}
-			compared++
 		}
 	}
-	// Floor: 4 join queries × (2 serial + at least 2 parallel) modes.
+	// Floor: 4 join queries × (1 serial + at least 1 parallel) modes × (fresh
+	// + cached plan).
 	if compared < 4*4 {
 		t.Fatalf("only %d (query, mode) join points compared", compared)
 	}
@@ -277,15 +298,15 @@ func sortRowsCanonical(rows []exec.Row) []exec.Row {
 // TestColOptExecutorDifferential proves the acceptance property for ColOpt:
 // the plan running on compressed vectors through the shared Operator
 // protocol returns the same result as the row engine's base-table query, for
-// every workload query and selectivity — and the same rows again with
-// compressed execution force-disabled (flat vectors, identical operator
-// tree). Floating-point aggregates are compared with a relative tolerance:
+// every workload query and selectivity — and the same rows again with every
+// scanned vector decompressed (flatVectors over the scan, identical operator
+// tree above it). Floating-point aggregates are compared with a relative
+// tolerance:
 // the projection processes rows in sort order, the row engine in base-table
 // order, and float addition is not associative.
 func TestColOptExecutorDifferential(t *testing.T) {
 	modes := executorModes(t)
 	ref := modes["compressed-vector"]
-	flat := modes["flat-vector"]
 	// The oracle is the row-at-a-time engine: it shares none of the
 	// compressed kernels under test, so a bug in run folding or run-wise
 	// selection cannot cancel out on both sides of the comparison.
@@ -299,7 +320,7 @@ func TestColOptExecutorDifferential(t *testing.T) {
 		}
 		for _, sel := range sels {
 			_, query, _, _ := spec.resolve(ref, sel)
-			rowRes, err := row.Engine.Query(query)
+			rowRes, err := coldQuery(row, query)
 			if err != nil {
 				t.Fatalf("%s: row query: %v", q, err)
 			}
@@ -318,11 +339,11 @@ func TestColOptExecutorDifferential(t *testing.T) {
 			// identical order; only float sums may differ in the last bits
 			// (the compressed path folds an RLE run as value*count where the
 			// flat path adds per row), so compare with the same tolerance.
-			flatOp, err := flat.ColOptOperator(q, sel)
+			flatOp, err := ref.ColOptOperator(q, sel)
 			if err != nil {
 				t.Fatalf("%s: flat ColOpt plan: %v", q, err)
 			}
-			flatRows, err := exec.DrainBatches(nil, flatOp)
+			flatRows, err := exec.DrainBatches(nil, flattenScans(t, flatOp))
 			if err != nil {
 				t.Fatalf("%s: flat ColOpt execution: %v", q, err)
 			}

@@ -72,28 +72,16 @@ type Config struct {
 	Selectivities []float64
 	// Disk is the I/O time model.
 	Disk DiskModel
-	// TupleOverhead is the per-tuple overhead of the row store (default 9).
-	TupleOverhead int
 	// DisableVectorized runs the engine row-at-a-time instead of the default
 	// batch-at-a-time executor; used for differential testing and the
 	// row-vs-batch microbenchmarks.
 	DisableVectorized bool
-	// DisableCompressed keeps the batch executor but forces flat
-	// (decompressed) vectors everywhere: engine scans stop emitting Const/RLE
-	// vectors and the ColOpt projection scan decompresses its segments. Used
-	// for differential testing and the flat-vs-compressed microbenchmarks.
-	DisableCompressed bool
 	// Parallelism is the morsel-parallel worker count applied to both the
 	// engine's SQL plans and the ColOpt executor plans. 0 keeps the harness
 	// serial (unlike the engine's GOMAXPROCS default: measurements compare
 	// against the paper's single-core setting unless parallelism is asked
 	// for); values > 1 enable parallel execution.
 	Parallelism int
-	// PlanCache enables the engine's shared plan cache. Off by default —
-	// measurements must pay lex/parse/plan on every run the way every prior
-	// number was taken — and turned on by the serving-layer tests and the
-	// multi-client throughput benchmark, where plan reuse is the point.
-	PlanCache bool
 	// FS is the filesystem a bounded buffer pool spills to (engine
 	// Options.FS); nil is the real one.
 	FS storage.FS
@@ -105,7 +93,6 @@ func DefaultConfig() Config {
 		SF:            0.01,
 		Selectivities: []float64{0.01, 0.1, 0.5, 1.0},
 		Disk:          DefaultDiskModel(),
-		TupleOverhead: storage.DefaultTupleOverhead,
 	}
 }
 
@@ -143,11 +130,8 @@ func NewHarness(cfg Config) (*Harness, error) {
 		cfg.Parallelism = 1
 	}
 	e := engine.New(engine.Options{
-		TupleOverhead:     cfg.TupleOverhead,
 		DisableVectorized: cfg.DisableVectorized,
-		DisableCompressed: cfg.DisableCompressed,
 		Parallelism:       cfg.Parallelism,
-		DisablePlanCache:  !cfg.PlanCache,
 		FS:                cfg.FS,
 	})
 	gen := tpch.NewGenerator(cfg.SF)

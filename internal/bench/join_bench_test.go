@@ -31,7 +31,6 @@ const joinBenchSQL = "SELECT grp, COUNT(*), SUM(price) FROM facts, dims " +
 // uniform over the dims key range, dims(id, grp, weight) with dimRows
 // distinct keys.
 func newJoinEngine(opts engine.Options, dimRows int) (*engine.Engine, error) {
-	opts.TupleOverhead = -1
 	e := engine.New(opts)
 	if _, err := e.Execute("CREATE TABLE facts (fid INT, k INT, price FLOAT, PRIMARY KEY (fid))"); err != nil {
 		return nil, err
@@ -184,7 +183,6 @@ var bandJoinSQL = map[string]string{
 // newBandEngine loads the inner table band_dense(f, v) with f = 0..bandRows-1
 // and the three outer tables.
 func newBandEngine(opts engine.Options) (*engine.Engine, error) {
-	opts.TupleOverhead = -1
 	e := engine.New(opts)
 	for _, ddl := range []string{
 		"CREATE TABLE band_dense (f INT, v INT, PRIMARY KEY (f))",

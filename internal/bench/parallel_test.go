@@ -135,9 +135,6 @@ func TestParallelColOptMatchesSerial(t *testing.T) {
 	serial := modes["compressed-vector"]
 	for _, mode := range parallel {
 		h := modes[mode]
-		if h.Config.DisableCompressed {
-			continue
-		}
 		for _, q := range Queries() {
 			sop, err := serial.ColOptOperator(q, defaultSelectivity)
 			if err != nil {
@@ -221,11 +218,11 @@ func TestParallelSerialKnobIdentity(t *testing.T) {
 	if got := parallelItemsEngine(t, 1).Parallelism(); got != 1 {
 		t.Errorf("Parallelism(1) engine reports %d workers", got)
 	}
-	e := engine.New(engine.Options{TupleOverhead: -1})
+	e := engine.New(engine.Options{})
 	if got, want := e.Parallelism(), runtime.GOMAXPROCS(0); got != want {
 		t.Errorf("default engine reports %d workers, want GOMAXPROCS=%d", got, want)
 	}
-	row := engine.New(engine.Options{TupleOverhead: -1, DisableVectorized: true, Parallelism: 8})
+	row := engine.New(engine.Options{DisableVectorized: true, Parallelism: 8})
 	if got := row.Parallelism(); got != 1 {
 		t.Errorf("row engine reports %d workers, want 1 (row path is always serial)", got)
 	}
@@ -238,9 +235,9 @@ func TestParallelSerialKnobIdentity(t *testing.T) {
 // benchParallelColOptPlan is benchColOptPlan after the morsel-parallel
 // rewrite: the same scan → filter → aggregate over the 150k-row compressed
 // projection, split into row-window morsels for the given worker count.
-func benchParallelColOptPlan(tb testing.TB, flat bool, workers int) exec.Operator {
+func benchParallelColOptPlan(tb testing.TB, workers int) exec.Operator {
 	tb.Helper()
-	root, _ := plan.Parallelize(benchColOptPlan(tb, flat), workers)
+	root, _ := plan.Parallelize(benchColOptPlan(tb, false), workers)
 	return root
 }
 
@@ -262,7 +259,7 @@ func BenchmarkParallelScanFilterAgg(b *testing.B) {
 			rowsOut := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := exec.DrainBatches(nil, benchParallelColOptPlan(b, false, workers))
+				rows, err := exec.DrainBatches(nil, benchParallelColOptPlan(b, workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -300,7 +297,7 @@ func TestParallelScalingPlansAgree(t *testing.T) {
 		if msg := rowsApproxEqual(got.Rows, want.Rows); msg != "" {
 			t.Errorf("workers=%d: SQL scaling plan differs from serial: %s", workers, msg)
 		}
-		gotCol, err := exec.DrainBatches(nil, benchParallelColOptPlan(t, false, workers))
+		gotCol, err := exec.DrainBatches(nil, benchParallelColOptPlan(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}

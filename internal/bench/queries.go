@@ -7,6 +7,7 @@ import (
 
 	"oldelephant/internal/colstore"
 	"oldelephant/internal/core/rewrite"
+	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
 	"oldelephant/internal/expr"
 	"oldelephant/internal/plan"
@@ -173,7 +174,7 @@ func colIndexIn(cols []string, col string) int {
 // ColOptOperator builds the executor plan that answers a workload query
 // directly on the compressed projection: ProjectionScan → Filter →
 // HashAggregate, the same operators SQL plans use, on compressed
-// vectors (Flat vectors when the harness's DisableCompressed knob is set).
+// vectors.
 // This replaces the bespoke colstore execution path on the query hot path:
 // ColOpt is now just another executor configuration.
 func (h *Harness) ColOptOperator(q QueryID, selectivity float64) (exec.Operator, error) {
@@ -186,7 +187,7 @@ func (h *Harness) ColOptOperator(q QueryID, selectivity float64) (exec.Operator,
 
 // colOptOperator builds the ColOpt plan for an already-resolved parameter.
 func (h *Harness) colOptOperator(spec querySpec, param value.Value) (exec.Operator, error) {
-	scan, err := colstore.NewProjectionScan(h.Proj[spec.design], spec.colOptCols, h.Config.DisableCompressed)
+	scan, err := colstore.NewProjectionScan(h.Proj[spec.design], spec.colOptCols)
 	if err != nil {
 		return nil, err
 	}
@@ -330,12 +331,8 @@ func (h *Harness) Run(q QueryID, strategy Strategy, selectivity float64) (Measur
 		if secs := m.Wall.Seconds(); secs > 0 {
 			m.RowsPerSec = float64(m.Rows) / secs
 		}
-		mode := "compressed vectors"
-		if h.Config.DisableCompressed {
-			mode = "flat vectors"
-		}
-		m.Plan = fmt.Sprintf("ColOpt(scan %s of %s, fraction %.4f, %s)",
-			strings.Join(spec.colOptCols, ","), spec.design, frac, mode)
+		m.Plan = fmt.Sprintf("ColOpt(scan %s of %s, fraction %.4f, compressed vectors)",
+			strings.Join(spec.colOptCols, ","), spec.design, frac)
 		return m, nil
 	}
 
@@ -344,8 +341,10 @@ func (h *Harness) Run(q QueryID, strategy Strategy, selectivity float64) (Measur
 		return Measurement{}, err
 	}
 
+	// Every measured run pays lex/parse/plan, the way every prior number
+	// was taken: the plan cache is for the serving layer.
 	h.Engine.ResetBufferPool()
-	res, err := h.Engine.Query(sqlText)
+	res, err := h.Engine.QueryWith(engine.QueryOptions{NoCache: true}, sqlText)
 	if err != nil {
 		return Measurement{}, fmt.Errorf("bench: %s under %s: %w\nSQL: %s", q, strategy, err, sqlText)
 	}

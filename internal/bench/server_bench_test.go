@@ -17,7 +17,7 @@ import (
 //
 //	go test ./internal/bench -bench 'ServerThroughput|PreparedVsCold'
 
-// benchServerHarness memoizes one plan-cache-enabled harness for the server
+// benchServerHarness memoizes one harness for the server
 // benchmarks (the TPC-H build dominates otherwise).
 var (
 	benchServerOnce sync.Once
@@ -28,9 +28,7 @@ var (
 func serverHarness(b *testing.B) *Harness {
 	b.Helper()
 	benchServerOnce.Do(func() {
-		cfg := DefaultConfig()
-		cfg.PlanCache = true
-		benchServerH, benchServerErr = NewHarness(cfg)
+		benchServerH, benchServerErr = NewHarness(DefaultConfig())
 	})
 	if benchServerErr != nil {
 		b.Fatal(benchServerErr)
@@ -160,9 +158,7 @@ func TestPreparedFasterThanCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison")
 	}
-	cfg := DefaultConfig()
-	cfg.PlanCache = true
-	h, err := NewHarness(cfg)
+	h, err := NewHarness(DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func servingWorkload(t *testing.T, h *Harness, sel float64) []servedQuery {
 // leasing, admission, seek/scan morsels and the reader-shared catalog are
 // all exercised at once; the -race CI leg runs it under the race detector.
 func TestConcurrentServingDifferential(t *testing.T) {
-	h := cachedHarness(t, func(c *Config) { c.PlanCache = true })
+	h := cachedHarness(t, func(*Config) {})
 	const sel = 0.1
 	workload := servingWorkload(t, h, sel)
 

@@ -31,7 +31,6 @@ var (
 // given executor options. Shared by the row-vs-batch benchmarks and the
 // parallel scaling benchmarks/tests.
 func newItemsEngine(opts engine.Options) (*engine.Engine, error) {
-	opts.TupleOverhead = -1
 	e := engine.New(opts)
 	_, err := e.Execute("CREATE TABLE items (id INT, supp INT, ship DATE, price FLOAT, PRIMARY KEY (id))")
 	if err != nil {
@@ -121,7 +120,7 @@ func BenchmarkGroupAggVectorized(b *testing.B) {
 // The flat-vs-compressed executor microbenchmarks: the same
 // scan-filter-aggregate plan over the same compressed projection, once on
 // compressed (Const/RLE/Dict) vectors and once with every vector
-// decompressed at the scan. The projection is RLE-friendly the way the
+// decompressed at the scan (flatVectors). The projection is RLE-friendly the way the
 // paper's D1 is: sorted by (ship, supp), with qty constant within each
 // (ship, supp) group so its runs align with the group column's.
 //
@@ -163,9 +162,13 @@ func benchProjectionData(tb testing.TB) *colstore.Projection {
 func benchColOptPlan(tb testing.TB, flat bool) exec.Operator {
 	tb.Helper()
 	p := benchProjectionData(tb)
-	scan, err := colstore.NewProjectionScan(p, []string{"ship", "supp", "qty"}, flat)
+	var scan exec.Operator
+	scan, err := colstore.NewProjectionScan(p, []string{"ship", "supp", "qty"})
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if flat {
+		scan = flatVectors{scan}
 	}
 	mid := value.NewDate(value.MustParseDate("1995-01-01").Int() + 39) // ~60% of rows pass
 	pred := expr.NewBinary(expr.OpGt, expr.NewColumn(0, "ship"), expr.NewConst(mid))

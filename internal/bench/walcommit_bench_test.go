@@ -25,7 +25,7 @@ func BenchmarkGroupCommit(b *testing.B) {
 		b.Run(fmt.Sprintf("writers_%d", writers), func(b *testing.B) {
 			fs := faultfs.New(1)
 			fs.SetSyncDelay(benchSyncDelay)
-			eng, err := engine.Open(engine.Options{TupleOverhead: -1, FS: fs})
+			eng, err := engine.Open(engine.Options{FS: fs})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -12,7 +12,7 @@ import (
 // record and ≈350 records a leaf — which at 100k records is a two-level tree.
 func denseTree(tb testing.TB, n int) *BTree {
 	tb.Helper()
-	tr := mustNew(tb, storage.NewPager(0), -1)
+	tr := mustNew(tb, storage.NewPager(0))
 	i := 0
 	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
 		if i >= n {

@@ -25,11 +25,10 @@ import (
 // accesses themselves are serialized by the pager. Reads decode records where
 // they lie (see node): the tree keeps no second copy of a page's contents.
 type BTree struct {
-	pager    *storage.Pager
-	root     storage.PageID
-	height   int
-	count    int64
-	overhead int // per-leaf-entry overhead bytes, emulating the row header
+	pager  *storage.Pager
+	root   storage.PageID
+	height int
+	count  int64
 	// leafCache memoizes LeafPages so morsel partitioning does not re-walk
 	// the leaf chain on every query, and leafCount memoizes LeafCount (0 until
 	// known); every mutation (Insert, Delete, BulkLoad) clears both before
@@ -46,25 +45,22 @@ func (t *BTree) forget() {
 	t.leafCount.Store(0)
 }
 
-// New creates an empty tree. overhead is the per-leaf-entry byte overhead
-// (pass a negative value for storage.DefaultTupleOverhead, 0 for none).
-func New(pager *storage.Pager, overhead int) (*BTree, error) {
+// New creates an empty tree. Its leaves charge every entry
+// storage.TupleOverhead bytes, emulating the row header.
+func New(pager *storage.Pager) (*BTree, error) {
 	root, err := pager.Allocate()
 	if err != nil {
 		return nil, err
 	}
 	_ = writeNode(root, true, nil, 0) // an empty node always fits
-	return Open(pager, root.ID(), 1, 0, overhead), nil
+	return Open(pager, root.ID(), 1, 0), nil
 }
 
 // Open reattaches a tree to its pages (recovery path: root, height and count
 // come from the persisted catalog meta; the pages themselves were restored by
 // the data file load + WAL replay).
-func Open(pager *storage.Pager, root storage.PageID, height int, count int64, overhead int) *BTree {
-	if overhead < 0 {
-		overhead = storage.DefaultTupleOverhead
-	}
-	return &BTree{pager: pager, root: root, height: height, count: count, overhead: overhead}
+func Open(pager *storage.Pager, root storage.PageID, height int, count int64) *BTree {
+	return &BTree{pager: pager, root: root, height: height, count: count}
 }
 
 // Count returns the number of entries in the tree.
@@ -368,14 +364,14 @@ const usableBytes = storage.PageSize - 64
 func (t *BTree) size(entries []entry, isLeaf bool) nodeSize {
 	var s nodeSize
 	for _, e := range entries {
-		s.add(e, t.leafOverhead(isLeaf))
+		s.add(e, leafOverhead(isLeaf))
 	}
 	return s
 }
 
-func (t *BTree) leafOverhead(isLeaf bool) int {
+func leafOverhead(isLeaf bool) int {
 	if isLeaf {
-		return t.overhead
+		return storage.TupleOverhead
 	}
 	return 0
 }
@@ -393,7 +389,7 @@ func (t *BTree) nodeFits(entries []entry, isLeaf bool) bool {
 // error (an entry within InsertUnder's limit never causes one), reported
 // before any page is touched.
 func (t *BTree) splitAt(entries []entry, isLeaf bool) (int, error) {
-	ovh := t.leafOverhead(isLeaf)
+	ovh := leafOverhead(isLeaf)
 	total := t.size(entries, isLeaf).total()
 	last := len(entries) - 1 // a leaf's right half keeps at least one entry
 	if !isLeaf {
@@ -971,7 +967,7 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 			return fmt.Errorf("btree: bulk load input not sorted")
 		}
 		e := entry{key: key, val: val}
-		if len(cur) > 0 && curSize.with(e, t.overhead).total() > target {
+		if len(cur) > 0 && curSize.with(e, storage.TupleOverhead).total() > target {
 			if err := flushLeaf(); err != nil {
 				return err
 			}
@@ -982,7 +978,7 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 		arena = append(append(arena, key...), val...)
 		e = entry{key: arena[at : at+len(key) : at+len(key)], val: arena[at+len(key) : len(arena) : len(arena)]}
 		cur, last = append(cur, e), e.key
-		curSize.add(e, t.overhead)
+		curSize.add(e, storage.TupleOverhead)
 		n++
 	}
 	if err := flushLeaf(); err != nil {

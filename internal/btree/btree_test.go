@@ -18,9 +18,9 @@ func intKey(i int64) []byte {
 
 // mustNew / mustGet / mustDelete unwrap the page-I/O error returns: in these
 // in-memory tests a page error is a harness bug, not a condition under test.
-func mustNew(tb testing.TB, pager *storage.Pager, overhead int) *BTree {
+func mustNew(tb testing.TB, pager *storage.Pager) *BTree {
 	tb.Helper()
-	tr, err := New(pager, overhead)
+	tr, err := New(pager)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
@@ -46,7 +46,7 @@ func mustDelete(t *testing.T, tr *BTree, key []byte) bool {
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	if tr.Count() != 0 || tr.Height() != 1 {
 		t.Fatalf("empty tree count=%d height=%d", tr.Count(), tr.Height())
 	}
@@ -60,7 +60,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertAndGetSequential(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), -1)
+	tr := mustNew(t, storage.NewPager(0))
 	const n = 20000
 	for i := 0; i < n; i++ {
 		if err := tr.Insert(intKey(int64(i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -85,7 +85,7 @@ func TestInsertAndGetSequential(t *testing.T) {
 }
 
 func TestInsertRandomOrderFullScanSorted(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	rng := rand.New(rand.NewSource(7))
 	const n = 8000
 	perm := rng.Perm(n)
@@ -110,7 +110,7 @@ func TestInsertRandomOrderFullScanSorted(t *testing.T) {
 }
 
 func TestDuplicateKeys(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	for i := 0; i < 100; i++ {
 		if err := tr.Insert(intKey(42), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -130,7 +130,7 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestSeekRanges(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	for i := 0; i < 1000; i++ {
 		if err := tr.Insert(intKey(int64(i*2)), []byte("x")); err != nil { // even keys 0..1998
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func equalInts(a, b []int64) bool {
 }
 
 func TestDelete(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	for i := 0; i < 500; i++ {
 		if err := tr.Insert(intKey(int64(i)), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -237,7 +237,7 @@ func TestDelete(t *testing.T) {
 
 func TestBulkLoadMatchesInserts(t *testing.T) {
 	pager := storage.NewPager(0)
-	tr := mustNew(t, pager, -1)
+	tr := mustNew(t, pager)
 	const n = 30000
 	i := 0
 	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
@@ -289,7 +289,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 }
 
 func TestBulkLoadRejectsUnsortedInput(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	seq := []int64{1, 2, 5, 4}
 	i := 0
 	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
@@ -306,7 +306,7 @@ func TestBulkLoadRejectsUnsortedInput(t *testing.T) {
 }
 
 func TestBulkLoadEmpty(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	if err := tr.BulkLoad(func() ([]byte, []byte, bool) { return nil, nil, false }, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestBulkLoadEmpty(t *testing.T) {
 }
 
 func TestOversizedEntryRejected(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	big := make([]byte, storage.PageSize)
 	if err := tr.Insert(intKey(1), big); err == nil {
 		t.Error("expected error for oversized entry")
@@ -327,7 +327,7 @@ func TestOversizedEntryRejected(t *testing.T) {
 }
 
 func TestCompositeStringKeys(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	names := []string{"delta", "alpha", "charlie", "bravo", "echo"}
 	for i, n := range names {
 		key := value.EncodeKey(nil, []value.Value{value.NewString(n), value.NewInt(int64(i))})
@@ -354,7 +354,7 @@ func TestCompositeStringKeys(t *testing.T) {
 
 func TestRangeScanIOIsBounded(t *testing.T) {
 	pager := storage.NewPager(0)
-	tr := mustNew(t, pager, -1)
+	tr := mustNew(t, pager)
 	const n = 50000
 	i := 0
 	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
@@ -385,7 +385,7 @@ func TestRangeScanIOIsBounded(t *testing.T) {
 }
 
 func TestPropertyRandomOperations(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	rng := rand.New(rand.NewSource(99))
 	model := map[int64]int{} // key -> multiplicity
 	var keys []int64
@@ -448,7 +448,7 @@ func collectScan(tr *BTree) []string {
 // next scan — nothing a read left behind may stand in for a rewritten or
 // recycled page.
 func TestReadsSeeEveryMutation(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	const n = 5000
 	for i := 0; i < n; i++ {
 		if err := tr.Insert(intKey(int64(i*2)), []byte(fmt.Sprintf("v%d", i*2))); err != nil {
@@ -510,7 +510,7 @@ func TestReadsSeeEveryMutation(t *testing.T) {
 // the same leaves, checking neither disturbs the other: each iterator reads
 // the shared pages in place and owns only its position.
 func TestInterleavedIteratorsAreIndependent(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	const n = 3000
 	for i := 0; i < n; i++ {
 		if err := tr.Insert(intKey(int64(i)), []byte(fmt.Sprintf("v%d", i))); err != nil {
@@ -547,7 +547,7 @@ func leafEntries(tr *BTree, leaf storage.PageID) [][]byte {
 // span leaves, leaves emptied by Delete, and stop keys that fall on a leaf's
 // first and last record.
 func TestNextSpansMatchesNext(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	const n = 4000
 	val := bytes.Repeat([]byte("v"), 150) // ≈45 entries per leaf
 	for i := 0; i < n; i++ {
@@ -645,7 +645,7 @@ func TestColdSpanDrainAllocatesO1(t *testing.T) {
 // leaves. The predecessor choose sees must be the model's, wherever it is
 // stored, and the chosen key must land where Get and Scan find it.
 func TestInsertUnderSeesPredecessorAcrossDeletes(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), 0)
+	tr := mustNew(t, storage.NewPager(0))
 	rng := rand.New(rand.NewSource(7))
 	sentinel := bytes.Repeat([]byte{0xFF}, 5)
 	val := bytes.Repeat([]byte("v"), 200) // ~35 entries per leaf
@@ -723,7 +723,7 @@ func TestLeafCountMatchesLeafChain(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pager := storage.NewPager(0)
-		tr := mustNew(t, pager, 0)
+		tr := mustNew(t, pager)
 		check := func(stage string) {
 			t.Helper()
 			pager.ResetCache()

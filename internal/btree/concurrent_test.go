@@ -14,7 +14,7 @@ import (
 // unsynchronized write under -race), scanning, seeking and walking leaf
 // ranges of one shared tree.
 func TestConcurrentLeafPagesAndScans(t *testing.T) {
-	tree := mustNew(t, storage.NewPager(0), 0)
+	tree := mustNew(t, storage.NewPager(0))
 	const n = 5000
 	i := 0
 	err := tree.BulkLoad(func() ([]byte, []byte, bool) {
@@ -155,7 +155,7 @@ func TestConcurrentScansUnderEviction(t *testing.T) {
 // concatenating SeekLeaves iterators reproduces the serial Seek exactly —
 // the contract the catalog's seek morsels are built on.
 func TestSeekLeavesReproducesSeek(t *testing.T) {
-	tree := mustNew(t, storage.NewPager(0), 0)
+	tree := mustNew(t, storage.NewPager(0))
 	const n = 3000
 	i := 0
 	err := tree.BulkLoad(func() ([]byte, []byte, bool) {

@@ -18,7 +18,7 @@ import (
 // bytes than a page holds — which the rewrite silently truncated while the
 // Insert reported success. Every acknowledged entry must read back.
 func TestSplitBalancesBytes(t *testing.T) {
-	tr := mustNew(t, storage.NewPager(0), -1)
+	tr := mustNew(t, storage.NewPager(0))
 	var want []string
 	for i := 0; i < 120; i++ {
 		want = append(want, fmt.Sprintf("k%03d", i))
@@ -76,7 +76,7 @@ func FuzzNodeGeometry(f *testing.F) {
 		}
 		keyWidth, valWidth := rng.Intn(12), rng.Intn(12)
 		var entries []entry
-		tr := mustNew(t, storage.NewPager(0), -1)
+		tr := mustNew(t, storage.NewPager(0))
 		for len(entries) < int(count) {
 			kw, vw := keyWidth, valWidth
 			switch shape % 3 {

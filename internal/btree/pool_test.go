@@ -22,7 +22,7 @@ func boundedTree(t *testing.T, capacity, n int) (*BTree, *storage.Pager) {
 	t.Helper()
 	pager := storage.NewPager(capacity)
 	t.Cleanup(func() { _ = pager.CloseFile() })
-	tr := mustNew(t, pager, 0)
+	tr := mustNew(t, pager)
 	i := 0
 	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
 		if i >= n {
@@ -71,7 +71,7 @@ func TestSpansOutliveEviction(t *testing.T) {
 func TestSplitUnderSmallPool(t *testing.T) {
 	pager := storage.NewPager(2)
 	defer pager.CloseFile()
-	tr := mustNew(t, pager, 0)
+	tr := mustNew(t, pager)
 	const n = 3000
 	wideKey := func(i int) []byte { return append(poolKey(i), bytes.Repeat([]byte{'.'}, 200)...) }
 	order := rand.New(rand.NewSource(5)).Perm(n)

@@ -28,26 +28,18 @@ type Column struct {
 // Catalog is the set of tables of one database instance. All tables share
 // one pager so I/O statistics are accounted globally.
 type Catalog struct {
-	mu       sync.RWMutex
-	pager    *storage.Pager
-	tables   map[string]*Table
-	overhead int
+	mu     sync.RWMutex
+	pager  *storage.Pager
+	tables map[string]*Table
 }
 
-// New creates an empty catalog. overhead is the per-tuple storage overhead in
-// bytes used by all tables and index leaves (negative selects the default).
-func New(pager *storage.Pager, overhead int) *Catalog {
-	if overhead < 0 {
-		overhead = storage.DefaultTupleOverhead
-	}
-	return &Catalog{pager: pager, tables: make(map[string]*Table), overhead: overhead}
+// New creates an empty catalog over the pager.
+func New(pager *storage.Pager) *Catalog {
+	return &Catalog{pager: pager, tables: make(map[string]*Table)}
 }
 
 // Pager returns the pager shared by all tables in the catalog.
 func (c *Catalog) Pager() *storage.Pager { return c.pager }
-
-// TupleOverhead returns the per-tuple overhead in bytes configured for this catalog.
-func (c *Catalog) TupleOverhead() int { return c.overhead }
 
 // CreateTable registers a new table. If clusteredKey is non-empty the table
 // is stored in a clustered B+-tree on those columns (rows are kept in key
@@ -81,7 +73,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 		if err != nil {
 			return nil, err
 		}
-		tree, err := btree.New(c.pager, c.overhead)
+		tree, err := btree.New(c.pager)
 		if err != nil {
 			return nil, err
 		}
@@ -93,7 +85,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 			tree:       tree,
 		}
 	} else {
-		t.heap = storage.NewHeapFile(c.pager, c.overhead)
+		t.heap = storage.NewHeapFile(c.pager)
 	}
 	t.initLayouts()
 	c.tables[key] = t
@@ -555,7 +547,7 @@ func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
 	// so their pages are allocated in the order CREATE INDEX would.
 	for i, ix := range indexes {
 		if ix.tree == nil {
-			if ix.tree, err = btree.New(t.catalog.pager, t.catalog.overhead); err != nil {
+			if ix.tree, err = btree.New(t.catalog.pager); err != nil {
 				return err
 			}
 		}
@@ -1028,7 +1020,7 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 	if err != nil {
 		return nil, err
 	}
-	if idx.tree, err = btree.New(c.pager, c.overhead); err != nil {
+	if idx.tree, err = btree.New(c.pager); err != nil {
 		return nil, err
 	}
 	rows, locs, err := t.scanStored()

@@ -10,7 +10,7 @@ import (
 )
 
 func newTestCatalog() *Catalog {
-	return New(storage.NewPager(0), -1)
+	return New(storage.NewPager(0))
 }
 
 func lineitemColumns() []Column {

@@ -13,7 +13,7 @@ import (
 // secondary index on (grp, id), large enough to span many leaf pages.
 func newSeekTable(t *testing.T, rows int) (*Catalog, *Table, *Index) {
 	t.Helper()
-	c := New(storage.NewPager(0), -1)
+	c := New(storage.NewPager(0))
 	tbl, err := c.CreateTable("items", []Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "grp", Kind: value.KindInt},
@@ -278,7 +278,7 @@ func TestConcurrentCatalogReads(t *testing.T) {
 				}
 				_ = tbl.Stats.DistinctCount(1)
 				_, _ = tbl.Stats.MinMax(2)
-				_ = tbl.Stats.EstimatedDataPages(9)
+				_ = tbl.Stats.EstimatedDataPages()
 				_ = tbl.RowCount()
 			}
 		}(g)

@@ -24,7 +24,7 @@ import (
 // same poisoned payloads by exec's TestFillReadsOnlyTheSpansItProjects.
 func TestBigIntKeyRecoveryNeverTouchesPayload(t *testing.T) {
 	pager := storage.NewPager(0)
-	c := New(pager, -1)
+	c := New(pager)
 	tbl, err := c.CreateTable("big", []Column{
 		{Name: "k", Kind: value.KindInt},
 		{Name: "note", Kind: value.KindString},

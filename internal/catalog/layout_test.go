@@ -209,7 +209,7 @@ func treeKeys(ix *catalog.Index) [][]byte {
 // checkLayoutCase loads the case's rows by repeated Insert and by BulkLoad and
 // holds both tables to the expected contents through every read path.
 func checkLayoutCase(c layoutCase) error {
-	cat := catalog.New(storage.NewPager(0), -1)
+	cat := catalog.New(storage.NewPager(0))
 	allCols := make([]int, len(c.cols))
 	for i := range allCols {
 		allCols[i] = i

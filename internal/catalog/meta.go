@@ -191,11 +191,11 @@ func encodeTree(w *metaWriter, tr *btree.BTree) {
 	w.iv(tr.Count())
 }
 
-func decodeTree(r *metaReader, pager *storage.Pager, overhead int) *btree.BTree {
+func decodeTree(r *metaReader, pager *storage.Pager) *btree.BTree {
 	root := storage.PageID(r.uv())
 	height := int(r.uv())
 	count := r.iv()
-	return btree.Open(pager, root, height, count, overhead)
+	return btree.Open(pager, root, height, count)
 }
 
 func encodeStats(w *metaWriter, s *TableStats) {
@@ -276,14 +276,14 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 	if r.bool() {
 		name := r.str()
 		keyOrds := r.ords()
-		tree := decodeTree(r, c.pager, c.overhead)
+		tree := decodeTree(r, c.pager)
 		t.Clustered = &Index{
 			Name: name, Table: t, KeyColumns: keyOrds, Clustered: true, tree: tree,
 		}
 	} else {
 		ids := r.pageIDs()
 		rows := r.iv()
-		t.heap = storage.OpenHeapFile(c.pager, ids, rows, c.overhead)
+		t.heap = storage.OpenHeapFile(c.pager, ids, rows)
 	}
 	nsec := int(r.uv())
 	for i := 0; i < nsec && r.err == nil; i++ {
@@ -291,7 +291,7 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 		keyOrds := r.ords()
 		inclOrds := r.ords()
 		unique := r.bool()
-		tree := decodeTree(r, c.pager, c.overhead)
+		tree := decodeTree(r, c.pager)
 		t.Secondary = append(t.Secondary, &Index{
 			Name: name, Table: t, KeyColumns: keyOrds, IncludedColumns: inclOrds,
 			Unique: unique, tree: tree,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
 
@@ -18,10 +19,10 @@ type TableStats struct {
 	columns   []columnStats
 }
 
-// EstimatedDataPages estimates how many pages the rows occupy given the
+// EstimatedDataPages estimates how many pages the rows occupy with the
 // per-tuple overhead, assuming ~95% page fill.
-func (s *TableStats) EstimatedDataPages(overhead int) float64 {
-	bytes := float64(s.DataBytes) + float64(s.RowCount)*float64(overhead)
+func (s *TableStats) EstimatedDataPages() float64 {
+	bytes := float64(s.DataBytes) + float64(s.RowCount)*storage.TupleOverhead
 	pages := bytes / (0.95 * 8192)
 	if pages < 1 {
 		return 1

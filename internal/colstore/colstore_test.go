@@ -168,105 +168,6 @@ func TestLeadingRangeFractionAndColOpt(t *testing.T) {
 	}
 }
 
-func TestSelectRangeAndGroupAggregate(t *testing.T) {
-	// Small deterministic projection for exact assertions.
-	var rows [][]value.Value
-	for d := 0; d < 10; d++ {
-		for s := 0; s < 4; s++ {
-			for k := 0; k < 5; k++ {
-				rows = append(rows, []value.Value{
-					value.NewInt(int64(d)),
-					value.NewInt(int64(s)),
-					value.NewFloat(float64(d*100 + s)),
-				})
-			}
-		}
-	}
-	p, err := BuildProjection("t", []string{"d", "s", "p"},
-		[]value.Kind{value.KindInt, value.KindInt, value.KindFloat},
-		[]string{"d", "s"}, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// d > 7 selects d in {8, 9}: 40 contiguous positions.
-	ranges, err := p.SelectRange("d", value.NewInt(7), value.Null(), false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var totalPos int64
-	for _, r := range ranges {
-		totalPos += r.Len()
-	}
-	if totalPos != 40 {
-		t.Fatalf("selected %d positions, want 40", totalPos)
-	}
-	// COUNT group by s over the selection: each s appears 10 times.
-	groups, err := p.GroupAggregate(ranges, "s", AggCount, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 4 {
-		t.Fatalf("groups = %d", len(groups))
-	}
-	for _, g := range groups {
-		if g.Agg.Int() != 10 {
-			t.Errorf("group %v count = %v, want 10", g.Key, g.Agg)
-		}
-	}
-	// MAX(p) group by s over everything.
-	allRange := []PositionRange{{First: 1, Last: p.NumRows}}
-	maxGroups, err := p.GroupAggregate(allRange, "s", AggMax, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range maxGroups {
-		want := float64(900 + g.Key.Int())
-		if g.Agg.Float() != want {
-			t.Errorf("MAX for s=%v is %v, want %v", g.Key, g.Agg, want)
-		}
-	}
-	// SUM and MIN paths.
-	sums, err := p.GroupAggregate(allRange, "d", AggSum, "s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range sums {
-		if g.Agg.Float() != 30 { // sum of s over 4 suppliers x 5 rows = (0+1+2+3)*5
-			t.Errorf("SUM for d=%v is %v, want 30", g.Key, g.Agg)
-		}
-	}
-	mins, err := p.GroupAggregate(allRange, "d", AggMin, "p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range mins {
-		if g.Agg.Float() != float64(g.Key.Int()*100) {
-			t.Errorf("MIN for d=%v is %v", g.Key, g.Agg)
-		}
-	}
-	// Range selection on a non-RLE column still works (positions may be sparse).
-	priceRanges, err := p.SelectRange("p", value.NewFloat(900), value.Null(), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var n int64
-	for _, r := range priceRanges {
-		n += r.Len()
-	}
-	if n != 20 { // d=9 rows
-		t.Errorf("price range selected %d positions, want 20", n)
-	}
-	if _, err := p.SelectRange("missing", value.Null(), value.Null(), true, true); err == nil {
-		t.Error("missing column should fail")
-	}
-	if _, err := p.GroupAggregate(allRange, "missing", AggCount, ""); err == nil {
-		t.Error("missing group column should fail")
-	}
-	if _, err := p.GroupAggregate(allRange, "d", AggSum, "missing"); err == nil {
-		t.Error("missing aggregate column should fail")
-	}
-}
-
 // forceSegments builds one segment per encoding over the same values, so
 // tests can compare the encodings' behavior directly (buildSegment normally
 // picks exactly one).
@@ -422,14 +323,10 @@ func TestSingleRunRLEColumn(t *testing.T) {
 	if seg.Encoding != EncodingRLE || len(seg.Runs()) != 1 {
 		t.Fatalf("constant column: encoding %v with %d runs, want RLE with 1", seg.Encoding, len(seg.Runs()))
 	}
-	ranges, err := p.SelectRange("k", value.NewInt(7), value.NewInt(7), true, true)
-	if err != nil {
-		t.Fatal(err)
+	if r := seg.Runs()[0]; r.First != 1 || r.Count != n {
+		t.Fatalf("single run starts at %d and counts %d, want 1 and %d", r.First, r.Count, n)
 	}
-	if len(ranges) != 1 || ranges[0].Len() != n {
-		t.Fatalf("single-run selection = %v", ranges)
-	}
-	scan, err := NewProjectionScan(p, []string{"k"}, false)
+	scan, err := NewProjectionScan(p, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +350,7 @@ func TestProjectionScanEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scan, err := NewProjectionScan(p, nil, false)
+	scan, err := NewProjectionScan(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +368,7 @@ func TestProjectionScanEmpty(t *testing.T) {
 	if len(rows) != 0 {
 		t.Fatalf("empty projection row scan produced %d rows", len(rows))
 	}
-	if _, err := NewProjectionScan(p, []string{"missing"}, false); err == nil {
+	if _, err := NewProjectionScan(p, []string{"missing"}); err == nil {
 		t.Error("scan over a missing column should fail")
 	}
 }
@@ -482,7 +379,7 @@ func TestProjectionScanEmpty(t *testing.T) {
 // dict segment -> Dict vectors, raw -> Flat).
 func TestProjectionScanMatchesValue(t *testing.T) {
 	p := buildD1Like(t, 5000)
-	scan, err := NewProjectionScan(p, nil, false)
+	scan, err := NewProjectionScan(p, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,6 @@ import (
 type ProjectionScan struct {
 	Proj *Projection
 	Cols []string
-	// FlatVectors forces decompressed (Flat) output vectors. It is the
-	// column-store side of the engine's DisableCompressed knob, used by the
-	// differential tests and the flat-vs-compressed benchmarks.
-	FlatVectors bool
 
 	segs   []*ColumnSegment
 	schema []exec.ColumnInfo
@@ -41,11 +37,11 @@ type ProjectionScan struct {
 
 // NewProjectionScan builds a scan over the given projection columns (nil
 // means all, in projection order).
-func NewProjectionScan(p *Projection, cols []string, flat bool) (*ProjectionScan, error) {
+func NewProjectionScan(p *Projection, cols []string) (*ProjectionScan, error) {
 	if cols == nil {
 		cols = p.Columns
 	}
-	s := &ProjectionScan{Proj: p, Cols: cols, FlatVectors: flat, lo: 0, hi: p.NumRows}
+	s := &ProjectionScan{Proj: p, Cols: cols, lo: 0, hi: p.NumRows}
 	for _, col := range cols {
 		seg, err := p.Segment(col)
 		if err != nil {
@@ -132,11 +128,7 @@ func (s *ProjectionScan) NextBatch() (*exec.Batch, bool, error) {
 	s.pos = end
 	cols := make([]*vector.Vector, len(s.segs))
 	for i, seg := range s.segs {
-		v := seg.vectorWindow(start, end)
-		if s.FlatVectors {
-			v = vector.NewFlat(v.Flat())
-		}
-		cols[i] = v
+		cols[i] = seg.vectorWindow(start, end)
 	}
 	return exec.NewBatchFromVectors(cols), true, nil
 }

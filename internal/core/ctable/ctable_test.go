@@ -230,12 +230,12 @@ func TestJoinSourceDesign(t *testing.T) {
 }
 
 // TestCompressedCTableExecution: rewritten c-table queries (band joins,
-// run-length aggregation) return identical results whether the engine's
-// batch scans emit compressed vectors (the default) or flat ones, and the
+// run-length aggregation) return identical results from the batch engine,
+// whose scans emit compressed vectors, and the row-at-a-time engine, and the
 // builder records the encoded column kinds.
 func TestCompressedCTableExecution(t *testing.T) {
-	build := func(disableCompressed bool) (*engine.Engine, *Design) {
-		e := engine.New(engine.Options{TupleOverhead: -1, DisableCompressed: disableCompressed})
+	build := func(row bool) (*engine.Engine, *Design) {
+		e := engine.New(engine.Options{DisableVectorized: row})
 		if _, err := e.Execute("CREATE TABLE t (a INT, b INT, c INT, PRIMARY KEY (a, b, c))"); err != nil {
 			t.Fatal(err)
 		}
@@ -257,10 +257,7 @@ func TestCompressedCTableExecution(t *testing.T) {
 		return e, d
 	}
 	compressed, d := build(false)
-	flat, _ := build(true)
-	if !compressed.Compressed() || flat.Compressed() {
-		t.Fatal("engine compression knobs are wrong")
-	}
+	row, _ := build(true)
 	ta, _ := d.Column("a")
 	tb, _ := d.Column("b")
 	queries := []string{
@@ -278,21 +275,21 @@ func TestCompressedCTableExecution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("compressed %q: %v", q, err)
 		}
-		fres, err := flat.Query(q)
+		rres, err := row.Query(q)
 		if err != nil {
-			t.Fatalf("flat %q: %v", q, err)
+			t.Fatalf("row %q: %v", q, err)
 		}
 		if len(cres.Rows) == 0 {
 			t.Fatalf("%q returned no rows", q)
 		}
-		if len(cres.Rows) != len(fres.Rows) {
-			t.Fatalf("%q: %d rows compressed, %d flat", q, len(cres.Rows), len(fres.Rows))
+		if len(cres.Rows) != len(rres.Rows) {
+			t.Fatalf("%q: %d rows compressed, %d row-at-a-time", q, len(cres.Rows), len(rres.Rows))
 		}
 		for i := range cres.Rows {
 			for j := range cres.Rows[i] {
-				cv, fv := cres.Rows[i][j], fres.Rows[i][j]
-				if cv.Kind != fv.Kind || value.Compare(cv, fv) != 0 {
-					t.Errorf("%q row %d col %d: %v vs %v", q, i, j, cv, fv)
+				cv, rv := cres.Rows[i][j], rres.Rows[i][j]
+				if cv.Kind != rv.Kind || value.Compare(cv, rv) != 0 {
+					t.Errorf("%q row %d col %d: %v vs %v", q, i, j, cv, rv)
 				}
 			}
 		}

@@ -147,7 +147,7 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 		}
 	}
 	var filters []sql.Expr
-	for _, c := range splitConjuncts(stmt.Where) {
+	for _, c := range sql.SplitConjuncts(stmt.Where) {
 		if isJoinConjunct(c) {
 			if !viewJoins[canonicalJoin(c)] {
 				return nil, false
@@ -168,7 +168,7 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 	// does, require the query to carry the same predicates, otherwise the
 	// view could be missing rows. Views in this reproduction are unfiltered,
 	// so any non-join conjunct in the view definition blocks matching.
-	for _, c := range splitConjuncts(def.Query.Where) {
+	for _, c := range sql.SplitConjuncts(def.Query.Where) {
 		if !isJoinConjunct(c) {
 			return nil, false
 		}
@@ -219,7 +219,7 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 	out := &sql.SelectStmt{
 		Select: items,
 		From:   []sql.TableRef{{Table: def.Table}},
-		Where:  andAll(filters),
+		Where:  sql.AndAll(filters),
 		Limit:  stmt.Limit,
 		Offset: stmt.Offset,
 	}
@@ -331,7 +331,7 @@ func sameTables(a, b []sql.TableRef) bool {
 // joinSet collects the canonical forms of column-equality conjuncts.
 func joinSet(where sql.Expr) map[string]bool {
 	out := make(map[string]bool)
-	for _, c := range splitConjuncts(where) {
+	for _, c := range sql.SplitConjuncts(where) {
 		if isJoinConjunct(c) {
 			out[canonicalJoin(c)] = true
 		}
@@ -413,29 +413,4 @@ func renameColumn(e sql.Expr, from, to string) sql.Expr {
 	default:
 		return e
 	}
-}
-
-func andAll(preds []sql.Expr) sql.Expr {
-	var out sql.Expr
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = p
-		} else {
-			out = &sql.BinExpr{Op: "AND", L: out, R: p}
-		}
-	}
-	return out
-}
-
-func splitConjuncts(e sql.Expr) []sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sql.BinExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
 }

@@ -96,7 +96,7 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	// Classify WHERE conjuncts: single-column constant predicates become
 	// predicates on the column's c-table values; equality joins between two
 	// columns are the design's own join predicates and are dropped.
-	for _, c := range splitConjuncts(stmt.Where) {
+	for _, c := range sql.SplitConjuncts(stmt.Where) {
 		col, rewritten, isJoin, err := classifyConjunct(c)
 		if err != nil {
 			return nil, err
@@ -234,7 +234,7 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 			where = append(where, qualify(f, ri.alias))
 		}
 	}
-	out.Where = andAll(where)
+	out.Where = sql.AndAll(where)
 
 	// Deepest referenced table drives run-length aggregation.
 	deepest := ordered[len(ordered)-1]
@@ -353,7 +353,7 @@ func (r *Rewriter) collapseSubquery(lead *refInfo) *sql.SelectStmt {
 	for _, f := range lead.filters {
 		preds = append(preds, qualify(f, ""))
 	}
-	sub.Where = andAll(preds)
+	sub.Where = sql.AndAll(preds)
 	return sub
 }
 
@@ -489,30 +489,5 @@ func qualify(e sql.Expr, alias string) sql.Expr {
 
 // col builds a (possibly qualified) column reference.
 func col(table, name string) *sql.ColRef { return &sql.ColRef{Table: table, Column: name} }
-
-func andAll(preds []sql.Expr) sql.Expr {
-	var out sql.Expr
-	for _, p := range preds {
-		if p == nil {
-			continue
-		}
-		if out == nil {
-			out = p
-		} else {
-			out = &sql.BinExpr{Op: "AND", L: out, R: p}
-		}
-	}
-	return out
-}
-
-func splitConjuncts(e sql.Expr) []sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sql.BinExpr); ok && b.Op == "AND" {
-		return append(splitConjuncts(b.L), splitConjuncts(b.R)...)
-	}
-	return []sql.Expr{e}
-}
 
 func intLit(i int64) value.Value { return value.NewInt(i) }

@@ -29,7 +29,7 @@ func TestParallelDuplicateKeyIndexLookup(t *testing.T) {
 		for _, rowProtocol := range []bool{false, true} {
 			for _, workers := range []int{1, 2} {
 				name := fmt.Sprintf("indexFirst=%v/row=%v/P=%d", indexFirst, rowProtocol, workers)
-				e := New(Options{TupleOverhead: -1, DisableVectorized: rowProtocol, Parallelism: workers})
+				e := New(Options{DisableVectorized: rowProtocol, Parallelism: workers})
 				stmts := []string{"CREATE TABLE t (k INT, x INT, y VARCHAR(8), PRIMARY KEY (k))"}
 				if indexFirst {
 					stmts = append(stmts, createIndex)

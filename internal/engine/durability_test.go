@@ -15,7 +15,7 @@ import (
 
 func openDurable(t *testing.T, fs *faultfs.FS) *Engine {
 	t.Helper()
-	e, err := Open(Options{TupleOverhead: -1, FS: fs})
+	e, err := Open(Options{FS: fs})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -170,7 +170,7 @@ func TestDurableDiscardedGroupRestoresFreedPages(t *testing.T) {
 	pad := strings.Repeat("x", 500)
 	for _, pool := range []int{0, 4} {
 		fs := faultfs.New(6)
-		e, err := Open(Options{TupleOverhead: -1, FS: fs, BufferPoolPages: pool})
+		e, err := Open(Options{FS: fs, BufferPoolPages: pool})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,7 +300,7 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 	const pool = 16
 	fs := faultfs.CountReads(faultfs.New(5))
 	open := func() *Engine {
-		e, err := Open(Options{TupleOverhead: -1, FS: fs, BufferPoolPages: pool})
+		e, err := Open(Options{FS: fs, BufferPoolPages: pool})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
@@ -386,7 +386,7 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("meta version %d not supported", old)
-		if e, err := Open(Options{TupleOverhead: -1, FS: fs}); err == nil {
+		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
 		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 4") {

@@ -31,18 +31,10 @@ type Options struct {
 	// from a private spill file — when accessed. 0 means unbounded: every
 	// page stays in memory and nothing spills.
 	BufferPoolPages int
-	// TupleOverhead is the per-tuple storage overhead in bytes. Negative
-	// selects storage.DefaultTupleOverhead (9 bytes, as in the paper).
-	TupleOverhead int
 	// DisableVectorized forces the row-at-a-time Volcano path, kept for
 	// differential testing. Batch-at-a-time (MonetDB/X100-style) execution is
 	// the default: the zero Options value runs vectorized.
 	DisableVectorized bool
-	// DisableCompressed forces the vectorized executor to run on flat
-	// (decompressed) vectors only: scans stop emitting Const/RLE vectors for
-	// sort-prefix columns. Compressed execution is the default; the knob
-	// exists for differential testing and the flat-vs-compressed benchmarks.
-	DisableCompressed bool
 	// Parallelism is the number of workers for morsel-parallel query
 	// execution. 0 (the zero value) selects runtime.GOMAXPROCS(0); 1 disables
 	// parallel execution entirely, reproducing the serial plans byte for
@@ -54,11 +46,6 @@ type Options struct {
 	// that lean on the paper's I/O model should pin Parallelism to 1, as the
 	// bench harness does by default.
 	Parallelism int
-	// DisablePlanCache turns the shared plan cache off: every query pays
-	// lex/parse/plan/parallelize. The cache is on by default; the knob exists
-	// for measurements that must include planning cost on every run (the bench
-	// harness) and for differential testing of the cached path.
-	DisablePlanCache bool
 	// DataDir, when set, makes the engine durable (via Open): pages live in a
 	// checksummed data file, commits in a write-ahead log, and recovery runs
 	// on open. Empty means in-memory. New ignores it; use Open.
@@ -89,9 +76,8 @@ type Engine struct {
 	cat         *catalog.Catalog
 	views       map[string]*ViewDef
 	vectorized  bool
-	compressed  bool
 	parallelism int
-	plans       *planCache // nil when the plan cache is disabled
+	plans       *planCache
 
 	// Durability state (nil/empty for in-memory engines; see durability.go).
 	fsys                        storage.FS
@@ -128,10 +114,6 @@ func New(opts Options) *Engine {
 }
 
 func newWithPager(opts Options, pager *storage.Pager) *Engine {
-	overhead := opts.TupleOverhead
-	if overhead < 0 {
-		overhead = storage.DefaultTupleOverhead
-	}
 	vectorized := !opts.DisableVectorized
 	parallelism := opts.Parallelism
 	if parallelism <= 0 {
@@ -140,29 +122,22 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 	if !vectorized {
 		parallelism = 1
 	}
-	e := &Engine{
+	return &Engine{
 		pager:       pager,
-		cat:         catalog.New(pager, overhead),
+		cat:         catalog.New(pager),
 		views:       make(map[string]*ViewDef),
 		vectorized:  vectorized,
-		compressed:  vectorized && !opts.DisableCompressed,
 		parallelism: parallelism,
+		plans:       newPlanCache(planCacheSize),
 	}
-	if !opts.DisablePlanCache {
-		e.plans = newPlanCache(planCacheSize)
-	}
-	return e
 }
 
 // Default returns an engine with the default options used throughout the
-// paper reproduction: unbounded buffer pool and 9 bytes of tuple overhead.
-func Default() *Engine { return New(Options{TupleOverhead: -1}) }
+// paper reproduction: vectorized, with an unbounded buffer pool.
+func Default() *Engine { return New(Options{}) }
 
 // Vectorized reports whether the engine executes queries batch-at-a-time.
 func (e *Engine) Vectorized() bool { return e.vectorized }
-
-// Compressed reports whether batch scans emit compressed (Const/RLE) vectors.
-func (e *Engine) Compressed() bool { return e.compressed }
 
 // Parallelism reports the worker count used for morsel-parallel execution
 // (1 means serial).
@@ -196,21 +171,11 @@ func (e *Engine) View(name string) (*ViewDef, bool) {
 	return v, ok
 }
 
-// PlanCacheStats returns a snapshot of the shared plan cache's counters
-// (zero when the cache is disabled).
-func (e *Engine) PlanCacheStats() PlanCacheStats {
-	if e.plans == nil {
-		return PlanCacheStats{}
-	}
-	return e.plans.snapshot()
-}
+// PlanCacheStats returns a snapshot of the shared plan cache's counters.
+func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.snapshot() }
 
 // invalidatePlans clears the plan cache; callers hold the writer lock.
-func (e *Engine) invalidatePlans() {
-	if e.plans != nil {
-		e.plans.invalidate()
-	}
-}
+func (e *Engine) invalidatePlans() { e.plans.invalidate() }
 
 // Stats captures the cost of executing one statement.
 type Stats struct {
@@ -356,7 +321,7 @@ func (e *Engine) QueryWith(opts QueryOptions, sqlText string) (*Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
 	norm := ""
-	if e.plans != nil && !opts.NoCache {
+	if !opts.NoCache {
 		norm = sql.Normalize(sqlText)
 	}
 	return e.execSelect(opts, norm, sqlText, nil)
@@ -397,7 +362,7 @@ func (e *Engine) QueryPrepared(opts QueryOptions, p *Prepared) (*Result, error) 
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
 	norm := p.norm
-	if e.plans == nil || opts.NoCache {
+	if opts.NoCache {
 		norm = ""
 	}
 	return e.execSelect(opts, norm, "", p.stmt)
@@ -413,10 +378,10 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 	// partitioning walks leaves, and those page reads are the query's too.
 	before := e.pager.Stats()
 	par := e.effectiveParallelism(opts.Parallelism)
-	useCache := e.plans != nil && norm != "" && !opts.Trace
+	useCache := norm != "" && !opts.Trace
 	var pl *plan.Plan
 	cached := false
-	key := planKey{sql: norm, vectorized: e.vectorized, compressed: e.compressed, parallelism: par}
+	key := planKey{sql: norm, parallelism: par}
 	if useCache {
 		var cachedStmt *sql.SelectStmt
 		pl, cachedStmt = e.plans.acquire(key)
@@ -490,7 +455,6 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.
 // reader lock.
 func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int) (*plan.Plan, error) {
 	planner := plan.NewPlanner(e.cat)
-	planner.DisableCompressed = !e.compressed
 	planner.DisableVectorized = !e.vectorized
 	pl, err := planner.PlanSelect(stmt)
 	if err != nil {

@@ -11,7 +11,7 @@ import (
 // traceTestEngine builds an engine with one populated table.
 func traceTestEngine(t *testing.T, rows int) *Engine {
 	t.Helper()
-	e := New(Options{TupleOverhead: -1})
+	e := New(Options{})
 	if _, err := e.Execute("CREATE TABLE t (id INT, grp INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestTraceExplainAnalyzeMatchesUntraced(t *testing.T) {
 // cache in both directions: they neither hit a cached plan nor deposit an
 // instrumented one for later untraced runs.
 func TestTraceDoesNotPolluteCache(t *testing.T) {
-	e := New(Options{TupleOverhead: -1})
+	e := New(Options{})
 	e.plans = newPlanCache(16)
 	if _, err := e.Execute("CREATE TABLE t (id INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func TestParallelGroupByBeyondFloatPrecision(t *testing.T) {
 		return out, res.Plan
 	}
 	for _, table := range []string{"g", "gk"} {
-		want, _ := run(Options{TupleOverhead: -1, DisableVectorized: true, Parallelism: 1}, table)
+		want, _ := run(Options{DisableVectorized: true, Parallelism: 1}, table)
 		counts := map[int64]int64{}
 		for _, a := range want {
 			counts[a.k] = a.n
@@ -70,19 +70,17 @@ func TestParallelGroupByBeyondFloatPrecision(t *testing.T) {
 		if counts[big] != 1 || counts[big+1] != 2 || counts[big+2] != 1 || counts[-big] != 1 || counts[-big-1] != 3 || counts[7] != 401 {
 			t.Fatalf("%s: the row engine's own answer is wrong: %v", table, want)
 		}
-		for _, flat := range []bool{false, true} {
-			for _, workers := range []int{1, 2} {
-				got, plan := run(Options{TupleOverhead: -1, DisableCompressed: flat, Parallelism: workers}, table)
-				if !reflect.DeepEqual(got, want) {
-					var diff []string
-					for _, a := range got {
-						if counts[a.k] != a.n {
-							diff = append(diff, fmt.Sprintf("[%d %d]", a.k, a.n))
-						}
+		for _, workers := range []int{1, 2} {
+			got, plan := run(Options{Parallelism: workers}, table)
+			if !reflect.DeepEqual(got, want) {
+				var diff []string
+				for _, a := range got {
+					if counts[a.k] != a.n {
+						diff = append(diff, fmt.Sprintf("[%d %d]", a.k, a.n))
 					}
-					t.Errorf("%s flat=%v P=%d: groups %v differ from the row engine's (%d groups against %d)\nplan %s",
-						table, flat, workers, diff, len(got), len(want), plan)
 				}
+				t.Errorf("%s P=%d: groups %v differ from the row engine's (%d groups against %d)\nplan %s",
+					table, workers, diff, len(got), len(want), plan)
 			}
 		}
 	}

@@ -22,12 +22,11 @@ import (
 // (read) lock and invalidation under its exclusive lock, so a stale plan can
 // never be leased: a mutation cannot interleave with an in-flight lease.
 
-// planKey identifies a cached plan: the normalized SQL text plus every engine
-// knob that changes physical planning or the parallel rewrite.
+// planKey identifies a cached plan: the normalized SQL text plus the worker
+// count of the parallel rewrite. The executor mode is fixed for an engine's
+// life, so it needs no place in the key.
 type planKey struct {
 	sql         string
-	vectorized  bool
-	compressed  bool
 	parallelism int
 }
 

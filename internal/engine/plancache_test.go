@@ -15,7 +15,7 @@ import (
 // enabled (bounded to cacheSize statements when that is positive).
 func newCachedEngine(t *testing.T, cacheSize, rows int) *Engine {
 	t.Helper()
-	e := New(Options{TupleOverhead: -1})
+	e := New(Options{})
 	if cacheSize > 0 {
 		e.plans = newPlanCache(cacheSize)
 	}

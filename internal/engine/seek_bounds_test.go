@@ -200,7 +200,7 @@ func TestSeekBoundsAcrossKindsParallel(t *testing.T) {
 		workers int
 	}{{false, 1}, {true, 1}, {false, 2}} {
 		name := fmt.Sprintf("row=%v/P=%d", cfg.row, cfg.workers)
-		e := New(Options{TupleOverhead: -1, DisableVectorized: cfg.row, Parallelism: cfg.workers})
+		e := New(Options{DisableVectorized: cfg.row, Parallelism: cfg.workers})
 		for _, s := range ddl {
 			if _, err := e.Execute(s); err != nil {
 				t.Fatalf("%s: %s: %v", name, s, err)

@@ -13,7 +13,6 @@ func TestVectorizedKnobDefaults(t *testing.T) {
 		want bool
 	}{
 		{"zero value", Options{}, true},
-		{"default engine", Options{TupleOverhead: -1}, true},
 		{"disabled", Options{DisableVectorized: true}, false},
 	}
 	for _, c := range cases {
@@ -23,32 +22,6 @@ func TestVectorizedKnobDefaults(t *testing.T) {
 	}
 	if !Default().Vectorized() {
 		t.Error("Default() engine is not vectorized")
-	}
-}
-
-// TestCompressedKnobDefaults pins the compressed-execution contract: the zero
-// value runs on compressed vectors, DisableCompressed keeps batch execution
-// but forces flat vectors, and row-at-a-time engines never claim compression
-// (they produce no batches at all).
-func TestCompressedKnobDefaults(t *testing.T) {
-	cases := []struct {
-		name string
-		opts Options
-		want bool
-	}{
-		{"zero value", Options{}, true},
-		{"default engine", Options{TupleOverhead: -1}, true},
-		{"compressed disabled", Options{DisableCompressed: true}, false},
-		{"row engine", Options{DisableVectorized: true}, false},
-		{"row engine, compression nominally on", Options{DisableVectorized: true, DisableCompressed: false}, false},
-	}
-	for _, c := range cases {
-		if got := New(c.opts).Compressed(); got != c.want {
-			t.Errorf("%s: Compressed() = %v, want %v", c.name, got, c.want)
-		}
-	}
-	if !Default().Compressed() {
-		t.Error("Default() engine does not run on compressed vectors")
 	}
 }
 
@@ -76,7 +49,7 @@ func TestVectorizedEngineEquivalence(t *testing.T) {
 		"SELECT a, label FROM t, u WHERE b = k AND c > 80 ORDER BY a, label LIMIT 25 OPTION(HASH JOIN)",
 	}
 	build := func(disable bool) *Engine {
-		e := New(Options{TupleOverhead: -1, DisableVectorized: disable})
+		e := New(Options{DisableVectorized: disable})
 		for _, s := range setup {
 			if _, err := e.Execute(s); err != nil {
 				t.Fatal(err)

@@ -61,7 +61,7 @@ func TestProjectedScanFillZeroAllocsPerRow(t *testing.T) {
 // A regression to per-value string allocation adds ≥1000 allocations per
 // drain and busts the bound immediately.
 func TestProjectedStringScanFillZeroAllocsPerRow(t *testing.T) {
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("strings", []catalog.Column{
 		{Name: "k", Kind: value.KindInt},
 		{Name: "s_low", Kind: value.KindString},

@@ -63,7 +63,7 @@ func TestZeroColumnBatchKeepsRowCount(t *testing.T) {
 // and a non-covering secondary index on g, and dims(d, w) with 7 rows.
 func bothPullsDB(t *testing.T, n int) (facts, dims *catalog.Table, covering, lookup *catalog.Index) {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	facts, err := c.CreateTable("facts", []catalog.Column{
 		{Name: "k", Kind: value.KindInt}, {Name: "g", Kind: value.KindInt}, {Name: "x", Kind: value.KindInt},
 	}, []string{"k"})

@@ -197,7 +197,7 @@ func TestCancelRowDrain(t *testing.T) {
 // range covers the whole inner table, so no two ranges coalesce and the full
 // join is seconds of work; the deadline must end it. Through both pulls.
 func TestCancelMidBandJoin(t *testing.T) {
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	inner, err := c.CreateTable("inner", []catalog.Column{
 		{Name: "k", Kind: value.KindInt},
 		{Name: "w", Kind: value.KindInt},

@@ -15,7 +15,7 @@ import (
 // buildTestDB creates a small lineitem/orders pair used across executor tests.
 func buildTestDB(t testing.TB) (*catalog.Catalog, *catalog.Table, *catalog.Table) {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	lineitem, err := c.CreateTable("lineitem", []catalog.Column{
 		{Name: "l_orderkey", Kind: value.KindInt},
 		{Name: "l_suppkey", Kind: value.KindInt},
@@ -148,7 +148,7 @@ func TestClusteredSeek(t *testing.T) {
 		t.Errorf("seek found %d rows, filter found %d", len(rows), len(filtered))
 	}
 	// Heap table cannot be cluster-seeked.
-	c := catalog.New(storage.NewPager(0), 0)
+	c := catalog.New(storage.NewPager(0))
 	heap, _ := c.CreateTable("h", []catalog.Column{{Name: "a", Kind: value.KindInt}}, nil)
 	if _, err := NewClusteredSeek(heap, nil, nil, true, true, nil); err == nil {
 		t.Error("clustered seek on heap should fail")
@@ -490,7 +490,7 @@ func TestMergeJoinManyToMany(t *testing.T) {
 func TestIndexNestedLoopBandJoin(t *testing.T) {
 	// Build two "c-table"-shaped relations and band-join them the way the
 	// paper's rewritten Q3 does: T1.f BETWEEN T0.f AND T0.f + T0.c - 1.
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	t0, _ := c.CreateTable("t0", []catalog.Column{
 		{Name: "f", Kind: value.KindInt}, {Name: "v", Kind: value.KindDate}, {Name: "c", Kind: value.KindInt},
 	}, []string{"f"})
@@ -596,7 +596,7 @@ func TestIndexNestedLoopJoinOnSecondaryIndex(t *testing.T) {
 
 func TestDrainPropagatesOpenErrors(t *testing.T) {
 	// A bounded scan of a heap has no clustered key to seek: Open must fail.
-	c := catalog.New(storage.NewPager(0), 0)
+	c := catalog.New(storage.NewPager(0))
 	heap, _ := c.CreateTable("h", []catalog.Column{{Name: "a", Kind: value.KindInt}}, nil)
 	bad := &TableScan{Table: heap, Lo: []value.Value{value.NewInt(1)}}
 	if _, err := Drain(nil, bad); err == nil {

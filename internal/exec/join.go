@@ -470,14 +470,11 @@ type InnerSeekSpec struct {
 // exactly one outer row, which a forward merge on the key finds. Inner
 // vectors pass through as the scan filled them; each outer column becomes
 // runs of its rows' match counts: Const for one outer row, RLE for few,
-// gathered Flat for many or when EncodeOuter is off.
+// gathered Flat for many.
 type IndexNestedLoopJoin struct {
 	Outer    Operator
 	Inner    InnerSeekSpec
 	Residual expr.Expr
-	// EncodeOuter lets output batches carry outer columns as Const/RLE runs;
-	// the planner sets it unless compressed execution is disabled.
-	EncodeOuter bool
 
 	schema []ColumnInfo
 	// inner is the one inner scan, built with the join and re-bound to each
@@ -900,11 +897,11 @@ func (j *IndexNestedLoopJoin) emit(in *Batch) (*Batch, error) {
 	cols := make([]*vector.Vector, len(j.schema))
 	runs := len(j.runRows)
 	switch {
-	case j.EncodeOuter && runs == 1:
+	case runs == 1:
 		for c := range nouter {
 			cols[c] = vector.NewConst(j.outer.Cols[c].Get(j.runRows[0]), n)
 		}
-	case j.EncodeOuter && 2*runs <= n:
+	case 2*runs <= n:
 		ends := slices.Clone(j.runEnds)
 		for c := range nouter {
 			vals := make([]value.Value, runs)

@@ -49,7 +49,7 @@ func newBandCase(t *testing.T, rng *rand.Rand) bandCase {
 	t.Helper()
 	kind := []value.Kind{value.KindInt, value.KindDate, value.KindFloat, value.KindString}[rng.Intn(4)]
 	pager := storage.NewPager(0)
-	c := catalog.New(pager, -1)
+	c := catalog.New(pager)
 	inner, err := c.CreateTable("inner", []catalog.Column{
 		{Name: "k", Kind: kind},
 		{Name: "w", Kind: value.KindInt},
@@ -155,7 +155,7 @@ func newBandCase(t *testing.T, rng *rand.Rand) bandCase {
 		spec.Cols = rng.Perm(3)[:rng.Intn(4)]
 	}
 	var residual expr.Expr
-	filterOuter, encode := rng.Intn(3) == 0, rng.Intn(2) == 0
+	filterOuter := rng.Intn(3) == 0
 	switch r := rng.Intn(3); {
 	case r == 0:
 		residual = expr.NewBinary(expr.OpLt, col(2), expr.NewConst(value.NewInt(rng.Int63n(10))))
@@ -173,11 +173,10 @@ func newBandCase(t *testing.T, rng *rand.Rand) bandCase {
 		if err != nil {
 			t.Fatal(err)
 		}
-		j.EncodeOuter = encode
 		return j
 	}
-	desc := fmt.Sprintf("key %v, bounds %v, shape %d, incl %v/%v, cols %v, %d inner rows over %d keys, %d outer rows, filtered %v, residual %v, encode %v",
-		kind, boundKind, shape, spec.LoIncl, spec.HiIncl, spec.Cols, nInner, domain, len(outer), filterOuter, residual != nil, encode)
+	desc := fmt.Sprintf("key %v, bounds %v, shape %d, incl %v/%v, cols %v, %d inner rows over %d keys, %d outer rows, filtered %v, residual %v",
+		kind, boundKind, shape, spec.LoIncl, spec.HiIncl, spec.Cols, nInner, domain, len(outer), filterOuter, residual != nil)
 	return bandCase{pager: pager, build: build, desc: desc}
 }
 

@@ -128,7 +128,7 @@ func TestMergeJoinResidualRejectsAll(t *testing.T) {
 // ValuesScan whose k column supplies the probe bounds.
 func inlFixture(t *testing.T, outerRows []Row) (*IndexNestedLoopJoin, error) {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	inner, err := c.CreateTable("inner", []catalog.Column{
 		{Name: "k", Kind: value.KindInt},
 		{Name: "w", Kind: value.KindInt},
@@ -194,7 +194,7 @@ func TestIndexNestedLoopJoinEmptyInputs(t *testing.T) {
 }
 
 func TestIndexNestedLoopJoinResidualRejectsAll(t *testing.T) {
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	inner, err := c.CreateTable("inner", []catalog.Column{
 		{Name: "k", Kind: value.KindInt},
 		{Name: "w", Kind: value.KindInt},

@@ -281,7 +281,7 @@ func TestVectorizedHashJoinSelectionOnProbe(t *testing.T) {
 // pages beyond DefaultMorselRows) and a build table with duplicate keys.
 func bigJoinTables(t testing.TB) (*catalog.Table, *catalog.Table) {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	facts, err := c.CreateTable("facts", []catalog.Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "k", Kind: value.KindInt},

@@ -294,13 +294,6 @@ type ParallelMerge struct {
 	rows   batchRowCursor
 }
 
-// NewParallelScan builds a parallel source over a partitionable scan with an
-// identity pipeline: the scan itself runs on the workers, batches come back
-// in morsel order.
-func NewParallelScan(src Morseler, workers int) (*ParallelMerge, bool) {
-	return NewParallelMerge(src, nil, workers)
-}
-
 // NewParallelMerge builds a parallel pipeline over a partitionable source.
 // ok is false when src cannot provide at least two morsels; build nil means
 // the identity pipeline.

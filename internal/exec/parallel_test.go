@@ -325,9 +325,9 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 func TestParallelMergeEarlyClose(t *testing.T) {
 	rows := testRows(8000, 50)
 	src := &valuesMorseler{ValuesScan: NewValuesScan(testSchema(), rows), chunk: 128}
-	par, ok := NewParallelScan(src, 4)
+	par, ok := NewParallelMerge(src, nil, 4)
 	if !ok {
-		t.Fatal("NewParallelScan refused a partitionable source")
+		t.Fatal("NewParallelMerge refused a partitionable source")
 	}
 	for round := 0; round < 3; round++ {
 		if err := par.Open(); err != nil {

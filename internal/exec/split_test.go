@@ -14,7 +14,7 @@ import (
 // all five access-path shapes can be split.
 func splitFixture(t *testing.T, rows int) (c *catalog.Catalog, clustered, heap *catalog.Table) {
 	t.Helper()
-	c = catalog.New(storage.NewPager(0), -1)
+	c = catalog.New(storage.NewPager(0))
 	cols := []catalog.Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "grp", Kind: value.KindInt},
@@ -129,7 +129,7 @@ func TestParallelSplitsReproduceSerialScan(t *testing.T) {
 // error still fails the query on either protocol — it is never swallowed into
 // an empty scan.
 func TestParallelSplitPageErrorSurfaces(t *testing.T) {
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("items", []catalog.Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "pad", Kind: value.KindString},

@@ -9,6 +9,7 @@ import (
 	"oldelephant/internal/exec"
 	"oldelephant/internal/expr"
 	"oldelephant/internal/sql"
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
 
@@ -182,8 +183,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	}
 	sort.Ints(needed)
 	constraints := sargableConstraints(t, alias, pushed)
-	overhead := p.Catalog.TupleOverhead()
-	dataPages := t.Stats.EstimatedDataPages(overhead)
+	dataPages := t.Stats.EstimatedDataPages()
 	rowCount := float64(t.Stats.RowCount)
 
 	selAll := 1.0
@@ -257,7 +257,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		if err != nil {
 			continue
 		}
-		idxPages := estimateIndexPages(idx, overhead)
+		idxPages := estimateIndexPages(idx)
 		var cost float64
 		var desc string
 		if seek.Covered() {
@@ -302,7 +302,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	// an equality seek) — mark them for compressed vector emission. This is
 	// what lets c-table and materialized-view plans run on Const/RLE vectors:
 	// their clustered keys are exactly the paper's run structure.
-	if !p.DisableCompressed && len(src.ordering) > 0 {
+	if len(src.ordering) > 0 {
 		*best.encode = src.ordering
 	}
 	// Re-apply the pushed predicates as a residual filter: seeks only consume
@@ -323,14 +323,14 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 // estimateIndexPages approximates the number of leaf pages of a secondary
 // index from statistics (share of the base row carried per entry plus
 // per-entry key/locator overhead).
-func estimateIndexPages(idx *catalog.Index, overhead int) float64 {
+func estimateIndexPages(idx *catalog.Index) float64 {
 	t := idx.Table
 	rowBytes := 1.0
 	if t.Stats.RowCount > 0 {
 		rowBytes = float64(t.Stats.DataBytes) / float64(t.Stats.RowCount)
 	}
 	frac := float64(len(idx.EntryColumnOrdinals())) / float64(len(t.Columns))
-	entryBytes := rowBytes*frac + 12 + float64(overhead)
+	entryBytes := rowBytes*frac + 12 + storage.TupleOverhead
 	pages := float64(t.Stats.RowCount) * entryBytes / (0.95 * 8192)
 	if pages < 1 {
 		return 1

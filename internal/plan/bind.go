@@ -269,17 +269,6 @@ func collectSources(e sql.Expr, bySource map[string]*scope, out map[string]bool)
 	}
 }
 
-// splitConjunctsAST flattens an AST predicate into AND-connected conjuncts.
-func splitConjunctsAST(e sql.Expr) []sql.Expr {
-	if e == nil {
-		return nil
-	}
-	if b, ok := e.(*sql.BinExpr); ok && b.Op == "AND" {
-		return append(splitConjunctsAST(b.L), splitConjunctsAST(b.R)...)
-	}
-	return []sql.Expr{e}
-}
-
 // collectAggregates walks an expression and appends every aggregate function
 // call found (in left-to-right order) to the accumulator.
 func collectAggregates(e sql.Expr, acc *[]*sql.FuncCall) {

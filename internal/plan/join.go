@@ -158,7 +158,6 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 	// Index-nested-loop candidacy with s as the inner side.
 	band, bandIdx := p.findBandAccess(cur, s, avail)
 
-	overhead := p.Catalog.TupleOverhead()
 	forceLoop := hasHint(hints, "LOOP JOIN")
 	forceHash := hasHint(hints, "HASH JOIN")
 	forceMerge := hasHint(hints, "MERGE JOIN")
@@ -171,7 +170,7 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 			// Range (band) predicates cannot be hash- or merge-joined.
 			useINL = true
 		} else if s.table != nil {
-			innerPages := s.table.Stats.EstimatedDataPages(overhead)
+			innerPages := s.table.Stats.EstimatedDataPages()
 			if cur.estRows*4 < innerPages {
 				useINL = true
 			}
@@ -207,7 +206,6 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 		if err != nil {
 			return nil, err
 		}
-		join.EncodeOuter = !p.DisableCompressed
 		est := cur.estRows * 10
 		if band.equality {
 			est = cur.estRows * joinFanout(s)

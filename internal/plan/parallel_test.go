@@ -15,7 +15,7 @@ import (
 // pages), plus a small and a large dimension table for join rewrites.
 func newParallelCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("big", []catalog.Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "grp", Kind: value.KindInt},
@@ -274,7 +274,7 @@ func TestParallelizeSeeks(t *testing.T) {
 // TestParallelizeLeavesSmallScansSerial: a table below the threshold keeps
 // its serial plan.
 func TestParallelizeLeavesSmallScansSerial(t *testing.T) {
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("small", []catalog.Column{
 		{Name: "id", Kind: value.KindInt},
 		{Name: "grp", Kind: value.KindInt},

@@ -15,7 +15,7 @@ import (
 // index and enough rows for the cost model to prefer seeks over scans.
 func newTestCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
-	c := catalog.New(storage.NewPager(0), -1)
+	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("events", []catalog.Column{
 		{Name: "day", Kind: value.KindDate},
 		{Name: "user_id", Kind: value.KindInt},
@@ -166,8 +166,7 @@ unwrapped:
 }
 
 // TestPlannerMarksCompressedScans: access paths with a sort prefix are marked
-// for compressed vector emission by default, and DisableCompressed turns the
-// marking off.
+// for compressed vector emission.
 func TestPlannerMarksCompressedScans(t *testing.T) {
 	c := newTestCatalog(t)
 	stmt, err := sql.ParseSelect("SELECT day, user_id FROM events WHERE day = DATE '2008-03-01'")
@@ -184,15 +183,6 @@ func TestPlannerMarksCompressedScans(t *testing.T) {
 	}
 	if marked[0] != 0 {
 		t.Errorf("leading marked position = %d, want 0 (day is the first produced column)", marked[0])
-	}
-	planner := NewPlanner(c)
-	planner.DisableCompressed = true
-	p, err = planner.PlanSelect(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if marked := findScanEncodeCols(p.Root); len(marked) != 0 {
-		t.Errorf("DisableCompressed planner still marked %v", marked)
 	}
 }
 

@@ -15,11 +15,6 @@ import (
 // Planner compiles SELECT statements into operator trees against a catalog.
 type Planner struct {
 	Catalog *catalog.Catalog
-	// DisableCompressed stops base-table scans from emitting compressed
-	// (Const/RLE) vectors for their sort-prefix columns. Compressed emission
-	// is the default; the knob exists for differential testing and
-	// row-at-a-time execution, where batches are never produced.
-	DisableCompressed bool
 	// DisableVectorized makes equi-joins compile to the row-at-a-time
 	// HashJoin instead of the default VectorizedHashJoin. The row engine sets
 	// it so its plans stay a pure row-at-a-time oracle for differential
@@ -88,7 +83,7 @@ func (p *Planner) PlanSelect(stmt *sql.SelectStmt) (*Plan, error) {
 
 	// Classify WHERE conjuncts: single-source ones are pushed into the
 	// source's access path; multi-source ones drive join planning.
-	conjuncts := splitConjunctsAST(stmt.Where)
+	conjuncts := sql.SplitConjuncts(stmt.Where)
 	pushedBySource := make(map[string][]sql.Expr)
 	var joinConjuncts []sql.Expr
 	var constConjuncts []sql.Expr

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // writes again once the device recovers — no restart, no poisoned state.
 func TestServerDegradesGracefullyOnFsyncFailure(t *testing.T) {
 	fs := faultfs.New(7)
-	eng, err := engine.Open(engine.Options{TupleOverhead: -1, FS: fs})
+	eng, err := engine.Open(engine.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,6 +85,14 @@ func TestServerDegradesGracefullyOnFsyncFailure(t *testing.T) {
 	if got := srv.Metrics().Errors; got != before+1 {
 		t.Errorf("metrics.Errors = %d, want %d", got, before+1)
 	}
+	// The failed fsync discarded one pending commit batch.
+	var expo strings.Builder
+	if err := srv.Registry().WritePrometheus(&expo); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(expo.String(), "\nelephant_wal_aborts_total 1\n") {
+		t.Errorf("exposition lacks elephant_wal_aborts_total 1:\n%s", expo.String())
+	}
 
 	// The device recovers; the next write goes through and is durable.
 	if _, err := writer.Execute("INSERT INTO accounts VALUES (3, 300)"); err != nil {
@@ -98,7 +107,7 @@ func TestServerDegradesGracefullyOnFsyncFailure(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := engine.Open(engine.Options{TupleOverhead: -1, FS: fs})
+	e2, err := engine.Open(engine.Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

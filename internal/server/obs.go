@@ -64,7 +64,7 @@ func (s *Server) initRegistry() {
 		func() int64 { return s.eng.WALStats().Syncs })
 	r.CounterFunc("elephant_wal_bytes_written_total", "Log bytes written.",
 		func() int64 { return s.eng.WALStats().BytesWritten })
-	r.CounterFunc("elephant_wal_aborts_total", "Commit batches discarded after mid-statement failures.",
+	r.CounterFunc("elephant_wal_aborts_total", "Pending commit batches discarded after a failed WAL write or fsync.",
 		func() int64 { return s.eng.WALStats().Aborts })
 	r.GaugeFunc("elephant_wal_bytes_since_checkpoint", "Durable log size since the last checkpoint.",
 		s.eng.WALSize)

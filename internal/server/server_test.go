@@ -21,7 +21,7 @@ import (
 // newTestServer builds a server over an engine with one populated table.
 func newTestServer(t *testing.T, rows int, opts Options) *Server {
 	t.Helper()
-	e := engine.New(engine.Options{TupleOverhead: -1})
+	e := engine.New(engine.Options{})
 	if _, err := e.Execute("CREATE TABLE items (id INT, grp INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}

@@ -418,3 +418,32 @@ func (e *ExplainStmt) String() string {
 	}
 	return "EXPLAIN " + e.Query.String()
 }
+
+// SplitConjuncts flattens an AND tree into its conjuncts, left to right; nil
+// yields none.
+func SplitConjuncts(e Expr) []Expr {
+	if e == nil {
+		return nil
+	}
+	if b, ok := e.(*BinExpr); ok && b.Op == "AND" {
+		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+	}
+	return []Expr{e}
+}
+
+// AndAll joins the non-nil predicates into a left-deep AND tree; none yields
+// nil.
+func AndAll(preds []Expr) Expr {
+	var out Expr
+	for _, p := range preds {
+		if p == nil {
+			continue
+		}
+		if out == nil {
+			out = p
+		} else {
+			out = &BinExpr{Op: "AND", L: out, R: p}
+		}
+	}
+	return out
+}

@@ -9,27 +9,18 @@ import "fmt"
 type HeapFile struct {
 	pager    *Pager
 	pageIDs  []PageID
-	overhead int
 	rowCount int64
 }
 
-// NewHeapFile creates an empty heap file backed by the pager. overhead is the
-// per-tuple byte overhead charged on insertion; pass a negative value to use
-// DefaultTupleOverhead.
-func NewHeapFile(pager *Pager, overhead int) *HeapFile {
-	if overhead < 0 {
-		overhead = DefaultTupleOverhead
-	}
-	return &HeapFile{pager: pager, overhead: overhead}
+// NewHeapFile creates an empty heap file backed by the pager.
+func NewHeapFile(pager *Pager) *HeapFile {
+	return &HeapFile{pager: pager}
 }
 
 // OpenHeapFile reattaches a heap file to its pages (recovery path: the page
 // list and row count come from the persisted catalog meta).
-func OpenHeapFile(pager *Pager, pageIDs []PageID, rowCount int64, overhead int) *HeapFile {
-	if overhead < 0 {
-		overhead = DefaultTupleOverhead
-	}
-	return &HeapFile{pager: pager, pageIDs: pageIDs, overhead: overhead, rowCount: rowCount}
+func OpenHeapFile(pager *Pager, pageIDs []PageID, rowCount int64) *HeapFile {
+	return &HeapFile{pager: pager, pageIDs: pageIDs, rowCount: rowCount}
 }
 
 // PageIDs returns the heap's page chain (for meta persistence and freeing).
@@ -37,7 +28,7 @@ func (h *HeapFile) PageIDs() []PageID { return h.pageIDs }
 
 // Insert appends a record and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	if len(rec)+h.overhead > PageSize-pageHeaderSize-slotSize {
+	if len(rec)+TupleOverhead > PageSize-pageHeaderSize-slotSize {
 		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit in a page", len(rec))
 	}
 	if len(h.pageIDs) > 0 {
@@ -46,7 +37,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 			return RID{}, err
 		}
 		h.pager.BeforeWrite(last)
-		if slot, ok := last.InsertRecord(rec, h.overhead); ok {
+		if slot, ok := last.InsertRecord(rec); ok {
 			h.rowCount++
 			return RID{Page: last.ID(), Slot: uint16(slot)}, nil
 		}
@@ -56,7 +47,7 @@ func (h *HeapFile) Insert(rec []byte) (RID, error) {
 		return RID{}, err
 	}
 	h.pageIDs = append(h.pageIDs, pg.ID())
-	slot, ok := pg.InsertRecord(rec, h.overhead)
+	slot, ok := pg.InsertRecord(rec)
 	if !ok {
 		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit in a fresh page", len(rec))
 	}

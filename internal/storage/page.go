@@ -10,8 +10,8 @@
 // page access is charged to the pager's statistics, and a miss is a read of
 // the file. The statistics are what the benchmark harness uses to model
 // disk time, so the layout deliberately mirrors a classic row store:
-// records carry a configurable per-tuple overhead (default 9 bytes, the
-// number quoted in the paper). A heap page holds a slot directory (the
+// records carry a per-tuple overhead of 9 bytes (TupleOverhead, the number
+// quoted in the paper). A heap page holds a slot directory (the
 // layout below). A B+-tree page is not slotted: package btree owns its
 // bytes whole and shares only the Aux header word, its sibling or child
 // link.
@@ -25,10 +25,10 @@ import (
 // PageSize is the size of every page in bytes (8 KB, the SQL Server page size).
 const PageSize = 8192
 
-// DefaultTupleOverhead is the per-record overhead charged by heap files and
-// index leaves, matching the 9 bytes per tuple mentioned in Section 3 of the
-// paper ("Storage layer").
-const DefaultTupleOverhead = 9
+// TupleOverhead is the per-record overhead charged by heap pages and index
+// leaves, matching the 9 bytes per tuple mentioned in Section 3 of the paper
+// ("Storage layer").
+const TupleOverhead = 9
 
 // PageID identifies a page within a Pager. Page 0 is never allocated so the
 // zero value can mean "no page".
@@ -115,11 +115,11 @@ func (p *Page) FreeSpace() int {
 	return free
 }
 
-// InsertRecord appends a record to the page, reserving overhead extra bytes
-// to emulate the row header of a real row store. It returns the slot number,
-// or ok=false if the page does not have room.
-func (p *Page) InsertRecord(rec []byte, overhead int) (slot int, ok bool) {
-	need := len(rec) + overhead
+// InsertRecord appends a record to the page, reserving TupleOverhead extra
+// bytes to emulate the row header of a real row store. It returns the slot
+// number, or ok=false if the page does not have room.
+func (p *Page) InsertRecord(rec []byte) (slot int, ok bool) {
+	need := len(rec) + TupleOverhead
 	if need > p.FreeSpace() {
 		return 0, false
 	}
@@ -172,6 +172,3 @@ type RID struct {
 
 // String renders the RID for diagnostics.
 func (r RID) String() string { return fmt.Sprintf("(%d:%d)", r.Page, r.Slot) }
-
-// Valid reports whether the RID refers to an allocated page.
-func (r RID) Valid() bool { return r.Page != InvalidPageID }

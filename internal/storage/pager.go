@@ -460,7 +460,7 @@ func (p *Pager) markDirtyLocked(id PageID) {
 }
 
 // BeginStmt opens a statement scope: subsequent writes capture undo images
-// until EndStmt or AbortStmt. Statements do not nest; the engine serializes
+// until EndStmt. Statements do not nest; the engine serializes
 // writers. Memory-mode pagers may skip the statement lifecycle entirely.
 func (p *Pager) BeginStmt() {
 	p.mu.Lock()
@@ -488,19 +488,6 @@ func (p *Pager) EndStmt() *StmtUndo {
 	}
 	p.stmt = nil
 	return &StmtUndo{pre: s.pre, dirty: s.dirty, startPages: s.startPages, startFree: s.startFree}
-}
-
-// AbortStmt rolls back the open statement immediately (statement failed
-// before reaching the WAL) and closes the scope.
-func (p *Pager) AbortStmt() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stmt
-	if s == nil {
-		return
-	}
-	p.stmt = nil
-	p.rollbackLocked(&StmtUndo{pre: s.pre, dirty: s.dirty, startPages: s.startPages, startFree: s.startFree})
 }
 
 // Rollback applies one statement's undo record: pre-images are restored,

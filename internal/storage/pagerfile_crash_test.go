@@ -33,7 +33,7 @@ func TestCrashDataFileChecksumDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := pg.InsertRecord([]byte(fmt.Sprintf("record-%d", i)), 0); !ok {
+		if _, ok := pg.InsertRecord([]byte(fmt.Sprintf("record-%d", i))); !ok {
 			t.Fatal("insert failed")
 		}
 		ids = append(ids, pg.ID())

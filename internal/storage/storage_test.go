@@ -14,7 +14,7 @@ func TestPageInsertAndRead(t *testing.T) {
 	}
 	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), {}}
 	for i, r := range recs {
-		slot, ok := p.InsertRecord(r, 0)
+		slot, ok := p.InsertRecord(r)
 		if !ok {
 			t.Fatalf("insert %d failed", i)
 		}
@@ -37,8 +37,8 @@ func TestPageInsertAndRead(t *testing.T) {
 
 func TestPageDelete(t *testing.T) {
 	p := newPage(1)
-	p.InsertRecord([]byte("keep"), 0)
-	p.InsertRecord([]byte("drop"), 0)
+	p.InsertRecord([]byte("keep"))
+	p.InsertRecord([]byte("drop"))
 	if err := p.DeleteRecord(1); err != nil {
 		t.Fatal(err)
 	}
@@ -53,26 +53,24 @@ func TestPageDelete(t *testing.T) {
 	}
 }
 
+// TestPageFillsUpAndOverheadCounts: a page holds exactly as many records as
+// fit with TupleOverhead header bytes and a slot each — 72 records of 100
+// bytes, where 78 would fit without the header.
 func TestPageFillsUpAndOverheadCounts(t *testing.T) {
 	rec := []byte(strings.Repeat("x", 100))
-	fill := func(overhead int) int {
-		p := newPage(1)
-		n := 0
-		for {
-			if _, ok := p.InsertRecord(rec, overhead); !ok {
-				break
-			}
-			n++
+	p := newPage(1)
+	n := 0
+	for {
+		if _, ok := p.InsertRecord(rec); !ok {
+			break
 		}
-		return n
+		n++
 	}
-	without := fill(0)
-	with := fill(50)
-	if without <= 0 || with <= 0 {
-		t.Fatal("pages should accept some records")
+	if want := (PageSize - pageHeaderSize) / (len(rec) + TupleOverhead + slotSize); n != want {
+		t.Errorf("page took %d records of %d bytes, want %d", n, len(rec), want)
 	}
-	if with >= without {
-		t.Errorf("overhead should reduce records per page: %d vs %d", with, without)
+	if bare := (PageSize - pageHeaderSize) / (len(rec) + slotSize); n >= bare {
+		t.Errorf("overhead should reduce records per page: %d vs %d", n, bare)
 	}
 }
 
@@ -86,7 +84,7 @@ func TestPageAux(t *testing.T) {
 		t.Error("aux round trip failed")
 	}
 	// Aux must survive record inserts.
-	p.InsertRecord([]byte("data"), 0)
+	p.InsertRecord([]byte("data"))
 	if p.Aux() != 123456789 {
 		t.Error("aux clobbered by insert")
 	}
@@ -229,7 +227,7 @@ func heapRecord(i int) []byte { return fmt.Appendf(nil, "row-%d|%g", i, float64(
 
 func TestHeapFileInsertScanGet(t *testing.T) {
 	pg := NewPager(0)
-	h := NewHeapFile(pg, -1)
+	h := NewHeapFile(pg)
 	const n = 5000
 	var rids []RID
 	for i := 0; i < n; i++ {
@@ -278,7 +276,7 @@ func TestHeapFileInsertScanGet(t *testing.T) {
 
 func TestHeapFileDelete(t *testing.T) {
 	pg := NewPager(0)
-	h := NewHeapFile(pg, 0)
+	h := NewHeapFile(pg)
 	var rids []RID
 	for i := 0; i < 10; i++ {
 		rid, err := h.Insert(heapRecord(i))
@@ -314,7 +312,7 @@ func TestHeapFileDelete(t *testing.T) {
 }
 
 func TestHeapFileRejectsOversizedRow(t *testing.T) {
-	h := NewHeapFile(NewPager(0), 0)
+	h := NewHeapFile(NewPager(0))
 	if _, err := h.Insert(make([]byte, PageSize)); err == nil {
 		t.Error("expected error for oversized row")
 	}
@@ -322,7 +320,7 @@ func TestHeapFileRejectsOversizedRow(t *testing.T) {
 
 func TestHeapScanCountsSequentialIO(t *testing.T) {
 	pg := NewPager(0)
-	h := NewHeapFile(pg, -1)
+	h := NewHeapFile(pg)
 	for i := 0; i < 20000; i++ {
 		if _, err := h.Insert(heapRecord(i)); err != nil {
 			t.Fatal(err)

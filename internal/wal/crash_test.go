@@ -37,7 +37,7 @@ const (
 // expected — the filesystem may die at any point.
 func crashWorkload(fs *faultfs.FS) (acked map[int64]bool, tableAcked bool) {
 	acked = make(map[int64]bool)
-	eng, err := engine.Open(engine.Options{TupleOverhead: -1, FS: fs})
+	eng, err := engine.Open(engine.Options{FS: fs})
 	if err != nil {
 		return acked, false
 	}
@@ -89,7 +89,7 @@ func readRows(t *testing.T, eng *engine.Engine) map[int64]string {
 // verifyRecovered checks the durability contract for one recovered image.
 func verifyRecovered(t *testing.T, kill int64, rfs *faultfs.FS, acked map[int64]bool, tableAcked bool) map[int64]string {
 	t.Helper()
-	eng, err := engine.Open(engine.Options{TupleOverhead: -1, FS: rfs})
+	eng, err := engine.Open(engine.Options{FS: rfs})
 	if err != nil {
 		t.Fatalf("kill@%d: recovery failed: %v", kill, err)
 	}
@@ -195,7 +195,7 @@ func TestCrashRecoveryIdempotence(t *testing.T) {
 
 	// Differential oracle: an in-memory row-at-a-time engine fed the same
 	// statements must serve exactly the same table.
-	oracle := engine.New(engine.Options{TupleOverhead: -1, DisableVectorized: true})
+	oracle := engine.New(engine.Options{DisableVectorized: true})
 	if _, err := oracle.Execute("CREATE TABLE kv (id INT, payload VARCHAR, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCrashRecoveryIdempotence(t *testing.T) {
 		}
 	}
 	// Re-open the crash image once more and diff the full ordered result sets.
-	eng, err := engine.Open(engine.Options{TupleOverhead: -1, FS: twin})
+	eng, err := engine.Open(engine.Options{FS: twin})
 	if err != nil {
 		t.Fatal(err)
 	}

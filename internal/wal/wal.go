@@ -76,8 +76,9 @@ type Stats struct {
 	Syncs int64
 	// BytesWritten is the total log bytes written.
 	BytesWritten int64
-	// Aborts is the number of DiscardPending calls: commit batches dropped
-	// after a mid-statement failure instead of being made durable.
+	// Aborts is the number of times the pending commit groups were dropped
+	// instead of being made durable: a group-commit leader's write or fsync
+	// failed.
 	Aborts int64
 }
 
@@ -320,13 +321,8 @@ func (w *WAL) WaitDurable(lsn int64) error {
 	w.syncing = false
 	if err != nil {
 		// The batch (and anything queued behind it while we were writing) is
-		// no longer trustworthy: drop it all, rewind the file to the durable
-		// prefix, and fail every waiter above the durable LSN.
-		w.pending = nil
-		w.discardedBelow = w.nextLSN - 1
-		w.pendingLSN = 0
-		_ = w.f.Truncate(w.durableOff)
-		w.cond.Broadcast()
+		// no longer trustworthy: drop it all.
+		w.discardPendingLocked()
 		return fmt.Errorf("wal: commit not durable: %w", err)
 	}
 	if len(batch) > 0 {
@@ -364,12 +360,10 @@ func (w *WAL) SyncAll() error {
 	return w.WaitDurable(lsn)
 }
 
-// DiscardPending drops all appended-but-not-durable records without writing
-// them, failing their waiters. The engine calls it while rolling back the
-// corresponding statements after a mid-statement failure.
-func (w *WAL) DiscardPending() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// discardPendingLocked drops every appended-but-not-durable record without
+// writing it, rewinds the file to the durable prefix, fails every waiter
+// above the durable LSN and counts the abort. Callers hold w.mu.
+func (w *WAL) discardPendingLocked() {
 	w.stats.Aborts++
 	w.pending = nil
 	w.pendingLSN = 0

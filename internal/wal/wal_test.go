@@ -202,6 +202,9 @@ func TestWALSyncFailureDiscardsPending(t *testing.T) {
 	if got := w.DiscardedLSN(); got < lsn2 {
 		t.Errorf("DiscardedLSN = %d, want >= %d", got, lsn2)
 	}
+	if got := w.Stats().Aborts; got != 1 {
+		t.Errorf("Stats().Aborts = %d, want 1", got)
+	}
 	// A waiter for the discarded LSN gets ErrDiscarded, not a hang.
 	if err := w.WaitDurable(lsn2); !errors.Is(err, ErrDiscarded) {
 		t.Errorf("re-wait = %v, want ErrDiscarded", err)
