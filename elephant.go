@@ -193,6 +193,8 @@ func (db *DB) Serve(opts ServerOptions) *Server {
 
 // Prepare parses a SELECT once into a reusable handle whose executions lease
 // compiled plans from the shared plan cache (see Engine.QueryPrepared).
+// Handles are interned by exact text: while one is referenced, preparing the
+// same text again returns it without parsing (see Engine.Prepare).
 func (db *DB) Prepare(sqlText string) (*engine.Prepared, error) {
 	return db.Engine.Prepare(sqlText)
 }

@@ -78,6 +78,7 @@ type Engine struct {
 	vectorized  bool
 	parallelism int
 	plans       *planCache
+	prepared    *preparedTable
 
 	// Durability state (nil/empty for in-memory engines; see durability.go).
 	fsys                        storage.FS
@@ -129,6 +130,7 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 		vectorized:  vectorized,
 		parallelism: parallelism,
 		plans:       newPlanCache(planCacheSize),
+		prepared:    newPreparedTable(),
 	}
 }
 
@@ -196,7 +198,17 @@ type Result struct {
 	Columns []string
 	Rows    []exec.Row
 	Plan    string
-	Stats   Stats
+	// PlanHash fingerprints Plan (plan.Plan.Hash): equal hashes mean the same
+	// physical plan shape. Empty when no plan ran.
+	PlanHash string
+	// Fingerprint is the statement's normalized text (sql.Normalize), which
+	// is also its plan-cache key: statements differing only in keyword case,
+	// whitespace or comments share it. It is set for every statement run from
+	// text (Execute, Query, QueryWith) or a prepared handle, so a caller that
+	// logs statements never normalizes them again; a statement handed over
+	// already parsed (ExecuteStmt, QueryStmt) has no text and leaves it empty.
+	Fingerprint string
+	Stats       Stats
 	// Trace is the per-operator execution trace, set only when the query ran
 	// with QueryOptions.Trace (EXPLAIN ANALYZE). The tree is finished and
 	// immutable: safe to share, serialize or aggregate.
@@ -214,7 +226,12 @@ func (e *Engine) Execute(sqlText string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.ExecuteStmt(stmt)
+	res, err := e.ExecuteStmt(stmt)
+	if err != nil {
+		return nil, err
+	}
+	res.Fingerprint = sql.Normalize(sqlText)
+	return res, nil
 }
 
 // ExecuteStmt runs an already-parsed statement. SELECTs run under the shared
@@ -320,11 +337,7 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 func (e *Engine) QueryWith(opts QueryOptions, sqlText string) (*Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	norm := ""
-	if !opts.NoCache {
-		norm = sql.Normalize(sqlText)
-	}
-	return e.execSelect(opts, norm, sqlText, nil)
+	return e.execSelect(opts, sql.Normalize(sqlText), sqlText, nil)
 }
 
 // QueryStmt runs an already-parsed SELECT. Statement-handle executions have
@@ -335,50 +348,18 @@ func (e *Engine) QueryStmt(stmt *sql.SelectStmt) (*Result, error) {
 	return e.execSelect(QueryOptions{}, "", "", stmt)
 }
 
-// Prepared is a SELECT parsed and normalized once, executable many times.
-// The handle itself is immutable and safe to share across sessions; compiled
-// plans are leased per execution through the shared plan cache, so repeated
-// executions skip lexing, parsing, planning and morsel partitioning.
-type Prepared struct {
-	// Text is the original statement text.
-	Text string
-	norm string
-	stmt *sql.SelectStmt
-}
-
-// Prepare parses a SELECT into a reusable handle.
-func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
-	stmt, err := sql.ParseSelect(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	return &Prepared{Text: sqlText, norm: sql.Normalize(sqlText), stmt: stmt}, nil
-}
-
-// QueryPrepared executes a prepared statement. Even when an intervening
-// catalog change invalidated the plan cache, the parse is never repaid —
-// the handle's statement replans directly.
-func (e *Engine) QueryPrepared(opts QueryOptions, p *Prepared) (*Result, error) {
-	e.stateMu.RLock()
-	defer e.stateMu.RUnlock()
-	norm := p.norm
-	if opts.NoCache {
-		norm = ""
-	}
-	return e.execSelect(opts, norm, "", p.stmt)
-}
-
 // execSelect is the shared SELECT path: lease a cached plan (or parse and
 // plan), execute, and return the instance to the cache. Callers hold the
 // reader lock — or the writer lock for internal selects like view
-// materialization. A non-empty norm enables the plan cache; stmt, when
-// non-nil, skips parsing.
+// materialization. norm, the normalized text, becomes the result's
+// Fingerprint and, unless the options bypass it, keys the plan cache; stmt,
+// when non-nil, skips parsing.
 func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.SelectStmt) (*Result, error) {
 	// The I/O window opens before planning: a parallel plan's morsel
 	// partitioning walks leaves, and those page reads are the query's too.
 	before := e.pager.Stats()
 	par := e.effectiveParallelism(opts.Parallelism)
-	useCache := norm != "" && !opts.Trace
+	useCache := norm != "" && !opts.NoCache && !opts.Trace
 	var pl *plan.Plan
 	cached := false
 	key := planKey{sql: norm, parallelism: par}
@@ -416,6 +397,7 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 	if useCache {
 		e.plans.release(key, stmt, pl)
 	}
+	res.Fingerprint = norm
 	res.Stats.PlanCached = cached
 	res.Trace = span
 	return res, nil
@@ -439,9 +421,10 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.
 	elapsed := time.Since(start)
 	after := e.pager.Stats()
 	return &Result{
-		Columns: pl.Columns,
-		Rows:    rows,
-		Plan:    pl.Explain,
+		Columns:  pl.Columns,
+		Rows:     rows,
+		Plan:     pl.Explain,
+		PlanHash: pl.Hash,
 		Stats: Stats{
 			Wall:         elapsed,
 			IO:           after.Sub(before),
@@ -450,9 +433,10 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.
 	}, nil
 }
 
-// planSelect compiles a SELECT under the engine's executor knobs and applies
-// the morsel-parallel rewrite for the given worker count. Callers hold the
-// reader lock.
+// planSelect compiles a SELECT under the engine's executor knobs, applies
+// the morsel-parallel rewrite for the given worker count and hashes the final
+// plan text once, so every leased instance carries its hash. Callers hold
+// the reader lock.
 func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int) (*plan.Plan, error) {
 	planner := plan.NewPlanner(e.cat)
 	planner.DisableVectorized = !e.vectorized
@@ -461,6 +445,7 @@ func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int) (*plan.Plan, erro
 		return nil, err
 	}
 	e.parallelizePlan(pl, workers)
+	pl.Hash = plan.HashText(pl.Explain)
 	return pl, nil
 }
 
@@ -506,7 +491,7 @@ func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return planTextResult(pl.Explain, strings.Split(pl.Explain, "\n")), nil
+		return planTextResult(pl.Explain, pl.Hash, strings.Split(pl.Explain, "\n")), nil
 	}
 	e.stateMu.RLock()
 	res, err := e.execSelect(QueryOptions{Trace: true}, "", "", s.Query)
@@ -518,7 +503,7 @@ func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 	lines = append(lines, res.Trace.Lines()...)
 	lines = append(lines, fmt.Sprintf("Execution time: %s  rows returned: %d  page reads: %d",
 		res.Stats.Wall.Round(time.Microsecond), res.Stats.RowsReturned, res.Stats.IO.PageReads))
-	out := planTextResult(res.Plan, lines)
+	out := planTextResult(res.Plan, res.PlanHash, lines)
 	out.Trace = res.Trace
 	out.Stats = res.Stats
 	out.Stats.RowsReturned = len(out.Rows)
@@ -526,12 +511,12 @@ func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 }
 
 // planTextResult wraps annotation lines as a one-column result.
-func planTextResult(planText string, lines []string) *Result {
+func planTextResult(planText, planHash string, lines []string) *Result {
 	rows := make([]exec.Row, len(lines))
 	for i, line := range lines {
 		rows[i] = exec.Row{value.NewString(line)}
 	}
-	return &Result{Columns: []string{"plan"}, Rows: rows, Plan: planText,
+	return &Result{Columns: []string{"plan"}, Rows: rows, Plan: planText, PlanHash: planHash,
 		Stats: Stats{RowsReturned: len(rows)}}
 }
 

@@ -1,7 +1,9 @@
 package plan
 
 import (
+	"encoding/hex"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"strings"
 
@@ -32,7 +34,23 @@ type Plan struct {
 	Root    exec.Operator
 	Columns []string
 	Explain string
+	// Hash is HashText(Explain), set by whoever finalizes Explain (the
+	// engine, after the parallel rewrite annotates it). A compiled plan is
+	// hashed once; every later execution of a cached instance reuses it.
+	Hash    string
 	EstRows float64
+}
+
+// HashText fingerprints a plan's textual form (FNV-1a, 16 hex digits): two
+// executions with equal hashes ran the same physical plan shape. The empty
+// text hashes to "".
+func HashText(explain string) string {
+	if explain == "" {
+		return ""
+	}
+	h := fnv.New64a()
+	h.Write([]byte(explain))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // PlanSelect compiles a SELECT statement.

@@ -244,12 +244,13 @@ func (ss *Session) SetTimeout(d time.Duration) { ss.timeout = d }
 // Queries returns how many queries the session has executed.
 func (ss *Session) Queries() int64 { return ss.queries }
 
-// Close releases the session. Idempotent.
+// Close releases the session and its prepared statements. Idempotent.
 func (ss *Session) Close() {
 	if ss.closed {
 		return
 	}
 	ss.closed = true
+	clear(ss.prepared)
 	ss.srv.mu.Lock()
 	delete(ss.srv.sessions, ss.id)
 	ss.srv.mu.Unlock()
@@ -269,9 +270,13 @@ func (ss *Session) QueryCtx(ctx context.Context, sqlText string) (*engine.Result
 	})
 }
 
-// Prepare parses a SELECT once and registers it under name; repeated
-// ExecPrepared calls then lease compiled plans from the shared plan cache,
-// skipping lex/parse/plan entirely on a warm cache.
+// Prepare registers a SELECT under name; repeated ExecPrepared calls then
+// lease compiled plans from the shared plan cache, skipping lex/parse/plan
+// entirely on a warm cache. Prepared statements are shared server-wide: the
+// engine interns handles by exact text, so a statement another session
+// already prepared costs this session one map entry, not a parse and a
+// second parse tree. Re-preparing a name, or closing the session, lets go
+// of the handle; the engine forgets a text once no session holds it.
 func (ss *Session) Prepare(name, sqlText string) error {
 	if ss.closed {
 		return ErrServerClosed
@@ -291,6 +296,9 @@ func (ss *Session) ExecPrepared(name string) (*engine.Result, error) {
 
 // ExecPreparedCtx is ExecPrepared with caller-supplied cancellation.
 func (ss *Session) ExecPreparedCtx(ctx context.Context, name string) (*engine.Result, error) {
+	if ss.closed {
+		return nil, ErrServerClosed
+	}
 	p, ok := ss.prepared[name]
 	if !ok {
 		return nil, fmt.Errorf("server: no prepared statement %q", name)

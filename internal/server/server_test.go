@@ -389,29 +389,7 @@ func TestWireProtocol(t *testing.T) {
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(l) }()
-
-	conn, err := net.Dial("tcp", l.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	r := bufio.NewReader(conn)
-	roundTrip := func(req Request) Response {
-		t.Helper()
-		b, _ := json.Marshal(req)
-		if _, err := conn.Write(append(b, '\n')); err != nil {
-			t.Fatal(err)
-		}
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp Response
-		if err := json.Unmarshal(line, &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
+	roundTrip := dialWire(t, l.Addr().String())
 
 	if resp := roundTrip(Request{Op: "ping"}); !resp.OK {
 		t.Fatalf("ping failed: %s", resp.Error)
@@ -472,6 +450,64 @@ func TestWireProtocol(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after Close")
+	}
+}
+
+// dialWire connects to a serving address and returns a function that sends
+// one request and reads its reply. The connection closes with the test.
+func dialWire(t *testing.T, addr string) func(Request) Response {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	r := bufio.NewReader(conn)
+	return func(req Request) Response {
+		t.Helper()
+		b, _ := json.Marshal(req)
+		if _, err := conn.Write(append(b, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		line, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := json.Unmarshal(line, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+}
+
+// TestWireUnterminatedHintIsAnError: a statement whose OPTION hint list runs
+// to the end of the text, sent as a query and as a prepare, gets an error
+// reply, and the next statement on the same connection still runs. The
+// parser used to loop at the end of such a text, growing memory until the
+// process died.
+func TestWireUnterminatedHintIsAnError(t *testing.T) {
+	srv := newTestServer(t, 100, Options{})
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	roundTrip := dialWire(t, l.Addr().String())
+	const hang = "SELECT a FROM t OPTION(x"
+	for _, req := range []Request{
+		{Op: "query", SQL: hang},
+		{Op: "prepare", Name: "h", SQL: hang},
+	} {
+		if resp := roundTrip(req); resp.OK || !strings.Contains(resp.Error, "OPTION") {
+			t.Errorf("%s %q: ok=%v error=%q, want a parse error naming OPTION", req.Op, req.SQL, resp.OK, resp.Error)
+		}
+		resp := roundTrip(Request{Op: "query", SQL: "SELECT COUNT(*) FROM items"})
+		if !resp.OK || len(resp.Rows) != 1 || resp.Rows[0][0] != float64(100) {
+			t.Fatalf("statement after the failed %s: ok=%v rows=%v error=%q", req.Op, resp.OK, resp.Rows, resp.Error)
+		}
 	}
 }
 

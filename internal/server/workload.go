@@ -3,23 +3,20 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"os"
 	"sync"
 	"time"
 
 	"oldelephant/internal/engine"
-	"oldelephant/internal/sql"
 )
 
 // The workload log is the physical-design advisor's input: one record per
 // executed statement, normalized so that statements differing only in
-// literals share a fingerprint, with the plan, timing, cardinality and I/O
-// facts an advisor needs to find the queries worth optimizing. Records live
-// in a bounded in-memory ring (newest win) and are optionally appended as
-// JSONL to a file under the data directory, so a workload survives restarts
-// and can be mined offline.
+// keyword case, whitespace or comments share a fingerprint, with the plan,
+// timing, cardinality and I/O facts an advisor needs to find the queries
+// worth optimizing. Records live in a bounded in-memory ring (newest win)
+// and are optionally appended as JSONL to a file under the data directory,
+// so a workload survives restarts and can be mined offline.
 
 // WorkloadRecordVersion is the version stamped into every record; decoders
 // skip records with versions they do not understand, so the format can
@@ -57,43 +54,34 @@ type WorkloadRecord struct {
 	Trace       string     `json:"trace,omitempty"`
 }
 
-// planHash fingerprints a plan's textual form (FNV-1a, hex): two statements
-// with equal plan hashes executed the same physical plan shape.
-func planHash(planText string) string {
-	if planText == "" {
-		return ""
-	}
-	h := fnv.New64a()
-	h.Write([]byte(planText))
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
-// newWorkloadRecord builds the record for one finished statement.
+// newWorkloadRecord builds the record for one finished statement. The
+// fingerprint and plan hash are the strings the engine already computed
+// (Result.Fingerprint, Result.PlanHash): a prepared statement's record shares
+// its handle's normalized text and a cached plan's hash, so the ring holds no
+// copies of either.
 func newWorkloadRecord(sessionID int64, sqlText string, res *engine.Result, wall, queue time.Duration) WorkloadRecord {
 	rec := WorkloadRecord{
 		V:           WorkloadRecordVersion,
 		TSMicros:    time.Now().UnixMicro(),
 		Session:     sessionID,
 		SQL:         sqlText,
-		Fingerprint: sql.Normalize(sqlText),
+		Fingerprint: res.Fingerprint,
+		PlanHash:    res.PlanHash,
 		WallUS:      wall.Microseconds(),
 		QueueUS:     queue.Microseconds(),
-	}
-	if res != nil {
-		rec.PlanHash = planHash(res.Plan)
-		rec.RowsOut = int64(res.Stats.RowsReturned)
-		rec.Cached = res.Stats.PlanCached
-		rec.IO = WorkloadIO{
+		RowsOut:     int64(res.Stats.RowsReturned),
+		Cached:      res.Stats.PlanCached,
+		IO: WorkloadIO{
 			PageReads:  res.Stats.IO.PageReads,
 			SeqReads:   res.Stats.IO.SeqReads,
 			RandReads:  res.Stats.IO.RandReads,
 			CacheHits:  res.Stats.IO.CacheHits,
 			PageWrites: res.Stats.IO.PageWrites,
-		}
-		if res.Trace != nil {
-			rec.RowsIn = res.Trace.LeafRows()
-			rec.Trace = res.Trace.Summary()
-		}
+		},
+	}
+	if res.Trace != nil {
+		rec.RowsIn = res.Trace.LeafRows()
+		rec.Trace = res.Trace.Summary()
 	}
 	return rec
 }

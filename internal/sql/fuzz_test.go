@@ -1,0 +1,73 @@
+package sql
+
+import (
+	"testing"
+	"time"
+)
+
+// parseDeadline bounds one Parse or Normalize call in these tests. Both are
+// linear in the input, so a call that outlives it is a hang, not a slow
+// machine.
+const parseDeadline = 2 * time.Second
+
+// parseWithin parses input on its own goroutine and fails the test if Parse
+// panics or does not return within parseDeadline. It returns Parse's error.
+func parseWithin(t *testing.T, input string) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Errorf("Parse(%q) panicked: %v", input, r)
+				done <- nil
+			}
+		}()
+		Normalize(input)
+		_, err := Parse(input)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(parseDeadline):
+		t.Fatalf("Parse(%q) did not return within %v", input, parseDeadline)
+		return nil
+	}
+}
+
+// TestParseUnterminatedHints: an OPTION hint list that reaches the end of
+// the input is a parse error. The hint loop used to spin at EOF, appending
+// to its word list until memory ran out.
+func TestParseUnterminatedHints(t *testing.T) {
+	for _, input := range []string{
+		"SELECT a FROM t OPTION(x",
+		"SELECT a FROM t OPTION(",
+		"SELECT a FROM t OPTION(LOOP JOIN,",
+		"SELECT a FROM t OPTION(LOOP JOIN, HASH AGG",
+	} {
+		if err := parseWithin(t, input); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", input)
+		}
+	}
+}
+
+// FuzzParse holds the parser and the normalizer to two properties on any
+// input: no panic, and a return within parseDeadline. testdata/fuzz/FuzzParse
+// keeps the inputs that once broke either.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"SELECT a FROM t OPTION(LOOP JOIN, HASH AGG)",
+		"SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 5",
+		"SELECT x.a, SUM(y.b) FROM (SELECT a FROM t) x JOIN u y ON x.a = y.a WHERE y.b BETWEEN 1 AND 3 GROUP BY x.a HAVING SUM(y.b) > 2",
+		"EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE a IN (1, 2) AND b IS NOT NULL OR NOT c LIKE 'x%'",
+		"CREATE TABLE t (a INT, b VARCHAR(8), PRIMARY KEY (a))",
+		"CREATE MATERIALIZED VIEW v AS SELECT a, COUNT(*) FROM t GROUP BY a",
+		"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2 * 3, NULL)",
+		"select -- comment\n a from t;",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		parseWithin(t, input)
+	})
+}

@@ -291,6 +291,9 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 			if t.Kind == TokOperator && t.Text == ")" {
 				break
 			}
+			if t.Kind == TokEOF {
+				return nil, p.errorf("unterminated OPTION hint list")
+			}
 			if t.Kind == TokOperator && t.Text == "," {
 				p.advance()
 				if len(words) > 0 {
