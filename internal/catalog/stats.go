@@ -52,32 +52,84 @@ type columnStats struct {
 // KiB each instead of a set entry per row; the low-cardinality columns whose
 // counts decide plans (dates, flags, group-by keys) stay exact.
 type distinctSketch struct {
-	exact map[uint64]struct{} // nil once regs took over
+	// exact is the set: an open-addressing table of hashes, linear probing,
+	// at most three quarters full, 0 marking an empty slot. nil once regs
+	// took over.
+	exact []uint64
+	n     int  // hashes in the set, the hash 0 included
+	zero  bool // the set holds the hash 0, which no slot can
 	regs  []uint8
 }
 
 const (
 	sketchExactMax = 4096
 	sketchBits     = 12
+	sketchMinSlots = 8
 )
 
 func (d *distinctSketch) add(h uint64) {
-	if d.regs == nil {
-		if d.exact == nil {
-			d.exact = make(map[uint64]struct{})
-		}
-		d.exact[h] = struct{}{}
-		if len(d.exact) <= sketchExactMax {
-			return
-		}
-		d.regs = make([]uint8, 1<<sketchBits)
-		for h := range d.exact {
-			d.addReg(h)
-		}
-		d.exact = nil
+	if d.regs != nil {
+		d.addReg(h)
 		return
 	}
-	d.addReg(h)
+	if !d.insert(h) || d.n <= sketchExactMax {
+		return
+	}
+	d.regs = make([]uint8, 1<<sketchBits)
+	for _, h := range d.exact {
+		if h != 0 {
+			d.addReg(h)
+		}
+	}
+	if d.zero {
+		d.addReg(0)
+	}
+	d.exact = nil
+}
+
+// insert adds h to the exact set and reports whether it was new.
+func (d *distinctSketch) insert(h uint64) bool {
+	if h == 0 {
+		if d.zero {
+			return false
+		}
+		d.zero = true
+		d.n++
+		return true
+	}
+	if d.exact == nil {
+		d.exact = make([]uint64, sketchMinSlots)
+	}
+	if !setInsert(d.exact, h) {
+		return false
+	}
+	d.n++
+	if d.n*4 > len(d.exact)*3 {
+		grown := make([]uint64, 2*len(d.exact))
+		for _, h := range d.exact {
+			if h != 0 {
+				setInsert(grown, h)
+			}
+		}
+		d.exact = grown
+	}
+	return true
+}
+
+// setInsert puts the non-zero hash h into the open-addressing table set (a
+// power of two long, never full) and reports whether it was absent.
+func setInsert(set []uint64, h uint64) bool {
+	mask := uint64(len(set) - 1)
+	// Fibonacci hashing spreads FNV's weak low bits over the table.
+	for i := (h * 0x9e3779b97f4a7c15) >> 32 & mask; ; i = (i + 1) & mask {
+		switch set[i] {
+		case 0:
+			set[i] = h
+			return true
+		case h:
+			return false
+		}
+	}
 }
 
 func (d *distinctSketch) addReg(h uint64) {
@@ -95,7 +147,7 @@ func (d *distinctSketch) addReg(h uint64) {
 
 func (d *distinctSketch) count() int64 {
 	if d.regs == nil {
-		return int64(len(d.exact))
+		return int64(d.n)
 	}
 	// Registers by rank: the harmonic sum over a few dozen exact terms.
 	var hist [64 - sketchBits + 2]int32

@@ -96,7 +96,8 @@ func (b *Batch) Row(i int) Row {
 // AppendRows appends every live row to dst (row-major) and returns it. It is
 // how the engine's result collection converts batches back to rows — a
 // protocol boundary, so compressed columns are decompressed here (once per
-// column, not once per access).
+// column, not once per access). The rows share one allocation, each capped at
+// its own end.
 func (b *Batch) AppendRows(dst []Row) []Row {
 	n := b.NumRows()
 	if n == 0 {
@@ -106,9 +107,11 @@ func (b *Batch) AppendRows(dst []Row) []Row {
 	for c := range b.Cols {
 		flats[c] = b.Cols[c].Flat()
 	}
+	w := len(b.Cols)
+	slab := make([]value.Value, n*w)
 	for i := 0; i < n; i++ {
 		p := b.PhysIdx(i)
-		out := make(Row, len(b.Cols))
+		out := slab[i*w : (i+1)*w : (i+1)*w]
 		for c := range flats {
 			out[c] = flats[c][p]
 		}
@@ -180,7 +183,7 @@ func evalProjectionVectors(exprs []expr.Expr, b *Batch) ([]*vector.Vector, error
 
 // batchFromRows copies up to DefaultBatchSize rows starting at *pos into a
 // fresh batch, advancing *pos. It is how operators that materialize rows
-// (sort, hash aggregation, values) emit them batch-wise.
+// (sort, values, the parallel sort) emit them batch-wise.
 func batchFromRows(rows []Row, pos *int, ncols int) *Batch {
 	b := NewBatch(ncols, DefaultBatchSize)
 	for *pos < len(rows) && b.physRows() < DefaultBatchSize {
@@ -188,6 +191,36 @@ func batchFromRows(rows []Row, pos *int, ncols int) *Batch {
 		*pos++
 	}
 	return b
+}
+
+// rowResult is a materialized result held as rows (the parallel sort's).
+type rowResult struct {
+	rows  []Row
+	ncols int
+}
+
+func (r *rowResult) len() int { return len(r.rows) }
+
+func (r *rowResult) batch(from, to int) *Batch {
+	return batchFromRows(r.rows[from:to], new(int), r.ncols)
+}
+
+// resultSet is a pipeline breaker's materialized output.
+type resultSet interface {
+	len() int
+	// batch returns rows [from, to) as a batch.
+	batch(from, to int) *Batch
+}
+
+// nextResultBatch returns the batch of up to DefaultBatchSize rows of res
+// starting at *pos and advances *pos past it; ok is false at the end.
+func nextResultBatch(res resultSet, pos *int) (*Batch, bool) {
+	if *pos >= res.len() {
+		return nil, false
+	}
+	from := *pos
+	*pos = min(from+DefaultBatchSize, res.len())
+	return res.batch(from, *pos), true
 }
 
 // projectedBatch wraps projection output vectors into a batch that preserves

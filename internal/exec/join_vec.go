@@ -367,7 +367,7 @@ func (s *joinBuildState) buildParallel(parts []Operator, ncols int) (*joinTable,
 	if pipe == nil {
 		pipe = identityPipeline
 	}
-	runner := newOrderedRunner(parts, s.workers, func(part Operator) (any, error) {
+	runner := newOrderedRunner("VectorizedHashJoin build", parts, s.workers, func(part Operator) (any, error) {
 		pt := newJoinTable(ncols, s.keys)
 		if err := drainMorsel(pipe(part), func(b *Batch) error {
 			pt.consumeBatch(b)

@@ -19,6 +19,7 @@ package exec
 import (
 	"container/heap"
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -146,8 +147,11 @@ type runnerResult struct {
 // orderedRunner fans a morsel list out to a pool of worker goroutines — the
 // atomic cursor hands the next unclaimed morsel to whichever worker goes
 // idle — and yields each morsel's result in morsel order (reordering happens
-// at the consumer, so workers never wait for each other).
+// at the consumer, so workers never wait for each other). A worker that
+// panics fails the query with an error naming the operator and the morsel;
+// the process goes on.
 type orderedRunner struct {
+	name    string // the operator, for errors
 	parts   []Operator
 	workers int
 	fn      func(part Operator) (any, error)
@@ -162,14 +166,24 @@ type orderedRunner struct {
 	stopped bool
 }
 
-func newOrderedRunner(parts []Operator, workers int, fn func(Operator) (any, error)) *orderedRunner {
+func newOrderedRunner(name string, parts []Operator, workers int, fn func(Operator) (any, error)) *orderedRunner {
 	if workers < 1 {
 		workers = 1
 	}
 	if workers > len(parts) {
 		workers = len(parts)
 	}
-	return &orderedRunner{parts: parts, workers: workers, fn: fn}
+	return &orderedRunner{name: name, parts: parts, workers: workers, fn: fn}
+}
+
+// run is fn over morsel seq, with a panic turned into its error.
+func (r *orderedRunner) run(seq int) (val any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			val, err = nil, fmt.Errorf("exec: %s worker panicked on morsel %d of %d: %v", r.name, seq, len(r.parts), p)
+		}
+	}()
+	return r.fn(r.parts[seq])
 }
 
 // start launches the worker pool. Called lazily from the first nextResult so
@@ -193,7 +207,7 @@ func (r *orderedRunner) start() {
 				if seq >= len(r.parts) {
 					return
 				}
-				val, err := r.fn(r.parts[seq])
+				val, err := r.run(seq)
 				select {
 				case r.results <- runnerResult{seq: seq, val: val, err: err}:
 				case <-r.quit:
@@ -331,7 +345,7 @@ func (m *ParallelMerge) Open() error {
 	if m.runner != nil {
 		m.runner.stop()
 	}
-	m.runner = newOrderedRunner(m.parts, m.workers, func(part Operator) (any, error) {
+	m.runner = newOrderedRunner("ParallelMerge", m.parts, m.workers, func(part Operator) (any, error) {
 		batches, err := drainPipe(m.build(part))
 		if err != nil {
 			return nil, err
@@ -394,11 +408,11 @@ type parallelBreaker struct {
 	// it runs on the worker goroutines.
 	morsel func(part Operator) (any, error)
 	// merge folds the morsel partials — delivered in morsel order by next —
-	// into the final result rows; it runs on the consumer.
-	merge func(next func() (any, bool, error)) ([]Row, error)
+	// into the final result; it runs on the consumer.
+	merge func(next func() (any, bool, error)) (resultSet, error)
 
 	runner  *orderedRunner
-	results []Row
+	results resultSet
 	built   bool
 	pos     int
 	rows    batchRowCursor
@@ -422,7 +436,7 @@ func (b *parallelBreaker) Open() error {
 	if b.runner != nil {
 		b.runner.stop()
 	}
-	b.runner = newOrderedRunner(b.parts, b.workers, b.morsel)
+	b.runner = newOrderedRunner(b.name, b.parts, b.workers, b.morsel)
 	b.results, b.built, b.pos = nil, false, 0
 	b.rows.reset()
 	b.ctx = nil
@@ -445,16 +459,14 @@ func (b *parallelBreaker) NextBatch() (*Batch, bool, error) {
 				return inner()
 			}
 		}
-		rows, err := b.merge(next)
+		res, err := b.merge(next)
 		if err != nil {
 			return nil, false, err
 		}
-		b.results, b.built, b.pos = rows, true, 0
+		b.results, b.built, b.pos = res, true, 0
 	}
-	if b.pos >= len(b.results) {
-		return nil, false, nil
-	}
-	return batchFromRows(b.results, &b.pos, len(b.schema)), true, nil
+	batch, ok := nextResultBatch(b.results, &b.pos)
+	return batch, ok, nil
 }
 
 // Next implements Operator.
@@ -520,14 +532,14 @@ func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, a
 		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
 		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
-			hb := newHashAggBuilder(groupBy, aggs)
-			if err := drainMorsel(build(part), hb.consumeBatch); err != nil {
+			t := newGroupTable(groupBy, aggs)
+			if err := drainMorsel(build(part), t.consumeBatch); err != nil {
 				return nil, err
 			}
-			return hb, nil
+			return t, nil
 		},
-		merge: func(next func() (any, bool, error)) ([]Row, error) {
-			var total *hashAggBuilder
+		merge: func(next func() (any, bool, error)) (resultSet, error) {
+			var total *groupTable
 			for {
 				val, ok, err := next()
 				if err != nil {
@@ -537,15 +549,15 @@ func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, a
 					break
 				}
 				if total == nil {
-					total = val.(*hashAggBuilder)
+					total = val.(*groupTable)
 				} else {
-					total.mergeFrom(val.(*hashAggBuilder))
+					total.mergeFrom(val.(*groupTable))
 				}
 			}
 			if total == nil {
-				total = newHashAggBuilder(groupBy, aggs)
+				total = newGroupTable(groupBy, aggs)
 			}
-			return total.finish(), nil
+			return total.finish()
 		},
 	}}, true
 }
@@ -576,14 +588,14 @@ func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int,
 		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
 		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
-			run := newStreamAggRun(groupBy, aggs)
-			if err := drainMorsel(build(part), run.consumeBatch); err != nil {
+			run := newGroupRun(groupBy, aggs)
+			if err := drainMorsel(build(part), func(b *Batch) error { return run.foldBatch(b, run) }); err != nil {
 				return nil, err
 			}
 			return run, nil
 		},
-		merge: func(next func() (any, bool, error)) ([]Row, error) {
-			total := newStreamAggRun(groupBy, aggs)
+		merge: func(next func() (any, bool, error)) (resultSet, error) {
+			total := newGroupRun(groupBy, aggs)
 			for {
 				val, ok, err := next()
 				if err != nil {
@@ -592,9 +604,11 @@ func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int,
 				if !ok {
 					break
 				}
-				total.appendRun(val.(*streamAggRun))
+				total.appendRun(val.(*groupRun))
 			}
-			return total.finish(), nil
+			total.addGlobal()
+			res, err := total.result(nil, total.n)
+			return &res, err
 		},
 	}}, true
 }
@@ -635,7 +649,7 @@ func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers i
 			stableSortRows(rows, keys)
 			return rows, nil
 		},
-		merge: func(next func() (any, bool, error)) ([]Row, error) {
+		merge: func(next func() (any, bool, error)) (resultSet, error) {
 			var runs [][]Row
 			total := 0
 			for {
@@ -651,7 +665,7 @@ func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers i
 					total += len(run)
 				}
 			}
-			return mergeSortedRuns(runs, keys, total), nil
+			return &rowResult{rows: mergeSortedRuns(runs, keys, total), ncols: len(proto.Schema())}, nil
 		},
 	}}, true
 }

@@ -128,21 +128,31 @@ func TestParallelAggStateMerge(t *testing.T) {
 	kinds := []AggKind{AggCountStar, AggCount, AggSum, AggMin, AggMax, AggAvg}
 	splits := []int{0, 1, 17, 500, 999, 1000}
 	for _, kind := range kinds {
-		serial := newAggState()
-		for _, v := range vals {
-			serial.add(v, kind)
+		// Each state is one group's: group 0 of a one-group column, fed a
+		// value at a time.
+		newState := func(vals []value.Value) *aggColumn {
+			c := &aggColumn{kind: kind}
+			c.reserve(1)
+			c.grow()
+			for i := range vals {
+				c.fold([]int32{0}, vals[i:i+1], nil, nil)
+			}
+			return c
 		}
-		want := serial.result(kind)
+		result := func(c *aggColumn) value.Value {
+			v, err := c.result(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
+		}
+		into := []int32{0}
+		serial := newState(vals)
+		want := result(serial)
 		for _, split := range splits {
-			a, b := newAggState(), newAggState()
-			for _, v := range vals[:split] {
-				a.add(v, kind)
-			}
-			for _, v := range vals[split:] {
-				b.add(v, kind)
-			}
-			a.merge(b, kind)
-			got := a.result(kind)
+			a, b := newState(vals[:split]), newState(vals[split:])
+			a.merge(b, into)
+			got := result(a)
 			if got.Kind == value.KindFloat && want.Kind == value.KindFloat {
 				diff := math.Abs(got.F - want.F)
 				if diff > 1e-9*math.Max(math.Abs(want.F), 1) {
@@ -156,15 +166,15 @@ func TestParallelAggStateMerge(t *testing.T) {
 		}
 		// Merging a fresh (empty) partial must be a no-op — the empty-morsel
 		// worker case.
-		serial.merge(newAggState(), kind)
-		if got := serial.result(kind); got.Kind != want.Kind || (got.Kind != value.KindFloat && value.Compare(got, want) != 0) ||
+		serial.merge(newState(nil), into)
+		if got := result(serial); got.Kind != want.Kind || (got.Kind != value.KindFloat && value.Compare(got, want) != 0) ||
 			(got.Kind == value.KindFloat && got.F != want.F) {
 			t.Errorf("%v: merging an empty state changed the result: %v -> %v", kind, want, got)
 		}
 		// And the reverse: an empty final absorbing a partial adopts it.
-		empty := newAggState()
-		empty.merge(serial, kind)
-		if got := empty.result(kind); got.Kind != want.Kind || (got.Kind != value.KindFloat && value.Compare(got, want) != 0) {
+		empty := newState(nil)
+		empty.merge(serial, into)
+		if got := result(empty); got.Kind != want.Kind || (got.Kind != value.KindFloat && value.Compare(got, want) != 0) {
 			t.Errorf("%v: empty state absorbing a partial lost it: want %v got %v", kind, want, got)
 		}
 	}

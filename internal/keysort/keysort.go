@@ -24,6 +24,17 @@ func New(n, width int) *Keys {
 	return &Keys{Buf: make([]byte, 0, n*width), ends: make([]int, 0, n)}
 }
 
+// Grow makes room for n more keys of about width bytes each, so that many
+// End calls and appends allocate nothing.
+func (k *Keys) Grow(n, width int) {
+	if cap(k.ends)-len(k.ends) < n {
+		k.ends = append(make([]int, 0, len(k.ends)+n), k.ends...)
+	}
+	if cap(k.Buf)-len(k.Buf) < n*width {
+		k.Buf = append(make([]byte, 0, len(k.Buf)+n*width), k.Buf...)
+	}
+}
+
 // End closes the key being built: the bytes appended to Buf since the
 // previous End.
 func (k *Keys) End() { k.ends = append(k.ends, len(k.Buf)) }

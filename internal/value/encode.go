@@ -213,7 +213,7 @@ func saturatingInt64(f float64) int64 {
 // FLOAT to its stored key: the sortable form of its float64 value, with the
 // sign bit flipped for non-negatives and the whole word complemented for
 // negatives. Below ±2^53 two numeric values have equal words exactly when
-// they encode identically, which lets hash operators group by this word
+// they encode identically, which lets the hash joins key by this word
 // instead of the full encoded key; from ±2^53 on adjacent integers share a
 // word and EncodeKey tells them apart by its integer suffix. Negative zero
 // normalizes to +0.0 first: Compare orders the two equal, so they must share
@@ -228,14 +228,6 @@ func NumericSortKey(v Value) uint64 {
 		return bits | 1<<63
 	}
 	return ^bits
-}
-
-// NumericGroupWord returns NumericSortKey(v) and whether that word is the
-// whole of v's EncodeKey form, so that a map keyed by it groups exactly as the
-// encoded key does: false from ±2^53 on, where adjacent integers share a word
-// and EncodeKey appends its integer suffix.
-func NumericGroupWord(v Value) (word uint64, whole bool) {
-	return NumericSortKey(v), !keyNeedsIntSuffix(v.Float())
 }
 
 // RowSize returns the number of bytes EncodeTuple would use for row, useful
