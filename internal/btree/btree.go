@@ -25,8 +25,13 @@ import (
 // accesses themselves are serialized by the pager. Reads decode records where
 // they lie (see node): the tree keeps no second copy of a page's contents.
 type BTree struct {
-	pager  *storage.Pager
-	root   storage.PageID
+	pager *storage.Pager
+	root  storage.PageID
+	// first is the leftmost leaf, where a scan with an open start begins
+	// without a descent. New and BulkLoad set it and nothing moves it: a
+	// split keeps its left half in place, a root split keeps the old root as
+	// the new root's leftmost child, and Delete never frees a leaf.
+	first  storage.PageID
 	height int
 	count  int64
 	// leafCache memoizes LeafPages so morsel partitioning does not re-walk
@@ -53,14 +58,14 @@ func New(pager *storage.Pager) (*BTree, error) {
 		return nil, err
 	}
 	_ = writeNode(root, true, nil, 0) // an empty node always fits
-	return Open(pager, root.ID(), 1, 0), nil
+	return Open(pager, root.ID(), root.ID(), 1, 0), nil
 }
 
-// Open reattaches a tree to its pages (recovery path: root, height and count
-// come from the persisted catalog meta; the pages themselves were restored by
-// the data file load + WAL replay).
-func Open(pager *storage.Pager, root storage.PageID, height int, count int64) *BTree {
-	return &BTree{pager: pager, root: root, height: height, count: count}
+// Open reattaches a tree to its pages (recovery path: root, leftmost leaf,
+// height and count come from the persisted catalog meta; the pages themselves
+// were restored by the data file load + WAL replay).
+func Open(pager *storage.Pager, root, first storage.PageID, height int, count int64) *BTree {
+	return &BTree{pager: pager, root: root, first: first, height: height, count: count}
 }
 
 // Count returns the number of entries in the tree.
@@ -71,6 +76,9 @@ func (t *BTree) Height() int { return t.height }
 
 // RootPage returns the page id of the root node.
 func (t *BTree) RootPage() storage.PageID { return t.root }
+
+// FirstLeaf returns the page id of the leftmost leaf.
+func (t *BTree) FirstLeaf() storage.PageID { return t.first }
 
 // Node layout (record layout v4). A node owns its page whole; the one word
 // it shares with the pager's page API is Aux, its link:
@@ -565,17 +573,10 @@ func (t *BTree) store(nd node, isLeaf bool, entries []entry) ([]byte, storage.Pa
 // read-mostly and underfull nodes only waste space, never correctness.
 func (t *BTree) Delete(key []byte) (bool, error) {
 	t.forget()
-	id, err := t.leafFor(key)
-	if err != nil {
-		return false, err
-	}
+	nd, err := t.leafFor(key)
 	// The first key >= key decides; leaves that deletes have emptied and
 	// leaves of smaller keys are walked past.
-	for id != storage.InvalidPageID {
-		nd, err := t.node(id)
-		if err != nil {
-			return false, err
-		}
+	for err == nil {
 		if pos := nd.lowerBound(key); pos < nd.n {
 			if !bytes.Equal(nd.key(pos), key) {
 				return false, nil
@@ -588,31 +589,41 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 			t.count--
 			return true, nil
 		}
-		id = nd.next()
+		if nd.next() == storage.InvalidPageID {
+			return false, nil
+		}
+		nd, err = t.node(nd.next())
 	}
-	return false, nil
+	return false, err
 }
 
-// leafFor descends to the first leaf that may contain key; a nil key, below
-// which no separator sorts, reaches the leftmost leaf. Routing uses a strict
-// comparison so that, with duplicate keys split across leaves, the leftmost
-// occurrence is always reachable (iterators follow leaf links). Each internal
-// node is binary-searched in place — O(log fanout) record decodes per level —
-// which is what keeps a point seek's descent cheap enough for the serving
-// layer's prepared-statement hot path.
-func (t *BTree) leafFor(key []byte) (storage.PageID, error) {
+// leafFor descends to the first leaf that may contain key and returns it
+// loaded, so the caller reads it where the descent left it rather than
+// fetching it again. Routing uses a strict comparison so that, with duplicate
+// keys split across leaves, the leftmost occurrence is always reachable
+// (iterators follow leaf links). Each internal node is binary-searched in
+// place — O(log fanout) record decodes per level — which is what keeps a
+// point seek's descent cheap enough for the serving layer's
+// prepared-statement hot path.
+func (t *BTree) leafFor(key []byte) (node, error) {
 	id := t.root
 	for {
 		nd, err := t.node(id)
-		if err != nil {
-			return storage.InvalidPageID, err
-		}
-		if nd.isLeaf() {
-			return id, nil
+		if err != nil || nd.isLeaf() {
+			return nd, err
 		}
 		// The child left of the first separator >= key covers the key.
 		id = nd.child(nd.lowerBound(key) - 1)
 	}
+}
+
+// startLeaf loads the leaf a walk from key begins on: for a nil key, below
+// which no separator sorts, the leftmost leaf, read without a descent.
+func (t *BTree) startLeaf(key []byte) (node, error) {
+	if key == nil {
+		return t.node(t.first)
+	}
+	return t.leafFor(key)
 }
 
 // Iterator walks leaf entries in key order: a leaf, read where it lies, and
@@ -705,22 +716,28 @@ func (it *Iterator) advanceLeaf() bool {
 			it.err, it.next = err, storage.InvalidPageID
 			return false
 		}
-		it.nd, it.pos, it.end, it.next = nd, 0, nd.n, nd.next()
-		if it.onLeaf != nil {
-			var last []byte
-			if nd.n > 0 {
-				last = nd.key(nd.n - 1)
-			}
-			it.onLeaf(last)
-		}
-		if it.startKey != nil && nd.n > 0 {
-			it.pos, it.startKey = nd.lowerBound(it.startKey), nil
-		}
-		if it.stopKey != nil && it.pos < nd.n && nd.beyond(nd.n-1, it.stopKey, !it.stopIncl) {
-			it.end, it.next = nd.boundNear(it.pos, it.stopKey, !it.stopIncl), storage.InvalidPageID
-		}
+		it.enter(nd)
 	}
 	return true
+}
+
+// enter puts the cursor on the freshly loaded leaf nd and applies the bounds
+// to it (see advanceLeaf).
+func (it *Iterator) enter(nd node) {
+	it.nd, it.pos, it.end, it.next = nd, 0, nd.n, nd.next()
+	if it.onLeaf != nil {
+		var last []byte
+		if nd.n > 0 {
+			last = nd.key(nd.n - 1)
+		}
+		it.onLeaf(last)
+	}
+	if it.startKey != nil && nd.n > 0 {
+		it.pos, it.startKey = nd.lowerBound(it.startKey), nil
+	}
+	if it.stopKey != nil && it.pos < nd.n && nd.beyond(nd.n-1, it.stopKey, !it.stopIncl) {
+		it.end, it.next = nd.boundNear(it.pos, it.stopKey, !it.stopIncl), storage.InvalidPageID
+	}
 }
 
 // Scan returns an iterator over the whole tree in key order: a seek with
@@ -804,10 +821,10 @@ func (t *BTree) LeafFootprint() (int, error) {
 // through the last leaf whose first key does not pass the stop bound. It is
 // how parallel range scans partition a seek into morsels: each morsel is a
 // run of consecutive leaves handed to SeekLeaves. nil bounds are open (nil
-// start begins at the first leaf; nil stop ends at the last). The walk reads
-// only the leaves of the range, plus one root-to-leaf descent; the fully open
-// range is the whole chain, which LeafPages memoizes. Callers must treat the
-// result as read-only.
+// start begins at the leftmost leaf; nil stop ends at the last). The walk
+// reads only the leaves of the range, plus one root-to-leaf descent when
+// start is set; the fully open range is the whole chain, which LeafPages
+// memoizes. Callers must treat the result as read-only.
 func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
 	if start == nil && stop == nil {
 		return t.LeafPages()
@@ -818,22 +835,21 @@ func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, 
 // walkLeaves is the chain walk behind LeafRange and LeafPages.
 func (t *BTree) walkLeaves(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
 	var out []storage.PageID
-	id, err := t.leafFor(start)
-	if err != nil {
-		return nil, err
-	}
-	for id != storage.InvalidPageID {
-		nd, err := t.node(id)
-		if err != nil {
-			return nil, err
-		}
+	nd, err := t.startLeaf(start)
+	for err == nil {
 		// Only the leaf's first key decides the stop bound. An empty leaf is
 		// kept (harmless: iterators enforce the stop key themselves).
 		if stop != nil && nd.n > 0 && nd.beyond(0, stop, !stopIncl) {
 			break
 		}
-		out = append(out, id)
-		id = nd.next()
+		out = append(out, nd.pg.ID())
+		if nd.next() == storage.InvalidPageID {
+			break
+		}
+		nd, err = t.node(nd.next())
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -848,21 +864,17 @@ func (t *BTree) walkLeaves(start, stop []byte, stopIncl bool) ([]storage.PageID,
 // stopIncl) — startKey on the first, nil on the rest — reproduces
 // Seek(start, stop, stopIncl) exactly.
 func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byte, stopIncl bool) *Iterator {
-	return position(&Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count})
-}
-
-// position reads a positioned iterator's first leaf now, not at the first
-// Next.
-func position(it *Iterator) *Iterator {
-	if it.startKey != nil {
-		it.advanceLeaf()
+	it := &Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count}
+	if startKey != nil {
+		it.advanceLeaf() // a positioned iterator reads its first leaf now
 	}
 	return it
 }
 
 // Seek returns an iterator positioned at the first entry with key >= start
-// (nil start begins at the first leaf, which is then loaded lazily). If stop
-// is non-nil the iteration ends at stop (inclusive when stopIncl).
+// (nil start begins at the leftmost leaf, which is then loaded lazily, with
+// no descent). If stop is non-nil the iteration ends at stop (inclusive when
+// stopIncl).
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
 	return t.SeekWatch(start, stop, stopIncl, nil)
 }
@@ -872,11 +884,18 @@ func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
 // it is loaded and before any other page is — so a caller can interleave its
 // own page accesses with the iterator's exactly.
 func (t *BTree) SeekWatch(start, stop []byte, stopIncl bool, onLeaf func(last []byte)) *Iterator {
-	leaf, err := t.leafFor(start)
+	it := &Iterator{tree: t, startKey: start, stopKey: stop, stopIncl: stopIncl, next: t.first, leavesLeft: -1, onLeaf: onLeaf}
+	if start == nil {
+		return it
+	}
+	// The leaf the descent loaded is the iterator's first: it is read once.
+	nd, err := t.leafFor(start)
 	if err != nil {
 		return &Iterator{tree: t, err: err}
 	}
-	return position(&Iterator{tree: t, startKey: start, stopKey: stop, stopIncl: stopIncl, next: leaf, leavesLeft: -1, onLeaf: onLeaf})
+	it.enter(nd)
+	it.advanceLeaf()
+	return it
 }
 
 // Get returns the payload of the first entry matching key exactly.
@@ -984,7 +1003,7 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 	if err := flushLeaf(); err != nil {
 		return err
 	}
-	t.count = n
+	t.count, t.first = n, leafIDs[0]
 	// Build internal levels.
 	level := leafIDs
 	keys := firstKeys

@@ -779,3 +779,111 @@ func TestLeafCountMatchesLeafChain(t *testing.T) {
 		t.Fatalf("tallest tree had %d levels; the property needs internal levels below the root", maxHeight)
 	}
 }
+
+// TestFirstLeafMatchesDescent: the leftmost leaf a tree records — where a
+// scan with an open start begins, with no descent — is the leaf a descent
+// from the root reaches, through random insert and delete histories (leaf
+// and root splits, keys below every stored one, a first leaf that deletes
+// empty and inserts refill) and bulk loads. A scan from it returns exactly
+// what a scan from the descent's leaf returns, under any stop bound, and a
+// cold one reads the leaves and nothing else.
+func TestFirstLeafMatchesDescent(t *testing.T) {
+	maxHeight := 0
+	for seed := int64(0); seed < 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		pager := storage.NewPager(0)
+		tr := mustNew(t, pager)
+		entries := func(it *Iterator) [][2]string {
+			var out [][2]string
+			for it.Next() {
+				out = append(out, [2]string{string(it.Key()), string(it.Value())})
+			}
+			if it.Err() != nil {
+				t.Fatal(it.Err())
+			}
+			return out
+		}
+		check := func(stage string) {
+			t.Helper()
+			nd, err := tr.leafFor(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id := nd.pg.ID(); id != tr.FirstLeaf() {
+				t.Fatalf("seed %d %s: stored leftmost leaf %d, a descent reaches %d (height %d)", seed, stage, tr.FirstLeaf(), id, tr.Height())
+			}
+			all := entries(&Iterator{tree: tr, next: nd.pg.ID(), leavesLeft: -1})
+			stops := [][]byte{nil, intKey(rng.Int63n(4000) - 2000)}
+			if len(all) > 0 {
+				stops = append(stops, []byte(all[rng.Intn(len(all))][0]))
+			}
+			for _, stop := range stops {
+				for _, incl := range []bool{false, true} {
+					want := entries(&Iterator{tree: tr, next: nd.pg.ID(), leavesLeft: -1, stopKey: stop, stopIncl: incl})
+					if got := entries(tr.Seek(nil, stop, incl)); !slices.Equal(got, want) {
+						t.Fatalf("seed %d %s: scan to %x (incl %v) from the stored leaf has %d entries, from the descent %d", seed, stage, stop, incl, len(got), len(want))
+					}
+				}
+			}
+			leaves, err := tr.LeafPages()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pager.ResetCache()
+			before := pager.Stats()
+			if n := len(entries(tr.Scan())); n != len(all) || n != int(tr.Count()) {
+				t.Fatalf("seed %d %s: scan returned %d entries, count %d", seed, stage, n, tr.Count())
+			}
+			if reads := pager.Stats().Sub(before).PageReads; reads != int64(len(leaves)) {
+				t.Fatalf("seed %d %s: a cold scan read %d pages for %d leaves", seed, stage, reads, len(leaves))
+			}
+			maxHeight = max(maxHeight, tr.Height())
+		}
+		check("empty")
+		width := 1 + rng.Intn(300)
+		rows := rng.Intn(4000)
+		for i := 0; i < rows; i++ {
+			key := rng.Int63n(int64(rows) + 1)
+			if i%3 == 0 {
+				key = -int64(i) // below every stored key: into the first leaf
+			}
+			if err := tr.Insert(intKey(key), bytes.Repeat([]byte("v"), rng.Intn(width))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check("inserted")
+		// Empty the leftmost leaf key by key and refill it, up to three times.
+		for emptied := 0; emptied < 1+rng.Intn(3) && tr.Count() > 0; emptied++ {
+			for {
+				nd, err := tr.node(tr.FirstLeaf())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if nd.n == 0 {
+					break
+				}
+				if !mustDelete(t, tr, slices.Clone(nd.key(0))) {
+					t.Fatalf("seed %d: the first leaf's first key did not delete", seed)
+				}
+			}
+			check("first leaf emptied")
+			for i := 0; i < rng.Intn(50); i++ {
+				if err := tr.Insert(intKey(-10000-rng.Int63n(1000)), []byte("refill")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("first leaf refilled")
+		}
+		i, n := 0, rng.Intn(20000)
+		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+			i++
+			return intKey(int64(i)), bytes.Repeat([]byte("b"), width/2), i <= n
+		}, 0.5+rng.Float64()/2); err != nil {
+			t.Fatal(err)
+		}
+		check("bulk loaded")
+	}
+	if maxHeight < 3 {
+		t.Fatalf("tallest tree had %d levels; the property needs root splits above a split root", maxHeight)
+	}
+}

@@ -645,8 +645,9 @@ func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entr
 // range, open or bounded, over a clustered tree, a secondary index or a heap
 // (open only). A range is a cheap value; Open starts a fresh cursor, so a
 // range can be re-scanned and distinct ranges can be consumed by concurrent
-// workers. Opening is lazy — a root-to-leaf descent at most — and that is all
-// a serial scan ever pays. EstRows and Split serve the (single-threaded)
+// workers. Opening is lazy — a root-to-leaf descent at most, none for an open
+// start, which begins at the tree's leftmost leaf — and that is all a serial
+// scan ever pays. EstRows and Split serve the (single-threaded)
 // parallel rewrite only: they walk the range's leaf chain, charged page
 // reads, once and memoize it in the range.
 type Range struct {

@@ -162,22 +162,32 @@ func TestRangeSplitCarriesPageError(t *testing.T) {
 // TestDropTableKeepsTableOnPageError: a tree walk that hits a page error
 // fails the drop whole — the table stays listed and nothing reaches the
 // freelist — instead of dropping the table and leaking every page the walk
-// could not name. DataPages reports the same error rather than a short count.
+// could not name. DataPages, which walks the leaf chain from the leftmost
+// leaf, reports a broken link the same way rather than a short count.
 func TestDropTableKeepsTableOnPageError(t *testing.T) {
 	c, tbl, _ := newSeekTable(t, 20000)
 	if tbl.Clustered.tree.Height() < 2 {
 		t.Fatalf("tree height %d, want an internal root", tbl.Clustered.tree.Height())
 	}
+	missing := uint64(c.Pager().NumPages() + 1000)
+	// Point the leftmost leaf's right sibling at a page that does not exist.
+	first, err := c.Pager().Get(tbl.Clustered.tree.FirstLeaf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	link := first.Aux()
+	first.SetAux(missing)
+	if n, err := tbl.DataPages(); err == nil {
+		t.Errorf("DataPages over a broken leaf chain = %d, want the page error", n)
+	}
+	first.SetAux(link)
 	// Point the root's leftmost child at a page that does not exist.
 	root, err := c.Pager().Get(tbl.Clustered.tree.RootPage())
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := root.Aux()
-	root.SetAux(uint64(c.Pager().NumPages() + 1000))
-	if n, err := tbl.DataPages(); err == nil {
-		t.Errorf("DataPages over a broken tree = %d, want the page error", n)
-	}
+	root.SetAux(missing)
 	if err := c.DropTable(tbl.Name); err == nil {
 		t.Fatal("DropTable over a broken tree reported no error")
 	}

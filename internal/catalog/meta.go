@@ -1,10 +1,10 @@
 // Catalog meta persistence: the logical half of durability. The WAL's page
 // images restore every B+-tree and heap page byte for byte; this snapshot
 // restores the schema layer above them — table and index definitions, tree
-// roots and counts, heap page chains and statistics — so Open can reattach
-// live Table/Index objects to the recovered pages. Record layouts are not
-// persisted: they follow from the schema (Table.initLayouts), and metaVersion
-// names the layout rules the pages were written under.
+// roots, leftmost leaves and counts, heap page chains and statistics — so
+// Open can reattach live Table/Index objects to the recovered pages. Record
+// layouts are not persisted: they follow from the schema (Table.initLayouts),
+// and metaVersion names the layout rules the pages were written under.
 package catalog
 
 import (
@@ -17,19 +17,22 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 4: every column stored once — bare clustered keys with a
-// uniquifier on duplicates only, key-stripped payloads, secondary entries
-// located by clustered key — with each key column encoded under its declared
-// kind (value.AppendStoredKeyValue), each payload a record under its declared
-// kinds (value.AppendRecord: a tag bitmap, no field count, no kind bytes but
-// on NULLs and stray kinds), and B+-tree nodes that state their kind and
-// record geometry once in the page header (btree's node layout). Version 3
-// pages frame every record with a marker, key length and 4-byte slot and
-// every payload field with a kind byte; version 2 pages hold every numeric
-// key as a 9- or 17-byte cross-kind word, version 1 pages also repeat key
-// columns in the payload. Decoding any of them under these rules would
+// metaVersion 5: each tree's leftmost leaf is stored beside its root, height
+// and count (encodeTree), so a scan with an open start begins there without
+// a descent. Pages are laid out as under version 4, whose meta lacks that
+// field and would misparse: every column stored once — bare clustered keys
+// with a uniquifier on duplicates only, key-stripped payloads, secondary
+// entries located by clustered key — with each key column encoded under its
+// declared kind (value.AppendStoredKeyValue), each payload a record under its
+// declared kinds (value.AppendRecord: a tag bitmap, no field count, no kind
+// bytes but on NULLs and stray kinds), and B+-tree nodes that state their
+// kind and record geometry once in the page header (btree's node layout).
+// Version 3 pages frame every record with a marker, key length and 4-byte
+// slot and every payload field with a kind byte; version 2 pages hold every
+// numeric key as a 9- or 17-byte cross-kind word, version 1 pages also repeat
+// key columns in the payload. Decoding any of them under these rules would
 // return wrong rows or none, so RestoreMeta refuses them.
-const metaVersion = 4
+const metaVersion = 5
 
 type metaWriter struct{ buf []byte }
 
@@ -187,15 +190,17 @@ func encodeTable(w *metaWriter, t *Table) {
 
 func encodeTree(w *metaWriter, tr *btree.BTree) {
 	w.uv(uint64(tr.RootPage()))
+	w.uv(uint64(tr.FirstLeaf()))
 	w.uv(uint64(tr.Height()))
 	w.iv(tr.Count())
 }
 
 func decodeTree(r *metaReader, pager *storage.Pager) *btree.BTree {
 	root := storage.PageID(r.uv())
+	first := storage.PageID(r.uv())
 	height := int(r.uv())
 	count := r.iv()
-	return btree.Open(pager, root, height, count)
+	return btree.Open(pager, root, first, height, count)
 }
 
 func encodeStats(w *metaWriter, s *TableStats) {

@@ -35,6 +35,8 @@ type ProjectionScan struct {
 	lo, hi int64
 }
 
+var _ exec.Morseler = (*ProjectionScan)(nil)
+
 // NewProjectionScan builds a scan over the given projection columns (nil
 // means all, in projection order).
 func NewProjectionScan(p *Projection, cols []string) (*ProjectionScan, error) {
@@ -71,8 +73,9 @@ func (s *ProjectionScan) NumScanRows() int64 { return s.hi - s.lo }
 
 // Morsels implements exec.Morseler: the projection splits into row windows of
 // targetRows rows, each a ProjectionScan clone sharing the compressed
-// segments.
-func (s *ProjectionScan) Morsels(targetRows int) ([]exec.Operator, bool) {
+// segments. Its batches are windows of immutable segments, which any
+// consumer may retain, so retain changes nothing.
+func (s *ProjectionScan) Morsels(targetRows int, retain bool) ([]exec.Operator, bool) {
 	if targetRows < 1 {
 		targetRows = 1
 	}

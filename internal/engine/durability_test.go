@@ -3,9 +3,11 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
+	"oldelephant/internal/btree"
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/sql"
 	"oldelephant/internal/storage"
@@ -354,14 +356,16 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier record layout: version 3 (a marker, key length and 4-byte slot
-// on every record, a field count and a kind byte per payload field), version
-// 2 (every numeric key a 9-byte cross-kind word, 8-byte child ids) or version
-// 1 (uniquifier on every key, key columns repeated in the payload). Their
-// pages would decode to wrong rows, or to errors, under the current layout,
-// so Open must fail and name both versions rather than attach to them.
+// an earlier version: version 4 (today's pages, but a meta with no leftmost
+// leaf beside each tree's root, whose rest would misparse), version 3 (a
+// marker, key length and 4-byte slot on every record, a field count and a
+// kind byte per payload field), version 2 (every numeric key a 9-byte
+// cross-kind word, 8-byte child ids) or version 1 (uniquifier on every key,
+// key columns repeated in the payload). Their pages or metas would decode to
+// wrong rows, or to errors, under the current rules, so Open must fail and
+// name both versions rather than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{3, 2, 1} {
+	for _, old := range []byte{4, 3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -378,8 +382,8 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
 		_, n := binary.Uvarint(state[1:])
-		if state[1+n] != 4 {
-			t.Fatalf("catalog meta starts with version %d, test expects 4", state[1+n])
+		if state[1+n] != 5 {
+			t.Fatalf("catalog meta starts with version %d, test expects 5", state[1+n])
 		}
 		state[1+n] = old
 		if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
@@ -389,8 +393,113 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 4") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 5") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}
+}
+
+// TestDurableFirstLeafSurvivesRollbackAndRecovery: every tree's stored
+// leftmost leaf — where a scan with an open start begins, with no descent —
+// stays right through a rolled-back statement that split it, a bulk load,
+// crash recovery from the log and a clean reopen: a scan from it returns
+// exactly what a scan from an empty start key, which descends from the root,
+// returns.
+func TestDurableFirstLeafSurvivesRollbackAndRecovery(t *testing.T) {
+	fs := faultfs.New(5)
+	e := openDurable(t, fs)
+	execAll(t, e, "CREATE TABLE t (k INT, v VARCHAR, PRIMARY KEY (k))", "CREATE INDEX t_v ON t (v)")
+	// insertBelow stores n rows in one statement, keys from `from` down:
+	// below every stored key, so each lands in the leftmost leaf and splits
+	// it, and in time the root.
+	insertBelow := func(e *Engine, from, n int) error {
+		var b strings.Builder
+		b.WriteString("INSERT INTO t VALUES ")
+		for i := 0; i < n; i++ {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			k := from - i
+			fmt.Fprintf(&b, "(%d, 'v%07d-%s')", k, (k*7919)%100003, strings.Repeat("x", 60))
+		}
+		_, err := e.Execute(b.String())
+		return err
+	}
+	for from := 0; from > -3000; from -= 10 {
+		if err := insertBelow(e, from, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := func(it *btree.Iterator) [][2]string {
+		var out [][2]string
+		for it.Next() {
+			out = append(out, [2]string{string(it.Key()), string(it.Value())})
+		}
+		if it.Err() != nil {
+			t.Fatal(it.Err())
+		}
+		return out
+	}
+	check := func(e *Engine, when string, rows int) {
+		t.Helper()
+		tbl, err := e.Catalog().Table("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h := tbl.Clustered.Tree().Height(); h < 2 {
+			t.Fatalf("%s: table tree of height %d; the test needs a split root", when, h)
+		}
+		for _, tbl := range e.Catalog().Tables() {
+			for _, ix := range append([]*catalog.Index{tbl.Clustered}, tbl.Secondary...) {
+				if ix == nil {
+					continue // a heap table
+				}
+				tr := ix.Tree()
+				descent := entries(tr.Seek([]byte{}, nil, false))
+				if got := entries(tr.Seek(nil, nil, false)); !slices.Equal(got, descent) {
+					t.Fatalf("%s: %s scans %d entries from its stored leftmost leaf %d, %d from a descent", when, ix.Name, len(got), tr.FirstLeaf(), len(descent))
+				}
+				if tbl.Name == "t" && ix == tbl.Clustered && len(descent) != rows {
+					t.Fatalf("%s: table t holds %d rows, want %d", when, len(descent), rows)
+				}
+				if len(descent) > 0 {
+					stop := []byte(descent[len(descent)/3][0])
+					if got, want := entries(tr.Seek(nil, stop, true)), entries(tr.Seek([]byte{}, stop, true)); !slices.Equal(got, want) {
+						t.Fatalf("%s: %s scans %d entries to a stop key from its stored leftmost leaf, %d from a descent", when, ix.Name, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	check(e, "after the inserts", 3000)
+	fs.FailNextSyncs(1)
+	if err := insertBelow(e, -3000, 400); err == nil {
+		t.Fatal("an INSERT during an fsync failure succeeded")
+	}
+	check(e, "after a rolled-back statement", 3000)
+	execAll(t, e, "CREATE TABLE u (k INT, PRIMARY KEY (k))")
+	rows := make([][]value.Value, 5000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i))}
+	}
+	if err := e.BulkLoad("u", rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := insertBelow(e, -3000, 10); err != nil {
+		t.Fatal(err)
+	}
+	check(e, "after a bulk load", 3010)
+	crashed := fs.Clone()
+	crashed.Crash()
+	e1 := openDurable(t, crashed.Recovered())
+	check(e1, "after crash recovery", 3010)
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	e2 := openDurable(t, fs)
+	defer e2.Close()
+	check(e2, "after a reopen", 3010)
 }

@@ -23,10 +23,13 @@ import (
 // scan operator survives Open/Close, so a plan-cache lease's later executions
 // reuse fully-grown buffers instead of re-paying the 32→1024 growth ramp.
 // Recycling is only legal under the batch protocol's retention contract
-// (parents must not hold a batch's columns after the following NextBatch), so
-// morsel fillers — whose batches cross goroutines through drainPipe — run
-// with recycle off and allocate fresh value buffers per batch. Span arenas
-// never escape the filler and are always reused.
+// (parents must not hold a batch's columns after the following NextBatch).
+// A morsel's filler recycles across the morsel's batches when its consumer
+// folds each batch before pulling the next (the Morseler contract), and the
+// morsel drops its buffers when it closes (release); the fillers of morsels
+// whose batches ParallelMerge retains run with recycle off and allocate fresh
+// value buffers per batch. Span arenas never escape the filler and are
+// always reused while it fills.
 type colFiller struct {
 	// kinds[i] is the declared kind of output column i, selecting its typed
 	// decoder; keyKinds[p] and payKinds[p] are the declared kinds at key and
@@ -175,12 +178,20 @@ func newColFiller(kinds []value.Kind, layout *catalog.Layout, positions []int, r
 	return f
 }
 
-// used reports whether the filler has filled a batch, and so holds an arena.
-func (f *colFiller) used() bool { return f.paySpans != nil }
+// release drops every buffer the filler has grown — column buffers, span
+// lists, the string staging arena — keeping only its string dictionaries. The
+// next fill grows them again.
+func (f *colFiller) release() {
+	f.bufs, f.keySpans, f.paySpans, f.keyScratch = nil, nil, nil, nil
+	clear(f.codes)
+	clear(f.spans)
+	clear(f.mixed)
+	f.arena = value.StringArena{}
+}
 
 // resetBufs readies the column buffers for a fill of n rows: recycle mode
 // truncates the arena in place (legal under the batch retention contract),
-// morsel mode allocates fresh, exactly sized buffers that the batch — and the
+// fresh mode allocates exactly sized buffers that the batch — and the
 // downstream pipe, indefinitely — will own.
 func (f *colFiller) resetBufs(n int) {
 	if f.recycle && f.bufs != nil {
@@ -394,10 +405,6 @@ func (f *colFiller) fill(cur *catalog.Cursor, encode []int) (*Batch, error) {
 	}
 	n := cur.NextSpans(f.keySpans, f.paySpans)
 	if n == 0 {
-		if !f.recycle {
-			// A morsel's scan is over, but a cached plan keeps its filler.
-			f.keySpans, f.paySpans = nil, nil
-		}
 		// Distinguish exhaustion from a page error mid-scan (corrupt tree):
 		// the latter must fail the query, not end it early.
 		return nil, cur.Err()

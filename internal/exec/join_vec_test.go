@@ -368,7 +368,7 @@ func TestVectorizedHashJoinClonesShareBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, ok := probe.Morsels(DefaultMorselRows)
+	parts, ok := probe.Morsels(DefaultMorselRows, true)
 	if !ok {
 		t.Fatal("probe table did not morselize")
 	}

@@ -43,12 +43,17 @@ type Morseler interface {
 	// row ranges of roughly targetRows rows whose concatenation in slice
 	// order reproduces the source's row stream exactly. Each morsel operator
 	// owns its cursor state, so distinct morsels can be scanned concurrently.
-	// Morsel operators carry a stronger batch contract than Operator's
-	// minimum: every NextBatch must return freshly allocated (or immutable,
-	// never-recycled) columns, because the merge operators buffer a morsel's
-	// batches past subsequent NextBatch calls and hand them across goroutines.
+	// retain names the consumer's batch contract. With retain, the consumer
+	// keeps a morsel's batches past later NextBatch calls and hands them
+	// across goroutines (ParallelMerge, through drainPipe), so every
+	// NextBatch must return freshly allocated (or immutable, never-recycled)
+	// columns. Without it, the consumer folds each batch on the worker before
+	// it pulls the next (the parallel aggregates, ParallelSort, the parallel
+	// hash-join build), which is Operator's own contract: a morsel may refill
+	// one set of column buffers across its batches, and it drops them when it
+	// closes, so a cached plan's idle morsels hold none.
 	// ok is false when the source cannot be split into at least two morsels.
-	Morsels(targetRows int) (parts []Operator, ok bool)
+	Morsels(targetRows int, retain bool) (parts []Operator, ok bool)
 }
 
 // PipelineFunc builds a fresh clone of the stateless operator pipeline
@@ -263,9 +268,10 @@ func (r *orderedRunner) stop() {
 }
 
 // morselParts splits src into morsels when it is partitionable into at least
-// two; build defaults to the identity pipeline.
-func morselParts(src Morseler, build PipelineFunc) ([]Operator, PipelineFunc, bool) {
-	parts, ok := src.Morsels(DefaultMorselRows)
+// two (retain as in Morseler.Morsels); build defaults to the identity
+// pipeline.
+func morselParts(src Morseler, build PipelineFunc, retain bool) ([]Operator, PipelineFunc, bool) {
+	parts, ok := src.Morsels(DefaultMorselRows, retain)
 	if !ok || len(parts) < 2 {
 		return nil, nil, false
 	}
@@ -276,8 +282,9 @@ func morselParts(src Morseler, build PipelineFunc) ([]Operator, PipelineFunc, bo
 }
 
 // drainPipe opens a per-morsel pipeline, collects its batches and closes it.
-// Retaining whole batches leans on the Morseler contract above: morsel
-// pipelines never recycle batch buffers.
+// Retaining whole batches leans on the Morseler contract above: the morsels
+// of a pipeline drained here are split with retain, so they never recycle
+// batch buffers.
 func drainPipe(pipe Operator) ([]*Batch, error) {
 	var out []*Batch
 	err := drainMorsel(pipe, func(b *Batch) error {
@@ -312,7 +319,7 @@ type ParallelMerge struct {
 // ok is false when src cannot provide at least two morsels; build nil means
 // the identity pipeline.
 func NewParallelMerge(src Morseler, build PipelineFunc, workers int) (*ParallelMerge, bool) {
-	parts, build, ok := morselParts(src, build)
+	parts, build, ok := morselParts(src, build, true)
 	if !ok {
 		return nil, false
 	}
@@ -520,7 +527,7 @@ type ParallelHashAggregate struct {
 // aggregate (nil = aggregate the scan directly). ok is false when src cannot
 // provide at least two morsels.
 func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelHashAggregate, bool) {
-	parts, build, ok := morselParts(src, build)
+	parts, build, ok := morselParts(src, build, false)
 	if !ok {
 		return nil, false
 	}
@@ -576,7 +583,7 @@ type ParallelStreamAggregate struct {
 // (the same precondition as StreamAggregate). ok is false when src cannot
 // provide at least two morsels.
 func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelStreamAggregate, bool) {
-	parts, build, ok := morselParts(src, build)
+	parts, build, ok := morselParts(src, build, false)
 	if !ok {
 		return nil, false
 	}
@@ -626,7 +633,7 @@ type ParallelSort struct {
 // clones the pipeline between the scan and the sort. ok is false when src
 // cannot provide at least two morsels.
 func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers int) (*ParallelSort, bool) {
-	parts, build, ok := morselParts(src, build)
+	parts, build, ok := morselParts(src, build, false)
 	if !ok {
 		return nil, false
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"oldelephant/internal/expr"
@@ -21,7 +22,7 @@ type valuesMorseler struct {
 
 func (v *valuesMorseler) NumScanRows() int64 { return int64(len(v.Rows)) }
 
-func (v *valuesMorseler) Morsels(target int) ([]Operator, bool) {
+func (v *valuesMorseler) Morsels(target int, _ bool) ([]Operator, bool) {
 	size := v.chunk
 	if size <= 0 {
 		size = target
@@ -353,5 +354,93 @@ func TestParallelMergeEarlyClose(t *testing.T) {
 		if err := par.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestParallelMergeRetainedBatchesMatchSerial guards the retain side of the
+// Morseler contract. ParallelMerge buffers its morsels' batches, so it splits
+// its source with retain and every batch owns its columns: all the batches of
+// a table scan several batches to a morsel, held until the last one is
+// pulled and only then read, equal the serial scan row for row.
+func TestParallelMergeRetainedBatchesMatchSerial(t *testing.T) {
+	_, tbl, _ := splitFixture(t, 5*DefaultMorselRows)
+	want := drain(t, NewSeqScan(tbl, nil))
+	par, ok := NewParallelMerge(NewSeqScan(tbl, nil), nil, 2)
+	if !ok {
+		t.Fatal("NewParallelMerge refused a table scan")
+	}
+	if err := par.Open(); err != nil {
+		t.Fatal(err)
+	}
+	var held []*Batch
+	for {
+		b, ok, err := par.NextBatch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		held = append(held, b)
+	}
+	var got []Row
+	for _, b := range held {
+		got = b.AppendRows(got)
+	}
+	if err := par.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rowsMatch(t, got, want, 0)
+}
+
+// TestParallelAggregateMorselsReleaseBuffers: an aggregate breaker's morsels
+// refill one set of column buffers across a morsel's batches and drop it when
+// the morsel closes. A parallel aggregate plan opened, drained and closed 100
+// times — as the plan cache leases one plan over and over — answers the same
+// every time, leaves no morsel filler holding a buffer, and ends with the
+// live heap where it started.
+func TestParallelAggregateMorselsReleaseBuffers(t *testing.T) {
+	_, tbl, _ := splitFixture(t, 4*DefaultMorselRows)
+	aggs := allAggSpecs()
+	want, err := DrainBatches(nil, NewHashAggregate(NewSeqScan(tbl, nil), []int{1}, aggs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, ok := NewParallelHashAggregate(NewSeqScan(tbl, nil), nil, []int{1}, aggs, 2)
+	if !ok {
+		t.Fatal("NewParallelHashAggregate refused a table scan")
+	}
+	if len(par.parts) < 3 {
+		t.Fatalf("%d morsels; the test needs several, each of several batches", len(par.parts))
+	}
+	var ms runtime.MemStats
+	liveHeap := func() uint64 {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	start := liveHeap()
+	for lease := 0; lease < 100; lease++ {
+		got, err := DrainBatches(nil, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lease%25 == 0 {
+			rowsMatch(t, got, want, 1e-9)
+		}
+	}
+	end := liveHeap()
+	for i, part := range par.parts {
+		f := part.(*TableScan).fill
+		held := f.bufs != nil || f.keySpans != nil || f.paySpans != nil
+		for out := range f.kinds {
+			held = held || f.codes[out] != nil || f.spans[out] != nil || f.mixed[out] != nil
+		}
+		if held {
+			t.Errorf("morsel %d of %d: an idle plan's filler still holds column buffers", i, len(par.parts))
+		}
+	}
+	if end > start+256<<10 {
+		t.Errorf("live heap grew %d KiB over 100 leases of one plan", (end-start)>>10)
 	}
 }

@@ -147,14 +147,9 @@ func (s *TableScan) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
 // watchLeaves sets the leaf hook of the scan's later Opens.
 func (s *TableScan) watchLeaves(f func(lastKey []byte)) { s.watch = f }
 
-// releaseFill drops the column arena the scan's filler has grown, if it has
-// filled a batch. An index nested-loop join calls it as it closes (see
-// IndexNestedLoopJoin.Close).
-func (s *TableScan) releaseFill() {
-	if s.fill.used() {
-		s.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, true)
-	}
-}
+// releaseFill drops the column arena the scan's filler has grown. An index
+// nested-loop join calls it as it closes (see IndexNestedLoopJoin.Close).
+func (s *TableScan) releaseFill() { s.fill.release() }
 
 // Schema implements Operator.
 func (s *TableScan) Schema() []ColumnInfo { return s.schema }
@@ -201,9 +196,13 @@ func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Close implements Operator.
+// Close implements Operator. A morsel's filler drops its buffers here: the
+// morsel is over, and a cached plan keeps every morsel between executions.
 func (s *TableScan) Close() error {
 	s.cur = nil
+	if s.part != nil {
+		s.fill.release()
+	}
 	return nil
 }
 
@@ -232,9 +231,10 @@ func (s *TableScan) NumScanRows() int64 {
 
 // Morsels implements Morseler: the range splits into leaf-page (or heap-page)
 // runs of roughly targetRows rows, every morsel this same operator over one
-// run. Morsel batches cross goroutines through the parallel pipe, which
-// retains them past the next fill, so a split's filler never recycles.
-func (s *TableScan) Morsels(targetRows int) ([]Operator, bool) {
+// run. A morsel's filler recycles its column buffers across the morsel's
+// batches unless retain says its consumer keeps them (ParallelMerge), and
+// drops them when the morsel closes.
+func (s *TableScan) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 	rng := s.wholeRange()
 	if rng == nil {
 		return nil, false
@@ -247,7 +247,7 @@ func (s *TableScan) Morsels(targetRows int) ([]Operator, bool) {
 	for i := range parts {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil
-		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, false)
+		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, !retain)
 		out[i] = &m
 	}
 	return out, true
@@ -322,8 +322,8 @@ func (s *IndexSeek) watchLeaves(f func(lastKey []byte)) { s.watch = f }
 // releaseFill drops the covered filler's column arena (see
 // TableScan.releaseFill).
 func (s *IndexSeek) releaseFill() {
-	if s.covered && s.fill.used() {
-		s.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, true)
+	if s.covered {
+		s.fill.release()
 	}
 }
 
@@ -391,9 +391,13 @@ func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Close implements Operator.
+// Close implements Operator; a covered morsel drops its filler's buffers
+// (see TableScan.Close).
 func (s *IndexSeek) Close() error {
 	s.cur = nil
+	if s.part != nil {
+		s.releaseFill()
+	}
 	return nil
 }
 
@@ -413,8 +417,9 @@ func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
 // every morsel an IndexSeek over one run that resolves base rows on its own
 // (covered seeks never touch the base table; uncovered ones do their
 // clustered lookups through the shared, read-only tree), so selective
-// secondary-index range scans parallelize too.
-func (s *IndexSeek) Morsels(targetRows int) ([]Operator, bool) {
+// secondary-index range scans parallelize too. A covered morsel's filler
+// recycles as TableScan.Morsels describes.
+func (s *IndexSeek) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 	parts := s.wholeRange().Split(int64(targetRows))
 	if len(parts) < 2 {
 		return nil, false
@@ -424,7 +429,7 @@ func (s *IndexSeek) Morsels(targetRows int) ([]Operator, bool) {
 		m := *s
 		m.part, m.whole, m.cur = &parts[i], nil, nil
 		if s.covered {
-			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, false)
+			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, !retain)
 		}
 		out[i] = &m
 	}

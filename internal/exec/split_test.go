@@ -50,7 +50,8 @@ func splitFixture(t *testing.T, rows int) (c *catalog.Catalog, clustered, heap *
 // rewrite rests on, for every access-path shape: concatenating the output of
 // an operator's splits, in slice order, equals the unsplit operator's output
 // row for row — on both pull protocols, at one leaf (or page) per split, at a
-// few, and not splitting at all when the target exceeds the range.
+// few, and not splitting at all when the target exceeds the range; splits
+// with retain and splits without, whose fillers recycle.
 func TestParallelSplitsReproduceSerialScan(t *testing.T) {
 	const rows = 6000
 	_, clustered, heap := splitFixture(t, rows)
@@ -94,8 +95,8 @@ func TestParallelSplitsReproduceSerialScan(t *testing.T) {
 		if want == "" {
 			t.Fatalf("%s: fixture produced no rows", tc.name)
 		}
-		for _, target := range []int{1, 700, rows + 1} {
-			parts, ok := tc.op.Morsels(target)
+		for i, target := range []int{1, 700, rows + 1} {
+			parts, ok := tc.op.Morsels(target, i%2 == 0) // both batch contracts
 			if target > rows {
 				if ok {
 					t.Errorf("%s: split into %d parts at a target above the row count", tc.name, len(parts))
@@ -162,7 +163,7 @@ func TestParallelSplitPageErrorSurfaces(t *testing.T) {
 	if n := s.NumScanRows(); n != 0 {
 		t.Errorf("NumScanRows over a broken chain = %d, want 0 (stay serial)", n)
 	}
-	if parts, ok := s.Morsels(500); ok {
+	if parts, ok := s.Morsels(500, false); ok {
 		t.Errorf("split a broken chain into %d parts", len(parts))
 	}
 	if _, err := Drain(nil, s); err == nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // stringSpanBody extracts the contents of an encoded string field body (the
@@ -43,6 +44,49 @@ func skipUvarint(src []byte, off int) int {
 		}
 	}
 	return -1
+}
+
+// varintEnds has the high bit of every byte of a word set: a byte of the word
+// whose high bit is clear ends a varint.
+const varintEnds = 0x8080808080808080
+
+// skipUvarints advances past n consecutive varints starting at off, eight
+// bytes at a time, returning the new offset or -1 where skipUvarint would
+// fail. A little-endian word's terminator bytes are the set bits of
+// ^w & varintEnds: their count is how many varints end in the word, and the
+// lowest byte of the word always starts one, so every varint that ends in it
+// is at most eight bytes long. A word with no terminator holds eight bytes of
+// one varint, which must end in one of the next two bytes (skipUvarint's
+// ten-byte rule). The last seven bytes of src, where no whole word is left,
+// go through skipUvarint byte by byte.
+func skipUvarints(src []byte, off, n int) int {
+	for n > 0 && off+8 <= len(src) {
+		ends := ^binary.LittleEndian.Uint64(src[off:]) & varintEnds
+		switch c := bits.OnesCount64(ends); {
+		case c == 0:
+			switch {
+			case off+8 < len(src) && src[off+8] < 0x80:
+				off += 9
+			case off+9 < len(src) && src[off+9] < 0x80:
+				off += 10
+			default:
+				return -1
+			}
+			n--
+		case c >= n:
+			for ; n > 1; n-- {
+				ends &= ends - 1 // drop the lowest terminator
+			}
+			return off + bits.TrailingZeros64(ends)/8 + 1
+		default:
+			off += (63-bits.LeadingZeros64(ends))/8 + 1
+			n -= c
+		}
+	}
+	for ; n > 0 && off >= 0; n-- {
+		off = skipUvarint(src, off)
+	}
+	return off
 }
 
 // sortKeyToFloat inverts NumericSortKey on a FLOAT: the exact float64 whose

@@ -696,6 +696,92 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	})
 }
 
+// skipByBytes is the byte loop RecordWalker.Skip replaces on a plain record:
+// one skipBody per field, -1 once a field is corrupt.
+func skipByBytes(src []byte, off int, kinds []Kind) int {
+	for _, k := range kinds {
+		if off < 0 {
+			break
+		}
+		off = skipBody(src, off, k)
+	}
+	return off
+}
+
+// FuzzRecordWalkerSkip holds the word-at-a-time skip of a plain record's
+// numeric runs to the byte loop: arbitrary bytes behind an all-zero bitmap,
+// under arbitrary declared kinds, skipped in the chunk sizes steps names (the
+// rest in one final skip), must end every chunk at the byte loop's offset or
+// fail exactly where the byte loop finds a corrupt field.
+func FuzzRecordWalkerSkip(f *testing.F) {
+	f.Add([]byte{0x80, 0x80}, []byte{1}, []byte{1})                                      // a truncated varint
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), 0x01), []byte{1}, []byte{1})            // an 11-byte varint
+	f.Add(append(bytes.Repeat([]byte{0x80}, 10), 0x01, 0, 0, 0), []byte{1, 1}, []byte{}) // the same inside a word
+	f.Add(append(bytes.Repeat([]byte{0xFF}, 9), 0x01, 5, 6), []byte{2, 1, 4}, []byte{2})
+	lineitem := []Value{
+		NewInt(123456), NewInt(77), NewInt(12), NewInt(3),
+		NewFloat(31), NewFloat(45123.25), NewFloat(0.04), NewFloat(0.02),
+		NewString("A"), NewString("F"),
+		NewDate(9200), NewDate(9230), NewDate(9237), NewString("TRUCK"),
+	}
+	kinds := ownKinds(lineitem)
+	kindBytes := make([]byte, len(kinds))
+	for i, k := range kinds {
+		kindBytes[i] = byte(k)
+	}
+	f.Add(AppendRecord(nil, kinds, lineitem)[2:], kindBytes, []byte{5, 4, 1})
+	f.Fuzz(func(t *testing.T, body, kindBytes, steps []byte) {
+		kinds := make([]Kind, len(kindBytes))
+		for i, b := range kindBytes {
+			kinds[i] = Kind(b % 6)
+		}
+		src := append(make([]byte, (len(kinds)+7)/8), body...)
+		var w RecordWalker
+		if err := w.Reset(src, kinds); err != nil {
+			t.Fatal(err)
+		}
+		at := 0
+		for i := 0; i <= len(steps) && at < len(kinds); i++ {
+			n := len(kinds) - at
+			if i < len(steps) {
+				n = min(n, int(steps[i]%12))
+			}
+			want := skipByBytes(src, w.off, kinds[at:at+n])
+			err := w.Skip(n)
+			if (err != nil) != (want < 0) || err == nil && w.off != want {
+				t.Fatalf("skip of %d fields from field %d of %v in %x: offset %d, err %v; byte loop %d", n, at, kinds, src, w.off, err, want)
+			}
+			if err != nil {
+				return
+			}
+			at += n
+		}
+	})
+}
+
+// TestRecordWalkerSkipRejectsBadVarints: a varint cut off by the record's
+// end and one that runs to eleven bytes are corrupt fields, whether the skip
+// meets them in a whole word or in the record's last bytes.
+func TestRecordWalkerSkipRejectsBadVarints(t *testing.T) {
+	long := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	for name, body := range map[string][]byte{
+		"truncated in the tail":        {0x05, 0x80, 0x80},
+		"truncated in a word":          append([]byte{0x05, 0x06}, bytes.Repeat([]byte{0x80}, 8)...),
+		"eleven bytes in a word":       append([]byte{0x05}, long...),
+		"eleven bytes at a word's end": append(bytes.Repeat([]byte{0x05}, 7), long...),
+	} {
+		kinds := []Kind{KindInt, KindInt, KindDate, KindFloat, KindInt, KindInt, KindInt, KindInt, KindInt}
+		src := append([]byte{0, 0}, body...)
+		var w RecordWalker
+		if err := w.Reset(src, kinds); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Skip(len(kinds)); err == nil {
+			t.Errorf("%s: skip of %x succeeded at offset %d", name, src, w.off)
+		}
+	}
+}
+
 // BenchmarkDecodeRecord decodes a 16-field lineitem-shaped record three ways:
 // the whole row, the two fields a projected scan reads (l_extendedprice and
 // l_shipdate, walked to past the fields between), and the same projection

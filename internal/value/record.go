@@ -95,23 +95,31 @@ func (w *RecordWalker) Reset(src []byte, kinds []Kind) error {
 }
 
 // Skip advances past the next n fields without decoding them. An all-zero
-// bitmap takes the declared-kind loop, which never looks at the bitmap.
+// bitmap takes the declared-kind loop, which never looks at the bitmap and
+// skips each run of consecutive numeric fields — one varint each — a word at
+// a time (skipUvarints).
 func (w *RecordWalker) Skip(n int) error {
 	if n > len(w.kinds)-w.i {
 		return fmt.Errorf("value: skip of %d fields past the record's %d", n, len(w.kinds))
 	}
 	if w.plain {
 		off := w.off
-		for _, k := range w.kinds[w.i : w.i+n] {
-			switch k {
-			case KindInt, KindDate, KindBool, KindFloat:
-				off = skipUvarint(w.src, off) // inlined: the common case costs no call
-			default:
-				off = skipBody(w.src, off, k)
+		kinds := w.kinds[w.i : w.i+n]
+		for i := 0; i < len(kinds) && off >= 0; {
+			if !isVarintKind(kinds[i]) {
+				off = skipBody(w.src, off, kinds[i])
+				i++
+				continue
 			}
-			if off < 0 {
-				return w.corrupt()
+			run := i + 1
+			for run < len(kinds) && isVarintKind(kinds[run]) {
+				run++
 			}
+			off = skipUvarints(w.src, off, run-i)
+			i = run
+		}
+		if off < 0 {
+			return w.corrupt()
 		}
 		w.off, w.i = off, w.i+n
 		return nil
@@ -225,6 +233,11 @@ func decodeBody(src []byte, off int, k Kind, v *Value) int {
 		}
 	}
 	return -1
+}
+
+// isVarintKind reports whether a bare body of kind k is one varint.
+func isVarintKind(k Kind) bool {
+	return k == KindInt || k == KindDate || k == KindBool || k == KindFloat
 }
 
 // skipBody returns the offset past the field body of kind k at src[off:], or
