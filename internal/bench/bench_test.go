@@ -38,6 +38,11 @@ func TestDiskModel(t *testing.T) {
 	if m.SeqTime(50) != 50*m.SeqReadPerPage {
 		t.Error("SeqTime arithmetic wrong")
 	}
+	// The modeled time is the planner's price, in sequential pages, at the
+	// sequential rate.
+	if want := time.Duration(modeledCost(io)) * m.SeqReadPerPage; m.Time(io) != want {
+		t.Errorf("modeled time %v, the planner's price says %v", m.Time(io), want)
+	}
 }
 
 func TestHarnessSetup(t *testing.T) {

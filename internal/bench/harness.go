@@ -47,9 +47,11 @@ type DiskModel struct {
 	RandReadPerPage time.Duration
 }
 
-// DefaultDiskModel returns the model described above.
+// DefaultDiskModel returns the model described above. The random access is
+// storage.RandomReadCost sequential pages, the price the planner uses too.
 func DefaultDiskModel() DiskModel {
-	return DiskModel{SeqReadPerPage: 100 * time.Microsecond, RandReadPerPage: 8 * time.Millisecond}
+	seq := 100 * time.Microsecond
+	return DiskModel{SeqReadPerPage: seq, RandReadPerPage: storage.RandomReadCost * seq}
 }
 
 // Time converts I/O statistics into modeled disk time.

@@ -257,6 +257,9 @@ type Measurement struct {
 	// (wall) time of execution. ColOpt by definition has no CPU component.
 	Total time.Duration
 	Plan  string
+	// EstPages is the planner's cold page estimate for a single-table plan
+	// (plan.Plan.EstPages), nil otherwise and for ColOpt.
+	EstPages *plan.PageEstimate
 	// Matched reports whether Row(MV) found a matching view (always true for
 	// the workload; kept for diagnostics).
 	Matched bool
@@ -354,6 +357,7 @@ func (h *Harness) Run(q QueryID, strategy Strategy, selectivity float64) (Measur
 		m.RowsPerSec = float64(m.Rows) / secs
 	}
 	m.IO = res.Stats.IO
+	m.EstPages = res.EstPages
 	m.PagesRead = res.Stats.IO.PageReads
 	m.ModeledDisk = h.Config.Disk.Time(res.Stats.IO)
 	// The comparison metric is the modeled disk time: the paper's ratios are

@@ -209,6 +209,10 @@ type Result struct {
 	// already parsed (ExecuteStmt, QueryStmt) has no text and leaves it empty.
 	Fingerprint string
 	Stats       Stats
+	// EstPages is the planner's estimate of the cold page reads of the
+	// plan's access path (plan.Plan.EstPages): set when the statement read a
+	// single base table, nil otherwise.
+	EstPages *plan.PageEstimate
 	// Trace is the per-operator execution trace, set only when the query ran
 	// with QueryOptions.Trace (EXPLAIN ANALYZE). The tree is finished and
 	// immutable: safe to share, serialize or aggregate.
@@ -425,6 +429,7 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.
 		Rows:     rows,
 		Plan:     pl.Explain,
 		PlanHash: pl.Hash,
+		EstPages: pl.EstPages,
 		Stats: Stats{
 			Wall:         elapsed,
 			IO:           after.Sub(before),
@@ -501,13 +506,27 @@ func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 	}
 	lines := strings.Split(res.Plan, "\n")
 	lines = append(lines, res.Trace.Lines()...)
-	lines = append(lines, fmt.Sprintf("Execution time: %s  rows returned: %d  page reads: %d",
-		res.Stats.Wall.Round(time.Microsecond), res.Stats.RowsReturned, res.Stats.IO.PageReads))
+	lines = append(lines, summaryLine(res))
 	out := planTextResult(res.Plan, res.PlanHash, lines)
+	out.EstPages = res.EstPages
 	out.Trace = res.Trace
 	out.Stats = res.Stats
 	out.Stats.RowsReturned = len(out.Rows)
 	return out, nil
+}
+
+// summaryLine is EXPLAIN ANALYZE's last line: wall time, rows and the page
+// reads by the pager's class, with the planner's cold estimate beside them
+// when the plan has one. The reads are this run's; a warm buffer pool serves
+// pages the estimate counts.
+func summaryLine(res *Result) string {
+	io := res.Stats.IO
+	line := fmt.Sprintf("Execution time: %s  rows returned: %d  page reads: %d (seq %d, rand %d)",
+		res.Stats.Wall.Round(time.Microsecond), res.Stats.RowsReturned, io.PageReads, io.SeqReads, io.RandReads)
+	if est := res.EstPages; est != nil {
+		line += fmt.Sprintf("  estimated cold: seq %.1f, rand %.1f", est.Seq, est.Rand)
+	}
+	return line
 }
 
 // planTextResult wraps annotation lines as a one-column result.

@@ -19,8 +19,17 @@ func mustExec(t *testing.T, e *Engine, sqlText string) *Result {
 }
 
 // newWorkloadEngine builds a small lineitem/orders/customer database with
-// deterministic contents used by most engine tests.
+// deterministic contents used by most engine tests. Its lineitem holds 3,000
+// rows on about 11 data pages: any seek that descends from the root costs more
+// than scanning it in the cold disk model.
 func newWorkloadEngine(t *testing.T) *Engine {
+	return newScaledWorkloadEngine(t, 1)
+}
+
+// newScaledWorkloadEngine is newWorkloadEngine with scale times the lineitem
+// rows (the same 3,000-row pattern repeated): at scale 16, about 175 data
+// pages, selective seeks cost less than a scan.
+func newScaledWorkloadEngine(t *testing.T, scale int) *Engine {
 	t.Helper()
 	e := Default()
 	mustExec(t, e, `CREATE TABLE lineitem (
@@ -45,7 +54,7 @@ func newWorkloadEngine(t *testing.T) *Engine {
 			value.NewDate(value.MustParseDate("1995-01-01").Int() + int64(ok%200)),
 		})
 	}
-	for i := 0; i < 3000; i++ {
+	for i := 0; i < 3000*scale; i++ {
 		flag := "N"
 		if i%4 == 0 {
 			flag = "R"
@@ -145,7 +154,7 @@ func TestSelectWithoutFrom(t *testing.T) {
 }
 
 func TestQ1StyleAggregation(t *testing.T) {
-	e := newWorkloadEngine(t)
+	e := newScaledWorkloadEngine(t, 16)
 	res := mustExec(t, e, `
 		SELECT l_shipdate, COUNT(*)
 		FROM lineitem
@@ -173,6 +182,16 @@ func TestQ1StyleAggregation(t *testing.T) {
 	}
 	if !strings.Contains(res.Plan, "StreamAggregate") {
 		t.Errorf("plan should use a stream aggregate: %s", res.Plan)
+	}
+	// On the 11-page lineitem the scan is cheaper, and it streams in the same
+	// clustered order.
+	small := mustExec(t, newWorkloadEngine(t), `
+		SELECT l_shipdate, COUNT(*)
+		FROM lineitem
+		WHERE l_shipdate > DATE '1995-10-01'
+		GROUP BY l_shipdate`)
+	if !strings.Contains(small.Plan, "SeqScan") || !strings.Contains(small.Plan, "StreamAggregate") {
+		t.Errorf("small table should be scanned into a stream aggregate: %s", small.Plan)
 	}
 }
 
@@ -255,14 +274,22 @@ func TestJoinHintsChangeAlgorithm(t *testing.T) {
 }
 
 func TestSecondaryIndexIsChosenForSelectivePredicate(t *testing.T) {
-	e := newWorkloadEngine(t)
+	e := newScaledWorkloadEngine(t, 16)
 	mustExec(t, e, "CREATE INDEX ix_supp ON lineitem (l_suppkey) INCLUDE (l_extendedprice)")
 	res := mustExec(t, e, "SELECT l_suppkey, l_extendedprice FROM lineitem WHERE l_suppkey = 7")
 	if !strings.Contains(res.Plan, "IndexSeek") {
 		t.Errorf("plan should use the covering secondary index: %s", res.Plan)
 	}
-	if len(res.Rows) != 150 {
-		t.Errorf("rows = %d, want 150", len(res.Rows))
+	if len(res.Rows) != 16*150 {
+		t.Errorf("rows = %d, want %d", len(res.Rows), 16*150)
+	}
+	// On the 11-page lineitem the same query scans: the index descent alone
+	// costs more than the scan.
+	small := newWorkloadEngine(t)
+	mustExec(t, small, "CREATE INDEX ix_supp ON lineitem (l_suppkey) INCLUDE (l_extendedprice)")
+	sres := mustExec(t, small, "SELECT l_suppkey, l_extendedprice FROM lineitem WHERE l_suppkey = 7")
+	if !strings.Contains(sres.Plan, "SeqScan") || len(sres.Rows) != 150 {
+		t.Errorf("small table: %d rows (want 150) from %s, want a scan", len(sres.Rows), sres.Plan)
 	}
 	// When the query needs a column outside the index and selectivity is low,
 	// the planner should fall back to scanning.
@@ -366,7 +393,7 @@ func TestMaterializedViewCreationAndQuerying(t *testing.T) {
 }
 
 func TestStatsAndColdRuns(t *testing.T) {
-	e := newWorkloadEngine(t)
+	e := newScaledWorkloadEngine(t, 16)
 	// Warm run: everything is cached from loading.
 	warm := mustExec(t, e, "SELECT COUNT(*) FROM lineitem")
 	if warm.Stats.IO.PageReads != 0 {
@@ -389,6 +416,16 @@ func TestStatsAndColdRuns(t *testing.T) {
 	seek := mustExec(t, e, "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'")
 	if seek.Stats.IO.PageReads*3 >= cold.Stats.IO.PageReads {
 		t.Errorf("selective seek read %d pages, full scan %d", seek.Stats.IO.PageReads, cold.Stats.IO.PageReads)
+	}
+	// On the 11-page lineitem the same statement scans, and reads exactly
+	// what the full scan reads: one random read, then the leaf chain.
+	small := newWorkloadEngine(t)
+	small.ResetBufferPool()
+	full := mustExec(t, small, "SELECT COUNT(*) FROM lineitem")
+	small.ResetBufferPool()
+	sel := mustExec(t, small, "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'")
+	if !strings.Contains(sel.Plan, "SeqScan") || sel.Stats.IO != full.Stats.IO || sel.Stats.IO.RandReads != 1 {
+		t.Errorf("small table: %s read %+v, full scan %+v", sel.Plan, sel.Stats.IO, full.Stats.IO)
 	}
 	if e.TotalDataPages() == 0 {
 		t.Error("TotalDataPages should be positive")

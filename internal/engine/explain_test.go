@@ -5,13 +5,18 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
 
 // traceTestEngine builds an engine with one populated table.
 func traceTestEngine(t *testing.T, rows int) *Engine {
+	return traceTestEngineWith(t, Options{}, rows)
+}
+
+func traceTestEngineWith(t *testing.T, opts Options, rows int) *Engine {
 	t.Helper()
-	e := New(Options{})
+	e := New(opts)
 	if _, err := e.Execute("CREATE TABLE t (id INT, grp INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +55,43 @@ func TestTraceExplainPlanOnly(t *testing.T) {
 	// Plain EXPLAIN must not execute: no annotation or summary lines.
 	if strings.Contains(text, "rows=") || strings.Contains(text, "Execution time") {
 		t.Errorf("plain EXPLAIN leaked execution annotations:\n%s", text)
+	}
+}
+
+// TestExplainAnalyzeEstimateBesideActual: EXPLAIN ANALYZE's summary line
+// prints the run's reads by class and, for a single-table plan, the planner's
+// cold estimate beside them; a join has no single access path to estimate.
+// Serial, so the scan's reads form one stream.
+func TestExplainAnalyzeEstimateBesideActual(t *testing.T) {
+	e := traceTestEngineWith(t, Options{Parallelism: 1}, 20000)
+	e.ResetBufferPool()
+	res, err := e.Execute("EXPLAIN ANALYZE SELECT grp, COUNT(*) FROM t GROUP BY grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io, est := res.Stats.IO, res.EstPages
+	if io.RandReads != 1 || io.SeqReads == 0 || est == nil {
+		t.Fatalf("cold scan read %+v, estimate %+v", io, est)
+	}
+	summary := res.Rows[len(res.Rows)-1][0].S
+	for _, want := range []string{
+		fmt.Sprintf("page reads: %d (seq %d, rand 1)", io.PageReads, io.SeqReads),
+		fmt.Sprintf("estimated cold: seq %.1f, rand 1.0", est.Seq),
+	} {
+		if !strings.Contains(summary, want) {
+			t.Errorf("summary %q lacks %q", summary, want)
+		}
+	}
+	measured := float64(io.SeqReads) + storage.RandomReadCost*float64(io.RandReads)
+	if q := max(est.Cost()/measured, measured/est.Cost()); q > 1.5 {
+		t.Errorf("scan estimate %+v vs measured %+v: q-error %.2f", est, io, q)
+	}
+	join, err := e.Execute("EXPLAIN ANALYZE SELECT COUNT(*) FROM t a, t b WHERE a.id = b.id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if summary := join.Rows[len(join.Rows)-1][0].S; join.EstPages != nil || strings.Contains(summary, "estimated") {
+		t.Errorf("join carries an access-path estimate: %q", summary)
 	}
 }
 

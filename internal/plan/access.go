@@ -24,6 +24,7 @@ type plannedSource struct {
 	tableOrds []int // base-table ordinal of each contributed column (base tables only)
 	ordering  []int // scope ordinals forming the sort-order prefix of the output
 	estRows   float64
+	estPages  PageEstimate // the access path's cold reads (base tables only)
 	desc      string
 	// pushed keeps the single-table conjuncts assigned to this source so a
 	// join that bypasses the planned access path (index nested loops) can
@@ -168,13 +169,40 @@ func rangeSelectivity(t *catalog.Table, ord int, r *colRange) float64 {
 	return t.Stats.SelectivityRange(ord, lo, hi)
 }
 
+// PageEstimate is an access path's estimated cold page reads, split the way
+// the pager classifies them.
+type PageEstimate struct {
+	Seq, Rand float64
+}
+
+// Cost prices the estimate in the paper's disk units: sequential page reads,
+// with a random read worth storage.RandomReadCost of them.
+func (e PageEstimate) Cost() float64 { return e.Seq + storage.RandomReadCost*e.Rand }
+
+// treeRead prices a key-order read of leaves pages of one tree. A read
+// with an open start begins at the tree's stored leftmost leaf (a heap's first
+// page): one random read. A bounded start descends from the root: height
+// random reads, the last of them the first leaf. The remaining leaves follow
+// the leaf chain sequentially.
+func treeRead(boundedStart bool, height int, leaves float64) PageEstimate {
+	e := PageEstimate{Seq: max(leaves, 1) - 1, Rand: 1}
+	if boundedStart {
+		e.Rand = float64(height)
+	}
+	return e
+}
+
 // planBaseTable selects the access path for one base-table FROM entry.
 //
-// The decision follows the textbook cost comparison the paper leans on:
-// scanning costs the table's data pages; a clustered seek costs the selected
-// fraction of those pages; a covering secondary-index seek costs the selected
-// fraction of the (narrower) index pages; a non-covering seek additionally
-// pays one random lookup per qualifying row.
+// Every candidate is priced cold in the paper's disk units (PageEstimate.Cost)
+// and the cheapest wins, the full scan on a tie. Leaf counts come from
+// statistics: the table's data pages for a scan and a clustered seek, the
+// index's estimated leaves for a secondary seek, times the range's
+// selectivity. A secondary seek that does not cover the query also pays one
+// random read per estimated row to fetch it from the table, at most one per
+// table leaf. So a small table is scanned even under a selective predicate: a
+// descent of two or three random reads costs more than streaming a few dozen
+// leaves after the one random read that reaches the first.
 func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pushed []sql.Expr) (*plannedSource, error) {
 	if len(needed) == 0 {
 		// A table no column of which is referenced still contributes its
@@ -198,13 +226,13 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	type candidate struct {
 		op       exec.Operator
 		encode   *[]int // the access path's EncodeCols
-		cost     float64
+		est      PageEstimate
 		ordering []int // table ordinals of the sort prefix
 		desc     string
 	}
 	var best *candidate
 	consider := func(c candidate) {
-		if best == nil || c.cost < best.cost {
+		if best == nil || c.est.Cost() < best.est.Cost() {
 			cc := c
 			best = &cc
 		}
@@ -219,7 +247,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	consider(candidate{
 		op:       scan,
 		encode:   &scan.EncodeCols,
-		cost:     dataPages,
+		est:      treeRead(false, 0, dataPages),
 		ordering: scanOrdering,
 		desc:     fmt.Sprintf("SeqScan(%s)", t.Name),
 	})
@@ -235,7 +263,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 				consider(candidate{
 					op:       seek,
 					encode:   &seek.EncodeCols,
-					cost:     dataPages*sel + 3, // + root-to-leaf descent
+					est:      treeRead(r.hasLo, t.Clustered.Tree().Height(), dataPages*sel),
 					ordering: t.Clustered.KeyColumns,
 					desc: fmt.Sprintf("ClusteredSeek(%s on %s)",
 						t.Name, t.Columns[lead].Name),
@@ -257,18 +285,14 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		if err != nil {
 			continue
 		}
-		idxPages := estimateIndexPages(idx)
-		var cost float64
-		var desc string
-		if seek.Covered() {
-			cost = idxPages*sel + 3
-			desc = fmt.Sprintf("IndexSeek(%s.%s covering)", t.Name, idx.Name)
-		} else {
-			// Each qualifying row needs a lookup into the base table.
-			cost = idxPages*sel + rowCount*sel*2 + 3
+		est := treeRead(r.hasLo, idx.Tree().Height(), estimateIndexPages(idx)*sel)
+		desc := fmt.Sprintf("IndexSeek(%s.%s covering)", t.Name, idx.Name)
+		if !seek.Covered() {
+			// Each qualifying row is fetched from the table.
+			est.Rand += min(rowCount*sel, dataPages)
 			desc = fmt.Sprintf("IndexSeek(%s.%s + lookup)", t.Name, idx.Name)
 		}
-		consider(candidate{op: seek, encode: &seek.EncodeCols, cost: cost, ordering: idx.KeyColumns, desc: desc})
+		consider(candidate{op: seek, encode: &seek.EncodeCols, est: est, ordering: idx.KeyColumns, desc: desc})
 	}
 
 	src := &plannedSource{
@@ -277,6 +301,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		op:        best.op,
 		tableOrds: needed,
 		estRows:   estRows,
+		estPages:  best.est,
 		desc:      best.desc,
 	}
 	src.sc = &scope{}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"oldelephant/internal/catalog"
@@ -16,25 +17,7 @@ import (
 func newParallelCatalog(t *testing.T) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New(storage.NewPager(0))
-	tbl, err := c.CreateTable("big", []catalog.Column{
-		{Name: "id", Kind: value.KindInt},
-		{Name: "grp", Kind: value.KindInt},
-		{Name: "amount", Kind: value.KindFloat},
-	}, []string{"id"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rows [][]value.Value
-	for i := 0; i < 3*ParallelRowThreshold; i++ {
-		rows = append(rows, []value.Value{
-			value.NewInt(int64(i)),
-			value.NewInt(int64(i % 40)),
-			value.NewFloat(float64(i % 1000)),
-		})
-	}
-	if err := tbl.BulkLoad(rows); err != nil {
-		t.Fatal(err)
-	}
+	loadWideTable(t, c, "big", 3*ParallelRowThreshold)
 	dims, err := c.CreateTable("dims", []catalog.Column{
 		{Name: "dkey", Kind: value.KindInt},
 		{Name: "dname", Kind: value.KindInt},
@@ -64,6 +47,31 @@ func newParallelCatalog(t *testing.T) *catalog.Catalog {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// loadWideTable creates name(id, grp, amount), clustered on id, with n rows:
+// grp cycles through 40 values and amount through 1,000.
+func loadWideTable(t *testing.T, c *catalog.Catalog, name string, n int) {
+	t.Helper()
+	tbl, err := c.CreateTable(name, []catalog.Column{
+		{Name: "id", Kind: value.KindInt},
+		{Name: "grp", Kind: value.KindInt},
+		{Name: "amount", Kind: value.KindFloat},
+	}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows [][]value.Value
+	for i := 0; i < n; i++ {
+		rows = append(rows, []value.Value{
+			value.NewInt(int64(i)),
+			value.NewInt(int64(i % 40)),
+			value.NewFloat(float64(i % 1000)),
+		})
+	}
+	if err := tbl.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestParallelizePlacesParallelOperators pins where the rewrite fires: a
@@ -226,30 +234,36 @@ func findVectorizedJoin(op exec.Operator) *exec.VectorizedHashJoin {
 // TestParallelizeSeeks pins the range-scan rewrite: a wide clustered-key
 // range seek (and a wide covering index seek) partitions into leaf-range
 // morsels bounded by the seek's stop key, while a selective seek — the whole
-// point of seeking — stays serial.
+// point of seeking — stays serial. The seeks run on huge (about 170 data
+// pages), where they cost less than a scan; on big (about 64 pages) a
+// bounded seek's descent of two random reads costs more than the scan's one
+// random read and 63 sequential ones, so the same predicates scan there.
 func TestParallelizeSeeks(t *testing.T) {
 	c := newParallelCatalog(t)
-	if _, err := c.CreateIndex("big_amount", "big", []string{"amount"}, []string{"grp"}, false); err != nil {
-		t.Fatal(err)
+	loadWideTable(t, c, "huge", 8*ParallelRowThreshold)
+	for _, tbl := range []string{"big", "huge"} {
+		if _, err := c.CreateIndex(tbl+"_amount", tbl, []string{"amount"}, []string{"grp"}, false); err != nil {
+			t.Fatal(err)
+		}
 	}
 	wide := []struct {
 		query string
-		scan  string // access path expected at the bottom of the pipeline
+		path  string // access path expected at the bottom of the pipeline
 		want  string
 	}{
-		// id is the clustered key: a range predicate selecting ~2/3 of the
+		// id is the clustered key: a range predicate selecting ~40% of the
 		// table compiles to a ClusteredSeek that still clears the threshold.
-		{"SELECT grp, COUNT(*) FROM big WHERE id > 8192 GROUP BY grp", "*exec.TableScan", "*exec.ParallelHashAggregate"},
-		{"SELECT id, grp FROM big WHERE id > 8192 AND grp = 7", "*exec.TableScan", "*exec.ParallelMerge"},
-		// amount has a covering secondary index: a ~40%-selective range
-		// predicate compiles to a covering IndexSeek over ~9800 entries —
+		{"SELECT grp, COUNT(*) FROM huge WHERE id > 40000 GROUP BY grp", "ClusteredSeek", "*exec.ParallelHashAggregate"},
+		{"SELECT id, grp FROM huge WHERE id > 40000 AND grp = 7", "ClusteredSeek", "*exec.ParallelMerge"},
+		// amount has a covering secondary index: a ~25%-selective range
+		// predicate compiles to a covering IndexSeek over ~16,000 entries —
 		// above the threshold, so the entry range partitions too.
-		{"SELECT grp, COUNT(*) FROM big WHERE amount > 600.0 GROUP BY grp", "*exec.IndexSeek", "*exec.ParallelHashAggregate"},
+		{"SELECT grp, COUNT(*) FROM huge WHERE amount > 750.0 GROUP BY grp", "IndexSeek", "*exec.ParallelHashAggregate"},
 	}
 	for _, tc := range wide {
 		pl := planFor(t, c, tc.query)
-		if !findOperatorType(pl.Root, tc.scan) {
-			t.Fatalf("%s: expected a %s access path: %s", tc.query, tc.scan, pl.Explain)
+		if !strings.Contains(pl.Explain, tc.path) {
+			t.Fatalf("%s: expected a %s access path: %s", tc.query, tc.path, pl.Explain)
 		}
 		root, rewrote := Parallelize(pl.Root, 4)
 		if !rewrote {
@@ -262,12 +276,21 @@ func TestParallelizeSeeks(t *testing.T) {
 	}
 	// A selective equality seek stays serial: its range estimate is far below
 	// the threshold.
-	pl := planFor(t, c, "SELECT grp, COUNT(*) FROM big WHERE id = 123 GROUP BY grp")
-	if !findOperatorType(pl.Root, "*exec.TableScan") {
+	pl := planFor(t, c, "SELECT grp, COUNT(*) FROM huge WHERE id = 123 GROUP BY grp")
+	if !strings.Contains(pl.Explain, "ClusteredSeek") {
 		t.Fatalf("selective query lost its seek: %s", pl.Explain)
 	}
 	if _, rewrote := Parallelize(pl.Root, 4); rewrote {
 		t.Error("selective equality seek was parallelized")
+	}
+	// On big the same shapes scan.
+	for _, q := range []string{
+		"SELECT grp, COUNT(*) FROM big WHERE id = 123 GROUP BY grp",
+		"SELECT grp, COUNT(*) FROM big WHERE amount > 750.0 GROUP BY grp",
+	} {
+		if pl := planFor(t, c, q); !strings.Contains(pl.Explain, "SeqScan") {
+			t.Errorf("%s: expected a scan of the 64-page table: %s", q, pl.Explain)
+		}
 	}
 }
 

@@ -12,8 +12,19 @@ import (
 )
 
 // newTestCatalog builds a small clustered table with a covering secondary
-// index and enough rows for the cost model to prefer seeks over scans.
+// index: 5,000 rows on about 17 data pages, few enough that a full scan is
+// cheaper in the cold disk model than any seek that descends from the root.
 func newTestCatalog(t *testing.T) *catalog.Catalog {
+	return newEventsCatalog(t, 5000)
+}
+
+// newSeekCatalog builds the same table with 60,000 rows (about 200 data
+// pages), enough for selective seeks to cost less than a scan.
+func newSeekCatalog(t *testing.T) *catalog.Catalog {
+	return newEventsCatalog(t, 60000)
+}
+
+func newEventsCatalog(t *testing.T, n int) *catalog.Catalog {
 	t.Helper()
 	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("events", []catalog.Column{
@@ -27,7 +38,7 @@ func newTestCatalog(t *testing.T) *catalog.Catalog {
 	}
 	var rows [][]value.Value
 	base := value.MustParseDate("2008-01-01").Int()
-	for i := 0; i < 5000; i++ {
+	for i := 0; i < n; i++ {
 		kind := "view"
 		if i%10 == 0 {
 			kind = "click"
@@ -85,7 +96,7 @@ func TestScopeResolution(t *testing.T) {
 }
 
 func TestAccessPathSelection(t *testing.T) {
-	c := newTestCatalog(t)
+	c := newSeekCatalog(t)
 	// Sargable predicate on the clustered leading column -> clustered seek.
 	p := planFor(t, c, "SELECT day, user_id FROM events WHERE day = DATE '2008-03-01'")
 	if !strings.Contains(p.Explain, "ClusteredSeek") {
@@ -105,6 +116,55 @@ func TestAccessPathSelection(t *testing.T) {
 	p = planFor(t, c, "SELECT day FROM events WHERE day > '2008-06-01'")
 	if !strings.Contains(p.Explain, "ClusteredSeek") {
 		t.Errorf("expected clustered seek with coerced date, got %s", p.Explain)
+	}
+	// On the 17-page table the same selective predicates scan: two random
+	// reads down the tree cost more than one random read and 16 sequential.
+	small := newTestCatalog(t)
+	for _, q := range []string{
+		"SELECT day, user_id FROM events WHERE day = DATE '2008-03-01'",
+		"SELECT user_id, amount FROM events WHERE user_id = 7",
+	} {
+		if p := planFor(t, small, q); !strings.Contains(p.Explain, "SeqScan") {
+			t.Errorf("%s on the small table: expected scan, got %s", q, p.Explain)
+		}
+	}
+}
+
+// TestAccessPathEstimates: a single-table plan carries the cold page reads
+// its access path was priced at, in the pager's seq/rand classes, and the
+// chosen path is the cheapest of them.
+func TestAccessPathEstimates(t *testing.T) {
+	c := newSeekCatalog(t)
+	tbl, _ := c.Table("events")
+	height := float64(tbl.Clustered.Tree().Height())
+	pages := tbl.Stats.EstimatedDataPages()
+
+	scan := planFor(t, c, "SELECT COUNT(*) FROM events WHERE kind = 'click'")
+	if e := scan.EstPages; e == nil || e.Rand != 1 || e.Seq != pages-1 {
+		t.Errorf("scan estimate = %+v, want 1 random read and %.1f sequential", e, pages-1)
+	}
+	seek := planFor(t, c, "SELECT day, user_id FROM events WHERE day = DATE '2008-03-01'")
+	if e := seek.EstPages; e == nil || e.Rand != height || e.Cost() >= scan.EstPages.Cost() {
+		t.Errorf("seek estimate = %+v, want %v random reads and a cost below the scan's %.1f",
+			e, height, scan.EstPages.Cost())
+	}
+	// An upper bound alone starts at the leftmost leaf: one random read.
+	open := planFor(t, c, "SELECT day FROM events WHERE day < '2008-01-05'")
+	if !strings.Contains(open.Explain, "ClusteredSeek") || open.EstPages.Rand != 1 {
+		t.Errorf("open-start seek: %s, estimate %+v", open.Explain, open.EstPages)
+	}
+	// An uncovered seek pays a random read per fetched row.
+	lookup := planFor(t, c, "SELECT user_id, kind FROM events WHERE user_id = 7")
+	if !strings.Contains(lookup.Explain, "SeqScan") {
+		t.Errorf("1,200 lookups should lose to the scan: %s", lookup.Explain)
+	}
+	// A join has no single access path to estimate.
+	if j := planFor(t, c, "SELECT a.day FROM events a, events b WHERE a.day = b.day AND a.user_id = 1 AND b.user_id = 2"); j.EstPages != nil {
+		t.Errorf("join plan carries an access-path estimate: %+v", j.EstPages)
+	}
+	// The estimate stays out of the plan text.
+	if want := "Project(Filter(ClusteredSeek(events on day)))"; seek.Explain != want {
+		t.Errorf("seek plan text = %s, want %s", seek.Explain, want)
 	}
 }
 
@@ -168,7 +228,7 @@ unwrapped:
 // TestPlannerMarksCompressedScans: access paths with a sort prefix are marked
 // for compressed vector emission.
 func TestPlannerMarksCompressedScans(t *testing.T) {
-	c := newTestCatalog(t)
+	c := newSeekCatalog(t)
 	stmt, err := sql.ParseSelect("SELECT day, user_id FROM events WHERE day = DATE '2008-03-01'")
 	if err != nil {
 		t.Fatal(err)

@@ -39,6 +39,11 @@ type Plan struct {
 	// hashed once; every later execution of a cached instance reuses it.
 	Hash    string
 	EstRows float64
+	// EstPages is the estimated cold page reads of the plan's access path
+	// when the plan reads a single base table, nil otherwise. It is what the
+	// planner priced the path by, kept beside the plan for EXPLAIN ANALYZE to
+	// set against the measured reads; it is not part of Explain.
+	EstPages *PageEstimate
 }
 
 // HashText fingerprints a plan's textual form (FNV-1a, 16 hex digits): two
@@ -176,7 +181,15 @@ func (p *Planner) PlanSelect(stmt *sql.SelectStmt) (*Plan, error) {
 		joined.op = exec.NewFilter(joined.op, pred)
 	}
 
-	return p.finishSelect(stmt, joined)
+	pl, err := p.finishSelect(stmt, joined)
+	if err != nil {
+		return nil, err
+	}
+	if len(sources) == 1 && sources[0].table != nil {
+		est := sources[0].estPages
+		pl.EstPages = &est
+	}
+	return pl, nil
 }
 
 // planConstantSelect handles SELECT lists without a FROM clause.

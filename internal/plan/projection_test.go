@@ -40,7 +40,7 @@ func accessCols(t *testing.T, op exec.Operator) []int {
 // tuple decode depends on: a scan that is handed all ordinals decodes the
 // whole tuple and the skip-decode machinery never fires.
 func TestProjectionPushdownMinimalCols(t *testing.T) {
-	c := newTestCatalog(t)
+	c := newSeekCatalog(t)
 	cases := []struct {
 		query string
 		want  int

@@ -27,6 +27,12 @@ type IOStats struct {
 	PagesAllocated int64
 }
 
+// RandomReadCost is the price of a random page read in sequential page reads,
+// the paper's cold disk model: a 7200 RPM drive streams an 8 KB page in about
+// 0.1 ms and pays about 8 ms for a random access. The planner prices access
+// paths in these units and the paper harness converts them to time with it.
+const RandomReadCost = 80
+
 // Sub returns the difference s - o, useful for measuring a single query.
 func (s IOStats) Sub(o IOStats) IOStats {
 	return IOStats{
