@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"oldelephant/internal/storage"
 )
@@ -19,11 +18,12 @@ import (
 // BTree is a B+-tree rooted at a page. Duplicate keys are allowed; entries
 // with equal keys are returned in insertion order.
 //
-// Reads (Scan, Seek, LeafPages, morsel iterators) are safe to run from
+// Reads (Scan, Seek, LeafRange, morsel iterators) are safe to run from
 // concurrent goroutines as long as no mutation (Insert, Delete, BulkLoad)
 // runs at the same time — the serving layer's reader/writer isolation; page
-// accesses themselves are serialized by the pager. Reads decode records where
-// they lie (see node): the tree keeps no second copy of a page's contents.
+// accesses themselves are serialized by the pager. Reads change nothing in
+// the tree and decode records where they lie (see node): the tree keeps no
+// second copy of a page's contents.
 type BTree struct {
 	pager *storage.Pager
 	root  storage.PageID
@@ -34,20 +34,6 @@ type BTree struct {
 	first  storage.PageID
 	height int
 	count  int64
-	// leafCache memoizes LeafPages so morsel partitioning does not re-walk
-	// the leaf chain on every query, and leafCount memoizes LeafCount (0 until
-	// known); every mutation (Insert, Delete, BulkLoad) clears both before
-	// touching a node (forget). They are atomic because concurrent read-only
-	// queries race to fill them (two sessions planning parallel scans of one
-	// table).
-	leafCache atomic.Pointer[[]storage.PageID]
-	leafCount atomic.Int64
-}
-
-// forget clears the memoized leaf chain and leaf count ahead of a mutation.
-func (t *BTree) forget() {
-	t.leafCache.Store(nil)
-	t.leafCount.Store(0)
 }
 
 // New creates an empty tree. Its leaves charge every entry
@@ -438,7 +424,6 @@ func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte,
 	if len(bound)+len(val) > usableBytes/4 {
 		return fmt.Errorf("btree: entry of %d bytes is too large", len(bound)+len(val))
 	}
-	t.forget()
 	promoted, newChild, err := t.insertInto(t.root, bound, val, choose, true)
 	if err == errPredElsewhere {
 		var pred, key []byte
@@ -572,7 +557,6 @@ func (t *BTree) store(nd node, isLeaf bool, entries []entry) ([]byte, storage.Pa
 // if an entry was removed. Nodes are not rebalanced: the workload is
 // read-mostly and underfull nodes only waste space, never correctness.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	t.forget()
 	nd, err := t.leafFor(key)
 	// The first key >= key decides; leaves that deletes have emptied and
 	// leaves of smaller keys are walked past.
@@ -615,15 +599,6 @@ func (t *BTree) leafFor(key []byte) (node, error) {
 		// The child left of the first separator >= key covers the key.
 		id = nd.child(nd.lowerBound(key) - 1)
 	}
-}
-
-// startLeaf loads the leaf a walk from key begins on: for a nil key, below
-// which no separator sorts, the leftmost leaf, read without a descent.
-func (t *BTree) startLeaf(key []byte) (node, error) {
-	if key == nil {
-		return t.node(t.first)
-	}
-	return t.leafFor(key)
 }
 
 // Iterator walks leaf entries in key order: a leaf, read where it lies, and
@@ -744,64 +719,18 @@ func (it *Iterator) enter(nd node) {
 // both bounds open.
 func (t *BTree) Scan() *Iterator { return t.Seek(nil, nil, false) }
 
-// LeafPages returns the ids of every leaf page in chain (key) order. It is
-// how parallel scans partition a tree into morsels: each morsel is a run of
-// consecutive leaves handed to SeekLeaves. The chain walk is memoized until
-// the next structural mutation, so repeated queries do not re-pay it.
-// Callers must treat the result as read-only.
-func (t *BTree) LeafPages() ([]storage.PageID, error) {
-	if cached := t.leafCache.Load(); cached != nil {
-		return *cached, nil
-	}
-	out, err := t.walkLeaves(nil, nil, false)
-	if err != nil {
-		return nil, err
-	}
-	t.leafCache.Store(&out)
-	return out, nil
-}
-
-// LeafCount returns the number of leaves without reading one: the children
-// of the level above the leaves, whose nodes are the only pages it reads
-// (with the levels above them). Every leaf has exactly one parent entry, so
-// the count equals len(LeafPages()). Memoized until the next mutation.
+// LeafCount returns the number of leaves: the length of the unbounded
+// LeafRange, which reads the internal nodes and no leaf.
 func (t *BTree) LeafCount() (int, error) {
-	if t.height <= 1 {
-		return 1, nil
-	}
-	if n := t.leafCount.Load(); n > 0 {
-		return int(n), nil
-	}
-	level := []storage.PageID{t.root}
-	for h := t.height; ; h-- {
-		var below []storage.PageID
-		count := 0
-		for _, id := range level {
-			nd, err := t.node(id)
-			if err != nil {
-				return 0, err
-			}
-			count += nd.n + 1 // the leftmost child and one per separator
-			if h > 2 {
-				below = append(below, nd.child(-1))
-				for i := range nd.n {
-					below = append(below, nd.child(i))
-				}
-			}
-		}
-		if h == 2 {
-			t.leafCount.Store(int64(count))
-			return count, nil
-		}
-		level = below
-	}
+	leaves, err := t.LeafRange(nil, nil, false)
+	return len(leaves), err
 }
 
 // LeafFootprint is the bytes the tree's leaves occupy as the packing rule
 // counts them (nodeSize, row headers included) — what the density pins
 // divide by the row count.
 func (t *BTree) LeafFootprint() (int, error) {
-	leaves, err := t.LeafPages()
+	leaves, err := t.LeafRange(nil, nil, false)
 	if err != nil {
 		return 0, err
 	}
@@ -816,42 +745,41 @@ func (t *BTree) LeafFootprint() (int, error) {
 	return total, nil
 }
 
-// LeafRange returns the ids of the consecutive leaf pages that can contain
-// keys in [start, stop] — the leaf that Seek(start, ...) would begin on
-// through the last leaf whose first key does not pass the stop bound. It is
-// how parallel range scans partition a seek into morsels: each morsel is a
-// run of consecutive leaves handed to SeekLeaves. nil bounds are open (nil
-// start begins at the leftmost leaf; nil stop ends at the last). The walk
-// reads only the leaves of the range, plus one root-to-leaf descent when
-// start is set; the fully open range is the whole chain, which LeafPages
-// memoizes. Callers must treat the result as read-only.
+// LeafRange returns the ids, in chain (key) order, of the consecutive leaves
+// that can hold keys in [start, stop]: the leaf Seek(start, ...) begins on
+// through the last leaf whose separator does not pass the stop bound. It is
+// how parallel scans partition a seek into morsels: each morsel is a run of
+// consecutive leaves handed to SeekLeaves. nil bounds are open. The walk
+// descends level by level from the root, keeping at each internal node only
+// the children that cover the range — at the start bound it routes exactly
+// as a seek's descent does — and the level above the leaves names them, so
+// it reads internal nodes over the range and no leaf. A separator bounds its
+// leaf's keys from below but, once deletes have run, need not be its first
+// key, so the run may end in a leaf holding nothing in range: the iterators
+// enforce the stop key themselves.
 func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
-	if start == nil && stop == nil {
-		return t.LeafPages()
-	}
-	return t.walkLeaves(start, stop, stopIncl)
-}
-
-// walkLeaves is the chain walk behind LeafRange and LeafPages.
-func (t *BTree) walkLeaves(start, stop []byte, stopIncl bool) ([]storage.PageID, error) {
-	var out []storage.PageID
-	nd, err := t.startLeaf(start)
-	for err == nil {
-		// Only the leaf's first key decides the stop bound. An empty leaf is
-		// kept (harmless: iterators enforce the stop key themselves).
-		if stop != nil && nd.n > 0 && nd.beyond(0, stop, !stopIncl) {
-			break
+	level := []storage.PageID{t.root}
+	for h := t.height; h > 1; h-- {
+		var below []storage.PageID
+		for _, id := range level {
+			nd, err := t.node(id)
+			if err != nil {
+				return nil, err
+			}
+			lo, hi := -1, nd.n-1
+			if start != nil {
+				lo = nd.lowerBound(start) - 1 // leafFor's routing
+			}
+			if stop != nil {
+				hi = nd.bound(0, nd.n, stop, !stopIncl) - 1 // the last separator within the stop bound
+			}
+			for i := lo; i <= hi; i++ {
+				below = append(below, nd.child(i))
+			}
 		}
-		out = append(out, nd.pg.ID())
-		if nd.next() == storage.InvalidPageID {
-			break
-		}
-		nd, err = t.node(nd.next())
+		level = below
 	}
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return level, nil
 }
 
 // SeekLeaves returns an iterator over the entries of count consecutive leaf
@@ -937,7 +865,6 @@ func (t *BTree) AllPages() ([]storage.PageID, error) {
 // table loading and c-table construction. It returns an error if the input
 // is not sorted.
 func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
-	t.forget()
 	if fillFactor <= 0 || fillFactor > 1 {
 		fillFactor = 1.0
 	}

@@ -379,7 +379,7 @@ func TestRangeScanIOIsBounded(t *testing.T) {
 	}
 	stats := pager.Stats()
 	if stats.PageReads > int64(tr.Height()+3) {
-		leaves, _ := tr.LeafPages()
+		leaves, _ := tr.LeafRange(nil, nil, false)
 		t.Errorf("narrow range read %d pages (tree has %d leaves, height %d)", stats.PageReads, len(leaves), tr.Height())
 	}
 }
@@ -555,7 +555,7 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			t.Fatalf("insert: %v", err)
 		}
 	}
-	leaves, err := tr.LeafPages()
+	leaves, err := tr.LeafRange(nil, nil, false)
 	if err != nil || len(leaves) < 20 {
 		t.Fatalf("tree has %d leaves (err %v), want dozens", len(leaves), err)
 	}
@@ -567,7 +567,7 @@ func TestNextSpansMatchesNext(t *testing.T) {
 			}
 		}
 	}
-	if leaves, err = tr.LeafPages(); err != nil {
+	if leaves, err = tr.LeafRange(nil, nil, false); err != nil {
 		t.Fatal(err)
 	}
 	bounds := [][]byte{nil, intKey(-1), intKey(n)}
@@ -622,7 +622,7 @@ func TestNextSpansMatchesNext(t *testing.T) {
 // decoded copy of every leaf it visits.
 func TestColdSpanDrainAllocatesO1(t *testing.T) {
 	tr := denseTree(t, denseRecords)
-	if leaves, err := tr.LeafPages(); err != nil || len(leaves) < 200 {
+	if leaves, err := tr.LeafRange(nil, nil, false); err != nil || len(leaves) < 200 {
 		t.Fatalf("tree has %d leaves (err %v), want hundreds", len(leaves), err)
 	}
 	keys, vals := make([][]byte, 1024), make([][]byte, 1024)
@@ -713,68 +713,156 @@ func TestInsertUnderSeesPredecessorAcrossDeletes(t *testing.T) {
 	}
 }
 
-// TestLeafCountMatchesLeafChain pins LeafCount, which reads only the levels
-// above the leaves, to the leaf chain itself on random trees: inserts of
-// random width (one to three levels), deletes that empty leaves, and bulk
-// loads, with the count re-derived after every mutation and memoized in
-// between. It must read exactly the tree's internal pages, cold.
-func TestLeafCountMatchesLeafChain(t *testing.T) {
+// randomTrees grows random trees and hands each stage to check: empty; after
+// inserts of random width over keys that repeat, so runs of duplicates split
+// across leaves (one to three levels); after deletes that empty a band of
+// leaves; after a bulk load, duplicates included. deleted says whether keys
+// have been deleted since the tree was last built. It returns the tallest
+// height a stage reached.
+func randomTrees(t *testing.T, seeds int64, check func(tr *BTree, pager *storage.Pager, rng *rand.Rand, stage string, deleted bool)) int {
+	t.Helper()
 	maxHeight := 0
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		pager := storage.NewPager(0)
 		tr := mustNew(t, pager)
-		check := func(stage string) {
-			t.Helper()
-			pager.ResetCache()
-			before := pager.Stats()
-			n, err := tr.LeafCount()
-			if err != nil {
-				t.Fatal(err)
-			}
-			reads := pager.Stats().Sub(before).PageReads
-			leaves, err := tr.LeafPages()
-			if err != nil {
-				t.Fatal(err)
-			}
-			all, err := tr.AllPages()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if internal := len(all) - len(leaves); reads != int64(internal) {
-				t.Fatalf("seed %d %s: LeafCount read %d pages, the tree has %d internal ones", seed, stage, reads, internal)
-			}
+		stage := func(name string, deleted bool) {
+			check(tr, pager, rng, fmt.Sprintf("seed %d %s", seed, name), deleted)
 			maxHeight = max(maxHeight, tr.Height())
-			if n != len(leaves) {
-				t.Fatalf("seed %d %s: LeafCount = %d, leaf chain has %d (height %d)", seed, stage, n, len(leaves), tr.Height())
-			}
-			if again, _ := tr.LeafCount(); again != n {
-				t.Fatalf("seed %d %s: memoized LeafCount = %d, want %d", seed, stage, again, n)
-			}
 		}
-		check("empty")
+		stage("empty", false)
 		width := 1 + rng.Intn(400)
 		rows := rng.Intn(6000)
+		span := int64(rows/(1+rng.Intn(20))) + 1 // up to 20 copies of a key
 		for i := 0; i < rows; i++ {
-			val := bytes.Repeat([]byte("v"), rng.Intn(width))
-			if err := tr.Insert(intKey(rng.Int63n(int64(rows)+1)), val); err != nil {
+			if err := tr.Insert(intKey(rng.Int63n(span)), bytes.Repeat([]byte("v"), rng.Intn(width))); err != nil {
 				t.Fatal(err)
 			}
 		}
-		check("inserted")
-		for i := 0; i < rows/3; i++ {
-			tr.Delete(intKey(rng.Int63n(int64(rows) + 1)))
+		stage("inserted", false)
+		lo := rng.Int63n(span)
+		for k := lo; k <= lo+span/3; k++ {
+			for mustDelete(t, tr, intKey(k)) {
+			}
 		}
-		check("deleted")
-		i, n := 0, rng.Intn(20000)
+		stage("deleted", true)
+		i, n, dups := 0, rng.Intn(20000), 1+rng.Intn(4)
 		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
 			i++
-			return intKey(int64(i)), bytes.Repeat([]byte("b"), width/2), i <= n
+			return intKey(int64(i / dups)), bytes.Repeat([]byte("b"), width/2), i <= n
 		}, 0.5+rng.Float64()/2); err != nil {
 			t.Fatal(err)
 		}
-		check("bulk loaded")
+		stage("bulk loaded", false)
 	}
+	return maxHeight
+}
+
+// chain is the reference LeafRange is held to: the leaves walked by their
+// next links from the leftmost one, with the keys each holds, and the number
+// of the tree's other (internal) pages.
+type chain struct {
+	ids      []storage.PageID
+	keys     [][][]byte
+	internal int64
+}
+
+func leafChain(t *testing.T, tr *BTree) chain {
+	t.Helper()
+	var c chain
+	for id := tr.FirstLeaf(); id != storage.InvalidPageID; {
+		nd, err := tr.node(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.ids, c.keys = append(c.ids, id), append(c.keys, leafEntries(tr, id))
+		id = nd.next()
+	}
+	all, err := tr.AllPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.internal = int64(len(all) - len(c.ids))
+	return c
+}
+
+// checkLeafRange holds a cold LeafRange(start, stop, stopIncl) to the leaf
+// chain and returns it. The run is consecutive leaves in chain order, begins
+// at the leaf a Seek from start loads, and covers every leaf holding a key in
+// range; with no key deleted, each leaf after its first begins within the
+// stop bound. The walk reads internal pages only: afterwards every leaf is
+// still a miss.
+func checkLeafRange(t *testing.T, tr *BTree, pager *storage.Pager, ref chain, stage string, start, stop []byte, stopIncl, deleted bool) []storage.PageID {
+	t.Helper()
+	pager.ResetCache()
+	before := pager.Stats()
+	run, err := tr.LeafRange(start, stop, stopIncl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walked := pager.Stats().Sub(before).PageReads
+	before = pager.Stats()
+	for _, id := range ref.ids {
+		if _, err := pager.Get(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	name := fmt.Sprintf("%s: LeafRange(%x, %x, %v)", stage, start, stop, stopIncl)
+	if misses := pager.Stats().Sub(before).PageReads; walked > ref.internal || misses != int64(len(ref.ids)) {
+		t.Fatalf("%s read %d pages (the tree has %d internal ones) and left %d of %d leaves cold", name, walked, ref.internal, misses, len(ref.ids))
+	}
+	beyond := func(k []byte) bool {
+		c := bytes.Compare(k, stop)
+		return stop != nil && (c > 0 || c == 0 && !stopIncl)
+	}
+	from := -1
+	if len(run) > 0 {
+		seekLeaf := tr.FirstLeaf()
+		if start != nil {
+			nd, err := tr.leafFor(start)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seekLeaf = nd.pg.ID()
+		}
+		from = slices.Index(ref.ids, seekLeaf)
+		if run[0] != seekLeaf || from+len(run) > len(ref.ids) || !slices.Equal(run, ref.ids[from:from+len(run)]) {
+			t.Fatalf("%s = %v is not the run of the chain %v from the seek's leaf %d", name, run, ref.ids, seekLeaf)
+		}
+	}
+	for j, ks := range ref.keys {
+		for _, k := range ks {
+			if (start == nil || bytes.Compare(k, start) >= 0) && !beyond(k) && (j < from || j >= from+len(run)) {
+				t.Fatalf("%s = leaves %d..%d of %d; leaf %d holds the in-range key %x", name, from, from+len(run)-1, len(ref.ids), j, k)
+			}
+		}
+		if !deleted && j > from && j < from+len(run) && len(ks) > 0 && beyond(ks[0]) {
+			t.Fatalf("%s runs on to leaf %d, which begins past the stop bound", name, j)
+		}
+	}
+	return run
+}
+
+// TestLeafCountMatchesLeafChain pins LeafCount, and the unbounded LeafRange it
+// counts, to the leaf chain itself on random trees (randomTrees). A cold count
+// reads exactly the tree's internal pages.
+func TestLeafCountMatchesLeafChain(t *testing.T) {
+	maxHeight := randomTrees(t, 40, func(tr *BTree, pager *storage.Pager, _ *rand.Rand, stage string, deleted bool) {
+		ref := leafChain(t, tr)
+		checkLeafRange(t, tr, pager, ref, stage, nil, nil, false, deleted)
+		pager.ResetCache()
+		before := pager.Stats()
+		n, err := tr.LeafCount()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reads := pager.Stats().Sub(before).PageReads; reads != ref.internal {
+			t.Fatalf("%s: LeafCount read %d pages, the tree has %d internal ones", stage, reads, ref.internal)
+		}
+		if n != len(ref.ids) {
+			t.Fatalf("%s: LeafCount = %d, leaf chain has %d (height %d)", stage, n, len(ref.ids), tr.Height())
+		}
+	})
 	if maxHeight < 3 {
 		t.Fatalf("tallest tree had %d levels; the property needs internal levels below the root", maxHeight)
 	}
@@ -825,7 +913,7 @@ func TestFirstLeafMatchesDescent(t *testing.T) {
 					}
 				}
 			}
-			leaves, err := tr.LeafPages()
+			leaves, err := tr.LeafRange(nil, nil, false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,19 +1,20 @@
 package btree
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"oldelephant/internal/storage"
 )
 
-// TestConcurrentLeafPagesAndScans pins the read-path thread-safety the
-// serving layer relies on: concurrent goroutines racing to fill the
-// memoized leaf-page cache (an atomic pointer; this test caught the original
-// unsynchronized write under -race), scanning, seeking and walking leaf
-// ranges of one shared tree.
-func TestConcurrentLeafPagesAndScans(t *testing.T) {
+// TestConcurrentLeafRangesAndScans pins the read-path thread-safety the
+// serving layer relies on: concurrent goroutines naming leaf ranges, open and
+// bounded, scanning and seeking one shared tree.
+func TestConcurrentLeafRangesAndScans(t *testing.T) {
 	tree := mustNew(t, storage.NewPager(0))
 	const n = 5000
 	i := 0
@@ -29,19 +30,13 @@ func TestConcurrentLeafPagesAndScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allLeaves, err := tree.LeafPages()
+	allLeaves, err := tree.LeafRange(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLeaves := len(allLeaves)
-	if wantLeaves < 2 {
+	if wantLeaves := len(allLeaves); wantLeaves < 2 {
 		t.Fatalf("tree has %d leaves; need several for a meaningful test", wantLeaves)
 	}
-	// Invalidate so the goroutines race to refill the memo.
-	if err := tree.Insert([]byte("key999999"), []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	for g := 0; g < 8; g++ {
@@ -49,13 +44,13 @@ func TestConcurrentLeafPagesAndScans(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				leaves, err := tree.LeafPages()
+				leaves, err := tree.LeafRange(nil, nil, false)
 				if err != nil {
 					errs <- err
 					return
 				}
-				if len(leaves) == 0 {
-					errs <- fmt.Errorf("LeafPages returned empty")
+				if !slices.Equal(leaves, allLeaves) {
+					errs <- fmt.Errorf("LeafRange(nil, nil) returned %d leaves, want %d", len(leaves), len(allLeaves))
 					return
 				}
 				lo := []byte(fmt.Sprintf("key%06d", g*500))
@@ -96,7 +91,7 @@ func TestConcurrentScansUnderEviction(t *testing.T) {
 	const n = 3000
 	tree, pager := boundedTree(t, 8, n)
 	pager.ResetCache()
-	leaves, err := tree.LeafPages()
+	leaves, err := tree.LeafRange(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,85 +147,71 @@ func TestConcurrentScansUnderEviction(t *testing.T) {
 }
 
 // TestSeekLeavesReproducesSeek: partitioning a seek's leaf range and
-// concatenating SeekLeaves iterators reproduces the serial Seek exactly —
-// the contract the catalog's seek morsels are built on.
+// concatenating SeekLeaves iterators reproduces the serial Seek exactly — the
+// contract the catalog's seek morsels are built on — on random trees
+// (randomTrees) under bounds of every shape: interior, exclusive stop, open
+// on either side or both, an equality on a stored key (often a run of
+// duplicates), an empty interval and one past the end. Each leaf range is first held to the leaf
+// chain (checkLeafRange).
 func TestSeekLeavesReproducesSeek(t *testing.T) {
-	tree := mustNew(t, storage.NewPager(0))
-	const n = 3000
-	i := 0
-	err := tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= n {
-			return nil, nil, false
+	randomTrees(t, 10, func(tr *BTree, pager *storage.Pager, rng *rand.Rand, stage string, deleted bool) {
+		ref := leafChain(t, tr)
+		var stored [][]byte
+		for _, ks := range ref.keys {
+			stored = append(stored, ks...)
 		}
-		// Duplicate keys every 3rd entry exercise the duplicate-run paths.
-		key := []byte(fmt.Sprintf("k%05d", (i/3)*3))
-		val := []byte(fmt.Sprintf("v%05d", i))
-		i++
-		return key, val, true
-	}, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		name        string
-		start, stop string
-		stopIncl    bool
-	}{
-		{"interior", "k00300", "k01500", true},
-		{"interior-exclusive-stop", "k00300", "k01500", false},
-		{"open-start", "", "k00900", true},
-		{"open-stop", "k02400", "", false},
-		{"full", "", "", false},
-		{"equality", "k00600", "k00600", true},
-		{"empty", "k00301", "k00302", true},
-		{"past-end", "k99990", "", false},
-	}
-	for _, tc := range cases {
-		var start, stop []byte
-		if tc.start != "" {
-			start = []byte(tc.start)
-		}
-		if tc.stop != "" {
-			stop = []byte(tc.stop)
-		}
-		var want []string
-		it := tree.Seek(start, stop, tc.stopIncl)
-		for it.Next() {
-			want = append(want, string(it.Key())+"="+string(it.Value()))
-		}
-		leaves, err := tree.LeafRange(start, stop, tc.stopIncl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, per := range []int{1, 2, 5, len(leaves) + 1} {
-			if per < 1 {
-				per = 1
+		// pick is a stored key or, on an empty tree, an arbitrary one.
+		pick := func() []byte {
+			if len(stored) == 0 {
+				return intKey(rng.Int63n(100))
 			}
-			var got []string
-			for i := 0; i < len(leaves); i += per {
-				count := per
-				if i+count > len(leaves) {
-					count = len(leaves) - i
-				}
-				var startKey []byte
-				if i == 0 {
-					startKey = start
-				}
-				mit := tree.SeekLeaves(leaves[i], count, startKey, stop, tc.stopIncl)
-				for mit.Next() {
-					got = append(got, string(mit.Key())+"="+string(mit.Value()))
-				}
+			return stored[rng.Intn(len(stored))]
+		}
+		lo, hi := pick(), pick()
+		if bytes.Compare(lo, hi) > 0 {
+			lo, hi = hi, lo
+		}
+		eq := pick()
+		cases := []struct {
+			name        string
+			start, stop []byte
+			stopIncl    bool
+		}{
+			{"interior", lo, hi, true},
+			{"interior-exclusive-stop", lo, hi, false},
+			{"open-start", nil, hi, true},
+			{"open-stop", lo, nil, false},
+			{"full", nil, nil, false},
+			{"equality", eq, eq, true},
+			{"empty", hi, lo, false},
+			{"past-end", intKey(1 << 40), nil, false},
+		}
+		for _, tc := range cases {
+			var want []string
+			it := tr.Seek(tc.start, tc.stop, tc.stopIncl)
+			for it.Next() {
+				want = append(want, string(it.Key())+"="+string(it.Value()))
 			}
-			if len(got) != len(want) {
-				t.Errorf("%s per=%d: got %d entries, want %d", tc.name, per, len(got), len(want))
-				continue
-			}
-			for j := range got {
-				if got[j] != want[j] {
-					t.Errorf("%s per=%d: entry %d = %s, want %s", tc.name, per, j, got[j], want[j])
-					break
+			leaves := checkLeafRange(t, tr, pager, ref, stage+" "+tc.name, tc.start, tc.stop, tc.stopIncl, deleted)
+			for _, per := range []int{1, 3, len(leaves) + 1} {
+				var got []string
+				for i := 0; i < len(leaves); i += per {
+					var startKey []byte
+					if i == 0 {
+						startKey = tc.start
+					}
+					mit := tr.SeekLeaves(leaves[i], min(per, len(leaves)-i), startKey, tc.stop, tc.stopIncl)
+					for mit.Next() {
+						got = append(got, string(mit.Key())+"="+string(mit.Value()))
+					}
+					if mit.Err() != nil {
+						t.Fatal(mit.Err())
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s per=%d: the partition yields %d entries, the seek %d", stage, tc.name, per, len(got), len(want))
 				}
 			}
 		}
-	}
+	})
 }

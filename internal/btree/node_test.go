@@ -39,7 +39,7 @@ func TestSplitBalancesBytes(t *testing.T) {
 	if it.Err() != nil || !slices.Equal(got, want) || tr.Count() != int64(len(want)) {
 		t.Fatalf("scan holds %d of %d entries (Count %d, err %v)", len(got), len(want), tr.Count(), it.Err())
 	}
-	leaves, err := tr.LeafPages()
+	leaves, err := tr.LeafRange(nil, nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func boundedTree(t *testing.T, capacity, n int) (*BTree, *storage.Pager) {
 func TestSpansOutliveEviction(t *testing.T) {
 	const n = 2000
 	tr, pager := boundedTree(t, 1, n)
-	leaves, err := tr.LeafPages()
+	leaves, err := tr.LeafRange(nil, nil, false)
 	if err != nil || len(leaves) < 10 {
 		t.Fatalf("tree has %d leaves (err %v), want dozens", len(leaves), err)
 	}

@@ -221,11 +221,10 @@ func (t *Table) RowCount() int64 {
 }
 
 // DataPages returns the number of pages holding the table's rows (leaf pages
-// of the clustered index, or heap pages).
+// of the clustered index, counted from the level above them, or heap pages).
 func (t *Table) DataPages() (int, error) {
 	if t.Clustered != nil {
-		leaves, err := t.Clustered.tree.LeafPages()
-		return len(leaves), err
+		return t.Clustered.tree.LeafCount()
 	}
 	return t.heap.NumPages(), nil
 }
@@ -648,8 +647,9 @@ func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entr
 // workers. Opening is lazy — a root-to-leaf descent at most, none for an open
 // start, which begins at the tree's leftmost leaf — and that is all a serial
 // scan ever pays. EstRows and Split serve the (single-threaded)
-// parallel rewrite only: they walk the range's leaf chain, charged page
-// reads, once and memoize it in the range.
+// parallel rewrite only: they name the range's leaves once, from the level
+// above them (btree.BTree.LeafRange), paying reads of internal pages only,
+// and keep them in the range.
 type Range struct {
 	tree   *btree.BTree      // clustered tree or secondary index; nil for a heap
 	heap   *storage.HeapFile // set iff tree is nil
@@ -661,16 +661,20 @@ type Range struct {
 	stopIncl    bool
 	empty       bool
 
-	// A split is restricted to a run of consecutive leaves (only the first
-	// split of a range keeps start) or of heap pages.
+	// A split is restricted to a run of pageCount consecutive leaves from
+	// leaf (only the first split of a range keeps start) or heap pages from
+	// pageFrom. It keeps no leaf list, so a cached plan's morsels do not hold
+	// their range's.
 	split               bool
-	leaves              []storage.PageID
+	leaf                storage.PageID
 	pageFrom, pageCount int
 
-	// Partitioning state filled by size: rows per leaf or heap page, and a
-	// page error hit while walking, carried into execution so a corrupt tree
-	// fails the query instead of silently scanning nothing.
+	// Partitioning state filled by size: the leaves in range, rows per leaf
+	// or heap page, and a page error hit while walking, carried into
+	// execution so a corrupt tree fails the query instead of silently
+	// scanning nothing.
 	sized   bool
+	leaves  []storage.PageID
 	perUnit int64
 	err     error
 
@@ -725,7 +729,7 @@ func (r *Range) Open() *Cursor {
 	case r.tree == nil:
 		c.heap = r.heap.ScanPages(r.pageFrom, r.pageCount)
 	case r.split:
-		c.tree = r.tree.SeekLeaves(r.leaves[0], len(r.leaves), r.start, r.stop, r.stopIncl)
+		c.tree = r.tree.SeekLeaves(r.leaf, r.pageCount, r.start, r.stop, r.stopIncl)
 	default:
 		c.tree = r.tree.SeekWatch(r.start, r.stop, r.stopIncl, r.OnLeaf)
 	}
@@ -733,9 +737,9 @@ func (r *Range) Open() *Cursor {
 }
 
 // size walks the range once: the run of leaves it touches and the tree's
-// average leaf fill (or the heap's average page fill). The tree's leaf count
-// comes from the level above its leaves, so sizing reads no leaf outside the
-// range.
+// average leaf fill (or the heap's average page fill). Both come from the
+// level above the leaves, so sizing reads no leaf; a page error on the way is
+// kept in err for the range's cursors to report.
 func (r *Range) size() {
 	if r.sized {
 		return
@@ -744,7 +748,9 @@ func (r *Range) size() {
 	units := r.pageCount
 	if r.tree != nil && !r.empty {
 		r.leaves, r.err = r.tree.LeafRange(r.start, r.stop, r.stopIncl)
-		units, _ = r.tree.LeafCount() // on error there is no average: one row per leaf
+		if r.err == nil {
+			units, r.err = r.tree.LeafCount()
+		}
 	}
 	r.perUnit = 1
 	if units > 0 {
@@ -796,11 +802,11 @@ func (r *Range) Split(targetRows int64) []Range {
 			n = units - i
 		}
 		sub := *r
-		sub.split = true
+		sub.split, sub.pageCount, sub.leaves = true, n, nil
 		if r.tree == nil {
-			sub.pageFrom, sub.pageCount = r.pageFrom+i, n
+			sub.pageFrom = r.pageFrom + i
 		} else {
-			sub.leaves = r.leaves[i : i+n]
+			sub.leaf = r.leaves[i]
 			if i > 0 {
 				sub.start = nil
 			}

@@ -126,61 +126,83 @@ func TestRangeSplitsReproduceRange(t *testing.T) {
 	}
 }
 
-// TestRangeSplitCarriesPageError: a page error hit while walking the leaf
-// chain at partition time is not swallowed — the split's cursor reports it on
-// both ways of advancing, so a corrupt tree fails the query instead of
-// silently scanning nothing.
+// newTallTable builds a clustered table keyed by 300-byte strings, so that a
+// few thousand rows make a tree of three levels: a fault in the level below
+// the root lies on some range walks' way and not on others'.
+func newTallTable(t *testing.T) (*Catalog, *Table) {
+	t.Helper()
+	c := New(storage.NewPager(0))
+	tbl, err := c.CreateTable("tall", []Column{
+		{Name: "k", Kind: value.KindString},
+		{Name: "v", Kind: value.KindInt},
+	}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([][]value.Value, 3000)
+	for i := range data {
+		data[i] = []value.Value{value.NewString(tallKey(i)), value.NewInt(int64(i))}
+	}
+	if err := tbl.BulkLoad(data); err != nil {
+		t.Fatal(err)
+	}
+	if h := tbl.Clustered.tree.Height(); h < 3 {
+		t.Fatalf("tree height %d, want an internal level below the root", h)
+	}
+	return c, tbl
+}
+
+func tallKey(i int) string { return fmt.Sprintf("%0300d", i) }
+
+// TestRangeSplitCarriesPageError: a page error hit while sizing a range at
+// partition time is not swallowed — the split's cursor reports it on both
+// ways of advancing, so a corrupt tree fails the query instead of silently
+// scanning nothing. The fault is the root's leftmost child, an internal
+// page: a range through it fails naming its leaves, a range beside it
+// fails counting the tree's leaves for the average fill, and DataPages,
+// which counts them the same way, reports it too.
 func TestRangeSplitCarriesPageError(t *testing.T) {
-	c, tbl, _ := newSeekTable(t, 20000)
-	leaves, err := tbl.Clustered.tree.LeafPages()
+	c, tbl := newTallTable(t)
+	root, err := c.Pager().Get(tbl.Clustered.tree.RootPage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Point a mid-chain leaf's next-leaf link at a page that does not exist.
-	pg, err := c.Pager().Get(leaves[len(leaves)/2])
-	if err != nil {
-		t.Fatal(err)
+	root.SetAux(uint64(c.Pager().NumPages() + 1000))
+	for _, tc := range []struct {
+		name string
+		from int
+	}{{"through the fault", 10}, {"beside the fault", 2990}} {
+		rng, err := tbl.Range([]value.Value{value.NewString(tallKey(tc.from))}, nil, true, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := rng.Split(100)
+		if len(parts) != 1 {
+			t.Fatalf("%s: split returned %d parts, want the 1 carrying the error", tc.name, len(parts))
+		}
+		if _, _, err := parts[0].Open().Next(); err == nil {
+			t.Errorf("%s: Next over the split reported no error", tc.name)
+		}
+		cur := parts[0].Open()
+		if n := cur.NextSpans(nil, make([][]byte, 8)); n != 0 || cur.Err() == nil {
+			t.Errorf("%s: NextSpans over the split filled %d spans, err %v", tc.name, n, cur.Err())
+		}
 	}
-	pg.SetAux(uint64(c.Pager().NumPages() + 1000))
-	rng, err := tbl.Range([]value.Value{value.NewInt(100)}, nil, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts := rng.Split(1000)
-	if len(parts) != 1 {
-		t.Fatalf("split of a broken chain returned %d parts, want the 1 carrying the error", len(parts))
-	}
-	if _, _, err := parts[0].Open().Next(); err == nil {
-		t.Error("Next over a split of a broken chain reported no error")
-	}
-	cur := parts[0].Open()
-	if n := cur.NextSpans(nil, make([][]byte, 8)); n != 0 || cur.Err() == nil {
-		t.Errorf("NextSpans over a split of a broken chain filled %d spans, err %v", n, cur.Err())
+	if n, err := tbl.DataPages(); err == nil {
+		t.Errorf("DataPages over a faulted internal page = %d, want the page error", n)
 	}
 }
 
 // TestDropTableKeepsTableOnPageError: a tree walk that hits a page error
 // fails the drop whole — the table stays listed and nothing reaches the
 // freelist — instead of dropping the table and leaking every page the walk
-// could not name. DataPages, which walks the leaf chain from the leftmost
-// leaf, reports a broken link the same way rather than a short count.
+// could not name.
 func TestDropTableKeepsTableOnPageError(t *testing.T) {
 	c, tbl, _ := newSeekTable(t, 20000)
 	if tbl.Clustered.tree.Height() < 2 {
 		t.Fatalf("tree height %d, want an internal root", tbl.Clustered.tree.Height())
 	}
 	missing := uint64(c.Pager().NumPages() + 1000)
-	// Point the leftmost leaf's right sibling at a page that does not exist.
-	first, err := c.Pager().Get(tbl.Clustered.tree.FirstLeaf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	link := first.Aux()
-	first.SetAux(missing)
-	if n, err := tbl.DataPages(); err == nil {
-		t.Errorf("DataPages over a broken leaf chain = %d, want the page error", n)
-	}
-	first.SetAux(link)
 	// Point the root's leftmost child at a page that does not exist.
 	root, err := c.Pager().Get(tbl.Clustered.tree.RootPage())
 	if err != nil {
@@ -220,7 +242,7 @@ func TestConcurrentCatalogReads(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 15; iter++ {
-				// Full-scan morsels (races to fill the btree leaf cache).
+				// Full-scan morsels.
 				count := 0
 				full, _ := tbl.Range(nil, nil, false, false)
 				for _, part := range full.Split(4096) {

@@ -43,8 +43,9 @@ type Options struct {
 	// per-query IOStats are not: concurrent morsel scans interleave their
 	// pager reads, so the sequential/random stream classification (and with a
 	// bounded buffer pool, the read counts) can vary run to run — measurements
-	// that lean on the paper's I/O model should pin Parallelism to 1, as the
-	// bench harness does by default.
+	// that lean on the paper's I/O model should pin Parallelism to 1, as
+	// internal/bench's Config does by default and benchmark/ does for every
+	// statement whose reads it prices (modeled_disk_cost).
 	Parallelism int
 	// DataDir, when set, makes the engine durable (via Open): pages live in a
 	// checksummed data file, commits in a write-ahead log, and recovery runs

@@ -95,7 +95,7 @@ type TableScan struct {
 	// whole memoizes the sized range between the NumScanRows and Morsels
 	// calls of one parallel rewrite (planning is single-threaded; cached
 	// plans are invalidated on any catalog change, so a stale range never
-	// executes).
+	// executes). Morsels drops it: a cached plan keeps no leaf list.
 	whole *catalog.Range
 
 	// watch is the leaf hook an index nested-loop join sets on its inner
@@ -240,6 +240,7 @@ func (s *TableScan) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 		return nil, false
 	}
 	parts := rng.Split(int64(targetRows))
+	s.whole = nil
 	if len(parts) < 2 {
 		return nil, false
 	}
@@ -421,6 +422,7 @@ func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
 // recycles as TableScan.Morsels describes.
 func (s *IndexSeek) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 	parts := s.wholeRange().Split(int64(targetRows))
+	s.whole = nil
 	if len(parts) < 2 {
 		return nil, false
 	}

@@ -1,7 +1,7 @@
 package exec
 
 import (
-	"strings"
+	"fmt"
 	"testing"
 
 	"oldelephant/internal/catalog"
@@ -125,51 +125,53 @@ func TestParallelSplitsReproduceSerialScan(t *testing.T) {
 	}
 }
 
-// TestParallelSplitPageErrorSurfaces: when the leaf-chain walk that sizes and
-// splits a range hits a page error, the operator refuses to split and the
-// error still fails the query on either protocol — it is never swallowed into
-// an empty scan.
+// TestParallelSplitPageErrorSurfaces: when the walk over the internal nodes
+// that sizes and splits a range hits a page error, the operator refuses to
+// split and the error still fails the query on either protocol — it is never
+// swallowed into an empty scan.
 func TestParallelSplitPageErrorSurfaces(t *testing.T) {
 	c := catalog.New(storage.NewPager(0))
 	tbl, err := c.CreateTable("items", []catalog.Column{
+		{Name: "k", Kind: value.KindString},
 		{Name: "id", Kind: value.KindInt},
-		{Name: "pad", Kind: value.KindString},
-	}, []string{"id"})
+	}, []string{"k"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := make([][]value.Value, 6000)
+	// 300-byte keys make three levels of 3,000 rows, so the root's leftmost
+	// child is an internal page.
+	key := func(i int) value.Value { return value.NewString(fmt.Sprintf("%0300d", i)) }
+	data := make([][]value.Value, 3000)
 	for i := range data {
-		data[i] = []value.Value{value.NewInt(int64(i)), value.NewString(strings.Repeat("x", 40))}
+		data[i] = []value.Value{key(i), value.NewInt(int64(i))}
 	}
 	if err := tbl.BulkLoad(data); err != nil {
 		t.Fatal(err)
 	}
-	// Break the chain before any scan caches a leaf parse that would mask it:
-	// point a mid-chain leaf's next link at a page that does not exist.
-	leaves, err := tbl.Clustered.Tree().LeafPages()
+	tree := tbl.Clustered.Tree()
+	if tree.Height() < 3 {
+		t.Fatalf("tree height %d, want an internal level below the root", tree.Height())
+	}
+	// Point the root's leftmost child at a page that does not exist.
+	root, err := c.Pager().Get(tree.RootPage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pg, err := c.Pager().Get(leaves[len(leaves)/2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg.SetAux(uint64(c.Pager().NumPages() + 1000))
-	s, err := NewClusteredSeek(tbl, []value.Value{value.NewInt(10)}, nil, true, false, nil)
+	root.SetAux(uint64(c.Pager().NumPages() + 1000))
+	s, err := NewClusteredSeek(tbl, []value.Value{key(10)}, nil, true, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := s.NumScanRows(); n != 0 {
-		t.Errorf("NumScanRows over a broken chain = %d, want 0 (stay serial)", n)
+		t.Errorf("NumScanRows over a faulted internal page = %d, want 0 (stay serial)", n)
 	}
 	if parts, ok := s.Morsels(500, false); ok {
-		t.Errorf("split a broken chain into %d parts", len(parts))
+		t.Errorf("split a faulted tree into %d parts", len(parts))
 	}
 	if _, err := Drain(nil, s); err == nil {
-		t.Error("row protocol: scan over a broken chain reported no error")
+		t.Error("row protocol: scan over a faulted tree reported no error")
 	}
 	if _, err := DrainBatches(nil, s); err == nil {
-		t.Error("batch protocol: scan over a broken chain reported no error")
+		t.Error("batch protocol: scan over a faulted tree reported no error")
 	}
 }
