@@ -73,3 +73,46 @@ func TestExplainBandJoinSeeks(t *testing.T) {
 		t.Logf("%s: outer_rows=%d seeks=%d inner_rows=%d", mode, outer, seeks, inner)
 	}
 }
+
+// TestExplainBandJoinDescents pins the descents EXPLAIN ANALYZE reports for
+// the two band joins of Q6's c-table rewrite: the seeks positioned by a
+// descent from the inner tree's root. Each join probes its c-table in f
+// order, so a probe forward of the last begins in the leaf where the last
+// stopped; at selectivity 1 the first probe starts at the smallest f, at or
+// below the leftmost leaf's fence, and no probe descends, and at 0.5 only the
+// first does. Both protocols position alike.
+func TestExplainBandJoinDescents(t *testing.T) {
+	for _, mode := range []string{"row", "compressed-vector"} {
+		h := executorModes(t)[mode]
+		spec := h.specs()["Q6"]
+		for _, c := range []struct {
+			sel      float64
+			descents int64
+		}{{1, 0}, {0.5, 1}} {
+			_, query, _, _ := spec.resolve(h, c.sel)
+			sqlText, err := h.strategySQL("Q6", spec, StrategyRowCol, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := h.Engine.QueryWith(engine.QueryOptions{Trace: true}, sqlText)
+			if err != nil {
+				t.Fatal(err)
+			}
+			joins := bandJoinSpans(res.Trace)
+			if len(joins) != 2 {
+				t.Fatalf("%s sel=%v: Q6's rewrite planned %d band joins, want 2:\n%s", mode, c.sel, len(joins), res.Trace.Format())
+			}
+			for i, j := range joins {
+				seeks, _ := j.Attr("seeks")
+				descents, ok := j.Attr("descents")
+				if !ok || descents != c.descents {
+					t.Errorf("%s sel=%v: band join %d made %d seeks, %d of them descents (reported %v), want %d descents:\n%s",
+						mode, c.sel, i, seeks, descents, ok, c.descents, res.Trace.Format())
+				}
+			}
+			if text := strings.Join(res.Trace.Lines(), "\n"); !strings.Contains(text, "descents=") {
+				t.Errorf("%s: EXPLAIN ANALYZE text does not show the descents:\n%s", mode, text)
+			}
+		}
+	}
+}

@@ -18,16 +18,16 @@ const ioGoldenPool = 256
 // eagerly, walks a leaf chain on the serial path, or reorders page reads
 // fails here, in tier-1, rather than in the benchmark.
 //
-// Two recordings are kept. before* is the one made while the planner priced
-// a root-to-leaf descent as three pages, so it seeked the v index of the
-// small depth-0 c-tables (two random reads) wherever a predicate bounded v;
-// reads/seq/rand is the current one, where the planner prices a random read
-// as storage.RandomReadCost sequential ones and scans those c-tables from
-// their stored leftmost leaf instead (one random read, five sequential). The
-// current recording must match exactly, and may differ from the old one in
-// one direction only: no cell reads more pages at random, and no cell costs
-// more in the paper's units (seq + RandomReadCost × rand). Sequential reads
-// may rise; trading them for random ones is what the planner does on purpose.
+// Two recordings are kept. before* is the one made while every band-join
+// probe that did not start at an open bound descended from the root;
+// reads/seq/rand is the current one, where a probe forward of the last begins
+// in the leaf where the last stopped and a probe from the smallest keys (at or
+// below the leftmost leaf's fence) at that leaf. Row(Col) Q3 and Q4 at
+// selectivity 1 each lose the descent of their one band join, Q6 those of its
+// two, one random read apiece; no other cell moves. The current recording
+// must match exactly, and may differ from the old one in one direction only:
+// no cell reads more pages at random, and no cell costs more in the paper's
+// units (seq + RandomReadCost × rand).
 var ioGolden = []struct {
 	q                                  QueryID
 	s                                  Strategy
@@ -36,41 +36,41 @@ var ioGolden = []struct {
 	reads, seq, rand                   int64
 }{
 	{"Q1", "Row", 0.01, 538, 537, 1, 538, 537, 1},
-	{"Q1", "Row(Col)", 0.01, 2, 0, 2, 6, 5, 1},
+	{"Q1", "Row(Col)", 0.01, 6, 5, 1, 6, 5, 1},
 	{"Q1", "Row", 0.1, 538, 537, 1, 538, 537, 1},
-	{"Q1", "Row(Col)", 0.1, 2, 0, 2, 6, 5, 1},
+	{"Q1", "Row(Col)", 0.1, 6, 5, 1, 6, 5, 1},
 	{"Q1", "Row", 0.5, 538, 537, 1, 538, 537, 1},
 	{"Q1", "Row(Col)", 0.5, 6, 5, 1, 6, 5, 1},
 	{"Q1", "Row", 1, 538, 537, 1, 538, 537, 1},
 	{"Q1", "Row(Col)", 1, 6, 5, 1, 6, 5, 1},
 	{"Q2", "Row", 0, 538, 537, 1, 538, 537, 1},
-	{"Q2", "Row(Col)", 0, 4, 0, 4, 8, 5, 3},
+	{"Q2", "Row(Col)", 0, 8, 5, 3, 8, 5, 3},
 	{"Q3", "Row", 0.01, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 0.01, 4, 0, 4, 8, 5, 3},
+	{"Q3", "Row(Col)", 0.01, 8, 5, 3, 8, 5, 3},
 	{"Q3", "Row", 0.1, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 0.1, 14, 10, 4, 18, 15, 3},
+	{"Q3", "Row(Col)", 0.1, 18, 15, 3, 18, 15, 3},
 	{"Q3", "Row", 0.5, 538, 537, 1, 538, 537, 1},
 	{"Q3", "Row(Col)", 0.5, 72, 69, 3, 72, 69, 3},
 	{"Q3", "Row", 1, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 1, 135, 132, 3, 135, 132, 3},
+	{"Q3", "Row(Col)", 1, 135, 132, 3, 134, 132, 2},
 	{"Q4", "Row", 0.01, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 0.01, 6, 2, 4, 10, 7, 3},
+	{"Q4", "Row(Col)", 0.01, 10, 7, 3, 10, 7, 3},
 	{"Q4", "Row", 0.1, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 0.1, 18, 14, 4, 22, 19, 3},
+	{"Q4", "Row(Col)", 0.1, 22, 19, 3, 22, 19, 3},
 	{"Q4", "Row", 0.5, 616, 614, 2, 616, 614, 2},
 	{"Q4", "Row(Col)", 0.5, 79, 76, 3, 79, 76, 3},
 	{"Q4", "Row", 1, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 1, 148, 145, 3, 148, 145, 3},
+	{"Q4", "Row(Col)", 1, 148, 145, 3, 147, 145, 2},
 	{"Q5", "Row", 0, 616, 614, 2, 616, 614, 2},
-	{"Q5", "Row(Col)", 0, 6, 0, 6, 10, 5, 5},
+	{"Q5", "Row(Col)", 0, 10, 5, 5, 10, 5, 5},
 	{"Q6", "Row", 0.01, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 0.01, 9, 3, 6, 13, 8, 5},
+	{"Q6", "Row(Col)", 0.01, 13, 8, 5, 13, 8, 5},
 	{"Q6", "Row", 0.1, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 0.1, 32, 26, 6, 36, 31, 5},
+	{"Q6", "Row(Col)", 0.1, 36, 31, 5, 36, 31, 5},
 	{"Q6", "Row", 0.5, 616, 614, 2, 616, 614, 2},
 	{"Q6", "Row(Col)", 0.5, 145, 140, 5, 145, 140, 5},
 	{"Q6", "Row", 1, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 1, 277, 272, 5, 277, 272, 5},
+	{"Q6", "Row(Col)", 1, 277, 272, 5, 275, 272, 3},
 	{"Q7", "Row", 0, 627, 624, 3, 627, 624, 3},
 	{"Q7", "Row(Col)", 0, 53, 49, 4, 53, 49, 4},
 }

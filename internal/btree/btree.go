@@ -27,11 +27,19 @@ import (
 type BTree struct {
 	pager *storage.Pager
 	root  storage.PageID
-	// first is the leftmost leaf, where a scan with an open start begins
-	// without a descent. New and BulkLoad set it and nothing moves it: a
-	// split keeps its left half in place, a root split keeps the old root as
-	// the new root's leftmost child, and Delete never frees a leaf.
-	first  storage.PageID
+	// first is the leftmost leaf, where a scan with an open start, or a seek
+	// from a key at or below fence, begins without a descent. New and
+	// BulkLoad set it and nothing moves it: a split keeps its left half in
+	// place, a root split keeps the old root as the new root's leftmost
+	// child, and Delete never frees a leaf.
+	first storage.PageID
+	// fence is the first separator above first (nil while the tree is one
+	// leaf): no separator of any level is below it, so every descent to a
+	// key <= fence ends in first, and a seek from such a key loads first
+	// directly. BulkLoad sets it, a split of the leftmost leaf lowers it
+	// (insertInto), and nothing else moves it: a separator is only ever
+	// added by a split, and Delete leaves the internal nodes as they are.
+	fence  []byte
 	height int
 	count  int64
 }
@@ -44,14 +52,14 @@ func New(pager *storage.Pager) (*BTree, error) {
 		return nil, err
 	}
 	_ = writeNode(root, true, nil, 0) // an empty node always fits
-	return Open(pager, root.ID(), root.ID(), 1, 0), nil
+	return Open(pager, root.ID(), root.ID(), nil, 1, 0), nil
 }
 
 // Open reattaches a tree to its pages (recovery path: root, leftmost leaf,
-// height and count come from the persisted catalog meta; the pages themselves
-// were restored by the data file load + WAL replay).
-func Open(pager *storage.Pager, root, first storage.PageID, height int, count int64) *BTree {
-	return &BTree{pager: pager, root: root, first: first, height: height, count: count}
+// its fence, height and count come from the persisted catalog meta; the pages
+// themselves were restored by the data file load + WAL replay).
+func Open(pager *storage.Pager, root, first storage.PageID, fence []byte, height int, count int64) *BTree {
+	return &BTree{pager: pager, root: root, first: first, fence: fence, height: height, count: count}
 }
 
 // Count returns the number of entries in the tree.
@@ -65,6 +73,10 @@ func (t *BTree) RootPage() storage.PageID { return t.root }
 
 // FirstLeaf returns the page id of the leftmost leaf.
 func (t *BTree) FirstLeaf() storage.PageID { return t.first }
+
+// Fence returns the first separator above the leftmost leaf, nil for a
+// one-leaf tree. The slice must not be modified.
+func (t *BTree) Fence() []byte { return t.fence }
 
 // Node layout (record layout v4). A node owns its page whole; the one word
 // it shares with the pager's page API is Aux, its link:
@@ -503,7 +515,11 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 				return nil, storage.InvalidPageID, err
 			}
 		}
-		return t.store(nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
+		sep, right, err := t.store(nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
+		if leftmost && right != storage.InvalidPageID {
+			t.fence = sep // the leftmost leaf split: its new sibling begins at the lowest separator
+		}
+		return sep, right, err
 	}
 	promoted, newChild, err := t.insertInto(nd.child(pos-1), key, val, choose, leftmost && pos == 0)
 	if err != nil || newChild == storage.InvalidPageID {
@@ -611,6 +627,7 @@ type Iterator struct {
 	next storage.PageID // the leaf after nd; InvalidPageID once the range ends in nd
 	// key and val are the entry Next last returned.
 	key, val []byte
+	lo       []byte // the range's start bound (nil = open), kept for Reseek
 	startKey []byte // positions the cursor in the first non-empty leaf, then nil
 	stopKey  []byte // exclusive upper bound unless stopIncl
 	stopIncl bool
@@ -618,11 +635,14 @@ type Iterator struct {
 	// (-1 = unbounded). Leaf-range iterators (SeekLeaves) use it to stop at
 	// their partition boundary instead of a key.
 	leavesLeft int
-	// onLeaf, when set, is told the last key of every leaf the iterator
-	// loads (nil for an empty leaf), right after the load (SeekWatch).
-	onLeaf func(last []byte)
-	err    error
+	descended  bool // the range was positioned by a descent from the root
+	err        error
 }
+
+// Descended reports whether positioning the iterator on its range read the
+// tree from the root, rather than starting at the leftmost leaf or in the
+// leaf where its previous range stopped (Reseek).
+func (it *Iterator) Descended() bool { return it.descended }
 
 // Err returns the first page-access error the iterator hit. Next reports
 // exhaustion on error, so callers that see false must check Err to
@@ -700,13 +720,6 @@ func (it *Iterator) advanceLeaf() bool {
 // to it (see advanceLeaf).
 func (it *Iterator) enter(nd node) {
 	it.nd, it.pos, it.end, it.next = nd, 0, nd.n, nd.next()
-	if it.onLeaf != nil {
-		var last []byte
-		if nd.n > 0 {
-			last = nd.key(nd.n - 1)
-		}
-		it.onLeaf(last)
-	}
 	if it.startKey != nil && nd.n > 0 {
 		it.pos, it.startKey = nd.lowerBound(it.startKey), nil
 	}
@@ -783,16 +796,15 @@ func (t *BTree) LeafRange(start, stop []byte, stopIncl bool) ([]storage.PageID, 
 }
 
 // SeekLeaves returns an iterator over the entries of count consecutive leaf
-// pages starting at start (a page id from LeafRange; count < 0 follows the
-// chain to its end), bounded above by the stop key exactly like Seek. A
-// non-nil startKey positions the iterator at the first entry >= startKey
+// pages starting at start (a page id from LeafRange), bounded above by the
+// stop key exactly like Seek. A non-nil startKey positions the iterator at the first entry >= startKey
 // within the first leaf — the form used by the first split of a partitioned
 // seek; later splits pass nil and start at their leaf's first entry.
 // Concatenating the iterators of a partition of LeafRange(start, stop,
 // stopIncl) — startKey on the first, nil on the rest — reproduces
 // Seek(start, stop, stopIncl) exactly.
 func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byte, stopIncl bool) *Iterator {
-	it := &Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: count}
+	it := &Iterator{tree: t, startKey: startKey, stopKey: stop, stopIncl: stopIncl, next: start, leavesLeft: max(count, 0)}
 	if startKey != nil {
 		it.advanceLeaf() // a positioned iterator reads its first leaf now
 	}
@@ -802,28 +814,66 @@ func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byt
 // Seek returns an iterator positioned at the first entry with key >= start
 // (nil start begins at the leftmost leaf, which is then loaded lazily, with
 // no descent). If stop is non-nil the iteration ends at stop (inclusive when
-// stopIncl).
+// stopIncl). A start at or below the fence begins at the leftmost leaf too,
+// loaded at once: the descent would end there. Any other start descends from
+// the root, and the leaf the descent loads is the iterator's first, read once.
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
-	return t.SeekWatch(start, stop, stopIncl, nil)
+	it := &Iterator{tree: t}
+	it.Reseek(start, stop, stopIncl)
+	return it
 }
 
-// SeekWatch is Seek with a leaf hook: onLeaf (unless nil) is called with the
-// last key of every leaf the iterator loads, the first included, right after
-// it is loaded and before any other page is — so a caller can interleave its
-// own page accesses with the iterator's exactly.
-func (t *BTree) SeekWatch(start, stop []byte, stopIncl bool, onLeaf func(last []byte)) *Iterator {
-	it := &Iterator{tree: t, startKey: start, stopKey: stop, stopIncl: stopIncl, next: t.first, leavesLeft: -1, onLeaf: onLeaf}
-	if start == nil {
-		return it
+// Reseek re-positions the iterator on a new range, yielding exactly what
+// Seek(start, stop, stopIncl) would. A range forward of the one the iterator
+// was on begins in the leaf where that range stopped, with no descent (see
+// follows). That leaf is fetched again through the pager: a hit while it
+// stays resident, a charged read once the pool has let it go. Any other range
+// is positioned as Seek positions it.
+func (it *Iterator) Reseek(start, stop []byte, stopIncl bool) {
+	t := it.tree
+	from := storage.InvalidPageID
+	if it.follows(start) {
+		from = it.nd.pg.ID()
 	}
-	// The leaf the descent loaded is the iterator's first: it is read once.
-	nd, err := t.leafFor(start)
+	*it = Iterator{tree: t, lo: start, startKey: start, stopKey: stop, stopIncl: stopIncl, next: t.first, leavesLeft: -1}
+	if start == nil {
+		return
+	}
+	var nd node
+	var err error
+	switch {
+	case from != storage.InvalidPageID:
+		nd, err = t.node(from)
+	case t.height == 1 || bytes.Compare(start, t.fence) <= 0:
+		nd, err = t.node(t.first)
+	default:
+		it.descended = true
+		nd, err = t.leafFor(start)
+	}
 	if err != nil {
-		return &Iterator{tree: t, err: err}
+		it.err, it.next = err, storage.InvalidPageID
+		return
 	}
 	it.enter(nd)
 	it.advanceLeaf()
-	return it
+}
+
+// follows reports whether a range from start begins in the leaf under the
+// cursor. Every key in a leaf before that one lies below the current range's
+// start (the positioning routed past it) or within its stop bound (the
+// cursor walked past it), so a start at or above the one and beyond the
+// other is above all of them; the first entry >= start is then in this leaf
+// if it holds a key >= start, and nowhere if it ends the chain. The leaf's
+// last key and link are read from the frame the cursor holds; it is never
+// positioned in without a fetch. Leaf-range iterators (SeekLeaves) and
+// ranges with an open stop never qualify.
+func (it *Iterator) follows(start []byte) bool {
+	nd := &it.nd
+	if nd.pg == nil || it.err != nil || start == nil || it.stopKey == nil || it.leavesLeft >= 0 ||
+		bytes.Compare(start, it.lo) < 0 || bytes.Compare(start, it.stopKey) <= 0 {
+		return false
+	}
+	return nd.next() == storage.InvalidPageID || nd.n > 0 && bytes.Compare(start, nd.key(nd.n-1)) <= 0
 }
 
 // Get returns the payload of the first entry matching key exactly.
@@ -930,7 +980,10 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 	if err := flushLeaf(); err != nil {
 		return err
 	}
-	t.count, t.first = n, leafIDs[0]
+	t.count, t.first, t.fence = n, leafIDs[0], nil
+	if len(firstKeys) > 1 {
+		t.fence = firstKeys[1]
+	}
 	// Build internal levels.
 	level := leafIDs
 	keys := firstKeys

@@ -644,12 +644,14 @@ func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entr
 // range, open or bounded, over a clustered tree, a secondary index or a heap
 // (open only). A range is a cheap value; Open starts a fresh cursor, so a
 // range can be re-scanned and distinct ranges can be consumed by concurrent
-// workers. Opening is lazy — a root-to-leaf descent at most, none for an open
-// start, which begins at the tree's leftmost leaf — and that is all a serial
-// scan ever pays. EstRows and Split serve the (single-threaded)
-// parallel rewrite only: they name the range's leaves once, from the level
-// above them (btree.BTree.LeafRange), paying reads of internal pages only,
-// and keep them in the range.
+// workers. Opening is lazy: a start at or below the leftmost leaf's fence, or
+// an open one, begins at that leaf, any other start descends from the root
+// (btree.BTree.Seek), and that is all a serial scan ever pays. A bound scan
+// moves its cursor from range to range with Cursor.Reseek, which begins a
+// range forward of the last in the leaf where that one stopped. EstRows and
+// Split serve the (single-threaded) parallel rewrite only: they name the
+// range's leaves once, from the level above them (btree.BTree.LeafRange),
+// paying reads of internal pages only, and keep them in the range.
 type Range struct {
 	tree   *btree.BTree      // clustered tree or secondary index; nil for a heap
 	heap   *storage.HeapFile // set iff tree is nil
@@ -677,10 +679,6 @@ type Range struct {
 	leaves  []storage.PageID
 	perUnit int64
 	err     error
-
-	// OnLeaf, when set on an unsplit tree range, is told the last key of
-	// every leaf the range's cursor loads (see btree.BTree.SeekWatch).
-	OnLeaf func(lastKey []byte)
 }
 
 // Range describes the rows whose clustered-key prefix lies in [lo, hi] by
@@ -731,7 +729,7 @@ func (r *Range) Open() *Cursor {
 	case r.split:
 		c.tree = r.tree.SeekLeaves(r.leaf, r.pageCount, r.start, r.stop, r.stopIncl)
 	default:
-		c.tree = r.tree.SeekWatch(r.start, r.stop, r.stopIncl, r.OnLeaf)
+		c.tree = r.tree.Seek(r.start, r.stop, r.stopIncl)
 	}
 	return c
 }
@@ -940,6 +938,7 @@ func (l *Layout) decodeKey(key []byte, out []value.Value) error {
 // Cursor iterates the rows (or index entries) of a Range. It advances in
 // exactly two ways: Next, the decoding row-at-a-time reference path, and
 // NextSpans, the raw span fill the batch path decodes column-at-a-time.
+// Reseek moves it to another range of the same tree.
 type Cursor struct {
 	// At most one of tree and heap is set; neither when err is, or when the
 	// range is empty.
@@ -952,6 +951,22 @@ type Cursor struct {
 	// payBuf is Next's reusable payload-decode buffer.
 	payBuf []value.Value
 }
+
+// Reseek points the cursor at r, a range over the tree the cursor reads: a
+// bound scan's next range. The tree iterator begins a range forward of its
+// last one in the leaf where that one stopped (btree.Iterator.Reseek). A
+// cursor on no tree, and an empty, split or failed range, open afresh.
+func (c *Cursor) Reseek(r *Range) {
+	if c.tree == nil || r.tree == nil || r.empty || r.split || r.err != nil {
+		*c = *r.Open()
+		return
+	}
+	c.tree.Reseek(r.start, r.stop, r.stopIncl)
+}
+
+// Descended reports whether positioning the cursor on its range read its tree
+// from the root (btree.Iterator.Descended).
+func (c *Cursor) Descended() bool { return c.tree != nil && c.tree.Descended() }
 
 // Err returns the first page-access error the cursor (or its underlying
 // storage iterator) hit. NextSpans reports exhaustion on error, so batch

@@ -1,13 +1,14 @@
 // Catalog meta persistence: the logical half of durability. The WAL's page
 // images restore every B+-tree and heap page byte for byte; this snapshot
 // restores the schema layer above them — table and index definitions, tree
-// roots, leftmost leaves and counts, heap page chains and statistics — so
+// roots, leftmost leaves and their fences, heights and counts, heap page chains and statistics — so
 // Open can reattach live Table/Index objects to the recovered pages. Record
 // layouts are not persisted: they follow from the schema (Table.initLayouts),
 // and metaVersion names the layout rules the pages were written under.
 package catalog
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"strings"
@@ -17,10 +18,12 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 5: each tree's leftmost leaf is stored beside its root, height
-// and count (encodeTree), so a scan with an open start begins there without
-// a descent. Pages are laid out as under version 4, whose meta lacks that
-// field and would misparse: every column stored once — bare clustered keys
+// metaVersion 6: each tree's leftmost leaf and that leaf's fence, the first
+// separator above it, are stored beside its root, height and count
+// (encodeTree), so a scan with an open start, or a seek from a key at or below
+// the fence, begins at that leaf without a descent. Pages are laid out as
+// under versions 5 and 4, whose metas lack the fence (and, in version 4, the
+// leftmost leaf) and would misparse: every column stored once — bare clustered keys
 // with a uniquifier on duplicates only, key-stripped payloads, secondary
 // entries located by clustered key — with each key column encoded under its
 // declared kind (value.AppendStoredKeyValue), each payload a record under its
@@ -32,7 +35,7 @@ import (
 // numeric key as a 9- or 17-byte cross-kind word, version 1 pages also repeat
 // key columns in the payload. Decoding any of them under these rules would
 // return wrong rows or none, so RestoreMeta refuses them.
-const metaVersion = 5
+const metaVersion = 6
 
 type metaWriter struct{ buf []byte }
 
@@ -191,6 +194,7 @@ func encodeTable(w *metaWriter, t *Table) {
 func encodeTree(w *metaWriter, tr *btree.BTree) {
 	w.uv(uint64(tr.RootPage()))
 	w.uv(uint64(tr.FirstLeaf()))
+	w.bytes(tr.Fence())
 	w.uv(uint64(tr.Height()))
 	w.iv(tr.Count())
 }
@@ -198,9 +202,13 @@ func encodeTree(w *metaWriter, tr *btree.BTree) {
 func decodeTree(r *metaReader, pager *storage.Pager) *btree.BTree {
 	root := storage.PageID(r.uv())
 	first := storage.PageID(r.uv())
+	var fence []byte // nil for a one-leaf tree, which stores an empty one
+	if f := r.bytes(); len(f) > 0 {
+		fence = bytes.Clone(f)
+	}
 	height := int(r.uv())
 	count := r.iv()
-	return btree.Open(pager, root, first, height, count)
+	return btree.Open(pager, root, first, fence, height, count)
 }
 
 func encodeStats(w *metaWriter, s *TableStats) {

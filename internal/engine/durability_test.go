@@ -373,8 +373,9 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier version: version 4 (today's pages, but a meta with no leftmost
-// leaf beside each tree's root, whose rest would misparse), version 3 (a
+// an earlier version: version 5 (today's pages, but a meta with no fence
+// beside each tree's leftmost leaf, whose rest would misparse), version 4 (a
+// meta with no leftmost leaf either), version 3 (a
 // marker, key length and 4-byte slot on every record, a field count and a
 // kind byte per payload field), version 2 (every numeric key a 9-byte
 // cross-kind word, 8-byte child ids) or version 1 (uniquifier on every key,
@@ -382,7 +383,7 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 // wrong rows, or to errors, under the current rules, so Open must fail and
 // name both versions rather than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{4, 3, 2, 1} {
+	for _, old := range []byte{5, 4, 3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -399,8 +400,8 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
 		_, n := binary.Uvarint(state[1:])
-		if state[1+n] != 5 {
-			t.Fatalf("catalog meta starts with version %d, test expects 5", state[1+n])
+		if state[1+n] != 6 {
+			t.Fatalf("catalog meta starts with version %d, test expects 6", state[1+n])
 		}
 		state[1+n] = old
 		if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
@@ -410,7 +411,7 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 5") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 6") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -449,28 +448,38 @@ type InnerSeekSpec struct {
 	HiIncl  bool
 	// Cols are the base-table column ordinals the join produces for the inner side.
 	Cols []int
+	// Band, over the output row, holds the join conjuncts the bounds restate
+	// exactly when every bound value is of the probed key's kind; the join
+	// checks it only on the matches of outer rows whose bounds are not.
+	Band expr.Expr
 }
 
 // IndexNestedLoopJoin probes an index range for every outer row. The output
 // row is outer ++ inner(Cols); Residual (over the output row) filters matches.
 //
-// Next is the row reference: one Rebind + seek per outer row. NextBatch runs
-// the same seeks an outer batch at a time, with the bounds evaluated as
-// vectors, and coalesces chained ranges: consecutive outer rows whose single
-// inclusive integer bounds ascend over an INT or DATE key, each lo exactly the
-// previous hi + 1, share one seek over [first lo, last hi]. Every c-table band
-// (f BETWEEN f' AND f'+c'-1) and every dense-equality chain has that shape. A
-// coalesced seek reads the leaves the per-row seeks read, in the same order —
-// the iterator stops in the leaf where its stop key ends, as each per-row
-// seek does — and the descents the per-row seeks would add, which only touch
-// pages already read, are replayed where they would fall among the leaf loads
-// (crossLeaf), so even a buffer pool too small to keep the upper levels
-// across a group evicts and re-reads exactly what the row path does. As the
-// ranges are disjoint and leave no integer out, each inner row belongs to
-// exactly one outer row, which a forward merge on the key finds. Inner
-// vectors pass through as the scan filled them; each outer column becomes
-// runs of its rows' match counts: Const for one outer row, RLE for few,
-// gathered Flat for many.
+// One inner scan serves every range. It moves from range to range with
+// Reseek, so a range forward of the last begins in the leaf where the last
+// stopped, and a range from the tree's smallest keys (at or below the
+// leftmost leaf's fence) at that leaf; only other ranges descend from the
+// root. A c-table band join probes in f order, so at selectivity 1 it reads
+// no internal page, and at lower selectivity it descends once. Open resets
+// the scan: an execution begins from the root.
+//
+// Next is the row reference: one seek per outer row. NextBatch runs the same
+// seeks an outer batch at a time, with the bounds evaluated as vectors, and
+// coalesces chained ranges: consecutive outer rows whose single inclusive
+// integer bounds ascend over an INT or DATE key, each lo exactly the previous
+// hi + 1, share one seek over [first lo, last hi]. Every c-table band
+// (f BETWEEN f' AND f'+c'-1) and every dense-equality chain has that shape.
+// A coalesced seek reads the pages the per-row seeks read, in the same order:
+// each per-row seek of a chain after the first begins in the leaf where the
+// one before it stopped, which it fetches again as the most recent page
+// fetched — a hit that leaves the buffer pool's LRU order as it was — and
+// walks on as the coalesced seek does. As the ranges are disjoint and leave no
+// integer out, each inner row belongs to exactly one outer row, which a
+// forward merge on the key finds. Inner vectors pass through as the scan
+// filled them; each outer column becomes runs of its rows' match counts:
+// Const for one outer row, RLE for few, gathered Flat for many.
 type IndexNestedLoopJoin struct {
 	Outer    Operator
 	Inner    InnerSeekSpec
@@ -487,6 +496,9 @@ type IndexNestedLoopJoin struct {
 	keyPos    int
 	keyKind   value.Kind
 	coalesce  bool
+	// residual filters the open range's matches: Residual, and Inner.Band
+	// as well (checked) unless every bound of the range is of keyKind.
+	residual, checked expr.Expr
 	// ctx is checked once per outer batch, or per DefaultBatchSize outer rows
 	// on the row path, so a residual that rejects every match cannot keep a
 	// cancelled query running through the whole outer input.
@@ -499,28 +511,28 @@ type IndexNestedLoopJoin struct {
 	// Batch path: the outer batch being joined, its live rows with non-NULL
 	// bounds (probes) and the bound values by expression and physical row.
 	// probes[gFrom:gTo] is the group the open inner range covers, at the
-	// probe the merge has reached and crossed the first whose per-row seek
-	// crossLeaf has not replayed yet (a replay's page error waits in
-	// replayErr). runRows/runEnds are the current output batch's runs: each
-	// run's outer row and exclusive end.
-	outer                   *Batch
-	probes                  []int
-	lo, hi                  [][]value.Value
-	gFrom, gTo, at, crossed int
-	replayErr               error
-	runRows                 []int
-	runEnds                 []int
+	// probe the merge has reached. runRows/runEnds are the current output
+	// batch's runs: each run's outer row and exclusive end.
+	outer          *Batch
+	probes         []int
+	lo, hi         [][]value.Value
+	gFrom, gTo, at int
+	runRows        []int
+	runEnds        []int
 
 	// EXPLAIN ANALYZE counters (TraceAttrs), reset by Open.
-	outerRows, seeks, innerRows int64
+	outerRows, seeks, descents, innerRows int64
 }
 
-// boundScan is a leaf access path whose key bounds can be replaced between
-// executions: TableScan and IndexSeek.
+// boundScan is a leaf access path that moves from key range to key range:
+// TableScan and IndexSeek.
 type boundScan interface {
 	Operator
-	Rebind(lo, hi []value.Value)
-	watchLeaves(f func(lastKey []byte))
+	// Reseek binds the scan to [lo, hi] and opens it there, from where its
+	// last range stopped when it is open (catalog.Cursor.Reseek); it reports
+	// whether positioning descended from the root. Close makes the next
+	// Reseek begin afresh.
+	Reseek(lo, hi []value.Value) (descended bool, err error)
 	releaseFill()
 }
 
@@ -556,18 +568,17 @@ func NewIndexNestedLoopJoin(outer Operator, inner InnerSeekSpec, residual expr.E
 	if err != nil {
 		return nil, err
 	}
-	// An uncovered index seek reads base rows between its leaf loads, which
-	// a replayed descent could not be placed among, so it does not coalesce.
+	// An uncovered index seek reads base rows between its leaf loads, so a
+	// per-row seek's fetch of the leaf it begins in is no longer the most
+	// recent page fetched and reorders the LRU: it does not coalesce.
 	kind := t.Columns[lead].Kind
-	j := &IndexNestedLoopJoin{
+	return &IndexNestedLoopJoin{
 		Outer: outer, Inner: inner, Residual: residual, inner: scan,
 		schema: concatSchemas(outer.Schema(), projectedSchema(t, cols)),
-		ninner: len(cols), keyPos: keyPos, keyKind: kind,
+		ninner: len(cols), keyPos: keyPos, keyKind: kind, checked: expr.And(residual, inner.Band),
 		coalesce: (kind == value.KindInt || kind == value.KindDate) && inner.LoIncl && inner.HiIncl &&
 			len(inner.LoExprs) == 1 && len(inner.HiExprs) == 1 && (inner.Index == nil || inner.Index.Covers(scanCols)),
-	}
-	scan.watchLeaves(j.crossLeaf)
-	return j, nil
+	}, nil
 }
 
 // Schema implements Operator.
@@ -575,9 +586,10 @@ func (j *IndexNestedLoopJoin) Schema() []ColumnInfo { return j.schema }
 
 // Open implements Operator.
 func (j *IndexNestedLoopJoin) Open() error {
+	j.inner.Close() // the first range descends: the tree may have changed since the last execution
 	j.outerRow, j.pulled, j.innerOpen, j.ctx = nil, 0, false, nil
-	j.outer, j.probes, j.gFrom, j.gTo, j.crossed, j.replayErr = nil, j.probes[:0], 0, 0, 0, nil
-	j.outerRows, j.seeks, j.innerRows = 0, 0, 0
+	j.outer, j.probes, j.gFrom, j.gTo = nil, j.probes[:0], 0, 0
+	j.outerRows, j.seeks, j.descents, j.innerRows = 0, 0, 0, 0
 	return j.Outer.Open()
 }
 
@@ -588,11 +600,13 @@ func (j *IndexNestedLoopJoin) Child(i int) *Operator { return slot(i, &j.Outer) 
 // SetContext implements ContextTaker.
 func (j *IndexNestedLoopJoin) SetContext(ctx context.Context) { j.ctx = ctx }
 
-// TraceAttrs implements SpanAnnotator: outer rows joined, inner range seeks
-// and inner rows read, before the residual.
+// TraceAttrs implements SpanAnnotator: outer rows joined, inner range seeks,
+// the seeks among them positioned by a descent from the root, and inner rows
+// read, before the residual.
 func (j *IndexNestedLoopJoin) TraceAttrs(sp *trace.Span) {
 	sp.SetAttr("outer_rows", j.outerRows)
 	sp.SetAttr("seeks", j.seeks)
+	sp.SetAttr("descents", j.descents)
 	sp.SetAttr("inner_rows", j.innerRows)
 }
 
@@ -619,14 +633,34 @@ func hasNull(bound []value.Value) bool {
 	return slices.ContainsFunc(bound, value.Value.IsNull)
 }
 
-// seek opens the inner scan over one range.
+// ofKeyKind reports whether every value of a bound is of the probed key's
+// kind, so the seek restates it exactly (value.CoerceKeyBound's same-kind
+// path).
+func (j *IndexNestedLoopJoin) ofKeyKind(bound []value.Value) bool {
+	for _, v := range bound {
+		if v.Kind != j.keyKind {
+			return false
+		}
+	}
+	return true
+}
+
+// seek moves the inner scan to one range, and picks the residual for its
+// matches: Inner.Band is checked unless both bounds are of the key's kind.
 func (j *IndexNestedLoopJoin) seek(lo, hi []value.Value) error {
-	j.inner.Rebind(lo, hi)
-	if err := j.inner.Open(); err != nil {
+	j.residual = j.Residual
+	if j.Inner.Band != nil && (!j.ofKeyKind(lo) || !j.ofKeyKind(hi)) {
+		j.residual = j.checked
+	}
+	descended, err := j.inner.Reseek(lo, hi)
+	if err != nil {
 		return err
 	}
 	j.innerOpen = true
 	j.seeks++
+	if descended {
+		j.descents++
+	}
 	return nil
 }
 
@@ -666,13 +700,12 @@ func (j *IndexNestedLoopJoin) Next() (Row, bool, error) {
 				return nil, false, err
 			}
 			if !ok {
-				j.inner.Close()
-				j.innerOpen = false
+				j.innerOpen = false // the scan stays where the range stopped
 				break
 			}
 			j.innerRows++
 			out := concatRows(j.outerRow, inner[:j.ninner])
-			pass, err := expr.EvalBool(j.Residual, out)
+			pass, err := expr.EvalBool(j.residual, out)
 			if err != nil {
 				return nil, false, err
 			}
@@ -698,15 +731,11 @@ func (j *IndexNestedLoopJoin) NextBatch() (*Batch, bool, error) {
 			}
 		}
 		in, ok, err := j.inner.NextBatch()
-		if err == nil && !ok {
-			j.replayTo(j.gTo) // outer rows whose ranges lie past the last leaf
-		}
-		if err = cmp.Or(err, j.replayErr); err != nil {
+		if err != nil {
 			return nil, false, err
 		}
 		if !ok {
-			j.inner.Close()
-			j.innerOpen = false
+			j.innerOpen = false // the scan stays where the range stopped
 			continue
 		}
 		out, err := j.emit(in)
@@ -791,74 +820,21 @@ func (j *IndexNestedLoopJoin) openGroup() error {
 	for j.gTo < len(j.probes) && j.chains(j.probes[j.gTo-1], j.probes[j.gTo]) {
 		j.gTo++
 	}
-	j.crossed = j.gFrom + 1
 	return j.seek(boundAt(j.lo, j.probes[j.gFrom]), boundAt(j.hi, j.probes[j.gTo-1]))
 }
 
-// crossLeaf is the inner scan's leaf hook. Of a coalesced group, the per-row
-// path would begin outer row b's seek once row b-1's seek had loaded its
-// last leaf — the first whose last key passes b-1's hi — with a descent to
-// b's lo that reads no new page but keeps the upper levels and the start
-// leaf recent in the buffer pool's LRU order. crossLeaf replays those
-// descents right after the leaf that ends them loads.
-func (j *IndexNestedLoopJoin) crossLeaf(last []byte) {
-	if j.crossed >= j.gTo || last == nil {
-		return // no coalesced group, or no row's seek ends in an empty leaf
-	}
-	lead, _, err := value.DecodeKeyValue(last, j.keyKind)
-	if err != nil || lead.IsNull() {
-		j.replayErr = cmp.Or(j.replayErr, err)
-		return // a leaf of NULL keys ends no range
-	}
-	to, hi := j.crossed, j.hi[0]
-	for to < j.gTo && hi[j.probes[to-1]].I < lead.I {
-		to++
-	}
-	j.replayTo(to)
-}
-
-// replayTo repeats the positioning of the per-row seeks of
-// probes[crossed:to]. Their descents route to one leaf or to the one before
-// it, in key order, and repeating a descent leaves the LRU order as it was,
-// so the first and the last of them stand for all.
-func (j *IndexNestedLoopJoin) replayTo(to int) {
-	if j.crossed >= to {
-		return
-	}
-	j.reposition(j.probes[j.crossed])
-	if to-1 > j.crossed {
-		j.reposition(j.probes[to-1])
-	}
-	j.crossed = to
-}
-
-// reposition opens, and drops, a cursor over outer row p's range: the
-// descent and the first leaf of its per-row seek.
-func (j *IndexNestedLoopJoin) reposition(p int) {
-	lo, hi := boundAt(j.lo, p), boundAt(j.hi, p)
-	var rng catalog.Range
-	var err error
-	if j.Inner.Index != nil {
-		rng = j.Inner.Index.Range(lo, hi, j.Inner.LoIncl, j.Inner.HiIncl)
-	} else {
-		rng, err = j.Inner.Table.Range(lo, hi, j.Inner.LoIncl, j.Inner.HiIncl)
-	}
-	if err == nil {
-		err = rng.Open().Err()
-	}
-	j.replayErr = cmp.Or(j.replayErr, err)
-}
-
 // chains reports whether outer row b's range continues outer row a's: both
-// non-empty integer ranges, and b's lo exactly a's hi + 1. Overlapping,
-// descending or gapped ranges, non-integer bounds and repeated equality keys
-// do not chain; those rows get a seek of their own.
+// non-empty integer ranges with bounds of one kind, and b's lo exactly a's
+// hi + 1. Overlapping, descending or gapped ranges, non-integer or mixed-kind
+// bounds and repeated equality keys do not chain; those rows get a seek of
+// their own. A chain's bounds thus share a kind, and seek's check of the
+// group's first lo and last hi covers every row of it.
 func (j *IndexNestedLoopJoin) chains(a, b int) bool {
 	if !j.coalesce {
 		return false
 	}
 	loA, hiA, loB, hiB := j.lo[0][a], j.hi[0][a], j.lo[0][b], j.hi[0][b]
-	return integral(loA) && integral(hiA) && integral(loB) && integral(hiB) &&
+	return integral(loA) && hiA.Kind == loA.Kind && loB.Kind == loA.Kind && hiB.Kind == loA.Kind &&
 		loA.I <= hiA.I && loB.I <= hiB.I && hiA.I < math.MaxInt64 && loB.I == hiA.I+1
 }
 
@@ -924,8 +900,8 @@ func (j *IndexNestedLoopJoin) emit(in *Batch) (*Batch, error) {
 	}
 	copy(cols[nouter:], in.Cols[:j.ninner])
 	out := &Batch{Cols: cols, n: n}
-	if j.Residual != nil {
-		sel, err := expr.SelectVector(j.Residual, cols, nil, n)
+	if j.residual != nil {
+		sel, err := expr.SelectVector(j.residual, cols, nil, n)
 		if err != nil {
 			return nil, err
 		}
@@ -946,10 +922,8 @@ func (j *IndexNestedLoopJoin) emit(in *Batch) (*Batch, error) {
 // batches and many inner ranges per execution, against which growing the
 // arenas again is noise.
 func (j *IndexNestedLoopJoin) Close() error {
-	if j.innerOpen {
-		j.inner.Close()
-		j.innerOpen = false
-	}
+	j.inner.Close()
+	j.innerOpen = false
 	j.outerRow, j.outer = nil, nil
 	j.probes, j.lo, j.hi, j.runRows, j.runEnds = nil, nil, nil, nil, nil
 	err := j.Outer.Close()

@@ -227,3 +227,60 @@ func clipText(s string) string {
 	}
 	return s
 }
+
+// TestBandJoinChainPastTheLastLeaf: a chain of adjacent ranges that runs on
+// past the inner table's largest key. One coalesced seek covers the chain
+// and stops in the last leaf; each per-row seek after the one that reaches
+// it begins in that leaf too, which ends the chain, rather than descending
+// from the root. So the two pulls read the same pages under a pool too small
+// to keep the root, and neither descends more than once.
+func TestBandJoinChainPastTheLastLeaf(t *testing.T) {
+	pager := storage.NewPager(0)
+	inner, err := catalog.New(pager).CreateTable("inner", []catalog.Column{
+		{Name: "k", Kind: value.KindInt},
+		{Name: "s", Kind: value.KindString},
+	}, []string{"k"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 4000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(strings.Repeat("x", 60))}
+	}
+	if err := inner.BulkLoad(rows); err != nil {
+		t.Fatal(err)
+	}
+	var outer []Row
+	for lo := int64(3000); lo < 5000; lo += 2 {
+		outer = append(outer, Row{value.NewInt(lo), value.NewInt(lo + 1)})
+	}
+	col := func(i int) expr.Expr { return expr.NewColumn(i, "") }
+	build := func() *IndexNestedLoopJoin {
+		j, err := NewIndexNestedLoopJoin(NewValuesScan([]ColumnInfo{{Name: "lo", Kind: value.KindInt}, {Name: "hi", Kind: value.KindInt}}, outer),
+			InnerSeekSpec{Table: inner, LoExprs: []expr.Expr{col(0)}, HiExprs: []expr.Expr{col(1)}, LoIncl: true, HiIncl: true, Cols: []int{0}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	pager.SetCapacity(4)
+	type run struct {
+		io             storage.IOStats
+		rows, descents int64
+	}
+	cold := func(pull func(context.Context, Operator) ([]Row, error)) run {
+		pager.ResetCache()
+		before := pager.Stats()
+		j := build()
+		got, err := pull(nil, j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io := pager.Stats().Sub(before)
+		return run{storage.IOStats{PageReads: io.PageReads, SeqReads: io.SeqReads, RandReads: io.RandReads}, int64(len(got)), j.descents}
+	}
+	rowRun, batchRun := cold(Drain), cold(DrainBatches)
+	if rowRun.rows != 1000 || rowRun != batchRun || rowRun.descents != 1 {
+		t.Fatalf("row pull %+v, batch pull %+v; want 1,000 rows, one descent and the same reads", rowRun, batchRun)
+	}
+}

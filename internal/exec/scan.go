@@ -98,10 +98,6 @@ type TableScan struct {
 	// executes). Morsels drops it: a cached plan keeps no leaf list.
 	whole *catalog.Range
 
-	// watch is the leaf hook an index nested-loop join sets on its inner
-	// scan (see catalog.Range.OnLeaf).
-	watch func(lastKey []byte)
-
 	cur    *catalog.Cursor
 	schema []ColumnInfo
 	fill   *colFiller
@@ -140,12 +136,26 @@ func (s *TableScan) TraceName() string {
 	return fmt.Sprintf("SeqScan(%s)", s.Table.Name)
 }
 
-// Rebind replaces the seek bounds for the next Open (index nested loops
-// re-bind one inner scan per range).
-func (s *TableScan) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
+// Reseek implements boundScan.
+func (s *TableScan) Reseek(lo, hi []value.Value) (bool, error) {
+	s.Lo, s.Hi = lo, hi
+	rng, err := s.Table.Range(lo, hi, s.LoIncl, s.HiIncl)
+	if err != nil {
+		return false, err
+	}
+	return reseek(&s.cur, &rng), nil
+}
 
-// watchLeaves sets the leaf hook of the scan's later Opens.
-func (s *TableScan) watchLeaves(f func(lastKey []byte)) { s.watch = f }
+// reseek moves *cur to rng — from where its last range stopped, when it is
+// open (catalog.Cursor.Reseek) — and reports whether it descended.
+func reseek(cur **catalog.Cursor, rng *catalog.Range) bool {
+	if *cur == nil {
+		*cur = rng.Open()
+	} else {
+		(*cur).Reseek(rng)
+	}
+	return (*cur).Descended()
+}
 
 // releaseFill drops the column arena the scan's filler has grown. An index
 // nested-loop join calls it as it closes (see IndexNestedLoopJoin.Close).
@@ -163,7 +173,6 @@ func (s *TableScan) Open() error {
 		if err != nil {
 			return err
 		}
-		whole.OnLeaf = s.watch
 		rng = &whole
 	}
 	s.cur = rng.Open()
@@ -271,9 +280,8 @@ type IndexSeek struct {
 	// Const vector).
 	EncodeCols []int
 
-	part  *catalog.Range       // see TableScan.part
-	whole *catalog.Range       // see TableScan.whole
-	watch func(lastKey []byte) // see TableScan.watch
+	part  *catalog.Range // see TableScan.part
+	whole *catalog.Range // see TableScan.whole
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -314,11 +322,12 @@ func (s *IndexSeek) TraceName() string {
 	return fmt.Sprintf("IndexSeek(%s.%s)", s.Index.Table.Name, s.Index.Name)
 }
 
-// Rebind replaces the seek bounds for the next Open (see TableScan.Rebind).
-func (s *IndexSeek) Rebind(lo, hi []value.Value) { s.Lo, s.Hi = lo, hi }
-
-// watchLeaves sets the leaf hook of the seek's later Opens.
-func (s *IndexSeek) watchLeaves(f func(lastKey []byte)) { s.watch = f }
+// Reseek implements boundScan.
+func (s *IndexSeek) Reseek(lo, hi []value.Value) (bool, error) {
+	s.Lo, s.Hi = lo, hi
+	rng := s.Index.Range(lo, hi, s.LoIncl, s.HiIncl)
+	return reseek(&s.cur, &rng), nil
+}
 
 // releaseFill drops the covered filler's column arena (see
 // TableScan.releaseFill).
@@ -336,7 +345,6 @@ func (s *IndexSeek) Open() error {
 	rng := s.part
 	if rng == nil {
 		whole := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-		whole.OnLeaf = s.watch
 		rng = &whole
 	}
 	s.cur = rng.Open()

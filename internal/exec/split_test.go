@@ -158,7 +158,10 @@ func TestParallelSplitPageErrorSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.SetAux(uint64(c.Pager().NumPages() + 1000))
-	s, err := NewClusteredSeek(tbl, []value.Value{key(10)}, nil, true, false, nil)
+	// The seek starts past the leftmost leaf's fence, so it descends through
+	// the faulted page (a start at or below the fence would begin at the
+	// leftmost leaf and read no internal page).
+	s, err := NewClusteredSeek(tbl, []value.Value{key(100)}, nil, true, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

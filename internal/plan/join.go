@@ -8,6 +8,7 @@ import (
 	"oldelephant/internal/exec"
 	"oldelephant/internal/expr"
 	"oldelephant/internal/sql"
+	"oldelephant/internal/value"
 )
 
 // joinedRelation is the running result of left-deep join planning.
@@ -26,6 +27,9 @@ type bandBound struct {
 	loExpr, hiExpr sql.Expr
 	loIncl, hiIncl bool
 	equality       bool
+	// loConj and hiConj are the conjuncts (indexes into the available ones)
+	// the bounds come from; a BETWEEN or an equality gives both.
+	loConj, hiConj int
 }
 
 // joinSources combines the planned FROM sources left to right, choosing a
@@ -196,10 +200,24 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 			Cols:    s.tableOrds,
 		}
 		// Residual: every available conjunct plus the inner table's own
-		// single-table predicates (the planned access path of s is bypassed).
-		residualAST := append(append([]sql.Expr(nil), avail...), s.pushed...)
-		residual, err := bindConjuncts(residualAST, combined)
+		// single-table predicates (the planned access path of s is bypassed),
+		// less the band conjuncts the seek bounds enforce exactly: those go
+		// to spec.Band, checked only where a bound value is not of the key's
+		// kind (exec.InnerSeekSpec).
+		var residualAST, bandAST []sql.Expr
+		exact := exactBand(band, bandIdx)
+		for ci, c := range avail {
+			if exact && (ci == band.loConj || ci == band.hiConj) {
+				bandAST = append(bandAST, c)
+			} else {
+				residualAST = append(residualAST, c)
+			}
+		}
+		residual, err := bindConjuncts(append(residualAST, s.pushed...), combined)
 		if err != nil {
+			return nil, err
+		}
+		if spec.Band, err = bindConjuncts(bandAST, combined); err != nil {
 			return nil, err
 		}
 		join, err := exec.NewIndexNestedLoopJoin(cur.op, spec, residual)
@@ -390,9 +408,24 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 		_, err := bindExpr(e, cur.sc)
 		return err == nil
 	}
-	b := &bandBound{}
+	b := &bandBound{loConj: -1, hiConj: -1}
+	// A one-sided conjunct that replaces one side of a two-sided one (a
+	// BETWEEN or an equality) leaves the seek enforcing only the other side
+	// of it, so that conjunct names neither side and stays in the residual.
+	setLo := func(e sql.Expr, incl bool, ci int) {
+		if b.hiConj == b.loConj {
+			b.hiConj = -1
+		}
+		b.loExpr, b.loIncl, b.loConj = e, incl, ci
+	}
+	setHi := func(e sql.Expr, incl bool, ci int) {
+		if b.loConj == b.hiConj {
+			b.loConj = -1
+		}
+		b.hiExpr, b.hiIncl, b.hiConj = e, incl, ci
+	}
 	found := false
-	for _, c := range avail {
+	for ci, c := range avail {
 		switch e := c.(type) {
 		case *sql.BetweenExpr:
 			if e.Not || !isInnerLead(e.E) || !outerOnly(e.Lo) || !outerOnly(e.Hi) {
@@ -400,6 +433,7 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 			}
 			b.loExpr, b.hiExpr = e.Lo, e.Hi
 			b.loIncl, b.hiIncl = true, true
+			b.loConj, b.hiConj = ci, ci
 			found = true
 		case *sql.BinExpr:
 			op := e.Op
@@ -416,19 +450,20 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 			case "=":
 				b.loExpr, b.hiExpr = outer, outer
 				b.loIncl, b.hiIncl = true, true
+				b.loConj, b.hiConj = ci, ci
 				b.equality = true
 				found = true
 			case ">":
-				b.loExpr, b.loIncl = outer, false
+				setLo(outer, false, ci)
 				found = true
 			case ">=":
-				b.loExpr, b.loIncl = outer, true
+				setLo(outer, true, ci)
 				found = true
 			case "<":
-				b.hiExpr, b.hiIncl = outer, false
+				setHi(outer, false, ci)
 				found = true
 			case "<=":
-				b.hiExpr, b.hiIncl = outer, true
+				setHi(outer, true, ci)
 				found = true
 			}
 		}
@@ -437,6 +472,24 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 		return nil
 	}
 	return b
+}
+
+// exactBand reports whether the seek bounds of a band access over idx keep
+// exactly the rows its conjuncts keep whenever the bound values are of the
+// key's kind, so that those conjuncts need no re-check: a single-column key
+// (a bound on a composite key's leading column is a prefix cut) of a kind
+// whose stored-key order is value.Compare's without exception — INT, DATE or
+// STRING, not FLOAT, where NaN equals every number — and a lower bound, which
+// keeps the NULL keys out that SQL's comparisons reject.
+func exactBand(b *bandBound, idx *catalog.Index) bool {
+	if b.loExpr == nil || len(idx.KeyColumns) != 1 {
+		return false
+	}
+	switch idx.Table.Columns[idx.KeyColumns[0]].Kind {
+	case value.KindInt, value.KindDate, value.KindString:
+		return true
+	}
+	return false
 }
 
 // bindBandBounds binds the bound expressions of a band access over the outer scope.
