@@ -366,6 +366,11 @@ func writeNode(pg *storage.Page, isLeaf bool, entries []entry, link uint64) erro
 // usableBytes is the payload capacity of a node page.
 const usableBytes = storage.PageSize - 64
 
+// MaxEntry is the most key and payload bytes one entry may hold: a quarter
+// of a node's capacity, so that a split never leaves a half that overflows
+// its page. Insert refuses a larger entry; a bulk load's caller must too.
+const MaxEntry = usableBytes / 4
+
 // size is the packing rule's footprint of a node holding entries.
 func (t *BTree) size(entries []entry, isLeaf bool) nodeSize {
 	var s nodeSize
@@ -433,7 +438,7 @@ func (t *BTree) Insert(key, val []byte) error {
 // that key; only then does the insert pay a second search (maxKeyLE) and a
 // fresh descent for the chosen key, which may belong in an earlier leaf.
 func (t *BTree) InsertUnder(bound, val []byte, choose func(pred []byte) ([]byte, error)) error {
-	if len(bound)+len(val) > usableBytes/4 {
+	if len(bound)+len(val) > MaxEntry {
 		return fmt.Errorf("btree: entry of %d bytes is too large", len(bound)+len(val))
 	}
 	promoted, newChild, err := t.insertInto(t.root, bound, val, choose, true)

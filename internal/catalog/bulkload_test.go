@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"oldelephant/internal/storage"
@@ -55,6 +56,42 @@ func TestBulkLoadRefusesNonEmptyTable(t *testing.T) {
 		}
 		if n != 1000 {
 			t.Errorf("clustered=%v: a scan returns %d rows, want 1000", clustered, n)
+		}
+	}
+}
+
+// TestRefusedBulkLoadLeavesNoTrace: a row too large for a page refuses the
+// whole load before any row is stored or any page allocated, on a clustered
+// table and on a heap. The table keeps no rows, its statistics stay empty,
+// and a load of good rows succeeds afterwards.
+func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
+	rows := make([][]value.Value, 1000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprint("s", i))}
+	}
+	rows[900][1] = value.NewString(strings.Repeat("x", 20000))
+	for _, key := range [][]string{{"k"}, nil} {
+		c := newTestCatalog()
+		tbl, err := c.CreateTable("t", []Column{{Name: "k", Kind: value.KindInt}, {Name: "s", Kind: value.KindString}}, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages := c.Pager().NumPages()
+		if err := tbl.BulkLoad(rows); err == nil {
+			t.Fatalf("key %v: a row of 20,000 bytes was accepted", key)
+		}
+		if tbl.RowCount() != 0 || tbl.Stats.RowCount != 0 || tbl.Stats.DataBytes != 0 {
+			t.Errorf("key %v: the refused load left %d rows, statistics of %d rows and %d bytes",
+				key, tbl.RowCount(), tbl.Stats.RowCount, tbl.Stats.DataBytes)
+		}
+		if n := c.Pager().NumPages(); n != pages {
+			t.Errorf("key %v: the refused load allocated pages: %d -> %d", key, pages, n)
+		}
+		if err := tbl.BulkLoad(rows[:10]); err != nil {
+			t.Fatalf("key %v: a load of good rows after the refused one: %v", key, err)
+		}
+		if tbl.RowCount() != 10 || tbl.Stats.RowCount != 10 {
+			t.Errorf("key %v: after the retry %d rows, statistics count %d; want 10 and 10", key, tbl.RowCount(), tbl.Stats.RowCount)
 		}
 	}
 }

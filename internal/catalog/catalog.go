@@ -420,18 +420,31 @@ func uniquify(bare, pred []byte) ([]byte, error) {
 // row reads the same from key bytes, from a payload and from an index built
 // later. Only a column that some index stores in key bytes is strictly typed:
 // there a value that cannot be coerced refuses the row, elsewhere it is stored
-// as given. The input is copied only when a value changes.
-func (t *Table) storedRow(row []value.Value) ([]value.Value, error) {
+// as given. convert, when not nil, first maps every non-NULL value of another
+// kind than its column's (the engine's literal conversion). A value already
+// of its column's kind is passed by one comparison of kinds (a float also has
+// its zero checked: -0.0 is stored as +0.0). The input is copied only when a
+// value changes.
+func (t *Table) storedRow(row []value.Value, convert func(value.Value, value.Kind) value.Value) ([]value.Value, error) {
 	if len(row) != len(t.Columns) {
 		return nil, fmt.Errorf("catalog: table %q expects %d columns, got %d", t.Name, len(t.Columns), len(row))
 	}
 	out := row
 	for ord, col := range t.Columns {
-		v, changed, err := value.CoerceKeyValue(row[ord], col.Kind)
-		if err != nil {
-			if !slices.Contains(t.keyOrds, ord) {
-				continue
-			}
+		v := row[ord]
+		if v.Kind == col.Kind && (v.Kind != value.KindFloat || v.F != 0) {
+			continue
+		}
+		changed := false
+		if convert != nil && !v.IsNull() && v.Kind != col.Kind {
+			v = convert(v, col.Kind)
+			changed = v.Kind != row[ord].Kind // every conversion changes the kind
+		}
+		w, coerced, err := value.CoerceKeyValue(v, col.Kind)
+		switch {
+		case err == nil:
+			v, changed = w, changed || coerced
+		case slices.Contains(t.keyOrds, ord):
 			return nil, fmt.Errorf("catalog: table %q key column %q: %w", t.Name, col.Name, err)
 		}
 		if changed {
@@ -456,17 +469,10 @@ func (t *Table) bareKey(row []value.Value) []byte {
 // Insert adds one row, maintaining the clustered storage, every secondary
 // index and the table statistics.
 func (t *Table) Insert(row []value.Value) error {
-	row, err := t.storedRow(row)
+	row, err := t.storedRow(row, nil)
 	if err != nil {
 		return err
 	}
-	_, err = t.insertStored(row)
-	return err
-}
-
-// insertStored is Insert for a row storedRow has already vetted. It returns
-// the row's locator.
-func (t *Table) insertStored(row []value.Value) ([]byte, error) {
 	var scratch []value.Value
 	var locator []byte
 	if t.Clustered != nil {
@@ -478,22 +484,22 @@ func (t *Table) insertStored(row []value.Value) ([]byte, error) {
 			return locator, err
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 	} else {
 		rid, err := t.heap.Insert(t.layout.encodePayload(nil, row, &scratch))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		locator = ridLocator(rid)
 	}
 	for _, ix := range t.Secondary {
 		if err := ix.tree.Insert(ix.entryKey(row, locator), ix.layout.encodePayload(nil, row, &scratch)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	t.Stats.observe(row)
-	return locator, nil
+	return nil
 }
 
 // IndexDef names a secondary index for Table.BulkLoad to create once the rows
@@ -510,10 +516,19 @@ type IndexDef struct {
 // order, as repeated Inserts would keep them — and bulk-loaded bottom-up,
 // which is dramatically faster than repeated inserts. Every secondary index,
 // existing or new, is built the same way from the stored rows in hand; the
-// table is never read back. No row is stored unless every row is acceptable,
-// and a table that already holds rows is refused untouched: a bulk load
-// replaces a tree's root, so it would orphan the rows already there.
+// table is never read back. The statistics are folded beside the build into
+// a fresh set that replaces the table's once every tree is built. No row is
+// stored unless every row is acceptable, and a table that already holds rows
+// is refused untouched: a bulk load replaces a tree's root, so it would
+// orphan the rows already there.
 func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
+	return t.BulkLoadWith(nil, rows, defs...)
+}
+
+// BulkLoadWith is BulkLoad with convert applied first to every non-NULL value
+// that is not of its column's kind, in the one pass that validates and
+// coerces each row (see storedRow). The caller's rows are never modified.
+func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, rows [][]value.Value, defs ...IndexDef) error {
 	if n := t.RowCount(); n > 0 {
 		return fmt.Errorf("catalog: bulk load into table %q, which already holds %d rows", t.Name, n)
 	}
@@ -525,35 +540,49 @@ func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
 		}
 		added = append(added, ix)
 	}
+	// One walk over each row stores it and, on a clustered table, encodes its
+	// clustered key.
+	var keys *keysort.Keys
+	if t.Clustered != nil {
+		keys = keysort.New(len(rows), 9*len(t.Clustered.KeyColumns))
+	}
 	stored := make([][]value.Value, len(rows))
 	for i, row := range rows {
-		var err error
-		if stored[i], err = t.storedRow(row); err != nil {
+		row, err := t.storedRow(row, convert)
+		if err != nil {
 			return err
 		}
+		stored[i] = row
+		if keys != nil {
+			for _, ord := range t.Clustered.KeyColumns {
+				keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
+			}
+			keys.End()
+		}
 	}
-	// A heap keeps its existing indexes row by row, as Insert does.
-	indexes := added
-	load := t.loadHeap
+	stats := NewTableStats(t.Columns)
+	var folded sync.WaitGroup
+	folded.Add(1)
+	go func() {
+		defer folded.Done()
+		stats.fold(stored)
+	}()
+	indexes := slices.Concat(t.Secondary, added)
+	var err error
+	var keyOrder [][]value.Value
 	if t.Clustered != nil {
-		indexes, load = slices.Concat(t.Secondary, added), t.loadClustered
+		keyOrder, err = t.loadClustered(stored, keys, indexes)
+	} else {
+		err = t.loadHeap(stored, indexes)
 	}
-	prepared, err := load(stored, indexes)
+	folded.Wait()
 	if err != nil {
 		return err
 	}
-	// The indexes' trees are filled one after another, existing ones first,
-	// so their pages are allocated in the order CREATE INDEX would.
-	for i, ix := range indexes {
-		if ix.tree == nil {
-			if ix.tree, err = btree.New(t.catalog.pager); err != nil {
-				return err
-			}
-		}
-		if err := ix.fill(prepared[i]); err != nil {
-			return err
-		}
+	if keyOrder != nil {
+		stats.rebound(keyOrder) // observe would have seen them in key order
 	}
+	t.Stats = stats
 	if len(added) > 0 {
 		t.Secondary = append(t.Secondary, added...)
 		t.initLayouts() // the new key columns join the coerced set
@@ -561,43 +590,70 @@ func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
 	return nil
 }
 
-// loadHeap inserts stored rows into an empty heap table and returns the
-// entries of indexes, built from the rows in hand.
-func (t *Table) loadHeap(stored [][]value.Value, indexes []*Index) ([]*entries, error) {
+// tooLarge refuses a row whose record, or tree entry, holds n bytes.
+func (t *Table) tooLarge(n int) error {
+	return fmt.Errorf("catalog: table %q: a row of %d bytes does not fit in a page", t.Name, n)
+}
+
+// payloads encodes the payload record of every row, in order, into one arena.
+func (t *Table) payloads(rows [][]value.Value) *keysort.Keys {
+	recs := keysort.New(len(rows), 0) // a byte-string list, never sorted
+	var scratch []value.Value
+	for i, row := range rows {
+		recs.Buf = t.layout.encodePayload(recs.Buf, row, &scratch)
+		recs.End()
+		if i == 0 { // size the arena after the first record, with a quarter to spare
+			recs.Grow(len(rows)-1, len(recs.Buf)+len(recs.Buf)/4)
+		}
+	}
+	return recs
+}
+
+// loadHeap inserts stored rows into an empty heap table, every record
+// checked against a page's capacity before the first is stored, then fills
+// indexes from the rows in hand.
+func (t *Table) loadHeap(stored [][]value.Value, indexes []*Index) error {
+	recs := t.payloads(stored)
+	for i := range stored {
+		if n := len(recs.Key(i)); n > storage.MaxRecord {
+			return t.tooLarge(n)
+		}
+	}
 	locs := make([][]byte, len(stored))
-	for i, row := range stored {
-		var err error
-		if locs[i], err = t.insertStored(row); err != nil {
-			return nil, err
+	for i := range stored {
+		rid, err := t.heap.Insert(recs.Key(i))
+		if err != nil {
+			return err
+		}
+		locs[i] = ridLocator(rid)
+	}
+	for _, ix := range indexes {
+		es, err := ix.entries(stored, locs)
+		if err != nil {
+			return err
+		}
+		if err := ix.fill(es); err != nil {
+			return err
 		}
 	}
-	prepared := make([]*entries, len(indexes))
-	for i, ix := range indexes {
-		var err error
-		if prepared[i], err = ix.entries(stored, locs); err != nil {
-			return nil, err
-		}
-	}
-	return prepared, nil
+	return nil
 }
 
 // loadClustered bulk-loads the clustered tree of an empty table with stored
-// rows and returns the entries of indexes, built from the rows in hand. Only
-// the tree's build allocates pages: the statistics and every index's entries
-// are worked out beside it, on other goroutines.
-func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entries, error) {
-	keys := keysort.New(len(stored), 9*len(t.Clustered.KeyColumns))
-	for _, row := range stored {
-		for _, ord := range t.Clustered.KeyColumns {
-			keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
-		}
-		keys.End()
-	}
+// rows, whose bare clustered keys are keys, then fills indexes from the rows
+// in hand. Whatever can refuse the load — an entry too large for a page, a
+// duplicate in a unique index — is found before the first page is allocated:
+// every payload is encoded, and every index's entries worked out on other
+// goroutines, before the tree is built. It returns the rows in key order
+// when that is not their input order, and nil when it is.
+func (t *Table) loadClustered(stored [][]value.Value, keys *keysort.Keys, indexes []*Index) ([][]value.Value, error) {
 	order := keys.Order()
 	rows := make([][]value.Value, len(order))
 	locs := make([][]byte, len(order))
+	reordered := false
 	for i, p := range order {
 		rows[i], locs[i] = stored[p], keys.Key(p)
+		reordered = reordered || p != i
 		if i > 0 {
 			// Sorted input makes the previous row the predecessor Insert would find.
 			var err error
@@ -609,35 +665,50 @@ func (t *Table) loadClustered(stored [][]value.Value, indexes []*Index) ([]*entr
 	prepared := make([]*entries, len(indexes))
 	errs := make([]error, len(indexes))
 	var wg sync.WaitGroup
-	wg.Add(1 + len(indexes))
-	go func() {
-		defer wg.Done()
-		for _, row := range rows {
-			t.Stats.observe(row)
-		}
-	}()
+	wg.Add(len(indexes))
 	for i, ix := range indexes {
 		go func() {
 			defer wg.Done()
 			prepared[i], errs[i] = ix.entries(rows, locs)
 		}()
 	}
-	var scratch []value.Value
-	var payload []byte
-	i := 0
-	err := t.Clustered.tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(rows) {
-			return nil, nil, false
+	payloads := t.payloads(rows)
+	var err error
+	for i := range rows {
+		if n := len(locs[i]) + len(payloads.Key(i)); n > btree.MaxEntry {
+			err = t.tooLarge(n)
+			break
 		}
-		payload = t.layout.encodePayload(payload[:0], rows[i], &scratch)
-		i++
-		return locs[i-1], payload, true
-	}, 0.95)
+	}
 	wg.Wait()
 	for _, e := range errs {
 		err = cmp.Or(err, e)
 	}
-	return prepared, err
+	if err != nil {
+		return nil, err
+	}
+	i := 0
+	err = t.Clustered.tree.BulkLoad(func() ([]byte, []byte, bool) {
+		if i >= len(rows) {
+			return nil, nil, false
+		}
+		i++
+		return locs[i-1], payloads.Key(i - 1), true
+	}, 0.95)
+	if err != nil {
+		return nil, err
+	}
+	// The indexes' trees are filled one after another, existing ones first,
+	// so their pages are allocated in the order CREATE INDEX would.
+	for i, ix := range indexes {
+		if err := ix.fill(prepared[i]); err != nil {
+			return nil, err
+		}
+	}
+	if !reordered {
+		return nil, nil
+	}
+	return rows, nil
 }
 
 // Range is the one access-path descriptor of the storage layer: a key-prefix
@@ -1042,9 +1113,6 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 	if err != nil {
 		return nil, err
 	}
-	if idx.tree, err = btree.New(c.pager); err != nil {
-		return nil, err
-	}
 	rows, locs, err := t.scanStored()
 	if err != nil {
 		return nil, err
@@ -1215,6 +1283,9 @@ func (ix *Index) entries(rows [][]value.Value, locs [][]byte) (*entries, error) 
 		es.keys.End()
 		es.payloads.Buf = ix.layout.encodePayload(es.payloads.Buf, row, &scratch)
 		es.payloads.End() // a byte-string list, never sorted
+		if n := len(es.keys.Key(i)) + len(es.payloads.Key(i)); n > btree.MaxEntry {
+			return nil, fmt.Errorf("catalog: index %q: an entry of %d bytes does not fit in a page", ix.Name, n)
+		}
 	}
 	// Locators are unique, so the keys are too and any sort is stable.
 	es.order = es.keys.Order()
@@ -1230,8 +1301,15 @@ func (ix *Index) entries(rows [][]value.Value, locs [][]byte) (*entries, error) 
 	return es, nil
 }
 
-// fill bulk-loads the empty index with its entries.
+// fill bulk-loads the empty index with its entries, first creating its tree
+// when a new index has none yet.
 func (ix *Index) fill(es *entries) error {
+	if ix.tree == nil {
+		var err error
+		if ix.tree, err = btree.New(ix.Table.catalog.pager); err != nil {
+			return err
+		}
+	}
 	i := 0
 	return ix.tree.BulkLoad(func() ([]byte, []byte, bool) {
 		if i >= len(es.order) {

@@ -3,6 +3,9 @@ package catalog
 import (
 	"math"
 	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
@@ -43,6 +46,10 @@ type columnStats struct {
 	// same value again changes nothing — the sketch and the bounds already
 	// hold it — so observe skips it; sorted and clustered columns repeat a lot.
 	last value.Value
+	// tied is set once bound has kept one of two values that compare equal
+	// but are not identical: then the bounds depend on the order the values
+	// came in (see TableStats.rebound).
+	tied bool
 }
 
 // distinctSketch counts the distinct values of a column in bounded memory:
@@ -185,24 +192,104 @@ func (s *TableStats) observe(row []value.Value) {
 		if i >= len(s.columns) {
 			break
 		}
-		cs := &s.columns[i]
-		v := row[i]
-		if v.IsNull() {
-			cs.nulls++
+		s.columns[i].observe(row[i])
+	}
+}
+
+// fold folds rows, every one as wide as the table, into statistics that have
+// observed nothing yet. The columns are independent, so they are split over
+// GOMAXPROCS goroutines, each taking the next unclaimed column and folding it
+// in row order; every field ends as observe, row by row, would leave it.
+func (s *TableStats) fold(rows [][]value.Value) {
+	bytes := make([]int64, len(s.columns)) // DataBytes, by column
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(s.columns)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for c := int(next.Add(1) - 1); c < len(s.columns); c = int(next.Add(1) - 1) {
+				// Fold into locals: neighbouring columns share cache lines.
+				cs, n := s.columns[c], int64(0)
+				for _, row := range rows {
+					n += int64(value.FieldSize(row[c]))
+					cs.observe(row[c])
+				}
+				s.columns[c], bytes[c] = cs, n
+			}
+		}()
+	}
+	wg.Wait()
+	s.RowCount = int64(len(rows))
+	s.DataBytes = s.RowCount * int64(value.RowHeaderSize(len(s.columns)))
+	for _, n := range bytes {
+		s.DataBytes += n
+	}
+}
+
+// rebound re-derives, from rows, the bounds of every column whose fold met a
+// tie (see columnStats.tied): rows are the rows fold saw, in the order
+// observe would have seen them. The counts and sketches do not depend on the
+// order, and an untied column's bounds do not either.
+func (s *TableStats) rebound(rows [][]value.Value) {
+	for c := range s.columns {
+		cs := &s.columns[c]
+		if !cs.tied {
 			continue
 		}
-		if v == cs.last {
-			continue
-		}
-		cs.last = v
-		cs.distinct.add(v.Hash())
-		if cs.min.IsNull() || value.Compare(v, cs.min) < 0 {
-			cs.min = v
-		}
-		if cs.max.IsNull() || value.Compare(v, cs.max) > 0 {
-			cs.max = v
+		cs.min, cs.max = value.Null(), value.Null()
+		for _, row := range rows {
+			if v := row[c]; !v.IsNull() {
+				cs.bound(v)
+			}
 		}
 	}
+}
+
+// observe folds one value of the column into its statistics.
+func (cs *columnStats) observe(v value.Value) {
+	if v.IsNull() {
+		cs.nulls++
+		return
+	}
+	if v == cs.last {
+		return
+	}
+	cs.last = v
+	cs.distinct.add(v.Hash())
+	cs.bound(v)
+}
+
+// bound widens the column's bounds to the non-NULL value v. A bound is
+// replaced only by a value that compares strictly beyond it, so of values
+// that compare equal the first one seen stays. When that choice arises
+// between values that are not identical (a NaN, or an integer past 2^53
+// stored as given in a FLOAT column beside the float it rounds to), tied
+// records it: only then do the bounds depend on the order of the values.
+func (cs *columnStats) bound(v value.Value) {
+	if cs.min.IsNull() {
+		cs.min, cs.max = v, v
+		return
+	}
+	switch c := value.Compare(v, cs.min); {
+	case c < 0:
+		cs.min = v
+	case c == 0 && !identical(v, cs.min):
+		cs.tied = true
+	}
+	switch c := value.Compare(v, cs.max); {
+	case c > 0:
+		cs.max = v
+	case c == 0 && !identical(v, cs.max):
+		cs.tied = true
+	}
+}
+
+// identical reports whether two values that compare equal are the same
+// value: equal values of one kind differ only where a float's bits do
+// (NaN, negative zero).
+func identical(a, b value.Value) bool {
+	return a.Kind == b.Kind && math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // DistinctCount returns the (possibly estimated) number of distinct non-NULL

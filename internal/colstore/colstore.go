@@ -167,7 +167,7 @@ type Projection struct {
 
 // valueBytes is the encoded size of a single value.
 func valueBytes(v value.Value) int64 {
-	return int64(value.RowSize([]value.Value{v})) - 1 // drop the arity byte
+	return int64(value.FieldSize(v))
 }
 
 // BuildProjection sorts rows by sortCols and compresses every column. The

@@ -217,16 +217,28 @@ func indexOf(list []string, name string) int {
 
 // sortedColumns returns the design's columns — rows' values at positions, in
 // design order — as one flat column each, in the design's sort order: by
-// those columns in turn. Each row's sort key is encoded once
-// (value.AppendKeyValue, whose byte order is Compare's) and only a
-// permutation is sorted. Rows equal on every design column are
-// interchangeable, so the tie-break on position only makes the order
-// deterministic. Every later pass then reads the columns front to back.
+// those columns in turn. Each row's sort key is encoded once and only a
+// permutation is sorted. A column whose non-NULL values are all of one kind
+// is encoded as a stored key (value.AppendStoredKeyValue: a date in 3 bytes
+// instead of 9), whose byte order within one kind is Compare's; any other
+// column keeps value.AppendKeyValue, whose byte order is Compare's across
+// kinds. Either way equal values encode equally, so the order is the same.
+// Rows equal on every design column are interchangeable, so the tie-break on
+// position only makes the order deterministic. Every later pass then reads
+// the columns front to back.
 func sortedColumns(rows []exec.Row, positions []int) [][]value.Value {
+	compact := make([]bool, len(positions))
+	for d, p := range positions {
+		compact[d] = oneKind(rows, p)
+	}
 	keys := keysort.New(len(rows), 9*len(positions))
 	for _, row := range rows {
-		for _, p := range positions {
-			keys.Buf = value.AppendKeyValue(keys.Buf, row[p])
+		for d, p := range positions {
+			if compact[d] {
+				keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[p])
+			} else {
+				keys.Buf = value.AppendKeyValue(keys.Buf, row[p])
+			}
 		}
 		keys.End()
 	}
@@ -242,6 +254,22 @@ func sortedColumns(rows []exec.Row, positions []int) [][]value.Value {
 		}
 	}
 	return cols
+}
+
+// oneKind reports whether the non-NULL values at position p of rows are all
+// of one kind.
+func oneKind(rows []exec.Row, p int) bool {
+	kind := value.KindNull
+	for _, row := range rows {
+		switch k := row[p].Kind; {
+		case k == value.KindNull || k == kind:
+		case kind == value.KindNull:
+			kind = k
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // runBreaks returns, for each sorted position, the depth of the first design

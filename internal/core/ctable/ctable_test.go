@@ -1,9 +1,13 @@
 package ctable
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"oldelephant/internal/engine"
+	"oldelephant/internal/exec"
 	"oldelephant/internal/value"
 )
 
@@ -291,6 +295,73 @@ func TestCompressedCTableExecution(t *testing.T) {
 				if cv.Kind != rv.Kind || value.Compare(cv, rv) != 0 {
 					t.Errorf("%q row %d col %d: %v vs %v", q, i, j, cv, rv)
 				}
+			}
+		}
+	}
+}
+
+// TestSortedColumnsOrdersLikeCompare: sortedColumns encodes a column of one
+// kind as compact stored keys and any other column as in-memory keys; either
+// way the rows come out in the order of a stable value.Compare sort on the
+// design columns. The columns hold strings that are prefixes of one another
+// or carry 0x00 bytes, negative, small and huge integers, floats of both
+// signs (-0.0 among them), NULLs, and one column of mixed kinds — integers
+// beside dates and floats that compare equal to them, and strings — which
+// only the in-memory keys order correctly.
+func TestSortedColumnsOrdersLikeCompare(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	strs := []string{"", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "abc", "b"}
+	ints := []int64{math.MinInt64, -1<<53 - 1, -65536, -256, -255, -1, 0, 1, 255, 256, 1 << 53, 1<<53 + 1, math.MaxInt64}
+	floats := []float64{math.Inf(-1), -1e300, -2.5, math.Copysign(0, -1), 0, 0.5, 3, 1 << 53, 1e300, math.Inf(1)}
+	pick := func(vals []value.Value) value.Value {
+		if r.Intn(8) == 0 {
+			return value.Null()
+		}
+		return vals[r.Intn(len(vals))]
+	}
+	var strVals, intVals, floatVals, mixed []value.Value
+	for _, s := range strs {
+		strVals = append(strVals, value.NewString(s))
+	}
+	for _, i := range ints {
+		intVals = append(intVals, value.NewInt(i))
+		mixed = append(mixed, value.NewInt(i), value.NewDate(i))
+	}
+	for _, f := range floats {
+		floatVals = append(floatVals, value.NewFloat(f))
+		if f != 1<<53 { // equal to 2^53 and to 2^53+1, which differ: no order
+			mixed = append(mixed, value.NewFloat(f))
+		}
+	}
+	mixed = append(mixed, value.NewString("a"), value.NewString("a\x00"))
+	rows := make([]exec.Row, 3000)
+	for i := range rows {
+		rows[i] = exec.Row{pick(strVals), pick(intVals), pick(floatVals), pick(mixed), value.NewInt(int64(i))}
+	}
+	positions := []int{2, 3, 0, 1}
+	for p, want := range []bool{true, true, true, false} {
+		if got := oneKind(rows, p); got != want {
+			t.Fatalf("column %d: oneKind = %v, want %v", p, got, want)
+		}
+	}
+	ref := make([]int, len(rows))
+	for i := range ref {
+		ref[i] = i
+	}
+	slices.SortStableFunc(ref, func(a, b int) int {
+		for _, p := range positions {
+			if c := value.Compare(rows[a][p], rows[b][p]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	got := sortedColumns(rows, positions)
+	for i, at := range ref {
+		for d, p := range positions {
+			g, w := got[d][i], rows[at][p]
+			if g.Kind != w.Kind || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
+				t.Fatalf("position %d, column %d: %v (%v), reference %v (%v)", i, p, g, g.Kind, w, w.Kind)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ctable
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -19,7 +20,10 @@ import (
 
 // shapedEngine loads l(lk, ln, sk, sd, flag, price), o(ok, od, ck) and
 // c(ck, nk): small domains, so sort keys tie often and runs form, and NULLs
-// in sk and price.
+// in sk and price. w(id, name, big, ratio) holds the values whose compact
+// sort keys differ most from the in-memory ones: strings that are prefixes
+// of one another or hold a 0x00 byte, negative and huge integers, negative
+// floats, and NULLs in each.
 func shapedEngine(t testing.TB, r *rand.Rand) *engine.Engine {
 	t.Helper()
 	e := engine.Default()
@@ -27,6 +31,7 @@ func shapedEngine(t testing.TB, r *rand.Rand) *engine.Engine {
 		"CREATE TABLE l (lk INT, ln INT, sk INT, sd DATE, flag VARCHAR(1), price DOUBLE, PRIMARY KEY (lk, ln))",
 		"CREATE TABLE o (ok INT, od DATE, ck INT, PRIMARY KEY (ok))",
 		"CREATE TABLE c (ck INT, nk INT, PRIMARY KEY (ck))",
+		"CREATE TABLE w (id INT, name VARCHAR(8), big BIGINT, ratio DOUBLE, PRIMARY KEY (id))",
 	} {
 		if _, err := e.Execute(ddl); err != nil {
 			t.Fatal(err)
@@ -55,10 +60,21 @@ func shapedEngine(t testing.TB, r *rand.Rand) *engine.Engine {
 			})
 		}
 	}
+	names := []string{"", "a", "a\x00", "a\x00b", "ab", "abc", "b"}
+	bigs := []int64{math.MinInt64, -1 << 53, -256, -1, 0, 1, 255, 1<<53 + 1, math.MaxInt64}
+	var wRows [][]value.Value
+	for id := 0; id < 300; id++ {
+		wRows = append(wRows, []value.Value{
+			value.NewInt(int64(id)),
+			nullable(value.NewString(names[r.Intn(len(names))])),
+			nullable(value.NewInt(bigs[r.Intn(len(bigs))])),
+			nullable(value.NewFloat(float64(r.Intn(9)-4) / 2)),
+		})
+	}
 	for _, load := range []struct {
 		table string
 		rows  [][]value.Value
-	}{{"c", cRows}, {"o", oRows}, {"l", lRows}} {
+	}{{"c", cRows}, {"o", oRows}, {"l", lRows}, {"w", wRows}} {
 		if err := e.BulkLoad(load.table, load.rows); err != nil {
 			t.Fatal(err)
 		}
@@ -66,8 +82,9 @@ func shapedEngine(t testing.TB, r *rand.Rand) *engine.Engine {
 	return e
 }
 
-// shapedDesigns mirror the paper's D1, D2 and D4; each source selects the
-// design's columns in design order, sort columns first.
+// shapedDesigns mirror the paper's D1, D2 and D4, and dw sorts on w's
+// awkward values; each source selects the design's columns in design order,
+// sort columns first.
 var shapedDesigns = []struct {
 	name, sql      string
 	cols, sortCols []string
@@ -75,6 +92,7 @@ var shapedDesigns = []struct {
 	{"d1", "SELECT sd, sk FROM l", []string{"sd", "sk"}, []string{"sd", "sk"}},
 	{"d2", "SELECT od, sk, sd FROM l, o WHERE lk = ok", []string{"od", "sk", "sd"}, []string{"od", "sk"}},
 	{"d4", "SELECT flag, nk, price FROM l, o, c WHERE lk = ok AND o.ck = c.ck", []string{"flag", "nk", "price"}, []string{"flag"}},
+	{"dw", "SELECT name, big, ratio FROM w", []string{"name", "big", "ratio"}, []string{"name", "big", "ratio"}},
 }
 
 // refRun is one (f, v, c) run of the reference algorithm.

@@ -8,7 +8,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -820,27 +819,7 @@ func (e *Engine) applyBulkLoad(table string, rows [][]value.Value, defs []catalo
 		if err != nil {
 			return nil, err
 		}
-		// A row is copied only when coercion changes one of its values.
-		coerced := rows
-		for i, row := range rows {
-			if len(row) != len(tbl.Columns) {
-				return nil, fmt.Errorf("engine: bulk load row %d has %d values, expected %d", i, len(row), len(tbl.Columns))
-			}
-			for j, v := range row {
-				w := coerceValue(v, tbl.Columns[j].Kind)
-				if w.Kind == v.Kind { // every conversion changes the kind
-					continue
-				}
-				if &coerced[0] == &rows[0] {
-					coerced = slices.Clone(rows)
-				}
-				if &coerced[i][0] == &row[0] {
-					coerced[i] = slices.Clone(row)
-				}
-				coerced[i][j] = w
-			}
-		}
-		return &Result{}, tbl.BulkLoad(coerced, defs...)
+		return &Result{}, tbl.BulkLoadWith(coerceValue, rows, defs...)
 	})
 }
 

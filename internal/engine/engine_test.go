@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/catalog"
 	"oldelephant/internal/value"
 )
 
@@ -506,6 +507,64 @@ func TestBulkLoadValidation(t *testing.T) {
 	}
 	if rows[0][1].Kind != value.KindString {
 		t.Errorf("bulk load coerced the caller's row in place: %v", rows[0][1])
+	}
+}
+
+// TestRefusedBulkLoadLeavesNoTrace: a bulk load whose 900th of 1,000 rows
+// cannot fit in a page is refused before any row is stored or any page
+// allocated, on a clustered table and on a heap, in memory and durably. It
+// used to leave the clustered table's statistics counting the 1,000 rows
+// and 3 pages allocated, and the heap holding the first 900 rows, after which
+// every later load was refused. Afterwards the table, its statistics and the
+// page count are as before, and a load of good rows succeeds.
+func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
+	rows := make([][]value.Value, 1000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprint("s", i))}
+	}
+	rows[900][1] = value.NewString(strings.Repeat("x", 20000))
+	for _, mode := range []string{"memory", "durable"} {
+		for _, key := range []string{", PRIMARY KEY (k)", ""} {
+			name := fmt.Sprintf("%s, key %q", mode, key)
+			e := Default()
+			if mode == "durable" {
+				var err error
+				if e, err = Open(Options{DataDir: t.TempDir()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			mustExec(t, e, "CREATE TABLE t (k INT, s VARCHAR(64)"+key+")")
+			// A durable engine's rollback restores the catalog as new objects.
+			stats := func() *catalog.TableStats {
+				tbl, err := e.Catalog().Table("t")
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tbl.Stats
+			}
+			pages := e.TotalDataPages()
+			if err := e.BulkLoad("t", rows); err == nil {
+				t.Fatalf("%s: a row of 20,000 bytes was accepted", name)
+			}
+			if n := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 0 {
+				t.Errorf("%s: the refused load stored %d rows", name, n)
+			}
+			if s := stats(); s.RowCount != 0 || s.DataBytes != 0 {
+				t.Errorf("%s: the refused load left statistics of %d rows, %d bytes", name, s.RowCount, s.DataBytes)
+			}
+			if n := e.TotalDataPages(); n != pages {
+				t.Errorf("%s: the refused load allocated pages: %d -> %d", name, pages, n)
+			}
+			if err := e.BulkLoad("t", rows[:10]); err != nil {
+				t.Fatalf("%s: a load of good rows after the refused one: %v", name, err)
+			}
+			if n := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 10 || stats().RowCount != 10 {
+				t.Errorf("%s: after the retry, COUNT(*) = %d and statistics count %d; want 10 and 10", name, n, stats().RowCount)
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

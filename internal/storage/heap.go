@@ -26,9 +26,12 @@ func OpenHeapFile(pager *Pager, pageIDs []PageID, rowCount int64) *HeapFile {
 // PageIDs returns the heap's page chain (for meta persistence and freeing).
 func (h *HeapFile) PageIDs() []PageID { return h.pageIDs }
 
+// MaxRecord is the size of the largest record a heap page holds.
+const MaxRecord = PageSize - pageHeaderSize - slotSize - TupleOverhead
+
 // Insert appends a record and returns its RID.
 func (h *HeapFile) Insert(rec []byte) (RID, error) {
-	if len(rec)+TupleOverhead > PageSize-pageHeaderSize-slotSize {
+	if len(rec) > MaxRecord {
 		return RID{}, fmt.Errorf("storage: record of %d bytes does not fit in a page", len(rec))
 	}
 	if len(h.pageIDs) > 0 {

@@ -112,6 +112,25 @@ var segments = []string{"AUTOMOBILE", "BUILDING", "FURNITURE", "MACHINERY", "HOU
 var priorities = []string{"1-URGENT", "2-HIGH", "3-MEDIUM", "4-NOT SPECIFIED", "5-LOW"}
 var shipmodes = []string{"REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
 var partTypes = []string{"STANDARD", "SMALL", "MEDIUM", "LARGE", "ECONOMY", "PROMO"}
+var orderStatuses = []string{"O", "F", "P"}
+
+// arena hands out a table's rows as windows of a few large blocks, so that
+// generating n rows costs a handful of allocations rather than n.
+type arena struct {
+	block      []value.Value
+	width, per int // values per row, rows per block
+}
+
+// add returns a row holding vals, which it copies.
+func (a *arena) add(vals ...value.Value) []value.Value {
+	if len(a.block) < a.width {
+		a.block = make([]value.Value, a.width*a.per)
+	}
+	row := a.block[:a.width:a.width]
+	a.block = a.block[a.width:]
+	copy(row, vals)
+	return row
+}
 
 // Rows generates the rows of one table.
 func (g *Generator) Rows(table string) ([][]value.Value, error) {
@@ -137,55 +156,59 @@ func (g *Generator) Rows(table string) ([][]value.Value, error) {
 	case "supplier":
 		n := counts["supplier"]
 		rows := make([][]value.Value, n)
+		a := arena{width: 4, per: n}
 		for i := 0; i < n; i++ {
-			rows[i] = []value.Value{
-				value.NewInt(int64(i + 1)),
+			rows[i] = a.add(
+				value.NewInt(int64(i+1)),
 				value.NewString(fmt.Sprintf("Supplier#%09d", i+1)),
 				value.NewInt(int64(rng.Intn(25))),
-				value.NewFloat(float64(rng.Intn(999999))/100 - 999.99),
-			}
+				value.NewFloat(float64(rng.Intn(999999))/100-999.99),
+			)
 		}
 		return rows, nil
 	case "customer":
 		n := counts["customer"]
 		rows := make([][]value.Value, n)
+		a := arena{width: 5, per: n}
 		for i := 0; i < n; i++ {
-			rows[i] = []value.Value{
-				value.NewInt(int64(i + 1)),
+			rows[i] = a.add(
+				value.NewInt(int64(i+1)),
 				value.NewString(fmt.Sprintf("Customer#%09d", i+1)),
 				value.NewInt(int64(rng.Intn(25))),
-				value.NewFloat(float64(rng.Intn(999999))/100 - 999.99),
+				value.NewFloat(float64(rng.Intn(999999))/100-999.99),
 				value.NewString(segments[rng.Intn(len(segments))]),
-			}
+			)
 		}
 		return rows, nil
 	case "part":
 		n := counts["part"]
 		rows := make([][]value.Value, n)
+		a := arena{width: 5, per: n}
 		for i := 0; i < n; i++ {
-			rows[i] = []value.Value{
-				value.NewInt(int64(i + 1)),
+			rows[i] = a.add(
+				value.NewInt(int64(i+1)),
 				value.NewString(fmt.Sprintf("part %d %s", i+1, partTypes[rng.Intn(len(partTypes))])),
 				value.NewString(fmt.Sprintf("Brand#%d%d", 1+rng.Intn(5), 1+rng.Intn(5))),
 				value.NewString(partTypes[rng.Intn(len(partTypes))]),
-				value.NewFloat(900 + float64((i+1)%1000)/10),
-			}
+				value.NewFloat(900+float64((i+1)%1000)/10),
+			)
 		}
 		return rows, nil
 	case "orders":
 		n := counts["orders"]
 		custs := counts["customer"]
 		rows := make([][]value.Value, n)
+		a := arena{width: 6, per: n}
 		for i := 0; i < n; i++ {
 			orderDate := startDate + int64(rng.Intn(int(endDate-startDate-121)))
-			rows[i] = []value.Value{
+			rows[i] = a.add(
 				value.NewInt(orderKeyFor(i)),
-				value.NewInt(int64(1 + rng.Intn(custs))),
-				value.NewString([]string{"O", "F", "P"}[rng.Intn(3)]),
-				value.NewFloat(1000 + float64(rng.Intn(450000))/10),
+				value.NewInt(int64(1+rng.Intn(custs))),
+				value.NewString(orderStatuses[rng.Intn(len(orderStatuses))]),
+				value.NewFloat(1000+float64(rng.Intn(450000))/10),
 				value.NewDate(orderDate),
 				value.NewString(priorities[rng.Intn(len(priorities))]),
-			}
+			)
 		}
 		return rows, nil
 	case "lineitem":
@@ -210,6 +233,8 @@ func (g *Generator) lineitemRows(rng *rand.Rand, counts map[string]int) ([][]val
 	// seed and sequence the orders generator used.
 	orderRng := rand.New(rand.NewSource(g.Seed + int64(len("orders"))*7919))
 	rows := make([][]value.Value, 0, nOrders*4)
+	// A block per 1,024 orders: the line count is drawn as the rows are made.
+	a := arena{width: 14, per: 4 * 1024}
 	for i := 0; i < nOrders; i++ {
 		orderDate := startDate + int64(orderRng.Intn(int(endDate-startDate-121)))
 		// Consume the same random draws the orders generator makes after the date.
@@ -236,22 +261,22 @@ func (g *Generator) lineitemRows(rng *rand.Rand, counts map[string]int) ([][]val
 			if shipDate <= currentDate {
 				status = "F"
 			}
-			rows = append(rows, []value.Value{
+			rows = append(rows, a.add(
 				value.NewInt(orderKeyFor(i)),
-				value.NewInt(int64(1 + rng.Intn(nPart))),
-				value.NewInt(int64(1 + rng.Intn(nSupp))),
+				value.NewInt(int64(1+rng.Intn(nPart))),
+				value.NewInt(int64(1+rng.Intn(nSupp))),
 				value.NewInt(int64(ln)),
 				value.NewFloat(quantity),
-				value.NewFloat(price * quantity / 10),
-				value.NewFloat(float64(rng.Intn(11)) / 100),
-				value.NewFloat(float64(rng.Intn(9)) / 100),
+				value.NewFloat(price*quantity/10),
+				value.NewFloat(float64(rng.Intn(11))/100),
+				value.NewFloat(float64(rng.Intn(9))/100),
 				value.NewString(flag),
 				value.NewString(status),
 				value.NewDate(shipDate),
 				value.NewDate(commitDate),
 				value.NewDate(receiptDate),
 				value.NewString(shipmodes[rng.Intn(len(shipmodes))]),
-			})
+			))
 		}
 	}
 	return rows, nil

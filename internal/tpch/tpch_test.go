@@ -217,3 +217,15 @@ func TestLoadAllSmall(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLoadCore generates and bulk-loads customer, orders and lineitem
+// at SF 0.01 into a fresh engine: the set-up every experiment starts from.
+func BenchmarkLoadCore(b *testing.B) {
+	b.ReportAllocs()
+	g := NewGenerator(0.01)
+	for b.Loop() {
+		if err := g.LoadCore(engine.Default()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

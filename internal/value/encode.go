@@ -231,22 +231,30 @@ func NumericSortKey(v Value) uint64 {
 }
 
 // RowSize returns the number of bytes EncodeTuple would use for row, useful
-// for page space accounting without allocating.
+// for page space accounting without allocating: RowHeaderSize(len(row)) plus
+// each value's FieldSize.
 func RowSize(row []Value) int {
-	size := uvarintLen(uint64(len(row)))
+	size := RowHeaderSize(len(row))
 	for _, v := range row {
-		size++ // kind byte
-		switch v.Kind {
-		case KindNull:
-		case KindInt, KindDate, KindBool:
-			size += varintLen(v.I)
-		case KindFloat:
-			size += uvarintLen(floatTupleBits(v.F))
-		case KindString:
-			size += uvarintLen(uint64(len(v.S))) + len(v.S)
-		}
+		size += FieldSize(v)
 	}
 	return size
+}
+
+// RowHeaderSize is the part of RowSize that encodes a row's length n.
+func RowHeaderSize(n int) int { return uvarintLen(uint64(n)) }
+
+// FieldSize is one value's part of RowSize: its kind byte and its body.
+func FieldSize(v Value) int {
+	switch v.Kind {
+	case KindInt, KindDate, KindBool:
+		return 1 + varintLen(v.I)
+	case KindFloat:
+		return 1 + uvarintLen(floatTupleBits(v.F))
+	case KindString:
+		return 1 + uvarintLen(uint64(len(v.S))) + len(v.S)
+	}
+	return 1
 }
 
 // floatTupleBits is the varint payload of a FLOAT tuple field: the float64
