@@ -161,6 +161,10 @@ func (c *Catalog) Tables() []*Table {
 type Table struct {
 	Name    string
 	Columns []Column
+	// Definition is the defining SQL of a table that materializes a view,
+	// empty for a base table. The catalog persists it in its meta and does
+	// not interpret it.
+	Definition string
 
 	// Clustered is the clustered index, nil for heap tables.
 	Clustered *Index

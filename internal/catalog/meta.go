@@ -1,16 +1,19 @@
-// Catalog meta persistence: the logical half of durability. The WAL's page
-// images restore every B+-tree and heap page byte for byte; this snapshot
-// restores the schema layer above them — table and index definitions, tree
-// roots, leftmost leaves and their fences, heights and counts, heap page chains and statistics — so
-// Open can reattach live Table/Index objects to the recovered pages. Record
-// layouts are not persisted: they follow from the schema (Table.initLayouts),
-// and metaVersion names the layout rules the pages were written under.
+// Catalog meta persistence: the logical half of durability, and the one
+// snapshot of recoverable state. The WAL's page images restore every B+-tree
+// and heap page byte for byte; this snapshot restores everything above them —
+// table and index definitions, tree roots, leftmost leaves and their fences,
+// heights and counts, heap page chains, statistics, the defining SQL of each
+// table that materializes a view, and the pager's freelist — so Open can
+// reattach live Table/Index objects to the recovered pages. Record layouts are
+// not persisted: they follow from the schema (Table.initLayouts), and
+// metaVersion names the layout rules the pages were written under.
 package catalog
 
 import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 
 	"oldelephant/internal/btree"
@@ -18,12 +21,16 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 6: each tree's leftmost leaf and that leaf's fence, the first
-// separator above it, are stored beside its root, height and count
-// (encodeTree), so a scan with an open start, or a seek from a key at or below
-// the fence, begins at that leaf without a descent. Pages are laid out as
-// under versions 5 and 4, whose metas lack the fence (and, in version 4, the
-// leftmost leaf) and would misparse: every column stored once — bare clustered keys
+// metaVersion 7: each table carries its view definition (empty for a base
+// table) and the pager's freelist follows the tables, so this snapshot is all
+// the recoverable state there is. Version 6 metas lack both, and a directory
+// written before version 7 wraps its meta in an envelope whose first byte is
+// 1, so it reads as version 1. Each tree's leftmost leaf and that leaf's
+// fence, the first separator above it, are stored beside its root, height and
+// count (encodeTree), so a scan with an open start, or a seek from a key at or
+// below the fence, begins at that leaf without a descent. Pages are laid out
+// as under versions 6, 5 and 4, whose metas lack the fence (and, in version
+// 4, the leftmost leaf) and would misparse: every column stored once — bare clustered keys
 // with a uniquifier on duplicates only, key-stripped payloads, secondary
 // entries located by clustered key — with each key column encoded under its
 // declared kind (value.AppendStoredKeyValue), each payload a record under its
@@ -35,16 +42,22 @@ import (
 // numeric key as a 9- or 17-byte cross-kind word, version 1 pages also repeat
 // key columns in the payload. Decoding any of them under these rules would
 // return wrong rows or none, so RestoreMeta refuses them.
-const metaVersion = 6
+const metaVersion = 7
 
 type metaWriter struct{ buf []byte }
 
 func (w *metaWriter) u8(v byte)      { w.buf = append(w.buf, v) }
 func (w *metaWriter) uv(v uint64)    { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *metaWriter) iv(v int64)     { w.buf = binary.AppendVarint(w.buf, v) }
-func (w *metaWriter) bool(v bool)    { w.u8(map[bool]byte{false: 0, true: 1}[v]) }
 func (w *metaWriter) str(s string)   { w.uv(uint64(len(s))); w.buf = append(w.buf, s...) }
 func (w *metaWriter) bytes(b []byte) { w.uv(uint64(len(b))); w.buf = append(w.buf, b...) }
+func (w *metaWriter) bool(v bool) {
+	if v {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
 func (w *metaWriter) ords(o []int) {
 	w.uv(uint64(len(o)))
 	for _, v := range o {
@@ -103,28 +116,30 @@ func (r *metaReader) iv() int64 {
 	return v
 }
 func (r *metaReader) bool() bool { return r.u8() != 0 }
-func (r *metaReader) str() string {
-	n := int(r.uv())
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.fail()
-		return ""
+
+// count reads a length or an item count. Every byte string and every listed
+// item takes at least one byte, so a count above the bytes left is corrupt:
+// refusing it keeps a crafted meta from slicing out of range or allocating
+// without bound.
+func (r *metaReader) count() int {
+	n := r.uv()
+	if r.err == nil && n > uint64(len(r.buf)-r.off) {
+		r.err = fmt.Errorf("catalog: meta count %d at offset %d exceeds the %d bytes left", n, r.off, len(r.buf)-r.off)
 	}
-	s := string(r.buf[r.off : r.off+n])
-	r.off += n
-	return s
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
 }
 func (r *metaReader) bytes() []byte {
-	n := int(r.uv())
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
+	n := r.count()
 	b := r.buf[r.off : r.off+n]
 	r.off += n
 	return b
 }
+func (r *metaReader) str() string { return string(r.bytes()) }
 func (r *metaReader) ords() []int {
-	n := int(r.uv())
+	n := r.count()
 	out := make([]int, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, int(r.uv()))
@@ -132,7 +147,7 @@ func (r *metaReader) ords() []int {
 	return out
 }
 func (r *metaReader) pageIDs() []storage.PageID {
-	n := int(r.uv())
+	n := r.count()
 	out := make([]storage.PageID, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, storage.PageID(r.uv()))
@@ -140,8 +155,9 @@ func (r *metaReader) pageIDs() []storage.PageID {
 	return out
 }
 
-// EncodeMeta serializes the catalog: every table's schema, physical layout
-// (tree roots or heap page chains) and statistics.
+// EncodeMeta serializes the catalog: every table's schema, view definition,
+// physical layout (tree roots or heap page chains) and statistics, then the
+// pager's freelist.
 func (c *Catalog) EncodeMeta() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -152,20 +168,18 @@ func (c *Catalog) EncodeMeta() []byte {
 		tables = append(tables, t)
 	}
 	// Deterministic order keeps the replay-twice oracle byte-comparable.
-	for i := 1; i < len(tables); i++ {
-		for j := i; j > 0 && tables[j-1].Name > tables[j].Name; j-- {
-			tables[j-1], tables[j] = tables[j], tables[j-1]
-		}
-	}
+	slices.SortFunc(tables, func(a, b *Table) int { return strings.Compare(a.Name, b.Name) })
 	w.uv(uint64(len(tables)))
 	for _, t := range tables {
 		encodeTable(w, t)
 	}
+	w.pageIDs(c.pager.FreeList())
 	return w.buf
 }
 
 func encodeTable(w *metaWriter, t *Table) {
 	w.str(t.Name)
+	w.str(t.Definition)
 	w.uv(uint64(len(t.Columns)))
 	for _, col := range t.Columns {
 		w.str(col.Name)
@@ -227,7 +241,7 @@ func decodeStats(r *metaReader, cols []Column) (*TableStats, error) {
 	s := NewTableStats(cols)
 	s.RowCount = r.iv()
 	s.DataBytes = r.iv()
-	n := int(r.uv())
+	n := r.count()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -251,9 +265,10 @@ func decodeStats(r *metaReader, cols []Column) (*TableStats, error) {
 	return s, r.err
 }
 
-// RestoreMeta rebuilds the catalog's tables from an EncodeMeta snapshot,
-// attaching them to the (already recovered) pages of the shared pager. Any
-// existing tables are discarded.
+// RestoreMeta rebuilds the catalog's tables and the pager's freelist from an
+// EncodeMeta snapshot, attaching the tables to the (already recovered) pages
+// of the shared pager. Any existing tables are discarded. A snapshot that
+// fails to decode whole, trailing bytes included, changes nothing.
 func (c *Catalog) RestoreMeta(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -261,26 +276,36 @@ func (c *Catalog) RestoreMeta(data []byte) error {
 	if v := r.u8(); v != metaVersion {
 		return fmt.Errorf("catalog: meta version %d not supported: this build reads and writes record layout version %d only", v, metaVersion)
 	}
-	ntables := int(r.uv())
+	ntables := r.count()
 	tables := make(map[string]*Table, ntables)
 	for i := 0; i < ntables && r.err == nil; i++ {
 		t, err := c.decodeTable(r)
 		if err != nil {
 			return err
 		}
-		tables[strings.ToLower(t.Name)] = t
+		key := strings.ToLower(t.Name)
+		if tables[key] != nil {
+			return fmt.Errorf("catalog: meta names table %q twice", t.Name)
+		}
+		tables[key] = t
 	}
+	free := r.pageIDs()
 	if r.err != nil {
 		return r.err
 	}
+	if r.off != len(data) {
+		return fmt.Errorf("catalog: %d trailing bytes after the meta", len(data)-r.off)
+	}
 	c.tables = tables
+	c.pager.SetFreeList(free)
 	return nil
 }
 
 func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 	t := &Table{catalog: c}
 	t.Name = r.str()
-	ncols := int(r.uv())
+	t.Definition = r.str()
+	ncols := r.count()
 	for i := 0; i < ncols && r.err == nil; i++ {
 		name := r.str()
 		kind := value.Kind(r.u8())
@@ -298,7 +323,7 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 		rows := r.iv()
 		t.heap = storage.OpenHeapFile(c.pager, ids, rows)
 	}
-	nsec := int(r.uv())
+	nsec := r.count()
 	for i := 0; i < nsec && r.err == nil; i++ {
 		name := r.str()
 		keyOrds := r.ords()

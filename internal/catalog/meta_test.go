@@ -2,18 +2,21 @@ package catalog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
 )
 
 // TestMetaRoundTripKeepsTreeAnchors: a catalog restored from its own meta, on
 // the same pages, re-encodes byte for byte and reattaches every tree at the
-// same root, leftmost leaf, fence, height and count (meta version 6); a
-// version-5 meta, which stores no fence, and a version-4 one, which stores no
+// same root, leftmost leaf, fence, height and count (meta version 7); a
+// version-6 meta, which stores no view definitions or freelist, a version-5
+// one, which stores no fence either, and a version-4 one, which stores no
 // leftmost leaf either, are refused. A one-leaf tree has no fence on either
 // side of the round trip.
 func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
@@ -32,8 +35,8 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 		}
 	}
 	meta := c.EncodeMeta()
-	if meta[0] != 6 {
-		t.Fatalf("meta starts with version %d, want 6", meta[0])
+	if meta[0] != 7 {
+		t.Fatalf("meta starts with version %d, want 7", meta[0])
 	}
 	r := New(c.Pager())
 	if err := r.RestoreMeta(meta); err != nil {
@@ -69,11 +72,115 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []byte{4, 5} {
+	for _, v := range []byte{4, 5, 6} {
 		old := slices.Clone(meta)
 		old[0] = v
 		if err := New(c.Pager()).RestoreMeta(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("meta version %d not supported", v)) {
 			t.Errorf("a version-%d meta restored with error %v", v, err)
 		}
 	}
+}
+
+// metaSeeds returns real metas: an empty catalog's and that of a catalog with
+// a clustered table and its secondary index, a one-leaf table, a heap table, a
+// table that materializes a view, and the freelist a dropped table left.
+func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
+	tb.Helper()
+	c := New(storage.NewPager(0))
+	seeds := [][]byte{c.EncodeMeta()}
+	must := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	cols := []Column{{Name: "id", Kind: value.KindInt}, {Name: "grp", Kind: value.KindString}, {Name: "amount", Kind: value.KindFloat}}
+	rows := make([][]value.Value, 600)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("g%d", i%7)), value.NewFloat(float64(i) / 4)}
+	}
+	for _, name := range []string{"items", "dropped"} {
+		tbl, err := c.CreateTable(name, cols, []string{"id"})
+		must(err)
+		must(tbl.BulkLoad(rows))
+		_, err = c.CreateIndex(name+"_grp", name, []string{"grp"}, []string{"amount"}, false)
+		must(err)
+	}
+	must(c.DropTable("dropped"))
+	one, err := c.CreateTable("one", cols[:1], []string{"id"})
+	must(err)
+	must(one.Insert([]value.Value{value.NewInt(1)}))
+	heap, err := c.CreateTable("heap", cols, nil)
+	must(err)
+	must(heap.Insert([]value.Value{value.NewInt(1), value.Null(), value.NewFloat(2)}))
+	view, err := c.CreateTable("grp_totals", []Column{{Name: "grp", Kind: value.KindString}, {Name: "total", Kind: value.KindFloat}}, []string{"grp"})
+	must(err)
+	view.Definition = "SELECT grp, SUM(amount) AS total FROM items GROUP BY grp"
+	must(view.Insert([]value.Value{value.NewString("g1"), value.NewFloat(3)}))
+	return c.Pager(), append(seeds, c.EncodeMeta())
+}
+
+// craftedMetas are metas whose lengths or counts no real meta could hold: a
+// name length of 2^63+17 (once a slice-bounds panic), an ords count of 2^40
+// (once an out-of-memory crash) and a table count of 2^64-1 (once read as
+// negative: an empty catalog and no error). testdata/fuzz/FuzzRestoreMeta
+// holds the same three inputs.
+func craftedMetas() map[string][]byte {
+	uv := binary.AppendUvarint
+	table := append([]byte{metaVersion, 1, 1, 't', 0, 1, 2, 'i', 'd', byte(value.KindInt), 1, 1, 'c'}, uv(nil, 1<<40)...)
+	return map[string][]byte{
+		"name length 2^63+17": uv([]byte{metaVersion, 1}, 1<<63+17),
+		"ords count 2^40":     table,
+		"table count 2^64-1":  uv([]byte{metaVersion}, 1<<64-1),
+	}
+}
+
+// TestRestoreMetaRefusesCraftedCounts: a length or count larger than the
+// bytes left, and trailing bytes after a whole meta, are errors; the catalog
+// and the freelist keep what they held.
+func TestRestoreMetaRefusesCraftedCounts(t *testing.T) {
+	pager, seeds := metaSeeds(t)
+	meta := seeds[len(seeds)-1]
+	c := New(pager)
+	if err := c.RestoreMeta(meta); err != nil {
+		t.Fatal(err)
+	}
+	free := pager.FreeList()
+	if len(free) == 0 {
+		t.Fatal("the dropped table left no free page")
+	}
+	bad := craftedMetas()
+	bad["trailing byte"] = append(slices.Clone(meta), 0)
+	for name, data := range bad {
+		if err := c.RestoreMeta(data); err == nil {
+			t.Errorf("%s: restored with no error", name)
+		}
+	}
+	if again := c.EncodeMeta(); !bytes.Equal(again, meta) || !slices.Equal(pager.FreeList(), free) {
+		t.Error("a refused meta changed the catalog or the freelist")
+	}
+}
+
+// FuzzRestoreMeta: no input panics RestoreMeta or makes it allocate beyond
+// its length, and an accepted input re-encodes to a meta that restores and
+// re-encodes to the same bytes.
+func FuzzRestoreMeta(f *testing.F) {
+	pager, seeds := metaSeeds(f)
+	for _, seed := range seeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := New(pager)
+		if err := c.RestoreMeta(data); err != nil {
+			return
+		}
+		once := c.EncodeMeta()
+		r := New(pager)
+		if err := r.RestoreMeta(once); err != nil {
+			t.Fatalf("a re-encoded meta is refused: %v", err)
+		}
+		if twice := r.EncodeMeta(); !bytes.Equal(twice, once) {
+			t.Fatalf("a re-encoded meta of %d bytes re-encodes to %d different bytes", len(once), len(twice))
+		}
+	})
 }

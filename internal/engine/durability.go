@@ -1,34 +1,39 @@
 // Engine durability: the commit path tying statements to the WAL, crash
 // recovery on open, and the checkpoint protocol.
 //
+// The one snapshot of recoverable state above the pages is the catalog meta
+// (Catalog.EncodeMeta): schemas, tree anchors, heap chains, statistics, each
+// view's defining SQL and the pager's freelist. WAL meta frames, the
+// checkpointed meta file and a pending statement's pre-state all hold exactly
+// those bytes; restoreState installs them and re-parses the views.
+//
 // Commit protocol (file-backed engines): every mutating statement runs inside
 // a pager statement scope that captures undo images. On success the engine
 // appends one commit group to the WAL — the full images of every page the
-// statement wrote, the post-statement state snapshot (catalog meta, views,
-// freelist) and a commit marker — while still holding the writer lock, then
-// releases the lock and calls WaitDurable. Group commit happens there:
-// concurrent committers batch behind a single fsync leader. The statement is
-// acknowledged only after its log records are durable.
+// statement wrote, the post-statement catalog meta and a commit marker —
+// while still holding the writer lock, then releases the lock and calls
+// WaitDurable. Group commit happens there: concurrent committers batch behind
+// a single fsync leader. The statement is acknowledged only after its log
+// records are durable.
 //
 // If the log write or fsync fails, the WAL discards every pending commit
 // group and the engine rolls the corresponding statements back (newest
-// first) and restores the pre-state snapshot, so an unacknowledged commit is
+// first) and restores the pre-statement meta, so an unacknowledged commit is
 // never visible — a transient fsync failure costs the statements in flight,
 // not the process.
 //
 // Recovery on open: load the data file (verifying per-page checksums),
 // replay the WAL's complete commit groups over it (physical redo is
-// idempotent), install the last committed state snapshot, verify that every
-// corrupt data-file page was overwritten by redo or is free, and checkpoint.
+// idempotent), install the last committed meta, verify that every corrupt
+// data-file page was overwritten by redo or is free, and checkpoint.
 //
 // Checkpoint: force the WAL durable, flush dirty pages to the data file,
-// atomically replace the meta file with the current snapshot, then truncate
-// the log. Every crash window in that sequence is safe: until the truncate,
-// the WAL still holds (an idempotent superset of) everything the flush wrote.
+// atomically replace the meta file with the current meta, then truncate the
+// log. Every crash window in that sequence is safe: until the truncate, the
+// WAL still holds (an idempotent superset of) everything the flush wrote.
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -43,8 +48,6 @@ const (
 	dataFileName = "elephant.data"
 	walFileName  = "elephant.wal"
 	metaFileName = "elephant.meta"
-
-	stateVersion = 1
 )
 
 // Statement kinds recorded in WAL commit markers.
@@ -59,7 +62,7 @@ const (
 type pendingCommit struct {
 	lsn     int64
 	undo    *storage.StmtUndo
-	preMeta []byte // state snapshot from before the statement
+	preMeta []byte // catalog meta from before the statement
 }
 
 // Durable reports whether the engine writes a WAL and data file.
@@ -189,7 +192,7 @@ func (e *Engine) mutateLocked(kind byte, info string, fn func() (*Result, error)
 	if err := e.reconcileLocked(); err != nil {
 		return nil, 0, err
 	}
-	preMeta := e.encodeState()
+	preMeta := e.cat.EncodeMeta()
 	e.pager.BeginStmt()
 	res, err := fn()
 	undo := e.pager.EndStmt()
@@ -197,7 +200,7 @@ func (e *Engine) mutateLocked(kind byte, info string, fn func() (*Result, error)
 		var pages []wal.PageImage
 		pages, err = e.commitImages(undo)
 		if err == nil {
-			lsn := e.wal.Append(pages, e.encodeState(), kind, info)
+			lsn := e.wal.Append(pages, e.cat.EncodeMeta(), kind, info)
 			e.pending = append(e.pending, pendingCommit{lsn: lsn, undo: undo, preMeta: preMeta})
 			return res, lsn, nil
 		}
@@ -239,7 +242,7 @@ func (e *Engine) waitDurable(lsn int64) error {
 
 // reconcileLocked settles the pending-commit list against the WAL: durable
 // commits are forgotten; discarded commits (a log write failed) are rolled
-// back newest-first and the pre-state snapshot of the oldest is restored, so
+// back newest-first and the pre-statement meta of the oldest is restored, so
 // the engine returns to the last acknowledged state. Callers hold the writer
 // lock; running it at every mutation entry guarantees no new statement ever
 // builds on top of a discarded, not-yet-rolled-back one.
@@ -274,7 +277,7 @@ func (e *Engine) reconcileLocked() error {
 }
 
 // Checkpoint forces the WAL durable, flushes dirty pages to the data file,
-// atomically replaces the meta snapshot and truncates the log. No-op for
+// atomically replaces the meta file and truncates the log. No-op for
 // memory-mode engines.
 func (e *Engine) Checkpoint() error {
 	e.stateMu.Lock()
@@ -299,7 +302,7 @@ func (e *Engine) checkpointLocked() error {
 	if err := e.pager.FlushDirty(); err != nil {
 		return fmt.Errorf("engine: checkpoint flush: %w", err)
 	}
-	if err := storage.WriteFileAtomic(e.fsys, e.metaPath, e.encodeState()); err != nil {
+	if err := storage.WriteFileAtomic(e.fsys, e.metaPath, e.cat.EncodeMeta()); err != nil {
 		return fmt.Errorf("engine: checkpoint meta: %w", err)
 	}
 	return e.wal.Truncate()
@@ -322,150 +325,30 @@ func (e *Engine) Close() error {
 	return err
 }
 
-// encodeState serializes everything above the pages that recovery needs: the
-// catalog meta (schemas, tree roots, heap chains, stats), the pager freelist
-// and the materialized-view definitions (as re-parseable SQL).
-func (e *Engine) encodeState() []byte {
-	buf := []byte{stateVersion}
-	cat := e.cat.EncodeMeta()
-	buf = binary.AppendUvarint(buf, uint64(len(cat)))
-	buf = append(buf, cat...)
-	free := e.pager.FreeList()
-	buf = binary.AppendUvarint(buf, uint64(len(free)))
-	for _, id := range free {
-		buf = binary.AppendUvarint(buf, uint64(id))
-	}
-	views := e.Views()
-	names := make([]string, 0, len(views))
-	for name := range views {
-		names = append(names, name)
-	}
-	// Deterministic order: recovery replay must be byte-stable.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j-1] > names[j]; j-- {
-			names[j-1], names[j] = names[j], names[j-1]
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(len(names)))
-	appendStr := func(s string) {
-		buf = binary.AppendUvarint(buf, uint64(len(s)))
-		buf = append(buf, s...)
-	}
-	appendStrs := func(ss []string) {
-		buf = binary.AppendUvarint(buf, uint64(len(ss)))
-		for _, s := range ss {
-			appendStr(s)
-		}
-	}
-	for _, name := range names {
-		v := views[name]
-		appendStr(v.Name)
-		appendStr(v.Table)
-		appendStr(v.Query.String())
-		appendStrs(v.GroupColumns)
-		appendStrs(v.AggColumns)
-		appendStrs(v.Aggregates)
-	}
-	return buf
-}
-
-// restoreState rebuilds the catalog, freelist and view definitions from an
-// encodeState snapshot, over whatever pages the pager currently holds.
-func (e *Engine) restoreState(data []byte) error {
-	r := stateReader{buf: data}
-	if v := r.u8(); v != stateVersion {
-		return fmt.Errorf("engine: state version %d not supported", v)
-	}
-	cat := r.bytes()
-	nfree := int(r.uv())
-	free := make([]storage.PageID, 0, nfree)
-	for i := 0; i < nfree && r.err == nil; i++ {
-		free = append(free, storage.PageID(r.uv()))
-	}
-	nviews := int(r.uv())
-	views := make(map[string]*ViewDef, nviews)
-	for i := 0; i < nviews && r.err == nil; i++ {
-		v := &ViewDef{Name: r.str(), Table: r.str()}
-		query := r.str()
-		v.GroupColumns = r.strs()
-		v.AggColumns = r.strs()
-		v.Aggregates = r.strs()
-		if r.err != nil {
-			break
-		}
-		stmt, err := sql.ParseSelect(query)
-		if err != nil {
-			return fmt.Errorf("engine: restore view %q: %w", v.Name, err)
-		}
-		v.Query = stmt
-		views[strings.ToLower(v.Name)] = v
-	}
-	if r.err != nil {
-		return r.err
-	}
-	if err := e.cat.RestoreMeta(cat); err != nil {
+// restoreState installs a catalog meta snapshot (Catalog.RestoreMeta: the
+// tables and the freelist) over whatever pages the pager currently holds, then
+// rebuilds the parsed view definitions from the tables that carry one.
+func (e *Engine) restoreState(meta []byte) error {
+	if err := e.cat.RestoreMeta(meta); err != nil {
 		return err
 	}
-	e.pager.SetFreeList(free)
+	views := make(map[string]*ViewDef)
+	for _, t := range e.cat.Tables() {
+		if t.Definition == "" {
+			continue
+		}
+		query, err := sql.ParseSelect(t.Definition)
+		if err != nil {
+			return fmt.Errorf("engine: restore view %q: %w", t.Name, err)
+		}
+		def, err := newViewDef(t.Name, query, t.ColumnNames())
+		if err != nil {
+			return err
+		}
+		views[strings.ToLower(t.Name)] = def
+	}
 	e.viewMu.Lock()
 	e.views = views
 	e.viewMu.Unlock()
 	return nil
-}
-
-type stateReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *stateReader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("engine: truncated state snapshot at offset %d", r.off)
-	}
-}
-
-func (r *stateReader) u8() byte {
-	if r.err != nil || r.off >= len(r.buf) {
-		r.fail()
-		return 0
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v
-}
-
-func (r *stateReader) uv() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *stateReader) bytes() []byte {
-	n := int(r.uv())
-	if r.err != nil || r.off+n > len(r.buf) {
-		r.fail()
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *stateReader) str() string { return string(r.bytes()) }
-
-func (r *stateReader) strs() []string {
-	n := int(r.uv())
-	out := make([]string, 0, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		out = append(out, r.str())
-	}
-	return out
 }

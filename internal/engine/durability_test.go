@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
@@ -46,6 +45,17 @@ func queryInts(t *testing.T, e *Engine, q string) []int64 {
 	return out
 }
 
+// viewDef renders a view's whole definition: its query as SQL and its three
+// label lists.
+func viewDef(t *testing.T, e *Engine, name string) string {
+	t.Helper()
+	v, ok := e.View(name)
+	if !ok {
+		t.Fatalf("view %s is not defined", name)
+	}
+	return fmt.Sprintf("%s | group %q | agg %q | aggregates %q", v.Query.String(), v.GroupColumns, v.AggColumns, v.Aggregates)
+}
+
 func TestDurableRoundTrip(t *testing.T) {
 	fs := faultfs.New(1)
 	e := openDurable(t, fs)
@@ -68,6 +78,21 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	execAll(t, e, "INSERT INTO tags VALUES "+strings.Join(tags, ", "))
 	execAll(t, e, "CREATE MATERIALIZED VIEW cust_totals AS SELECT cust, SUM(total) AS sum_total FROM orders GROUP BY cust")
+	// The whole view definition survives a reopen that replays the log (no
+	// checkpoint ran since the view was created) and a clean one.
+	def := viewDef(t, e, "cust_totals")
+	if want := `group ["cust"] | agg ["sum_total"] | aggregates ["SUM(TOTAL)"]`; !strings.HasSuffix(def, want) {
+		t.Fatalf("view definition %s, want labels %s", def, want)
+	}
+	crashed := fs.Clone()
+	crashed.Crash()
+	replayed := openDurable(t, crashed.Recovered())
+	if got := viewDef(t, replayed, "cust_totals"); got != def {
+		t.Errorf("view after log replay: %s, want %s", got, def)
+	}
+	if err := replayed.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -98,8 +123,8 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Errorf("tags query returned %v, want [3]", got)
 	}
 	// The materialized view definition and its backing rows survive.
-	if _, ok := e2.View("cust_totals"); !ok {
-		t.Fatal("view definition lost across restart")
+	if got := viewDef(t, e2, "cust_totals"); got != def {
+		t.Errorf("view after reopen: %s, want %s", got, def)
 	}
 	vrows := queryInts(t, e2, "SELECT cust FROM cust_totals ORDER BY cust")
 	if len(vrows) != 10 {
@@ -118,21 +143,27 @@ func TestDurableRoundTrip(t *testing.T) {
 }
 
 // TestDurableFsyncFailureRollsBack: an injected fsync failure fails only the
-// statement in flight; the engine stays consistent and serves later writes.
+// statement in flight; the engine stays consistent, keeps the views defined
+// before it whole, and serves later writes.
 func TestDurableFsyncFailureRollsBack(t *testing.T) {
 	fs := faultfs.New(2)
 	e := openDurable(t, fs)
 	execAll(t, e,
 		"CREATE TABLE t (id INT, PRIMARY KEY (id))",
 		"INSERT INTO t VALUES (1)",
+		"CREATE MATERIALIZED VIEW t_count AS SELECT id, COUNT(*) AS n FROM t GROUP BY id",
 	)
+	def := viewDef(t, e, "t_count")
 	fs.FailNextSyncs(1)
 	if _, err := e.Execute("INSERT INTO t VALUES (2)"); err == nil {
 		t.Fatal("INSERT during fsync failure should error")
 	}
-	// The failed statement is invisible; the earlier one is intact.
+	// The failed statement is invisible; the earlier ones are intact.
 	if got := queryInts(t, e, "SELECT id FROM t ORDER BY id"); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("after failed commit: %v, want [1]", got)
+	}
+	if got := viewDef(t, e, "t_count"); got != def {
+		t.Errorf("view after rollback: %s, want %s", got, def)
 	}
 	// The engine recovers without restart.
 	execAll(t, e, "INSERT INTO t VALUES (3)")
@@ -373,17 +404,19 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier version: version 5 (today's pages, but a meta with no fence
-// beside each tree's leftmost leaf, whose rest would misparse), version 4 (a
-// meta with no leftmost leaf either), version 3 (a
-// marker, key length and 4-byte slot on every record, a field count and a
-// kind byte per payload field), version 2 (every numeric key a 9-byte
-// cross-kind word, 8-byte child ids) or version 1 (uniquifier on every key,
-// key columns repeated in the payload). Their pages or metas would decode to
-// wrong rows, or to errors, under the current rules, so Open must fail and
-// name both versions rather than attach to them.
+// an earlier version: version 6 (today's pages, but a meta with no view
+// definitions and no freelist), version 5 (no fence beside each tree's
+// leftmost leaf either, so its rest would misparse), version 4 (a meta with no
+// leftmost leaf either), version 3 (a marker, key length and 4-byte slot on
+// every record, a field count and a kind byte per payload field), version 2
+// (every numeric key a 9-byte cross-kind word, 8-byte child ids) or version 1
+// (uniquifier on every key, key columns repeated in the payload; also the
+// first byte of the engine-state envelope that wrapped every meta before
+// version 7). Their pages or metas would decode to wrong rows, or to errors,
+// under the current rules, so Open must fail and name both versions rather
+// than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{5, 4, 3, 2, 1} {
+	for _, old := range []byte{6, 5, 4, 3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -393,25 +426,23 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if err := e.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		// The checkpointed state is stateVersion, then the length-prefixed
-		// catalog meta, whose first byte is the layout version.
-		state, ok, err := storage.ReadFileAtomic(fs, metaFileName)
+		// The checkpointed meta's first byte is the layout version.
+		meta, ok, err := storage.ReadFileAtomic(fs, metaFileName)
 		if err != nil || !ok {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
-		_, n := binary.Uvarint(state[1:])
-		if state[1+n] != 6 {
-			t.Fatalf("catalog meta starts with version %d, test expects 6", state[1+n])
+		if meta[0] != 7 {
+			t.Fatalf("catalog meta starts with version %d, test expects 7", meta[0])
 		}
-		state[1+n] = old
-		if err := storage.WriteFileAtomic(fs, metaFileName, state); err != nil {
+		meta[0] = old
+		if err := storage.WriteFileAtomic(fs, metaFileName, meta); err != nil {
 			t.Fatal(err)
 		}
 		want := fmt.Sprintf("meta version %d not supported", old)
 		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 6") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 7") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}

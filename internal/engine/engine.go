@@ -633,32 +633,16 @@ func (e *Engine) runCreateView(s *sql.CreateViewStmt) (*Result, error) {
 	for i, cname := range res.Columns {
 		cols[i] = catalog.Column{Name: cname, Kind: kinds[i]}
 	}
-	// Identify group-by output columns (they become the clustered key).
-	def := &ViewDef{Name: s.Name, Query: s.Query, Table: s.Name}
-	groupNames := make(map[string]bool)
-	for _, g := range s.Query.GroupBy {
-		if ref, ok := g.(*sql.ColRef); ok {
-			groupNames[strings.ToLower(ref.Column)] = true
-		}
-	}
-	var clusterKey []string
-	for i, item := range s.Query.Select {
-		label := res.Columns[i]
-		if item.Star {
-			continue
-		}
-		if ref, ok := item.Expr.(*sql.ColRef); ok && groupNames[strings.ToLower(ref.Column)] {
-			def.GroupColumns = append(def.GroupColumns, label)
-			clusterKey = append(clusterKey, label)
-			continue
-		}
-		def.AggColumns = append(def.AggColumns, label)
-		def.Aggregates = append(def.Aggregates, strings.ToUpper(item.Expr.String()))
-	}
-	tbl, err := e.cat.CreateTable(s.Name, cols, clusterKey)
+	// The group-by output columns become the clustered key.
+	def, err := newViewDef(s.Name, s.Query, res.Columns)
 	if err != nil {
 		return nil, err
 	}
+	tbl, err := e.cat.CreateTable(s.Name, cols, def.GroupColumns)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Definition = s.Query.String()
 	if err := tbl.BulkLoad(res.Rows); err != nil {
 		return nil, err
 	}
@@ -666,6 +650,37 @@ func (e *Engine) runCreateView(s *sql.CreateViewStmt) (*Result, error) {
 	e.views[name] = def
 	e.viewMu.Unlock()
 	return &Result{Stats: res.Stats}, nil
+}
+
+// newViewDef derives a view's definition from its defining query and the
+// column names of the table that materializes it: each select item's label is
+// the column at its position, a plain GROUP BY column labels a group column
+// and every other item an aggregate. CREATE MATERIALIZED VIEW and recovery
+// both call it, so the labels are never stored.
+func newViewDef(name string, query *sql.SelectStmt, columns []string) (*ViewDef, error) {
+	if len(query.Select) > len(columns) {
+		return nil, fmt.Errorf("engine: view %q selects %d items into %d columns", name, len(query.Select), len(columns))
+	}
+	groupNames := make(map[string]bool)
+	for _, g := range query.GroupBy {
+		if ref, ok := g.(*sql.ColRef); ok {
+			groupNames[strings.ToLower(ref.Column)] = true
+		}
+	}
+	def := &ViewDef{Name: name, Query: query, Table: name}
+	for i, item := range query.Select {
+		label := columns[i]
+		if item.Star {
+			continue
+		}
+		if ref, ok := item.Expr.(*sql.ColRef); ok && groupNames[strings.ToLower(ref.Column)] {
+			def.GroupColumns = append(def.GroupColumns, label)
+			continue
+		}
+		def.AggColumns = append(def.AggColumns, label)
+		def.Aggregates = append(def.Aggregates, strings.ToUpper(item.Expr.String()))
+	}
+	return def, nil
 }
 
 func (e *Engine) runInsert(s *sql.InsertStmt) (*Result, error) {

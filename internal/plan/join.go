@@ -250,7 +250,10 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 		if !rightOrdered {
 			rightOp = exec.NewSort(rightOp, sortKeysFor(rightKeys))
 		}
-		residual, err := p.joinResidual(avail, combined)
+		// The residual keeps every conjunct, the key equalities included: a
+		// merge join is reached only through a hint, and re-checking the
+		// equalities the key match already enforced is harmless.
+		residual, err := bindConjuncts(avail, combined)
 		if err != nil {
 			return nil, err
 		}
@@ -268,7 +271,9 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 	}
 
 	if len(leftKeys) > 0 {
-		residual, err := p.joinResidual(hashResidualAST, combined)
+		// Only the conjuncts not consumed as typed keys: the key match
+		// enforces equality exactly, NULLs included.
+		residual, err := bindConjuncts(hashResidualAST, combined)
 		if err != nil {
 			return nil, err
 		}
@@ -307,14 +312,6 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 		estRows:  cur.estRows * s.estRows,
 		desc:     fmt.Sprintf("NestedLoopJoin(%s, %s)", cur.desc, s.desc),
 	}, nil
-}
-
-// joinResidual binds conjuncts as a residual predicate over the combined row.
-// Hash joins receive only the conjuncts not consumed as typed keys (the key
-// match enforces equality exactly, NULLs included); merge joins keep the full
-// list, which re-checks equality harmlessly on that hint-only path.
-func (p *Planner) joinResidual(avail []sql.Expr, combined *scope) (expr.Expr, error) {
-	return bindConjuncts(avail, combined)
 }
 
 // joinFanout estimates the average number of inner matches per outer row for

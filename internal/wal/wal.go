@@ -12,7 +12,7 @@
 // a *commit group* of three frames sharing an LSN:
 //
 //	kindPages  body = [4B n] then n × ([8B page id][4B len][page image])
-//	kindMeta   body = catalog+views meta snapshot after the statement
+//	kindMeta   body = the catalog meta (catalog.EncodeMeta) after the statement
 //	kindCommit body = [1B statement kind][info string]
 //
 // Replay applies a group only when all three frames are intact (the commit
