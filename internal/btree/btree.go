@@ -520,7 +520,9 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 				return nil, storage.InvalidPageID, err
 			}
 		}
-		sep, right, err := t.store(nd, true, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
+		// An entry after the last of the rightmost leaf is an append.
+		appended := pos == nd.n && nd.next() == storage.InvalidPageID
+		sep, right, err := t.store(nd, true, appended, slices.Insert(nd.entries(), pos, entry{key: key, val: val}))
 		if leftmost && right != storage.InvalidPageID {
 			t.fence = sep // the leftmost leaf split: its new sibling begins at the lowest separator
 		}
@@ -531,23 +533,30 @@ func (t *BTree) insertInto(id storage.PageID, key, val []byte, choose func(pred 
 		return nil, storage.InvalidPageID, err
 	}
 	// The child split: its separator goes right after the child's own.
-	return t.store(nd, false, slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)}))
+	return t.store(nd, false, false, slices.Insert(nd.entries(), pos, entry{key: promoted, val: childPayload(newChild)}))
 }
 
-// store rewrites the node nd to hold entries, splitting it when
-// they do not fit one page (splitAt); on a split it returns the separator and
-// the new right sibling's page id. A leaf's right half inherits the next
-// link and the left half links to it; an internal node's middle entry moves
-// up, its child becoming the right half's leftmost.
-func (t *BTree) store(nd node, isLeaf bool, entries []entry) ([]byte, storage.PageID, error) {
+// store rewrites the node nd to hold entries, splitting it when they do not
+// fit one page; on a split it returns the separator and the new right
+// sibling's page id. A leaf whose last entry was just appended to the
+// rightmost leaf splits at that entry, which alone starts the new leaf, so a
+// run of appends (a keyless table's every insert, ascending keys) leaves each
+// leaf behind it full, as a bulk load would; any other split is cut where the
+// bytes balance (splitAt). A leaf's right half inherits the next link and the
+// left half links to it; an internal node's middle entry moves up, its child
+// becoming the right half's leftmost.
+func (t *BTree) store(nd node, isLeaf, appended bool, entries []entry) ([]byte, storage.PageID, error) {
 	link := nd.pg.Aux()
 	if t.nodeFits(entries, isLeaf) {
 		t.pager.BeforeWrite(nd.pg)
 		return nil, storage.InvalidPageID, writeNode(nd.pg, isLeaf, entries, link)
 	}
-	mid, err := t.splitAt(entries, isLeaf)
-	if err != nil {
-		return nil, storage.InvalidPageID, err
+	mid := len(entries) - 1 // the leaf held the others, and an entry fits a page alone
+	if !appended {
+		var err error
+		if mid, err = t.splitAt(entries, isLeaf); err != nil {
+			return nil, storage.InvalidPageID, err
+		}
 	}
 	// The separator must be copied before the left page is rewritten because
 	// the entries alias the page's memory.

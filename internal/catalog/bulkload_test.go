@@ -60,38 +60,61 @@ func TestBulkLoadRefusesNonEmptyTable(t *testing.T) {
 	}
 }
 
-// TestRefusedBulkLoadLeavesNoTrace: a row too large for a page refuses the
-// whole load before any row is stored or any page allocated, on a clustered
-// table and on a heap. The table keeps no rows, its statistics stay empty,
-// and a load of good rows succeeds afterwards.
+// TestRefusedBulkLoadLeavesNoTrace: a row too large for a page, or a
+// duplicate in a unique index, refuses the whole load before any row is
+// stored or any page allocated, on a keyed table and on a keyless one. The
+// table keeps no rows, its statistics stay empty, and a load of good rows
+// succeeds afterwards. A keyless table once stored its rows in a heap before
+// its unique index found the duplicate.
 func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
 	rows := make([][]value.Value, 1000)
 	for i := range rows {
 		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprint("s", i))}
 	}
-	rows[900][1] = value.NewString(strings.Repeat("x", 20000))
-	for _, key := range [][]string{{"k"}, nil} {
+	tooLarge, dup := slices.Clone(rows), slices.Clone(rows)
+	tooLarge[900] = []value.Value{value.NewInt(900), value.NewString(strings.Repeat("x", 20000))}
+	dup[900] = []value.Value{value.NewInt(10), value.NewString("dup")}
+	for _, tc := range []struct {
+		name   string
+		key    []string
+		unique bool
+		rows   [][]value.Value
+	}{
+		{"keyed, a row too large", []string{"k"}, false, tooLarge},
+		{"keyless, a row too large", nil, false, tooLarge},
+		{"keyless, a duplicate in a unique index", nil, true, dup},
+	} {
 		c := newTestCatalog()
-		tbl, err := c.CreateTable("t", []Column{{Name: "k", Kind: value.KindInt}, {Name: "s", Kind: value.KindString}}, key)
+		tbl, err := c.CreateTable("t", []Column{{Name: "k", Kind: value.KindInt}, {Name: "s", Kind: value.KindString}}, tc.key)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if tc.unique {
+			if _, err := c.CreateIndex("t_k", "t", []string{"k"}, nil, true); err != nil {
+				t.Fatal(err)
+			}
+		}
 		pages := c.Pager().NumPages()
-		if err := tbl.BulkLoad(rows); err == nil {
-			t.Fatalf("key %v: a row of 20,000 bytes was accepted", key)
+		if err := tbl.BulkLoad(tc.rows); err == nil {
+			t.Fatalf("%s: the load was accepted", tc.name)
 		}
 		if tbl.RowCount() != 0 || tbl.Stats.RowCount != 0 || tbl.Stats.DataBytes != 0 {
-			t.Errorf("key %v: the refused load left %d rows, statistics of %d rows and %d bytes",
-				key, tbl.RowCount(), tbl.Stats.RowCount, tbl.Stats.DataBytes)
+			t.Errorf("%s: the refused load left %d rows, statistics of %d rows and %d bytes",
+				tc.name, tbl.RowCount(), tbl.Stats.RowCount, tbl.Stats.DataBytes)
+		}
+		for _, ix := range tbl.Secondary {
+			if n := ix.Tree().Count(); n != 0 {
+				t.Errorf("%s: the refused load left %d entries in index %s", tc.name, n, ix.Name)
+			}
 		}
 		if n := c.Pager().NumPages(); n != pages {
-			t.Errorf("key %v: the refused load allocated pages: %d -> %d", key, pages, n)
+			t.Errorf("%s: the refused load allocated pages: %d -> %d", tc.name, pages, n)
 		}
 		if err := tbl.BulkLoad(rows[:10]); err != nil {
-			t.Fatalf("key %v: a load of good rows after the refused one: %v", key, err)
+			t.Fatalf("%s: a load of good rows after the refused one: %v", tc.name, err)
 		}
 		if tbl.RowCount() != 10 || tbl.Stats.RowCount != 10 {
-			t.Errorf("key %v: after the retry %d rows, statistics count %d; want 10 and 10", key, tbl.RowCount(), tbl.Stats.RowCount)
+			t.Errorf("%s: after the retry %d rows, statistics count %d; want 10 and 10", tc.name, tbl.RowCount(), tbl.Stats.RowCount)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 // Package catalog manages the schema objects of a database instance —
 // tables, columns, clustered and secondary indexes — together with their
-// physical storage (heap files or B+-trees) and basic optimizer statistics.
+// physical storage and basic optimizer statistics. Every table is a clustered
+// B+-tree, and every secondary index is a B+-tree whose entries locate their
+// base rows by clustered tree key; a table without a primary key is clustered
+// on zero key columns, its rows numbered in insertion order by the
+// uniquifier alone.
 package catalog
 
 import (
@@ -41,9 +45,10 @@ func New(pager *storage.Pager) *Catalog {
 // Pager returns the pager shared by all tables in the catalog.
 func (c *Catalog) Pager() *storage.Pager { return c.pager }
 
-// CreateTable registers a new table. If clusteredKey is non-empty the table
-// is stored in a clustered B+-tree on those columns (rows are kept in key
-// order); otherwise rows go to a heap file.
+// CreateTable registers a new table, stored in a clustered B+-tree on the
+// clusteredKey columns: rows are kept in key order, rows sharing a key in
+// insertion order. With no key columns every row shares the empty key, so the
+// rows are kept in insertion order.
 func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -68,24 +73,20 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 		catalog: c,
 		Stats:   NewTableStats(cols),
 	}
-	if len(clusteredKey) > 0 {
-		ords, err := t.ordinals(clusteredKey)
-		if err != nil {
-			return nil, err
-		}
-		tree, err := btree.New(c.pager)
-		if err != nil {
-			return nil, err
-		}
-		t.Clustered = &Index{
-			Name:       name + "_clustered",
-			Table:      t,
-			KeyColumns: ords,
-			Clustered:  true,
-			tree:       tree,
-		}
-	} else {
-		t.heap = storage.NewHeapFile(c.pager)
+	ords, err := t.ordinals(clusteredKey)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := btree.New(c.pager)
+	if err != nil {
+		return nil, err
+	}
+	t.Clustered = &Index{
+		Name:       name + "_clustered",
+		Table:      t,
+		KeyColumns: ords,
+		Clustered:  true,
+		tree:       tree,
 	}
 	t.initLayouts()
 	c.tables[key] = t
@@ -112,7 +113,7 @@ func (c *Catalog) HasTable(name string) bool {
 }
 
 // DropTable removes a table from the catalog and returns its pages (index
-// nodes, leaves, heap pages) to the pager's freelist for reuse. Every tree is
+// nodes and leaves) to the pager's freelist for reuse. Every tree is
 // walked before anything is freed: a walk that fails on a page error leaves
 // the table in place and the freelist untouched, rather than dropping the
 // table and leaking its pages.
@@ -125,13 +126,7 @@ func (c *Catalog) DropTable(name string) error {
 		return fmt.Errorf("catalog: table %q does not exist", name)
 	}
 	var pages []storage.PageID
-	indexes := t.Secondary
-	if t.Clustered != nil {
-		indexes = append([]*Index{t.Clustered}, indexes...)
-	} else {
-		pages = append(pages, t.heap.PageIDs()...)
-	}
-	for _, ix := range indexes {
+	for _, ix := range append([]*Index{t.Clustered}, t.Secondary...) {
 		ids, err := ix.tree.AllPages()
 		if err != nil {
 			return fmt.Errorf("catalog: drop table %q: index %q: %w", name, ix.Name, err)
@@ -166,7 +161,8 @@ type Table struct {
 	// not interpret it.
 	Definition string
 
-	// Clustered is the clustered index, nil for heap tables.
+	// Clustered is the clustered index, over no key columns for a table
+	// created without a primary key.
 	Clustered *Index
 	// Secondary are the nonclustered indexes.
 	Secondary []*Index
@@ -174,7 +170,6 @@ type Table struct {
 	Stats *TableStats
 
 	catalog *Catalog
-	heap    *storage.HeapFile
 	// layout places each column of a stored row (see Layout); keyOrds lists
 	// the columns some index stores in key bytes, which storedRow holds to
 	// the declared kind. Both are derived from the schema by initLayouts.
@@ -213,25 +208,17 @@ func (t *Table) ordinals(names []string) ([]int, error) {
 	return out, nil
 }
 
-// IsClustered reports whether the table is stored in a clustered index.
-func (t *Table) IsClustered() bool { return t.Clustered != nil }
+// IsClustered reports whether the table has a clustered key to seek and
+// order by. A keyless table is stored in a clustered tree too, but over no
+// key columns, so it answers false.
+func (t *Table) IsClustered() bool { return len(t.Clustered.KeyColumns) > 0 }
 
 // RowCount returns the current number of rows.
-func (t *Table) RowCount() int64 {
-	if t.Clustered != nil {
-		return t.Clustered.tree.Count()
-	}
-	return t.heap.RowCount()
-}
+func (t *Table) RowCount() int64 { return t.Clustered.tree.Count() }
 
-// DataPages returns the number of pages holding the table's rows (leaf pages
-// of the clustered index, counted from the level above them, or heap pages).
-func (t *Table) DataPages() (int, error) {
-	if t.Clustered != nil {
-		return t.Clustered.tree.LeafCount()
-	}
-	return t.heap.NumPages(), nil
-}
+// DataPages returns the number of pages holding the table's rows: the leaf
+// pages of the clustered index, counted from the level above them.
+func (t *Table) DataPages() (int, error) { return t.Clustered.tree.LeafCount() }
 
 // Record layout. Every column is stored exactly once. A clustered record's
 // tree key is the stored-key encoding of its clustered-key columns, each as
@@ -240,9 +227,9 @@ func (t *Table) DataPages() (int, error) {
 // and its payload is a record (value.AppendRecord) of the remaining columns
 // under their declared kinds. A secondary entry's key is its index-key
 // columns, encoded the same way, followed by the base row's locator (its
-// exact clustered tree key, or its RID on a heap), and its payload is a
-// record of the included columns found in neither. A heap row is one record
-// of every column.
+// exact clustered tree key), and its payload is a record of the included
+// columns found in neither. A keyless table's tree key is its uniquifier
+// alone: empty for the first row, then 1, 2, … in insertion order.
 
 // Layout says where each logical column of a stored record lives. The logical
 // columns are what Cursor.Next returns, in order: every table column for a
@@ -338,10 +325,7 @@ func (t *Table) initLayouts() {
 	for i := range all {
 		all[i] = i
 	}
-	var clusterKey []int
-	if t.Clustered != nil {
-		clusterKey = t.Clustered.KeyColumns
-	}
+	clusterKey := t.Clustered.KeyColumns
 	var rest []int
 	for _, ord := range all {
 		if !slices.Contains(clusterKey, ord) {
@@ -349,9 +333,7 @@ func (t *Table) initLayouts() {
 		}
 	}
 	t.layout = newLayout(t.Columns, all, clusterKey, rest)
-	if t.Clustered != nil {
-		t.Clustered.layout = t.layout
-	}
+	t.Clustered.layout = t.layout
 	t.keyOrds = slices.Clone(clusterKey)
 	for _, ix := range t.Secondary {
 		ix.initLayout()
@@ -365,10 +347,7 @@ func (t *Table) initLayouts() {
 // key columns, included columns, then locator-only columns.
 func (ix *Index) initLayout() {
 	t := ix.Table
-	keyOrds := slices.Clone(ix.KeyColumns)
-	if t.Clustered != nil {
-		keyOrds = append(keyOrds, t.Clustered.KeyColumns...)
-	}
+	keyOrds := slices.Concat(ix.KeyColumns, t.Clustered.KeyColumns)
 	var ords, payOrds []int
 	for _, o := range ix.KeyColumns {
 		if !slices.Contains(ords, o) {
@@ -398,15 +377,17 @@ const uniquifierLen = 4
 
 // keySentinel sorts after every suffix that can follow a key prefix in a tree
 // key — further key values (every class byte is below 0xFF), a uniquifier, a
-// RID — so prefix + keySentinel bounds all keys sharing the prefix from above.
-var keySentinel = bytes.Repeat([]byte{0xFF}, ridLen+1)
+// keyless row's locator (a uniquifier too) — so prefix + keySentinel bounds
+// all keys sharing the prefix from above.
+var keySentinel = bytes.Repeat([]byte{0xFF}, uniquifierLen+1)
 
 // uniquify returns the tree key of a new row whose clustered-key columns
-// encode to bare, given pred, the greatest stored key <= bare+keySentinel:
-// bare itself unless pred already carries it, else bare plus the next
-// uniquifier, which sorts directly after pred.
-func uniquify(bare, pred []byte) ([]byte, error) {
-	if !bytes.HasPrefix(pred, bare) {
+// encode to bare, given pred, the greatest stored key <= bare+keySentinel
+// when found says there is one: bare itself unless pred already carries it,
+// else bare plus the next uniquifier, which sorts directly after pred. On a
+// keyless table bare is empty, so the uniquifier numbers every row.
+func (t *Table) uniquify(bare, pred []byte, found bool) ([]byte, error) {
+	if !found || !bytes.HasPrefix(pred, bare) {
 		return bare, nil
 	}
 	var n uint32
@@ -414,7 +395,7 @@ func uniquify(bare, pred []byte) ([]byte, error) {
 		n = binary.BigEndian.Uint32(suffix)
 	}
 	if n == 1<<32-1 {
-		return nil, fmt.Errorf("catalog: too many rows share one clustered key")
+		return nil, fmt.Errorf("catalog: table %q: more than 2^32-1 rows share one clustered key", t.Name)
 	}
 	return binary.BigEndian.AppendUint32(bare[:len(bare):len(bare)], n+1), nil
 }
@@ -479,23 +460,15 @@ func (t *Table) Insert(row []value.Value) error {
 	}
 	var scratch []value.Value
 	var locator []byte
-	if t.Clustered != nil {
-		bare := t.bareKey(row)
-		bound := append(bare[:len(bare):len(bare)], keySentinel...)
-		payload := t.layout.encodePayload(nil, row, &scratch)
-		err := t.Clustered.tree.InsertUnder(bound, payload, func(pred []byte) (key []byte, err error) {
-			locator, err = uniquify(bare, pred)
-			return locator, err
-		})
-		if err != nil {
-			return err
-		}
-	} else {
-		rid, err := t.heap.Insert(t.layout.encodePayload(nil, row, &scratch))
-		if err != nil {
-			return err
-		}
-		locator = ridLocator(rid)
+	bare := t.bareKey(row)
+	bound := append(bare[:len(bare):len(bare)], keySentinel...)
+	payload := t.layout.encodePayload(nil, row, &scratch)
+	err = t.Clustered.tree.InsertUnder(bound, payload, func(pred []byte) (key []byte, err error) {
+		locator, err = t.uniquify(bare, pred, pred != nil)
+		return locator, err
+	})
+	if err != nil {
+		return err
 	}
 	for _, ix := range t.Secondary {
 		if err := ix.tree.Insert(ix.entryKey(row, locator), ix.layout.encodePayload(nil, row, &scratch)); err != nil {
@@ -515,9 +488,10 @@ type IndexDef struct {
 }
 
 // BulkLoad loads many rows into an empty table at once, then creates the
-// indexes defs names. A clustered table's rows are put in clustered-key order
-// — sorted only if they do not arrive in it, rows sharing a key in input
-// order, as repeated Inserts would keep them — and bulk-loaded bottom-up,
+// indexes defs names. The rows are put in clustered-key order — sorted only
+// if they do not arrive in it, rows sharing a key in input order, as repeated
+// Inserts would keep them, so a keyless table's rows are never sorted — and
+// bulk-loaded bottom-up,
 // which is dramatically faster than repeated inserts. Every secondary index,
 // existing or new, is built the same way from the stored rows in hand; the
 // table is never read back. The statistics are folded beside the build into
@@ -544,12 +518,8 @@ func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, 
 		}
 		added = append(added, ix)
 	}
-	// One walk over each row stores it and, on a clustered table, encodes its
-	// clustered key.
-	var keys *keysort.Keys
-	if t.Clustered != nil {
-		keys = keysort.New(len(rows), 9*len(t.Clustered.KeyColumns))
-	}
+	// One walk over each row stores it and encodes its clustered key.
+	keys := keysort.New(len(rows), 9*len(t.Clustered.KeyColumns))
 	stored := make([][]value.Value, len(rows))
 	for i, row := range rows {
 		row, err := t.storedRow(row, convert)
@@ -557,12 +527,10 @@ func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, 
 			return err
 		}
 		stored[i] = row
-		if keys != nil {
-			for _, ord := range t.Clustered.KeyColumns {
-				keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
-			}
-			keys.End()
+		for _, ord := range t.Clustered.KeyColumns {
+			keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
 		}
+		keys.End()
 	}
 	stats := NewTableStats(t.Columns)
 	var folded sync.WaitGroup
@@ -571,14 +539,7 @@ func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, 
 		defer folded.Done()
 		stats.fold(stored)
 	}()
-	indexes := slices.Concat(t.Secondary, added)
-	var err error
-	var keyOrder [][]value.Value
-	if t.Clustered != nil {
-		keyOrder, err = t.loadClustered(stored, keys, indexes)
-	} else {
-		err = t.loadHeap(stored, indexes)
-	}
+	keyOrder, err := t.loadClustered(stored, keys, slices.Concat(t.Secondary, added))
 	folded.Wait()
 	if err != nil {
 		return err
@@ -613,36 +574,6 @@ func (t *Table) payloads(rows [][]value.Value) *keysort.Keys {
 	return recs
 }
 
-// loadHeap inserts stored rows into an empty heap table, every record
-// checked against a page's capacity before the first is stored, then fills
-// indexes from the rows in hand.
-func (t *Table) loadHeap(stored [][]value.Value, indexes []*Index) error {
-	recs := t.payloads(stored)
-	for i := range stored {
-		if n := len(recs.Key(i)); n > storage.MaxRecord {
-			return t.tooLarge(n)
-		}
-	}
-	locs := make([][]byte, len(stored))
-	for i := range stored {
-		rid, err := t.heap.Insert(recs.Key(i))
-		if err != nil {
-			return err
-		}
-		locs[i] = ridLocator(rid)
-	}
-	for _, ix := range indexes {
-		es, err := ix.entries(stored, locs)
-		if err != nil {
-			return err
-		}
-		if err := ix.fill(es); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // loadClustered bulk-loads the clustered tree of an empty table with stored
 // rows, whose bare clustered keys are keys, then fills indexes from the rows
 // in hand. Whatever can refuse the load — an entry too large for a page, a
@@ -661,7 +592,7 @@ func (t *Table) loadClustered(stored [][]value.Value, keys *keysort.Keys, indexe
 		if i > 0 {
 			// Sorted input makes the previous row the predecessor Insert would find.
 			var err error
-			if locs[i], err = uniquify(locs[i], locs[i-1]); err != nil {
+			if locs[i], err = t.uniquify(locs[i], locs[i-1], true); err != nil {
 				return nil, err
 			}
 		}
@@ -716,21 +647,20 @@ func (t *Table) loadClustered(stored [][]value.Value, keys *keysort.Keys, indexe
 }
 
 // Range is the one access-path descriptor of the storage layer: a key-prefix
-// range, open or bounded, over a clustered tree, a secondary index or a heap
-// (open only). A range is a cheap value; Open starts a fresh cursor, so a
-// range can be re-scanned and distinct ranges can be consumed by concurrent
-// workers. Opening is lazy: a start at or below the leftmost leaf's fence, or
-// an open one, begins at that leaf, any other start descends from the root
-// (btree.BTree.Seek), and that is all a serial scan ever pays. A bound scan
-// moves its cursor from range to range with Cursor.Reseek, which begins a
-// range forward of the last in the leaf where that one stopped. EstRows and
-// Split serve the (single-threaded) parallel rewrite only: they name the
-// range's leaves once, from the level above them (btree.BTree.LeafRange),
-// paying reads of internal pages only, and keep them in the range.
+// range, open or bounded, over a clustered tree or a secondary index. A range
+// is a cheap value; Open starts a fresh cursor, so a range can be re-scanned
+// and distinct ranges can be consumed by concurrent workers. Opening is lazy:
+// a start at or below the leftmost leaf's fence, or an open one, begins at
+// that leaf, any other start descends from the root (btree.BTree.Seek), and
+// that is all a serial scan ever pays. A bound scan moves its cursor from
+// range to range with Cursor.Reseek, which begins a range forward of the last
+// in the leaf where that one stopped. EstRows and Split serve the
+// (single-threaded) parallel rewrite only: they name the range's leaves once,
+// from the level above them (btree.BTree.LeafRange), paying reads of internal
+// pages only, and keep them in the range.
 type Range struct {
-	tree   *btree.BTree      // clustered tree or secondary index; nil for a heap
-	heap   *storage.HeapFile // set iff tree is nil
-	layout *Layout           // of the records the range yields
+	tree   *btree.BTree // clustered tree or secondary index
+	layout *Layout      // of the records the range yields
 
 	// Encoded key bounds (see encodeBound); nil is open. empty marks a range a
 	// bound rules out altogether (k = 3.5 on an INT key): it reads no page.
@@ -738,37 +668,32 @@ type Range struct {
 	stopIncl    bool
 	empty       bool
 
-	// A split is restricted to a run of pageCount consecutive leaves from
-	// leaf (only the first split of a range keeps start) or heap pages from
-	// pageFrom. It keeps no leaf list, so a cached plan's morsels do not hold
-	// their range's.
-	split               bool
-	leaf                storage.PageID
-	pageFrom, pageCount int
+	// A split is restricted to a run of leafCount consecutive leaves from
+	// leaf (only the first split of a range keeps start). It keeps no leaf
+	// list, so a cached plan's morsels do not hold their range's.
+	split     bool
+	leaf      storage.PageID
+	leafCount int
 
-	// Partitioning state filled by size: the leaves in range, rows per leaf
-	// or heap page, and a page error hit while walking, carried into
-	// execution so a corrupt tree fails the query instead of silently
-	// scanning nothing.
+	// Partitioning state filled by size: the leaves in range, rows per leaf,
+	// and a page error hit while walking, carried into execution so a
+	// corrupt tree fails the query instead of silently scanning nothing.
 	sized   bool
 	leaves  []storage.PageID
-	perUnit int64
+	perLeaf int64
 	err     error
 }
 
 // Range describes the rows whose clustered-key prefix lies in [lo, hi] by
 // value.Compare, column by column. nil bounds are open and inclusivity applies
 // per bound; bound values may be of any kind (see encodeBound). The fully open
-// range is the full scan (clustered-key order, or insertion order for a heap)
-// and the only range a heap supports.
+// range is the full scan in clustered-key order (insertion order for a
+// keyless table) and the only range a keyless table supports.
 func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) {
-	if t.Clustered != nil {
-		return t.Clustered.Range(lo, hi, loIncl, hiIncl), nil
+	if !t.IsClustered() && (lo != nil || hi != nil) {
+		return Range{}, fmt.Errorf("catalog: table %q has no clustered key", t.Name)
 	}
-	if lo != nil || hi != nil {
-		return Range{}, fmt.Errorf("catalog: table %q has no clustered index", t.Name)
-	}
-	return Range{heap: t.heap, layout: t.layout, pageCount: t.heap.NumPages()}, nil
+	return t.Clustered.Range(lo, hi, loIncl, hiIncl), nil
 }
 
 // Range describes the index entries whose key-column prefix lies in [lo, hi]
@@ -799,10 +724,8 @@ func (r *Range) Open() *Cursor {
 	case r.err != nil:
 		c.err = r.err
 	case r.empty:
-	case r.tree == nil:
-		c.heap = r.heap.ScanPages(r.pageFrom, r.pageCount)
 	case r.split:
-		c.tree = r.tree.SeekLeaves(r.leaf, r.pageCount, r.start, r.stop, r.stopIncl)
+		c.tree = r.tree.SeekLeaves(r.leaf, r.leafCount, r.start, r.stop, r.stopIncl)
 	default:
 		c.tree = r.tree.Seek(r.start, r.stop, r.stopIncl)
 	}
@@ -810,33 +733,25 @@ func (r *Range) Open() *Cursor {
 }
 
 // size walks the range once: the run of leaves it touches and the tree's
-// average leaf fill (or the heap's average page fill). Both come from the
-// level above the leaves, so sizing reads no leaf; a page error on the way is
-// kept in err for the range's cursors to report.
+// average leaf fill. Both come from the level above the leaves, so sizing
+// reads no leaf; a page error on the way is kept in err for the range's
+// cursors to report.
 func (r *Range) size() {
 	if r.sized {
 		return
 	}
 	r.sized = true
-	units := r.pageCount
-	if r.tree != nil && !r.empty {
+	var leaves int
+	if !r.empty {
 		r.leaves, r.err = r.tree.LeafRange(r.start, r.stop, r.stopIncl)
 		if r.err == nil {
-			units, r.err = r.tree.LeafCount()
+			leaves, r.err = r.tree.LeafCount()
 		}
 	}
-	r.perUnit = 1
-	if units > 0 {
-		r.perUnit = max(1, r.storedRows()/int64(units))
+	r.perLeaf = 1
+	if leaves > 0 {
+		r.perLeaf = max(1, r.tree.Count()/int64(leaves))
 	}
-}
-
-// storedRows is the row (or entry) count of the whole underlying structure.
-func (r *Range) storedRows() int64 {
-	if r.tree == nil {
-		return r.heap.RowCount()
-	}
-	return r.tree.Count()
 }
 
 // EstRows is the parallelization-threshold input: the exact row count for an
@@ -844,14 +759,14 @@ func (r *Range) storedRows() int64 {
 // one — only the order of magnitude matters there.
 func (r *Range) EstRows() int64 {
 	if !r.split && r.start == nil && r.stop == nil && !r.empty {
-		return r.storedRows()
+		return r.tree.Count()
 	}
 	r.size()
-	return int64(len(r.leaves)) * r.perUnit
+	return int64(len(r.leaves)) * r.perLeaf
 }
 
 // Split partitions the range into sub-ranges of roughly targetRows rows each
-// (leaf or page granularity, so actual sizes vary with fill). Concatenating
+// (leaf granularity, so actual sizes vary with fill). Concatenating
 // the sub-ranges' cursors in slice order reproduces the range's own cursor
 // exactly. An empty range yields nil; a page error while walking yields the
 // range itself, whose cursor reports it.
@@ -860,46 +775,26 @@ func (r *Range) Split(targetRows int64) []Range {
 	if r.err != nil {
 		return []Range{*r}
 	}
-	units := r.pageCount
-	if r.tree != nil {
-		units = len(r.leaves)
-	}
-	per := int(targetRows / r.perUnit)
+	per := int(targetRows / r.perLeaf)
 	if per < 1 {
 		per = 1
 	}
 	var out []Range
-	for i := 0; i < units; i += per {
-		n := per
-		if i+n > units {
-			n = units - i
-		}
+	for i := 0; i < len(r.leaves); i += per {
+		n := min(per, len(r.leaves)-i)
 		sub := *r
-		sub.split, sub.pageCount, sub.leaves = true, n, nil
-		if r.tree == nil {
-			sub.pageFrom = r.pageFrom + i
-		} else {
-			sub.leaf = r.leaves[i]
-			if i > 0 {
-				sub.start = nil
-			}
+		sub.split, sub.leaf, sub.leafCount, sub.leaves = true, r.leaves[i], n, nil
+		if i > 0 {
+			sub.start = nil
 		}
 		out = append(out, sub)
 	}
 	return out
 }
 
-// ridLen is the width of a heap row's locator: page id and slot, big-endian.
-const ridLen = 10
-
-func ridLocator(rid storage.RID) []byte {
-	loc := binary.BigEndian.AppendUint64(make([]byte, 0, ridLen), uint64(rid.Page))
-	return binary.BigEndian.AppendUint16(loc, rid.Slot)
-}
-
 // Locator returns the base-row locator carried at the end of a secondary
-// entry's tree key: the row's exact clustered tree key, or its RID on a heap.
-// The result aliases key.
+// entry's tree key: the row's exact clustered tree key. The result aliases
+// key.
 func (ix *Index) Locator(key []byte) ([]byte, error) {
 	off := 0
 	for p := range ix.KeyColumns {
@@ -915,19 +810,6 @@ func (ix *Index) Locator(key []byte) ([]byte, error) {
 // Lookup fetches the one base row a locator (see Index.Locator) names.
 func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
 	var scratch []value.Value
-	if t.Clustered == nil {
-		if len(locator) != ridLen {
-			return nil, fmt.Errorf("catalog: table %q: bad RID locator of %d bytes", t.Name, len(locator))
-		}
-		rec, err := t.heap.Get(storage.RID{
-			Page: storage.PageID(binary.BigEndian.Uint64(locator)),
-			Slot: binary.BigEndian.Uint16(locator[8:]),
-		})
-		if err != nil {
-			return nil, err
-		}
-		return t.layout.decodeRow(nil, rec, &scratch)
-	}
 	payload, ok, err := t.Clustered.tree.Get(locator)
 	if err != nil {
 		return nil, err
@@ -987,7 +869,7 @@ func encodeBound(kinds []value.Kind, vals []value.Value, upper, incl bool) (key 
 
 // decodeKey fills out (one slot per logical column) from one record's key
 // bytes, skipping key positions no logical column reads (a locator column the
-// index key already holds). A trailing uniquifier or RID is never touched. It
+// index key already holds). A trailing uniquifier is never touched. It
 // runs per row with no allocation (string columns aside).
 func (l *Layout) decodeKey(key []byte, out []value.Value) error {
 	off := 0
@@ -1015,10 +897,8 @@ func (l *Layout) decodeKey(key []byte, out []value.Value) error {
 // NextSpans, the raw span fill the batch path decodes column-at-a-time.
 // Reseek moves it to another range of the same tree.
 type Cursor struct {
-	// At most one of tree and heap is set; neither when err is, or when the
-	// range is empty.
+	// tree is nil when err is set, or when the range is empty.
 	tree   *btree.Iterator
-	heap   *storage.HeapIterator
 	layout *Layout
 	// err is a pre-execution error (a failed page read while partitioning);
 	// the cursor yields nothing and reports it.
@@ -1044,7 +924,7 @@ func (c *Cursor) Reseek(r *Range) {
 func (c *Cursor) Descended() bool { return c.tree != nil && c.tree.Descended() }
 
 // Err returns the first page-access error the cursor (or its underlying
-// storage iterator) hit. NextSpans reports exhaustion on error, so batch
+// tree iterator) hit. NextSpans reports exhaustion on error, so batch
 // fills must check Err when a fill comes up empty.
 func (c *Cursor) Err() error {
 	switch {
@@ -1052,8 +932,6 @@ func (c *Cursor) Err() error {
 		return c.err
 	case c.tree != nil:
 		return c.tree.Err()
-	case c.heap != nil:
-		return c.heap.Err()
 	default:
 		return nil // an empty range
 	}
@@ -1075,39 +953,24 @@ func (c *Cursor) Next() (row []value.Value, ok bool, err error) {
 }
 
 // NextSpans fills payloads (and keys, when non-nil) with up to len(payloads)
-// records' raw storage spans — the tree key bytes (nil for heaps) and the
-// payload record, which a Layout maps to columns — and returns how many it
-// filled, fewer only at exhaustion. Trees decode a leaf's records in place,
-// a run of slots per call; heaps walk record by record.
-// All spans point into page memory and stay valid until the table is next
-// mutated, so a batch fill may collect a whole batch of them before decoding.
+// records' raw storage spans — the tree key bytes and the payload record,
+// which a Layout maps to columns — and returns how many it filled, fewer only
+// at exhaustion. The tree decodes a leaf's records in place, a run of slots
+// per call. All spans point into page memory and stay valid until the table
+// is next mutated, so a batch fill may collect a whole batch of them before
+// decoding.
 func (c *Cursor) NextSpans(keys, payloads [][]byte) int {
-	if c.tree != nil {
-		return c.tree.NextSpans(keys, payloads)
-	}
-	if c.heap == nil {
+	if c.tree == nil {
 		return 0 // a pre-execution error, or an empty range
 	}
-	n := 0
-	for n < len(payloads) {
-		rec, _, ok := c.heap.NextRecord()
-		if !ok {
-			break
-		}
-		if keys != nil {
-			keys[n] = nil
-		}
-		payloads[n] = rec
-		n++
-	}
-	return n
+	return c.tree.NextSpans(keys, payloads)
 }
 
 // CreateIndex builds a nonclustered index over the table. keyCols define the
 // sort order; includeCols are carried in the leaf entries so that queries
 // touching only key+included columns never visit the base table (a covering
 // index). Each entry's key ends in the base row's locator (its clustered tree
-// key, or its RID), so clustered-key columns are always covered too.
+// key), so clustered-key columns are always covered too.
 func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []string, unique bool) (*Index, error) {
 	t, err := c.Table(tableName)
 	if err != nil {
@@ -1195,10 +1058,8 @@ func (ix *Index) Covers(ordinals []int) bool {
 	for _, o := range ix.IncludedColumns {
 		avail[o] = true
 	}
-	if ix.Table.Clustered != nil {
-		for _, o := range ix.Table.Clustered.KeyColumns {
-			avail[o] = true
-		}
+	for _, o := range ix.Table.Clustered.KeyColumns {
+		avail[o] = true
 	}
 	for _, o := range ordinals {
 		if !avail[o] {
@@ -1222,35 +1083,20 @@ func (ix *Index) entryKey(row []value.Value, locator []byte) []byte {
 	return append(key, locator...)
 }
 
-// scanStored reads every stored row back with its locator, in storage order.
+// scanStored reads every stored row back with its locator, its tree key as
+// it is stored, in storage order.
 func (t *Table) scanStored() (rows [][]value.Value, locs [][]byte, err error) {
 	var scratch []value.Value
-	if t.Clustered != nil {
-		// A clustered row's locator is its tree key, read as it is stored.
-		cur := t.Scan()
-		var key, payload [1][]byte
-		for cur.NextSpans(key[:], payload[:]) == 1 {
-			row, err := t.layout.decodeRow(key[0], payload[0], &scratch)
-			if err != nil {
-				return nil, nil, err
-			}
-			rows, locs = append(rows, row), append(locs, bytes.Clone(key[0]))
-		}
-		return rows, locs, cur.Err()
-	}
-	hit := t.heap.Scan()
-	for {
-		rec, rid, ok := hit.NextRecord()
-		if !ok {
-			break
-		}
-		row, err := t.layout.decodeRow(nil, rec, &scratch)
+	cur := t.Scan()
+	var key, payload [1][]byte
+	for cur.NextSpans(key[:], payload[:]) == 1 {
+		row, err := t.layout.decodeRow(key[0], payload[0], &scratch)
 		if err != nil {
 			return nil, nil, err
 		}
-		rows, locs = append(rows, row), append(locs, ridLocator(rid))
+		rows, locs = append(rows, row), append(locs, bytes.Clone(key[0]))
 	}
-	return rows, locs, hit.Err()
+	return rows, locs, cur.Err()
 }
 
 // entries is an index's bulk-load input: one entry per stored row, its key

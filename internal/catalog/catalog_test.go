@@ -1,8 +1,11 @@
 package catalog
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"oldelephant/internal/storage"
@@ -243,13 +246,96 @@ func TestHeapTableAndRIDLookup(t *testing.T) {
 	if found != 14 { // suppkey = i%7 == 3 for i in {3,10,...,94}: 14 rows
 		t.Errorf("found %d rows with suppkey 3, want 14", found)
 	}
-	// A RID is not a locator of a clustered table, nor a short one of a heap.
+	// A keyless row's locator, its uniquifier, names no row of a clustered
+	// table, and one past the last row names none of the keyless table.
 	cl, _ := c.CreateTable("cl", lineitemColumns(), []string{"l_orderkey"})
-	if _, err := cl.Lookup(ridLocator(storage.RID{Page: 1})); err == nil {
-		t.Error("Lookup of a RID on a clustered table should fail")
+	if _, err := cl.Lookup([]byte{0, 0, 0, 1}); err == nil {
+		t.Error("Lookup of a keyless row's locator on a clustered table should fail")
+	}
+	if _, err := tb.Lookup([]byte{0, 0, 0, 100}); err == nil {
+		t.Error("Lookup of a locator past the last keyless row should fail")
 	}
 	if _, err := tb.Lookup([]byte{1, 2, 3}); err == nil {
 		t.Error("Lookup of a malformed RID on a heap should fail")
+	}
+}
+
+// TestKeylessScanCountsSequentialIO: a cold scan of a keyless table filled by
+// single-row inserts reads each leaf once, from the leftmost with no descent,
+// and mostly in sequence: appends allocate the leaves in insertion order.
+func TestKeylessScanCountsSequentialIO(t *testing.T) {
+	c := newTestCatalog()
+	tb, _ := c.CreateTable("h", lineitemColumns(), nil)
+	for i := 0; i < 20000; i++ {
+		if err := tb.Insert(makeRow(int64(i), int64(i%7), "1996-01-01", float64(i)/3, "R")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaves, err := tb.DataPages()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pg := c.Pager()
+	pg.ResetCache()
+	pg.ResetStats()
+	cur, n := tb.Scan(), 0
+	for {
+		row, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		if row[0].Int() != int64(n) {
+			t.Fatalf("row %d of the scan was inserted as row %d", n, row[0].Int())
+		}
+		n++
+	}
+	s := pg.Stats()
+	if n != 20000 || s.PageReads != int64(leaves) {
+		t.Errorf("cold scan read %d rows from %d pages, the table has 20000 rows in %d leaves", n, s.PageReads, leaves)
+	}
+	if s.RandReads > s.SeqReads {
+		t.Errorf("keyless scan should be mostly sequential: %+v", s)
+	}
+}
+
+// TestKeylessInsertRejectsOversizedRow: a row larger than a page holds is
+// refused, and the keyless table keeps no trace of it.
+func TestKeylessInsertRejectsOversizedRow(t *testing.T) {
+	c := newTestCatalog()
+	tb, _ := c.CreateTable("h", []Column{{Name: "s", Kind: value.KindString}}, nil)
+	pages := c.Pager().NumPages()
+	if err := tb.Insert([]value.Value{value.NewString(strings.Repeat("x", storage.PageSize))}); err == nil {
+		t.Fatal("a row larger than a page was stored")
+	}
+	if tb.RowCount() != 0 || tb.Stats.RowCount != 0 || c.Pager().NumPages() != pages {
+		t.Errorf("the refused row left %d rows, statistics of %d rows, %d pages of %d", tb.RowCount(), tb.Stats.RowCount, c.Pager().NumPages(), pages)
+	}
+}
+
+// TestUniquifierNumbersKeylessRows: a keyless table's rows are numbered by
+// the uniquifier alone — the first row's tree key is empty, the next ones
+// 1, 2, … big-endian — and a key whose uniquifier is spent is an error that
+// names the table.
+func TestUniquifierNumbersKeylessRows(t *testing.T) {
+	c := newTestCatalog()
+	tb, _ := c.CreateTable("log", []Column{{Name: "a", Kind: value.KindInt}}, nil)
+	for i := 0; i < 3; i++ {
+		if err := tb.Insert([]value.Value{value.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, locs, err := tb.scanStored()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [][]byte{{}, {0, 0, 0, 1}, {0, 0, 0, 2}}; !slices.EqualFunc(locs, want, bytes.Equal) {
+		t.Errorf("keyless tree keys %x, want %x", locs, want)
+	}
+	if _, err := tb.uniquify(nil, []byte{0xFF, 0xFF, 0xFF, 0xFF}, true); err == nil || !strings.Contains(err.Error(), `"log"`) {
+		t.Errorf("a spent uniquifier gave error %v, want one naming the table", err)
 	}
 }
 

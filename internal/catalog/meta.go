@@ -1,9 +1,9 @@
 // Catalog meta persistence: the logical half of durability, and the one
 // snapshot of recoverable state. The WAL's page images restore every B+-tree
-// and heap page byte for byte; this snapshot restores everything above them —
-// table and index definitions, tree roots, leftmost leaves and their fences,
-// heights and counts, heap page chains, statistics, the defining SQL of each
-// table that materializes a view, and the pager's freelist — so Open can
+// page byte for byte; this snapshot restores everything above them — table
+// and index definitions, tree roots, leftmost leaves and their fences,
+// heights and counts, statistics, the defining SQL of each table that
+// materializes a view, and the pager's freelist — so Open can
 // reattach live Table/Index objects to the recovered pages. Record layouts are
 // not persisted: they follow from the schema (Table.initLayouts), and
 // metaVersion names the layout rules the pages were written under.
@@ -21,28 +21,33 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 7: each table carries its view definition (empty for a base
-// table) and the pager's freelist follows the tables, so this snapshot is all
-// the recoverable state there is. Version 6 metas lack both, and a directory
-// written before version 7 wraps its meta in an envelope whose first byte is
-// 1, so it reads as version 1. Each tree's leftmost leaf and that leaf's
-// fence, the first separator above it, are stored beside its root, height and
-// count (encodeTree), so a scan with an open start, or a seek from a key at or
-// below the fence, begins at that leaf without a descent. Pages are laid out
-// as under versions 6, 5 and 4, whose metas lack the fence (and, in version
-// 4, the leftmost leaf) and would misparse: every column stored once — bare clustered keys
-// with a uniquifier on duplicates only, key-stripped payloads, secondary
-// entries located by clustered key — with each key column encoded under its
-// declared kind (value.AppendStoredKeyValue), each payload a record under its
-// declared kinds (value.AppendRecord: a tag bitmap, no field count, no kind
-// bytes but on NULLs and stray kinds), and B+-tree nodes that state their
-// kind and record geometry once in the page header (btree's node layout).
-// Version 3 pages frame every record with a marker, key length and 4-byte
-// slot and every payload field with a kind byte; version 2 pages hold every
-// numeric key as a 9- or 17-byte cross-kind word, version 1 pages also repeat
-// key columns in the payload. Decoding any of them under these rules would
+// metaVersion 8: every table is a clustered tree, a table created without a
+// primary key over zero key columns, so a table's clustered index follows its
+// columns unconditionally. Version 7 metas flag each table as clustered or
+// not and may list a heap's chain of slotted pages, which this build no
+// longer reads. From version 7 on, each table carries its view definition
+// (empty for a base table) and the pager's freelist follows the tables, so
+// this snapshot is all the recoverable state there is. Version 6 metas lack
+// both, and a directory written before version 7 wraps its meta in an
+// envelope whose first byte is 1, so it reads as version 1. Each tree's
+// leftmost leaf and that leaf's fence, the first separator above it, are
+// stored beside its root, height and count (encodeTree), so a scan with an
+// open start, or a seek from a key at or below the fence, begins at that leaf
+// without a descent. A keyed table's pages are laid out as under versions 7,
+// 6, 5 and 4 (whose metas lack the fence, and in version 4 the leftmost leaf,
+// and would misparse): every column stored once — bare clustered keys with a
+// uniquifier on duplicates only, key-stripped payloads, secondary entries
+// located by clustered key — with each key column encoded under its declared
+// kind (value.AppendStoredKeyValue), each payload a record under its declared
+// kinds (value.AppendRecord: a tag bitmap, no field count, no kind bytes but
+// on NULLs and stray kinds), and B+-tree nodes that state their kind and
+// record geometry once in the page header (btree's node layout). Version 3
+// pages frame every record with a marker, key length and 4-byte slot and
+// every payload field with a kind byte; version 2 pages hold every numeric
+// key as a 9- or 17-byte cross-kind word, version 1 pages also repeat key
+// columns in the payload. Decoding any of them under these rules would
 // return wrong rows or none, so RestoreMeta refuses them.
-const metaVersion = 7
+const metaVersion = 8
 
 type metaWriter struct{ buf []byte }
 
@@ -156,8 +161,7 @@ func (r *metaReader) pageIDs() []storage.PageID {
 }
 
 // EncodeMeta serializes the catalog: every table's schema, view definition,
-// physical layout (tree roots or heap page chains) and statistics, then the
-// pager's freelist.
+// trees and statistics, then the pager's freelist.
 func (c *Catalog) EncodeMeta() []byte {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -185,15 +189,9 @@ func encodeTable(w *metaWriter, t *Table) {
 		w.str(col.Name)
 		w.u8(byte(col.Kind))
 	}
-	w.bool(t.Clustered != nil)
-	if t.Clustered != nil {
-		w.str(t.Clustered.Name)
-		w.ords(t.Clustered.KeyColumns)
-		encodeTree(w, t.Clustered.tree)
-	} else {
-		w.pageIDs(t.heap.PageIDs())
-		w.iv(t.heap.RowCount())
-	}
+	w.str(t.Clustered.Name)
+	w.ords(t.Clustered.KeyColumns)
+	encodeTree(w, t.Clustered.tree)
 	w.uv(uint64(len(t.Secondary)))
 	for _, ix := range t.Secondary {
 		w.str(ix.Name)
@@ -311,17 +309,11 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 		kind := value.Kind(r.u8())
 		t.Columns = append(t.Columns, Column{Name: name, Kind: kind})
 	}
-	if r.bool() {
-		name := r.str()
-		keyOrds := r.ords()
-		tree := decodeTree(r, c.pager)
-		t.Clustered = &Index{
-			Name: name, Table: t, KeyColumns: keyOrds, Clustered: true, tree: tree,
-		}
-	} else {
-		ids := r.pageIDs()
-		rows := r.iv()
-		t.heap = storage.OpenHeapFile(c.pager, ids, rows)
+	name := r.str()
+	keyOrds := r.ords()
+	tree := decodeTree(r, c.pager)
+	t.Clustered = &Index{
+		Name: name, Table: t, KeyColumns: keyOrds, Clustered: true, tree: tree,
 	}
 	nsec := r.count()
 	for i := 0; i < nsec && r.err == nil; i++ {
@@ -361,10 +353,8 @@ func (t *Table) checkOrdinals() error {
 		}
 		return nil
 	}
-	if t.Clustered != nil {
-		if err := check(t.Clustered.KeyColumns); err != nil {
-			return err
-		}
+	if err := check(t.Clustered.KeyColumns); err != nil {
+		return err
 	}
 	for _, ix := range t.Secondary {
 		if err := check(ix.KeyColumns); err != nil {

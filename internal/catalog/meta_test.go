@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -14,10 +17,11 @@ import (
 
 // TestMetaRoundTripKeepsTreeAnchors: a catalog restored from its own meta, on
 // the same pages, re-encodes byte for byte and reattaches every tree at the
-// same root, leftmost leaf, fence, height and count (meta version 7); a
-// version-6 meta, which stores no view definitions or freelist, a version-5
-// one, which stores no fence either, and a version-4 one, which stores no
-// leftmost leaf either, are refused. A one-leaf tree has no fence on either
+// same root, leftmost leaf, fence, height and count (meta version 8); a
+// version-7 meta, which flags each table as clustered or not, a version-6
+// one, which stores no view definitions or freelist either, a version-5 one,
+// which stores no fence either, and a version-4 one, which stores no leftmost
+// leaf either, are refused. A one-leaf tree has no fence on either
 // side of the round trip.
 func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 	c, tbl, _ := newSeekTable(t, 20000)
@@ -35,8 +39,8 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 		}
 	}
 	meta := c.EncodeMeta()
-	if meta[0] != 7 {
-		t.Fatalf("meta starts with version %d, want 7", meta[0])
+	if meta[0] != 8 {
+		t.Fatalf("meta starts with version %d, want 8", meta[0])
 	}
 	r := New(c.Pager())
 	if err := r.RestoreMeta(meta); err != nil {
@@ -72,7 +76,7 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []byte{4, 5, 6} {
+	for _, v := range []byte{4, 5, 6, 7} {
 		old := slices.Clone(meta)
 		old[0] = v
 		if err := New(c.Pager()).RestoreMeta(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("meta version %d not supported", v)) {
@@ -81,9 +85,11 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 	}
 }
 
-// metaSeeds returns real metas: an empty catalog's and that of a catalog with
-// a clustered table and its secondary index, a one-leaf table, a heap table, a
-// table that materializes a view, and the freelist a dropped table left.
+// metaSeeds returns real metas: an empty catalog's, that of a keyless table
+// with a unique secondary index, whose rows the uniquifier alone numbers, and
+// last that of a catalog with a clustered table and its secondary index, a
+// one-leaf table, a keyless table, a table that materializes a view, and the
+// freelist a dropped table left.
 func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
 	tb.Helper()
 	c := New(storage.NewPager(0))
@@ -99,6 +105,13 @@ func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
 	for i := range rows {
 		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprintf("g%d", i%7)), value.NewFloat(float64(i) / 4)}
 	}
+	k := New(storage.NewPager(0))
+	keyless, err := k.CreateTable("keyless", cols, nil)
+	must(err)
+	must(keyless.BulkLoad(rows, IndexDef{Name: "keyless_id", Columns: []string{"id"}, Unique: true}))
+	must(keyless.Insert([]value.Value{value.NewInt(-1), value.NewString("g9"), value.Null()}))
+	seeds = append(seeds, k.EncodeMeta())
+
 	for _, name := range []string{"items", "dropped"} {
 		tbl, err := c.CreateTable(name, cols, []string{"id"})
 		must(err)
@@ -120,14 +133,30 @@ func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
 	return c.Pager(), append(seeds, c.EncodeMeta())
 }
 
+// readFuzzBytes reads the one []byte of a checked-in fuzz corpus file.
+func readFuzzBytes(path string) ([]byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(data)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		return nil, fmt.Errorf("%s: not a corpus file of one []byte", path)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	return []byte(s), err
+}
+
 // craftedMetas are metas whose lengths or counts no real meta could hold: a
 // name length of 2^63+17 (once a slice-bounds panic), an ords count of 2^40
 // (once an out-of-memory crash) and a table count of 2^64-1 (once read as
-// negative: an empty catalog and no error). testdata/fuzz/FuzzRestoreMeta
+// negative: an empty catalog and no error). The ords count is the clustered
+// key's of table "t", which follows its one column, "id". Each is of the
+// current version, so it reaches the count check; testdata/fuzz/FuzzRestoreMeta
 // holds the same three inputs.
 func craftedMetas() map[string][]byte {
 	uv := binary.AppendUvarint
-	table := append([]byte{metaVersion, 1, 1, 't', 0, 1, 2, 'i', 'd', byte(value.KindInt), 1, 1, 'c'}, uv(nil, 1<<40)...)
+	table := append([]byte{metaVersion, 1, 1, 't', 0, 1, 2, 'i', 'd', byte(value.KindInt), 1, 'c'}, uv(nil, 1<<40)...)
 	return map[string][]byte{
 		"name length 2^63+17": uv([]byte{metaVersion, 1}, 1<<63+17),
 		"ords count 2^40":     table,
@@ -137,7 +166,8 @@ func craftedMetas() map[string][]byte {
 
 // TestRestoreMetaRefusesCraftedCounts: a length or count larger than the
 // bytes left, and trailing bytes after a whole meta, are errors; the catalog
-// and the freelist keep what they held.
+// and the freelist keep what they held. Each crafted meta, the checked-in
+// copies included, is refused by the count check, not at its version byte.
 func TestRestoreMetaRefusesCraftedCounts(t *testing.T) {
 	pager, seeds := metaSeeds(t)
 	meta := seeds[len(seeds)-1]
@@ -149,12 +179,25 @@ func TestRestoreMetaRefusesCraftedCounts(t *testing.T) {
 	if len(free) == 0 {
 		t.Fatal("the dropped table left no free page")
 	}
-	bad := craftedMetas()
-	bad["trailing byte"] = append(slices.Clone(meta), 0)
-	for name, data := range bad {
-		if err := c.RestoreMeta(data); err == nil {
-			t.Errorf("%s: restored with no error", name)
+	crafted := craftedMetas()
+	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzRestoreMeta", "*"))
+	if err != nil || len(corpus) != len(crafted) {
+		t.Fatalf("%d checked-in crafted metas (%v), want %d", len(corpus), err, len(crafted))
+	}
+	for _, path := range corpus {
+		data, err := readFuzzBytes(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		crafted[path] = data
+	}
+	for name, data := range crafted {
+		if err := c.RestoreMeta(data); err == nil || !strings.Contains(err.Error(), "exceeds the") {
+			t.Errorf("%s: restored with error %v, want the count check's", name, err)
+		}
+	}
+	if err := c.RestoreMeta(append(slices.Clone(meta), 0)); err == nil || !strings.Contains(err.Error(), "trailing bytes") {
+		t.Errorf("a meta with a trailing byte restored with error %v", err)
 	}
 	if again := c.EncodeMeta(); !bytes.Equal(again, meta) || !slices.Equal(pager.FreeList(), free) {
 		t.Error("a refused meta changed the catalog or the freelist")

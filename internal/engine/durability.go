@@ -2,7 +2,7 @@
 // recovery on open, and the checkpoint protocol.
 //
 // The one snapshot of recoverable state above the pages is the catalog meta
-// (Catalog.EncodeMeta): schemas, tree anchors, heap chains, statistics, each
+// (Catalog.EncodeMeta): schemas, tree anchors, statistics, each
 // view's defining SQL and the pager's freelist. WAL meta frames, the
 // checkpointed meta file and a pending statement's pre-state all hold exactly
 // those bytes; restoreState installs them and re-parses the views.

@@ -404,8 +404,10 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier version: version 6 (today's pages, but a meta with no view
-// definitions and no freelist), version 5 (no fence beside each tree's
+// an earlier version: version 7 (a clustered-or-heap flag on every table, and
+// a keyless table's rows in a heap of slotted pages), version 6 (today's
+// clustered pages, but a meta with no view definitions and no freelist
+// either), version 5 (no fence beside each tree's
 // leftmost leaf either, so its rest would misparse), version 4 (a meta with no
 // leftmost leaf either), version 3 (a marker, key length and 4-byte slot on
 // every record, a field count and a kind byte per payload field), version 2
@@ -416,7 +418,7 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 // under the current rules, so Open must fail and name both versions rather
 // than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{6, 5, 4, 3, 2, 1} {
+	for _, old := range []byte{7, 6, 5, 4, 3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -431,8 +433,8 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
-		if meta[0] != 7 {
-			t.Fatalf("catalog meta starts with version %d, test expects 7", meta[0])
+		if meta[0] != 8 {
+			t.Fatalf("catalog meta starts with version %d, test expects 8", meta[0])
 		}
 		meta[0] = old
 		if err := storage.WriteFileAtomic(fs, metaFileName, meta); err != nil {
@@ -442,7 +444,7 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 7") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 8") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -511,21 +512,32 @@ func TestBulkLoadValidation(t *testing.T) {
 }
 
 // TestRefusedBulkLoadLeavesNoTrace: a bulk load whose 900th of 1,000 rows
-// cannot fit in a page is refused before any row is stored or any page
-// allocated, on a clustered table and on a heap, in memory and durably. It
-// used to leave the clustered table's statistics counting the 1,000 rows
-// and 3 pages allocated, and the heap holding the first 900 rows, after which
-// every later load was refused. Afterwards the table, its statistics and the
-// page count are as before, and a load of good rows succeeds.
+// cannot fit in a page, or repeats a key of a unique index, is refused before
+// any row is stored or any page allocated, on a keyed table and on a keyless
+// one, in memory and durably. The oversized row used to leave the keyed
+// table's statistics counting the 1,000 rows and 3 pages allocated, and a
+// keyless table holding the first 900 rows, after which every later load was
+// refused; the duplicate was found only after a keyless table had stored
+// every row. Afterwards the table, its statistics and the page count are as
+// before, and a load of good rows succeeds.
 func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
 	rows := make([][]value.Value, 1000)
 	for i := range rows {
 		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewString(fmt.Sprint("s", i))}
 	}
-	rows[900][1] = value.NewString(strings.Repeat("x", 20000))
+	tooLarge, dup := slices.Clone(rows), slices.Clone(rows)
+	tooLarge[900] = []value.Value{value.NewInt(900), value.NewString(strings.Repeat("x", 20000))}
+	dup[900] = []value.Value{value.NewInt(10), value.NewString("dup")}
 	for _, mode := range []string{"memory", "durable"} {
-		for _, key := range []string{", PRIMARY KEY (k)", ""} {
-			name := fmt.Sprintf("%s, key %q", mode, key)
+		for _, tc := range []struct {
+			key, index string
+			rows       [][]value.Value
+		}{
+			{", PRIMARY KEY (k)", "", tooLarge},
+			{"", "", tooLarge},
+			{"", "CREATE UNIQUE INDEX t_k ON t (k)", dup},
+		} {
+			name := fmt.Sprintf("%s, key %q, index %q", mode, tc.key, tc.index)
 			e := Default()
 			if mode == "durable" {
 				var err error
@@ -533,7 +545,10 @@ func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			mustExec(t, e, "CREATE TABLE t (k INT, s VARCHAR(64)"+key+")")
+			mustExec(t, e, "CREATE TABLE t (k INT, s VARCHAR(64)"+tc.key+")")
+			if tc.index != "" {
+				mustExec(t, e, tc.index)
+			}
 			// A durable engine's rollback restores the catalog as new objects.
 			stats := func() *catalog.TableStats {
 				tbl, err := e.Catalog().Table("t")
@@ -543,8 +558,8 @@ func TestRefusedBulkLoadLeavesNoTrace(t *testing.T) {
 				return tbl.Stats
 			}
 			pages := e.TotalDataPages()
-			if err := e.BulkLoad("t", rows); err == nil {
-				t.Fatalf("%s: a row of 20,000 bytes was accepted", name)
+			if err := e.BulkLoad("t", tc.rows); err == nil {
+				t.Fatalf("%s: the load was accepted", name)
 			}
 			if n := mustExec(t, e, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 0 {
 				t.Errorf("%s: the refused load stored %d rows", name, n)

@@ -6,7 +6,7 @@
 // slices of value.Value; every operator exposes the schema of the rows it
 // produces so parents can bind expressions by ordinal.
 //
-// The operator set mirrors what the paper relies on in SQL Server: heap and
+// The operator set mirrors what the paper relies on in SQL Server:
 // clustered-index scans, index seeks on secondary covering indexes,
 // index-nested-loop joins whose inner range depends on the outer row (the
 // "band joins" used for c-tables), merge and hash joins, and stream- and

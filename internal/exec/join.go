@@ -544,10 +544,10 @@ func NewIndexNestedLoopJoin(outer Operator, inner InnerSeekSpec, residual expr.E
 	}
 	ix := inner.Index
 	if ix == nil {
+		if !t.IsClustered() {
+			return nil, fmt.Errorf("exec: table %q has no clustered key", t.Name)
+		}
 		ix = t.Clustered
-	}
-	if ix == nil {
-		return nil, fmt.Errorf("exec: table %q has no clustered index", t.Name)
 	}
 	cols := inner.Cols
 	if cols == nil {

@@ -32,7 +32,7 @@ import (
 const DefaultMorselRows = 8 * DefaultBatchSize
 
 // Morseler is a source that can split its row range into morsels. TableScan
-// and IndexSeek (leaf-page or heap-page runs of their range) and
+// and IndexSeek (leaf-page runs of their range) and
 // colstore.ProjectionScan (row windows) implement it.
 type Morseler interface {
 	Operator

@@ -74,10 +74,11 @@ func compressBatchCols(b *Batch, cols []int) {
 
 // TableScan is the one access path over a table's own rows: every row whose
 // clustered-key prefix lies in [Lo, Hi], in clustered-key order. With both
-// bounds open it is the full scan (EXPLAIN's SeqScan, and the only form a heap
-// supports, in insertion order); with a bound it is the access path for
-// sargable predicates on the clustered key (EXPLAIN's ClusteredSeek). A
-// morsel of either is the same operator over a split of its range.
+// bounds open it is the full scan (EXPLAIN's SeqScan, and the only form a
+// keyless table supports, in insertion order); with a bound it is the access
+// path for sargable predicates on the clustered key (EXPLAIN's
+// ClusteredSeek). A morsel of either is the same operator over a split of its
+// range.
 type TableScan struct {
 	Table  *catalog.Table
 	Lo, Hi []value.Value // prefix bounds; nil = open
@@ -118,7 +119,7 @@ func NewSeqScan(t *catalog.Table, cols []int) *TableScan {
 // to [lo, hi] (nil = open).
 func NewClusteredSeek(t *catalog.Table, lo, hi []value.Value, loIncl, hiIncl bool, cols []int) (*TableScan, error) {
 	if !t.IsClustered() {
-		return nil, fmt.Errorf("exec: table %q has no clustered index", t.Name)
+		return nil, fmt.Errorf("exec: table %q has no clustered key", t.Name)
 	}
 	s := NewSeqScan(t, cols)
 	s.Lo, s.Hi, s.LoIncl, s.HiIncl = lo, hi, loIncl, hiIncl
@@ -238,8 +239,8 @@ func (s *TableScan) NumScanRows() int64 {
 	return rng.EstRows()
 }
 
-// Morsels implements Morseler: the range splits into leaf-page (or heap-page)
-// runs of roughly targetRows rows, every morsel this same operator over one
+// Morsels implements Morseler: the range splits into leaf-page runs of
+// roughly targetRows rows, every morsel this same operator over one
 // run. A morsel's filler recycles its column buffers across the morsel's
 // batches unless retain says its consumer keeps them (ParallelMerge), and
 // drops them when the morsel closes.
@@ -266,8 +267,8 @@ func (s *TableScan) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 // IndexSeek scans a secondary index for entries whose key prefix lies in a
 // constant range. When the index covers the requested columns the base table
 // is never touched; otherwise each entry is resolved to its base row through
-// the locator its key ends in (the row's exact clustered key, or its RID on a
-// heap), which costs one extra lookup per row.
+// the locator its key ends in (the row's exact clustered tree key), which
+// costs one extra lookup per row.
 // Like TableScan, a morsel of an IndexSeek is an IndexSeek over a split.
 type IndexSeek struct {
 	Index  *catalog.Index

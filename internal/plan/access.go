@@ -180,8 +180,8 @@ type PageEstimate struct {
 func (e PageEstimate) Cost() float64 { return e.Seq + storage.RandomReadCost*e.Rand }
 
 // treeRead prices a key-order read of leaves pages of one tree. A read
-// with an open start begins at the tree's stored leftmost leaf (a heap's first
-// page): one random read. A bounded start descends from the root: height
+// with an open start begins at the tree's stored leftmost leaf: one random
+// read. A bounded start descends from the root: height
 // random reads, the last of them the first leaf. The remaining leaves follow
 // the leaf chain sequentially.
 func treeRead(boundedStart bool, height int, leaves float64) PageEstimate {

@@ -69,9 +69,8 @@ func (s IOStats) Add(o IOStats) IOStats {
 // Frames are garbage-collected, never recycled, and a page's bytes in its
 // frame are its only in-memory representation: readers decode records in
 // place. So the one aliasing rule — the key and payload spans a batch fill
-// collects (btree.Iterator.NextSpans, HeapIterator.NextRecord) point into
-// page memory and must stay readable until the tree or heap they came from is
-// next mutated — needs no pin: a span keeps its evicted frame alive until it
+// collects (btree.Iterator.NextSpans) point into page memory and must stay
+// readable until the tree they came from is next mutated — needs no pin: a span keeps its evicted frame alive until it
 // is dropped. Writers hand the page they mutate back to BeforeWrite, which
 // re-installs it as the page's frame, so a page evicted between Get and the
 // write cannot take the write with it.

@@ -33,9 +33,7 @@ func TestCrashDataFileChecksumDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := pg.InsertRecord([]byte(fmt.Sprintf("record-%d", i))); !ok {
-			t.Fatal("insert failed")
-		}
+		copy(pg.Data(), fmt.Sprintf("record-%d", i))
 		ids = append(ids, pg.ID())
 	}
 	if err := p.FlushDirty(); err != nil {
@@ -76,8 +74,8 @@ func TestCrashDataFileChecksumDetectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("page %d: %v", id, err)
 		}
-		if want := fmt.Sprintf("record-%d", i); string(pg.Record(0)) != want {
-			t.Errorf("page %d record = %q, want %q", id, pg.Record(0), want)
+		if want := fmt.Sprintf("record-%d", i); !bytes.HasPrefix(pg.Data(), []byte(want)) {
+			t.Errorf("page %d begins %q, want %q", id, pg.Data()[:len(want)], want)
 		}
 	}
 }

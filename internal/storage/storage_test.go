@@ -1,78 +1,10 @@
 package storage
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 )
-
-func TestPageInsertAndRead(t *testing.T) {
-	p := newPage(1)
-	if p.FreeSpace() >= PageSize {
-		t.Fatalf("free space %d should be below page size", p.FreeSpace())
-	}
-	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma"), {}}
-	for i, r := range recs {
-		slot, ok := p.InsertRecord(r)
-		if !ok {
-			t.Fatalf("insert %d failed", i)
-		}
-		if slot != i {
-			t.Errorf("slot = %d, want %d", slot, i)
-		}
-	}
-	if p.NumSlots() != len(recs) {
-		t.Fatalf("NumSlots = %d", p.NumSlots())
-	}
-	for i, r := range recs {
-		if got := string(p.Record(i)); got != string(r) {
-			t.Errorf("record %d = %q, want %q", i, got, r)
-		}
-	}
-	if p.Record(-1) != nil || p.Record(99) != nil {
-		t.Error("out of range slots should return nil")
-	}
-}
-
-func TestPageDelete(t *testing.T) {
-	p := newPage(1)
-	p.InsertRecord([]byte("keep"))
-	p.InsertRecord([]byte("drop"))
-	if err := p.DeleteRecord(1); err != nil {
-		t.Fatal(err)
-	}
-	if p.Record(1) != nil {
-		t.Error("deleted record still readable")
-	}
-	if string(p.Record(0)) != "keep" {
-		t.Error("sibling record damaged by delete")
-	}
-	if err := p.DeleteRecord(5); err == nil {
-		t.Error("expected error deleting invalid slot")
-	}
-}
-
-// TestPageFillsUpAndOverheadCounts: a page holds exactly as many records as
-// fit with TupleOverhead header bytes and a slot each — 72 records of 100
-// bytes, where 78 would fit without the header.
-func TestPageFillsUpAndOverheadCounts(t *testing.T) {
-	rec := []byte(strings.Repeat("x", 100))
-	p := newPage(1)
-	n := 0
-	for {
-		if _, ok := p.InsertRecord(rec); !ok {
-			break
-		}
-		n++
-	}
-	if want := (PageSize - pageHeaderSize) / (len(rec) + TupleOverhead + slotSize); n != want {
-		t.Errorf("page took %d records of %d bytes, want %d", n, len(rec), want)
-	}
-	if bare := (PageSize - pageHeaderSize) / (len(rec) + slotSize); n >= bare {
-		t.Errorf("overhead should reduce records per page: %d vs %d", n, bare)
-	}
-}
 
 func TestPageAux(t *testing.T) {
 	p := newPage(7)
@@ -82,11 +14,6 @@ func TestPageAux(t *testing.T) {
 	p.SetAux(123456789)
 	if p.Aux() != 123456789 {
 		t.Error("aux round trip failed")
-	}
-	// Aux must survive record inserts.
-	p.InsertRecord([]byte("data"))
-	if p.Aux() != 123456789 {
-		t.Error("aux clobbered by insert")
 	}
 }
 
@@ -220,125 +147,4 @@ func mustAllocate(t testing.TB, p *Pager) *Page {
 		t.Fatalf("Allocate: %v", err)
 	}
 	return pg
-}
-
-// heapRecord is the test record of row i.
-func heapRecord(i int) []byte { return fmt.Appendf(nil, "row-%d|%g", i, float64(i)/3) }
-
-func TestHeapFileInsertScanGet(t *testing.T) {
-	pg := NewPager(0)
-	h := NewHeapFile(pg)
-	const n = 5000
-	var rids []RID
-	for i := 0; i < n; i++ {
-		rid, err := h.Insert(heapRecord(i))
-		if err != nil {
-			t.Fatalf("insert %d: %v", i, err)
-		}
-		rids = append(rids, rid)
-	}
-	if h.RowCount() != n {
-		t.Fatalf("RowCount = %d", h.RowCount())
-	}
-	if h.NumPages() < 2 {
-		t.Fatalf("expected multiple pages, got %d", h.NumPages())
-	}
-	// Point lookups.
-	for _, i := range []int{0, 1, n / 2, n - 1} {
-		rec, err := h.Get(rids[i])
-		if err != nil {
-			t.Fatalf("Get(%d): %v", i, err)
-		}
-		if string(rec) != string(heapRecord(i)) {
-			t.Errorf("record %d = %q", i, rec)
-		}
-	}
-	// Full scan sees every record exactly once, in insertion order.
-	it := h.Scan()
-	i := 0
-	for {
-		rec, rid, ok := it.NextRecord()
-		if !ok {
-			break
-		}
-		if string(rec) != string(heapRecord(i)) {
-			t.Fatalf("scan out of order at %d: %q", i, rec)
-		}
-		if rid != rids[i] {
-			t.Fatalf("scan rid mismatch at %d", i)
-		}
-		i++
-	}
-	if it.Err() != nil || i != n {
-		t.Fatalf("scan returned %d records, want %d (err %v)", i, n, it.Err())
-	}
-}
-
-func TestHeapFileDelete(t *testing.T) {
-	pg := NewPager(0)
-	h := NewHeapFile(pg)
-	var rids []RID
-	for i := 0; i < 10; i++ {
-		rid, err := h.Insert(heapRecord(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rids = append(rids, rid)
-	}
-	if err := h.Delete(rids[3]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h.Get(rids[3]); err == nil {
-		t.Error("expected error reading deleted row")
-	}
-	if h.RowCount() != 9 {
-		t.Errorf("RowCount = %d after delete", h.RowCount())
-	}
-	seen := 0
-	it := h.Scan()
-	for {
-		rec, _, ok := it.NextRecord()
-		if !ok {
-			break
-		}
-		if string(rec) == string(heapRecord(3)) {
-			t.Error("deleted row visible in scan")
-		}
-		seen++
-	}
-	if it.Err() != nil || seen != 9 {
-		t.Errorf("scan saw %d rows, want 9 (err %v)", seen, it.Err())
-	}
-}
-
-func TestHeapFileRejectsOversizedRow(t *testing.T) {
-	h := NewHeapFile(NewPager(0))
-	if _, err := h.Insert(make([]byte, PageSize)); err == nil {
-		t.Error("expected error for oversized row")
-	}
-}
-
-func TestHeapScanCountsSequentialIO(t *testing.T) {
-	pg := NewPager(0)
-	h := NewHeapFile(pg)
-	for i := 0; i < 20000; i++ {
-		if _, err := h.Insert(heapRecord(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	pg.ResetCache()
-	pg.ResetStats()
-	it := h.Scan()
-	for _, _, ok := it.NextRecord(); ok; _, _, ok = it.NextRecord() {
-	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	s := pg.Stats()
-	if s.PageReads != int64(h.NumPages()) {
-		t.Errorf("cold scan read %d pages, heap has %d", s.PageReads, h.NumPages())
-	}
-	if s.RandReads > s.SeqReads {
-		t.Errorf("heap scan should be mostly sequential: %+v", s)
-	}
 }

@@ -12,7 +12,7 @@ import (
 // Four encodings are provided:
 //
 //   - AppendRecord/RecordWalker (record.go): the payload of a stored record —
-//     clustered and index leaf payloads and heap rows — directed by the
+//     clustered and index leaf payloads — directed by the
 //     columns' declared kinds. It is not order-preserving.
 //   - EncodeTuple/DecodeTuple: a compact, self-describing row format, for
 //     values with no declared kind (the catalog meta's column min/max).

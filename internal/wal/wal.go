@@ -215,6 +215,12 @@ func decodePages(body []byte) ([]PageImage, error) {
 	}
 	n := int(binary.LittleEndian.Uint32(body[:4]))
 	body = body[4:]
+	// Every image takes at least its 12-byte header, so a count above that is
+	// corrupt: refusing it before sizing the slice keeps a crafted frame from
+	// allocating without bound.
+	if n > len(body)/12 {
+		return nil, fmt.Errorf("wal: %d page images declared in a body of %d bytes", n, len(body))
+	}
 	out := make([]PageImage, 0, n)
 	for i := 0; i < n; i++ {
 		if len(body) < 12 {
