@@ -452,11 +452,17 @@ func (t *Table) bareKey(row []value.Value) []byte {
 }
 
 // Insert adds one row, maintaining the clustered storage, every secondary
-// index and the table statistics.
+// index and the table statistics. A row whose key columns a unique index
+// already holds is refused before anything is stored.
 func (t *Table) Insert(row []value.Value) error {
 	row, err := t.storedRow(row, nil)
 	if err != nil {
 		return err
+	}
+	for _, ix := range t.Secondary {
+		if err := ix.refuseDuplicate(row); err != nil {
+			return err
+		}
 	}
 	var scratch []value.Value
 	var locator []byte
@@ -1081,6 +1087,23 @@ func (ix *Index) entryKey(row []value.Value, locator []byte) []byte {
 		key = value.AppendStoredKeyValue(key, row[ord])
 	}
 	return append(key, locator...)
+}
+
+// refuseDuplicate reports the duplicate-key error when ix is unique and
+// already holds an entry with the (stored) row's key columns. As in entries,
+// uniqueness is on the encoded key columns without the locator, so NULLs are
+// equal; the encoding is prefix-free, so the entries with those columns are
+// exactly the keys that begin with them.
+func (ix *Index) refuseDuplicate(row []value.Value) error {
+	if !ix.Unique || len(ix.KeyColumns) == 0 {
+		return nil
+	}
+	prefix := ix.entryKey(row, nil)
+	it := ix.tree.Seek(prefix, append(prefix, keySentinel...), true)
+	if it.Next() {
+		return fmt.Errorf("catalog: duplicate key in unique index %q", ix.Name)
+	}
+	return it.Err()
 }
 
 // scanStored reads every stored row back with its locator, its tree key as

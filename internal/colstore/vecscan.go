@@ -79,10 +79,6 @@ func (s *ProjectionScan) Morsels(targetRows int, retain bool) ([]exec.Operator, 
 	if targetRows < 1 {
 		targetRows = 1
 	}
-	n := s.hi - s.lo
-	if n <= int64(targetRows) {
-		return nil, false
-	}
 	var out []exec.Operator
 	for lo := s.lo; lo < s.hi; lo += int64(targetRows) {
 		hi := lo + int64(targetRows)
@@ -94,10 +90,7 @@ func (s *ProjectionScan) Morsels(targetRows int, retain bool) ([]exec.Operator, 
 		clone.pos = lo
 		out = append(out, &clone)
 	}
-	if len(out) < 2 {
-		return nil, false
-	}
-	return out, true
+	return out, len(out) >= 2
 }
 
 // Close implements exec.Operator.

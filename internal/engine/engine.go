@@ -359,8 +359,10 @@ func (e *Engine) QueryStmt(stmt *sql.SelectStmt) (*Result, error) {
 // Fingerprint and, unless the options bypass it, keys the plan cache; stmt,
 // when non-nil, skips parsing.
 func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.SelectStmt) (*Result, error) {
-	// The I/O window opens before planning: a parallel plan's morsel
-	// partitioning walks leaves, and those page reads are the query's too.
+	// The I/O window opens before planning: planning walks a range's
+	// internal pages to decide whether it splits into morsels (and a
+	// parallel operator splits it again as it opens), and those page reads
+	// are the query's too.
 	before := e.pager.Stats()
 	par := e.effectiveParallelism(opts.Parallelism)
 	useCache := norm != "" && !opts.NoCache && !opts.Trace

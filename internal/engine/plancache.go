@@ -8,19 +8,31 @@ import (
 	"oldelephant/internal/sql"
 )
 
-// The plan cache lets repeated queries skip the lexer, parser, planner and
-// morsel partitioning entirely. Compiled operator trees carry iteration
-// state, so a plan instance must never execute twice concurrently; instead of
-// deep-cloning twenty operator types the cache leases instances: acquire
-// removes a compiled plan from the entry's idle pool (a concurrent second
-// execution of the same query misses the pool, reuses the cached AST and
-// replans), and release returns it after a successful execution. Every
-// catalog or design change clears the cache wholesale — compiled plans embed
-// physical artifacts (morsel page runs, access paths, cardinalities) that any
-// schema or data change can invalidate, and mutations are rare in this
-// read-mostly serving model. Acquire/release run under the engine's shared
-// (read) lock and invalidation under its exclusive lock, so a stale plan can
-// never be leased: a mutation cannot interleave with an in-flight lease.
+// The plan cache lets repeated queries skip the lexer, parser and planner
+// entirely. A compiled plan is an operator tree whose operators keep
+// iteration state while they run, so a plan instance must never execute
+// twice concurrently; instead of deep-cloning twenty operator types the
+// cache leases instances: acquire removes a compiled plan from the entry's
+// idle pool (a concurrent second execution of the same query misses the
+// pool, reuses the cached AST and replans), and release returns it after a
+// successful execution.
+//
+// An idle plan holds its operator tree, its sources' key bounds and its
+// plan-time choices (access paths, join methods, serial or parallel), and
+// nothing of its last execution: a scan takes its column, code and span
+// buffers and its string dictionaries from the executor's shared pool at
+// its first fill and returns them as it closes; a parallel operator splits
+// its source into morsels as it opens and drops them as it closes; joins
+// and breakers drop their tables. So what a cache of idle plans costs does
+// not grow with the data or the buffer pool, and no idle plan reaches a
+// page frame.
+//
+// Every catalog or design change still clears the cache wholesale: the
+// plan-time choices rest on row counts and designs that any schema or data
+// change can invalidate, and mutations are rare in this read-mostly serving
+// model. Acquire/release run under the engine's shared (read) lock and
+// invalidation under its exclusive lock, so a stale plan can never be
+// leased: a mutation cannot interleave with an in-flight lease.
 
 // planKey identifies a cached plan: the normalized SQL text plus the worker
 // count of the parallel rewrite. The executor mode is fixed for an engine's

@@ -9,8 +9,8 @@ import (
 // TestQueryIOIsThePagersDelta: with one caller, a query's reported I/O is
 // exactly what the pager did around the call — serial or parallel, planned
 // afresh or leased from the plan cache. A parallel plan's morsel partitioning
-// reads the internal pages over its range while planning, before execution
-// starts; those reads are the query's too.
+// reads the internal pages over its range while planning and again as the
+// parallel operator opens; those reads are the query's too.
 func TestQueryIOIsThePagersDelta(t *testing.T) {
 	e := newWorkloadEngine(t)
 	const q = "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'"

@@ -378,7 +378,8 @@ func TestParallelWorkerPanicIsAnError(t *testing.T) {
 	}
 	armed := true
 	pipe := func(src Operator) Operator {
-		if armed && len(src.(*ValuesScan).Rows) > 0 && src.(*ValuesScan).Rows[0][1].I == 2000 {
+		// The pipeline is also built once over the whole source, at plan time.
+		if vs, ok := src.(*ValuesScan); ok && armed && len(vs.Rows) > 0 && vs.Rows[0][1].I == 2000 {
 			return panicking{src}
 		}
 		return src

@@ -533,7 +533,6 @@ type boundScan interface {
 	// whether positioning descended from the root. Close makes the next
 	// Reseek begin afresh.
 	Reseek(lo, hi []value.Value) (descended bool, err error)
-	releaseFill()
 }
 
 // NewIndexNestedLoopJoin builds an index-nested-loop (band) join.
@@ -915,32 +914,13 @@ func (j *IndexNestedLoopJoin) emit(in *Batch) (*Batch, error) {
 	return out, nil
 }
 
-// Close implements Operator. It also lets go of the join's buffers and the
-// column arenas of its inner scan and of the scans under its outer side, so a
-// plan held by the plan cache pins none of them. A scan keeps its arena to
-// spare a cached point seek the allocation; a band join reads whole outer
-// batches and many inner ranges per execution, against which growing the
-// arenas again is noise.
+// Close implements Operator. It also lets go of the join's buffers; the
+// inner scan, like the scans under the outer side, returns its filler's
+// buffers as it closes, so a plan held by the plan cache pins none of them.
 func (j *IndexNestedLoopJoin) Close() error {
 	j.inner.Close()
 	j.innerOpen = false
 	j.outerRow, j.outer = nil, nil
 	j.probes, j.lo, j.hi, j.runRows, j.runEnds = nil, nil, nil, nil, nil
-	err := j.Outer.Close()
-	j.inner.releaseFill()
-	releaseFills(j.Outer)
-	return err
-}
-
-// releaseFills releases the column arenas of the scans in the tree rooted at
-// op (see TableScan.releaseFill).
-func releaseFills(op Operator) {
-	if s, ok := op.(boundScan); ok {
-		s.releaseFill()
-	}
-	if p, ok := op.(Parent); ok {
-		for i := 0; p.Child(i) != nil; i++ {
-			releaseFills(*p.Child(i))
-		}
-	}
+	return j.Outer.Close()
 }

@@ -340,7 +340,7 @@ func (s *joinBuildState) ensure(input Operator) (*joinTable, error) {
 func (s *joinBuildState) buildTable(input Operator) (*joinTable, error) {
 	ncols := len(input.Schema())
 	if s.workers > 1 && s.src != nil {
-		if parts, ok := s.src.Morsels(DefaultMorselRows, false); ok && len(parts) >= 2 {
+		if parts, ok := s.src.Morsels(DefaultMorselRows, false); ok {
 			return s.buildParallel(parts, ncols)
 		}
 	}

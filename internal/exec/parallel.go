@@ -1,11 +1,14 @@
 // Morsel-driven parallel execution. A partitionable source (Morseler) splits
 // its row range into morsels — small, self-contained scans over disjoint,
-// consecutive row ranges. An atomic cursor hands morsels to a fixed pool of
-// worker goroutines; each worker runs its own clone of the stateless operator
-// pipeline (Filter/Project) over the morsels it claims, so scans, predicate
-// kernels and partial aggregation all run concurrently. Compressed (Const/
-// RLE/Dict) vectors flow through worker pipelines unchanged: a morsel's
-// batches cross the worker boundary in whatever encoding the scan produced.
+// consecutive row ranges — when the parallel operator over it opens, and the
+// operator drops them when it closes, so a plan idle in the plan cache holds
+// its source's bounds but no split. An atomic cursor hands morsels to a fixed
+// pool of worker goroutines; each worker runs its own clone of the stateless
+// operator pipeline (Filter/Project) over the morsels it claims, so scans,
+// predicate kernels and partial aggregation all run concurrently. Compressed
+// (Const/RLE/Dict) vectors flow through worker pipelines unchanged: a
+// morsel's batches cross the worker boundary in whatever encoding the scan
+// produced.
 //
 // Every merge operator re-establishes the serial order: ParallelMerge
 // reassembles row streams in morsel order, the parallel aggregates combine
@@ -41,8 +44,9 @@ type Morseler interface {
 	NumScanRows() int64
 	// Morsels splits the source into operators over disjoint, consecutive
 	// row ranges of roughly targetRows rows whose concatenation in slice
-	// order reproduces the source's row stream exactly. Each morsel operator
-	// owns its cursor state, so distinct morsels can be scanned concurrently.
+	// order reproduces the source's row stream exactly, however few there
+	// are. Each morsel operator owns its cursor state and its buffers, so
+	// distinct morsels can be scanned concurrently.
 	// retain names the consumer's batch contract. With retain, the consumer
 	// keeps a morsel's batches past later NextBatch calls and hands them
 	// across goroutines (ParallelMerge, through drainPipe), so every
@@ -50,9 +54,10 @@ type Morseler interface {
 	// columns. Without it, the consumer folds each batch on the worker before
 	// it pulls the next (the parallel aggregates, ParallelSort, the parallel
 	// hash-join build), which is Operator's own contract: a morsel may refill
-	// one set of column buffers across its batches, and it drops them when it
-	// closes, so a cached plan's idle morsels hold none.
-	// ok is false when the source cannot be split into at least two morsels.
+	// one set of column buffers across its batches, and it returns them when
+	// it closes.
+	// ok reports whether there are at least two morsels: the planner's test
+	// of whether the source parallelizes at all.
 	Morsels(targetRows int, retain bool) (parts []Operator, ok bool)
 }
 
@@ -60,7 +65,8 @@ type Morseler interface {
 // (Filter/Project) that sits between the scan and the pipeline breaker. It is
 // called once per morsel, possibly from concurrent workers, so it must not
 // share mutable state between clones (shared expression trees are fine: they
-// are immutable and their kernels are pure).
+// are immutable and their kernels are pure). At plan time it is also called
+// once over the unsplit source, for the pipeline's schema and shared state.
 type PipelineFunc func(src Operator) Operator
 
 func identityPipeline(src Operator) Operator { return src }
@@ -267,18 +273,17 @@ func (r *orderedRunner) stop() {
 	}
 }
 
-// morselParts splits src into morsels when it is partitionable into at least
-// two (retain as in Morseler.Morsels); build defaults to the identity
-// pipeline.
-func morselParts(src Morseler, build PipelineFunc, retain bool) ([]Operator, PipelineFunc, bool) {
-	parts, ok := src.Morsels(DefaultMorselRows, retain)
-	if !ok || len(parts) < 2 {
-		return nil, nil, false
+// splittable reports, at plan time, whether src splits into at least two
+// morsels; the morsels themselves are dropped, and made again at each Open.
+// build defaults to the identity pipeline.
+func splittable(src Morseler, build PipelineFunc) (PipelineFunc, bool) {
+	if _, ok := src.Morsels(DefaultMorselRows, false); !ok {
+		return nil, false
 	}
 	if build == nil {
 		build = identityPipeline
 	}
-	return parts, build, true
+	return build, true
 }
 
 // drainPipe opens a per-morsel pipeline, collects its batches and closes it.
@@ -303,12 +308,13 @@ func drainPipe(pipe Operator) ([]*Batch, error) {
 // pipeline's. It is the merge operator for unordered (non-aggregating,
 // non-sorting) parallel pipelines.
 type ParallelMerge struct {
+	src      Morseler
 	build    PipelineFunc
 	workers  int
-	parts    []Operator
 	schema   []ColumnInfo
 	absorbed []SharedReleaser
 
+	parts  []Operator // this execution's morsels, split at Open
 	runner *orderedRunner
 	cur    []*Batch
 	curIdx int
@@ -319,15 +325,15 @@ type ParallelMerge struct {
 // ok is false when src cannot provide at least two morsels; build nil means
 // the identity pipeline.
 func NewParallelMerge(src Morseler, build PipelineFunc, workers int) (*ParallelMerge, bool) {
-	parts, build, ok := morselParts(src, build, true)
+	build, ok := splittable(src, build)
 	if !ok {
 		return nil, false
 	}
-	proto := build(parts[0])
+	proto := build(src)
 	return &ParallelMerge{
+		src:      src,
 		build:    build,
 		workers:  workers,
-		parts:    parts,
 		schema:   proto.Schema(),
 		absorbed: sharedState(proto),
 	}, true
@@ -347,11 +353,12 @@ func poolAttrs(sp *trace.Span, workers, morsels int) {
 	sp.SetAttr("morsels", int64(morsels))
 }
 
-// Open implements Operator.
+// Open implements Operator: it splits the source for this execution.
 func (m *ParallelMerge) Open() error {
 	if m.runner != nil {
 		m.runner.stop()
 	}
+	m.parts, _ = m.src.Morsels(DefaultMorselRows, true)
 	m.runner = newOrderedRunner("ParallelMerge", m.parts, m.workers, func(part Operator) (any, error) {
 		batches, err := drainPipe(m.build(part))
 		if err != nil {
@@ -388,13 +395,13 @@ func (m *ParallelMerge) Next() (Row, bool, error) {
 	return m.rows.next(m.NextBatch)
 }
 
-// Close implements Operator.
+// Close implements Operator: the morsels go with the execution.
 func (m *ParallelMerge) Close() error {
 	if m.runner != nil {
 		m.runner.stop()
 		m.runner = nil
 	}
-	m.cur = nil
+	m.parts, m.cur = nil, nil
 	releaseShared(m.absorbed)
 	return nil
 }
@@ -407,8 +414,8 @@ func (m *ParallelMerge) Close() error {
 // here once.
 type parallelBreaker struct {
 	name     string
+	src      Morseler
 	workers  int
-	parts    []Operator
 	schema   []ColumnInfo
 	absorbed []SharedReleaser // see SharedReleaser
 	// morsel drains one per-morsel pipeline into the breaker's partial form;
@@ -418,6 +425,7 @@ type parallelBreaker struct {
 	// into the final result; it runs on the consumer.
 	merge func(next func() (any, bool, error)) (resultSet, error)
 
+	parts   []Operator // this execution's morsels, split at Open
 	runner  *orderedRunner
 	results resultSet
 	built   bool
@@ -438,11 +446,12 @@ func (b *parallelBreaker) SetContext(ctx context.Context) { b.ctx = ctx }
 // TraceAttrs implements SpanAnnotator.
 func (b *parallelBreaker) TraceAttrs(sp *trace.Span) { poolAttrs(sp, b.workers, len(b.parts)) }
 
-// Open implements Operator.
+// Open implements Operator: it splits the source for this execution.
 func (b *parallelBreaker) Open() error {
 	if b.runner != nil {
 		b.runner.stop()
 	}
+	b.parts, _ = b.src.Morsels(DefaultMorselRows, false)
 	b.runner = newOrderedRunner(b.name, b.parts, b.workers, b.morsel)
 	b.results, b.built, b.pos = nil, false, 0
 	b.rows.reset()
@@ -481,13 +490,13 @@ func (b *parallelBreaker) Next() (Row, bool, error) {
 	return b.rows.next(b.NextBatch)
 }
 
-// Close implements Operator.
+// Close implements Operator: the morsels go with the execution.
 func (b *parallelBreaker) Close() error {
 	if b.runner != nil {
 		b.runner.stop()
 		b.runner = nil
 	}
-	b.results, b.built = nil, false
+	b.parts, b.results, b.built = nil, nil, false
 	releaseShared(b.absorbed)
 	return nil
 }
@@ -527,15 +536,15 @@ type ParallelHashAggregate struct {
 // aggregate (nil = aggregate the scan directly). ok is false when src cannot
 // provide at least two morsels.
 func NewParallelHashAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelHashAggregate, bool) {
-	parts, build, ok := morselParts(src, build, false)
+	build, ok := splittable(src, build)
 	if !ok {
 		return nil, false
 	}
-	proto := build(parts[0])
+	proto := build(src)
 	return &ParallelHashAggregate{parallelBreaker{
 		name:     "ParallelHashAggregate",
+		src:      src,
 		workers:  workers,
-		parts:    parts,
 		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
 		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
@@ -583,15 +592,15 @@ type ParallelStreamAggregate struct {
 // (the same precondition as StreamAggregate). ok is false when src cannot
 // provide at least two morsels.
 func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int, aggs []AggSpec, workers int) (*ParallelStreamAggregate, bool) {
-	parts, build, ok := morselParts(src, build, false)
+	build, ok := splittable(src, build)
 	if !ok {
 		return nil, false
 	}
-	proto := build(parts[0])
+	proto := build(src)
 	return &ParallelStreamAggregate{parallelBreaker{
 		name:     "ParallelStreamAggregate",
+		src:      src,
 		workers:  workers,
-		parts:    parts,
 		schema:   aggSchemaFromCols(proto.Schema(), groupBy, aggs),
 		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {
@@ -633,15 +642,15 @@ type ParallelSort struct {
 // clones the pipeline between the scan and the sort. ok is false when src
 // cannot provide at least two morsels.
 func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers int) (*ParallelSort, bool) {
-	parts, build, ok := morselParts(src, build, false)
+	build, ok := splittable(src, build)
 	if !ok {
 		return nil, false
 	}
-	proto := build(parts[0])
+	proto := build(src)
 	return &ParallelSort{parallelBreaker{
 		name:     "ParallelSort",
+		src:      src,
 		workers:  workers,
-		parts:    parts,
 		schema:   proto.Schema(),
 		absorbed: sharedState(proto),
 		morsel: func(part Operator) (any, error) {

@@ -91,13 +91,10 @@ type TableScan struct {
 	EncodeCols []int
 
 	// part is the sub-range a split scans; nil on the operator the planner
-	// built, which opens its whole range lazily.
+	// built, which opens its whole range lazily. Morsels are made when a
+	// parallel operator opens, so a cached plan keeps no split and no leaf
+	// list.
 	part *catalog.Range
-	// whole memoizes the sized range between the NumScanRows and Morsels
-	// calls of one parallel rewrite (planning is single-threaded; cached
-	// plans are invalidated on any catalog change, so a stale range never
-	// executes). Morsels drops it: a cached plan keeps no leaf list.
-	whole *catalog.Range
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -111,7 +108,7 @@ func NewSeqScan(t *catalog.Table, cols []int) *TableScan {
 	}
 	return &TableScan{
 		Table: t, Cols: cols, schema: projectedSchema(t, cols),
-		fill: newColFiller(columnKinds(t, cols), t.Layout(), cols, true),
+		fill: newColFiller(columnKinds(t, cols), t.Layout(), cols),
 	}
 }
 
@@ -158,15 +155,11 @@ func reseek(cur **catalog.Cursor, rng *catalog.Range) bool {
 	return (*cur).Descended()
 }
 
-// releaseFill drops the column arena the scan's filler has grown. An index
-// nested-loop join calls it as it closes (see IndexNestedLoopJoin.Close).
-func (s *TableScan) releaseFill() { s.fill.release() }
-
 // Schema implements Operator.
 func (s *TableScan) Schema() []ColumnInfo { return s.schema }
 
-// Open implements Operator. The filler's column arena deliberately survives
-// Open: a plan-cache lease's later executions reuse fully-grown buffers.
+// Open implements Operator. The filler takes its buffers at the first
+// NextBatch, and Close returns them.
 func (s *TableScan) Open() error {
 	rng := s.part
 	if rng == nil {
@@ -206,34 +199,20 @@ func (s *TableScan) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Close implements Operator. A morsel's filler drops its buffers here: the
-// morsel is over, and a cached plan keeps every morsel between executions.
+// Close implements Operator: the filler's buffers go back to the pool, so a
+// closed scan — a cached plan's, a finished morsel — holds none.
 func (s *TableScan) Close() error {
 	s.cur = nil
-	if s.part != nil {
-		s.fill.release()
-	}
+	s.fill.release()
 	return nil
-}
-
-// wholeRange computes (once) the scan's range for sizing and splitting.
-func (s *TableScan) wholeRange() *catalog.Range {
-	if s.whole == nil {
-		rng, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-		if err != nil {
-			return nil
-		}
-		s.whole = &rng
-	}
-	return s.whole
 }
 
 // NumScanRows implements Morseler: the table's row count for a full scan, the
 // estimated rows in the key range for a seek — a selective seek below the
 // parallelization threshold stays serial.
 func (s *TableScan) NumScanRows() int64 {
-	rng := s.wholeRange()
-	if rng == nil {
+	rng, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	if err != nil {
 		return 0
 	}
 	return rng.EstRows()
@@ -242,26 +221,25 @@ func (s *TableScan) NumScanRows() int64 {
 // Morsels implements Morseler: the range splits into leaf-page runs of
 // roughly targetRows rows, every morsel this same operator over one
 // run. A morsel's filler recycles its column buffers across the morsel's
-// batches unless retain says its consumer keeps them (ParallelMerge), and
-// drops them when the morsel closes.
+// batches unless retain says its consumer keeps them (ParallelMerge). A
+// range the scan cannot form is one morsel over the whole scan, whose Open
+// reports the error.
 func (s *TableScan) Morsels(targetRows int, retain bool) ([]Operator, bool) {
-	rng := s.wholeRange()
-	if rng == nil {
-		return nil, false
+	morsel := func(part *catalog.Range) Operator {
+		m := *s
+		m.part, m.cur, m.fill = part, nil, s.fill.morsel(!retain)
+		return &m
+	}
+	rng, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	if err != nil {
+		return []Operator{morsel(nil)}, false
 	}
 	parts := rng.Split(int64(targetRows))
-	s.whole = nil
-	if len(parts) < 2 {
-		return nil, false
-	}
 	out := make([]Operator, len(parts))
 	for i := range parts {
-		m := *s
-		m.part, m.whole, m.cur = &parts[i], nil, nil
-		m.fill = newColFiller(columnKinds(s.Table, s.Cols), s.Table.Layout(), s.Cols, !retain)
-		out[i] = &m
+		out[i] = morsel(&parts[i])
 	}
-	return out, true
+	return out, len(out) >= 2
 }
 
 // IndexSeek scans a secondary index for entries whose key prefix lies in a
@@ -281,8 +259,7 @@ type IndexSeek struct {
 	// Const vector).
 	EncodeCols []int
 
-	part  *catalog.Range // see TableScan.part
-	whole *catalog.Range // see TableScan.whole
+	part *catalog.Range // see TableScan.part
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -310,7 +287,7 @@ func NewIndexSeek(ix *catalog.Index, lo, hi []value.Value, loIncl, hiIncl bool, 
 		for i, ord := range cols {
 			s.entryPos[i] = slices.Index(entryOrds, ord)
 		}
-		s.fill = newColFiller(columnKinds(t, cols), ix.Layout(), s.entryPos, true)
+		s.fill = newColFiller(columnKinds(t, cols), ix.Layout(), s.entryPos)
 	}
 	return s, nil
 }
@@ -328,14 +305,6 @@ func (s *IndexSeek) Reseek(lo, hi []value.Value) (bool, error) {
 	s.Lo, s.Hi = lo, hi
 	rng := s.Index.Range(lo, hi, s.LoIncl, s.HiIncl)
 	return reseek(&s.cur, &rng), nil
-}
-
-// releaseFill drops the covered filler's column arena (see
-// TableScan.releaseFill).
-func (s *IndexSeek) releaseFill() {
-	if s.covered {
-		s.fill.release()
-	}
 }
 
 // Schema implements Operator.
@@ -401,27 +370,21 @@ func (s *IndexSeek) NextBatch() (*Batch, bool, error) {
 	return b, true, nil
 }
 
-// Close implements Operator; a covered morsel drops its filler's buffers
+// Close implements Operator; a covered seek returns its filler's buffers
 // (see TableScan.Close).
 func (s *IndexSeek) Close() error {
 	s.cur = nil
-	if s.part != nil {
-		s.releaseFill()
+	if s.covered {
+		s.fill.release()
 	}
 	return nil
 }
 
-// wholeRange computes (once) the seek's range for sizing and splitting.
-func (s *IndexSeek) wholeRange() *catalog.Range {
-	if s.whole == nil {
-		rng := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
-		s.whole = &rng
-	}
-	return s.whole
-}
-
 // NumScanRows implements Morseler: estimated entries in the seek's key range.
-func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
+func (s *IndexSeek) NumScanRows() int64 {
+	rng := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	return rng.EstRows()
+}
 
 // Morsels implements Morseler: the seek's leaf range splits into entry runs,
 // every morsel an IndexSeek over one run that resolves base rows on its own
@@ -430,19 +393,16 @@ func (s *IndexSeek) NumScanRows() int64 { return s.wholeRange().EstRows() }
 // secondary-index range scans parallelize too. A covered morsel's filler
 // recycles as TableScan.Morsels describes.
 func (s *IndexSeek) Morsels(targetRows int, retain bool) ([]Operator, bool) {
-	parts := s.wholeRange().Split(int64(targetRows))
-	s.whole = nil
-	if len(parts) < 2 {
-		return nil, false
-	}
+	rng := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	parts := rng.Split(int64(targetRows))
 	out := make([]Operator, len(parts))
 	for i := range parts {
 		m := *s
-		m.part, m.whole, m.cur = &parts[i], nil, nil
+		m.part, m.cur = &parts[i], nil
 		if s.covered {
-			m.fill = newColFiller(columnKinds(s.Index.Table, s.Cols), s.Index.Layout(), s.entryPos, !retain)
+			m.fill = s.fill.morsel(!retain)
 		}
 		out[i] = &m
 	}
-	return out, true
+	return out, len(out) >= 2
 }

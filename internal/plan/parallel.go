@@ -17,10 +17,13 @@ const ParallelRowThreshold = 8192
 // or by the plan root — and replaces each with its parallel form: per-worker
 // pipeline clones over morsels, merged by ParallelMerge (row streams, morsel
 // order), partial-aggregate combining (Hash/StreamAggregate), or an ordered
-// K-way merge (Sort). A vectorized hash join is both: as a cloner its
-// probe-side pipeline parallelizes through it (per-morsel clones share one
-// built hash table), and as a breaker its build side hashes morsel-parallel
-// into per-worker partitions merged in morsel order.
+// K-way merge (Sort). The rewrite only decides which pipelines go parallel:
+// each parallel operator splits its source into morsels as it opens and
+// drops them as it closes, so a cached plan holds no morsel. A vectorized
+// hash join is both: as a cloner its probe-side pipeline parallelizes
+// through it (per-morsel clones share one built hash table), and as a
+// breaker its build side hashes morsel-parallel into per-worker partitions
+// merged in morsel order.
 //
 // The walk knows no operator by name. It descends only through operators that
 // declare their inputs re-plannable (exec.Replanner); under any other — the
