@@ -553,6 +553,7 @@ func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, 
 	if keyOrder != nil {
 		stats.rebound(keyOrder) // observe would have seen them in key order
 	}
+	stats.settle()
 	t.Stats = stats
 	if len(added) > 0 {
 		t.Secondary = append(t.Secondary, added...)
@@ -781,10 +782,7 @@ func (r *Range) Split(targetRows int64) []Range {
 	if r.err != nil {
 		return []Range{*r}
 	}
-	per := int(targetRows / r.perLeaf)
-	if per < 1 {
-		per = 1
-	}
+	per := r.leavesPerSplit(targetRows)
 	var out []Range
 	for i := 0; i < len(r.leaves); i += per {
 		n := min(per, len(r.leaves)-i)
@@ -796,6 +794,22 @@ func (r *Range) Split(targetRows int64) []Range {
 		out = append(out, sub)
 	}
 	return out
+}
+
+// Splits is the number of sub-ranges Split(targetRows) returns, counted from
+// the leaves the range sized without making any of them.
+func (r *Range) Splits(targetRows int64) int {
+	r.size()
+	if r.err != nil {
+		return 1
+	}
+	per := r.leavesPerSplit(targetRows)
+	return (len(r.leaves) + per - 1) / per
+}
+
+// leavesPerSplit is how many leaves each of Split's sub-ranges spans.
+func (r *Range) leavesPerSplit(targetRows int64) int {
+	return max(1, int(targetRows/r.perLeaf))
 }
 
 // Locator returns the base-row locator carried at the end of a secondary

@@ -11,3 +11,13 @@ func (d *distinctSketch) Count() int64 { return d.count() }
 
 // Registers are the HyperLogLog registers, nil while the count is exact.
 func (d *distinctSketch) Registers() []uint8 { return d.regs }
+
+// SketchBytes is the memory the distinct sketches of the table's columns
+// hold: their exact sets and their registers.
+func (s *TableStats) SketchBytes() int {
+	n := 0
+	for _, cs := range s.columns {
+		n += 8*len(cs.distinct.exact) + len(cs.distinct.regs)
+	}
+	return n
+}

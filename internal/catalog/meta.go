@@ -230,7 +230,7 @@ func encodeStats(w *metaWriter, s *TableStats) {
 	for i := range s.columns {
 		cs := &s.columns[i]
 		w.iv(cs.nulls)
-		w.iv(max(cs.distinct.count(), cs.restored))
+		w.iv(max(cs.distinct.count(), cs.settled))
 		w.bytes(value.EncodeTuple(nil, []value.Value{cs.min, cs.max}))
 	}
 }
@@ -249,7 +249,7 @@ func decodeStats(r *metaReader, cols []Column) (*TableStats, error) {
 	for i := 0; i < n; i++ {
 		cs := &s.columns[i]
 		cs.nulls = r.iv()
-		cs.restored = r.iv()
+		cs.settled = r.iv()
 		mm := r.bytes()
 		if r.err != nil {
 			return nil, r.err

@@ -33,15 +33,21 @@ func (s *TableStats) EstimatedDataPages() float64 {
 	return pages
 }
 
+// columnStats are one column's statistics. A column has one lifecycle
+// whichever way its table came to be: a bulk load folds a full sketch, since
+// the count must be exact, and then settles it (TableStats.settle), which is
+// exactly what a restored meta snapshot, after recovery or a statement's
+// rollback, leaves behind. INSERTs fold into a live sketch that starts empty.
 type columnStats struct {
 	distinct distinctSketch
 	min, max value.Value
 	nulls    int64
-	// restored is the distinct count recorded in a persisted meta snapshot.
-	// The sketch itself is not persisted; after recovery the count reported is
-	// the maximum of the snapshot value and whatever the live sketch has
-	// re-accumulated.
-	restored int64
+	// settled is the distinct count a load or a meta snapshot left; the
+	// sketch behind it is not kept. The count reported is the maximum of it
+	// and the live sketch's, so INSERTs of new values move a settled column's
+	// count only once they alone outnumber it: like PostgreSQL's n_distinct,
+	// the count is not maintained between loads.
+	settled int64
 	// last is the non-NULL value observed last (NULL before the first). The
 	// same value again changes nothing — the sketch and the bounds already
 	// hold it — so observe skips it; sorted and clustered columns repeat a lot.
@@ -57,7 +63,10 @@ type columnStats struct {
 // then on with a HyperLogLog of 2^sketchBits one-byte registers (standard
 // error 1.04/sqrt(2^sketchBits), 1.6 %). Key-like columns of any size cost 4
 // KiB each instead of a set entry per row; the low-cardinality columns whose
-// counts decide plans (dates, flags, group-by keys) stay exact.
+// counts decide plans (dates, flags, group-by keys) stay exact. A sketch
+// lives while a bulk load folds it and, from its first value on, under the
+// INSERTs into a column; the zero sketch holds no memory, and a settled
+// column keeps only its count.
 type distinctSketch struct {
 	// exact is the set: an open-addressing table of hashes, linear probing,
 	// at most three quarters full, 0 marking an empty slot. nil once regs
@@ -246,6 +255,16 @@ func (s *TableStats) rebound(rows [][]value.Value) {
 	}
 }
 
+// settle ends a bulk load's fold: every column keeps its distinct count as
+// its settled count and lets go of its sketch, so a loaded table holds what a
+// restored one does (decodeStats), and reports the counts the fold found.
+func (s *TableStats) settle() {
+	for c := range s.columns {
+		cs := &s.columns[c]
+		s.columns[c] = columnStats{min: cs.min, max: cs.max, nulls: cs.nulls, settled: max(cs.distinct.count(), cs.settled)}
+	}
+}
+
 // observe folds one value of the column into its statistics.
 func (cs *columnStats) observe(v value.Value) {
 	if v.IsNull() {
@@ -299,7 +318,7 @@ func (s *TableStats) DistinctCount(col int) int64 {
 	if col < 0 || col >= len(s.columns) {
 		return 1
 	}
-	return max(s.columns[col].distinct.count(), s.columns[col].restored, 1)
+	return max(s.columns[col].distinct.count(), s.columns[col].settled, 1)
 }
 
 // MinMax returns the observed minimum and maximum of the column (NULL when

@@ -52,28 +52,18 @@ func foldValue(r *rand.Rand, k value.Kind, card int) value.Value {
 	return value.NewInt(n)
 }
 
-// sameStats fails unless got holds exactly the statistics in want: the row
-// count and bytes, and for every column the nulls, the distinct sketch (its
-// exact set as a set, or its registers) and both bounds, kind and bits.
-func sameStats(t *testing.T, name string, got, want *TableStats) {
+// samePublic fails unless got reports exactly the statistics want does: the
+// row count and bytes, and for every column the distinct count, the nulls and
+// both bounds, kind and bits.
+func samePublic(t *testing.T, name string, got, want *TableStats) {
 	t.Helper()
 	if got.RowCount != want.RowCount || got.DataBytes != want.DataBytes {
 		t.Fatalf("%s: %d rows of %d bytes, want %d of %d", name, got.RowCount, got.DataBytes, want.RowCount, want.DataBytes)
 	}
-	set := func(d *distinctSketch) []uint64 {
-		s := slices.DeleteFunc(slices.Clone(d.exact), func(h uint64) bool { return h == 0 })
-		slices.Sort(s)
-		return s
-	}
 	for c := range want.columns {
-		g, w := &got.columns[c], &want.columns[c]
 		if got.DistinctCount(c) != want.DistinctCount(c) || got.NullCount(c) != want.NullCount(c) {
 			t.Fatalf("%s column %d: %d distinct, %d nulls; want %d, %d", name, c,
 				got.DistinctCount(c), got.NullCount(c), want.DistinctCount(c), want.NullCount(c))
-		}
-		if g.distinct.n != w.distinct.n || g.distinct.zero != w.distinct.zero ||
-			!slices.Equal(g.distinct.regs, w.distinct.regs) || !slices.Equal(set(&g.distinct), set(&w.distinct)) {
-			t.Fatalf("%s column %d: the distinct sketch differs from the serial fold's", name, c)
 		}
 		gmin, gmax := got.MinMax(c)
 		wmin, wmax := want.MinMax(c)
@@ -87,13 +77,35 @@ func sameStats(t *testing.T, name string, got, want *TableStats) {
 	}
 }
 
+// sameStats fails unless got holds exactly the statistics in want: what
+// samePublic compares, and every column's distinct sketch (its exact set as a
+// set, or its registers).
+func sameStats(t *testing.T, name string, got, want *TableStats) {
+	t.Helper()
+	samePublic(t, name, got, want)
+	set := func(d *distinctSketch) []uint64 {
+		s := slices.DeleteFunc(slices.Clone(d.exact), func(h uint64) bool { return h == 0 })
+		slices.Sort(s)
+		return s
+	}
+	for c := range want.columns {
+		g, w := &got.columns[c].distinct, &want.columns[c].distinct
+		if g.n != w.n || g.zero != w.zero || !slices.Equal(g.regs, w.regs) || !slices.Equal(set(g), set(w)) {
+			t.Fatalf("%s column %d: the distinct sketch differs from the serial fold's", name, c)
+		}
+	}
+}
+
 // TestParallelStatsFoldMatchesSerial: a bulk load folds its statistics
 // column by column on GOMAXPROCS workers, in input order, beside the tree
-// build. On random tables of 1 to 14 columns — NULLs, stray kinds, values
-// that tie without being identical, columns past the sketch's exact limit —
-// loaded sorted and shuffled into a clustered table and into a heap, every
-// field must equal a serial observe over the stored rows in key order, as
-// the table reads them back.
+// build, re-derives tied bounds in key order, and settles. On random tables
+// of 1 to 14 columns — NULLs, stray kinds, values that tie without being
+// identical, columns past the sketch's exact limit — loaded sorted and
+// shuffled into a clustered table and into a keyless one, the fold of the
+// stored rows, before it settles, must equal a serial observe over them in
+// key order, as the table reads them back, field for field, sketches
+// included. The loaded table must report the same counts, nulls and bounds
+// and hold no sketch.
 func TestParallelStatsFoldMatchesSerial(t *testing.T) {
 	r := rand.New(rand.NewSource(33))
 	ties := 0
@@ -130,6 +142,7 @@ func TestParallelStatsFoldMatchesSerial(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			want := NewTableStats(cols)
+			var keyOrder [][]value.Value
 			cur := tbl.Scan()
 			for {
 				row, ok, err := cur.Next()
@@ -140,10 +153,24 @@ func TestParallelStatsFoldMatchesSerial(t *testing.T) {
 					break
 				}
 				want.observe(row)
+				keyOrder = append(keyOrder, row)
 			}
-			sameStats(t, name, tbl.Stats, want)
-			for _, cs := range tbl.Stats.columns {
-				if cs.tied {
+			stored := make([][]value.Value, len(in.rows))
+			for i, row := range in.rows {
+				if stored[i], err = tbl.storedRow(row, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			folded := NewTableStats(cols)
+			folded.fold(stored)
+			folded.rebound(keyOrder)
+			sameStats(t, name, folded, want)
+			samePublic(t, name+", loaded", tbl.Stats, want)
+			for c, cs := range tbl.Stats.columns {
+				if cs.distinct.exact != nil || cs.distinct.regs != nil {
+					t.Fatalf("%s column %d: the loaded table keeps its sketch", name, c)
+				}
+				if folded.columns[c].tied {
 					ties++
 				}
 			}

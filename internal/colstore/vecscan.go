@@ -93,6 +93,12 @@ func (s *ProjectionScan) Morsels(targetRows int, retain bool) ([]exec.Operator, 
 	return out, len(out) >= 2
 }
 
+// NumMorsels implements exec.Morseler: the row windows Morsels makes.
+func (s *ProjectionScan) NumMorsels(targetRows int) int {
+	n := int64(max(targetRows, 1))
+	return int((s.hi - s.lo + n - 1) / n)
+}
+
 // Close implements exec.Operator.
 func (s *ProjectionScan) Close() error { return nil }
 

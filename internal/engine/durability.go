@@ -7,9 +7,12 @@
 // checkpointed meta file and a pending statement's pre-state all hold exactly
 // those bytes; restoreState installs them and re-parses the views.
 //
-// Commit protocol (file-backed engines): every mutating statement runs inside
-// a pager statement scope that captures undo images. On success the engine
-// appends one commit group to the WAL — the full images of every page the
+// Statement atomicity (both modes): every mutating statement runs inside a
+// pager statement scope that captures undo images; a statement that fails
+// part-way is rolled back and the pre-statement meta restored, so a multi-row
+// INSERT refused at a later row keeps none of its rows.
+//
+// Commit protocol (file-backed engines): on success the engine appends one commit group to the WAL — the full images of every page the
 // statement wrote, the post-statement catalog meta and a commit marker —
 // while still holding the writer lock, then releases the lock and calls
 // WaitDurable. Group commit happens there: concurrent committers batch behind
@@ -180,15 +183,12 @@ func (e *Engine) shutdownFiles() {
 }
 
 // mutateLocked runs one mutating statement under the writer lock the caller
-// holds. In memory mode it just runs fn. In durable mode it wraps fn in a
-// statement scope, appends the commit group to the WAL on success (returning
-// its LSN for the caller to await after releasing the lock), and rolls back
-// on failure so a failed statement leaves no trace.
+// holds. It wraps fn in a statement scope and rolls back on failure, so a
+// failed statement leaves no trace in either mode. On success a durable
+// engine appends the commit group to the WAL and returns its LSN for the
+// caller to await after releasing the lock; an in-memory one has nothing
+// more to do.
 func (e *Engine) mutateLocked(kind byte, info string, fn func() (*Result, error)) (*Result, int64, error) {
-	if e.wal == nil {
-		res, err := fn()
-		return res, 0, err
-	}
 	if err := e.reconcileLocked(); err != nil {
 		return nil, 0, err
 	}
@@ -197,6 +197,9 @@ func (e *Engine) mutateLocked(kind byte, info string, fn func() (*Result, error)
 	res, err := fn()
 	undo := e.pager.EndStmt()
 	if err == nil {
+		if e.wal == nil {
+			return res, 0, nil
+		}
 		var pages []wal.PageImage
 		pages, err = e.commitImages(undo)
 		if err == nil {

@@ -12,8 +12,9 @@ import (
 // TestInsertRefusesUniqueDuplicate: an INSERT whose key columns a unique
 // index already holds is refused with the error a bulk load or CREATE UNIQUE
 // INDEX gives for the same duplicate, NULL keys counting as equal, on a keyed
-// and on a keyless table. A refused INSERT leaves the row count, the
-// statistics and the pages as they were, and the durable engine reads the
+// and on a keyless table. A refused INSERT, a multi-row one refused at a later
+// row included, leaves the row count, the statistics and the pages as they
+// were on either engine, and the durable engine reads the
 // same rows after a clean reopen and after replaying its log from a crash
 // image.
 func TestInsertRefusesUniqueDuplicate(t *testing.T) {
@@ -31,11 +32,12 @@ func TestInsertRefusesUniqueDuplicate(t *testing.T) {
 				vals = append(vals, fmt.Sprintf("(%d, %d, 'n%d')", i, 1000-i, i))
 			}
 			execAll(t, e, "INSERT INTO t VALUES "+strings.Join(vals, ", "), "INSERT INTO t VALUES (900, NULL, 'null')")
-			tbl, err := e.Catalog().Table("t")
-			if err != nil {
-				t.Fatal(err)
-			}
 			snapshot := func() string {
+				// A rollback restores the catalog, so read the table anew.
+				tbl, err := e.Catalog().Table("t")
+				if err != nil {
+					t.Fatal(err)
+				}
 				s := fmt.Sprintf("rows %d, stats %d rows %d bytes, pages %d;", tbl.RowCount(), tbl.Stats.RowCount, tbl.Stats.DataBytes, e.Pager().NumPages())
 				for col := range tbl.Columns {
 					lo, hi := tbl.Stats.MinMax(col)
@@ -54,15 +56,12 @@ func TestInsertRefusesUniqueDuplicate(t *testing.T) {
 				if err == nil || !strings.Contains(err.Error(), `duplicate key in unique index "t_k"`) {
 					t.Fatalf("%s: %s: err = %v, want the unique index to refuse it", name, dup, err)
 				}
-				if !durable && strings.Contains(dup, "new") {
-					// The in-memory engine keeps the rows a multi-row
-					// statement stored before the refused one.
-					continue
-				}
 				if got := snapshot(); got != before {
 					t.Errorf("%s: %s changed the table:\n  before %s\n  after  %s", name, dup, before, got)
 				}
-				if got := e.Pager().Stats().PageWrites; !durable && got != writes {
+				// A statement refused at its first row writes no page; one
+				// refused at a later row wrote its earlier rows and undid them.
+				if got := e.Pager().Stats().PageWrites; !durable && !strings.Contains(dup, "),") && got != writes {
 					t.Errorf("%s: %s wrote %d pages", name, dup, got-writes)
 				}
 			}

@@ -56,9 +56,12 @@ type Morseler interface {
 	// hash-join build), which is Operator's own contract: a morsel may refill
 	// one set of column buffers across its batches, and it returns them when
 	// it closes.
-	// ok reports whether there are at least two morsels: the planner's test
-	// of whether the source parallelizes at all.
+	// ok reports whether there are at least two morsels.
 	Morsels(targetRows int, retain bool) (parts []Operator, ok bool)
+	// NumMorsels is the number of morsels Morsels(targetRows, …) returns,
+	// counted without making them: the planner's test of whether the source
+	// parallelizes at all.
+	NumMorsels(targetRows int) int
 }
 
 // PipelineFunc builds a fresh clone of the stateless operator pipeline
@@ -274,10 +277,10 @@ func (r *orderedRunner) stop() {
 }
 
 // splittable reports, at plan time, whether src splits into at least two
-// morsels; the morsels themselves are dropped, and made again at each Open.
-// build defaults to the identity pipeline.
+// morsels; it only counts them, and each Open makes them. build defaults to
+// the identity pipeline.
 func splittable(src Morseler, build PipelineFunc) (PipelineFunc, bool) {
-	if _, ok := src.Morsels(DefaultMorselRows, false); !ok {
+	if src.NumMorsels(DefaultMorselRows) < 2 {
 		return nil, false
 	}
 	if build == nil {

@@ -46,6 +46,11 @@ func (v *valuesMorseler) Morsels(target int, _ bool) ([]Operator, bool) {
 	return out, true
 }
 
+func (v *valuesMorseler) NumMorsels(target int) int {
+	parts, _ := v.Morsels(target, false)
+	return len(parts)
+}
+
 func testRows(n int, groups int) []Row {
 	rng := rand.New(rand.NewSource(7))
 	rows := make([]Row, n)

@@ -242,6 +242,16 @@ func (s *TableScan) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 	return out, len(out) >= 2
 }
 
+// NumMorsels implements Morseler: the range's split count, one for a range
+// the scan cannot form.
+func (s *TableScan) NumMorsels(targetRows int) int {
+	rng, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	if err != nil {
+		return 1
+	}
+	return rng.Splits(int64(targetRows))
+}
+
 // IndexSeek scans a secondary index for entries whose key prefix lies in a
 // constant range. When the index covers the requested columns the base table
 // is never touched; otherwise each entry is resolved to its base row through
@@ -405,4 +415,10 @@ func (s *IndexSeek) Morsels(targetRows int, retain bool) ([]Operator, bool) {
 		out[i] = &m
 	}
 	return out, len(out) >= 2
+}
+
+// NumMorsels implements Morseler: the seek's range's split count.
+func (s *IndexSeek) NumMorsels(targetRows int) int {
+	rng := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+	return rng.Splits(int64(targetRows))
 }

@@ -178,3 +178,73 @@ func TestParallelSplitPageErrorSurfaces(t *testing.T) {
 		t.Error("batch protocol: scan over a faulted tree reported no error")
 	}
 }
+
+// morselCounter is a Morseler that counts the morsel operators it makes.
+type morselCounter struct {
+	Morseler
+	made int
+}
+
+func (m *morselCounter) Morsels(targetRows int, retain bool) ([]Operator, bool) {
+	parts, ok := m.Morseler.Morsels(targetRows, retain)
+	m.made += len(parts)
+	return parts, ok
+}
+
+// TestPlanTimeSplitCheckMakesNoMorsel: whether a source parallelizes is
+// decided at plan time from NumMorsels, a count over the leaves its range
+// sizes, which equals the number of morsels Morsels makes for every
+// access-path shape and target. Building each parallel operator makes no
+// morsel operator; each Open makes one set.
+func TestPlanTimeSplitCheckMakesNoMorsel(t *testing.T) {
+	const rows = 3 * DefaultMorselRows
+	_, clustered, heap := splitFixture(t, rows)
+	iv := func(n int64) []value.Value { return []value.Value{value.NewInt(n)} }
+	seek, err := NewClusteredSeek(clustered, iv(1500), iv(rows-900), true, false, []int{0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	covered, err := NewIndexSeek(clustered.Secondary[0], iv(5), iv(30), true, true, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncovered, err := NewIndexSeek(heap.Secondary[0], iv(5), iv(30), true, true, []int{1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]Morseler{
+		"heap scan": NewSeqScan(heap, nil), "clustered scan": NewSeqScan(clustered, []int{0}),
+		"clustered seek": seek, "covered index seek": covered, "uncovered index seek": uncovered,
+	} {
+		for _, target := range []int{1, 700, DefaultMorselRows, rows + 1} {
+			parts, _ := src.Morsels(target, false)
+			if n := src.NumMorsels(target); n != len(parts) {
+				t.Errorf("%s target=%d: NumMorsels = %d, Morsels made %d", name, target, n, len(parts))
+			}
+		}
+	}
+
+	src := &morselCounter{Morseler: NewSeqScan(clustered, []int{1, 2})}
+	want := src.NumMorsels(DefaultMorselRows)
+	if want < 2 {
+		t.Fatalf("fixture splits into %d morsels, want at least 2", want)
+	}
+	aggs := []AggSpec{{Kind: AggCountStar, Name: "n"}}
+	merge, ok1 := NewParallelMerge(src, nil, 2)
+	_, ok2 := NewParallelHashAggregate(src, nil, []int{0}, aggs, 2)
+	_, ok3 := NewParallelStreamAggregate(src, nil, []int{0}, aggs, 2)
+	_, ok4 := NewParallelSort(src, nil, []SortKey{{Col: 1}}, 2)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		t.Fatalf("a source of %d morsels did not parallelize: %v %v %v %v", want, ok1, ok2, ok3, ok4)
+	}
+	if src.made != 0 {
+		t.Fatalf("planning four parallel operators made %d morsel operators, want none", src.made)
+	}
+	out, err := DrainBatches(nil, merge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != rows || src.made != want {
+		t.Errorf("an execution read %d rows through %d morsels, want %d through %d", len(out), src.made, rows, want)
+	}
+}

@@ -466,7 +466,7 @@ func (p *Pager) markDirtyLocked(id PageID) {
 
 // BeginStmt opens a statement scope: subsequent writes capture undo images
 // until EndStmt. Statements do not nest; the engine serializes
-// writers. Memory-mode pagers may skip the statement lifecycle entirely.
+// writers.
 func (p *Pager) BeginStmt() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
