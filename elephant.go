@@ -194,7 +194,9 @@ func (db *DB) Serve(opts ServerOptions) *Server {
 // Prepare parses a SELECT once into a reusable handle whose executions lease
 // compiled plans from the shared plan cache (see Engine.QueryPrepared).
 // Handles are interned by exact text: while one is referenced, preparing the
-// same text again returns it without parsing (see Engine.Prepare).
+// same text again returns it without parsing. Point lookups on a unique key
+// that differ only in their key literals share one parse tree and one cached
+// plan (see Engine.Prepare).
 func (db *DB) Prepare(sqlText string) (*engine.Prepared, error) {
 	return db.Engine.Prepare(sqlText)
 }

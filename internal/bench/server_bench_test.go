@@ -106,10 +106,17 @@ func BenchmarkServerThroughput(b *testing.B) {
 // skips dominates the cold path.
 const selectiveSeekSQL = "SELECT l_suppkey, l_shipdate FROM lineitem WHERE l_orderkey = 1984"
 
+// ordersSeekFmt is a point lookup on orders' clustered key, the shape of
+// the prepared seeks a serving workload sends by the thousand.
+const ordersSeekFmt = "SELECT o_custkey, o_totalprice, o_orderdate FROM orders WHERE o_orderkey = %d"
+
 // BenchmarkPreparedVsCold compares the cold path (lex+parse+plan+execute,
 // plan cache bypassed) against a prepared, plan-cache-hit execution through
 // a server session — the speedup prepared statements buy on selective
-// queries. Run both and compare ns/op:
+// queries. Prepared1024 runs 1,024 prepared point lookups that differ only
+// in their key round-robin: they share one shape, so every execution leases
+// the one cached plan although the texts are four times the plan cache.
+// Run them and compare ns/op:
 //
 //	go test ./internal/bench -bench PreparedVsCold
 func BenchmarkPreparedVsCold(b *testing.B) {
@@ -144,6 +151,39 @@ func BenchmarkPreparedVsCold(b *testing.B) {
 			}
 			if !res.Stats.PlanCached {
 				b.Fatal("prepared execution missed the plan cache")
+			}
+		}
+	})
+	b.Run("Prepared1024", func(b *testing.B) {
+		srv := server.New(h.Engine, server.Options{})
+		defer srv.Close()
+		sess, err := srv.Session()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer sess.Close()
+		keys, err := h.Engine.Query("SELECT o_orderkey FROM orders LIMIT 1024")
+		if err != nil {
+			b.Fatal(err)
+		}
+		names := make([]string, len(keys.Rows))
+		for i, row := range keys.Rows {
+			names[i] = fmt.Sprintf("seek%d", i)
+			if err := sess.Prepare(names[i], fmt.Sprintf(ordersSeekFmt, row[0].Int())); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sess.ExecPrepared(names[i]); err != nil { // warm the cache
+				b.Fatal(err)
+			}
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := sess.ExecPrepared(names[i%len(names)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			if !res.Stats.PlanCached || len(res.Rows) != 1 {
+				b.Fatalf("%s: %d rows, plan cached %v; want one row from the shared plan", names[i%len(names)], len(res.Rows), res.Stats.PlanCached)
 			}
 		}
 	})

@@ -697,23 +697,49 @@ type Range struct {
 // range is the full scan in clustered-key order (insertion order for a
 // keyless table) and the only range a keyless table supports.
 func (t *Table) Range(lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) {
+	return t.RangeIn(nil, lo, hi, loIncl, hiIncl)
+}
+
+// RangeIn is Range with the bounds' keys encoded into keys, the caller's
+// buffers for the lower and the upper key, which it grows as needed: an
+// operator that opens its range once per execution re-encodes it into
+// buffers it owns. The range aliases the buffers until they are next used.
+// nil keys allocates, as Range does.
+func (t *Table) RangeIn(keys *[2][]byte, lo, hi []value.Value, loIncl, hiIncl bool) (Range, error) {
 	if !t.IsClustered() && (lo != nil || hi != nil) {
 		return Range{}, fmt.Errorf("catalog: table %q has no clustered key", t.Name)
 	}
-	return t.Clustered.Range(lo, hi, loIncl, hiIncl), nil
+	return t.Clustered.RangeIn(keys, lo, hi, loIncl, hiIncl), nil
 }
 
 // Range describes the index entries whose key-column prefix lies in [lo, hi]
 // (same bounds semantics as Table.Range).
 func (ix *Index) Range(lo, hi []value.Value, loIncl, hiIncl bool) Range {
+	return ix.RangeIn(nil, lo, hi, loIncl, hiIncl)
+}
+
+// RangeIn is Range with the keys encoded into the caller's buffers (see
+// Table.RangeIn).
+func (ix *Index) RangeIn(keys *[2][]byte, lo, hi []value.Value, loIncl, hiIncl bool) Range {
+	var bufs [2][]byte
+	if keys != nil {
+		bufs = *keys
+	}
 	kinds := ix.layout.KeyKinds
-	start, startIncl, noLo := encodeBound(kinds, lo, false, loIncl)
-	stop, stopIncl, noHi := encodeBound(kinds, hi, true, hiIncl)
+	start, startIncl, noLo := encodeBound(bufs[0], kinds, lo, false, loIncl)
+	stop, stopIncl, noHi := encodeBound(bufs[1], kinds, hi, true, hiIncl)
 	if start != nil && !startIncl {
 		start = append(start, keySentinel...)
 	}
 	if stop != nil && stopIncl {
 		stop = append(stop, keySentinel...)
+	}
+	if keys != nil {
+		for i, key := range [2][]byte{start, stop} {
+			if key != nil { // an open side leaves its buffer be
+				keys[i] = key
+			}
+		}
 	}
 	return Range{tree: ix.tree, layout: ix.layout, start: start, stop: stop, stopIncl: stopIncl, empty: noLo || noHi}
 }
@@ -856,8 +882,9 @@ func (t *Table) Lookup(locator []byte) ([]value.Value, error) {
 // a value before the last of a composite prefix has no single counterpart of
 // its column's kind; the prefix is then cut there and the range is the
 // tightest superset. The same-kind path (an index nested-loop join re-binds
-// per outer row) converts nothing and allocates only the key.
-func encodeBound(kinds []value.Kind, vals []value.Value, upper, incl bool) (key []byte, keyIncl, none bool) {
+// per outer row) converts nothing and allocates only the key — nothing, when
+// dst, whose bytes the key overwrites, has room for it.
+func encodeBound(dst []byte, kinds []value.Kind, vals []value.Value, upper, incl bool) (key []byte, keyIncl, none bool) {
 	if len(vals) == 0 {
 		return nil, false, false
 	}
@@ -865,7 +892,10 @@ func encodeBound(kinds []value.Kind, vals []value.Value, upper, incl bool) (key 
 		// More values than key columns: the columns are all there is to bound.
 		vals, incl = vals[:len(kinds)], true
 	}
-	key = make([]byte, 0, 9*len(vals)+len(keySentinel))
+	key = dst[:0]
+	if need := 9*len(vals) + len(keySentinel); cap(key) < need {
+		key = make([]byte, 0, need)
+	}
 	for i, v := range vals {
 		last := i == len(vals)-1
 		w, wIncl, fit := value.CoerceKeyBound(v, kinds[i], upper, incl || !last)

@@ -265,8 +265,12 @@ func decodeStats(r *metaReader, cols []Column) (*TableStats, error) {
 
 // RestoreMeta rebuilds the catalog's tables and the pager's freelist from an
 // EncodeMeta snapshot, attaching the tables to the (already recovered) pages
-// of the shared pager. Any existing tables are discarded. A snapshot that
-// fails to decode whole, trailing bytes included, changes nothing.
+// of the shared pager. A table the catalog already holds under the same name
+// is restored into its existing Table value, so a *Table a caller obtained
+// before (a statement's rollback restores the meta) keeps reading and
+// writing the catalog's table; the other existing tables are discarded. A
+// snapshot that fails to decode whole, trailing bytes included, changes
+// nothing.
 func (c *Catalog) RestoreMeta(data []byte) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -294,9 +298,25 @@ func (c *Catalog) RestoreMeta(data []byte) error {
 	if r.off != len(data) {
 		return fmt.Errorf("catalog: %d trailing bytes after the meta", len(data)-r.off)
 	}
+	for key, t := range tables {
+		if held := c.tables[key]; held != nil {
+			held.adopt(t)
+			tables[key] = held
+		}
+	}
 	c.tables = tables
 	c.pager.SetFreeList(free)
 	return nil
+}
+
+// adopt makes t the table from describes (a freshly decoded one), indexes
+// included, so the value callers hold stays the catalog's.
+func (t *Table) adopt(from *Table) {
+	*t = *from
+	t.Clustered.Table = t
+	for _, ix := range t.Secondary {
+		ix.Table = t
+	}
 }
 
 func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {

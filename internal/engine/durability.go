@@ -272,7 +272,7 @@ func (e *Engine) reconcileLocked() error {
 		e.pager.Rollback(e.pending[i].undo)
 	}
 	e.pending = e.pending[:0]
-	e.invalidatePlans()
+	defer e.invalidatePlans() // after the restore: shapes settle against it
 	if err := e.restoreState(oldest.preMeta); err != nil {
 		return fmt.Errorf("engine: rollback of discarded commits failed: %w", err)
 	}

@@ -78,7 +78,8 @@ type Engine struct {
 	vectorized  bool
 	parallelism int
 	plans       *planCache
-	prepared    *preparedTable
+	prepared    *internTable[Prepared]
+	shapes      *internTable[shape]
 
 	// Durability state (nil/empty for in-memory engines; see durability.go).
 	fsys                        storage.FS
@@ -130,7 +131,8 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 		vectorized:  vectorized,
 		parallelism: parallelism,
 		plans:       newPlanCache(planCacheSize),
-		prepared:    newPreparedTable(),
+		prepared:    newInternTable[Prepared](),
+		shapes:      newInternTable[shape](),
 	}
 }
 
@@ -176,8 +178,13 @@ func (e *Engine) View(name string) (*ViewDef, bool) {
 // PlanCacheStats returns a snapshot of the shared plan cache's counters.
 func (e *Engine) PlanCacheStats() PlanCacheStats { return e.plans.snapshot() }
 
-// invalidatePlans clears the plan cache; callers hold the writer lock.
-func (e *Engine) invalidatePlans() { e.plans.invalidate() }
+// invalidatePlans clears the plan cache and settles every live shape
+// against the catalog as the mutation left it (see shape.perText); callers
+// hold the writer lock.
+func (e *Engine) invalidatePlans() {
+	e.plans.invalidate()
+	e.shapes.each(func(sh *shape) { sh.perText = !e.shapeHolds(sh.stmt) })
+}
 
 // Stats captures the cost of executing one statement.
 type Stats struct {
@@ -341,7 +348,7 @@ func (e *Engine) Query(sqlText string) (*Result, error) {
 func (e *Engine) QueryWith(opts QueryOptions, sqlText string) (*Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	return e.execSelect(opts, sql.Normalize(sqlText), sqlText, nil)
+	return e.execSelect(opts, query{norm: sql.Normalize(sqlText), text: sqlText})
 }
 
 // QueryStmt runs an already-parsed SELECT. Statement-handle executions have
@@ -349,26 +356,39 @@ func (e *Engine) QueryWith(opts QueryOptions, sqlText string) (*Result, error) {
 func (e *Engine) QueryStmt(stmt *sql.SelectStmt) (*Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	return e.execSelect(QueryOptions{}, "", "", stmt)
+	return e.execSelect(QueryOptions{}, query{stmt: stmt})
+}
+
+// query is one SELECT for execSelect: the fingerprint its result reports
+// (and, for a statement without a shape, its plan-cache key), and the
+// statement as text to parse on a cache miss, as a parse tree, or as a
+// prepared shape with the values of its slots.
+type query struct {
+	norm, text string
+	stmt       *sql.SelectStmt
+	shape      *shape
+	args       []value.Value
 }
 
 // execSelect is the shared SELECT path: lease a cached plan (or parse and
-// plan), execute, and return the instance to the cache. Callers hold the
-// reader lock — or the writer lock for internal selects like view
-// materialization. norm, the normalized text, becomes the result's
-// Fingerprint and, unless the options bypass it, keys the plan cache; stmt,
-// when non-nil, skips parsing.
-func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.SelectStmt) (*Result, error) {
+// plan), bind the query's slot values into it, execute, and return the
+// instance to the cache. Callers hold the reader lock — or the writer lock
+// for internal selects like view materialization. A query with no
+// fingerprint and no shape, or options that bypass the cache, plans afresh.
+func (e *Engine) execSelect(opts QueryOptions, q query) (*Result, error) {
 	// The I/O window opens before planning: planning walks a range's
 	// internal pages to decide whether it splits into morsels (and a
 	// parallel operator splits it again as it opens), and those page reads
 	// are the query's too.
 	before := e.pager.Stats()
 	par := e.effectiveParallelism(opts.Parallelism)
-	useCache := norm != "" && !opts.NoCache && !opts.Trace
+	stmt, key := q.stmt, planKey{sql: q.norm, parallelism: par}
+	if q.shape != nil {
+		stmt, key = q.shape.stmt, planKey{sql: q.shape.text, kinds: q.shape.kinds, parallelism: par}
+	}
+	useCache := key.sql != "" && !opts.NoCache && !opts.Trace
 	var pl *plan.Plan
 	cached := false
-	key := planKey{sql: norm, parallelism: par}
 	if useCache {
 		var cachedStmt *sql.SelectStmt
 		pl, cachedStmt = e.plans.acquire(key)
@@ -377,18 +397,25 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 			stmt = cachedStmt
 		}
 	}
-	if pl == nil {
+	if pl != nil {
+		if err := pl.Bind(q.args); err != nil {
+			return nil, err
+		}
+	} else {
 		if stmt == nil {
 			var err error
-			stmt, err = sql.ParseSelect(sqlText)
+			stmt, err = sql.ParseSelect(q.text)
 			if err != nil {
 				return nil, err
 			}
 		}
 		var err error
-		if pl, err = e.planSelect(stmt, par); err != nil {
+		if pl, err = e.planSelect(stmt, par, q.args); err != nil {
 			return nil, err
 		}
+		// Whether a pipeline went parallel rests on the size of the ranges
+		// it reads: where the slots' values bound one, the plan is theirs.
+		useCache = useCache && !(pl.Parallel && pl.SlotBounds)
 	}
 	var span *trace.Span
 	if opts.Trace {
@@ -403,7 +430,7 @@ func (e *Engine) execSelect(opts QueryOptions, norm, sqlText string, stmt *sql.S
 	if useCache {
 		e.plans.release(key, stmt, pl)
 	}
-	res.Fingerprint = norm
+	res.Fingerprint = q.norm
 	res.Stats.PlanCached = cached
 	res.Trace = span
 	return res, nil
@@ -440,15 +467,19 @@ func (e *Engine) executePlan(ctx context.Context, pl *plan.Plan, before storage.
 	}, nil
 }
 
-// planSelect compiles a SELECT under the engine's executor knobs, applies
-// the morsel-parallel rewrite for the given worker count and hashes the final
-// plan text once, so every leased instance carries its hash. Callers hold
-// the reader lock.
-func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int) (*plan.Plan, error) {
+// planSelect compiles a SELECT under the engine's executor knobs, binds the
+// values of its parameter slots, applies the morsel-parallel rewrite for the
+// given worker count and hashes the final plan text once, so every leased
+// instance carries its hash. The slots are bound before the rewrite, which
+// sizes the ranges they bound. Callers hold the reader lock.
+func (e *Engine) planSelect(stmt *sql.SelectStmt, workers int, args []value.Value) (*plan.Plan, error) {
 	planner := plan.NewPlanner(e.cat)
 	planner.DisableVectorized = !e.vectorized
 	pl, err := planner.PlanSelect(stmt)
 	if err != nil {
+		return nil, err
+	}
+	if err := pl.Bind(args); err != nil {
 		return nil, err
 	}
 	e.parallelizePlan(pl, workers)
@@ -477,7 +508,7 @@ func (e *Engine) parallelizePlan(pl *plan.Plan, workers int) {
 		return
 	}
 	root, rewrote := plan.Parallelize(pl.Root, workers)
-	pl.Root = root
+	pl.Root, pl.Parallel = root, rewrote
 	if rewrote {
 		pl.Explain = fmt.Sprintf("%s [parallel %d]", pl.Explain, workers)
 	}
@@ -493,7 +524,7 @@ func (e *Engine) parallelizePlan(pl *plan.Plan, workers int) {
 func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 	if !s.Analyze {
 		e.stateMu.RLock()
-		pl, err := e.planSelect(s.Query, e.parallelism)
+		pl, err := e.planSelect(s.Query, e.parallelism, nil)
 		e.stateMu.RUnlock()
 		if err != nil {
 			return nil, err
@@ -501,7 +532,7 @@ func (e *Engine) runExplain(s *sql.ExplainStmt) (*Result, error) {
 		return planTextResult(pl.Explain, pl.Hash, strings.Split(pl.Explain, "\n")), nil
 	}
 	e.stateMu.RLock()
-	res, err := e.execSelect(QueryOptions{Trace: true}, "", "", s.Query)
+	res, err := e.execSelect(QueryOptions{Trace: true}, query{stmt: s.Query})
 	e.stateMu.RUnlock()
 	if err != nil {
 		return nil, err
@@ -550,7 +581,7 @@ func (e *Engine) Explain(sqlText string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	pl, err := e.planSelect(stmt, e.parallelism)
+	pl, err := e.planSelect(stmt, e.parallelism, nil)
 	if err != nil {
 		return "", err
 	}
@@ -613,7 +644,7 @@ func (e *Engine) runCreateView(s *sql.CreateViewStmt) (*Result, error) {
 	// The materializing select runs under the writer lock the caller holds;
 	// it must not re-enter the locked query path (or the plan cache, which is
 	// about to be invalidated).
-	res, err := e.execSelect(QueryOptions{}, "", "", s.Query)
+	res, err := e.execSelect(QueryOptions{}, query{stmt: s.Query})
 	if err != nil {
 		return nil, err
 	}

@@ -17,6 +17,17 @@ import (
 // pool, reuses the cached AST and replans), and release returns it after a
 // successful execution.
 //
+// An entry is one statement text (its normalized form) — or one shape: the
+// prepared point lookups that differ only in their key literals
+// (see Prepared) share one entry and its one parse tree, the shape's, with
+// parameter slots where the literals were. The planner records where a
+// plan holds each slot's value (its seek bounds and predicate constants) and
+// makes no choice from those values, so a lease binds the executing
+// handle's literals into whichever instance it gets. A plan whose parallel
+// rewrite sized a range the slots bound is not cached: that choice was made
+// for its values alone. Either way a prepared statement never repays a
+// parse: a shape's handle replans from the shape's tree.
+//
 // An idle plan holds its operator tree, its sources' key bounds and its
 // plan-time choices (access paths, join methods, serial or parallel), and
 // nothing of its last execution: a scan takes its column, code and span
@@ -34,11 +45,13 @@ import (
 // invalidation under its exclusive lock, so a stale plan can never be
 // leased: a mutation cannot interleave with an in-flight lease.
 
-// planKey identifies a cached plan: the normalized SQL text plus the worker
-// count of the parallel rewrite. The executor mode is fixed for an engine's
-// life, so it needs no place in the key.
+// planKey identifies a cached plan: the normalized SQL text — a shape's,
+// with the kinds of its slots — plus the worker count of the parallel
+// rewrite. The executor mode is fixed for an engine's life, so it needs no
+// place in the key.
 type planKey struct {
 	sql         string
+	kinds       string
 	parallelism int
 }
 
@@ -47,7 +60,7 @@ type planKey struct {
 // cached AST.
 const maxIdlePlans = 8
 
-// planCacheSize is the cache's entry (distinct statement) capacity.
+// planCacheSize is the cache's entry (distinct statement or shape) capacity.
 const planCacheSize = 256
 
 // PlanCacheStats is a snapshot of the plan cache's counters.

@@ -95,6 +95,9 @@ type TableScan struct {
 	// parallel operator opens, so a cached plan keeps no split and no leaf
 	// list.
 	part *catalog.Range
+	// keys are the buffers Open encodes the bounds into, kept across
+	// executions of a cached plan (catalog.Table.RangeIn).
+	keys [2][]byte
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -163,7 +166,7 @@ func (s *TableScan) Schema() []ColumnInfo { return s.schema }
 func (s *TableScan) Open() error {
 	rng := s.part
 	if rng == nil {
-		whole, err := s.Table.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		whole, err := s.Table.RangeIn(&s.keys, s.Lo, s.Hi, s.LoIncl, s.HiIncl)
 		if err != nil {
 			return err
 		}
@@ -270,6 +273,7 @@ type IndexSeek struct {
 	EncodeCols []int
 
 	part *catalog.Range // see TableScan.part
+	keys [2][]byte      // see TableScan.keys
 
 	cur    *catalog.Cursor
 	schema []ColumnInfo
@@ -324,7 +328,7 @@ func (s *IndexSeek) Schema() []ColumnInfo { return s.schema }
 func (s *IndexSeek) Open() error {
 	rng := s.part
 	if rng == nil {
-		whole := s.Index.Range(s.Lo, s.Hi, s.LoIncl, s.HiIncl)
+		whole := s.Index.RangeIn(&s.keys, s.Lo, s.Hi, s.LoIncl, s.HiIncl)
 		rng = &whole
 	}
 	s.cur = rng.Open()

@@ -32,21 +32,31 @@ type plannedSource struct {
 	pushed []sql.Expr
 }
 
-// colRange is the sargable constraint collected for one column.
+// colRange is the sargable constraint collected for one column. loSlot and
+// hiSlot name the parameter slot a bound came from, or are -1.
 type colRange struct {
 	lo, hi         value.Value
 	loIncl, hiIncl bool
 	hasLo, hasHi   bool
 	equality       bool
+	loSlot, hiSlot int
 }
 
-// bounds returns the range as one-column seek prefixes (nil = open).
-func (r *colRange) bounds() (lo, hi []value.Value) {
+// seekBounds returns the range as one-column seek prefixes (nil = open) and
+// records the seek's uses of parameter slots: a bound taken from a slot is
+// the one value of its prefix, which binding the slot rewrites in place.
+func (r *colRange) seekBounds(slots *slotUses) (lo, hi []value.Value) {
 	if r.hasLo {
 		lo = []value.Value{r.lo}
+		if r.loSlot >= 0 {
+			slots.add(r.loSlot, &lo[0])
+		}
 	}
 	if r.hasHi {
 		hi = []value.Value{r.hi}
+		if r.hiSlot >= 0 {
+			slots.add(r.hiSlot, &hi[0])
+		}
 	}
 	return lo, hi
 }
@@ -59,7 +69,7 @@ func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) m
 		if r, ok := out[ord]; ok {
 			return r
 		}
-		r := &colRange{}
+		r := &colRange{loSlot: -1, hiSlot: -1}
 		out[ord] = r
 		return r
 	}
@@ -74,21 +84,27 @@ func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) m
 		ord := t.ColumnIndex(ref.Column)
 		return ord, ord >= 0
 	}
-	literal := func(e sql.Expr, colOrd int) (value.Value, bool) {
-		lit, ok := e.(*sql.Literal)
-		if !ok {
-			return value.Null(), false
+	// literal returns a constant operand's value, or the slot it comes from
+	// (slot >= 0, with a value to be bound). A slot pins its column only by
+	// equality: a range bound's value would price the range.
+	literal := func(e sql.Expr, colOrd int, op string) (v value.Value, slot int, ok bool) {
+		if p, isParam := e.(*sql.Param); isParam {
+			return value.Value{Kind: p.Kind}, p.Index, op == "="
 		}
-		v := lit.Val
+		lit, isLit := e.(*sql.Literal)
+		if !isLit {
+			return value.Null(), -1, false
+		}
+		v = lit.Val
 		// Strings compared against DATE columns act as dates.
 		if t.Columns[colOrd].Kind == value.KindDate && v.Kind == value.KindString {
 			if d, err := value.ParseDate(v.S); err == nil {
 				v = d
 			}
 		}
-		return v, true
+		return v, -1, true
 	}
-	apply := func(ord int, op string, v value.Value) {
+	apply := func(ord int, op string, v value.Value, slot int) {
 		r := get(ord)
 		switch op {
 		case "=":
@@ -96,14 +112,15 @@ func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) m
 			r.loIncl, r.hiIncl = true, true
 			r.hasLo, r.hasHi = true, true
 			r.equality = true
+			r.loSlot, r.hiSlot = slot, slot
 		case ">":
-			r.lo, r.loIncl, r.hasLo = v, false, true
+			r.lo, r.loIncl, r.hasLo, r.loSlot = v, false, true, slot
 		case ">=":
-			r.lo, r.loIncl, r.hasLo = v, true, true
+			r.lo, r.loIncl, r.hasLo, r.loSlot = v, true, true, slot
 		case "<":
-			r.hi, r.hiIncl, r.hasHi = v, false, true
+			r.hi, r.hiIncl, r.hasHi, r.hiSlot = v, false, true, slot
 		case "<=":
-			r.hi, r.hiIncl, r.hasHi = v, true, true
+			r.hi, r.hiIncl, r.hasHi, r.hiSlot = v, true, true, slot
 		}
 	}
 	for _, c := range conjuncts {
@@ -111,14 +128,14 @@ func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) m
 		case *sql.BinExpr:
 			if e.Op == "=" || e.Op == "<" || e.Op == "<=" || e.Op == ">" || e.Op == ">=" {
 				if ord, ok := resolveCol(e.L); ok {
-					if v, ok := literal(e.R, ord); ok {
-						apply(ord, e.Op, v)
+					if v, slot, ok := literal(e.R, ord, e.Op); ok {
+						apply(ord, e.Op, v, slot)
 						continue
 					}
 				}
 				if ord, ok := resolveCol(e.R); ok {
-					if v, ok := literal(e.L, ord); ok {
-						apply(ord, flipOp(e.Op), v)
+					if v, slot, ok := literal(e.L, ord, e.Op); ok {
+						apply(ord, flipOp(e.Op), v, slot)
 					}
 				}
 			}
@@ -127,11 +144,11 @@ func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) m
 				continue
 			}
 			if ord, ok := resolveCol(e.E); ok {
-				lo, okLo := literal(e.Lo, ord)
-				hi, okHi := literal(e.Hi, ord)
+				lo, loSlot, okLo := literal(e.Lo, ord, ">=")
+				hi, hiSlot, okHi := literal(e.Hi, ord, "<=")
 				if okLo && okHi {
-					apply(ord, ">=", lo)
-					apply(ord, "<=", hi)
+					apply(ord, ">=", lo, loSlot)
+					apply(ord, "<=", hi, hiSlot)
 				}
 			}
 		}
@@ -229,6 +246,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		est      PageEstimate
 		ordering []int // table ordinals of the sort prefix
 		desc     string
+		slots    slotUses // the seek bounds' uses of parameter slots
 	}
 	var best *candidate
 	consider := func(c candidate) {
@@ -257,7 +275,8 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		lead := t.Clustered.KeyColumns[0]
 		if r, ok := constraints[lead]; ok && (r.hasLo || r.hasHi) {
 			sel := rangeSelectivity(t, lead, r)
-			lo, hi := r.bounds()
+			var slots slotUses
+			lo, hi := r.seekBounds(&slots)
 			seek, err := exec.NewClusteredSeek(t, lo, hi, r.loIncl, r.hiIncl, needed)
 			if err == nil {
 				consider(candidate{
@@ -267,6 +286,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 					ordering: t.Clustered.KeyColumns,
 					desc: fmt.Sprintf("ClusteredSeek(%s on %s)",
 						t.Name, t.Columns[lead].Name),
+					slots: slots,
 				})
 			}
 		}
@@ -280,7 +300,8 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 			continue
 		}
 		sel := rangeSelectivity(t, lead, r)
-		lo, hi := r.bounds()
+		var slots slotUses
+		lo, hi := r.seekBounds(&slots)
 		seek, err := exec.NewIndexSeek(idx, lo, hi, r.loIncl, r.hiIncl, needed)
 		if err != nil {
 			continue
@@ -292,7 +313,13 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 			est.Rand += min(rowCount*sel, dataPages)
 			desc = fmt.Sprintf("IndexSeek(%s.%s + lookup)", t.Name, idx.Name)
 		}
-		consider(candidate{op: seek, encode: &seek.EncodeCols, est: est, ordering: idx.KeyColumns, desc: desc})
+		consider(candidate{op: seek, encode: &seek.EncodeCols, est: est, ordering: idx.KeyColumns, desc: desc, slots: slots})
+	}
+	for slot, uses := range best.slots {
+		for _, at := range uses {
+			p.slots.add(slot, at)
+			p.slotBounds = true
+		}
 	}
 
 	src := &plannedSource{
@@ -304,7 +331,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		estPages:  best.est,
 		desc:      best.desc,
 	}
-	src.sc = &scope{}
+	src.sc = &scope{slots: &p.slots}
 	for _, ord := range needed {
 		src.sc.add(alias, t.Columns[ord].Name, t.Columns[ord].Kind)
 	}

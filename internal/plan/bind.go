@@ -26,6 +26,9 @@ type scopeColumn struct {
 // by the operator the scope describes.
 type scope struct {
 	cols []scopeColumn
+	// slots, when set, lets parameter slots bind in this scope: a base
+	// table's scope, where the conjuncts pushed to the table are bound.
+	slots *slotUses
 }
 
 func (s *scope) add(qualifier, name string, kind value.Kind) {
@@ -87,6 +90,13 @@ func bindExpr(e sql.Expr, sc *scope) (expr.Expr, error) {
 		return expr.NewColumn(ord, t.String()), nil
 	case *sql.Literal:
 		return expr.NewConst(t.Val), nil
+	case *sql.Param:
+		if sc.slots == nil {
+			return nil, fmt.Errorf("plan: parameter %s outside a table's own predicates", t)
+		}
+		c := expr.NewConst(value.Value{Kind: t.Kind})
+		sc.slots.add(t.Index, &c.Val)
+		return c, nil
 	case *sql.BinExpr:
 		l, err := bindExpr(t.L, sc)
 		if err != nil {

@@ -23,6 +23,9 @@ type Planner struct {
 	// testing; the physical plan description is identical either way (same
 	// algorithm, different pull protocol).
 	DisableVectorized bool
+
+	slots      slotUses // where the plan being built holds each parameter slot
+	slotBounds bool     // whether a slot bounds one of its seeks
 }
 
 // NewPlanner returns a planner over the given catalog.
@@ -44,6 +47,45 @@ type Plan struct {
 	// planner priced the path by, kept beside the plan for EXPLAIN ANALYZE to
 	// set against the measured reads; it is not part of Explain.
 	EstPages *PageEstimate
+	// Slots lists, for each parameter slot of the statement (sql.Param), the
+	// places in the operator tree that hold its value: seek bounds and
+	// predicate constants. The planner makes no choice from a slot's value,
+	// so Bind can give a compiled plan other values. Empty for a statement
+	// without slots.
+	Slots [][]*value.Value
+	// SlotBounds is set when a slot bounds a seek: the size of the range the
+	// plan reads then rests on the slots' values.
+	SlotBounds bool
+	// Parallel is set by whoever applies the morsel-parallel rewrite (the
+	// engine) when a pipeline went parallel, a choice made from the size of
+	// the ranges the plan reads.
+	Parallel bool
+}
+
+// Bind gives the plan's parameter slots the values args, one per slot, in
+// place: a plan instance leased for one execution is bound before it opens.
+// It allocates nothing.
+func (pl *Plan) Bind(args []value.Value) error {
+	if len(args) != len(pl.Slots) {
+		return fmt.Errorf("plan: %d values for %d parameter slots", len(args), len(pl.Slots))
+	}
+	for i, uses := range pl.Slots {
+		for _, at := range uses {
+			*at = args[i]
+		}
+	}
+	return nil
+}
+
+// slotUses records, per parameter slot, where a plan holds the slot's value.
+type slotUses [][]*value.Value
+
+// add records that at holds the value of slot.
+func (s *slotUses) add(slot int, at *value.Value) {
+	for len(*s) <= slot {
+		*s = append(*s, nil)
+	}
+	(*s)[slot] = append((*s)[slot], at)
 }
 
 // HashText fingerprints a plan's textual form (FNV-1a, 16 hex digits): two
@@ -189,6 +231,7 @@ func (p *Planner) PlanSelect(stmt *sql.SelectStmt) (*Plan, error) {
 		est := sources[0].estPages
 		pl.EstPages = &est
 	}
+	pl.Slots, pl.SlotBounds = p.slots, p.slotBounds
 	return pl, nil
 }
 

@@ -178,6 +178,11 @@ func resultResponse(res *engine.Result) Response {
 // maxLineBytes bounds one wire request/response line (16 MB).
 const maxLineBytes = 16 << 20
 
+// initLineBytes is a connection's first request buffer. The scanner grows it
+// as a longer line arrives, up to maxLineBytes, so an idle connection or one
+// sending short statements holds 4 KiB, not the most a line may need.
+const initLineBytes = 4 << 10
+
 // Serve accepts connections on l and speaks the wire protocol until the
 // listener fails or the server closes. Each connection gets its own session.
 // It returns nil after a graceful Close.
@@ -231,7 +236,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	defer sess.Close()
 
 	scanner := bufio.NewScanner(conn)
-	scanner.Buffer(make([]byte, 64*1024), maxLineBytes)
+	scanner.Buffer(make([]byte, initLineBytes), maxLineBytes)
 	w := bufio.NewWriter(conn)
 	enc := json.NewEncoder(w)
 	for scanner.Scan() {

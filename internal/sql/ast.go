@@ -50,6 +50,15 @@ func (l *Literal) String() string {
 		return "'" + strings.ReplaceAll(l.Val.S, "'", "''") + "'"
 	case value.KindDate:
 		return "DATE '" + l.Val.String() + "'"
+	case value.KindFloat:
+		// An integral float keeps a decimal point, so it never renders as
+		// the INT literal of the same digits: two statements that differ in
+		// a literal's kind never print alike.
+		s := l.Val.String()
+		if !strings.ContainsAny(s, ".eE") {
+			s += ".0"
+		}
+		return s
 	default:
 		return l.Val.String()
 	}

@@ -3,6 +3,8 @@ package sql
 import (
 	"testing"
 	"time"
+
+	"oldelephant/internal/value"
 )
 
 // parseDeadline bounds one Parse or Normalize call in these tests. Both are
@@ -54,20 +56,68 @@ func TestParseUnterminatedHints(t *testing.T) {
 // FuzzParse holds the parser and the normalizer to two properties on any
 // input: no panic, and a return within parseDeadline. testdata/fuzz/FuzzParse
 // keeps the inputs that once broke either.
+// parseSeeds seed FuzzParse and FuzzParameterize.
+var parseSeeds = []string{
+	"SELECT a FROM t OPTION(LOOP JOIN, HASH AGG)",
+	"SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 5",
+	"SELECT x.a, SUM(y.b) FROM (SELECT a FROM t) x JOIN u y ON x.a = y.a WHERE y.b BETWEEN 1 AND 3 GROUP BY x.a HAVING SUM(y.b) > 2",
+	"EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE a IN (1, 2) AND b IS NOT NULL OR NOT c LIKE 'x%'",
+	"CREATE TABLE t (a INT, b VARCHAR(8), PRIMARY KEY (a))",
+	"CREATE MATERIALIZED VIEW v AS SELECT a, COUNT(*) FROM t GROUP BY a",
+	"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2 * 3, NULL)",
+	"select -- comment\n a from t;",
+}
+
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"SELECT a FROM t OPTION(LOOP JOIN, HASH AGG)",
-		"SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 5",
-		"SELECT x.a, SUM(y.b) FROM (SELECT a FROM t) x JOIN u y ON x.a = y.a WHERE y.b BETWEEN 1 AND 3 GROUP BY x.a HAVING SUM(y.b) > 2",
-		"EXPLAIN ANALYZE SELECT COUNT(*) FROM t WHERE a IN (1, 2) AND b IS NOT NULL OR NOT c LIKE 'x%'",
-		"CREATE TABLE t (a INT, b VARCHAR(8), PRIMARY KEY (a))",
-		"CREATE MATERIALIZED VIEW v AS SELECT a, COUNT(*) FROM t GROUP BY a",
-		"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2 * 3, NULL)",
-		"select -- comment\n a from t;",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, input string) {
 		parseWithin(t, input)
+	})
+}
+
+// FuzzParameterize holds Parameterize and Bind to their contract on any
+// SELECT the parser accepts (an EXPLAIN's included): taking out the literals
+// of the top-level column equalities — every one, or those whose literal's
+// hash picks them — never panics and never changes the statement it was
+// given, and binding the literals back renders exactly what the parsed
+// statement renders. It starts from FuzzParse's seeds.
+func FuzzParameterize(f *testing.F) {
+	for _, seed := range parseSeeds {
+		f.Add(seed, uint8(0))
+	}
+	f.Add("SELECT a FROM t WHERE (k = 1 AND 'x' = s) AND (d = DATE '1995-01-02' AND j = -9223372036854775808 AND f = 2.0)", uint8(5))
+	f.Add("SELECT a FROM t WHERE k = NULL AND k = k AND 1 = 1 AND (k = 2 OR k = 3)", uint8(0))
+	f.Fuzz(func(t *testing.T, input string, mask uint8) {
+		stmt, err := Parse(input)
+		if err != nil {
+			return
+		}
+		if e, ok := stmt.(*ExplainStmt); ok {
+			stmt = e.Query
+		}
+		sel, ok := stmt.(*SelectStmt)
+		if !ok {
+			return
+		}
+		want := sel.String()
+		n := 0
+		shape, args := Parameterize(sel, func(_ *ColRef, lit value.Value) bool {
+			n++
+			return mask == 0 || mask>>(n%8)&1 == 1
+		})
+		if got := sel.String(); got != want {
+			t.Fatalf("Parameterize changed the statement: %q, was %q", got, want)
+		}
+		if shape == nil {
+			if args != nil {
+				t.Fatalf("no shape but %d literals", len(args))
+			}
+			return
+		}
+		if got := Bind(shape, args).String(); got != want {
+			t.Fatalf("bound shape %q renders %q, want %q", shape, got, want)
+		}
 	})
 }

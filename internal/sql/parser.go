@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -538,6 +539,11 @@ func (p *Parser) parseMul() (Expr, error) {
 
 func (p *Parser) parseUnary() (Expr, error) {
 	if p.accept(TokOperator, "-") {
+		if t := p.peek(); t.Kind == TokNumber && t.Text == "9223372036854775808" {
+			// The one INT literal whose magnitude has no positive INT.
+			p.advance()
+			return &Literal{Val: value.NewInt(math.MinInt64)}, nil
+		}
 		e, err := p.parseUnary()
 		if err != nil {
 			return nil, err
