@@ -1,28 +1,16 @@
-// Benchmarks that regenerate the paper's evaluation. One benchmark exists
-// per table and figure of the paper:
+// Benchmarks for the paper's discussion sections. Figure 2 and the three
+// summary tables are regenerated by cmd/elephantbench.
 //
-//	BenchmarkFigure2/...                — Figure 2, one sub-benchmark per
-//	                                      query × strategy at 10% selectivity
-//	BenchmarkTableSpeedupRowVsColOpt    — Section 1 table (ColOpt speedup over Row)
-//	BenchmarkTableRowMVvsColOpt         — Section 2.1 table (Row(MV) vs ColOpt)
-//	BenchmarkTableRowColVsColOpt        — Section 2.2.4 table (Row(Col) vs ColOpt)
 //	BenchmarkIndexIntersection          — Section 2.2.3 index-intersection strategy
 //	BenchmarkStorageOverheadAblation    — Section 3 storage-layer discussion
 //
-// Ratios are attached to the benchmark output as custom metrics
-// (pages/op, modeled-ms/op, ratio-vs-colopt) so the paper's tables can be
-// read directly off `go test -bench`. Set ELEPHANT_BENCH_SF to change the
-// scale factor (default 0.01).
+// Page counts and ratios are attached to the benchmark output as custom
+// metrics (pages/op, ctable-pages/op, cstore-pages/op, header-share).
 package elephant
 
 import (
-	"fmt"
-	"os"
-	"strconv"
-	"sync"
 	"testing"
 
-	"oldelephant/internal/bench"
 	"oldelephant/internal/colstore"
 	"oldelephant/internal/core/ctable"
 	"oldelephant/internal/engine"
@@ -30,95 +18,6 @@ import (
 	"oldelephant/internal/tpch"
 	"oldelephant/internal/value"
 )
-
-var (
-	benchOnce    sync.Once
-	benchHarness *bench.Harness
-	benchErr     error
-)
-
-func sharedBenchHarness(b *testing.B) *bench.Harness {
-	b.Helper()
-	benchOnce.Do(func() {
-		cfg := bench.DefaultConfig()
-		if sf := os.Getenv("ELEPHANT_BENCH_SF"); sf != "" {
-			if v, err := strconv.ParseFloat(sf, 64); err == nil && v > 0 {
-				cfg.SF = v
-			}
-		}
-		benchHarness, benchErr = bench.NewHarness(cfg)
-	})
-	if benchErr != nil {
-		b.Fatalf("building harness: %v", benchErr)
-	}
-	return benchHarness
-}
-
-// benchMeasurement runs one (query, strategy) point b.N times and reports the
-// paper-relevant metrics.
-func benchMeasurement(b *testing.B, q bench.QueryID, s bench.Strategy, sel float64) bench.Measurement {
-	b.Helper()
-	h := sharedBenchHarness(b)
-	var last bench.Measurement
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := h.Run(q, s, sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = m
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(last.PagesRead), "pages/op")
-	b.ReportMetric(float64(last.ModeledDisk.Microseconds())/1000, "modeled-ms/op")
-	return last
-}
-
-// BenchmarkFigure2 reproduces Figure 2: every query under every strategy.
-// Swept queries run at the 10% selectivity point (the full sweep is produced
-// by cmd/elephantbench -figure2).
-func BenchmarkFigure2(b *testing.B) {
-	for _, q := range bench.Queries() {
-		for _, s := range bench.Strategies() {
-			b.Run(fmt.Sprintf("%s/%s", q, s), func(b *testing.B) {
-				benchMeasurement(b, q, s, 0.1)
-			})
-		}
-	}
-}
-
-// benchRatioTable runs one of the paper's summary tables, reporting the
-// per-query ratio as a custom metric.
-func benchRatioTable(b *testing.B, strategy bench.Strategy) {
-	h := sharedBenchHarness(b)
-	for _, q := range bench.Queries() {
-		b.Run(string(q), func(b *testing.B) {
-			var ratio float64
-			for i := 0; i < b.N; i++ {
-				ms, err := h.Run(q, strategy, 0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				mr, err := h.Run(q, bench.StrategyColOpt, 0.1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				ratio = float64(ms.Total) / float64(mr.Total)
-			}
-			b.ReportMetric(ratio, "ratio-vs-colopt")
-		})
-	}
-}
-
-// BenchmarkTableSpeedupRowVsColOpt reproduces the Section 1 table: how much
-// faster the C-store lower bound is than the plain row store.
-func BenchmarkTableSpeedupRowVsColOpt(b *testing.B) { benchRatioTable(b, bench.StrategyRow) }
-
-// BenchmarkTableRowMVvsColOpt reproduces the Section 2.1 table.
-func BenchmarkTableRowMVvsColOpt(b *testing.B) { benchRatioTable(b, bench.StrategyRowMV) }
-
-// BenchmarkTableRowColVsColOpt reproduces the Section 2.2.4 table.
-func BenchmarkTableRowColVsColOpt(b *testing.B) { benchRatioTable(b, bench.StrategyRowCol) }
 
 // BenchmarkIndexIntersection reproduces the Section 2.2.3 discussion of
 // "additional index-based strategies": predicates on columns deep in the

@@ -36,6 +36,9 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *table != "" && !*all && !knownTable(*table) {
+		log.Fatalf("unknown table %q (want speedup, mv or ctable)", *table)
+	}
 	cfg := bench.DefaultConfig()
 	cfg.SF = *sf
 	cfg.Selectivities = parseSelectivities(*sels)
@@ -53,36 +56,15 @@ func main() {
 		}
 		fmt.Println(bench.FormatFigure2(ms))
 	}
-	runTable := func(name string) {
-		var rows []bench.RatioRow
-		var title string
-		var err error
-		switch name {
-		case "speedup":
-			rows, err = h.SpeedupTable()
-			title = "Section 1 table — Row time / ColOpt time (ColOpt speedup over Row)"
-		case "mv":
-			rows, err = h.MVTable()
-			title = "Section 2.1 table — Row(MV) time / ColOpt time"
-		case "ctable":
-			rows, err = h.CTableTable()
-			title = "Section 2.2.4 table — Row(Col) time / ColOpt time"
-		default:
-			log.Fatalf("unknown table %q (want speedup, mv or ctable)", name)
+	for _, t := range bench.RatioTables {
+		if !*all && t.Name != *table {
+			continue
 		}
+		text, err := h.FormatTable(t)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Println(bench.FormatRatioTable(title, rows, false))
-	}
-	if *all {
-		for _, name := range []string{"speedup", "mv", "ctable"} {
-			runTable(name)
-		}
-		return
-	}
-	if *table != "" {
-		runTable(*table)
+		fmt.Println(text)
 	}
 }
 
@@ -100,4 +82,13 @@ func parseSelectivities(s string) []float64 {
 		out = append(out, v)
 	}
 	return out
+}
+
+func knownTable(name string) bool {
+	for _, t := range bench.RatioTables {
+		if t.Name == name {
+			return true
+		}
+	}
+	return false
 }

@@ -11,14 +11,14 @@
 //   - c-tables plus mechanical query rewriting (the Row(Col) strategy of
 //     Section 2.2), via BuildCTableDesign and NewRewriter;
 //
-// together with the column-store simulator used for the paper's ColOpt lower
-// bound and the benchmark harness that regenerates the evaluation
-// (Figure 2 and the three summary tables). See README.md for a tour and
-// the examples/ directory for runnable programs.
+// together with the compressed column projections whose page counts give the
+// paper's ColOpt lower bound (BuildColumnProjection). The harness that
+// regenerates the evaluation (Figure 2 and the three summary tables) is
+// cmd/elephantbench. See README.md for a tour and the examples/ directory for
+// runnable programs.
 package elephant
 
 import (
-	"oldelephant/internal/bench"
 	"oldelephant/internal/colstore"
 	"oldelephant/internal/core/ctable"
 	"oldelephant/internal/core/matview"
@@ -156,12 +156,13 @@ type Rewriter = rewrite.Rewriter
 // NewRewriter returns a rewriter for a design built by BuildCTableDesign.
 func NewRewriter(design *CTableDesign) *Rewriter { return rewrite.New(design) }
 
-// ColumnProjection is a compressed, column-wise stored projection used to
-// compute the paper's ColOpt lower bound.
+// ColumnProjection is the size of a compressed, column-wise stored
+// projection: each column's encoding and compressed bytes, from which
+// ColOptPages counts the paper's ColOpt lower bound.
 type ColumnProjection = colstore.Projection
 
-// BuildColumnProjection materializes a compressed column-store projection of
-// the result of sourceSQL (RLE / dictionary / raw encodings chosen per column).
+// BuildColumnProjection sizes a compressed column-store projection of the
+// result of sourceSQL (RLE / dictionary / raw encodings chosen per column).
 func (db *DB) BuildColumnProjection(name, sourceSQL string, columns []string, kinds []value.Kind, sortColumns []string) (*ColumnProjection, error) {
 	res, err := db.Engine.Query(sourceSQL)
 	if err != nil {
@@ -200,24 +201,3 @@ func (db *DB) Serve(opts ServerOptions) *Server {
 func (db *DB) Prepare(sqlText string) (*engine.Prepared, error) {
 	return db.Engine.Prepare(sqlText)
 }
-
-// Benchmark types re-exported for the harness that reproduces the paper's
-// evaluation; see the bench package for details.
-type (
-	// BenchConfig configures the experiment harness.
-	BenchConfig = bench.Config
-	// BenchHarness owns the loaded database and all physical designs.
-	BenchHarness = bench.Harness
-	// Measurement is one (query, strategy, parameter) data point.
-	Measurement = bench.Measurement
-	// Strategy is one of Row, Row(MV), Row(Col), ColOpt.
-	Strategy = bench.Strategy
-)
-
-// NewBenchHarness builds the full experimental setup of the paper: TPC-H at
-// cfg.SF, the materialized views, the c-table designs D1/D2/D4 and the
-// column-store projections for ColOpt.
-func NewBenchHarness(cfg BenchConfig) (*BenchHarness, error) { return bench.NewHarness(cfg) }
-
-// DefaultBenchConfig returns the configuration used by the checked-in benchmarks.
-func DefaultBenchConfig() BenchConfig { return bench.DefaultConfig() }

@@ -81,25 +81,6 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-func TestBenchHarnessViaPublicAPI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("harness construction in short mode")
-	}
-	cfg := DefaultBenchConfig()
-	cfg.SF = 0.001
-	h, err := NewBenchHarness(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	summary, err := h.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(summary, "Q7") {
-		t.Errorf("summary incomplete: %s", summary)
-	}
-}
-
 // TestOpenDirDurableRoundTrip exercises the durable public API on a real
 // directory: create, load, close, reopen, verify, and check that the
 // materialized-view manager still sees recovered view definitions.

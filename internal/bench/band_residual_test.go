@@ -6,22 +6,13 @@ import (
 
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
-	"oldelephant/internal/plan"
-	"oldelephant/internal/sql"
 )
 
 // bandJoinOf plans query over e's catalog and returns its first index
 // nested-loop join, outermost first.
 func bandJoinOf(t *testing.T, e *engine.Engine, query string) *exec.IndexNestedLoopJoin {
 	t.Helper()
-	stmt, err := sql.ParseSelect(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.NewPlanner(e.Catalog()).PlanSelect(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := planSerial(t, e, query)
 	var find func(op exec.Operator) *exec.IndexNestedLoopJoin
 	find = func(op exec.Operator) *exec.IndexNestedLoopJoin {
 		if j, ok := op.(*exec.IndexNestedLoopJoin); ok {
@@ -52,7 +43,7 @@ func bandJoinOf(t *testing.T, e *engine.Engine, query string) *exec.IndexNestedL
 func TestBandResidualDropsExactBounds(t *testing.T) {
 	h := executorModes(t)["compressed-vector"]
 	spec := h.specs()["Q4"]
-	_, query, _, _ := spec.resolve(h, 1)
+	query, _, _ := spec.resolve(h, 1)
 	sqlText, err := h.strategySQL("Q4", spec, StrategyRowCol, query)
 	if err != nil {
 		t.Fatal(err)

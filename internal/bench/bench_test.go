@@ -129,7 +129,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewHarness: %v", err)
 	}
-	speedup, err := big.SpeedupTable()
+	speedup, err := big.RatioRows(StrategyRow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestPaperShapeHolds(t *testing.T) {
 		ratios[r.Query] = r.Ratio
 	}
 	// At the tiny scale factor used for unit tests the advantage is a small
-	// multiple; it grows with scale (see EXPERIMENTS.md for the benchmark runs).
+	// multiple; it grows with scale (cmd/elephantbench -sf N -table speedup).
 	if ratios[Q1] < 3 {
 		t.Errorf("Q1 Row/ColOpt = %.1fx, expected a clear speedup", ratios[Q1])
 	}
@@ -147,7 +147,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	}
 	// (2) Row(MV) is within a small factor of ColOpt for Q1-Q3 and far better
 	// than ColOpt for Q7 (the paper reports 1,400x better).
-	mv, err := h.MVTable()
+	mv, err := h.RatioRows(StrategyRowMV)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestPaperShapeHolds(t *testing.T) {
 	}
 	// (3) Row(Col) is within a small constant factor of ColOpt across the board
 	// (the paper reports 1.1x-5.6x, average 2.7x).
-	ct, err := h.CTableTable()
+	ct, err := h.RatioRows(StrategyRowCol)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
 	"oldelephant/internal/value"
+	"oldelephant/internal/vector"
 )
 
 // harnessCache memoizes the expensive TPC-H harness builds across the
@@ -92,8 +93,8 @@ func parallelismAxis() []int {
 }
 
 // parallelModes extends executorModes with the parallelism axis: for every
-// worker count in the sweep, a compressed-vector harness whose engine (and
-// ColOpt plans) run morsel-parallel.
+// worker count in the sweep, a compressed-vector harness whose engine runs
+// morsel-parallel.
 func parallelModes(t *testing.T) (modes map[string]*Harness, parallel []string) {
 	t.Helper()
 	modes = executorModes(t)
@@ -139,9 +140,9 @@ func TestVectorizedRowDifferential(t *testing.T) {
 		for _, sel := range sels {
 			// All harnesses hold identical deterministic TPC-H data, so the
 			// parameterized SQL resolves identically; assert that too.
-			_, refSQL, _, _ := spec.resolve(ref, sel)
+			refSQL, _, _ := spec.resolve(ref, sel)
 			for _, name := range others {
-				_, otherSQL, _, _ := modes[name].specs()[q].resolve(modes[name], sel)
+				otherSQL, _, _ := modes[name].specs()[q].resolve(modes[name], sel)
 				if refSQL != otherSQL {
 					t.Fatalf("%s sel=%v: %s harness produced different SQL:\n%s\n%s", q, sel, name, refSQL, otherSQL)
 				}
@@ -295,68 +296,57 @@ func sortRowsCanonical(rows []exec.Row) []exec.Row {
 	return out
 }
 
-// TestColOptExecutorDifferential proves the acceptance property for ColOpt:
-// the plan running on compressed vectors through the shared Operator
-// protocol returns the same result as the row engine's base-table query, for
-// every workload query and selectivity — and the same rows again with every
-// scanned vector decompressed (flatVectors over the scan, identical operator
-// tree above it). Floating-point aggregates are compared with a relative
-// tolerance:
-// the projection processes rows in sort order, the row engine in base-table
-// order, and float addition is not associative.
+// TestColOptExecutorDifferential holds the executor on compressed vectors
+// to the same executor on flat ones, on the production scans. A column
+// store's ColOpt bound rests on work over compressed columns changing no
+// answer; here the row store's own compressed batches are held to that. For
+// every workload query under Row, Row(MV) and Row(Col) at every selectivity,
+// the serial plan the planner compiles must return the same rows again with
+// flatVectors over each of its table scans and index seeks. Float sums are
+// compared with a relative tolerance: the compressed path folds an RLE run as
+// value*count where the flat path adds per row. The scans must produce at
+// least one RLE or Const vector and one Dict vector, so the test cannot pass
+// comparing flat to flat.
 func TestColOptExecutorDifferential(t *testing.T) {
-	modes := executorModes(t)
-	ref := modes["compressed-vector"]
-	// The oracle is the row-at-a-time engine: it shares none of the
-	// compressed kernels under test, so a bug in run folding or run-wise
-	// selection cannot cancel out on both sides of the comparison.
-	row := modes["row"]
+	h := executorModes(t)["compressed-vector"]
+	seen := make(map[vector.Encoding]int)
 	compared := 0
 	for _, q := range Queries() {
-		spec := ref.specs()[q]
-		sels := ref.Config.Selectivities
+		spec := h.specs()[q]
+		sels := h.Config.Selectivities
 		if !spec.swept {
 			sels = []float64{0}
 		}
 		for _, sel := range sels {
-			_, query, _, _ := spec.resolve(ref, sel)
-			rowRes, err := coldQuery(row, query)
-			if err != nil {
-				t.Fatalf("%s: row query: %v", q, err)
+			query, _, _ := spec.resolve(h, sel)
+			for _, s := range []Strategy{StrategyRow, StrategyRowMV, StrategyRowCol} {
+				sqlText, err := h.strategySQL(q, spec, s, query)
+				if err != nil {
+					t.Fatalf("%s %s: %v", q, s, err)
+				}
+				compressed, err := exec.DrainBatches(nil, planSerial(t, h.Engine, sqlText).Root)
+				if err != nil {
+					t.Fatalf("%s %s: %v\nSQL: %s", q, s, err, sqlText)
+				}
+				flat, err := exec.DrainBatches(nil, flattenScans(t, planSerial(t, h.Engine, sqlText).Root, seen))
+				if err != nil {
+					t.Fatalf("%s %s flat: %v\nSQL: %s", q, s, err, sqlText)
+				}
+				if msg := rowsApproxEqual(flat, compressed); msg != "" {
+					t.Errorf("%s %s sel=%v: flat and compressed vectors differ: %s\nSQL: %s", q, s, sel, msg, sqlText)
+				}
+				compared++
 			}
-			op, err := ref.ColOptOperator(q, sel)
-			if err != nil {
-				t.Fatalf("%s: ColOpt plan: %v", q, err)
-			}
-			colRows, err := exec.DrainBatches(nil, op)
-			if err != nil {
-				t.Fatalf("%s: ColOpt execution: %v", q, err)
-			}
-			if msg := rowsApproxEqual(colRows, rowRes.Rows); msg != "" {
-				t.Errorf("%s sel=%v: ColOpt result differs from row engine: %s", q, sel, msg)
-			}
-			// Flat-vector ColOpt processes the identical operator tree in the
-			// identical order; only float sums may differ in the last bits
-			// (the compressed path folds an RLE run as value*count where the
-			// flat path adds per row), so compare with the same tolerance.
-			flatOp, err := ref.ColOptOperator(q, sel)
-			if err != nil {
-				t.Fatalf("%s: flat ColOpt plan: %v", q, err)
-			}
-			flatRows, err := exec.DrainBatches(nil, flattenScans(t, flatOp))
-			if err != nil {
-				t.Fatalf("%s: flat ColOpt execution: %v", q, err)
-			}
-			if msg := rowsApproxEqual(colRows, flatRows); msg != "" {
-				t.Errorf("%s sel=%v: compressed and flat ColOpt differ: %s", q, sel, msg)
-			}
-			compared++
 		}
 	}
-	if compared < 7 {
-		t.Fatalf("only %d (query, selectivity) ColOpt points compared", compared)
+	if compared < 7*3 {
+		t.Fatalf("only %d (query, strategy, selectivity) points compared", compared)
 	}
-	t.Logf("compared %d (query, selectivity) ColOpt points", compared)
+	if seen[vector.RLE]+seen[vector.Const] == 0 || seen[vector.Dict] == 0 {
+		t.Fatalf("the scans produced %v: want RLE or Const vectors and Dict vectors", seen)
+	}
+	t.Logf("compared %d (query, strategy, selectivity) points; the scans produced %d RLE, %d Const, %d Dict and %d Flat vectors",
+		compared, seen[vector.RLE], seen[vector.Const], seen[vector.Dict], seen[vector.Flat])
 }
 
 // rowsApproxEqual compares result sets exactly except for float values,

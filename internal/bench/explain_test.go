@@ -32,7 +32,7 @@ func TestExplainBandJoinSeeks(t *testing.T) {
 	for _, mode := range []string{"row", "compressed-vector"} {
 		h := executorModes(t)[mode]
 		spec := h.specs()["Q6"]
-		_, query, _, _ := spec.resolve(h, 1)
+		query, _, _ := spec.resolve(h, 1)
 		sqlText, err := h.strategySQL("Q6", spec, StrategyRowCol, query)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestExplainBandJoinDescents(t *testing.T) {
 			sel      float64
 			descents int64
 		}{{1, 0}, {0.5, 1}} {
-			_, query, _, _ := spec.resolve(h, c.sel)
+			query, _, _ := spec.resolve(h, c.sel)
 			sqlText, err := h.strategySQL("Q6", spec, StrategyRowCol, query)
 			if err != nil {
 				t.Fatal(err)

@@ -15,8 +15,7 @@ import (
 // (row vs flat vs compressed × serial vs parallel) lives in
 // TestVectorizedRowDifferential; this file adds what that matrix cannot see:
 // bit-level determinism across repeated parallel runs, exact ordering for
-// ORDER BY/LIMIT plans, the parallel ColOpt path, and the worker-count
-// scaling microbenchmark.
+// ORDER BY/LIMIT plans, and the worker-count scaling microbenchmark.
 
 // parallelItemsEngine caches items-table engines per worker count.
 var (
@@ -42,10 +41,9 @@ func parallelItemsEngine(tb testing.TB, workers int) *engine.Engine {
 // TestParallelDeterminism runs every workload query 25 times on the
 // parallel harnesses and requires bit-identical results each iteration —
 // including float aggregates, which the morsel-order merge makes
-// reproducible even though workers race for morsels. Covers both the SQL
-// engine path (Row strategy) and the compressed ColOpt executor path. Run
-// under -race in CI (the workload below is exactly what the parallel
-// operators do concurrently).
+// reproducible even though workers race for morsels. Run under -race in CI
+// (the workload below is exactly what the parallel operators do
+// concurrently).
 func TestParallelDeterminism(t *testing.T) {
 	const iterations = 25
 	modes, parallel := parallelModes(t)
@@ -53,34 +51,21 @@ func TestParallelDeterminism(t *testing.T) {
 		h := modes[mode]
 		for _, q := range Queries() {
 			spec := h.specs()[q]
-			_, query, _, _ := spec.resolve(h, defaultSelectivity)
-			var wantSQL, wantCol string
+			query, _, _ := spec.resolve(h, defaultSelectivity)
+			var want string
 			for i := 0; i < iterations; i++ {
 				res, err := h.Engine.Query(query)
 				if err != nil {
 					t.Fatalf("%s %s iter %d: %v", mode, q, i, err)
 				}
 				got := formatRows(res.Rows)
-				op, err := h.ColOptOperator(q, defaultSelectivity)
-				if err != nil {
-					t.Fatalf("%s %s iter %d: ColOpt plan: %v", mode, q, i, err)
-				}
-				colRows, err := exec.DrainBatches(nil, op)
-				if err != nil {
-					t.Fatalf("%s %s iter %d: ColOpt execution: %v", mode, q, i, err)
-				}
-				gotCol := formatRows(colRows)
 				if i == 0 {
-					wantSQL, wantCol = got, gotCol
+					want = got
 					continue
 				}
-				if got != wantSQL {
+				if got != want {
 					t.Fatalf("%s %s: SQL results diverged between iterations 0 and %d:\n%s\nvs\n%s",
-						mode, q, i, clip(wantSQL), clip(got))
-				}
-				if gotCol != wantCol {
-					t.Fatalf("%s %s: ColOpt results diverged between iterations 0 and %d:\n%s\nvs\n%s",
-						mode, q, i, clip(wantCol), clip(gotCol))
+						mode, q, i, clip(want), clip(got))
 				}
 			}
 		}
@@ -121,39 +106,6 @@ func TestParallelJoinDeterminism(t *testing.T) {
 					t.Fatalf("%s: join results diverged between iterations 0 and %d:\n%s\nvs\n%s\nSQL: %s",
 						mode, i, clip(want), clip(got), q)
 				}
-			}
-		}
-	}
-}
-
-// TestParallelColOptMatchesSerial: the morsel-parallel ColOpt plan — the
-// projection scan partitioned into compressed row windows — returns the
-// serial compressed plan's result set for every workload query (float sums
-// within 1e-9 relative; compressed morsels fold runs in morsel order).
-func TestParallelColOptMatchesSerial(t *testing.T) {
-	modes, parallel := parallelModes(t)
-	serial := modes["compressed-vector"]
-	for _, mode := range parallel {
-		h := modes[mode]
-		for _, q := range Queries() {
-			sop, err := serial.ColOptOperator(q, defaultSelectivity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := exec.DrainBatches(nil, sop)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pop, err := h.ColOptOperator(q, defaultSelectivity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := exec.DrainBatches(nil, pop)
-			if err != nil {
-				t.Fatalf("%s %s: parallel ColOpt execution: %v", mode, q, err)
-			}
-			if msg := rowsApproxEqual(got, want); msg != "" {
-				t.Errorf("%s %s: parallel ColOpt differs from serial: %s", mode, q, msg)
 			}
 		}
 	}
@@ -232,19 +184,19 @@ func TestParallelSerialKnobIdentity(t *testing.T) {
 	}
 }
 
-// benchParallelColOptPlan is benchColOptPlan after the morsel-parallel
-// rewrite: the same scan → filter → aggregate over the 150k-row compressed
-// projection, split into row-window morsels for the given worker count.
-func benchParallelColOptPlan(tb testing.TB, workers int) exec.Operator {
+// parallelRunsScanPlan is runsScanPlan after the morsel-parallel rewrite:
+// the same SeqScan → filter → aggregate over the 150k-row runs table, its
+// scan split into leaf-range morsels for the given worker count.
+func parallelRunsScanPlan(tb testing.TB, workers int) exec.Operator {
 	tb.Helper()
-	root, _ := plan.Parallelize(benchColOptPlan(tb, false), workers)
+	root, _ := plan.Parallelize(runsScanPlan(tb, false), workers)
 	return root
 }
 
 // BenchmarkParallelScanFilterAgg is the worker-count scaling benchmark on
-// the 150k-row scan-filter-aggregate: the flat-vector SQL path
-// (SeqScan morsels over B-tree leaf ranges) and the compressed ColOpt path
-// (projection row-window morsels), each at 1/2/4/8 workers.
+// the 150k-row scan-filter-aggregate: over the items table, whose unique key
+// leaves its scan's vectors flat, and over the runs table, whose scan
+// run-encodes its clustered-key prefix, each at 1/2/4/8 workers.
 //
 //	go test ./internal/bench -bench ParallelScanFilterAgg
 func BenchmarkParallelScanFilterAgg(b *testing.B) {
@@ -256,10 +208,11 @@ func BenchmarkParallelScanFilterAgg(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("compressed/workers-%d", workers), func(b *testing.B) {
+			runsEngine(b) // load outside the timer
 			rowsOut := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rows, err := exec.DrainBatches(nil, benchParallelColOptPlan(b, workers))
+				rows, err := exec.DrainBatches(nil, parallelRunsScanPlan(b, workers))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -285,7 +238,7 @@ func TestParallelScalingPlansAgree(t *testing.T) {
 	if len(want.Rows) == 0 {
 		t.Fatal("benchmark query returned no rows")
 	}
-	wantCol, err := exec.DrainBatches(nil, benchColOptPlan(t, false))
+	wantRuns, err := exec.DrainBatches(nil, runsScanPlan(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,12 +250,12 @@ func TestParallelScalingPlansAgree(t *testing.T) {
 		if msg := rowsApproxEqual(got.Rows, want.Rows); msg != "" {
 			t.Errorf("workers=%d: SQL scaling plan differs from serial: %s", workers, msg)
 		}
-		gotCol, err := exec.DrainBatches(nil, benchParallelColOptPlan(t, workers))
+		gotRuns, err := exec.DrainBatches(nil, parallelRunsScanPlan(t, workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg := rowsApproxEqual(gotCol, wantCol); msg != "" {
-			t.Errorf("workers=%d: ColOpt scaling plan differs from serial: %s", workers, msg)
+		if msg := rowsApproxEqual(gotRuns, wantRuns); msg != "" {
+			t.Errorf("workers=%d: runs scaling plan differs from serial: %s", workers, msg)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestMissesAreFileReads(t *testing.T) {
 		// fixed-parameter query resolves its parameter with a query of its
 		// own first.
 		spec := h.specs()[g.q]
-		_, query, _, _ := spec.resolve(h, g.sel)
+		query, _, _ := spec.resolve(h, g.sel)
 		sqlText, err := h.strategySQL(g.q, spec, g.s, query)
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // FormatFigure2 renders the Figure 2 measurements as one text panel per
 // query: rows are parameter points (selectivity / constant), columns are the
-// four strategies, cells are modeled total times.
+// four strategies, cells are modeled total times (Measurement.Total).
 func FormatFigure2(ms []Measurement) string {
 	byQuery := make(map[QueryID][]Measurement)
 	for _, m := range ms {
@@ -21,7 +21,7 @@ func FormatFigure2(ms []Measurement) string {
 		if len(group) == 0 {
 			continue
 		}
-		fmt.Fprintf(&sb, "Figure 2 — %s (times are modeled disk + CPU)\n", q)
+		fmt.Fprintf(&sb, "Figure 2 — %s (times are modeled disk)\n", q)
 		fmt.Fprintf(&sb, "%-14s", "selectivity")
 		for _, s := range Strategies() {
 			fmt.Fprintf(&sb, "%14s", s)
@@ -101,26 +101,40 @@ func formatDuration(d time.Duration) string {
 	}
 }
 
+// RatioTable is one of the paper's three summary tables: a strategy's
+// modeled time over ColOpt's, per query.
+type RatioTable struct {
+	Name     string // how cmd/elephantbench's -table flag names it
+	Title    string
+	Strategy Strategy
+}
+
+// RatioTables lists the paper's summary tables in the paper's order.
+var RatioTables = []RatioTable{
+	{"speedup", "Section 1 table — Row time / ColOpt time (ColOpt speedup over Row)", StrategyRow},
+	{"mv", "Section 2.1 table — Row(MV) time / ColOpt time", StrategyRowMV},
+	{"ctable", "Section 2.2.4 table — Row(Col) time / ColOpt time", StrategyRowCol},
+}
+
+// FormatTable measures one summary table and renders it.
+func (h *Harness) FormatTable(t RatioTable) (string, error) {
+	rows, err := h.RatioRows(t.Strategy)
+	if err != nil {
+		return "", err
+	}
+	return FormatRatioTable(t.Title, rows, false), nil
+}
+
 // Summary renders the headline comparison of the reproduction: the three
 // tables of the paper in order.
 func (h *Harness) Summary() (string, error) {
-	var sb strings.Builder
-	speedup, err := h.SpeedupTable()
-	if err != nil {
-		return "", err
+	texts := make([]string, len(RatioTables))
+	for i, t := range RatioTables {
+		text, err := h.FormatTable(t)
+		if err != nil {
+			return "", err
+		}
+		texts[i] = text
 	}
-	sb.WriteString(FormatRatioTable("Section 1 table — Row time / ColOpt time (ColOpt speedup over Row)", speedup, false))
-	sb.WriteString("\n")
-	mv, err := h.MVTable()
-	if err != nil {
-		return "", err
-	}
-	sb.WriteString(FormatRatioTable("Section 2.1 table — Row(MV) time / ColOpt time", mv, false))
-	sb.WriteString("\n")
-	ct, err := h.CTableTable()
-	if err != nil {
-		return "", err
-	}
-	sb.WriteString(FormatRatioTable("Section 2.2.4 table — Row(Col) time / ColOpt time", ct, false))
-	return sb.String(), nil
+	return strings.Join(texts, "\n"), nil
 }

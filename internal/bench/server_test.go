@@ -23,7 +23,7 @@ func servingWorkload(t *testing.T, h *Harness, sel float64) []servedQuery {
 	var out []servedQuery
 	for _, q := range Queries() {
 		spec := h.specs()[q]
-		_, query, _, _ := spec.resolve(h, sel)
+		query, _, _ := spec.resolve(h, sel)
 		for _, strat := range []Strategy{StrategyRow, StrategyRowMV, StrategyRowCol} {
 			sqlText, err := h.strategySQL(q, spec, strat, query)
 			if err != nil {

@@ -29,7 +29,7 @@ func TestTraceExplainAnalyzeDifferential(t *testing.T) {
 				sels = []float64{0}
 			}
 			for _, sel := range sels {
-				_, sqlText, _, _ := spec.resolve(h, sel)
+				sqlText, _, _ := spec.resolve(h, sel)
 				plain, err := h.Engine.Query(sqlText)
 				if err != nil {
 					t.Fatalf("%s %s: %v\nSQL: %s", name, q, err, sqlText)

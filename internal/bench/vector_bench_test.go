@@ -1,14 +1,14 @@
 package bench
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
-	"oldelephant/internal/colstore"
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
-	"oldelephant/internal/expr"
 	"oldelephant/internal/value"
+	"oldelephant/internal/vector"
 )
 
 // The row-vs-batch executor microbenchmarks: the same SQL over the same
@@ -129,73 +129,72 @@ func BenchmarkGroupAggManyGroups(b *testing.B) {
 }
 
 // The flat-vs-compressed executor microbenchmarks: the same
-// scan-filter-aggregate plan over the same compressed projection, once on
-// compressed (Const/RLE/Dict) vectors and once with every vector
-// decompressed at the scan (flatVectors). The projection is RLE-friendly the way the
-// paper's D1 is: sorted by (ship, supp), with qty constant within each
-// (ship, supp) group so its runs align with the group column's.
+// scan-filter-aggregate SeqScan plan over the same table, once on the
+// compressed (Const/RLE) vectors its scan produces and once with every
+// vector decompressed at the scan (flatVectors). The runs table is
+// RLE-friendly the way the paper's D1 is: clustered on (supp, ship, id), so
+// the scan run-encodes supp and ship, with qty constant within each
+// (supp, ship) run.
 //
 //	go test ./internal/bench -bench 'ScanFilterAgg'
 
 var (
-	projOnce sync.Once
-	projData *colstore.Projection
-	projErr  error
+	runsOnce sync.Once
+	runsEng  *engine.Engine
+	runsErr  error
 )
 
-func benchProjectionData(tb testing.TB) *colstore.Projection {
+// runsScanSQL filters ~60% of the runs table on ship, which is no prefix of
+// its clustered key, so the plan is a SeqScan.
+const runsScanSQL = "SELECT supp, COUNT(*), SUM(qty) FROM runs WHERE ship > DATE '1995-02-09' GROUP BY supp"
+
+// runsEngine builds a serial engine holding the 150k-row runs table, once per
+// process.
+func runsEngine(tb testing.TB) *engine.Engine {
 	tb.Helper()
-	projOnce.Do(func() {
+	runsOnce.Do(func() {
+		runsEng = engine.New(engine.Options{Parallelism: 1})
+		if _, runsErr = runsEng.Execute("CREATE TABLE runs (supp INT, ship DATE, qty INT, id INT, PRIMARY KEY (supp, ship, id))"); runsErr != nil {
+			return
+		}
 		base := value.MustParseDate("1995-01-01").Int()
 		rows := make([][]value.Value, benchRows)
 		for i := range rows {
 			day := i % 100
 			supp := (i / 100) % 50
 			rows[i] = []value.Value{
-				value.NewDate(base + int64(day)),
 				value.NewInt(int64(supp)),
+				value.NewDate(base + int64(day)),
 				value.NewInt(int64((day*7 + supp) % 13)),
+				value.NewInt(int64(i)),
 			}
 		}
-		projData, projErr = colstore.BuildProjection("bench",
-			[]string{"ship", "supp", "qty"},
-			[]value.Kind{value.KindDate, value.KindInt, value.KindInt},
-			[]string{"ship", "supp"}, rows)
+		runsErr = runsEng.BulkLoad("runs", rows)
 	})
-	if projErr != nil {
-		tb.Fatal(projErr)
+	if runsErr != nil {
+		tb.Fatal(runsErr)
 	}
-	return projData
+	return runsEng
 }
 
-// benchColOptPlan builds scan → filter(ship > median) → group supp,
-// COUNT(*), SUM(qty) over the benchmark projection.
-func benchColOptPlan(tb testing.TB, flat bool) exec.Operator {
+// runsScanPlan compiles runsScanSQL into its serial operator tree, with the
+// scan's vectors decompressed when flat is set.
+func runsScanPlan(tb testing.TB, flat bool) exec.Operator {
 	tb.Helper()
-	p := benchProjectionData(tb)
-	var scan exec.Operator
-	scan, err := colstore.NewProjectionScan(p, []string{"ship", "supp", "qty"})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	root := planSerial(tb, runsEngine(tb), runsScanSQL).Root
 	if flat {
-		scan = flatVectors{scan}
+		root = flattenScans(tb, root, nil)
 	}
-	mid := value.NewDate(value.MustParseDate("1995-01-01").Int() + 39) // ~60% of rows pass
-	pred := expr.NewBinary(expr.OpGt, expr.NewColumn(0, "ship"), expr.NewConst(mid))
-	filtered := exec.NewFilter(scan, pred)
-	return exec.NewHashAggregate(filtered, []int{1}, []exec.AggSpec{
-		{Kind: exec.AggCountStar, Name: "cnt"},
-		{Kind: exec.AggSum, Arg: expr.NewColumn(2, "qty"), Name: "sumqty"},
-	})
+	return root
 }
 
-func runColOptBench(b *testing.B, flat bool) {
+func runRunsScanBench(b *testing.B, flat bool) {
 	b.Helper()
+	runsEngine(b) // load outside the timer
 	rowsOut := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, err := exec.DrainBatches(nil, benchColOptPlan(b, flat))
+		rows, err := exec.DrainBatches(nil, runsScanPlan(b, flat))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,23 +207,30 @@ func runColOptBench(b *testing.B, flat bool) {
 	b.ReportMetric(float64(benchRows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }
 
-func BenchmarkScanFilterAggCompressed(b *testing.B) { runColOptBench(b, false) }
+func BenchmarkScanFilterAggCompressed(b *testing.B) { runRunsScanBench(b, false) }
 
-func BenchmarkScanFilterAggFlatVectors(b *testing.B) { runColOptBench(b, true) }
+func BenchmarkScanFilterAggFlatVectors(b *testing.B) { runRunsScanBench(b, true) }
 
 // TestCompressedFlatPlansAgree keeps the flat-vs-compressed benchmark honest:
 // the two vector modes must return identical results for the benchmarked plan.
 func TestCompressedFlatPlansAgree(t *testing.T) {
-	compressed, err := exec.DrainBatches(nil, benchColOptPlan(t, false))
+	if p := planSerial(t, runsEngine(t), runsScanSQL); !strings.Contains(p.Explain, "SeqScan(runs)") {
+		t.Fatalf("benchmark plan is no SeqScan: %s", p.Explain)
+	}
+	compressed, err := exec.DrainBatches(nil, runsScanPlan(t, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := exec.DrainBatches(nil, benchColOptPlan(t, true))
+	seen := make(map[vector.Encoding]int)
+	flat, err := exec.DrainBatches(nil, flattenScans(t, runsScanPlan(t, false), seen))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(compressed) == 0 {
 		t.Fatal("benchmark plan returned no rows")
+	}
+	if seen[vector.RLE]+seen[vector.Const] == 0 {
+		t.Fatalf("the scan produced %v: want RLE or Const vectors", seen)
 	}
 	if got, want := formatRows(compressed), formatRows(flat); got != want {
 		t.Fatalf("benchmark plan diverges between vector modes:\n%s\nvs\n%s", clip(got), clip(want))

@@ -1,9 +1,10 @@
-// Package colstore implements a column-store simulator used as the paper's
-// ColOpt baseline: projections stored column by column, each column segment
-// compressed with RLE, dictionary or raw encoding, and an accounting of how
-// many compressed pages any C-store execution plan would need to read for a
-// given query. A small native scanner over the compressed segments doubles
-// as a correctness check for the row-store results.
+// Package colstore models the compressed column store behind the paper's
+// ColOpt lower bound: projections stored column by column, each column
+// segment compressed with RLE, dictionary or raw encoding, and an accounting
+// of how many compressed pages any C-store execution plan would need to read
+// for a given query. A projection keeps each segment's encoding and size and
+// the runs of its leading sort column; it keeps no values to scan, because
+// ColOpt is a page count, not a system.
 package colstore
 
 import (
@@ -43,75 +44,19 @@ func (e Encoding) String() string {
 	}
 }
 
-// Run is one RLE run: Count repetitions of Value starting at position First
-// (1-based, in projection sort order).
-type Run struct {
-	First int64
-	Value value.Value
-	Count int64
+// run is count repetitions of one value in projection sort order.
+type run struct {
+	v     value.Value
+	count int64
 }
 
-// ColumnSegment is one column of a projection in compressed form.
+// ColumnSegment is the size of one column of a projection in compressed form.
 type ColumnSegment struct {
-	Name     string
-	Kind     value.Kind
 	Encoding Encoding
-	NumRows  int64
 	// CompressedBytes is the size of the compressed representation; the page
 	// count derives from it. For dictionary segments it counts the dictionary
 	// plus the bit-packed code array, matching the stored form.
 	CompressedBytes int64
-
-	runs []Run         // EncodingRLE
-	dict []value.Value // EncodingDict
-	// packed holds the dictionary codes bit-packed codeBits per code in
-	// little-endian bit order, possibly straddling word boundaries.
-	packed   []uint64
-	codeBits uint          // EncodingDict: bits per packed code
-	raw      []value.Value // EncodingRaw
-}
-
-// CodeBits returns the bits per bit-packed dictionary code (0 for non-dict
-// segments).
-func (s *ColumnSegment) CodeBits() uint { return s.codeBits }
-
-// DictSize returns the number of dictionary entries (0 for non-dict segments).
-func (s *ColumnSegment) DictSize() int { return len(s.dict) }
-
-// codeAt unpacks the dictionary code of 0-based row pos0.
-func (s *ColumnSegment) codeAt(pos0 int64) uint32 {
-	bitPos := uint64(pos0) * uint64(s.codeBits)
-	word, off := bitPos>>6, bitPos&63
-	v := s.packed[word] >> off
-	if off+uint64(s.codeBits) > 64 {
-		v |= s.packed[word+1] << (64 - off)
-	}
-	return uint32(v & (1<<s.codeBits - 1))
-}
-
-// unpackCodes unpacks the codes of 0-based rows [start, end) into a fresh
-// slice. It is how the batch scan materializes a window of a dictionary
-// segment without touching the rest.
-func (s *ColumnSegment) unpackCodes(start, end int64) []uint32 {
-	out := make([]uint32, end-start)
-	for i := range out {
-		out[i] = s.codeAt(start + int64(i))
-	}
-	return out
-}
-
-// packCodes bit-packs codes at bits per code.
-func packCodes(codes []uint32, bits uint) []uint64 {
-	packed := make([]uint64, (uint64(len(codes))*uint64(bits)+63)/64+1)
-	for i, c := range codes {
-		bitPos := uint64(i) * uint64(bits)
-		word, off := bitPos>>6, bitPos&63
-		packed[word] |= uint64(c) << off
-		if off+uint64(bits) > 64 {
-			packed[word+1] |= uint64(c) >> (64 - off)
-		}
-	}
-	return packed
 }
 
 // Pages returns the number of storage pages the compressed segment occupies.
@@ -123,46 +68,16 @@ func (s *ColumnSegment) Pages() int64 {
 	return pages
 }
 
-// Runs returns the RLE runs (nil for non-RLE segments).
-func (s *ColumnSegment) Runs() []Run { return s.runs }
-
-// runIndexAt returns the index of the run covering 1-based position pos (or
-// len(runs) when pos lies past the last run).
-func runIndexAt(runs []Run, pos int64) int {
-	return sort.Search(len(runs), func(i int) bool { return runs[i].First+runs[i].Count-1 >= pos })
-}
-
-// Value returns the value at 1-based position pos.
-func (s *ColumnSegment) Value(pos int64) value.Value {
-	switch s.Encoding {
-	case EncodingRLE:
-		i := runIndexAt(s.runs, pos)
-		if i < len(s.runs) && pos >= s.runs[i].First {
-			return s.runs[i].Value
-		}
-		return value.Null()
-	case EncodingDict:
-		if pos < 1 || pos > s.NumRows {
-			return value.Null()
-		}
-		return s.dict[s.codeAt(pos-1)]
-	default:
-		if pos < 1 || pos > int64(len(s.raw)) {
-			return value.Null()
-		}
-		return s.raw[pos-1]
-	}
-}
-
 // Projection is a sorted, column-wise stored materialization of an expression
 // over base tables — D1, D2 and D4 in the paper.
 type Projection struct {
 	Name        string
 	Columns     []string
-	Kinds       []value.Kind
 	SortColumns []string
 	NumRows     int64
 	segments    map[string]*ColumnSegment
+	// leading holds the runs of the leading sort column, in sort order.
+	leading []run
 }
 
 // valueBytes is the encoded size of a single value.
@@ -170,9 +85,9 @@ func valueBytes(v value.Value) int64 {
 	return int64(value.FieldSize(v))
 }
 
-// BuildProjection sorts rows by sortCols and compresses every column. The
-// encoding is chosen per column the way C-stores do: RLE when the column has
-// long runs under the projection's sort order, dictionary encoding for
+// BuildProjection sorts rows by sortCols and sizes every column compressed.
+// The encoding is chosen per column the way C-stores do: RLE when the column
+// has long runs under the projection's sort order, dictionary encoding for
 // low-cardinality columns, raw otherwise.
 func BuildProjection(name string, columns []string, kinds []value.Kind, sortCols []string, rows [][]value.Value) (*Projection, error) {
 	if len(columns) != len(kinds) {
@@ -209,45 +124,45 @@ func BuildProjection(name string, columns []string, kinds []value.Kind, sortCols
 	p := &Projection{
 		Name:        name,
 		Columns:     columns,
-		Kinds:       kinds,
 		SortColumns: sortCols,
 		NumRows:     int64(len(sorted)),
 		segments:    make(map[string]*ColumnSegment),
 	}
 	for i, colName := range columns {
-		p.segments[colName] = buildSegment(colName, kinds[i], sorted, i)
+		seg, runs := buildSegment(sorted, i)
+		p.segments[colName] = seg
+		if len(sortOrds) > 0 && i == sortOrds[0] {
+			p.leading = runs
+		}
 	}
 	return p, nil
 }
 
-// buildSegment picks an encoding for one column and materializes it.
-func buildSegment(name string, kind value.Kind, sorted [][]value.Value, ord int) *ColumnSegment {
-	seg := &ColumnSegment{Name: name, Kind: kind, NumRows: int64(len(sorted))}
-	// Compute RLE runs and the distinct count in one pass.
-	var runs []Run
-	distinct := make(map[string]int)
+// buildSegment picks an encoding for one column and sizes it; it returns the
+// column's runs too.
+func buildSegment(sorted [][]value.Value, ord int) (*ColumnSegment, []run) {
+	// Compute RLE runs and the distinct values in one pass.
+	var runs []run
+	distinct := make(map[string]struct{})
 	var valueBytesTotal int64
-	for pos := int64(1); pos <= int64(len(sorted)); pos++ {
-		v := sorted[pos-1][ord]
+	for _, row := range sorted {
+		v := row[ord]
 		valueBytesTotal += valueBytes(v)
-		key := v.String()
-		distinct[key]++
-		if len(runs) > 0 && value.Compare(runs[len(runs)-1].Value, v) == 0 {
-			runs[len(runs)-1].Count++
+		distinct[v.String()] = struct{}{}
+		if len(runs) > 0 && value.Compare(runs[len(runs)-1].v, v) == 0 {
+			runs[len(runs)-1].count++
 			continue
 		}
-		runs = append(runs, Run{First: pos, Value: v, Count: 1})
+		runs = append(runs, run{v: v, count: 1})
 	}
 	n := int64(len(sorted))
 	if n == 0 {
-		seg.Encoding = EncodingRaw
-		seg.CompressedBytes = 0
-		return seg
+		return &ColumnSegment{Encoding: EncodingRaw}, nil
 	}
 	// Candidate sizes.
 	var runValueBytes int64
 	for _, r := range runs {
-		runValueBytes += valueBytes(r.Value)
+		runValueBytes += valueBytes(r.v)
 	}
 	rleBytes := runValueBytes + int64(len(runs))*4 // value + 32-bit count per run
 	var dictValueBytes int64
@@ -261,46 +176,14 @@ func buildSegment(name string, kind value.Kind, sorted [][]value.Value, ord int)
 	dictBytes := dictValueBytes + (n*bits+7)/8
 	rawBytes := valueBytesTotal
 
-	min := rleBytes
-	seg.Encoding = EncodingRLE
-	if dictBytes < min {
-		min = dictBytes
-		seg.Encoding = EncodingDict
+	seg := &ColumnSegment{Encoding: EncodingRLE, CompressedBytes: rleBytes}
+	if dictBytes < seg.CompressedBytes {
+		seg.Encoding, seg.CompressedBytes = EncodingDict, dictBytes
 	}
-	if rawBytes < min {
-		min = rawBytes
-		seg.Encoding = EncodingRaw
+	if rawBytes < seg.CompressedBytes {
+		seg.Encoding, seg.CompressedBytes = EncodingRaw, rawBytes
 	}
-	seg.CompressedBytes = min
-	switch seg.Encoding {
-	case EncodingRLE:
-		seg.runs = runs
-	case EncodingDict:
-		dictVals := make([]value.Value, 0, len(distinct))
-		seen := make(map[string]uint32)
-		codes := make([]uint32, n)
-		for i := int64(0); i < n; i++ {
-			v := sorted[i][ord]
-			k := v.String()
-			code, ok := seen[k]
-			if !ok {
-				code = uint32(len(dictVals))
-				seen[k] = code
-				dictVals = append(dictVals, v)
-			}
-			codes[i] = code
-		}
-		seg.dict = dictVals
-		seg.codeBits = uint(bits)
-		seg.packed = packCodes(codes, seg.codeBits)
-	case EncodingRaw:
-		vals := make([]value.Value, n)
-		for i := int64(0); i < n; i++ {
-			vals[i] = sorted[i][ord]
-		}
-		seg.raw = vals
-	}
-	return seg
+	return seg, runs
 }
 
 // Segment returns a column segment by name.
@@ -339,28 +222,13 @@ func (p *Projection) LeadingRangeFraction(lo, hi value.Value, loIncl, hiIncl boo
 	if len(p.SortColumns) == 0 {
 		return 1, fmt.Errorf("colstore: projection %q has no sort columns", p.Name)
 	}
-	seg, err := p.Segment(p.SortColumns[0])
-	if err != nil {
-		return 1, err
-	}
 	if p.NumRows == 0 {
 		return 0, nil
 	}
-	if seg.Encoding != EncodingRLE {
-		// Fall back to scanning positions (dictionary/raw leading columns are
-		// rare: the leading sort column always has runs).
-		var count int64
-		for pos := int64(1); pos <= seg.NumRows; pos++ {
-			if inRange(seg.Value(pos), lo, hi, loIncl, hiIncl) {
-				count++
-			}
-		}
-		return float64(count) / float64(p.NumRows), nil
-	}
 	var count int64
-	for _, r := range seg.runs {
-		if inRange(r.Value, lo, hi, loIncl, hiIncl) {
-			count += r.Count
+	for _, r := range p.leading {
+		if inRange(r.v, lo, hi, loIncl, hiIncl) {
+			count += r.count
 		}
 	}
 	return float64(count) / float64(p.NumRows), nil
@@ -405,14 +273,4 @@ func (p *Projection) ColOptPages(cols []string, fraction float64) (int64, error)
 		total += pages
 	}
 	return total, nil
-}
-
-// ColumnIndex returns the position of a column in the projection, or -1.
-func (p *Projection) ColumnIndex(col string) int {
-	for i, c := range p.Columns {
-		if c == col {
-			return i
-		}
-	}
-	return -1
 }

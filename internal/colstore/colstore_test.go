@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"oldelephant/internal/exec"
 	"oldelephant/internal/value"
-	"oldelephant/internal/vector"
 )
 
 // buildD1Like builds a projection shaped like the paper's D1:
@@ -46,13 +44,13 @@ func TestBuildProjectionEncodings(t *testing.T) {
 	if ship.Encoding != EncodingRLE {
 		t.Errorf("l_shipdate encoding = %v, want RLE", ship.Encoding)
 	}
-	if len(ship.Runs()) != 100 {
-		t.Errorf("l_shipdate runs = %d, want 100", len(ship.Runs()))
+	if len(p.leading) != 100 {
+		t.Errorf("l_shipdate runs = %d, want 100", len(p.leading))
 	}
 	supp, _ := p.Segment("l_suppkey")
 	// Second sort column: runs are short (200 rows per date / 50 suppliers),
 	// so either RLE over ~few-row runs or a dictionary; both compress well.
-	if supp.CompressedBytes >= ship.NumRows*4 {
+	if supp.CompressedBytes >= p.NumRows*4 {
 		t.Errorf("l_suppkey did not compress: %d bytes", supp.CompressedBytes)
 	}
 	price, _ := p.Segment("l_extendedprice")
@@ -66,9 +64,6 @@ func TestBuildProjectionEncodings(t *testing.T) {
 	}
 	if p.TotalCompressedBytes() <= 0 || p.TotalPages() <= 0 {
 		t.Error("totals should be positive")
-	}
-	if p.ColumnIndex("l_suppkey") != 1 || p.ColumnIndex("nope") != -1 {
-		t.Error("ColumnIndex wrong")
 	}
 }
 
@@ -102,26 +97,29 @@ func TestBuildProjectionErrors(t *testing.T) {
 	}
 }
 
+// TestSegmentValueAccess: every column has a segment of at least one page,
+// and the leading sort column's runs hold its values in sort order and
+// cover every row.
 func TestSegmentValueAccess(t *testing.T) {
 	p := buildD1Like(t, 5000)
 	for _, col := range p.Columns {
-		seg, _ := p.Segment(col)
-		if !seg.Value(0).IsNull() || !seg.Value(seg.NumRows+1).IsNull() {
-			t.Errorf("%s: out-of-range positions should be NULL", col)
+		seg, err := p.Segment(col)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if seg.Value(1).IsNull() || seg.Value(seg.NumRows).IsNull() {
-			t.Errorf("%s: valid positions should have values", col)
+		if seg.Pages() < 1 || seg.CompressedBytes <= 0 {
+			t.Errorf("%s: %d bytes in %d pages", col, seg.CompressedBytes, seg.Pages())
 		}
 	}
-	// Values in the leading column are non-decreasing (projection is sorted).
-	ship, _ := p.Segment("l_shipdate")
-	prev := ship.Value(1)
-	for pos := int64(2); pos <= ship.NumRows; pos += 97 {
-		v := ship.Value(pos)
-		if value.Compare(v, prev) < 0 {
-			t.Fatal("leading column not sorted")
+	var rows int64
+	for i, r := range p.leading {
+		if i > 0 && value.Compare(p.leading[i-1].v, r.v) >= 0 {
+			t.Fatalf("leading runs %d and %d are not ascending", i-1, i)
 		}
-		prev = v
+		rows += r.count
+	}
+	if rows != p.NumRows {
+		t.Errorf("leading runs cover %d rows, want %d", rows, p.NumRows)
 	}
 }
 
@@ -168,92 +166,14 @@ func TestLeadingRangeFractionAndColOpt(t *testing.T) {
 	}
 }
 
-// forceSegments builds one segment per encoding over the same values, so
-// tests can compare the encodings' behavior directly (buildSegment normally
-// picks exactly one).
-func forceSegments(vals []value.Value, kind value.Kind) map[Encoding]*ColumnSegment {
-	n := int64(len(vals))
-	// RLE.
-	var runs []Run
-	for i, v := range vals {
-		if len(runs) > 0 && value.Compare(runs[len(runs)-1].Value, v) == 0 {
-			runs[len(runs)-1].Count++
-			continue
-		}
-		runs = append(runs, Run{First: int64(i + 1), Value: v, Count: 1})
-	}
-	rle := &ColumnSegment{Name: "x", Kind: kind, Encoding: EncodingRLE, NumRows: n, runs: runs}
-	// Dict with bit-packed codes.
-	var dict []value.Value
-	codes := make([]uint32, n)
-	index := map[string]uint32{}
-	for i, v := range vals {
-		c, ok := index[v.String()]
-		if !ok {
-			c = uint32(len(dict))
-			index[v.String()] = c
-			dict = append(dict, v)
-		}
-		codes[i] = c
-	}
-	bits := uint(1)
-	for (1 << bits) < len(dict) {
-		bits++
-	}
-	dictSeg := &ColumnSegment{Name: "x", Kind: kind, Encoding: EncodingDict, NumRows: n,
-		dict: dict, codeBits: bits, packed: packCodes(codes, bits)}
-	// Raw.
-	raw := &ColumnSegment{Name: "x", Kind: kind, Encoding: EncodingRaw, NumRows: n,
-		raw: append([]value.Value(nil), vals...)}
-	return map[Encoding]*ColumnSegment{EncodingRLE: rle, EncodingDict: dictSeg, EncodingRaw: raw}
-}
-
-// TestValueRoundTripAcrossEncodings is the encoding round-trip property:
-// Value(pos) returns the same value from the RLE, dictionary (bit-packed)
-// and raw representation of the same data, at every position. 23 distinct
-// values force 5-bit codes, so packed codes straddle word boundaries.
-func TestValueRoundTripAcrossEncodings(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	vals := make([]value.Value, 3000)
-	cur := int64(0)
-	for i := range vals {
-		if rng.Intn(3) == 0 {
-			cur = int64(rng.Intn(23))
-		}
-		vals[i] = value.NewInt(cur)
-	}
-	segs := forceSegments(vals, value.KindInt)
-	if segs[EncodingDict].CodeBits() != 5 {
-		t.Fatalf("dict code bits = %d, want 5", segs[EncodingDict].CodeBits())
-	}
-	for pos := int64(1); pos <= int64(len(vals)); pos++ {
-		want := vals[pos-1]
-		for enc, seg := range segs {
-			if got := seg.Value(pos); value.Compare(got, want) != 0 {
-				t.Fatalf("%v: Value(%d) = %v, want %v", enc, pos, got, want)
-			}
-		}
-	}
-	// Out-of-range positions are NULL on every encoding.
-	for enc, seg := range segs {
-		if !seg.Value(0).IsNull() || !seg.Value(int64(len(vals))+1).IsNull() {
-			t.Errorf("%v: out-of-range position should be NULL", enc)
-		}
-	}
-}
-
-// TestDictCodesAreBitPacked pins the satellite fix: a dictionary segment
-// stores bit-packed codes, and its byte accounting matches the packed size
-// rather than full 32-bit words.
+// TestDictCodesAreBitPacked: a dictionary segment is sized as its
+// dictionary plus codes bit-packed at the fewest bits that number its
+// distinct values, not as full 32-bit words.
 func TestDictCodesAreBitPacked(t *testing.T) {
 	// 40k rows alternating over 16 distinct strings: dictionary wins.
-	vals := make([]value.Value, 40000)
-	for i := range vals {
-		vals[i] = value.NewString(fmt.Sprintf("v%02d", i%16))
-	}
-	rows := make([][]value.Value, len(vals))
-	for i, v := range vals {
-		rows[i] = []value.Value{v}
+	rows := make([][]value.Value, 40000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewString(fmt.Sprintf("v%02d", i%16))}
 	}
 	p, err := BuildProjection("d", []string{"s"}, []value.Kind{value.KindString}, nil, rows)
 	if err != nil {
@@ -263,21 +183,12 @@ func TestDictCodesAreBitPacked(t *testing.T) {
 	if seg.Encoding != EncodingDict {
 		t.Fatalf("encoding = %v, want DICT", seg.Encoding)
 	}
-	if seg.CodeBits() != 4 {
-		t.Errorf("code bits = %d, want 4 for 16 distinct values", seg.CodeBits())
+	var dictBytes int64
+	for i := 0; i < 16; i++ {
+		dictBytes += int64(len(rows[i][0].String())) + 2
 	}
-	// The in-memory packed array must match the accounted packed size to
-	// within a word, and be ~8x smaller than full uint32 codes.
-	packedBytes := int64(len(seg.packed) * 8)
-	accounted := (int64(len(vals))*int64(seg.CodeBits()) + 7) / 8
-	if packedBytes < accounted || packedBytes > accounted+16 {
-		t.Errorf("packed array = %d bytes, accounted %d", packedBytes, accounted)
-	}
-	if fullWords := int64(len(vals)) * 4; packedBytes*6 > fullWords {
-		t.Errorf("codes are not bit-packed: %d bytes vs %d unpacked", packedBytes, fullWords)
-	}
-	if seg.DictSize() != 16 {
-		t.Errorf("dict size = %d, want 16", seg.DictSize())
+	if want := dictBytes + (int64(len(rows))*4+7)/8; seg.CompressedBytes != want {
+		t.Errorf("dictionary segment = %d bytes, want %d (4-bit codes)", seg.CompressedBytes, want)
 	}
 }
 
@@ -307,7 +218,7 @@ func TestDictRawThresholdBoundary(t *testing.T) {
 }
 
 // TestSingleRunRLEColumn: a column holding one value everywhere is a single
-// RLE run, selects everything in O(1) runs, and scans as a Const vector.
+// RLE run, and a range over it selects all rows or none.
 func TestSingleRunRLEColumn(t *testing.T) {
 	const n = 5000
 	rows := make([][]value.Value, n)
@@ -320,104 +231,18 @@ func TestSingleRunRLEColumn(t *testing.T) {
 		t.Fatal(err)
 	}
 	seg, _ := p.Segment("k")
-	if seg.Encoding != EncodingRLE || len(seg.Runs()) != 1 {
-		t.Fatalf("constant column: encoding %v with %d runs, want RLE with 1", seg.Encoding, len(seg.Runs()))
+	if seg.Encoding != EncodingRLE || len(p.leading) != 1 {
+		t.Fatalf("constant column: encoding %v with %d runs, want RLE with 1", seg.Encoding, len(p.leading))
 	}
-	if r := seg.Runs()[0]; r.First != 1 || r.Count != n {
-		t.Fatalf("single run starts at %d and counts %d, want 1 and %d", r.First, r.Count, n)
+	if r := p.leading[0]; r.count != n {
+		t.Fatalf("single run counts %d, want %d", r.count, n)
 	}
-	scan, err := NewProjectionScan(p, []string{"k"})
-	if err != nil {
-		t.Fatal(err)
+	seven := value.NewInt(7)
+	if all, _ := p.LeadingRangeFraction(seven, seven, true, true); all != 1 {
+		t.Errorf("k = 7 selects %v of the rows, want all", all)
 	}
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
-	b, ok, err := scan.NextBatch()
-	if err != nil || !ok {
-		t.Fatalf("NextBatch: ok=%v err=%v", ok, err)
-	}
-	if enc := b.Cols[0].Encoding(); enc != vector.Const {
-		t.Errorf("single-run window scanned as %v vector, want const", enc)
-	}
-	scan.Close()
-}
-
-// TestProjectionScanEmpty: scanning an empty projection terminates
-// immediately on both protocols.
-func TestProjectionScanEmpty(t *testing.T) {
-	p, err := BuildProjection("e", []string{"a"}, []value.Kind{value.KindInt}, []string{"a"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scan, err := NewProjectionScan(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := exec.DrainBatches(nil, scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("empty projection scan produced %d rows", len(rows))
-	}
-	rows, err = exec.Drain(nil, scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("empty projection row scan produced %d rows", len(rows))
-	}
-	if _, err := NewProjectionScan(p, []string{"missing"}); err == nil {
-		t.Error("scan over a missing column should fail")
-	}
-}
-
-// TestProjectionScanMatchesValue: the batch scan's vectors agree with
-// Value(pos) for every encoding, window by window, and the compressed
-// encodings survive the window slicing (RLE segment -> RLE/Const vectors,
-// dict segment -> Dict vectors, raw -> Flat).
-func TestProjectionScanMatchesValue(t *testing.T) {
-	p := buildD1Like(t, 5000)
-	scan, err := NewProjectionScan(p, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := scan.Open(); err != nil {
-		t.Fatal(err)
-	}
-	defer scan.Close()
-	sawCompressed := false
-	pos := int64(1)
-	for {
-		b, ok, err := scan.NextBatch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		for i := 0; i < b.NumRows(); i++ {
-			row := b.Row(i)
-			for c, col := range p.Columns {
-				seg, _ := p.Segment(col)
-				if want := seg.Value(pos + int64(i)); value.Compare(row[c], want) != 0 {
-					t.Fatalf("position %d column %s: scan=%v Value=%v", pos+int64(i), col, row[c], want)
-				}
-			}
-		}
-		for c := range b.Cols {
-			if b.Cols[c].Encoding() != vector.Flat {
-				sawCompressed = true
-			}
-		}
-		pos += int64(b.NumRows())
-	}
-	if pos-1 != p.NumRows {
-		t.Fatalf("scan covered %d rows, want %d", pos-1, p.NumRows)
-	}
-	if !sawCompressed {
-		t.Error("compressed projection scan emitted only flat vectors")
+	if none, _ := p.LeadingRangeFraction(seven, value.Null(), false, true); none != 0 {
+		t.Errorf("k > 7 selects %v of the rows, want none", none)
 	}
 }
 

@@ -35,8 +35,8 @@ import (
 const DefaultMorselRows = 8 * DefaultBatchSize
 
 // Morseler is a source that can split its row range into morsels. TableScan
-// and IndexSeek (leaf-page runs of their range) and
-// colstore.ProjectionScan (row windows) implement it.
+// and IndexSeek implement it, each splitting into leaf-page runs of its
+// range.
 type Morseler interface {
 	Operator
 	// NumScanRows reports the total row count available for partitioning —

@@ -192,7 +192,8 @@ func TestConcurrentPrepareAndClose(t *testing.T) {
 // engine's result instead of normalizing the text again and hashing the plan
 // text into a fresh string, which took a warm prepared execution from 39
 // allocations and a cached ad-hoc query from 46; the bounds hold each at
-// least two below that.
+// least two below that. The race detector's instrumentation allocates too, so
+// under -race the counts are logged but not bounded.
 func TestServingAllocations(t *testing.T) {
 	srv := newTestServer(t, 1000, Options{})
 	defer srv.Close()
@@ -217,6 +218,9 @@ func TestServingAllocations(t *testing.T) {
 	prepared := testing.AllocsPerRun(100, func() { sess.ExecPrepared("seek") })
 	cached := testing.AllocsPerRun(100, func() { sess.Query(adhoc) })
 	t.Logf("allocations: %.0f per warm prepared execution, %.0f per cached ad-hoc query", prepared, cached)
+	if raceEnabled {
+		return
+	}
 	if prepared > 37 {
 		t.Errorf("warm prepared execution allocates %.0f times, want at most 37", prepared)
 	}
