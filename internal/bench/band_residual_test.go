@@ -43,7 +43,7 @@ func bandJoinOf(t *testing.T, e *engine.Engine, query string) *exec.IndexNestedL
 func TestBandResidualDropsExactBounds(t *testing.T) {
 	h := executorModes(t)["compressed-vector"]
 	spec := h.specs()["Q4"]
-	query, _, _ := spec.resolve(h, 1)
+	query, _ := spec.resolve(h, 1)
 	sqlText, err := h.strategySQL("Q4", spec, StrategyRowCol, query)
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,6 @@ func TestDiskModel(t *testing.T) {
 	if m.Time(io) != 100*m.SeqReadPerPage+10*m.RandReadPerPage {
 		t.Error("Time arithmetic wrong")
 	}
-	if m.SeqTime(50) != 50*m.SeqReadPerPage {
-		t.Error("SeqTime arithmetic wrong")
-	}
 	// The modeled time is the planner's price, in sequential pages, at the
 	// sequential rate.
 	if want := time.Duration(modeledCost(io)) * m.SeqReadPerPage; m.Time(io) != want {

@@ -140,9 +140,9 @@ func TestVectorizedRowDifferential(t *testing.T) {
 		for _, sel := range sels {
 			// All harnesses hold identical deterministic TPC-H data, so the
 			// parameterized SQL resolves identically; assert that too.
-			refSQL, _, _ := spec.resolve(ref, sel)
+			refSQL, _ := spec.resolve(ref, sel)
 			for _, name := range others {
-				otherSQL, _, _ := modes[name].specs()[q].resolve(modes[name], sel)
+				otherSQL, _ := modes[name].specs()[q].resolve(modes[name], sel)
 				if refSQL != otherSQL {
 					t.Fatalf("%s sel=%v: %s harness produced different SQL:\n%s\n%s", q, sel, name, refSQL, otherSQL)
 				}
@@ -318,7 +318,7 @@ func TestColOptExecutorDifferential(t *testing.T) {
 			sels = []float64{0}
 		}
 		for _, sel := range sels {
-			query, _, _ := spec.resolve(h, sel)
+			query, _ := spec.resolve(h, sel)
 			for _, s := range []Strategy{StrategyRow, StrategyRowMV, StrategyRowCol} {
 				sqlText, err := h.strategySQL(q, spec, s, query)
 				if err != nil {

@@ -60,11 +60,6 @@ func (m DiskModel) Time(io storage.IOStats) time.Duration {
 	return time.Duration(io.SeqReads)*m.SeqReadPerPage + time.Duration(io.RandReads)*m.RandReadPerPage
 }
 
-// SeqTime charges every page read at the sequential rate.
-func (m DiskModel) SeqTime(pages int64) time.Duration {
-	return time.Duration(pages) * m.SeqReadPerPage
-}
-
 // Config controls the harness.
 type Config struct {
 	// SF is the TPC-H scale factor (the paper uses 10; in-memory runs use a

@@ -51,7 +51,7 @@ func TestParallelDeterminism(t *testing.T) {
 		h := modes[mode]
 		for _, q := range Queries() {
 			spec := h.specs()[q]
-			query, _, _ := spec.resolve(h, defaultSelectivity)
+			query, _ := spec.resolve(h, defaultSelectivity)
 			var want string
 			for i := 0; i < iterations; i++ {
 				res, err := h.Engine.Query(query)

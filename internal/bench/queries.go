@@ -33,81 +33,71 @@ func Queries() []QueryID { return []QueryID{Q1, Q2, Q3, Q4, Q5, Q6, Q7} }
 // which columns a C-store plan must read, and whether the query is swept
 // over selectivities (Figure 2) or has a fixed parameter.
 type querySpec struct {
-	id          QueryID
-	description string
-	design      string // D1, D2 or D4
-	colOptCols  []string
-	swept       bool
+	design     string // D1, D2 or D4
+	colOptCols []string
+	swept      bool
 	// resolve picks the query parameter for a target selectivity and renders
-	// the query, the parameter and the fraction of the projection's rows it
-	// selects.
-	resolve func(h *Harness, sel float64) (query, param string, colFraction float64)
+	// the query and the fraction of the projection's rows it selects.
+	resolve func(h *Harness, sel float64) (query string, colFraction float64)
 }
 
 func (h *Harness) specs() map[QueryID]querySpec {
 	return map[QueryID]querySpec{
-		Q1: {
-			id: Q1, description: "count of items shipped each day after D",
+		Q1: { // count of items shipped each day after D
 			design: "D1", colOptCols: []string{"l_shipdate"}, swept: true,
-			resolve: func(h *Harness, sel float64) (string, string, float64) {
+			resolve: func(h *Harness, sel float64) (string, float64) {
 				d := paramDate(h.dateMin, h.dateMax, sel)
 				q := fmt.Sprintf("SELECT l_shipdate, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '%s' GROUP BY l_shipdate", d)
-				return q, d.String(), h.fraction("D1", d)
+				return q, h.fraction("D1", d)
 			},
 		},
-		Q2: {
-			id: Q2, description: "count of items shipped for each supplier on day D",
+		Q2: { // count of items shipped for each supplier on day D
 			design: "D1", colOptCols: []string{"l_shipdate", "l_suppkey"}, swept: false,
-			resolve: func(h *Harness, _ float64) (string, string, float64) {
+			resolve: func(h *Harness, _ float64) (string, float64) {
 				d := h.existingDate("lineitem", "l_shipdate", midDate(h.dateMin, h.dateMax))
 				q := fmt.Sprintf("SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate = DATE '%s' GROUP BY l_suppkey", d)
-				return q, d.String(), h.eqFraction("D1", d)
+				return q, h.eqFraction("D1", d)
 			},
 		},
-		Q3: {
-			id: Q3, description: "count of items shipped for each supplier after day D",
+		Q3: { // count of items shipped for each supplier after day D
 			design: "D1", colOptCols: []string{"l_shipdate", "l_suppkey"}, swept: true,
-			resolve: func(h *Harness, sel float64) (string, string, float64) {
+			resolve: func(h *Harness, sel float64) (string, float64) {
 				d := paramDate(h.dateMin, h.dateMax, sel)
 				q := fmt.Sprintf("SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '%s' GROUP BY l_suppkey", d)
-				return q, d.String(), h.fraction("D1", d)
+				return q, h.fraction("D1", d)
 			},
 		},
-		Q4: {
-			id: Q4, description: "latest shipdate of items ordered after each day D",
+		Q4: { // latest shipdate of items ordered after each day D
 			design: "D2", colOptCols: []string{"o_orderdate", "l_shipdate"}, swept: true,
-			resolve: func(h *Harness, sel float64) (string, string, float64) {
+			resolve: func(h *Harness, sel float64) (string, float64) {
 				d := paramDate(h.orderDateMin, h.orderDateMax, sel)
 				q := fmt.Sprintf("SELECT o_orderdate, MAX(l_shipdate) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_orderdate > DATE '%s' GROUP BY o_orderdate", d)
-				return q, d.String(), h.fraction("D2", d)
+				return q, h.fraction("D2", d)
 			},
 		},
-		Q5: {
-			id: Q5, description: "latest shipdate per supplier for orders made on day D",
+		Q5: { // latest shipdate per supplier for orders made on day D
 			design: "D2", colOptCols: []string{"o_orderdate", "l_suppkey", "l_shipdate"}, swept: false,
-			resolve: func(h *Harness, _ float64) (string, string, float64) {
+			resolve: func(h *Harness, _ float64) (string, float64) {
 				d := h.existingDate("orders", "o_orderdate", midDate(h.orderDateMin, h.orderDateMax))
 				q := fmt.Sprintf("SELECT l_suppkey, MAX(l_shipdate) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_orderdate = DATE '%s' GROUP BY l_suppkey", d)
-				return q, d.String(), h.eqFraction("D2", d)
+				return q, h.eqFraction("D2", d)
 			},
 		},
-		Q6: {
-			id: Q6, description: "latest shipdate per supplier for orders made after day D",
+		Q6: { // latest shipdate per supplier for orders made after day D
 			design: "D2", colOptCols: []string{"o_orderdate", "l_suppkey", "l_shipdate"}, swept: true,
-			resolve: func(h *Harness, sel float64) (string, string, float64) {
+			resolve: func(h *Harness, sel float64) (string, float64) {
 				d := paramDate(h.orderDateMin, h.orderDateMax, sel)
 				q := fmt.Sprintf("SELECT l_suppkey, MAX(l_shipdate) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_orderdate > DATE '%s' GROUP BY l_suppkey", d)
-				return q, d.String(), h.fraction("D2", d)
+				return q, h.fraction("D2", d)
 			},
 		},
-		Q7: {
-			id: Q7, description: "lost revenue per nation for returned parts",
+		Q7: { // lost revenue per nation for returned parts
 			design: "D4", colOptCols: []string{"l_returnflag", "c_nationkey", "l_extendedprice"}, swept: false,
-			resolve: func(h *Harness, _ float64) (string, string, float64) {
+			resolve: func(h *Harness, _ float64) (string, float64) {
 				d := value.NewString("R")
 				q := fmt.Sprintf("SELECT c_nationkey, SUM(l_extendedprice) FROM lineitem, orders, customer "+
 					"WHERE l_orderkey = o_orderkey AND o_custkey = c_custkey AND l_returnflag = '%s' GROUP BY c_nationkey", d.S)
-				return q, d.String(), h.eqFraction("D4", d)
+				return q, h.eqFraction("D4", d)
 			},
 		},
 	}
@@ -139,7 +129,6 @@ type Measurement struct {
 	Query       QueryID
 	Strategy    Strategy
 	Selectivity float64
-	Param       string
 	Rows        int
 	Wall        time.Duration
 	IO          storage.IOStats
@@ -188,8 +177,8 @@ func (h *Harness) Run(q QueryID, strategy Strategy, selectivity float64) (Measur
 	if !ok {
 		return Measurement{}, fmt.Errorf("bench: unknown query %q", q)
 	}
-	query, param, frac := spec.resolve(h, selectivity)
-	m := Measurement{Query: q, Strategy: strategy, Selectivity: selectivity, Param: param}
+	query, frac := spec.resolve(h, selectivity)
+	m := Measurement{Query: q, Strategy: strategy, Selectivity: selectivity}
 
 	if strategy == StrategyColOpt {
 		pages, err := h.Proj[spec.design].ColOptPages(spec.colOptCols, frac)

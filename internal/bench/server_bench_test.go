@@ -43,7 +43,7 @@ func throughputWorkload(b *testing.B, h *Harness) []string {
 	var out []string
 	for _, q := range Queries() {
 		spec := h.specs()[q]
-		query, _, _ := spec.resolve(h, 0.1)
+		query, _ := spec.resolve(h, 0.1)
 		out = append(out, query)
 	}
 	return out

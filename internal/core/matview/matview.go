@@ -139,37 +139,36 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 	}
 	groupCols := make(map[string]string) // base column name -> view output label
 	for _, item := range def.Query.Select {
-		if item.Star {
-			continue
-		}
 		if ref, ok := item.Expr.(*sql.ColRef); ok && groupBySet[strings.ToLower(ref.Column)] {
-			groupCols[strings.ToLower(ref.Column)] = aliasFor(item, ref.Column)
+			groupCols[strings.ToLower(ref.Column)] = item.Label()
 		}
 	}
+	// A filter is a column predicate (sql.ColumnPredicateOf) on a group
+	// column; any other conjunct falls back to the base tables.
 	var filters []sql.Expr
 	for _, c := range sql.SplitConjuncts(stmt.Where) {
-		if isJoinConjunct(c) {
-			if !viewJoins[canonicalJoin(c)] {
+		if l, r, ok := sql.ColumnJoin(c); ok {
+			if !viewJoins[canonicalJoin(l, r)] {
 				return nil, false
 			}
 			continue
 		}
-		colName, ok := filterColumn(c)
+		p, ok := sql.ColumnPredicateOf(c)
 		if !ok {
 			return nil, false
 		}
-		label, ok := groupCols[strings.ToLower(colName)]
+		label, ok := groupCols[strings.ToLower(p.Col.Column)]
 		if !ok {
 			return nil, false
 		}
-		filters = append(filters, renameColumn(c, colName, label))
+		filters = append(filters, p.On(&sql.ColRef{Column: label}))
 	}
 	// The view itself may filter rows (e.g. MV defined with a WHERE); if it
 	// does, require the query to carry the same predicates, otherwise the
 	// view could be missing rows. Views in this reproduction are unfiltered,
 	// so any non-join conjunct in the view definition blocks matching.
 	for _, c := range sql.SplitConjuncts(def.Query.Where) {
-		if !isJoinConjunct(c) {
+		if _, _, ok := sql.ColumnJoin(c); !ok {
 			return nil, false
 		}
 	}
@@ -202,7 +201,7 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 			if !ok {
 				return nil, false
 			}
-			items = append(items, sql.SelectItem{Expr: &sql.ColRef{Column: label}, Alias: aliasFor(item, e.Column)})
+			items = append(items, sql.SelectItem{Expr: &sql.ColRef{Column: label}, Alias: item.Label()})
 		case *sql.FuncCall:
 			if !e.IsAggregate() {
 				return nil, false
@@ -211,7 +210,7 @@ func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sq
 			if !ok {
 				return nil, false
 			}
-			items = append(items, sql.SelectItem{Expr: derived, Alias: aliasFor(item, "")})
+			items = append(items, sql.SelectItem{Expr: derived, Alias: item.Label()})
 		default:
 			return nil, false
 		}
@@ -280,28 +279,6 @@ func deriveAggregate(fc *sql.FuncCall, aggLabel map[string]string) (sql.Expr, bo
 	}
 }
 
-func aliasFor(item sql.SelectItem, fallback string) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if ref, ok := item.Expr.(*sql.ColRef); ok {
-		return ref.Column
-	}
-	if fallback != "" {
-		return fallback
-	}
-	// Derive a valid identifier from the expression text (e.g. COUNT(*) -> count_).
-	var sb strings.Builder
-	for _, r := range strings.ToLower(item.Expr.String()) {
-		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' || r == '_' {
-			sb.WriteRune(r)
-		} else if sb.Len() > 0 && !strings.HasSuffix(sb.String(), "_") {
-			sb.WriteRune('_')
-		}
-	}
-	return sb.String()
-}
-
 // sameTables compares the multisets of base table names in two FROM lists.
 func sameTables(a, b []sql.TableRef) bool {
 	if len(a) != len(b) {
@@ -332,85 +309,18 @@ func sameTables(a, b []sql.TableRef) bool {
 func joinSet(where sql.Expr) map[string]bool {
 	out := make(map[string]bool)
 	for _, c := range sql.SplitConjuncts(where) {
-		if isJoinConjunct(c) {
-			out[canonicalJoin(c)] = true
+		if l, r, ok := sql.ColumnJoin(c); ok {
+			out[canonicalJoin(l, r)] = true
 		}
 	}
 	return out
 }
 
-func isJoinConjunct(c sql.Expr) bool {
-	be, ok := c.(*sql.BinExpr)
-	if !ok || be.Op != "=" {
-		return false
-	}
-	_, lOK := be.L.(*sql.ColRef)
-	_, rOK := be.R.(*sql.ColRef)
-	return lOK && rOK
-}
-
 // canonicalJoin renders a column-equality conjunct order-insensitively.
-func canonicalJoin(c sql.Expr) string {
-	be := c.(*sql.BinExpr)
-	l := strings.ToLower(be.L.(*sql.ColRef).Column)
-	r := strings.ToLower(be.R.(*sql.ColRef).Column)
+func canonicalJoin(a, b *sql.ColRef) string {
+	l, r := strings.ToLower(a.Column), strings.ToLower(b.Column)
 	if l > r {
 		l, r = r, l
 	}
 	return l + "=" + r
-}
-
-// filterColumn extracts the column of a single-column constant predicate.
-func filterColumn(c sql.Expr) (string, bool) {
-	switch e := c.(type) {
-	case *sql.BinExpr:
-		if ref, ok := e.L.(*sql.ColRef); ok {
-			if _, isRef := e.R.(*sql.ColRef); !isRef {
-				return ref.Column, true
-			}
-		}
-		if ref, ok := e.R.(*sql.ColRef); ok {
-			if _, isRef := e.L.(*sql.ColRef); !isRef {
-				return ref.Column, true
-			}
-		}
-		return "", false
-	case *sql.BetweenExpr:
-		if ref, ok := e.E.(*sql.ColRef); ok {
-			return ref.Column, true
-		}
-		return "", false
-	case *sql.InExpr:
-		if ref, ok := e.E.(*sql.ColRef); ok && !e.Not {
-			return ref.Column, true
-		}
-		return "", false
-	default:
-		return "", false
-	}
-}
-
-// renameColumn replaces references to the base column with the view's output label.
-func renameColumn(e sql.Expr, from, to string) sql.Expr {
-	switch t := e.(type) {
-	case *sql.ColRef:
-		if strings.EqualFold(t.Column, from) {
-			return &sql.ColRef{Column: to}
-		}
-		return t
-	case *sql.BinExpr:
-		return &sql.BinExpr{Op: t.Op, L: renameColumn(t.L, from, to), R: renameColumn(t.R, from, to)}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{E: renameColumn(t.E, from, to), Lo: renameColumn(t.Lo, from, to), Hi: renameColumn(t.Hi, from, to), Not: t.Not}
-	case *sql.InExpr:
-		list := make([]sql.Expr, len(t.List))
-		for i, item := range t.List {
-			list[i] = renameColumn(item, from, to)
-		}
-		return &sql.InExpr{E: renameColumn(t.E, from, to), List: list, Not: t.Not}
-	case *sql.NotExpr:
-		return &sql.NotExpr{E: renameColumn(t.E, from, to)}
-	default:
-		return e
-	}
 }

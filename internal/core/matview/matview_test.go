@@ -263,3 +263,27 @@ func TestViewIOBenefit(t *testing.T) {
 			viaView.Stats.IO.PageReads, direct.Stats.IO.PageReads)
 	}
 }
+
+// TestColumnOperandsFallBack: a filter on a view group column whose other
+// operands are columns is no column predicate, so it matches no view and the
+// query runs on the base tables instead of failing on a column the view
+// does not hold.
+func TestColumnOperandsFallBack(t *testing.T) {
+	e, m := testDB(t)
+	for _, filter := range []string{
+		"l_suppkey BETWEEN l_orderkey AND 20",
+		"l_suppkey IN (l_orderkey)",
+		"l_suppkey < l_orderkey + 1",
+	} {
+		compare(t, e, m, "SELECT l_suppkey, COUNT(*) FROM lineitem WHERE "+filter+" GROUP BY l_suppkey", false)
+	}
+	// Constants of any form still match: reversed, arithmetic, negated.
+	for _, filter := range []string{
+		"DATE '1995-01-20' <= l_shipdate",
+		"l_shipdate < DATE '1995-01-01' + 10",
+		"l_shipdate NOT BETWEEN DATE '1995-01-05' AND DATE '1995-02-01'",
+		"l_shipdate NOT IN (DATE '1995-01-05')",
+	} {
+		compare(t, e, m, "SELECT l_suppkey, COUNT(*) FROM lineitem WHERE "+filter+" GROUP BY l_suppkey", true)
+	}
+}

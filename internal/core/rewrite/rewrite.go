@@ -6,9 +6,13 @@
 //   - aggregation over compressed data: COUNT(*) becomes SUM of run lengths,
 //     SUM(x) becomes SUM(v*c), MIN/MAX operate on run values directly;
 //   - the range-collapse rewriting of Figure 4(b): when the filtered column
-//     is the design's leading sort column and is not needed in the output,
-//     its qualifying runs are contiguous, so the band join can be driven by
-//     a single (MIN(f), MAX(f+c-1)) pair computed in a derived table.
+//     is the design's leading sort column, is not needed in the output and
+//     every filter on it is a range (sql.ColumnPredicate.IsRange), its
+//     qualifying runs are contiguous, so the band join can be driven by a
+//     single (MIN(f), MAX(f+c-1)) pair computed in a derived table.
+//
+// The rewritten query labels its result columns as the original does
+// (sql.SelectItem.Label), so both answer with the same columns.
 //
 // The rewriter is purely syntactic (AST to AST); the row-store planner then
 // turns the band joins into index-nested-loop plans on the c-tables'
@@ -31,8 +35,6 @@ type Rewriter struct {
 	// DisableRangeCollapse turns off the Figure 4(b) optimization so the
 	// plain band-join rewriting of Figure 4(a) is produced instead.
 	DisableRangeCollapse bool
-	// ExtraHints are appended to the rewritten query's OPTION clause.
-	ExtraHints []string
 }
 
 // New returns a rewriter over the given design.
@@ -56,9 +58,8 @@ type refInfo struct {
 	column string
 	table  ctable.ColumnTable
 	alias  string
-	// filters are the predicate conjuncts on this column (already rewritten
-	// to reference <alias>.v).
-	filters []sql.Expr
+	// filters are the predicate conjuncts on this column.
+	filters []sql.ColumnPredicate
 	// collapsed marks the column as replaced by the range-collapse derived table.
 	collapsed bool
 	inOutput  bool
@@ -93,22 +94,22 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 		return ri, nil
 	}
 
-	// Classify WHERE conjuncts: single-column constant predicates become
-	// predicates on the column's c-table values; equality joins between two
-	// columns are the design's own join predicates and are dropped.
+	// Classify WHERE conjuncts: column predicates become predicates on the
+	// column's c-table values; equality joins between two columns are the
+	// design's own join predicates and are dropped.
 	for _, c := range sql.SplitConjuncts(stmt.Where) {
-		col, rewritten, isJoin, err := classifyConjunct(c)
-		if err != nil {
-			return nil, err
-		}
-		if isJoin {
+		if _, _, ok := sql.ColumnJoin(c); ok {
 			continue
 		}
-		ri, err := touch(col)
+		p, ok := sql.ColumnPredicateOf(c)
+		if !ok {
+			return nil, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
+		}
+		ri, err := touch(p.Col.Column)
 		if err != nil {
 			return nil, err
 		}
-		ri.filters = append(ri.filters, rewritten)
+		ri.filters = append(ri.filters, p)
 	}
 
 	// Group-by columns.
@@ -146,12 +147,12 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 				return nil, err
 			}
 			ri.inOutput = true
-			items = append(items, outItem{column: ri.column, alias: outputAlias(item, ri.column)})
+			items = append(items, outItem{column: ri.column, alias: item.Label()})
 		case *sql.FuncCall:
 			if !e.IsAggregate() {
 				return nil, fmt.Errorf("rewrite: unsupported function %q", e.Name)
 			}
-			it := outItem{isAgg: true, agg: e.Name, star: e.Star, alias: outputAlias(item, "")}
+			it := outItem{isAgg: true, agg: e.Name, star: e.Star, alias: item.Label()}
 			if !e.Star {
 				if len(e.Args) != 1 {
 					return nil, fmt.Errorf("rewrite: aggregate %s expects one argument", e.Name)
@@ -187,18 +188,19 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	}
 
 	// Range-collapse optimization: the shallowest referenced column is the
-	// design's leading column, it is filtered, and it is not in the output.
-	collapse := false
+	// design's leading column, it is filtered by ranges only, and it is not
+	// in the output. A filter such as IN or <> keeps runs that are not
+	// contiguous, so one MIN(f)..MAX(f+c-1) span would take the runs between.
 	lead := ordered[0]
-	if !r.DisableRangeCollapse && len(ordered) > 1 &&
+	collapse := !r.DisableRangeCollapse && len(ordered) > 1 &&
 		len(lead.filters) > 0 && !lead.inOutput &&
-		strings.EqualFold(lead.table.Column, r.Design.Columns[0].Column) {
-		collapse = true
-		lead.collapsed = true
+		strings.EqualFold(lead.table.Column, r.Design.Columns[0].Column)
+	for _, f := range lead.filters {
+		collapse = collapse && f.IsRange()
 	}
+	lead.collapsed = collapse
 
 	out := &sql.SelectStmt{Limit: stmt.Limit, Offset: stmt.Offset}
-	out.Hints = append(out.Hints, r.ExtraHints...)
 
 	var where []sql.Expr
 	// FROM clause and band-join chain.
@@ -231,7 +233,7 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 			continue
 		}
 		for _, f := range ri.filters {
-			where = append(where, qualify(f, ri.alias))
+			where = append(where, f.On(col(ri.alias, "v")))
 		}
 	}
 	out.Where = sql.AndAll(where)
@@ -290,46 +292,15 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	return out, nil
 }
 
-// outputAlias labels a rewritten select item so the result columns line up
-// with the original query's.
-func outputAlias(item sql.SelectItem, fallback string) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if ref, ok := item.Expr.(*sql.ColRef); ok {
-		return ref.Column
-	}
-	if fallback != "" {
-		return fallback
-	}
-	return sanitizeAlias(item.Expr.String())
-}
-
 // outputLabelFor resolves the label an ORDER BY reference will have in the
 // rewritten output (the original alias, or the bare column name).
 func outputLabelFor(stmt *sql.SelectStmt, ref *sql.ColRef) string {
 	for _, item := range stmt.Select {
-		if item.Star {
-			continue
-		}
 		if r, ok := item.Expr.(*sql.ColRef); ok && strings.EqualFold(r.Column, ref.Column) {
-			return outputAlias(item, r.Column)
+			return item.Label()
 		}
 	}
 	return ref.Column
-}
-
-// sanitizeAlias turns an arbitrary expression rendering into an identifier.
-func sanitizeAlias(s string) string {
-	var sb strings.Builder
-	for _, r := range s {
-		if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r >= '0' && r <= '9' || r == '_' {
-			sb.WriteRune(r)
-		} else {
-			sb.WriteRune('_')
-		}
-	}
-	return sb.String()
 }
 
 // collapseSubquery builds the Figure 4(b) derived table for the leading,
@@ -351,7 +322,7 @@ func (r *Rewriter) collapseSubquery(lead *refInfo) *sql.SelectStmt {
 	}
 	var preds []sql.Expr
 	for _, f := range lead.filters {
-		preds = append(preds, qualify(f, ""))
+		preds = append(preds, f.On(col("", "v")))
 	}
 	sub.Where = sql.AndAll(preds)
 	return sub
@@ -390,101 +361,6 @@ func sumExpr(argAlias string, deepest *refInfo) sql.Expr {
 	return &sql.FuncCall{Name: "SUM", Args: []sql.Expr{
 		&sql.BinExpr{Op: "*", L: col(argAlias, "v"), R: col(deepest.alias, "c")},
 	}}
-}
-
-// classifyConjunct splits a WHERE conjunct into either a single-column
-// constant predicate (returning the column and the predicate rewritten onto
-// the placeholder column "v") or a column-to-column equality join.
-func classifyConjunct(c sql.Expr) (column string, rewritten sql.Expr, isJoin bool, err error) {
-	switch e := c.(type) {
-	case *sql.BinExpr:
-		lRef, lIsRef := e.L.(*sql.ColRef)
-		rRef, rIsRef := e.R.(*sql.ColRef)
-		if lIsRef && rIsRef {
-			if e.Op == "=" {
-				return "", nil, true, nil
-			}
-			return "", nil, false, fmt.Errorf("rewrite: unsupported join predicate %q", c.String())
-		}
-		if lIsRef && isConstant(e.R) {
-			return lRef.Column, &sql.BinExpr{Op: e.Op, L: col("", "v"), R: e.R}, false, nil
-		}
-		if rIsRef && isConstant(e.L) {
-			return rRef.Column, &sql.BinExpr{Op: flip(e.Op), L: col("", "v"), R: e.L}, false, nil
-		}
-		return "", nil, false, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-	case *sql.BetweenExpr:
-		ref, ok := e.E.(*sql.ColRef)
-		if !ok || !isConstant(e.Lo) || !isConstant(e.Hi) || e.Not {
-			return "", nil, false, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-		}
-		return ref.Column, &sql.BetweenExpr{E: col("", "v"), Lo: e.Lo, Hi: e.Hi}, false, nil
-	case *sql.InExpr:
-		ref, ok := e.E.(*sql.ColRef)
-		if !ok || e.Not {
-			return "", nil, false, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-		}
-		for _, item := range e.List {
-			if !isConstant(item) {
-				return "", nil, false, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-			}
-		}
-		return ref.Column, &sql.InExpr{E: col("", "v"), List: e.List}, false, nil
-	default:
-		return "", nil, false, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-	}
-}
-
-func isConstant(e sql.Expr) bool {
-	switch t := e.(type) {
-	case *sql.Literal:
-		return true
-	case *sql.BinExpr:
-		return isConstant(t.L) && isConstant(t.R)
-	default:
-		return false
-	}
-}
-
-func flip(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
-}
-
-// qualify rewrites the placeholder unqualified "v"/"f"/"c" references in a
-// predicate to belong to the given alias (empty alias leaves them unqualified).
-func qualify(e sql.Expr, alias string) sql.Expr {
-	switch t := e.(type) {
-	case *sql.ColRef:
-		if t.Table == "" {
-			return &sql.ColRef{Table: alias, Column: t.Column}
-		}
-		return t
-	case *sql.BinExpr:
-		return &sql.BinExpr{Op: t.Op, L: qualify(t.L, alias), R: qualify(t.R, alias)}
-	case *sql.BetweenExpr:
-		return &sql.BetweenExpr{E: qualify(t.E, alias), Lo: qualify(t.Lo, alias), Hi: qualify(t.Hi, alias), Not: t.Not}
-	case *sql.InExpr:
-		list := make([]sql.Expr, len(t.List))
-		for i, item := range t.List {
-			list[i] = qualify(item, alias)
-		}
-		return &sql.InExpr{E: qualify(t.E, alias), List: list, Not: t.Not}
-	case *sql.NotExpr:
-		return &sql.NotExpr{E: qualify(t.E, alias)}
-	default:
-		return e
-	}
 }
 
 // col builds a (possibly qualified) column reference.

@@ -303,13 +303,29 @@ func TestRewriteAST(t *testing.T) {
 	if out.Limit != -1 {
 		t.Errorf("rewritten limit = %d", out.Limit)
 	}
-	// Hints pass through.
-	r.ExtraHints = []string{"LOOP JOIN"}
-	out, err = r.Rewrite(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Hints) != 1 || out.Hints[0] != "LOOP JOIN" {
-		t.Errorf("hints = %v", out.Hints)
+}
+
+// TestNonRangeFiltersKeepTheBandJoinChain: IN, <> and NOT BETWEEN on the
+// leading column keep runs that are not contiguous, so the rewriting keeps
+// the band-join chain of Figure 4(a) rather than collapsing the column to
+// one span, and answers as the base tables do.
+func TestNonRangeFiltersKeepTheBandJoinChain(t *testing.T) {
+	e, designs := testDB(t)
+	r := New(designs["D1"])
+	for _, filter := range []string{
+		"l_shipdate IN (DATE '1995-01-03', DATE '1995-02-20')",
+		"l_shipdate <> DATE '1995-01-20'",
+		"l_shipdate NOT BETWEEN DATE '1995-01-10' AND DATE '1995-02-20'",
+		"DATE '1995-01-05' < l_shipdate AND l_shipdate NOT IN (DATE '1995-01-20')",
+	} {
+		q := "SELECT l_suppkey, COUNT(*) FROM lineitem WHERE " + filter + " GROUP BY l_suppkey"
+		runBoth(t, e, r, q)
+		rewritten, err := r.RewriteSQL(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(rewritten, "xmin") {
+			t.Errorf("%s: collapsed to one span: %s", filter, rewritten)
+		}
 	}
 }

@@ -247,11 +247,12 @@ func (e *Engine) Execute(sqlText string) (*Result, error) {
 
 // ExecuteStmt runs an already-parsed statement. SELECTs run under the shared
 // reader lock; everything else takes the writer lock, runs alone, and
-// invalidates the plan cache (compiled plans embed access paths, morsel page
-// runs and cardinalities that any catalog or data change can break). On a
-// durable engine the statement is acknowledged only once its WAL records are
-// on disk; the fsync wait happens after the writer lock is released, so
-// concurrent committers share one fsync (group commit).
+// invalidates the plan cache (compiled plans embed access paths, seek bounds
+// and cardinality estimates that any catalog or data change can break; a
+// parallel plan splits its source into morsels when it opens, not when it is
+// compiled). On a durable engine the statement is acknowledged only once its
+// WAL records are on disk; the fsync wait happens after the writer lock is
+// released, so concurrent committers share one fsync (group commit).
 func (e *Engine) ExecuteStmt(stmt sql.Statement) (*Result, error) {
 	if s, ok := stmt.(*sql.SelectStmt); ok {
 		return e.QueryStmt(s)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -107,6 +108,32 @@ func TestPlanCacheHitAndSpellings(t *testing.T) {
 	}
 	if misses := s.Misses - base.Misses; misses != 1 {
 		t.Errorf("got %d misses, want 1", misses)
+	}
+}
+
+// TestPlanCacheQuotedAliasesKeyApart: a quoted alias is the result column's
+// label byte for byte, so spellings that differ only inside one get their own
+// plan-cache entries and answer with their own labels.
+func TestPlanCacheQuotedAliasesKeyApart(t *testing.T) {
+	e := newCachedEngine(t, 0, 500)
+	base := e.PlanCacheStats()
+	for _, label := range []string{"COUNT(*)", "count(*)", "Count (*)", `say "n"`} {
+		q := `SELECT grp, COUNT(*) AS "` + strings.ReplaceAll(label, `"`, `""`) + `" FROM items GROUP BY grp`
+		for run := 0; run < 2; run++ {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.PlanCached != (run == 1) {
+				t.Errorf("%s run %d: cached %v", q, run, res.Stats.PlanCached)
+			}
+			if len(res.Columns) != 2 || res.Columns[1] != label {
+				t.Errorf("%s run %d: columns %q, want label %q", q, run, res.Columns, label)
+			}
+		}
+	}
+	if misses := e.PlanCacheStats().Misses - base.Misses; misses != 4 {
+		t.Errorf("got %d misses, want one per spelling (4)", misses)
 	}
 }
 

@@ -265,3 +265,43 @@ func TestSeekBoundsAcrossKindsParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestSeekBoundsIgnoreConjunctOrder: two upper bounds on the clustered key
+// seek to the tighter one in either order, so a cold run reads what the
+// tighter bound alone reads; the looser one stays in the residual filter.
+func TestSeekBoundsIgnoreConjunctOrder(t *testing.T) {
+	e := New(Options{BufferPoolPages: 64, Parallelism: 1})
+	t.Cleanup(func() { e.Close() })
+	if _, err := e.Execute("CREATE TABLE items (id INT, grp INT, amount FLOAT, PRIMARY KEY (id))"); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 20000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewInt(int64(i % 7)), value.NewFloat(float64(i % 100))}
+	}
+	if err := e.BulkLoad("items", rows); err != nil {
+		t.Fatal(err)
+	}
+	cold := func(where string) *Result {
+		t.Helper()
+		e.ResetBufferPool()
+		res, err := e.QueryWith(QueryOptions{NoCache: true}, "SELECT id, amount FROM items WHERE "+where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 500 {
+			t.Fatalf("%s: %d rows, want 500", where, len(res.Rows))
+		}
+		return res
+	}
+	want := cold("id < 500").Stats.IO.PageReads
+	for _, where := range []string{"id < 500 AND id < 19000", "id < 19000 AND id < 500", "19000 > id AND 500 > id"} {
+		res := cold(where)
+		if got := res.Stats.IO.PageReads; got != want {
+			t.Errorf("%s: read %d pages, id < 500 reads %d\n%s", where, got, want, res.Plan)
+		}
+		if !strings.Contains(res.Plan, "Filter(ClusteredSeek(items on id))") {
+			t.Errorf("%s: plan %s, want a residual filter over the clustered seek", where, res.Plan)
+		}
+	}
+}

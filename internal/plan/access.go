@@ -61,114 +61,87 @@ func (r *colRange) seekBounds(slots *slotUses) (lo, hi []value.Value) {
 	return lo, hi
 }
 
-// sargableConstraints extracts per-column constant ranges from conjuncts that
-// were pushed down to a single base table.
+// bound narrows the range by one comparison of its column with v, keeping
+// the tighter bound on each side: any one bound a conjunct sets keeps every
+// row the conjuncts keep, and the residual filter re-checks them all. A bound
+// from a parameter slot has no value to compare until it is bound, so it
+// replaces the one before it.
+func (r *colRange) bound(op string, v value.Value, slot int) {
+	if op == "=" {
+		r.equality = true
+	}
+	// tighter reports whether v beats the bound b it would replace, sign
+	// being the way a bound tightens; at a tie the exclusive bound is tighter.
+	tighter := func(b value.Value, bSlot int, incl bool, sign int) bool {
+		if slot >= 0 || bSlot >= 0 {
+			return true
+		}
+		c := sign * value.Compare(v, b)
+		return c > 0 || c == 0 && !incl
+	}
+	if op == "=" || op == ">" || op == ">=" {
+		if incl := op != ">"; !r.hasLo || tighter(r.lo, r.loSlot, incl, 1) {
+			r.lo, r.loIncl, r.hasLo, r.loSlot = v, incl, true, slot
+		}
+	}
+	if op == "=" || op == "<" || op == "<=" {
+		if incl := op != "<"; !r.hasHi || tighter(r.hi, r.hiSlot, incl, -1) {
+			r.hi, r.hiIncl, r.hasHi, r.hiSlot = v, incl, true, slot
+		}
+	}
+}
+
+// sargableConstraints extracts per-column ranges from the range predicates
+// (sql.ColumnPredicate.IsRange) pushed down to a single base table whose
+// bounds are literals or, for an equality, a parameter slot.
 func sargableConstraints(t *catalog.Table, alias string, conjuncts []sql.Expr) map[int]*colRange {
 	out := make(map[int]*colRange)
-	get := func(ord int) *colRange {
-		if r, ok := out[ord]; ok {
-			return r
+	for _, c := range conjuncts {
+		p, ok := sql.ColumnPredicateOf(c)
+		if !ok || !p.IsRange() || p.Col.Table != "" && !strings.EqualFold(p.Col.Table, alias) {
+			continue
 		}
-		r := &colRange{loSlot: -1, hiSlot: -1}
-		out[ord] = r
-		return r
+		ord := t.ColumnIndex(p.Col.Column)
+		if ord < 0 {
+			continue
+		}
+		ops := []string{p.Op}
+		if p.Op == "BETWEEN" {
+			ops = []string{">=", "<="}
+		}
+		for i, arg := range p.Args {
+			v, slot, ok := seekValue(t.Columns[ord].Kind, arg, ops[i])
+			if !ok {
+				continue
+			}
+			if out[ord] == nil {
+				out[ord] = &colRange{loSlot: -1, hiSlot: -1}
+			}
+			out[ord].bound(ops[i], v, slot)
+		}
 	}
-	resolveCol := func(e sql.Expr) (int, bool) {
-		ref, ok := e.(*sql.ColRef)
-		if !ok {
-			return 0, false
-		}
-		if ref.Table != "" && !strings.EqualFold(ref.Table, alias) {
-			return 0, false
-		}
-		ord := t.ColumnIndex(ref.Column)
-		return ord, ord >= 0
-	}
-	// literal returns a constant operand's value, or the slot it comes from
-	// (slot >= 0, with a value to be bound). A slot pins its column only by
-	// equality: a range bound's value would price the range.
-	literal := func(e sql.Expr, colOrd int, op string) (v value.Value, slot int, ok bool) {
-		if p, isParam := e.(*sql.Param); isParam {
-			return value.Value{Kind: p.Kind}, p.Index, op == "="
-		}
-		lit, isLit := e.(*sql.Literal)
-		if !isLit {
-			return value.Null(), -1, false
-		}
-		v = lit.Val
+	return out
+}
+
+// seekValue returns the value a seek bound takes from a constant operand
+// compared with op to a column of kind kind: a literal's value, or the slot a
+// parameter comes from (slot >= 0, with a value to be bound). A slot pins its
+// column only by equality: a range bound's value would price the range.
+func seekValue(kind value.Kind, e sql.Expr, op string) (v value.Value, slot int, ok bool) {
+	switch e := e.(type) {
+	case *sql.Param:
+		return value.Value{Kind: e.Kind}, e.Index, op == "="
+	case *sql.Literal:
+		v = e.Val
 		// Strings compared against DATE columns act as dates.
-		if t.Columns[colOrd].Kind == value.KindDate && v.Kind == value.KindString {
+		if kind == value.KindDate && v.Kind == value.KindString {
 			if d, err := value.ParseDate(v.S); err == nil {
 				v = d
 			}
 		}
 		return v, -1, true
 	}
-	apply := func(ord int, op string, v value.Value, slot int) {
-		r := get(ord)
-		switch op {
-		case "=":
-			r.lo, r.hi = v, v
-			r.loIncl, r.hiIncl = true, true
-			r.hasLo, r.hasHi = true, true
-			r.equality = true
-			r.loSlot, r.hiSlot = slot, slot
-		case ">":
-			r.lo, r.loIncl, r.hasLo, r.loSlot = v, false, true, slot
-		case ">=":
-			r.lo, r.loIncl, r.hasLo, r.loSlot = v, true, true, slot
-		case "<":
-			r.hi, r.hiIncl, r.hasHi, r.hiSlot = v, false, true, slot
-		case "<=":
-			r.hi, r.hiIncl, r.hasHi, r.hiSlot = v, true, true, slot
-		}
-	}
-	for _, c := range conjuncts {
-		switch e := c.(type) {
-		case *sql.BinExpr:
-			if e.Op == "=" || e.Op == "<" || e.Op == "<=" || e.Op == ">" || e.Op == ">=" {
-				if ord, ok := resolveCol(e.L); ok {
-					if v, slot, ok := literal(e.R, ord, e.Op); ok {
-						apply(ord, e.Op, v, slot)
-						continue
-					}
-				}
-				if ord, ok := resolveCol(e.R); ok {
-					if v, slot, ok := literal(e.L, ord, e.Op); ok {
-						apply(ord, flipOp(e.Op), v, slot)
-					}
-				}
-			}
-		case *sql.BetweenExpr:
-			if e.Not {
-				continue
-			}
-			if ord, ok := resolveCol(e.E); ok {
-				lo, loSlot, okLo := literal(e.Lo, ord, ">=")
-				hi, hiSlot, okHi := literal(e.Hi, ord, "<=")
-				if okLo && okHi {
-					apply(ord, ">=", lo, loSlot)
-					apply(ord, "<=", hi, hiSlot)
-				}
-			}
-		}
-	}
-	return out
-}
-
-func flipOp(op string) string {
-	switch op {
-	case "<":
-		return ">"
-	case "<=":
-		return ">="
-	case ">":
-		return "<"
-	case ">=":
-		return "<="
-	default:
-		return op
-	}
+	return value.Null(), -1, false
 }
 
 // rangeSelectivity estimates the fraction of rows selected by a column range.

@@ -439,7 +439,7 @@ func (p *Planner) collectBandBound(cur *joinedRelation, s *plannedSource, avail 
 				outer = e.R
 			} else if isInnerLead(e.R) && outerOnly(e.L) {
 				outer = e.L
-				op = flipOp(op)
+				op = sql.FlipOp(op)
 			} else {
 				continue
 			}

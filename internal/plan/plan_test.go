@@ -316,3 +316,53 @@ func TestSargableConstraints(t *testing.T) {
 		t.Errorf("amount BETWEEN constraint = %+v", amount)
 	}
 }
+
+// TestSargableBoundsKeepTheTighter: several bounds on one side of a column
+// keep the tightest, whatever the order of their conjuncts; at a tie the
+// exclusive one. Only range predicates bound a seek.
+func TestSargableBoundsKeepTheTighter(t *testing.T) {
+	c := newTestCatalog(t)
+	tbl, _ := c.Table("events")
+	day := tbl.ColumnIndex("day")
+	where := func(s string) []sql.Expr {
+		stmt, err := sql.ParseSelect("SELECT day FROM events WHERE " + s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sql.SplitConjuncts(stmt.Where)
+	}
+	cases := []struct {
+		where          string
+		lo, hi         string // "" = open
+		loIncl, hiIncl bool
+	}{
+		{"day < DATE '2008-01-10' AND day < DATE '2008-06-01'", "", "2008-01-10", false, false},
+		{"day < DATE '2008-06-01' AND day < DATE '2008-01-10'", "", "2008-01-10", false, false},
+		{"day <= DATE '2008-01-10' AND day < DATE '2008-01-10'", "", "2008-01-10", false, false},
+		{"day < DATE '2008-01-10' AND day <= DATE '2008-01-10'", "", "2008-01-10", false, false},
+		{"DATE '2008-01-05' < day AND day >= DATE '2008-01-02' AND day BETWEEN DATE '2008-01-01' AND DATE '2008-02-01'",
+			"2008-01-05", "2008-02-01", false, true},
+		{"day > DATE '2008-01-01' AND day = DATE '2008-01-20' AND day <= DATE '2008-03-01'", "2008-01-20", "2008-01-20", true, true},
+		// Not ranges: they bound no seek.
+		{"day <> DATE '2008-01-10' AND day IN (DATE '2008-01-02') AND day NOT BETWEEN DATE '2008-01-01' AND DATE '2008-01-03'", "", "", false, false},
+	}
+	for _, tc := range cases {
+		r := sargableConstraints(tbl, "events", where(tc.where))[day]
+		if tc.lo == "" && tc.hi == "" {
+			if r != nil {
+				t.Errorf("%s: constraint %+v, want none", tc.where, r)
+			}
+			continue
+		}
+		if r == nil {
+			t.Errorf("%s: no constraint", tc.where)
+			continue
+		}
+		if r.hasLo != (tc.lo != "") || r.hasLo && (r.lo.String() != tc.lo || r.loIncl != tc.loIncl) {
+			t.Errorf("%s: lower bound %v (incl %v, set %v), want %q (incl %v)", tc.where, r.lo, r.loIncl, r.hasLo, tc.lo, tc.loIncl)
+		}
+		if r.hasHi != (tc.hi != "") || r.hasHi && (r.hi.String() != tc.hi || r.hiIncl != tc.hiIncl) {
+			t.Errorf("%s: upper bound %v (incl %v, set %v), want %q (incl %v)", tc.where, r.hi, r.hiIncl, r.hasHi, tc.hi, tc.hiIncl)
+		}
+	}
+}

@@ -467,7 +467,7 @@ func (p *Planner) finishSelect(stmt *sql.SelectStmt, joined *joinedRelation) (*P
 			return nil, err
 		}
 		projExprs = append(projExprs, bound)
-		names = append(names, outputName(item))
+		names = append(names, item.Label())
 	}
 	op = exec.NewProject(op, projExprs, names)
 	explain = "Project(" + explain + ")"
@@ -496,17 +496,6 @@ func (p *Planner) finishSelect(stmt *sql.SelectStmt, joined *joinedRelation) (*P
 	}
 
 	return &Plan{Root: op, Columns: names, Explain: explain, EstRows: estRows}, nil
-}
-
-// outputName picks the label of a select item.
-func outputName(item sql.SelectItem) string {
-	if item.Alias != "" {
-		return item.Alias
-	}
-	if ref, ok := item.Expr.(*sql.ColRef); ok {
-		return ref.Column
-	}
-	return item.Expr.String()
 }
 
 // buildAggSpec converts an aggregate call into an executable AggSpec bound

@@ -20,7 +20,8 @@ type Expr interface {
 	String() string
 }
 
-// ColRef references a column, optionally qualified by a table alias.
+// ColRef references a column, optionally qualified by a table alias. Names
+// render bare where the lexer reads them back so, double-quoted otherwise.
 type ColRef struct {
 	Table  string
 	Column string
@@ -31,9 +32,9 @@ func (*ColRef) exprNode() {}
 // String implements Expr.
 func (c *ColRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Column
+		return ident(c.Table) + "." + ident(c.Column)
 	}
-	return c.Column
+	return ident(c.Column)
 }
 
 // Literal is a constant value.
@@ -156,13 +157,13 @@ func (*FuncCall) exprNode() {}
 // String implements Expr.
 func (f *FuncCall) String() string {
 	if f.Star {
-		return f.Name + "(*)"
+		return ident(f.Name) + "(*)"
 	}
 	parts := make([]string, len(f.Args))
 	for i, a := range f.Args {
 		parts[i] = a.String()
 	}
-	return f.Name + "(" + strings.Join(parts, ", ") + ")"
+	return ident(f.Name) + "(" + strings.Join(parts, ", ") + ")"
 }
 
 // IsAggregate reports whether the function is one of the aggregate functions.
@@ -187,7 +188,21 @@ func (s SelectItem) String() string {
 		return "*"
 	}
 	if s.Alias != "" {
-		return s.Expr.String() + " AS " + s.Alias
+		return s.Expr.String() + " AS " + ident(s.Alias)
+	}
+	return s.Expr.String()
+}
+
+// Label is the name of the item's result column: its alias, else the bare
+// name of the column it selects, else its expression text. The planner names
+// result columns by it, and view matching and the c-table rewriter alias what
+// they rewrite by it, so every physical design answers with the same columns.
+func (s SelectItem) Label() string {
+	if s.Alias != "" {
+		return s.Alias
+	}
+	if ref, ok := s.Expr.(*ColRef); ok {
+		return ref.Column
 	}
 	return s.Expr.String()
 }
@@ -203,12 +218,12 @@ type TableRef struct {
 // String renders the reference.
 func (t TableRef) String() string {
 	if t.Subquery != nil {
-		return "(" + t.Subquery.String() + ") " + t.Alias
+		return "(" + t.Subquery.String() + ") " + ident(t.Alias)
 	}
 	if t.Alias != "" && !strings.EqualFold(t.Alias, t.Table) {
-		return t.Table + " " + t.Alias
+		return ident(t.Table) + " " + ident(t.Alias)
 	}
-	return t.Table
+	return ident(t.Table)
 }
 
 // Name returns the name the reference is known by in the query (alias if given).
@@ -315,11 +330,11 @@ func (*CreateTableStmt) stmtNode() {}
 func (c *CreateTableStmt) String() string {
 	cols := make([]string, len(c.Columns))
 	for i, col := range c.Columns {
-		cols[i] = col.Name + " " + col.Type
+		cols[i] = ident(col.Name) + " " + col.Type
 	}
-	s := "CREATE TABLE " + c.Name + " (" + strings.Join(cols, ", ")
+	s := "CREATE TABLE " + ident(c.Name) + " (" + strings.Join(cols, ", ")
 	if len(c.PrimaryKey) > 0 {
-		s += ", PRIMARY KEY (" + strings.Join(c.PrimaryKey, ", ") + ")"
+		s += ", PRIMARY KEY (" + idents(c.PrimaryKey) + ")"
 	}
 	return s + ")"
 }
@@ -347,9 +362,9 @@ func (c *CreateIndexStmt) String() string {
 	if c.Clustered {
 		sb.WriteString("CLUSTERED ")
 	}
-	sb.WriteString("INDEX " + c.Name + " ON " + c.Table + " (" + strings.Join(c.Columns, ", ") + ")")
+	sb.WriteString("INDEX " + ident(c.Name) + " ON " + ident(c.Table) + " (" + idents(c.Columns) + ")")
 	if len(c.Include) > 0 {
-		sb.WriteString(" INCLUDE (" + strings.Join(c.Include, ", ") + ")")
+		sb.WriteString(" INCLUDE (" + idents(c.Include) + ")")
 	}
 	return sb.String()
 }
@@ -369,7 +384,7 @@ func (c *CreateViewStmt) String() string {
 	if c.Materialized {
 		kind = "MATERIALIZED VIEW"
 	}
-	return "CREATE " + kind + " " + c.Name + " AS " + c.Query.String()
+	return "CREATE " + kind + " " + ident(c.Name) + " AS " + c.Query.String()
 }
 
 // InsertStmt inserts literal rows into a table.
@@ -384,9 +399,9 @@ func (*InsertStmt) stmtNode() {}
 // String implements Statement.
 func (i *InsertStmt) String() string {
 	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + i.Table)
+	sb.WriteString("INSERT INTO " + ident(i.Table))
 	if len(i.Columns) > 0 {
-		sb.WriteString(" (" + strings.Join(i.Columns, ", ") + ")")
+		sb.WriteString(" (" + idents(i.Columns) + ")")
 	}
 	sb.WriteString(" VALUES ")
 	rows := make([]string, len(i.Rows))
@@ -409,7 +424,7 @@ type DropTableStmt struct {
 func (*DropTableStmt) stmtNode() {}
 
 // String implements Statement.
-func (d *DropTableStmt) String() string { return "DROP TABLE " + d.Name }
+func (d *DropTableStmt) String() string { return "DROP TABLE " + ident(d.Name) }
 
 // ExplainStmt explains a SELECT: plan text only, or — with Analyze — the plan
 // executed with tracing on, annotated with per-operator rows and wall time.
@@ -426,6 +441,15 @@ func (e *ExplainStmt) String() string {
 		return "EXPLAIN ANALYZE " + e.Query.String()
 	}
 	return "EXPLAIN " + e.Query.String()
+}
+
+// idents renders a list of names, comma-separated.
+func idents(names []string) string {
+	out := make([]string, len(names))
+	for i, n := range names {
+		out[i] = ident(n)
+	}
+	return strings.Join(out, ", ")
 }
 
 // SplitConjuncts flattens an AND tree into its conjuncts, left to right; nil

@@ -66,6 +66,10 @@ var parseSeeds = []string{
 	"CREATE MATERIALIZED VIEW v AS SELECT a, COUNT(*) FROM t GROUP BY a",
 	"INSERT INTO t (a, b) VALUES (1, 'it''s'), (2 * 3, NULL)",
 	"select -- comment\n a from t;",
+	// Quoted identifiers: unterminated, empty, and a doubled-quote escape.
+	`SELECT "x FROM t`,
+	`SELECT a AS "" FROM t`,
+	`SELECT COUNT(*) AS "say ""hi""", "select"."from" FROM "select" ORDER BY "say ""hi"""`,
 }
 
 func FuzzParse(f *testing.F) {

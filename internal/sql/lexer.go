@@ -18,8 +18,8 @@ type TokenKind int
 
 // Token kinds.
 const (
-	TokEOF TokenKind = iota
-	TokIdent
+	TokEOF   TokenKind = iota
+	TokIdent           // a bare or a double-quoted identifier
 	TokKeyword
 	TokNumber
 	TokString
@@ -30,7 +30,7 @@ const (
 // error reporting.
 type Token struct {
 	Kind TokenKind
-	Text string // keywords are upper-cased, identifiers keep their case
+	Text string // keywords are upper-cased, identifiers keep their case, quotes are taken off
 	Pos  int
 }
 
@@ -86,29 +86,22 @@ func Lex(input string) ([]Token, error) {
 				i++
 			}
 			toks = append(toks, Token{Kind: TokNumber, Text: input[start:i], Pos: start + 1})
-		case c == '\'':
-			start := i
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				if input[i] == '\'' {
-					if i+1 < n && input[i+1] == '\'' { // escaped quote
-						sb.WriteByte('\'')
-						i += 2
-						continue
-					}
-					closed = true
-					i++
-					break
-				}
-				sb.WriteByte(input[i])
-				i++
+		case c == '\'' || c == '"':
+			// A string literal, or a quoted identifier: a name that may be a
+			// keyword or hold any character. Both double their quote to hold it.
+			text, end, closed := quoted(input, i)
+			kind, what := TokString, "string literal"
+			if c == '"' {
+				kind, what = TokIdent, "quoted identifier"
 			}
 			if !closed {
-				return nil, fmt.Errorf("sql: unterminated string literal at position %d", start+1)
+				return nil, fmt.Errorf("sql: unterminated %s at position %d", what, i+1)
 			}
-			toks = append(toks, Token{Kind: TokString, Text: sb.String(), Pos: start + 1})
+			if kind == TokIdent && text == "" {
+				return nil, fmt.Errorf("sql: empty quoted identifier at position %d", i+1)
+			}
+			toks = append(toks, Token{Kind: kind, Text: text, Pos: i + 1})
+			i = end
 		case strings.ContainsRune("=<>!+-*/(),.;", rune(c)):
 			start := i
 			op := string(c)
@@ -126,6 +119,40 @@ func Lex(input string) ([]Token, error) {
 	}
 	toks = append(toks, Token{Kind: TokEOF, Text: "", Pos: n + 1})
 	return toks, nil
+}
+
+// quoted reads the quoted text that starts at input[start], its quote
+// character, where a doubled quote stands for one. It returns the text and
+// the offset after the closing quote, or closed=false when the input ends
+// first.
+func quoted(input string, start int) (text string, end int, closed bool) {
+	q := input[start]
+	var sb strings.Builder
+	for i := start + 1; i < len(input); i++ {
+		if input[i] != q {
+			sb.WriteByte(input[i])
+		} else if i+1 < len(input) && input[i+1] == q {
+			sb.WriteByte(q)
+			i++
+		} else {
+			return sb.String(), i + 1, true
+		}
+	}
+	return "", len(input), false
+}
+
+// ident renders a name so that the lexer reads it back as that one
+// identifier: bare when it lexes so, double-quoted otherwise (a keyword, or a
+// name holding any other character).
+func ident(name string) string {
+	bare := name != "" && isIdentStart(rune(name[0])) && !keywords[strings.ToUpper(name)]
+	for i := 1; bare && i < len(name); i++ {
+		bare = isIdentPart(rune(name[i]))
+	}
+	if bare {
+		return name
+	}
+	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
 }
 
 func isIdentStart(r rune) bool {

@@ -374,6 +374,11 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		"SELECT l_suppkey, MAX(l_shipdate) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_orderdate = DATE '1995-03-15' GROUP BY l_suppkey",
 		"SELECT T1.v, SUM(T1.c) FROM d1_l_suppkey T1, d1_l_shipdate T0 WHERE T0.v > DATE '1995-06-01' AND T1.f BETWEEN T0.f AND T0.f + T0.c - 1 GROUP BY T1.v",
 		"SELECT a, b FROM t WHERE a = 1 ORDER BY b DESC LIMIT 5 OFFSET 1 OPTION(LOOP JOIN)",
+		// Quoted aliases: a label that is no bare identifier, a keyword, a
+		// doubled quote, and a quoted name that needs no quotes.
+		`SELECT T1.v AS l_suppkey, SUM(T1.c) AS "COUNT(*)" FROM d1_l_suppkey T1 GROUP BY T1.v ORDER BY "COUNT(*)" DESC`,
+		`SELECT "select" AS "from", a AS "say ""hi""" FROM "my table" "t 1" WHERE "t 1"."select" > 0`,
+		`SELECT "plain" AS "Mixed_Case" FROM t`,
 	}
 	for _, q := range queries {
 		stmt, err := Parse(q)
@@ -388,6 +393,127 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		}
 		if stmt2.String() != rendered {
 			t.Errorf("round trip not stable:\n  first:  %s\n  second: %s", rendered, stmt2.String())
+		}
+	}
+}
+
+// TestQuotedIdentifiers: a double-quoted identifier lexes as one identifier
+// with its quotes taken off and a doubled quote standing for one; it may be a
+// keyword or hold any character, and renders back quoted only when it must.
+func TestQuotedIdentifiers(t *testing.T) {
+	stmt, err := ParseSelect(`SELECT COUNT(*) AS "COUNT(*)", a AS "Select", b "x""y" FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"COUNT(*)", "Select", `x"y`} {
+		if got := stmt.Select[i].Label(); got != want {
+			t.Errorf("item %d label = %q, want %q", i, got, want)
+		}
+	}
+	if got, want := stmt.String(), `SELECT COUNT(*) AS "COUNT(*)", a AS "Select", b AS "x""y" FROM t`; got != want {
+		t.Errorf("rendered %s, want %s", got, want)
+	}
+	for _, bad := range []string{`SELECT "x FROM t`, `SELECT a AS "" FROM t`, `SELECT "" FROM t`} {
+		if _, err := Parse(bad); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", bad)
+		}
+	}
+	// Normalize keeps a quoted identifier byte for byte, as it keeps a
+	// string literal: spellings that differ inside one differ.
+	if got, want := Normalize(`SELECT A AS "Cnt  ""x"""  FROM T`), `select a as "Cnt  ""x""" from t`; got != want {
+		t.Errorf("Normalize = %q, want %q", got, want)
+	}
+	if Normalize(`SELECT a AS "Cnt" FROM t`) == Normalize(`SELECT a AS "cnt" FROM t`) {
+		t.Error("quoted aliases that differ in case share a key")
+	}
+}
+
+// TestSelectItemLabel: the alias, else the bare column name, else the
+// expression text.
+func TestSelectItemLabel(t *testing.T) {
+	stmt, err := ParseSelect("SELECT x.a, b AS bee, sum(x.c), COUNT(*), a + 1 FROM t x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"a", "bee", "SUM(x.c)", "COUNT(*)", "(a + 1)"} {
+		if got := stmt.Select[i].Label(); got != want {
+			t.Errorf("item %d label = %q, want %q", i, got, want)
+		}
+	}
+}
+
+// TestColumnPredicateOf holds the shared conjunct classifier to its cases:
+// a column compared with constants (literals, slots, arithmetic over them),
+// turned around when the constant comes first; which of them are ranges;
+// and column-equality joins.
+func TestColumnPredicateOf(t *testing.T) {
+	cases := []struct {
+		where string
+		ok    bool
+		col   string
+		op    string
+		rng   bool
+		on    string // the predicate applied to v
+	}{
+		{"a = 1", true, "a", "=", true, "(v = 1)"},
+		{"10 <= a", true, "a", ">=", true, "(v >= 10)"},
+		{"DATE '1995-01-01' + 3 > t.a", true, "a", "<", true, "(v < (DATE '1995-01-01' + 3))"},
+		{"a <> 'x'", true, "a", "<>", false, "(v <> 'x')"},
+		{"a BETWEEN 1 AND 2 * 3", true, "a", "BETWEEN", true, "(v BETWEEN 1 AND (2 * 3))"},
+		{"a NOT BETWEEN 1 AND 3", true, "a", "BETWEEN", false, "(v NOT BETWEEN 1 AND 3)"},
+		{"a IN (1, 2)", true, "a", "IN", false, "(v IN (1, 2))"},
+		{"a NOT IN (1)", true, "a", "IN", false, "(v NOT IN (1))"},
+		{"a = NULL", true, "a", "=", true, "(v = NULL)"},
+		// Not constants: another column, a function, a comparison.
+		{"a BETWEEN b AND c", false, "", "", false, ""},
+		{"a IN (1, b)", false, "", "", false, ""},
+		{"a < b + 1", false, "", "", false, ""},
+		{"a = (1 = 1)", false, "", "", false, ""},
+		{"a + 1 = 2", false, "", "", false, ""},
+		{"1 = 1", false, "", "", false, ""},
+		{"a IS NULL", false, "", "", false, ""},
+		{"a = b", false, "", "", false, ""},
+	}
+	for _, c := range cases {
+		stmt, err := ParseSelect("SELECT a FROM t WHERE " + c.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, ok := ColumnPredicateOf(stmt.Where)
+		if ok != c.ok {
+			t.Errorf("%s: classified %v, want %v", c.where, ok, c.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		if p.Col.Column != c.col || p.Op != c.op || p.IsRange() != c.rng {
+			t.Errorf("%s: column %s op %s range %v, want %s %s %v", c.where, p.Col.Column, p.Op, p.IsRange(), c.col, c.op, c.rng)
+		}
+		if got := p.On(&ColRef{Column: "v"}).String(); got != c.on {
+			t.Errorf("%s: on v = %s, want %s", c.where, got, c.on)
+		}
+	}
+	// A parameter slot is a constant.
+	if p, ok := ColumnPredicateOf(&BinExpr{Op: "=", L: &Param{}, R: &ColRef{Column: "k"}}); !ok || p.Col.Column != "k" {
+		t.Errorf("slot equality not classified: %+v %v", p, ok)
+	}
+	stmt, err := ParseSelect("SELECT a FROM t WHERE x.a = y.b AND a = 1 AND a < b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var joins []string
+	for _, c := range SplitConjuncts(stmt.Where) {
+		if l, r, ok := ColumnJoin(c); ok {
+			joins = append(joins, l.String()+"="+r.String())
+		}
+	}
+	if len(joins) != 1 || joins[0] != "x.a=y.b" {
+		t.Errorf("column joins = %v, want [x.a=y.b]", joins)
+	}
+	for op, want := range map[string]string{"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=", "+": "", "AND": ""} {
+		if got := FlipOp(op); got != want {
+			t.Errorf("FlipOp(%q) = %q, want %q", op, got, want)
 		}
 	}
 }
