@@ -126,3 +126,40 @@ func TestViewMatchingFallsBackOnColumnOperands(t *testing.T) {
 		}
 	}
 }
+
+// TestDesignsDeclineQueriesOverAnotherSource: a view or a c-table design
+// answers only a query over the same tables under the same joins as its
+// source. A query that compares two columns of one table, adds a table,
+// reads another table, or leaves out a join reads rows no design holds, so
+// view matching falls back to the base tables and the rewriter refuses with
+// the source mismatch. (TestStrategiesAnswerWithTheSameColumns holds Q1–Q7
+// to every design that does cover them.)
+func TestDesignsDeclineQueriesOverAnotherSource(t *testing.T) {
+	h := harness(t)
+	for _, query := range []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_suppkey = l_orderkey AND l_shipdate > DATE '1990-01-01'",
+		"SELECT COUNT(*) FROM lineitem, customer WHERE l_shipdate > DATE '1990-01-01'",
+		"SELECT COUNT(*) FROM orders WHERE l_shipdate > DATE '1990-01-01'",
+		"SELECT COUNT(*) FROM lineitem, orders WHERE o_orderdate > DATE '1998-01-01'",
+	} {
+		got, used, err := h.Views.Query(query)
+		if used {
+			t.Errorf("%s: answered from a view", query)
+		}
+		want, wantErr := h.Engine.Query(query)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Errorf("%s: view matching answers error %v, the base tables %v", query, err, wantErr)
+		case err == nil:
+			if msg := sortedRowsApproxEqual(got.Rows, want.Rows); msg != "" {
+				t.Errorf("%s: %s", query, msg)
+			}
+		}
+		for _, name := range []string{"D1", "D2", "D4"} {
+			colSQL, err := rewrite.New(h.Designs[name]).RewriteSQL(query)
+			if err == nil || !strings.Contains(err.Error(), "source mismatch") {
+				t.Errorf("%s on %s: rewrote to %q, error %v; want a source mismatch", query, name, colSQL, err)
+			}
+		}
+	}
+}

@@ -31,13 +31,14 @@ import (
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
 	"oldelephant/internal/keysort"
+	"oldelephant/internal/sql"
 	"oldelephant/internal/value"
 )
 
-// DefaultDenseThreshold is the run-to-row ratio above which the dense (f, v)
+// denseRatio is the run-to-row ratio above which the dense (f, v)
 // representation is smaller than (f, v, c) runs: three values per run versus
 // two per row.
-const DefaultDenseThreshold = 2.0 / 3.0
+const denseRatio = 2.0 / 3.0
 
 // ColumnTable describes the materialized c-table of one column.
 type ColumnTable struct {
@@ -62,6 +63,9 @@ type Design struct {
 	// SourceSQL is the query whose result is being encoded (the projection's
 	// defining expression, e.g. a join of lineitem and orders).
 	SourceSQL string
+	// Source is SourceSQL's shape: the design answers the queries it covers
+	// (sql.Shape.Covers).
+	Source *sql.Shape
 	// SortColumns is the global ordering of the design.
 	SortColumns []string
 	// Columns lists the per-column c-tables in depth order.
@@ -98,8 +102,6 @@ func (d *Design) TotalRuns() int64 {
 // Builder materializes c-table designs inside an engine.
 type Builder struct {
 	Engine *engine.Engine
-	// DenseThreshold overrides DefaultDenseThreshold when > 0.
-	DenseThreshold float64
 }
 
 // NewBuilder returns a Builder with the paper's defaults.
@@ -109,10 +111,18 @@ func NewBuilder(e *engine.Engine) *Builder { return &Builder{Engine: e} }
 // encoding the listed columns with the given sort order. Every sort column
 // must be listed in columns; columns not in sortColumns are encoded as if
 // they were appended to the end of the sort order (their runs break whenever
-// any sort column changes).
+// any sort column changes). A source that sql.ShapeOf refuses is refused.
 func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (*Design, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("ctable: design %q has no columns", name)
+	}
+	stmt, err := sql.ParseSelect(sourceSQL)
+	if err != nil {
+		return nil, fmt.Errorf("ctable: source of design %q: %w", name, err)
+	}
+	source, err := sql.ShapeOf(stmt)
+	if err != nil {
+		return nil, fmt.Errorf("ctable: source of design %q: %w", name, err)
 	}
 	res, err := b.Engine.Query(sourceSQL)
 	if err != nil {
@@ -160,12 +170,9 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 	design := &Design{
 		Name:        name,
 		SourceSQL:   sourceSQL,
+		Source:      source,
 		SortColumns: sortColumns,
 		NumRows:     int64(numRows),
-	}
-	threshold := b.DenseThreshold
-	if threshold <= 0 {
-		threshold = DefaultDenseThreshold
 	}
 	var buf loadBuf
 	for depth, col := range ordered {
@@ -175,7 +182,7 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 				runs++
 			}
 		}
-		dense := float64(runs) > threshold*float64(numRows) && numRows > 0
+		dense := float64(runs) > denseRatio*float64(numRows) && numRows > 0
 		ct, err := b.materialize(design.Name, col, sorted[depth], breaks, depth, runs, dense, &buf)
 		if err != nil {
 			return nil, err

@@ -132,7 +132,6 @@ func TestRunsBreakOnEarlierSortColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := NewBuilder(e)
-	b.DenseThreshold = 1.0 // force the run representation even for short runs
 	d, err := b.Build("brk", "SELECT a, b FROM t", []string{"a", "b"}, []string{"a", "b"})
 	if err != nil {
 		t.Fatal(err)
@@ -167,6 +166,9 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := b.Build("x", "SELECT a FROM t", []string{"a"}, []string{"b"}); err == nil {
 		t.Error("sort column outside design should fail")
+	}
+	if _, err := b.Build("x", "SELECT DISTINCT a FROM t", []string{"a"}, []string{"a"}); err == nil {
+		t.Error("a source with no shape should fail")
 	}
 	// Building the same design twice collides on table names.
 	if _, err := b.Build("dup", "SELECT a FROM t", []string{"a"}, []string{"a"}); err != nil {

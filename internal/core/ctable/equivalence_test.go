@@ -129,7 +129,7 @@ func referenceTables(rows []exec.Row, ncols int) [][]refRun {
 				runs[len(runs)-1].count++
 			}
 		}
-		if float64(len(runs)) > DefaultDenseThreshold*float64(len(sorted)) {
+		if float64(len(runs)) > denseRatio*float64(len(sorted)) {
 			runs = runs[:0] // dense: one row per position
 			for i, row := range sorted {
 				runs = append(runs, refRun{first: int64(i + 1), val: row[pos], count: 1})

@@ -3,9 +3,10 @@
 // answers queries whose constants (and grouping subsets) differ from the
 // view definition — the generalization the paper applies to MV2,3 and MV7.
 //
-// A query matches a view when it aggregates the same join of base tables,
-// filters only on the view's group-by columns, groups by a subset of them,
-// and asks only for aggregates derivable from the view's aggregates
+// A query matches a view when the view's source covers it (sql.Shape.Covers:
+// the same base tables under the same joins, and a view that filters no
+// rows), it filters only on the view's group-by columns, groups by a subset
+// of them, and asks only for aggregates derivable from the view's aggregates
 // (COUNT(*) from SUM of partial counts, SUM from SUM, MIN/MAX from MIN/MAX).
 // The rewritten query then runs against the (clustered, much smaller) view
 // table instead of the base tables.
@@ -64,10 +65,14 @@ type Match struct {
 // materialized rows wins (it is the cheapest to read). It returns the
 // rewritten statement and the matched view, or ok=false when no view applies.
 func (m *Manager) TryRewrite(stmt *sql.SelectStmt) (*Match, bool) {
+	q, err := sql.ShapeOf(stmt)
+	if err != nil {
+		return nil, false
+	}
 	var best *Match
 	var bestRows int64
 	for _, def := range m.Engine.Views() {
-		rewritten, ok := m.rewriteAgainst(stmt, def)
+		rewritten, ok := rewriteAgainst(q, def)
 		if !ok {
 			continue
 		}
@@ -115,126 +120,61 @@ func (m *Manager) RewriteSQL(query string) (string, bool, error) {
 	return match.Rewritten.String(), true, nil
 }
 
-// rewriteAgainst checks whether the query can be answered from the view and
-// builds the rewritten statement if so.
-func (m *Manager) rewriteAgainst(stmt *sql.SelectStmt, def *engine.ViewDef) (*sql.SelectStmt, bool) {
-	if stmt.Distinct || stmt.Having != nil || len(stmt.From) == 0 {
+// rewriteAgainst checks whether the query of shape q can be answered from
+// the view and builds the rewritten statement if so.
+func rewriteAgainst(q *sql.Shape, def *engine.ViewDef) (*sql.SelectStmt, bool) {
+	src := def.Source
+	if src.Covers(q) != nil || len(q.Residual) > 0 {
 		return nil, false
 	}
-	// Same set of base tables.
-	if !sameTables(stmt.From, def.Query.From) {
-		return nil, false
+	// groupLabel names the view column that holds base group column c.
+	groupLabel := func(c *sql.ColRef) (*sql.ColRef, bool) {
+		label, ok := src.LabelOf(c.Column)
+		return &sql.ColRef{Column: label}, ok && src.Groups(c.Column)
 	}
-	// The query's join predicates must be among the view's; its filter
-	// predicates must be on view group-by columns.
-	viewJoins := joinSet(def.Query.Where)
-	// Map base group-by columns to their output labels in the view table: the
-	// label is the select-item alias (or the bare column name) of the item
-	// that exposes the group column.
-	groupBySet := make(map[string]bool)
-	for _, g := range def.Query.GroupBy {
-		if ref, ok := g.(*sql.ColRef); ok {
-			groupBySet[strings.ToLower(ref.Column)] = true
-		}
-	}
-	groupCols := make(map[string]string) // base column name -> view output label
-	for _, item := range def.Query.Select {
-		if ref, ok := item.Expr.(*sql.ColRef); ok && groupBySet[strings.ToLower(ref.Column)] {
-			groupCols[strings.ToLower(ref.Column)] = item.Label()
-		}
-	}
-	// A filter is a column predicate (sql.ColumnPredicateOf) on a group
-	// column; any other conjunct falls back to the base tables.
+	out := &sql.SelectStmt{From: []sql.TableRef{{Table: def.Table}}, Limit: q.Limit, Offset: q.Offset}
+	// Filters must be on view group columns; GROUP BY a subset of them.
 	var filters []sql.Expr
-	for _, c := range sql.SplitConjuncts(stmt.Where) {
-		if l, r, ok := sql.ColumnJoin(c); ok {
-			if !viewJoins[canonicalJoin(l, r)] {
-				return nil, false
-			}
-			continue
-		}
-		p, ok := sql.ColumnPredicateOf(c)
+	for _, p := range q.Filters {
+		label, ok := groupLabel(p.Col)
 		if !ok {
 			return nil, false
 		}
-		label, ok := groupCols[strings.ToLower(p.Col.Column)]
-		if !ok {
-			return nil, false
-		}
-		filters = append(filters, p.On(&sql.ColRef{Column: label}))
+		filters = append(filters, p.On(label))
 	}
-	// The view itself may filter rows (e.g. MV defined with a WHERE); if it
-	// does, require the query to carry the same predicates, otherwise the
-	// view could be missing rows. Views in this reproduction are unfiltered,
-	// so any non-join conjunct in the view definition blocks matching.
-	for _, c := range sql.SplitConjuncts(def.Query.Where) {
-		if _, _, ok := sql.ColumnJoin(c); !ok {
-			return nil, false
-		}
-	}
-	// GROUP BY subset of the view's group columns.
-	var outGroup []string
-	for _, g := range stmt.GroupBy {
-		ref, ok := g.(*sql.ColRef)
+	out.Where = sql.AndAll(filters)
+	for _, g := range q.GroupBy {
+		label, ok := groupLabel(g)
 		if !ok {
 			return nil, false
 		}
-		label, ok := groupCols[strings.ToLower(ref.Column)]
-		if !ok {
-			return nil, false
-		}
-		outGroup = append(outGroup, label)
+		out.GroupBy = append(out.GroupBy, label)
 	}
 	// Select items: group columns or derivable aggregates.
 	aggLabel := make(map[string]string) // canonical aggregate -> view column label
 	for i, a := range def.Aggregates {
 		aggLabel[a] = def.AggColumns[i]
 	}
-	var items []sql.SelectItem
-	for _, item := range stmt.Select {
-		if item.Star {
-			return nil, false
-		}
+	for _, item := range q.Items {
+		var expr sql.Expr
+		ok := false
 		switch e := item.Expr.(type) {
 		case *sql.ColRef:
-			label, ok := groupCols[strings.ToLower(e.Column)]
-			if !ok {
-				return nil, false
-			}
-			items = append(items, sql.SelectItem{Expr: &sql.ColRef{Column: label}, Alias: item.Label()})
+			expr, ok = groupLabel(e)
 		case *sql.FuncCall:
-			if !e.IsAggregate() {
-				return nil, false
-			}
-			derived, ok := deriveAggregate(e, aggLabel)
-			if !ok {
-				return nil, false
-			}
-			items = append(items, sql.SelectItem{Expr: derived, Alias: item.Label()})
-		default:
-			return nil, false
+			expr, ok = deriveAggregate(e, aggLabel)
 		}
-	}
-	out := &sql.SelectStmt{
-		Select: items,
-		From:   []sql.TableRef{{Table: def.Table}},
-		Where:  sql.AndAll(filters),
-		Limit:  stmt.Limit,
-		Offset: stmt.Offset,
-	}
-	for _, g := range outGroup {
-		out.GroupBy = append(out.GroupBy, &sql.ColRef{Column: g})
-	}
-	for _, o := range stmt.OrderBy {
-		ref, ok := o.Expr.(*sql.ColRef)
 		if !ok {
 			return nil, false
 		}
-		label, ok := groupCols[strings.ToLower(ref.Column)]
+		out.Select = append(out.Select, sql.SelectItem{Expr: expr, Alias: item.Label()})
+	}
+	for _, o := range q.OrderBy {
+		label, ok := groupLabel(o.Col)
 		if !ok {
 			return nil, false
 		}
-		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: &sql.ColRef{Column: label}, Desc: o.Desc})
+		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: label, Desc: o.Desc})
 	}
 	return out, true
 }
@@ -277,50 +217,4 @@ func deriveAggregate(fc *sql.FuncCall, aggLabel map[string]string) (sql.Expr, bo
 	default:
 		return nil, false
 	}
-}
-
-// sameTables compares the multisets of base table names in two FROM lists.
-func sameTables(a, b []sql.TableRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	count := make(map[string]int)
-	for _, t := range a {
-		if t.Subquery != nil {
-			return false
-		}
-		count[strings.ToLower(t.Table)]++
-	}
-	for _, t := range b {
-		if t.Subquery != nil {
-			return false
-		}
-		count[strings.ToLower(t.Table)]--
-	}
-	for _, c := range count {
-		if c != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// joinSet collects the canonical forms of column-equality conjuncts.
-func joinSet(where sql.Expr) map[string]bool {
-	out := make(map[string]bool)
-	for _, c := range sql.SplitConjuncts(where) {
-		if l, r, ok := sql.ColumnJoin(c); ok {
-			out[canonicalJoin(l, r)] = true
-		}
-	}
-	return out
-}
-
-// canonicalJoin renders a column-equality conjunct order-insensitively.
-func canonicalJoin(a, b *sql.ColRef) string {
-	l, r := strings.ToLower(a.Column), strings.ToLower(b.Column)
-	if l > r {
-		l, r = r, l
-	}
-	return l + "=" + r
 }

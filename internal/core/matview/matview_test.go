@@ -287,3 +287,22 @@ func TestColumnOperandsFallBack(t *testing.T) {
 		compare(t, e, m, "SELECT l_suppkey, COUNT(*) FROM lineitem WHERE "+filter+" GROUP BY l_suppkey", true)
 	}
 }
+
+// TestFilteredViewsMatchNothing: a view that keeps only some of its groups
+// (HAVING) or rows (LIMIT) does not hold every group a query asks for, so
+// no query matches it, even where it is the smallest view with the columns.
+func TestFilteredViewsMatchNothing(t *testing.T) {
+	e, m := testDB(t)
+	for name, def := range map[string]string{
+		"busy": "SELECT l_suppkey, COUNT(*) AS cnt FROM lineitem GROUP BY l_suppkey HAVING COUNT(*) > 1000",
+		"top3": "SELECT l_suppkey, COUNT(*) AS cnt FROM lineitem GROUP BY l_suppkey LIMIT 3",
+	} {
+		if err := m.Create(name, def); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compare(t, e, m, "SELECT l_suppkey, COUNT(*) FROM lineitem GROUP BY l_suppkey", true)
+	if rew, _, _ := m.RewriteSQL("SELECT l_suppkey, COUNT(*) FROM lineitem GROUP BY l_suppkey"); !strings.Contains(rew, "mv23") {
+		t.Errorf("rewritten onto %s, want mv23", rew)
+	}
+}

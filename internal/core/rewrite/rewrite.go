@@ -32,9 +32,6 @@ import (
 // Rewriter rewrites queries against one c-table design.
 type Rewriter struct {
 	Design *ctable.Design
-	// DisableRangeCollapse turns off the Figure 4(b) optimization so the
-	// plain band-join rewriting of Figure 4(a) is produced instead.
-	DisableRangeCollapse bool
 }
 
 // New returns a rewriter over the given design.
@@ -65,18 +62,18 @@ type refInfo struct {
 	inOutput  bool
 }
 
-// Rewrite translates a base-table query into a c-table query.
+// Rewrite translates a base-table query into a c-table query. It refuses a
+// query the design's source does not cover (sql.Shape.Covers).
 func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
-	if stmt.Distinct {
-		return nil, fmt.Errorf("rewrite: DISTINCT queries are not supported")
+	q, err := sql.ShapeOf(stmt)
+	if err != nil {
+		return nil, fmt.Errorf("rewrite: %w", err)
 	}
-	if len(stmt.From) == 0 {
-		return nil, fmt.Errorf("rewrite: query has no FROM clause")
+	if err := r.Design.Source.Covers(q); err != nil {
+		return nil, fmt.Errorf("rewrite: design %q: %w", r.Design.Name, err)
 	}
-	for _, f := range stmt.From {
-		if f.Subquery != nil {
-			return nil, fmt.Errorf("rewrite: derived tables are not supported")
-		}
+	if len(q.Residual) > 0 {
+		return nil, fmt.Errorf("rewrite: unsupported predicate %q", q.Residual[0].String())
 	}
 
 	refs := make(map[string]*refInfo) // keyed by lower-case column name
@@ -94,84 +91,39 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 		return ri, nil
 	}
 
-	// Classify WHERE conjuncts: column predicates become predicates on the
-	// column's c-table values; equality joins between two columns are the
-	// design's own join predicates and are dropped.
-	for _, c := range sql.SplitConjuncts(stmt.Where) {
-		if _, _, ok := sql.ColumnJoin(c); ok {
-			continue
-		}
-		p, ok := sql.ColumnPredicateOf(c)
-		if !ok {
-			return nil, fmt.Errorf("rewrite: unsupported predicate %q", c.String())
-		}
+	// Column predicates become predicates on the column's c-table values; the
+	// joins are the design's own.
+	for _, p := range q.Filters {
 		ri, err := touch(p.Col.Column)
 		if err != nil {
 			return nil, err
 		}
 		ri.filters = append(ri.filters, p)
 	}
-
-	// Group-by columns.
-	var groupCols []string
-	for _, g := range stmt.GroupBy {
-		ref, ok := g.(*sql.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("rewrite: GROUP BY supports column references only")
+	// Group-by columns and the columns the select items read ("" for
+	// COUNT(*)) are in the output.
+	itemCols := make([]string, len(q.Items))
+	outCols := make([]string, 0, len(q.GroupBy)+len(q.Items))
+	for _, g := range q.GroupBy {
+		outCols = append(outCols, g.Column)
+	}
+	for i, item := range q.Items {
+		c, err := itemColumn(item)
+		if err != nil {
+			return nil, err
 		}
-		ri, err := touch(ref.Column)
+		itemCols[i] = c
+		outCols = append(outCols, c)
+	}
+	for _, c := range outCols {
+		if c == "" {
+			continue
+		}
+		ri, err := touch(c)
 		if err != nil {
 			return nil, err
 		}
 		ri.inOutput = true
-		groupCols = append(groupCols, ri.column)
-	}
-
-	// Select items: plain group columns or aggregates over a single column.
-	type outItem struct {
-		isAgg  bool
-		agg    string // COUNT/SUM/MIN/MAX/AVG
-		column string // aggregate argument or group column
-		star   bool
-		alias  string
-	}
-	var items []outItem
-	for _, item := range stmt.Select {
-		if item.Star {
-			return nil, fmt.Errorf("rewrite: SELECT * is not supported")
-		}
-		switch e := item.Expr.(type) {
-		case *sql.ColRef:
-			ri, err := touch(e.Column)
-			if err != nil {
-				return nil, err
-			}
-			ri.inOutput = true
-			items = append(items, outItem{column: ri.column, alias: item.Label()})
-		case *sql.FuncCall:
-			if !e.IsAggregate() {
-				return nil, fmt.Errorf("rewrite: unsupported function %q", e.Name)
-			}
-			it := outItem{isAgg: true, agg: e.Name, star: e.Star, alias: item.Label()}
-			if !e.Star {
-				if len(e.Args) != 1 {
-					return nil, fmt.Errorf("rewrite: aggregate %s expects one argument", e.Name)
-				}
-				argRef, ok := e.Args[0].(*sql.ColRef)
-				if !ok {
-					return nil, fmt.Errorf("rewrite: aggregate arguments must be plain columns, got %q", e.Args[0].String())
-				}
-				ri, err := touch(argRef.Column)
-				if err != nil {
-					return nil, err
-				}
-				ri.inOutput = true
-				it.column = ri.column
-			}
-			items = append(items, it)
-		default:
-			return nil, fmt.Errorf("rewrite: unsupported select item %q", item.Expr.String())
-		}
 	}
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("rewrite: query references no encodable columns")
@@ -192,7 +144,7 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	// in the output. A filter such as IN or <> keeps runs that are not
 	// contiguous, so one MIN(f)..MAX(f+c-1) span would take the runs between.
 	lead := ordered[0]
-	collapse := !r.DisableRangeCollapse && len(ordered) > 1 &&
+	collapse := len(ordered) > 1 &&
 		len(lead.filters) > 0 && !lead.inOutput &&
 		strings.EqualFold(lead.table.Column, r.Design.Columns[0].Column)
 	for _, f := range lead.filters {
@@ -200,7 +152,7 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	}
 	lead.collapsed = collapse
 
-	out := &sql.SelectStmt{Limit: stmt.Limit, Offset: stmt.Offset}
+	out := &sql.SelectStmt{Limit: q.Limit, Offset: q.Offset}
 
 	var where []sql.Expr
 	// FROM clause and band-join chain.
@@ -245,62 +197,63 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 	aliasOf := func(colName string) string {
 		return refs[strings.ToLower(colName)].alias
 	}
-	for _, it := range items {
-		switch {
-		case !it.isAgg:
-			out.Select = append(out.Select, sql.SelectItem{
-				Expr:  col(aliasOf(it.column), "v"),
-				Alias: it.alias,
-			})
-		case it.agg == "COUNT":
-			out.Select = append(out.Select, sql.SelectItem{Expr: countExpr(deepest), Alias: it.alias})
-		case it.agg == "SUM":
-			out.Select = append(out.Select, sql.SelectItem{
-				Expr:  sumExpr(aliasOf(it.column), deepest),
-				Alias: it.alias,
-			})
-		case it.agg == "AVG":
-			out.Select = append(out.Select, sql.SelectItem{
-				Expr:  &sql.BinExpr{Op: "/", L: sumExpr(aliasOf(it.column), deepest), R: countExpr(deepest)},
-				Alias: it.alias,
-			})
-		case it.agg == "MIN" || it.agg == "MAX":
-			out.Select = append(out.Select, sql.SelectItem{
-				Expr:  &sql.FuncCall{Name: it.agg, Args: []sql.Expr{col(aliasOf(it.column), "v")}},
-				Alias: it.alias,
-			})
-		default:
-			return nil, fmt.Errorf("rewrite: unsupported aggregate %q", it.agg)
+	for i, item := range q.Items {
+		c := itemCols[i]
+		var e sql.Expr
+		switch fc, _ := item.Expr.(*sql.FuncCall); {
+		case fc == nil:
+			e = col(aliasOf(c), "v")
+		case fc.Name == "COUNT":
+			e = countExpr(deepest)
+		case fc.Name == "SUM":
+			e = sumExpr(aliasOf(c), deepest)
+		case fc.Name == "AVG":
+			e = &sql.BinExpr{Op: "/", L: sumExpr(aliasOf(c), deepest), R: countExpr(deepest)}
+		default: // MIN, MAX
+			e = &sql.FuncCall{Name: fc.Name, Args: []sql.Expr{col(aliasOf(c), "v")}}
 		}
+		out.Select = append(out.Select, sql.SelectItem{Expr: e, Alias: item.Label()})
 	}
 
 	// GROUP BY and ORDER BY.
-	for _, g := range groupCols {
-		out.GroupBy = append(out.GroupBy, col(aliasOf(g), "v"))
+	for _, g := range q.GroupBy {
+		out.GroupBy = append(out.GroupBy, col(aliasOf(g.Column), "v"))
 	}
-	for _, o := range stmt.OrderBy {
-		ref, ok := o.Expr.(*sql.ColRef)
-		if !ok {
-			return nil, fmt.Errorf("rewrite: ORDER BY supports column references only")
-		}
+	for _, o := range q.OrderBy {
 		// Order by the output label, which the rewriting preserves.
-		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: &sql.ColRef{Column: outputLabelFor(stmt, ref)}, Desc: o.Desc})
-	}
-	if stmt.Having != nil {
-		return nil, fmt.Errorf("rewrite: HAVING is not supported")
+		label, ok := q.LabelOf(o.Col.Column)
+		if !ok {
+			label = o.Col.Column
+		}
+		out.OrderBy = append(out.OrderBy, sql.OrderItem{Expr: &sql.ColRef{Column: label}, Desc: o.Desc})
 	}
 	return out, nil
 }
 
-// outputLabelFor resolves the label an ORDER BY reference will have in the
-// rewritten output (the original alias, or the bare column name).
-func outputLabelFor(stmt *sql.SelectStmt, ref *sql.ColRef) string {
-	for _, item := range stmt.Select {
-		if r, ok := item.Expr.(*sql.ColRef); ok && strings.EqualFold(r.Column, ref.Column) {
-			return item.Label()
-		}
+// itemColumn returns the source column a select item reads: the column it
+// selects, or its aggregate's one column argument ("" for COUNT(*)).
+func itemColumn(item sql.SelectItem) (string, error) {
+	if item.Star {
+		return "", fmt.Errorf("rewrite: SELECT * is not supported")
 	}
-	return ref.Column
+	switch e := item.Expr.(type) {
+	case *sql.ColRef:
+		return e.Column, nil
+	case *sql.FuncCall:
+		switch {
+		case !e.IsAggregate():
+			return "", fmt.Errorf("rewrite: unsupported function %q", e.Name)
+		case e.Star:
+			return "", nil
+		case len(e.Args) != 1:
+			return "", fmt.Errorf("rewrite: aggregate %s expects one argument", e.Name)
+		}
+		if ref, ok := e.Args[0].(*sql.ColRef); ok {
+			return ref.Column, nil
+		}
+		return "", fmt.Errorf("rewrite: aggregate arguments must be plain columns, got %q", e.Args[0].String())
+	}
+	return "", fmt.Errorf("rewrite: unsupported select item %q", item.Expr.String())
 }
 
 // collapseSubquery builds the Figure 4(b) derived table for the leading,

@@ -96,6 +96,8 @@ type ViewDef struct {
 	Query *sql.SelectStmt
 	// Table is the name of the table holding the materialized rows.
 	Table string
+	// Source is the shape of Query, nil when sql.ShapeOf refuses it.
+	Source *sql.Shape
 	// GroupColumns are the output labels that came from GROUP BY columns.
 	GroupColumns []string
 	// AggColumns are the output labels that came from aggregate expressions,
@@ -688,30 +690,30 @@ func (e *Engine) runCreateView(s *sql.CreateViewStmt) (*Result, error) {
 
 // newViewDef derives a view's definition from its defining query and the
 // column names of the table that materializes it: each select item's label is
-// the column at its position, a plain GROUP BY column labels a group column
-// and every other item an aggregate. CREATE MATERIALIZED VIEW and recovery
-// both call it, so the labels are never stored.
+// the column at its position, an item that selects a GROUP BY column labels
+// a group column and every other item an aggregate. A query that sql.ShapeOf
+// refuses leaves a view with no Source and no group columns: it matches no
+// query and is stored keyless. CREATE MATERIALIZED VIEW and recovery both call
+// it, so the labels are never stored.
 func newViewDef(name string, query *sql.SelectStmt, columns []string) (*ViewDef, error) {
 	if len(query.Select) > len(columns) {
 		return nil, fmt.Errorf("engine: view %q selects %d items into %d columns", name, len(query.Select), len(columns))
 	}
-	groupNames := make(map[string]bool)
-	for _, g := range query.GroupBy {
-		if ref, ok := g.(*sql.ColRef); ok {
-			groupNames[strings.ToLower(ref.Column)] = true
-		}
-	}
 	def := &ViewDef{Name: name, Query: query, Table: name}
-	for i, item := range query.Select {
-		label := columns[i]
+	src, err := sql.ShapeOf(query)
+	if err != nil {
+		return def, nil
+	}
+	def.Source = src
+	for i, item := range src.Items {
 		if item.Star {
 			continue
 		}
-		if ref, ok := item.Expr.(*sql.ColRef); ok && groupNames[strings.ToLower(ref.Column)] {
-			def.GroupColumns = append(def.GroupColumns, label)
+		if ref, ok := item.Expr.(*sql.ColRef); ok && src.Groups(ref.Column) {
+			def.GroupColumns = append(def.GroupColumns, columns[i])
 			continue
 		}
-		def.AggColumns = append(def.AggColumns, label)
+		def.AggColumns = append(def.AggColumns, columns[i])
 		def.Aggregates = append(def.Aggregates, strings.ToUpper(item.Expr.String()))
 	}
 	return def, nil

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"oldelephant/internal/value"
@@ -52,11 +53,12 @@ func (l *Literal) String() string {
 	case value.KindDate:
 		return "DATE '" + l.Val.String() + "'"
 	case value.KindFloat:
-		// An integral float keeps a decimal point, so it never renders as
-		// the INT literal of the same digits: two statements that differ in
-		// a literal's kind never print alike.
-		s := l.Val.String()
-		if !strings.ContainsAny(s, ".eE") {
+		// Positional digits, which the lexer reads back (it reads no
+		// exponent). An integral float keeps a decimal point, so it never
+		// renders as the INT literal of the same digits: two statements that
+		// differ in a literal's kind never print alike.
+		s := strconv.FormatFloat(l.Val.F, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
 			s += ".0"
 		}
 		return s

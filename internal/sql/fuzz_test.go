@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -56,7 +57,7 @@ func TestParseUnterminatedHints(t *testing.T) {
 // FuzzParse holds the parser and the normalizer to two properties on any
 // input: no panic, and a return within parseDeadline. testdata/fuzz/FuzzParse
 // keeps the inputs that once broke either.
-// parseSeeds seed FuzzParse and FuzzParameterize.
+// parseSeeds seed FuzzParse, FuzzParameterize and FuzzShapeOf.
 var parseSeeds = []string{
 	"SELECT a FROM t OPTION(LOOP JOIN, HASH AGG)",
 	"SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-06-01' GROUP BY l_suppkey ORDER BY 2 DESC LIMIT 5",
@@ -122,6 +123,52 @@ func FuzzParameterize(f *testing.F) {
 		}
 		if got := Bind(shape, args).String(); got != want {
 			t.Fatalf("bound shape %q renders %q, want %q", shape, got, want)
+		}
+	})
+}
+
+// FuzzShapeOf holds ShapeOf to its contract on any SELECT the parser accepts
+// (an EXPLAIN's included): it never panics, a shape has the same source as
+// itself, and the statement and the re-parse of its rendering (OPTION hints
+// left out) have equal shapes. It starts from FuzzParse's seeds.
+func FuzzShapeOf(f *testing.F) {
+	for _, seed := range parseSeeds {
+		f.Add(seed)
+	}
+	f.Add("SELECT a AS x, b, SUM(c * d) FROM t, u v WHERE a = b AND v.e = t.a AND b = a AND 3 < c AND c <> d + 1 GROUP BY a, b ORDER BY x DESC, b LIMIT 2 OFFSET 1")
+	f.Fuzz(func(t *testing.T, input string) {
+		stmt, err := Parse(input)
+		if err != nil {
+			return
+		}
+		if e, ok := stmt.(*ExplainStmt); ok {
+			stmt = e.Query
+		}
+		sel, ok := stmt.(*SelectStmt)
+		if !ok {
+			return
+		}
+		shape, err := ShapeOf(sel)
+		if err != nil {
+			return
+		}
+		if !shape.SameSource(shape) {
+			t.Fatalf("%q: the shape's source differs from itself: %+v", input, shape)
+		}
+		// A shape holds no OPTION hints, so the rendering leaves them out.
+		unhinted := *sel
+		unhinted.Hints = nil
+		text := unhinted.String()
+		again, err := ParseSelect(text)
+		if err != nil {
+			t.Fatalf("%q renders %q, which does not parse: %v", input, text, err)
+		}
+		reshape, err := ShapeOf(again)
+		if err != nil {
+			t.Fatalf("%q renders %q, which has no shape: %v", input, text, err)
+		}
+		if !reflect.DeepEqual(shape, reshape) {
+			t.Fatalf("%q and its rendering %q have different shapes:\n%+v\n%+v", input, text, shape, reshape)
 		}
 	})
 }

@@ -517,3 +517,66 @@ func TestColumnPredicateOf(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeOf: a SELECT decomposes into its sorted tables, its join set
+// (each join once, the lesser column first), its column filters (turned
+// column-first) and the other conjuncts. Covers holds a query to a source
+// over the same tables and joins that keeps every row, and names the
+// mismatch otherwise. DISTINCT, HAVING, a derived table and a GROUP BY or
+// ORDER BY term that is no column have no shape.
+func TestShapeOf(t *testing.T) {
+	shape := func(query string) *Shape {
+		t.Helper()
+		stmt, err := ParseSelect(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := ShapeOf(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", query, err)
+		}
+		return s
+	}
+	q := shape("SELECT o.x AS d, COUNT(*) FROM orders o, Lineitem WHERE o_orderkey = l_orderkey AND " +
+		"3 < x AND L_ORDERKEY = o_orderkey AND x <> y + 1 GROUP BY x ORDER BY x DESC LIMIT 4")
+	if got := strings.Join(q.Tables, ",") + " " + strings.Join(q.Joins, ","); got != "lineitem,orders l_orderkey=o_orderkey" {
+		t.Errorf("tables and joins %q", got)
+	}
+	if len(q.Filters) != 1 || q.Filters[0].On(&ColRef{Column: "x"}).String() != "(x > 3)" || len(q.Residual) != 1 {
+		t.Errorf("filters %v, residual %v", q.Filters, q.Residual)
+	}
+	if label, ok := q.LabelOf("X"); !ok || label != "d" || !q.Groups("X") || q.Groups("y") {
+		t.Errorf("LabelOf(X) = %q %v, Groups(X) %v", label, ok, q.Groups("X"))
+	}
+	if err := shape("SELECT a FROM orders, lineitem WHERE l_orderkey = o_orderkey").Covers(q); err != nil {
+		t.Errorf("the join covers the query: %v", err)
+	}
+	if err := (*Shape)(nil).Covers(q); err == nil {
+		t.Error("no source covers the query")
+	}
+	for _, src := range []string{
+		"SELECT a FROM lineitem",
+		"SELECT a FROM orders, lineitem",
+		"SELECT a FROM orders, lineitem WHERE l_orderkey = o_orderkey AND a = 1",
+		"SELECT a FROM orders, lineitem WHERE l_orderkey = o_orderkey LIMIT 9",
+	} {
+		if err := shape(src).Covers(q); err == nil || !strings.Contains(err.Error(), "source mismatch") {
+			t.Errorf("%s covers the query (%v)", src, err)
+		}
+	}
+	for _, query := range []string{
+		"SELECT DISTINCT a FROM t",
+		"SELECT a, COUNT(*) FROM t GROUP BY a HAVING COUNT(*) > 1",
+		"SELECT a FROM (SELECT a FROM t) s",
+		"SELECT a + 1, COUNT(*) FROM t GROUP BY a + 1",
+		"SELECT a FROM t ORDER BY 1",
+	} {
+		stmt, err := ParseSelect(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ShapeOf(stmt); err == nil {
+			t.Errorf("%s has a shape", query)
+		}
+	}
+}
