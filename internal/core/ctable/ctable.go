@@ -24,6 +24,7 @@
 package ctable
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -111,7 +112,10 @@ func NewBuilder(e *engine.Engine) *Builder { return &Builder{Engine: e} }
 // encoding the listed columns with the given sort order. Every sort column
 // must be listed in columns; columns not in sortColumns are encoded as if
 // they were appended to the end of the sort order (their runs break whenever
-// any sort column changes). A source that sql.ShapeOf refuses is refused.
+// any sort column changes). A source that sql.ShapeOf refuses is refused, and
+// so is one that groups or aggregates: a design encodes rows of its source's
+// tables, and the rewriter reads its c-tables as such. A build that fails
+// after creating c-tables drops them, newest first.
 func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (*Design, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("ctable: design %q has no columns", name)
@@ -123,6 +127,14 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 	source, err := sql.ShapeOf(stmt)
 	if err != nil {
 		return nil, fmt.Errorf("ctable: source of design %q: %w", name, err)
+	}
+	if len(source.GroupBy) > 0 {
+		return nil, fmt.Errorf("ctable: source of design %q groups its rows (GROUP BY): a design encodes ungrouped rows", name)
+	}
+	for _, item := range source.Items {
+		if sql.HasAggregate(item.Expr) {
+			return nil, fmt.Errorf("ctable: source of design %q aggregates its rows (%s): a design encodes ungrouped rows", name, item.Expr)
+		}
 	}
 	res, err := b.Engine.Query(sourceSQL)
 	if err != nil {
@@ -185,6 +197,9 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 		dense := float64(runs) > denseRatio*float64(numRows) && numRows > 0
 		ct, err := b.materialize(design.Name, col, sorted[depth], breaks, depth, runs, dense, &buf)
 		if err != nil {
+			for i := len(design.Columns) - 1; i >= 0; i-- {
+				err = errors.Join(err, b.drop(design.Columns[i].Table))
+			}
 			return nil, err
 		}
 		design.Columns = append(design.Columns, ct)
@@ -378,9 +393,17 @@ func (b *Builder) materialize(designName, col string, vals []value.Value, breaks
 	}
 	ix := catalog.IndexDef{Name: "ix_" + tableName + "_v", Columns: []string{"v"}, Include: include}
 	if err := b.Engine.BulkLoad(tableName, load, ix); err != nil {
-		return ColumnTable{}, fmt.Errorf("ctable: loading %s: %w", tableName, err)
+		return ColumnTable{}, errors.Join(fmt.Errorf("ctable: loading %s: %w", tableName, err), b.drop(tableName))
 	}
 	return ColumnTable{Column: col, Table: tableName, Dense: dense, Depth: depth, Runs: int64(len(load))}, nil
+}
+
+// drop drops a c-table a failed build created.
+func (b *Builder) drop(table string) error {
+	if _, err := b.Engine.Execute("DROP TABLE " + table); err != nil {
+		return fmt.Errorf("ctable: dropping %s: %w", table, err)
+	}
+	return nil
 }
 
 // Verify checks the design's invariants against the engine's contents:

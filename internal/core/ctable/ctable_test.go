@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"oldelephant/internal/engine"
@@ -176,6 +177,82 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := b.Build("dup", "SELECT a FROM t", []string{"a"}, []string{"a"}); err == nil {
 		t.Error("duplicate design should fail")
+	}
+}
+
+// TestBuildRefusesGroupedSource: a design encodes ungrouped rows, so a
+// source that groups or aggregates is refused, with the reason named.
+func TestBuildRefusesGroupedSource(t *testing.T) {
+	b := NewBuilder(paperExampleEngine(t))
+	for src, reason := range map[string]string{
+		"SELECT a, COUNT(*) AS n FROM t GROUP BY a": "GROUP BY",
+		"SELECT a FROM t GROUP BY a":                "GROUP BY",
+		"SELECT COUNT(*) AS n FROM t":               "COUNT(*)",
+		"SELECT a, SUM(b) + 1 AS s FROM t":          "SUM(b) + 1",
+	} {
+		_, err := b.Build("g", src, []string{"a"}, []string{"a"})
+		if err == nil || !strings.Contains(err.Error(), reason) {
+			t.Errorf("Build over %q: error %v, want one naming %s", src, err, reason)
+		}
+	}
+	if _, err := b.Engine.Catalog().Table("g_a"); err == nil {
+		t.Error("a refused design left its c-table")
+	}
+}
+
+// TestFailedBuildLeavesNoCTable: a build that fails on its second c-table
+// drops the first, in memory and on a durable engine across a reopen, so the
+// design builds once the obstacle is gone.
+func TestFailedBuildLeavesNoCTable(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		opts := engine.Options{}
+		if durable {
+			opts.DataDir = t.TempDir()
+		}
+		open := func() *engine.Engine {
+			e, err := engine.Open(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}
+		e := open()
+		for _, ddl := range []string{
+			"CREATE TABLE t (k INT, s INT, PRIMARY KEY (k))",
+			"INSERT INTO t VALUES (1, 10), (2, 20), (3, 20)",
+			"CREATE TABLE d_s (x INT, PRIMARY KEY (x))",
+		} {
+			if _, err := e.Execute(ddl); err != nil {
+				t.Fatal(err)
+			}
+		}
+		build := func() error {
+			_, err := NewBuilder(e).Build("d", "SELECT k, s FROM t", []string{"k", "s"}, []string{"k"})
+			return err
+		}
+		if err := build(); err == nil || !strings.Contains(err.Error(), "d_s") {
+			t.Fatalf("durable=%v: build over an existing d_s: error %v", durable, err)
+		}
+		if durable {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			e = open()
+		}
+		if _, err := e.Catalog().Table("d_k"); err == nil {
+			t.Errorf("durable=%v: the failed build left d_k behind", durable)
+		}
+		if _, err := e.Execute("DROP TABLE d_s"); err != nil {
+			t.Fatal(err)
+		}
+		if err := build(); err != nil {
+			t.Errorf("durable=%v: rebuild: %v", durable, err)
+		}
+		if durable {
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -210,14 +210,7 @@ type Result struct {
 	// PlanHash fingerprints Plan (plan.Plan.Hash): equal hashes mean the same
 	// physical plan shape. Empty when no plan ran.
 	PlanHash string
-	// Fingerprint is the statement's normalized text (sql.Normalize), which
-	// is also its plan-cache key: statements differing only in keyword case,
-	// whitespace or comments share it. It is set for every statement run from
-	// text (Execute, Query, QueryWith) or a prepared handle, so a caller that
-	// logs statements never normalizes them again; a statement handed over
-	// already parsed (ExecuteStmt, QueryStmt) has no text and leaves it empty.
-	Fingerprint string
-	Stats       Stats
+	Stats    Stats
 	// EstPages is the planner's estimate of the cold page reads of the
 	// plan's access path (plan.Plan.EstPages): set when the statement read a
 	// single base table, nil otherwise.
@@ -239,12 +232,7 @@ func (e *Engine) Execute(sqlText string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := e.ExecuteStmt(stmt)
-	if err != nil {
-		return nil, err
-	}
-	res.Fingerprint = sql.Normalize(sqlText)
-	return res, nil
+	return e.ExecuteStmt(stmt)
 }
 
 // ExecuteStmt runs an already-parsed statement. SELECTs run under the shared
@@ -362,15 +350,18 @@ func (e *Engine) QueryStmt(stmt *sql.SelectStmt) (*Result, error) {
 	return e.execSelect(QueryOptions{}, query{stmt: stmt})
 }
 
-// query is one SELECT for execSelect: the fingerprint its result reports
-// (and, for a statement without a shape, its plan-cache key), and the
+// query is one SELECT for execSelect: its plan-cache key (the normalized
+// text of a statement without a shape), the text it was run as, and the
 // statement as text to parse on a cache miss, as a parse tree, or as a
-// prepared shape with the values of its slots.
+// prepared shape with the values of its slots. items, when set, is the
+// SELECT list whose labels the result takes: a handle's own, where its shape
+// was compiled from a spelling with other labels.
 type query struct {
 	norm, text string
 	stmt       *sql.SelectStmt
 	shape      *shape
 	args       []value.Value
+	items      []sql.SelectItem
 }
 
 // execSelect is the shared SELECT path: lease a cached plan (or parse and
@@ -391,13 +382,26 @@ func (e *Engine) execSelect(opts QueryOptions, q query) (*Result, error) {
 	}
 	useCache := key.sql != "" && !opts.NoCache && !opts.Trace
 	var pl *plan.Plan
-	cached := false
+	cached, items := false, q.items
 	if useCache {
 		var cachedStmt *sql.SelectStmt
-		pl, cachedStmt = e.plans.acquire(key)
+		var cachedText string
+		pl, cachedStmt, cachedText = e.plans.acquire(key)
 		cached = pl != nil
 		if stmt == nil {
 			stmt = cachedStmt
+		}
+		// An entry compiled from another spelling of the statement answers
+		// under that spelling's labels; the result takes its own.
+		if cachedStmt != nil && q.shape == nil && items == nil && q.text != cachedText {
+			own := q.stmt
+			if own == nil {
+				var err error
+				if own, err = sql.ParseSelect(q.text); err != nil {
+					return nil, err
+				}
+			}
+			items = own.Select
 		}
 	}
 	if pl != nil {
@@ -431,12 +435,42 @@ func (e *Engine) execSelect(opts QueryOptions, q query) (*Result, error) {
 		return nil, err
 	}
 	if useCache {
-		e.plans.release(key, stmt, pl)
+		e.plans.release(key, stmt, q.text, pl)
 	}
-	res.Fingerprint = q.norm
+	if items != nil {
+		res.Columns = relabel(res.Columns, items)
+	}
 	res.Stats.PlanCached = cached
 	res.Trace = span
 	return res, nil
+}
+
+// relabel returns cols, the result columns of a plan compiled from another
+// spelling of a statement whose SELECT list is items, under the items' own
+// labels. A star keeps the plan's names for the columns it expands to.
+func relabel(cols []string, items []sql.SelectItem) []string {
+	stars := 0
+	for _, item := range items {
+		if item.Star {
+			stars++
+		}
+	}
+	width := 0
+	if stars > 0 {
+		width = (len(cols) - len(items) + stars) / stars
+	}
+	if len(items)-stars+stars*width != len(cols) {
+		return cols
+	}
+	out := make([]string, 0, len(cols))
+	for _, item := range items {
+		if item.Star {
+			out = append(out, cols[len(out):len(out)+width]...)
+		} else {
+			out = append(out, item.Label())
+		}
+	}
+	return out
 }
 
 // executePlan drains a compiled plan through the engine's pull (batches when

@@ -112,7 +112,7 @@ func TestParallelSessionsShareFillBuffers(t *testing.T) {
 			// This session holds the idle plan, so the other one replans
 			// from the cached parse tree while the lease executes.
 			key := planKey{sql: sql.Normalize(q), parallelism: workers}
-			leased, stmt := e.plans.acquire(key)
+			leased, stmt, text := e.plans.acquire(key)
 			if leased == nil {
 				t.Fatalf("P=%d %s: no idle plan to lease", workers, q)
 			}
@@ -134,7 +134,7 @@ func TestParallelSessionsShareFillBuffers(t *testing.T) {
 			if e.PlanCacheStats().StmtHits != before+1 {
 				t.Errorf("P=%d %s: the second session did not replan from the cached statement", workers, q)
 			}
-			e.plans.release(key, stmt, leased)
+			e.plans.release(key, stmt, text, leased)
 		}
 	}
 	var wg sync.WaitGroup

@@ -93,6 +93,7 @@ func (s PlanCacheStats) HitRate() float64 {
 type cacheEntry struct {
 	key  planKey
 	stmt *sql.SelectStmt
+	text string // the text stmt was parsed from; empty for a shape
 	idle []*plan.Plan
 	elem *list.Element
 }
@@ -115,34 +116,36 @@ func newPlanCache(capacity int) *planCache {
 	}
 }
 
-// acquire leases a compiled plan for the key. A nil plan with a non-nil stmt
+// acquire leases a compiled plan for the key, with the statement the entry
+// compiled and the text it was parsed from. A nil plan with a non-nil stmt
 // means the entry's pool was empty but the parse tree is reusable; both nil
 // is a full miss.
-func (c *planCache) acquire(key planKey) (*plan.Plan, *sql.SelectStmt) {
+func (c *planCache) acquire(key planKey) (*plan.Plan, *sql.SelectStmt, string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.stats.Misses++
-		return nil, nil
+		return nil, nil, ""
 	}
 	c.lru.MoveToFront(e.elem)
 	if n := len(e.idle); n > 0 {
 		pl := e.idle[n-1]
 		e.idle = e.idle[:n-1]
 		c.stats.Hits++
-		return pl, e.stmt
+		return pl, e.stmt, e.text
 	}
 	c.stats.StmtHits++
-	return nil, e.stmt
+	return nil, e.stmt, e.text
 }
 
-// release returns a plan instance (and the statement it was compiled from)
-// to the cache after a successful execution, creating the entry on first
-// release and evicting the least recently used statement beyond capacity.
+// release returns a plan instance (and the statement it was compiled from,
+// with that statement's text) to the cache after a successful execution,
+// creating the entry on first release and evicting the least recently used
+// statement beyond capacity.
 // Plans whose execution failed must not be released: their operator state is
 // suspect, and re-leasing one would replay the failure.
-func (c *planCache) release(key planKey, stmt *sql.SelectStmt, pl *plan.Plan) {
+func (c *planCache) release(key planKey, stmt *sql.SelectStmt, text string, pl *plan.Plan) {
 	if pl == nil || stmt == nil {
 		return
 	}
@@ -150,7 +153,7 @@ func (c *planCache) release(key planKey, stmt *sql.SelectStmt, pl *plan.Plan) {
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
-		e = &cacheEntry{key: key, stmt: stmt}
+		e = &cacheEntry{key: key, stmt: stmt, text: text}
 		e.elem = c.lru.PushFront(e)
 		c.entries[key] = e
 		for c.lru.Len() > c.capacity {

@@ -111,6 +111,83 @@ func TestPlanCacheHitAndSpellings(t *testing.T) {
 	}
 }
 
+// TestRespellingsAnswerWithOwnLabels: statements that share a plan-cache
+// entry or a prepared shape with a spelling of other labels keep sharing it,
+// and each answers under its own labels, a star's expansion included.
+func TestRespellingsAnswerWithOwnLabels(t *testing.T) {
+	e := newCachedEngine(t, 0, 500)
+	check := func(what string, res *Result, cached bool, want ...string) {
+		t.Helper()
+		if res.Stats.PlanCached != cached {
+			t.Errorf("%s: cached %v, want %v", what, res.Stats.PlanCached, cached)
+		}
+		if strings.Join(res.Columns, ",") != strings.Join(want, ",") {
+			t.Errorf("%s: columns %q, want %q", what, res.Columns, want)
+		}
+	}
+	for i, c := range []struct {
+		text string
+		want []string
+	}{
+		{"SELECT grp AS Foo FROM items WHERE id = 1", []string{"Foo"}},
+		{"SELECT grp AS foo FROM items WHERE id = 1", []string{"foo"}},
+		{"select GRP as FOO from items where id = 1", []string{"FOO"}},
+		{"SELECT grp AS Foo FROM items WHERE id = 1", []string{"Foo"}},
+		{"SELECT *, amount AS A FROM items WHERE id < 3", []string{"id", "grp", "amount", "A"}},
+		{"SELECT *, amount AS a FROM items WHERE id < 3", []string{"id", "grp", "amount", "a"}},
+	} {
+		res, err := e.Query(c.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(c.text, res, i%4 != 0, c.want...)
+	}
+
+	// A prepared statement per text shares the entry of an ad-hoc spelling.
+	if _, err := e.Query("SELECT grp AS G, COUNT(*) FROM items GROUP BY grp"); err != nil {
+		t.Fatal(err)
+	}
+	p, err := e.Prepare("select grp as g, count(*) from items group by grp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.QueryPrepared(QueryOptions{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(p.Text, res, true, "g", "COUNT(*)")
+
+	// Point lookups of one shape, each under its own labels.
+	texts := []string{
+		"SELECT amount AS Amt FROM items WHERE id = 1",
+		"SELECT amount AS amt FROM items WHERE id = 2",
+		"SELECT amount AS AMT FROM items WHERE id = 3",
+	}
+	var handles []*Prepared
+	for _, text := range texts {
+		p, err := e.Prepare(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, p)
+	}
+	if handles[0].shape == nil || handles[0].shape != handles[1].shape || handles[1].shape != handles[2].shape {
+		t.Fatal("the point lookups do not share one shape")
+	}
+	for round := 0; round < 2; round++ {
+		for i, p := range handles {
+			res, err := e.QueryPrepared(QueryOptions{}, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0][0].Float() != float64(i+1) {
+				t.Fatalf("%s: rows %v", p.Text, res.Rows)
+			}
+			check(p.Text, res, round > 0 || i > 0, strings.Fields(p.Text)[3])
+		}
+	}
+}
+
 // TestPlanCacheQuotedAliasesKeyApart: a quoted alias is the result column's
 // label byte for byte, so spellings that differ only inside one get their own
 // plan-cache entries and answer with their own labels.

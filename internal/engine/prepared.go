@@ -22,9 +22,12 @@ import (
 // clustered key or a unique index) with literals of the columns' kinds. Its
 // key literals become parameter slots, and the parameterized statement,
 // its shape, is interned engine-wide: every handle of one shape shares one
-// parse tree and one plan-cache entry, and keeps only its text, its
-// fingerprint and its literal values. So N point lookups that differ only in
-// their key hold one parse tree and one cache entry, not N.
+// parse tree, one normalized text and one plan-cache entry, and keeps only
+// its text and its literal values (and its parse tree, in the rare case
+// that its labels are spelled otherwise than the shape's). So N point
+// lookups that differ only in their key hold one parse tree and one cache
+// entry, not N. Any other handle keeps its parse tree and its normalized
+// text, which is its plan-cache key.
 //
 // Compiled plans are leased per execution through the shared plan cache
 // (a shape's lease binds the handle's values into the leased instance), so
@@ -32,8 +35,10 @@ import (
 type Prepared struct {
 	// Text is the original statement text.
 	Text string
-	norm string
-	// A handle holds its own parse tree, or a shape and its slots' values.
+	norm string // the plan-cache key of a handle without a shape
+	// A handle holds its own parse tree, or a shape and its slots' values;
+	// a handle of a shape keeps its parse tree too where its labels differ
+	// from the shape's, to answer under them.
 	stmt  *sql.SelectStmt
 	shape *shape
 	args  []value.Value
@@ -75,13 +80,17 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{Text: sqlText, norm: sql.Normalize(sqlText), stmt: stmt}
+	p := &Prepared{Text: sqlText, stmt: stmt}
 	e.stateMu.RLock()
 	if shaped, args := e.parameterize(stmt); shaped != nil {
 		sh := newShape(shaped, args)
-		p.stmt, p.args = nil, args
 		// No slot is NULL (KindNull is 0), so the first NUL ends the kinds.
-		p.shape = e.shapes.intern(sh.kinds+"\x00"+sh.text, sh)
+		p.shape, p.args = e.shapes.intern(sh.kinds+"\x00"+sh.text, sh), args
+		if slices.EqualFunc(stmt.Select, p.shape.stmt.Select, sameLabel) {
+			p.stmt = nil
+		}
+	} else {
+		p.norm = sql.Normalize(sqlText)
 	}
 	e.stateMu.RUnlock()
 	return e.prepared.intern(sqlText, p), nil
@@ -94,15 +103,25 @@ func (e *Engine) Prepare(sqlText string) (*Prepared, error) {
 func (e *Engine) QueryPrepared(opts QueryOptions, p *Prepared) (*Result, error) {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	q := query{norm: p.norm, stmt: p.stmt}
+	q := query{norm: p.norm, text: p.Text, stmt: p.stmt}
 	if sh := p.shape; sh != nil {
+		if p.stmt != nil {
+			q.items = p.stmt.Select
+		}
 		if sh.perText {
-			q.stmt = sql.Bind(sh.stmt, p.args)
+			// Run as its text, the handle is keyed by that text's normal form,
+			// which it does not keep.
+			q.norm, q.stmt = sql.Normalize(p.Text), sql.Bind(sh.stmt, p.args)
 		} else {
-			q.shape, q.args = sh, p.args
+			q.text, q.stmt, q.shape, q.args = "", nil, sh, p.args
 		}
 	}
 	return e.execSelect(opts, q)
+}
+
+// sameLabel reports whether two SELECT items answer under the same label.
+func sameLabel(a, b sql.SelectItem) bool {
+	return a.Star == b.Star && (a.Star || a.Label() == b.Label())
 }
 
 // PreparedStatements reports how many statement texts the prepared-statement

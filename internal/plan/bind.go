@@ -310,10 +310,3 @@ func collectAggregates(e sql.Expr, acc *[]*sql.FuncCall) {
 		collectAggregates(t.E, acc)
 	}
 }
-
-// hasAggregate reports whether the expression contains an aggregate call.
-func hasAggregate(e sql.Expr) bool {
-	var acc []*sql.FuncCall
-	collectAggregates(e, &acc)
-	return len(acc) > 0
-}

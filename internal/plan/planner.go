@@ -153,7 +153,7 @@ func (p *Planner) PlanSelect(stmt *sql.SelectStmt) (*Plan, error) {
 	var joinConjuncts []sql.Expr
 	var constConjuncts []sql.Expr
 	for _, c := range conjuncts {
-		if hasAggregate(c) {
+		if sql.HasAggregate(c) {
 			return nil, fmt.Errorf("plan: aggregates are not allowed in WHERE")
 		}
 		srcs := exprSources(c, srcScopes)

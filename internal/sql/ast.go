@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -173,6 +174,25 @@ func (f *FuncCall) IsAggregate() bool {
 	switch f.Name {
 	case "COUNT", "SUM", "MIN", "MAX", "AVG":
 		return true
+	}
+	return false
+}
+
+// HasAggregate reports whether e holds an aggregate call.
+func HasAggregate(e Expr) bool {
+	switch t := e.(type) {
+	case *FuncCall:
+		return t.IsAggregate() || slices.ContainsFunc(t.Args, HasAggregate)
+	case *BinExpr:
+		return HasAggregate(t.L) || HasAggregate(t.R)
+	case *NotExpr:
+		return HasAggregate(t.E)
+	case *BetweenExpr:
+		return HasAggregate(t.E) || HasAggregate(t.Lo) || HasAggregate(t.Hi)
+	case *InExpr:
+		return HasAggregate(t.E) || slices.ContainsFunc(t.List, HasAggregate)
+	case *IsNullExpr:
+		return HasAggregate(t.E)
 	}
 	return false
 }

@@ -71,6 +71,8 @@ var parseSeeds = []string{
 	`SELECT "x FROM t`,
 	`SELECT a AS "" FROM t`,
 	`SELECT COUNT(*) AS "say ""hi""", "select"."from" FROM "select" ORDER BY "say ""hi"""`,
+	// A hint word that is no valid UTF-8.
+	"SELECT 0 OPTION(\xe7)",
 }
 
 func FuzzParse(f *testing.F) {

@@ -303,7 +303,7 @@ func (p *Parser) parseSelect() (*SelectStmt, error) {
 				}
 				continue
 			}
-			words = append(words, strings.ToUpper(p.advance().Text))
+			words = append(words, upperASCII(p.advance().Text))
 		}
 		if len(words) > 0 {
 			stmt.Hints = append(stmt.Hints, strings.Join(words, " "))
@@ -656,6 +656,18 @@ func (p *Parser) parsePrimary() (Expr, error) {
 // (none of the reserved keywords are function names in this subset, but the
 // hook keeps the parser extensible).
 func isFunctionName(string) bool { return false }
+
+// upperASCII upper-cases the ASCII letters of s and keeps every other byte,
+// so that a word that is no valid UTF-8 renders as it was written.
+func upperASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - ('a' - 'A')
+		}
+	}
+	return string(b)
+}
 
 func (p *Parser) parseCreate() (Statement, error) {
 	if err := p.expect(TokKeyword, "CREATE"); err != nil {

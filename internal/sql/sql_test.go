@@ -379,6 +379,8 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		`SELECT T1.v AS l_suppkey, SUM(T1.c) AS "COUNT(*)" FROM d1_l_suppkey T1 GROUP BY T1.v ORDER BY "COUNT(*)" DESC`,
 		`SELECT "select" AS "from", a AS "say ""hi""" FROM "my table" "t 1" WHERE "t 1"."select" > 0`,
 		`SELECT "plain" AS "Mixed_Case" FROM t`,
+		// A hint word that is no valid UTF-8 keeps its bytes.
+		"SELECT 0 OPTION(\xe7)",
 	}
 	for _, q := range queries {
 		stmt, err := Parse(q)
