@@ -105,8 +105,8 @@ func TestOpenDirFenceSurvivesReopenAndRecovery(t *testing.T) {
 		if !it.Next() || !bytes.Equal(it.Key(), smallest) {
 			t.Errorf("%s: a seek at the smallest key %x does not find it", c.name, smallest)
 		}
-		if reads != 1 || it.Descended() || tr.Height() < 2 {
-			t.Errorf("%s: a cold seek at the smallest key read %d pages (descended %v, height %d), want 1", c.name, reads, it.Descended(), tr.Height())
+		if reads != 1 || it.Start().Descended || tr.Height() < 2 {
+			t.Errorf("%s: a cold seek at the smallest key read %d pages (descended %v, height %d), want 1", c.name, reads, it.Start().Descended, tr.Height())
 		}
 		if res, err := db.Query("SELECT COUNT(*) FROM t"); err != nil || res.Rows[0][0].Int() != 5400 {
 			t.Errorf("%s: COUNT(*) = %v (%v), want 5400", c.name, res, err)

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"oldelephant/internal/btree"
 	"oldelephant/internal/engine"
 	"oldelephant/internal/trace"
 )
@@ -74,20 +75,23 @@ func TestExplainBandJoinSeeks(t *testing.T) {
 	}
 }
 
-// TestExplainBandJoinDescents pins the descents EXPLAIN ANALYZE reports for
-// the two band joins of Q6's c-table rewrite: the seeks positioned by a
-// descent from the inner tree's root. Each join probes its c-table in f
-// order, so a probe forward of the last begins in the leaf where the last
-// stopped; at selectivity 1 the first probe starts at the smallest f, at or
-// below the leftmost leaf's fence, and no probe descends, and at 0.5 only the
-// first does. Both protocols position alike.
+// TestExplainBandJoinDescents pins how EXPLAIN ANALYZE reports the
+// positioning of the two band joins of Q6's c-table rewrite: seeks by a
+// descent from the inner tree's root (descents) and from the leaf the
+// bulk-loaded c-table's leaf model predicts (predicted), with the leaves
+// those walked past (hops). Each join probes its c-table in f order, so a
+// probe forward of the last begins in the leaf where the last stopped; at
+// selectivity 1 the first probe starts at the smallest f, at or below the
+// leftmost leaf's fence, and no probe is positioned afresh, and at 0.5 only
+// the first is, from the predicted leaf. No probe descends. Both protocols
+// position alike.
 func TestExplainBandJoinDescents(t *testing.T) {
 	for _, mode := range []string{"row", "compressed-vector"} {
 		h := executorModes(t)[mode]
 		spec := h.specs()["Q6"]
 		for _, c := range []struct {
-			sel      float64
-			descents int64
+			sel       float64
+			predicted int64
 		}{{1, 0}, {0.5, 1}} {
 			query, _ := spec.resolve(h, c.sel)
 			sqlText, err := h.strategySQL("Q6", spec, StrategyRowCol, query)
@@ -104,14 +108,19 @@ func TestExplainBandJoinDescents(t *testing.T) {
 			}
 			for i, j := range joins {
 				seeks, _ := j.Attr("seeks")
-				descents, ok := j.Attr("descents")
-				if !ok || descents != c.descents {
-					t.Errorf("%s sel=%v: band join %d made %d seeks, %d of them descents (reported %v), want %d descents:\n%s",
-						mode, c.sel, i, seeks, descents, ok, c.descents, res.Trace.Format())
+				descents, okD := j.Attr("descents")
+				predicted, okP := j.Attr("predicted")
+				hops, okH := j.Attr("hops")
+				if !okD || !okP || !okH || descents != 0 || predicted != c.predicted || hops > predicted*btree.MaxWindow {
+					t.Errorf("%s sel=%v: band join %d made %d seeks, %d descents and %d predicted with %d hops (reported %v %v %v), want no descent and %d predicted:\n%s",
+						mode, c.sel, i, seeks, descents, predicted, hops, okD, okP, okH, c.predicted, res.Trace.Format())
 				}
 			}
-			if text := strings.Join(res.Trace.Lines(), "\n"); !strings.Contains(text, "descents=") {
-				t.Errorf("%s: EXPLAIN ANALYZE text does not show the descents:\n%s", mode, text)
+			text := strings.Join(res.Trace.Lines(), "\n")
+			for _, attr := range []string{"descents=", "predicted=", "hops="} {
+				if !strings.Contains(text, attr) {
+					t.Errorf("%s: EXPLAIN ANALYZE text does not show %s:\n%s", mode, attr, text)
+				}
 			}
 		}
 	}

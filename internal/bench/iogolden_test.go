@@ -18,16 +18,20 @@ const ioGoldenPool = 256
 // eagerly, walks a leaf chain on the serial path, or reorders page reads
 // fails here, in tier-1, rather than in the benchmark.
 //
-// Two recordings are kept. before* is the one made while every band-join
-// probe that did not start at an open bound descended from the root;
-// reads/seq/rand is the current one, where a probe forward of the last begins
-// in the leaf where the last stopped and a probe from the smallest keys (at or
-// below the leftmost leaf's fence) at that leaf. Row(Col) Q3 and Q4 at
-// selectivity 1 each lose the descent of their one band join, Q6 those of its
-// two, one random read apiece; no other cell moves. The current recording
-// must match exactly, and may differ from the old one in one direction only:
-// no cell reads more pages at random, and no cell costs more in the paper's
-// units (seq + RandomReadCost × rand).
+// Two recordings are kept. before* is the one made while every bounded start
+// that was not at or below the leftmost leaf's fence, nor forward of a band
+// join's last probe, descended from the root; reads/seq/rand is the current
+// one, where such a start on a bulk-loaded tree reads the leaf its leaf model
+// predicts and walks forward from there (btree.Model), reading no internal
+// page. Every Row(Col) cell that descended reads one random page fewer per
+// descent, and the selective statements that scanned the 6 leaves of
+// d1_l_shipdate or d2_o_orderdate from the leftmost leaf now seek the
+// c-table's v index, priced at one random read, and read fewer sequential
+// pages too; Q7 reads as many pages, one of them now sequential instead of
+// random. No Row cell moves: their cold statements read no internal page. The
+// current recording must match exactly, and may differ from the old one in
+// one direction only: no cell reads more pages at random, and no cell costs
+// more in the paper's units (seq + RandomReadCost × rand).
 var ioGolden = []struct {
 	q                                  QueryID
 	s                                  Strategy
@@ -36,43 +40,43 @@ var ioGolden = []struct {
 	reads, seq, rand                   int64
 }{
 	{"Q1", "Row", 0.01, 538, 537, 1, 538, 537, 1},
-	{"Q1", "Row(Col)", 0.01, 6, 5, 1, 6, 5, 1},
+	{"Q1", "Row(Col)", 0.01, 6, 5, 1, 2, 1, 1},
 	{"Q1", "Row", 0.1, 538, 537, 1, 538, 537, 1},
-	{"Q1", "Row(Col)", 0.1, 6, 5, 1, 6, 5, 1},
+	{"Q1", "Row(Col)", 0.1, 6, 5, 1, 2, 1, 1},
 	{"Q1", "Row", 0.5, 538, 537, 1, 538, 537, 1},
-	{"Q1", "Row(Col)", 0.5, 6, 5, 1, 6, 5, 1},
+	{"Q1", "Row(Col)", 0.5, 6, 5, 1, 5, 4, 1},
 	{"Q1", "Row", 1, 538, 537, 1, 538, 537, 1},
 	{"Q1", "Row(Col)", 1, 6, 5, 1, 6, 5, 1},
 	{"Q2", "Row", 0, 538, 537, 1, 538, 537, 1},
-	{"Q2", "Row(Col)", 0, 8, 5, 3, 8, 5, 3},
+	{"Q2", "Row(Col)", 0, 8, 5, 3, 4, 2, 2},
 	{"Q3", "Row", 0.01, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 0.01, 8, 5, 3, 8, 5, 3},
+	{"Q3", "Row(Col)", 0.01, 8, 5, 3, 4, 2, 2},
 	{"Q3", "Row", 0.1, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 0.1, 18, 15, 3, 18, 15, 3},
+	{"Q3", "Row(Col)", 0.1, 18, 15, 3, 14, 12, 2},
 	{"Q3", "Row", 0.5, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 0.5, 72, 69, 3, 72, 69, 3},
+	{"Q3", "Row(Col)", 0.5, 72, 69, 3, 71, 69, 2},
 	{"Q3", "Row", 1, 538, 537, 1, 538, 537, 1},
-	{"Q3", "Row(Col)", 1, 135, 132, 3, 134, 132, 2},
+	{"Q3", "Row(Col)", 1, 134, 132, 2, 134, 132, 2},
 	{"Q4", "Row", 0.01, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 0.01, 10, 7, 3, 10, 7, 3},
+	{"Q4", "Row(Col)", 0.01, 10, 7, 3, 6, 4, 2},
 	{"Q4", "Row", 0.1, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 0.1, 22, 19, 3, 22, 19, 3},
+	{"Q4", "Row(Col)", 0.1, 22, 19, 3, 18, 16, 2},
 	{"Q4", "Row", 0.5, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 0.5, 79, 76, 3, 79, 76, 3},
+	{"Q4", "Row(Col)", 0.5, 79, 76, 3, 78, 76, 2},
 	{"Q4", "Row", 1, 616, 614, 2, 616, 614, 2},
-	{"Q4", "Row(Col)", 1, 148, 145, 3, 147, 145, 2},
+	{"Q4", "Row(Col)", 1, 147, 145, 2, 147, 145, 2},
 	{"Q5", "Row", 0, 616, 614, 2, 616, 614, 2},
-	{"Q5", "Row(Col)", 0, 10, 5, 5, 10, 5, 5},
+	{"Q5", "Row(Col)", 0, 10, 5, 5, 6, 3, 3},
 	{"Q6", "Row", 0.01, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 0.01, 13, 8, 5, 13, 8, 5},
+	{"Q6", "Row(Col)", 0.01, 13, 8, 5, 9, 6, 3},
 	{"Q6", "Row", 0.1, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 0.1, 36, 31, 5, 36, 31, 5},
+	{"Q6", "Row(Col)", 0.1, 36, 31, 5, 32, 29, 3},
 	{"Q6", "Row", 0.5, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 0.5, 145, 140, 5, 145, 140, 5},
+	{"Q6", "Row(Col)", 0.5, 145, 140, 5, 144, 141, 3},
 	{"Q6", "Row", 1, 616, 614, 2, 616, 614, 2},
-	{"Q6", "Row(Col)", 1, 277, 272, 5, 275, 272, 3},
+	{"Q6", "Row(Col)", 1, 275, 272, 3, 275, 272, 3},
 	{"Q7", "Row", 0, 627, 624, 3, 627, 624, 3},
-	{"Q7", "Row(Col)", 0, 53, 49, 4, 53, 49, 4},
+	{"Q7", "Row(Col)", 0, 53, 49, 4, 53, 50, 3},
 }
 
 // modeledCost prices measured reads in the paper's units, sequential pages.

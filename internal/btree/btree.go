@@ -42,6 +42,22 @@ type BTree struct {
 	fence  []byte
 	height int
 	count  int64
+	// model predicts the leaf a bounded start begins in, from the number num
+	// gives its key (model.go); nil when the tree has none, and then every
+	// start past the fence descends.
+	model *Model
+	num   KeyNumber
+}
+
+// Anchors are what the catalog meta persists of a tree beside its pages:
+// root, leftmost leaf and its fence, height, count and the leaf model (nil
+// for none).
+type Anchors struct {
+	Root, First storage.PageID
+	Fence       []byte
+	Height      int
+	Count       int64
+	Model       *Model
 }
 
 // New creates an empty tree. Its leaves charge every entry
@@ -52,14 +68,20 @@ func New(pager *storage.Pager) (*BTree, error) {
 		return nil, err
 	}
 	_ = writeNode(root, true, nil, 0) // an empty node always fits
-	return Open(pager, root.ID(), root.ID(), nil, 1, 0), nil
+	return Open(pager, Anchors{Root: root.ID(), First: root.ID(), Height: 1}), nil
 }
 
-// Open reattaches a tree to its pages (recovery path: root, leftmost leaf,
-// its fence, height and count come from the persisted catalog meta; the pages
-// themselves were restored by the data file load + WAL replay).
-func Open(pager *storage.Pager, root, first storage.PageID, fence []byte, height int, count int64) *BTree {
-	return &BTree{pager: pager, root: root, first: first, fence: fence, height: height, count: count}
+// Open reattaches a tree to its pages (recovery path: the anchors come from
+// the persisted catalog meta; the pages themselves were restored by the data
+// file load + WAL replay). The caller sets the key number (SetKeyNumber)
+// before a seek can use the model.
+func Open(pager *storage.Pager, a Anchors) *BTree {
+	return &BTree{pager: pager, root: a.Root, first: a.First, fence: a.Fence, height: a.Height, count: a.Count, model: a.Model}
+}
+
+// Anchors returns what Open needs to reattach the tree.
+func (t *BTree) Anchors() Anchors {
+	return Anchors{Root: t.root, First: t.first, Fence: t.fence, Height: t.height, Count: t.count, Model: t.model}
 }
 
 // Count returns the number of entries in the tree.
@@ -551,6 +573,7 @@ func (t *BTree) store(nd node, isLeaf, appended bool, entries []entry) ([]byte, 
 		t.pager.BeforeWrite(nd.pg)
 		return nil, storage.InvalidPageID, writeNode(nd.pg, isLeaf, entries, link)
 	}
+	t.model = nil           // a split moves separators, and its new page ends the contiguous run
 	mid := len(entries) - 1 // the leaf held the others, and an entry fits a page alone
 	if !appended {
 		var err error
@@ -585,9 +608,10 @@ func (t *BTree) store(nd node, isLeaf, appended bool, entries []entry) ([]byte, 
 
 // Delete removes the first entry with exactly the given key. It returns true
 // if an entry was removed. Nodes are not rebalanced: the workload is
-// read-mostly and underfull nodes only waste space, never correctness.
+// read-mostly and underfull nodes only waste space, never correctness. A
+// removal drops the leaf model, which assumes no leaf lost its first key.
 func (t *BTree) Delete(key []byte) (bool, error) {
-	nd, err := t.leafFor(key)
+	nd, _, err := t.leafFor(key)
 	// The first key >= key decides; leaves that deletes have emptied and
 	// leaves of smaller keys are walked past.
 	for err == nil {
@@ -601,6 +625,7 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 				return false, err
 			}
 			t.count--
+			t.model = nil
 			return true, nil
 		}
 		if nd.next() == storage.InvalidPageID {
@@ -611,15 +636,28 @@ func (t *BTree) Delete(key []byte) (bool, error) {
 	return false, err
 }
 
-// leafFor descends to the first leaf that may contain key and returns it
-// loaded, so the caller reads it where the descent left it rather than
-// fetching it again. Routing uses a strict comparison so that, with duplicate
-// keys split across leaves, the leftmost occurrence is always reachable
-// (iterators follow leaf links). Each internal node is binary-searched in
-// place — O(log fanout) record decodes per level — which is what keeps a
-// point seek's descent cheap enough for the serving layer's
-// prepared-statement hot path.
-func (t *BTree) leafFor(key []byte) (node, error) {
+// leafFor returns, loaded, a leaf where a seek from key begins: so the caller
+// reads it where positioning left it rather than fetching it again, and says
+// how it was found. On a tree with a leaf model it reads the leaf the model
+// predicts and walks forward along leaf links to the first leaf holding a key
+// >= key (walk): the leaf a descent reaches, or the one after it when that
+// one holds only smaller keys, which is where the descent's seek goes next.
+// It reads no internal page. Any other tree is descended from the root.
+// Routing uses a strict comparison so that, with duplicate keys split across
+// leaves, the leftmost occurrence is always reachable (iterators follow leaf
+// links). Each internal node is binary-searched in place — O(log fanout)
+// record decodes per level — which is what keeps a point seek's descent cheap
+// enough for the serving layer's prepared-statement hot path.
+func (t *BTree) leafFor(key []byte) (node, Start, error) {
+	if id, ok := t.predicted(key); ok {
+		return t.walk(id, key)
+	}
+	nd, err := t.descend(key)
+	return nd, Start{Descended: true}, err
+}
+
+// descend reads the tree from the root down to the leaf that covers key.
+func (t *BTree) descend(key []byte) (node, error) {
 	id := t.root
 	for {
 		nd, err := t.node(id)
@@ -649,14 +687,15 @@ type Iterator struct {
 	// (-1 = unbounded). Leaf-range iterators (SeekLeaves) use it to stop at
 	// their partition boundary instead of a key.
 	leavesLeft int
-	descended  bool // the range was positioned by a descent from the root
+	start      Start // how the range was positioned
 	err        error
 }
 
-// Descended reports whether positioning the iterator on its range read the
-// tree from the root, rather than starting at the leftmost leaf or in the
-// leaf where its previous range stopped (Reseek).
-func (it *Iterator) Descended() bool { return it.descended }
+// Start reports how positioning the iterator on its range read the tree: by a
+// descent from the root, or from the leaf the model predicts, rather than
+// starting at the leftmost leaf or in the leaf where its previous range
+// stopped (Reseek).
+func (it *Iterator) Start() Start { return it.start }
 
 // Err returns the first page-access error the iterator hit. Next reports
 // exhaustion on error, so callers that see false must check Err to
@@ -829,8 +868,9 @@ func (t *BTree) SeekLeaves(start storage.PageID, count int, startKey, stop []byt
 // (nil start begins at the leftmost leaf, which is then loaded lazily, with
 // no descent). If stop is non-nil the iteration ends at stop (inclusive when
 // stopIncl). A start at or below the fence begins at the leftmost leaf too,
-// loaded at once: the descent would end there. Any other start descends from
-// the root, and the leaf the descent loads is the iterator's first, read once.
+// loaded at once: the descent would end there. Any other start is positioned
+// by leafFor — from the leaf the model predicts, or by a descent from the
+// root — and the leaf it loads is the iterator's first, read once.
 func (t *BTree) Seek(start, stop []byte, stopIncl bool) *Iterator {
 	it := &Iterator{tree: t}
 	it.Reseek(start, stop, stopIncl)
@@ -861,8 +901,7 @@ func (it *Iterator) Reseek(start, stop []byte, stopIncl bool) {
 	case t.height == 1 || bytes.Compare(start, t.fence) <= 0:
 		nd, err = t.node(t.first)
 	default:
-		it.descended = true
-		nd, err = t.leafFor(start)
+		nd, it.start, err = t.leafFor(start)
 	}
 	if err != nil {
 		it.err, it.next = err, storage.InvalidPageID
@@ -926,8 +965,9 @@ func (t *BTree) AllPages() ([]storage.PageID, error) {
 // BulkLoad builds the tree from entries that are already sorted by key,
 // replacing the current contents. It packs leaves to fillFactor (0 < f <= 1)
 // and builds the internal levels bottom-up; this is the fast path used by
-// table loading and c-table construction. It returns an error if the input
-// is not sorted.
+// table loading and c-table construction. From the leaves' page ids and first
+// keys it fits the leaf model (fitModel), kept when the tree has a key number
+// and the fit qualifies. It returns an error if the input is not sorted.
 func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
 	if fillFactor <= 0 || fillFactor > 1 {
 		fillFactor = 1.0
@@ -998,6 +1038,7 @@ func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor floa
 	if len(firstKeys) > 1 {
 		t.fence = firstKeys[1]
 	}
+	t.model = fitModel(t.num, leafIDs, firstKeys)
 	// Build internal levels.
 	level := leafIDs
 	keys := firstKeys

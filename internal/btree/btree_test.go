@@ -819,7 +819,7 @@ func checkLeafRange(t *testing.T, tr *BTree, pager *storage.Pager, ref chain, st
 	if len(run) > 0 {
 		seekLeaf := tr.FirstLeaf()
 		if start != nil {
-			nd, err := tr.leafFor(start)
+			nd, err := tr.descend(start)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -893,7 +893,7 @@ func TestFirstLeafMatchesDescent(t *testing.T) {
 		}
 		check := func(stage string) {
 			t.Helper()
-			nd, err := tr.leafFor(nil)
+			nd, err := tr.descend(nil)
 			if err != nil {
 				t.Fatal(err)
 			}

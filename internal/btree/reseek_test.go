@@ -86,7 +86,7 @@ func descend(tr *BTree, start, stop []byte, stopIncl bool) *Iterator {
 		return tr.Seek(nil, stop, stopIncl)
 	}
 	it := &Iterator{tree: tr, lo: start, startKey: start, stopKey: stop, stopIncl: stopIncl, leavesLeft: -1}
-	nd, err := tr.leafFor(start)
+	nd, err := tr.descend(start)
 	if err != nil {
 		it.err = err
 		return it
@@ -148,9 +148,9 @@ func checkReseek(t *testing.T, seed int64, shape byte, counts *positionings) {
 			// Past the leaf it starts in, a seek reads the leaves up to the
 			// first with a key >= start, as the descent's seek does.
 			reads := pager.Stats().Sub(before).PageReads
-			if it.Descended() || reads != descended-int64(tr.Height()-1) || i == 2 && reads != 1 {
+			if it.Start().Descended || reads != descended-int64(tr.Height()-1) || i == 2 && reads != 1 {
 				t.Fatalf("%s: a cold seek from %x, at or below the fence %x, read %d pages (descended %v), a descending one %d",
-					name, start, fence, reads, it.Descended(), descended)
+					name, start, fence, reads, it.Start().Descended, descended)
 			}
 		}
 	}
@@ -196,14 +196,14 @@ func checkReseek(t *testing.T, seed int64, shape byte, counts *positionings) {
 			t.Fatalf("%s probe %d: [%x, %x] (incl %v) re-seeks to %d entries, a descending seek finds %d", name, probe, start, stop, incl, len(got), len(want))
 		}
 		switch {
-		case it.Descended():
+		case it.Start().Descended:
 			counts.descent++
 		case tr.Height() == 1 || bytes.Compare(start, fence) <= 0:
 			counts.fence++
 		default:
 			counts.finger++
 		}
-		if it.Descended() && (tr.Height() == 1 || bytes.Compare(start, fence) <= 0) {
+		if it.Start().Descended && (tr.Height() == 1 || bytes.Compare(start, fence) <= 0) {
 			t.Fatalf("%s probe %d: a start %x at or below the fence %x descended", name, probe, start, fence)
 		}
 	}
@@ -258,8 +258,8 @@ func TestReseekChargesAnEvictedLeaf(t *testing.T) {
 	for _, evict := range []bool{false, true} {
 		pager.ResetCache()
 		it := tr.Seek(intKey(1000), intKey(1001), true)
-		if n := len(drain(t, it, -1)); n != 2 || !it.Descended() {
-			t.Fatalf("first probe: %d entries, descended %v", n, it.Descended())
+		if n := len(drain(t, it, -1)); n != 2 || !it.Start().Descended {
+			t.Fatalf("first probe: %d entries, descended %v", n, it.Start().Descended)
 		}
 		if evict {
 			for _, id := range leaves[:6] { // six other leaves push it out of a four-page pool
@@ -271,8 +271,8 @@ func TestReseekChargesAnEvictedLeaf(t *testing.T) {
 		before := pager.Stats()
 		it.Reseek(intKey(1002), intKey(1003), true)
 		io := pager.Stats().Sub(before)
-		if n := len(drain(t, it, -1)); n != 2 || it.Descended() {
-			t.Fatalf("re-seek: %d entries, descended %v", n, it.Descended())
+		if n := len(drain(t, it, -1)); n != 2 || it.Start().Descended {
+			t.Fatalf("re-seek: %d entries, descended %v", n, it.Start().Descended)
 		}
 		want := int64(0)
 		if evict {

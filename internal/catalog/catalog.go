@@ -88,6 +88,7 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 		Clustered:  true,
 		tree:       tree,
 	}
+	tree.SetKeyNumber(t.Clustered.keyNumber())
 	t.initLayouts()
 	c.tables[key] = t
 	return t, nil
@@ -658,7 +659,8 @@ func (t *Table) loadClustered(stored [][]value.Value, keys *keysort.Keys, indexe
 // is a cheap value; Open starts a fresh cursor, so a range can be re-scanned
 // and distinct ranges can be consumed by concurrent workers. Opening is lazy:
 // a start at or below the leftmost leaf's fence, or an open one, begins at
-// that leaf, any other start descends from the root (btree.BTree.Seek), and
+// that leaf, any other start at the leaf the tree's model predicts or, on a
+// tree with no model, by a descent from the root (btree.BTree.Seek), and
 // that is all a serial scan ever pays. A bound scan moves its cursor from
 // range to range with Cursor.Reseek, which begins a range forward of the last
 // in the leaf where that one stopped. EstRows and Split serve the
@@ -789,10 +791,17 @@ func (r *Range) size() {
 
 // EstRows is the parallelization-threshold input: the exact row count for an
 // open range (no page is read), leaf count x average leaf fill for a bounded
-// one — only the order of magnitude matters there.
+// one — only the order of magnitude matters there. On a tree with a leaf
+// model the leaf count is the model's bound (btree.BTree.LeafSpan), so a
+// selective seek stays serial without reading the root.
 func (r *Range) EstRows() int64 {
 	if !r.split && r.start == nil && r.stop == nil && !r.empty {
 		return r.tree.Count()
+	}
+	if m := r.tree.Model(); m != nil && !r.split && !r.empty {
+		if n, ok := r.tree.LeafSpan(r.start, r.stop); ok {
+			return int64(n) * max(1, r.tree.Count()/int64(m.Leaves))
+		}
 	}
 	r.size()
 	return int64(len(r.leaves)) * r.perLeaf
@@ -969,9 +978,18 @@ func (c *Cursor) Reseek(r *Range) {
 	c.tree.Reseek(r.start, r.stop, r.stopIncl)
 }
 
-// Descended reports whether positioning the cursor on its range read its tree
-// from the root (btree.Iterator.Descended).
-func (c *Cursor) Descended() bool { return c.tree != nil && c.tree.Descended() }
+// SeekStart says how a cursor was positioned on its range (btree.Start).
+type SeekStart = btree.Start
+
+// Start reports how positioning the cursor on its range read its tree: by a
+// descent from the root, or from the leaf the tree's model predicts
+// (btree.Iterator.Start).
+func (c *Cursor) Start() SeekStart {
+	if c.tree == nil {
+		return SeekStart{}
+	}
+	return c.tree.Start()
+}
 
 // Err returns the first page-access error the cursor (or its underlying
 // tree iterator) hit. NextSpans reports exhaustion on error, so batch
@@ -1088,6 +1106,20 @@ type Index struct {
 
 // Tree exposes the underlying B+-tree (read-only use by statistics and tests).
 func (ix *Index) Tree() *btree.BTree { return ix.tree }
+
+// keyNumber is the number an entry key's leading column holds, the input of
+// the tree's leaf model: nil for a keyless table's tree, whose keys lead with
+// the uniquifier, and for a leading column of a kind with no number.
+func (ix *Index) keyNumber() btree.KeyNumber {
+	if len(ix.KeyColumns) == 0 {
+		return nil
+	}
+	switch kind := ix.Table.Columns[ix.KeyColumns[0]].Kind; kind {
+	case value.KindInt, value.KindDate, value.KindBool, value.KindFloat:
+		return func(key []byte) (float64, bool) { return value.KeyNumber(key, kind) }
+	}
+	return nil
+}
 
 // KeyColumnNames returns the names of the key columns in index order.
 func (ix *Index) KeyColumnNames() []string {
@@ -1226,6 +1258,7 @@ func (ix *Index) fill(es *entries) error {
 		if ix.tree, err = btree.New(ix.Table.catalog.pager); err != nil {
 			return err
 		}
+		ix.tree.SetKeyNumber(ix.keyNumber())
 	}
 	i := 0
 	return ix.tree.BulkLoad(func() ([]byte, []byte, bool) {

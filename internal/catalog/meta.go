@@ -2,7 +2,7 @@
 // snapshot of recoverable state. The WAL's page images restore every B+-tree
 // page byte for byte; this snapshot restores everything above them — table
 // and index definitions, tree roots, leftmost leaves and their fences,
-// heights and counts, statistics, the defining SQL of each table that
+// heights, counts and leaf models, statistics, the defining SQL of each table that
 // materializes a view, and the pager's freelist — so Open can
 // reattach live Table/Index objects to the recovered pages. Record layouts are
 // not persisted: they follow from the schema (Table.initLayouts), and
@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -21,7 +22,14 @@ import (
 	"oldelephant/internal/value"
 )
 
-// metaVersion 8: every table is a clustered tree, a table created without a
+// metaVersion 9: each tree's anchors end in its leaf model (btree.Model: a
+// flag, then the leaf count, the line's intercept and slope as float64 bits,
+// its offset, window and mean hops), so a bounded start on a bulk-loaded
+// tree reads the leaf the model predicts instead of descending from the
+// root; a restored tree keeps the model its load fitted until a split or a
+// delete drops it. A version 8 meta has no model field and would misparse,
+// so it is refused too, though its pages are laid out as version 9's. From
+// version 8 on, every table is a clustered tree, a table created without a
 // primary key over zero key columns, so a table's clustered index follows its
 // columns unconditionally. Version 7 metas flag each table as clustered or
 // not and may list a heap's chain of slotted pages, which this build no
@@ -47,7 +55,7 @@ import (
 // key as a 9- or 17-byte cross-kind word, version 1 pages also repeat key
 // columns in the payload. Decoding any of them under these rules would
 // return wrong rows or none, so RestoreMeta refuses them.
-const metaVersion = 8
+const metaVersion = 9
 
 type metaWriter struct{ buf []byte }
 
@@ -56,6 +64,9 @@ func (w *metaWriter) uv(v uint64)    { w.buf = binary.AppendUvarint(w.buf, v) }
 func (w *metaWriter) iv(v int64)     { w.buf = binary.AppendVarint(w.buf, v) }
 func (w *metaWriter) str(s string)   { w.uv(uint64(len(s))); w.buf = append(w.buf, s...) }
 func (w *metaWriter) bytes(b []byte) { w.uv(uint64(len(b))); w.buf = append(w.buf, b...) }
+func (w *metaWriter) f64(f float64) {
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, math.Float64bits(f))
+}
 func (w *metaWriter) bool(v bool) {
 	if v {
 		w.u8(1)
@@ -121,6 +132,15 @@ func (r *metaReader) iv() int64 {
 	return v
 }
 func (r *metaReader) bool() bool { return r.u8() != 0 }
+func (r *metaReader) f64() float64 {
+	if r.err != nil || len(r.buf)-r.off < 8 {
+		r.fail()
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.buf[r.off:])
+	r.off += 8
+	return math.Float64frombits(v)
+}
 
 // count reads a length or an item count. Every byte string and every listed
 // item takes at least one byte, so a count above the bytes left is corrupt:
@@ -204,23 +224,41 @@ func encodeTable(w *metaWriter, t *Table) {
 }
 
 func encodeTree(w *metaWriter, tr *btree.BTree) {
-	w.uv(uint64(tr.RootPage()))
-	w.uv(uint64(tr.FirstLeaf()))
-	w.bytes(tr.Fence())
-	w.uv(uint64(tr.Height()))
-	w.iv(tr.Count())
+	a := tr.Anchors()
+	w.uv(uint64(a.Root))
+	w.uv(uint64(a.First))
+	w.bytes(a.Fence)
+	w.uv(uint64(a.Height))
+	w.iv(a.Count)
+	w.bool(a.Model != nil)
+	if m := a.Model; m != nil {
+		w.uv(uint64(m.Leaves))
+		w.f64(m.Intercept)
+		w.f64(m.Slope)
+		w.iv(int64(m.Offset))
+		w.uv(uint64(m.Window))
+		w.f64(m.Hops)
+	}
 }
 
 func decodeTree(r *metaReader, pager *storage.Pager) *btree.BTree {
-	root := storage.PageID(r.uv())
-	first := storage.PageID(r.uv())
-	var fence []byte // nil for a one-leaf tree, which stores an empty one
-	if f := r.bytes(); len(f) > 0 {
-		fence = bytes.Clone(f)
+	var a btree.Anchors
+	a.Root = storage.PageID(r.uv())
+	a.First = storage.PageID(r.uv())
+	if f := r.bytes(); len(f) > 0 { // nil for a one-leaf tree, which stores an empty one
+		a.Fence = bytes.Clone(f)
 	}
-	height := int(r.uv())
-	count := r.iv()
-	return btree.Open(pager, root, first, fence, height, count)
+	a.Height = int(r.uv())
+	a.Count = r.iv()
+	if r.bool() {
+		m := &btree.Model{Leaves: int(r.uv()), Intercept: r.f64(), Slope: r.f64(),
+			Offset: int(r.iv()), Window: int(r.uv()), Hops: r.f64()}
+		if r.err == nil && (!m.Valid() || a.Height < 2) {
+			r.err = fmt.Errorf("catalog: meta holds a leaf model no tree of height %d could have: %+v", a.Height, *m)
+		}
+		a.Model = m
+	}
+	return btree.Open(pager, a)
 }
 
 func encodeStats(w *metaWriter, s *TableStats) {
@@ -357,6 +395,9 @@ func (c *Catalog) decodeTable(r *metaReader) (*Table, error) {
 	t.Stats = stats
 	if err := t.checkOrdinals(); err != nil {
 		return nil, err
+	}
+	for _, ix := range append([]*Index{t.Clustered}, t.Secondary...) {
+		ix.tree.SetKeyNumber(ix.keyNumber())
 	}
 	t.initLayouts()
 	return t, nil

@@ -17,9 +17,11 @@ import (
 
 // TestMetaRoundTripKeepsTreeAnchors: a catalog restored from its own meta, on
 // the same pages, re-encodes byte for byte and reattaches every tree at the
-// same root, leftmost leaf, fence, height and count (meta version 8); a
-// version-7 meta, which flags each table as clustered or not, a version-6
-// one, which stores no view definitions or freelist either, a version-5 one,
+// same root, leftmost leaf, fence, height, count and leaf model (meta version
+// 9): a bulk-loaded table keeps the model its load fitted, and one whose
+// leftmost leaf a statement split has none. A version-8 meta, which stores no
+// leaf model, a version-7 one, which flags each table as clustered or not, a
+// version-6 one, which stores no view definitions or freelist either, a version-5 one,
 // which stores no fence either, and a version-4 one, which stores no leftmost
 // leaf either, are refused. A one-leaf tree has no fence on either
 // side of the round trip.
@@ -32,6 +34,20 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 	if err := tiny.Insert([]value.Value{value.NewInt(1)}); err != nil {
 		t.Fatal(err)
 	}
+	loaded, err := c.CreateTable("loaded", []Column{{Name: "id", Kind: value.KindInt}, {Name: "day", Kind: value.KindDate}}, []string{"id"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]value.Value, 20000)
+	for i := range rows {
+		rows[i] = []value.Value{value.NewInt(int64(i)), value.NewDate(int64(i % 365))}
+	}
+	if err := loaded.BulkLoad(rows, IndexDef{Name: "loaded_day", Columns: []string{"day"}}); err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Clustered.tree.Model() == nil {
+		t.Fatal("a bulk load of 20,000 dense INT keys fitted no leaf model")
+	}
 	// Rows below every stored key split the bulk-loaded first leaf in place.
 	for i := int64(-1); i >= -500; i-- {
 		if err := tbl.Insert([]value.Value{value.NewInt(i), value.NewInt(-i % 50), value.NewFloat(0)}); err != nil {
@@ -39,8 +55,8 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 		}
 	}
 	meta := c.EncodeMeta()
-	if meta[0] != 8 {
-		t.Fatalf("meta starts with version %d, want 8", meta[0])
+	if meta[0] != 9 {
+		t.Fatalf("meta starts with version %d, want 9", meta[0])
 	}
 	r := New(c.Pager())
 	if err := r.RestoreMeta(meta); err != nil {
@@ -62,6 +78,12 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 				t.Errorf("%s: restored root/first/height/count %d/%d/%d/%d, want %d/%d/%d/%d", ix.Name,
 					b.RootPage(), b.FirstLeaf(), b.Height(), b.Count(), a.RootPage(), a.FirstLeaf(), a.Height(), a.Count())
 			}
+			if am, bm := a.Model(), b.Model(); (am == nil) != (bm == nil) || am != nil && *am != *bm {
+				t.Errorf("%s: restored leaf model %+v, want %+v", ix.Name, bm, am)
+			}
+			if orig == tbl && ix == orig.Clustered && a.Model() != nil {
+				t.Errorf("%s: the split leftmost leaf left the leaf model %+v", ix.Name, *a.Model())
+			}
 			if orig == tiny {
 				if a.Height() != 1 || a.Fence() != nil || b.Fence() != nil {
 					t.Errorf("%s: height %d, fence %x, restored fence %x; want a one-leaf tree with no fence", ix.Name, a.Height(), a.Fence(), b.Fence())
@@ -76,7 +98,7 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 			}
 		}
 	}
-	for _, v := range []byte{4, 5, 6, 7} {
+	for _, v := range []byte{4, 5, 6, 7, 8} {
 		old := slices.Clone(meta)
 		old[0] = v
 		if err := New(c.Pager()).RestoreMeta(old); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("meta version %d not supported", v)) {
@@ -89,7 +111,9 @@ func TestMetaRoundTripKeepsTreeAnchors(t *testing.T) {
 // with a unique secondary index, whose rows the uniquifier alone numbers, and
 // last that of a catalog with a clustered table and its secondary index, a
 // one-leaf table, a keyless table, a table that materializes a view, and the
-// freelist a dropped table left.
+// freelist a dropped table left. The clustered table's tree and the keyless
+// table's unique index, both bulk-loaded on an INT, keep leaf models (meta
+// version 9).
 func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
 	tb.Helper()
 	c := New(storage.NewPager(0))
@@ -120,6 +144,11 @@ func metaSeeds(tb testing.TB) (*storage.Pager, [][]byte) {
 		must(err)
 	}
 	must(c.DropTable("dropped"))
+	items, err := c.Table("items")
+	must(err)
+	if items.Clustered.tree.Model() == nil || keyless.Secondary[0].tree.Model() == nil {
+		tb.Fatal("the bulk-loaded INT-keyed trees of the seeds fitted no leaf model")
+	}
 	one, err := c.CreateTable("one", cols[:1], []string{"id"})
 	must(err)
 	must(one.Insert([]value.Value{value.NewInt(1)}))

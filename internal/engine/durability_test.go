@@ -404,7 +404,8 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 }
 
 // TestDurableOldRecordLayoutRefused opens a directory whose catalog meta says
-// an earlier version: version 7 (a clustered-or-heap flag on every table, and
+// an earlier version: version 8 (today's pages, but no leaf model after each
+// tree's count, so its rest would misparse), version 7 (a clustered-or-heap flag on every table, and
 // a keyless table's rows in a heap of slotted pages), version 6 (today's
 // clustered pages, but a meta with no view definitions and no freelist
 // either), version 5 (no fence beside each tree's
@@ -418,7 +419,7 @@ func TestDurableMissesAreDataFileReads(t *testing.T) {
 // under the current rules, so Open must fail and name both versions rather
 // than attach to them.
 func TestDurableOldRecordLayoutRefused(t *testing.T) {
-	for _, old := range []byte{7, 6, 5, 4, 3, 2, 1} {
+	for _, old := range []byte{8, 7, 6, 5, 4, 3, 2, 1} {
 		fs := faultfs.New(1)
 		e := openDurable(t, fs)
 		execAll(t, e,
@@ -433,8 +434,8 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("read meta: ok=%v err=%v", ok, err)
 		}
-		if meta[0] != 8 {
-			t.Fatalf("catalog meta starts with version %d, test expects 8", meta[0])
+		if meta[0] != 9 {
+			t.Fatalf("catalog meta starts with version %d, test expects 9", meta[0])
 		}
 		meta[0] = old
 		if err := storage.WriteFileAtomic(fs, metaFileName, meta); err != nil {
@@ -444,7 +445,7 @@ func TestDurableOldRecordLayoutRefused(t *testing.T) {
 		if e, err := Open(Options{FS: fs}); err == nil {
 			e.Close()
 			t.Fatalf("Open attached to a version-%d directory", old)
-		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 8") {
+		} else if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "version 9") {
 			t.Fatalf("Open of a version-%d directory failed without naming both versions: %v", old, err)
 		}
 	}

@@ -185,15 +185,16 @@ func TestQ1StyleAggregation(t *testing.T) {
 	if !strings.Contains(res.Plan, "StreamAggregate") {
 		t.Errorf("plan should use a stream aggregate: %s", res.Plan)
 	}
-	// On the 11-page lineitem the scan is cheaper, and it streams in the same
-	// clustered order.
+	// On the 11-page lineitem the seek wins too: the bulk-loaded tree's leaf
+	// model prices its start at one random read, where a descent would read
+	// two and lose to the scan.
 	small := mustExec(t, newWorkloadEngine(t), `
 		SELECT l_shipdate, COUNT(*)
 		FROM lineitem
 		WHERE l_shipdate > DATE '1995-10-01'
 		GROUP BY l_shipdate`)
-	if !strings.Contains(small.Plan, "SeqScan") || !strings.Contains(small.Plan, "StreamAggregate") {
-		t.Errorf("small table should be scanned into a stream aggregate: %s", small.Plan)
+	if !strings.Contains(small.Plan, "ClusteredSeek") || !strings.Contains(small.Plan, "StreamAggregate") {
+		t.Errorf("small table should be sought into a stream aggregate: %s", small.Plan)
 	}
 }
 
@@ -285,13 +286,14 @@ func TestSecondaryIndexIsChosenForSelectivePredicate(t *testing.T) {
 	if len(res.Rows) != 16*150 {
 		t.Errorf("rows = %d, want %d", len(res.Rows), 16*150)
 	}
-	// On the 11-page lineitem the same query scans: the index descent alone
-	// costs more than the scan.
+	// On the 11-page lineitem the same query seeks too: the index, built by
+	// a bulk load, predicts the leaf it begins in (its leaf model), so its
+	// start costs one random read, not a descent that would lose to the scan.
 	small := newWorkloadEngine(t)
 	mustExec(t, small, "CREATE INDEX ix_supp ON lineitem (l_suppkey) INCLUDE (l_extendedprice)")
 	sres := mustExec(t, small, "SELECT l_suppkey, l_extendedprice FROM lineitem WHERE l_suppkey = 7")
-	if !strings.Contains(sres.Plan, "SeqScan") || len(sres.Rows) != 150 {
-		t.Errorf("small table: %d rows (want 150) from %s, want a scan", len(sres.Rows), sres.Plan)
+	if !strings.Contains(sres.Plan, "IndexSeek") || len(sres.Rows) != 150 {
+		t.Errorf("small table: %d rows (want 150) from %s, want an index seek", len(sres.Rows), sres.Plan)
 	}
 	// When the query needs a column outside the index and selectivity is low,
 	// the planner should fall back to scanning.
@@ -419,15 +421,26 @@ func TestStatsAndColdRuns(t *testing.T) {
 	if seek.Stats.IO.PageReads*3 >= cold.Stats.IO.PageReads {
 		t.Errorf("selective seek read %d pages, full scan %d", seek.Stats.IO.PageReads, cold.Stats.IO.PageReads)
 	}
-	// On the 11-page lineitem the same statement scans, and reads exactly
-	// what the full scan reads: one random read, then the leaf chain.
+	// On the 11-page lineitem the same statement seeks too, from the leaf
+	// the bulk-loaded tree's model predicts: one random read, where the full
+	// scan reads one and then the leaf chain, and at most the model's window
+	// of sequential leaves.
 	small := newWorkloadEngine(t)
 	small.ResetBufferPool()
 	full := mustExec(t, small, "SELECT COUNT(*) FROM lineitem")
 	small.ResetBufferPool()
 	sel := mustExec(t, small, "SELECT COUNT(*) FROM lineitem WHERE l_shipdate = DATE '1995-06-06'")
-	if !strings.Contains(sel.Plan, "SeqScan") || sel.Stats.IO != full.Stats.IO || sel.Stats.IO.RandReads != 1 {
-		t.Errorf("small table: %s read %+v, full scan %+v", sel.Plan, sel.Stats.IO, full.Stats.IO)
+	tbl, err := small.Catalog().Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := tbl.Clustered.Tree().Model()
+	if model == nil {
+		t.Fatal("the bulk-loaded lineitem has no leaf model")
+	}
+	window := int64(model.Window)
+	if io := sel.Stats.IO; !strings.Contains(sel.Plan, "ClusteredSeek") || io.RandReads != 1 || io.SeqReads > window || io.PageReads >= full.Stats.IO.PageReads {
+		t.Errorf("small table: %s read %+v, full scan %+v, window %d", sel.Plan, io, full.Stats.IO, window)
 	}
 	if e.TotalDataPages() == 0 {
 		t.Error("TotalDataPages should be positive")

@@ -521,7 +521,8 @@ type IndexNestedLoopJoin struct {
 	runEnds        []int
 
 	// EXPLAIN ANALYZE counters (TraceAttrs), reset by Open.
-	outerRows, seeks, descents, innerRows int64
+	outerRows, innerRows int64
+	counts               seekCounts
 }
 
 // boundScan is a leaf access path that moves from key range to key range:
@@ -530,9 +531,9 @@ type boundScan interface {
 	Operator
 	// Reseek binds the scan to [lo, hi] and opens it there, from where its
 	// last range stopped when it is open (catalog.Cursor.Reseek); it reports
-	// whether positioning descended from the root. Close makes the next
-	// Reseek begin afresh.
-	Reseek(lo, hi []value.Value) (descended bool, err error)
+	// how positioning read the tree. Close makes the next Reseek begin
+	// afresh.
+	Reseek(lo, hi []value.Value) (catalog.SeekStart, error)
 }
 
 // NewIndexNestedLoopJoin builds an index-nested-loop (band) join.
@@ -588,7 +589,7 @@ func (j *IndexNestedLoopJoin) Open() error {
 	j.inner.Close() // the first range descends: the tree may have changed since the last execution
 	j.outerRow, j.pulled, j.innerOpen, j.ctx = nil, 0, false, nil
 	j.outer, j.probes, j.gFrom, j.gTo = nil, j.probes[:0], 0, 0
-	j.outerRows, j.seeks, j.descents, j.innerRows = 0, 0, 0, 0
+	j.outerRows, j.innerRows, j.counts = 0, 0, seekCounts{}
 	return j.Outer.Open()
 }
 
@@ -600,12 +601,12 @@ func (j *IndexNestedLoopJoin) Child(i int) *Operator { return slot(i, &j.Outer) 
 func (j *IndexNestedLoopJoin) SetContext(ctx context.Context) { j.ctx = ctx }
 
 // TraceAttrs implements SpanAnnotator: outer rows joined, inner range seeks,
-// the seeks among them positioned by a descent from the root, and inner rows
-// read, before the residual.
+// the seeks among them positioned by a descent from the root and those from
+// the leaf the inner tree's model predicts, the leaves those walked past
+// (seekCounts), and inner rows read, before the residual.
 func (j *IndexNestedLoopJoin) TraceAttrs(sp *trace.Span) {
 	sp.SetAttr("outer_rows", j.outerRows)
-	sp.SetAttr("seeks", j.seeks)
-	sp.SetAttr("descents", j.descents)
+	j.counts.attrs(sp)
 	sp.SetAttr("inner_rows", j.innerRows)
 }
 
@@ -651,15 +652,12 @@ func (j *IndexNestedLoopJoin) seek(lo, hi []value.Value) error {
 	if j.Inner.Band != nil && (!j.ofKeyKind(lo) || !j.ofKeyKind(hi)) {
 		j.residual = j.checked
 	}
-	descended, err := j.inner.Reseek(lo, hi)
+	st, err := j.inner.Reseek(lo, hi)
 	if err != nil {
 		return err
 	}
 	j.innerOpen = true
-	j.seeks++
-	if descended {
-		j.descents++
-	}
+	j.counts.add(st)
 	return nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"oldelephant/internal/catalog"
+	"oldelephant/internal/trace"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
 )
@@ -102,6 +103,7 @@ type TableScan struct {
 	cur    *catalog.Cursor
 	schema []ColumnInfo
 	fill   *colFiller
+	counts seekCounts // how the last Open positioned the range
 }
 
 // NewSeqScan builds a full scan of the table producing cols (nil = all).
@@ -138,24 +140,48 @@ func (s *TableScan) TraceName() string {
 }
 
 // Reseek implements boundScan.
-func (s *TableScan) Reseek(lo, hi []value.Value) (bool, error) {
+func (s *TableScan) Reseek(lo, hi []value.Value) (catalog.SeekStart, error) {
 	s.Lo, s.Hi = lo, hi
 	rng, err := s.Table.Range(lo, hi, s.LoIncl, s.HiIncl)
 	if err != nil {
-		return false, err
+		return catalog.SeekStart{}, err
 	}
 	return reseek(&s.cur, &rng), nil
 }
 
 // reseek moves *cur to rng — from where its last range stopped, when it is
-// open (catalog.Cursor.Reseek) — and reports whether it descended.
-func reseek(cur **catalog.Cursor, rng *catalog.Range) bool {
+// open (catalog.Cursor.Reseek) — and reports how it was positioned.
+func reseek(cur **catalog.Cursor, rng *catalog.Range) catalog.SeekStart {
 	if *cur == nil {
 		*cur = rng.Open()
 	} else {
 		(*cur).Reseek(rng)
 	}
-	return (*cur).Descended()
+	return (*cur).Start()
+}
+
+// seekCounts are a bound access path's EXPLAIN ANALYZE counters: the ranges
+// it positioned, those among them positioned by a descent from the root and
+// those from the leaf the tree's model predicts, and the leaves the predicted
+// starts walked past.
+type seekCounts struct{ seeks, descents, predicted, hops int64 }
+
+func (c *seekCounts) add(st catalog.SeekStart) {
+	c.seeks++
+	if st.Descended {
+		c.descents++
+	}
+	if st.Predicted {
+		c.predicted++
+	}
+	c.hops += int64(st.Hops)
+}
+
+func (c *seekCounts) attrs(sp *trace.Span) {
+	sp.SetAttr("seeks", c.seeks)
+	sp.SetAttr("descents", c.descents)
+	sp.SetAttr("predicted", c.predicted)
+	sp.SetAttr("hops", c.hops)
 }
 
 // Schema implements Operator.
@@ -173,7 +199,17 @@ func (s *TableScan) Open() error {
 		rng = &whole
 	}
 	s.cur = rng.Open()
+	s.counts = seekCounts{}
+	s.counts.add(s.cur.Start())
 	return nil
+}
+
+// TraceAttrs implements SpanAnnotator: a clustered seek reports how it was
+// positioned, as a band join's inner seeks do (IndexNestedLoopJoin).
+func (s *TableScan) TraceAttrs(sp *trace.Span) {
+	if s.Bounded() {
+		s.counts.attrs(sp)
+	}
 }
 
 // Next implements Operator: the row-at-a-time reference path, a full decode
@@ -276,6 +312,7 @@ type IndexSeek struct {
 	keys [2][]byte      // see TableScan.keys
 
 	cur    *catalog.Cursor
+	counts seekCounts // see TableScan.counts
 	schema []ColumnInfo
 	// A covered seek decodes Cols[i] from the entry's logical column
 	// entryPos[i] through fill.
@@ -315,7 +352,7 @@ func (s *IndexSeek) TraceName() string {
 }
 
 // Reseek implements boundScan.
-func (s *IndexSeek) Reseek(lo, hi []value.Value) (bool, error) {
+func (s *IndexSeek) Reseek(lo, hi []value.Value) (catalog.SeekStart, error) {
 	s.Lo, s.Hi = lo, hi
 	rng := s.Index.Range(lo, hi, s.LoIncl, s.HiIncl)
 	return reseek(&s.cur, &rng), nil
@@ -332,8 +369,13 @@ func (s *IndexSeek) Open() error {
 		rng = &whole
 	}
 	s.cur = rng.Open()
+	s.counts = seekCounts{}
+	s.counts.add(s.cur.Start())
 	return nil
 }
+
+// TraceAttrs implements SpanAnnotator (see TableScan.TraceAttrs).
+func (s *IndexSeek) TraceAttrs(sp *trace.Span) { s.counts.attrs(sp) }
 
 // Next implements Operator: one decoded entry, projected (covered), or the
 // base row its locator names.

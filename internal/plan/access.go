@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"oldelephant/internal/btree"
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/exec"
 	"oldelephant/internal/expr"
@@ -169,15 +170,18 @@ type PageEstimate struct {
 // with a random read worth storage.RandomReadCost of them.
 func (e PageEstimate) Cost() float64 { return e.Seq + storage.RandomReadCost*e.Rand }
 
-// treeRead prices a key-order read of leaves pages of one tree. A read
-// with an open start begins at the tree's stored leftmost leaf: one random
-// read. A bounded start descends from the root: height
+// treeRead prices a key-order read of leaves pages of tree. A read with an
+// open start begins at the tree's stored leftmost leaf: one random read. A
+// bounded start is priced by the tree (btree.BTree.StartReads): on a tree
+// with a leaf model, one random read of the predicted leaf and the mean leaves
+// walked from it in sequence; on any other, a descent from the root, height
 // random reads, the last of them the first leaf. The remaining leaves follow
 // the leaf chain sequentially.
-func treeRead(boundedStart bool, height int, leaves float64) PageEstimate {
+func treeRead(tree *btree.BTree, boundedStart bool, leaves float64) PageEstimate {
 	e := PageEstimate{Seq: max(leaves, 1) - 1, Rand: 1}
 	if boundedStart {
-		e.Rand = float64(height)
+		rand, hops := tree.StartReads()
+		e.Rand, e.Seq = rand, e.Seq+hops
 	}
 	return e
 }
@@ -192,7 +196,9 @@ func treeRead(boundedStart bool, height int, leaves float64) PageEstimate {
 // random read per estimated row to fetch it from the table, at most one per
 // table leaf. So a small table is scanned even under a selective predicate: a
 // descent of two or three random reads costs more than streaming a few dozen
-// leaves after the one random read that reaches the first.
+// leaves after the one random read that reaches the first. On a bulk-loaded
+// tree whose leaf model predicts the first leaf, a seek costs about that
+// one random read too, and wins from a few leaves up.
 func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pushed []sql.Expr) (*plannedSource, error) {
 	if len(needed) == 0 {
 		// A table no column of which is referenced still contributes its
@@ -238,7 +244,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 	consider(candidate{
 		op:       scan,
 		encode:   &scan.EncodeCols,
-		est:      treeRead(false, 0, dataPages),
+		est:      treeRead(t.Clustered.Tree(), false, dataPages),
 		ordering: scanOrdering,
 		desc:     fmt.Sprintf("SeqScan(%s)", t.Name),
 	})
@@ -255,7 +261,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 				consider(candidate{
 					op:       seek,
 					encode:   &seek.EncodeCols,
-					est:      treeRead(r.hasLo, t.Clustered.Tree().Height(), dataPages*sel),
+					est:      treeRead(t.Clustered.Tree(), r.hasLo, dataPages*sel),
 					ordering: t.Clustered.KeyColumns,
 					desc: fmt.Sprintf("ClusteredSeek(%s on %s)",
 						t.Name, t.Columns[lead].Name),
@@ -279,7 +285,7 @@ func (p *Planner) planBaseTable(t *catalog.Table, alias string, needed []int, pu
 		if err != nil {
 			continue
 		}
-		est := treeRead(r.hasLo, idx.Tree().Height(), estimateIndexPages(idx)*sel)
+		est := treeRead(idx.Tree(), r.hasLo, estimateIndexPages(idx)*sel)
 		desc := fmt.Sprintf("IndexSeek(%s.%s covering)", t.Name, idx.Name)
 		if !seek.Covered() {
 			// Each qualifying row is fetched from the table.

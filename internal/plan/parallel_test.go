@@ -283,13 +283,19 @@ func TestParallelizeSeeks(t *testing.T) {
 	if _, rewrote := Parallelize(pl.Root, 4); rewrote {
 		t.Error("selective equality seek was parallelized")
 	}
-	// On big the same shapes scan.
-	for _, q := range []string{
-		"SELECT grp, COUNT(*) FROM big WHERE id = 123 GROUP BY grp",
-		"SELECT grp, COUNT(*) FROM big WHERE amount > 750.0 GROUP BY grp",
+	// On big the same shapes seek too, since the bulk-loaded trees' leaf
+	// models price a start at one random read, and stay serial: their
+	// ranges are below the threshold.
+	for _, q := range []struct{ sql, path string }{
+		{"SELECT grp, COUNT(*) FROM big WHERE id = 123 GROUP BY grp", "ClusteredSeek"},
+		{"SELECT grp, COUNT(*) FROM big WHERE amount > 750.0 GROUP BY grp", "IndexSeek"},
 	} {
-		if pl := planFor(t, c, q); !strings.Contains(pl.Explain, "SeqScan") {
-			t.Errorf("%s: expected a scan of the 64-page table: %s", q, pl.Explain)
+		pl := planFor(t, c, q.sql)
+		if !strings.Contains(pl.Explain, q.path) {
+			t.Errorf("%s: expected a %s of the 64-page table: %s", q.sql, q.path, pl.Explain)
+		}
+		if _, rewrote := Parallelize(pl.Root, 4); rewrote {
+			t.Errorf("%s: a seek below the threshold was parallelized", q.sql)
 		}
 	}
 }

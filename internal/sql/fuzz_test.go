@@ -71,8 +71,9 @@ var parseSeeds = []string{
 	`SELECT "x FROM t`,
 	`SELECT a AS "" FROM t`,
 	`SELECT COUNT(*) AS "say ""hi""", "select"."from" FROM "select" ORDER BY "say ""hi"""`,
-	// A hint word that is no valid UTF-8.
+	// A hint word and a function name that are no valid UTF-8.
 	"SELECT 0 OPTION(\xe7)",
+	"SELECT \xe7(1) FROM t",
 }
 
 func FuzzParse(f *testing.F) {

@@ -618,7 +618,7 @@ func (p *Parser) parsePrimary() (Expr, error) {
 		name := t.Text
 		// Function call.
 		if p.accept(TokOperator, "(") {
-			fc := &FuncCall{Name: strings.ToUpper(name)}
+			fc := &FuncCall{Name: upperASCII(name)}
 			if p.accept(TokOperator, "*") {
 				fc.Star = true
 			} else if !(p.peek().Kind == TokOperator && p.peek().Text == ")") {

@@ -379,8 +379,9 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		`SELECT T1.v AS l_suppkey, SUM(T1.c) AS "COUNT(*)" FROM d1_l_suppkey T1 GROUP BY T1.v ORDER BY "COUNT(*)" DESC`,
 		`SELECT "select" AS "from", a AS "say ""hi""" FROM "my table" "t 1" WHERE "t 1"."select" > 0`,
 		`SELECT "plain" AS "Mixed_Case" FROM t`,
-		// A hint word that is no valid UTF-8 keeps its bytes.
+		// A hint word or a function name that is no valid UTF-8 keeps its bytes.
 		"SELECT 0 OPTION(\xe7)",
+		"SELECT \xe7(1) FROM t",
 	}
 	for _, q := range queries {
 		stmt, err := Parse(q)
@@ -396,6 +397,36 @@ func TestStatementStringRoundTrip(t *testing.T) {
 		if stmt2.String() != rendered {
 			t.Errorf("round trip not stable:\n  first:  %s\n  second: %s", rendered, stmt2.String())
 		}
+	}
+}
+
+// TestFunctionNameKeepsItsBytes: a function name is upper-cased in its ASCII
+// letters only, so a name that is no valid UTF-8 names the same function
+// before and after a round trip through String, rather than U+FFFD.
+func TestFunctionNameKeepsItsBytes(t *testing.T) {
+	name := func(q string) string {
+		t.Helper()
+		stmt, err := ParseSelect(q)
+		if err != nil {
+			t.Fatalf("%q: %v", q, err)
+		}
+		fc, ok := stmt.Select[0].Expr.(*FuncCall)
+		if !ok {
+			t.Fatalf("%q: first item is %T, want a function call", q, stmt.Select[0].Expr)
+		}
+		return fc.Name
+	}
+	const q = "SELECT \xe7(1) FROM t"
+	stmt, err := ParseSelect(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rendered := stmt.String()
+	if got, again := name(q), name(rendered); got != "\xe7" || again != got {
+		t.Errorf("%q names function %q, its rendering %q names %q; want %q both times", q, got, rendered, again, "\xe7")
+	}
+	if got := name("SELECT coUnt(*) FROM t"); got != "COUNT" {
+		t.Errorf("coUnt names %q, want COUNT", got)
 	}
 }
 

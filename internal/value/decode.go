@@ -148,6 +148,25 @@ func DecodeKeyValue(src []byte, kind Kind) (Value, int, error) {
 	}
 }
 
+// KeyNumber returns the number held by the stored key value at the head of
+// src under kind: an INT, DATE or BOOL as its integer, a FLOAT as itself. It
+// reports false for a NULL, a NaN, a string and bytes that do not decode.
+// Over keys of one kind it never decreases as bytes.Compare increases, which
+// is what a B+-tree's leaf model asks of it (btree.KeyNumber).
+func KeyNumber(src []byte, kind Kind) (float64, bool) {
+	if kind != KindInt && kind != KindDate && kind != KindBool && kind != KindFloat {
+		return 0, false
+	}
+	v, _, err := DecodeKeyValue(src, kind)
+	switch {
+	case err != nil || v.IsNull():
+		return 0, false
+	case kind == KindFloat:
+		return v.F, !math.IsNaN(v.F)
+	}
+	return float64(v.I), true
+}
+
 // intKeyLen parses the class byte of a non-NULL integer-family key value: the
 // encoded length (class byte included), checked against len(src), and whether
 // the value is negative.
