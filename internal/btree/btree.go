@@ -305,20 +305,21 @@ type nodeSize struct {
 	varyKey, varyVal bool
 }
 
-func (s *nodeSize) add(e entry, overhead int) {
+// add adds an entry of a key and a payload of the given lengths.
+func (s *nodeSize) add(keyLen, valLen, overhead int) {
 	if s.n == 0 {
-		s.key, s.val = len(e.key), len(e.val)
+		s.key, s.val = keyLen, valLen
 	}
-	s.varyKey = s.varyKey || len(e.key) != s.key
-	s.varyVal = s.varyVal || len(e.val) != s.val
+	s.varyKey = s.varyKey || keyLen != s.key
+	s.varyVal = s.varyVal || valLen != s.val
 	s.n++
-	s.bytes += len(e.key) + len(e.val) + slotSize + overhead
-	s.klens += uvarintLen(len(e.key))
+	s.bytes += keyLen + valLen + slotSize + overhead
+	s.klens += uvarintLen(keyLen)
 }
 
-// with is the footprint with e added.
-func (s nodeSize) with(e entry, overhead int) nodeSize {
-	s.add(e, overhead)
+// with is the footprint with such an entry added.
+func (s nodeSize) with(keyLen, valLen, overhead int) nodeSize {
+	s.add(keyLen, valLen, overhead)
 	return s
 }
 
@@ -353,17 +354,28 @@ func uvarintLen(x int) int {
 // and the link word. Entries that do not fit the page are an error, and the
 // page is then left as it was: a node is never written in part.
 func writeNode(pg *storage.Page, isLeaf bool, entries []entry, link uint64) error {
+	// Lay the page out in a scratch image first: the entries frequently alias
+	// the very page being rewritten (they come from node.entries).
+	var img [storage.PageSize]byte
+	if err := layNode(img[:], isLeaf, entries); err != nil {
+		return err
+	}
+	copy(pg.Data(), img[:])
+	pg.SetAux(link)
+	return nil
+}
+
+// layNode lays a node holding entries out in img, a zeroed page image,
+// leaving its link word zero.
+func layNode(img []byte, isLeaf bool, entries []entry) error {
 	var size nodeSize
 	for _, e := range entries {
-		size.add(e, 0)
+		size.add(len(e.key), len(e.val), 0)
 	}
 	if headerSize+size.total() > storage.PageSize {
 		return fmt.Errorf("btree: %d entries of %d bytes overflow a page", len(entries), size.total())
 	}
 	geo, width := size.geometry()
-	// Lay the page out in a scratch image first: the entries frequently alias
-	// the very page being rewritten (they come from node.entries).
-	var img [storage.PageSize]byte
 	off := storage.PageSize - (size.total() - slotSize*len(entries))
 	for i, e := range entries {
 		binary.LittleEndian.PutUint16(img[headerSize+slotSize*i:], uint16(off))
@@ -380,8 +392,6 @@ func writeNode(pg *storage.Page, isLeaf bool, entries []entry, link uint64) erro
 	}
 	img[3] = geo
 	binary.LittleEndian.PutUint16(img[4:], uint16(width))
-	copy(pg.Data(), img[:])
-	pg.SetAux(link)
 	return nil
 }
 
@@ -397,7 +407,7 @@ const MaxEntry = usableBytes / 4
 func (t *BTree) size(entries []entry, isLeaf bool) nodeSize {
 	var s nodeSize
 	for _, e := range entries {
-		s.add(e, leafOverhead(isLeaf))
+		s.add(len(e.key), len(e.val), leafOverhead(isLeaf))
 	}
 	return s
 }
@@ -429,8 +439,8 @@ func (t *BTree) splitAt(entries []entry, isLeaf bool) (int, error) {
 		last-- // and an internal node's at least one beside the one moving up
 	}
 	mid, left := 1, t.size(entries[:1], isLeaf)
-	for mid < last && 2*left.with(entries[mid], ovh).total() <= total {
-		left.add(entries[mid], ovh)
+	for mid < last && 2*left.with(len(entries[mid].key), len(entries[mid].val), ovh).total() <= total {
+		left.add(len(entries[mid].key), len(entries[mid].val), ovh)
 		mid++
 	}
 	right := entries[mid:]
@@ -960,122 +970,4 @@ func (t *BTree) AllPages() ([]storage.PageID, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-// BulkLoad builds the tree from entries that are already sorted by key,
-// replacing the current contents. It packs leaves to fillFactor (0 < f <= 1)
-// and builds the internal levels bottom-up; this is the fast path used by
-// table loading and c-table construction. From the leaves' page ids and first
-// keys it fits the leaf model (fitModel), kept when the tree has a key number
-// and the fit qualifies. It returns an error if the input is not sorted.
-func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
-	if fillFactor <= 0 || fillFactor > 1 {
-		fillFactor = 1.0
-	}
-	target := int(float64(usableBytes) * fillFactor)
-	var (
-		leafIDs   []storage.PageID
-		firstKeys [][]byte
-		cur       []entry
-		curSize   nodeSize
-		arena     []byte // the current leaf's keys and payloads, end to end
-		last      []byte // the previous key, in the arena until the next copy
-		n         int64
-	)
-	flushLeaf := func() error {
-		pg, err := t.pager.Allocate()
-		if err != nil {
-			return err
-		}
-		if err := writeNode(pg, true, cur, 0); err != nil {
-			return err
-		}
-		if len(leafIDs) > 0 {
-			prev, err := t.pager.Get(leafIDs[len(leafIDs)-1])
-			if err != nil {
-				return err
-			}
-			t.pager.BeforeWrite(prev)
-			prev.SetAux(uint64(pg.ID()))
-		}
-		leafIDs = append(leafIDs, pg.ID())
-		if len(cur) > 0 {
-			firstKeys = append(firstKeys, append([]byte(nil), cur[0].key...))
-		} else {
-			firstKeys = append(firstKeys, nil)
-		}
-		// The leaf is written: its entries, and the arena under them, are free.
-		cur, curSize, arena = cur[:0], nodeSize{}, arena[:0]
-		return nil
-	}
-	for {
-		key, val, ok := next()
-		if !ok {
-			break
-		}
-		if n > 0 && bytes.Compare(key, last) < 0 {
-			return fmt.Errorf("btree: bulk load input not sorted")
-		}
-		e := entry{key: key, val: val}
-		if len(cur) > 0 && curSize.with(e, storage.TupleOverhead).total() > target {
-			if err := flushLeaf(); err != nil {
-				return err
-			}
-		}
-		// The caller may reuse key and val: copy both into the leaf's arena.
-		// An entry made before the arena grew keeps the old array alive.
-		at := len(arena)
-		arena = append(append(arena, key...), val...)
-		e = entry{key: arena[at : at+len(key) : at+len(key)], val: arena[at+len(key) : len(arena) : len(arena)]}
-		cur, last = append(cur, e), e.key
-		curSize.add(e, storage.TupleOverhead)
-		n++
-	}
-	if err := flushLeaf(); err != nil {
-		return err
-	}
-	t.count, t.first, t.fence = n, leafIDs[0], nil
-	if len(firstKeys) > 1 {
-		t.fence = firstKeys[1]
-	}
-	t.model = fitModel(t.num, leafIDs, firstKeys)
-	// Build internal levels.
-	level := leafIDs
-	keys := firstKeys
-	t.height = 1
-	for len(level) > 1 {
-		var nextLevel []storage.PageID
-		var nextKeys [][]byte
-		i := 0
-		for i < len(level) {
-			// Each internal node gets as many children as fit.
-			leftmost := level[i]
-			nodeFirstKey := keys[i]
-			i++
-			var ents []entry
-			var size nodeSize
-			for ; i < len(level); i++ {
-				e := entry{key: keys[i], val: childPayload(level[i])}
-				if len(ents) > 0 && size.with(e, 0).total() > target {
-					break
-				}
-				ents = append(ents, e)
-				size.add(e, 0)
-			}
-			pg, err := t.pager.Allocate()
-			if err != nil {
-				return err
-			}
-			if err := writeNode(pg, false, ents, uint64(leftmost)); err != nil {
-				return err
-			}
-			nextLevel = append(nextLevel, pg.ID())
-			nextKeys = append(nextKeys, nodeFirstKey)
-		}
-		level = nextLevel
-		keys = nextKeys
-		t.height++
-	}
-	t.root = level[0]
-	return nil
 }

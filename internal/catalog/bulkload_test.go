@@ -3,6 +3,7 @@ package catalog
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"slices"
 	"strings"
@@ -275,5 +276,66 @@ func BenchmarkTableBulkLoad(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestPreparedLoadWritesLikeBulkLoad: a load worked out before its table
+// exists (Catalog.PrepareLoad), then written into the table CreateTable makes,
+// leaves the pages, anchors and statistics a BulkLoad of the same rows into
+// the same table leaves. It is written once: again, or into a table of
+// another schema, it is refused and the table is untouched.
+func TestPreparedLoadWritesLikeBulkLoad(t *testing.T) {
+	cols := []Column{{Name: "f", Kind: value.KindInt}, {Name: "v", Kind: value.KindDate}}
+	var rows [][]value.Value
+	for i := 0; i < 5000; i++ {
+		rows = append(rows, []value.Value{value.NewInt(int64(i + 1)), value.NewDate(int64(9000 + i%37))})
+	}
+	ix := IndexDef{Name: "ix_v", Columns: []string{"v"}, Include: []string{"f"}}
+	layout := func(c *Catalog, tb *Table) string {
+		var b strings.Builder
+		for id := storage.PageID(1); int(id) <= c.Pager().NumPages(); id++ {
+			data, err := c.Pager().PageData(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&b, "%x ", crc32.ChecksumIEEE(data))
+		}
+		lo, hi := tb.Stats.MinMax(1)
+		fmt.Fprintf(&b, "%+v %+v %d %d %v %v", tb.Clustered.Tree().Anchors().Count, tb.Secondary[0].Tree().Anchors().Height,
+			tb.Stats.DataBytes, tb.Stats.DistinctCount(1), lo, hi)
+		return b.String()
+	}
+	direct := newTestCatalog()
+	tb, err := direct.CreateTable("t", cols, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.BulkLoad(rows, ix); err != nil {
+		t.Fatal(err)
+	}
+	prepared := newTestCatalog()
+	l, err := prepared.PrepareLoad("t", cols, []string{"f"}, nil, rows, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := newTestCatalog().CreateTable("t", []Column{{Name: "f", Kind: value.KindInt}}, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.WriteLoad(l); err == nil || other.RowCount() != 0 {
+		t.Fatalf("a load for another schema was written: error %v, %d rows", err, other.RowCount())
+	}
+	pt, err := prepared.CreateTable("t", cols, []string{"f"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pt.WriteLoad(l); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := layout(prepared, pt), layout(direct, tb); got != want {
+		t.Fatalf("prepared load wrote\n %s\nbulk load wrote\n %s", got, want)
+	}
+	if err := pt.WriteLoad(l); err == nil {
+		t.Fatal("a load was written twice")
 	}
 }

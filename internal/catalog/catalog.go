@@ -9,9 +9,9 @@ package catalog
 
 import (
 	"bytes"
-	"cmp"
 	"encoding/binary"
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -35,12 +35,21 @@ type Catalog struct {
 	mu     sync.RWMutex
 	pager  *storage.Pager
 	tables map[string]*Table
+	// workers is how many goroutines a bulk load or an index build encodes
+	// and folds on (see SetWorkers).
+	workers int
 }
 
-// New creates an empty catalog over the pager.
+// New creates an empty catalog over the pager. Its bulk loads use
+// GOMAXPROCS workers until SetWorkers says otherwise.
 func New(pager *storage.Pager) *Catalog {
-	return &Catalog{pager: pager, tables: make(map[string]*Table)}
+	return &Catalog{pager: pager, tables: make(map[string]*Table), workers: runtime.GOMAXPROCS(0)}
 }
+
+// SetWorkers sets how many goroutines a bulk load or an index build encodes
+// and folds on: the engine's parallelism. The pages written do not depend on
+// it. Call it before the catalog is shared.
+func (c *Catalog) SetWorkers(n int) { c.workers = max(1, n) }
 
 // Pager returns the pager shared by all tables in the catalog.
 func (c *Catalog) Pager() *storage.Pager { return c.pager }
@@ -56,6 +65,23 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 	if _, ok := c.tables[key]; ok {
 		return nil, fmt.Errorf("catalog: table %q already exists", name)
 	}
+	t, err := c.newTable(name, cols, clusteredKey)
+	if err != nil {
+		return nil, err
+	}
+	tree, err := btree.New(c.pager)
+	if err != nil {
+		return nil, err
+	}
+	t.Clustered.tree = tree
+	tree.SetKeyNumber(t.Clustered.keyNumber())
+	c.tables[key] = t
+	return t, nil
+}
+
+// newTable checks a table's schema and returns the table it describes, with
+// its layouts but no storage and in no catalog's list.
+func (c *Catalog) newTable(name string, cols []Column, clusteredKey []string) (*Table, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("catalog: table %q must have at least one column", name)
 	}
@@ -77,20 +103,8 @@ func (c *Catalog) CreateTable(name string, cols []Column, clusteredKey []string)
 	if err != nil {
 		return nil, err
 	}
-	tree, err := btree.New(c.pager)
-	if err != nil {
-		return nil, err
-	}
-	t.Clustered = &Index{
-		Name:       name + "_clustered",
-		Table:      t,
-		KeyColumns: ords,
-		Clustered:  true,
-		tree:       tree,
-	}
-	tree.SetKeyNumber(t.Clustered.keyNumber())
+	t.Clustered = &Index{Name: name + "_clustered", Table: t, KeyColumns: ords, Clustered: true}
 	t.initLayouts()
-	c.tables[key] = t
 	return t, nil
 }
 
@@ -484,174 +498,6 @@ func (t *Table) Insert(row []value.Value) error {
 	}
 	t.Stats.observe(row)
 	return nil
-}
-
-// IndexDef names a secondary index for Table.BulkLoad to create once the rows
-// are stored: the same index CreateIndex makes, built from the rows in hand.
-type IndexDef struct {
-	Name             string
-	Columns, Include []string
-	Unique           bool
-}
-
-// BulkLoad loads many rows into an empty table at once, then creates the
-// indexes defs names. The rows are put in clustered-key order — sorted only
-// if they do not arrive in it, rows sharing a key in input order, as repeated
-// Inserts would keep them, so a keyless table's rows are never sorted — and
-// bulk-loaded bottom-up,
-// which is dramatically faster than repeated inserts. Every secondary index,
-// existing or new, is built the same way from the stored rows in hand; the
-// table is never read back. The statistics are folded beside the build into
-// a fresh set that replaces the table's once every tree is built. No row is
-// stored unless every row is acceptable, and a table that already holds rows
-// is refused untouched: a bulk load replaces a tree's root, so it would
-// orphan the rows already there.
-func (t *Table) BulkLoad(rows [][]value.Value, defs ...IndexDef) error {
-	return t.BulkLoadWith(nil, rows, defs...)
-}
-
-// BulkLoadWith is BulkLoad with convert applied first to every non-NULL value
-// that is not of its column's kind, in the one pass that validates and
-// coerces each row (see storedRow). The caller's rows are never modified.
-func (t *Table) BulkLoadWith(convert func(value.Value, value.Kind) value.Value, rows [][]value.Value, defs ...IndexDef) error {
-	if n := t.RowCount(); n > 0 {
-		return fmt.Errorf("catalog: bulk load into table %q, which already holds %d rows", t.Name, n)
-	}
-	added := make([]*Index, 0, len(defs))
-	for _, def := range defs {
-		ix, err := t.indexFor(def, added)
-		if err != nil {
-			return err
-		}
-		added = append(added, ix)
-	}
-	// One walk over each row stores it and encodes its clustered key.
-	keys := keysort.New(len(rows), 9*len(t.Clustered.KeyColumns))
-	stored := make([][]value.Value, len(rows))
-	for i, row := range rows {
-		row, err := t.storedRow(row, convert)
-		if err != nil {
-			return err
-		}
-		stored[i] = row
-		for _, ord := range t.Clustered.KeyColumns {
-			keys.Buf = value.AppendStoredKeyValue(keys.Buf, row[ord])
-		}
-		keys.End()
-	}
-	stats := NewTableStats(t.Columns)
-	var folded sync.WaitGroup
-	folded.Add(1)
-	go func() {
-		defer folded.Done()
-		stats.fold(stored)
-	}()
-	keyOrder, err := t.loadClustered(stored, keys, slices.Concat(t.Secondary, added))
-	folded.Wait()
-	if err != nil {
-		return err
-	}
-	if keyOrder != nil {
-		stats.rebound(keyOrder) // observe would have seen them in key order
-	}
-	stats.settle()
-	t.Stats = stats
-	if len(added) > 0 {
-		t.Secondary = append(t.Secondary, added...)
-		t.initLayouts() // the new key columns join the coerced set
-	}
-	return nil
-}
-
-// tooLarge refuses a row whose record, or tree entry, holds n bytes.
-func (t *Table) tooLarge(n int) error {
-	return fmt.Errorf("catalog: table %q: a row of %d bytes does not fit in a page", t.Name, n)
-}
-
-// payloads encodes the payload record of every row, in order, into one arena.
-func (t *Table) payloads(rows [][]value.Value) *keysort.Keys {
-	recs := keysort.New(len(rows), 0) // a byte-string list, never sorted
-	var scratch []value.Value
-	for i, row := range rows {
-		recs.Buf = t.layout.encodePayload(recs.Buf, row, &scratch)
-		recs.End()
-		if i == 0 { // size the arena after the first record, with a quarter to spare
-			recs.Grow(len(rows)-1, len(recs.Buf)+len(recs.Buf)/4)
-		}
-	}
-	return recs
-}
-
-// loadClustered bulk-loads the clustered tree of an empty table with stored
-// rows, whose bare clustered keys are keys, then fills indexes from the rows
-// in hand. Whatever can refuse the load — an entry too large for a page, a
-// duplicate in a unique index — is found before the first page is allocated:
-// every payload is encoded, and every index's entries worked out on other
-// goroutines, before the tree is built. It returns the rows in key order
-// when that is not their input order, and nil when it is.
-func (t *Table) loadClustered(stored [][]value.Value, keys *keysort.Keys, indexes []*Index) ([][]value.Value, error) {
-	order := keys.Order()
-	rows := make([][]value.Value, len(order))
-	locs := make([][]byte, len(order))
-	reordered := false
-	for i, p := range order {
-		rows[i], locs[i] = stored[p], keys.Key(p)
-		reordered = reordered || p != i
-		if i > 0 {
-			// Sorted input makes the previous row the predecessor Insert would find.
-			var err error
-			if locs[i], err = t.uniquify(locs[i], locs[i-1], true); err != nil {
-				return nil, err
-			}
-		}
-	}
-	prepared := make([]*entries, len(indexes))
-	errs := make([]error, len(indexes))
-	var wg sync.WaitGroup
-	wg.Add(len(indexes))
-	for i, ix := range indexes {
-		go func() {
-			defer wg.Done()
-			prepared[i], errs[i] = ix.entries(rows, locs)
-		}()
-	}
-	payloads := t.payloads(rows)
-	var err error
-	for i := range rows {
-		if n := len(locs[i]) + len(payloads.Key(i)); n > btree.MaxEntry {
-			err = t.tooLarge(n)
-			break
-		}
-	}
-	wg.Wait()
-	for _, e := range errs {
-		err = cmp.Or(err, e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	err = t.Clustered.tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(rows) {
-			return nil, nil, false
-		}
-		i++
-		return locs[i-1], payloads.Key(i - 1), true
-	}, 0.95)
-	if err != nil {
-		return nil, err
-	}
-	// The indexes' trees are filled one after another, existing ones first,
-	// so their pages are allocated in the order CREATE INDEX would.
-	for i, ix := range indexes {
-		if err := ix.fill(prepared[i]); err != nil {
-			return nil, err
-		}
-	}
-	if !reordered {
-		return nil, nil
-	}
-	return rows, nil
 }
 
 // Range is the one access-path descriptor of the storage layer: a key-prefix
@@ -1048,11 +894,16 @@ func (c *Catalog) CreateIndex(name, tableName string, keyCols, includeCols []str
 	if err != nil {
 		return nil, err
 	}
-	rows, locs, err := t.scanStored()
+	rows, stored, err := t.scanStored()
 	if err != nil {
 		return nil, err
 	}
-	es, err := idx.entries(rows, locs)
+	locs := keysort.New(len(stored), 0)
+	for _, loc := range stored {
+		locs.Buf = append(locs.Buf, loc...)
+		locs.End()
+	}
+	es, err := idx.entries(rows, locs, c.workers)
 	if err != nil {
 		return nil, err
 	}
@@ -1196,77 +1047,4 @@ func (t *Table) scanStored() (rows [][]value.Value, locs [][]byte, err error) {
 		rows, locs = append(rows, row), append(locs, bytes.Clone(key[0]))
 	}
 	return rows, locs, cur.Err()
-}
-
-// entries is an index's bulk-load input: one entry per stored row, its key
-// and payload encoded once into two arenas, and the order to load them in.
-type entries struct {
-	keys, payloads *keysort.Keys
-	order          []int
-}
-
-// entries encodes the index's entries for stored rows, locs[i] being row i's
-// locator, and orders them — sorted only if they do not already arrive in
-// order, as they do when the key columns ascend with the clustered key (a
-// c-table's depth-0 v along f). Rows stored before the index existed already
-// hold every value in its declared kind where one exists (see
-// Table.storedRow); a key-column value that has none — which the table took
-// while the column was no key — is an error. It reads the rows and the index
-// definition only, so it may run beside other work on the table.
-func (ix *Index) entries(rows [][]value.Value, locs [][]byte) (*entries, error) {
-	t := ix.Table
-	width := 9 * len(ix.KeyColumns)
-	if len(locs) > 0 {
-		width += len(locs[0])
-	}
-	es := &entries{keys: keysort.New(len(rows), width), payloads: keysort.New(len(rows), 0)}
-	var scratch []value.Value
-	for i, row := range rows {
-		for _, ord := range ix.KeyColumns {
-			if _, _, err := value.CoerceKeyValue(row[ord], t.Columns[ord].Kind); err != nil {
-				return nil, fmt.Errorf("catalog: index %q on column %q: %w", ix.Name, t.Columns[ord].Name, err)
-			}
-			es.keys.Buf = value.AppendStoredKeyValue(es.keys.Buf, row[ord])
-		}
-		es.keys.Buf = append(es.keys.Buf, locs[i]...)
-		es.keys.End()
-		es.payloads.Buf = ix.layout.encodePayload(es.payloads.Buf, row, &scratch)
-		es.payloads.End() // a byte-string list, never sorted
-		if n := len(es.keys.Key(i)) + len(es.payloads.Key(i)); n > btree.MaxEntry {
-			return nil, fmt.Errorf("catalog: index %q: an entry of %d bytes does not fit in a page", ix.Name, n)
-		}
-	}
-	// Locators are unique, so the keys are too and any sort is stable.
-	es.order = es.keys.Order()
-	if ix.Unique && len(ix.KeyColumns) > 0 {
-		// Uniqueness is on the key columns: the encoded key minus its locator.
-		for i := 1; i < len(es.order); i++ {
-			a, b := es.keys.Key(es.order[i-1]), es.keys.Key(es.order[i])
-			if bytes.Equal(a[:len(a)-len(locs[es.order[i-1]])], b[:len(b)-len(locs[es.order[i]])]) {
-				return nil, fmt.Errorf("catalog: duplicate key in unique index %q", ix.Name)
-			}
-		}
-	}
-	return es, nil
-}
-
-// fill bulk-loads the empty index with its entries, first creating its tree
-// when a new index has none yet.
-func (ix *Index) fill(es *entries) error {
-	if ix.tree == nil {
-		var err error
-		if ix.tree, err = btree.New(ix.Table.catalog.pager); err != nil {
-			return err
-		}
-		ix.tree.SetKeyNumber(ix.keyNumber())
-	}
-	i := 0
-	return ix.tree.BulkLoad(func() ([]byte, []byte, bool) {
-		if i >= len(es.order) {
-			return nil, nil, false
-		}
-		p := es.order[i]
-		i++
-		return es.keys.Key(p), es.payloads.Key(p), true
-	}, 0.95)
 }

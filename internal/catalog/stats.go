@@ -3,9 +3,6 @@ package catalog
 import (
 	"math"
 	"math/bits"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"oldelephant/internal/storage"
 	"oldelephant/internal/value"
@@ -88,9 +85,13 @@ func (d *distinctSketch) add(h uint64) {
 		d.addReg(h)
 		return
 	}
-	if !d.insert(h) || d.n <= sketchExactMax {
-		return
+	if d.insert(h) && d.n > sketchExactMax {
+		d.toRegs()
 	}
+}
+
+// toRegs moves the set's hashes into registers, which count from then on.
+func (d *distinctSketch) toRegs() {
 	d.regs = make([]uint8, 1<<sketchBits)
 	for _, h := range d.exact {
 		if h != 0 {
@@ -145,6 +146,30 @@ func setInsert(set []uint64, h uint64) bool {
 		case h:
 			return false
 		}
+	}
+}
+
+// merge adds every hash o holds: its set, or its registers, which a sketch
+// of the union takes the maximum of. A set that outgrows the exact limit
+// becomes registers as it would have one hash at a time.
+func (d *distinctSketch) merge(o *distinctSketch) {
+	if o.regs == nil {
+		for _, h := range o.exact {
+			if h != 0 {
+				d.add(h)
+			}
+		}
+		if o.zero {
+			d.add(0)
+		}
+		return
+	}
+	if d.regs == nil {
+		d.toRegs()
+		d.n = sketchExactMax + 1 // where a set stops counting
+	}
+	for i, r := range o.regs {
+		d.regs[i] = max(d.regs[i], r)
 	}
 }
 
@@ -205,34 +230,67 @@ func (s *TableStats) observe(row []value.Value) {
 	}
 }
 
-// fold folds rows, every one as wide as the table, into statistics that have
-// observed nothing yet. The columns are independent, so they are split over
-// GOMAXPROCS goroutines, each taking the next unclaimed column and folding it
-// in row order; every field ends as observe, row by row, would leave it.
+// fold folds rows, every one as wide as the table, into the statistics: a
+// column at a time, which keeps the column's statistics in hand, so rows few
+// enough to stay in cache fold fastest. Every field ends as observe, row by
+// row, would leave it. A bulk load folds each chunk of rows on the goroutine
+// that stored it, and merges what its goroutines folded.
 func (s *TableStats) fold(rows [][]value.Value) {
-	bytes := make([]int64, len(s.columns)) // DataBytes, by column
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(s.columns)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := int(next.Add(1) - 1); c < len(s.columns); c = int(next.Add(1) - 1) {
-				// Fold into locals: neighbouring columns share cache lines.
-				cs, n := s.columns[c], int64(0)
-				for _, row := range rows {
-					n += int64(value.FieldSize(row[c]))
-					cs.observe(row[c])
-				}
-				s.columns[c], bytes[c] = cs, n
+	s.RowCount += int64(len(rows))
+	s.DataBytes += int64(len(rows) * value.RowHeaderSize(len(s.columns)))
+	for c := range s.columns {
+		// Fold into locals: neighbouring columns share cache lines.
+		cs, n := s.columns[c], 0
+		// seen holds values the column met in these rows, one per slot of a
+		// cheap hash: a value identical to one observed already changes
+		// nothing, so it skips the sketch's hash and the bounds.
+		var seen [64]value.Value
+		for _, row := range rows {
+			v := row[c]
+			n += value.FieldSize(v)
+			if v.IsNull() {
+				cs.nulls++
+				continue
 			}
-		}()
+			slot := &seen[seenSlot(v)]
+			if slot.Kind == v.Kind && slot.I == v.I && slot.S == v.S && math.Float64bits(slot.F) == math.Float64bits(v.F) {
+				continue
+			}
+			cs.observe(v)
+			*slot = v
+		}
+		s.columns[c] = cs
+		s.DataBytes += int64(n)
 	}
-	wg.Wait()
-	s.RowCount = int64(len(rows))
-	s.DataBytes = s.RowCount * int64(value.RowHeaderSize(len(s.columns)))
-	for _, n := range bytes {
-		s.DataBytes += n
+}
+
+// seenSlot is fold's slot for the non-NULL value v: a Fibonacci hash of its
+// number and, for a string, its length and end bytes.
+func seenSlot(v value.Value) uint64 {
+	h := uint64(v.I) ^ math.Float64bits(v.F)
+	if n := len(v.S); n > 0 {
+		h ^= uint64(n) | uint64(v.S[0])<<8 | uint64(v.S[n-1])<<16
+	}
+	return h * 0x9e3779b97f4a7c15 >> 58
+}
+
+// merge folds into s what o folded from other rows of the same table. Every
+// field ends as folding all the rows into s would leave it, except the bounds
+// of a column that met a tie: of values that compare equal, the one kept
+// depends on the order they came in. merge marks such a column tied, so
+// rebound, given the rows in order, settles its bounds.
+func (s *TableStats) merge(o *TableStats) {
+	s.RowCount += o.RowCount
+	s.DataBytes += o.DataBytes
+	for c := range s.columns {
+		cs, oc := &s.columns[c], &o.columns[c]
+		cs.nulls += oc.nulls
+		cs.tied = cs.tied || oc.tied
+		if !oc.min.IsNull() {
+			cs.bound(oc.min)
+			cs.bound(oc.max)
+		}
+		cs.distinct.merge(&oc.distinct)
 	}
 }
 
@@ -289,6 +347,36 @@ func (cs *columnStats) bound(v value.Value) {
 	if cs.min.IsNull() {
 		cs.min, cs.max = v, v
 		return
+	}
+	if k := v.Kind; k == cs.min.Kind && k == cs.max.Kind {
+		// Values of one kind compare by I, F or S alone. Equal ones other
+		// than floats are identical; equal floats may differ in their bits
+		// (-0.0 and +0.0), and a NaN compares equal to everything, so those
+		// take the general path.
+		switch {
+		case k == value.KindString:
+			if v.S < cs.min.S {
+				cs.min = v
+			} else if v.S > cs.max.S {
+				cs.max = v
+			}
+			return
+		case k != value.KindFloat:
+			if v.I < cs.min.I {
+				cs.min = v
+			} else if v.I > cs.max.I {
+				cs.max = v
+			}
+			return
+		case v.F < cs.min.F:
+			cs.min = v
+			return
+		case v.F > cs.max.F:
+			cs.max = v
+			return
+		case v.F > cs.min.F && v.F < cs.max.F:
+			return
+		}
 	}
 	switch c := value.Compare(v, cs.min); {
 	case c < 0:

@@ -180,3 +180,45 @@ func TestParallelStatsFoldMatchesSerial(t *testing.T) {
 		t.Error("no column's bounds met a tie: the order-dependent case went untested")
 	}
 }
+
+// TestStatsFoldMergeMatchesSerial: a bulk load folds each chunk of its rows
+// into its goroutine's statistics and merges them. Folding random tables —
+// NULLs, stray kinds, ties that are not identical, columns past the sketch's
+// exact limit — in 1 to 7 parts and merging the parts, then re-deriving tied
+// bounds from the rows in order, must leave exactly the serial fold's
+// statistics, sketches included, whichever way the rows are cut.
+func TestStatsFoldMergeMatchesSerial(t *testing.T) {
+	r := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 20; trial++ {
+		ncols := 1 + r.Intn(8)
+		var cols []Column
+		var cards []int
+		for c := 0; c < ncols; c++ {
+			cols = append(cols, Column{Name: fmt.Sprintf("c%d", c), Kind: foldKinds[r.Intn(len(foldKinds))]})
+			cards = append(cards, []int{3, 300, 9000}[r.Intn(3)])
+		}
+		rows := make([][]value.Value, 2000+r.Intn(8000))
+		for i := range rows {
+			for c := 0; c < ncols; c++ {
+				rows[i] = append(rows[i], foldValue(r, cols[c].Kind, cards[c]))
+			}
+		}
+		want := NewTableStats(cols)
+		want.fold(rows)
+		parts := 1 + r.Intn(7)
+		cuts := []int{0}
+		for p := 1; p < parts; p++ {
+			cuts = append(cuts, r.Intn(len(rows)+1))
+		}
+		cuts = append(cuts, len(rows))
+		slices.Sort(cuts)
+		got := NewTableStats(cols)
+		for p := 0; p+1 < len(cuts); p++ {
+			part := NewTableStats(cols)
+			part.fold(rows[cuts[p]:cuts[p+1]])
+			got.merge(part)
+		}
+		got.rebound(rows)
+		sameStats(t, fmt.Sprintf("trial %d (%d columns, %d parts)", trial, ncols, parts), got, want)
+	}
+}

@@ -379,14 +379,15 @@ func TestCompressedCTableExecution(t *testing.T) {
 	}
 }
 
-// TestSortedColumnsOrdersLikeCompare: sortedColumns encodes a column of one
-// kind as compact stored keys and any other column as in-memory keys; either
-// way the rows come out in the order of a stable value.Compare sort on the
-// design columns. The columns hold strings that are prefixes of one another
-// or carry 0x00 bytes, negative, small and huge integers, floats of both
-// signs (-0.0 among them), NULLs, and one column of mixed kinds — integers
-// beside dates and floats that compare equal to them, and strings — which
-// only the in-memory keys order correctly.
+// TestSortedColumnsOrdersLikeCompare: a source encodes a column of one kind
+// as compact stored keys and any other column as in-memory keys; either way
+// the rows come out in the order of a stable value.Compare sort on the design
+// columns. The columns hold strings that are prefixes of one another or carry
+// 0x00 bytes, negative, small and huge integers, floats of both signs (-0.0
+// among them), NULLs, and one column of mixed kinds — integers beside dates
+// and floats that compare equal to them, and strings — which only the
+// in-memory keys order correctly. The rows arrive in batches, every other one
+// behind a selection vector that skips a row of junk.
 func TestSortedColumnsOrdersLikeCompare(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	strs := []string{"", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "abc", "b"}
@@ -418,9 +419,27 @@ func TestSortedColumnsOrdersLikeCompare(t *testing.T) {
 		rows[i] = exec.Row{pick(strVals), pick(intVals), pick(floatVals), pick(mixed), value.NewInt(int64(i))}
 	}
 	positions := []int{2, 3, 0, 1}
-	for p, want := range []bool{true, true, true, false} {
-		if got := oneKind(rows, p); got != want {
-			t.Fatalf("column %d: oneKind = %v, want %v", p, got, want)
+	src := newSource(len(positions), 2)
+	for lo := 0; lo < len(rows); lo += 700 {
+		bt := exec.NewBatch(5, 701)
+		if lo%1400 != 0 {
+			bt.AppendRow(exec.Row{value.NewString("junk"), value.NewFloat(1), value.NewInt(1), value.NewBool(true), value.Null()})
+		}
+		for _, row := range rows[lo:min(lo+700, len(rows))] {
+			bt.AppendRow(row)
+		}
+		if lo%1400 != 0 {
+			sel := make([]int, bt.NumRows()-1)
+			for i := range sel {
+				sel[i] = i + 1
+			}
+			bt.Sel = sel
+		}
+		src.add(bt, positions)
+	}
+	for d, want := range []bool{false, true, false, false} {
+		if src.mixed[d] != want {
+			t.Fatalf("design column %d: mixed = %v, want %v", d, src.mixed[d], want)
 		}
 	}
 	ref := make([]int, len(rows))
@@ -435,7 +454,7 @@ func TestSortedColumnsOrdersLikeCompare(t *testing.T) {
 		}
 		return 0
 	})
-	got := sortedColumns(rows, positions)
+	got := src.sorted()
 	for i, at := range ref {
 		for d, p := range positions {
 			g, w := got[d][i], rows[at][p]

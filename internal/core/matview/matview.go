@@ -163,6 +163,9 @@ func rewriteAgainst(q *sql.Shape, def *engine.ViewDef) (*sql.SelectStmt, bool) {
 			expr, ok = groupLabel(e)
 		case *sql.FuncCall:
 			expr, ok = deriveAggregate(e, aggLabel)
+			if ok && e.Name == "COUNT" && len(q.GroupBy) == 0 {
+				expr = sql.ZeroIfNull(expr) // a scalar count over no rows is 0
+			}
 		}
 		if !ok {
 			return nil, false

@@ -306,3 +306,26 @@ func TestFilteredViewsMatchNothing(t *testing.T) {
 		t.Errorf("rewritten onto %s, want mv23", rew)
 	}
 }
+
+// TestScalarCountOverNoRowsIsZero: a scalar COUNT(*) answered from a view sums
+// the view's stored counts, which over no group is NULL; like the base tables
+// it must answer 0. The mv4-shaped probe joins lineitem and orders past the
+// last order date; a grouped count over no rows still answers no group.
+func TestScalarCountOverNoRowsIsZero(t *testing.T) {
+	e, m := testDB(t)
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01'",
+		"SELECT COUNT(*) FROM lineitem, orders WHERE l_orderkey = o_orderkey AND o_orderdate > DATE '2100-07-01'",
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-02-01'",
+		"SELECT l_suppkey, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01' GROUP BY l_suppkey",
+	} {
+		compare(t, e, m, q, true)
+	}
+	res, matched, err := m.Query("SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01'")
+	if err != nil || !matched {
+		t.Fatalf("matched %v, error %v", matched, err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].IsNull() || res.Rows[0][0].Int() != 0 {
+		t.Fatalf("scalar count over no rows answered %v from a view, want 0", res.Rows)
+	}
+}

@@ -205,6 +205,9 @@ func (r *Rewriter) Rewrite(stmt *sql.SelectStmt) (*sql.SelectStmt, error) {
 			e = col(aliasOf(c), "v")
 		case fc.Name == "COUNT":
 			e = countExpr(deepest)
+			if len(q.GroupBy) == 0 && !deepest.table.Dense {
+				e = sql.ZeroIfNull(e) // a scalar count over no rows is 0
+			}
 		case fc.Name == "SUM":
 			e = sumExpr(aliasOf(c), deepest)
 		case fc.Name == "AVG":

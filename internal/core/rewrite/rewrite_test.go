@@ -330,3 +330,32 @@ func TestNonRangeFiltersKeepTheBandJoinChain(t *testing.T) {
 		}
 	}
 }
+
+// TestScalarCountOverNoRowsIsZero: a scalar COUNT(*) whose range holds no row
+// answers 0 on the base tables. The rewriting sums the deepest c-table's run
+// lengths, which over no runs is NULL, so it must answer 0 too — over the
+// run-length D1 c-tables and over a range at either end of the data — and a
+// grouped count over no rows still answers no group.
+func TestScalarCountOverNoRowsIsZero(t *testing.T) {
+	e, designs := testDB(t)
+	r := New(designs["D1"])
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01'",
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate < DATE '1900-01-01'",
+		"SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '1995-02-01'",
+		"SELECT l_shipdate, COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01' GROUP BY l_shipdate",
+	} {
+		runBoth(t, e, r, q)
+	}
+	rewritten, err := r.RewriteSQL("SELECT COUNT(*) FROM lineitem WHERE l_shipdate > DATE '2100-01-01'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Query(rewritten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || res.Rows[0][0].IsNull() || res.Rows[0][0].Int() != 0 {
+		t.Fatalf("rewritten scalar count over no rows answered %v, want 0\n%s", res.Rows, rewritten)
+	}
+}

@@ -126,9 +126,11 @@ func newWithPager(opts Options, pager *storage.Pager) *Engine {
 	if !vectorized {
 		parallelism = 1
 	}
+	cat := catalog.New(pager)
+	cat.SetWorkers(parallelism)
 	return &Engine{
 		pager:       pager,
-		cat:         catalog.New(pager),
+		cat:         cat,
 		views:       make(map[string]*ViewDef),
 		vectorized:  vectorized,
 		parallelism: parallelism,
@@ -445,6 +447,32 @@ func (e *Engine) execSelect(opts QueryOptions, q query) (*Result, error) {
 	return res, nil
 }
 
+// QueryBatches runs a SELECT as Query does, but streams its result instead of
+// collecting rows: open is called once with the result's column labels,
+// before any row, and returns the function each batch of the result is
+// handed to, in order, as the plan produces it. A batch is valid only until
+// that function returns. Every operator answers the batch pull, so the
+// row-at-a-time engine streams batches too. The statement runs under the
+// reader lock and skips the plan cache; the functions must not call into the
+// engine.
+func (e *Engine) QueryBatches(sqlText string, open func(columns []string) (func(*exec.Batch) error, error)) error {
+	e.stateMu.RLock()
+	defer e.stateMu.RUnlock()
+	stmt, err := sql.ParseSelect(sqlText)
+	if err != nil {
+		return err
+	}
+	pl, err := e.planSelect(stmt, e.parallelism, nil)
+	if err != nil {
+		return err
+	}
+	each, err := open(pl.Columns)
+	if err != nil {
+		return err
+	}
+	return exec.DrainEach(nil, pl.Root, each)
+}
+
 // relabel returns cols, the result columns of a plan compiled from another
 // spelling of a statement whose SELECT list is items, under the items' own
 // labels. A star keeps the plan's names for the columns it expands to.
@@ -644,6 +672,18 @@ func columnKind(typ string) (value.Kind, error) {
 }
 
 func (e *Engine) runCreateTable(s *sql.CreateTableStmt) (*Result, error) {
+	cols, err := tableColumns(s)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := e.cat.CreateTable(s.Name, cols, s.PrimaryKey); err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
+}
+
+// tableColumns are the columns a CREATE TABLE statement declares.
+func tableColumns(s *sql.CreateTableStmt) ([]catalog.Column, error) {
 	cols := make([]catalog.Column, len(s.Columns))
 	for i, c := range s.Columns {
 		kind, err := columnKind(c.Type)
@@ -652,10 +692,7 @@ func (e *Engine) runCreateTable(s *sql.CreateTableStmt) (*Result, error) {
 		}
 		cols[i] = catalog.Column{Name: c.Name, Kind: kind}
 	}
-	if _, err := e.cat.CreateTable(s.Name, cols, s.PrimaryKey); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	return cols, nil
 }
 
 func (e *Engine) runCreateIndex(s *sql.CreateIndexStmt) (*Result, error) {
@@ -882,10 +919,44 @@ func coerceValue(v value.Value, kind value.Kind) value.Value {
 // BulkLoad loads rows programmatically into an empty table, coercing each
 // value to the column kind, then creates the secondary indexes defs names from
 // the rows in hand (see catalog.Table.BulkLoad). It is the fast path used by
-// the TPC-H loader and the c-table builder. Like every mutation it runs
-// exclusively and invalidates the plan cache.
+// the TPC-H loader; the c-table builder runs the same load in its two halves,
+// PrepareLoad and WriteLoad. Like every mutation it runs exclusively and
+// invalidates the plan cache.
 func (e *Engine) BulkLoad(table string, rows [][]value.Value, defs ...catalog.IndexDef) error {
-	_, lsn, err := e.applyBulkLoad(table, rows, defs)
+	return e.load(table, func(tbl *catalog.Table) error { return tbl.BulkLoadWith(coerceValue, rows, defs...) })
+}
+
+// PrepareLoad works out a bulk load of rows, and of the indexes defs names,
+// into the table the CREATE TABLE statement ddl makes, before that table
+// exists (catalog.Catalog.PrepareLoad), coercing values as BulkLoad does. It
+// takes no lock and touches nothing shared, so several loads can be worked
+// out at once, beside queries.
+func (e *Engine) PrepareLoad(ddl string, rows [][]value.Value, defs ...catalog.IndexDef) (*catalog.Load, error) {
+	stmt, err := sql.Parse(ddl)
+	if err != nil {
+		return nil, err
+	}
+	create, ok := stmt.(*sql.CreateTableStmt)
+	if !ok {
+		return nil, fmt.Errorf("engine: a load is prepared for a CREATE TABLE statement, got %T", stmt)
+	}
+	cols, err := tableColumns(create)
+	if err != nil {
+		return nil, err
+	}
+	return e.cat.PrepareLoad(create.Name, cols, create.PrimaryKey, coerceValue, rows, defs...)
+}
+
+// WriteLoad writes a load PrepareLoad worked out into the named table, which
+// the load's CREATE TABLE statement has made since: the statement BulkLoad
+// would have run, with the same pages, statistics and indexes.
+func (e *Engine) WriteLoad(table string, l *catalog.Load) error {
+	return e.load(table, func(tbl *catalog.Table) error { return tbl.WriteLoad(l) })
+}
+
+// load runs a bulk load into the named table as one logged statement.
+func (e *Engine) load(table string, fn func(*catalog.Table) error) error {
+	_, lsn, err := e.applyLoad(table, fn)
 	if err != nil {
 		return err
 	}
@@ -895,7 +966,7 @@ func (e *Engine) BulkLoad(table string, rows [][]value.Value, defs ...catalog.In
 	return nil
 }
 
-func (e *Engine) applyBulkLoad(table string, rows [][]value.Value, defs []catalog.IndexDef) (*Result, int64, error) {
+func (e *Engine) applyLoad(table string, fn func(*catalog.Table) error) (*Result, int64, error) {
 	e.stateMu.Lock()
 	defer e.stateMu.Unlock()
 	defer e.invalidatePlans()
@@ -904,7 +975,7 @@ func (e *Engine) applyBulkLoad(table string, rows [][]value.Value, defs []catalo
 		if err != nil {
 			return nil, err
 		}
-		return &Result{}, tbl.BulkLoadWith(coerceValue, rows, defs...)
+		return &Result{}, fn(tbl)
 	})
 }
 

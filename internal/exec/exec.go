@@ -130,6 +130,20 @@ func DrainBatches(ctx context.Context, op Operator) ([]Row, error) {
 	})
 }
 
+// DrainEach runs an operator to completion through the batch pull, as
+// DrainBatches does, but hands each batch to fn as it comes instead of
+// collecting rows. fn must not keep the batch past its return.
+func DrainEach(ctx context.Context, op Operator, fn func(*Batch) error) error {
+	_, err := drainWith(ctx, op, func(out []Row) ([]Row, bool, error) {
+		b, ok, err := op.NextBatch()
+		if err != nil || !ok {
+			return out, false, err
+		}
+		return out, true, fn(b)
+	})
+	return err
+}
+
 // concatSchemas appends two schemas (used by joins).
 func concatSchemas(a, b []ColumnInfo) []ColumnInfo {
 	out := make([]ColumnInfo, 0, len(a)+len(b))

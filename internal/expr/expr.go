@@ -261,6 +261,33 @@ func (i *IsNull) String() string {
 	return fmt.Sprintf("(%s IS NULL)", i.E)
 }
 
+// Coalesce is COALESCE(a, b, ...): the first of its arguments that is not
+// NULL, and NULL when all are. It turns the NULL a SUM answers over no rows
+// into the 0 a count over no rows means.
+type Coalesce struct {
+	Args []Expr
+}
+
+// Eval implements Expr.
+func (c *Coalesce) Eval(row []value.Value) (value.Value, error) {
+	for _, a := range c.Args {
+		v, err := a.Eval(row)
+		if err != nil || !v.IsNull() {
+			return v, err
+		}
+	}
+	return value.Null(), nil
+}
+
+// String implements Expr.
+func (c *Coalesce) String() string {
+	parts := make([]string, len(c.Args))
+	for i, a := range c.Args {
+		parts[i] = a.String()
+	}
+	return fmt.Sprintf("COALESCE(%s)", strings.Join(parts, ", "))
+}
+
 // InList is the predicate e IN (v1, v2, ...).
 type InList struct {
 	E    Expr
@@ -332,6 +359,10 @@ func collectColumns(e Expr, out map[int]bool) {
 		collectColumns(t.Hi, out)
 	case *IsNull:
 		collectColumns(t.E, out)
+	case *Coalesce:
+		for _, a := range t.Args {
+			collectColumns(a, out)
+		}
 	case *InList:
 		collectColumns(t.E, out)
 		for _, item := range t.List {
@@ -358,6 +389,12 @@ func Shift(e Expr, delta int) Expr {
 		return &Between{E: Shift(t.E, delta), Lo: Shift(t.Lo, delta), Hi: Shift(t.Hi, delta)}
 	case *IsNull:
 		return &IsNull{E: Shift(t.E, delta), Negate: t.Negate}
+	case *Coalesce:
+		args := make([]Expr, len(t.Args))
+		for i, a := range t.Args {
+			args[i] = Shift(a, delta)
+		}
+		return &Coalesce{Args: args}
 	case *InList:
 		list := make([]Expr, len(t.List))
 		for i, item := range t.List {

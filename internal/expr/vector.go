@@ -121,6 +121,20 @@ func EvalVector(e Expr, cols []*vector.Vector, sel []int, n int) (*vector.Vector
 			out[i] = value.NewBool(in[i].IsNull() != t.Negate)
 		})
 		return vector.NewFlat(out), nil
+	case *Coalesce:
+		out := make([]value.Value, n)
+		for _, a := range t.Args {
+			in, err := evalFlat(a, cols, sel, n)
+			if err != nil {
+				return nil, err
+			}
+			forEachSel(sel, n, func(i int) {
+				if out[i].IsNull() {
+					out[i] = in[i]
+				}
+			})
+		}
+		return vector.NewFlat(out), nil
 	case *InList:
 		ev, err := evalFlat(t.E, cols, sel, n)
 		if err != nil {
@@ -221,6 +235,13 @@ func walkSingleColumn(e Expr, ord *int) bool {
 		return walkSingleColumn(t.E, ord) && walkSingleColumn(t.Lo, ord) && walkSingleColumn(t.Hi, ord)
 	case *IsNull:
 		return walkSingleColumn(t.E, ord)
+	case *Coalesce:
+		for _, a := range t.Args {
+			if !walkSingleColumn(a, ord) {
+				return false
+			}
+		}
+		return true
 	case *InList:
 		if !walkSingleColumn(t.E, ord) {
 			return false

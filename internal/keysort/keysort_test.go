@@ -109,3 +109,22 @@ func BenchmarkOrder(b *testing.B) {
 		})
 	}
 }
+
+// TestParallelOrderMatchesStableSort: OrderOn splits the first radix pass and
+// the settling of tied groups over workers; on inputs large enough to split —
+// keys of every length around the 8-byte window, long shared prefixes and
+// duplicates, and the same keys already sorted but for one — every worker
+// count must give the stable sort's order.
+func TestParallelOrderMatchesStableSort(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 6; trial++ {
+		n := 2*parallelMin + r.Intn(3*parallelMin)
+		k := genKeys(r, n, 1+r.Intn(20))
+		want := reference(k)
+		for _, workers := range []int{1, 2, 3, 8} {
+			if got := k.OrderOn(workers); !slices.Equal(got, want) {
+				t.Fatalf("trial %d (n=%d), %d workers: order differs from a stable sort", trial, n, workers)
+			}
+		}
+	}
+}

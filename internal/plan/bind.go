@@ -164,7 +164,17 @@ func bindExpr(e sql.Expr, sc *scope) (expr.Expr, error) {
 		}
 		return &expr.IsNull{E: v, Negate: t.Not}, nil
 	case *sql.FuncCall:
-		return nil, fmt.Errorf("plan: aggregate or function %q not allowed in this context", t.Name)
+		if t.Name != "COALESCE" || len(t.Args) == 0 {
+			return nil, fmt.Errorf("plan: aggregate or function %q not allowed in this context", t.Name)
+		}
+		args := make([]expr.Expr, len(t.Args))
+		for i, a := range t.Args {
+			var err error
+			if args[i], err = bindExpr(a, sc); err != nil {
+				return nil, err
+			}
+		}
+		return &expr.Coalesce{Args: args}, nil
 	default:
 		return nil, fmt.Errorf("plan: unsupported expression %T", e)
 	}

@@ -545,7 +545,17 @@ func (p *Planner) bindWithAggregates(e sql.Expr, post *scope, groupOrds []int, a
 			}
 			return nil, fmt.Errorf("plan: aggregate %q not planned", t.String())
 		}
-		return nil, fmt.Errorf("plan: unsupported function %q", t.Name)
+		if t.Name != "COALESCE" || len(t.Args) == 0 {
+			return nil, fmt.Errorf("plan: unsupported function %q", t.Name)
+		}
+		args := make([]expr.Expr, len(t.Args))
+		for i, a := range t.Args {
+			var err error
+			if args[i], err = p.bindWithAggregates(a, post, groupOrds, aggs, pre); err != nil {
+				return nil, err
+			}
+		}
+		return &expr.Coalesce{Args: args}, nil
 	case *sql.ColRef:
 		// Group-by columns are addressable by their pre-aggregation names.
 		for i, g := range groupOrds {

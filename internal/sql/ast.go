@@ -169,6 +169,13 @@ func (f *FuncCall) String() string {
 	return ident(f.Name) + "(" + strings.Join(parts, ", ") + ")"
 }
 
+// ZeroIfNull wraps e in COALESCE(e, 0). A rewriting that answers a scalar
+// COUNT(*) with a SUM of stored counts needs it: a SUM over no rows is NULL,
+// a count is 0.
+func ZeroIfNull(e Expr) Expr {
+	return &FuncCall{Name: "COALESCE", Args: []Expr{e, &Literal{Val: value.NewInt(0)}}}
+}
+
 // IsAggregate reports whether the function is one of the aggregate functions.
 func (f *FuncCall) IsAggregate() bool {
 	switch f.Name {

@@ -42,10 +42,6 @@ type Page struct {
 	data []byte
 }
 
-func newPage(id PageID) *Page {
-	return &Page{id: id, data: make([]byte, PageSize)}
-}
-
 // ID returns the page's identifier.
 func (p *Page) ID() PageID { return p.id }
 

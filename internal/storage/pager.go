@@ -204,6 +204,16 @@ func (p *Pager) Resident() int {
 // another to make room; if that eviction's write-back fails, nothing is
 // allocated and the error is returned.
 func (p *Pager) Allocate() (*Page, error) {
+	return p.AllocateImage(make([]byte, PageSize))
+}
+
+// AllocateImage is Allocate for a page whose bytes are img, a PageSize image
+// laid out beforehand, which the page takes over: the caller must not use
+// img again.
+func (p *Pager) AllocateImage(img []byte) (*Page, error) {
+	if len(img) != PageSize {
+		return nil, fmt.Errorf("storage: a page image of %d bytes, want %d", len(img), PageSize)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	id, reuse := PageID(p.npages+1), len(p.free) > 0
@@ -220,7 +230,7 @@ func (p *Pager) Allocate() (*Page, error) {
 			p.captureUndo(old)
 		}
 	}
-	pg := newPage(id)
+	pg := &Page{id: id, data: img}
 	if err := p.admit(pg); err != nil {
 		return nil, err
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPageAux(t *testing.T) {
-	p := newPage(7)
+	p := &Page{id: 7, data: make([]byte, PageSize)}
 	if p.Aux() != 0 {
 		t.Error("new page aux should be zero")
 	}

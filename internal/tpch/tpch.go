@@ -284,6 +284,82 @@ func (g *Generator) lineitemRows(rng *rand.Rand, counts map[string]int) ([][]val
 
 // Load creates one table and bulk-loads its generated rows into the engine.
 func (g *Generator) Load(e *engine.Engine, table string) error {
+	if _, err := DDL(table); err != nil {
+		return err
+	}
+	rows, err := g.Rows(table)
+	if err != nil {
+		return err
+	}
+	return loadRows(e, table, rows)
+}
+
+// LoadAll creates and loads every TPC-H table.
+func (g *Generator) LoadAll(e *engine.Engine) error {
+	return g.load(e, TableNames())
+}
+
+// LoadCore creates and loads only the tables the paper's workload touches
+// (customer, orders, lineitem), which keeps experiment set-up fast.
+func (g *Generator) LoadCore(e *engine.Engine) error {
+	return g.load(e, []string{"customer", "orders", "lineitem"})
+}
+
+// load creates and loads tables one after another, in order, so their pages
+// come in that order, while their rows are generated ahead on other
+// goroutines: each table's rows are independent of the others', so a table
+// is generated while the ones before it load. Besides the table loading, at
+// most the engine's parallelism of tables is generated and not yet loaded.
+func (g *Generator) load(e *engine.Engine, tables []string) error {
+	type generated struct {
+		rows [][]value.Value
+		err  error
+		done chan struct{}
+	}
+	gens := make([]*generated, len(tables))
+	for i := range gens {
+		gens[i] = &generated{done: make(chan struct{})}
+	}
+	slots := make(chan struct{}, e.Parallelism()+1) // the table loading, and as many generating
+	stop := make(chan struct{})
+	go func() {
+		for i, table := range tables {
+			select {
+			case slots <- struct{}{}:
+			case <-stop:
+				for _, gen := range gens[i:] {
+					close(gen.done)
+				}
+				return
+			}
+			go func() {
+				defer close(gens[i].done)
+				gens[i].rows, gens[i].err = g.Rows(table)
+			}()
+		}
+	}()
+	var err error
+	for i, table := range tables {
+		<-gens[i].done
+		if err = gens[i].err; err == nil {
+			err = loadRows(e, table, gens[i].rows)
+		}
+		gens[i].rows = nil
+		if err != nil {
+			err = fmt.Errorf("tpch: loading %s: %w", table, err)
+			close(stop)
+			for _, gen := range gens[i+1:] {
+				<-gen.done // no generator outlives the load
+			}
+			return err
+		}
+		<-slots
+	}
+	return nil
+}
+
+// loadRows creates one table and bulk-loads rows into it.
+func loadRows(e *engine.Engine, table string, rows [][]value.Value) error {
 	ddl, err := DDL(table)
 	if err != nil {
 		return err
@@ -291,30 +367,5 @@ func (g *Generator) Load(e *engine.Engine, table string) error {
 	if _, err := e.Execute(ddl); err != nil {
 		return err
 	}
-	rows, err := g.Rows(table)
-	if err != nil {
-		return err
-	}
 	return e.BulkLoad(table, rows)
-}
-
-// LoadAll creates and loads every TPC-H table.
-func (g *Generator) LoadAll(e *engine.Engine) error {
-	for _, t := range TableNames() {
-		if err := g.Load(e, t); err != nil {
-			return fmt.Errorf("tpch: loading %s: %w", t, err)
-		}
-	}
-	return nil
-}
-
-// LoadCore creates and loads only the tables the paper's workload touches
-// (customer, orders, lineitem), which keeps experiment set-up fast.
-func (g *Generator) LoadCore(e *engine.Engine) error {
-	for _, t := range []string{"customer", "orders", "lineitem"} {
-		if err := g.Load(e, t); err != nil {
-			return fmt.Errorf("tpch: loading %s: %w", t, err)
-		}
-	}
-	return nil
 }

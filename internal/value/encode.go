@@ -273,14 +273,7 @@ func floatFromTupleBits(u uint64) float64 {
 	return math.Float64frombits(bits.ReverseBytes64(u))
 }
 
-func uvarintLen(x uint64) int {
-	n := 1
-	for x >= 0x80 {
-		x >>= 7
-		n++
-	}
-	return n
-}
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 func varintLen(x int64) int {
 	ux := uint64(x) << 1
