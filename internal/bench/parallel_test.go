@@ -113,9 +113,10 @@ func TestParallelJoinDeterminism(t *testing.T) {
 
 // TestParallelOrderByLimitExactOrder holds parallel plans that promise exact
 // ordering to that promise: non-aggregating pipelines (ParallelMerge
-// reassembles morsel order) and ORDER BY/LIMIT plans (ParallelSort's K-way
-// merge reproduces the serial stable sort, ties included) must match the
-// serial engine byte for byte — no sorted-set weakening, no tolerance. The
+// reassembles morsel order) and ORDER BY/LIMIT plans (a Sort over a
+// ParallelMerge sorts the serial row stream stably, on keys whose order is
+// the same at any worker count, ties included) must match the serial engine
+// byte for byte — no sorted-set weakening, no tolerance. The
 // probed rows come straight from the scan, so even float columns must be
 // bit-identical.
 func TestParallelOrderByLimitExactOrder(t *testing.T) {
@@ -123,10 +124,11 @@ func TestParallelOrderByLimitExactOrder(t *testing.T) {
 	probes := []string{
 		// ParallelMerge: filter pipeline, morsel-order reassembly.
 		"SELECT id, supp, price FROM items WHERE price > 950",
-		// ParallelSort under a serial Limit.
+		// A Sort over a ParallelMerge under a serial Limit.
 		"SELECT id, supp, price FROM items WHERE price > 600 ORDER BY price DESC, id LIMIT 100",
 		// Heavy duplication on the sort key: stability across morsel seams.
-		"SELECT supp, price FROM items WHERE price < 150 ORDER BY supp LIMIT 500",
+		// Rows that tie on supp carry one price, so id shows their order.
+		"SELECT supp, price, id FROM items WHERE price < 150 ORDER BY supp LIMIT 500",
 		// ORDER BY the full scan with OFFSET pagination over the merge.
 		"SELECT supp, id FROM items ORDER BY supp, id LIMIT 50 OFFSET 1000",
 	}

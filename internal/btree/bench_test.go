@@ -14,7 +14,7 @@ func denseTree(tb testing.TB, n int) *BTree {
 	tb.Helper()
 	tr := mustNew(tb, storage.NewPager(0))
 	i := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= n {
 			return nil, nil, false
 		}

@@ -19,7 +19,7 @@ import (
 // with equal keys are returned in insertion order.
 //
 // Reads (Scan, Seek, LeafRange, morsel iterators) are safe to run from
-// concurrent goroutines as long as no mutation (Insert, Delete, BulkLoad)
+// concurrent goroutines as long as no mutation (Insert, Delete, WriteLeaves)
 // runs at the same time — the serving layer's reader/writer isolation; page
 // accesses themselves are serialized by the pager. Reads change nothing in
 // the tree and decode records where they lie (see node): the tree keeps no
@@ -29,14 +29,14 @@ type BTree struct {
 	root  storage.PageID
 	// first is the leftmost leaf, where a scan with an open start, or a seek
 	// from a key at or below fence, begins without a descent. New and
-	// BulkLoad set it and nothing moves it: a split keeps its left half in
+	// WriteLeaves set it and nothing moves it: a split keeps its left half in
 	// place, a root split keeps the old root as the new root's leftmost
 	// child, and Delete never frees a leaf.
 	first storage.PageID
 	// fence is the first separator above first (nil while the tree is one
 	// leaf): no separator of any level is below it, so every descent to a
 	// key <= fence ends in first, and a seek from such a key loads first
-	// directly. BulkLoad sets it, a split of the leftmost leaf lowers it
+	// directly. WriteLeaves sets it, a split of the leftmost leaf lowers it
 	// (insertInto), and nothing else moves it: a separator is only ever
 	// added by a split, and Delete leaves the internal nodes as they are.
 	fence  []byte

@@ -27,6 +27,25 @@ func mustNew(tb testing.TB, pager *storage.Pager) *BTree {
 	return tr
 }
 
+// loadSorted replaces tr's contents with the entries next yields, sorted by
+// key, the way the catalog's bulk loader does: laid out on two goroutines
+// (LayOut), then written (WriteLeaves). next may reuse its buffers.
+func loadSorted(tr *BTree, next func() (key, val []byte, ok bool), fillFactor float64) error {
+	var keys, vals [][]byte
+	for {
+		key, val, ok := next()
+		if !ok {
+			break
+		}
+		keys, vals = append(keys, slices.Clone(key)), append(vals, slices.Clone(val))
+	}
+	l, err := LayOut(len(keys), func(i int) ([]byte, []byte) { return keys[i], vals[i] }, fillFactor, 2)
+	if err != nil {
+		return err
+	}
+	return tr.WriteLeaves(l)
+}
+
 func mustGet(t *testing.T, tr *BTree, key []byte) ([]byte, bool) {
 	t.Helper()
 	v, ok, err := tr.Get(key)
@@ -240,7 +259,7 @@ func TestBulkLoadMatchesInserts(t *testing.T) {
 	tr := mustNew(t, pager)
 	const n = 30000
 	i := 0
-	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= n {
 			return nil, nil, false
 		}
@@ -292,7 +311,7 @@ func TestBulkLoadRejectsUnsortedInput(t *testing.T) {
 	tr := mustNew(t, storage.NewPager(0))
 	seq := []int64{1, 2, 5, 4}
 	i := 0
-	err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= len(seq) {
 			return nil, nil, false
 		}
@@ -307,7 +326,7 @@ func TestBulkLoadRejectsUnsortedInput(t *testing.T) {
 
 func TestBulkLoadEmpty(t *testing.T) {
 	tr := mustNew(t, storage.NewPager(0))
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) { return nil, nil, false }, 1.0); err != nil {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) { return nil, nil, false }, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Count() != 0 {
@@ -357,7 +376,7 @@ func TestRangeScanIOIsBounded(t *testing.T) {
 	tr := mustNew(t, pager)
 	const n = 50000
 	i := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= n {
 			return nil, nil, false
 		}
@@ -444,7 +463,7 @@ func collectScan(tr *BTree) []string {
 }
 
 // TestReadsSeeEveryMutation reads the tree across every mutation path: after
-// a full scan, each of Insert, Delete, and BulkLoad must be visible to the
+// a full scan, each of Insert, Delete, and a bulk load must be visible to the
 // next scan — nothing a read left behind may stand in for a rewritten or
 // recycled page.
 func TestReadsSeeEveryMutation(t *testing.T) {
@@ -484,10 +503,10 @@ func TestReadsSeeEveryMutation(t *testing.T) {
 		t.Fatalf("scan after delete saw %d entries, want %d", len(got), n)
 	}
 
-	// BulkLoad rebuilds the tree wholesale onto fresh pages; nothing keyed by
+	// A bulk load rebuilds the tree wholesale onto fresh pages; nothing keyed by
 	// the old page ids may leak into the new tree's scans.
 	next := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if next >= 100 {
 			return nil, nil, false
 		}
@@ -747,7 +766,7 @@ func randomTrees(t *testing.T, seeds int64, check func(tr *BTree, pager *storage
 		}
 		stage("deleted", true)
 		i, n, dups := 0, rng.Intn(20000), 1+rng.Intn(4)
-		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 			i++
 			return intKey(int64(i / dups)), bytes.Repeat([]byte("b"), width/2), i <= n
 		}, 0.5+rng.Float64()/2); err != nil {
@@ -963,7 +982,7 @@ func TestFirstLeafMatchesDescent(t *testing.T) {
 			check("first leaf refilled")
 		}
 		i, n := 0, rng.Intn(20000)
-		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 			i++
 			return intKey(int64(i)), bytes.Repeat([]byte("b"), width/2), i <= n
 		}, 0.5+rng.Float64()/2); err != nil {

@@ -172,34 +172,3 @@ func (t *BTree) WriteLeaves(l *Leaves) error {
 	t.root = level[0]
 	return nil
 }
-
-// BulkLoad builds the tree from entries that are already sorted by key,
-// replacing the current contents: the entries next yields, copied, laid out
-// on one goroutine (LayOut) and written (WriteLeaves). It returns an error,
-// and writes nothing, if the input is not sorted.
-func (t *BTree) BulkLoad(next func() (key, val []byte, ok bool), fillFactor float64) error {
-	// The caller may reuse key and val: copy both into one arena.
-	var arena []byte
-	var ends []int // each entry's key end and payload end
-	for {
-		key, val, ok := next()
-		if !ok {
-			break
-		}
-		arena = append(arena, key...)
-		ends = append(ends, len(arena))
-		arena = append(arena, val...)
-		ends = append(ends, len(arena))
-	}
-	l, err := LayOut(len(ends)/2, func(i int) ([]byte, []byte) {
-		start := 0
-		if i > 0 {
-			start = ends[2*i-1]
-		}
-		return arena[start:ends[2*i]:ends[2*i]], arena[ends[2*i]:ends[2*i+1]:ends[2*i+1]]
-	}, fillFactor, 1)
-	if err != nil {
-		return err
-	}
-	return t.WriteLeaves(l)
-}

@@ -18,7 +18,7 @@ func TestConcurrentLeafRangesAndScans(t *testing.T) {
 	tree := mustNew(t, storage.NewPager(0))
 	const n = 5000
 	i := 0
-	err := tree.BulkLoad(func() ([]byte, []byte, bool) {
+	err := loadSorted(tree, func() ([]byte, []byte, bool) {
 		if i >= n {
 			return nil, nil, false
 		}

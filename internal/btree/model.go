@@ -10,12 +10,12 @@ import (
 // A bulk-loaded tree is a static sorted run of leaves on contiguous pages, so
 // the leaf a descent would reach can be computed instead of read from the
 // root, as interpolation search over B-trees (Graefe, DaMoN 2006) and learned
-// indexes (Kraska et al., SIGMOD 2018) do: BulkLoad fits a line from the
+// indexes (Kraska et al., SIGMOD 2018) do: WriteLeaves fits a line from the
 // leading key column's value to the leaf's position and records how far the
 // line may err, and a bounded start then reads the leftmost leaf of that
 // error window and walks forward along leaf links. The model is a few numbers
 // beside first and fence, kept only while nothing has moved a separator:
-// every split and every successful Delete drops it, and the next BulkLoad
+// every split and every successful Delete drops it, and the next bulk load
 // fits a new one.
 
 // KeyNumber maps a stored key to the number its leading column holds. It must
@@ -32,7 +32,7 @@ const MaxWindow = 16
 // first+i. For a key whose number is x, the walk begins at leaf
 // floor(Intercept + Slope·x) − Offset, clamped to the run, which is never past
 // the leaf a descent reaches, and passes at most Window leaves to the first
-// leaf holding a key >= the start (BulkLoad computes Offset and Window over
+// leaf holding a key >= the start (WriteLeaves computes Offset and Window over
 // every separator). Hops is the mean of the leaves walked past, which is what
 // the planner charges a predicted start in sequential reads.
 type Model struct {
@@ -53,7 +53,7 @@ func (m *Model) Valid() bool {
 }
 
 // line is the leaf the fitted line puts x in, before the offset: the one
-// computation BulkLoad's fit and every seek share, so the error bounds the fit
+// computation WriteLeaves' fit and every seek share, so the error bounds the fit
 // measured hold exactly. The conversion keeps the product from fusing with
 // the sum, so every build computes the same leaf.
 func (m *Model) line(x float64) float64 {
@@ -147,7 +147,7 @@ type Start struct {
 }
 
 // SetKeyNumber names the number a key's leading column holds (nil for none);
-// BulkLoad fits a model only to a tree that has one, and seeks use it to
+// WriteLeaves fits a model only to a tree that has one, and seeks use it to
 // read the model. The catalog sets it once, on a new or a restored tree.
 func (t *BTree) SetKeyNumber(num KeyNumber) { t.num = num }
 

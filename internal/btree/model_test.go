@@ -47,7 +47,7 @@ func checkPredictedSeek(t *testing.T, seed int64, n uint16, gap, dups uint8, ops
 	lo := k
 	width := 8 + rng.Intn(60)
 	i, run := 0, 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= rows {
 			return nil, nil, false
 		}
@@ -188,7 +188,7 @@ func TestModelSkipsTheRoot(t *testing.T) {
 	tr := mustNew(t, pager)
 	tr.SetKeyNumber(storedNumber)
 	i := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		i++
 		return storedKey(int64(i)), bytes.Repeat([]byte("v"), 40), i <= 20000
 	}, 0.95); err != nil {

@@ -24,7 +24,7 @@ func boundedTree(t *testing.T, capacity, n int) (*BTree, *storage.Pager) {
 	t.Cleanup(func() { _ = pager.CloseFile() })
 	tr := mustNew(t, pager)
 	i := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		if i >= n {
 			return nil, nil, false
 		}

@@ -24,7 +24,7 @@ func growTree(t *testing.T, pager *storage.Pager, rng *rand.Rand, shape byte) (*
 	span := int64(1)
 	if shape&4 != 0 {
 		i, n, dups := 0, rng.Intn(3000), 1+rng.Intn(40)
-		if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+		if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 			i++
 			return intKey(int64(i / dups)), bytes.Repeat([]byte("b"), width/2), i <= n
 		}, 0.5+rng.Float64()/2); err != nil {
@@ -242,7 +242,7 @@ func TestReseekChargesAnEvictedLeaf(t *testing.T) {
 	pager := storage.NewPager(0)
 	tr := mustNew(t, pager)
 	i := 0
-	if err := tr.BulkLoad(func() ([]byte, []byte, bool) {
+	if err := loadSorted(tr, func() ([]byte, []byte, bool) {
 		i++
 		return intKey(int64(i)), bytes.Repeat([]byte("p"), 100), i <= 2000
 	}, 1); err != nil {

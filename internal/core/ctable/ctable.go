@@ -28,13 +28,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"oldelephant/internal/catalog"
 	"oldelephant/internal/engine"
 	"oldelephant/internal/exec"
-	"oldelephant/internal/keysort"
 	"oldelephant/internal/sql"
 	"oldelephant/internal/value"
 )
@@ -116,16 +114,20 @@ func NewBuilder(e *engine.Engine) *Builder { return &Builder{Engine: e} }
 // must be listed in columns; columns not in sortColumns are encoded as if
 // they were appended to the end of the sort order (their runs break whenever
 // any sort column changes). A source that sql.ShapeOf refuses is refused, and
-// so is one that groups or aggregates: a design encodes rows of its source's
-// tables, and the rewriter reads its c-tables as such. A build that fails
-// after creating c-tables drops them, newest first.
+// so is one that groups or aggregates, or keeps only some of its rows (LIMIT,
+// OFFSET): a design encodes every row of its source's tables, and the
+// rewriter reads its c-tables as such. A build that fails after creating
+// c-tables drops them, newest first.
 //
-// The source is drained batch by batch into one slice per design column,
-// each row's sort key encoded as it arrives, and sorted once. Every c-table's
-// load is then worked out at once, on the engine's parallelism
-// (engine.Engine.PrepareLoad), while the c-tables are created and written one
-// after another in depth order, each as soon as its load is ready: only the
-// page writes are serial, and they come in the order that decides page ids.
+// The engine sorts the source: Build replaces the source's own ORDER BY, if
+// any, with the design's columns in design order, and keeps, as the sorted
+// batches come, where each column's runs break and each run's value (runs).
+// Rows equal on every design column are interchangeable, so any order of
+// ties leaves the same c-tables. Every c-table's load is then worked out at
+// once, on the engine's parallelism (engine.Engine.PrepareLoad), while the
+// c-tables are created and written one after another in depth order, each as
+// soon as its load is ready: only the page writes are serial, and they come
+// in the order that decides page ids.
 func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (*Design, error) {
 	if len(columns) == 0 {
 		return nil, fmt.Errorf("ctable: design %q has no columns", name)
@@ -146,12 +148,22 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 			return nil, fmt.Errorf("ctable: source of design %q aggregates its rows (%s): a design encodes ungrouped rows", name, item.Expr)
 		}
 	}
+	if source.Limit >= 0 || source.Offset > 0 {
+		clause := "LIMIT"
+		if source.Limit < 0 {
+			clause = "OFFSET"
+		}
+		return nil, fmt.Errorf("ctable: source of design %q keeps only some of its rows (%s): a design encodes every row", name, clause)
+	}
 	// The design's columns: sort columns first (in order), then the rest.
 	ordered := orderColumns(columns, sortColumns)
-	src := newSource(len(ordered), b.Engine.Parallelism())
-	defer src.finish()
+	stmt.OrderBy = make([]sql.OrderItem, len(ordered))
+	for i, col := range ordered {
+		stmt.OrderBy[i] = sql.OrderItem{Expr: &sql.ColRef{Column: col}}
+	}
+	src := newRuns(len(ordered))
 	var refused error
-	err = b.Engine.QueryBatches(sourceSQL, func(labels []string) (func(*exec.Batch) error, error) {
+	err = b.Engine.QueryBatches(stmt, func(labels []string) (func(*exec.Batch) error, error) {
 		var positions []int
 		positions, refused = designPositions(name, labels, columns, sortColumns, ordered)
 		if refused != nil {
@@ -168,17 +180,15 @@ func (b *Builder) Build(name, sourceSQL string, columns, sortColumns []string) (
 	if err != nil {
 		return nil, fmt.Errorf("ctable: evaluating source of design %q: %w", name, err)
 	}
-	sorted := src.sorted()
 	design := &Design{
 		Name:        name,
 		SourceSQL:   sourceSQL,
 		Source:      source,
 		SortColumns: sortColumns,
-		NumRows:     int64(len(sorted[0])),
+		NumRows:     int64(len(src.breaks)),
 	}
-	breaks := runBreaks(sorted, b.Engine.Parallelism())
-	tables := layOut(name, ordered, sorted, breaks)
-	b.prepare(tables, sorted, breaks)
+	tables := layOut(name, ordered, src)
+	b.prepare(tables, src)
 	for _, ct := range tables {
 		if err := b.write(ct); err != nil {
 			for i := len(design.Columns) - 1; i >= 0; i-- {
@@ -247,194 +257,54 @@ func indexOf(list []string, name string) int {
 	return -1
 }
 
-// source is a design's source result as the builder drains it: the values
-// of each design column, in design order, and each row's sort key — the row's
-// design columns in turn — both kept in blocks of sourceBlock rows. The keys
-// of a block are encoded on other goroutines as soon as its rows are in, so
-// encoding runs beside the plan that produces the rows. A column whose
-// non-NULL values are all of one kind is encoded as stored keys
-// (value.AppendStoredKeyValue: a date in 3 bytes instead of 9), whose byte
-// order within one kind is Compare's; any other column as
-// value.AppendKeyValue, whose byte order is Compare's across kinds. Either
-// way equal values encode equally, so the order is the same.
-type source struct {
-	blocks []*block
-	n      int
-	// kinds[d] is the kind of column d's non-NULL values so far, NULL before
-	// the first; mixed[d] is set once a second kind turns up. Blocks are
-	// encoded as if no column were mixed, and all of them afresh (sorted)
-	// if one is.
-	kinds []value.Kind
-	mixed []bool
-	// full hands the encoders each block once its rows are in, holding one
-	// waiting block per encoder so the drain rarely waits; closing it
-	// (finish) stops them.
-	full    chan *block
-	encoded sync.WaitGroup
-	workers int
+// runs is a design's source as the builder drains it, sorted in design
+// order: for each position, the depth of the first design column whose value
+// differs from the position before (breaks: 0 at the first, the number of
+// columns where none does), and the value of each run of each column, by
+// depth. A column at depth d starts a run exactly where the break is at most
+// d: its own value changes or an earlier sort column's does (Section 2.2.1).
+type runs struct {
+	breaks []int32
+	vals   []*exec.Slab
+	last   []value.Value // each column's value at the last position
+	starts []value.Value // add's buffer for one batch's run values
 }
 
-// block is sourceBlock rows of a source: each design column's values, and
-// the rows' sort keys once encoded.
-type block struct {
-	cols [][]value.Value
-	keys *keysort.Keys
-}
-
-// sourceBlock is how many rows one block of a source holds.
-const sourceBlock = 4096
-
-// newSource starts a source of width design columns with workers encoders.
-func newSource(width, workers int) *source {
-	s := &source{kinds: make([]value.Kind, width), mixed: make([]bool, width), full: make(chan *block, workers), workers: workers}
-	s.encoded.Add(workers)
-	for range workers {
-		go func() {
-			defer s.encoded.Done()
-			for blk := range s.full {
-				blk.encode(nil)
-			}
-		}()
+func newRuns(width int) *runs {
+	r := &runs{vals: make([]*exec.Slab, width), last: make([]value.Value, width)}
+	for d := range r.vals {
+		r.vals[d] = exec.NewSlab(1)
 	}
-	return s
+	return r
 }
 
-// add appends the live rows of a batch whose design columns sit at
-// positions, a block's worth at a time.
-func (s *source) add(b *exec.Batch, positions []int) {
-	flats := make([][]value.Value, len(positions))
+// add appends the live rows of a batch whose design columns, in design
+// order, sit at positions: a column at a time, each row compared with the
+// row before only while no earlier column has broken there.
+func (r *runs) add(b *exec.Batch, positions []int) {
+	first := len(r.breaks)
+	for range b.NumRows() {
+		r.breaks = append(r.breaks, int32(len(positions)))
+	}
+	brk := r.breaks[first:]
+	if first == 0 && len(brk) > 0 {
+		brk[0] = 0
+	}
 	for d, p := range positions {
-		flats[d] = b.Cols[p].Flat()
-	}
-	for done, n := 0, b.NumRows(); done < n; {
-		if s.n%sourceBlock == 0 {
-			blk := &block{cols: make([][]value.Value, len(positions))}
-			for d := range blk.cols {
-				blk.cols[d] = make([]value.Value, 0, sourceBlock)
+		col, last, starts := b.Cols[p].Flat(), r.last[d], r.starts[:0]
+		for i := range brk {
+			v := col[b.PhysIdx(i)]
+			if brk[i] > int32(d) && value.Compare(last, v) != 0 {
+				brk[i] = int32(d)
 			}
-			s.blocks = append(s.blocks, blk)
-		}
-		blk := s.blocks[len(s.blocks)-1]
-		take := min(n-done, sourceBlock-s.n%sourceBlock)
-		for d, flat := range flats {
-			col := blk.cols[d]
-			if b.Sel == nil {
-				col = append(col, flat[done:done+take]...)
-			} else {
-				for _, p := range b.Sel[done : done+take] {
-					col = append(col, flat[p])
-				}
+			if brk[i] <= int32(d) {
+				starts = append(starts, v)
 			}
-			for _, v := range col[len(col)-take:] {
-				switch k := v.Kind; {
-				case k == value.KindNull || k == s.kinds[d]:
-				case s.kinds[d] == value.KindNull:
-					s.kinds[d] = k
-				default:
-					s.mixed[d] = true
-				}
-			}
-			blk.cols[d] = col
+			last = v
 		}
-		done += take
-		if s.n += take; s.n%sourceBlock == 0 {
-			s.full <- blk
-		}
+		r.vals[d].AppendRows(starts)
+		r.last[d], r.starts = last, starts
 	}
-}
-
-// finish stops the encoders once they have encoded every full block; it is
-// safe to call more than once.
-func (s *source) finish() {
-	if s.full != nil {
-		close(s.full)
-		s.encoded.Wait()
-		s.full = nil
-	}
-}
-
-// encode encodes the block's sort keys, the columns mixed marks as
-// value.AppendKeyValue and the others as stored keys.
-func (blk *block) encode(mixed []bool) {
-	n := len(blk.cols[0])
-	keys := keysort.New(n, 9*len(blk.cols))
-	for i := range n {
-		for d, col := range blk.cols {
-			if mixed != nil && mixed[d] {
-				keys.Buf = value.AppendKeyValue(keys.Buf, col[i])
-			} else {
-				keys.Buf = value.AppendStoredKeyValue(keys.Buf, col[i])
-			}
-		}
-		keys.End()
-	}
-	blk.keys = keys
-}
-
-// sorted returns the design's columns in the design's sort order: by those
-// columns in turn. Only a permutation is sorted, on the keys; rows equal on
-// every design column are interchangeable, so the tie-break on arrival only
-// makes the order deterministic. The columns are gathered in that order on
-// the encoders' count of goroutines, and every later pass reads them front
-// to back.
-func (s *source) sorted() [][]value.Value {
-	s.finish()
-	mixed := slices.Contains(s.mixed, true)
-	parts := make([]*keysort.Keys, len(s.blocks))
-	for i, blk := range s.blocks {
-		if blk.keys == nil || mixed {
-			blk.encode(s.mixed) // the last block, or every block when a column is mixed
-		}
-		parts[i] = blk.keys
-	}
-	order := keysort.Join(parts).OrderOn(s.workers)
-	out := make([][]value.Value, len(s.mixed))
-	flat := make([]value.Value, len(out)*s.n)
-	for d := range out {
-		out[d] = flat[d*s.n : (d+1)*s.n : (d+1)*s.n]
-	}
-	inStripes(s.n, s.workers, func(lo, hi int) {
-		for d, col := range out {
-			for i, p := range order[lo:hi] {
-				col[lo+i] = s.blocks[p/sourceBlock].cols[d][p%sourceBlock]
-			}
-		}
-	})
-	s.blocks = nil // gathered: the blocks are garbage
-	return out
-}
-
-// inStripes runs task over workers stripes of [0, n), each on a goroutine
-// of its own, and waits for them.
-func inStripes(n, workers int, task func(lo, hi int)) {
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			task(w*n/workers, (w+1)*n/workers)
-		}()
-	}
-	wg.Wait()
-}
-
-// runBreaks returns, for each sorted position, the depth of the first design
-// column whose value differs from the position before (len(cols) where none
-// does, 0 at the first). A column at depth d starts a run exactly where the
-// break is at most d: its own value changes or an earlier sort column's does
-// (Section 2.2.1).
-func runBreaks(cols [][]value.Value, workers int) []int {
-	breaks := make([]int, len(cols[0]))
-	inStripes(len(breaks), workers, func(lo, hi int) {
-		for i := max(lo, 1); i < hi; i++ {
-			d := 0
-			for d < len(cols) && value.Compare(cols[d][i-1], cols[d][i]) == 0 {
-				d++
-			}
-			breaks[i] = d
-		}
-	})
-	return breaks
 }
 
 // sqlType maps a value kind to the SQL type used for the v column.
@@ -469,24 +339,22 @@ type cTable struct {
 	ready chan struct{} // closed once load or err is set
 }
 
-// layOut describes the c-table of the column at each depth, whose sorted
-// values are sorted[depth]: runs (f, v, c), or one (f, v) row per position
-// when the runs barely compress, clustered on f and covered on v.
-func layOut(design string, ordered []string, sorted [][]value.Value, breaks []int) []*cTable {
-	numRows := len(sorted[0])
-	// The column at depth d starts a run wherever the break is at most d.
-	atDepth := make([]int, len(ordered)+1)
-	for _, d := range breaks {
-		atDepth[d]++
-	}
+// layOut describes the c-table of the column at each depth: its runs
+// (f, v, c), or one (f, v) row per position when the runs barely compress,
+// clustered on f and covered on v.
+func layOut(design string, ordered []string, src *runs) []*cTable {
+	numRows := len(src.breaks)
 	tables := make([]*cTable, len(ordered))
-	runs := 0
 	for depth, col := range ordered {
-		runs += atDepth[depth]
+		vals := src.vals[depth]
+		runs := vals.Len()
 		tableName := TableName(design, col)
 		kind := value.KindInt
-		if i := slices.IndexFunc(sorted[depth], func(v value.Value) bool { return !v.IsNull() }); i >= 0 {
-			kind = sorted[depth][i].Kind
+		for i := range runs {
+			if v := vals.Row(i)[0]; !v.IsNull() {
+				kind = v.Kind
+				break
+			}
 		}
 		ct := &cTable{
 			ColumnTable: ColumnTable{Column: col, Table: tableName, Depth: depth, Runs: int64(runs)},
@@ -504,29 +372,24 @@ func layOut(design string, ordered []string, sorted [][]value.Value, breaks []in
 	return tables
 }
 
-// rows returns the c-table's load rows, in f order, from its column's sorted
-// values: every row a window of one flat arena. The arena and the row list
-// are buf's, which grows them as needed: a c-table's rows are garbage once
-// its load is worked out, so the next c-table reuses them.
-func (ct *cTable) rows(vals []value.Value, breaks []int, buf *loadBuf, workers int) [][]value.Value {
+// rows returns the c-table's load rows, in f order, from its column's runs:
+// every row a window of one flat arena. The arena and the row list are
+// buf's, which grows them as needed: a c-table's rows are garbage once its
+// load is worked out, so the next c-table reuses them.
+func (ct *cTable) rows(src *runs, buf *loadBuf) [][]value.Value {
 	width := 3
 	if ct.Dense {
 		width = 2
 	}
 	arena, load := buf.reset(int(ct.Runs), width)
-	if ct.Dense { // a row per position: the rows are independent
-		load = load[:len(vals)]
-		inStripes(len(vals), workers, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				r := arena[i*width : (i+1)*width : (i+1)*width]
-				r[0], r[1] = value.NewInt(int64(i+1)), vals[i]
-				load[i] = r
-			}
-		})
-		return load
-	}
-	for i, v := range vals {
-		if !ct.Dense && i > 0 && breaks[i] > ct.Depth {
+	run, v := -1, value.Null()
+	for i, brk := range src.breaks {
+		starts := int(brk) <= ct.Depth
+		if starts {
+			run++
+			v = src.vals[ct.Depth].Row(run)[0]
+		}
+		if !ct.Dense && !starts {
 			load[len(load)-1][2].I++
 			continue
 		}
@@ -562,14 +425,14 @@ func (buf *loadBuf) reset(n, width int) ([]value.Value, [][]value.Value) {
 // prepare works every c-table's load out, in depth order, on the engine's
 // parallelism of goroutines (each load is worked out on as many again),
 // closing each c-table's ready channel once its load is.
-func (b *Builder) prepare(tables []*cTable, sorted [][]value.Value, breaks []int) {
+func (b *Builder) prepare(tables []*cTable, src *runs) {
 	var next atomic.Int64
 	for range min(b.Engine.Parallelism(), len(tables)) {
 		go func() {
 			var buf loadBuf
 			for i := int(next.Add(1) - 1); i < len(tables); i = int(next.Add(1) - 1) {
 				ct := tables[i]
-				ct.load, ct.err = b.Engine.PrepareLoad(ct.ddl, ct.rows(sorted[i], breaks, &buf, b.Engine.Parallelism()), ct.index)
+				ct.load, ct.err = b.Engine.PrepareLoad(ct.ddl, ct.rows(src, &buf), ct.index)
 				close(ct.ready)
 			}
 		}()

@@ -1,14 +1,10 @@
 package ctable
 
 import (
-	"math"
-	"math/rand"
-	"slices"
 	"strings"
 	"testing"
 
 	"oldelephant/internal/engine"
-	"oldelephant/internal/exec"
 	"oldelephant/internal/value"
 )
 
@@ -200,6 +196,46 @@ func TestBuildRefusesGroupedSource(t *testing.T) {
 	}
 }
 
+// TestBuildRefusesPartialSource: a design encodes every row of its source,
+// and the build sorts the source its own way, under which a LIMIT or OFFSET
+// would keep other rows; such a source is refused, with the clause named.
+func TestBuildRefusesPartialSource(t *testing.T) {
+	b := NewBuilder(paperExampleEngine(t))
+	for src, clause := range map[string]string{
+		"SELECT a, b FROM t LIMIT 5":                     "LIMIT",
+		"SELECT a, b FROM t ORDER BY b LIMIT 5 OFFSET 2": "LIMIT",
+		"SELECT a, b FROM t OFFSET 2":                    "OFFSET",
+	} {
+		_, err := b.Build("p", src, []string{"a", "b"}, []string{"a"})
+		if err == nil || !strings.Contains(err.Error(), clause) {
+			t.Errorf("Build over %q: error %v, want one naming %s", src, err, clause)
+		}
+	}
+	if _, err := b.Engine.Catalog().Table("p_a"); err == nil {
+		t.Error("a refused design left its c-table")
+	}
+}
+
+// TestBuildReplacesSourceOrder: the build sorts the source on the design's
+// columns, whatever order the source's own ORDER BY asks for, so every
+// c-table holds what the reference algorithm derives from the unordered
+// source.
+func TestBuildReplacesSourceOrder(t *testing.T) {
+	e := paperExampleEngine(t)
+	src, err := e.Query("SELECT b, c, a FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := referenceTables(src.Rows, 3)
+	d, err := NewBuilder(e).Build("o", "SELECT b, c, a FROM t ORDER BY a DESC, c", []string{"a", "b", "c"}, []string{"b", "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for depth, ct := range d.Columns {
+		checkTable(t, e, ct, want[depth])
+	}
+}
+
 // TestFailedBuildLeavesNoCTable: a build that fails on its second c-table
 // drops the first, in memory and on a durable engine across a reopen, so the
 // design builds once the obstacle is gone.
@@ -374,92 +410,6 @@ func TestCompressedCTableExecution(t *testing.T) {
 				if cv.Kind != rv.Kind || value.Compare(cv, rv) != 0 {
 					t.Errorf("%q row %d col %d: %v vs %v", q, i, j, cv, rv)
 				}
-			}
-		}
-	}
-}
-
-// TestSortedColumnsOrdersLikeCompare: a source encodes a column of one kind
-// as compact stored keys and any other column as in-memory keys; either way
-// the rows come out in the order of a stable value.Compare sort on the design
-// columns. The columns hold strings that are prefixes of one another or carry
-// 0x00 bytes, negative, small and huge integers, floats of both signs (-0.0
-// among them), NULLs, and one column of mixed kinds — integers beside dates
-// and floats that compare equal to them, and strings — which only the
-// in-memory keys order correctly. The rows arrive in batches, every other one
-// behind a selection vector that skips a row of junk.
-func TestSortedColumnsOrdersLikeCompare(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	strs := []string{"", "a", "a\x00", "a\x00\x00", "a\x00b", "ab", "abc", "b"}
-	ints := []int64{math.MinInt64, -1<<53 - 1, -65536, -256, -255, -1, 0, 1, 255, 256, 1 << 53, 1<<53 + 1, math.MaxInt64}
-	floats := []float64{math.Inf(-1), -1e300, -2.5, math.Copysign(0, -1), 0, 0.5, 3, 1 << 53, 1e300, math.Inf(1)}
-	pick := func(vals []value.Value) value.Value {
-		if r.Intn(8) == 0 {
-			return value.Null()
-		}
-		return vals[r.Intn(len(vals))]
-	}
-	var strVals, intVals, floatVals, mixed []value.Value
-	for _, s := range strs {
-		strVals = append(strVals, value.NewString(s))
-	}
-	for _, i := range ints {
-		intVals = append(intVals, value.NewInt(i))
-		mixed = append(mixed, value.NewInt(i), value.NewDate(i))
-	}
-	for _, f := range floats {
-		floatVals = append(floatVals, value.NewFloat(f))
-		if f != 1<<53 { // equal to 2^53 and to 2^53+1, which differ: no order
-			mixed = append(mixed, value.NewFloat(f))
-		}
-	}
-	mixed = append(mixed, value.NewString("a"), value.NewString("a\x00"))
-	rows := make([]exec.Row, 3000)
-	for i := range rows {
-		rows[i] = exec.Row{pick(strVals), pick(intVals), pick(floatVals), pick(mixed), value.NewInt(int64(i))}
-	}
-	positions := []int{2, 3, 0, 1}
-	src := newSource(len(positions), 2)
-	for lo := 0; lo < len(rows); lo += 700 {
-		bt := exec.NewBatch(5, 701)
-		if lo%1400 != 0 {
-			bt.AppendRow(exec.Row{value.NewString("junk"), value.NewFloat(1), value.NewInt(1), value.NewBool(true), value.Null()})
-		}
-		for _, row := range rows[lo:min(lo+700, len(rows))] {
-			bt.AppendRow(row)
-		}
-		if lo%1400 != 0 {
-			sel := make([]int, bt.NumRows()-1)
-			for i := range sel {
-				sel[i] = i + 1
-			}
-			bt.Sel = sel
-		}
-		src.add(bt, positions)
-	}
-	for d, want := range []bool{false, true, false, false} {
-		if src.mixed[d] != want {
-			t.Fatalf("design column %d: mixed = %v, want %v", d, src.mixed[d], want)
-		}
-	}
-	ref := make([]int, len(rows))
-	for i := range ref {
-		ref[i] = i
-	}
-	slices.SortStableFunc(ref, func(a, b int) int {
-		for _, p := range positions {
-			if c := value.Compare(rows[a][p], rows[b][p]); c != 0 {
-				return c
-			}
-		}
-		return 0
-	})
-	got := src.sorted()
-	for i, at := range ref {
-		for d, p := range positions {
-			g, w := got[d][i], rows[at][p]
-			if g.Kind != w.Kind || g.I != w.I || g.S != w.S || math.Float64bits(g.F) != math.Float64bits(w.F) {
-				t.Fatalf("position %d, column %d: %v (%v), reference %v (%v)", i, p, g, g.Kind, w, w.Kind)
 			}
 		}
 	}

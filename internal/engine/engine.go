@@ -447,21 +447,17 @@ func (e *Engine) execSelect(opts QueryOptions, q query) (*Result, error) {
 	return res, nil
 }
 
-// QueryBatches runs a SELECT as Query does, but streams its result instead of
-// collecting rows: open is called once with the result's column labels,
-// before any row, and returns the function each batch of the result is
-// handed to, in order, as the plan produces it. A batch is valid only until
+// QueryBatches runs a parsed SELECT as Query does, but streams its result
+// instead of collecting rows: open is called once with the result's column
+// labels, before any row, and returns the function each batch of the result
+// is handed to, in order, as the plan produces it. A batch is valid only until
 // that function returns. Every operator answers the batch pull, so the
 // row-at-a-time engine streams batches too. The statement runs under the
 // reader lock and skips the plan cache; the functions must not call into the
 // engine.
-func (e *Engine) QueryBatches(sqlText string, open func(columns []string) (func(*exec.Batch) error, error)) error {
+func (e *Engine) QueryBatches(stmt *sql.SelectStmt, open func(columns []string) (func(*exec.Batch) error, error)) error {
 	e.stateMu.RLock()
 	defer e.stateMu.RUnlock()
-	stmt, err := sql.ParseSelect(sqlText)
-	if err != nil {
-		return err
-	}
 	pl, err := e.planSelect(stmt, e.parallelism, nil)
 	if err != nil {
 		return err

@@ -182,8 +182,8 @@ func evalProjectionVectors(exprs []expr.Expr, b *Batch) ([]*vector.Vector, error
 }
 
 // batchFromRows copies up to DefaultBatchSize rows starting at *pos into a
-// fresh batch, advancing *pos. It is how operators that materialize rows
-// (sort, values, the parallel sort) emit them batch-wise.
+// fresh batch, advancing *pos. It is how ValuesScan, which holds its rows,
+// emits them batch-wise.
 func batchFromRows(rows []Row, pos *int, ncols int) *Batch {
 	b := NewBatch(ncols, DefaultBatchSize)
 	for *pos < len(rows) && b.physRows() < DefaultBatchSize {
@@ -191,18 +191,6 @@ func batchFromRows(rows []Row, pos *int, ncols int) *Batch {
 		*pos++
 	}
 	return b
-}
-
-// rowResult is a materialized result held as rows (the parallel sort's).
-type rowResult struct {
-	rows  []Row
-	ncols int
-}
-
-func (r *rowResult) len() int { return len(r.rows) }
-
-func (r *rowResult) batch(from, to int) *Batch {
-	return batchFromRows(r.rows[from:to], new(int), r.ncols)
 }
 
 // resultSet is a pipeline breaker's materialized output.
@@ -227,4 +215,77 @@ func nextResultBatch(res resultSet, pos *int) (*Batch, bool) {
 // the input's selection and physical row count.
 func projectedBatch(vecs []*vector.Vector, src *Batch) *Batch {
 	return &Batch{Cols: vecs, Sel: src.Sel, n: src.physRows()}
+}
+
+// Slab holds rows of a fixed width, appended in blocks of slabRows rows, so
+// an append never copies what the slab holds and n rows take n rows of
+// memory, give or take a block, however many there turn out to be. A row's
+// values lie side by side. Sort drains its input into a Slab.
+type Slab struct {
+	width  int
+	blocks [][]value.Value
+	n      int
+}
+
+// slabRows is the number of rows in a block of a Slab.
+const slabRows = 4096
+
+// NewSlab returns an empty slab of rows of width values.
+func NewSlab(width int) *Slab { return &Slab{width: width} }
+
+// Len is the number of rows in the slab.
+func (s *Slab) Len() int { return s.n }
+
+// Row returns row i, in place.
+func (s *Slab) Row(i int) []value.Value {
+	at := i % slabRows * s.width
+	return s.blocks[i/slabRows][at : at+s.width : at+s.width]
+}
+
+// grow adds n rows, which must fit in the last block or a new one, and
+// returns them. The first block starts small and doubles up to slabRows
+// rows, so a small slab takes little memory.
+func (s *Slab) grow(n int) []value.Value {
+	at := s.n % slabRows
+	if at == 0 {
+		rows := slabRows
+		if len(s.blocks) == 0 {
+			rows = max(n, 64)
+		}
+		s.blocks = append(s.blocks, make([]value.Value, rows*s.width))
+	}
+	last := &s.blocks[len(s.blocks)-1]
+	if end := (at + n) * s.width; end > len(*last) {
+		grown := make([]value.Value, min(slabRows*s.width, max(end, 2*len(*last))))
+		copy(grown, *last)
+		*last = grown
+	}
+	s.n += n
+	return (*last)[at*s.width : (at+n)*s.width]
+}
+
+// AppendRows appends rows of the slab's width, laid side by side in vals.
+func (s *Slab) AppendRows(vals []value.Value) {
+	for len(vals) > 0 {
+		n := min(len(vals)/s.width, slabRows-s.n%slabRows)
+		vals = vals[copy(s.grow(n), vals):]
+	}
+}
+
+// AppendBatch appends the live rows of a batch of the slab's width.
+func (s *Slab) AppendBatch(b *Batch) {
+	flats := make([][]value.Value, s.width)
+	for j := range flats {
+		flats[j] = b.Cols[j].Flat()
+	}
+	for done, n := 0, b.NumRows(); done < n; {
+		k := min(n-done, slabRows-s.n%slabRows)
+		out := s.grow(k)
+		for j, flat := range flats {
+			for i := range k {
+				out[i*s.width+j] = flat[b.PhysIdx(done+i)]
+			}
+		}
+		done += k
+	}
 }

@@ -122,6 +122,9 @@ func TestEveryOperatorBothPulls(t *testing.T) {
 			return &valuesMorseler{ValuesScan: NewValuesScan(scan().Schema(), drain(t, scan())), chunk: 300}
 		}
 		halve := func(src Operator) Operator { return NewFilter(src, expr.NewBinary(expr.OpLt, col(2), lit(50))) }
+		parallelSort := func(src Morseler, pipe PipelineFunc, keys []SortKey, workers int) (Operator, bool) {
+			return NewSort(src, keys).ParallelForm(src, pipe, workers)
+		}
 		parallel := func(op Operator, ok bool) Operator {
 			if !ok {
 				t.Fatal("test source did not split into morsels")
@@ -151,7 +154,7 @@ func TestEveryOperatorBothPulls(t *testing.T) {
 			"ParallelMerge":           parallel(NewParallelMerge(morsels(), halve, 3)),
 			"ParallelHashAggregate":   parallel(NewParallelHashAggregate(morsels(), halve, []int{2}, aggs, 3)),
 			"ParallelStreamAggregate": parallel(NewParallelStreamAggregate(morsels(), nil, []int{0}, aggs, 3)),
-			"ParallelSort":            parallel(NewParallelSort(morsels(), halve, []SortKey{{Col: 2}}, 3)),
+			"Sort over ParallelMerge": parallel(parallelSort(morsels(), halve, []SortKey{{Col: 2}}, 3)),
 		}
 		for name, op := range ops {
 			want := rowsKey(drain(t, op))

@@ -2,10 +2,12 @@ package exec
 
 import (
 	"context"
-	"sort"
+	"sync"
 
 	"oldelephant/internal/expr"
+	"oldelephant/internal/keysort"
 	"oldelephant/internal/value"
+	"oldelephant/internal/vector"
 )
 
 // Filter passes through rows for which the predicate evaluates to true. In
@@ -256,13 +258,28 @@ type SortKey struct {
 // Sort materializes its input and emits it ordered by the sort keys. The
 // materialization is deferred to the first Next/NextBatch call so that it can
 // drain its input through whichever pull protocol the parent is using.
+//
+// It is the engine's one sort. The drained rows are held in a Slab, and as
+// each arrives its key is encoded: its sort columns' value.AppendKeyValue
+// bytes in turn, a DESC column's complemented, so the bytes order as
+// value.Compare orders the columns, NULL lowest. keysort orders the
+// positions. That order is stable and the same at any worker count, so a
+// parallel plan — this Sort over a ParallelMerge, ordering and gathering on
+// its workers — returns the serial plan's rows in the serial plan's order,
+// ties included.
 type Sort struct {
 	Input Operator
 	Keys  []SortKey
 
-	rows   []Row
-	pos    int
-	sorted bool
+	workers int
+	drained *Slab           // the input
+	keys    []*keysort.Keys // the drained rows' keys
+	order   []int           // rows of drained, in key order
+	pos     int             // rows of order gathered
+	out     []value.Value   // the columns of the batches gathered last
+	ready   []*Batch        // the batches gathered and not yet emitted
+	sorted  bool
+	rows    batchRowCursor
 	// ctx, when set by ApplyContext after Open, is checked inside the
 	// materialization drain so cancellation is observed mid-sort, not only
 	// after the whole input is consumed. Open clears it: a cache-leased plan
@@ -272,7 +289,7 @@ type Sort struct {
 
 // NewSort builds an in-memory sort.
 func NewSort(input Operator, keys []SortKey) *Sort {
-	return &Sort{Input: input, Keys: keys}
+	return &Sort{Input: input, Keys: keys, workers: 1}
 }
 
 // Schema implements Operator.
@@ -280,9 +297,8 @@ func (s *Sort) Schema() []ColumnInfo { return s.Input.Schema() }
 
 // Open implements Operator.
 func (s *Sort) Open() error {
-	s.rows = nil
-	s.pos = 0
-	s.sorted = false
+	s.drained, s.keys, s.order, s.pos, s.ready, s.sorted = nil, nil, nil, 0, nil, false
+	s.rows.reset()
 	s.ctx = nil
 	return s.Input.Open()
 }
@@ -299,15 +315,23 @@ func (s *Sort) SetContext(ctx context.Context) { s.ctx = ctx }
 // Drained implements Breaker.
 func (s *Sort) Drained() *Operator { return &s.Input }
 
-// ParallelForm implements Breaker: per-morsel sorted runs, K-way merged.
+// ParallelForm implements Breaker: the Sort itself, draining the morsels'
+// pipelines through a ParallelMerge, which hands them over in morsel order,
+// and ordering and gathering on workers goroutines.
 func (s *Sort) ParallelForm(src Morseler, pipe PipelineFunc, workers int) (Operator, bool) {
-	return parallelForm(NewParallelSort(src, pipe, s.Keys, workers))
+	merge, ok := NewParallelMerge(src, pipe, workers)
+	if !ok {
+		return nil, false
+	}
+	s.Input, s.workers = merge, workers
+	return s, true
 }
 
-// materialize drains the input (batch-wise when the parent pulls batches) and
-// sorts the collected rows, checking the applied context once per batch of
-// drained input.
+// materialize drains the input (batch-wise when the parent pulls batches),
+// checking the applied context once per batch of drained input, and orders
+// it.
 func (s *Sort) materialize(batchWise bool) error {
+	s.drained, s.keys, s.out = NewSlab(len(s.Schema())), nil, nil
 	if batchWise {
 		for {
 			if err := ctxErr(s.ctx); err != nil {
@@ -320,7 +344,11 @@ func (s *Sort) materialize(batchWise bool) error {
 			if !ok {
 				break
 			}
-			s.rows = b.AppendRows(s.rows)
+			n := s.drained.Len()
+			s.drained.AppendBatch(b)
+			for i := n; i < s.drained.Len(); i++ {
+				s.appendKey(s.drained.Row(i))
+			}
 		}
 	} else {
 		for n := 0; ; n++ {
@@ -336,34 +364,87 @@ func (s *Sort) materialize(batchWise bool) error {
 			if !ok {
 				break
 			}
-			s.rows = append(s.rows, row)
+			s.drained.AppendRows(row)
+			s.appendKey(row)
 		}
 	}
-	stableSortRows(s.rows, s.Keys)
+	s.order, s.keys = keysort.Join(s.keys).OrderOn(s.workers), nil
 	s.sorted = true
 	return nil
 }
 
-// stableSortRows stable-sorts rows in place by the sort keys (shared by Sort
-// and the per-morsel runs of ParallelSort, so both apply identical ordering).
-func stableSortRows(rows []Row, keys []SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		return compareRows(rows[i], rows[j], keys) < 0
-	})
+// appendKey appends row's key to s.keys, in lists of DefaultBatchSize: its
+// sort columns' value.AppendKeyValue bytes in turn, a DESC column's
+// complemented.
+func (s *Sort) appendKey(row []value.Value) {
+	if len(s.keys) == 0 || s.keys[len(s.keys)-1].Len() == DefaultBatchSize {
+		s.keys = append(s.keys, keysort.New(DefaultBatchSize, 9*len(s.Keys)))
+	}
+	keys := s.keys[len(s.keys)-1]
+	buf := keys.Buf
+	for _, k := range s.Keys {
+		start := len(buf)
+		buf = value.AppendKeyValue(buf, row[k.Col])
+		if k.Desc {
+			for j := start; j < len(buf); j++ {
+				buf[j] = ^buf[j]
+			}
+		}
+	}
+	keys.Buf = buf
+	keys.End()
 }
 
-func compareRows(a, b Row, keys []SortKey) int {
-	for _, k := range keys {
-		cmp := value.Compare(a[k.Col], b[k.Col])
-		if cmp == 0 {
-			continue
+// nextSorted returns the next DefaultBatchSize rows in key order. They are
+// gathered up to workers batches at a time, a batch per goroutine, into
+// columns the Sort reuses: a parent no longer reads a batch once it pulls the
+// next.
+func (s *Sort) nextSorted() (*Batch, bool, error) {
+	if len(s.ready) == 0 {
+		if s.pos >= len(s.order) {
+			return nil, false, nil
 		}
-		if k.Desc {
-			return -cmp
-		}
-		return cmp
+		s.gather()
 	}
-	return 0
+	b := s.ready[0]
+	s.ready = s.ready[1:]
+	return b, true, nil
+}
+
+// gather fills s.ready with the batches of up to the next workers times
+// DefaultBatchSize rows in key order, one per goroutine.
+func (s *Sort) gather() {
+	width, size := s.drained.width, DefaultBatchSize
+	if s.out == nil {
+		s.out = make([]value.Value, min(len(s.order), s.workers*size)*width)
+	}
+	s.ready = make([]*Batch, min(s.workers, (len(s.order)-s.pos+size-1)/size))
+	var wg sync.WaitGroup
+	for w := range s.ready {
+		at := s.order[s.pos+w*size : min(s.pos+(w+1)*size, len(s.order))]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.ready[w] = s.gatherBatch(at, s.out[w*size*width:(w*size+len(at))*width])
+		}()
+	}
+	wg.Wait()
+	s.pos = min(s.pos+len(s.ready)*size, len(s.order))
+}
+
+// gatherBatch copies the drained rows at, in that order, into out, column
+// after column, and returns them as a batch.
+func (s *Sort) gatherBatch(at []int, out []value.Value) *Batch {
+	for i, p := range at {
+		for c, v := range s.drained.Row(p) {
+			out[c*len(at)+i] = v
+		}
+	}
+	vecs := make([]*vector.Vector, s.drained.width)
+	for c := range vecs {
+		vecs[c] = vector.NewFlat(out[c*len(at) : (c+1)*len(at) : (c+1)*len(at)])
+	}
+	return NewBatchFromVectors(vecs)
 }
 
 // Next implements Operator.
@@ -373,12 +454,7 @@ func (s *Sort) Next() (Row, bool, error) {
 			return nil, false, err
 		}
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	row := s.rows[s.pos]
-	s.pos++
-	return row, true, nil
+	return s.rows.next(s.nextSorted)
 }
 
 // NextBatch implements Operator.
@@ -388,15 +464,11 @@ func (s *Sort) NextBatch() (*Batch, bool, error) {
 			return nil, false, err
 		}
 	}
-	if s.pos >= len(s.rows) {
-		return nil, false, nil
-	}
-	return batchFromRows(s.rows, &s.pos, len(s.Schema())), true, nil
+	return s.nextSorted()
 }
 
 // Close implements Operator.
 func (s *Sort) Close() error {
-	s.rows = nil
-	s.sorted = false
+	s.drained, s.keys, s.order, s.out, s.ready, s.sorted = nil, nil, nil, nil, nil, false
 	return s.Input.Close()
 }

@@ -13,14 +13,14 @@
 // Every merge operator re-establishes the serial order: ParallelMerge
 // reassembles row streams in morsel order, the parallel aggregates combine
 // per-morsel partial states in morsel order (so even float sums are
-// reproducible run to run), and ParallelSort K-way-merges per-morsel sorted
-// runs with a morsel-order tie-break, reproducing the serial stable sort.
+// reproducible run to run), and a Sort over a ParallelMerge drains the rows in
+// that same order and sorts them stably, on keys whose order is the same at
+// any worker count, reproducing the serial sort.
 // Result: a parallel plan returns exactly what the serial plan returns, made
 // deterministic by construction rather than by scheduling luck.
 package exec
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sync"
@@ -52,10 +52,10 @@ type Morseler interface {
 	// across goroutines (ParallelMerge, through drainPipe), so every
 	// NextBatch must return freshly allocated (or immutable, never-recycled)
 	// columns. Without it, the consumer folds each batch on the worker before
-	// it pulls the next (the parallel aggregates, ParallelSort, the parallel
-	// hash-join build), which is Operator's own contract: a morsel may refill
-	// one set of column buffers across its batches, and it returns them when
-	// it closes.
+	// it pulls the next (the parallel aggregates, the parallel hash-join
+	// build), which is Operator's own contract: a morsel may refill one set
+	// of column buffers across its batches, and it returns them when it
+	// closes.
 	// ok reports whether there are at least two morsels.
 	Morsels(targetRows int, retain bool) (parts []Operator, ok bool)
 	// NumMorsels is the number of morsels Morsels(targetRows, …) returns,
@@ -410,9 +410,9 @@ func (m *ParallelMerge) Close() error {
 }
 
 // parallelBreaker is the scaffolding shared by the materializing parallel
-// pipeline breakers (the aggregates and the sort): a morsel runner whose
-// per-morsel results — produced by morsel on the workers — merge in morsel
-// order into materialized result rows. The concrete breakers supply only the
+// pipeline breakers (the two aggregates): a morsel runner whose per-morsel
+// results — produced by morsel on the workers — merge in morsel order into
+// materialized result rows. The concrete breakers supply only the
 // two closures; lifecycle, the row/batch protocols and error plumbing live
 // here once.
 type parallelBreaker struct {
@@ -630,112 +630,4 @@ func NewParallelStreamAggregate(src Morseler, build PipelineFunc, groupBy []int,
 			return &res, err
 		},
 	}}, true
-}
-
-// ParallelSort is the morsel-parallel form of Sort: each worker runs the
-// pipeline over whole morsels and stable-sorts each morsel's output into a
-// run, and the runs are K-way merged with ties broken by morsel order —
-// which reproduces the serial operator's stable sort exactly. Limit parents
-// consume the merged stream as usual.
-type ParallelSort struct {
-	parallelBreaker
-}
-
-// NewParallelSort builds a parallel sort over a partitionable source; build
-// clones the pipeline between the scan and the sort. ok is false when src
-// cannot provide at least two morsels.
-func NewParallelSort(src Morseler, build PipelineFunc, keys []SortKey, workers int) (*ParallelSort, bool) {
-	build, ok := splittable(src, build)
-	if !ok {
-		return nil, false
-	}
-	proto := build(src)
-	return &ParallelSort{parallelBreaker{
-		name:     "ParallelSort",
-		src:      src,
-		workers:  workers,
-		schema:   proto.Schema(),
-		absorbed: sharedState(proto),
-		morsel: func(part Operator) (any, error) {
-			var rows []Row
-			err := drainMorsel(build(part), func(b *Batch) error {
-				rows = b.AppendRows(rows)
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			stableSortRows(rows, keys)
-			return rows, nil
-		},
-		merge: func(next func() (any, bool, error)) (resultSet, error) {
-			var runs [][]Row
-			total := 0
-			for {
-				val, ok, err := next()
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					break
-				}
-				if run := val.([]Row); len(run) > 0 {
-					runs = append(runs, run)
-					total += len(run)
-				}
-			}
-			return &rowResult{rows: mergeSortedRuns(runs, keys, total), ncols: len(proto.Schema())}, nil
-		},
-	}}, true
-}
-
-// runHeap is the K-way merge heap over sorted runs: the top is the run whose
-// head row sorts first, ties broken by run (morsel) order so equal keys keep
-// their input order — the stable-sort contract.
-type runHeap struct {
-	runs [][]Row
-	pos  []int
-	idx  []int // heap of run indices
-	keys []SortKey
-}
-
-func (h *runHeap) Len() int { return len(h.idx) }
-func (h *runHeap) Less(i, j int) bool {
-	a, b := h.idx[i], h.idx[j]
-	cmp := compareRows(h.runs[a][h.pos[a]], h.runs[b][h.pos[b]], h.keys)
-	if cmp != 0 {
-		return cmp < 0
-	}
-	return a < b
-}
-func (h *runHeap) Swap(i, j int) { h.idx[i], h.idx[j] = h.idx[j], h.idx[i] }
-func (h *runHeap) Push(x any)    { h.idx = append(h.idx, x.(int)) }
-func (h *runHeap) Pop() any      { x := h.idx[len(h.idx)-1]; h.idx = h.idx[:len(h.idx)-1]; return x }
-
-// mergeSortedRuns K-way merges sorted runs (runs ordered by morsel sequence)
-// into one sorted row slice.
-func mergeSortedRuns(runs [][]Row, keys []SortKey, total int) []Row {
-	switch len(runs) {
-	case 0:
-		return nil
-	case 1:
-		return runs[0]
-	}
-	h := &runHeap{runs: runs, pos: make([]int, len(runs)), keys: keys}
-	for i := range runs {
-		h.idx = append(h.idx, i)
-	}
-	heap.Init(h)
-	out := make([]Row, 0, total)
-	for h.Len() > 0 {
-		r := h.idx[0]
-		out = append(out, h.runs[r][h.pos[r]])
-		h.pos[r]++
-		if h.pos[r] >= len(h.runs[r]) {
-			heap.Pop(h)
-		} else {
-			heap.Fix(h, 0)
-		}
-	}
-	return out
 }

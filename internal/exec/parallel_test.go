@@ -310,9 +310,9 @@ func TestParallelMergeMatchesSerial(t *testing.T) {
 	rowsMatch(t, got, want, 0)
 }
 
-// TestParallelSortMatchesSerial proves the K-way merge of per-morsel sorted
-// runs reproduces the serial stable sort exactly, including the relative
-// order of equal keys.
+// TestParallelSortMatchesSerial proves that a Sort over a ParallelMerge of
+// morsels, some of them empty, reproduces the serial stable sort exactly,
+// including the relative order of equal keys.
 func TestParallelSortMatchesSerial(t *testing.T) {
 	rows := testRows(5000, 7)
 	// Sort on the group column only: heavy duplication, so stability is
@@ -324,9 +324,9 @@ func TestParallelSortMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &valuesMorseler{ValuesScan: NewValuesScan(testSchema(), rows), chunk: 391, emptyEvery: 5}
-	par, ok := NewParallelSort(src, nil, keys, 4)
+	par, ok := NewSort(src, keys).ParallelForm(src, nil, 4)
 	if !ok {
-		t.Fatal("NewParallelSort refused a partitionable source")
+		t.Fatal("Sort.ParallelForm refused a partitionable source")
 	}
 	got, err := DrainBatches(nil, par)
 	if err != nil {

@@ -233,7 +233,7 @@ func TestPlanTimeSplitCheckMakesNoMorsel(t *testing.T) {
 	merge, ok1 := NewParallelMerge(src, nil, 2)
 	_, ok2 := NewParallelHashAggregate(src, nil, []int{0}, aggs, 2)
 	_, ok3 := NewParallelStreamAggregate(src, nil, []int{0}, aggs, 2)
-	_, ok4 := NewParallelSort(src, nil, []SortKey{{Col: 1}}, 2)
+	_, ok4 := NewSort(src, []SortKey{{Col: 1}}).ParallelForm(src, nil, 2)
 	if !ok1 || !ok2 || !ok3 || !ok4 {
 		t.Fatalf("a source of %d morsels did not parallelize: %v %v %v %v", want, ok1, ok2, ok3, ok4)
 	}

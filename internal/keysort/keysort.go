@@ -200,24 +200,26 @@ func inParallel(workers int, task func(w int)) {
 	wg.Wait()
 }
 
-// radixMin is the group size below which a comparison sort beats another
-// radix pass.
+// radixMin is the group size below which an insertion sort on the window
+// beats radix passes.
 const radixMin = 32
 
 // sortFrom orders rs — keys that share their first off bytes, in position
-// order — by the rest of their bytes, then by position. A group is radix
-// sorted, stably, on its next 8 bytes; each run of keys that share those too
-// is settled the same way from off+8, and a small run, or one holding a key
-// that ends inside the window, by comparison.
+// order — by the rest of their bytes, then by position. A group is sorted,
+// stably, on its next 8 bytes — radix sorted, or by insertion when small;
+// each run of keys that share those too is settled the same way from off+8,
+// and a run holding a key that ends inside the window by comparison.
 func (k *Keys) sortFrom(rs, tmp []ranked, off int) {
-	if len(rs) < radixMin {
-		k.compareFrom(rs, off)
-		return
-	}
 	for i := range rs {
 		rs[i].word = word(k.Key(rs[i].pos)[off:])
 	}
-	if out := radixSort(rs, tmp); &out[0] != &rs[0] {
+	if len(rs) < radixMin {
+		for i := 1; i < len(rs); i++ {
+			for j := i; j > 0 && rs[j].word < rs[j-1].word; j-- {
+				rs[j], rs[j-1] = rs[j-1], rs[j]
+			}
+		}
+	} else if out := radixSort(rs, tmp); &out[0] != &rs[0] {
 		copy(rs, out)
 	}
 	k.settle(rs, tmp, off, 0, len(rs))

@@ -76,8 +76,9 @@ func loadWideTable(t *testing.T, c *catalog.Catalog, name string, n int) {
 
 // TestParallelizePlacesParallelOperators pins where the rewrite fires: a
 // scan-filter-aggregate pipeline becomes a parallel aggregate, a bare
-// scan-filter pipeline a ParallelMerge, ORDER BY a ParallelSort under the
-// serial Limit, and a sub-threshold table stays serial. Without this pin a
+// scan-filter pipeline a ParallelMerge, ORDER BY the Sort over a
+// ParallelMerge under the serial Limit, and a sub-threshold table stays
+// serial. Without this pin a
 // regression could silently turn every "parallel" differential run back into
 // serial-vs-serial.
 func TestParallelizePlacesParallelOperators(t *testing.T) {
@@ -88,7 +89,7 @@ func TestParallelizePlacesParallelOperators(t *testing.T) {
 	}{
 		{"SELECT grp, COUNT(*), SUM(amount) FROM big WHERE amount > 10 GROUP BY grp", "*exec.ParallelHashAggregate"},
 		{"SELECT id, amount FROM big WHERE amount > 990", "*exec.ParallelMerge"},
-		{"SELECT id, amount FROM big WHERE amount > 990 ORDER BY amount DESC LIMIT 5", "*exec.ParallelSort"},
+		{"SELECT id, amount FROM big WHERE amount > 990 ORDER BY amount DESC LIMIT 5", sortOverMerge},
 		{"SELECT id, grp FROM big", "*exec.ParallelMerge"},
 	}
 	for _, tc := range cases {
@@ -97,7 +98,7 @@ func TestParallelizePlacesParallelOperators(t *testing.T) {
 		if !rewrote {
 			t.Errorf("%s: Parallelize reported no rewrite", tc.query)
 		}
-		if got := findOperatorType(root, tc.want); !got {
+		if got := hasOperator(root, tc.want); !got {
 			t.Errorf("%s:\nrewritten plan has no %s (root %T)", tc.query, tc.want, root)
 		}
 	}
@@ -135,7 +136,7 @@ func TestParallelizeThroughJoins(t *testing.T) {
 		// Join under a bare filter pipeline.
 		{"SELECT id, dname FROM big, dims WHERE grp = dkey AND amount > 990", "*exec.ParallelMerge"},
 		// Join under ORDER BY/LIMIT.
-		{"SELECT id, amount, dname FROM big, dims WHERE grp = dkey ORDER BY amount DESC, id LIMIT 7", "*exec.ParallelSort"},
+		{"SELECT id, amount, dname FROM big, dims WHERE grp = dkey ORDER BY amount DESC, id LIMIT 7", sortOverMerge},
 	}
 	for _, tc := range cases {
 		pl := planFor(t, c, tc.query)
@@ -146,7 +147,7 @@ func TestParallelizeThroughJoins(t *testing.T) {
 		if !rewrote {
 			t.Errorf("%s: Parallelize reported no rewrite", tc.query)
 		}
-		if !findOperatorType(root, tc.want) {
+		if !hasOperator(root, tc.want) {
 			t.Errorf("%s:\nrewritten plan has no %s (root %T)", tc.query, tc.want, root)
 		}
 		// The join must have been absorbed into the parallel pipeline, not
@@ -270,7 +271,7 @@ func TestParallelizeSeeks(t *testing.T) {
 			t.Errorf("%s: wide seek did not parallelize (%s)", tc.query, pl.Explain)
 			continue
 		}
-		if !findOperatorType(root, tc.want) {
+		if !hasOperator(root, tc.want) {
 			t.Errorf("%s: rewritten plan has no %s (root %T)", tc.query, tc.want, root)
 		}
 	}
@@ -323,11 +324,30 @@ func TestParallelizeLeavesSmallScansSerial(t *testing.T) {
 	if rewrote {
 		t.Error("Parallelize reported a rewrite on a sub-threshold scan")
 	}
-	for _, typ := range []string{"*exec.ParallelHashAggregate", "*exec.ParallelStreamAggregate", "*exec.ParallelMerge", "*exec.ParallelSort"} {
+	for _, typ := range []string{"*exec.ParallelHashAggregate", "*exec.ParallelStreamAggregate", "*exec.ParallelMerge"} {
 		if findOperatorType(root, typ) {
 			t.Errorf("sub-threshold scan was parallelized with %s", typ)
 		}
 	}
+}
+
+// sortOverMerge names a parallel ORDER BY: a Sort whose input is a
+// ParallelMerge.
+const sortOverMerge = "*exec.Sort over *exec.ParallelMerge"
+
+// hasOperator reports whether the tree holds an operator whose dynamic type
+// renders as want, or a Sort over a ParallelMerge for sortOverMerge.
+func hasOperator(op exec.Operator, want string) bool {
+	if want != sortOverMerge {
+		return findOperatorType(op, want)
+	}
+	for in, ok := op, true; ok; in, ok = containerInput(in) {
+		if s, isSort := in.(*exec.Sort); isSort {
+			_, merged := s.Input.(*exec.ParallelMerge)
+			return merged
+		}
+	}
+	return false
 }
 
 // findOperatorType walks the operator tree looking for a node whose dynamic
