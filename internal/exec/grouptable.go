@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"bytes"
-	"hash/maphash"
 	"math"
 
-	"oldelephant/internal/keysort"
 	"oldelephant/internal/value"
 	"oldelephant/internal/vector"
 )
@@ -251,31 +248,15 @@ func (s *aggGroups) dropFirst(m int) {
 // with mergeFrom in morsel order; finish renders the groups sorted by
 // encoded key, so serial and parallel plans produce the identical rows in
 // the identical order. Group g's key is its in-memory grouping key
-// (value.EncodeKey, under which 1 and 1.0 are one group), the g-th key of one
-// byte arena; an open-addressing index over the key hashes finds it, for
-// every kind of key alike.
+// (value.EncodeKey, under which 1 and 1.0 are one group): key g of the
+// table's keyIndex, which numbers keys in first-seen order as groups are.
 type groupTable struct {
 	aggGroups
-	// keys holds the groups' encoded keys end to end. A probe encodes its
-	// key at the arena's tail and cuts it off again when the group exists.
-	keys   keysort.Keys
-	hashes []uint64 // hashes[g]: maphash of group g's key
-	// slots is the index: 0 marks an empty slot, anything else is the key
-	// hash's high 32 bits over the group number plus one. Linear probing,
-	// at most three quarters full.
-	slots []uint64
+	keyIndex
 }
 
-// groupSeed keys every group table's hash, so a partial's stored hashes are
-// valid in the table it merges into.
-var groupSeed = maphash.MakeSeed()
-
-// groupTableSlots is a new table's index size: the groups of one morsel of a
-// many-group input fit without regrowing.
-const groupTableSlots = 1 << 10
-
 func newGroupTable(groupBy []int, aggs []AggSpec) *groupTable {
-	return &groupTable{aggGroups: newAggGroups(groupBy, aggs), slots: make([]uint64, groupTableSlots)}
+	return &groupTable{aggGroups: newAggGroups(groupBy, aggs), keyIndex: newKeyIndex()}
 }
 
 // consumeBatch folds one batch into the table.
@@ -284,85 +265,30 @@ func (t *groupTable) consumeBatch(b *Batch) error { return t.foldBatch(b, t) }
 // consumeRow folds one row into the table.
 func (t *groupTable) consumeRow(row Row) error { return t.foldRow(row, t) }
 
-// find looks key (hashed h) up. It returns the key's group, or -1 and the
-// empty slot the key would take.
-func (t *groupTable) find(key []byte, h uint64) (g int32, slot int) {
-	mask := uint64(len(t.slots) - 1)
-	tag := h &^ 0xffffffff
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s == 0 {
-			return -1, int(i)
-		}
-		if s&^0xffffffff == tag {
-			if g := int32(uint32(s)) - 1; bytes.Equal(t.keys.Key(int(g)), key) {
-				return g, 0
-			}
-		}
-	}
-}
-
 // groupOf implements grouper.
 func (t *groupTable) groupOf(key []value.Value) int32 {
 	start := len(t.keys.Buf)
 	for _, v := range key {
 		t.keys.Buf = value.AppendKeyValue(t.keys.Buf, v)
 	}
-	enc := t.keys.Buf[start:]
-	h := maphash.Bytes(groupSeed, enc)
-	g, slot := t.find(enc, h)
-	if g >= 0 {
-		t.keys.Buf = t.keys.Buf[:start]
-		return g
-	}
-	return t.insert(slot, h, key)
-}
-
-// insert makes the key at the arena's tail (hashed h, with values key) a
-// new group at the empty slot find returned.
-func (t *groupTable) insert(slot int, h uint64, key []value.Value) int32 {
-	if n := len(t.hashes); n == cap(t.hashes) {
-		more := max(n, 64)
-		t.hashes = growCap(t.hashes, more)
-		t.keys.Grow(more, len(t.keys.Buf)/max(n, 1)+1)
-	}
-	t.keys.End()
-	t.hashes = append(t.hashes, h)
-	g := t.add(key)
-	t.slots[slot] = h&^0xffffffff | uint64(g+1)
-	if t.n*4 > len(t.slots)*3 {
-		t.rehash(2 * len(t.slots))
+	g, added := t.intern(start)
+	if added {
+		t.add(key)
 	}
 	return g
-}
-
-// rehash rebuilds the index at n slots from the stored hashes.
-func (t *groupTable) rehash(n int) {
-	t.slots = make([]uint64, n)
-	mask := uint64(n - 1)
-	for g, h := range t.hashes {
-		i := h & mask
-		for t.slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = h&^0xffffffff | uint64(g+1)
-	}
 }
 
 // mergeFrom folds another table's groups into t, o's keys first seen in o
 // taking o's key values. o must have been built over the same groupBy and
 // aggs; it is consumed.
 func (t *groupTable) mergeFrom(o *groupTable) {
-	into := make([]int32, o.n)
-	for og, h := range o.hashes {
-		key := o.keys.Key(og)
-		g, slot := t.find(key, h)
-		if g < 0 {
-			t.keys.Buf = append(t.keys.Buf, key...)
+	n := int32(t.n)
+	into := t.mergeKeys(&o.keyIndex)
+	for og, g := range into {
+		if g >= n {
 			o.keyOf(og, t.keyRow)
-			g = t.insert(slot, h, t.keyRow)
+			t.add(t.keyRow)
 		}
-		into[og] = g
 	}
 	t.merge(&o.aggGroups, into)
 }

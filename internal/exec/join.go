@@ -107,21 +107,20 @@ func (j *NestedLoopJoin) Close() error {
 // HashJoin performs an equi-join: the right (build) side is hashed on its key
 // columns, then the left (probe) side streams through. An optional residual
 // predicate is applied to the concatenated row. It is the row-at-a-time test
-// oracle for VectorizedHashJoin, but shares the typed-key scheme: a single
-// numeric key hashes as its value.NumericSortKey word (no string encoding),
-// composite and string keys as the order-preserving encoded key, and rows
-// whose key contains NULL never match (SQL equality semantics).
+// oracle for VectorizedHashJoin: it shares only the join-key bytes
+// (appendJoinKey), keyed in a Go map rather than VectorizedHashJoin's
+// keyIndex, and rows whose key contains NULL never match (SQL equality
+// semantics).
 type HashJoin struct {
 	Left, Right Operator
 	LeftKeys    []int
 	RightKeys   []int
 	Residual    expr.Expr
 
-	fast     map[uint64][]Row
-	generic  map[string][]Row
+	table    map[string][]Row
 	built    bool
 	ctx      context.Context // see Sort.ctx
-	fastOK   bool
+	key      []value.Value
 	keyBuf   []byte
 	leftRow  Row
 	matches  []Row
@@ -135,7 +134,7 @@ func NewHashJoin(left, right Operator, leftKeys, rightKeys []int, residual expr.
 		return nil, fmt.Errorf("exec: hash join requires matching, non-empty key lists")
 	}
 	return &HashJoin{Left: left, Right: right, LeftKeys: leftKeys, RightKeys: rightKeys,
-		Residual: residual, fastOK: len(leftKeys) == 1,
+		Residual: residual, key: make([]value.Value, len(leftKeys)),
 		schema: concatSchemas(left.Schema(), right.Schema())}, nil
 }
 
@@ -145,7 +144,7 @@ func (j *HashJoin) Schema() []ColumnInfo { return j.schema }
 // Open implements Operator. The build is deferred to the first pull, so it
 // runs under the context ApplyContext pushed after Open.
 func (j *HashJoin) Open() error {
-	j.fast, j.generic, j.built, j.ctx = nil, nil, false, nil
+	j.table, j.built, j.ctx = nil, false, nil
 	j.matches = nil
 	j.matchPos = 0
 	return j.Left.Open()
@@ -163,46 +162,30 @@ func (j *HashJoin) build() error {
 	if err != nil {
 		return err
 	}
-	j.fast, j.generic = nil, make(map[string][]Row)
-	if j.fastOK {
-		j.fast = make(map[uint64][]Row)
-	}
+	j.table = make(map[string][]Row)
 	for _, r := range rows {
-		if j.fastOK {
-			if w, ok := expr.NumericKeyWord(r[j.RightKeys[0]]); ok {
-				j.fast[w] = append(j.fast[w], r)
-				continue
-			}
+		if j.keyOf(r, j.RightKeys) {
+			j.table[string(j.keyBuf)] = append(j.table[string(j.keyBuf)], r)
 		}
-		var null bool
-		j.keyBuf, null = expr.AppendKey(j.keyBuf[:0], r, j.RightKeys)
-		if null {
-			continue // NULL keys can never satisfy the equi-join
-		}
-		j.generic[string(j.keyBuf)] = append(j.generic[string(j.keyBuf)], r)
 	}
 	j.built = true
 	return nil
 }
 
-// probe returns the build rows matching the probe row's key (nil for NULL keys).
-func (j *HashJoin) probe(row Row) []Row {
-	if j.fastOK {
-		if w, ok := expr.NumericKeyWord(row[j.LeftKeys[0]]); ok {
-			return j.fast[w]
-		}
+// keyOf encodes row's join key on columns keys into keyBuf; false for a key
+// with a NULL, which matches nothing.
+func (j *HashJoin) keyOf(row Row, keys []int) bool {
+	for i, k := range keys {
+		j.key[i] = row[k]
 	}
-	var null bool
-	j.keyBuf, null = expr.AppendKey(j.keyBuf[:0], row, j.LeftKeys)
-	if null {
-		return nil
-	}
-	return j.generic[string(j.keyBuf)]
+	var ok bool
+	j.keyBuf, ok = appendJoinKey(j.keyBuf[:0], j.key)
+	return ok
 }
 
-// keysCompareEqual re-checks a hash-equal pair with value.Compare: the typed
-// key word passes through float64, so two int64 keys beyond 2^53 can share a
-// bucket even though SQL '=' (exact for int-int pairs) separates them.
+// keysCompareEqual re-checks a hash-equal pair with value.Compare: two INTs
+// past 2^53 share a join key (appendJoinKey) even though SQL '=' (exact for
+// int-int pairs) separates them.
 func keysCompareEqual(left, right Row, leftKeys, rightKeys []int) bool {
 	for i, lk := range leftKeys {
 		if value.Compare(left[lk], right[rightKeys[i]]) != 0 {
@@ -239,9 +222,10 @@ func (j *HashJoin) Next() (Row, bool, error) {
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		j.leftRow = row
-		j.matches = j.probe(row)
-		j.matchPos = 0
+		j.leftRow, j.matches, j.matchPos = row, nil, 0
+		if j.keyOf(row, j.LeftKeys) {
+			j.matches = j.table[string(j.keyBuf)]
+		}
 	}
 }
 
@@ -250,7 +234,7 @@ func (j *HashJoin) NextBatch() (*Batch, bool, error) { return nextBatchFromRows(
 
 // Close implements Operator.
 func (j *HashJoin) Close() error {
-	j.fast, j.generic, j.built = nil, nil, false
+	j.table, j.built = nil, false
 	return j.Left.Close()
 }
 

@@ -1,15 +1,17 @@
 // Vectorized hash join: the batch-at-a-time equi-join that retires the last
-// row-at-a-time hot path. The build side is consumed as batches into a typed
-// hash table (numeric keys hash as value.NumericSortKey words, no string
-// encoding; NULL keys never match and are dropped up front), optionally
-// morsel-parallel: workers claim build morsels through the shared atomic
-// cursor, hash each morsel into a private partition, and the partitions merge
-// in morsel order — so bucket lists hold build rows in exactly the serial
-// drain order. The probe side then streams batch-at-a-time: compressed probe
-// keys hash once per run or dictionary entry instead of once per row, matches
-// buffer as (probe row, build row) pairs, and output batches materialize by
-// gathering both sides column-wise — no per-row Row allocation, with the
-// residual predicate applied through the vectorized kernels.
+// row-at-a-time hot path. The build side is consumed as batches into a
+// joinTable, whose keyIndex (the one the hash aggregates group by) numbers
+// the build keys by their join-key bytes (appendJoinKey; NULL keys never
+// match and are dropped up front), optionally morsel-parallel: workers claim
+// build morsels through the shared atomic cursor, hash each morsel into a
+// private partition, and the partitions merge in morsel order through the
+// index's id mapping — so each key's chain holds build rows in exactly the
+// serial drain order. The probe side then streams batch-at-a-time:
+// compressed probe keys are looked up once per run or dictionary entry
+// instead of once per row, matches buffer as (probe row, build row) pairs,
+// and output batches materialize by gathering both sides column-wise — no
+// per-row Row allocation, with the residual predicate applied through the
+// vectorized kernels.
 //
 // Probe-side morsel pipelines share one build: clones created by
 // plan.Parallelize hold the same joinBuildState, whose sync.Once-style latch
@@ -29,259 +31,153 @@ import (
 	"oldelephant/internal/vector"
 )
 
-// joinTable is the built (right) side of the vectorized hash join: matchable
-// build rows stored column-major plus typed-key buckets of row indices. A
-// single numeric key uses the fast uint64 map; string and composite keys use
-// the order-preserving encoded-key map. Rows whose key contains NULL are not
-// stored at all — SQL equality can never select them. After the build
+// joinTable is the built (right) side of the vectorized hash join: the
+// matchable build rows stored column-major, and their keys numbered by a
+// keyIndex over appendJoinKey's bytes. Rows whose key contains NULL are not
+// stored at all: SQL equality can never select them. After the build
 // finishes the table is immutable, so concurrent probe workers read it
 // without locks (lookups take a caller-owned scratch buffer).
 //
-// Buckets are intrusive chains, not slices: the map value packs the bucket's
-// (head, tail) row indices into one word and next[i] links same-key rows in
-// insertion order. One word per key keeps the map compact (cache-resident far
-// longer than 24-byte slice headers) and inserting costs no per-bucket
-// allocation — the probe loop is a single map access plus a chain walk.
+// A key's rows are an intrusive chain in insertion order: chains[id] holds
+// key id's first and last row and next[i] the row after row i, so
+// inserting costs no per-key allocation and a probe is one index lookup
+// plus a chain walk.
 type joinTable struct {
-	keys    []int
+	keyIndex
+	keyCols []int
 	cols    [][]value.Value
-	fast    map[uint64]uint64
-	generic map[string]uint64
+	chains  [][2]int32
 	next    []int32
-	fastOK  bool
-	keyBuf  []byte // build-time scratch; never touched by lookups
+
+	// Build scratch, reused batch to batch.
+	keyRow []value.Value
+	flats  [][]value.Value
 }
 
-// chainNone marks an empty bucket / end of chain.
+// chainNone marks the end of a chain.
 const chainNone int32 = -1
 
-func packChain(head, tail int32) uint64 {
-	return uint64(uint32(head))<<32 | uint64(uint32(tail))
-}
-
-func chainHead(ht uint64) int32 { return int32(uint32(ht >> 32)) }
-func chainTail(ht uint64) int32 { return int32(uint32(ht)) }
-
-func newJoinTable(ncols int, keys []int) *joinTable {
-	t := &joinTable{
-		keys:    keys,
-		cols:    make([][]value.Value, ncols),
-		generic: make(map[string]uint64),
-		fastOK:  len(keys) == 1,
-	}
-	if t.fastOK {
-		t.fast = make(map[uint64]uint64)
-	}
-	return t
-}
-
-func (t *joinTable) numRows() int {
-	if len(t.cols) == 0 {
-		return 0
-	}
-	return len(t.cols[0])
-}
-
-// linkFast appends row idx to the fast bucket of key word w.
-func (t *joinTable) linkFast(w uint64, idx int32) {
-	t.next = append(t.next, chainNone)
-	if ht, ok := t.fast[w]; ok {
-		t.next[chainTail(ht)] = idx
-		t.fast[w] = packChain(chainHead(ht), idx)
-	} else {
-		t.fast[w] = packChain(idx, idx)
+func newJoinTable(ncols int, keyCols []int) *joinTable {
+	return &joinTable{
+		keyIndex: newKeyIndex(),
+		keyCols:  keyCols,
+		cols:     make([][]value.Value, ncols),
+		keyRow:   make([]value.Value, len(keyCols)),
+		flats:    make([][]value.Value, ncols),
 	}
 }
 
-// linkGeneric appends row idx to the encoded-key bucket.
-func (t *joinTable) linkGeneric(key []byte, idx int32) {
-	t.next = append(t.next, chainNone)
-	if ht, ok := t.generic[string(key)]; ok {
-		t.next[chainTail(ht)] = idx
-		t.generic[string(key)] = packChain(chainHead(ht), idx)
-	} else {
-		t.generic[string(key)] = packChain(idx, idx)
-	}
-}
+func (t *joinTable) numRows() int { return len(t.next) }
 
-// consumeBatch folds one build batch into the table. The common case — no
-// selection vector and no NULL keys — bulk-appends whole columns and loops
-// rows only to hash keys; rows with NULL keys (or batches with selections)
-// take the per-row path.
+// consumeBatch folds one build batch into the table.
 func (t *joinTable) consumeBatch(b *Batch) {
 	n := b.NumRows()
-	if n == 0 {
-		return
-	}
-	flats := make([][]value.Value, len(b.Cols))
 	for c := range b.Cols {
-		flats[c] = b.Cols[c].Flat()
+		t.flats[c] = b.Cols[c].Flat()
 	}
-	if b.Sel == nil && t.fastOK && !hasNullOrString(flats[t.keys[0]]) {
-		// All keys numeric: hash each row's key word, then copy columns in
-		// one append per column instead of one per (row, column).
-		base := int32(t.numRows())
-		keys := flats[t.keys[0]]
-		for i := 0; i < n; i++ {
-			t.linkFast(value.NumericSortKey(keys[i]), base+int32(i))
+	t.reserve(n)
+	for i := 0; i < n; i++ {
+		p := b.PhysIdx(i)
+		for k, c := range t.keyCols {
+			t.keyRow[k] = t.flats[c][p]
 		}
-		for c := range t.cols {
-			t.cols[c] = append(t.cols[c], flats[c]...)
+		start := len(t.keys.Buf)
+		var ok bool
+		if t.keys.Buf, ok = appendJoinKey(t.keys.Buf, t.keyRow); !ok {
+			t.keys.Buf = t.keys.Buf[:start]
+			continue
 		}
+		id, added := t.intern(start)
+		row := int32(len(t.next))
+		t.next = append(t.next, chainNone)
+		if added {
+			if len(t.chains) == cap(t.chains) {
+				t.chains = growCap(t.chains, max(len(t.chains), 64))
+			}
+			t.chains = append(t.chains, [2]int32{row, row})
+		} else {
+			t.next[t.chains[id][1]] = row
+			t.chains[id][1] = row
+		}
+		for c, flat := range t.flats {
+			t.cols[c] = append(t.cols[c], flat[p])
+		}
+	}
+	clear(t.flats)
+}
+
+// reserve makes room for n more rows, doubling the columns and the links
+// when they grow.
+func (t *joinTable) reserve(n int) {
+	if cap(t.next)-len(t.next) >= n {
 		return
 	}
-	for i := 0; i < n; i++ {
-		t.insert(flats, b.PhysIdx(i))
-	}
-}
-
-// hasNullOrString reports whether any value needs the generic key path.
-func hasNullOrString(vals []value.Value) bool {
-	for _, v := range vals {
-		if v.Kind == value.KindNull || v.Kind == value.KindString {
-			return true
-		}
-	}
-	return false
-}
-
-// insert adds the row at physical position p of the flattened build columns,
-// unless its key contains NULL.
-func (t *joinTable) insert(flats [][]value.Value, p int) {
-	idx := int32(t.numRows())
-	if t.fastOK {
-		v := flats[t.keys[0]][p]
-		if w, ok := expr.NumericKeyWord(v); ok {
-			t.linkFast(w, idx)
-		} else if v.Kind == value.KindNull {
-			return
-		} else {
-			t.keyBuf = value.AppendKeyValue(t.keyBuf[:0], v)
-			t.linkGeneric(t.keyBuf, idx)
-		}
-	} else {
-		t.keyBuf = t.keyBuf[:0]
-		for _, k := range t.keys {
-			v := flats[k][p]
-			if v.Kind == value.KindNull {
-				return
-			}
-			t.keyBuf = value.AppendKeyValue(t.keyBuf, v)
-		}
-		t.linkGeneric(t.keyBuf, idx)
-	}
+	more := max(len(t.next), n)
+	t.next = growCap(t.next, more)
 	for c := range t.cols {
-		t.cols[c] = append(t.cols[c], flats[c][p])
+		t.cols[c] = growCap(t.cols[c], more)
 	}
 }
 
-// mergeFrom appends another partition's rows and buckets — the morsel-order
+// mergeFrom appends another partition's rows and chains: the morsel-order
 // combine of the parallel build. Per key, the other partition's chain is
 // linked after this one's, so merging partitions in morsel order reproduces
 // the serial insertion order exactly.
 func (t *joinTable) mergeFrom(o *joinTable) {
-	offset := int32(t.numRows())
+	offset := int32(len(t.next))
+	t.reserve(len(o.next))
 	for c := range t.cols {
 		t.cols[c] = append(t.cols[c], o.cols[c]...)
 	}
-	for _, n := range o.next {
-		if n == chainNone {
-			t.next = append(t.next, chainNone)
-		} else {
-			t.next = append(t.next, n+offset)
+	for _, m := range o.next {
+		if m != chainNone {
+			m += offset
 		}
+		t.next = append(t.next, m)
 	}
-	link := func(ht uint64, ok bool, oht uint64) uint64 {
-		head, tail := chainHead(oht)+offset, chainTail(oht)+offset
-		if ok {
-			t.next[chainTail(ht)] = head
-			return packChain(chainHead(ht), tail)
+	known := int32(len(t.chains))
+	for oid, id := range t.mergeKeys(&o.keyIndex) {
+		head, tail := o.chains[oid][0]+offset, o.chains[oid][1]+offset
+		if id >= known {
+			t.chains = append(t.chains, [2]int32{head, tail})
+			continue
 		}
-		return packChain(head, tail)
-	}
-	for w, oht := range o.fast {
-		ht, ok := t.fast[w]
-		t.fast[w] = link(ht, ok, oht)
-	}
-	for k, oht := range o.generic {
-		ht, ok := t.generic[k]
-		t.generic[k] = link(ht, ok, oht)
+		t.next[t.chains[id][1]] = head
+		t.chains[id][1] = tail
 	}
 }
 
-// Typed-key equality over-approximates SQL equality in one corner:
-// value.NumericSortKey passes through float64, so two int64 keys beyond 2^53
-// can share a key word even though value.Compare (exact for int-int pairs)
-// orders them apart. Every hash-equal pair is therefore re-checked with
-// value.Compare before it becomes a match — the same guard the planner's
-// residual equality re-check used to provide, at one comparison per
-// hash-equal pair instead of a predicate evaluation per output row.
-
-// matchChain1 appends to dst the chain rows whose stored key is
-// Compare-equal to the probe key v.
-func (t *joinTable) matchChain1(head int32, v value.Value, dst []int32) []int32 {
-	kc := t.cols[t.keys[0]]
-	for m := head; m != chainNone; m = t.next[m] {
-		if value.Compare(v, kc[m]) == 0 {
+// match appends to dst the rows whose key is Compare-equal, column by
+// column, to key (one value per key column). buf is a caller-owned scratch
+// buffer, returned possibly regrown, so concurrent probe workers can share
+// the immutable table. Hash-equal is not yet equal: appendJoinKey gives two
+// INTs past 2^53 that Compare tells apart one key, so each row of the chain
+// is re-checked with value.Compare.
+func (t *joinTable) match(key []value.Value, buf []byte, dst []int32) ([]int32, []byte) {
+	buf, ok := appendJoinKey(buf[:0], key)
+	if !ok {
+		return dst, buf
+	}
+	id := t.lookup(buf)
+	if id < 0 {
+		return dst, buf
+	}
+	for m := t.chains[id][0]; m != chainNone; m = t.next[m] {
+		if t.keyEquals(m, key) {
 			dst = append(dst, m)
 		}
 	}
-	return dst
+	return dst, buf
 }
 
-// matchChainComposite appends to dst the chain rows whose stored composite
-// key is Compare-equal, column by column, to the probe key at physical row p.
-func (t *joinTable) matchChainComposite(head int32, b *Batch, p int, keys []int, dst []int32) []int32 {
-	for m := head; m != chainNone; m = t.next[m] {
-		equal := true
-		for ki, k := range keys {
-			if value.Compare(b.Cols[k].Get(p), t.cols[t.keys[ki]][m]) != 0 {
-				equal = false
-				break
-			}
-		}
-		if equal {
-			dst = append(dst, m)
+// keyEquals reports whether row m's key is Compare-equal to key.
+func (t *joinTable) keyEquals(m int32, key []value.Value) bool {
+	for k, c := range t.keyCols {
+		if value.Compare(key[k], t.cols[c][m]) != 0 {
+			return false
 		}
 	}
-	return dst
-}
-
-// lookup1 returns the bucket head for a single-column probe key (chainNone
-// for no match). buf is a caller-owned scratch buffer (returned possibly
-// regrown) so concurrent probe workers can share the immutable table.
-func (t *joinTable) lookup1(v value.Value, buf []byte) (int32, []byte) {
-	if w, ok := expr.NumericKeyWord(v); ok {
-		if ht, ok := t.fast[w]; ok {
-			return chainHead(ht), buf
-		}
-		return chainNone, buf
-	}
-	if v.Kind == value.KindNull {
-		return chainNone, buf
-	}
-	buf = value.AppendKeyValue(buf[:0], v)
-	if ht, ok := t.generic[string(buf)]; ok {
-		return chainHead(ht), buf
-	}
-	return chainNone, buf
-}
-
-// lookupComposite returns the bucket head for a multi-column probe key read
-// at physical row p of the batch.
-func (t *joinTable) lookupComposite(b *Batch, p int, keys []int, buf []byte) (int32, []byte) {
-	buf = buf[:0]
-	for _, k := range keys {
-		v := b.Cols[k].Get(p)
-		if v.Kind == value.KindNull {
-			return chainNone, buf
-		}
-		buf = value.AppendKeyValue(buf, v)
-	}
-	if ht, ok := t.generic[string(buf)]; ok {
-		return chainHead(ht), buf
-	}
-	return chainNone, buf
+	return true
 }
 
 // joinBuildState owns the build side of a vectorized hash join. It is shared
@@ -403,7 +299,7 @@ func (s *joinBuildState) buildParallel(parts []Operator, ncols int) (*joinTable,
 }
 
 // VectorizedHashJoin is the batch-native hash equi-join: Probe ++ Build rows
-// for every typed-key match, narrowed by an optional residual predicate. The
+// for every key match, narrowed by an optional residual predicate. The
 // planner uses it wherever the row engine would use HashJoin (which remains
 // the row-at-a-time test oracle).
 type VectorizedHashJoin struct {
@@ -422,6 +318,7 @@ type VectorizedHashJoin struct {
 	pairsProbe []int32
 	pairsBuild []int32
 	pairPos    int
+	keyRow     []value.Value
 	keyBuf     []byte
 	segMatches []int32
 	dictArena  []int32
@@ -440,6 +337,7 @@ func NewVectorizedHashJoin(probe, build Operator, leftKeys, rightKeys []int, res
 		schema: concatSchemas(probe.Schema(), build.Schema()),
 		nleft:  len(probe.Schema()),
 		shared: &joinBuildState{keys: rightKeys},
+		keyRow: make([]value.Value, len(leftKeys)),
 	}, nil
 }
 
@@ -452,6 +350,7 @@ func (j *VectorizedHashJoin) CloneOver(probe Operator) Operator {
 	return &VectorizedHashJoin{
 		Probe: probe, Build: j.Build, LeftKeys: j.LeftKeys, RightKeys: j.RightKeys, Residual: j.Residual,
 		schema: j.schema, nleft: j.nleft, shared: j.shared, isClone: true,
+		keyRow: make([]value.Value, len(j.LeftKeys)),
 	}
 }
 
@@ -505,6 +404,7 @@ func (j *VectorizedHashJoin) TraceAttrs(sp *trace.Span) {
 	j.shared.mu.Lock()
 	if j.shared.table != nil {
 		sp.SetAttr("build_rows", int64(j.shared.table.numRows()))
+		sp.SetAttr("build_keys", int64(j.shared.table.len()))
 	}
 	j.shared.mu.Unlock()
 	if w := j.BuildParallelism(); w > 1 {
@@ -573,24 +473,21 @@ func (j *VectorizedHashJoin) probeBatch(t *joinTable, b *Batch) {
 	if n == 0 || t.numRows() == 0 {
 		return
 	}
+	key := j.keyRow
 	if len(j.LeftKeys) == 1 {
 		kv := b.Cols[j.LeftKeys[0]]
-		kc := t.cols[t.keys[0]]
 		switch {
 		case kv.Encoding() == vector.Dict && len(kv.DictValues()) <= n:
-			// Hash each dictionary entry once into its Compare-checked match
-			// list, then map per-row codes to those lists. The lists live in
-			// one join-owned arena (spans index it per code), reused across
+			// Look each dictionary entry up once into its match list, then
+			// map per-row codes to those lists. The lists live in one
+			// join-owned arena (spans index it per code), reused across
 			// batches so the hot probe loop does not allocate.
 			dict, codes := kv.DictValues(), kv.Codes()
 			arena, spans := j.dictArena[:0], j.dictSpans[:0]
 			for _, dv := range dict {
 				start := int32(len(arena))
-				var head int32
-				head, j.keyBuf = t.lookup1(dv, j.keyBuf)
-				if head != chainNone {
-					arena = t.matchChain1(head, dv, arena)
-				}
+				key[0] = dv
+				arena, j.keyBuf = t.match(key, j.keyBuf, arena)
 				spans = append(spans, [2]int32{start, int32(len(arena))})
 			}
 			j.dictArena, j.dictSpans = arena, spans
@@ -601,45 +498,32 @@ func (j *VectorizedHashJoin) probeBatch(t *joinTable, b *Batch) {
 			}
 			return
 		case kv.Encoding() == vector.Flat:
-			// Flat fast path: one typed lookup per live row, chain walked with
-			// the Compare guard inline.
+			// Flat: one lookup per live row, matches appended in place.
 			vals := kv.Flat()
 			for i := 0; i < n; i++ {
 				p := b.PhysIdx(i)
-				var head int32
-				head, j.keyBuf = t.lookup1(vals[p], j.keyBuf)
-				for m := head; m != chainNone; m = t.next[m] {
-					if value.Compare(vals[p], kc[m]) == 0 {
-						j.pairsProbe = append(j.pairsProbe, int32(p))
-						j.pairsBuild = append(j.pairsBuild, m)
-					}
+				key[0] = vals[p]
+				from := len(j.pairsBuild)
+				j.pairsBuild, j.keyBuf = t.match(key, j.keyBuf, j.pairsBuild)
+				for range j.pairsBuild[from:] {
+					j.pairsProbe = append(j.pairsProbe, int32(p))
 				}
 			}
 			return
 		}
 	}
-	// Segment walk: Const/RLE (and multi-column) keys hash once per maximal
-	// constant segment of live rows; the Compare-checked match list is built
-	// once per segment and shared by every row in it.
+	// Segment walk: Const/RLE (and multi-column) keys look up once per
+	// maximal constant segment of live rows; the match list is built once
+	// per segment and shared by every row in it.
 	seg := newSegmentIter(b, j.LeftKeys, nil)
 	for i := 0; i < n; {
 		p, reps := seg.next(i)
-		var head int32
-		if len(j.LeftKeys) == 1 {
-			head, j.keyBuf = t.lookup1(b.Cols[j.LeftKeys[0]].Get(p), j.keyBuf)
-		} else {
-			head, j.keyBuf = t.lookupComposite(b, p, j.LeftKeys, j.keyBuf)
+		for k, c := range j.LeftKeys {
+			key[k] = b.Cols[c].Get(p)
 		}
-		if head != chainNone {
-			j.segMatches = j.segMatches[:0]
-			if len(j.LeftKeys) == 1 {
-				j.segMatches = t.matchChain1(head, b.Cols[j.LeftKeys[0]].Get(p), j.segMatches)
-			} else {
-				j.segMatches = t.matchChainComposite(head, b, p, j.LeftKeys, j.segMatches)
-			}
-			for r := 0; r < reps; r++ {
-				j.appendPairs(int32(p+r), j.segMatches)
-			}
+		j.segMatches, j.keyBuf = t.match(key, j.keyBuf, j.segMatches[:0])
+		for r := 0; r < reps; r++ {
+			j.appendPairs(int32(p+r), j.segMatches)
 		}
 		i += reps
 	}

@@ -123,7 +123,7 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 	combined := cur.sc.concat(s.sc)
 
 	// Equality keys over (cur, s). Conjuncts consumed as hash-join keys are
-	// excluded from the hash-join residual: the typed-key match enforces the
+	// excluded from the hash-join residual: the key match enforces the
 	// identical SQL equality (NULL keys never match inside the operators), so
 	// re-evaluating them per matched row would only burn the probe hot path.
 	var leftKeys, rightKeys []int
@@ -271,14 +271,14 @@ func (p *Planner) joinPair(cur *joinedRelation, s *plannedSource, avail []sql.Ex
 	}
 
 	if len(leftKeys) > 0 {
-		// Only the conjuncts not consumed as typed keys: the key match
+		// Only the conjuncts not consumed as keys: the key match
 		// enforces equality exactly, NULLs included.
 		residual, err := bindConjuncts(hashResidualAST, combined)
 		if err != nil {
 			return nil, err
 		}
 		// The hash-join algorithm has two executors: the batch-native
-		// VectorizedHashJoin (typed keys, batch probe, morsel-parallel build)
+		// VectorizedHashJoin (one key index, batch probe, morsel-parallel build)
 		// for vectorized engines, and the row-at-a-time HashJoin kept as the
 		// row engine's oracle. Same algorithm, same plan description.
 		var join exec.Operator

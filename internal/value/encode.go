@@ -83,9 +83,10 @@ const (
 )
 
 // EncodeKey appends the in-memory order-preserving encoding of the composite
-// key to dst: the grouping and join key of the hash aggregate, the hash joins
-// and expr.AppendKey, where columns carry no declared kind and Compare-equal
-// values of different kinds (1 and 1.0) must land on the same bytes. For any
+// key to dst: the grouping key of the hash aggregate and, each number cut
+// after its NumericSortKey word, the join key of the hash joins. Columns
+// carry no declared kind there, and Compare-equal values of different kinds
+// (1 and 1.0) must land on the same bytes. For any
 // two keys a and b of the same arity,
 // bytes.Compare(EncodeKey(nil,a), EncodeKey(nil,b)) has the same sign as the
 // column-wise Compare of a and b. Stored keys use AppendStoredKeyValue.
