@@ -12,17 +12,22 @@ import (
 	"oldelephant/internal/vector"
 )
 
+// joinKey is appendJoinKey's bytes for a key with no NULL component.
+func joinKey(t *testing.T, vals ...value.Value) []byte {
+	t.Helper()
+	b, ok := appendJoinKey(nil, vals)
+	if !ok {
+		t.Fatalf("appendJoinKey flagged %v as NULL", vals)
+	}
+	return b
+}
+
 // TestJoinKeyBytes pins the join-key encoding both hash joins bucket by:
-// Compare-equal numbers share bytes, distinct values do not, and a NULL
-// component flags the key as one that joins nothing.
+// Compare-equal numbers share bytes and distinct values do not.
 func TestJoinKeyBytes(t *testing.T) {
 	key := func(vals ...value.Value) []byte {
 		t.Helper()
-		b, ok := appendJoinKey(nil, vals)
-		if !ok {
-			t.Fatalf("appendJoinKey flagged %v as NULL", vals)
-		}
-		return b
+		return joinKey(t, vals...)
 	}
 	equal := [][2]value.Value{
 		{value.NewInt(7), value.NewFloat(7)},
@@ -56,13 +61,27 @@ func TestJoinKeyBytes(t *testing.T) {
 	if a, b := key(value.NewString("a"), value.NewString("b")), key(value.NewString("ab"), value.NewString("")); bytes.Equal(a, b) {
 		t.Errorf("('a','b') and ('ab','') share key %x", a)
 	}
-	// Any NULL component flags the key, and the buffer is appended to.
+}
+
+// TestAppendJoinKey: any NULL component flags the key as one that joins
+// nothing, and the key is appended to the buffer it is given.
+func TestAppendJoinKey(t *testing.T) {
 	buf := []byte("prefix")
-	if _, ok := appendJoinKey(buf, []value.Value{value.NewInt(1), value.Null()}); ok {
-		t.Error("appendJoinKey missed a NULL key component")
+	for _, vals := range [][]value.Value{
+		{value.Null()},
+		{value.NewInt(1), value.Null()},
+		{value.Null(), value.NewString("a")},
+	} {
+		if _, ok := appendJoinKey(buf, vals); ok {
+			t.Errorf("appendJoinKey missed a NULL key component in %v", vals)
+		}
 	}
-	if got, _ := appendJoinKey(buf, []value.Value{value.NewInt(1)}); !bytes.Equal(got[:len(buf)], buf) || !bytes.Equal(got[len(buf):], key(value.NewInt(1))) {
+	want := joinKey(t, value.NewInt(1), value.NewString("a"))
+	if got, _ := appendJoinKey(buf, []value.Value{value.NewInt(1), value.NewString("a")}); !bytes.Equal(got[:len(buf)], buf) || !bytes.Equal(got[len(buf):], want) {
 		t.Errorf("appendJoinKey onto %q = %x", buf, got)
+	}
+	if got, _ := appendJoinKey(buf[:0], []value.Value{value.NewInt(1), value.NewString("a")}); !bytes.Equal(got, want) {
+		t.Errorf("appendJoinKey onto a reused buffer = %x, want %x", got, want)
 	}
 }
 
